@@ -1,0 +1,9 @@
+"""Make ``benchmarks`` and ``repro`` importable however pytest is started."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[3]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
