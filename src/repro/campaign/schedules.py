@@ -91,13 +91,11 @@ def _reorder_dup(n: int, plan: CorruptionPlan, rng: Randomness) -> FaultPlan:
 
 
 def _random_delay(n: int, plan: CorruptionPlan, rng: Randomness) -> FaultPlan:
-    """The historical ``random_delay_*`` knobs as a first-class
-    :class:`~repro.net.latency.RandomDelayLatency` model.
+    """Reorder plus a 15% chance of a 1..2-round delay per message.
 
-    :class:`RandomDelayLatency` reproduces the legacy draw exactly
-    (same fork labels, same bernoulli-then-range sequence), so this
-    schedule's delivery pattern is pinned byte-identical to the knob
-    form — ``tests/net/test_latency.py`` asserts the equality.
+    The delivery pattern under the ``sched`` fork is pinned by a golden
+    in ``tests/net/test_latency.py``: historical repro lines naming
+    this schedule must keep replaying draw-identically.
     """
     return FaultPlan(
         reorder=True,

@@ -12,19 +12,17 @@ inside one interpreter.  The layer is built from:
   codec (round number, party state snapshot, trace offsets, metrics
   tally, staged frames) built on :mod:`repro.utils.serialization`;
 * :mod:`repro.cluster.wire` — the supervisor⇄worker control channel:
-  length-prefixed messages whose frame batches reuse the *existing*
-  :class:`repro.runtime.transport.Frame` wire format;
+  length-prefixed ``header | blob`` messages (no party frame ever rides
+  it);
 * :mod:`repro.cluster.meshwire` / :mod:`repro.cluster.mesh` — the
   worker⇄worker data plane: a compact struct-packed frame-train codec
-  and the direct TCP mesh router that carries it (the default
-  ``data_plane="mesh"``; the supervisor relay remains as
-  ``data_plane="relay"``);
+  and the direct TCP mesh router that carries it;
 * :mod:`repro.cluster.job` — the serializable job description workers
   rebuild their party shard from;
 * :mod:`repro.cluster.worker` / :mod:`repro.cluster.supervisor` — the
   worker process main loop (round stepping, heartbeats, checkpoint
-  writes) and the supervisor (round barriers, frame routing, health
-  monitoring, crash-restart recovery, SIGKILL fault injection);
+  writes) and the supervisor (round barriers, digest-replayed metrics,
+  health monitoring, crash-restart recovery, SIGKILL fault injection);
 * :mod:`repro.cluster.drivers` — convenience drivers (π_ba over the
   cluster with differential parity against :func:`run_parties`) and the
   ``BENCH_cluster.json`` scaling benchmark.

@@ -20,9 +20,8 @@ the crashed process stopped.  Per party it records:
   resume recharges nothing and a status probe can display progress.
 
 The container additionally stores the shard's **staged frames** (sent
-but not yet due for delivery) — used by the in-process runner and the
-supervisor's own durable state; worker checkpoints store an empty list
-because frame staging is supervisor-owned.
+but not yet due for delivery): a cluster worker's own in-flight mesh
+traffic at the barrier, or the in-process runner's pending list.
 
 Durability: :func:`save_checkpoint` writes to a temp file, fsyncs, and
 atomically replaces the target, so a crash mid-write never leaves a

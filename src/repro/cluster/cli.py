@@ -4,7 +4,6 @@ Subcommands::
 
     cluster run [--workload {pi-ba,phase-king}] [--n N] [--workers K]
                 [--scheme {snark,owf}] [--seed S] [--run-dir DIR]
-                [--data-plane {mesh,relay}]
                 [--checkpoint-interval I] [--kill ROUND:WORKER ...]
                 [--metrics-out FILE] [--flow-out FILE] [--flow-cells N]
                 [--spans-dir DIR] [--timeline-out FILE]
@@ -27,11 +26,9 @@ Subcommands::
         checkpoint inventory, halted parties.
 
     cluster bench [--n N] [--workers 1,2,4] [--scheme {snark,owf}]
-                  [--seed S] [--results-dir DIR]
-                  [--data-planes mesh,relay] [--bench-name NAME]
+                  [--seed S] [--results-dir DIR] [--bench-name NAME]
         The ``BENCH_cluster.json`` record: 1-vs-k-worker wall clock for
-        pi_ba replay on each data plane with differential parity
-        against ``run_parties``.
+        pi_ba replay with differential parity against ``run_parties``.
 
     cluster worker --host H --port P --worker-id W
                    [--heartbeat-interval SECONDS]
@@ -72,12 +69,6 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
                         default="snark")
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--checkpoint-interval", type=int, default=8)
-    parser.add_argument(
-        "--data-plane", choices=("mesh", "relay"), default="mesh",
-        help="how party frames travel: direct worker mesh (default) or "
-             "the legacy supervisor relay; resume must match the "
-             "original run",
-    )
     parser.add_argument("--run-dir", type=Path, default=None)
     parser.add_argument(
         "--kill", action="append", default=[], metavar="ROUND:WORKER",
@@ -226,7 +217,6 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         kill_plan=_parse_kill_plan(args.kill),
         registry=registry,
         flow=flow,
-        data_plane=args.data_plane,
     )
     inputs = {i: i % 2 for i in range(args.n)}
     if args.workload == "phase-king":
@@ -295,9 +285,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     worker_counts = tuple(
         int(item) for item in args.workers.split(",") if item
     )
-    data_planes = tuple(
-        item for item in args.data_planes.split(",") if item
-    )
     payload = run_cluster_bench(
         n=args.n,
         worker_counts=worker_counts,
@@ -305,7 +292,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
         results_dir=args.results_dir,
-        data_planes=data_planes,
         bench_name=args.bench_name,
     )
     extra = payload["extra"]
@@ -316,16 +302,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for key, value in sorted(payload["wall_times"].items()):
         print(f"  {key:<24} {value:8.3f}s")
     ok = True
-    for plane, plane_parity in sorted(extra["parity"].items()):
-        for workers, checks in sorted(
-            plane_parity.items(), key=lambda kv: int(kv[0])
-        ):
-            verdict = all(checks.values())
-            ok = ok and verdict
-            print(
-                f"  parity @ {plane}/{workers} workers: "
-                f"{'ok' if verdict else 'MISMATCH ' + str(checks)}"
-            )
+    for workers, checks in sorted(
+        extra["parity"].items(), key=lambda kv: int(kv[0])
+    ):
+        verdict = all(checks.values())
+        ok = ok and verdict
+        print(
+            f"  parity @ {workers} workers: "
+            f"{'ok' if verdict else 'MISMATCH ' + str(checks)}"
+        )
     if args.results_dir is not None:
         print(f"  BENCH_{args.bench_name}.json -> {args.results_dir}")
     return 0 if ok else 1
@@ -371,10 +356,6 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
     bench_parser.add_argument("--seed", type=int, default=2021)
     bench_parser.add_argument("--checkpoint-interval", type=int, default=8)
     bench_parser.add_argument("--results-dir", type=Path, default=None)
-    bench_parser.add_argument(
-        "--data-planes", default="mesh,relay",
-        help="comma-separated data planes to time (mesh, relay)",
-    )
     bench_parser.add_argument(
         "--bench-name", default="cluster",
         help="payload name: results land in BENCH_<name>.json "

@@ -9,9 +9,10 @@ multi-process substrate:
   executes Fig. 3 in the hybrid model against a
   :class:`~repro.runtime.replay.RecordingLedger` (outputs, certificate
   and reference snapshot untouched), phase 2 replays the recorded wire
-  traffic across worker processes, charging the supervisor's ledger at
-  the routing layer and applying the hybrid charges verbatim — exactly
-  the :func:`~repro.runtime.drivers.run_balanced_ba_runtime` recipe;
+  traffic across worker processes, charging the supervisor's ledger
+  from the workers' round digests and applying the hybrid charges
+  verbatim — exactly the
+  :func:`~repro.runtime.drivers.run_balanced_ba_runtime` recipe;
 * :func:`run_cluster_bench` — the ``BENCH_cluster.json`` record: π_ba
   replay at 1/2/4 workers with wall-clock scaling and differential
   parity (outputs, ``max_bits_per_party``, and full per-party tallies)
@@ -184,8 +185,8 @@ def run_balanced_ba_cluster(
     """π_ba with its wire traffic routed across worker processes.
 
     Returns ``(ba_result, cluster_result)`` where ``ba_result.metrics``
-    is the snapshot of the *cluster-charged* ledger (wire frames routed
-    by the supervisor + hybrid charges applied verbatim) — comparable
+    is the snapshot of the *cluster-charged* ledger (wire frames charged
+    from worker digests + hybrid charges applied verbatim) — comparable
     bit-for-bit with :func:`~repro.runtime.drivers.run_balanced_ba_runtime`
     and the synchronous reference.
     """
@@ -229,25 +230,17 @@ def run_cluster_bench(
     checkpoint_interval: int = 8,
     results_dir: Optional[Path] = None,
     config: Optional[ClusterConfig] = None,
-    data_planes: Sequence[str] = ("mesh", "relay"),
     bench_name: str = "cluster",
 ) -> Dict[str, Any]:
     """1-vs-k-worker wall clock for π_ba, with differential parity.
 
     Records π_ba once (hybrid model), then executes the *same* replay
     script single-process (``run_parties``, the parity reference) and at
-    each requested worker count on each requested data plane.  Every
-    cluster run must reproduce the reference outputs,
-    ``max_bits_per_party``, and full per-party tallies — the mesh and
-    the legacy relay charge *identical* ledgers, so their parity blocks
-    must both read all-true.
-
-    Wall-time keys: the mesh rides under the historical
-    ``cluster_{k}_workers`` names (it is the default data plane — the
-    regression gate compares like against like across commits); the
-    relay's timings land under ``relay_{k}_workers``.  Returns the
-    ``repro-bench/1`` payload (written as ``BENCH_<bench_name>.json``
-    when ``results_dir`` is given).
+    each requested worker count.  Every cluster run must reproduce the
+    reference outputs, ``max_bits_per_party``, and full per-party
+    tallies.  Wall times land under ``cluster_{k}_workers``.  Returns
+    the ``repro-bench/1`` payload (written as
+    ``BENCH_<bench_name>.json`` when ``results_dir`` is given).
     """
     from repro.net.adversary import random_corruption
     from repro.params import ProtocolParameters
@@ -278,43 +271,36 @@ def run_cluster_bench(
     apply_func_ops(script, ref_metrics)
 
     parity: Dict[str, Any] = {}
-    restarts: Dict[str, Any] = {}
+    restarts: Dict[str, int] = {}
     last_metrics = ref_metrics
-    for plane in data_planes:
-        prefix = "cluster" if plane == "mesh" else plane
-        plane_parity: Dict[str, Any] = {}
-        plane_restarts: Dict[str, int] = {}
-        for workers in worker_counts:
-            job = replay_job(
-                script,
-                n,
-                name=f"pi-ba-bench-{plane}-{workers}w",
-                checkpoint_interval=checkpoint_interval,
-            )
-            run_config = dataclasses.replace(
-                config if config is not None else ClusterConfig(),
-                num_workers=workers,
-                data_plane=plane,
-            )
-            supervisor = ClusterSupervisor(job, run_config)
-            started = clock()
-            result = supervisor.run()
-            wall_times[f"{prefix}_{workers}_workers"] = clock() - started
-            apply_func_ops(script, result.metrics)
-            plane_parity[str(workers)] = {
-                "outputs": result.outputs == ref_result.outputs,
-                "max_bits_per_party": (
-                    result.metrics.max_bits_per_party
-                    == ref_metrics.max_bits_per_party
-                ),
-                "tallies": tallies_equal(
-                    result.metrics, ref_metrics, range(n)
-                ),
-            }
-            plane_restarts[str(workers)] = result.restarts
-            last_metrics = result.metrics
-        parity[plane] = plane_parity
-        restarts[plane] = plane_restarts
+    for workers in worker_counts:
+        job = replay_job(
+            script,
+            n,
+            name=f"pi-ba-bench-{workers}w",
+            checkpoint_interval=checkpoint_interval,
+        )
+        run_config = dataclasses.replace(
+            config if config is not None else ClusterConfig(),
+            num_workers=workers,
+        )
+        supervisor = ClusterSupervisor(job, run_config)
+        started = clock()
+        result = supervisor.run()
+        wall_times[f"cluster_{workers}_workers"] = clock() - started
+        apply_func_ops(script, result.metrics)
+        parity[str(workers)] = {
+            "outputs": result.outputs == ref_result.outputs,
+            "max_bits_per_party": (
+                result.metrics.max_bits_per_party
+                == ref_metrics.max_bits_per_party
+            ),
+            "tallies": tallies_equal(
+                result.metrics, ref_metrics, range(n)
+            ),
+        }
+        restarts[str(workers)] = result.restarts
+        last_metrics = result.metrics
 
     payload = bench_payload(
         bench_name,
@@ -326,7 +312,6 @@ def run_cluster_bench(
             "scheme": scheme_name,
             "seed": seed,
             "worker_counts": list(worker_counts),
-            "data_planes": list(data_planes),
             "checkpoint_interval": checkpoint_interval,
             "replay_rounds": script.num_rounds,
             "replay_messages": script.num_messages,

@@ -50,9 +50,9 @@ class ShardEngine:
     """Steps one shard of parties through synchronous rounds.
 
     The engine does **not** own a metrics ledger: charging is the
-    caller's job (the supervisor charges the authoritative ledger as it
-    routes frames; :func:`run_shard_locally` charges a local one), so a
-    sharded run cannot double-charge.
+    caller's job (the supervisor replays worker digests into the
+    authoritative ledger; :func:`run_shard_locally` charges a local
+    one), so a sharded run cannot double-charge.
     """
 
     def __init__(
@@ -211,10 +211,10 @@ class ShardEngine:
     ) -> ClusterCheckpoint:
         """Freeze the shard at its current round barrier.
 
-        ``staged`` are the caller's in-flight frames for this shard (the
-        local runner's pending list; workers pass nothing because frame
-        staging is supervisor-owned).  ``tallies`` lets the caller
-        attach per-party metric tallies for resume recharging.
+        ``staged`` are the caller's in-flight frames for this shard (a
+        worker's staged mesh traffic, the local runner's pending list).
+        ``tallies`` lets the caller attach per-party metric tallies for
+        resume recharging.
         """
         records: List[PartyCheckpoint] = []
         for party_id in sorted(self.parties):

@@ -2,7 +2,8 @@
 
 Hub-and-spoke relaying made n=64 pi_ba *anti-scale* (2.0s on one
 worker, 2.8s on four): every party frame crossed the supervisor twice
-as a pickled control message.  :class:`MeshRouter` moves party traffic
+as a pickled control message, so that path was deleted and this is the
+cluster's only data plane.  :class:`MeshRouter` moves party traffic
 point-to-point — each worker opens a listener via
 :func:`repro.net.bind.open_listener`, learns its peers' addresses from
 a supervisor-brokered ``peers`` broadcast, and ships each round's

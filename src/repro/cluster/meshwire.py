@@ -1,10 +1,8 @@
 """The mesh data-plane wire format: compact binary frame trains.
 
-The hub-and-spoke cluster shipped party frames *inside* pickled control
-messages — every data-plane byte crossed the supervisor twice and paid
-``Frame.encode``/``pickle`` on both hops.  The mesh replaces that hot
-path with a purpose-built binary format spoken directly between worker
-processes (:mod:`repro.cluster.mesh`):
+Party frames travel in a purpose-built binary format spoken directly
+between worker processes (:mod:`repro.cluster.mesh`) — the supervisor
+never sees them, and nothing on this hot path is pickled:
 
 * a **train** is one worker's batch of frames for one peer in one round
   — the unit of dedup, resend, and the per-round barrier (an *empty*
@@ -22,8 +20,8 @@ Decoders are strict: truncated or corrupted headers raise
 :class:`~repro.errors.SerializationError` (a member of
 :data:`~repro.errors.MALFORMED_INPUT_ERRORS`) — never hang, never
 silently mis-frame.  ``charge_bits`` survives exactly (signed: ``-1``
-means "charge the payload size"), so the supervisor's digest replay and
-a relay run charge identical bits.
+means "charge the payload size"), so a received frame is field-for-
+field the frame its sender emitted and digested.
 """
 
 from __future__ import annotations

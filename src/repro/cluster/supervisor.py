@@ -1,40 +1,39 @@
-"""The cluster supervisor: round barriers, routing, recovery.
+"""The cluster supervisor: round barriers, metrics, recovery.
 
 The supervisor shards the ``n`` parties of a :class:`ClusterJob` across
 ``k`` worker OS processes and drives them in lockstep rounds over the
-control channel (:mod:`repro.cluster.wire`).  Topology is hub-and-spoke:
-workers never talk to each other — a frame emitted by a party on worker
-A reaches a party on worker B inside A's ``done`` and B's next
-``round`` message, in the transport's existing
-:class:`~repro.runtime.transport.Frame` wire encoding.  That keeps the
-supervisor the single authority over
+control channel (:mod:`repro.cluster.wire`).  Party frames never touch
+it: workers ship them point-to-point over the direct worker↔worker mesh
+(:mod:`repro.cluster.mesh`) and stage their own in-flight traffic; the
+supervisor brokers the mesh address book (``peers``) and stays the
+single authority over
 
-* **staging** — frames sent but not yet due, exactly like the
-  synchronizer's staged buffers;
-* **metrics** — the one :class:`CommunicationMetrics` ledger, charged
-  once per routed frame in its sent round with ``end_round`` per
-  barrier, so ``max_bits_per_party`` is measured identically to
-  :func:`~repro.runtime.synchronizer.run_parties`;
+* **metrics** — the one :class:`CommunicationMetrics` ledger, rebuilt
+  from the per-round charge digests workers ship home in ``done``
+  (one row per emitted frame, replayed in its sent round with
+  ``end_round`` per barrier), so ``max_bits_per_party`` is measured
+  identically to :func:`~repro.runtime.synchronizer.run_parties`;
 * **traces** — workers drain their per-round trace events into ``done``
   messages; the supervisor merges them into one
   :class:`~repro.runtime.trace.TraceRecorder` whose per-party streams
   (and fingerprint) match a single-process run.
 
-Recovery state machine (see ``docs/cluster.md``): every ``round``
-message is logged per worker; every ``checkpoint_interval`` barriers the
-supervisor broadcasts ``checkpoint``, awaits every ack, durably writes
-its own state (staged frames, outputs, metrics, merged trace), trims the
-logs, and prunes stale worker checkpoints.  When a worker dies —
+Recovery state machine (see ``docs/cluster.md``): the supervisor
+remembers the last round dispatched to each worker; every
+``checkpoint_interval`` barriers it broadcasts ``checkpoint``, awaits
+every ack, durably writes its own state (outputs, metrics, merged
+trace), and prunes stale worker checkpoints.  When a worker dies —
 heartbeat silence, connection loss, or nonzero exit — the supervisor
 respawns it pinned to the last fully-acknowledged barrier, replays the
-logged rounds (discarding the duplicate results), re-sends the in-flight
-round, and continues.  ``kill_plan`` turns this path into a real fault
-injector: the supervisor SIGKILLs its own worker right after dispatching
-the scheduled round.
+rounds since (the peers resend their retained trains; the duplicate
+results are discarded), re-sends the in-flight round, and continues.
+``kill_plan`` turns this path into a real fault injector: the
+supervisor SIGKILLs its own worker right after dispatching the
+scheduled round.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control messages; party
-# frames are charged via metrics.record_message exactly where they are routed
+# frames are charged via metrics.replay_digest from the workers' round digests
 
 from __future__ import annotations
 
@@ -49,11 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.checkpoint import (
-    ClusterCheckpoint,
-    decode_checkpoint,
-    encode_checkpoint,
-)
 from repro.cluster.job import ClusterJob, split_shards
 from repro.cluster.wire import (
     CHECKPOINT,
@@ -75,15 +69,14 @@ from repro.cluster.wire import (
 from repro.cluster.worker import checkpoint_name
 from repro.errors import ClusterError
 from repro.net.metrics import CommunicationMetrics
-from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger, flow_tags
+from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog, SpanRecord, span_from_wire, span_to_wire
 from repro.runtime.trace import TraceRecorder
-from repro.runtime.transport import Frame
 
 #: Durable supervisor state file inside the run directory.
 STATE_FILE = "supervisor.ckpt"
-STATE_FORMAT = "repro-cluster-supervisor/1"
+STATE_FORMAT = "repro-cluster-supervisor/2"
 
 #: Flow-ledger pseudo ids for control-plane endpoints: the supervisor
 #: is :data:`~repro.obs.flow.INFRA` (-2); worker ``w`` is ``-10 - w``.
@@ -118,18 +111,12 @@ class ClusterConfig:
     registry: Optional[MetricsRegistry] = None
     host: str = "127.0.0.1"
     #: Optional wire-level flow ledger attached to the authoritative
-    #: metrics ledger (every routed frame becomes a traffic-matrix cell;
+    #: metrics ledger (every digest row becomes a traffic-matrix cell;
     #: control messages are metered under ``ctl:*`` kinds).
     flow: Optional[FlowLedger] = None
     #: Cross-process trace id stamped on every job and echoed by every
     #: done; empty string derives a deterministic one from the job.
     trace_id: str = ""
-    #: How party frames move between workers.  ``"mesh"`` (the default)
-    #: ships them point-to-point over direct worker↔worker links and
-    #: reconstructs the authoritative metrics from per-round digests;
-    #: ``"relay"`` is the legacy hub-and-spoke path where every frame
-    #: rides through the supervisor inside control messages.
-    data_plane: str = "mesh"
 
 
 @dataclass
@@ -189,20 +176,10 @@ class ClusterSupervisor:
     ) -> None:
         self.job = job
         self.config = config if config is not None else ClusterConfig()
-        if self.config.data_plane not in ("mesh", "relay"):
-            raise ClusterError(
-                f"unknown data plane {self.config.data_plane!r} "
-                "(expected 'mesh' or 'relay')"
-            )
-        self._mesh = self.config.data_plane == "mesh"
         self.shards = split_shards(job.n, self.config.num_workers)
         self.run_dir: Optional[Path] = (
             Path(run_dir) if run_dir is not None else None
         )
-        self._party_worker: Dict[int, int] = {}
-        for worker_id, shard in enumerate(self.shards):
-            for party_id in shard:
-                self._party_worker[party_id] = worker_id
         # Cross-process observability.  The trace id is deterministic
         # (derived from the job, never a clock — DET002): it stamps
         # every job message and is echoed by every done, correlating
@@ -221,9 +198,6 @@ class ClusterSupervisor:
         # delta files (see _save_trace_segments).
         self._trace_saved: Dict[int, int] = {}
         self.outputs: Dict[int, Any] = {}
-        self.staged: Dict[int, List[Frame]] = {
-            p: [] for p in range(job.n)
-        }
         self.round_index = 0
         self.checkpoint_round = 0
         self.restarts = 0
@@ -236,9 +210,9 @@ class ClusterSupervisor:
         self._mesh_addresses: Dict[int, Tuple[str, int]] = {}
         self._halted: Set[int] = set()
         self._backlog: List[Tuple[int, int, Message]] = []
-        self._delivery_log: Dict[int, Dict[int, List[Frame]]] = {
-            w: {} for w in range(self.config.num_workers)
-        }
+        # Worker id -> the last round dispatched to it: recovery
+        # re-sends an in-flight round only to a worker that was sent it.
+        self._dispatched: Dict[int, int] = {}
         self._listener = None
         self._port: Optional[int] = None
         registry = self.config.registry
@@ -262,7 +236,7 @@ class ClusterSupervisor:
             )
             self._frames_routed = registry.counter(
                 "repro_cluster_frames_routed_total",
-                "Frames routed worker-to-worker through the supervisor",
+                "Party frames charged from worker round digests",
             )
             self._checkpoints_total = registry.counter(
                 "repro_cluster_checkpoints_total",
@@ -322,10 +296,10 @@ class ClusterSupervisor:
         All processes are spawned *before* any handshake and the job is
         dispatched as each hello arrives, so worker startup (python
         import plus shard build) overlaps across the fleet — the legacy
-        serial accept paid the full import cost once per worker.  On
-        the mesh, every worker's ``resumed`` reply carries its data-
-        plane listener address and a ``peers`` address book is
-        broadcast to the whole fleet once all launches finish.
+        serial accept paid the full import cost once per worker.
+        Every worker's ``resumed`` reply carries its mesh listener
+        address and a ``peers`` address book is broadcast to the whole
+        fleet once all launches finish.
         """
         assert self.run_dir is not None and self._port is not None
         import repro as _repro_pkg
@@ -403,11 +377,9 @@ class ClusterSupervisor:
                     "checkpoint_dir": str(self.run_dir),
                     "checkpoint_stem": f"shard-{worker_id}",
                     "trace_id": self.trace_id,
-                    "data_plane": self.config.data_plane,
+                    "shards": self.shards,
+                    "mesh_host": self.config.host,
                 }
-                if self._mesh:
-                    fields["shards"] = self.shards
-                    fields["mesh_host"] = self.config.host
                 channel.send(
                     Message(
                         JOB, fields, blob=Message.pack_payload(self.job)
@@ -429,11 +401,10 @@ class ClusterSupervisor:
                         f"worker {worker_id} resumed at round {at_round}, "
                         f"supervisor pinned round {resume_round}"
                     )
-                if self._mesh:
-                    self._mesh_addresses[worker_id] = (
-                        str(resumed.fields["mesh_host"]),
-                        int(resumed.fields["mesh_port"]),
-                    )
+                self._mesh_addresses[worker_id] = (
+                    str(resumed.fields["mesh_host"]),
+                    int(resumed.fields["mesh_port"]),
+                )
                 process, log_handle = spawned[worker_id]
                 self.workers[worker_id] = _Worker(
                     worker_id=worker_id,
@@ -454,8 +425,7 @@ class ClusterSupervisor:
                 f"worker launch failed: {exc} "
                 f"(see worker-*.log in {self.run_dir})"
             ) from exc
-        if self._mesh:
-            self._broadcast_peers()
+        self._broadcast_peers()
 
     def _broadcast_peers(self) -> None:
         """Ship the mesh address book to every live worker.
@@ -537,38 +507,23 @@ class ClusterSupervisor:
             self._reap(old)
         self._launch_all([worker_id], self.checkpoint_round)
         worker = self.workers[worker_id]
-        # Replay the logged rounds between the worker's checkpoint and
-        # the in-flight barrier; its regenerated results (frames,
-        # outputs, trace events) are duplicates of what this supervisor
-        # already processed, so they are discarded wholesale.  On the
-        # mesh the replayed rounds' inbound frames come from the peers'
-        # retained trains (resent by the link handshake's watermark
-        # exchange), so the round messages carry no frames; re-emitted
-        # outbound trains are deduplicated by the receivers.
+        # Replay the rounds between the worker's checkpoint and the
+        # in-flight barrier; its regenerated results (digest, outputs,
+        # trace events) are duplicates of what this supervisor already
+        # processed, so they are discarded wholesale.  The replayed
+        # rounds' inbound frames come from the peers' retained trains
+        # (resent by the link handshake's watermark exchange);
+        # re-emitted outbound trains are deduplicated by the receivers.
         for replay_round in range(self.checkpoint_round, current_round):
-            frames = (
-                []
-                if self._mesh
-                else self._delivery_log[worker_id].get(replay_round, [])
-            )
             worker.channel.send(
-                Message(
-                    ROUND,
-                    {"round": replay_round, "replay": True},
-                    frames=frames,
-                )
+                Message(ROUND, {"round": replay_round, "replay": True})
             )
             self._await(worker, DONE, round_index=replay_round)
         # Re-send the in-flight round if it was already dispatched;
         # its (first and only) result is collected by the caller.
-        frames = self._delivery_log[worker_id].get(current_round)
-        if frames is not None:
+        if self._dispatched.get(worker_id) == current_round:
             worker.channel.send(
-                Message(
-                    ROUND,
-                    {"round": current_round, "replay": False},
-                    frames=[] if self._mesh else frames,
-                )
+                Message(ROUND, {"round": current_round, "replay": False})
             )
 
     def _reap(self, worker: _Worker) -> None:
@@ -605,8 +560,8 @@ class ClusterSupervisor:
         targets = set(self.job.target_ids())
         for _ in range(self.job.max_rounds):
             if targets <= (set(self.outputs) | self._halted):
-                # Mesh: the last rounds' digests may still be queued —
-                # flush them so outputs/metrics/trace are complete.
+                # The last rounds' digests may still be queued — flush
+                # them so outputs/metrics/trace are complete.
                 self._flush_backlog()
                 return
             self._step_round()
@@ -619,46 +574,32 @@ class ClusterSupervisor:
         # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
         started = time.monotonic() if self.config.registry else 0.0
         round_index = self.round_index
-        due = {} if self._mesh else self._pop_due(round_index)
         # Supervisor-side round span, recorded by direct open/close so
-        # it never enters the attribution stack (the routed-frame
-        # charges below must keep their recorded phases, not ours).
+        # it never enters the attribution stack (the digest charges
+        # below must keep their recorded phases, not ours).
         round_span = self.span_log.open(
             "supervisor-round",
             "supervisor-round",
             0,
-            {
-                "round": round_index,
-                "frames_dispatched": sum(len(f) for f in due.values()),
-            },
+            {"round": round_index},
         )
         for worker_id in sorted(self.workers):
-            frames = due.get(worker_id, [])
-            # On the mesh the (empty) log entry is the dispatch marker
-            # recovery consults to re-send an in-flight round.
-            self._delivery_log[worker_id][round_index] = frames
+            self._dispatched[worker_id] = round_index
             try:
                 self.workers[worker_id].channel.send(
-                    Message(
-                        ROUND,
-                        {"round": round_index, "replay": False},
-                        frames=frames,
-                    )
+                    Message(ROUND, {"round": round_index, "replay": False})
                 )
             except ClusterError as exc:
                 self._recover(worker_id, round_index, reason=str(exc))
         victim = self.config.kill_plan.get(round_index)
         if victim is not None:
             self._sigkill(victim)
-        if self._mesh:
-            # Deferred bookkeeping: replay the *previous* round's
-            # digests while the workers compute this one — the ledger
-            # runs one round behind the fleet, charge order unchanged.
-            self._flush_backlog()
+        # Deferred bookkeeping: replay the *previous* round's digests
+        # while the workers compute this one — the ledger runs one
+        # round behind the fleet, charge order unchanged.
+        self._flush_backlog()
         for worker_id in sorted(self.workers):
             self._collect_done(worker_id, round_index)
-        if not self._mesh:
-            self.metrics.end_round()
         self.span_log.close(round_span)
         self.round_index = round_index + 1
         if self.config.registry is not None:
@@ -670,20 +611,6 @@ class ClusterSupervisor:
             and self.round_index % self.job.checkpoint_interval == 0
         ):
             self._checkpoint_barrier()
-
-    def _pop_due(self, round_index: int) -> Dict[int, List[Frame]]:
-        """Pop every staged frame due at this barrier, grouped by the
-        worker that owns its recipient."""
-        due: Dict[int, List[Frame]] = {}
-        for party_id, staged in self.staged.items():
-            ready = [f for f in staged if f.deliver_round <= round_index]
-            if not ready:
-                continue
-            self.staged[party_id] = [
-                f for f in staged if f.deliver_round > round_index
-            ]
-            due.setdefault(self._party_worker[party_id], []).extend(ready)
-        return due
 
     def _collect_done(self, worker_id: int, round_index: int) -> None:
         while True:
@@ -699,23 +626,22 @@ class ClusterSupervisor:
                 self._recover(exc.worker_id, round_index, reason=exc.reason)
                 continue
             break
-        if self._mesh:
-            # Halt reports ride in the cheap json fields so the round
-            # loop can terminate without unpickling the deferred blob.
-            self._halted.update(
-                int(p) for p in message.fields.get("halted", [])
-            )
-            self._backlog.append((round_index, worker_id, message))
-        else:
-            self._process_done(worker_id, message)
+        # Halt reports ride in the cheap json fields so the round loop
+        # can terminate without unpickling the deferred blob.
+        self._halted.update(
+            int(p) for p in message.fields.get("halted", [])
+        )
+        self._backlog.append((round_index, worker_id, message))
 
     def _flush_backlog(self) -> None:
-        """Replay queued mesh done messages into the ledger, in order.
+        """Replay queued done messages into the ledger, in order.
 
         The backlog is appended round-ascending, sorted-worker within a
-        round — the exact order the relay charges in — and every round
-        boundary closes with ``end_round``, so tallies, per-round bits,
-        and flow cells are bit-identical to hub-and-spoke routing.
+        round, so every digest row is charged in its sent round, before
+        that round's ``end_round`` — the point at which
+        :func:`~repro.runtime.synchronizer.run_parties` charges a send.
+        Charges within one round commute, so tallies, per-round bits,
+        and flow cells are bit-identical to a single-process run.
         """
         if not self._backlog:
             return
@@ -725,23 +651,22 @@ class ClusterSupervisor:
             if round_index != current:
                 self.metrics.end_round()
                 current = round_index
-            self._process_mesh_done(worker_id, message)
+            self._process_done(worker_id, message)
         self.metrics.end_round()
 
-    def _process_mesh_done(self, worker_id: int, message: Message) -> None:
+    def _process_done(self, worker_id: int, message: Message) -> None:
         payload = message.payload() or {}
         rows = self._validate_digest_rows(payload.get("digest") or [])
         if rows:
-            recipients = {row[1] for row in rows}
-            if not recipients <= self.staged.keys():
-                unknown = sorted(recipients - self.staged.keys())
+            parties = range(self.job.n)
+            unknown = [row[1] for row in rows if row[1] not in parties]
+            if unknown:
                 raise ClusterError(
                     f"worker emitted a frame for unknown party "
-                    f"{unknown[0]}"
+                    f"{min(unknown)}"
                 )
-            # One batched replay per (round, worker), row order exactly
-            # the worker's emission order — the same charge sequence
-            # the relay produces one record_message at a time.
+            # One batched replay per (round, worker): the charges
+            # run_parties makes one record_message at a time.
             self.metrics.replay_digest(rows)
             if self.config.registry is not None:
                 self._frames_routed.inc(len(rows))
@@ -788,39 +713,6 @@ class ClusterSupervisor:
                 raise ClusterError(f"malformed mesh digest row {row!r}")
             validated.append((sender, recipient, bits, phase))
         return validated
-
-    def _process_done(self, worker_id: int, message: Message) -> None:
-        # Flow refinement: workers record the obs phase of each emitted
-        # frame (parallel "phases" list); the flow_tags override
-        # re-attaches it to the routed charge without touching span
-        # attribution (bits_by_phase is unchanged either way).
-        phases = message.fields.get("phases") or []
-        for index, frame in enumerate(message.frames):
-            if frame.recipient not in self.staged:
-                raise ClusterError(
-                    f"worker emitted a frame for unknown party "
-                    f"{frame.recipient}"
-                )
-            # One charge per routed frame, in its sent round — the same
-            # point in the round the transports charge at.
-            phase = str(phases[index]) if index < len(phases) else ""
-            with flow_tags(phase=phase or None, kind="frame"):
-                # lint: allow[OBS001] reason=routing-plane charge; the worker recorded the frame's phase at emit time and ships it home, so flow_tags re-attaches it without a supervisor-side span
-                self.metrics.record_message(
-                    frame.sender, frame.recipient, frame.bits()
-                )
-            self.staged[frame.recipient].append(frame)
-        if self.config.registry is not None and message.frames:
-            self._frames_routed.inc(len(message.frames))
-        payload = message.payload() or {}
-        self.outputs.update(payload.get("outputs", {}))
-        for party_id in sorted(payload.get("trace", {})):
-            self.trace.preload(party_id, payload["trace"][party_id])
-        rows = payload.get("spans") or []
-        if rows:
-            self.worker_spans.setdefault(worker_id, []).extend(
-                span_from_wire(row) for row in rows
-            )
 
     def _await(
         self,
@@ -876,10 +768,8 @@ class ClusterSupervisor:
                     deadline = time.monotonic() + self.config.round_timeout
                 # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
                 if time.monotonic() > deadline:
-                    dead_peer = (
-                        self._find_dead_peer(exclude=worker.worker_id)
-                        if self._mesh
-                        else None
+                    dead_peer = self._find_dead_peer(
+                        exclude=worker.worker_id
                     )
                     if dead_peer is not None:
                         raise _PeerDied(dead_peer, "process exited")
@@ -923,8 +813,8 @@ class ClusterSupervisor:
     def _find_dead_peer(self, exclude: int) -> Optional[int]:
         """Return the lowest worker id whose process has exited.
 
-        Used when a *live* worker stalls: in the mesh the stall is
-        usually starvation — a dead peer never sent its train — and
+        Used when a *live* worker stalls: the stall is usually
+        starvation — a dead peer never sent its train — and
         killing the starved worker would be punishing the victim.
         """
         for worker_id in sorted(self.workers):
@@ -938,10 +828,9 @@ class ClusterSupervisor:
 
     def _checkpoint_barrier(self) -> None:
         barrier = self.round_index
-        if self._mesh:
-            # Digest bookkeeping must be current before the durable
-            # snapshot: _save_state pickles metrics/trace/spans.
-            self._flush_backlog()
+        # Digest bookkeeping must be current before the durable
+        # snapshot: _save_state pickles metrics/trace/spans.
+        self._flush_backlog()
         # Workers may drop retained mesh trains strictly below the
         # *previous* barrier only: a peer recovered from the previous
         # checkpoint replays from there and still needs those rounds.
@@ -989,9 +878,6 @@ class ClusterSupervisor:
                     continue
                 break
         self.checkpoint_round = barrier
-        for log in self._delivery_log.values():
-            for logged_round in [r for r in log if r < barrier]:
-                del log[logged_round]
         self._prune_worker_checkpoints(barrier)
         self._save_state(completed=False)
         if self.config.registry is not None:
@@ -1048,25 +934,14 @@ class ClusterSupervisor:
 
     def _save_state(self, completed: bool) -> None:
         assert self.run_dir is not None
-        container = ClusterCheckpoint(
-            next_round=self.round_index,
-            parties=[],
-            staged=[
-                frame
-                for party_id in sorted(self.staged)
-                for frame in self.staged[party_id]
-            ],
-        )
         state = {
             "format": STATE_FORMAT,
             "job_name": self.job.name,
             "n": self.job.n,
             "num_workers": self.config.num_workers,
-            "data_plane": self.config.data_plane,
             "round": self.round_index,
             "completed": completed,
             "restarts": self.restarts,
-            "container": encode_checkpoint(container),
             "outputs": dict(self.outputs),
             "metrics": self.metrics,
             # Delta checkpointing: the manifest carries only per-party
@@ -1112,26 +987,12 @@ class ClusterSupervisor:
                 f"resume must use the same count "
                 f"(got {self.config.num_workers})"
             )
-        saved_plane = state.get("data_plane")
-        if saved_plane is not None and saved_plane != self.config.data_plane:
-            raise ClusterError(
-                f"run used data plane {saved_plane!r}; resume must use "
-                f"the same plane (got {self.config.data_plane!r})"
-            )
-        container = decode_checkpoint(state["container"])
         self.round_index = int(state["round"])
         self.checkpoint_round = self.round_index
         self.restarts = int(state["restarts"])
         self.outputs = dict(state["outputs"])
         self._halted = {int(p) for p in self.outputs}
         self.metrics = state["metrics"]
-        self.staged = {p: [] for p in range(self.job.n)}
-        for frame in container.staged:
-            if frame.recipient not in self.staged:
-                raise ClusterError(
-                    f"staged frame for unknown party {frame.recipient}"
-                )
-            self.staged[frame.recipient].append(frame)
         self.trace = TraceRecorder()
         for party_id in sorted(state["trace_events"]):
             self.trace.preload(party_id, state["trace_events"][party_id])
@@ -1208,14 +1069,11 @@ def read_state(run_dir: Path) -> Optional[Dict[str, Any]]:
         raise ClusterError(
             f"{path} is not {STATE_FORMAT} supervisor state"
         )
-    if "trace_events" not in state:
-        # Delta-checkpointed manifest: materialize the per-party event
-        # streams from the trace-<pid>.seg chunk files so every
-        # consumer (resume, status, tests) sees the legacy shape.
-        # Legacy manifests with inline "trace_events" skip this.
-        state["trace_events"] = _read_trace_segments(
-            Path(run_dir), state.get("trace_segments", {})
-        )
+    # Materialize the per-party event streams from the trace-<pid>.seg
+    # chunk files so every consumer (resume, status, tests) sees them.
+    state["trace_events"] = _read_trace_segments(
+        Path(run_dir), state.get("trace_segments", {})
+    )
     return state
 
 

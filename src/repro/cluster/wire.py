@@ -1,25 +1,24 @@
 """The supervisor⇄worker control channel.
 
 All cluster control traffic — job dispatch, round barriers, heartbeats,
-checkpoint commands, and the worker's per-round results — travels as
-length-prefixed :class:`Message` records over one blocking TCP
-connection per worker.  Party-to-party traffic rides *inside* ROUND and
-DONE messages as batches of :class:`~repro.runtime.transport.Frame`
-records in the transport's existing wire encoding, so the bytes a party
-emits on the cluster are exactly the bytes it emits under
-:class:`~repro.runtime.transport.TcpTransport`.
+checkpoint commands, the mesh address book, and the worker's per-round
+results — travels as length-prefixed :class:`Message` records over one
+blocking TCP connection per worker.  Party-to-party traffic never rides
+this channel: workers ship frames to each other over the direct mesh
+(:mod:`repro.cluster.mesh`, wire format in
+:mod:`repro.cluster.meshwire`) and report only a per-round charge
+digest home inside ``done``.
 
 Message layout (everything length-prefixed with the transport's 4-byte
 big-endian ``_LENGTH`` prefix or :mod:`repro.utils.serialization`
 varints)::
 
-    u32 total | bytes json_header | bytes blob | seq frame_encodings
+    u32 total | bytes json_header | bytes blob
 
 * ``json_header`` — ``{"kind": ..., **fields}``, sorted keys: the small
   structured part (round numbers, worker ids, shard assignments);
 * ``blob`` — an opaque pickle for Python payloads that are not JSON
-  (party outputs, the job description);
-* ``frame_encodings`` — each item is ``Frame.encode()`` verbatim.
+  (party outputs, the charge digest, the job description).
 
 Kinds (see ``docs/cluster.md`` for the full state machine):
 
@@ -28,16 +27,21 @@ kind             dir     meaning
 ===============  ======  =======================================================
 ``hello``        w → s   worker is up; fields: ``worker_id``
 ``job``          s → w   shard assignment; blob: pickled ClusterJob;
-                         fields: ``shard`` (party ids), ``resume`` (bool),
-                         ``checkpoint_dir``, ``checkpoint_name``
-``resumed``      w → s   checkpoint loaded; fields: ``next_round``
-``round``        s → w   step one round; fields: ``round``, ``replay``;
-                         frames: the shard's due deliveries
-``done``         w → s   round finished; fields: ``round``; frames: the
-                         shard's emissions; blob: pickled
-                         ``{"outputs": {...}, "trace": {...}}``
+                         fields: ``shard`` (party ids), ``shards`` (the
+                         whole fleet's), ``resume_round``,
+                         ``checkpoint_dir``, ``checkpoint_stem``,
+                         ``trace_id``, ``mesh_host``
+``resumed``      w → s   checkpoint loaded; fields: ``next_round``,
+                         ``mesh_host``, ``mesh_port`` (the worker's
+                         mesh listener)
+``round``        s → w   step one round; fields: ``round``, ``replay``
+``done``         w → s   round finished; fields: ``round``, ``halted``;
+                         blob: pickled ``{"outputs": {...}, "trace":
+                         {...}, "spans": [...], "digest": [(sender,
+                         recipient, bits, phase), ...]}``
 ``checkpoint``   s → w   write a checkpoint at the current barrier;
-                         fields: ``round``
+                         fields: ``round``, ``trim_below`` (retained
+                         mesh trains the worker may now drop)
 ``checkpointed`` w → s   ack; fields: ``round``
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
@@ -60,7 +64,7 @@ supervisor can poll with short deadlines without ever losing framing.
 """
 
 # lint: file-allow[ACC001] reason=control-channel sockets; party traffic is
-# charged by the supervisor per routed Frame, never from this module
+# charged by the supervisor from worker round digests, never from this module
 
 from __future__ import annotations
 
@@ -72,13 +76,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ClusterError
-from repro.runtime.transport import Frame, _LENGTH
-from repro.utils.serialization import (
-    decode_bytes,
-    decode_sequence,
-    encode_bytes,
-    encode_sequence,
-)
+from repro.runtime.transport import _LENGTH
+from repro.utils.serialization import decode_bytes, encode_bytes
 
 # Hard cap on a single wire record.  Logical messages larger than the
 # chunk threshold are split into ``part`` records by the channel and
@@ -86,9 +85,10 @@ from repro.utils.serialization import (
 # length prefix — not the size of a round's traffic.
 _MAX_MESSAGE = 1 << 28
 #: Bodies above this are shipped as a train of ``part`` records.  A
-#: heavy gossip round at n=64 under the OWF scheme can exceed 256 MiB
-#: in one DONE message; chunking keeps every wire record small while
-#: letting logical messages grow with the protocol.
+#: DONE body grows with the round's charge digest and drained trace
+#: events (one row/event per emitted frame), and the JOB blob with the
+#: replay script; chunking keeps every wire record small while letting
+#: logical messages grow with the protocol.
 _CHUNK_BYTES = 32 << 20
 #: Sanity bound on a reassembled chunked message.
 _MAX_ASSEMBLED = 1 << 33
@@ -114,7 +114,7 @@ KINDS = (
 #: Control-plane byte meter: ``(direction, kind, num_bytes)`` with
 #: direction ``"send"`` or ``"recv"``.  Installed by the supervisor so
 #: the flow ledger can account control overhead separately from the
-#: party traffic it routes (which is charged per Frame, not here).
+#: party traffic (which is charged per digest row, not here).
 ChannelMeter = Callable[[str, str, int], None]
 
 
@@ -124,7 +124,6 @@ class Message:
 
     kind: str
     fields: Dict[str, Any] = field(default_factory=dict)
-    frames: List[Frame] = field(default_factory=list)
     blob: bytes = b""
 
     def encode_body(self) -> bytes:
@@ -137,11 +136,7 @@ class Message:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        return (
-            encode_bytes(header)
-            + encode_bytes(self.blob)
-            + encode_sequence([frame.encode() for frame in self.frames])
-        )
+        return encode_bytes(header) + encode_bytes(self.blob)
 
     def encode(self) -> bytes:
         """Length-prefixed single-record wire encoding."""
@@ -158,7 +153,6 @@ class Message:
         try:
             header_bytes, offset = decode_bytes(body, 0)
             blob, offset = decode_bytes(body, offset)
-            frame_blobs, offset = decode_sequence(body, offset)
             header = json.loads(header_bytes.decode("utf-8"))
         except Exception as exc:  # framing or JSON garbage
             raise ClusterError(f"corrupt control message: {exc}") from exc
@@ -171,10 +165,7 @@ class Message:
         kind = header.pop("kind")
         if kind not in KINDS:
             raise ClusterError(f"unknown control message kind {kind!r}")
-        frames = [
-            Frame.decode(item[_LENGTH.size:]) for item in frame_blobs
-        ]
-        return Message(kind=kind, fields=header, frames=frames, blob=blob)
+        return Message(kind=kind, fields=header, blob=blob)
 
     # -- blob helpers ---------------------------------------------------------
 

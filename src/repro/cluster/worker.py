@@ -7,17 +7,23 @@ is a small state machine driven entirely by the supervisor over a single
 1. dial the supervisor, introduce itself (``hello``);
 2. receive its ``job`` (builder reference + shard assignment + resume
    flag), rebuild the shard — from the last durable checkpoint when
-   resuming — and report the round it stands at (``resumed``);
+   resuming — open its mesh listener
+   (:class:`~repro.cluster.mesh.MeshRouter`) and report the round it
+   stands at plus the listener address (``resumed``);
 3. loop: on ``round`` step the :class:`~repro.cluster.engine.ShardEngine`
-   and reply ``done`` with the emitted frames, the shard's halted
-   outputs, and the round's drained trace events; on ``checkpoint``
-   durably snapshot the shard and ack; on ``stop`` exit 0.
+   over the shard's due staged frames, ship the emitted frames to the
+   peers that own their recipients (one train per peer, empty trains
+   included — they are the round barrier), stage the trains received,
+   and reply ``done`` with a charge digest of the emissions, the shard's
+   halted outputs, and the round's drained trace events; on
+   ``checkpoint`` durably snapshot the shard with its staged frames and
+   ack; on ``peers`` refresh the mesh address book; on ``stop`` exit 0.
 
 A daemon heartbeat thread shares the channel (sends are locked) and
 beacons ``heartbeat`` on a fixed interval so the supervisor can tell a
 slow round from a dead process.  The worker never owns a metrics
-ledger: the supervisor charges the authoritative one as it routes
-frames, so sharding cannot double-charge the paper's headline metric.
+ledger: the supervisor replays the digests into the authoritative one,
+so sharding cannot double-charge the paper's headline metric.
 
 The worker is deliberately crash-naked: any unexpected exception
 escapes, the process dies nonzero, and the supervisor's recovery path —
@@ -26,7 +32,7 @@ error handling.  That is what makes SIGKILL fault injection honest.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control replies; the
-# worker never owns a ledger — the supervisor charges frames as it routes them
+# worker never owns a ledger — the supervisor charges frames from its digests
 
 from __future__ import annotations
 
@@ -132,49 +138,39 @@ def worker_main(
         # echoes it so any hop of the conversation can be correlated.
         trace_id = str(job_msg.fields.get("trace_id", ""))
 
-        data_plane = str(job_msg.fields.get("data_plane", "relay"))
-
         trace = TraceRecorder()
         span_log = SpanLog()
         engine, staged = _build_engine(
             job, shard, resume_round, checkpoint_dir, checkpoint_stem, trace
         )
 
-        peers: List[int] = []
-        owner: Dict[int, int] = {}
-        if data_plane == "mesh":
-            shards = [
-                [int(p) for p in s] for s in job_msg.fields["shards"]
-            ]
-            owner = {p: w for w, s in enumerate(shards) for p in s}
-            peers = sorted(
-                w for w, s in enumerate(shards) if s and w != worker_id
+        shards = [[int(p) for p in s] for s in job_msg.fields["shards"]]
+        owner = {p: w for w, s in enumerate(shards) for p in s}
+        peers = sorted(
+            w for w, s in enumerate(shards) if s and w != worker_id
+        )
+        router = MeshRouter(
+            worker_id,
+            host=str(job_msg.fields.get("mesh_host", host)),
+            first_round=engine.next_round,
+        )
+        channel.send(
+            Message(
+                RESUMED,
+                {
+                    "next_round": engine.next_round,
+                    "mesh_host": router.address[0],
+                    "mesh_port": router.address[1],
+                },
             )
-            router = MeshRouter(
-                worker_id,
-                host=str(job_msg.fields.get("mesh_host", host)),
-                first_round=engine.next_round,
-            )
-            channel.send(
-                Message(
-                    RESUMED,
-                    {
-                        "next_round": engine.next_round,
-                        "mesh_host": router.address[0],
-                        "mesh_port": router.address[1],
-                    },
-                )
-            )
-        else:
-            channel.send(
-                Message(RESUMED, {"next_round": engine.next_round})
-            )
+        )
 
         def progress() -> int:
-            moved = channel.data_bytes_sent + channel.bytes_received
-            if router is not None:
-                moved += router.progress()
-            return moved
+            return (
+                channel.data_bytes_sent
+                + channel.bytes_received
+                + router.progress()
+            )
 
         heartbeat = _Heartbeat(channel, heartbeat_interval, progress)
         heartbeat.start()
@@ -184,19 +180,17 @@ def worker_main(
             if message.kind == STOP:
                 return 0
             if message.kind == PEERS:
-                if router is not None:
-                    router.update_peers(
-                        _decode_addresses(message.fields["addresses"])
-                    )
+                router.update_peers(
+                    _decode_addresses(message.fields["addresses"])
+                )
                 continue
             if message.kind == CHECKPOINT:
                 # The checkpoint name is versioned by barrier round so
                 # the supervisor can pin a resume to its last fully-
                 # acknowledged barrier even if this worker raced ahead.
-                # On the mesh the worker owns its own staging, so the
-                # in-flight frames ride in the checkpoint (sorted for
-                # deterministic bytes); on the relay the supervisor
-                # owns staging and the list is empty.
+                # The worker owns its own staging, so the in-flight
+                # frames ride in the checkpoint (sorted for
+                # deterministic bytes).
                 barrier = int(message.fields["round"])
                 save_checkpoint(
                     checkpoint_dir,
@@ -208,8 +202,7 @@ def worker_main(
                         )
                     ),
                 )
-                if router is not None:
-                    router.trim(int(message.fields.get("trim_below", 0)))
+                router.trim(int(message.fields.get("trim_below", 0)))
                 channel.send(Message(CHECKPOINTED, {"round": barrier}))
                 continue
             if message.kind != ROUND:
@@ -217,13 +210,8 @@ def worker_main(
                     f"worker {worker_id} cannot handle {message.kind!r}"
                 )
             round_index = int(message.fields["round"])
-            if router is not None:
-                due = [f for f in staged if f.deliver_round <= round_index]
-                staged = [
-                    f for f in staged if f.deliver_round > round_index
-                ]
-            else:
-                due = message.frames
+            due = [f for f in staged if f.deliver_round <= round_index]
+            staged = [f for f in staged if f.deliver_round > round_index]
             round_span = span_log.open(
                 "cluster-round", "cluster-round", 0,
                 {"round": round_index, "worker": worker_id,
@@ -234,36 +222,8 @@ def worker_main(
             span_log.close(round_span)
             span_digest = [span_to_wire(r) for r in span_log.records]
             span_log.records.clear()
-            if router is None:
-                channel.send(
-                    Message(
-                        DONE,
-                        {
-                            "round": round_index,
-                            "replay": bool(
-                                message.fields.get("replay", False)
-                            ),
-                            "trace_id": trace_id,
-                            # Flow refinement: the obs phase of each
-                            # emitted frame, parallel to the frames
-                            # list, so the supervisor can charge its
-                            # flow ledger with the phase recorded at
-                            # emit time.
-                            "phases": engine.last_phases,
-                        },
-                        frames=out_frames,
-                        blob=Message.pack_payload(
-                            {
-                                "outputs": engine.outputs(),
-                                "trace": trace.drain(),
-                                "spans": span_digest,
-                            }
-                        ),
-                    )
-                )
-                continue
-            # -- mesh data plane: route frames peer-to-peer, ship a
-            # metrics digest home instead of the frames themselves.
+            # Route frames peer-to-peer; ship a metrics digest home
+            # instead of the frames themselves.
             digest: List[Tuple[int, int, int, str]] = []
             trains: Dict[int, List[Frame]] = {peer: [] for peer in peers}
             for frame, phase in zip(out_frames, engine.last_phases):
@@ -370,9 +330,8 @@ def _build_engine(
     ``resume_round == 0`` means a fresh build (the supervisor replays
     from round 0); a positive value names the barrier the supervisor
     knows every shard has durably reached, so the file must exist.
-    Returns the engine plus the checkpoint's staged frames — empty on
-    the relay plane (staging is supervisor-owned there), the worker's
-    own in-flight frames on the mesh.
+    Returns the engine plus the checkpoint's staged frames (the
+    worker's own in-flight traffic at that barrier).
     """
     if resume_round > 0:
         name = checkpoint_name(checkpoint_stem, resume_round)

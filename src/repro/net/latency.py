@@ -17,13 +17,11 @@ message coordinates ``(sent_round, sender, recipient, seq)``, so the
 schedule depends only on the seed and the message set — never on event
 loop interleaving — and a replay with the same seed is exact.
 
-:class:`RandomDelayLatency` is the promotion of the campaign's
-historical ``random-delay`` schedule knobs
-(``random_delay_probability`` / ``random_delay_max`` on ``FaultPlan``):
-it reproduces ``FaultPlan.delay_of``'s draw sequence *exactly* — same
-fork label, same bernoulli-then-range order — so the old schedule can be
-expressed as a latency model without moving a single delivery
-(pinned by ``tests/net/test_latency.py``).
+:class:`RandomDelayLatency` is the campaign's ``random-delay``
+schedule.  Its draw sequence — a ``delay/<coords>`` fork, a bernoulli,
+then a 1..max range draw — is pinned by a SHA-256 golden in
+``tests/net/test_latency.py`` so every historical ``campaign/1`` repro
+line keeps replaying draw-identically.
 """
 
 from __future__ import annotations
@@ -234,13 +232,11 @@ class PartitionHealLatency(LatencyModel):
 
 
 class RandomDelayLatency(LatencyModel):
-    """The campaign's historical ``random-delay`` knobs as a model.
+    """With chance ``probability``, a uniform 1..``max_rounds`` delay.
 
-    Draw-for-draw identical to ``FaultPlan.delay_of`` with
-    ``random_delay_probability=probability`` /
-    ``random_delay_max=max_rounds``: the fork label and the
-    bernoulli-then-range sequence are the exact ones the plan used, so
-    swapping the schedule over to this model moves no delivery.
+    The fork label and the bernoulli-then-range draw order are part of
+    the replay contract (historical campaign repro lines depend on
+    them); ``tests/net/test_latency.py`` pins them with a golden.
     """
 
     name = "random-delay"

@@ -143,15 +143,16 @@ class CommunicationMetrics:
     ) -> None:
         """Replay a batch of ``(sender, recipient, bits, phase)`` rows.
 
-        The mesh data plane never routes a frame through the supervisor,
-        so workers ship a per-round digest home and this method replays
+        The cluster never routes a frame through the supervisor, so
+        workers ship a per-round digest home and this method replays
         it into the ledger.  Every row is charged *exactly* as
         :meth:`record_message` under
         ``flow_tags(phase=row_phase, kind=kind)`` would charge it —
         span attribution stays on the supervisor's innermost obs span
         (or ``(unattributed)``), while the flow ledger gets the worker's
         recorded protocol phase — so aggregates, per-phase cells, and
-        flow cells are bit-identical to the hub-and-spoke relay path.
+        flow cells are bit-identical to charging each frame as it is
+        sent.
         """
         span_phase = current_phase() or UNATTRIBUTED
         flow = self._flow

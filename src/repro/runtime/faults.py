@@ -38,9 +38,8 @@ RoundSynchronizer`, not by transports — transports stay honest):
   logic must tolerate this (the paper's model promises delivery within
   the round, never an order).
 * **latency** — a pluggable :class:`~repro.net.latency.LatencyModel`
-  adds per-message extra rounds on top of the deterministic link delays
-  (the seeded generalization of the historical ``random_delay_*``
-  knobs; the asynchronous scheduler shares the same models).
+  adds seeded per-message extra rounds on top of the deterministic link
+  delays (the asynchronous scheduler shares the same models).
 * **join (churn)** — the party is *absent* until its join round: it
   takes no step, and messages that would be delivered to it before it
   joins are dropped before the transport (nobody is listening; nothing
@@ -111,8 +110,6 @@ class FaultPlan:
         reorder: randomize within-round inbox order (needs ``rng``).
         duplicate_probability: per-delivery chance of the recipient
             seeing the frame twice (needs ``rng`` if > 0).
-        random_delay_probability / random_delay_max: per-message chance
-            of a uniform 1..max extra-round delay (needs ``rng`` if > 0).
         latency: optional :class:`~repro.net.latency.LatencyModel`
             adding seeded per-message extra rounds (needs ``rng`` if the
             model draws).
@@ -127,8 +124,6 @@ class FaultPlan:
     partitions: List[Partition] = field(default_factory=list)
     reorder: bool = False
     duplicate_probability: float = 0.0
-    random_delay_probability: float = 0.0
-    random_delay_max: int = 0
     latency: Optional[LatencyModel] = None
     rng: Optional[Randomness] = None
     # Observability: how often each fault kind actually fired this
@@ -142,7 +137,6 @@ class FaultPlan:
         needs_rng = (
             self.reorder
             or self.duplicate_probability > 0
-            or self.random_delay_probability > 0
             or (self.latency is not None and self.latency.needs_rng)
         )
         if needs_rng and self.rng is None:
@@ -151,12 +145,6 @@ class FaultPlan:
             )
         if not 0.0 <= self.duplicate_probability <= 1.0:
             raise ConfigurationError("duplicate_probability outside [0, 1]")
-        if not 0.0 <= self.random_delay_probability <= 1.0:
-            raise ConfigurationError("random_delay_probability outside [0, 1]")
-        if self.random_delay_probability > 0 and self.random_delay_max < 1:
-            raise ConfigurationError(
-                "random delays need random_delay_max >= 1"
-            )
         for party, round_index in self.crashes.items():
             if round_index < 0:
                 raise ConfigurationError(
@@ -202,16 +190,12 @@ class FaultPlan:
     def delay_of(
         self, sent_round: int, sender: int, recipient: int, seq: int
     ) -> int:
-        """Extra delivery rounds for one message (deterministic + random)."""
+        """Extra delivery rounds for one message (link delays + latency)."""
         delay = sum(
             d.rounds
             for d in self.delays
             if d.applies(sent_round, sender, recipient)
         )
-        if self.random_delay_probability > 0:
-            coin = self._fork(f"delay/{sent_round}/{sender}/{recipient}/{seq}")
-            if coin.bernoulli(self.random_delay_probability):
-                delay += coin.random_int_range(1, self.random_delay_max)
         if self.latency is not None:
             delay += self.latency.extra_rounds(
                 self.rng, sent_round, sender, recipient, seq
@@ -251,11 +235,8 @@ class FaultPlan:
     def max_extra_rounds(self) -> int:
         """Upper bound on added delivery latency (for run caps)."""
         deterministic = sum(d.rounds for d in self.delays)
-        random_part = (
-            self.random_delay_max if self.random_delay_probability > 0 else 0
-        )
         latency_part = self.latency.bound if self.latency is not None else 0
-        return deterministic + random_part + latency_part
+        return deterministic + latency_part
 
 
 # -- builders composing with the corruption model ---------------------------
@@ -285,16 +266,12 @@ def adversarial_schedule(
     rng: Randomness,
     reorder: bool = True,
     duplicate_probability: float = 0.05,
-    random_delay_probability: float = 0.0,
-    random_delay_max: int = 0,
 ) -> FaultPlan:
     """A generic hostile-but-fair scheduler: reordering plus light
-    duplication (and optional random delays), all seeded."""
+    duplication, all seeded."""
     return FaultPlan(
         reorder=reorder,
         duplicate_probability=duplicate_probability,
-        random_delay_probability=random_delay_probability,
-        random_delay_max=random_delay_max,
         rng=rng,
     )
 

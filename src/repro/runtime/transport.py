@@ -121,7 +121,7 @@ class Frame:
             payload=payload,
             sent_round=sent,
             deliver_round=deliver,
-            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by mesh/relay ledger parity gates
+            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by the mesh-vs-run_parties ledger parity gates
             seq=seq,  # lint: allow[TRU001] reason=seq is an opaque reconnect-dedup tag; the replay consumer tolerates arbitrary values
             phase=phase,
         )

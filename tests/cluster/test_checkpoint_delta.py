@@ -1,4 +1,4 @@
-"""Delta trace checkpoints: segment replay, durability edges, legacy form.
+"""Delta trace checkpoints: segment replay, durability edges, format gate.
 
 ``_save_trace_segments`` appends one pickled ``(start_index, events)``
 chunk per party per checkpoint to ``trace-<pid>.seg``; the manifest
@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.cluster.cli import cmd_cluster
 from repro.cluster.supervisor import (
     STATE_FILE,
     STATE_FORMAT,
@@ -97,14 +98,25 @@ class TestReadState:
         assert state is not None
         assert state["trace_events"] == events
 
-    def test_legacy_inline_manifest_is_honored_untouched(self, tmp_path):
-        inline = {0: [_event(0, 0)]}
-        # A stale segment file must NOT override the inline stream.
-        _append_chunk(tmp_path, 0, 0, [_event(0, 99)])
-        _write_manifest(tmp_path, trace_events=inline)
-        state = read_state(tmp_path)
-        assert state is not None
-        assert state["trace_events"] == inline
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"trace_events": {0: [_event(0, 0)]}},  # inline trace form
+            {"data_plane": "relay", "container": b"RPCK1"},  # relay plane
+        ],
+        ids=["inline", "relay-plane"],
+    )
+    def test_format_1_manifest_is_refused_loudly(self, tmp_path, entries):
+        # A /1 run dir may hold supervisor-staged frames or an inline
+        # trace; neither survives on the mesh, so resume and status
+        # refuse it by name instead of silently dropping traffic.
+        state = {"format": "repro-cluster-supervisor/1", **entries}
+        with (tmp_path / STATE_FILE).open("wb") as handle:
+            pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(ClusterError, match=STATE_FORMAT):
+            read_state(tmp_path)
+        with pytest.raises(ClusterError, match=STATE_FORMAT):
+            cmd_cluster(["status", "--run-dir", str(tmp_path)])
 
     def test_absent_state_is_none(self, tmp_path):
         assert read_state(tmp_path) is None

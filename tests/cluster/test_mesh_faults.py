@@ -267,7 +267,6 @@ def _mesh_run(n, *, kill_plan=None, max_restarts=3, flow=None,
         num_workers=2,
         kill_plan=dict(kill_plan or {}),
         max_restarts=max_restarts,
-        data_plane="mesh",
         flow=flow,
     )
     return run_balanced_ba_cluster(

@@ -1,12 +1,12 @@
 """MeshConformance: the mesh data plane is indistinguishable on paper.
 
-Every cell runs the same workload on the direct worker↔worker mesh and
-on the legacy supervisor relay, and checks both against the
-single-process reference — outputs, ``max_bits_per_party``, full
-per-party tallies, bit-exact flow-ledger parity
-(``FlowLedger.verify_against``), and the trace fingerprint (pinned to
-the runtime's seed-stability values at n=16; cross-plane-identical at
-n=64).  A mesh that dropped, duplicated, or re-ordered a single frame —
+Every cell runs a workload on the direct worker↔worker mesh and checks
+it against the single-process reference — outputs,
+``max_bits_per_party``, full per-party tallies, bit-exact flow-ledger
+parity (``FlowLedger.verify_against``), and the trace fingerprint
+(pinned to the runtime's seed-stability values at n=16; equal to a
+traced ``run_parties`` over the same script at n=64).  A mesh that
+dropped, duplicated, or re-ordered a single frame —
 or charged one bit differently while reconstructing supervisor metrics
 from worker round digests — fails here.
 
@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import pytest
 
+from repro.cluster.cli import cmd_cluster
 from repro.cluster.drivers import (
     record_balanced_ba_script,
     run_gradecast_cluster,
@@ -39,6 +40,7 @@ from repro.runtime.replay import (
     tallies_equal,
 )
 from repro.runtime.synchronizer import run_parties
+from repro.runtime.trace import TraceRecorder
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
@@ -46,7 +48,6 @@ from repro.utils.randomness import Randomness
 from tests.runtime.test_seed_stability import PINNED
 
 SEED = 7  # matches tests/runtime/test_seed_stability.py's pins
-PLANES = ("mesh", "relay")
 SCHEMES = ("snark", "owf")
 
 
@@ -80,26 +81,27 @@ def _pi_ba_reference(n, scheme_name):
         build_replay_parties(script, n),
         metrics=metrics,
         max_rounds=script.num_rounds + 2,
+        trace=TraceRecorder(),
     )
     apply_func_ops(script, metrics)
-    return result.outputs, metrics
+    return result.outputs, metrics, result.trace.fingerprint()
 
 
-def _cluster_replay(n, scheme_name, plane, workers):
+def _cluster_replay(n, scheme_name, workers):
     script = _pi_ba_script(n, scheme_name)
     flow = FlowLedger()
-    config = ClusterConfig(
-        num_workers=workers, data_plane=plane, flow=flow
-    )
+    config = ClusterConfig(num_workers=workers, flow=flow)
     job = replay_job(script, n, checkpoint_interval=4)
     result = ClusterSupervisor(job, config).run()
     apply_func_ops(script, result.metrics)
     return result, flow
 
 
-def _assert_pi_ba_cell(n, scheme_name, plane, workers, pinned=None):
-    ref_outputs, ref_metrics = _pi_ba_reference(n, scheme_name)
-    result, flow = _cluster_replay(n, scheme_name, plane, workers)
+def _assert_pi_ba_cell(n, scheme_name, workers, pinned=None):
+    ref_outputs, ref_metrics, ref_fingerprint = _pi_ba_reference(
+        n, scheme_name
+    )
+    result, flow = _cluster_replay(n, scheme_name, workers)
     assert result.outputs == ref_outputs
     assert (
         result.metrics.max_bits_per_party == ref_metrics.max_bits_per_party
@@ -109,43 +111,40 @@ def _assert_pi_ba_cell(n, scheme_name, plane, workers, pinned=None):
     # with the authoritative metrics the supervisor reconstructed.
     assert flow.verify_against(result.metrics) == []
     assert flow.coverage() == 1.0
+    # The merged per-party trace is byte-identical to a single-process
+    # traced run of the same script (and, at n=16, to the runtime pin).
     fingerprint = result.trace.fingerprint()
+    assert fingerprint == ref_fingerprint
     if pinned is not None:
         assert fingerprint == pinned, (
-            f"{plane} trace fingerprint drifted from the runtime pin"
+            "mesh trace fingerprint drifted from the runtime pin"
         )
     flow.close()
-    return fingerprint
 
 
 class TestPiBaMatrixN16:
-    @pytest.mark.parametrize("plane", PLANES)
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_both_planes_match_reference_and_pin(self, scheme_name, plane):
+    def test_mesh_matches_reference_and_pin(self, scheme_name):
         _assert_pi_ba_cell(
-            16, scheme_name, plane, workers=2, pinned=PINNED[scheme_name]
+            16, scheme_name, workers=2, pinned=PINNED[scheme_name]
         )
 
 
 @pytest.mark.cluster
 class TestPiBaMatrixN64:
     @pytest.mark.parametrize("scheme_name", SCHEMES)
-    def test_planes_agree_at_four_workers(self, scheme_name):
-        fingerprints = {
-            plane: _assert_pi_ba_cell(64, scheme_name, plane, workers=4)
-            for plane in PLANES
-        }
-        # No n=64 pin exists; the planes must at least agree with each
-        # other bit-for-bit.
-        assert fingerprints["mesh"] == fingerprints["relay"]
+    def test_mesh_matches_reference_at_four_workers(self, scheme_name):
+        # No n=64 pin exists; the cell's fingerprint check is against a
+        # traced run_parties over the same script.
+        _assert_pi_ba_cell(64, scheme_name, workers=4)
 
     def test_single_worker_mesh_matches_reference(self):
         # Degenerate mesh (no peers, every frame stays local) still
         # reconstructs identical supervisor metrics from digests.
-        _assert_pi_ba_cell(64, "snark", "mesh", workers=1)
+        _assert_pi_ba_cell(64, "snark", workers=1)
 
 
-def _phase_king_cell(n, plane, workers):
+def _phase_king_cell(n, workers):
     inputs = {i: i % 2 for i in range(n)}
     byzantine = (3,)
     reference, ref_metrics = run_phase_king_runtime(inputs, byzantine)
@@ -154,9 +153,7 @@ def _phase_king_cell(n, plane, workers):
         inputs,
         byzantine,
         num_workers=workers,
-        config=ClusterConfig(
-            num_workers=workers, data_plane=plane, flow=flow
-        ),
+        config=ClusterConfig(num_workers=workers, flow=flow),
     )
     assert outputs == reference
     assert (
@@ -167,7 +164,7 @@ def _phase_king_cell(n, plane, workers):
     flow.close()
 
 
-def _gradecast_cell(n, plane, workers):
+def _gradecast_cell(n, workers):
     sender, value = 2, 1
     reference, ref_metrics = run_gradecast(range(n), sender, value)
     flow = FlowLedger()
@@ -176,9 +173,7 @@ def _gradecast_cell(n, plane, workers):
         sender,
         value,
         num_workers=workers,
-        config=ClusterConfig(
-            num_workers=workers, data_plane=plane, flow=flow
-        ),
+        config=ClusterConfig(num_workers=workers, flow=flow),
     )
     assert outputs == reference
     assert all(pair == (value, 2) for pair in outputs.values())
@@ -191,21 +186,29 @@ def _gradecast_cell(n, plane, workers):
 
 
 class TestCommitteePrimitivesN16:
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_phase_king(self, plane):
-        _phase_king_cell(16, plane, workers=2)
+    def test_phase_king(self):
+        _phase_king_cell(16, workers=2)
 
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_gradecast(self, plane):
-        _gradecast_cell(16, plane, workers=2)
+    def test_gradecast(self):
+        _gradecast_cell(16, workers=2)
 
 
 @pytest.mark.cluster
 class TestCommitteePrimitivesN64:
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_phase_king(self, plane):
-        _phase_king_cell(64, plane, workers=4)
+    def test_phase_king(self):
+        _phase_king_cell(64, workers=4)
 
-    @pytest.mark.parametrize("plane", PLANES)
-    def test_gradecast(self, plane):
-        _gradecast_cell(64, plane, workers=4)
+    def test_gradecast(self):
+        _gradecast_cell(64, workers=4)
+
+
+class TestOnePlane:
+    def test_data_plane_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(data_plane="relay")
+
+    def test_data_plane_is_not_a_cli_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cmd_cluster(["run", "--data-plane", "relay"])
+        assert excinfo.value.code == 2
+        assert "--data-plane" in capsys.readouterr().err

@@ -38,26 +38,8 @@ from repro.errors import (
     SerializationError,
 )
 from repro.runtime.transport import Frame, _LENGTH
+from repro.utils.serialization import encode_sequence
 from tests.strategies import bit_flips, truncations
-
-@st.composite
-def frames(draw):
-    # Delivery strictly after send: the frame decoder rejects anything
-    # else as malformed.  Charges are wire-canonical (>= 0): the Frame
-    # codec resolves the -1 charge-by-payload sentinel on encode, so
-    # only resolved charges survive an exact-equality round trip (the
-    # mesh codec below preserves -1 and keeps it in its strategy).
-    sent_round = draw(st.integers(min_value=0, max_value=500))
-    delay = draw(st.integers(min_value=1, max_value=16))
-    return Frame(
-        sender=draw(st.integers(min_value=0, max_value=255)),
-        recipient=draw(st.integers(min_value=0, max_value=255)),
-        payload=draw(st.binary(max_size=48)),
-        sent_round=sent_round,
-        deliver_round=sent_round + delay,
-        charge_bits=draw(st.integers(min_value=0, max_value=1 << 20)),
-        seq=draw(st.integers(min_value=0, max_value=1 << 16)),
-    )
 
 json_fields = st.dictionaries(
     st.text(
@@ -75,7 +57,6 @@ messages = st.builds(
     Message,
     kind=st.sampled_from(KINDS),
     fields=json_fields,
-    frames=st.lists(frames(), max_size=6),
     blob=st.binary(max_size=128),
 )
 
@@ -85,7 +66,6 @@ def test_message_round_trip(message):
     decoded = Message.decode(message.encode()[_LENGTH.size:])
     assert decoded.kind == message.kind
     assert decoded.fields == message.fields
-    assert decoded.frames == message.frames
     assert decoded.blob == message.blob
 
 
@@ -97,6 +77,15 @@ def test_unknown_kind_rejected_on_encode():
 def test_corrupt_body_rejected():
     with pytest.raises(ClusterError):
         Message.decode(b"\x07garbage-that-is-not-a-message")
+
+
+def test_old_format_body_with_a_frames_segment_is_rejected():
+    """A format-1 record carried ``seq frame_encodings`` after the blob
+    (an empty sequence is one count byte); the decoder refuses it."""
+    body = Message(ROUND, {"round": 3}).encode_body()
+    assert Message.decode(body).fields == {"round": 3}
+    with pytest.raises(ClusterError, match="trailing bytes"):
+        Message.decode(body + encode_sequence([]))
 
 
 def test_payload_round_trip():
@@ -115,12 +104,11 @@ class TestMessageChannel:
     def test_send_recv(self):
         left, right = _channel_pair()
         try:
-            left.send(Message(ROUND, {"round": 3},
-                              frames=[Frame(0, 1, b"x")]))
+            left.send(Message(ROUND, {"round": 3}, blob=b"x"))
             got = right.recv(timeout=5.0)
             assert got.kind == ROUND
             assert got.fields == {"round": 3}
-            assert got.frames[0].payload == b"x"
+            assert got.blob == b"x"
         finally:
             left.close()
             right.close()
@@ -158,7 +146,7 @@ class TestMessageChannel:
 
     def test_oversized_message_is_chunked_transparently(self, monkeypatch):
         """Bodies past the chunk threshold ride as ``part`` trains and
-        reassemble on recv — the n=64 OWF gossip rounds depend on it."""
+        reassemble on recv, never interleaved with other records."""
         import repro.cluster.wire as wire
 
         monkeypatch.setattr(wire, "_CHUNK_BYTES", 64)
@@ -167,8 +155,7 @@ class TestMessageChannel:
             big = Message(
                 DONE,
                 {"round": 9},
-                frames=[Frame(0, 1, bytes([i]) * 40) for i in range(8)],
-                blob=b"\xab" * 500,
+                blob=bytes(range(256)) * 3,
             )
             left.send(Message(HEARTBEAT))
             left.send(big)
@@ -178,9 +165,6 @@ class TestMessageChannel:
             assert got.kind == DONE
             assert got.fields == {"round": 9}
             assert got.blob == big.blob
-            assert [f.payload for f in got.frames] == [
-                f.payload for f in big.frames
-            ]
             assert right.recv(timeout=5.0).kind == HEARTBEAT
         finally:
             left.close()

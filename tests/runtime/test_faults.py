@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.adversary import prefix_corruption
+from repro.net.latency import RandomDelayLatency
 from repro.net.party import Envelope, Party
 from repro.runtime import (
     FaultPlan,
@@ -124,8 +125,7 @@ class TestDelay:
         for _ in range(2):
             recorder = Recorder(1, halt_round=12)
             plan = FaultPlan(
-                random_delay_probability=0.5,
-                random_delay_max=3,
+                latency=RandomDelayLatency(probability=0.5, max_rounds=3),
                 rng=Randomness(11),
             )
             run_parties(
@@ -258,7 +258,9 @@ class TestValidation:
 
     def test_random_delay_needs_max(self):
         with pytest.raises(ConfigurationError):
-            FaultPlan(random_delay_probability=0.2, rng=Randomness(0))
+            RandomDelayLatency(probability=0.2, max_rounds=0)
+        with pytest.raises(ConfigurationError):  # the model draws
+            FaultPlan(latency=RandomDelayLatency(0.2, max_rounds=1))
 
     def test_adversarial_schedule_builder(self):
         plan = adversarial_schedule(Randomness(4))
