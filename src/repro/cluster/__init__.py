@@ -6,8 +6,8 @@ Lamport/Merkle/SNARK-heavy per-party hot paths that the GIL serializes
 inside one interpreter.  The layer is built from:
 
 * :mod:`repro.cluster.engine` — :class:`ShardEngine`, the deterministic
-  single-shard round executor (the worker's inner loop, also usable
-  in-process for checkpoint/parity tests);
+  single-shard round executor (the worker's inner loop: one placement
+  of :class:`repro.net.rounds.RoundCore`);
 * :mod:`repro.cluster.checkpoint` — the durable per-party checkpoint
   codec (round number, party state snapshot, trace offsets, metrics
   tally, staged frames) built on :mod:`repro.utils.serialization`;
@@ -44,8 +44,6 @@ _EXPORTS = {
     "load_checkpoint": "repro.cluster.checkpoint",
     "save_checkpoint": "repro.cluster.checkpoint",
     "ShardEngine": "repro.cluster.engine",
-    "resume_shard_locally": "repro.cluster.engine",
-    "run_shard_locally": "repro.cluster.engine",
     "ClusterJob": "repro.cluster.job",
     "ClusterConfig": "repro.cluster.supervisor",
     "ClusterResult": "repro.cluster.supervisor",
@@ -71,11 +69,7 @@ if TYPE_CHECKING:  # static importers see the eager names
         run_gradecast_cluster,
         run_phase_king_cluster,
     )
-    from repro.cluster.engine import (
-        ShardEngine,
-        resume_shard_locally,
-        run_shard_locally,
-    )
+    from repro.cluster.engine import ShardEngine
     from repro.cluster.job import ClusterJob
     from repro.cluster.supervisor import (
         ClusterConfig,

@@ -38,8 +38,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import ClusterError, SerializationError
 from repro.net.metrics import PartyTally
-from repro.net.party import Party
-from repro.runtime.transport import Frame, _LENGTH
+from repro.net.party import _LENGTH, Frame, Party
 from repro.utils.serialization import (
     decode_bytes,
     decode_sequence,

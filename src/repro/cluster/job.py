@@ -122,31 +122,12 @@ def phase_king_parties(
     inputs: Dict[int, int],
     byzantine: Sequence[int] = (),
 ) -> List[Party]:
-    """The phase-king committee BA over ``range(n)``.
+    """The phase-king committee BA
+    (:func:`repro.protocols.phase_king.build_phase_king`'s party set;
+    :meth:`ClusterJob.build_parties` checks it covers ``range(n)``)."""
+    from repro.protocols.phase_king import build_phase_king
 
-    Mirrors :func:`repro.runtime.drivers.run_phase_king_runtime`'s party
-    construction: honest parties run the three-round King algorithm,
-    byzantine ones the stock equivocator.
-    """
-    from repro.protocols.phase_king import (
-        ByzantinePhaseKingParty,
-        make_honest_party,
-    )
-
-    members = list(range(n))
-    if sorted(inputs) != members:
-        raise ClusterError("phase-king inputs must cover range(n)")
-    byzantine_set = set(byzantine)
-    f = max(1, (n - 1) // 3)
-    parties: List[Party] = []
-    for member in members:
-        if member in byzantine_set:
-            parties.append(ByzantinePhaseKingParty(member, members))
-        else:
-            parties.append(
-                make_honest_party(member, members, f, inputs[member])
-            )
-    return parties
+    return build_phase_king(inputs, byzantine)[0]
 
 
 def gradecast_parties(
@@ -155,32 +136,11 @@ def gradecast_parties(
     value: int,
     byzantine: Sequence[int] = (),
 ) -> List[Party]:
-    """The four-round gradecast primitive over ``range(n)``.
+    """The four-round gradecast primitive over ``range(n)``
+    (:func:`repro.protocols.gradecast.build_gradecast`'s party set)."""
+    from repro.protocols.gradecast import build_gradecast
 
-    Mirrors :func:`repro.protocols.gradecast.run_gradecast`'s honest
-    construction: byzantine parties are silent, the designated sender
-    carries the input value, everyone else grades what they hear.
-    """
-    from repro.net.party import SilentParty
-    from repro.protocols.gradecast import GradecastParty
-
-    members = list(range(n))
-    if sender not in members:
-        raise ClusterError(f"gradecast sender {sender} not in range({n})")
-    byzantine_set = set(byzantine)
-    t = max(1, (n - 1) // 3)
-    parties: List[Party] = []
-    for member in members:
-        if member in byzantine_set:
-            parties.append(SilentParty(member))
-        else:
-            parties.append(
-                GradecastParty(
-                    member, members, t, sender,
-                    sender_value=value if member == sender else None,
-                )
-            )
-    return parties
+    return build_gradecast(range(n), sender, value, byzantine)[0]
 
 
 def replay_script_parties(n: int, script) -> List[Party]:
@@ -205,17 +165,16 @@ def phase_king_job(
     checkpoint_interval: int = 8,
 ) -> ClusterJob:
     """Convenience constructor for a phase-king cluster job."""
-    n = len(inputs)
-    byzantine_set = set(byzantine)
-    honest = tuple(m for m in sorted(inputs) if m not in byzantine_set)
-    f = max(1, (n - 1) // 3)
+    from repro.protocols.phase_king import build_phase_king
+
+    _, honest, max_rounds = build_phase_king(inputs, byzantine)
     return ClusterJob(
         name=name,
-        n=n,
+        n=len(inputs),
         builder="repro.cluster.job:phase_king_parties",
         args={"inputs": dict(inputs), "byzantine": tuple(byzantine)},
-        until=honest,
-        max_rounds=3 * (f + 2) + 3,
+        until=tuple(honest),
+        max_rounds=max_rounds,
         checkpoint_interval=checkpoint_interval,
     )
 
@@ -230,8 +189,9 @@ def gradecast_job(
     checkpoint_interval: int = 8,
 ) -> ClusterJob:
     """Convenience constructor for a gradecast cluster job."""
-    byzantine_set = set(byzantine)
-    honest = tuple(m for m in range(n) if m not in byzantine_set)
+    from repro.protocols.gradecast import build_gradecast
+
+    _, honest, max_rounds = build_gradecast(range(n), sender, value, byzantine)
     return ClusterJob(
         name=name,
         n=n,
@@ -241,8 +201,8 @@ def gradecast_job(
             "value": value,
             "byzantine": tuple(byzantine),
         },
-        until=honest,
-        max_rounds=6,
+        until=tuple(honest),
+        max_rounds=max_rounds,
         checkpoint_interval=checkpoint_interval,
     )
 

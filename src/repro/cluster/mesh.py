@@ -51,7 +51,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import ClusterError, SerializationError
 from repro.net.bind import open_listener
-from repro.runtime.transport import Frame
+from repro.net.party import Frame
 from repro.cluster.meshwire import (
     KIND_HELLO,
     KIND_TRAIN,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SerializationError
-from repro.runtime.transport import Frame
+from repro.net.party import Frame
 
 #: Chunk record magic + format version (bump on layout changes).
 MESH_MAGIC = b"RPMW"

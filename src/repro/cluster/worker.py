@@ -62,9 +62,9 @@ from repro.cluster.wire import (
     connect_channel,
 )
 from repro.errors import ClusterError
+from repro.net.party import Frame
 from repro.obs.spans import SpanLog, span_to_wire
 from repro.runtime.trace import TraceRecorder
-from repro.runtime.transport import Frame
 
 #: Default seconds between heartbeat beacons.
 HEARTBEAT_INTERVAL = 0.25
@@ -226,9 +226,9 @@ def worker_main(
             # instead of the frames themselves.
             digest: List[Tuple[int, int, int, str]] = []
             trains: Dict[int, List[Frame]] = {peer: [] for peer in peers}
-            for frame, phase in zip(out_frames, engine.last_phases):
+            for frame in out_frames:
                 digest.append(
-                    (frame.sender, frame.recipient, frame.bits(), phase)
+                    (frame.sender, frame.recipient, frame.bits(), frame.phase)
                 )
                 dest = owner.get(frame.recipient)
                 if dest is None:

@@ -49,12 +49,14 @@ class LintConfig:
     #: logic must use the injected logical clock so replays are exact).
     det002_scopes: Tuple[str, ...] = (
         "protocols/", "srds/", "runtime/", "campaign/", "cluster/",
-        "serve/", "asynchrony/",
+        "serve/", "asynchrony/", "net/rounds.py",
     )
 
     #: ACC001: scopes in which raw transport/socket/queue sends are
     #: forbidden (all bytes must route through CommunicationMetrics).
-    acc001_scopes: Tuple[str, ...] = ("protocols/", "srds/", "cluster/")
+    acc001_scopes: Tuple[str, ...] = (
+        "protocols/", "srds/", "cluster/", "net/rounds.py",
+    )
 
     #: ASY001: scopes in which dropped task handles / unawaited
     #: coroutines are flagged — the asyncio execution layers, where a
@@ -74,7 +76,7 @@ class LintConfig:
     #: anything.
     obs001_instrumented: Tuple[str, ...] = (
         "protocols/balanced_ba.py", "protocols/aba.py", "cluster/",
-        "serve/", "asynchrony/",
+        "serve/", "asynchrony/", "net/rounds.py",
     )
 
     #: SER001: wire modules — every top-level dataclass must have a
@@ -89,7 +91,7 @@ class LintConfig:
     #: return value must be individually guarded.
     tru001_decoder_modules: Tuple[str, ...] = (
         "cluster/wire.py", "cluster/meshwire.py", "serve/wire.py",
-        "runtime/transport.py",
+        "net/party.py",
     )
 
     #: TRU001: scopes where ``pickle.loads`` results also count as taint

@@ -6,13 +6,28 @@ at the start of the next round.  Honest protocol logic subclasses
 :class:`Party`; Byzantine behaviors subclass it too and simply misbehave
 (the simulator treats both identically — corruption is a property of the
 object, not of the transport).
+
+:class:`Frame` is the envelope once it is in flight: what
+:class:`repro.net.rounds.RoundCore` stamps at emit time (true sender,
+sequence number, delivery round, charged bits, obs phase) and what every
+placement — in-memory list, runtime transport, cluster mesh — carries to
+the next round barrier.
 """
 
 from __future__ import annotations
 
 import abc
+import struct
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
+
+from repro.errors import NetworkError
+
+_HEADER = struct.Struct(">BIIIII")  # type, sender, recipient, sent, deliver, charge
+_LENGTH = struct.Struct(">I")
+_TYPE_HELLO = 0
+_TYPE_DATA = 1
+_MAX_FRAME = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -32,13 +47,98 @@ class Envelope:
 class PhasedEnvelope(Envelope):
     """An envelope stamped with the obs phase that produced it.
 
-    The delivery layers (``RoundSynchronizer._ship``, the asynchronous
-    scheduler) read ``phase`` via ``getattr`` and prefer it over the
-    span active at ship time — event-driven protocols produce envelopes
-    outside any round loop, so the phase must travel with the message.
+    The delivery layers (:class:`repro.net.rounds.RoundCore`, the
+    asynchronous scheduler) read ``phase`` via ``getattr`` and prefer it
+    over the span active at ship time — event-driven protocols produce
+    envelopes outside any round loop, so the phase must travel with the
+    message.
     """
 
     phase: str = ""
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One message in flight between two round barriers.
+
+    ``sent_round`` is the round the sender emitted it in; ``deliver_round``
+    is the earliest round barrier at which the round core hands it to
+    the recipient (``sent_round + 1`` plus any fault-plan delay).
+    ``charge_bits`` is what the metrics ledger is charged — normally
+    ``8 * len(payload)``, but replayed executions may carry exact analytic
+    bit counts that are not byte multiples.
+    ``seq`` is the per-sender emission sequence number; together with the
+    sender id it defines the canonical (simulator-identical) inbox order.
+    ``phase`` is the obs span active when the frame was shipped — pure
+    flow-ledger attribution metadata: it rides the wire (so attribution
+    survives the TCP transport's cross-task delivery) but is **never**
+    part of ``charge_bits``, which stays exactly the analytic size the
+    protocol declared.
+    """
+
+    sender: int
+    recipient: int
+    payload: bytes
+    sent_round: int = 0
+    deliver_round: int = 1
+    charge_bits: int = -1
+    seq: int = 0
+    phase: str = ""
+
+    def bits(self) -> int:
+        """Bits charged to the ledger for this frame."""
+        return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
+
+    def encode(self) -> bytes:
+        """Length-prefixed wire encoding (used by :class:`TcpTransport`)."""
+        phase_bytes = self.phase.encode("utf-8")
+        body = (
+            _HEADER.pack(
+                _TYPE_DATA, self.sender, self.recipient, self.sent_round,
+                self.deliver_round, self.bits(),
+            )
+            + _LENGTH.pack(self.seq)
+            + _LENGTH.pack(len(phase_bytes)) + phase_bytes
+            + self.payload
+        )
+        if len(body) > _MAX_FRAME:
+            raise NetworkError(f"frame exceeds {_MAX_FRAME} bytes")
+        return _LENGTH.pack(len(body)) + body
+
+    @staticmethod
+    def decode(body: bytes) -> "Frame":
+        """Inverse of :meth:`encode` (without the length prefix)."""
+        if len(body) < _HEADER.size + 2 * _LENGTH.size:
+            raise NetworkError("short frame")
+        kind, sender, recipient, sent, deliver, charge = _HEADER.unpack_from(body)
+        if kind != _TYPE_DATA:
+            raise NetworkError(f"unexpected frame type {kind}")
+        if deliver <= sent:
+            raise NetworkError(
+                f"frame claims delivery round {deliver} on or before "
+                f"its send round {sent}"
+            )
+        (seq,) = _LENGTH.unpack_from(body, _HEADER.size)
+        (phase_len,) = _LENGTH.unpack_from(body, _HEADER.size + _LENGTH.size)
+        phase_start = _HEADER.size + 2 * _LENGTH.size
+        if len(body) < phase_start + phase_len:
+            raise NetworkError("short frame (truncated phase)")
+        try:
+            phase = body[phase_start:phase_start + phase_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise NetworkError(f"frame phase is not UTF-8: {exc}") from exc
+        payload = body[phase_start + phase_len:]
+        return Frame(
+            # lint: allow[TRU001] reason=party ids are checked against staged routing tables by the supervisor before any delivery or ledger charge
+            sender=sender,
+            recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against staged routing tables before any delivery or ledger charge
+            payload=payload,
+            sent_round=sent,
+            deliver_round=deliver,
+            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by the mesh-vs-run_parties ledger parity gates
+            seq=seq,  # lint: allow[TRU001] reason=seq is an opaque reconnect-dedup tag; the replay consumer tolerates arbitrary values
+            phase=phase,
+        )
 
 
 class Party(abc.ABC):

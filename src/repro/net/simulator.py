@@ -1,28 +1,25 @@
 """The synchronous, authenticated, point-to-point network simulator.
 
-Model (matching the paper's setting, §1): a complete synchronous network
-of authenticated channels among ``n`` parties.  Each round, every party
-receives the envelopes addressed to it that were sent in the previous
-round, runs its state machine, and emits new envelopes.  Authentication
-is modeled by the simulator stamping the true sender id on every envelope
-— a Byzantine party can lie in its *payload* but cannot spoof the channel
-itself.
-
-All traffic is charged to a :class:`CommunicationMetrics` ledger; message
-*budgets* can be imposed per party, which the lower-bound experiments
-(Thm 1.3/1.4) use to enforce the "every party sends o(n) messages"
-hypothesis mechanically.
+The in-process placement of :class:`~repro.net.rounds.RoundCore` (which
+holds the model and the determinism contract): frames emitted in one
+round wait in a plain list until the next, and every one of them is
+charged to a :class:`CommunicationMetrics` ledger in the round it was
+sent.  A per-party message *budget* can be imposed, turning a "every
+party sends at most b messages" hypothesis into a mechanical check.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Envelope, Party
+from repro.net.party import Frame, Party
+from repro.net.rounds import RoundCore
 from repro.obs.flow import flow_tags
+
+_PHASE = attrgetter("phase")
 
 
 class SynchronousNetwork:
@@ -34,101 +31,44 @@ class SynchronousNetwork:
         metrics: Optional[CommunicationMetrics] = None,
         message_budget_per_party: Optional[int] = None,
     ) -> None:
-        self.parties: Dict[int, Party] = {}
-        for party in parties:
-            if party.party_id in self.parties:
-                raise NetworkError(f"duplicate party id {party.party_id}")
-            self.parties[party.party_id] = party
+        self.core = RoundCore(
+            parties, message_budget_per_party=message_budget_per_party
+        )
+        self.parties: Dict[int, Party] = self.core.parties
         self.metrics = metrics if metrics is not None else CommunicationMetrics()
-        self._pending: Dict[int, List[Envelope]] = defaultdict(list)
-        self._messages_sent: Dict[int, int] = defaultdict(int)
-        self._budget = message_budget_per_party
-        self.round_index = 0
+        self._pending: List[Frame] = []
+
+    @property
+    def round_index(self) -> int:
+        return self.core.round_index
 
     def run_round(self) -> None:
         """Execute one synchronous round for all non-halted parties."""
-        inboxes = self._pending
-        self._pending = defaultdict(list)
-        for party_id in sorted(self.parties):
-            party = self.parties[party_id]
-            if party.halted:
-                continue
-            inbox = inboxes.get(party_id, [])
-            outgoing = party.step(self.round_index, inbox)
-            for envelope in outgoing:
-                self._dispatch(party_id, envelope)
+        # The fault-free policy never delays, so everything pending is due.
+        self._pending = self.core.step_round(
+            self.core.round_index, self._pending
+        )
+        # Replayed envelopes carry the obs phase recorded at charge time;
+        # it is re-attached for the flow ledger only — span attribution
+        # is the live stack's job.  One tag per run of equal phases.
+        for phase, frames in groupby(self._pending, key=_PHASE):
+            with flow_tags(phase=phase or None):
+                for frame in frames:
+                    self.metrics.record_message(
+                        frame.sender, frame.recipient, frame.bits()
+                    )
         self.metrics.end_round()
-        self.round_index += 1
-
-    def _dispatch(self, claimed_sender: int, envelope: Envelope) -> None:
-        if envelope.sender != claimed_sender:
-            # Authenticated channels: the transport stamps the true sender.
-            envelope = Envelope(
-                sender=claimed_sender,
-                recipient=envelope.recipient,
-                payload=envelope.payload,
-            )
-        if envelope.recipient not in self.parties:
-            raise NetworkError(f"unknown recipient {envelope.recipient}")
-        if self._budget is not None:
-            self._messages_sent[claimed_sender] += 1
-            if self._messages_sent[claimed_sender] > self._budget:
-                raise NetworkError(
-                    f"party {claimed_sender} exceeded its message budget "
-                    f"of {self._budget}"
-                )
-        # Replayed envelopes (repro.runtime.replay.SizedEnvelope) carry
-        # the obs phase recorded at charge time; re-attach it for the
-        # flow ledger only — span attribution is the live stack's job.
-        envelope_phase = getattr(envelope, "phase", "")
-        if envelope_phase:
-            with flow_tags(phase=envelope_phase):
-                self.metrics.record_message(
-                    envelope.sender, envelope.recipient, envelope.size_bits()
-                )
-        else:
-            self.metrics.record_message(
-                envelope.sender, envelope.recipient, envelope.size_bits()
-            )
-        self._pending[envelope.recipient].append(envelope)
 
     def run(self, max_rounds: int = 10_000) -> None:
-        """Run rounds until all parties halt (or the safety cap trips).
-
-        The cap exists because Byzantine parties may never halt; drivers
-        normally stop when all *honest* parties have halted via
-        :meth:`run_until`.
-        """
-        for _ in range(max_rounds):
-            if all(party.halted for party in self.parties.values()):
-                return
+        """Run rounds until all parties halt (or the safety cap trips)."""
+        for _ in self.core.rounds(max_rounds=max_rounds):
             self.run_round()
-        raise NetworkError(f"protocol did not terminate in {max_rounds} rounds")
 
     def run_until(self, party_ids: Iterable[int], max_rounds: int = 10_000) -> None:
-        """Run until the listed parties have all halted.
-
-        Raises :class:`NetworkError` if any target id is unknown
-        (matching :meth:`_dispatch`'s unknown-recipient behaviour)
-        rather than failing mid-run with a bare ``KeyError``.
-        """
-        targets = list(party_ids)
-        unknown = [p for p in targets if p not in self.parties]
-        if unknown:
-            raise NetworkError(
-                f"unknown target party id(s) {sorted(unknown)}; "
-                f"known ids are {sorted(self.parties)}"
-            )
-        for _ in range(max_rounds):
-            if all(self.parties[p].halted for p in targets):
-                return
+        """Run until the listed parties have all halted."""
+        for _ in self.core.rounds(party_ids, max_rounds):
             self.run_round()
-        raise NetworkError(f"target parties did not halt in {max_rounds} rounds")
 
     def outputs(self) -> Dict[int, object]:
         """Map of party id to its recorded output (halted parties only)."""
-        return {
-            party_id: party.output
-            for party_id, party in self.parties.items()
-            if party.halted
-        }
+        return self.core.outputs()

@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Party, SilentParty
 from repro.obs.spans import span
 from repro.utils.serialization import decode_uint, encode_uint
 
@@ -145,19 +145,20 @@ class EquivocatingGradecastSender(GradecastParty):
         return super().step(round_index, inbox)
 
 
-def run_gradecast(
+def build_gradecast(
     members: Sequence[int],
     sender: int,
     value: int,
     byzantine: Sequence[int] = (),
     equivocating_sender: bool = False,
-):
-    """Convenience driver; returns ``(outputs, metrics)`` with outputs
-    mapping honest ids to (value, grade) pairs."""
-    from repro.net.metrics import CommunicationMetrics
-    from repro.net.party import SilentParty
-    from repro.net.simulator import SynchronousNetwork
+) -> Tuple[List[Party], List[int], int]:
+    """The gradecast party set, built once for every executor.
 
+    Returns ``(parties, honest_ids, max_rounds)``: byzantine parties are
+    silent, the designated sender carries the input value (or splits
+    the committee when ``equivocating_sender``), everyone else grades
+    what they hear.
+    """
     members = sorted(members)
     if sender not in members:
         raise ConfigurationError("sender must be a member")
@@ -183,15 +184,33 @@ def run_gradecast(
                     sender_value=value if member == sender else None,
                 )
             )
-    metrics = CommunicationMetrics()
-    network = SynchronousNetwork(parties, metrics=metrics)
-    honest = [
+    honest_ids = [
         m for m in members
         if m not in byzantine_set
         and not (equivocating_sender and m == sender)
     ]
-    with span("gradecast", n=len(members), sender=sender):
-        network.run_until(honest, max_rounds=6)
+    return parties, honest_ids, 6
+
+
+def run_gradecast(
+    members: Sequence[int],
+    sender: int,
+    value: int,
+    byzantine: Sequence[int] = (),
+    equivocating_sender: bool = False,
+):
+    """Convenience driver; returns ``(outputs, metrics)`` with outputs
+    mapping honest ids to (value, grade) pairs."""
+    from repro.net.metrics import CommunicationMetrics
+    from repro.net.simulator import SynchronousNetwork
+
+    parties, honest, max_rounds = build_gradecast(
+        members, sender, value, byzantine, equivocating_sender
+    )
+    metrics = CommunicationMetrics()
+    network = SynchronousNetwork(parties, metrics=metrics)
+    with span("gradecast", n=len(parties), sender=sender):
+        network.run_until(honest, max_rounds=max_rounds)
     outputs = {member: network.parties[member].output for member in honest}
     return outputs, metrics
 

@@ -26,7 +26,7 @@ the hybrid-model executions of the big protocol.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.net.party import Envelope, Party
@@ -201,6 +201,43 @@ class ByzantinePhaseKingParty(Party):
         return outgoing
 
 
+def _max_faults(n: int) -> int:
+    return max(1, (n - 1) // 3)
+
+
+def build_phase_king(
+    inputs: Dict[int, int],
+    byzantine: Sequence[int] = (),
+    enforce_budget: bool = True,
+) -> Tuple[List[Party], List[int], int]:
+    """The phase-king party set, built once for every executor.
+
+    Returns ``(parties, honest_ids, max_rounds)``: honest parties run
+    the three-round King algorithm, byzantine ones the stock
+    equivocator, and the round cap covers f+1 phases plus the halting
+    round.  ``enforce_budget=False`` admits more than f byzantine
+    parties — the protocol's guarantees are void beyond the threshold,
+    which is exactly what the campaign's planted over-threshold cells
+    demonstrate (the honest outputs must then *visibly* disagree, never
+    silently pass).
+    """
+    members = sorted(inputs)
+    byzantine_set = set(byzantine)
+    f = _max_faults(len(members))
+    if enforce_budget and len(byzantine_set) > f:
+        raise ConfigurationError(
+            f"{len(byzantine_set)} byzantine parties exceeds f={f}"
+        )
+    parties: List[Party] = [
+        ByzantinePhaseKingParty(member, members)
+        if member in byzantine_set
+        else make_honest_party(member, members, f, inputs[member])
+        for member in members
+    ]
+    honest_ids = [m for m in members if m not in byzantine_set]
+    return parties, honest_ids, 3 * (f + 2) + 3
+
+
 def run_phase_king(
     inputs: Dict[int, int],
     byzantine: Sequence[int] = (),
@@ -214,26 +251,11 @@ def run_phase_king(
     from repro.net.metrics import CommunicationMetrics
     from repro.net.simulator import SynchronousNetwork
 
-    members = sorted(inputs)
-    byzantine_set = set(byzantine)
-    f = max(1, (len(members) - 1) // 3)
-    if len(byzantine_set) > f:
-        raise ConfigurationError(
-            f"{len(byzantine_set)} byzantine parties exceeds f={f}"
-        )
-    parties: List[Party] = []
-    for member in members:
-        if member in byzantine_set:
-            parties.append(ByzantinePhaseKingParty(member, members))
-        else:
-            parties.append(
-                make_honest_party(member, members, f, inputs[member])
-            )
+    parties, honest_ids, max_rounds = build_phase_king(inputs, byzantine)
     metrics = metrics if metrics is not None else CommunicationMetrics()
     network = SynchronousNetwork(parties, metrics=metrics)
-    honest_ids = [m for m in members if m not in byzantine_set]
-    with span("phase-king", n=len(members), f=f):
-        network.run_until(honest_ids, max_rounds=3 * (f + 2) + 3)
+    with span("phase-king", n=len(inputs), f=_max_faults(len(inputs))):
+        network.run_until(honest_ids, max_rounds=max_rounds)
     outputs = {
         member: network.parties[member].output for member in honest_ids
     }

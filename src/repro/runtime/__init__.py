@@ -7,7 +7,8 @@ state machines — unchanged — over an asyncio event loop:
   in-process :class:`AsyncLocalTransport` and loopback-socket
   :class:`TcpTransport`, both charging the shared metrics ledger;
 * :mod:`repro.runtime.synchronizer` — :class:`RoundSynchronizer`, the
-  round barrier that recovers the paper's synchronous model (§1) and the
+  transport placement of :class:`repro.net.rounds.RoundCore`: the round
+  barrier that recovers the paper's synchronous model (§1), and the
   :func:`run_parties` facade;
 * :mod:`repro.runtime.faults` — seeded, reproducible crash / delay /
   reorder / duplication / partition injection (:class:`FaultPlan`);
@@ -21,9 +22,8 @@ See ``docs/runtime.md`` for the architecture and the differential
 guarantees tying the runtime to :class:`SynchronousNetwork`.
 
 Re-exports resolve lazily (PEP 562): cluster workers import
-:class:`Frame` through :mod:`repro.runtime.transport` on every process
-spawn and must not pay for the protocol drivers in
-:mod:`repro.runtime.drivers`.
+:mod:`repro.runtime.trace` on every process spawn and must not pay for
+the protocol drivers in :mod:`repro.runtime.drivers`.
 """
 
 from typing import TYPE_CHECKING, List
@@ -54,7 +54,7 @@ _EXPORTS = {
     "load_jsonl": "repro.runtime.trace",
     "wall_clock_recorder": "repro.runtime.trace",
     "AsyncLocalTransport": "repro.runtime.transport",
-    "Frame": "repro.runtime.transport",
+    "Frame": "repro.net.party",
     "TcpTransport": "repro.runtime.transport",
     "Transport": "repro.runtime.transport",
     "make_transport": "repro.runtime.transport",
@@ -63,6 +63,7 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # static importers see the eager names
+    from repro.net.party import Frame
     from repro.runtime.drivers import (
         run_balanced_ba_runtime,
         run_gradecast_runtime,
@@ -94,7 +95,6 @@ if TYPE_CHECKING:  # static importers see the eager names
     from repro.runtime.trace import TraceRecorder, load_jsonl, wall_clock_recorder
     from repro.runtime.transport import (
         AsyncLocalTransport,
-        Frame,
         TcpTransport,
         Transport,
         make_transport,

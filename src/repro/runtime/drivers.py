@@ -14,12 +14,10 @@ or ``"tcp"`` loopback sockets), a seeded
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigurationError
 from repro.net.adversary import CorruptionPlan
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Party, SilentParty
 from repro.params import ProtocolParameters
 from repro.runtime.faults import FaultPlan
 from repro.runtime.replay import (
@@ -49,34 +47,13 @@ def run_phase_king_runtime(
     metrics: Optional[CommunicationMetrics] = None,
     enforce_budget: bool = True,
 ) -> Tuple[Dict[int, int], CommunicationMetrics]:
-    """Phase-king BA over the async runtime (twin of `run_phase_king`).
+    """Phase-king BA over the async runtime (twin of `run_phase_king`);
+    ``enforce_budget`` is :func:`build_phase_king`'s."""
+    from repro.protocols.phase_king import build_phase_king
 
-    ``enforce_budget=False`` admits more than f byzantine parties — the
-    protocol's guarantees are void beyond the threshold, which is exactly
-    what the campaign's planted over-threshold cells demonstrate (the
-    honest outputs must then *visibly* disagree, never silently pass).
-    """
-    from repro.protocols.phase_king import (
-        ByzantinePhaseKingParty,
-        make_honest_party,
+    parties, honest, max_rounds = build_phase_king(
+        inputs, byzantine, enforce_budget
     )
-
-    members = sorted(inputs)
-    byzantine_set = set(byzantine)
-    f = max(1, (len(members) - 1) // 3)
-    if enforce_budget and len(byzantine_set) > f:
-        raise ConfigurationError(
-            f"{len(byzantine_set)} byzantine parties exceeds f={f}"
-        )
-    parties: List[Party] = []
-    for member in members:
-        if member in byzantine_set:
-            parties.append(ByzantinePhaseKingParty(member, members))
-        else:
-            parties.append(
-                make_honest_party(member, members, f, inputs[member])
-            )
-    honest = [m for m in members if m not in byzantine_set]
     result = run_parties(
         parties,
         transport=transport,
@@ -84,7 +61,7 @@ def run_phase_king_runtime(
         fault_plan=fault_plan,
         trace=trace,
         until=honest,
-        max_rounds=(3 * (f + 2) + 3) * (1 + _extra_rounds(fault_plan)),
+        max_rounds=max_rounds * (1 + _extra_rounds(fault_plan)),
     )
     outputs = {member: result.outputs[member] for member in honest}
     return outputs, result.metrics
@@ -102,47 +79,18 @@ def run_gradecast_runtime(
     trace: Optional[TraceRecorder] = None,
 ) -> Tuple[Dict[int, Tuple[int, int]], CommunicationMetrics]:
     """Gradecast over the async runtime (twin of `run_gradecast`)."""
-    from repro.protocols.gradecast import (
-        EquivocatingGradecastSender,
-        GradecastParty,
-    )
+    from repro.protocols.gradecast import build_gradecast
 
-    members = sorted(members)
-    if sender not in members:
-        raise ConfigurationError("sender must be a member")
-    byzantine_set = set(byzantine)
-    t = max(1, (len(members) - 1) // 3)
-    if len(byzantine_set) + (1 if equivocating_sender else 0) > t:
-        raise ConfigurationError("too many byzantine parties for t < n/3")
-    parties: List[Party] = []
-    for member in members:
-        if member in byzantine_set:
-            parties.append(SilentParty(member))
-        elif member == sender and equivocating_sender:
-            parties.append(
-                EquivocatingGradecastSender(
-                    member, members, t, sender, sender_value=value
-                )
-            )
-        else:
-            parties.append(
-                GradecastParty(
-                    member, members, t, sender,
-                    sender_value=value if member == sender else None,
-                )
-            )
-    honest = [
-        m for m in members
-        if m not in byzantine_set
-        and not (equivocating_sender and m == sender)
-    ]
+    parties, honest, max_rounds = build_gradecast(
+        members, sender, value, byzantine, equivocating_sender
+    )
     result = run_parties(
         parties,
         transport=transport,
         fault_plan=fault_plan,
         trace=trace,
         until=honest,
-        max_rounds=6 * (1 + _extra_rounds(fault_plan)),
+        max_rounds=max_rounds * (1 + _extra_rounds(fault_plan)),
     )
     outputs = {member: result.outputs[member] for member in honest}
     return outputs, result.metrics

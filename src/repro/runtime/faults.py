@@ -19,8 +19,10 @@ The helpers at the bottom derive fault plans from corruption plans
 paper's remark that crash faults are the weakest point on the Byzantine
 spectrum.
 
-Semantics (all applied by the :class:`~repro.runtime.synchronizer.
-RoundSynchronizer`, not by transports — transports stay honest):
+Semantics (a :class:`FaultPlan` is the delivery policy of
+:class:`~repro.net.rounds.RoundCore`, which applies all of it —
+transports stay honest; the predicates are pure functions of the plan
+and the message coordinates, and the core tallies what actually fired):
 
 * **crash(party, round)** — the party takes no step at any round >= the
   crash round; messages already in flight still arrive.
@@ -55,6 +57,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, TypeVar
 from repro.errors import ConfigurationError
 from repro.net.adversary import CorruptionPlan
 from repro.net.latency import LatencyModel
+from repro.net.rounds import LockstepDelivery
 from repro.utils.randomness import Randomness
 
 T = TypeVar("T")
@@ -98,8 +101,10 @@ class Partition:
 
 
 @dataclass
-class FaultPlan:
+class FaultPlan(LockstepDelivery):
     """A reproducible schedule of network faults for one execution.
+
+    The default instance is the fault-free policy it derives from.
 
     Attributes:
         crashes: party id → first round at which the party stops stepping.
@@ -126,12 +131,6 @@ class FaultPlan:
     duplicate_probability: float = 0.0
     latency: Optional[LatencyModel] = None
     rng: Optional[Randomness] = None
-    # Observability: how often each fault kind actually fired this
-    # execution (fed into the repro.obs metrics registry by the
-    # synchronizer; also directly readable via :meth:`fired_counts`).
-    _fired: Dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         needs_rng = (
@@ -156,14 +155,7 @@ class FaultPlan:
                     f"join round for party {party} must be >= 0"
                 )
 
-    # -- queries used by the synchronizer ------------------------------------
-
-    def _note(self, kind: str) -> None:
-        self._fired[kind] = self._fired.get(kind, 0) + 1
-
-    def fired_counts(self) -> Dict[str, int]:
-        """How many times each fault kind actually fired (a copy)."""
-        return dict(self._fired)
+    # -- the delivery-policy predicates (pure) --------------------------------
 
     def is_crashed(self, party_id: int, round_index: int) -> bool:
         """Whether the party has crashed by the given round."""
@@ -173,19 +165,13 @@ class FaultPlan:
     def is_absent(self, party_id: int, round_index: int) -> bool:
         """Whether the party has not yet joined (churn)."""
         join_round = self.joins.get(party_id)
-        if join_round is not None and round_index < join_round:
-            self._note("churn-absent")
-            return True
-        return False
+        return join_round is not None and round_index < join_round
 
     def drops(self, sent_round: int, sender: int, recipient: int) -> bool:
         """Whether the link is severed for this send."""
-        dropped = any(
+        return any(
             p.blocks(sent_round, sender, recipient) for p in self.partitions
         )
-        if dropped:
-            self._note("partition-drop")
-        return dropped
 
     def delay_of(
         self, sent_round: int, sender: int, recipient: int, seq: int
@@ -200,8 +186,6 @@ class FaultPlan:
             delay += self.latency.extra_rounds(
                 self.rng, sent_round, sender, recipient, seq
             )
-        if delay > 0:
-            self._note("delay")
         return delay
 
     def duplicates(
@@ -211,10 +195,7 @@ class FaultPlan:
         if self.duplicate_probability <= 0:
             return False
         coin = self._fork(f"dup/{sent_round}/{sender}/{recipient}/{seq}")
-        duplicated = coin.bernoulli(self.duplicate_probability)
-        if duplicated:
-            self._note("duplicate")
-        return duplicated
+        return coin.bernoulli(self.duplicate_probability)
 
     def inbox_order(
         self, round_index: int, recipient: int, inbox: List[T]
@@ -224,7 +205,6 @@ class FaultPlan:
             return inbox
         permuted = list(inbox)
         self._fork(f"reorder/{round_index}/{recipient}").shuffle(permuted)
-        self._note("reorder")
         return permuted
 
     def _fork(self, label: str) -> Randomness:

@@ -1,24 +1,15 @@
 """Round synchronization: the paper's synchronous model over async transports.
 
-The paper (§1) assumes a synchronous network: messages sent in round
-``r`` arrive by the start of round ``r + 1``.  The runtime recovers
-exactly that model on top of an event-driven transport with a *round
-barrier*: every non-halted, non-crashed party runs its
-:meth:`~repro.net.party.Party.step` as its own coroutine; the barrier is
-the point where all step coroutines of the round have completed **and**
-the transport has flushed every in-flight frame.  Only then does the
-next round's inbox become visible.
+The transport placement of :class:`~repro.net.rounds.RoundCore` (which
+holds the model and the determinism contract).  Each round the
+synchronizer steps the core over the frames due at this barrier, ships
+what the parties emitted through the :class:`Transport` — in the core's
+order, so per-sender emission order survives on the wire — and waits
+for the *round barrier*: the transport has flushed every in-flight
+frame.  Only then does the next round's inbox become visible.
 
-Determinism contract.  With no :class:`~repro.runtime.faults.FaultPlan`
-(or a fault-free one), an execution over any transport is
-*message-for-message identical* to :class:`~repro.net.simulator.
-SynchronousNetwork`: inboxes are presented in the canonical
-``(sent_round, sender, seq)`` order, which coincides with the
-simulator's sorted-sender dispatch order; metrics are charged once per
-frame at the same sizes; ``end_round`` fires once per barrier.  The
-differential tests in ``tests/runtime/`` pin this equivalence.
-
-A fault plan perturbs delivery *inside* the model's remaining freedom
+A :class:`~repro.runtime.faults.FaultPlan` is the core's delivery
+policy: it perturbs delivery *inside* the model's remaining freedom
 (plus explicitly modeled crash/partition/delay faults); all its choices
 are seeded, so a faulty schedule is as reproducible as a clean one.
 """
@@ -32,13 +23,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Envelope, Party
+from repro.net.party import Frame, Party
+from repro.net.rounds import RoundCore
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import current_phase
-from repro.runtime import trace as trace_mod
 from repro.runtime.faults import FaultPlan
 from repro.runtime.trace import TraceRecorder
-from repro.runtime.transport import Frame, Transport, make_transport
+from repro.runtime.transport import Transport, make_transport
 
 
 class RoundSynchronizer:
@@ -54,27 +44,23 @@ class RoundSynchronizer:
         message_budget_per_party: Optional[int] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.parties: Dict[int, Party] = {}
-        for party in parties:
-            if party.party_id in self.parties:
-                raise NetworkError(f"duplicate party id {party.party_id}")
-            self.parties[party.party_id] = party
+        self.core = RoundCore(
+            parties,
+            policy=fault_plan,
+            trace=trace,
+            message_budget_per_party=message_budget_per_party,
+            on_fault=self._fault_injected if registry is not None else None,
+        )
+        self.parties: Dict[int, Party] = self.core.parties
         if set(self.parties) != set(transport.party_ids):
             raise NetworkError(
                 "transport party registry does not match the party set"
             )
         self.transport = transport
         self.metrics: CommunicationMetrics = transport.metrics
-        self.faults = fault_plan if fault_plan is not None else FaultPlan()
-        self.trace = trace
-        self._budget = message_budget_per_party
-        self._messages_sent: Dict[int, int] = {p: 0 for p in self.parties}
-        self._seq: Dict[int, int] = {p: 0 for p in self.parties}
-        # Frames accepted by the transport but not yet due for delivery
-        # (fault-plan delays push deliver_round past the next barrier).
-        self._staged: Dict[int, List[Frame]] = {p: [] for p in self.parties}
-        self._crash_traced: set = set()
-        self.round_index = 0
+        # Frames the transport delivered that are not yet due (fault-plan
+        # delays push deliver_round past the next barrier).
+        self._staged: List[Frame] = []
         # Observability: optional obs registry fed with round-barrier
         # latency, inbox depths, and injected-fault counters; the
         # transport feeds its own frame counters into the same registry.
@@ -97,243 +83,54 @@ class RoundSynchronizer:
                 "Faults the plan actually injected, by kind",
                 ("kind",),
             )
-            self._parties_gauge = registry.gauge(
+            registry.gauge(
                 "repro_runtime_parties", "Parties driven by the synchronizer"
-            )
-            self._parties_gauge.set(len(self.parties))
+            ).set(len(self.parties))
             transport.bind_registry(registry)
 
-    def _count_fault(self, kind: str) -> None:
-        if self.registry is not None:
-            self._faults_injected.inc(kind=kind)
-
-    # -- public drivers ------------------------------------------------------
+    @property
+    def round_index(self) -> int:
+        return self.core.round_index
 
     async def run(self, max_rounds: int = 10_000) -> None:
         """Run until every party has halted (or crashed permanently)."""
-
-        def finished() -> bool:
-            return all(
-                party.halted or self.faults.is_crashed(pid, self.round_index)
-                for pid, party in self.parties.items()
-            )
-
-        await self._run_rounds(finished, max_rounds)
+        for _ in self.core.rounds(max_rounds=max_rounds):
+            await self.step_round()
 
     async def run_until(
         self, party_ids: Iterable[int], max_rounds: int = 10_000
     ) -> None:
         """Run until the listed parties have all halted."""
-        targets = list(party_ids)
-        unknown = [p for p in targets if p not in self.parties]
-        if unknown:
-            raise NetworkError(
-                f"unknown target party id(s) {sorted(unknown)}; "
-                f"known ids are {sorted(self.parties)}"
-            )
-
-        def finished() -> bool:
-            return all(self.parties[p].halted for p in targets)
-
-        await self._run_rounds(finished, max_rounds)
-
-    async def _run_rounds(self, finished, max_rounds: int) -> None:
-        for _ in range(max_rounds):
-            if finished():
-                return
+        for _ in self.core.rounds(party_ids, max_rounds):
             await self.step_round()
-        raise NetworkError(
-            f"protocol did not terminate in {max_rounds} rounds"
-        )
-
-    # -- one round ------------------------------------------------------------
 
     async def step_round(self) -> None:
-        """Execute one synchronous round: deliver, step all, barrier."""
+        """Execute one synchronous round: deliver, step all, ship, barrier."""
         # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
         started = time.perf_counter() if self.registry is not None else 0.0
-        round_index = self.round_index
-        inboxes = self._take_due_inboxes(round_index)
-        runnable: List[int] = []
-        for party_id in sorted(self.parties):
-            party = self.parties[party_id]
-            if self.faults.is_crashed(party_id, round_index):
-                if party_id not in self._crash_traced:
-                    self._crash_traced.add(party_id)
-                    self._trace(party_id, trace_mod.CRASH, round_index)
-                    self._count_fault("crash")
-                continue
-            if self.faults.is_absent(party_id, round_index):
-                self._count_fault("churn-absent")
-                continue
-            if party.halted:
-                continue
-            runnable.append(party_id)
-        if self.registry is not None:
-            for inbox in inboxes.values():
-                self._inbox_depth.set_max(len(inbox))
-        await asyncio.gather(
-            *(
-                self._party_round(
-                    party_id, round_index, inboxes.get(party_id, [])
-                )
-                for party_id in runnable
-            )
-        )
+        round_index = self.core.round_index
+        due = [f for f in self._staged if f.deliver_round <= round_index]
+        self._staged = [f for f in self._staged if f.deliver_round > round_index]
+        for frame in self.core.step_round(round_index, due):
+            await self.transport.send(frame.sender, frame)
         # The barrier: nothing sent this round is visible until every
         # in-flight frame has reached its destination buffer.
         await self.transport.flush()
         for party_id in self.parties:
-            self._staged[party_id].extend(self.transport.collect(party_id))
+            self._staged.extend(self.transport.collect(party_id))
         self.metrics.end_round()
-        self.round_index += 1
         if self.registry is not None:
+            self._inbox_depth.set_max(self.core.inbox_high_water)
             self._rounds_total.inc()
             # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
             self._round_latency.observe(time.perf_counter() - started)
 
-    async def _party_round(
-        self, party_id: int, round_index: int, inbox: List[Envelope]
-    ) -> None:
-        """One party's turn: trace the barrier, step, ship its envelopes."""
-        party = self.parties[party_id]
-        self._trace(
-            party_id,
-            trace_mod.ROUND_BARRIER,
-            round_index,
-            queue_depth=len(inbox),
-        )
-        if self.trace is not None:
-            for envelope in inbox:
-                self._trace(
-                    party_id,
-                    trace_mod.RECV,
-                    round_index,
-                    peer=envelope.sender,
-                    bits=envelope.size_bits(),
-                )
-        outgoing = party.step(round_index, inbox)
-        for envelope in outgoing:
-            await self._ship(party_id, round_index, envelope)
-        if party.halted:
-            self._trace(
-                party_id,
-                trace_mod.HALT,
-                round_index,
-                output=repr(party.output),
-            )
-
-    async def _ship(
-        self, sender: int, round_index: int, envelope: Envelope
-    ) -> None:
-        """Budget-check, fault-filter, and transport-send one envelope."""
-        if self._budget is not None:
-            self._messages_sent[sender] += 1
-            if self._messages_sent[sender] > self._budget:
-                raise NetworkError(
-                    f"party {sender} exceeded its message budget "
-                    f"of {self._budget}"
-                )
-        if self.faults.drops(round_index, sender, envelope.recipient):
-            self._trace(
-                sender,
-                trace_mod.DROP,
-                round_index,
-                peer=envelope.recipient,
-                bits=envelope.size_bits(),
-            )
-            self._count_fault("partition-drop")
-            return
-        seq = self._seq[sender]
-        self._seq[sender] = seq + 1
-        delay = self.faults.delay_of(
-            round_index, sender, envelope.recipient, seq
-        )
-        if delay > 0:
-            self._count_fault("delay")
-        if self.faults.is_absent(
-            envelope.recipient, round_index + 1 + delay
-        ):
-            # Churn: nobody is listening yet at the delivery round, so
-            # the frame dies before the transport (and is not charged).
-            self._trace(
-                sender,
-                trace_mod.DROP,
-                round_index,
-                peer=envelope.recipient,
-                bits=envelope.size_bits(),
-            )
-            self._count_fault("churn-drop")
-            return
-        frame = Frame(
-            sender=sender,
-            recipient=envelope.recipient,
-            payload=envelope.payload,
-            sent_round=round_index,
-            deliver_round=round_index + 1 + delay,
-            # Charge exactly what the envelope declares: for plain
-            # envelopes this is 8 * len(payload); replayed envelopes may
-            # carry an exact analytic bit count.
-            charge_bits=envelope.size_bits(),
-            seq=seq,
-            # Flow attribution: replayed envelopes carry the phase that
-            # was active at record time; live protocol envelopes get the
-            # span open right now.
-            phase=getattr(envelope, "phase", "") or (current_phase() or ""),
-        )
-        self._trace(
-            sender,
-            trace_mod.SEND,
-            round_index,
-            peer=envelope.recipient,
-            bits=frame.bits(),
-        )
-        await self.transport.send(sender, frame)
-
-    # -- delivery ---------------------------------------------------------------
-
-    def _take_due_inboxes(self, round_index: int) -> Dict[int, List[Envelope]]:
-        """Pop every staged frame due by this round, in canonical order,
-        then apply duplication and reordering from the fault plan."""
-        inboxes: Dict[int, List[Envelope]] = {}
-        for party_id, staged in self._staged.items():
-            due = [f for f in staged if f.deliver_round <= round_index]
-            if not due:
-                continue
-            self._staged[party_id] = [
-                f for f in staged if f.deliver_round > round_index
-            ]
-            due.sort(key=lambda f: (f.sent_round, f.sender, f.seq))
-            delivered: List[Frame] = []
-            for frame in due:
-                delivered.append(frame)
-                if self.faults.duplicates(
-                    frame.sent_round, frame.sender, frame.recipient, frame.seq
-                ):
-                    delivered.append(frame)
-                    self._count_fault("duplicate")
-            delivered = self.faults.inbox_order(
-                round_index, party_id, delivered
-            )
-            inboxes[party_id] = [
-                Envelope(
-                    sender=f.sender, recipient=f.recipient, payload=f.payload
-                )
-                for f in delivered
-            ]
-        return inboxes
-
-    def _trace(self, party_id: int, kind: str, round_index: int, **fields) -> None:
-        if self.trace is not None:
-            self.trace.record(party_id, kind, round_index, **fields)
+    def _fault_injected(self, kind: str) -> None:
+        self._faults_injected.inc(kind=kind)
 
     def outputs(self) -> Dict[int, object]:
         """Map of party id to output, halted parties only (simulator API)."""
-        return {
-            party_id: party.output
-            for party_id, party in self.parties.items()
-            if party.halted
-        }
+        return self.core.outputs()
 
 
 @dataclass
@@ -400,8 +197,8 @@ async def run_parties_async(
         transport_obj = make_transport(transport, party_ids, metrics)
     else:
         transport_obj = transport
-    await transport_obj.start()
     try:
+        await transport_obj.start()
         synchronizer = RoundSynchronizer(
             parties,
             transport_obj,

@@ -25,106 +25,16 @@ from __future__ import annotations
 
 import abc
 import asyncio
-import struct
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.net.bind import start_asyncio_server
 from repro.net.metrics import CommunicationMetrics
+from repro.net.party import _HEADER, _LENGTH, _MAX_FRAME, _TYPE_HELLO, Frame
 from repro.obs.flow import flow_tags
 from repro.obs.registry import MetricsRegistry
 from repro.utils.randomness import Randomness
-
-_HEADER = struct.Struct(">BIIIII")  # type, sender, recipient, sent, deliver, charge
-_LENGTH = struct.Struct(">I")
-_TYPE_HELLO = 0
-_TYPE_DATA = 1
-_MAX_FRAME = 1 << 24
-
-
-@dataclass(frozen=True)
-class Frame:
-    """One message in flight on a runtime transport.
-
-    ``sent_round`` is the round the sender emitted it in; ``deliver_round``
-    is the earliest round barrier at which the synchronizer hands it to
-    the recipient (``sent_round + 1`` plus any fault-plan delay).
-    ``charge_bits`` is what the metrics ledger is charged — normally
-    ``8 * len(payload)``, but replayed executions may carry exact analytic
-    bit counts that are not byte multiples.
-    ``seq`` is the per-sender emission sequence number; together with the
-    sender id it defines the canonical (simulator-identical) inbox order.
-    ``phase`` is the obs span active when the frame was shipped — pure
-    flow-ledger attribution metadata: it rides the wire (so attribution
-    survives the TCP transport's cross-task delivery) but is **never**
-    part of ``charge_bits``, which stays exactly the analytic size the
-    protocol declared.
-    """
-
-    sender: int
-    recipient: int
-    payload: bytes
-    sent_round: int = 0
-    deliver_round: int = 1
-    charge_bits: int = -1
-    seq: int = 0
-    phase: str = ""
-
-    def bits(self) -> int:
-        """Bits charged to the ledger for this frame."""
-        return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
-
-    def encode(self) -> bytes:
-        """Length-prefixed wire encoding (used by :class:`TcpTransport`)."""
-        phase_bytes = self.phase.encode("utf-8")
-        body = (
-            _HEADER.pack(
-                _TYPE_DATA, self.sender, self.recipient, self.sent_round,
-                self.deliver_round, self.bits(),
-            )
-            + _LENGTH.pack(self.seq)
-            + _LENGTH.pack(len(phase_bytes)) + phase_bytes
-            + self.payload
-        )
-        if len(body) > _MAX_FRAME:
-            raise NetworkError(f"frame exceeds {_MAX_FRAME} bytes")
-        return _LENGTH.pack(len(body)) + body
-
-    @staticmethod
-    def decode(body: bytes) -> "Frame":
-        """Inverse of :meth:`encode` (without the length prefix)."""
-        if len(body) < _HEADER.size + 2 * _LENGTH.size:
-            raise NetworkError("short frame")
-        kind, sender, recipient, sent, deliver, charge = _HEADER.unpack_from(body)
-        if kind != _TYPE_DATA:
-            raise NetworkError(f"unexpected frame type {kind}")
-        if deliver <= sent:
-            raise NetworkError(
-                f"frame claims delivery round {deliver} on or before "
-                f"its send round {sent}"
-            )
-        (seq,) = _LENGTH.unpack_from(body, _HEADER.size)
-        (phase_len,) = _LENGTH.unpack_from(body, _HEADER.size + _LENGTH.size)
-        phase_start = _HEADER.size + 2 * _LENGTH.size
-        if len(body) < phase_start + phase_len:
-            raise NetworkError("short frame (truncated phase)")
-        try:
-            phase = body[phase_start:phase_start + phase_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise NetworkError(f"frame phase is not UTF-8: {exc}") from exc
-        payload = body[phase_start + phase_len:]
-        return Frame(
-            # lint: allow[TRU001] reason=party ids are checked against staged routing tables by the supervisor before any delivery or ledger charge
-            sender=sender,
-            recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against staged routing tables before any delivery or ledger charge
-            payload=payload,
-            sent_round=sent,
-            deliver_round=deliver,
-            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by the mesh-vs-run_parties ledger parity gates
-            seq=seq,  # lint: allow[TRU001] reason=seq is an opaque reconnect-dedup tag; the replay consumer tolerates arbitrary values
-            phase=phase,
-        )
 
 
 def backoff_schedule(
@@ -402,12 +312,14 @@ class TcpTransport(Transport):
         """Dial the router, introduce the party, start its pump."""
         assert self.port is not None
         reader, writer = await asyncio.open_connection(self._host, self.port)
+        # Registered before the HELLO so that `stop()` closes it (and the
+        # router handler it woke) even if the introduction fails.
+        endpoint = _Endpoint(reader=reader, writer=writer)
+        self._endpoints[party_id] = endpoint
         hello = _HEADER.pack(_TYPE_HELLO, party_id, 0, 0, 0, 0)
         writer.write(_LENGTH.pack(len(hello)) + hello)
         await writer.drain()
-        endpoint = _Endpoint(reader=reader, writer=writer)
         endpoint.pump = asyncio.create_task(self._endpoint_pump(endpoint))
-        self._endpoints[party_id] = endpoint
         return endpoint
 
     async def stop(self) -> None:

@@ -1,17 +1,18 @@
-"""ShardEngine: parity with the runtime synchronizer, and the
-save → load → resume property (satellite 3): an interrupted run resumed
-from its durable checkpoint produces byte-identical outputs, metrics
-tallies, and trace fingerprints versus an uninterrupted run."""
+"""ShardEngine: the lockstep-round contract on a single engine, smoke
+parity with the runtime synchronizer, and the save → load → resume
+property: a run interrupted at a checkpoint barrier and continued from
+``snapshot → save_checkpoint → load_checkpoint → restore`` produces
+byte-identical outputs, metrics tallies, round count and trace
+fingerprint versus an uninterrupted run."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
-from repro.cluster.engine import (
-    ShardEngine,
-    resume_shard_locally,
-    run_shard_locally,
-)
+from repro.cluster.checkpoint import load_checkpoint, save_checkpoint
+from repro.cluster.engine import ShardEngine
 from repro.cluster.job import phase_king_parties, replay_script_parties
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
@@ -19,8 +20,10 @@ from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.runtime.replay import apply_func_ops, tallies_equal
 from repro.runtime.synchronizer import run_parties
-from repro.runtime.trace import TraceRecorder
+from repro.runtime.trace import TraceRecorder, load_jsonl
 from repro.utils.randomness import Randomness
+from tests.net import test_simulator as contract
+from tests.placements import SHARD_ENGINE, drive_shard
 
 N = 16
 
@@ -32,9 +35,6 @@ def _phase_king_setup():
     f = max(1, (N - 1) // 3)
     max_rounds = 3 * (f + 2) + 3
     return inputs, byzantine, honest, max_rounds
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +71,7 @@ class TestEngineParity:
         )
         metrics = CommunicationMetrics()
         trace = TraceRecorder()
-        result = run_shard_locally(
+        result = SHARD_ENGINE.run(
             phase_king_parties(N, inputs, byzantine),
             metrics=metrics, trace=trace, until=honest,
             max_rounds=max_rounds,
@@ -92,7 +92,7 @@ class TestEngineParity:
         apply_func_ops(script, ref_metrics)
         metrics = CommunicationMetrics()
         trace = TraceRecorder()
-        result = run_shard_locally(
+        result = SHARD_ENGINE.run(
             replay_script_parties(N, script),
             metrics=metrics, trace=trace, max_rounds=max_rounds,
         )
@@ -124,38 +124,67 @@ class TestEngineParity:
         ] == [(f.sender, f.recipient, f.seq, f.payload) for f in b]
 
 
+class TestShardEngineSemantics(
+    contract.TestDelivery,
+    contract.TestAuthentication,
+    contract.TestTermination,
+):
+    """The lockstep-round contract (tests/net/test_simulator.py) on one
+    engine holding every party; budgets are not a ShardEngine option."""
+
+    placement = SHARD_ENGINE
+
+
 class TestSaveLoadResume:
     """Interrupt at a checkpoint barrier, resume, compare byte-for-byte."""
 
     def _assert_resume_parity(
-        self, build, until, max_rounds, interrupt_after
+        self, build, until, max_rounds, interrupt_after, tmp_path
     ):
         ref, ref_metrics, ref_trace = _reference(
             build(), until, max_rounds
         )
-        import tempfile
-        from pathlib import Path
 
-        with tempfile.TemporaryDirectory() as raw:
-            tmp = Path(raw)
-            with pytest.raises(ClusterError, match="did not terminate"):
-                run_shard_locally(
-                    build(),
-                    metrics=CommunicationMetrics(),
-                    trace=TraceRecorder(),
-                    until=until,
-                    max_rounds=interrupt_after,
-                    checkpoint_dir=tmp,
-                    checkpoint_interval=2,
-                    checkpoint_name="shard-0",
-                )
-            metrics = CommunicationMetrics()
-            trace = TraceRecorder()
-            result = resume_shard_locally(
-                tmp, "shard-0", metrics=metrics, trace=trace,
-                until=until, max_rounds=max_rounds,
+        def checkpoint_every_other_round(engine, in_flight):
+            if engine.next_round % 2:
+                return
+            tallies = {p: first_metrics.tally_of(p) for p in engine.party_ids}
+            save_checkpoint(
+                tmp_path, "shard-0",
+                engine.snapshot(staged=in_flight, tallies=tallies),
             )
+            engine.trace.dump_dir(tmp_path / "trace")
+
+        first_metrics = CommunicationMetrics()
+        with pytest.raises(ClusterError, match="did not terminate"):
+            drive_shard(
+                ShardEngine(build(), trace=TraceRecorder()),
+                first_metrics,
+                until=until,
+                max_rounds=interrupt_after,
+                on_barrier=checkpoint_every_other_round,
+            )
+
+        # A fresh process: nothing survives but the files.
+        checkpoint = load_checkpoint(tmp_path, "shard-0")
+        trace = TraceRecorder()
+        for path in sorted((tmp_path / "trace").glob("party-*.jsonl")):
+            trace.preload(int(path.stem.split("-", 1)[1]), load_jsonl(path))
+        metrics = CommunicationMetrics()
+        for record in checkpoint.parties:
+            metrics.absorb_tally(record.party_id, record.tally)
+        for _ in range(checkpoint.next_round):
+            metrics.end_round()
+        result = drive_shard(
+            ShardEngine.restore(checkpoint, trace=trace),
+            metrics,
+            pending=checkpoint.staged,
+            until=until,
+            max_rounds=max_rounds,
+        )
+        assert 0 < checkpoint.next_round <= interrupt_after
         assert result.outputs == ref.outputs
+        assert result.rounds == ref.rounds
         assert metrics.max_bits_per_party == ref_metrics.max_bits_per_party
         assert tallies_equal(metrics, ref_metrics, range(N))
         assert trace.fingerprint() == ref_trace.fingerprint()
@@ -163,26 +192,31 @@ class TestSaveLoadResume:
             metrics.snapshot().rounds == ref_metrics.snapshot().rounds
         )
 
-    def test_phase_king_resume_is_byte_identical(self):
+    def test_phase_king_resume_is_byte_identical(self, tmp_path):
         inputs, byzantine, honest, max_rounds = _phase_king_setup()
         self._assert_resume_parity(
             lambda: phase_king_parties(N, inputs, byzantine),
-            honest, max_rounds, interrupt_after=5,
+            honest, max_rounds, interrupt_after=5, tmp_path=tmp_path,
         )
 
     @pytest.mark.parametrize("scheme_name", ["snark", "owf"])
-    def test_pi_ba_resume_is_byte_identical(self, scheme_name):
+    def test_pi_ba_resume_is_byte_identical(self, scheme_name, tmp_path):
         script = _pi_ba_script(scheme_name)
         self._assert_resume_parity(
             lambda: replay_script_parties(N, script),
             None, script.num_rounds + 2,
-            interrupt_after=script.num_rounds // 2,
+            interrupt_after=script.num_rounds // 2, tmp_path=tmp_path,
         )
 
     def test_resume_without_checkpoint_raises(self, tmp_path):
+        # The one resume path in src/: a worker pinned to a barrier whose
+        # checkpoint file is missing dies loudly, it does not start over.
+        from repro.cluster.job import phase_king_job
+        from repro.cluster.worker import _build_engine
+
+        inputs, byzantine, _, _ = _phase_king_setup()
         with pytest.raises(ClusterError, match="checkpoint"):
-            resume_shard_locally(
-                tmp_path, "shard-0",
-                metrics=CommunicationMetrics(), trace=TraceRecorder(),
-                until=None, max_rounds=10,
+            _build_engine(
+                phase_king_job(inputs, byzantine), list(range(N)), 2,
+                tmp_path, "shard-0", TraceRecorder(),
             )

@@ -2,18 +2,17 @@
 
 The central claim of the runtime is *differential equivalence*: party
 state machines driven by the RoundSynchronizer produce exactly the
-outputs and metrics they produce under ``SynchronousNetwork``.  These
-tests pin that equivalence for the committee protocols, plus runtime
-API semantics (budgets, run_until validation, tracing determinism).
+outputs and metrics they produce under ``SynchronousNetwork`` — by
+construction, since both step the same ``RoundCore``.  The contract
+cases (duplicate ids, next-round delivery, sender stamping, budgets,
+termination) are the simulator's own, re-run here on the ``local`` and
+``tcp`` transports; the rest smoke-tests the committee protocols end to
+end and pins tracing determinism.
 """
-
-from typing import List, Sequence
 
 import pytest
 
-from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Envelope, Party, SilentParty
 from repro.net.simulator import SynchronousNetwork
 from repro.protocols.gradecast import check_gradecast_guarantees, run_gradecast
 from repro.protocols.phase_king import run_phase_king
@@ -23,29 +22,23 @@ from repro.runtime import (
     run_parties,
     run_phase_king_runtime,
 )
+from tests.net import test_simulator as contract
+from tests.net.test_simulator import EchoParty
+from tests.placements import LOCAL, TCP
 
 
-class EchoParty(Party):
-    """Same machine the simulator tests use: ping, echo, halt."""
-
-    def __init__(self, party_id: int, peer: int) -> None:
-        super().__init__(party_id)
-        self.peer = peer
-        self.received: List[bytes] = []
-
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
-        self.received.extend(envelope.payload for envelope in inbox)
-        if round_index == 0:
-            return [self.send(self.peer, b"ping-%d" % self.party_id)]
-        if round_index >= 2:
-            return self.halt(len(self.received))
-        return [
-            self.send(envelope.sender, b"echo:" + envelope.payload)
-            for envelope in inbox
-        ]
+class _Contract(
+    contract.TestDelivery,
+    contract.TestAuthentication,
+    contract.TestTermination,
+    contract.TestBudget,
+):
+    """Every lockstep-round contract case (tests/net/test_simulator.py)."""
 
 
-class TestBasicSemantics:
+class TestBasicSemantics(_Contract):
+    placement = LOCAL
+
     def test_echo_round_trip_matches_simulator(self):
         sim_a, sim_b = EchoParty(0, 1), EchoParty(1, 0)
         network = SynchronousNetwork([sim_a, sim_b])
@@ -58,54 +51,9 @@ class TestBasicSemantics:
         assert result.outputs == network.outputs()
         assert result.metrics.snapshot() == network.metrics.snapshot()
 
-    def test_messages_not_visible_before_barrier(self):
-        class Probe(Party):
-            def __init__(self, party_id):
-                super().__init__(party_id)
-                self.first_inbox = None
 
-            def step(self, round_index, inbox):
-                if round_index == 0:
-                    return [self.send(1 - self.party_id, b"x")]
-                if self.first_inbox is None:
-                    self.first_inbox = [e.payload for e in inbox]
-                return self.halt()
-
-        a, b = Probe(0), Probe(1)
-        run_parties([a, b], max_rounds=5)
-        # Round-0 sends arrive exactly at round 1, not during round 0.
-        assert a.first_inbox == [b"x"]
-
-    def test_duplicate_party_id_rejected(self):
-        with pytest.raises(NetworkError):
-            run_parties([SilentParty(0), SilentParty(0)])
-
-    def test_nontermination_detected(self):
-        with pytest.raises(NetworkError, match="did not terminate"):
-            run_parties([SilentParty(0)], max_rounds=4)
-
-    def test_run_until_unknown_target_raises(self):
-        with pytest.raises(NetworkError, match="unknown target party"):
-            run_parties([SilentParty(0)], until=[3], max_rounds=4)
-
-    def test_budget_enforced(self):
-        class Chatty(Party):
-            def step(self, round_index, inbox):
-                return [self.send(1, b"x") for _ in range(5)]
-
-        with pytest.raises(NetworkError, match="message budget"):
-            run_parties(
-                [Chatty(0), SilentParty(1)],
-                message_budget_per_party=3,
-                max_rounds=3,
-            )
-
-    def test_outputs_only_halted(self):
-        a = EchoParty(0, 1)
-        result = run_parties(
-            [a, SilentParty(1)], until=[0], max_rounds=10
-        )
-        assert set(result.outputs) == {0}
+class TestTcpSemantics(_Contract):
+    placement = TCP
 
 
 @pytest.mark.parametrize("n", [7, 13])

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import errno
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.net.party import SilentParty
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.synchronizer import run_parties_async
 from repro.runtime.transport import (
     Frame,
     TcpTransport,
@@ -160,3 +163,35 @@ class TestPortFallback:
                 await transport.stop()
 
         _run(scenario())
+
+
+class TestFailedStart:
+    def test_failed_start_closes_listener_and_propagates(self):
+        # An endpoint dial that fails after the router is listening
+        # (EMFILE at n≈500 under `ulimit -n 1024`) must not leak the
+        # server or the pumps already started: run_parties_async stops
+        # the half-started transport and re-raises the original error.
+        async def scenario():
+            transport = TcpTransport([0, 1, 2])
+            dial = transport._connect_endpoint
+
+            async def flaky(party_id):
+                if party_id == 1:
+                    raise OSError(errno.EMFILE, "Too many open files")
+                return await dial(party_id)
+
+            transport._connect_endpoint = flaky
+            with pytest.raises(OSError, match="Too many open files"):
+                await run_parties_async(
+                    [SilentParty(p) for p in range(3)],
+                    transport=transport,
+                    max_rounds=1,
+                )
+            assert transport.port is not None
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", transport.port)
+            return transport
+
+        transport = _run(scenario())
+        assert transport._server is None
+        assert transport._endpoints == {}
