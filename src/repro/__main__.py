@@ -225,7 +225,7 @@ def _cmd_runtime(n: int, kind: str, trace_dir=None,
 
         flow_problems = flow.verify_against(runtime_metrics)
         print(f"  flow        coverage={flow.coverage():.1%} "
-              f"parity-with-tallies={not flow_problems}")
+              f"parity={not flow_problems}")
         for problem in flow_problems:
             print(f"    {problem}")
         if flow_out is not None:

@@ -32,9 +32,9 @@ Parties run as real asyncio consumer tasks over per-party queues —
 the :class:`~repro.net.party.AsyncParty` machines execute on the
 asyncio runtime with no round synchronizer anywhere.  Wire traffic is
 charged to :class:`~repro.net.metrics.CommunicationMetrics` at send
-time under the envelope's phase span with ``kind="async"`` flow tags,
-so ``max_bits_per_party`` and flow ledgers are directly comparable to
-the synchronous backends' BENCH records.
+time under the envelope's phase with flow kind ``"async"``, so
+``max_bits_per_party`` and flow ledgers are directly comparable to the
+synchronous backends' BENCH records.
 
 Fault-plan integration maps virtual time ``t`` to round ``⌊t⌋``:
 crashes silence a party's deliveries from the crash round on; churn
@@ -63,8 +63,7 @@ from repro.errors import ConfigurationError, NetworkError
 from repro.net.latency import FixedLatency, LatencyModel
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import AsyncParty, Envelope
-from repro.obs.flow import flow_tags
-from repro.obs.spans import current_phase, span
+from repro.obs.spans import current_phase
 from repro.runtime.faults import FaultPlan
 from repro.utils.randomness import Randomness
 
@@ -204,15 +203,13 @@ class AsyncScheduler:
             sent_round = int(self._now)
             if self.faults.drops(sent_round, sender, envelope.recipient):
                 continue  # partition: the link is down; nothing charged
-            phase = (
-                getattr(envelope, "phase", "")
-                or (current_phase() or "")
-                or DEFAULT_PHASE
+            self.metrics.record_message(
+                sender, envelope.recipient, envelope.size_bits(),
+                phase=getattr(envelope, "phase", "")
+                or current_phase()
+                or DEFAULT_PHASE,
+                kind="async",
             )
-            with span(phase), flow_tags(phase=phase, kind="async"):
-                self.metrics.record_message(
-                    sender, envelope.recipient, envelope.size_bits()
-                )
             if self._wire_observer is not None:
                 self._wire_observer(self._now, envelope)
             self._enqueue(sent_round, sender, envelope)

@@ -15,9 +15,10 @@ the crashed process stopped.  Per party it records:
 * the party's **trace offset** — the per-party
   :class:`~repro.runtime.trace.TraceRecorder` sequence counter, so
   regenerated events after a resume carry the same ``seq`` stamps and
-  the merged trace stays byte-identical to an uninterrupted run;
-* the party's **metrics tally** (bits/messages/peers), so a local
-  resume recharges nothing and a status probe can display progress.
+  the merged trace stays byte-identical to an uninterrupted run.
+
+No ledger state lives here: a shard never owns a ledger, and the
+supervisor carries its own across a restart (``supervisor.ckpt``).
 
 The container additionally stores the shard's **staged frames** (sent
 but not yet due for delivery): a cluster worker's own in-flight mesh
@@ -37,7 +38,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ClusterError, SerializationError
-from repro.net.metrics import PartyTally
 from repro.net.party import _LENGTH, Frame, Party
 from repro.utils.serialization import (
     decode_bytes,
@@ -48,8 +48,9 @@ from repro.utils.serialization import (
     encode_uint,
 )
 
-#: Format magic + version.  Bump the trailing digit on layout changes.
-MAGIC = b"RPCK1"
+#: Format magic + version.  Bump the trailing digit on layout changes
+#: (``RPCK1`` carried a per-party tally slot; it is refused by name).
+MAGIC = b"RPCK2"
 
 
 @dataclass
@@ -60,15 +61,10 @@ class PartyCheckpoint:
     party_blob: bytes
     send_seq: int = 0
     trace_seq: int = 0
-    tally: PartyTally = field(default_factory=PartyTally)
 
     @classmethod
     def of(
-        cls,
-        party: Party,
-        send_seq: int = 0,
-        trace_seq: int = 0,
-        tally: Optional[PartyTally] = None,
+        cls, party: Party, send_seq: int = 0, trace_seq: int = 0
     ) -> "PartyCheckpoint":
         """Snapshot one live party object."""
         return cls(
@@ -76,7 +72,6 @@ class PartyCheckpoint:
             party_blob=pickle.dumps(party, protocol=pickle.HIGHEST_PROTOCOL),
             send_seq=send_seq,
             trace_seq=trace_seq,
-            tally=tally if tally is not None else PartyTally(),
         )
 
     def restore_party(self) -> Party:
@@ -112,48 +107,6 @@ class ClusterCheckpoint:
         return {record.party_id: record for record in self.parties}
 
 
-def _encode_tally(tally: PartyTally) -> bytes:
-    parts = [
-        encode_uint(tally.bits_sent),
-        encode_uint(tally.bits_received),
-        encode_uint(tally.messages_sent),
-        encode_uint(tally.messages_received),
-        encode_uint(len(tally.peers_sent_to)),
-    ]
-    parts.extend(encode_uint(p) for p in sorted(tally.peers_sent_to))
-    parts.append(encode_uint(len(tally.peers_received_from)))
-    parts.extend(encode_uint(p) for p in sorted(tally.peers_received_from))
-    return b"".join(parts)
-
-
-def _decode_tally(data: bytes, offset: int) -> "tuple[PartyTally, int]":
-    bits_sent, offset = decode_uint(data, offset)
-    bits_received, offset = decode_uint(data, offset)
-    messages_sent, offset = decode_uint(data, offset)
-    messages_received, offset = decode_uint(data, offset)
-    count, offset = decode_uint(data, offset)
-    sent_to = set()
-    for _ in range(count):
-        peer, offset = decode_uint(data, offset)
-        sent_to.add(peer)
-    count, offset = decode_uint(data, offset)
-    received_from = set()
-    for _ in range(count):
-        peer, offset = decode_uint(data, offset)
-        received_from.add(peer)
-    return (
-        PartyTally(
-            bits_sent=bits_sent,
-            bits_received=bits_received,
-            messages_sent=messages_sent,
-            messages_received=messages_received,
-            peers_sent_to=sent_to,
-            peers_received_from=received_from,
-        ),
-        offset,
-    )
-
-
 def encode_checkpoint(checkpoint: ClusterCheckpoint) -> bytes:
     """Canonical byte encoding of one checkpoint."""
     parts = [MAGIC, encode_uint(checkpoint.next_round)]
@@ -162,7 +115,6 @@ def encode_checkpoint(checkpoint: ClusterCheckpoint) -> bytes:
         parts.append(encode_uint(record.party_id))
         parts.append(encode_uint(record.send_seq))
         parts.append(encode_uint(record.trace_seq))
-        parts.append(_encode_tally(record.tally))
         parts.append(encode_bytes(record.party_blob))
     parts.append(
         encode_sequence([frame.encode() for frame in checkpoint.staged])
@@ -185,7 +137,6 @@ def decode_checkpoint(data: bytes) -> ClusterCheckpoint:
             party_id, offset = decode_uint(data, offset)
             send_seq, offset = decode_uint(data, offset)
             trace_seq, offset = decode_uint(data, offset)
-            tally, offset = _decode_tally(data, offset)
             blob, offset = decode_bytes(data, offset)
             parties.append(
                 PartyCheckpoint(
@@ -193,7 +144,6 @@ def decode_checkpoint(data: bytes) -> ClusterCheckpoint:
                     party_blob=blob,
                     send_seq=send_seq,
                     trace_seq=trace_seq,
-                    tally=tally,
                 )
             )
         frame_blobs, offset = decode_sequence(data, offset)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ClusterError
-from repro.net.metrics import PartyTally
 from repro.net.party import Frame, Party
 from repro.net.rounds import RoundCore
 from repro.runtime.trace import TraceRecorder
@@ -102,15 +101,12 @@ class ShardEngine:
     # -- checkpoint/restore -----------------------------------------------------
 
     def snapshot(
-        self,
-        staged: Optional[Sequence[Frame]] = None,
-        tallies: Optional[Dict[int, PartyTally]] = None,
+        self, staged: Optional[Sequence[Frame]] = None
     ) -> ClusterCheckpoint:
         """Freeze the shard at its current round barrier.
 
         ``staged`` are the caller's in-flight frames for this shard (a
-        worker's staged mesh traffic); ``tallies`` lets the caller
-        attach per-party metric tallies for resume recharging.
+        worker's staged mesh traffic).
         """
         records: List[PartyCheckpoint] = []
         for party_id in sorted(self.parties):
@@ -123,7 +119,6 @@ class ShardEngine:
                         if self.trace is not None
                         else 0
                     ),
-                    tally=tallies.get(party_id) if tallies else None,
                 )
             )
         return ClusterCheckpoint(

@@ -25,7 +25,7 @@ The router owns exactly the properties the differential suite pins:
   until the supervisor's checkpoint barrier says ``trim``; the link
   handshake exchanges consumed-round watermarks and resends everything
   the other side is missing, which transparently covers startup
-  ordering, redials, *and* a SIGKILLed worker rejoining from its RPCK1
+  ordering, redials, *and* a SIGKILLed worker rejoining from its RPCK2
   checkpoint;
 * **liveness signals** — link failures are queued for the worker to
   report as ``peerdown`` control messages, and ``progress()`` exposes a

@@ -33,7 +33,7 @@ scheduled round.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control messages; party
-# frames are charged via metrics.replay_digest from the workers' round digests
+# frames are charged via metrics.record_message from the workers' round digests
 
 from __future__ import annotations
 
@@ -665,9 +665,12 @@ class ClusterSupervisor:
                     f"worker emitted a frame for unknown party "
                     f"{min(unknown)}"
                 )
-            # One batched replay per (round, worker): the charges
-            # run_parties makes one record_message at a time.
-            self.metrics.replay_digest(rows)
+            # The charges run_parties makes, row for row: each frame
+            # under the phase its worker stamped on it.
+            for sender, recipient, bits, phase in rows:
+                self.metrics.record_message(
+                    sender, recipient, bits, phase=phase, kind="frame"
+                )
             if self.config.registry is not None:
                 self._frames_routed.inc(len(rows))
         self.outputs.update(payload.get("outputs", {}))

@@ -121,11 +121,13 @@ class RawSendRule(Rule):
 class UnspannedChargeRule(Rule):
     """OBS001 — charges in instrumented protocols need a phase span.
 
-    A charge is compliant when it is lexically inside a
-    ``with span(...)`` block, or when its enclosing function is
-    *span-covered*: every in-module call site of that function sits at a
-    compliant position (computed as an increasing fixpoint, so private
-    helpers invoked from spanned blocks are covered transitively).
+    A charge is compliant when it passes the label it carries
+    (``phase=...`` — a frame's, a digest row's, a recorded op's), when
+    it is lexically inside a ``with span(...)`` block, or when its
+    enclosing function is *span-covered*: every in-module call site of
+    that function sits at a compliant position (computed as an
+    increasing fixpoint, so private helpers invoked from spanned blocks
+    are covered transitively).
     """
 
     meta = RuleMeta(
@@ -157,6 +159,8 @@ class UnspannedChargeRule(Rule):
             return
         analysis = _SpanAnalysis(module)
         for call, function in analysis.charge_sites:
+            if any(keyword.arg == "phase" for keyword in call.keywords):
+                continue
             if analysis.in_span(call):
                 continue
             if function is not None and function in analysis.covered:

@@ -69,11 +69,12 @@ class Frame:
     bit counts that are not byte multiples.
     ``seq`` is the per-sender emission sequence number; together with the
     sender id it defines the canonical (simulator-identical) inbox order.
-    ``phase`` is the obs span active when the frame was shipped — pure
-    flow-ledger attribution metadata: it rides the wire (so attribution
-    survives the TCP transport's cross-task delivery) but is **never**
-    part of ``charge_bits``, which stays exactly the analytic size the
-    protocol declared.
+    ``phase`` is the label the frame is charged under (its envelope's
+    own, else the span active when it was shipped) — pure attribution
+    metadata: it rides the wire (so attribution survives the TCP
+    transport's cross-task delivery) but is **never** part of
+    ``charge_bits``, which stays exactly the analytic size the protocol
+    declared.
     """
 
     sender: int

@@ -10,16 +10,11 @@ party sends at most b messages" hypothesis into a mechanical check.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame, Party
 from repro.net.rounds import RoundCore
-from repro.obs.flow import flow_tags
-
-_PHASE = attrgetter("phase")
 
 
 class SynchronousNetwork:
@@ -48,15 +43,11 @@ class SynchronousNetwork:
         self._pending = self.core.step_round(
             self.core.round_index, self._pending
         )
-        # Replayed envelopes carry the obs phase recorded at charge time;
-        # it is re-attached for the flow ledger only — span attribution
-        # is the live stack's job.  One tag per run of equal phases.
-        for phase, frames in groupby(self._pending, key=_PHASE):
-            with flow_tags(phase=phase or None):
-                for frame in frames:
-                    self.metrics.record_message(
-                        frame.sender, frame.recipient, frame.bits()
-                    )
+        for frame in self._pending:
+            self.metrics.record_message(
+                frame.sender, frame.recipient, frame.bits(),
+                phase=frame.phase,
+            )
         self.metrics.end_round()
 
     def run(self, max_rounds: int = 10_000) -> None:

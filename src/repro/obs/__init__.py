@@ -3,14 +3,15 @@
 Layered on PR 1's runtime:
 
 * **Spans** (:mod:`repro.obs.spans`): hierarchical phase context managers
-  (``with span("srds-aggregate", level=k): ...``) that the communication
-  ledger consults on every charge, yielding the §3.1 per-phase cost
-  decomposition (``CommunicationMetrics.bits_by_phase`` /
-  ``phase_breakdown``).
+  (``with span("srds-aggregate", level=k): ...``) and the one rule that
+  labels a ledger charge (``spans.charge_label``), yielding the §3.1
+  per-phase cost decomposition (``CommunicationMetrics.bits_by_phase``
+  / ``phase_breakdown``).
 * **Flow ledger** (:mod:`repro.obs.flow`): the wire-level refinement —
   per-(round, phase, src, dst, kind) traffic-matrix cells with bounded
-  memory (top-K + spill-to-JSONL), exact per-party side counters, and
-  bit-for-bit parity checks against ``CommunicationMetrics``.
+  memory (top-K + spill-to-JSONL) filed under the same label, exact
+  per-party side counters, and bit-for-bit parity checks against
+  ``CommunicationMetrics``.
 * **Registry** (:mod:`repro.obs.registry`): Counter/Gauge/Histogram
   instruments with Prometheus text exposition, fed by the runtime
   (round-barrier latency, transport frame counts, injected faults,
@@ -49,8 +50,6 @@ from repro.obs.flow import (
     FUNCTIONALITY,
     FlowCell,
     FlowLedger,
-    current_flow_tags,
-    flow_tags,
     load_flow_json,
     write_flow_json,
 )
@@ -81,6 +80,7 @@ from repro.obs.spans import (
     SpanRecord,
     current_path,
     current_phase,
+    flow_tags,
     recording,
     span,
 )
@@ -109,7 +109,6 @@ __all__ = [
     "SpanRecord",
     "UNATTRIBUTED",
     "bench_payload",
-    "current_flow_tags",
     "current_path",
     "current_phase",
     "diff_bench",

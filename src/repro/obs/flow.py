@@ -10,12 +10,12 @@ the metrics ledger is *refined* into a cell keyed by
 
     ``(round, phase, src, dst, kind)``
 
-where ``round`` is the open round index at charge time, ``phase`` is the
-innermost obs span (or an explicit :func:`flow_tags` override, used by
-replay backends that re-play traffic recorded under spans), ``src``/
-``dst`` are party ids (pseudo-party :data:`FUNCTIONALITY` stands in for
-hybrid-model charges), and ``kind`` names the wire that carried it
-(``"wire"``, ``"frame"``, ``"hybrid"``, ``"ctl:<message-kind>"``, ...).
+where ``round`` is the open round index at charge time, ``phase`` and
+``kind`` are the charge's label (:func:`repro.obs.spans.charge_label` —
+the same phase ``bits_by_phase`` files the charge under; ``kind`` names
+the wire that carried it: ``"wire"``, ``"frame"``, ``"hybrid"``,
+``"ctl:<message-kind>"``, ...) and ``src``/``dst`` are party ids
+(pseudo-party :data:`FUNCTIONALITY` stands in for hybrid-model charges).
 
 The ledger is a **refinement, not a second source of truth**: per-party
 ``sent``/``received`` side counters are kept exactly (O(n) memory,
@@ -38,14 +38,13 @@ library plus :mod:`repro.errors` — :mod:`repro.net.metrics` imports
 
 from __future__ import annotations
 
-import contextvars
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import dump_line, load_jsonl
 from repro.obs.spans import UNATTRIBUTED
 
 #: Pseudo party id standing in for a hybrid-model functionality (the
@@ -61,40 +60,6 @@ FLOW_SCHEMA = "repro-flow/1"
 
 #: ``(round, phase, src, dst, kind)``
 FlowKey = Tuple[int, str, int, int, str]
-
-#: ``(phase_override, kind_override)`` carried by :func:`flow_tags`.
-_tags: "contextvars.ContextVar[Tuple[Optional[str], Optional[str]]]" = (
-    contextvars.ContextVar("repro_obs_flow_tags", default=(None, None))
-)
-
-
-@contextmanager
-def flow_tags(phase: Optional[str] = None,
-              kind: Optional[str] = None) -> Iterator[None]:
-    """Override flow attribution for charges made in this block.
-
-    Transports use ``kind=`` to stamp the wire that carried a charge
-    (``"frame"`` for runtime/cluster frames); replay backends use
-    ``phase=`` to re-attach the phase recorded at record time, which the
-    span stack cannot know during replay.  Overrides affect **only** the
-    flow ledger — span attribution in ``CommunicationMetrics``
-    (``bits_by_phase``/``phase_breakdown``) is untouched, so existing
-    goldens cannot move.  ``None`` leaves the outer value in force.
-    """
-    outer_phase, outer_kind = _tags.get()
-    token = _tags.set(
-        (phase if phase is not None else outer_phase,
-         kind if kind is not None else outer_kind)
-    )
-    try:
-        yield
-    finally:
-        _tags.reset(token)
-
-
-def current_flow_tags() -> Tuple[Optional[str], Optional[str]]:
-    """The active ``(phase, kind)`` overrides (``None`` = no override)."""
-    return _tags.get()
 
 
 @dataclass(frozen=True)
@@ -228,11 +193,9 @@ class FlowLedger:
             self.evicted_cells += 1
             self.evicted_bits += bits
             if writer is not None:
-                row = FlowCell(*key, bits=bits, frames=frames).to_wire()
-                writer.write(
-                    json.dumps(row, sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
+                writer.write(dump_line(
+                    FlowCell(*key, bits=bits, frames=frames).to_wire()
+                ))
         if writer is not None:
             writer.flush()
 
@@ -412,16 +375,11 @@ def load_flow_json(path: Path) -> Dict[str, Any]:
 
 def load_spill(path: Path) -> List[FlowCell]:
     """Read back evicted cells from a spill JSONL file."""
-    cells: List[FlowCell] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            cells.append(FlowCell(
-                round=row["round"], phase=row["phase"], src=row["src"],
-                dst=row["dst"], kind=row["kind"], bits=row["bits"],
-                frames=row["frames"],
-            ))
-    return cells
+    return [
+        FlowCell(
+            round=row["round"], phase=row["phase"], src=row["src"],
+            dst=row["dst"], kind=row["kind"], bits=row["bits"],
+            frames=row["frames"],
+        )
+        for row in load_jsonl(path)
+    ]

@@ -22,6 +22,8 @@ import os
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.obs.jsonl import dump_line
+
 #: Prefix of the flow-summary comment line appended to flushed snapshots.
 FLOW_COMMENT_PREFIX = "# repro-flow "
 
@@ -43,12 +45,9 @@ def render_snapshot(registry: Any, flow: Optional[Any] = None) -> str:
     """The flushable snapshot body: exposition text + flow comment."""
     body: str = registry.render()
     if flow is not None:
-        summary = json.dumps(
-            flow.summary(), sort_keys=True, separators=(",", ":")
-        )
         if body and not body.endswith("\n"):
             body += "\n"
-        body += FLOW_COMMENT_PREFIX + summary + "\n"
+        body += FLOW_COMMENT_PREFIX + dump_line(flow.summary())
     return body
 
 

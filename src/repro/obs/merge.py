@@ -28,11 +28,12 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.obs.jsonl import dump_line, load_jsonl
 from repro.obs.spans import SpanRecord, span_from_wire, span_to_wire
-from repro.obs.timeline import SPAN_TICKS
+from repro.obs.timeline import span_slices, track_meta, write_trace_document
 
 #: Schema tag of ``merge-meta.json`` in a span directory.
 SPAN_DIR_SCHEMA = "repro-span-dir/1"
@@ -58,14 +59,9 @@ def dump_span_dir(
             raise ConfigurationError(
                 f"track name {name!r} is not filesystem-safe"
             )
-        lines = [
-            json.dumps(
-                span_to_wire(record), sort_keys=True, separators=(",", ":")
-            )
-            for record in tracks[name]
-        ]
         (directory / f"spans-{name}.jsonl").write_text(
-            "".join(line + "\n" for line in lines), encoding="utf-8"
+            "".join(dump_line(span_to_wire(r)) for r in tracks[name]),
+            encoding="utf-8",
         )
     meta = {
         "schema": SPAN_DIR_SCHEMA,
@@ -100,13 +96,10 @@ def load_span_dir(
     tracks: TrackMap = {}
     for path in sorted(directory.iterdir()):
         match = _TRACK_FILE.match(path.name)
-        if not match:
-            continue
-        records: List[SpanRecord] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                records.append(span_from_wire(json.loads(line)))
-        tracks[match.group("track")] = records
+        if match:
+            tracks[match.group("track")] = [
+                span_from_wire(row) for row in load_jsonl(path)
+            ]
     if not tracks:
         raise ConfigurationError(
             f"{directory} holds no spans-<track>.jsonl files"
@@ -131,51 +124,10 @@ def merged_timeline_events(
     out: List[Dict[str, Any]] = []
     names = sorted(tracks)
     for pid, name in enumerate(names):
-        out.append({
-            "ph": "M", "pid": pid, "tid": 0, "name": "process_name",
-            "args": {"name": name},
-        })
-        out.append({
-            "ph": "M", "pid": pid, "tid": 0, "name": "process_sort_index",
-            "args": {"sort_index": pid},
-        })
-        if trace_id:
-            out.append({
-                "ph": "M", "pid": pid, "tid": 0, "name": "process_labels",
-                "args": {"labels": trace_id},
-            })
+        out.extend(track_meta(pid, name, trace_id))
+    extra = {"trace_id": trace_id} if trace_id else {}
     for pid, name in enumerate(names):
-        for record in tracks[name]:
-            if record.end_tick is None:
-                continue  # still open: nothing to draw
-            if use_wall and record.start_wall is not None and (
-                record.end_wall is not None
-            ):
-                ts = int(round(record.start_wall * 1_000_000))
-                dur = max(int(round(
-                    (record.end_wall - record.start_wall) * 1_000_000
-                )), 1)
-            else:
-                ts = record.start_tick * SPAN_TICKS
-                dur = max(
-                    (record.end_tick - record.start_tick) * SPAN_TICKS, 1
-                )
-            args: Dict[str, Any] = {
-                "path": record.path, "depth": record.depth,
-            }
-            if trace_id:
-                args["trace_id"] = trace_id
-            args.update(record.attrs)
-            out.append({
-                "ph": "X",
-                "pid": pid,
-                "tid": 0,
-                "name": record.name,
-                "cat": "span",
-                "ts": ts,
-                "dur": dur,
-                "args": args,
-            })
+        out.extend(span_slices(tracks[name], pid, "span", use_wall, **extra))
     return out
 
 
@@ -187,24 +139,11 @@ def export_merged_trace(
     deterministic: Optional[bool] = None,
 ) -> Path:
     """Write the merged Perfetto-loadable JSON; returns the path."""
-    events = merged_timeline_events(
-        tracks, trace_id, deterministic=deterministic
+    return write_trace_document(
+        path,
+        merged_timeline_events(tracks, trace_id, deterministic=deterministic),
+        {"exporter": "repro.obs.merge", "trace_id": trace_id},
     )
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "exporter": "repro.obs.merge",
-            "trace_id": trace_id,
-        },
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def cluster_tracks(result: Any) -> TrackMap:

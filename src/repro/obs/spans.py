@@ -14,7 +14,8 @@ gap: protocol code wraps each phase in a context manager ::
         ...  # every record_message / charge_functionality in here
 
 and every ledger charge made while a span is active is attributed to the
-*innermost* active span's name (see ``CommunicationMetrics.bits_by_phase``).
+*innermost* active span's name, unless the thing being charged carries a
+phase of its own — :func:`charge_label` is that rule, stated once.
 
 Design notes:
 
@@ -45,6 +46,11 @@ UNATTRIBUTED = "(unattributed)"
 #: The innermost-first stack of active span names (per asyncio context).
 _stack: "contextvars.ContextVar[Tuple[str, ...]]" = contextvars.ContextVar(
     "repro_obs_span_stack", default=()
+)
+
+#: The ambient wire kind set by :func:`flow_tags` (``""`` = none).
+_kind: "contextvars.ContextVar[str]" = contextvars.ContextVar(
+    "repro_obs_flow_kind", default=""
 )
 
 #: Installed interval collectors (module-global, like logging handlers).
@@ -164,8 +170,9 @@ def span(name: str, **attrs: Any) -> Iterator[None]:
     While the span is active, every
     :meth:`~repro.net.metrics.CommunicationMetrics.record_message` /
     :meth:`~repro.net.metrics.CommunicationMetrics.charge_functionality`
-    call (in any ledger) is attributed to ``name`` — unless a *nested*
-    span is entered, in which case the innermost name wins.  Extra
+    call (in any ledger) that carries no phase of its own is attributed
+    to ``name`` — unless a *nested* span is entered, in which case the
+    innermost name wins (:func:`charge_label`).  Extra
     ``attrs`` (``level=k``, ...) are stored on the interval records of
     any installed :class:`SpanLog` (and exported to timelines), but do
     not affect attribution.
@@ -188,9 +195,48 @@ def span(name: str, **attrs: Any) -> Iterator[None]:
 
 
 def current_phase() -> Optional[str]:
-    """The innermost active span name, or ``None`` outside any span."""
+    """The innermost active span name, or ``None`` outside any span.
+
+    For code that *captures* a phase to carry with a message
+    (:class:`~repro.net.rounds.RoundCore` stamping a frame); code that
+    applies a charge goes through :func:`charge_label`.
+    """
     stack = _stack.get()
     return stack[-1] if stack else None
+
+
+@contextmanager
+def flow_tags(kind: str) -> Iterator[None]:
+    """Stamp every charge made in this block with an ambient wire kind.
+
+    For a wrapper that cannot reach the charge calls (the gateway runs a
+    whole decision under ``"session"``); a caller that holds the charge
+    passes ``kind=`` to it directly.
+    """
+    token = _kind.set(kind)
+    try:
+        yield
+    finally:
+        _kind.reset(token)
+
+
+def charge_label(phase: str, kind: str, default_kind: str) -> Tuple[str, str]:
+    """The ``(phase, kind)`` label of one ledger charge — the one rule.
+
+    * phase: the label carried by the thing being charged
+      (``Frame.phase``, ``FuncOp.phase``, a digest row's phase), else
+      the innermost active span, else :data:`UNATTRIBUTED`;
+    * kind: the caller's explicit kind, else the ambient
+      :func:`flow_tags` kind, else the charge method's default.
+
+    ``CommunicationMetrics`` files a charge's ``bits_by_phase`` entry and
+    its flow cell under this one label, so the two views cannot disagree
+    and a replay reports the phase breakdown of the run it replays.
+    """
+    if not phase:
+        stack = _stack.get()
+        phase = stack[-1] if stack else UNATTRIBUTED
+    return phase, kind or _kind.get() or default_kind
 
 
 def current_path() -> Optional[str]:

@@ -24,17 +24,18 @@ forced — timestamps are derived purely from logical coordinates
 the same seed export byte-identical JSON.  With wall stamps present and
 ``deterministic=False``, real microsecond timestamps are used instead.
 
-This module deliberately imports nothing from the rest of the repo: it
-consumes plain event dicts (anything with the trace schema) and
-duck-typed recorders (``party_ids`` + ``events_of``).
+This module deliberately imports nothing from the rest of the repo but
+the JSONL reader: it consumes plain event dicts (anything with the trace
+schema) and duck-typed recorders (``party_ids`` + ``events_of``).
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+
+from repro.obs.jsonl import dump_line, load_jsonl
 
 #: Logical microseconds allotted to one round (deterministic mode).
 ROUND_TICKS = 1_000
@@ -64,13 +65,8 @@ def load_trace_dir(directory: Union[str, Path]) -> Dict[int, List[Dict[str, Any]
     parties: Dict[int, List[Dict[str, Any]]] = {}
     for path in sorted(directory.iterdir()):
         match = _PARTY_FILE.match(path.name)
-        if not match:
-            continue
-        events = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                events.append(json.loads(line))
-        parties[int(match.group(1))] = events
+        if match:
+            parties[int(match.group(1))] = load_jsonl(path)
     return parties
 
 
@@ -126,32 +122,30 @@ def timeline_events(
 
     # -- metadata: name the tracks -------------------------------------------
     if spans is not None and getattr(spans, "records", None):
-        out.append(_meta(PHASES_PID, "process_name", "protocol-phases"))
-        out.append(_meta(PHASES_PID, "process_sort_index", 0))
+        out.extend(track_meta(PHASES_PID, "protocol-phases"))
     for party in sorted(events_by_party):
-        out.append(_meta(party + 1, "process_name", f"party-{party}"))
-        out.append(_meta(party + 1, "process_sort_index", party + 1))
+        out.extend(track_meta(party + 1, f"party-{party}"))
 
     # -- per-party tracks ----------------------------------------------------
-    for party in sorted(events_by_party):
-        out.extend(
-            _party_track(
-                party, events_by_party[party], use_wall, wall_zero
-            )
-        )
+    for party, events in sorted(events_by_party.items()):
+        out.extend(_party_track(party, events, use_wall, wall_zero))
 
     # -- the phases track ----------------------------------------------------
     if spans is not None:
-        out.extend(_span_track(spans, use_wall))
+        out.extend(span_slices(spans.records, PHASES_PID, "phase", use_wall))
     return out
 
 
-def _meta(pid: int, name: str, value: Any) -> Dict[str, Any]:
-    key = "sort_index" if name.endswith("sort_index") else "name"
-    return {
-        "ph": "M", "pid": pid, "tid": 0, "name": name,
-        "args": {key: value},
-    }
+def track_meta(pid: int, name: str, labels: str = "") -> List[Dict[str, Any]]:
+    """The ``"M"`` events naming, sorting (by pid) and labeling one track."""
+    meta = {"process_name": {"name": name},
+            "process_sort_index": {"sort_index": pid}}
+    if labels:
+        meta["process_labels"] = {"labels": labels}
+    return [
+        {"ph": "M", "pid": pid, "tid": 0, "name": key, "args": args}
+        for key, args in meta.items()
+    ]
 
 
 def _ts_of(event: Dict[str, Any], use_wall: bool,
@@ -210,35 +204,63 @@ def _party_track(
     return out
 
 
-def _span_track(spans: Any, use_wall: bool) -> List[Dict[str, Any]]:
+def span_slices(
+    records: Sequence[Any],
+    pid: int,
+    cat: str,
+    use_wall: bool,
+    **extra_args: Any,
+) -> List[Dict[str, Any]]:
+    """One complete ``"X"`` slice per closed span record.
+
+    Positioned from wall stamps when ``use_wall`` and the record carries
+    both ends, else from logical ticks; ``extra_args`` join ``path`` /
+    ``depth`` ahead of the record's own attrs.
+    """
     out: List[Dict[str, Any]] = []
-    for record in spans.records:
+    for record in records:
         if record.end_tick is None:
             continue  # still open: nothing to draw
         if use_wall and record.start_wall is not None and (
             record.end_wall is not None
         ):
             ts = int(round(record.start_wall * 1_000_000))
-            dur = max(
-                int(round((record.end_wall - record.start_wall) * 1_000_000)),
-                1,
-            )
+            dur = int(round((record.end_wall - record.start_wall) * 1_000_000))
         else:
             ts = record.start_tick * SPAN_TICKS
-            dur = max((record.end_tick - record.start_tick) * SPAN_TICKS, 1)
-        args: Dict[str, Any] = {"path": record.path, "depth": record.depth}
+            dur = (record.end_tick - record.start_tick) * SPAN_TICKS
+        args: Dict[str, Any] = {
+            "path": record.path, "depth": record.depth, **extra_args,
+        }
         args.update(record.attrs)
         out.append({
             "ph": "X",
-            "pid": PHASES_PID,
+            "pid": pid,
             "tid": 0,
             "name": record.name,
-            "cat": "phase",
+            "cat": cat,
             "ts": ts,
-            "dur": dur,
+            "dur": max(dur, 1),
             "args": args,
         })
     return out
+
+
+def write_trace_document(
+    path: Union[str, Path],
+    events: List[Dict[str, Any]],
+    other_data: Dict[str, Any],
+) -> Path:
+    """Write one Chrome trace-event document (sorted keys, compact)."""
+    document = {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": other_data,
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dump_line(document), encoding="utf-8")
+    return path
 
 
 def export_chrome_trace(
@@ -249,19 +271,11 @@ def export_chrome_trace(
     deterministic: Optional[bool] = None,
 ) -> Path:
     """Write a Perfetto-loadable Chrome trace JSON file; returns the path."""
-    events = timeline_events(trace, spans, deterministic=deterministic)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"exporter": "repro.obs.timeline"},
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
+    return write_trace_document(
+        path,
+        timeline_events(trace, spans, deterministic=deterministic),
+        {"exporter": "repro.obs.timeline"},
     )
-    return path
 
 
 _VALID_PHASES = {"X", "i", "M", "B", "E", "C"}

@@ -44,7 +44,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from repro.errors import ConfigurationError, SerializationError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import AsyncParty, Envelope
-from repro.obs.flow import flow_tags
 from repro.obs.spans import span
 from repro.protocols.coin_toss import ideal_f_ct
 from repro.protocols import cost_model
@@ -95,7 +94,7 @@ class CommonCoin:
     the functionality's promise.  The realization cost
     (:func:`repro.protocols.cost_model.committee_coin_toss` over the
     given committee) is charged to the ledger on the *first* query of
-    each round, under an ``aba-coin`` span and flow tag.
+    each round, under an ``aba-coin`` span.
 
     ``subscribe`` registers observers — the adaptive-adversary seam:
     a corruption strategy may watch coin outcomes and only then choose
@@ -127,7 +126,7 @@ class CommonCoin:
             bit = digest[0] & 1
             if self._metrics is not None and self._committee:
                 charge = cost_model.committee_coin_toss(len(self._committee))
-                with span("aba-coin"), flow_tags(phase="aba-coin"):
+                with span("aba-coin"):
                     self._metrics.charge_functionality(
                         self._committee,
                         charge.bits_per_party,

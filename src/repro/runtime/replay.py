@@ -11,14 +11,16 @@ re-executes it as :class:`~repro.net.party.Party` state machines:
 1. run π_ba (or any metered execution) with a :class:`RecordingLedger`
    — the protocol computes its outputs exactly as before, while every
    ``record_message`` / ``charge_functionality`` call is also appended
-   to a script, segmented into replay rounds;
+   to a script — with the phase label the ledger filed it under —
+   segmented into replay rounds;
 2. build one :class:`ReplayParty` per party; its round-``k`` step emits
    precisely the wire messages the original execution sent in segment
    ``k`` (as zero-filled payloads of the exact charged size);
 3. run the replay parties over :class:`SynchronousNetwork` **or** the
    async runtime — every frame crosses the chosen substrate and is
-   charged to a fresh ledger, which must reproduce the original
-   per-party tallies bit-for-bit.
+   charged to a fresh ledger under its recorded phase, which must
+   reproduce the original per-party tallies and phase breakdown
+   bit-for-bit.
 
 Analytic hybrid charges (``charge_functionality``) are not wire traffic;
 the replay applies them verbatim to the target ledger via
@@ -34,17 +36,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Party
-from repro.obs.flow import flow_tags
-from repro.obs.spans import current_phase
+
+
+#: One recorded wire send: ``(recipient, bits, phase)``.
+Send = Tuple[int, int, str]
 
 
 @dataclass(frozen=True)
 class FuncOp:
     """One recorded ``charge_functionality`` invocation.
 
-    ``phase`` is the obs span that was active at record time; replaying
-    re-attaches it as a flow-ledger tag (span attribution itself follows
-    whatever spans the replaying context has open, exactly as before).
+    ``phase`` is the label the recording ledger filed the charge under;
+    the replay charges under the same one.
     """
 
     participants: Tuple[int, ...]
@@ -55,22 +58,13 @@ class FuncOp:
     phase: str = ""
 
     def apply(self, metrics: CommunicationMetrics) -> None:
-        if self.phase:
-            with flow_tags(phase=self.phase):
-                metrics.charge_functionality(
-                    self.participants,
-                    self.bits_per_party,
-                    self.peers_per_party,
-                    rounds=self.rounds,
-                    peer_pool=self.peer_pool,
-                )
-            return
         metrics.charge_functionality(
             self.participants,
             self.bits_per_party,
             self.peers_per_party,
             rounds=self.rounds,
             peer_pool=self.peer_pool,
+            phase=self.phase,
         )
 
 
@@ -78,16 +72,13 @@ class FuncOp:
 class ReplaySegment:
     """One replay round: per-sender wire sends plus attached hybrid ops.
 
-    ``tags`` is a parallel structure to ``sends``: ``tags[sender][i]``
-    is the obs phase active when ``sends[sender][i]`` was recorded (an
-    empty string when no span was open).  It is optional — scripts built
-    by hand (tests) may omit it, and replay then leaves flow attribution
-    to the replaying context.
+    A send is ``(recipient, bits, phase)`` — ``phase`` being the label it
+    was filed under when recorded (``""`` leaves attribution to the
+    replaying context's spans).
     """
 
-    sends: Dict[int, List[Tuple[int, int]]] = field(default_factory=dict)
+    sends: Dict[int, List[Send]] = field(default_factory=dict)
     funcs: List[FuncOp] = field(default_factory=list)
-    tags: Dict[int, List[str]] = field(default_factory=dict)
 
     @property
     def num_messages(self) -> int:
@@ -114,7 +105,7 @@ class ReplayScript:
         for segment in self.segments:
             for sender, sends in segment.sends.items():
                 ids.add(sender)
-                ids.update(recipient for recipient, _ in sends)
+                ids.update(recipient for recipient, _, _ in sends)
             for func in segment.funcs:
                 ids.update(func.participants)
                 if func.peer_pool is not None:
@@ -138,14 +129,21 @@ class RecordingLedger(CommunicationMetrics):
         self._segments: List[ReplaySegment] = []
         self._current = ReplaySegment()
 
-    def record_message(self, sender: int, recipient: int, num_bits: int) -> None:
-        super().record_message(sender, recipient, num_bits)
+    def record_message(
+        self,
+        sender: int,
+        recipient: int,
+        num_bits: int,
+        phase: str = "",
+        kind: str = "",
+    ) -> str:
+        phase = super().record_message(
+            sender, recipient, num_bits, phase=phase, kind=kind
+        )
         self._current.sends.setdefault(sender, []).append(
-            (recipient, num_bits)
+            (recipient, num_bits, phase)
         )
-        self._current.tags.setdefault(sender, []).append(
-            current_phase() or ""
-        )
+        return phase
 
     def charge_functionality(
         self,
@@ -154,12 +152,14 @@ class RecordingLedger(CommunicationMetrics):
         peers_per_party: int,
         rounds: int = 1,
         peer_pool=None,
-    ) -> None:
+        phase: str = "",
+        kind: str = "",
+    ) -> str:
         participants = list(participants)
         pool = list(peer_pool) if peer_pool is not None else None
-        super().charge_functionality(
+        phase = super().charge_functionality(
             participants, bits_per_party, peers_per_party,
-            rounds=rounds, peer_pool=pool,
+            rounds=rounds, peer_pool=pool, phase=phase, kind=kind,
         )
         if self._current.sends:
             self._segments.append(self._current)
@@ -171,9 +171,10 @@ class RecordingLedger(CommunicationMetrics):
                 peers_per_party=peers_per_party,
                 rounds=rounds,
                 peer_pool=tuple(pool) if pool is not None else None,
-                phase=current_phase() or "",
+                phase=phase,
             )
         )
+        return phase
 
     def end_round(self) -> None:
         super().end_round()
@@ -196,9 +197,9 @@ class SizedEnvelope(Envelope):
     The payload is zero-filled filler of ``ceil(bits / 8)`` bytes; the
     ledger charge is the recorded ``bits`` (which for π_ba's wire
     messages is always a byte multiple, so filler and charge agree).
-    ``phase`` carries the obs span recorded at charge time so
-    flow-ledger attribution survives the replay (transports read it
-    with ``getattr``; plain envelopes simply have none).
+    ``phase`` carries the label recorded at charge time so attribution
+    survives the replay (the round core reads it with ``getattr``; plain
+    envelopes simply have none).
     """
 
     bits: int = 0
@@ -214,26 +215,15 @@ class ReplayParty(Party):
     def __init__(
         self,
         party_id: int,
-        per_round_sends: Sequence[Sequence[Tuple[int, int]]],
+        per_round_sends: Sequence[Sequence[Send]],
         total_rounds: int,
-        per_round_tags: Optional[Sequence[Sequence[str]]] = None,
     ) -> None:
         super().__init__(party_id)
         if len(per_round_sends) > total_rounds:
             raise NetworkError("send schedule longer than the replay run")
         self._sends = [list(round_sends) for round_sends in per_round_sends]
-        self._tags = (
-            [list(round_tags) for round_tags in per_round_tags]
-            if per_round_tags is not None else None
-        )
         self._total_rounds = total_rounds
         self.received_bits = 0
-
-    def _tag(self, round_index: int, send_index: int) -> str:
-        if self._tags is None or round_index >= len(self._tags):
-            return ""
-        round_tags = self._tags[round_index]
-        return round_tags[send_index] if send_index < len(round_tags) else ""
 
     def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
         self.received_bits += sum(e.size_bits() for e in inbox)
@@ -247,11 +237,9 @@ class ReplayParty(Party):
                 recipient=recipient,
                 payload=bytes((bits + 7) // 8),
                 bits=bits,
-                phase=self._tag(round_index, index),
+                phase=phase,
             )
-            for index, (recipient, bits) in enumerate(
-                self._sends[round_index]
-            )
+            for recipient, bits, phase in self._sends[round_index]
         ]
 
 
@@ -262,10 +250,7 @@ def build_replay_parties(script: ReplayScript, n: int) -> List[ReplayParty]:
     parties halt at round ``num_rounds`` (after the last deliveries).
     """
     total = script.num_rounds
-    per_party: Dict[int, List[List[Tuple[int, int]]]] = {
-        party: [[] for _ in range(total)] for party in range(n)
-    }
-    per_party_tags: Dict[int, List[List[str]]] = {
+    per_party: Dict[int, List[List[Send]]] = {
         party: [[] for _ in range(total)] for party in range(n)
     }
     for index, segment in enumerate(script.segments):
@@ -275,12 +260,8 @@ def build_replay_parties(script: ReplayScript, n: int) -> List[ReplayParty]:
                     f"script references party {sender} outside range({n})"
                 )
             per_party[sender][index] = list(sends)
-            per_party_tags[sender][index] = list(
-                segment.tags.get(sender, [])
-            )
     return [
-        ReplayParty(party, per_party[party], total, per_party_tags[party])
-        for party in range(n)
+        ReplayParty(party, per_party[party], total) for party in range(n)
     ]
 
 

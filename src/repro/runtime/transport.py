@@ -32,7 +32,6 @@ from repro.errors import NetworkError
 from repro.net.bind import start_asyncio_server
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import _HEADER, _LENGTH, _MAX_FRAME, _TYPE_HELLO, Frame
-from repro.obs.flow import flow_tags
 from repro.obs.registry import MetricsRegistry
 from repro.utils.randomness import Randomness
 
@@ -156,13 +155,12 @@ class Transport(abc.ABC):
         """Accept a frame at its destination and charge the ledger."""
         if frame.recipient not in self._arrived:
             raise NetworkError(f"unknown recipient {frame.recipient}")
-        # Flow-ledger refinement: runtime traffic is frame-shaped; the
-        # phase stamped at ship time rides the frame so it survives the
-        # TCP transport's cross-task (cross-contextvar) delivery.
-        with flow_tags(phase=frame.phase or None, kind="frame"):
-            self.metrics.record_message(
-                frame.sender, frame.recipient, frame.bits()
-            )
+        # The phase stamped at ship time rides the frame, so it survives
+        # the TCP transport's cross-task (cross-contextvar) delivery.
+        self.metrics.record_message(
+            frame.sender, frame.recipient, frame.bits(),
+            phase=frame.phase, kind="frame",
+        )
         self._arrived[frame.recipient].append(frame)
         self._delivered += 1
         if self._registry is not None:

@@ -33,9 +33,9 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.errors import GatewayError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
-from repro.obs.flow import FlowLedger, flow_tags
+from repro.obs.flow import FlowLedger
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanLog, recording
+from repro.obs.spans import SpanLog, flow_tags, recording
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
 from repro.protocols.cost_model import pi_ba_per_party_budget
@@ -177,7 +177,7 @@ def run_decision(
         if span_log is not None:
             stack.enter_context(recording(span_log))
         if flow is not None:
-            stack.enter_context(flow_tags(kind="session"))
+            stack.enter_context(flow_tags("session"))
         result = run_balanced_ba(
             make_inputs(spec), plan, lease.scheme, params,
             rng.fork("session"),

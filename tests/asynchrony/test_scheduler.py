@@ -13,9 +13,17 @@ import pytest
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.latency import LATENCY_MODEL_NAMES
-from repro.protocols.aba import ABAParty, CommonCoin
+from repro.net.metrics import CommunicationMetrics
+from repro.net.party import AsyncParty, Envelope
+from repro.obs.flow import FlowLedger
+from repro.obs.spans import recording
+from repro.protocols.aba import PHASE_OF_TAG, ABAParty, CommonCoin
 from repro.asynchrony.driver import run_aba
-from repro.asynchrony.scheduler import AsyncScheduler, run_async_parties
+from repro.asynchrony.scheduler import (
+    DEFAULT_PHASE,
+    AsyncScheduler,
+    run_async_parties,
+)
 from repro.runtime.faults import FaultPlan, churn_schedule, crash_everyone
 from repro.utils.randomness import Randomness
 
@@ -59,6 +67,50 @@ class TestDeterminism:
         assert len(result.trace) == result.deliveries
         counters = [row[0] for row in result.trace]
         assert counters == list(range(1, result.deliveries + 1))
+
+
+# -- attribution ---------------------------------------------------------------
+
+
+class _PlainPinger(AsyncParty):
+    """Sends one phase-less envelope and decides on the first receipt."""
+
+    def start(self):
+        peer = 1 - self.party_id
+        return [Envelope(sender=self.party_id, recipient=peer, payload=b"hi")]
+
+    def on_message(self, envelope):
+        self.decide(envelope.payload)
+        return []
+
+
+class TestAttribution:
+    def test_sends_are_labeled_without_a_span_per_message(self):
+        metrics = CommunicationMetrics()
+        flow = FlowLedger()
+        metrics.attach_flow(flow)
+        with recording() as log:
+            result = run_aba(8, seed=3, metrics=metrics, coin_committee=range(8))
+        assert result.agreed_value in (0, 1)
+        # The label rides the charge: the only intervals an ABA run
+        # opens are its coin tosses, however many messages it sends.
+        assert set(log.names) == {"aba-coin"}
+        assert result.deliveries > len(log.records)
+        envelope_phases = set(PHASE_OF_TAG.values())
+        for party in range(8):
+            assert set(metrics.bits_by_phase(party)) <= (
+                envelope_phases | {"aba-coin"}
+            )
+        assert set(flow.by_phase()) == set(metrics.phases)
+        assert set(flow.by_kind()) == {"async", "hybrid"}
+        assert flow.coverage() == 1.0
+        assert flow.verify_against(metrics) == []
+
+    def test_phaseless_envelopes_fall_back_to_the_default_phase(self):
+        with recording() as log:
+            result = run_async_parties([_PlainPinger(0), _PlainPinger(1)])
+        assert log.records == []
+        assert result.metrics.bits_by_phase(0) == {DEFAULT_PHASE: 32}
 
 
 # -- the completion contract -------------------------------------------------

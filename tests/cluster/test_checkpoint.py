@@ -19,21 +19,10 @@ from repro.cluster.checkpoint import (
     save_checkpoint,
 )
 from repro.errors import ClusterError
-from repro.net.metrics import PartyTally
 from repro.net.party import SilentParty
 from repro.runtime.transport import Frame
 
 # -- Hypothesis strategies ---------------------------------------------------
-
-tallies = st.builds(
-    PartyTally,
-    bits_sent=st.integers(min_value=0, max_value=1 << 40),
-    bits_received=st.integers(min_value=0, max_value=1 << 40),
-    messages_sent=st.integers(min_value=0, max_value=1 << 20),
-    messages_received=st.integers(min_value=0, max_value=1 << 20),
-    peers_sent_to=st.sets(st.integers(min_value=0, max_value=255)),
-    peers_received_from=st.sets(st.integers(min_value=0, max_value=255)),
-)
 
 @st.composite
 def frames(draw):
@@ -68,7 +57,6 @@ def party_checkpoints(draw, party_id=None):
         party_blob=pickle.dumps(SilentParty(pid)),
         send_seq=draw(st.integers(min_value=0, max_value=1 << 20)),
         trace_seq=draw(st.integers(min_value=0, max_value=1 << 20)),
-        tally=draw(tallies),
     )
 
 
@@ -100,7 +88,6 @@ def test_encode_decode_round_trip(checkpoint):
         assert record.party_blob == want.party_blob
         assert record.send_seq == want.send_seq
         assert record.trace_seq == want.trace_seq
-        assert record.tally == want.tally
 
 
 @given(cluster_checkpoints())
@@ -138,6 +125,14 @@ def test_load_missing_returns_none(tmp_path):
 def test_bad_magic_rejected():
     with pytest.raises(ClusterError, match="magic"):
         decode_checkpoint(b"WRONG" + b"\x00" * 16)
+
+
+def test_previous_layout_refused_by_name():
+    # RPCK1 carried a per-party tally slot; decoding it as RPCK2 would
+    # misread the tally as the party blob's length prefix.
+    blob = encode_checkpoint(ClusterCheckpoint(next_round=0, parties=[]))
+    with pytest.raises(ClusterError, match="RPCK1.*RPCK2"):
+        decode_checkpoint(b"RPCK1" + blob[len(MAGIC):])
 
 
 def test_truncated_checkpoint_rejected():

@@ -26,6 +26,7 @@ from repro.cluster.drivers import (
 from repro.cluster.supervisor import ClusterConfig, describe_run
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
+from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.runtime.drivers import (
     run_balanced_ba_runtime,
@@ -59,12 +60,13 @@ def _runtime_reference(n, scheme_name):
 
 
 def _cluster_run(n, scheme_name, *, kill_plan=None, run_dir=None,
-                 resume=False, max_restarts=3):
+                 resume=False, max_restarts=3, flow=None):
     params, inputs, plan = _pi_ba_setup(n)
     config = ClusterConfig(
         num_workers=2,
         kill_plan=dict(kill_plan or {}),
         max_restarts=max_restarts,
+        flow=flow,
     )
     return run_balanced_ba_cluster(
         inputs, plan, make_scheme(scheme_name), params,
@@ -119,11 +121,17 @@ class TestSupervisorResume:
         assert status["has_state"] and not status["completed"]
         assert status["round"] > 0
 
-        result, _cluster = _cluster_run(
-            16, "snark", run_dir=tmp_path, resume=True
+        flow = FlowLedger()
+        result, cluster = _cluster_run(
+            16, "snark", run_dir=tmp_path, resume=True, flow=flow
         )
         _assert_parity(result, _runtime_reference(16, "snark"), 16)
         assert describe_run(tmp_path)["completed"]
+        # The supervisor carries its own ledger across the restart and
+        # grafts the carried tallies into the fresh flow ledger, so
+        # flow parity survives the resume.
+        assert flow.verify_against(cluster.metrics) == []
+        assert flow.by_phase()["(resumed)"] == flow.by_kind()["absorbed"] > 0
 
     def test_describe_run_without_state(self, tmp_path):
         status = describe_run(tmp_path)

@@ -7,6 +7,7 @@ fingerprint versus an uninterrupted run."""
 
 from __future__ import annotations
 
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -128,6 +129,7 @@ class TestShardEngineSemantics(
     contract.TestDelivery,
     contract.TestAuthentication,
     contract.TestTermination,
+    contract.TestReplayAttribution,
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on one
     engine holding every party; budgets are not a ShardEngine option."""
@@ -148,12 +150,13 @@ class TestSaveLoadResume:
         def checkpoint_every_other_round(engine, in_flight):
             if engine.next_round % 2:
                 return
-            tallies = {p: first_metrics.tally_of(p) for p in engine.party_ids}
             save_checkpoint(
-                tmp_path, "shard-0",
-                engine.snapshot(staged=in_flight, tallies=tallies),
+                tmp_path, "shard-0", engine.snapshot(staged=in_flight)
             )
             engine.trace.dump_dir(tmp_path / "trace")
+            # The ledger crosses a restart the way the supervisor carries
+            # its own: pickled whole beside the shard checkpoints.
+            (tmp_path / "metrics.pkl").write_bytes(pickle.dumps(first_metrics))
 
         first_metrics = CommunicationMetrics()
         with pytest.raises(ClusterError, match="did not terminate"):
@@ -170,11 +173,7 @@ class TestSaveLoadResume:
         trace = TraceRecorder()
         for path in sorted((tmp_path / "trace").glob("party-*.jsonl")):
             trace.preload(int(path.stem.split("-", 1)[1]), load_jsonl(path))
-        metrics = CommunicationMetrics()
-        for record in checkpoint.parties:
-            metrics.absorb_tally(record.party_id, record.tally)
-        for _ in range(checkpoint.next_round):
-            metrics.end_round()
+        metrics = pickle.loads((tmp_path / "metrics.pkl").read_bytes())
         result = drive_shard(
             ShardEngine.restore(checkpoint, trace=trace),
             metrics,

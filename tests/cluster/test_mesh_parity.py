@@ -2,8 +2,9 @@
 
 Every cell runs a workload on the direct worker↔worker mesh and checks
 it against the single-process reference — outputs,
-``max_bits_per_party``, full per-party tallies, bit-exact flow-ledger
-parity (``FlowLedger.verify_against``), and the trace fingerprint
+``max_bits_per_party``, full per-party tallies, the recording ledger's
+phase breakdown, bit-exact flow-ledger parity
+(``FlowLedger.verify_against``), and the trace fingerprint
 (pinned to the runtime's seed-stability values at n=16; equal to a
 traced ``run_parties`` over the same script at n=64).  A mesh that
 dropped, duplicated, or re-ordered a single frame —
@@ -22,16 +23,13 @@ import pytest
 
 from repro.cluster.cli import cmd_cluster
 from repro.cluster.drivers import (
-    record_balanced_ba_script,
     run_gradecast_cluster,
     run_phase_king_cluster,
 )
 from repro.cluster.job import replay_job
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
-from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
-from repro.params import ProtocolParameters
 from repro.protocols.gradecast import run_gradecast
 from repro.runtime.drivers import run_phase_king_runtime
 from repro.runtime.replay import (
@@ -41,35 +39,15 @@ from repro.runtime.replay import (
 )
 from repro.runtime.synchronizer import run_parties
 from repro.runtime.trace import TraceRecorder
-from repro.srds.base_sigs import HashRegistryBase
-from repro.srds.owf import OwfSRDS
-from repro.srds.snark_based import SnarkSRDS
-from repro.utils.randomness import Randomness
+from tests.placements import phase_views, recorded_pi_ba
 from tests.runtime.test_seed_stability import PINNED
 
-SEED = 7  # matches tests/runtime/test_seed_stability.py's pins
 SCHEMES = ("snark", "owf")
 
 
-def _scheme(name):
-    # The exact constructions behind the pinned fingerprints.
-    if name == "snark":
-        return SnarkSRDS(base_scheme=HashRegistryBase())
-    return OwfSRDS(message_bits=64)
-
-
-@lru_cache(maxsize=None)
 def _pi_ba_script(n, scheme_name):
-    params = ProtocolParameters()
-    rng = Randomness(SEED)
-    plan = random_corruption(
-        n, params.max_corruptions(n), rng.fork("corrupt")
-    )
-    inputs = {i: i % 2 for i in range(n)}
-    _reference, script = record_balanced_ba_script(
-        inputs, plan, _scheme(scheme_name), params, rng.fork("run")
-    )
-    return script
+    # The exact constructions and seed behind the pinned fingerprints.
+    return recorded_pi_ba(n, scheme_name).script()
 
 
 @lru_cache(maxsize=None)
@@ -107,6 +85,11 @@ def _assert_pi_ba_cell(n, scheme_name, workers, pinned=None):
         result.metrics.max_bits_per_party == ref_metrics.max_bits_per_party
     )
     assert tallies_equal(result.metrics, ref_metrics, range(n))
+    # The digest rows carry their phases home: the supervisor's ledger
+    # reports the live run's phase breakdown, party by party.
+    assert phase_views(result.metrics, range(n)) == phase_views(
+        recorded_pi_ba(n, scheme_name), range(n)
+    )
     # Bit-exact flow parity: every cell of the wire-level ledger agrees
     # with the authoritative metrics the supervisor reconstructed.
     assert flow.verify_against(result.metrics) == []

@@ -1,4 +1,5 @@
-"""OBS001 negative fixture: lexical spans + transitively covered helpers."""
+"""OBS001 negative fixture: lexical spans, transitively covered helpers,
+and a charge that carries its own phase label."""
 
 from repro.obs.spans import span  # noqa: F401 - mirrors the real module
 
@@ -21,3 +22,7 @@ def run(metrics) -> None:
     with span("pi-ba"):
         _spanned_run(metrics)
         _charge_leaf(metrics)
+
+
+def replay(metrics, frame) -> None:
+    metrics.record_message(0, 1, 64, phase=frame.phase, kind="frame")

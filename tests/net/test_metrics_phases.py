@@ -1,7 +1,33 @@
 """Phase attribution on the communication ledger + tally_of regression."""
 
+from contextlib import ExitStack
+
+from hypothesis import given
+from hypothesis import strategies as st
+
 from repro.net.metrics import CommunicationMetrics, PhaseBreakdown
-from repro.obs.spans import UNATTRIBUTED, span
+from repro.obs.flow import FlowLedger
+from repro.obs.spans import UNATTRIBUTED, flow_tags, span
+
+_PHASES = st.sampled_from(["", "kssv", "srds-aggregate", "prf-boost"])
+_KINDS = st.sampled_from(["", "frame", "async"])
+_PARTIES = st.integers(min_value=0, max_value=5)
+
+#: One charge: the span nesting and ambient kind it is made under, the
+#: label it carries itself, and a wire message or a hybrid op.
+_CHARGES = st.tuples(
+    st.lists(_PHASES.filter(bool), max_size=2),
+    _KINDS,
+    _PHASES,
+    _KINDS,
+    st.one_of(
+        st.tuples(_PARTIES, _PARTIES, st.integers(0, 4096)),
+        st.tuples(
+            st.sets(_PARTIES, min_size=1), st.integers(0, 4096),
+            st.integers(0, 3),
+        ),
+    ),
+)
 
 
 class TestPhaseAttribution:
@@ -90,6 +116,48 @@ class TestPhaseAttribution:
             return metrics.snapshot()
 
         assert run(True) == run(False)
+
+
+class TestTheTwoViewsAgree:
+    @given(st.lists(_CHARGES, max_size=30))
+    def test_label_dimension_equals_flow_cells_per_party_and_phase(
+        self, charges
+    ):
+        metrics = CommunicationMetrics()
+        flow = FlowLedger()
+        metrics.attach_flow(flow)
+        for spans, ambient, phase, kind, charge in charges:
+            with ExitStack() as stack:
+                for name in spans:
+                    stack.enter_context(span(name))
+                if ambient:
+                    stack.enter_context(flow_tags(ambient))
+                if isinstance(charge[0], int):
+                    metrics.record_message(*charge, phase=phase, kind=kind)
+                else:
+                    metrics.charge_functionality(
+                        sorted(charge[0]), charge[1], charge[2],
+                        phase=phase, kind=kind,
+                    )
+        assert flow.evicted_cells == 0
+        from_cells = {}
+        for cell in flow.cells():
+            for party in {cell.src, cell.dst}:  # a self-send is one cell
+                if party >= 0 and cell.bits:
+                    per_phase = from_cells.setdefault(party, {})
+                    per_phase[cell.phase] = (
+                        per_phase.get(cell.phase, 0)
+                        + cell.bits * ((cell.src == party) + (cell.dst == party))
+                    )
+        for party in metrics.party_ids:
+            by_phase = metrics.bits_by_phase(party)
+            assert {k: v for k, v in by_phase.items() if v} == (
+                from_cells.get(party, {})
+            )
+            assert sum(by_phase.values()) == (
+                metrics.tally_of(party).bits_total
+            )
+        assert flow.verify_against(metrics) == []
 
 
 class TestTallyOfRegression:

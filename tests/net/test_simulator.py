@@ -1,7 +1,8 @@
 """The lockstep-round contract, stated once and held on every placement.
 
-``TestDelivery``, ``TestAuthentication``, ``TestTermination`` and
-``TestBudget`` are written against ``self.placement`` (see
+``TestDelivery``, ``TestAuthentication``, ``TestTermination``,
+``TestBudget`` and ``TestReplayAttribution`` are written against
+``self.placement`` (see
 ``tests/placements.py``).  Here they run on the in-process placement,
 :class:`~repro.net.simulator.SynchronousNetwork`;
 ``tests/runtime/test_synchronizer.py`` subclasses them for the ``local``
@@ -18,8 +19,13 @@ from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Party, SilentParty
 from repro.net.simulator import SynchronousNetwork
 from repro.obs.flow import FlowLedger
-from repro.runtime.replay import SizedEnvelope
-from tests.placements import IN_PROCESS
+from repro.runtime.replay import (
+    SizedEnvelope,
+    apply_func_ops,
+    build_replay_parties,
+    tallies_equal,
+)
+from tests.placements import IN_PROCESS, phase_views, recorded_pi_ba
 
 
 class EchoParty(Party):
@@ -176,6 +182,28 @@ class TestTermination:
             [EchoParty(0, 1), SilentParty(1)], until=[0], max_rounds=10
         )
         assert set(result.outputs) == {0}  # halted parties only
+
+
+class TestReplayAttribution:
+    placement = IN_PROCESS
+
+    @pytest.mark.parametrize("scheme_name", ["snark", "owf"])
+    def test_replay_reports_the_recorded_phases(self, scheme_name):
+        # Every frame carries the phase it was recorded under, and the
+        # ledger files it there: the replay's phase breakdown is the
+        # live run's, on every placement, whatever spans are open here.
+        n = 16
+        recorded = recorded_pi_ba(n, scheme_name)
+        script = recorded.script()
+        metrics = CommunicationMetrics()
+        self.placement.run(
+            build_replay_parties(script, n), metrics=metrics,
+            max_rounds=script.num_rounds + 2,
+        )
+        apply_func_ops(script, metrics)
+        assert tallies_equal(metrics, recorded, range(n))
+        assert phase_views(metrics, range(n)) == phase_views(recorded, range(n))
+        assert len(metrics.phases) >= 8  # Fig. 3's phases, none unattributed
 
 
 class TestBudget:

@@ -7,20 +7,18 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.metrics import CommunicationMetrics, PartyTally
+from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import (
     FLOW_SCHEMA,
     FUNCTIONALITY,
     INFRA,
     FlowLedger,
-    current_flow_tags,
-    flow_tags,
     load_flow_json,
     load_spill,
     write_flow_json,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import UNATTRIBUTED, span
+from repro.obs.spans import UNATTRIBUTED, charge_label, flow_tags, span
 
 
 class TestCharge:
@@ -70,27 +68,38 @@ class TestCharge:
 
 class TestFlowTags:
     def test_default_no_override(self):
-        assert current_flow_tags() == (None, None)
+        assert charge_label("", "", "wire") == (UNATTRIBUTED, "wire")
 
     def test_nesting_inherits_outer_values(self):
-        with flow_tags(phase="outer", kind="frame"):
-            with flow_tags(kind="session"):
-                assert current_flow_tags() == ("outer", "session")
-            assert current_flow_tags() == ("outer", "frame")
-        assert current_flow_tags() == (None, None)
+        with span("outer"), flow_tags("frame"):
+            with flow_tags("session"):
+                assert charge_label("", "", "wire") == ("outer", "session")
+            assert charge_label("", "", "wire") == ("outer", "frame")
+            # What the charge itself carries beats the ambient context.
+            assert charge_label("own", "async", "wire") == ("own", "async")
+        assert charge_label("", "", "hybrid") == (UNATTRIBUTED, "hybrid")
 
-    def test_override_beats_span_for_flow_but_not_span_attribution(self):
+    def test_explicit_label_wins_in_both_views(self):
         metrics = CommunicationMetrics()
         flow = FlowLedger()
         metrics.attach_flow(flow)
         with span("real-phase"):
-            with flow_tags(phase="replayed-phase", kind="frame"):
-                metrics.record_message(0, 1, 64)
-        # Span attribution (the existing goldens) sees the real span...
-        assert metrics.bits_by_phase(0) == {"real-phase": 64}
-        # ...while the flow cell carries the override.
-        (cell,) = flow.cells()
-        assert (cell.phase, cell.kind) == ("replayed-phase", "frame")
+            metrics.record_message(
+                0, 1, 64, phase="replayed-phase", kind="frame"
+            )
+            metrics.charge_functionality([2], 10, 1, phase="replayed-op")
+            metrics.record_message(0, 1, 8)
+        # The label dimension and the flow cells file each charge under
+        # the same phase: the carried one, else the span.
+        assert metrics.bits_by_phase(0) == {
+            "replayed-phase": 64, "real-phase": 8,
+        }
+        assert metrics.bits_by_phase(2) == {"replayed-op": 10}
+        assert {(c.phase, c.kind) for c in flow.cells()} == {
+            ("replayed-phase", "frame"),
+            ("replayed-op", "hybrid"),
+            ("real-phase", "wire"),
+        }
 
 
 class TestEviction:
@@ -114,6 +123,19 @@ class TestEviction:
         assert flow.party_bits()[0]["sent"] == total
         assert flow.data_bits == total
         flow.close()
+
+    def test_truncated_spill_names_file_and_line(self, tmp_path):
+        spill = tmp_path / "spill.jsonl"
+        flow = FlowLedger(max_cells=16, spill_path=spill)
+        for i in range(17):
+            flow.charge(i, "p", 0, 1, (i + 1) * 8)
+        flow.close()
+        spill.write_text(spill.read_text()[:-9])
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"spill\.jsonl:{flow.evicted_cells}: ",
+        ):
+            load_spill(spill)
 
     def test_eviction_is_deterministic(self):
         def run():
@@ -154,16 +176,6 @@ class TestMetricsParity:
         recv = [c for c in flow.cells() if c.src == FUNCTIONALITY]
         assert {c.bits for c in sent} == {17}
         assert {c.bits for c in recv} == {16}
-
-    def test_absorb_tally_keeps_parity(self):
-        metrics = CommunicationMetrics()
-        flow = FlowLedger()
-        metrics.attach_flow(flow)
-        tally = PartyTally(bits_sent=120, bits_received=80,
-                           messages_sent=3, messages_received=2)
-        metrics.absorb_tally(5, tally)
-        assert flow.verify_against(metrics) == []
-        assert {c.kind for c in flow.cells()} == {"absorbed"}
 
     def test_verify_reports_mismatch(self):
         metrics = CommunicationMetrics()

@@ -59,6 +59,15 @@ class TestSpanDir:
         with pytest.raises(ConfigurationError):
             load_span_dir(tmp_path)
 
+    def test_truncated_track_file_names_file_and_line(self, tmp_path):
+        dump_span_dir(tmp_path, "t", _seeded_tracks())
+        path = tmp_path / "spans-worker-0.jsonl"
+        path.write_text(path.read_text()[:-9])
+        with pytest.raises(
+            ConfigurationError, match=r"spans-worker-0\.jsonl:2: "
+        ):
+            load_span_dir(tmp_path)
+
     def test_missing_meta_tolerated(self, tmp_path):
         dump_span_dir(tmp_path, "t", _seeded_tracks())
         (tmp_path / "merge-meta.json").unlink()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.obs.spans import SpanLog, recording, span
 from repro.obs.timeline import (
     PHASES_PID,
@@ -84,6 +85,13 @@ class TestExportAndLoad:
         trace.dump_dir(tmp_path / "traces")
         loaded = load_trace_dir(tmp_path / "traces")
         assert timeline_events(loaded) == timeline_events(trace)
+
+    def test_truncated_trace_file_names_file_and_line(self, tmp_path):
+        _sample_trace().dump_dir(tmp_path)
+        path = tmp_path / "party-0.jsonl"
+        path.write_text(path.read_text()[:-9])
+        with pytest.raises(ConfigurationError, match=r"party-0\.jsonl:\d+: "):
+            load_trace_dir(tmp_path)
 
     def test_export_file_is_valid_and_deterministic(self, tmp_path):
         a = export_chrome_trace(tmp_path / "a.json", _sample_trace(),

@@ -11,21 +11,32 @@ case is stated once and held on every placement:
 * ``SHARD_ENGINE`` — one :class:`~repro.cluster.engine.ShardEngine`
   holding every party, driven by :func:`drive_shard` (the cluster worker
   minus the mesh: it keeps the in-flight frames and charges a ledger).
+
+:func:`recorded_pi_ba` and :func:`phase_views` serve the replay-parity
+suites: a replay on any placement must report the recording ledger's
+phase breakdown, not just its tallies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, List, Optional, Type
 
 from repro.cluster.engine import ShardEngine
 from repro.errors import ClusterError, NetworkError, ReproError
+from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.net.simulator import SynchronousNetwork
-from repro.obs.flow import flow_tags
+from repro.params import ProtocolParameters
+from repro.protocols.balanced_ba import BalancedBA
+from repro.runtime.replay import RecordingLedger
 from repro.runtime.synchronizer import RuntimeResult, run_parties
+from repro.srds.base_sigs import HashRegistryBase
+from repro.srds.owf import OwfSRDS
+from repro.srds.snark_based import SnarkSRDS
+from repro.utils.randomness import Randomness
 
 
 @dataclass(frozen=True)
@@ -60,10 +71,10 @@ def drive_shard(
         due = [f for f in in_flight if f.deliver_round <= round_index]
         in_flight = [f for f in in_flight if f.deliver_round > round_index]
         for frame in engine.step_round(round_index, due):
-            with flow_tags(phase=frame.phase or None, kind="frame"):
-                metrics.record_message(
-                    frame.sender, frame.recipient, frame.bits()
-                )
+            metrics.record_message(
+                frame.sender, frame.recipient, frame.bits(),
+                phase=frame.phase, kind="frame",
+            )
             in_flight.append(frame)
         metrics.end_round()
         if on_barrier is not None:
@@ -114,3 +125,32 @@ IN_PROCESS = Placement("in-process", NetworkError, _in_process)
 LOCAL = Placement("local", NetworkError, partial(run_parties, transport="local"))
 TCP = Placement("tcp", NetworkError, partial(run_parties, transport="tcp"))
 SHARD_ENGINE = Placement("shard-engine", ClusterError, _shard_engine)
+
+
+@lru_cache(maxsize=None)
+def recorded_pi_ba(n: int, scheme_name: str) -> RecordingLedger:
+    """The ledger of one live π_ba run (seed 7, the setting behind
+    ``tests/runtime/test_seed_stability.py``'s pins); ``.script()`` is
+    what the replay suites replay."""
+    scheme = (
+        SnarkSRDS(base_scheme=HashRegistryBase())
+        if scheme_name == "snark" else OwfSRDS(message_bits=64)
+    )
+    params = ProtocolParameters()
+    rng = Randomness(7)
+    plan = random_corruption(n, params.max_corruptions(n), rng.fork("corrupt"))
+    ledger = RecordingLedger()
+    BalancedBA(
+        {i: i % 2 for i in range(n)}, plan, scheme, params, rng.fork("run"),
+        metrics=ledger,
+    ).run()
+    return ledger
+
+
+def phase_views(metrics: CommunicationMetrics, party_ids: Iterable[int]):
+    """The ledger's phase-labeled views: the per-phase aggregate and
+    every party's ``bits_by_phase``."""
+    return (
+        metrics.phase_breakdown(),
+        {party: metrics.bits_by_phase(party) for party in party_ids},
+    )

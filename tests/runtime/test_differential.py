@@ -28,6 +28,7 @@ from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
+from tests.placements import phase_views
 
 SCHEMES = {
     "snark": lambda: SnarkSRDS(base_scheme=HashRegistryBase()),
@@ -110,7 +111,8 @@ def test_balanced_ba_tcp_parity(scheme_name):
 
 def test_replay_matches_simulator_tallies():
     """The recorded wire traffic replayed over SynchronousNetwork charges
-    each party exactly what the runtime replay charges it."""
+    each party exactly what the runtime replay charges it — and both
+    file every charge under the phase the live run filed it under."""
     n = 16
     inputs, plan, params, rng = _setting(n)
     scheme = SCHEMES["snark"]()
@@ -124,6 +126,9 @@ def test_replay_matches_simulator_tallies():
 
     _, runtime = _runtime(n, "snark")
     assert tallies_equal(sim_metrics, runtime.metrics, range(n))
+    recorded = phase_views(ledger, range(n))
+    assert phase_views(sim_metrics, range(n)) == recorded
+    assert phase_views(runtime.metrics, range(n)) == recorded
 
 
 @pytest.mark.parametrize("transport", ["local", "tcp"])

@@ -32,6 +32,7 @@ class _Contract(
     contract.TestAuthentication,
     contract.TestTermination,
     contract.TestBudget,
+    contract.TestReplayAttribution,
 ):
     """Every lockstep-round contract case (tests/net/test_simulator.py)."""
 

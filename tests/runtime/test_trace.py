@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runtime.trace import (
     RESERVED_KEYS,
     JsonlTraceWriter,
@@ -159,6 +160,20 @@ class TestJsonlTraceWriter:
         # Readable from disk before close.
         assert load_jsonl(tmp_path / "party-0.jsonl")[0]["kind"] == "send"
         stream.close()
+
+    def test_truncated_last_line_names_file_and_line(self, tmp_path):
+        # What a SIGKILLed writer leaves behind: a line cut mid-object.
+        stream = JsonlTraceWriter(tmp_path)
+        self._record_sample(stream)
+        stream.close()
+        path = tmp_path / "party-0.jsonl"
+        whole = path.read_text()
+        path.write_text(whole[: whole.rindex("{") + 9])
+        lines = whole.count("\n")
+        with pytest.raises(
+            ConfigurationError, match=rf"party-0\.jsonl:{lines}: "
+        ):
+            load_jsonl(path)
 
     def test_read_back_after_close(self, tmp_path):
         stream = JsonlTraceWriter(tmp_path)
