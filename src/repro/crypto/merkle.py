@@ -12,12 +12,20 @@ from typing import List, Sequence, Tuple
 
 from repro.crypto.hashing import hash_domain
 from repro.errors import CryptoError
+from repro.utils.serialization import (
+    decode_bytes,
+    decode_uint,
+    encode_bytes,
+    encode_once,
+    encode_uint,
+)
 
 _LEAF_DOMAIN = "merkle/leaf"
 _NODE_DOMAIN = "merkle/node"
 _EMPTY_DOMAIN = "merkle/empty"
 
 
+@encode_once
 @dataclass(frozen=True)
 class MerkleProof:
     """An authentication path for one leaf.
@@ -30,9 +38,29 @@ class MerkleProof:
     leaf_index: int
     siblings: Tuple[Tuple[bytes, bool], ...]
 
+    def encode(self) -> bytes:
+        """Canonical wire form: index, sibling count, (digest, side) pairs."""
+        parts = [encode_uint(self.leaf_index), encode_uint(len(self.siblings))]
+        for digest, is_right in self.siblings:
+            parts.append(encode_bytes(digest))
+            parts.append(encode_uint(1 if is_right else 0))
+        return b"".join(parts)
+
+    @classmethod
+    def decode(cls, data: bytes, offset: int = 0) -> Tuple["MerkleProof", int]:
+        """Inverse of :meth:`encode`; returns ``(proof, next_offset)``."""
+        leaf_index, pos = decode_uint(data, offset)
+        count, pos = decode_uint(data, pos)
+        siblings = []
+        for _ in range(count):
+            digest, pos = decode_bytes(data, pos)
+            flag, pos = decode_uint(data, pos)
+            siblings.append((digest, bool(flag)))
+        return cls(leaf_index=leaf_index, siblings=tuple(siblings)), pos
+
     def size_bytes(self) -> int:
-        """Wire size of the proof (index byte-cost is charged as 8 bytes)."""
-        return 8 + sum(len(digest) + 1 for digest, _ in self.siblings)
+        """Wire size of the proof."""
+        return len(self.encode())
 
 
 class MerkleTree:

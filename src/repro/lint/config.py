@@ -107,7 +107,7 @@ class LintConfig:
     #: TRU001: ledger-charging method names that are sinks wherever they
     #: are called (the accounting the paper's bit bounds rest on).
     tru001_sink_methods: Tuple[str, ...] = (
-        "record_message", "charge_functionality",
+        "record_message", "record_multicast", "charge_functionality",
     )
 
     #: TRU001: name fragments that mark a call as a sanitizer — its

@@ -25,7 +25,8 @@ _RAW_SEND_ATTRS: Set[str] = {
 #: Receiver names whose ``.send(...)`` / ``.put(...)`` / ``.write(...)``
 #: indicate a transport-layer object leaking into protocol code.  The
 #: sanctioned seam is ``Party.send`` (an Envelope the simulator charges)
-#: or an explicit ``metrics.record_message`` / ``charge_functionality``.
+#: or an explicit ``metrics.record_message`` / ``record_multicast`` /
+#: ``charge_functionality``.
 _TRANSPORT_RECEIVERS: Set[str] = {
     "sock", "socket", "writer", "stream", "queue", "conn", "connection",
     "transport", "channel", "pipe",
@@ -40,8 +41,10 @@ _RAW_CONSTRUCTORS: Set[str] = {
     "os.pipe",
 }
 
-#: The two methods that constitute the charge seam.
-_CHARGE_METHODS: Set[str] = {"record_message", "charge_functionality"}
+#: The methods that constitute the charge seam.
+_CHARGE_METHODS: Set[str] = {
+    "record_message", "record_multicast", "charge_functionality",
+}
 
 
 def _receiver_name(node: ast.expr) -> str:

@@ -14,7 +14,7 @@ Every charge gets one ``(phase, kind)`` label from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import NetworkError
 from repro.obs.flow import FUNCTIONALITY, FlowLedger
@@ -81,7 +81,7 @@ class CommunicationMetrics:
     def attach_flow(self, ledger: Optional[FlowLedger]) -> None:
         """Attach (or detach, with ``None``) a wire-level flow ledger.
 
-        Every subsequent :meth:`record_message` /
+        Every subsequent :meth:`record_multicast` /
         :meth:`charge_functionality` is mirrored into the ledger as
         traffic-matrix cells carrying the charge's label.
         """
@@ -115,6 +115,27 @@ class CommunicationMetrics:
     ) -> str:
         """Charge one point-to-point message of ``num_bits`` bits.
 
+        The one-recipient case of :meth:`record_multicast`.
+        """
+        return self.record_multicast(
+            sender, (recipient,), num_bits, phase=phase, kind=kind
+        )
+
+    def record_multicast(
+        self,
+        sender: int,
+        recipients: Sequence[int],
+        num_bits: int,
+        phase: str = "",
+        kind: str = "",
+    ) -> str:
+        """Charge the same ``num_bits``-bit message to each recipient.
+
+        Equal, in every view of the ledger, to one point-to-point charge
+        per entry of ``recipients`` in order (a recipient listed twice is
+        sent to twice; none listed charges nothing) — with the label
+        resolved and the sender updated once per fan-out.
+
         ``phase`` is the label the message carries, if it carries one (a
         frame's phase, a digest row's phase) and ``kind`` the wire it
         crossed; :func:`~repro.obs.spans.charge_label` fills in the
@@ -122,24 +143,31 @@ class CommunicationMetrics:
         """
         if num_bits < 0:
             raise NetworkError("message size cannot be negative")
-        sender_tally = self._tally(sender)
-        recipient_tally = self._tally(recipient)
-        sender_tally.bits_sent += num_bits
-        sender_tally.messages_sent += 1
-        sender_tally.peers_sent_to.add(recipient)
-        recipient_tally.bits_received += num_bits
-        recipient_tally.messages_received += 1
-        recipient_tally.peers_received_from.add(sender)
-        self._current_round_bits += num_bits
         phase, kind = charge_label(phase, kind, "wire")
-        self._attribute(sender, phase, num_bits)
-        self._attribute(recipient, phase, num_bits)
-        self._phase_messages[phase] = self._phase_messages.get(phase, 0) + 1
-        if self._flow is not None:
-            self._flow.charge(
-                len(self._round_bits), phase, sender, recipient, num_bits,
-                kind=kind,
-            )
+        fanout = len(recipients)
+        if not fanout:
+            return phase
+        sender_tally = self._tally(sender)
+        sender_tally.bits_sent += num_bits * fanout
+        sender_tally.messages_sent += fanout
+        sender_tally.peers_sent_to.update(recipients)
+        self._attribute(sender, phase, num_bits * fanout)
+        flow, round_index = self._flow, len(self._round_bits)
+        for recipient in recipients:
+            recipient_tally = self._tally(recipient)
+            recipient_tally.bits_received += num_bits
+            recipient_tally.messages_received += 1
+            recipient_tally.peers_received_from.add(sender)
+            self._attribute(recipient, phase, num_bits)
+            if flow is not None:
+                flow.charge(
+                    round_index, phase, sender, recipient, num_bits,
+                    kind=kind,
+                )
+        self._current_round_bits += num_bits * fanout
+        self._phase_messages[phase] = (
+            self._phase_messages.get(phase, 0) + fanout
+        )
         return phase
 
     def charge_functionality(

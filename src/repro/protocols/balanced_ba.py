@@ -318,11 +318,10 @@ class BalancedBA:
                     if signature is None:
                         continue
                     leaf = tree.leaf_of_virtual(virtual_id)
-                    encoded_bits = 8 * len(signature.encode())
+                    self.metrics.record_multicast(
+                        party, leaf.committee, 8 * len(signature.encode())
+                    )
                     for recipient in leaf.committee:
-                        self.metrics.record_message(
-                            party, recipient, encoded_bits
-                        )
                         leaf_inboxes[leaf.node_id][recipient].append(
                             signature
                         )
@@ -409,11 +408,13 @@ class BalancedBA:
             # Step 5d: every member of the child sends sigma_v to every
             # member of the parent.
             for sender in child.committee:
-                for recipient in node.committee:
-                    self.metrics.record_message(
-                        sender, recipient, encoded_bits
-                    )
-                    inbox[recipient].append(child_output)
+                self.metrics.record_multicast(
+                    sender, node.committee, encoded_bits
+                )
+            for recipient in node.committee:
+                inbox[recipient].extend(
+                    [child_output] * len(child.committee)
+                )
         return {
             member: self._delivered_order(
                 received, f"node/{node.node_id}/{member}"
@@ -446,9 +447,9 @@ class BalancedBA:
             for signature in received:
                 unique.setdefault(signature.encode(), signature)
             set_bits = 8 * sum(len(encoding) for encoding in unique)
-            for peer in members:
-                if peer != member:
-                    self.metrics.record_message(member, peer, set_bits)
+            self.metrics.record_multicast(
+                member, [peer for peer in members if peer != member], set_bits
+            )
             if not self.plan.is_corrupt(member):
                 union.update(unique)
 
@@ -521,8 +522,9 @@ class BalancedBA:
             payload_bits = 8 * (
                 len(encode_pair(y, seed)) + len(certificate.encode())
             )
-            for recipient in prf.subset(party):
-                self.metrics.record_message(party, recipient, payload_bits)
+            recipients = prf.subset(party)
+            self.metrics.record_multicast(party, recipients, payload_bits)
+            for recipient in recipients:
                 received[recipient].append((party, y, seed, certificate))
         if self.adversary.boost_messages is not None:
             for sender, recipient, y, seed, signature in (

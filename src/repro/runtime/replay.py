@@ -10,7 +10,7 @@ re-executes it as :class:`~repro.net.party.Party` state machines:
 
 1. run π_ba (or any metered execution) with a :class:`RecordingLedger`
    — the protocol computes its outputs exactly as before, while every
-   ``record_message`` / ``charge_functionality`` call is also appended
+   ``record_multicast`` / ``charge_functionality`` call is also appended
    to a script — with the phase label the ledger filed it under —
    segmented into replay rounds;
 2. build one :class:`ReplayParty` per party; its round-``k`` step emits
@@ -129,20 +129,21 @@ class RecordingLedger(CommunicationMetrics):
         self._segments: List[ReplaySegment] = []
         self._current = ReplaySegment()
 
-    def record_message(
+    def record_multicast(
         self,
         sender: int,
-        recipient: int,
+        recipients: Sequence[int],
         num_bits: int,
         phase: str = "",
         kind: str = "",
     ) -> str:
-        phase = super().record_message(
-            sender, recipient, num_bits, phase=phase, kind=kind
+        phase = super().record_multicast(
+            sender, recipients, num_bits, phase=phase, kind=kind
         )
-        self._current.sends.setdefault(sender, []).append(
-            (recipient, num_bits, phase)
-        )
+        if recipients:
+            self._current.sends.setdefault(sender, []).extend(
+                (recipient, num_bits, phase) for recipient in recipients
+            )
         return phase
 
     def charge_functionality(

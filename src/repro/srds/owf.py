@@ -45,10 +45,12 @@ from repro.utils.serialization import (
     decode_bytes,
     decode_uint,
     encode_bytes,
+    encode_once,
     encode_uint,
 )
 
 
+@encode_once
 @dataclass(frozen=True)
 class OwfBaseSignature(SRDSSignature):
     """A base signature: one virtual index plus its OTS signature bytes."""
@@ -71,6 +73,7 @@ class OwfBaseSignature(SRDSSignature):
         return encode_uint(self.index) + encode_bytes(self.ots_signature)
 
 
+@encode_once
 @dataclass(frozen=True)
 class OwfAggregateSignature(SRDSSignature):
     """An aggregated signature: the sorted multiset of base signatures.

@@ -51,6 +51,7 @@ from repro.utils.serialization import (
     canonical_tuple,
     decode_sequence,
     decode_uint,
+    encode_once,
     encode_sequence,
     encode_uint,
 )
@@ -69,6 +70,7 @@ def proof_of_possession(secret: bytes, verification_key: bytes) -> bytes:
     return prf(secret, "registered-srds/pop", verification_key)
 
 
+@encode_once
 @dataclass(frozen=True)
 class RegisteredBaseSignature(SRDSSignature):
     """A base contribution: index + message-bound multisig tag."""
@@ -91,6 +93,7 @@ class RegisteredBaseSignature(SRDSSignature):
         return encode_uint(self.index) + self.tag
 
 
+@encode_once
 @dataclass(frozen=True)
 class RegisteredAggregateSignature(SRDSSignature):
     """A constant-size aggregate: combined tag, count, range, proof.

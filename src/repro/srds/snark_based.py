@@ -58,6 +58,7 @@ from repro.utils.serialization import (
     decode_sequence,
     decode_uint,
     encode_bytes,
+    encode_once,
     encode_sequence,
     encode_uint,
 )
@@ -68,6 +69,7 @@ _VK_LEAF_DOMAIN = "srds/vk-leaf"
 _CHAIN_DOMAIN = "srds/contribution-chain"
 
 
+@encode_once
 @dataclass(frozen=True)
 class SnarkBaseSignature(SRDSSignature):
     """A base signature: (virtual index, base-scheme signature bytes)."""
@@ -96,6 +98,7 @@ class SnarkBaseSignature(SRDSSignature):
         )
 
 
+@encode_once
 @dataclass(frozen=True)
 class CertifiedBaseSignature:
     """A base signature enriched by Aggregate1 with its key material.
@@ -113,10 +116,11 @@ class CertifiedBaseSignature:
         return canonical_tuple(
             self.base.encode(),
             self.verification_key,
-            _encode_merkle_proof(self.inclusion_proof),
+            self.inclusion_proof.encode(),
         )
 
 
+@encode_once
 @dataclass(frozen=True)
 class SnarkAggregateSignature(SRDSSignature):
     """A constant-size aggregate: statement fields plus one PCD proof."""
@@ -167,25 +171,6 @@ def _statement(message: bytes, count: int, lo: int, hi: int,
     )
 
 
-def _encode_merkle_proof(proof: MerkleProof) -> bytes:
-    parts = [encode_uint(proof.leaf_index), encode_uint(len(proof.siblings))]
-    for digest, is_right in proof.siblings:
-        parts.append(encode_bytes(digest))
-        parts.append(encode_uint(1 if is_right else 0))
-    return b"".join(parts)
-
-
-def _decode_merkle_proof(data: bytes, offset: int = 0) -> Tuple[MerkleProof, int]:
-    leaf_index, pos = decode_uint(data, offset)
-    count, pos = decode_uint(data, pos)
-    siblings = []
-    for _ in range(count):
-        digest, pos = decode_bytes(data, pos)
-        flag, pos = decode_uint(data, pos)
-        siblings.append((digest, bool(flag)))
-    return MerkleProof(leaf_index=leaf_index, siblings=tuple(siblings)), pos
-
-
 def vk_merkle_tree(verification_keys: Dict[int, bytes],
                    num_parties: int) -> MerkleTree:
     """The commitment to the full vk vector, ordered by virtual index.
@@ -211,17 +196,17 @@ def _cached_vk_tree(
 
     Building the tree is Theta(n) hashing, and pi_ba calls Aggregate1 at
     every tree node; the bulletin board is fixed for the duration of a
-    run, so the tree is cached keyed on the dict identity.  Passing a
-    *different* key dict (e.g. after adversarial key replacement in the
-    experiments) transparently rebuilds.
+    run, so the tree of the last board seen is kept on ``pp``.  The
+    cache holds a snapshot of that board's contents and compares it on
+    every lookup, so a *different* board — another dict, or the same
+    dict after an in-place key replacement (the bare-PKI experiments do
+    both) — rebuilds, whatever address it happens to live at.
     """
-    cache = pp.extra.setdefault("_vk_tree_cache", {})
-    key = (id(verification_keys), len(verification_keys))
-    tree = cache.get(key)
-    if tree is None:
-        tree = vk_merkle_tree(verification_keys, pp.num_parties)
-        cache.clear()
-        cache[key] = tree
+    cached = pp.extra.get("_vk_tree_cache")
+    if cached is not None and cached[0] == verification_keys:
+        return cached[1]
+    tree = vk_merkle_tree(verification_keys, pp.num_parties)
+    pp.extra["_vk_tree_cache"] = (dict(verification_keys), tree)
     return tree
 
 
@@ -540,7 +525,7 @@ def _check_leaf_relation(
             base_blob, key, proof_blob = fields
             index, pos = decode_uint(base_blob, 0)
             sig_bytes, _ = decode_bytes(base_blob, pos)
-            inclusion, _ = _decode_merkle_proof(proof_blob, 0)
+            inclusion, _ = MerkleProof.decode(proof_blob, 0)
         except MALFORMED_INPUT_ERRORS:
             return False
         if index in seen_indices:

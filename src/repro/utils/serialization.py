@@ -13,13 +13,19 @@ message".
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+import functools
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
 from repro.errors import SerializationError
+
+# Lengths 32/64 and flags 0/1 dominate: one byte, looked up.
+_ONE_BYTE_UINTS = tuple(bytes((value,)) for value in range(0x80))
 
 
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128-style varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE_UINTS[value]
     if value < 0:
         raise SerializationError(f"cannot encode negative integer {value}")
     out = bytearray()
@@ -134,3 +140,44 @@ def bit_length(blob: bytes) -> int:
 def concat_encoded(chunks: Iterable[bytes]) -> bytes:
     """Join already-encoded chunks (no extra framing)."""
     return b"".join(chunks)
+
+
+_ENCODED = "_encoded_once"
+
+_T = TypeVar("_T", bound=Type[Any])
+
+
+def encode_once(cls: _T) -> _T:
+    """Class decorator: a frozen wire value's ``encode()`` runs once.
+
+    The same immutable signature is sent to every member of a committee
+    and re-read by the dedup, the majority filter and the provers; its
+    canonical bytes (and so the bit length the ledger charges) cannot
+    change, so they are kept on the instance after the first call.
+
+    The memo lives in the instance ``__dict__`` under a name that is not
+    a dataclass field: ``==``, ``hash``, ``repr`` and
+    ``dataclasses.replace`` never see it, and ``__getstate__`` leaves it
+    out of pickles and copies.  Apply it only to frozen classes whose
+    fields are themselves immutable — a value holding a mutable or
+    adversary-writable field must keep encoding afresh.
+    """
+    compute = cls.encode
+
+    @functools.wraps(compute)
+    def encode(self: Any) -> bytes:
+        state = self.__dict__
+        try:
+            return state[_ENCODED]
+        except KeyError:
+            encoded = state[_ENCODED] = compute(self)
+            return encoded
+
+    def __getstate__(self: Any) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop(_ENCODED, None)
+        return state
+
+    cls.encode = encode
+    cls.__getstate__ = __getstate__
+    return cls

@@ -9,6 +9,11 @@ def route_frame(data, ledger):
     ledger.record_message(header.round_index, header.charge_bits)
 
 
+def route_fanout(data, ledger, committee):
+    header = decode_header(data)
+    ledger.record_multicast(header.round_index, committee, header.charge_bits)
+
+
 def step_protocol(data):
     header = decode_header(data)
     return advance_round(header.round_index)

@@ -138,7 +138,8 @@ def test_exc001_accepts_narrow_reraise_logged_and_justified():
 def test_obs001_flags_charges_outside_spans():
     result = lint_fixture("obs_bad")
     ids = rule_ids_of(result)
-    assert ids.count("OBS001") == 2  # bare charge + uncovered helper
+    # bare charge + bare multicast + uncovered helper
+    assert ids.count("OBS001") == 3
 
 
 def test_obs001_span_coverage_is_transitive():

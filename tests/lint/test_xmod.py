@@ -23,12 +23,13 @@ from tests.lint.conftest import FIXTURES, lint_fixture, rule_ids_of
 def test_tru001_flags_unguarded_field_and_tainted_sinks():
     result = lint_fixture("xmod_tru_bad", rules=("TRU001",))
     ids = rule_ids_of(result)
-    assert ids.count("TRU001") == 3
+    assert ids.count("TRU001") == 4
     messages = " | ".join(v.message for v in result.violations)
     # (a) the decoder lets one field escape unguarded...
     assert "charge_bits" in messages and "escape" in messages
     # (b) ...and wire-derived data reaches both sink kinds.
     assert "record_message" in messages
+    assert "record_multicast" in messages
     assert "advance_round" in messages
     assert "wire data ingested at line" in messages
 
@@ -210,7 +211,7 @@ def test_cached_and_uncached_runs_agree_on_violations(tmp_path):
     assert sorted(map(key, cold.violations)) \
         == sorted(map(key, warm.violations)) \
         == sorted(map(key, plain.violations))
-    assert len(cold.violations) == 3
+    assert len(cold.violations) == 4
 
 
 # -- baseline pruning ---------------------------------------------------------

@@ -2,12 +2,15 @@
 
 from contextlib import ExitStack
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics, PhaseBreakdown
 from repro.obs.flow import FlowLedger
 from repro.obs.spans import UNATTRIBUTED, flow_tags, span
+from repro.runtime.replay import RecordingLedger
 
 _PHASES = st.sampled_from(["", "kssv", "srds-aggregate", "prf-boost"])
 _KINDS = st.sampled_from(["", "frame", "async"])
@@ -158,6 +161,87 @@ class TestTheTwoViewsAgree:
                 metrics.tally_of(party).bits_total
             )
         assert flow.verify_against(metrics) == []
+
+
+#: One multicast: the span nesting and ambient kind it is made under, the
+#: label it carries, (sender, recipients — duplicates, the sender itself
+#: and none at all included — bits), and what closes the step after it.
+_MULTICASTS = st.tuples(
+    st.lists(_PHASES.filter(bool), max_size=2),
+    _KINDS,
+    _PHASES,
+    _KINDS,
+    st.tuples(
+        _PARTIES, st.lists(_PARTIES, max_size=6), st.integers(0, 4096)
+    ),
+    st.sampled_from(["", "end_round", "functionality"]),
+)
+
+
+class TestMulticastIsNMessages:
+    @given(st.lists(_MULTICASTS, max_size=12), st.booleans())
+    def test_one_multicast_equals_the_record_message_loop(
+        self, steps, with_flow
+    ):
+        def run(fan_out):
+            ledger = RecordingLedger()
+            flow = FlowLedger() if with_flow else None
+            ledger.attach_flow(flow)
+            returned = []
+            for spans, ambient, phase, kind, charge, closing in steps:
+                sender, recipients, bits = charge
+                with ExitStack() as stack:
+                    for name in spans:
+                        stack.enter_context(span(name))
+                    if ambient:
+                        stack.enter_context(flow_tags(ambient))
+                    returned.append(
+                        fan_out(ledger, sender, recipients, bits, phase, kind)
+                    )
+                    if closing == "end_round":
+                        ledger.end_round()
+                    elif closing == "functionality":
+                        ledger.charge_functionality([0, 1], 64, 1)
+            return ledger, flow, returned
+
+        def multicast(ledger, sender, recipients, bits, phase, kind):
+            return [
+                ledger.record_multicast(
+                    sender, recipients, bits, phase=phase, kind=kind
+                )
+            ] * len(recipients)
+
+        def loop(ledger, sender, recipients, bits, phase, kind):
+            return [
+                ledger.record_message(
+                    sender, recipient, bits, phase=phase, kind=kind
+                )
+                for recipient in recipients
+            ]
+
+        one, one_flow, one_phases = run(multicast)
+        many, many_flow, many_phases = run(loop)
+        assert one_phases == many_phases
+        assert one.snapshot() == many.snapshot()
+        assert one.phase_breakdown() == many.phase_breakdown()
+        assert one.party_ids == many.party_ids
+        for party in many.party_ids:
+            assert one.bits_by_phase(party) == many.bits_by_phase(party)
+            assert one.tally_of(party) == many.tally_of(party)
+        assert one._phase_messages == many._phase_messages
+        assert one.round_bits == many.round_bits
+        assert one.current_round_bits == many.current_round_bits
+        assert one.script() == many.script()
+        if with_flow:
+            assert one_flow.cells() == many_flow.cells()
+            assert one_flow.summary() == many_flow.summary()
+            assert one_flow.verify_against(one) == []
+
+    def test_negative_size_is_refused_before_anything_is_charged(self):
+        metrics = CommunicationMetrics()
+        with pytest.raises(NetworkError):
+            metrics.record_multicast(0, [1, 2], -1)
+        assert metrics.party_ids == []
 
 
 class TestTallyOfRegression:

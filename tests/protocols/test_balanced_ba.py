@@ -1,9 +1,12 @@
 """Tests for pi_ba (Fig. 3) — agreement, validity, adversaries, accounting."""
 
+import sys
+
 import pytest
 
 from repro.errors import ProtocolError
 from repro.net.adversary import random_corruption, targeted_corruption
+from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import (
     AdversaryBehavior,
@@ -14,6 +17,7 @@ from repro.protocols.balanced_ba import (
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
+from repro.utils import serialization
 from repro.utils.randomness import Randomness
 
 N = 64
@@ -151,6 +155,44 @@ class TestCommunicationAccounting:
     def test_num_virtual_consistent(self):
         result, _ = _run()
         assert result.num_virtual % N == 0
+
+
+class TestWorkCounters:
+    """Call counts, not seconds: they repeat exactly, so encode-once and
+    charge-once-per-fan-out cannot silently rot."""
+
+    def test_one_n16_run_stays_within_its_pinned_call_counts(self):
+        n = 16
+        params = ProtocolParameters()
+        rng = Randomness(2021)
+        plan = random_corruption(
+            n, params.max_corruptions(n), rng.fork("corruption")
+        )
+        calls = {
+            serialization.encode_uint.__code__: 0,
+            CommunicationMetrics.record_multicast.__code__: 0,
+        }
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code in calls:
+                calls[frame.f_code] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = run_balanced_ba(
+                {i: i % 2 for i in range(n)}, plan, _snark_scheme(), params,
+                rng.fork("run"),
+            )
+        finally:
+            sys.setprofile(previous)
+        assert result.agreement
+        assert result.metrics.max_bits_per_party == 5_608_848
+        encode_uint_calls, ledger_body_calls = calls.values()
+        # Re-encoding per hop and charging per recipient made these
+        # 70 272 and 4 790.
+        assert encode_uint_calls <= 20_339
+        assert ledger_body_calls <= 364
 
 
 class TestEncodePair:
