@@ -11,11 +11,13 @@ reuses a nonce.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from repro.crypto import ec
-from repro.crypto.hashing import hash_to_int
+from repro.crypto.hashing import hash_domain, hash_to_int
 from repro.errors import KeyError_
 from repro.utils.serialization import (
+    encode_uint,
     fixed_bytes_to_int,
     int_to_fixed_bytes,
 )
@@ -81,15 +83,69 @@ def sign(keypair: SchnorrKeyPair, message: bytes) -> SchnorrSignature:
     return SchnorrSignature(nonce_point=nonce_point, response=response)
 
 
+def _is_group_element(point: ec.Point) -> bool:
+    """A usable key or nonce point: on the curve and not the identity."""
+    return not point.is_identity() and ec.is_on_curve(point)
+
+
+def _well_formed(public: ec.Point, signature: SchnorrSignature) -> bool:
+    # Hand-built points bypass ``decode_point``, so the group law must
+    # never see an identity or off-curve ``public`` or ``R``.
+    return (
+        _is_group_element(public)
+        and _is_group_element(signature.nonce_point)
+        and 0 <= signature.response < ec.N
+    )
+
+
 def verify(public: ec.Point, message: bytes, signature: SchnorrSignature) -> bool:
-    """Verify a Schnorr signature; returns False on any failure."""
-    if public.is_identity() or not ec.is_on_curve(public):
-        return False
-    if not 0 <= signature.response < ec.N:
+    """Verify a Schnorr signature; returns False on any failure.
+
+    Checks ``s*G - e*P == R`` with one two-term multiplication.
+    """
+    if not _well_formed(public, signature):
         return False
     challenge = _challenge(signature.nonce_point, public, message)
-    lhs = ec.commit(signature.response)
-    rhs = ec.point_add(
-        signature.nonce_point, ec.scalar_mult(challenge, public)
+    return signature.nonce_point == ec.multi_scalar_mult(
+        ((signature.response, ec.GENERATOR), (-challenge, public))
     )
-    return lhs == rhs
+
+
+BatchItem = Tuple[ec.Point, bytes, SchnorrSignature]
+
+
+def verify_batch(items: Sequence[BatchItem]) -> bool:
+    """Whether *every* ``(public, message, signature)`` in ``items`` verifies.
+
+    The random-linear-combination check: with 128-bit coefficients
+    ``a_i``, one multiplication tests
+    ``(sum a_i*s_i)*G - sum (a_i*e_i)*P_i - sum a_i*R_i == 0``, which a
+    batch containing a forgery passes with probability 2^-128.  The
+    coefficients are hashed from the whole batch rather than sampled, so
+    a run stays a function of its seed.  ``False`` says only that *some*
+    item fails; callers fall back to :func:`verify` to learn which.
+    """
+    if not all(_well_formed(public, signature) for public, _, signature in items):
+        return False
+    batch_tag = hash_domain(
+        "schnorr/batch",
+        *[
+            field
+            for public, message, signature in items
+            for field in (public.encode(), message, signature.encode())
+        ],
+    )
+    generator_scalar = 0
+    terms: List[Tuple[int, ec.Point]] = []
+    for position, (public, message, signature) in enumerate(items):
+        coefficient = 1 + (
+            hash_to_int("schnorr/batch-coefficient", batch_tag, encode_uint(position))
+            >> 128
+        )
+        challenge = _challenge(signature.nonce_point, public, message)
+        generator_scalar += coefficient * signature.response
+        terms.append((-coefficient * challenge, public))
+        # Negate the point, not the scalar, so R's scalar stays 128-bit.
+        terms.append((coefficient, -signature.nonce_point))
+    terms.append((generator_scalar, ec.GENERATOR))
+    return ec.multi_scalar_mult(terms).is_identity()

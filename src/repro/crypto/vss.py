@@ -70,15 +70,20 @@ def deal_verifiable(
 
 
 def verify_share(share: Share, commitment: VSSCommitment) -> bool:
-    """Check one share against the dealer's public commitment."""
-    expected = ec.IDENTITY
+    """Check one share against the dealer's public commitment.
+
+    ``sum_j x^j * C_j - y * G`` is one multi-scalar multiplication whose
+    doublings stop at the longest ``x^j`` (a few bits for committee-sized
+    ``x``), not at 256.
+    """
+    terms: List[Tuple[int, ec.Point]] = [(-share.y.value, ec.GENERATOR)]
     x_power = 1
     x = share.x.value
     modulus = share.x.field.modulus
     for point in commitment.coefficient_points:
-        expected = ec.point_add(expected, ec.scalar_mult(x_power, point))
+        terms.append((x_power, point))
         x_power = x_power * x % modulus
-    return ec.commit(share.y.value) == expected
+    return ec.multi_scalar_mult(terms).is_identity()
 
 
 def reconstruct_verified(
@@ -86,7 +91,8 @@ def reconstruct_verified(
     commitment: VSSCommitment,
     field: PrimeField = None,
 ) -> FieldElement:
-    """Reconstruct, using only shares consistent with the commitment.
+    """Reconstruct from the first ``threshold + 1`` shares consistent
+    with the commitment (later shares are not looked at).
 
     Raises :class:`SecretSharingError` if fewer than ``threshold + 1``
     shares survive verification — in the honest-majority settings where
@@ -94,12 +100,16 @@ def reconstruct_verified(
     capability, so it is loud.
     """
     field = field or default_field()
-    valid = [share for share in shares if verify_share(share, commitment)]
-    if len(valid) < commitment.threshold + 1:
-        raise SecretSharingError(
-            "not enough commitment-consistent shares to reconstruct"
-        )
-    return reconstruct(field, valid[: commitment.threshold + 1])
+    needed = commitment.threshold + 1
+    valid: List[Share] = []
+    for share in shares:
+        if verify_share(share, commitment):
+            valid.append(share)
+            if len(valid) == needed:
+                return reconstruct(field, valid)
+    raise SecretSharingError(
+        "not enough commitment-consistent shares to reconstruct"
+    )
 
 
 def commitment_to_secret_point(commitment: VSSCommitment) -> ec.Point:

@@ -92,6 +92,7 @@ class CoinTossParty(Party):
         self._my_index = self.members.index(party_id) + 1  # Shamir x-coord
         self._received_shares: Dict[int, Share] = {}
         self._commitments: Dict[int, vss.VSSCommitment] = {}
+        self._share_verdicts: Dict[int, bool] = {}
         self._complaints: Dict[int, Set[int]] = {}
         self._revealed: Dict[int, List[Share]] = {}
 
@@ -153,6 +154,17 @@ class CoinTossParty(Party):
             except MALFORMED_INPUT_ERRORS:
                 continue
 
+    def _share_verifies(self, dealer: int) -> bool:
+        """Whether the share this party holds from ``dealer`` matches the
+        dealer's commitment; both are fixed once dealt, so checked once."""
+        verdict = self._share_verdicts.get(dealer)
+        if verdict is None:
+            verdict = vss.verify_share(
+                self._received_shares[dealer], self._commitments[dealer]
+            )
+            self._share_verdicts[dealer] = verdict
+        return verdict
+
     def _complain(self) -> List[Envelope]:
         bad: List[int] = []
         for dealer in self.members:
@@ -163,7 +175,7 @@ class CoinTossParty(Party):
                 or commitment is None
                 or commitment.threshold != self.f
                 or share.x.value != self._my_index
-                or not vss.verify_share(share, commitment)
+                or not self._share_verifies(dealer)
             ):
                 bad.append(dealer)
         payload = encode_uint(_MSG_COMPLAIN) + canonical_tuple(
@@ -201,7 +213,7 @@ class CoinTossParty(Party):
             commitment = self._commitments.get(dealer)
             if share is None or commitment is None:
                 continue
-            if not vss.verify_share(share, commitment):
+            if not self._share_verifies(dealer):
                 continue
             payload = encode_uint(_MSG_REVEAL) + canonical_tuple(
                 encode_uint(dealer),

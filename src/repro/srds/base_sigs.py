@@ -16,9 +16,9 @@ signatures; the construction is black-box in it.  Two implementations:
 from __future__ import annotations
 
 import abc
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto import schnorr
+from repro.crypto import ec, schnorr
 from repro.crypto.prf import prf
 from repro.errors import MALFORMED_INPUT_ERRORS, KeyError_
 
@@ -41,14 +41,24 @@ class BaseSignatureScheme(abc.ABC):
                signature: bytes) -> bool:
         """Verify; False on any failure, never raises for bad inputs."""
 
+    def verify_many(
+        self, items: Sequence[Tuple[bytes, bytes, bytes]]
+    ) -> List[bool]:
+        """``[verify(key, message, signature) for ... in items]``; schemes
+        with a cheaper batch check override this, never the verdicts."""
+        return [
+            self.verify(key, message, signature)
+            for key, message, signature in items
+        ]
+
 
 class SchnorrBase(BaseSignatureScheme):
     """Schnorr over secp256k1 (real public-key cryptography).
 
     Verification results are memoized: pi_ba re-checks each base
     signature once per committee member on its aggregation path, and
-    Schnorr verification (two scalar multiplications in pure Python) is
-    by far the most expensive operation in a run.
+    Schnorr verification (a two-term multi-scalar multiplication in pure
+    Python) is by far the most expensive operation in a run.
     """
 
     name = "schnorr-secp256k1"
@@ -67,24 +77,43 @@ class SchnorrBase(BaseSignatureScheme):
 
     def verify(self, verification_key: bytes, message: bytes,
                signature: bytes) -> bool:
-        cache_key = (verification_key, message, signature)
-        cached = self._verify_cache.get(cache_key)
-        if cached is not None:
-            return cached
-        result = self._verify_uncached(verification_key, message, signature)
-        self._verify_cache[cache_key] = result
-        return result
+        return self.verify_many([(verification_key, message, signature)])[0]
 
-    def _verify_uncached(self, verification_key: bytes, message: bytes,
-                         signature: bytes) -> bool:
+    def verify_many(
+        self, items: Sequence[Tuple[bytes, bytes, bytes]]
+    ) -> List[bool]:
+        """Batch verification: the items no earlier call settled share one
+        random-linear-combination check (:func:`schnorr.verify_batch`);
+        only if it fails is each of them verified on its own."""
+        cache = self._verify_cache
+        keys = [tuple(item) for item in items]
+        pending: Dict[Tuple[bytes, bytes, bytes], schnorr.BatchItem] = {}
+        for item in keys:
+            if item in cache or item in pending:
+                continue
+            decoded = self._decode(*item)
+            if decoded is None:
+                cache[item] = False
+            else:
+                pending[item] = decoded
+        if len(pending) > 1 and schnorr.verify_batch(list(pending.values())):
+            cache.update(dict.fromkeys(pending, True))
+        else:
+            for item, decoded in pending.items():
+                cache[item] = schnorr.verify(*decoded)
+        return [cache[item] for item in keys]
+
+    @staticmethod
+    def _decode(verification_key: bytes, message: bytes,
+                signature: bytes) -> Optional[schnorr.BatchItem]:
         try:
-            from repro.crypto import ec
-
-            public = ec.decode_point(verification_key)
-            decoded = schnorr.SchnorrSignature.decode(signature)
+            return (
+                ec.decode_point(verification_key),
+                message,
+                schnorr.SchnorrSignature.decode(signature),
+            )
         except MALFORMED_INPUT_ERRORS:
-            return False
-        return schnorr.verify(public, message, decoded)
+            return None
 
 
 class HashRegistryBase(BaseSignatureScheme):

@@ -297,26 +297,16 @@ class SnarkSRDS(SRDSScheme):
         tree = _cached_vk_tree(pp, verification_keys)
         message_tag = hash_domain("srds/message-tag", message)
 
-        certified: Dict[int, CertifiedBaseSignature] = {}
+        candidates: List[Tuple[SnarkBaseSignature, bytes]] = []
         aggregates: List[SnarkAggregateSignature] = []
         for signature in signatures:
             if isinstance(signature, SnarkBaseSignature):
-                if signature.index in certified:
-                    continue
                 if not 0 <= signature.index < pp.num_parties:
                     continue
                 key = verification_keys.get(signature.index)
                 if key is None:
                     continue
-                if not self.base_scheme.verify(
-                    key, message, signature.signature_bytes
-                ):
-                    continue
-                certified[signature.index] = CertifiedBaseSignature(
-                    base=signature,
-                    verification_key=key,
-                    inclusion_proof=tree.prove(signature.index),
-                )
+                candidates.append((signature, key))
             elif isinstance(signature, SnarkAggregateSignature):
                 if signature.vk_root != tree.root:
                     continue
@@ -336,6 +326,23 @@ class SnarkSRDS(SRDSScheme):
             else:
                 raise SignatureError(
                     f"foreign signature type {type(signature).__name__}"
+                )
+
+        # One batched base-signature check per node, then the first valid
+        # signature per index in arrival order.
+        verdicts = self.base_scheme.verify_many(
+            [
+                (key, message, signature.signature_bytes)
+                for signature, key in candidates
+            ]
+        )
+        certified: Dict[int, CertifiedBaseSignature] = {}
+        for (signature, key), valid in zip(candidates, verdicts):
+            if valid and signature.index not in certified:
+                certified[signature.index] = CertifiedBaseSignature(
+                    base=signature,
+                    verification_key=key,
+                    inclusion_proof=tree.prove(signature.index),
                 )
 
         # Greedy disjoint-range selection for aggregates, largest count

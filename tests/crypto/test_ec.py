@@ -5,9 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import ec
 from repro.errors import CryptoError
+from tests.crypto import ref_ec
 
 scalars = st.integers(min_value=1, max_value=ec.N - 1)
 small_scalars = st.integers(min_value=1, max_value=1 << 20)
+
+# Window and wNAF digit boundaries, the group order's neighbourhood and
+# the largest 256-bit value, plus a free choice of either size.
+edge_scalars = st.sampled_from(
+    [0, 1, 2, 15, 16, 17, 31, 32, ec.N - 1, ec.N, ec.N + 1, (1 << 256) - 1]
+)
+any_scalar = st.one_of(
+    edge_scalars, small_scalars, st.integers(min_value=0, max_value=ec.N)
+)
+_P = ref_ec.scalar_mult(0xC0FFEE, ec.GENERATOR)
+_Q = ref_ec.scalar_mult(ec.N - 0xBEEF, ec.GENERATOR)
+# Repeats and negations inside one call drive the Jacobian formulas into
+# their doubling, cancellation and infinity branches.
+any_point = st.sampled_from(
+    [ec.IDENTITY, ec.GENERATOR, -ec.GENERATOR, _P, -_P, _Q, -_Q]
+)
 
 
 class TestGroupLaws:
@@ -50,6 +67,73 @@ class TestGroupLaws:
     def test_results_on_curve(self):
         for scalar in (1, 2, 3, 12345, ec.N - 1):
             assert ec.is_on_curve(ec.scalar_mult(scalar, ec.GENERATOR))
+
+
+class TestKnownAnswers:
+    """secp256k1 test vectors (SEC 2 generator multiples)."""
+
+    def test_small_multiples_of_generator(self):
+        assert ec.commit(2) == ec.Point(
+            0xC6047F9441ED7D6D3045406E95C07CD85C778E4B8CEF3CA7ABAC09B95C709EE5,
+            0x1AE168FEA63DC339A3C58419466CEAEEF7F632653266D0E1236431A950CFE52A,
+        )
+        assert ec.commit(3) == ec.Point(
+            0xF9308A019258C31049344F85F89D5229B531C845836F99B08601F113BCE036F9,
+            0x388F7B0F632DE8140FE337E62A37F3566500A99934C2231B6CB9FD7584B8E672,
+        )
+
+    def test_order_minus_one_is_negated_generator(self):
+        assert ec.commit(ec.N - 1) == -ec.GENERATOR == ec.Point(ec.GX, ec.P - ec.GY)
+
+    def test_order_times_generator_is_identity(self):
+        assert ec.commit(ec.N) == ec.IDENTITY
+
+    def test_out_of_range_coordinates_are_off_curve(self):
+        assert not ec.is_on_curve(ec.Point(ec.GX + ec.P, ec.GY))
+        assert not ec.is_on_curve(ec.Point(ec.GX, ec.GY - ec.P))
+
+
+class TestAgainstAffineReference:
+    """The fast engine equals the affine chord-and-tangent oracle."""
+
+    @given(any_scalar, any_point)
+    def test_scalar_mult(self, scalar, point):
+        assert ec.scalar_mult(scalar, point) == ref_ec.scalar_mult(scalar, point)
+
+    @given(any_scalar)
+    def test_commit(self, scalar):
+        assert ec.commit(scalar) == ref_ec.scalar_mult(scalar, ec.GENERATOR)
+
+    @given(any_point, any_point)
+    def test_point_add(self, p, q):
+        assert ec.point_add(p, q) == ref_ec.point_add(p, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(any_scalar, any_point), min_size=1, max_size=6)
+    )
+    def test_multi_scalar_mult(self, pairs):
+        assert ec.multi_scalar_mult(pairs) == ref_ec.multi_scalar_mult(pairs)
+
+    def test_full_add_keeps_the_other_side_of_infinity(self):
+        # Table entries are never infinity for on-curve input, so no
+        # public call reaches these two returns.
+        point = (_P.x, _P.y, 1)
+        assert ec._add(point, ec._INFINITY) == point
+        assert ec._add(ec._INFINITY, point) == point
+
+    def test_empty_sum_is_identity(self):
+        assert ec.multi_scalar_mult([]) == ec.IDENTITY
+
+    def test_generator_table_rows_are_window_multiples(self):
+        table = ec._generator_table()
+        assert sum(len(row) for row in table) == 960
+        for window in (0, 1, 31, 63):
+            for digit in (1, 2, 15):
+                expected = ref_ec.scalar_mult(
+                    digit << (4 * window), ec.GENERATOR
+                )
+                assert table[window][digit - 1] == (expected.x, expected.y)
 
 
 class TestEncoding:
@@ -100,3 +184,5 @@ class TestOperatorSugar:
         point = ec.scalar_mult(4, ec.GENERATOR)
         combined = ec.multi_scalar_mult(((2, ec.GENERATOR), (3, point)))
         assert combined == ec.scalar_mult(14, ec.GENERATOR)
+        # Any sequence of pairs, not only a tuple of tuples.
+        assert ec.multi_scalar_mult([[2, ec.GENERATOR], (3, point)]) == combined

@@ -47,6 +47,42 @@ class TestSignVerify:
         )
         assert not schnorr.verify(keypair.public, b"m", bad)
 
+    def test_signature_bytes_pinned(self):
+        """Deterministic nonces: the group-law rewrite may not move a byte."""
+        pinned = schnorr.keygen(Randomness(2021).fork("pinned-schnorr"))
+        assert pinned.public_bytes.hex() == (
+            "031bfff972a9763ee766c3e82742138c93d8f75bffa11d13638c9a659c0c769ec8"
+        )
+        signature = schnorr.sign(pinned, b"breaking the sqrt(n)-bit barrier")
+        assert signature.encode().hex() == (
+            "02223c8302f0513583da5ce500320629548d0e0bfe1ad32f9dd1d1a206418af851"
+            "dea3a5a88c3af6c4cf2ed87c628b5dd8f281fda0bfaa5b2ccc23efe6218047dc"
+        )
+        assert schnorr.verify(
+            pinned.public, b"breaking the sqrt(n)-bit barrier", signature
+        )
+
+    def test_identity_nonce_point_rejected(self, keypair):
+        # Hand-built, so decode_point never vetted it.
+        response = schnorr.sign(keypair, b"m").response
+        forged = schnorr.SchnorrSignature(ec.IDENTITY, response)
+        assert not schnorr.verify(keypair.public, b"m", forged)
+
+    def test_off_curve_nonce_point_rejected(self, keypair):
+        signature = schnorr.sign(keypair, b"m")
+        nonce = signature.nonce_point
+        for bad in (
+            ec.Point(nonce.x, (nonce.y + 1) % ec.P),
+            ec.Point(nonce.x + ec.P, nonce.y),
+        ):
+            forged = schnorr.SchnorrSignature(bad, signature.response)
+            assert not schnorr.verify(keypair.public, b"m", forged)
+
+    def test_off_curve_public_key_rejected(self, keypair):
+        signature = schnorr.sign(keypair, b"m")
+        bad = ec.Point(keypair.public.x, (keypair.public.y + 1) % ec.P)
+        assert not schnorr.verify(bad, b"m", signature)
+
     def test_tampered_signature_rejected(self, keypair):
         signature = schnorr.sign(keypair, b"m")
         tampered = schnorr.SchnorrSignature(
@@ -54,6 +90,59 @@ class TestSignVerify:
             response=(signature.response + 1) % ec.N,
         )
         assert not schnorr.verify(keypair.public, b"m", tampered)
+
+
+class TestVerifyBatch:
+    @pytest.fixture
+    def batch(self, rng):
+        items = []
+        for index in range(4):
+            keypair = schnorr.keygen(rng.fork(f"signer-{index}"))
+            message = b"message-%d" % (index % 2)
+            items.append((keypair.public, message, schnorr.sign(keypair, message)))
+        return items
+
+    def test_all_valid(self, batch):
+        assert schnorr.verify_batch(batch)
+        assert schnorr.verify_batch(batch[:1])
+        assert schnorr.verify_batch(batch + batch[:2])  # repeated items
+
+    def test_empty_batch_is_vacuously_valid(self):
+        assert schnorr.verify_batch([])
+
+    def test_one_bad_item_fails_the_batch(self, batch):
+        public, message, signature = batch[2]
+        forged_s = schnorr.SchnorrSignature(
+            signature.nonce_point, (signature.response + 1) % ec.N
+        )
+        swapped_r = schnorr.SchnorrSignature(
+            batch[0][2].nonce_point, signature.response
+        )
+        out_of_range = schnorr.SchnorrSignature(signature.nonce_point, ec.N)
+        identity_r = schnorr.SchnorrSignature(ec.IDENTITY, signature.response)
+        for bad in (
+            (public, message, forged_s),
+            (public, message, swapped_r),
+            (public, message, out_of_range),
+            (public, message, identity_r),
+            (public, b"another message", signature),
+            (batch[0][0], message, signature),
+            (ec.IDENTITY, message, signature),
+        ):
+            assert not schnorr.verify(*bad)
+            assert not schnorr.verify_batch(batch[:2] + [bad] + batch[3:])
+
+    def test_cancelling_forgeries_do_not_pass(self, batch):
+        # s1 + d and s2 - d cancel under equal coefficients; the hashed
+        # 128-bit coefficients are what stops that.
+        (p1, m1, sig1), (p2, m2, sig2) = batch[:2]
+        shifted = [
+            (p1, m1, schnorr.SchnorrSignature(
+                sig1.nonce_point, (sig1.response + 5) % ec.N)),
+            (p2, m2, schnorr.SchnorrSignature(
+                sig2.nonce_point, (sig2.response - 5) % ec.N)),
+        ]
+        assert not schnorr.verify_batch(shifted + batch[2:])
 
 
 class TestEncoding:

@@ -64,6 +64,25 @@ class TestReconstruction:
         secret = vss.reconstruct_verified(mixed, dealing.commitment)
         assert secret.value == 424242
 
+    def test_stops_at_first_threshold_plus_one_consistent(
+        self, dealing, monkeypatch
+    ):
+        field = default_field()
+        bad = Share(x=dealing.shares[0].x, y=field.element(1))
+        checked = []
+        real = vss.verify_share
+        monkeypatch.setattr(
+            vss, "verify_share",
+            lambda share, commitment: (
+                checked.append(share) or real(share, commitment)
+            ),
+        )
+        secret = vss.reconstruct_verified(
+            [bad] + list(dealing.shares), dealing.commitment
+        )
+        assert secret.value == 424242
+        assert checked == [bad] + list(dealing.shares[:3])
+
     def test_insufficient_valid_shares_rejected(self, dealing):
         field = default_field()
         bad = [

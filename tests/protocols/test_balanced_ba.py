@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repro.crypto import ec
 from repro.errors import ProtocolError
 from repro.net.adversary import random_corruption, targeted_corruption
 from repro.net.metrics import CommunicationMetrics
@@ -158,20 +159,20 @@ class TestCommunicationAccounting:
 
 
 class TestWorkCounters:
-    """Call counts, not seconds: they repeat exactly, so encode-once and
-    charge-once-per-fan-out cannot silently rot."""
+    """Call counts, not seconds: they repeat exactly, so encode-once,
+    charge-once-per-fan-out and the inversion-free group law cannot
+    silently rot."""
 
-    def test_one_n16_run_stays_within_its_pinned_call_counts(self):
-        n = 16
+    @staticmethod
+    def _counted_run(n, scheme, functions):
+        """One split-input run at ``Randomness(2021)``; returns the result
+        and how often each of ``functions`` was entered."""
         params = ProtocolParameters()
         rng = Randomness(2021)
         plan = random_corruption(
             n, params.max_corruptions(n), rng.fork("corruption")
         )
-        calls = {
-            serialization.encode_uint.__code__: 0,
-            CommunicationMetrics.record_multicast.__code__: 0,
-        }
+        calls = {function.__code__: 0 for function in functions}
 
         def count(frame, event, arg):
             if event == "call" and frame.f_code in calls:
@@ -181,18 +182,37 @@ class TestWorkCounters:
         sys.setprofile(count)
         try:
             result = run_balanced_ba(
-                {i: i % 2 for i in range(n)}, plan, _snark_scheme(), params,
+                {i: i % 2 for i in range(n)}, plan, scheme, params,
                 rng.fork("run"),
             )
         finally:
             sys.setprofile(previous)
+        return result, list(calls.values())
+
+    def test_one_n16_run_stays_within_its_pinned_call_counts(self):
+        result, (encode_uint_calls, ledger_body_calls) = self._counted_run(
+            16, _snark_scheme(),
+            [serialization.encode_uint, CommunicationMetrics.record_multicast],
+        )
         assert result.agreement
         assert result.metrics.max_bits_per_party == 5_608_848
-        encode_uint_calls, ledger_body_calls = calls.values()
         # Re-encoding per hop and charging per recipient made these
         # 70 272 and 4 790.
         assert encode_uint_calls <= 20_339
         assert ledger_body_calls <= 364
+
+    def test_one_n8_schnorr_run_inverts_once_per_public_point(self):
+        ec._generator_table()  # its one inversion is paid once per process
+        result, (inversions, multiplications) = self._counted_run(
+            8, SnarkSRDS(), [ec._inverse, ec.multi_scalar_mult]
+        )
+        assert result.agreement
+        assert result.metrics.max_bits_per_party == 1_350_976
+        # Every public group operation is one multi_scalar_mult and pays
+        # at most one inversion, when its result becomes affine.  The
+        # affine law inverted once per addition: 65 107 times in this
+        # run, over 170 scalar multiplications.
+        assert inversions <= multiplications <= 93
 
 
 class TestEncodePair:

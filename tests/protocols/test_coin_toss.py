@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import vss
 from repro.errors import ConfigurationError
 from repro.protocols.coin_toss import ideal_f_ct, run_coin_toss
 from repro.utils.randomness import Randomness
@@ -30,6 +31,41 @@ class TestAgreement:
         a, _ = run_coin_toss(range(4), Randomness(3))
         b, _ = run_coin_toss(range(4), Randomness(3))
         assert a == b
+
+
+class TestPinnedRuns:
+    """Coins, bits and share checks at ``Randomness(2021)``, recorded
+    with the affine group law and two share checks the protocol no longer
+    repeats (160 / 784 / 2200 ``verify_share`` calls then)."""
+
+    @pytest.mark.parametrize(
+        "members, coin, max_bits, share_checks",
+        [
+            (4, "2fdf8dccba9d322be273f0052ccf8455"
+                "ccf3e0d14f0d30e3d5c25e836200d876", 26_880, 112),
+            (7, "a396a0583f46fa667721b4f32edc4824"
+                "d420c99be63720f45c97c493fcd3da17", 74_368, 539),
+            (10, "eaa05b50574edad829a2d91177c0044f"
+                 "7b80a66285a43ee079e03dc80affc839", 145_280, 1500),
+        ],
+    )
+    def test_coin_bits_and_share_checks(
+        self, monkeypatch, members, coin, max_bits, share_checks
+    ):
+        checks = []
+        real = vss.verify_share
+        monkeypatch.setattr(
+            vss, "verify_share",
+            lambda share, commitment: (
+                checks.append(share) or real(share, commitment)
+            ),
+        )
+        outputs, metrics = run_coin_toss(range(members), Randomness(2021))
+        assert {value.hex() for value in outputs.values()} == {coin}
+        assert metrics.max_bits_per_party == max_bits
+        # Per party: m own shares once, m*m reveals, (f+1) per dealer to
+        # reconstruct.
+        assert len(checks) == share_checks
 
 
 class TestRobustness:

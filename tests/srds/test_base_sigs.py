@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.crypto import schnorr
 from repro.errors import KeyError_
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.utils.randomness import Randomness
@@ -47,6 +48,65 @@ class TestBothSchemes:
         assert vk1 != vk2
 
 
+class TestVerifyMany:
+    """``verify_many`` is ``[verify(...) for ...]``, whatever the batch."""
+
+    @pytest.fixture
+    def items(self, scheme, rng):
+        items = []
+        for index in range(5):
+            vk, sk = scheme.keygen(rng.fork(f"signer-{index}"))
+            items.append((vk, b"agreed", scheme.sign(sk, b"agreed")))
+        return items
+
+    @staticmethod
+    def _fresh(scheme):
+        # Same registry (hash scheme), no remembered verdicts (Schnorr).
+        if isinstance(scheme, SchnorrBase):
+            scheme._verify_cache.clear()
+        return scheme
+
+    def _check(self, scheme, batch, expected):
+        assert self._fresh(scheme).verify_many(batch) == expected
+        assert [
+            self._fresh(scheme).verify(*item) for item in batch
+        ] == expected
+
+    def test_empty(self, scheme):
+        assert scheme.verify_many([]) == []
+
+    def test_all_valid(self, scheme, items):
+        self._check(scheme, items, [True] * 5)
+
+    def test_one_forged_response(self, scheme, items):
+        vk, message, signature = items[3]
+        forged = signature[:-1] + bytes([signature[-1] ^ 1])
+        items[3] = (vk, message, forged)
+        self._check(scheme, items, [True, True, True, False, True])
+
+    def test_one_swapped_nonce(self, scheme, items):
+        # Item 1 carries item 0's first half (Schnorr's R).
+        vk, message, signature = items[1]
+        half = len(signature) // 2 + 1
+        items[1] = (vk, message, items[0][2][:half] + signature[half:])
+        self._check(scheme, items, [True, False, True, True, True])
+
+    def test_malformed_encodings(self, scheme, items):
+        items[0] = (items[0][0], b"agreed", b"garbage")
+        items[4] = (b"garbage", b"agreed", items[4][2])
+        self._check(scheme, items, [False, True, True, True, False])
+
+    def test_duplicated_items(self, scheme, items):
+        vk, message, signature = items[2]
+        bad = (vk, message, bytes(len(signature)))
+        batch = [items[0], bad, items[0], items[2], bad]
+        self._check(scheme, batch, [True, False, True, True, False])
+
+    def test_wrong_message_for_one_key(self, scheme, items):
+        items[2] = (items[2][0], b"other", items[2][2])
+        self._check(scheme, items, [True, True, False, True, True])
+
+
 class TestSchnorrCache:
     def test_cache_consistency(self, rng):
         scheme = SchnorrBase()
@@ -61,6 +121,25 @@ class TestSchnorrCache:
         vk, sk = scheme.keygen(rng)
         assert not scheme.verify(vk, b"x", scheme.sign(sk, b"m"))
         assert not scheme.verify(vk, b"x", scheme.sign(sk, b"m"))
+
+
+    def test_batch_consults_and_fills_the_cache(self, rng, monkeypatch):
+        scheme = SchnorrBase()
+        items = []
+        for index in range(3):
+            vk, sk = scheme.keygen(rng.fork(f"signer-{index}"))
+            items.append((vk, b"m", scheme.sign(sk, b"m")))
+        assert scheme.verify(*items[0])
+        batches = []
+        real = schnorr.verify_batch
+        monkeypatch.setattr(
+            schnorr, "verify_batch",
+            lambda batch: batches.append(len(batch)) or real(batch),
+        )
+        assert scheme.verify_many(items) == [True] * 3
+        assert batches == [2]  # item 0 was already settled
+        assert scheme.verify_many(items) == [True] * 3
+        assert batches == [2]  # and now all three are
 
 
 class TestHashRegistry:

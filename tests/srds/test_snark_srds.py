@@ -253,3 +253,33 @@ class TestWithSchnorr:
         assert aggregate.count == n
         assert scheme.verify(pp, vks, message, aggregate)
         assert not scheme.verify(pp, vks, b"other", aggregate)
+
+    def test_forged_base_before_valid_one_keeps_the_valid_one(self):
+        """Batching verifies a node's base signatures together, but the
+        first *valid* signature per index, in arrival order, still wins."""
+        rng = Randomness(12)
+        scheme = SnarkSRDS(base_scheme=SchnorrBase())
+        n = 6
+        pp = scheme.setup(n, rng.fork("s"))
+        vks, sks = {}, {}
+        for i in range(n):
+            vks[i], sks[i] = scheme.keygen(pp, rng.fork(f"k{i}"))
+        message = b"dedupe-order"
+        good = [scheme.sign(pp, i, sks[i], message) for i in range(n)]
+        flipped = good[3].signature_bytes[:-1] + bytes(
+            [good[3].signature_bytes[-1] ^ 1]
+        )
+        forged = SnarkBaseSignature(index=3, signature_bytes=flipped)
+        stale = scheme.sign(pp, 4, sks[4], b"another message")
+        filtered = scheme.aggregate1(
+            pp, vks, message,
+            [good[0], forged, good[1], stale, good[3], good[4], forged, good[3]],
+        )
+        assert [item.base for item in filtered] == [
+            good[0], good[1], good[3], good[4]
+        ]
+        aggregate = scheme.aggregate(
+            pp, vks, message, [forged, stale] + good
+        )
+        assert aggregate.count == n
+        assert scheme.verify(pp, vks, message, aggregate)
