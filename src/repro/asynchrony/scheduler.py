@@ -24,14 +24,14 @@ Two scheduling policies:
 Determinism contract, same as the fault plan's: every choice is drawn
 from forks of one seeded :class:`~repro.utils.randomness.Randomness`
 keyed by the delivery counter, and parties consume exactly one message
-at a time (the scheduler awaits each queue between deliveries), so a
-run is a pure function of ``(parties, seed, policy, latency model,
-fault plan)`` and the recorded delivery trace replays exactly.
+at a time (the scheduler calls ``on_message`` itself, one delivery
+after another — there is no consumer task to race), so a run is a pure
+function of ``(parties, seed, policy, latency model, fault plan)`` and
+the recorded delivery trace replays exactly.
 
-Parties run as real asyncio consumer tasks over per-party queues —
-the :class:`~repro.net.party.AsyncParty` machines execute on the
-asyncio runtime with no round synchronizer anywhere.  Wire traffic is
-charged to :class:`~repro.net.metrics.CommunicationMetrics` at send
+The :class:`~repro.net.party.AsyncParty` machines execute inside
+:meth:`AsyncScheduler.run` with no round synchronizer anywhere.  Wire
+traffic is charged to :class:`~repro.net.metrics.CommunicationMetrics` at send
 time under the envelope's phase with flow kind ``"async"``, so
 ``max_bits_per_party`` and flow ledgers are directly comparable to the
 synchronous backends' BENCH records.
@@ -72,8 +72,6 @@ POLICIES = ("latency", "adversarial")
 
 #: Phase charged for envelopes that carry no phase of their own.
 DEFAULT_PHASE = "async-wire"
-
-_STOP = object()
 
 
 @dataclass(frozen=True)
@@ -161,7 +159,6 @@ class AsyncScheduler:
         self._unstarted: Dict[int, int] = {
             pid: self.faults.joins.get(pid, 0) for pid in self.parties
         }
-        self._error: Optional[BaseException] = None
 
     # -- adaptive seam -------------------------------------------------------
 
@@ -308,78 +305,46 @@ class AsyncScheduler:
 
     # -- run -----------------------------------------------------------------
 
-    async def _party_loop(
-        self, party: AsyncParty, queue: "asyncio.Queue"
-    ) -> None:
-        while True:
-            item = await queue.get()
-            try:
-                if item is _STOP:
-                    return
-                if self._error is None:
-                    self._emit(party.party_id, party.on_message(item))
-            except BaseException as exc:  # lint: allow[EXC001] reason=captured into _error and re-raised by the main delivery loop, never swallowed
-                self._error = exc
-                return
-            finally:
-                queue.task_done()
-
     async def run(self) -> AsyncResult:
         """Execute until every required party decided (or fail loudly)."""
-        queues: Dict[int, asyncio.Queue] = {
-            pid: asyncio.Queue() for pid in self.parties
-        }
-        # Consumer tasks are retained (and joined below): the scheduler
-        # owns their lifecycle end to end.
-        tasks = [
-            asyncio.create_task(self._party_loop(party, queues[pid]))
-            for pid, party in self.parties.items()
-        ]
-        try:
-            self._fire_due_starts()
-            while self._pending and not self._all_required_decided():
-                if self.deliveries >= self._max_deliveries:
-                    raise NetworkError(
-                        f"no decision after {self.deliveries} deliveries "
-                        f"(cap {self._max_deliveries})"
-                    )
-                delivery = self._pick_next()
-                self._advance_time(delivery)
-                self._fire_due_starts()
-                envelope = delivery.envelope
-                recipient = envelope.recipient
-                round_now = int(self._now)
-                if (
-                    recipient in self._corrupted
-                    or self.faults.is_crashed(recipient, round_now)
-                    or self.faults.is_absent(recipient, round_now)
-                ):
-                    continue  # nobody (honest) is listening
-                self.deliveries += 1
-                self.trace.append(
-                    (self.deliveries, envelope.sender, recipient,
-                     delivery.seq)
-                )
-                queues[recipient].put_nowait(envelope)
-                await queues[recipient].join()
-                if self._error is not None:
-                    raise self._error
-            if not self._all_required_decided():
-                undecided = sorted(
-                    pid
-                    for pid, party in self.parties.items()
-                    if not party.decided
-                    and pid not in self._corrupted
-                    and pid not in self._excused
-                )
+        self._fire_due_starts()
+        while self._pending and not self._all_required_decided():
+            if self.deliveries >= self._max_deliveries:
                 raise NetworkError(
-                    "asynchronous execution stalled with no pending "
-                    f"messages; undecided parties: {undecided}"
+                    f"no decision after {self.deliveries} deliveries "
+                    f"(cap {self._max_deliveries})"
                 )
-        finally:
-            for pid, queue in queues.items():
-                queue.put_nowait(_STOP)
-            await asyncio.gather(*tasks, return_exceptions=True)
+            delivery = self._pick_next()
+            self._advance_time(delivery)
+            self._fire_due_starts()
+            envelope = delivery.envelope
+            recipient = envelope.recipient
+            round_now = int(self._now)
+            if (
+                recipient in self._corrupted
+                or self.faults.is_crashed(recipient, round_now)
+                or self.faults.is_absent(recipient, round_now)
+            ):
+                continue  # nobody (honest) is listening
+            self.deliveries += 1
+            self.trace.append(
+                (self.deliveries, envelope.sender, recipient, delivery.seq)
+            )
+            self._emit(
+                recipient, self.parties[recipient].on_message(envelope)
+            )
+        if not self._all_required_decided():
+            undecided = sorted(
+                pid
+                for pid, party in self.parties.items()
+                if not party.decided
+                and pid not in self._corrupted
+                and pid not in self._excused
+            )
+            raise NetworkError(
+                "asynchronous execution stalled with no pending "
+                f"messages; undecided parties: {undecided}"
+            )
         return AsyncResult(
             outputs={
                 pid: party.output

@@ -21,8 +21,9 @@ No ledger state lives here: a shard never owns a ledger, and the
 supervisor carries its own across a restart (``supervisor.ckpt``).
 
 The container additionally stores the shard's **staged frames** (sent
-but not yet due for delivery): a cluster worker's own in-flight mesh
-traffic at the barrier, or the in-process runner's pending list.
+but not yet due for delivery) as one :mod:`repro.net.trains` body: a
+cluster worker's own in-flight mesh traffic at the barrier, or the
+in-process runner's pending list.
 
 Durability: :func:`save_checkpoint` writes to a temp file, fsyncs, and
 atomically replaces the target, so a crash mid-write never leaves a
@@ -38,19 +39,19 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.errors import ClusterError, SerializationError
-from repro.net.party import _LENGTH, Frame, Party
+from repro.net.party import Frame, Party
+from repro.net.trains import decode_train_body, encode_train_body
 from repro.utils.serialization import (
     decode_bytes,
-    decode_sequence,
     decode_uint,
     encode_bytes,
-    encode_sequence,
     encode_uint,
 )
 
 #: Format magic + version.  Bump the trailing digit on layout changes
-#: (``RPCK1`` carried a per-party tally slot; it is refused by name).
-MAGIC = b"RPCK2"
+#: (``RPCK1`` carried a per-party tally slot, ``RPCK2`` staged frames in
+#: the per-frame TCP encoding; both are refused by name).
+MAGIC = b"RPCK3"
 
 
 @dataclass
@@ -116,9 +117,7 @@ def encode_checkpoint(checkpoint: ClusterCheckpoint) -> bytes:
         parts.append(encode_uint(record.send_seq))
         parts.append(encode_uint(record.trace_seq))
         parts.append(encode_bytes(record.party_blob))
-    parts.append(
-        encode_sequence([frame.encode() for frame in checkpoint.staged])
-    )
+    parts.append(encode_bytes(encode_train_body(checkpoint.staged)))
     return b"".join(parts)
 
 
@@ -146,16 +145,14 @@ def decode_checkpoint(data: bytes) -> ClusterCheckpoint:
                     trace_seq=trace_seq,
                 )
             )
-        frame_blobs, offset = decode_sequence(data, offset)
+        train, offset = decode_bytes(data, offset)
+        staged = decode_train_body(train)
     except SerializationError as exc:
         raise ClusterError(f"truncated cluster checkpoint: {exc}") from exc
     if offset != len(data):
         raise ClusterError(
             f"{len(data) - offset} trailing bytes after cluster checkpoint"
         )
-    staged = [
-        Frame.decode(blob[_LENGTH.size:]) for blob in frame_blobs
-    ]
     return ClusterCheckpoint(
         next_round=next_round, parties=parties, staged=staged
     )

@@ -25,7 +25,7 @@ The router owns exactly the properties the differential suite pins:
   until the supervisor's checkpoint barrier says ``trim``; the link
   handshake exchanges consumed-round watermarks and resends everything
   the other side is missing, which transparently covers startup
-  ordering, redials, *and* a SIGKILLed worker rejoining from its RPCK2
+  ordering, redials, *and* a SIGKILLed worker rejoining from its RPCK3
   checkpoint;
 * **liveness signals** — link failures are queued for the worker to
   report as ``peerdown`` control messages, and ``progress()`` exposes a
@@ -44,7 +44,6 @@ ambiguous.  No wall-clock reads: all pacing uses event waits.
 from __future__ import annotations
 
 import socket
-import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -52,19 +51,17 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.errors import ClusterError, SerializationError
 from repro.net.bind import open_listener
 from repro.net.party import Frame
+from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 from repro.cluster.meshwire import (
     KIND_HELLO,
     KIND_TRAIN,
     MESH_CHUNK_BYTES,
     TrainAssembler,
     decode_chunk,
-    decode_train_body,
     encode_hello,
-    encode_train_body,
     split_train,
 )
 
-_LENGTH = struct.Struct(">I")
 #: One framed record is one chunk; anything larger is garbage framing.
 _MAX_RECORD = MESH_CHUNK_BYTES + 4096
 

@@ -1,4 +1,4 @@
-"""The mesh data-plane wire format: compact binary frame trains.
+"""The mesh data-plane wire format: chunk records around frame trains.
 
 Party frames travel in a purpose-built binary format spoken directly
 between worker processes (:mod:`repro.cluster.mesh`) — the supervisor
@@ -7,9 +7,8 @@ never sees them, and nothing on this hot path is pickled:
 * a **train** is one worker's batch of frames for one peer in one round
   — the unit of dedup, resend, and the per-round barrier (an *empty*
   train is still sent: "I emitted nothing for you this round");
-* a train body is a struct-packed frame table behind a small string
-  table for obs phases (``round``/``src``/``dst``/``seq``/``phase-id``
-  headers + length-prefixed payloads — no pickle anywhere);
+* a train body is the repo's one frame wire format,
+  :mod:`repro.net.trains` (shared with the runtime's TCP transport);
 * oversized bodies are **chunked**: each chunk record carries the full
   train coordinates (``src``, ``dst``, ``round``, ``train_seq``,
   ``chunk_index``/``num_chunks``) so a receiver can reassemble out of
@@ -19,9 +18,7 @@ never sees them, and nothing on this hot path is pickled:
 Decoders are strict: truncated or corrupted headers raise
 :class:`~repro.errors.SerializationError` (a member of
 :data:`~repro.errors.MALFORMED_INPUT_ERRORS`) — never hang, never
-silently mis-frame.  ``charge_bits`` survives exactly (signed: ``-1``
-means "charge the payload size"), so a received frame is field-for-
-field the frame its sender emitted and digested.
+silently mis-frame.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SerializationError
-from repro.net.party import Frame
 
 #: Chunk record magic + format version (bump on layout changes).
 MESH_MAGIC = b"RPMW"
@@ -44,10 +40,6 @@ KIND_HELLO = 2
 #: magic, version, kind, src_worker, dst_worker, round, train_seq,
 #: chunk_index, num_chunks, payload_len
 _CHUNK = struct.Struct(">4sBBHHIIIII")
-#: sender, recipient, sent_round, deliver_round, charge_bits (signed),
-#: seq, phase_id, payload_len
-_FRAME = struct.Struct(">IIIIqIHI")
-_U32 = struct.Struct(">I")
 _HAVE = struct.Struct(">q")
 
 #: Train bodies above this are split across multiple chunk records, so
@@ -56,8 +48,6 @@ _HAVE = struct.Struct(">q")
 MESH_CHUNK_BYTES = 32 << 20
 #: Sanity bound on one reassembled train body.
 _MAX_TRAIN = 1 << 33
-#: Sanity bound on one frame payload inside a train.
-_MAX_PAYLOAD = 1 << 31
 
 
 @dataclass(frozen=True)
@@ -78,123 +68,6 @@ class MeshChunk:
         if self.kind != KIND_HELLO:
             raise SerializationError("hello_have on a non-hello chunk")
         return _HAVE.unpack(self.payload)[0]
-
-
-# -- train body ---------------------------------------------------------------
-
-
-def encode_train_body(frames: List[Frame]) -> bytes:
-    """Encode one round's frames for one peer (no chunking, no prefix).
-
-    Layout: ``u32 num_phases | (u16 len, utf8)* | u32 num_frames |
-    (frame_header, payload)*`` — the phase string table keeps repeated
-    obs phases to two bytes per frame.
-    """
-    phase_ids: Dict[str, int] = {}
-    for frame in frames:
-        if frame.phase not in phase_ids:
-            phase_ids[frame.phase] = len(phase_ids)
-    if len(phase_ids) > 0xFFFF:
-        raise SerializationError("train carries more than 65535 phases")
-    parts = [_U32.pack(len(phase_ids))]
-    for phase in phase_ids:  # insertion order == id order
-        blob = phase.encode("utf-8")
-        if len(blob) > 0xFFFF:
-            raise SerializationError("phase label exceeds 65535 bytes")
-        parts.append(struct.pack(">H", len(blob)))
-        parts.append(blob)
-    parts.append(_U32.pack(len(frames)))
-    for frame in frames:
-        if len(frame.payload) > _MAX_PAYLOAD:
-            raise SerializationError(
-                f"frame payload exceeds {_MAX_PAYLOAD} bytes"
-            )
-        parts.append(
-            _FRAME.pack(
-                frame.sender,
-                frame.recipient,
-                frame.sent_round,
-                frame.deliver_round,
-                frame.charge_bits,
-                frame.seq,
-                phase_ids[frame.phase],
-                len(frame.payload),
-            )
-        )
-        parts.append(frame.payload)
-    return b"".join(parts)
-
-
-def decode_train_body(body: bytes) -> List[Frame]:
-    """Inverse of :func:`encode_train_body` (strict, no trailing bytes)."""
-    view = memoryview(body)
-    offset = 0
-
-    def need(count: int) -> int:
-        nonlocal offset
-        if offset + count > len(body):
-            raise SerializationError(
-                f"truncated train body at offset {offset} "
-                f"({count} bytes wanted, {len(body) - offset} left)"
-            )
-        start = offset
-        offset += count
-        return start
-
-    (num_phases,) = _U32.unpack_from(view, need(_U32.size))
-    phases: List[str] = []
-    for _ in range(num_phases):
-        (length,) = struct.unpack_from(">H", view, need(2))
-        start = need(length)
-        try:
-            phases.append(bytes(view[start:start + length]).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise SerializationError(
-                f"train phase table is not UTF-8: {exc}"
-            ) from exc
-    (num_frames,) = _U32.unpack_from(view, need(_U32.size))
-    frames: List[Frame] = []
-    for _ in range(num_frames):
-        header = _FRAME.unpack_from(view, need(_FRAME.size))
-        (sender, recipient, sent_round, deliver_round,
-         charge_bits, seq, phase_id, payload_len) = header
-        if deliver_round <= sent_round:
-            raise SerializationError(
-                f"frame claims delivery round {deliver_round} on or "
-                f"before its send round {sent_round}"
-            )
-        if charge_bits < -1:
-            raise SerializationError(
-                f"frame charge {charge_bits} below the -1 "
-                "charge-by-payload sentinel"
-            )
-        if phase_id >= num_phases and not (phase_id == 0 and num_phases == 0):
-            raise SerializationError(
-                f"frame names phase id {phase_id}, table holds {num_phases}"
-            )
-        if payload_len > _MAX_PAYLOAD:
-            raise SerializationError(
-                f"frame payload length {payload_len} exceeds {_MAX_PAYLOAD}"
-            )
-        start = need(payload_len)
-        frames.append(
-            Frame(
-                # lint: allow[TRU001] reason=party ids are checked against the staged routing table by the router/supervisor before any delivery or ledger charge
-                sender=sender,
-                recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against the staged routing table before any delivery or ledger charge
-                payload=bytes(view[start:start + payload_len]),
-                sent_round=sent_round,
-                deliver_round=deliver_round,
-                charge_bits=charge_bits,
-                seq=seq,  # lint: allow[TRU001] reason=seq is an opaque dedup tag; the reconnect replay consumer tolerates arbitrary values
-                phase=phases[phase_id] if phase_id < num_phases else "",
-            )
-        )
-    if offset != len(body):
-        raise SerializationError(
-            f"{len(body) - offset} trailing bytes after train body"
-        )
-    return frames
 
 
 # -- chunk records ------------------------------------------------------------
@@ -379,8 +252,6 @@ __all__ = [
     "MeshChunk",
     "TrainAssembler",
     "decode_chunk",
-    "decode_train_body",
     "encode_hello",
-    "encode_train_body",
     "split_train",
 ]

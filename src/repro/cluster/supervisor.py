@@ -33,7 +33,7 @@ scheduled round.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control messages; party
-# frames are charged via metrics.record_message from the workers' round digests
+# frames are charged via metrics.record_frames from the workers' round digests
 
 from __future__ import annotations
 
@@ -69,6 +69,7 @@ from repro.cluster.wire import (
 from repro.cluster.worker import checkpoint_name
 from repro.errors import ClusterError
 from repro.net.metrics import CommunicationMetrics
+from repro.net.party import Frame
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog, SpanRecord, span_from_wire, span_to_wire
@@ -76,7 +77,10 @@ from repro.runtime.trace import TraceRecorder
 
 #: Durable supervisor state file inside the run directory.
 STATE_FILE = "supervisor.ckpt"
-STATE_FORMAT = "repro-cluster-supervisor/2"
+STATE_FORMAT = "repro-cluster-supervisor/3"
+#: Every checkpoint's trace delta, appended as one chunk (see
+#: :meth:`ClusterSupervisor._save_trace_segment`).
+TRACE_FILE = "trace.seg"
 
 #: Flow-ledger pseudo ids for control-plane endpoints: the supervisor
 #: is :data:`~repro.obs.flow.INFRA` (-2); worker ``w`` is ``-10 - w``.
@@ -194,8 +198,8 @@ class ClusterSupervisor:
         if self.config.flow is not None:
             self.metrics.attach_flow(self.config.flow)
         self.trace = TraceRecorder()
-        # Per-party event counts already persisted to trace-<pid>.seg
-        # delta files (see _save_trace_segments).
+        # Per-party event counts already persisted to trace.seg (see
+        # _save_trace_segment).
         self._trace_saved: Dict[int, int] = {}
         self.outputs: Dict[int, Any] = {}
         self.round_index = 0
@@ -659,7 +663,9 @@ class ClusterSupervisor:
         rows = self._validate_digest_rows(payload.get("digest") or [])
         if rows:
             parties = range(self.job.n)
-            unknown = [row[1] for row in rows if row[1] not in parties]
+            unknown = [
+                row.recipient for row in rows if row.recipient not in parties
+            ]
             if unknown:
                 raise ClusterError(
                     f"worker emitted a frame for unknown party "
@@ -667,10 +673,7 @@ class ClusterSupervisor:
                 )
             # The charges run_parties makes, row for row: each frame
             # under the phase its worker stamped on it.
-            for sender, recipient, bits, phase in rows:
-                self.metrics.record_message(
-                    sender, recipient, bits, phase=phase, kind="frame"
-                )
+            self.metrics.record_frames(rows, kind="frame")
             if self.config.registry is not None:
                 self._frames_routed.inc(len(rows))
         self.outputs.update(payload.get("outputs", {}))
@@ -683,38 +686,37 @@ class ClusterSupervisor:
             )
 
     @staticmethod
-    def _validate_digest_rows(
-        rows: object,
-    ) -> List[Tuple[int, int, int, str]]:
-        """Narrow a worker-reported charge digest to replayable rows.
+    def _validate_digest_rows(rows: object) -> List[Frame]:
+        """Narrow a worker-reported charge digest to chargeable frames.
 
         Digest rows cross the worker pipe, so a compromised or buggy
         worker controls their shape; the ledger replay trusts its input
         types, so everything is checked here before any charge lands.
+        Each ``(sender, recipient, bits, phase)`` row comes back as the
+        payload-less :class:`~repro.net.party.Frame` that charges it.
         """
         if not isinstance(rows, (list, tuple)):
             raise ClusterError("mesh digest is not a row sequence")
-        validated: List[Tuple[int, int, int, str]] = []
+        validated: List[Frame] = []
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != 4:
                 raise ClusterError(f"malformed mesh digest row {row!r}")
             sender, recipient, bits, phase = row
+            # Exact types: a bool is not a party id or a bit count.
             if (
-                not isinstance(sender, int)
-                or not isinstance(recipient, int)
-                or not isinstance(bits, int)
-                or isinstance(sender, bool)
-                or isinstance(recipient, bool)
-                or isinstance(bits, bool)
+                type(sender) is not int
+                or type(recipient) is not int
+                or type(bits) is not int
+                or not isinstance(phase, str)
             ):
                 raise ClusterError(f"malformed mesh digest row {row!r}")
             if bits < 0:
                 raise ClusterError(
                     f"mesh digest row claims negative charge {bits}"
                 )
-            if not isinstance(phase, str):
-                raise ClusterError(f"malformed mesh digest row {row!r}")
-            validated.append((sender, recipient, bits, phase))
+            validated.append(
+                Frame(sender, recipient, b"", charge_bits=bits, phase=phase)
+            )
         return validated
 
     def _await(
@@ -898,41 +900,39 @@ class ClusterSupervisor:
 
     # -- durable supervisor state --------------------------------------------
 
-    def _save_trace_segments(self) -> Dict[int, int]:
-        """Persist per-party trace *deltas*; return authoritative counts.
+    def _save_trace_segment(self) -> Dict[int, int]:
+        """Persist the trace *delta*; return authoritative per-party counts.
 
         Snapshotting the whole trace made every checkpoint O(total
-        events recorded so far); the segment files make a checkpoint
-        O(events since the last one).  Each call appends one pickled
-        ``(start_index, new_events)`` chunk per party with fresh events
-        to ``trace-<pid>.seg`` (fsynced), and the manifest records only
-        the per-party event count.  :func:`read_state` replays the
-        chunks — truncating to each chunk's start index, then to the
-        manifest count — so a chunk re-appended after a crash between
-        the segment write and the manifest rename is harmless, and a
-        resumed trace is byte-identical to the old full-snapshot form
-        (the resume-parity tests pin this).
+        events recorded so far); the segment file makes a checkpoint
+        O(events since the last one) and one ``fsync``.  Each call
+        appends one pickled ``{party_id: (start_index, new_events)}``
+        chunk to ``trace.seg`` — before the manifest's atomic rename —
+        and the manifest records only the per-party event count.
+        :func:`read_state` replays the chunks — truncating each party's
+        stream to its chunk's start index, then to the manifest count —
+        so a chunk re-appended after a crash between the segment fsync
+        and the manifest rename is harmless, and a resumed trace is
+        byte-identical to a full snapshot (the resume-parity tests pin
+        this).
         """
         assert self.run_dir is not None
         counts: Dict[int, int] = {}
+        chunk: Dict[int, Tuple[int, List[Dict[str, Any]]]] = {}
         for party_id in self.trace.party_ids:
             events = self.trace.events_of(party_id)
             counts[party_id] = len(events)
             saved = self._trace_saved.get(party_id, 0)
             if saved > len(events):
                 saved = 0  # fresh recorder in a reused run dir: rewrite
-            if len(events) == saved:
-                continue
-            path = self.run_dir / f"trace-{party_id}.seg"
-            with path.open("ab") as handle:
-                pickle.dump(
-                    (saved, events[saved:]),
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+            if len(events) > saved:
+                chunk[party_id] = (saved, events[saved:])
+        if chunk:
+            with (self.run_dir / TRACE_FILE).open("ab") as handle:
+                pickle.dump(chunk, handle, protocol=pickle.HIGHEST_PROTOCOL)
                 handle.flush()
                 os.fsync(handle.fileno())
-            self._trace_saved[party_id] = len(events)
+            self._trace_saved.update(counts)
         return counts
 
     def _save_state(self, completed: bool) -> None:
@@ -948,9 +948,9 @@ class ClusterSupervisor:
             "outputs": dict(self.outputs),
             "metrics": self.metrics,
             # Delta checkpointing: the manifest carries only per-party
-            # event *counts*; the events live in trace-<pid>.seg files
-            # (read_state materializes "trace_events" from them).
-            "trace_segments": self._save_trace_segments(),
+            # event *counts*; the events live in trace.seg (read_state
+            # materializes "trace_events" from it).
+            "trace_segments": self._save_trace_segment(),
             # Observability carry-over (wire dicts, not live objects):
             # a resumed run keeps the same trace id and does not lose
             # the spans of the rounds before the checkpoint.
@@ -1072,8 +1072,8 @@ def read_state(run_dir: Path) -> Optional[Dict[str, Any]]:
         raise ClusterError(
             f"{path} is not {STATE_FORMAT} supervisor state"
         )
-    # Materialize the per-party event streams from the trace-<pid>.seg
-    # chunk files so every consumer (resume, status, tests) sees them.
+    # Materialize the per-party event streams from trace.seg so every
+    # consumer (resume, status, tests) sees them.
     state["trace_events"] = _read_trace_segments(
         Path(run_dir), state.get("trace_segments", {})
     )
@@ -1083,42 +1083,43 @@ def read_state(run_dir: Path) -> Optional[Dict[str, Any]]:
 def _read_trace_segments(
     run_dir: Path, segments: Dict[int, int]
 ) -> Dict[int, List[Dict[str, Any]]]:
-    """Replay per-party ``trace-<pid>.seg`` delta chunks into streams.
+    """Replay ``trace.seg``'s delta chunks into per-party streams.
 
-    Each chunk is ``(start_index, events)``: the stream is truncated to
-    ``start_index`` and the chunk appended — so re-appended chunks
-    (a crash between the segment fsync and the manifest rename) resolve
-    to the same stream.  The manifest count is authoritative: fewer
-    materialized events than the count is loud corruption; extra events
-    beyond it (a chunk whose manifest never landed) are trimmed.
+    Each chunk maps a party to ``(start_index, events)``: that party's
+    stream is truncated to ``start_index`` and the events appended — so
+    a re-appended chunk (a crash between the segment fsync and the
+    manifest rename) resolves to the same stream.  The manifest count
+    is authoritative: fewer materialized events than the count is loud
+    corruption; extra events beyond it (a chunk whose manifest never
+    landed) are trimmed.
     """
+    path = run_dir / TRACE_FILE
+    streams: Dict[int, List[Dict[str, Any]]] = {}
+    if path.exists():
+        try:
+            with path.open("rb") as handle:
+                while True:
+                    try:
+                        chunk = pickle.load(handle)
+                    except EOFError:
+                        break
+                    for party_id, (start, events) in chunk.items():
+                        stream = streams.setdefault(party_id, [])
+                        del stream[start:]
+                        stream.extend(events)
+        except Exception as exc:  # pickle raises a zoo of types
+            raise ClusterError(
+                f"corrupt trace segment {path}: {exc}"
+            ) from exc
     trace_events: Dict[int, List[Dict[str, Any]]] = {}
     for party_id, count in sorted(segments.items()):
-        path = run_dir / f"trace-{party_id}.seg"
-        events: List[Dict[str, Any]] = []
-        if path.exists():
-            try:
-                with path.open("rb") as handle:
-                    while True:
-                        try:
-                            start, chunk = pickle.load(handle)
-                        except EOFError:
-                            break
-                        del events[start:]
-                        events.extend(chunk)
-            except ClusterError:
-                raise
-            except Exception as exc:  # pickle raises a zoo of types
-                raise ClusterError(
-                    f"corrupt trace segment {path}: {exc}"
-                ) from exc
+        events = streams.get(party_id, [])
         if len(events) < count:
             raise ClusterError(
-                f"trace segments for party {party_id} in {run_dir} "
-                f"hold {len(events)} events; manifest expects {count}"
+                f"trace segment in {run_dir} holds {len(events)} events "
+                f"for party {party_id}; manifest expects {count}"
             )
-        del events[count:]
-        trace_events[party_id] = events
+        trace_events[party_id] = events[:count]
     return trace_events
 
 

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ClusterError
-from repro.net.party import _LENGTH
+from repro.net.trains import _LENGTH
 from repro.utils.serialization import decode_bytes, encode_bytes
 
 # Hard cap on a single wire record.  Logical messages larger than the

@@ -91,7 +91,7 @@ class LintConfig:
     #: return value must be individually guarded.
     tru001_decoder_modules: Tuple[str, ...] = (
         "cluster/wire.py", "cluster/meshwire.py", "serve/wire.py",
-        "net/party.py",
+        "net/trains.py",
     )
 
     #: TRU001: scopes where ``pickle.loads`` results also count as taint
@@ -107,7 +107,8 @@ class LintConfig:
     #: TRU001: ledger-charging method names that are sinks wherever they
     #: are called (the accounting the paper's bit bounds rest on).
     tru001_sink_methods: Tuple[str, ...] = (
-        "record_message", "record_multicast", "charge_functionality",
+        "record_message", "record_multicast", "record_frames",
+        "charge_functionality",
     )
 
     #: TRU001: name fragments that mark a call as a sanitizer — its

@@ -41,7 +41,8 @@ _RAW_CONSTRUCTORS: Set[str] = {
     "os.pipe",
 }
 
-#: The methods that constitute the charge seam.
+#: The methods that constitute the charge seam (``record_frames`` is
+#: not watched: every frame it charges carries its own label).
 _CHARGE_METHODS: Set[str] = {
     "record_message", "record_multicast", "charge_functionality",
 }

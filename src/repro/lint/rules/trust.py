@@ -3,8 +3,8 @@
 In the Byzantine model every byte read off a socket is
 adversary-controlled, so the linter draws an explicit trust boundary
 around the decoder surfaces (``cluster/wire.py``, ``cluster/
-meshwire.py``, ``serve/wire.py``, the runtime ``Frame`` codec, and
-``pickle.loads`` in cluster/serve/runtime scopes) and enforces two
+meshwire.py``, ``serve/wire.py``, the ``net/trains.py`` frame codec,
+and ``pickle.loads`` in cluster/serve/runtime scopes) and enforces two
 disciplines over the :class:`~repro.lint.xmod.project.ProjectUnit`:
 
 **(a) Decoder field strictness.**  Inside a decoder function, every

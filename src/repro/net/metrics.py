@@ -14,11 +14,18 @@ Every charge gets one ``(phase, kind)`` label from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from itertools import groupby
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetworkError
+from repro.net.party import Frame
 from repro.obs.flow import FUNCTIONALITY, FlowLedger
 from repro.obs.spans import charge_label
+
+
+def _charge_key(frame: Frame) -> Tuple[int, int, str]:
+    """What two consecutive frames must share to be one multicast charge."""
+    return frame.sender, frame.bits(), frame.phase
 
 
 @dataclass
@@ -169,6 +176,21 @@ class CommunicationMetrics:
             self._phase_messages.get(phase, 0) + fanout
         )
         return phase
+
+    def record_frames(self, frames: Iterable[Frame], kind: str = "") -> None:
+        """Charge a batch of frames, each under the phase it carries.
+
+        Equal, in every view of the ledger, to one :meth:`record_message`
+        per frame in order.  The lockstep placements charge a round's
+        frames in one call: consecutive frames of one sender with equal
+        bits and phase (a party's fan-out, as the round core emits it)
+        are one :meth:`record_multicast`.
+        """
+        for (sender, num_bits, phase), run in groupby(frames, _charge_key):
+            self.record_multicast(
+                sender, [frame.recipient for frame in run], num_bits,
+                phase=phase, kind=kind,
+            )
 
     def charge_functionality(
         self,

@@ -11,23 +11,15 @@ object, not of the transport).
 :class:`repro.net.rounds.RoundCore` stamps at emit time (true sender,
 sequence number, delivery round, charged bits, obs phase) and what every
 placement — in-memory list, runtime transport, cluster mesh — carries to
-the next round barrier.
+the next round barrier.  Its one wire encoding is the train body of
+:mod:`repro.net.trains`.
 """
 
 from __future__ import annotations
 
 import abc
-import struct
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
-
-from repro.errors import NetworkError
-
-_HEADER = struct.Struct(">BIIIII")  # type, sender, recipient, sent, deliver, charge
-_LENGTH = struct.Struct(">I")
-_TYPE_HELLO = 0
-_TYPE_DATA = 1
-_MAX_FRAME = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -89,57 +81,6 @@ class Frame:
     def bits(self) -> int:
         """Bits charged to the ledger for this frame."""
         return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
-
-    def encode(self) -> bytes:
-        """Length-prefixed wire encoding (used by :class:`TcpTransport`)."""
-        phase_bytes = self.phase.encode("utf-8")
-        body = (
-            _HEADER.pack(
-                _TYPE_DATA, self.sender, self.recipient, self.sent_round,
-                self.deliver_round, self.bits(),
-            )
-            + _LENGTH.pack(self.seq)
-            + _LENGTH.pack(len(phase_bytes)) + phase_bytes
-            + self.payload
-        )
-        if len(body) > _MAX_FRAME:
-            raise NetworkError(f"frame exceeds {_MAX_FRAME} bytes")
-        return _LENGTH.pack(len(body)) + body
-
-    @staticmethod
-    def decode(body: bytes) -> "Frame":
-        """Inverse of :meth:`encode` (without the length prefix)."""
-        if len(body) < _HEADER.size + 2 * _LENGTH.size:
-            raise NetworkError("short frame")
-        kind, sender, recipient, sent, deliver, charge = _HEADER.unpack_from(body)
-        if kind != _TYPE_DATA:
-            raise NetworkError(f"unexpected frame type {kind}")
-        if deliver <= sent:
-            raise NetworkError(
-                f"frame claims delivery round {deliver} on or before "
-                f"its send round {sent}"
-            )
-        (seq,) = _LENGTH.unpack_from(body, _HEADER.size)
-        (phase_len,) = _LENGTH.unpack_from(body, _HEADER.size + _LENGTH.size)
-        phase_start = _HEADER.size + 2 * _LENGTH.size
-        if len(body) < phase_start + phase_len:
-            raise NetworkError("short frame (truncated phase)")
-        try:
-            phase = body[phase_start:phase_start + phase_len].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise NetworkError(f"frame phase is not UTF-8: {exc}") from exc
-        payload = body[phase_start + phase_len:]
-        return Frame(
-            # lint: allow[TRU001] reason=party ids are checked against staged routing tables by the supervisor before any delivery or ledger charge
-            sender=sender,
-            recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against staged routing tables before any delivery or ledger charge
-            payload=payload,
-            sent_round=sent,
-            deliver_round=deliver,
-            charge_bits=charge,  # lint: allow[TRU001] reason=unsigned by wire format; replayed charges are cross-checked by the mesh-vs-run_parties ledger parity gates
-            seq=seq,  # lint: allow[TRU001] reason=seq is an opaque reconnect-dedup tag; the replay consumer tolerates arbitrary values
-            phase=phase,
-        )
 
 
 class Party(abc.ABC):

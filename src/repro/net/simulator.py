@@ -43,11 +43,7 @@ class SynchronousNetwork:
         self._pending = self.core.step_round(
             self.core.round_index, self._pending
         )
-        for frame in self._pending:
-            self.metrics.record_message(
-                frame.sender, frame.recipient, frame.bits(),
-                phase=frame.phase,
-            )
+        self.metrics.record_frames(self._pending)
         self.metrics.end_round()
 
     def run(self, max_rounds: int = 10_000) -> None:

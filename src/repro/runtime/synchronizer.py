@@ -111,8 +111,7 @@ class RoundSynchronizer:
         round_index = self.core.round_index
         due = [f for f in self._staged if f.deliver_round <= round_index]
         self._staged = [f for f in self._staged if f.deliver_round > round_index]
-        for frame in self.core.step_round(round_index, due):
-            await self.transport.send(frame.sender, frame)
+        await self.transport.ship(self.core.step_round(round_index, due))
         # The barrier: nothing sent this round is visible until every
         # in-flight frame has reached its destination buffer.
         await self.transport.flush()

@@ -7,33 +7,49 @@ implementations —
 
 * :class:`AsyncLocalTransport` — in-process delivery over per-party
   buffers guarded by the event loop (the fast path for experiments);
-* :class:`TcpTransport` — real loopback TCP sockets with length-prefixed
-  frames routed through a central authenticated router (the fidelity
+* :class:`TcpTransport` — real loopback TCP sockets carrying
+  length-prefixed *trains* (one sender's frames for one recipient in
+  one round) through a central authenticated router (the fidelity
   path: every message crosses a kernel socket twice).
 
-Both implementations charge every delivered frame to the same
-:class:`~repro.net.metrics.CommunicationMetrics` ledger the synchronous
-simulator uses, so the paper's headline quantity (max bits per party) is
-measured identically regardless of execution substrate.
+The unit of work is the round, as in the paper's model: the round core
+hands :meth:`Transport.ship` everything the parties emitted, and both
+implementations charge the delivered frames a batch at a time to the
+same :class:`~repro.net.metrics.CommunicationMetrics` ledger the
+synchronous simulator uses, so the paper's headline quantity (max bits
+per party) is measured identically regardless of execution substrate.
 
 Authentication is a *transport* property, exactly as in the simulator:
-the sending endpoint/router stamps the true sender id on every frame, so
-a Byzantine party may lie in its payload but cannot spoof the channel.
+the round core stamps the true sender on every frame and the TCP router
+re-stamps each train from its connection's identity, so a Byzantine
+party may lie in its payload but cannot spoof the channel.
 """
 
 from __future__ import annotations
 
 import abc
 import asyncio
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+import struct
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, SerializationError
 from repro.net.bind import start_asyncio_server
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import _HEADER, _LENGTH, _MAX_FRAME, _TYPE_HELLO, Frame
+from repro.net.party import Frame
+from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 from repro.obs.registry import MetricsRegistry
 from repro.utils.randomness import Randomness
+
+#: One TCP record behind its u32 length prefix: ``kind, peer`` and, for a
+#: train, a :mod:`repro.net.trains` body.  ``peer`` is the party a HELLO
+#: introduces; on a train it is the recipient on the way to the router
+#: and the router-stamped sender on the way out.
+_RECORD = struct.Struct(">BI")
+_HELLO = 0
+_TRAIN = 1
+_MAX_RECORD = 1 << 28
+_READ_BYTES = 1 << 18
 
 
 def backoff_schedule(
@@ -63,9 +79,9 @@ def backoff_schedule(
 class Transport(abc.ABC):
     """Moves frames between party endpoints, charging the shared ledger.
 
-    Lifecycle: ``await start()`` → any number of ``await send(...)`` /
-    ``collect(...)`` cycles (with ``await flush()`` between a send burst
-    and the collect that must observe it) → ``await stop()``.
+    Lifecycle: ``await start()`` → any number of ``await ship(...)`` /
+    ``collect(...)`` cycles (with ``await flush()`` between a round's
+    ship and the collect that must observe it) → ``await stop()``.
     """
 
     def __init__(
@@ -119,11 +135,11 @@ class Transport(abc.ABC):
             ("party",),
         )
 
-    def _note_sent(self) -> None:
+    def _note_sent(self, count: int) -> None:
         """Subclasses call this instead of mutating ``_sent`` directly."""
-        self._sent += 1
+        self._sent += count
         if self._registry is not None:
-            self._frames_sent.inc()
+            self._frames_sent.inc(count)
             self._in_flight_gauge.set(self.in_flight)
 
     def _note_reconnect(self) -> None:
@@ -134,41 +150,54 @@ class Transport(abc.ABC):
 
     # -- hooks ---------------------------------------------------------------
 
-    @abc.abstractmethod
     async def start(self) -> None:
         """Bring the transport up (open sockets, spawn pumps)."""
 
-    @abc.abstractmethod
     async def stop(self) -> None:
         """Tear the transport down."""
 
     @abc.abstractmethod
+    async def ship(self, frames: Sequence[Frame]) -> None:
+        """Ship a round's emitted frames, in the round core's order.
+
+        ``frame.sender`` is the true sender (the round core stamped it).
+        """
+
     async def send(self, true_sender: int, frame: Frame) -> None:
-        """Ship one frame; the transport stamps ``true_sender`` on it."""
+        """Ship one frame under ``true_sender``: :meth:`ship`'s one-frame case."""
+        if frame.sender != true_sender:
+            frame = replace(frame, sender=true_sender)
+        await self.ship([frame])
 
     async def flush(self) -> None:
         """Wait until every sent frame has arrived at its destination."""
 
     # -- shared delivery plumbing -------------------------------------------
 
-    def _deliver(self, frame: Frame) -> None:
-        """Accept a frame at its destination and charge the ledger."""
-        if frame.recipient not in self._arrived:
-            raise NetworkError(f"unknown recipient {frame.recipient}")
+    def _check_known(self, frames: Sequence[Frame]) -> None:
+        """Refuse a batch that names a party outside the registry."""
+        for frame in frames:
+            if frame.recipient not in self._arrived:
+                raise NetworkError(f"unknown recipient {frame.recipient}")
+            if frame.sender not in self._arrived:
+                raise NetworkError(f"unknown sender {frame.sender}")
+
+    def _deliver(self, frames: Sequence[Frame]) -> None:
+        """Accept checked frames at their destinations; charge the ledger."""
         # The phase stamped at ship time rides the frame, so it survives
         # the TCP transport's cross-task (cross-contextvar) delivery.
-        self.metrics.record_message(
-            frame.sender, frame.recipient, frame.bits(),
-            phase=frame.phase, kind="frame",
-        )
-        self._arrived[frame.recipient].append(frame)
-        self._delivered += 1
+        self.metrics.record_frames(frames, kind="frame")
+        arrived = self._arrived
+        for frame in frames:
+            arrived[frame.recipient].append(frame)
+        self._delivered += len(frames)
         if self._registry is not None:
-            self._frames_delivered.inc()
+            self._frames_delivered.inc(len(frames))
             self._in_flight_gauge.set(self.in_flight)
-            self._queue_depth.set_max(
-                len(self._arrived[frame.recipient]), party=frame.recipient
-            )
+            for party_id in {frame.recipient for frame in frames}:
+                self._queue_depth.set_max(
+                    len(arrived[party_id]), party=party_id
+                )
 
     def collect(self, party_id: int) -> List[Frame]:
         """Drain (and return) all frames that have arrived for a party."""
@@ -187,34 +216,24 @@ class Transport(abc.ABC):
 class AsyncLocalTransport(Transport):
     """In-process transport: frames hop through the event loop only.
 
-    Delivery is immediate (``send`` completes once the frame is staged at
-    the recipient), so :meth:`flush` is trivially satisfied.  This is the
-    default substrate for differential tests and large-n experiments.
+    Delivery is immediate (``ship`` completes once the frames are staged
+    at their recipients), so :meth:`flush` is trivially satisfied.  This
+    is the default substrate for differential tests and large-n
+    experiments.
     """
 
-    async def start(self) -> None:  # pragma: no cover - trivial
-        return None
-
-    async def stop(self) -> None:  # pragma: no cover - trivial
-        return None
-
-    async def send(self, true_sender: int, frame: Frame) -> None:
-        if true_sender not in self._arrived:
-            raise NetworkError(f"unknown sender {true_sender}")
-        if frame.sender != true_sender:
-            frame = replace(frame, sender=true_sender)
-        self._note_sent()
-        self._deliver(frame)
+    async def ship(self, frames: Sequence[Frame]) -> None:
+        self._check_known(frames)
+        self._note_sent(len(frames))
+        self._deliver(frames)
 
 
 @dataclass
 class _Endpoint:
-    """One party's TCP connection pair (reader pump + writer)."""
+    """One party's TCP connection: its writer and its receive pump."""
 
-    reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
     pump: Optional[asyncio.Task] = None
-    lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
 class TcpTransport(Transport):
@@ -222,22 +241,31 @@ class TcpTransport(Transport):
 
     Topology: one asyncio server (the router) on ``127.0.0.1``; each
     party endpoint opens a single connection and introduces itself with a
-    HELLO frame.  Data frames travel endpoint → router → endpoint as
-    length-prefixed byte strings; the router overwrites the sender field
-    with the connection's registered identity (authenticated channels),
-    mirroring the simulator's sender-stamping.
+    HELLO record.  A round's frames travel endpoint → router → endpoint
+    as *trains* — one length-prefixed record per (sender → recipient)
+    holding a :mod:`repro.net.trains` body — and every endpoint writes
+    its whole round in one ``write`` + ``drain``.  The router never
+    opens a train: it checks the destination, replaces the record's
+    ``peer`` field with the connection's registered identity
+    (authenticated channels, mirroring the simulator's sender-stamping)
+    and forwards the body bytes untouched; the receiving pump decodes
+    strictly and delivers the train's frames under that identity,
+    whatever sender the body claims.
 
     The router intentionally does *not* reorder or drop: scheduling
     adversaries live in :class:`~repro.runtime.faults.FaultPlan`, at the
     delivery layer, where they are seeded and reproducible.
 
-    Resilience: a send that hits a torn endpoint connection re-dials the
-    router on a bounded, seeded :func:`backoff_schedule` (re-HELLO, then
-    retry the write); successful re-dials are counted in
+    Resilience: a round write that hits a torn endpoint connection
+    re-dials the router on a bounded, seeded :func:`backoff_schedule`
+    (re-HELLO, then retry the write); successful re-dials are counted in
     :attr:`~Transport.reconnects` and surfaced through the obs registry
     as ``repro_transport_reconnects_total``.  A preferred ``port`` that
     is already in use is retried on the same schedule before falling
-    back to an OS-assigned port.
+    back to an OS-assigned port.  A malformed record (data before HELLO,
+    oversized length, unknown party, undecodable train) ends the task
+    that read it; the first such error is re-raised by :meth:`flush`
+    and :meth:`stop`, so the barrier fails instead of waiting forever.
     """
 
     def __init__(
@@ -266,7 +294,8 @@ class TcpTransport(Transport):
         self._idle = asyncio.Event()
         self._idle.set()
         self._hello_count = 0
-        self._stopping = False
+        #: The first error that killed a router or pump task.
+        self._failure: Optional[NetworkError] = None
         self.port: Optional[int] = None
         #: Preferred-port bind attempts that hit ``EADDRINUSE``.
         self.bind_retries = 0
@@ -274,7 +303,7 @@ class TcpTransport(Transport):
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        self._stopping = False
+        self._failure = None
         self._server = await self._open_server()
         self.port = self._server.sockets[0].getsockname()[1]
         for party_id in self.party_ids:
@@ -312,16 +341,16 @@ class TcpTransport(Transport):
         reader, writer = await asyncio.open_connection(self._host, self.port)
         # Registered before the HELLO so that `stop()` closes it (and the
         # router handler it woke) even if the introduction fails.
-        endpoint = _Endpoint(reader=reader, writer=writer)
+        endpoint = _Endpoint(writer)
         self._endpoints[party_id] = endpoint
-        hello = _HEADER.pack(_TYPE_HELLO, party_id, 0, 0, 0, 0)
-        writer.write(_LENGTH.pack(len(hello)) + hello)
+        writer.write(_record(_HELLO, party_id))
         await writer.drain()
-        endpoint.pump = asyncio.create_task(self._endpoint_pump(endpoint))
+        endpoint.pump = asyncio.create_task(
+            self._endpoint_pump(party_id, reader)
+        )
         return endpoint
 
     async def stop(self) -> None:
-        self._stopping = True
         # Close the endpoint sides first; EOF then propagates through the
         # router handlers and receive pumps, which all exit cleanly (no
         # task cancellation — cancelling server-owned handler tasks makes
@@ -333,23 +362,13 @@ class TcpTransport(Transport):
                 await endpoint.writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-        for endpoint in self._endpoints.values():
-            if endpoint.pump is not None:
-                try:
-                    await endpoint.pump
-                except asyncio.CancelledError:
-                    pass
-        for pump in self._retired_pumps:
-            try:
-                await pump
-            except asyncio.CancelledError:
-                pass
-        self._retired_pumps.clear()
-        for task in self._router_tasks:
+        pumps = [e.pump for e in self._endpoints.values() if e.pump is not None]
+        for task in (*pumps, *self._retired_pumps, *self._router_tasks):
             try:
                 await task
             except asyncio.CancelledError:
                 pass
+        self._retired_pumps.clear()
         self._router_tasks.clear()
         if self._server is not None:
             self._server.close()
@@ -357,36 +376,42 @@ class TcpTransport(Transport):
             self._server = None
         self._endpoints.clear()
         self._router_writers.clear()
+        if self._failure is not None:
+            raise self._failure
 
     # -- sending ------------------------------------------------------------
 
-    async def send(self, true_sender: int, frame: Frame) -> None:
-        endpoint = self._endpoints.get(true_sender)
-        if endpoint is None:
-            raise NetworkError(f"unknown sender {true_sender}")
-        if frame.recipient not in self._arrived:
-            raise NetworkError(f"unknown recipient {frame.recipient}")
-        if frame.sender != true_sender:
-            # Pre-stamp; the router re-stamps from connection identity, so
-            # even a raw-socket spoofer could not forge this.
-            frame = replace(frame, sender=true_sender)
-        self._note_sent()
+    async def ship(self, frames: Sequence[Frame]) -> None:
+        self._check_known(frames)
+        # sender -> recipient -> that train's frames, all in core order.
+        writes: Dict[int, Dict[int, List[Frame]]] = {}
+        for frame in frames:
+            writes.setdefault(frame.sender, {}).setdefault(
+                frame.recipient, []
+            ).append(frame)
+        self._note_sent(len(frames))
         self._idle.clear()
-        try:
-            async with endpoint.lock:
-                endpoint.writer.write(frame.encode())
-                await endpoint.writer.drain()
-        except (ConnectionError, OSError):
-            await self._resend_with_reconnect(true_sender, frame)
+        for sender, trains in writes.items():
+            payload = b"".join(
+                _record(_TRAIN, recipient, encode_train_body(train))
+                for recipient, train in trains.items()
+            )
+            writer = self._endpoints[sender].writer
+            try:
+                writer.write(payload)
+                await writer.drain()
+            except (ConnectionError, OSError):
+                await self._resend_with_reconnect(sender, payload)
 
     async def _resend_with_reconnect(
-        self, party_id: int, frame: Frame
+        self, party_id: int, payload: bytes
     ) -> None:
         """Re-dial the router on the backoff schedule and retry the write.
 
         Each attempt sleeps its jittered delay, opens a fresh endpoint
         connection, re-HELLOs, waits for the router to register the new
-        identity, and retries the frame.  Exhausting the schedule raises
+        identity, and retries the endpoint's whole round write.
+        Exhausting the schedule raises
         :class:`~repro.errors.NetworkError` — a dead router is a run
         failure, not a silent drop.
         """
@@ -401,9 +426,8 @@ class TcpTransport(Transport):
             await asyncio.sleep(delay)
             try:
                 endpoint = await self._redial(party_id)
-                async with endpoint.lock:
-                    endpoint.writer.write(frame.encode())
-                    await endpoint.writer.drain()
+                endpoint.writer.write(payload)
+                await endpoint.writer.drain()
             except (ConnectionError, OSError) as exc:
                 last_error = exc
                 continue
@@ -431,9 +455,16 @@ class TcpTransport(Transport):
         return endpoint
 
     async def flush(self) -> None:
-        while self._sent != self._delivered:
+        while self._failure is None and self._sent != self._delivered:
             self._idle.clear()
             await self._idle.wait()
+        if self._failure is not None:
+            raise self._failure
+
+    def _fail(self, error: NetworkError) -> None:
+        """Keep the first task-killing error and wake the barrier."""
+        self._failure = self._failure or error
+        self._idle.set()
 
     # -- router side --------------------------------------------------------
 
@@ -444,58 +475,110 @@ class TcpTransport(Transport):
         if task is not None:
             self._router_tasks.append(task)
         identity: Optional[int] = None
+        buffer = bytearray()
         try:
-            while True:
-                body = await _read_frame(reader)
-                if body is None:
-                    return
-                kind = body[0]
-                if kind == _TYPE_HELLO:
-                    (_, claimed, _, _, _, _) = _HEADER.unpack_from(body)
-                    identity = claimed
-                    self._router_writers[claimed] = writer
-                    self._hello_count += 1
-                    continue
-                if identity is None:
-                    raise NetworkError("data frame before HELLO")
-                frame = Frame.decode(body)
-                if frame.sender != identity:
-                    frame = replace(frame, sender=identity)
-                target = self._router_writers.get(frame.recipient)
-                if target is None:
-                    raise NetworkError(
-                        f"router has no endpoint for {frame.recipient}"
-                    )
-                target.write(frame.encode())
-                await target.drain()
-        except (asyncio.IncompleteReadError, ConnectionError):
+            while not reader.at_eof():
+                # No name for the chunk: an idle task would keep it alive.
+                buffer += await reader.read(_READ_BYTES)
+                forwarded: Dict[int, asyncio.StreamWriter] = {}
+                for kind, peer, body in _split_records(buffer):
+                    if peer not in self._arrived:
+                        raise NetworkError(f"record names unknown party {peer}")
+                    if kind == _HELLO:
+                        identity = peer
+                        self._router_writers[peer] = writer
+                        self._hello_count += 1
+                        continue
+                    if identity is None:
+                        raise NetworkError("data record before HELLO")
+                    target = self._router_writers.get(peer)
+                    if target is None:
+                        raise NetworkError(
+                            f"router has no endpoint for {peer}"
+                        )
+                    # Authenticated channels: the train leaves under this
+                    # connection's identity; its body is never opened.
+                    target.write(_record(_TRAIN, identity, body))
+                    forwarded[peer] = target
+                for target in forwarded.values():
+                    await target.drain()
+        except ConnectionError:
             return
+        except NetworkError as exc:
+            self._fail(exc)
+        finally:
+            writer.close()
 
     # -- endpoint receive pump ----------------------------------------------
 
-    async def _endpoint_pump(self, endpoint: _Endpoint) -> None:
+    async def _endpoint_pump(
+        self, party_id: int, reader: asyncio.StreamReader
+    ) -> None:
+        buffer = bytearray()
         try:
-            while True:
-                body = await _read_frame(endpoint.reader)
-                if body is None:
-                    return
-                self._deliver(Frame.decode(body))
+            while not reader.at_eof():
+                buffer += await reader.read(_READ_BYTES)
+                frames: List[Frame] = []
+                for kind, sender, body in _split_records(buffer):
+                    if kind != _TRAIN:
+                        raise NetworkError("router sent a non-train record")
+                    frames += _open_train(party_id, sender, body)
+                self._deliver(frames)
                 if self._sent == self._delivered:
                     self._idle.set()
-        except (asyncio.IncompleteReadError, ConnectionError):
+        except ConnectionError:
             return
+        except NetworkError as exc:
+            self._fail(exc)
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one length-prefixed frame body, or ``None`` on clean EOF."""
+def _record(kind: int, peer: int, body: bytes = b"") -> bytes:
+    """One length-prefixed TCP record."""
+    length = _RECORD.size + len(body)
+    if length > _MAX_RECORD:
+        raise NetworkError(f"record exceeds {_MAX_RECORD} bytes")
+    return _LENGTH.pack(length) + _RECORD.pack(kind, peer) + body
+
+
+def _split_records(buffer: bytearray) -> List[Tuple[int, int, bytes]]:
+    """Cut the complete ``(kind, peer, body)`` records off ``buffer``'s front."""
+    records: List[Tuple[int, int, bytes]] = []
+    offset, size = 0, len(buffer)
+    while size - offset >= _LENGTH.size:
+        (length,) = _LENGTH.unpack_from(buffer, offset)
+        if not _RECORD.size <= length <= _MAX_RECORD:
+            raise NetworkError(f"bad record length {length}")
+        body_start = offset + _LENGTH.size + _RECORD.size
+        end = offset + _LENGTH.size + length
+        if end > size:
+            break
+        kind, peer = _RECORD.unpack_from(buffer, offset + _LENGTH.size)
+        if kind not in (_HELLO, _TRAIN):
+            raise NetworkError(f"unknown record kind {kind}")
+        records.append((kind, peer, bytes(buffer[body_start:end])))
+        offset = end
+    del buffer[:offset]
+    return records
+
+
+def _open_train(party_id: int, sender: int, body: bytes) -> List[Frame]:
+    """Strictly decode a train the router forwarded to ``party_id``.
+
+    The frames come back under the router-stamped ``sender`` — never
+    under a sender field the sending endpoint wrote.
+    """
     try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError:
-        return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > _MAX_FRAME:
-        raise NetworkError(f"oversized frame ({length} bytes)")
-    return await reader.readexactly(length)
+        frames = decode_train_body(body)
+    except SerializationError as exc:
+        raise NetworkError(f"malformed train from {sender}: {exc}") from exc
+    for index, frame in enumerate(frames):
+        if frame.recipient != party_id:
+            raise NetworkError(
+                f"train for {party_id} carries a frame for {frame.recipient}"
+            )
+        if frame.sender != sender:
+            frames[index] = replace(frame, sender=sender)
+    return frames
 
 
 def make_transport(

@@ -9,6 +9,11 @@ leans on it.
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError, NetworkError
@@ -18,6 +23,7 @@ from repro.net.party import AsyncParty, Envelope
 from repro.obs.flow import FlowLedger
 from repro.obs.spans import recording
 from repro.protocols.aba import PHASE_OF_TAG, ABAParty, CommonCoin
+from repro.asynchrony.bench import _aba_cell
 from repro.asynchrony.driver import run_aba
 from repro.asynchrony.scheduler import (
     DEFAULT_PHASE,
@@ -69,6 +75,54 @@ class TestDeterminism:
         assert counters == list(range(1, result.deliveries + 1))
 
 
+# -- pinned schedules ----------------------------------------------------------
+
+BENCH_ABA = (
+    Path(__file__).resolve().parents[2] / "benchmarks/results/BENCH_aba.json"
+)
+
+#: ``run_aba(16, seed=2025, **kwargs)`` as the consumer-task scheduler
+#: delivered it: deliveries, max_bits_per_party, rounds, final corrupted
+#: set and sha256(repr(trace))[:16] — the replay witness, row for row.
+PINNED_SCHEDULES = [
+    ({}, 1605, 819840, 2, [], "6a66fe37deb0bde5"),
+    ({"policy": "adversarial"}, 2352, 1229400, 3, [], "65dc36c1e7710549"),
+    ({"adaptive": "adaptive-coin"},
+     1258, 819360, 2, [0, 2, 4, 6, 8], "c58dd7162ab76e63"),
+    ({"policy": "adversarial", "adaptive": "adaptive-first-aux"},
+     1404, 1228344, 3, [1, 7, 9, 11, 12], "5e501a1a0a9c1599"),
+]
+
+
+class TestPinnedSchedules:
+    """Direct dispatch changed how a delivery reaches ``on_message``,
+    not which delivery is next: committed figures and witnesses hold."""
+
+    def test_committed_bench_cells_reproduce(self):
+        cells = json.loads(BENCH_ABA.read_text())["extra"]["aba_cells"]
+        pinned = [cell for cell in cells if cell["n"] == 16]
+        assert {cell["mode"] for cell in pinned} >= {"fixed", "adversarial"}
+        for cell in pinned:
+            assert _aba_cell(16, cell["seed"], cell["mode"]) == cell
+
+    @pytest.mark.parametrize(
+        "kwargs, deliveries, max_bits, rounds, corrupted, witness",
+        PINNED_SCHEDULES,
+        ids=["latency", "adversarial", "adaptive-coin", "adaptive-adversarial"],
+    )
+    def test_trace_witness_is_unchanged(
+        self, kwargs, deliveries, max_bits, rounds, corrupted, witness
+    ):
+        result = run_aba(16, seed=2025, **kwargs)
+        assert result.deliveries == deliveries
+        assert result.metrics.max_bits_per_party == max_bits
+        assert result.rounds == rounds
+        assert sorted(result.corrupted) == corrupted
+        assert hashlib.sha256(
+            repr(result.trace).encode()
+        ).hexdigest()[:16] == witness
+
+
 # -- attribution ---------------------------------------------------------------
 
 
@@ -116,7 +170,21 @@ class TestAttribution:
 # -- the completion contract -------------------------------------------------
 
 
+class _Exploding(_PlainPinger):
+    """Decides nothing; blows up on its first delivery."""
+
+    def on_message(self, envelope):
+        raise LookupError(f"party {self.party_id} cannot parse this")
+
+
 class TestCompletion:
+    def test_on_message_error_surfaces_from_run_unwrapped(self):
+        scheduler = AsyncScheduler([_PlainPinger(0), _Exploding(1)])
+        with pytest.raises(LookupError, match="party 1 cannot parse"):
+            asyncio.run(scheduler.run())
+        # The delivery that raised is the last row of the witness.
+        assert scheduler.trace[-1][2] == 1
+
     def test_all_honest_parties_decide(self):
         result = run_aba(16, seed=3)
         assert set(result.outputs) == set(range(16))

@@ -128,11 +128,13 @@ def test_bad_magic_rejected():
 
 
 def test_previous_layout_refused_by_name():
-    # RPCK1 carried a per-party tally slot; decoding it as RPCK2 would
-    # misread the tally as the party blob's length prefix.
+    # RPCK1 carried a per-party tally slot (decoding it as a later
+    # layout would misread the tally as the party blob's length prefix);
+    # RPCK2 staged frames in the deleted per-frame TCP encoding.
     blob = encode_checkpoint(ClusterCheckpoint(next_round=0, parties=[]))
-    with pytest.raises(ClusterError, match="RPCK1.*RPCK2"):
-        decode_checkpoint(b"RPCK1" + blob[len(MAGIC):])
+    for previous in (b"RPCK1", b"RPCK2"):
+        with pytest.raises(ClusterError, match=f"{previous.decode()}.*RPCK3"):
+            decode_checkpoint(previous + blob[len(MAGIC):])
 
 
 def test_truncated_checkpoint_rejected():

@@ -16,9 +16,7 @@ from repro.cluster.meshwire import (
     MESH_MAGIC,
     TrainAssembler,
     decode_chunk,
-    decode_train_body,
     encode_hello,
-    encode_train_body,
     split_train,
 )
 from repro.cluster.wire import (
@@ -37,7 +35,8 @@ from repro.errors import (
     ClusterError,
     SerializationError,
 )
-from repro.runtime.transport import Frame, _LENGTH
+from repro.net.party import Frame
+from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 from repro.utils.serialization import encode_sequence
 from tests.strategies import bit_flips, truncations
 

@@ -89,9 +89,9 @@ def test_seeded_wall_clock_in_balanced_ba_fails_the_gate(tmp_path):
     assert violation.symbol == "_seeded_probe"
 
 
-def _meshwire_copy(tmp_path):
-    src = REPO_ROOT / "src" / "repro" / "cluster" / "meshwire.py"
-    dst = tmp_path / "src" / "repro" / "cluster" / "meshwire.py"
+def _wire_module_copy(tmp_path, relative="cluster/meshwire.py"):
+    src = REPO_ROOT / "src" / "repro" / relative
+    dst = tmp_path / "src" / "repro" / relative
     dst.parent.mkdir(parents=True)
     shutil.copy(src, dst)
     return dst, LintConfig(root=tmp_path, paths=("src",))
@@ -100,7 +100,7 @@ def _meshwire_copy(tmp_path):
 def test_deleting_one_mesh_validation_guard_fails_tru001(tmp_path):
     # The acceptance mutation: drop the chunk_index range check from the
     # mesh chunk decoder and the trust-boundary gate must bite.
-    dst, config = _meshwire_copy(tmp_path)
+    dst, config = _wire_module_copy(tmp_path)
     baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
     assert baseline.apply(run_lint(config).violations).new == []
 
@@ -122,9 +122,9 @@ def test_deleting_one_mesh_validation_guard_fails_tru001(tmp_path):
 
 
 def test_reordering_one_frame_pack_field_fails_sch001(tmp_path):
-    # The acceptance mutation: swap sender/recipient in the mesh frame
+    # The acceptance mutation: swap sender/recipient in the train frame
     # encoder and the schema-drift gate must bite on both positions.
-    dst, config = _meshwire_copy(tmp_path)
+    dst, config = _wire_module_copy(tmp_path, "net/trains.py")
     baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
     assert baseline.apply(run_lint(config).violations).new == []
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics, PhaseBreakdown
+from repro.net.party import Frame
 from repro.obs.flow import FlowLedger
 from repro.obs.spans import UNATTRIBUTED, flow_tags, span
 from repro.runtime.replay import RecordingLedger
@@ -178,6 +179,24 @@ _MULTICASTS = st.tuples(
 )
 
 
+def _assert_same_ledger(one, one_flow, many, many_flow):
+    """Two recording ledgers (and their flow ledgers) agree in every view."""
+    assert one.snapshot() == many.snapshot()
+    assert one.phase_breakdown() == many.phase_breakdown()
+    assert one.party_ids == many.party_ids
+    for party in many.party_ids:
+        assert one.bits_by_phase(party) == many.bits_by_phase(party)
+        assert one.tally_of(party) == many.tally_of(party)
+    assert one._phase_messages == many._phase_messages
+    assert one.round_bits == many.round_bits
+    assert one.current_round_bits == many.current_round_bits
+    assert one.script() == many.script()
+    if many_flow is not None:
+        assert one_flow.cells() == many_flow.cells()
+        assert one_flow.summary() == many_flow.summary()
+        assert one_flow.verify_against(one) == []
+
+
 class TestMulticastIsNMessages:
     @given(st.lists(_MULTICASTS, max_size=12), st.booleans())
     def test_one_multicast_equals_the_record_message_loop(
@@ -222,26 +241,72 @@ class TestMulticastIsNMessages:
         one, one_flow, one_phases = run(multicast)
         many, many_flow, many_phases = run(loop)
         assert one_phases == many_phases
-        assert one.snapshot() == many.snapshot()
-        assert one.phase_breakdown() == many.phase_breakdown()
-        assert one.party_ids == many.party_ids
-        for party in many.party_ids:
-            assert one.bits_by_phase(party) == many.bits_by_phase(party)
-            assert one.tally_of(party) == many.tally_of(party)
-        assert one._phase_messages == many._phase_messages
-        assert one.round_bits == many.round_bits
-        assert one.current_round_bits == many.current_round_bits
-        assert one.script() == many.script()
-        if with_flow:
-            assert one_flow.cells() == many_flow.cells()
-            assert one_flow.summary() == many_flow.summary()
-            assert one_flow.verify_against(one) == []
+        _assert_same_ledger(one, one_flow, many, many_flow)
 
     def test_negative_size_is_refused_before_anything_is_charged(self):
         metrics = CommunicationMetrics()
         with pytest.raises(NetworkError):
             metrics.record_multicast(0, [1, 2], -1)
         assert metrics.party_ids == []
+
+
+#: One frame as a lockstep placement charges it: charge_bits=-1 (charge
+#: the payload), non-byte-multiple charges, empty and shared phases, and
+#: few enough parties that (sender, recipient) pairs and whole fan-outs
+#: repeat back to back.
+_FRAMES = st.builds(
+    Frame,
+    sender=_PARTIES,
+    recipient=_PARTIES,
+    payload=st.binary(max_size=3),
+    charge_bits=st.sampled_from([-1, -1, 0, 13, 64]),
+    phase=_PHASES,
+)
+
+#: One round's batch: the span and ambient kind it is charged under, the
+#: caller's kind, the frames, and whether the round closes after it.
+_BATCHES = st.tuples(
+    st.lists(_PHASES.filter(bool), max_size=2),
+    _KINDS,
+    _KINDS,
+    st.lists(_FRAMES, max_size=12),
+    st.booleans(),
+)
+
+
+class TestFramesAreNMessages:
+    @given(st.lists(_BATCHES, max_size=6), st.booleans())
+    def test_one_batch_equals_the_record_message_loop(self, rounds, with_flow):
+        def run(charge):
+            ledger = RecordingLedger()
+            flow = FlowLedger() if with_flow else None
+            ledger.attach_flow(flow)
+            for spans, ambient, kind, frames, closes in rounds:
+                with ExitStack() as stack:
+                    for name in spans:
+                        stack.enter_context(span(name))
+                    if ambient:
+                        stack.enter_context(flow_tags(ambient))
+                    charge(ledger, frames, kind)
+                    if closes:
+                        ledger.end_round()
+            return ledger, flow
+
+        def loop(ledger, frames, kind):
+            for frame in frames:
+                ledger.record_message(
+                    frame.sender, frame.recipient, frame.bits(),
+                    phase=frame.phase, kind=kind,
+                )
+
+        one, one_flow = run(lambda l, frames, kind: l.record_frames(frames, kind))
+        many, many_flow = run(loop)
+        _assert_same_ledger(one, one_flow, many, many_flow)
+
+    def test_an_empty_batch_charges_nothing(self):
+        metrics = CommunicationMetrics()
+        metrics.record_frames([])
+        assert metrics.party_ids == [] and metrics.current_round_bits == 0
 
 
 class TestTallyOfRegression:

@@ -4,14 +4,35 @@ import asyncio
 
 import pytest
 
+from repro.cluster.drivers import record_balanced_ba_script
 from repro.errors import NetworkError
+from repro.net.adversary import prefix_corruption
 from repro.net.metrics import CommunicationMetrics
+from repro.net.trains import decode_train_body, encode_train_body
+from repro.params import ProtocolParameters
+from repro.runtime.replay import (
+    apply_func_ops,
+    build_replay_parties,
+    replay_over_simulator,
+    tallies_equal,
+)
+from repro.runtime.synchronizer import run_parties_async
 from repro.runtime.transport import (
+    _HELLO,
+    _LENGTH,
+    _MAX_RECORD,
+    _TRAIN,
     AsyncLocalTransport,
     Frame,
     TcpTransport,
+    _open_train,
+    _record,
+    _split_records,
     make_transport,
 )
+from repro.srds.base_sigs import HashRegistryBase
+from repro.srds.snark_based import SnarkSRDS
+from repro.utils.randomness import Randomness
 
 
 def run(coroutine):
@@ -19,29 +40,64 @@ def run(coroutine):
 
 
 class TestFrameEncoding:
+    """The TCP record around a train body (``repro.net.trains``)."""
+
     def test_roundtrip(self):
-        frame = Frame(
-            sender=3, recipient=9, payload=b"hello", sent_round=4,
-            deliver_round=7, charge_bits=41, seq=12,
-        )
-        wire = frame.encode()
+        train = [
+            Frame(
+                sender=3, recipient=9, payload=b"hello", sent_round=4,
+                deliver_round=7, charge_bits=41, seq=12, phase="vote",
+            ),
+            Frame(sender=3, recipient=9, payload=b"", sent_round=4,
+                  deliver_round=5, seq=13),
+        ]
+        wire = _record(_TRAIN, 9, encode_train_body(train))
         length = int.from_bytes(wire[:4], "big")
         assert length == len(wire) - 4
-        decoded = Frame.decode(wire[4:])
-        assert decoded == frame
+        # Two records and half a third: only the complete ones come off.
+        buffer = bytearray(_record(_HELLO, 3) + wire + wire[:7])
+        assert _split_records(buffer) == [
+            (_HELLO, 3, b""), (_TRAIN, 9, encode_train_body(train)),
+        ]
+        assert bytes(buffer) == wire[:7]
+        assert _open_train(9, 3, wire[9:]) == train
 
     def test_default_charge_is_payload_bits(self):
         frame = Frame(sender=0, recipient=1, payload=b"abc")
         assert frame.bits() == 24
+        # The -1 sentinel itself crosses the wire, not the derived size.
+        (decoded,) = decode_train_body(encode_train_body([frame]))
+        assert decoded.charge_bits == -1 and decoded.bits() == 24
 
     def test_charge_override(self):
         frame = Frame(sender=0, recipient=1, payload=b"abc", charge_bits=17)
         assert frame.bits() == 17
-        assert Frame.decode(frame.encode()[4:]).bits() == 17
+        (decoded,) = _open_train(1, 0, encode_train_body([frame]))
+        assert decoded.bits() == 17
 
     def test_short_frame_rejected(self):
-        with pytest.raises(NetworkError):
-            Frame.decode(b"\x01\x02")
+        with pytest.raises(NetworkError, match="malformed train from 0"):
+            _open_train(1, 0, b"\x01\x02")
+        with pytest.raises(NetworkError, match="bad record length"):
+            _split_records(bytearray(_LENGTH.pack(2) + b"\x01\x02"))
+
+    def test_oversized_length_rejected_before_the_body_arrives(
+        self, monkeypatch
+    ):
+        with pytest.raises(NetworkError, match="bad record length"):
+            _split_records(bytearray(_LENGTH.pack(_MAX_RECORD + 1)))
+        monkeypatch.setattr("repro.runtime.transport._MAX_RECORD", 64)
+        with pytest.raises(NetworkError, match="record exceeds"):
+            _record(_TRAIN, 0, bytes(64))
+
+    def test_unknown_record_kind_rejected(self):
+        with pytest.raises(NetworkError, match="unknown record kind 7"):
+            _split_records(bytearray(_LENGTH.pack(5) + b"\x07" + bytes(4)))
+
+    def test_train_for_someone_else_rejected(self):
+        body = encode_train_body([Frame(sender=0, recipient=2, payload=b"x")])
+        with pytest.raises(NetworkError, match="carries a frame for 2"):
+            _open_train(1, 0, body)
 
 
 class TestAsyncLocalTransport:
@@ -135,6 +191,141 @@ class TestTcpTransport:
             await transport.stop()
 
         run(main())
+
+
+    def test_train_claiming_another_sender_arrives_under_router_identity(self):
+        async def main():
+            metrics = CommunicationMetrics()
+            transport = TcpTransport([0, 1, 2], metrics)
+            await transport.start()
+            # Party 0's endpoint writes a train whose every frame says
+            # "from party 2": what the receiver sees and what the ledger
+            # charges is the connection's identity, not the body's claim.
+            forged = [
+                Frame(sender=2, recipient=1, payload=b"!", seq=k)
+                for k in range(3)
+            ]
+            transport._note_sent(len(forged))
+            transport._idle.clear()
+            transport._endpoints[0].writer.write(
+                _record(_TRAIN, 1, encode_train_body(forged))
+            )
+            await asyncio.wait_for(transport.flush(), 5.0)
+            assert [f.sender for f in transport.collect(1)] == [0, 0, 0]
+            assert metrics.tally_of(0).messages_sent == 3
+            assert metrics.tally_of(2).messages_sent == 0
+            await transport.stop()
+
+        run(main())
+
+    def test_a_round_is_one_write_per_endpoint(self):
+        # A replayed n=16 pi_ba script over TCP: however many frames a
+        # party emits in a round, its endpoint writes once.
+        n = 16
+        _, script = record_balanced_ba_script(
+            {i: i % 2 for i in range(n)}, prefix_corruption(n, 2),
+            SnarkSRDS(HashRegistryBase()), ProtocolParameters(),
+            Randomness(5),
+        )
+        writes_per_round = []
+
+        class CountingTransport(TcpTransport):
+            writes = 0
+
+            async def _connect_endpoint(self, party_id):
+                endpoint = await super()._connect_endpoint(party_id)
+                write = endpoint.writer.write
+
+                def counted(data):
+                    self.writes += 1
+                    write(data)
+
+                endpoint.writer.write = counted
+                return endpoint
+
+            async def ship(self, frames):
+                before = self.writes
+                await super().ship(frames)
+                writes_per_round.append((self.writes - before, len(frames)))
+
+        async def main():
+            metrics = CommunicationMetrics()
+            await run_parties_async(
+                build_replay_parties(script, n),
+                transport=CountingTransport(list(range(n)), metrics),
+            )
+            return metrics
+
+        metrics = run(main())
+        assert sum(frames for _, frames in writes_per_round) == script.num_messages
+        assert max(frames for _, frames in writes_per_round) > n
+        assert all(writes <= n for writes, _ in writes_per_round)
+        apply_func_ops(script, metrics)
+        assert tallies_equal(metrics, replay_over_simulator(script, n), range(n))
+
+
+class TestDeadTaskFailsTheBarrier:
+    """A router or pump task killed by a bad record must not hang flush()."""
+
+    @staticmethod
+    async def _raw(transport, *records):
+        _, writer = await asyncio.open_connection("127.0.0.1", transport.port)
+        writer.write(b"".join(records))
+        await writer.drain()
+        return writer
+
+    @staticmethod
+    async def _flush_until_failure(transport):
+        while True:
+            await transport.flush()
+            await asyncio.sleep(0.005)
+
+    def _assert_fails(self, records, match, in_flight=None):
+        async def main():
+            transport = TcpTransport([0, 1, 2])
+            await transport.start()
+            raw = await self._raw(transport, *records)
+            try:
+                if in_flight is not None:
+                    await transport.ship([in_flight])
+                with pytest.raises(NetworkError, match=match):
+                    await asyncio.wait_for(
+                        self._flush_until_failure(transport), 5.0
+                    )
+            finally:
+                raw.close()
+                with pytest.raises(NetworkError, match=match):
+                    await asyncio.wait_for(transport.stop(), 5.0)
+
+        run(main())
+
+    def test_data_before_hello(self):
+        train = _record(_TRAIN, 1, encode_train_body([Frame(0, 1, b"x")]))
+        self._assert_fails([train], "data record before HELLO")
+
+    def test_truncated_train_kills_the_pump_not_the_barrier(self):
+        # The record's length prefix is honest; the train inside it stops
+        # mid-frame.  The router forwards it unopened, party 1's pump dies
+        # decoding it — and the frame then shipped to party 1 can never
+        # arrive, which used to leave flush() waiting forever.
+        body = encode_train_body([Frame(2, 1, b"payload")])[:-3]
+        self._assert_fails(
+            [_record(_HELLO, 2), _record(_TRAIN, 1, body)],
+            "malformed train from 2: truncated",
+            in_flight=Frame(0, 1, b"never delivered"),
+        )
+
+    def test_oversized_length(self):
+        self._assert_fails(
+            [_record(_HELLO, 2), _LENGTH.pack(_MAX_RECORD + 1)],
+            "bad record length",
+        )
+
+    def test_unknown_recipient(self):
+        self._assert_fails(
+            [_record(_HELLO, 2), _record(_TRAIN, 9, encode_train_body([]))],
+            "unknown party 9",
+        )
 
 
 class TestFactory:

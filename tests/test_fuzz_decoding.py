@@ -71,7 +71,7 @@ class TestClusterDecoders:
     @_fuzz
     @given(data=garbage)
     def test_mesh_train_body(self, data):
-        from repro.cluster.meshwire import decode_train_body
+        from repro.net.trains import decode_train_body
 
         try:
             frames = decode_train_body(data)
@@ -89,6 +89,91 @@ class TestClusterDecoders:
             assert message.kind
         except LIBRARY_ERRORS:
             pass
+
+
+class TestTrainDecoders:
+    """The one frame wire format and the TCP records that carry it."""
+
+    #: Two phases, the -1 sentinel, a charge that is no byte multiple,
+    #: an empty payload and a repeated (sender, recipient) pair.
+    TRAIN = (
+        ("vote", 17, b"ab"), ("κ/graded-consensus", -1, b"xyz"),
+        ("vote", 0, b""), ("", 4099, b"q" * 9),
+    )
+
+    def _train(self):
+        from repro.net.party import Frame
+
+        return [
+            Frame(2, 5, payload, sent_round=3, deliver_round=4 + k,
+                  charge_bits=bits, seq=k, phase=phase)
+            for k, (phase, bits, payload) in enumerate(self.TRAIN)
+        ]
+
+    def test_round_trip_and_every_truncation(self):
+        from repro.errors import MALFORMED_INPUT_ERRORS
+        from repro.net.trains import decode_train_body, encode_train_body
+
+        body = encode_train_body(self._train())
+        assert decode_train_body(body) == self._train()
+        assert decode_train_body(encode_train_body([])) == []
+        for cut in range(len(body)):
+            with pytest.raises(MALFORMED_INPUT_ERRORS):
+                decode_train_body(body[:cut])
+        with pytest.raises(MALFORMED_INPUT_ERRORS):
+            decode_train_body(body + b"\x00")
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("deliver_round", 3, "delivery round 3 on or before"),
+            ("deliver_round", 0, "delivery round 0 on or before"),
+            ("charge_bits", -2, "below the -1"),
+            ("phase_id", 9, "phase id 9"),
+        ],
+    )
+    def test_out_of_range_header_fields(self, field, value, match):
+        from repro.errors import SerializationError
+        from repro.net.party import Frame
+        from repro.net.trains import _FRAME, decode_train_body, encode_train_body
+
+        body = encode_train_body([Frame(2, 5, b"ab", sent_round=3,
+                                        deliver_round=4, phase="vote")])
+        offset = len(body) - 2 - _FRAME.size
+        header = dict(zip(
+            ("sender", "recipient", "sent_round", "deliver_round",
+             "charge_bits", "seq", "phase_id", "payload_len"),
+            _FRAME.unpack_from(body, offset),
+        ))
+        header[field] = value
+        forged = body[:offset] + _FRAME.pack(*header.values()) + body[-2:]
+        with pytest.raises(SerializationError, match=match):
+            decode_train_body(forged)
+
+    @_fuzz
+    @given(data=garbage)
+    def test_tcp_record_splitter(self, data):
+        from repro.runtime.transport import _split_records
+
+        buffer = bytearray(data)
+        try:
+            records = _split_records(buffer)
+        except LIBRARY_ERRORS:
+            return
+        # Whatever came off the front is accounted for, byte for byte.
+        consumed = sum(9 + len(body) for _, _, body in records)
+        assert consumed + len(buffer) == len(data)
+
+    @_fuzz
+    @given(data=garbage)
+    def test_tcp_train(self, data):
+        from repro.runtime.transport import _open_train
+
+        try:
+            frames = _open_train(1, 0, data)
+        except LIBRARY_ERRORS:
+            return
+        assert all((f.sender, f.recipient) == (0, 1) for f in frames)
 
 
 class TestCryptoDecoders:
