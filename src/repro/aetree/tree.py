@@ -21,7 +21,9 @@ it (f_ae-comm) in :mod:`repro.functionalities.ae_comm`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TreeError
@@ -70,6 +72,26 @@ class CommTree:
         for virtual_id, owner in enumerate(self.virtual_owner):
             self._party_virtuals.setdefault(owner, []).append(virtual_id)
 
+    @cached_property
+    def _levels(self) -> Dict[int, List[TreeNode]]:
+        """Nodes per level, ordered by virtual-id range; built on first use.
+
+        The shape (levels, ranges) never changes after construction; the
+        nodes are held by reference, so a committee assigned later (the
+        elections re-elect ``node.committee``) is seen through the index.
+        """
+        levels: Dict[int, List[TreeNode]] = {}
+        for node in self.nodes.values():
+            levels.setdefault(node.level, []).append(node)
+        for nodes in levels.values():
+            nodes.sort(key=lambda node: node.virtual_range[0])
+        return levels
+
+    @cached_property
+    def _leaf_starts(self) -> List[int]:
+        """Where each leaf's range starts, in ``leaves`` order."""
+        return [node.virtual_range[0] for node in self._levels.get(1, [])]
+
     # -- structural queries ---------------------------------------------------
 
     @property
@@ -95,15 +117,11 @@ class CommTree:
     @property
     def leaves(self) -> List[TreeNode]:
         """All leaf nodes, ordered by virtual-id range."""
-        leaves = [node for node in self.nodes.values() if node.is_leaf]
-        leaves.sort(key=lambda node: node.virtual_range[0])
-        return leaves
+        return list(self._levels.get(1, []))
 
     def level_nodes(self, level: int) -> List[TreeNode]:
         """All nodes at one level, ordered by virtual-id range."""
-        nodes = [node for node in self.nodes.values() if node.level == level]
-        nodes.sort(key=lambda node: node.virtual_range[0])
-        return nodes
+        return list(self._levels.get(level, []))
 
     def owner_of_virtual(self, virtual_id: int) -> int:
         """The real party owning a virtual identity (inverse idmap)."""
@@ -117,7 +135,9 @@ class CommTree:
         """The leaf whose range contains a virtual id."""
         if not 0 <= virtual_id < self.num_virtual:
             raise TreeError(f"virtual id {virtual_id} out of range")
-        for node in self.leaves:
+        position = bisect_right(self._leaf_starts, virtual_id) - 1
+        if position >= 0:
+            node = self._levels[1][position]
             lo, hi = node.virtual_range
             if lo <= virtual_id < hi:
                 return node

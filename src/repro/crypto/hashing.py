@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
-from repro.utils.serialization import canonical_tuple, encode_str
+from repro.utils.serialization import tagged_tuple
 
 DIGEST_BYTES = 32
 
@@ -30,7 +30,7 @@ def hash_domain(domain: str, *fields: bytes) -> bytes:
     tuples under the same domain never collide, and two different domains
     never produce confusable preimages.
     """
-    return hash_bytes(canonical_tuple(encode_str(domain), *fields))
+    return hashlib.sha256(tagged_tuple(domain, fields)).digest()
 
 
 def hash_to_int(domain: str, *fields: bytes) -> int:

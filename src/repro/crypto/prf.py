@@ -8,17 +8,19 @@ receivers check membership ``j in F_s(i)``.  Both directions are served by
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import hmac
-from typing import List
+from typing import List, Tuple
 
-from repro.utils.serialization import canonical_tuple, encode_str, encode_uint
+from repro.utils.serialization import encode_uint, tagged_tuple
 
 
 def prf(key: bytes, domain: str, *fields: bytes) -> bytes:
     """HMAC-SHA256 with injective, domain-separated input encoding."""
-    message = canonical_tuple(encode_str(domain), *fields)
-    return hmac.new(key, message, hashlib.sha256).digest()
+    return hmac.digest(key, tagged_tuple(domain, fields), "sha256")
+
+
+_PRF_RANGE = 1 << 256
 
 
 def prf_int(key: bytes, domain: str, upper_exclusive: int, *fields: bytes) -> int:
@@ -27,9 +29,9 @@ def prf_int(key: bytes, domain: str, upper_exclusive: int, *fields: bytes) -> in
     Rejection sampling over successive counters removes modulo bias; with a
     256-bit PRF output the expected number of iterations is < 2.
     """
-    if upper_exclusive <= 0:
-        raise ValueError("upper_exclusive must be positive")
-    bound = (1 << 256) - ((1 << 256) % upper_exclusive)
+    if not 0 < upper_exclusive <= _PRF_RANGE:
+        raise ValueError("upper_exclusive must lie in [1, 2**256]")
+    bound = _PRF_RANGE - (_PRF_RANGE % upper_exclusive)
     counter = 0
     while True:
         sample = int.from_bytes(
@@ -59,23 +61,32 @@ class SubsetPRF:
 
     def subset(self, party_id: int) -> List[int]:
         """The recipient set F_s(party_id), sorted ascending."""
-        chosen: List[int] = []
-        taken = set()
-        counter = 0
-        while len(chosen) < self._k:
-            candidate = prf_int(
-                self._seed,
-                "subset-prf",
-                self._n,
-                encode_uint(party_id),
-                encode_uint(counter),
-            )
-            counter += 1
-            if candidate not in taken:
-                taken.add(candidate)
-                chosen.append(candidate)
-        return sorted(chosen)
+        return list(_subset(self._seed, self._n, self._k, party_id))
 
     def contains(self, party_id: int, candidate: int) -> bool:
         """Membership test ``candidate in F_s(party_id)`` (step 8, Fig. 3)."""
-        return candidate in self.subset(party_id)
+        return candidate in _subset(self._seed, self._n, self._k, party_id)
+
+
+# F_s(i) is a pure function of (s, n, k, i), and step 8 re-derives
+# F_s(sender) for every message a party receives: one run asks for each
+# of its n sets about k + 1 times.  Bounded, so a long-lived process
+# (the gateway) keeps only its recent seeds.
+@functools.lru_cache(maxsize=1 << 14)
+def _subset(seed: bytes, n: int, k: int, party_id: int) -> Tuple[int, ...]:
+    chosen: List[int] = []
+    taken = set()
+    counter = 0
+    while len(chosen) < k:
+        candidate = prf_int(
+            seed,
+            "subset-prf",
+            n,
+            encode_uint(party_id),
+            encode_uint(counter),
+        )
+        counter += 1
+        if candidate not in taken:
+            taken.add(candidate)
+            chosen.append(candidate)
+    return tuple(sorted(chosen))

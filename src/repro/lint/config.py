@@ -107,8 +107,8 @@ class LintConfig:
     #: TRU001: ledger-charging method names that are sinks wherever they
     #: are called (the accounting the paper's bit bounds rest on).
     tru001_sink_methods: Tuple[str, ...] = (
-        "record_message", "record_multicast", "record_frames",
-        "charge_functionality",
+        "record_message", "record_multicast", "record_exchange",
+        "record_frames", "charge_functionality",
     )
 
     #: TRU001: name fragments that mark a call as a sanitizer — its

@@ -26,7 +26,7 @@ _RAW_SEND_ATTRS: Set[str] = {
 #: indicate a transport-layer object leaking into protocol code.  The
 #: sanctioned seam is ``Party.send`` (an Envelope the simulator charges)
 #: or an explicit ``metrics.record_message`` / ``record_multicast`` /
-#: ``charge_functionality``.
+#: ``record_exchange`` / ``charge_functionality``.
 _TRANSPORT_RECEIVERS: Set[str] = {
     "sock", "socket", "writer", "stream", "queue", "conn", "connection",
     "transport", "channel", "pipe",
@@ -44,7 +44,8 @@ _RAW_CONSTRUCTORS: Set[str] = {
 #: The methods that constitute the charge seam (``record_frames`` is
 #: not watched: every frame it charges carries its own label).
 _CHARGE_METHODS: Set[str] = {
-    "record_message", "record_multicast", "charge_functionality",
+    "record_message", "record_multicast", "record_exchange",
+    "charge_functionality",
 }
 
 
@@ -72,8 +73,8 @@ class RawSendRule(Rule):
             "max_bits_per_party is the paper's headline metric; the "
             "campaign invariants compare it against the polylog budget "
             "from cost_model.pi_ba_per_party_budget.  A byte that leaves "
-            "a party without a record_message/charge_functionality "
-            "charge is invisible to the ledger, so the Õ(1)-bits claim "
+            "a party without a record_message/record_multicast/"
+            "record_exchange/charge_functionality charge is invisible to the ledger, so the Õ(1)-bits claim "
             "would silently stop being checked.  Protocol code sends via "
             "Party.send (the simulator charges the Envelope) or charges "
             "the hybrid-model cost explicitly."
@@ -139,8 +140,9 @@ class UnspannedChargeRule(Rule):
         name="unspanned-metrics-charge",
         severity=Severity.ERROR,
         summary=(
-            "record_message/charge_functionality outside any obs phase "
-            "span in an instrumented protocol"
+            "record_message/record_multicast/record_exchange/"
+            "charge_functionality outside any obs phase span in an "
+            "instrumented protocol"
         ),
         rationale=(
             "PR 2 attributes every ledger charge to the innermost active "

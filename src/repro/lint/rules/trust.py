@@ -21,7 +21,8 @@ return carries such data — computed by a cross-module fixpoint to the
 configured depth) taints its result; attribute access, iteration, and
 method calls propagate the taint.  Tainted values must not reach a sink
 — a call into ``protocols/``/``srds/`` or a ledger-charging method
-(``record_message``/``record_multicast``/``charge_functionality``) —
+(``record_message``/``record_multicast``/``record_exchange``/
+``charge_functionality``) —
 unless narrowed first by a sanitizer call (name contains
 ``validate``/``narrow``/``sanitize``), killed by a raising guard on the
 value, or produced by a strict decoder invoked under ``try/except``

@@ -13,6 +13,7 @@ Every charge gets one ``(phase, kind)`` label from
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -88,7 +89,7 @@ class CommunicationMetrics:
     def attach_flow(self, ledger: Optional[FlowLedger]) -> None:
         """Attach (or detach, with ``None``) a wire-level flow ledger.
 
-        Every subsequent :meth:`record_multicast` /
+        Every subsequent :meth:`record_exchange` /
         :meth:`charge_functionality` is mirrored into the ledger as
         traffic-matrix cells carrying the charge's label.
         """
@@ -98,17 +99,6 @@ class CommunicationMetrics:
     def flow(self) -> Optional[FlowLedger]:
         """The attached flow ledger, if any."""
         return self._flow
-
-    def _tally(self, party_id: int) -> PartyTally:
-        tally = self._tallies.get(party_id)
-        if tally is None:
-            tally = PartyTally()
-            self._tallies[party_id] = tally
-        return tally
-
-    def _attribute(self, party_id: int, phase: str, num_bits: int) -> None:
-        per_party = self._phase_bits.setdefault(party_id, {})
-        per_party[phase] = per_party.get(phase, 0) + num_bits
 
     # -- recording -----------------------------------------------------------
 
@@ -122,10 +112,10 @@ class CommunicationMetrics:
     ) -> str:
         """Charge one point-to-point message of ``num_bits`` bits.
 
-        The one-recipient case of :meth:`record_multicast`.
+        The one-by-one case of :meth:`record_exchange`.
         """
-        return self.record_multicast(
-            sender, (recipient,), num_bits, phase=phase, kind=kind
+        return self.record_exchange(
+            (sender,), (recipient,), num_bits, phase=phase, kind=kind
         )
 
     def record_multicast(
@@ -138,10 +128,35 @@ class CommunicationMetrics:
     ) -> str:
         """Charge the same ``num_bits``-bit message to each recipient.
 
-        Equal, in every view of the ledger, to one point-to-point charge
-        per entry of ``recipients`` in order (a recipient listed twice is
-        sent to twice; none listed charges nothing) — with the label
-        resolved and the sender updated once per fan-out.
+        The one-sender case of :meth:`record_exchange`: a recipient
+        listed twice is sent to twice; none listed charges nothing.
+        """
+        return self.record_exchange(
+            (sender,), recipients, num_bits, phase=phase, kind=kind
+        )
+
+    def record_exchange(
+        self,
+        senders: Sequence[int],
+        recipients: Sequence[int],
+        num_bits: int,
+        phase: str = "",
+        kind: str = "",
+        skip_self: bool = False,
+    ) -> str:
+        """Charge every sender sending ``num_bits`` bits to every recipient.
+
+        The ledger's one wire body.  Equal, in every view of the ledger,
+        to one point-to-point charge per (sender, recipient) pair, sender
+        by sender in the order listed — an id listed twice on either side
+        counts twice — but each party's tally moves once per side it is
+        on, so a committee-to-committee exchange costs
+        O(|senders| + |recipients|) steps, not their product.
+
+        ``skip_self`` describes the traffic, not the bookkeeping: set, a
+        party on both sides sends to every *other* recipient (Fig. 3
+        step 5b); unset, it is charged for the message to itself like any
+        other (step 5d, where a party may sit in both committees).
 
         ``phase`` is the label the message carries, if it carries one (a
         frame's phase, a digest row's phase) and ``kind`` the wire it
@@ -151,29 +166,89 @@ class CommunicationMetrics:
         if num_bits < 0:
             raise NetworkError("message size cannot be negative")
         phase, kind = charge_label(phase, kind, "wire")
-        fanout = len(recipients)
-        if not fanout:
+        num_senders, num_recipients = len(senders), len(recipients)
+        if not num_senders or not num_recipients:
             return phase
-        sender_tally = self._tally(sender)
-        sender_tally.bits_sent += num_bits * fanout
-        sender_tally.messages_sent += fanout
-        sender_tally.peers_sent_to.update(recipients)
-        self._attribute(sender, phase, num_bits * fanout)
-        flow, round_index = self._flow, len(self._round_bits)
+        if skip_self:
+            # How often each party is listed on the other side: the
+            # sends it skips, and the receipts it misses.
+            as_recipient, as_sender = Counter(recipients), Counter(senders)
+        # How a peer set gains the other side, once per party on this
+        # side: a lone peer is added, several are merged from one set.
+        if num_recipients == 1:
+            meet_recipients, sent_to = set.add, recipients[0]
+        else:
+            meet_recipients, sent_to = set.update, set(recipients)
+        if num_senders == 1:
+            meet_senders, received_from = set.add, senders[0]
+        else:
+            meet_senders, received_from = set.update, set(senders)
+        tallies, phase_bits = self._tallies, self._phase_bits
+        messages = 0
+        fanout, fanin = num_recipients, num_senders
+        for sender in senders:
+            if skip_self:
+                fanout = num_recipients - as_recipient.get(sender, 0)
+                if not fanout:
+                    continue
+            messages += fanout
+            try:
+                tally = tallies[sender]
+            except KeyError:
+                tally = tallies[sender] = PartyTally()
+            sent = num_bits * fanout
+            tally.bits_sent += sent
+            tally.messages_sent += fanout
+            peers = tally.peers_sent_to
+            if skip_self and sender not in peers:
+                meet_recipients(peers, sent_to)
+                peers.discard(sender)
+            else:
+                meet_recipients(peers, sent_to)
+            try:
+                phase_bits[sender][phase] += sent
+            except KeyError:
+                phase_bits.setdefault(sender, {})[phase] = sent
+        if not messages:
+            return phase
         for recipient in recipients:
-            recipient_tally = self._tally(recipient)
-            recipient_tally.bits_received += num_bits
-            recipient_tally.messages_received += 1
-            recipient_tally.peers_received_from.add(sender)
-            self._attribute(recipient, phase, num_bits)
-            if flow is not None:
-                flow.charge(
-                    round_index, phase, sender, recipient, num_bits,
-                    kind=kind,
-                )
-        self._current_round_bits += num_bits * fanout
+            if skip_self:
+                fanin = num_senders - as_sender.get(recipient, 0)
+                if not fanin:
+                    continue
+            try:
+                tally = tallies[recipient]
+            except KeyError:
+                tally = tallies[recipient] = PartyTally()
+            received = num_bits * fanin
+            tally.bits_received += received
+            tally.messages_received += fanin
+            peers = tally.peers_received_from
+            if skip_self and recipient not in peers:
+                meet_senders(peers, received_from)
+                peers.discard(recipient)
+            else:
+                meet_senders(peers, received_from)
+            try:
+                phase_bits[recipient][phase] += received
+            except KeyError:
+                phase_bits.setdefault(recipient, {})[phase] = received
+        flow = self._flow
+        if flow is not None:
+            # The traffic matrix is per pair by definition; its cells are
+            # emitted sender-major, as the per-pair charges would.
+            round_index = len(self._round_bits)
+            for sender in senders:
+                for recipient in recipients:
+                    if skip_self and recipient == sender:
+                        continue
+                    flow.charge(
+                        round_index, phase, sender, recipient, num_bits,
+                        kind=kind,
+                    )
+        self._current_round_bits += num_bits * messages
         self._phase_messages[phase] = (
-            self._phase_messages.get(phase, 0) + fanout
+            self._phase_messages.get(phase, 0) + messages
         )
         return phase
 
@@ -230,7 +305,9 @@ class CommunicationMetrics:
         messages = max(1, peers_per_party)
         flow, round_index = self._flow, len(self._round_bits)
         for party_id in participant_list:
-            tally = self._tally(party_id)
+            tally = self._tallies.get(party_id)
+            if tally is None:
+                tally = self._tallies[party_id] = PartyTally()
             tally.bits_sent += sent_half
             tally.bits_received += recv_half
             tally.messages_sent += messages
@@ -241,7 +318,8 @@ class CommunicationMetrics:
             tally.peers_sent_to.update(others)
             tally.peers_received_from.update(others)
             # bits_total grew by exactly bits_per_party (both halves).
-            self._attribute(party_id, phase, bits_per_party)
+            by_phase = self._phase_bits.setdefault(party_id, {})
+            by_phase[phase] = by_phase.get(phase, 0) + bits_per_party
             if flow is not None:
                 # The flow cells mirror the tally split: the sent half
                 # flows p -> FUNCTIONALITY, the received half back, so

@@ -56,18 +56,25 @@ def run_aggregate_sig(
 
     # Majority filter on individual contributions, keyed by wire encoding
     # (CertifiedBaseSignature and SRDSSignature both expose .encode()).
+    # The honest members of a good node submit one shared Aggregate1
+    # output (the same list object), so each distinct list is walked
+    # once and counts for as many members as submitted it.
+    submitted: Dict[int, Sequence[object]] = {}
+    submitters: Counter = Counter()
+    for member_message, filtered in submissions.values():
+        if member_message == message:
+            submitted[id(filtered)] = filtered
+            submitters[id(filtered)] += 1
     support: Counter = Counter()
     by_encoding: Dict[bytes, object] = {}
-    for member_message, filtered in submissions.values():
-        if member_message != message:
-            continue
+    for key, filtered in submitted.items():
         seen_here = set()
         for item in filtered:
             encoding = item.encode()
             if encoding in seen_here:
                 continue
             seen_here.add(encoding)
-            support[encoding] += 1
+            support[encoding] += submitters[key]
             by_encoding.setdefault(encoding, item)
     surviving = [
         by_encoding[encoding]

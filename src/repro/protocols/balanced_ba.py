@@ -26,6 +26,8 @@ outputs of bad tree nodes, and extra messages in the final boost round.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aetree.analysis import is_good_node
@@ -300,9 +302,11 @@ class BalancedBA:
 
         # Step 4: every party signs for each virtual identity and sends
         # the signature to its leaf committee.
-        leaf_inboxes: Dict[int, Dict[int, List[SRDSSignature]]] = {
-            leaf.node_id: {member: [] for member in leaf.committee}
-            for leaf in tree.leaves
+        leaves = tree.leaves
+        # What each leaf committee receives: (sender, signature) in
+        # sending order, the same for every member.
+        leaf_mail: Dict[int, List[Tuple[int, SRDSSignature]]] = {
+            leaf.node_id: [] for leaf in leaves
         }
         with span("base-sign"):
             for party in range(self.n):
@@ -318,13 +322,18 @@ class BalancedBA:
                     if signature is None:
                         continue
                     leaf = tree.leaf_of_virtual(virtual_id)
-                    self.metrics.record_multicast(
-                        party, leaf.committee, 8 * len(signature.encode())
+                    leaf_mail[leaf.node_id].append((party, signature))
+            # Charged leaf by leaf in tree order — a party's virtual ids
+            # ascend, so each sender's sends stay in virtual-id order —
+            # one exchange per run of senders with equal signature size.
+            for leaf in leaves:
+                for bits, run in groupby(
+                    leaf_mail[leaf.node_id],
+                    key=lambda sent: 8 * len(sent[1].encode()),
+                ):
+                    self.metrics.record_exchange(
+                        [sender for sender, _ in run], leaf.committee, bits
                     )
-                    for recipient in leaf.committee:
-                        leaf_inboxes[leaf.node_id][recipient].append(
-                            signature
-                        )
 
         # Step 5: recursive aggregation up the tree.
         node_outputs: Dict[int, Optional[SRDSSignature]] = {}
@@ -332,7 +341,7 @@ class BalancedBA:
             with span("srds-aggregate", level=level):
                 for node in tree.level_nodes(level):
                     inbox = self._node_inbox(
-                        tree, node, leaf_inboxes, node_outputs
+                        tree, node, leaf_mail, node_outputs
                     )
                     node_outputs[node.node_id] = self._aggregate_node(
                         tree, node, inbox, pp, verification_keys,
@@ -385,16 +394,19 @@ class BalancedBA:
         self,
         tree: CommTree,
         node: TreeNode,
-        leaf_inboxes: Dict[int, Dict[int, List[SRDSSignature]]],
+        leaf_mail: Dict[int, List[Tuple[int, SRDSSignature]]],
         node_outputs: Dict[int, Optional[SRDSSignature]],
     ) -> Dict[int, List[SRDSSignature]]:
         """S_sig^{i,l,1}: per-member received signatures for this node."""
         if node.is_leaf:
+            signatures = [
+                signature for _, signature in leaf_mail[node.node_id]
+            ]
             return {
                 member: self._delivered_order(
                     signatures, f"leaf/{node.node_id}/{member}"
                 )
-                for member, signatures in leaf_inboxes[node.node_id].items()
+                for member in node.committee
             }
         inbox: Dict[int, List[SRDSSignature]] = {
             member: [] for member in node.committee
@@ -406,11 +418,10 @@ class BalancedBA:
                 continue
             encoded_bits = 8 * len(child_output.encode())
             # Step 5d: every member of the child sends sigma_v to every
-            # member of the parent.
-            for sender in child.committee:
-                self.metrics.record_multicast(
-                    sender, node.committee, encoded_bits
-                )
+            # member of the parent (itself included, if it sits in both).
+            self.metrics.record_exchange(
+                child.committee, node.committee, encoded_bits
+            )
             for recipient in node.committee:
                 inbox[recipient].extend(
                     [child_output] * len(child.committee)
@@ -441,17 +452,20 @@ class BalancedBA:
         # S_sig^{i,l,1} is a *set*: duplicates received from multiple
         # senders are collapsed before re-broadcasting.
         union: Dict[bytes, SRDSSignature] = {}
+        set_bits: List[int] = []
         for member in members:
             received = inbox.get(member, [])
             unique: Dict[bytes, SRDSSignature] = {}
             for signature in received:
                 unique.setdefault(signature.encode(), signature)
-            set_bits = 8 * sum(len(encoding) for encoding in unique)
-            self.metrics.record_multicast(
-                member, [peer for peer in members if peer != member], set_bits
-            )
+            set_bits.append(8 * sum(len(encoding) for encoding in unique))
             if not self.plan.is_corrupt(member):
                 union.update(unique)
+        # One exchange per run of members whose sets weigh the same.
+        for bits, run in groupby(zip(set_bits, members), key=itemgetter(0)):
+            self.metrics.record_exchange(
+                [member for _, member in run], members, bits, skip_self=True
+            )
 
         if not good:
             # Bad node: the adversary controls the output.

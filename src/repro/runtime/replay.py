@@ -10,7 +10,7 @@ re-executes it as :class:`~repro.net.party.Party` state machines:
 
 1. run π_ba (or any metered execution) with a :class:`RecordingLedger`
    — the protocol computes its outputs exactly as before, while every
-   ``record_multicast`` / ``charge_functionality`` call is also appended
+   ``record_exchange`` / ``charge_functionality`` call is also appended
    to a script — with the phase label the ledger filed it under —
    segmented into replay rounds;
 2. build one :class:`ReplayParty` per party; its round-``k`` step emits
@@ -129,21 +129,27 @@ class RecordingLedger(CommunicationMetrics):
         self._segments: List[ReplaySegment] = []
         self._current = ReplaySegment()
 
-    def record_multicast(
+    def record_exchange(
         self,
-        sender: int,
+        senders: Sequence[int],
         recipients: Sequence[int],
         num_bits: int,
         phase: str = "",
         kind: str = "",
+        skip_self: bool = False,
     ) -> str:
-        phase = super().record_multicast(
-            sender, recipients, num_bits, phase=phase, kind=kind
+        phase = super().record_exchange(
+            senders, recipients, num_bits,
+            phase=phase, kind=kind, skip_self=skip_self,
         )
-        if recipients:
-            self._current.sends.setdefault(sender, []).extend(
-                (recipient, num_bits, phase) for recipient in recipients
+        sends = [(recipient, num_bits, phase) for recipient in recipients]
+        for sender in senders:
+            mine = (
+                [send for send in sends if send[0] != sender]
+                if skip_self else sends
             )
+            if mine:
+                self._current.sends.setdefault(sender, []).extend(mine)
         return phase
 
     def charge_functionality(

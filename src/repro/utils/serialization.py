@@ -77,7 +77,11 @@ def decode_bytes(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
 def encode_sequence(items: Sequence[bytes]) -> bytes:
     """Encode a sequence of byte strings (count-prefixed, each length-prefixed)."""
     parts = [encode_uint(len(items))]
-    parts.extend(encode_bytes(item) for item in items)
+    append = parts.append
+    for item in items:
+        size = len(item)
+        append(_ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
+        append(item)
     return b"".join(parts)
 
 
@@ -129,7 +133,32 @@ def canonical_tuple(*fields: bytes) -> bytes:
     make the encoding prefix-free per field, so distinct tuples never
     collide as byte strings.
     """
-    return encode_sequence(list(fields))
+    return encode_sequence(fields)
+
+
+@functools.lru_cache(maxsize=1024)
+def _tagged_head(tag: str, num_fields: int) -> bytes:
+    """Everything of a tagged tuple that precedes its fields: the count
+    and the domain tag's field.  Tags are a handful of constants, so each
+    is encoded once (per arity) instead of once per hash."""
+    return encode_uint(num_fields + 1) + encode_bytes(encode_str(tag))
+
+
+def tagged_tuple(domain: str, fields: Sequence[bytes]) -> bytes:
+    """:func:`canonical_tuple` of the :func:`encode_str`-ed domain and the
+    fields, byte for byte.
+
+    The preimage of every domain-separated hash and PRF call — hence
+    :func:`encode_sequence`'s loop repeated here rather than called: a
+    call per hash is measurable at ~13 000 hashes per n=64 execution.
+    """
+    parts = [_tagged_head(domain, len(fields))]
+    append = parts.append
+    for item in fields:
+        size = len(item)
+        append(_ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
+        append(item)
+    return b"".join(parts)
 
 
 def bit_length(blob: bytes) -> int:

@@ -1,11 +1,15 @@
 """Tests for the almost-everywhere communication tree."""
 
-import pytest
+import dataclasses
 
-from repro.aetree.tree import build_tree
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.aetree.tree import CommTree, build_tree
 from repro.errors import TreeError
 from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
+from repro.utils.randomness import Randomness
 
 
 @pytest.fixture
@@ -80,6 +84,79 @@ class TestStructure:
             nodes = tree.level_nodes(level)
             ranges = [node.virtual_range for node in nodes]
             assert ranges == sorted(ranges)
+
+
+def _leaf_by_scan(tree, virtual_id):
+    """The lookup as a linear scan over every node (the oracle)."""
+    for node in tree.nodes.values():
+        lo, hi = node.virtual_range
+        if node.is_leaf and lo <= virtual_id < hi:
+            return node
+    return None
+
+
+class TestLevelIndex:
+    """``leaves`` / ``level_nodes`` / ``leaf_of_virtual`` are served from
+    a per-level index built once; they must answer as a scan would."""
+
+    @given(
+        st.sampled_from([4, 5, 8, 16, 33, 64]),
+        st.sampled_from([1, 3, 5, 20]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_leaf_of_virtual_equals_the_linear_scan(self, n, leaf_factor, seed):
+        # leaf_factor=20 at n=4 is the forced-two-leaves case.
+        params = dataclasses.replace(
+            ProtocolParameters(), leaf_factor=leaf_factor
+        )
+        tree = build_tree(n, params, Randomness(seed))
+        for virtual_id in range(tree.num_virtual):
+            assert tree.leaf_of_virtual(virtual_id) is _leaf_by_scan(
+                tree, virtual_id
+            )
+        for outside in (-1, tree.num_virtual, tree.num_virtual + 7):
+            with pytest.raises(TreeError):
+                tree.leaf_of_virtual(outside)
+
+    def test_level_queries_equal_the_scan(self, tree):
+        for level in range(0, tree.height + 2):
+            scanned = sorted(
+                (node for node in tree.nodes.values() if node.level == level),
+                key=lambda node: node.virtual_range[0],
+            )
+            assert tree.level_nodes(level) == scanned
+        assert tree.leaves == tree.level_nodes(1)
+
+    def test_a_gap_between_leaves_is_not_covered(self, tree):
+        leaf = tree.leaves[3]
+        lo, hi = leaf.virtual_range
+        leaf.virtual_range = (lo, hi - 1)
+        fresh = CommTree(
+            tree.n, tree.z, tree.z_star, tree.virtual_owner, tree.nodes,
+            tree.root_id,
+        )
+        with pytest.raises(TreeError, match="no leaf covers"):
+            fresh.leaf_of_virtual(hi - 1)
+        assert fresh.leaf_of_virtual(hi - 2) is leaf
+
+    def test_queries_return_fresh_lists(self, tree):
+        leaves = tree.leaves
+        leaves.clear()
+        assert len(tree.leaves) > 0 and tree.leaves is not tree.leaves
+        level = tree.level_nodes(2)
+        level.reverse()
+        assert tree.level_nodes(2) == level[::-1]
+
+    def test_a_committee_assigned_after_the_first_query_is_visible(self, tree):
+        # build_tree_via_elections reads the levels, then re-elects
+        # node.committee in place.
+        node = tree.level_nodes(2)[0]
+        leaf = tree.leaves[0]
+        node.committee = (1, 2, 3)
+        leaf.committee = (4, 5)
+        assert tree.level_nodes(2)[0].committee == (1, 2, 3)
+        assert tree.leaves[0].committee == (4, 5)
+        assert tree.leaf_of_virtual(0).committee == (4, 5)
 
 
 class TestConstruction:

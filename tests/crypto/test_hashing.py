@@ -71,3 +71,54 @@ class TestTruncatedHash:
     def test_below_128_bits_refused(self):
         with pytest.raises(ValueError):
             hashing.truncated_hash("d", 8, b"x")
+
+
+#: Fields on both sides of the one-byte length table (127 | 128) and far
+#: beyond it.
+_F127 = bytes(range(127))
+_F128 = bytes(range(128))
+_BIG = bytes(i % 251 for i in range(20000))
+
+
+class TestKnownAnswers:
+    """Digests computed at 59d0be6, before the tagged-tuple encoder: the
+    preimage encoding (and so every signature, Merkle root and trace
+    fingerprint built on it) must not move by a byte."""
+
+    @pytest.mark.parametrize("fields, digest", [
+        ((), "75f8f6777213b940c16e91c0429ccb0e2d9618d93c461f9811a71922eabc21a1"),
+        ((b"x",),
+         "8af4c571529592e3e90b956ed865d4ae50442a6869501dacc08065c5ed2430ae"),
+        ((b"", b"ab", b"\x00" * 32),
+         "7a0ac1c7433052a31d13630fac0df7499f0894514a27bb9d0bf72c5b05674eee"),
+        ((b"", _F127, _F128, _BIG),
+         "a3ae6a82cee3a27c628c9d84acc2ec8496fda86911d0d8039cb8643f749b7608"),
+    ])
+    def test_hash_domain(self, fields, digest):
+        assert hashing.hash_domain("repro/test", *fields).hex() == digest
+        assert hashing.hash_to_int("repro/test", *fields) == int(digest, 16)
+
+    def test_non_ascii_domain(self):
+        assert hashing.hash_domain("δομή/§3.1", b"x", _F128).hex() == (
+            "3041f9af0ac4331ea43ba3db53f463554c4defc899b014eb34cfc76c2eaf3098"
+        )
+
+    def test_hash_chain(self):
+        assert hashing.hash_chain("repro/chain", []).hex() == (
+            "34713cf90614c01c4ff9c1cee9d0a30a34a626b5b92ec5a86521c56957bb9c89"
+        )
+        assert hashing.hash_chain(
+            "repro/chain", [b"a" * 32, b"b" * 32, b""]
+        ).hex() == (
+            "7a4fe193874556bf6e7b9523cd625bb9eb30b329610755042b1cf900059d72a0"
+        )
+
+    def test_truncated_hash(self):
+        assert hashing.truncated_hash("repro/test", 16, b"x").hex() == (
+            "8af4c571529592e3e90b956ed865d4ae"
+        )
+        assert hashing.truncated_hash(
+            "repro/test", 32, b"", _F127, _F128, _BIG
+        ).hex() == (
+            "a3ae6a82cee3a27c628c9d84acc2ec8496fda86911d0d8039cb8643f749b7608"
+        )

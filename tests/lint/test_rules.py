@@ -138,8 +138,8 @@ def test_exc001_accepts_narrow_reraise_logged_and_justified():
 def test_obs001_flags_charges_outside_spans():
     result = lint_fixture("obs_bad")
     ids = rule_ids_of(result)
-    # bare charge + bare multicast + uncovered helper
-    assert ids.count("OBS001") == 3
+    # bare charge + bare multicast + bare exchange + uncovered helper
+    assert ids.count("OBS001") == 4
 
 
 def test_obs001_span_coverage_is_transitive():

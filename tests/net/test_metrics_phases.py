@@ -3,7 +3,7 @@
 from contextlib import ExitStack
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
@@ -180,18 +180,26 @@ _MULTICASTS = st.tuples(
 
 
 def _assert_same_ledger(one, one_flow, many, many_flow):
-    """Two recording ledgers (and their flow ledgers) agree in every view."""
+    """Two ledgers (and their flow ledgers) agree in every view, the
+    order of a party's phase keys and of the flow cells included."""
     assert one.snapshot() == many.snapshot()
     assert one.phase_breakdown() == many.phase_breakdown()
+    assert list(one.phase_breakdown()) == list(many.phase_breakdown())
     assert one.party_ids == many.party_ids
     for party in many.party_ids:
-        assert one.bits_by_phase(party) == many.bits_by_phase(party)
+        assert list(one.bits_by_phase(party).items()) == list(
+            many.bits_by_phase(party).items()
+        )
         assert one.tally_of(party) == many.tally_of(party)
-    assert one._phase_messages == many._phase_messages
+    assert list(one._phase_messages.items()) == list(
+        many._phase_messages.items()
+    )
     assert one.round_bits == many.round_bits
     assert one.current_round_bits == many.current_round_bits
-    assert one.script() == many.script()
+    if isinstance(many, RecordingLedger):
+        assert one.script() == many.script()
     if many_flow is not None:
+        assert list(one_flow._cells.items()) == list(many_flow._cells.items())
         assert one_flow.cells() == many_flow.cells()
         assert one_flow.summary() == many_flow.summary()
         assert one_flow.verify_against(one) == []
@@ -248,6 +256,108 @@ class TestMulticastIsNMessages:
         with pytest.raises(NetworkError):
             metrics.record_multicast(0, [1, 2], -1)
         assert metrics.party_ids == []
+
+
+#: One exchange: the span nesting and ambient kind it is made under, the
+#: label it carries, (senders, recipients, bits) — ids repeated on either
+#: side, sides that overlap, empty sides and zero bits included —,
+#: whether a party on both sides skips itself, and what closes the step.
+_EXCHANGES = st.tuples(
+    st.lists(_PHASES.filter(bool), max_size=2),
+    _KINDS,
+    _PHASES,
+    _KINDS,
+    st.tuples(
+        st.lists(_PARTIES, max_size=6), st.lists(_PARTIES, max_size=6),
+        st.sampled_from([0, 0, 1, 13, 64, 4096]),
+    ),
+    st.booleans(),
+    st.sampled_from(["", "end_round", "functionality"]),
+)
+
+
+class TestExchangeIsOneMulticastPerSender:
+    @given(
+        st.lists(_EXCHANGES, max_size=10),
+        st.sampled_from([CommunicationMetrics, RecordingLedger]),
+        st.booleans(),
+    )
+    # Everyone skips everything: no tally, phase key or send may appear.
+    @example(
+        steps=[([], "", "kssv", "", ([2, 2], [2], 8), True, "")],
+        ledger_class=RecordingLedger,
+        with_flow=True,
+    )
+    def test_one_exchange_equals_the_record_multicast_loop(
+        self, steps, ledger_class, with_flow
+    ):
+        def run(charge):
+            ledger = ledger_class()
+            flow = FlowLedger() if with_flow else None
+            ledger.attach_flow(flow)
+            returned = []
+            for spans, ambient, phase, kind, traffic, skip_self, closing in steps:
+                with ExitStack() as stack:
+                    for name in spans:
+                        stack.enter_context(span(name))
+                    if ambient:
+                        stack.enter_context(flow_tags(ambient))
+                    returned.append(
+                        charge(ledger, *traffic, phase, kind, skip_self)
+                    )
+                    if closing == "end_round":
+                        ledger.end_round()
+                    elif closing == "functionality":
+                        ledger.charge_functionality([0, 1], 64, 1)
+            return ledger, flow, returned
+
+        def exchange(
+            ledger, senders, recipients, bits, phase, kind, skip_self
+        ):
+            return [
+                ledger.record_exchange(
+                    senders, recipients, bits,
+                    phase=phase, kind=kind, skip_self=skip_self,
+                )
+            ] * len(senders)
+
+        def loop(ledger, senders, recipients, bits, phase, kind, skip_self):
+            return [
+                ledger.record_multicast(
+                    sender,
+                    [
+                        recipient for recipient in recipients
+                        if not (skip_self and recipient == sender)
+                    ],
+                    bits, phase=phase, kind=kind,
+                )
+                for sender in senders
+            ]
+
+        one, one_flow, one_phases = run(exchange)
+        many, many_flow, many_phases = run(loop)
+        assert one_phases == many_phases
+        _assert_same_ledger(one, one_flow, many, many_flow)
+
+    def test_skip_self_keeps_a_peer_known_from_an_earlier_charge(self):
+        # Skipping the message to oneself must not forget that an earlier
+        # charge did cross that edge.
+        metrics = CommunicationMetrics()
+        metrics.record_message(0, 0, 8)
+        metrics.record_exchange([0, 1], [0, 1], 8, skip_self=True)
+        assert metrics.tally_of(0).peers_sent_to == {0, 1}
+        assert metrics.tally_of(0).peers_received_from == {0, 1}
+        assert metrics.tally_of(1).peers_sent_to == {0}
+        assert metrics.tally_of(1).peers_received_from == {0}
+
+    def test_negative_size_is_refused_before_anything_is_charged(self):
+        ledger = RecordingLedger()
+        flow = FlowLedger()
+        ledger.attach_flow(flow)
+        with pytest.raises(NetworkError):
+            ledger.record_exchange([0, 1], [1, 2], -1, skip_self=True)
+        assert ledger.party_ids == [] and ledger.current_round_bits == 0
+        assert ledger.script().num_messages == 0 and flow.cells() == []
 
 
 #: One frame as a lockstep placement charges it: charge_bits=-1 (charge

@@ -103,3 +103,63 @@ class TestCharging:
         run_aggregate_sig(scheme, pp, members, submissions, metrics)
         for member in members:
             assert metrics.tally_of(member).bits_total > 0
+
+
+class TestSharedSubmissionLists:
+    """The honest members of a good node hand in one shared Aggregate1
+    output; the functionality walks each distinct list object once.  That
+    is bookkeeping: the aggregate and the charge depend on the contents."""
+
+    def _run(self, deployment, members, submissions):
+        scheme, pp, _, _ = deployment
+        metrics = CommunicationMetrics()
+        result = run_aggregate_sig(scheme, pp, members, submissions, metrics)
+        return (
+            result.encode() if result is not None else None,
+            [metrics.tally_of(member) for member in members],
+        )
+
+    def test_shared_equal_and_interleaved_lists_agree(self, deployment):
+        message = b"m"
+        common = _filtered(deployment, message, range(10))
+        extra = _filtered(deployment, message, range(10, 13))
+        members = list(range(7))
+        wider = common + extra
+        shared = {m: (message, common) for m in members[:4]}
+        shared.update({m: (message, wider) for m in members[4:6]})
+        distinct = {
+            m: (message, list(filtered)) for m, (_, filtered) in shared.items()
+        }
+        # The wider list first and between the others: first-seen order
+        # of the support keys differs, the outcome may not.
+        interleaved = {
+            members[4]: (message, wider), members[0]: (message, common),
+            members[5]: (message, list(wider)), members[1]: (message, common),
+            members[2]: (message, list(common)), members[3]: (message, common),
+        }
+        outcome = self._run(deployment, members, shared)
+        assert outcome[0] is not None
+        assert self._run(deployment, members, distinct) == outcome
+        assert self._run(deployment, members, interleaved) == outcome
+
+    def test_a_shared_list_counts_once_per_submitter(self, deployment):
+        scheme, pp, _, _ = deployment
+        message = b"m"
+        common = _filtered(deployment, message, range(10))
+        extra = _filtered(deployment, message, range(10, 13))
+        members = list(range(7))
+        # Four of seven is a majority, three is not — whether the three
+        # share one list object or not.
+        submissions = {m: (message, common) for m in members[:4]}
+        shared_extra = common + extra
+        submissions.update({m: (message, shared_extra) for m in members[4:]})
+        result = run_aggregate_sig(
+            scheme, pp, members, submissions, CommunicationMetrics()
+        )
+        assert result.count == 10
+        # An item repeated inside one list still counts once for it.
+        doubled = common + common
+        submissions = {m: (message, doubled) for m in members[:3]}
+        assert run_aggregate_sig(
+            scheme, pp, members, submissions, CommunicationMetrics()
+        ) is None

@@ -1,0 +1,105 @@
+"""A call budget for pi_ba: the m^2 interpreter loops must not creep back.
+
+Wall-clock gains are claimed through ``benchmarks/layers``; this is the
+part of that claim a unit test can hold: *how many calls one execution
+makes*.  The count needs no clock and repeats exactly on one interpreter.
+"""
+
+import os
+import sys
+from collections import Counter
+
+import repro
+from repro.net.adversary import random_corruption
+from repro.params import ProtocolParameters
+from repro.protocols.balanced_ba import run_balanced_ba
+from repro.srds.base_sigs import HashRegistryBase
+from repro.srds.snark_based import SnarkSRDS
+from repro.utils.randomness import Randomness
+
+_PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+_N = 32
+_SEED = 2021
+
+#: Calls of the same run at 59d0be6, the commit before the committee
+#: became the unit of work (exchange charges, tagged-tuple encoder, tree
+#: index, memoised pure functions).
+_PARENT_CALLS = 438_104
+
+#: Per source file: (calls at 59d0be6, calls when this test was written,
+#: ceiling).  Each ceiling leaves the measured count 10-40 % of room and
+#: sits below what undoing the named piece costs (in brackets).
+_CEILINGS = {
+    # one multicast per sender again: m^2 tally updates [24 748]
+    "net/metrics.py": (112_637, 5_962, 8_000),
+    # encode_str -> canonical_tuple -> encode_sequence -> genexpr ->
+    # encode_bytes per hash [183 700]; F_s recomputed per message [134 437]
+    "utils/serialization.py": (217_541, 113_202, 124_000),
+    # filter + sort of every node per `leaves` access [16 175]
+    "aetree/tree.py": (16_175, 4_950, 7_000),
+    # every member's copy of the shared Aggregate1 output walked [9 101]
+    "protocols/aggregate_mpc.py": (9_101, 1_558, 2_200),
+    # SubsetPRF.subset without its memo [7 900]
+    "crypto/prf.py": (7_873, 1_369, 1_900),
+}
+
+
+def _count_calls(n, seed):
+    """Calls made *by the package's own code* during one run: Python
+    functions defined in it, and C functions called from its frames.
+
+    Calls inside the standard library (hmac, dataclasses, collections)
+    and comprehension/lambda frames are left out: they differ between
+    interpreter versions, the package's own call sites do not.
+    """
+    params = ProtocolParameters()
+    rng = Randomness(seed)
+    plan = random_corruption(
+        n, params.max_corruptions(n), rng.fork("corruption")
+    )
+    inputs = {party: party % 2 for party in range(n)}
+    per_file = Counter()
+
+    def profile(frame, event, _arg):
+        if event != "call" and event != "c_call":
+            return
+        code = frame.f_code
+        if not code.co_filename.startswith(_PACKAGE):
+            return
+        if event == "call" and code.co_name.startswith("<"):
+            return
+        per_file[code.co_filename[len(_PACKAGE):].replace(os.sep, "/")] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run_balanced_ba(
+            inputs, plan, SnarkSRDS(HashRegistryBase()), params,
+            rng.fork("run"),
+        )
+    finally:
+        sys.setprofile(None)
+    assert result.agreement and result.validity
+    return per_file
+
+
+def test_one_n32_run_stays_within_its_call_budget():
+    """n=32, hash-base SnarkSRDS, seed 2021, counted on a warm process.
+
+    59d0be6: 438 104 calls.  This commit: 189 879 (0.433 x).  The gate
+    is 0.6 x the parent's count overall, and a ceiling per source file
+    (``_CEILINGS``) so that undoing any one of the exchange charges, the
+    tagged-tuple encoder, the tree index or the memoised pure functions
+    fails here — by name — long before a benchmark is run.
+
+    The first run fills the process-wide memos (domain heads, F_s
+    subsets of this seed) whatever ran before this test; the second run
+    is the one counted, so the number does not depend on test order.
+    """
+    _count_calls(_N, _SEED)
+    counted = _count_calls(_N, _SEED)
+    again = _count_calls(_N, _SEED)
+    assert counted == again, "the count must repeat exactly"
+    total = sum(counted.values())
+    assert total <= 0.6 * _PARENT_CALLS, (total, counted.most_common(8))
+    for source, (_, _, ceiling) in _CEILINGS.items():
+        assert counted[source] <= ceiling, (source, counted[source], ceiling)

@@ -67,12 +67,25 @@ class TestBytes:
 
 
 class TestSequence:
-    @given(st.lists(st.binary(max_size=64), max_size=20))
+    # Item lengths straddle the one-byte length table (127 | 128).
+    @given(st.lists(st.binary(max_size=300), max_size=20))
     def test_roundtrip(self, items):
         encoded = ser.encode_sequence(items)
+        assert encoded == ser.encode_uint(len(items)) + b"".join(
+            ser.encode_bytes(item) for item in items
+        )
         decoded, offset = ser.decode_sequence(encoded)
         assert decoded == items
         assert offset == len(encoded)
+
+    @given(st.text(max_size=20), st.lists(st.binary(max_size=300), max_size=6))
+    def test_tagged_tuple_is_the_canonical_tuple_behind_its_domain(
+        self, domain, fields
+    ):
+        assert ser.tagged_tuple(domain, fields) == ser.canonical_tuple(
+            ser.encode_str(domain), *fields
+        )
+        assert ser.canonical_tuple(*fields) == ser.encode_sequence(fields)
 
     def test_empty_sequence(self):
         assert ser.decode_sequence(ser.encode_sequence([])) == ([], 1)
