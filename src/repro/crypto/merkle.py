@@ -1,16 +1,20 @@
 """Merkle trees over the CRH substrate.
 
-The SNARK-based SRDS commits to the set of base signatures seen at a leaf
-committee with a Merkle root; inclusion proofs let experiments audit a
-claimed count without shipping the whole set (succinctness, Def. 2.2).
+The SNARK-based SRDS commits to the verification-key vector with a Merkle
+root; a leaf committee's Aggregate2 input authenticates the keys of its
+whole batch of base signatures with one batch opening
+(:class:`MerkleMultiProof`) without touching the other keys
+(succinctness, Def. 2.2).  Single authentication paths
+(:class:`MerkleProof`) serve the many-time signatures of
+:mod:`repro.crypto.merkle_sig`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
-from repro.crypto.hashing import hash_domain
+from repro.crypto.hashing import DIGEST_BYTES, hash_domain
 from repro.errors import CryptoError
 from repro.utils.serialization import (
     decode_bytes,
@@ -63,6 +67,131 @@ class MerkleProof:
         return len(self.encode())
 
 
+@encode_once
+@dataclass(frozen=True)
+class MerkleMultiProof:
+    """One batch opening: the leaves at ``indices`` authenticate together.
+
+    Paths of nearby leaves share almost every node, so the opening
+    carries each needed node once: a digest is listed only when it can
+    be computed neither from the opened leaves nor from digests below
+    it.  Which nodes those are follows from ``leaf_count`` and
+    ``indices`` alone (the tree's promotion rule), so the siblings need
+    no side flags — they are listed level by level bottom-up, left to
+    right within a level.
+
+    ``leaf_count`` fixes the shape the verifier walks; the root does not
+    commit to it, so a verifier that knows the width of the committed
+    vector must compare it (an index is only as bound to its position
+    as the leaf content makes it — exactly as with :class:`MerkleProof`).
+
+    Attributes:
+        leaf_count: width of the tree the opening was cut from.
+        indices: the opened leaf positions, strictly ascending.
+        siblings: the digests the verifier cannot derive.
+    """
+
+    leaf_count: int
+    indices: Tuple[int, ...]
+    siblings: Tuple[bytes, ...]
+
+    def encode(self) -> bytes:
+        """Canonical wire form: width, indices, sibling digests."""
+        parts = [encode_uint(self.leaf_count), encode_uint(len(self.indices))]
+        parts.extend(encode_uint(index) for index in self.indices)
+        parts.append(encode_uint(len(self.siblings)))
+        parts.extend(encode_bytes(digest) for digest in self.siblings)
+        return b"".join(parts)
+
+    @classmethod
+    def decode(
+        cls, data: bytes, offset: int = 0
+    ) -> Tuple["MerkleMultiProof", int]:
+        """Inverse of :meth:`encode`; returns ``(proof, next_offset)``.
+
+        Strict: anything :func:`root_from_multiproof` would refuse on
+        shape alone (no index, an index not above its predecessor or not
+        below ``leaf_count``), a sibling that is not a digest and any
+        count the remaining bytes cannot hold is a :class:`CryptoError`
+        here, before anything is built from it.
+        """
+        leaf_count, pos = decode_uint(data, offset)
+        count, pos = decode_uint(data, pos)
+        if count > len(data) - pos:
+            raise CryptoError("multiproof index count out of range")
+        indices = []
+        for _ in range(count):
+            index, pos = decode_uint(data, pos)
+            indices.append(index)
+        _check_opened_indices(leaf_count, indices)
+        count, pos = decode_uint(data, pos)
+        if count > len(data) - pos:
+            raise CryptoError("multiproof sibling count out of range")
+        siblings = []
+        for _ in range(count):
+            digest, pos = decode_bytes(data, pos)
+            if len(digest) != DIGEST_BYTES:
+                raise CryptoError("multiproof sibling is not a digest")
+            siblings.append(digest)
+        return cls(leaf_count, tuple(indices), tuple(siblings)), pos
+
+    def size_bytes(self) -> int:
+        """Wire size of the opening."""
+        return len(self.encode())
+
+
+def _check_opened_indices(leaf_count: int, indices: Sequence[int]) -> None:
+    if not indices:
+        raise CryptoError("a batch opening opens at least one leaf")
+    previous = -1
+    for index in indices:
+        if not previous < index < leaf_count:
+            raise CryptoError(
+                "opened indices must be strictly ascending and in range"
+            )
+        previous = index
+
+
+#: How a node met at one level of a batch opening gets its parent.
+_PROMOTED, _JOINED, _SUPPLIED = range(3)
+
+
+def _opening_walk(
+    leaf_count: int, indices: Sequence[int]
+) -> Iterator[List[Tuple[int, int]]]:
+    """The walk of a batch opening of ``indices``, level by level
+    bottom-up: for every parent to compute, left to right, its first
+    known child's position and how that child is completed —
+    ``_JOINED`` with the next known node, ``_SUPPLIED`` a sibling by the
+    opening, or ``_PROMOTED`` alone (the unpaired last node).
+
+    The one statement of which digests an opening carries: the prover
+    reads the supplied ones off the tree, the verifier consumes them in
+    this order.  ``indices`` must be strictly ascending and in range.
+    """
+    width, known = leaf_count, list(indices)
+    while width > 1:
+        steps: List[Tuple[int, int]] = []
+        position = 0
+        while position < len(known):
+            node = known[position]
+            sibling = node ^ 1
+            if (
+                sibling > node
+                and position + 1 < len(known)
+                and known[position + 1] == sibling
+            ):
+                steps.append((node, _JOINED))
+                position += 1
+            elif sibling < width:
+                steps.append((node, _SUPPLIED))
+            else:
+                steps.append((node, _PROMOTED))
+            position += 1
+        yield steps
+        width, known = (width + 1) >> 1, [node >> 1 for node, _ in steps]
+
+
 class MerkleTree:
     """A binary Merkle tree over an ordered sequence of byte-string leaves.
 
@@ -110,6 +239,28 @@ class MerkleTree:
             index //= 2
         return MerkleProof(leaf_index=leaf_index, siblings=tuple(siblings))
 
+    def prove_many(self, indices: Sequence[int]) -> MerkleMultiProof:
+        """One batch opening for the leaves at ``indices``.
+
+        ``indices`` must be non-empty, strictly ascending and in range.
+        Never larger than the single paths of the same leaves together,
+        and at most two siblings per level for a contiguous run.
+        """
+        indices = tuple(indices)
+        _check_opened_indices(self.leaf_count, indices)
+        siblings: List[bytes] = []
+        for level, steps in zip(
+            self._levels, _opening_walk(self.leaf_count, indices)
+        ):
+            siblings.extend(
+                level[node ^ 1] for node, how in steps if how == _SUPPLIED
+            )
+        return MerkleMultiProof(
+            leaf_count=self.leaf_count,
+            indices=indices,
+            siblings=tuple(siblings),
+        )
+
 
 def root_from_proof(leaf: bytes, proof: MerkleProof) -> bytes:
     """The root implied by a leaf and an authentication path."""
@@ -120,6 +271,41 @@ def root_from_proof(leaf: bytes, proof: MerkleProof) -> bytes:
         else:
             digest = hash_domain(_NODE_DOMAIN, sibling, digest)
     return digest
+
+
+def root_from_multiproof(
+    leaves: Sequence[bytes], proof: MerkleMultiProof
+) -> bytes:
+    """The root implied by the leaves at ``proof.indices`` (in that
+    order) and a batch opening.
+
+    Raises :class:`CryptoError` unless the opening is well formed for
+    its own ``leaf_count``: one leaf per index, indices strictly
+    ascending and in range, and exactly the siblings the walk consumes.
+    """
+    _check_opened_indices(proof.leaf_count, proof.indices)
+    if len(leaves) != len(proof.indices):
+        raise CryptoError("a batch opening needs one leaf per opened index")
+    digests = [hash_domain(_LEAF_DOMAIN, leaf) for leaf in leaves]
+    siblings = iter(proof.siblings)
+    try:
+        for steps in _opening_walk(proof.leaf_count, proof.indices):
+            known = iter(digests)
+            digests = []
+            for node, how in steps:
+                digest = next(known)
+                if how == _JOINED:
+                    digest = hash_domain(_NODE_DOMAIN, digest, next(known))
+                elif how == _SUPPLIED and node & 1:
+                    digest = hash_domain(_NODE_DOMAIN, next(siblings), digest)
+                elif how == _SUPPLIED:
+                    digest = hash_domain(_NODE_DOMAIN, digest, next(siblings))
+                digests.append(digest)
+    except StopIteration:
+        raise CryptoError("batch opening is missing siblings") from None
+    if next(siblings, None) is not None:
+        raise CryptoError("batch opening carries unused siblings")
+    return digests[0]
 
 
 def verify_inclusion(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:

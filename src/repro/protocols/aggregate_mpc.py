@@ -55,7 +55,7 @@ def run_aggregate_sig(
     message = message_counts.most_common(1)[0][0]
 
     # Majority filter on individual contributions, keyed by wire encoding
-    # (CertifiedBaseSignature and SRDSSignature both expose .encode()).
+    # (every item a scheme's Aggregate1 outputs exposes .encode()).
     # The honest members of a good node submit one shared Aggregate1
     # output (the same list object), so each distinct list is walked
     # once and counts for as many members as submitted it.

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.aetree.analysis import is_good_node
@@ -340,11 +339,11 @@ class BalancedBA:
         for level in range(1, tree.height + 1):
             with span("srds-aggregate", level=level):
                 for node in tree.level_nodes(level):
-                    inbox = self._node_inbox(
+                    received = self._node_inbox(
                         tree, node, leaf_mail, node_outputs
                     )
                     node_outputs[node.node_id] = self._aggregate_node(
-                        tree, node, inbox, pp, verification_keys,
+                        tree, node, received, pp, verification_keys,
                         pair_message,
                     )
         certificate = node_outputs.get(tree.root_id)
@@ -396,21 +395,13 @@ class BalancedBA:
         node: TreeNode,
         leaf_mail: Dict[int, List[Tuple[int, SRDSSignature]]],
         node_outputs: Dict[int, Optional[SRDSSignature]],
-    ) -> Dict[int, List[SRDSSignature]]:
-        """S_sig^{i,l,1}: per-member received signatures for this node."""
+    ) -> List[SRDSSignature]:
+        """S_sig^{i,l,1}: what every member of this node receives, in
+        sending order — one multiset for the whole committee; only the
+        within-round delivery order can differ between members."""
         if node.is_leaf:
-            signatures = [
-                signature for _, signature in leaf_mail[node.node_id]
-            ]
-            return {
-                member: self._delivered_order(
-                    signatures, f"leaf/{node.node_id}/{member}"
-                )
-                for member in node.committee
-            }
-        inbox: Dict[int, List[SRDSSignature]] = {
-            member: [] for member in node.committee
-        }
+            return [signature for _, signature in leaf_mail[node.node_id]]
+        received: List[SRDSSignature] = []
         for child_id in node.children:
             child = tree.nodes[child_id]
             child_output = node_outputs.get(child_id)
@@ -422,22 +413,14 @@ class BalancedBA:
             self.metrics.record_exchange(
                 child.committee, node.committee, encoded_bits
             )
-            for recipient in node.committee:
-                inbox[recipient].extend(
-                    [child_output] * len(child.committee)
-                )
-        return {
-            member: self._delivered_order(
-                received, f"node/{node.node_id}/{member}"
-            )
-            for member, received in inbox.items()
-        }
+            received.extend([child_output] * len(child.committee))
+        return received
 
     def _aggregate_node(
         self,
         tree: CommTree,
         node: TreeNode,
-        inbox: Dict[int, List[SRDSSignature]],
+        received: List[SRDSSignature],
         pp,
         verification_keys: Dict[int, bytes],
         pair_message: bytes,
@@ -450,39 +433,52 @@ class BalancedBA:
         # Step 5b: within-committee broadcast of received sets (charged
         # at actual encoded sizes); honest members end with the union.
         # S_sig^{i,l,1} is a *set*: duplicates received from multiple
-        # senders are collapsed before re-broadcasting.
-        union: Dict[bytes, SRDSSignature] = {}
-        set_bits: List[int] = []
-        for member in members:
-            received = inbox.get(member, [])
-            unique: Dict[bytes, SRDSSignature] = {}
-            for signature in received:
-                unique.setdefault(signature.encode(), signature)
-            set_bits.append(8 * sum(len(encoding) for encoding in unique))
-            if not self.plan.is_corrupt(member):
-                union.update(unique)
-        # One exchange per run of members whose sets weigh the same.
-        for bits, run in groupby(zip(set_bits, members), key=itemgetter(0)):
-            self.metrics.record_exchange(
-                [member for _, member in run], members, bits, skip_self=True
-            )
+        # senders are collapsed before re-broadcasting.  Every member
+        # holds the same multiset, so the set is keyed and weighed once,
+        # in the delivery order of the first honest member — the order
+        # the union of the honest members' sets comes out in.
+        kind = "leaf" if node.is_leaf else "node"
+        first = (honest_members or members)[0]
+        unique: Dict[bytes, SRDSSignature] = {}
+        for signature in self._delivered_order(
+            received, f"{kind}/{node.node_id}/{first}"
+        ):
+            unique.setdefault(signature.encode(), signature)
+        set_bits = 8 * sum(len(encoding) for encoding in unique)
+        self.metrics.record_exchange(
+            members, members, set_bits, skip_self=True
+        )
+        union = list(unique.values()) if honest_members else []
 
         if not good:
             # Bad node: the adversary controls the output.
-            view = list(union.values())
             if self.adversary.bad_node_output is None:
                 return None
-            return self.adversary.bad_node_output(node, pair_message, view)
+            return self.adversary.bad_node_output(node, pair_message, union)
 
-        # Step 5c: Aggregate1 + Fig. 3 range checks (identical for every
-        # honest member since the union is common; computed once).
-        filtered = self.scheme.aggregate1(
-            pp, verification_keys, pair_message, list(union.values())
-        )
+        # Step 5c: Fig. 3 range checks + Aggregate1 (identical for every
+        # honest member since the union is common; computed once).  A
+        # base signature's check reads its index only, so it is applied
+        # first — it commutes with Aggregate1's per-index verify and
+        # dedup — and whatever a scheme's Aggregate1 attaches to its
+        # surviving base signatures covers exactly those that enter
+        # f_aggr-sig.  Of Aggregate1's output, every item that states an
+        # index range (an aggregate, whatever type the scheme wraps it
+        # in) is checked; what states none is a base signature already
+        # checked, or material that belongs to those.
+        in_range = [
+            signature
+            for signature in union
+            if not signature.is_base
+            or self._range_check_passes(tree, node, signature)
+        ]
         filtered = [
             item
-            for item in filtered
-            if self._range_check_passes(tree, node, item)
+            for item in self.scheme.aggregate1(
+                pp, verification_keys, pair_message, in_range
+            )
+            if not hasattr(item, "min_index")
+            or self._range_check_passes(tree, node, item)
         ]
         submissions = {
             member: (pair_message, filtered) for member in honest_members
@@ -492,11 +488,11 @@ class BalancedBA:
         )
 
     def _range_check_passes(self, tree: CommTree, node: TreeNode,
-                            item: object) -> bool:
-        """The step-5c index-range check (can be disabled for ablation E7
-        by subclassing)."""
+                            signature) -> bool:
+        """The step-5c index-range check of anything that states its
+        ``min_index``/``max_index`` (can be disabled for ablation E7 by
+        subclassing)."""
         lo_bound, hi_bound = node.virtual_range
-        signature = getattr(item, "base", item)  # CertifiedBaseSignature
         if node.is_leaf:
             return (
                 signature.min_index == signature.max_index

@@ -25,14 +25,13 @@ from repro.crypto.snark import SnarkSystem
 from repro.errors import MALFORMED_INPUT_ERRORS
 from repro.srds.base import PublicParameters, SRDSSignature
 from repro.srds.snark_based import (
-    CertifiedBaseSignature,
     SnarkAggregateSignature,
     SnarkSRDS,
     _CHAIN_DOMAIN,
     _INTERNAL_RELATION,
     _LEAF_RELATION,
     _cached_vk_tree,
-    _prove_leaf,
+    _leaf_and_child_parts,
 )
 from repro.utils.serialization import canonical_tuple, encode_sequence
 
@@ -71,7 +70,7 @@ class NoRangeCheckSnarkSRDS(SnarkSRDS):
         snark_system: SnarkSystem = pp.extra["snark"]
         tree = _cached_vk_tree(pp, verification_keys)
         message_tag = hash_domain("srds/message-tag", message)
-        certified: Dict[int, CertifiedBaseSignature] = {}
+        bases: List[SRDSSignature] = []
         aggregates: List[SnarkAggregateSignature] = []
         for signature in signatures:
             if isinstance(signature, SnarkAggregateSignature):
@@ -89,13 +88,14 @@ class NoRangeCheckSnarkSRDS(SnarkSRDS):
                 ):
                     aggregates.append(signature)
             else:
-                # Base signatures still go through the honest path.
-                for item in super().aggregate1(
-                    pp, verification_keys, message, [signature]
-                ):
-                    if isinstance(item, CertifiedBaseSignature):
-                        certified.setdefault(item.base.index, item)
-        return [certified[i] for i in sorted(certified)] + aggregates
+                bases.append(signature)
+        # Base signatures still go through the honest path, on their own
+        # (beside an aggregate they would be dropped for containment):
+        # certified survivors and the one opening over their indices.
+        return (
+            super().aggregate1(pp, verification_keys, message, bases)
+            + aggregates
+        )
 
     def aggregate2(
         self,
@@ -105,13 +105,9 @@ class NoRangeCheckSnarkSRDS(SnarkSRDS):
     ) -> Optional[SnarkAggregateSignature]:
         snark_system: SnarkSystem = pp.extra["snark"]
         message_tag = hash_domain("srds/message-tag", message)
-        bases = [f for f in filtered if isinstance(f, CertifiedBaseSignature)]
-        aggregates = [
-            f for f in filtered if isinstance(f, SnarkAggregateSignature)
-        ]
-        parts: List[SnarkAggregateSignature] = list(aggregates)
-        if bases:
-            parts.append(_prove_leaf(snark_system, message, message_tag, bases))
+        parts = _leaf_and_child_parts(
+            snark_system, message, message_tag, filtered
+        )
         if not parts:
             return None
         if len(parts) == 1:

@@ -14,7 +14,10 @@ Two relations are registered with the (simulated) SNARK system:
 * ``leaf``: "I know ``count`` base signatures with distinct indices in
   ``[min, max]``, each valid under the verification key committed at its
   index in the vk Merkle root carried by the statement, chaining to the
-  statement's digest."
+  statement's digest."  The keys are authenticated by *one* batch
+  opening of the commitment for the whole batch, not a path per
+  signature: the paths of one leaf's contiguous virtual ids share almost
+  every node, and the opening carries each node once.
 * ``internal``: "I know child aggregates with verifying proofs, the same
   message and vk root, pairwise-disjoint index ranges, whose counts sum
   to ``count`` and whose digests chain to the statement's digest."
@@ -31,15 +34,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_chain, hash_domain
 from repro.crypto.merkle import (
-    MerkleProof,
+    MerkleMultiProof,
     MerkleTree,
-    root_from_proof,
-    verify_inclusion,
+    root_from_multiproof,
 )
 from repro.crypto.snark import Proof, SnarkSystem
 from repro.errors import (
     MALFORMED_INPUT_ERRORS,
     ConfigurationError,
+    CryptoError,
     ProofError,
     SignatureError,
 )
@@ -101,23 +104,20 @@ class SnarkBaseSignature(SRDSSignature):
 @encode_once
 @dataclass(frozen=True)
 class CertifiedBaseSignature:
-    """A base signature enriched by Aggregate1 with its key material.
+    """A base signature enriched by Aggregate1 with its verification key.
 
-    The Merkle path lets the (polylog-sized) Aggregate2 circuit check the
-    key against the vk-vector commitment without touching all n keys —
-    this is exactly why Def. 2.2 splits aggregation in two.
+    Together with the batch opening Aggregate1 emits beside its
+    survivors (one :class:`~repro.crypto.merkle.MerkleMultiProof` over
+    exactly their indices), this lets the (polylog-sized) Aggregate2
+    circuit check every key against the vk-vector commitment without
+    touching all n keys — exactly why Def. 2.2 splits aggregation in two.
     """
 
     base: SnarkBaseSignature
     verification_key: bytes
-    inclusion_proof: MerkleProof
 
     def encode(self) -> bytes:
-        return canonical_tuple(
-            self.base.encode(),
-            self.verification_key,
-            self.inclusion_proof.encode(),
-        )
+        return canonical_tuple(self.base.encode(), self.verification_key)
 
 
 @encode_once
@@ -171,6 +171,11 @@ def _statement(message: bytes, count: int, lo: int, hi: int,
     )
 
 
+def _vk_leaf(index: int, verification_key: bytes) -> bytes:
+    """Leaf ``index`` of the vk commitment: binds the key to its index."""
+    return hash_domain(_VK_LEAF_DOMAIN, encode_uint(index), verification_key)
+
+
 def vk_merkle_tree(verification_keys: Dict[int, bytes],
                    num_parties: int) -> MerkleTree:
     """The commitment to the full vk vector, ordered by virtual index.
@@ -178,15 +183,10 @@ def vk_merkle_tree(verification_keys: Dict[int, bytes],
     Unregistered indices commit to an empty key, so the root is defined
     for any bulletin-board state.
     """
-    leaves = [
-        hash_domain(
-            _VK_LEAF_DOMAIN,
-            encode_uint(index),
-            verification_keys.get(index, b""),
-        )
+    return MerkleTree([
+        _vk_leaf(index, verification_keys.get(index, b""))
         for index in range(num_parties)
-    ]
-    return MerkleTree(leaves)
+    ])
 
 
 def _cached_vk_tree(
@@ -231,7 +231,9 @@ class SnarkSRDS(SRDSScheme):
         base_scheme = self.base_scheme
 
         def leaf_relation(statement: bytes, witness: bytes) -> bool:
-            return _check_leaf_relation(statement, witness, base_scheme)
+            return _check_leaf_relation(
+                statement, witness, base_scheme, num_parties
+            )
 
         def internal_relation(statement: bytes, witness: bytes) -> bool:
             return _check_internal_relation(statement, witness, snark_system)
@@ -275,10 +277,13 @@ class SnarkSRDS(SRDSScheme):
         """Deterministic filter.
 
         Base signatures are verified against the bulletin board, deduped
-        by index, and enriched with Merkle key-inclusion proofs; child
-        aggregates are checked (proof, vk root, message tag) and kept if
-        their ranges can coexist disjointly (greedy by range, which is
-        exactly the planar order of the tree).
+        by index, and enriched with their keys; child aggregates are
+        checked (proof, vk root, message tag) and kept if their ranges
+        can coexist disjointly (greedy by range, which is exactly the
+        planar order of the tree).  Returns the surviving base
+        signatures, then — if there are any — the one batch opening of
+        the vk commitment that covers exactly their indices, then the
+        chosen aggregates.
         """
         with span("srds-aggregate1", scheme="snark"):
             return self._aggregate1_impl(
@@ -340,9 +345,7 @@ class SnarkSRDS(SRDSScheme):
         for (signature, key), valid in zip(candidates, verdicts):
             if valid and signature.index not in certified:
                 certified[signature.index] = CertifiedBaseSignature(
-                    base=signature,
-                    verification_key=key,
-                    inclusion_proof=tree.prove(signature.index),
+                    base=signature, verification_key=key
                 )
 
         # Greedy disjoint-range selection for aggregates, largest count
@@ -366,7 +369,13 @@ class SnarkSRDS(SRDSScheme):
             for index in sorted(certified)
             if all(not (agg.lo <= index <= agg.hi) for agg in chosen)
         ]
-        return survivors + chosen
+        # Their keys are authenticated together: one opening of the vk
+        # commitment over exactly the surviving indices.
+        opening = (
+            [tree.prove_many([c.base.index for c in survivors])]
+            if survivors else []
+        )
+        return survivors + opening + chosen
 
     def aggregate2(
         self,
@@ -377,7 +386,7 @@ class SnarkSRDS(SRDSScheme):
         """Succinct combiner: prove the leaf and/or internal relation.
 
         Never consults the verification-key vector — key validity rides
-        on the Merkle paths inside the certified inputs.
+        on the batch opening that accompanies the certified inputs.
         """
         with span("srds-aggregate2", scheme="snark"):
             return self._aggregate2_impl(pp, message, filtered)
@@ -392,18 +401,11 @@ class SnarkSRDS(SRDSScheme):
         snark_system: SnarkSystem = pp.extra["snark"]
         message_tag = hash_domain("srds/message-tag", message)
 
-        bases = [f for f in filtered if isinstance(f, CertifiedBaseSignature)]
-        aggregates = [
-            f for f in filtered if isinstance(f, SnarkAggregateSignature)
-        ]
-        if len(bases) + len(aggregates) == 0:
+        parts = _leaf_and_child_parts(
+            snark_system, message, message_tag, filtered
+        )
+        if not parts:
             return None
-
-        parts: List[SnarkAggregateSignature] = list(aggregates)
-        if bases:
-            parts.append(
-                _prove_leaf(snark_system, message, message_tag, bases)
-            )
         if len(parts) == 1:
             return parts[0]
         return _prove_internal(snark_system, message, message_tag, parts)
@@ -435,21 +437,67 @@ class SnarkSRDS(SRDSScheme):
 # -- relation implementations and provers -------------------------------------
 
 
+def _leaf_and_child_parts(
+    snark_system: SnarkSystem,
+    message: bytes,
+    message_tag: bytes,
+    filtered: Sequence[object],
+) -> List[SnarkAggregateSignature]:
+    """What Aggregate2 combines: the child aggregates of an Aggregate1
+    output, plus one leaf aggregate proven over its base signatures.
+
+    Base signatures that arrive without the opening of exactly their
+    index set are not an Aggregate1 output and cannot be proven:
+    :class:`SignatureError`, rather than an aggregate that quietly
+    counts fewer signatures than it was handed.
+    """
+    parts = [f for f in filtered if isinstance(f, SnarkAggregateSignature)]
+    ordered = sorted(
+        (f for f in filtered if isinstance(f, CertifiedBaseSignature)),
+        key=lambda c: c.base.index,
+    )
+    if not ordered:
+        return parts
+    indices = tuple(c.base.index for c in ordered)
+    opening = next(
+        (
+            f for f in filtered
+            if isinstance(f, MerkleMultiProof) and f.indices == indices
+        ),
+        None,
+    )
+    if opening is None:
+        raise SignatureError(
+            f"{len(ordered)} certified base signatures without the "
+            "opening of exactly their indices"
+        )
+    parts.append(
+        _prove_leaf(snark_system, message, message_tag, ordered, opening)
+    )
+    return parts
+
+
 def _prove_leaf(
     snark_system: SnarkSystem,
     message: bytes,
     message_tag: bytes,
-    bases: Sequence[CertifiedBaseSignature],
+    ordered: Sequence[CertifiedBaseSignature],
+    opening: MerkleMultiProof,
 ) -> SnarkAggregateSignature:
-    ordered = sorted(bases, key=lambda c: c.base.index)
-    vk_root = _root_from_proof(ordered[0])
+    """Prove the leaf relation over base signatures in index order and
+    the batch opening of exactly their indices."""
+    vk_root = root_from_multiproof(
+        [_vk_leaf(c.base.index, c.verification_key) for c in ordered], opening
+    )
     digest = hash_chain(
         _CHAIN_DOMAIN, (c.base.contribution_digest() for c in ordered)
     )
     lo = ordered[0].base.index
     hi = ordered[-1].base.index
     statement = _statement(message, len(ordered), lo, hi, digest, vk_root)
-    witness = encode_sequence([c.encode() for c in ordered])
+    witness = encode_sequence(
+        [opening.encode()] + [c.encode() for c in ordered]
+    )
     proof = snark_system.prove(_LEAF_RELATION, statement, witness)
     return SnarkAggregateSignature(
         count=len(ordered),
@@ -490,16 +538,6 @@ def _prove_internal(
     )
 
 
-def _root_from_proof(certified: CertifiedBaseSignature) -> bytes:
-    """Recompute the vk root a certified base signature authenticates to."""
-    leaf = hash_domain(
-        _VK_LEAF_DOMAIN,
-        encode_uint(certified.base.index),
-        certified.verification_key,
-    )
-    return root_from_proof(leaf, certified.inclusion_proof)
-
-
 def _decode_statement(statement: bytes):
     fields, _ = decode_sequence(statement, 0)
     if len(fields) != 6:
@@ -514,49 +552,57 @@ def _decode_statement(statement: bytes):
 
 
 def _check_leaf_relation(
-    statement: bytes, witness: bytes, base_scheme: BaseSignatureScheme
+    statement: bytes,
+    witness: bytes,
+    base_scheme: BaseSignatureScheme,
+    num_parties: int,
 ) -> bool:
+    """The leaf relation.  The witness is the batch opening of the vk
+    commitment followed by the ``count`` certified base signatures it
+    opens, in index order."""
     try:
         message, count, lo, hi, digest, vk_root = _decode_statement(statement)
-        encoded_certified, _ = decode_sequence(witness, 0)
+        (opening_blob, *encoded_certified), _ = decode_sequence(witness, 0)
+        opening, end = MerkleMultiProof.decode(opening_blob, 0)
     except MALFORMED_INPUT_ERRORS:
+        return False
+    if end != len(opening_blob) or opening.leaf_count != num_parties:
         return False
     if count != len(encoded_certified) or count == 0:
         return False
-    seen_indices = set()
-    contribution_digests = []
     indices = []
+    vk_leaves = []
+    contribution_digests = []
     for blob in encoded_certified:
         try:
-            fields, _ = decode_sequence(blob, 0)
-            base_blob, key, proof_blob = fields
+            (base_blob, key), _ = decode_sequence(blob, 0)
             index, pos = decode_uint(base_blob, 0)
             sig_bytes, _ = decode_bytes(base_blob, pos)
-            inclusion, _ = MerkleProof.decode(proof_blob, 0)
         except MALFORMED_INPUT_ERRORS:
-            return False
-        if index in seen_indices:
-            return False
-        seen_indices.add(index)
-        if not lo <= index <= hi:
-            return False
-        # Key binding: the vk must sit at `index` in the committed vector.
-        leaf = hash_domain(_VK_LEAF_DOMAIN, encode_uint(index), key)
-        if inclusion.leaf_index != index:
-            return False
-        if not verify_inclusion(vk_root, leaf, inclusion):
             return False
         if not base_scheme.verify(key, message, sig_bytes):
             return False
         indices.append(index)
+        # Key binding: the vk must sit at `index` in the committed vector.
+        vk_leaves.append(_vk_leaf(index, key))
         contribution_digests.append(
             hash_domain(_CHAIN_DOMAIN, encode_uint(index), sig_bytes)
         )
-    if min(indices) != lo or max(indices) != hi:
+    # The opening's indices ascend strictly (its decoder refuses anything
+    # else), so equality also rules out duplicates and disorder, and with
+    # the two endpoints every index lies in [lo, hi].
+    if tuple(indices) != opening.indices:
         return False
-    if indices != sorted(indices):
+    if indices[0] != lo or indices[-1] != hi:
         return False
-    return hash_chain(_CHAIN_DOMAIN, contribution_digests) == digest
+    try:
+        opened_root = root_from_multiproof(vk_leaves, opening)
+    except CryptoError:
+        return False
+    return (
+        opened_root == vk_root
+        and hash_chain(_CHAIN_DOMAIN, contribution_digests) == digest
+    )
 
 
 def _check_internal_relation(

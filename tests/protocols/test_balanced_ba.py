@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from repro.aetree.analysis import is_good_node
 from repro.crypto import ec
 from repro.errors import ProtocolError
 from repro.net.adversary import random_corruption, targeted_corruption
@@ -17,9 +18,11 @@ from repro.protocols.balanced_ba import (
 )
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
+from repro.srds.registered import RegisteredSRDS
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils import serialization
 from repro.utils.randomness import Randomness
+from tests.protocols.wire_capture import RecordingBA
 
 N = 64
 
@@ -116,6 +119,63 @@ class TestAdversarialExecution:
         assert result.agreement
 
 
+class TestStep5cDropsForeignAggregates:
+    """Fig. 3 step 5c at an internal node: an aggregate that fits in no
+    child's virtual range is dropped, whatever type the scheme's
+    Aggregate1 hands it back as (``RegisteredSRDS`` wraps it)."""
+
+    SIZE = 16
+    SEED = 2021
+
+    def _parent_output(self, scheme, hand_up_foreign):
+        """One run in which the first child of the last level-2 node
+        hands its parent either nothing or the first leaf's (valid)
+        aggregate, whose range lies under another parent.  Returns the
+        parent's encoded output."""
+        params = ProtocolParameters()
+        rng = Randomness(self.SEED)
+        plan = random_corruption(
+            self.SIZE, params.max_corruptions(self.SIZE), rng.fork("c")
+        )
+        seen = {}
+
+        class Run(RecordingBA):
+            def _aggregate_node(self, tree, node, *args, **kwargs):
+                output = super()._aggregate_node(tree, node, *args, **kwargs)
+                parent = tree.level_nodes(2)[-1]
+                donor = tree.level_nodes(1)[0]
+                assert donor.node_id not in parent.children
+                assert is_good_node(parent, plan.corrupted)
+                if node is donor:
+                    seen["foreign"] = output
+                if node.node_id != parent.children[0]:
+                    return output
+                seen["parent"] = parent
+                return seen["foreign"] if hand_up_foreign else None
+
+        protocol = Run(
+            {party: party % 2 for party in range(self.SIZE)}, plan, scheme,
+            params, rng.fork("run"),
+        )
+        protocol.run()
+        parent, foreign = seen["parent"], seen["foreign"]
+        assert foreign is not None
+        assert foreign.max_index < parent.virtual_range[0]
+        return protocol.node_encodings[parent.node_id]
+
+    @pytest.mark.parametrize(
+        "make_scheme",
+        [RegisteredSRDS, lambda: OwfSRDS(message_bits=32), _snark_scheme],
+        ids=["registered", "owf", "snark-hash"],
+    )
+    def test_aggregate_outside_every_childs_range_is_dropped(
+        self, make_scheme
+    ):
+        without = self._parent_output(make_scheme(), False)
+        assert without is not None
+        assert self._parent_output(make_scheme(), True) == without
+
+
 class TestModelValidation:
     def test_oversized_corruption_rejected(self):
         params = ProtocolParameters()
@@ -195,7 +255,7 @@ class TestWorkCounters:
             [serialization.encode_uint, CommunicationMetrics.record_multicast],
         )
         assert result.agreement
-        assert result.metrics.max_bits_per_party == 5_608_848
+        assert result.metrics.max_bits_per_party == 3_254_032
         # Re-encoding per hop and charging per recipient made these
         # 70 272 and 4 790.
         assert encode_uint_calls <= 20_339
@@ -207,7 +267,7 @@ class TestWorkCounters:
             8, SnarkSRDS(), [ec._inverse, ec.multi_scalar_mult]
         )
         assert result.agreement
-        assert result.metrics.max_bits_per_party == 1_350_976
+        assert result.metrics.max_bits_per_party == 965_168
         # Every public group operation is one multi_scalar_mult and pays
         # at most one inversion, when its result becomes affine.  The
         # affine law inverted once per addition: 65 107 times in this

@@ -8,10 +8,14 @@ numbers can only over-charge the paper's protocol.
 
 import pytest
 
+from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
 from repro.protocols import cost_model
+from repro.protocols.balanced_ba import run_balanced_ba
 from repro.protocols.coin_toss import run_coin_toss
 from repro.protocols.phase_king import run_phase_king
+from repro.srds.base_sigs import HashRegistryBase
+from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
 
 
@@ -53,3 +57,32 @@ class TestChargesDominateConcrete:
         outputs, metrics = run_coin_toss(range(committee), Randomness(5))
         charge = cost_model.committee_coin_toss(committee)
         assert metrics.max_bits_per_party <= charge.bits_per_party
+
+
+class TestPerPartyBudgetHolds:
+    """``pi_ba_per_party_budget`` is a ceiling where it is claimed to be
+    one: hash-base SnarkSRDS pi_ba at n <= 64.  (At n = 128 the measured
+    maximum still reads ~1.2 x the formula; ROADMAP keeps the rebuild of
+    the ceiling open.)"""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("seed", [7, 2021, 424242])
+    def test_measured_maximum_is_below_the_ceiling(self, n, seed):
+        params = ProtocolParameters()
+        rng = Randomness(seed)
+        plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
+        scheme = SnarkSRDS(base_scheme=HashRegistryBase())
+        result = run_balanced_ba(
+            {party: party % 2 for party in range(n)}, plan, scheme, params,
+            rng.fork("run"),
+        )
+        assert result.agreement and result.validity
+        pp = scheme.setup(2, rng.fork("probe"))
+        _, signing_key = scheme.keygen(pp, rng.fork("probe-key"))
+        base_signature_bytes = scheme.sign(
+            pp, 0, signing_key, b"probe"
+        ).size_bytes()
+        budget = cost_model.pi_ba_per_party_budget(
+            n, params, result.certificate_bytes, base_signature_bytes
+        )
+        assert result.metrics.max_bits_per_party < budget

@@ -88,6 +88,18 @@ class TestDecisions:
         assert result["budget_bits"] >= result["max_bits_per_party"] > 0
         assert result["certificate_bytes"] > 0
 
+    @pytest.mark.parametrize("seed", [2021, 7, 1_234_567])
+    def test_standard_snark_hash_client_is_within_budget(self, seed):
+        # The shape of the gateway's standard snark-hash client (n=32,
+        # benchmarks/layers gateway-mix): over budget until f_aggr-sig's
+        # input carried one key opening per leaf.
+        result = one_shot_reference(
+            SessionSpec(n=32, scheme="snark-hash", seed=seed)
+        )
+        assert result["agreement"] and result["validity"]
+        assert result["within_budget"] is True
+        assert result["max_bits_per_party"] < result["budget_bits"]
+
 
 def _stub_runner(release: threading.Event, started: threading.Event):
     """A decision runner the test controls: blocks until released."""

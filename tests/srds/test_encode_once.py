@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.merkle import MerkleProof
+from repro.crypto.merkle import MerkleMultiProof, MerkleProof
 from repro.crypto.snark import Proof
 from repro.pki.registry import PKIMode
 from repro.srds import adversaries as adv
@@ -57,14 +57,17 @@ _merkle_proofs = st.builds(
     leaf_index=_uints,
     siblings=st.lists(st.tuples(_digests, st.booleans()), max_size=6).map(tuple),
 )
+_merkle_multiproofs = st.builds(
+    MerkleMultiProof,
+    leaf_count=_uints,
+    indices=st.lists(_uints, max_size=6).map(tuple),
+    siblings=st.lists(_digests, max_size=6).map(tuple),
+)
 _snark_bases = st.builds(
     SnarkBaseSignature, index=_uints, signature_bytes=_blobs
 )
 _certified = st.builds(
-    CertifiedBaseSignature,
-    base=_snark_bases,
-    verification_key=_blobs,
-    inclusion_proof=_merkle_proofs,
+    CertifiedBaseSignature, base=_snark_bases, verification_key=_blobs
 )
 _snark_aggregates = st.builds(
     SnarkAggregateSignature,
@@ -93,7 +96,7 @@ _filtered_items = st.builds(
 )
 
 _VALUES = st.one_of(
-    _merkle_proofs, _snark_bases, _certified, _snark_aggregates,
+    _merkle_proofs, _merkle_multiproofs, _snark_bases, _certified, _snark_aggregates,
     _owf_bases, _owf_aggregates, _registered_bases, _registered_aggregates,
     _filtered_items,
 )

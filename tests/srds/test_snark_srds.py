@@ -1,18 +1,31 @@
 """Tests for the CRH + SNARK + bare-PKI SRDS construction (Thm 2.8)."""
 
+import dataclasses
+
 import pytest
 
+from repro.crypto.hashing import hash_chain
+from repro.crypto.merkle import MerkleMultiProof
 from repro.crypto.snark import forge_random_proof
+from repro.errors import SignatureError
+from repro.net.adversary import random_corruption
+from repro.params import ProtocolParameters
+from repro.protocols.balanced_ba import compute_srds_setup
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.snark_based import (
+    _CHAIN_DOMAIN,
     CertifiedBaseSignature,
     SnarkAggregateSignature,
     SnarkBaseSignature,
     SnarkSRDS,
+    _check_leaf_relation,
+    _statement,
     decode_aggregate,
     vk_merkle_tree,
 )
 from repro.utils.randomness import Randomness
+from repro.utils.serialization import encode_sequence
+from tests.protocols.wire_capture import RecordingBA
 
 N = 120
 
@@ -275,11 +288,250 @@ class TestWithSchnorr:
             pp, vks, message,
             [good[0], forged, good[1], stale, good[3], good[4], forged, good[3]],
         )
-        assert [item.base for item in filtered] == [
+        *certified, opening = filtered
+        assert [item.base for item in certified] == [
             good[0], good[1], good[3], good[4]
         ]
+        assert opening.indices == (0, 1, 3, 4)
         aggregate = scheme.aggregate(
             pp, vks, message, [forged, stale] + good
         )
         assert aggregate.count == n
         assert scheme.verify(pp, vks, message, aggregate)
+
+
+class TestLeafRelation:
+    """One rejection per clause of the leaf relation.  Every case tampers
+    one thing in a witness/statement pair the relation accepts."""
+
+    MESSAGE = b"leaf-relation"
+    INDICES = (40, 41, 43, 44, 47)
+
+    @pytest.fixture()
+    def accepted(self, deployment):
+        """``(certified, opening)`` as Aggregate1 emits them."""
+        scheme, pp, vks, _ = deployment
+        signatures = _sign_range(deployment, self.MESSAGE, self.INDICES)
+        *certified, opening = scheme.aggregate1(
+            pp, vks, self.MESSAGE, signatures
+        )
+        assert isinstance(opening, MerkleMultiProof)
+        assert opening.indices == self.INDICES
+        return certified, opening
+
+    def _holds(self, deployment, certified, opening, **statement_fields):
+        """The relation's verdict on this witness, against the statement
+        an honest prover would derive from it (fields overridable)."""
+        scheme, pp, vks, _ = deployment
+        fields = dict(
+            count=len(certified),
+            lo=certified[0].base.index,
+            hi=certified[-1].base.index,
+            digest=hash_chain(
+                _CHAIN_DOMAIN,
+                (c.base.contribution_digest() for c in certified),
+            ),
+            vk_root=vk_merkle_tree(vks, pp.num_parties).root,
+        )
+        fields.update(statement_fields)
+        statement = _statement(self.MESSAGE, **fields)
+        witness = encode_sequence(
+            [opening.encode()] + [c.encode() for c in certified]
+        )
+        return _check_leaf_relation(
+            statement, witness, scheme.base_scheme, pp.num_parties
+        )
+
+    def test_the_honest_witness_is_accepted(self, deployment, accepted):
+        assert self._holds(deployment, *accepted)
+
+    def test_wrong_key_at_an_index(self, deployment, accepted):
+        # A key the signer really holds, but not the one committed at 41.
+        scheme, pp, vks, sks = deployment
+        certified, opening = accepted
+        own_key, own_secret = scheme.keygen(pp, Randomness(5))
+        certified[1] = CertifiedBaseSignature(
+            base=SnarkBaseSignature(
+                index=41,
+                signature_bytes=scheme.base_scheme.sign(
+                    own_secret, self.MESSAGE
+                ),
+            ),
+            verification_key=own_key,
+        )
+        assert not self._holds(deployment, certified, opening)
+
+    def test_index_outside_the_statements_range(self, deployment, accepted):
+        certified, opening = accepted
+        assert not self._holds(deployment, certified, opening, lo=41)
+        assert not self._holds(deployment, certified, opening, hi=46)
+
+    def test_duplicate_index(self, deployment, accepted):
+        certified, opening = accepted
+        doubled = certified[:2] + certified[1:]
+        assert not self._holds(deployment, doubled, opening)
+        # ... also under an opening that lists the index twice.
+        assert not self._holds(
+            deployment, doubled,
+            dataclasses.replace(
+                opening, indices=tuple(c.base.index for c in doubled)
+            ),
+        )
+
+    def test_unsorted_indices(self, deployment, accepted):
+        certified, opening = accepted
+        swapped = [certified[1], certified[0]] + certified[2:]
+        assert not self._holds(
+            deployment, swapped, opening,
+            lo=certified[0].base.index,
+        )
+
+    def test_wrong_root(self, deployment, accepted):
+        scheme, pp, vks, _ = deployment
+        certified, opening = accepted
+        moved = dict(vks)
+        moved[0] = b"another board"
+        assert not self._holds(
+            deployment, certified, opening,
+            vk_root=vk_merkle_tree(moved, pp.num_parties).root,
+        )
+        flipped = bytes([opening.siblings[0][0] ^ 1]) + opening.siblings[0][1:]
+        assert not self._holds(
+            deployment, certified,
+            dataclasses.replace(
+                opening, siblings=(flipped,) + opening.siblings[1:]
+            ),
+        )
+
+    def test_bad_base_signature(self, deployment, accepted):
+        certified, opening = accepted
+        signature = certified[2].base.signature_bytes
+        certified[2] = dataclasses.replace(
+            certified[2],
+            base=SnarkBaseSignature(
+                index=certified[2].base.index,
+                signature_bytes=signature[:-1] + bytes([signature[-1] ^ 1]),
+            ),
+        )
+        assert not self._holds(deployment, certified, opening)
+
+    def test_chain_digest_mismatch(self, deployment, accepted):
+        certified, opening = accepted
+        assert not self._holds(
+            deployment, certified, opening, digest=bytes(32)
+        )
+
+    def test_count_mismatch(self, deployment, accepted):
+        certified, opening = accepted
+        assert not self._holds(deployment, certified, opening, count=4)
+
+    def test_openings_index_set_is_not_the_batchs(self, deployment, accepted):
+        scheme, pp, vks, _ = deployment
+        certified, opening = accepted
+        tree = vk_merkle_tree(vks, pp.num_parties)
+        # A valid opening of a superset, of a subset, and of other leaves.
+        for indices in ((40, 41, 42, 43, 44, 47), (40, 41, 43, 44), (1, 2)):
+            assert not self._holds(
+                deployment, certified, tree.prove_many(indices)
+            )
+        # ... and the right opening over one signature too few.
+        assert not self._holds(deployment, certified[:-1], opening)
+
+    def test_opening_of_another_width(self, deployment, accepted):
+        certified, opening = accepted
+        assert not self._holds(
+            deployment, certified,
+            dataclasses.replace(opening, leaf_count=opening.leaf_count + 1),
+        )
+
+    def test_aggregate2_refuses_bases_without_their_opening(
+        self, deployment, accepted
+    ):
+        scheme, pp, _, _ = deployment
+        certified, opening = accepted
+        for hand_built in (
+            certified,
+            certified[:-1] + [opening],
+            certified + certified[:1] + [opening],
+        ):
+            with pytest.raises(SignatureError, match="opening"):
+                scheme.aggregate2(pp, self.MESSAGE, hand_built)
+        # An opening on its own is nothing to aggregate.
+        assert scheme.aggregate2(pp, self.MESSAGE, [opening]) is None
+        assert scheme.aggregate2(
+            pp, self.MESSAGE, certified + [opening]
+        ).count == len(certified)
+
+
+class TestRangeCheckBeforeAggregate1:
+    """pi_ba step 5c: a base signature outside a leaf's virtual range is
+    dropped on its index *before* Aggregate1, so the opening Aggregate1
+    emits covers exactly what enters f_aggr-sig."""
+
+    N = 16
+    SEED = 2021
+
+    class _SpyScheme(SnarkSRDS):
+        def __init__(self):
+            super().__init__(base_scheme=HashRegistryBase())
+            self.aggregate1_inputs = []
+
+        def aggregate1(self, pp, verification_keys, message, signatures):
+            self.aggregate1_inputs.append(list(signatures))
+            return super().aggregate1(
+                pp, verification_keys, message, signatures
+            )
+
+    def _run(self, inject):
+        """One run; with ``inject`` the first leaf also receives a valid
+        signature of the first virtual id of the *next* leaf."""
+        params = ProtocolParameters()
+        rng = Randomness(self.SEED)
+        plan = random_corruption(
+            self.N, params.max_corruptions(self.N), rng.fork("c")
+        )
+        scheme = self._SpyScheme()
+        material = []
+        foreign = []
+
+        def provider(scheme_, num_virtual, rng_):
+            material.append(compute_srds_setup(scheme_, num_virtual, rng_))
+            return material[0]
+
+        class Run(RecordingBA):
+            def _aggregate_node(
+                self, tree, node, received, pp, vks, pair_message
+            ):
+                if inject and node.node_id == tree.leaves[0].node_id:
+                    outside = node.virtual_range[1]
+                    foreign.append(scheme.sign(
+                        pp, outside, material[0].signing_keys[outside],
+                        pair_message,
+                    ))
+                    received = received + foreign
+                return super()._aggregate_node(
+                    tree, node, received, pp, vks, pair_message
+                )
+
+        protocol = Run(
+            {party: party % 2 for party in range(self.N)}, plan, scheme,
+            params, rng.fork("run"), setup_provider=provider,
+        )
+        result = protocol.run()
+        return (
+            result, protocol.node_encodings, scheme.aggregate1_inputs, foreign
+        )
+
+    def test_out_of_range_signature_never_reaches_aggregate1(self):
+        clean, clean_outputs, _, _ = self._run(inject=False)
+        result, outputs, aggregate1_inputs, foreign = self._run(inject=True)
+        assert len(foreign) == 1
+        assert all(
+            foreign[0] is not signature
+            for signatures in aggregate1_inputs
+            for signature in signatures
+        )
+        assert all(output is not None for output in clean_outputs.values())
+        assert outputs == clean_outputs
+        assert result.outputs == clean.outputs
+        assert result.certificate_bytes == clean.certificate_bytes

@@ -8,6 +8,7 @@ on garbage inputs.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.utils.randomness import Randomness
@@ -233,6 +234,45 @@ class TestCryptoDecoders:
             pass
 
 
+    @_fuzz
+    @given(data=garbage)
+    def test_merkle_multiproof(self, data):
+        from repro.crypto.merkle import MerkleMultiProof, root_from_multiproof
+
+        try:
+            proof, end = MerkleMultiProof.decode(data)
+        except LIBRARY_ERRORS:
+            return
+        assert end <= len(data) and proof.encode() == data[:end]
+        # Whatever decodes is safe to walk: a root or a named error.
+        try:
+            root_from_multiproof([b"leaf"] * len(proof.indices), proof)
+        except LIBRARY_ERRORS:
+            pass
+
+    @pytest.mark.parametrize("count", [1 << 20, 1 << 62, (1 << 119) - 1])
+    def test_merkle_multiproof_attacker_chosen_counts(self, count):
+        """A count the bytes cannot hold is refused before anything is
+        built from it; a width nothing could have is walked level by
+        level, never materialised."""
+        from repro.crypto.merkle import MerkleMultiProof, root_from_multiproof
+        from repro.errors import CryptoError
+        from repro.utils.serialization import encode_uint
+
+        width, one, none = encode_uint(8), encode_uint(1), encode_uint(0)
+        huge = encode_uint(count)
+        for hostile in (
+            width + huge + one * 40,               # index count
+            width + one + one + huge + one * 40,   # sibling count
+        ):
+            with pytest.raises(CryptoError):
+                MerkleMultiProof.decode(hostile)
+        proof, _ = MerkleMultiProof.decode(huge + one + none + none)
+        assert proof.leaf_count == count
+        with pytest.raises(CryptoError):
+            root_from_multiproof([b"leaf"], proof)
+
+
 class TestSrdsDecoders:
     @_fuzz
     @given(data=garbage)
@@ -280,7 +320,80 @@ def snark_deployment():
     return scheme, pp, vks
 
 
+@pytest.fixture(scope="module")
+def leaf_witness():
+    """A (statement, witness) pair the SNARK-SRDS leaf relation accepts,
+    with the relation itself."""
+    from repro.crypto.hashing import hash_chain
+    from repro.srds.base_sigs import HashRegistryBase
+    from repro.srds.snark_based import (
+        _CHAIN_DOMAIN,
+        SnarkSRDS,
+        _check_leaf_relation,
+        _statement,
+        vk_merkle_tree,
+    )
+    from repro.utils.serialization import encode_sequence
+
+    rng = Randomness(203)
+    scheme = SnarkSRDS(base_scheme=HashRegistryBase())
+    n = 30
+    pp = scheme.setup(n, rng.fork("s"))
+    vks, sks = {}, {}
+    for i in range(n):
+        vks[i], sks[i] = scheme.keygen(pp, rng.fork(f"k{i}"))
+    message = b"fuzzed-leaf"
+    *certified, opening = scheme.aggregate1(
+        pp, vks, message,
+        [scheme.sign(pp, i, sks[i], message) for i in range(9, 15)],
+    )
+    statement = _statement(
+        message, len(certified), 9, 14,
+        hash_chain(
+            _CHAIN_DOMAIN, (c.base.contribution_digest() for c in certified)
+        ),
+        vk_merkle_tree(vks, n).root,
+    )
+    witness = encode_sequence(
+        [opening.encode()] + [c.encode() for c in certified]
+    )
+
+    def relation(candidate_statement, candidate_witness):
+        return _check_leaf_relation(
+            candidate_statement, candidate_witness, scheme.base_scheme, n
+        )
+
+    assert relation(statement, witness) is True
+    return statement, witness, relation
+
+
 class TestVerifiersNeverRaise:
+    @_fuzz
+    @given(data=garbage)
+    def test_leaf_relation_garbage_witness(self, leaf_witness, data):
+        statement, witness, relation = leaf_witness
+        assert relation(statement, data) is False
+        assert relation(data, witness) is False
+
+    @_fuzz
+    @given(
+        position=st.integers(min_value=0, max_value=10_000),
+        byte=st.integers(min_value=0, max_value=255),
+        cut=st.booleans(),
+    )
+    def test_leaf_relation_mutated_witness(
+        self, leaf_witness, position, byte, cut
+    ):
+        """One overwritten byte (a count, a length, an index, a digest)
+        or a truncation: a verdict, never an exception or a hang."""
+        statement, witness, relation = leaf_witness
+        position %= len(witness)
+        if cut:
+            assert relation(statement, witness[:position]) is False
+            return
+        mutated = witness[:position] + bytes([byte]) + witness[position + 1:]
+        assert relation(statement, mutated) is (mutated == witness)
+
     @_fuzz
     @given(data=garbage)
     def test_snark_verify_garbage_aggregate(self, snark_deployment, data):
