@@ -34,13 +34,14 @@ from pathlib import Path
 
 from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
-from repro.protocols.phase_king import run_phase_king
+from repro.protocols.phase_king import build_phase_king, run_phase_king
 from repro.runtime import (
+    LOCAL,
+    PLACEMENTS,
     FaultPlan,
     LinkDelay,
     TraceRecorder,
     run_balanced_ba_runtime,
-    run_phase_king_runtime,
 )
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.snark_based import SnarkSRDS
@@ -54,15 +55,21 @@ def banner(title: str) -> None:
     print("=" * 64)
 
 
+def phase_king_on(row, inputs, byzantine, **kwargs):
+    """Phase-king on one row of the placement table: a builder's
+    ``(parties, honest_ids, max_rounds)`` is exactly a row's arguments."""
+    parties, honest, max_rounds = build_phase_king(inputs, byzantine)
+    result = row.run(parties, honest, max_rounds, **kwargs)
+    return {p: result.outputs[p] for p in honest}, result.metrics
+
+
 def demo_differential(n: int) -> None:
     banner("1. Differential equivalence (phase-king, local + TCP)")
     inputs = {i: i % 2 for i in range(n)}
     byzantine = [1, n - 2]
     sync_out, sync_metrics = run_phase_king(inputs, byzantine)
     for kind in ("local", "tcp"):
-        out, metrics = run_phase_king_runtime(
-            inputs, byzantine, transport=kind
-        )
+        out, metrics = phase_king_on(PLACEMENTS[kind], inputs, byzantine)
         same_out = out == sync_out
         same_metrics = metrics.snapshot() == sync_metrics.snapshot()
         print(f"  {kind:5s}: outputs match={same_out}  "
@@ -100,12 +107,12 @@ def demo_faults(n: int) -> None:
         duplicate_probability=0.1,
         rng=Randomness(21),
     )
-    outputs, _ = run_phase_king_runtime(inputs, byzantine, fault_plan=faults)
+    outputs, _ = phase_king_on(LOCAL, inputs, byzantine, fault_plan=faults)
     values = {v for v in outputs.values()}
     print("  crash@2, +1 round delay on 0->1, reorder, 10% dup")
     print(f"  honest outputs: {sorted(values)} "
           f"(agreement={'yes' if len(values) == 1 else 'NO'})")
-    repeat, _ = run_phase_king_runtime(inputs, byzantine, fault_plan=FaultPlan(
+    repeat, _ = phase_king_on(LOCAL, inputs, byzantine, fault_plan=FaultPlan(
         crashes={3: 2},
         delays=[LinkDelay(0, 1, rounds=1, first_round=0, last_round=2)],
         reorder=True,
@@ -121,7 +128,7 @@ def demo_tracing(n: int) -> None:
     fingerprints = {}
     for kind in ("local", "tcp"):
         trace = TraceRecorder()
-        run_phase_king_runtime(inputs, [2], transport=kind, trace=trace)
+        phase_king_on(PLACEMENTS[kind], inputs, [2], trace=trace)
         fingerprints[kind] = trace.fingerprint()
     print(f"  local fingerprint: {fingerprints['local'][:16]}...")
     print(f"  tcp   fingerprint: {fingerprints['tcp'][:16]}...")
@@ -129,7 +136,7 @@ def demo_tracing(n: int) -> None:
           f"{fingerprints['local'] == fingerprints['tcp']}")
     with tempfile.TemporaryDirectory() as tmp:
         trace = TraceRecorder()
-        run_phase_king_runtime(inputs, [2], trace=trace)
+        phase_king_on(LOCAL, inputs, [2], trace=trace)
         paths = trace.dump_dir(Path(tmp))
         sample = paths[0].read_text().splitlines()[0]
         print(f"  wrote {len(paths)} JSONL files; first event of "

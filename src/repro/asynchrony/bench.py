@@ -59,18 +59,18 @@ def _aba_cell(n: int, seed: int, mode: str) -> Dict[str, Any]:
 
 
 def _pi_ba_cell(n: int, seed: int, scheme_name: str) -> Dict[str, Any]:
-    from repro.cluster.drivers import make_scheme
     from repro.net.metrics import CommunicationMetrics
     from repro.params import ProtocolParameters
     from repro.net.adversary import CorruptionPlan
     from repro.protocols.balanced_ba import run_balanced_ba
+    from repro.srds import scheme_by_name
     from repro.utils.randomness import Randomness
 
     metrics = CommunicationMetrics()
     result = run_balanced_ba(
         {i: i % 2 for i in range(n)},
         CorruptionPlan(corrupted=frozenset(), n=n),
-        make_scheme(scheme_name),
+        scheme_by_name(scheme_name),
         ProtocolParameters(),
         Randomness(seed).fork("bench/pi-ba"),
         metrics=metrics,

@@ -49,48 +49,12 @@ def check_ba_invariants(
     measured_bits: Optional[int] = None,
     budget_bits: Optional[int] = None,
 ) -> List[Violation]:
-    """Agreement + validity over honest outputs, plus the bits budget."""
-    violations: List[Violation] = []
-    honest_outputs = {p: outputs.get(p) for p in honest}
-    missing = sorted(p for p, v in honest_outputs.items() if v is None)
-    if missing:
-        violations.append(
-            Violation("no-output", f"honest parties without output: {missing}")
-        )
-    decided = {v for v in honest_outputs.values() if v is not None}
-    if len(decided) > 1:
-        violations.append(
-            Violation(
-                "agreement",
-                f"honest outputs split: {sorted(decided)} "
-                f"({ {p: v for p, v in sorted(honest_outputs.items())} })",
-            )
-        )
-    honest_inputs = {inputs[p] for p in honest if p in inputs}
-    if len(honest_inputs) == 1 and decided:
-        (unanimous,) = honest_inputs
-        if decided != {unanimous}:
-            violations.append(
-                Violation(
-                    "validity",
-                    f"honest inputs unanimous on {unanimous}, "
-                    f"outputs {sorted(decided)}",
-                )
-            )
-    if (
-        measured_bits is not None
-        and budget_bits is not None
-        and measured_bits > budget_bits
-    ):
-        violations.append(
-            Violation(
-                "bits-budget",
-                f"max_bits_per_party {measured_bits} exceeds analytic "
-                f"budget {budget_bits} "
-                f"(ratio {measured_bits / budget_bits:.2f})",
-            )
-        )
-    return violations
+    """Agreement + validity over honest outputs, plus the bits budget:
+    :func:`check_aba_invariants` with nobody excused."""
+    return check_aba_invariants(
+        inputs, outputs, honest,
+        measured_bits=measured_bits, budget_bits=budget_bits,
+    )
 
 
 def check_aba_invariants(

@@ -54,6 +54,7 @@ from repro.net.adversary import CorruptionPlan, targeted_corruption
 from repro.params import ProtocolParameters
 from repro.pki.registry import PKIMode
 from repro.runtime.faults import FaultPlan
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 
@@ -87,20 +88,6 @@ class RunOutcome:
         return tuple(sorted({v.name for v in self.violations}))
 
 
-def _scheme_for(config: ProtocolConfig):
-    if config.scheme == "snark":
-        from repro.srds.snark_based import SnarkSRDS
-
-        return SnarkSRDS()
-    if config.scheme == "owf":
-        from repro.srds.owf import OwfSRDS
-
-        return OwfSRDS()
-    raise ConfigurationError(
-        f"config {config.name!r} does not name an SRDS scheme"
-    )
-
-
 _BASE_SIG_CACHE: Dict[Tuple[str, int], int] = {}
 
 
@@ -108,7 +95,7 @@ def _base_signature_bytes(config: ProtocolConfig) -> int:
     """Probe (and cache) the scheme's base signature wire size."""
     key = (config.scheme or "", config.n)
     if key not in _BASE_SIG_CACHE:
-        scheme = _scheme_for(config)
+        scheme = scheme_by_name(config.scheme)
         rng = Randomness(0).fork("campaign/base-sig-probe")
         pp = scheme.setup(config.n, rng.fork("setup"))
         _, sk = scheme.keygen(pp, rng.fork("keygen"))
@@ -159,11 +146,6 @@ def execute_spec(
             f"schedule {schedule.name!r} not applicable to "
             f"config {config.name!r}"
         )
-    if spec.n != config.n and spec.corrupt is None:
-        # Non-default n is fine (the spec pins it), but note it only
-        # changes the cell's rng path, which is already n-keyed.
-        pass
-
     params = ProtocolParameters()
     rng = Randomness(spec.seed).fork(
         f"campaign/{spec.config}/{spec.strategy}/{spec.schedule}/{spec.n}"
@@ -240,7 +222,7 @@ def _run_pi_ba(
     from repro.protocols.balanced_ba import run_balanced_ba
     from repro.protocols.cost_model import pi_ba_per_party_budget
 
-    scheme = _scheme_for(config)
+    scheme = scheme_by_name(config.scheme)
     inputs = _inputs_for(config)
     adversary = None
     if strategy.make_adversary is not None:
@@ -249,7 +231,7 @@ def _run_pi_ba(
         )
     if config.backend == "cluster":
         result = _run_pi_ba_cluster_backend(
-            config, schedule, inputs, plan, scheme, params, rng, adversary
+            schedule, inputs, plan, scheme, params, rng, adversary
         )
     else:
         delivery_rng = (
@@ -281,7 +263,6 @@ def _run_pi_ba(
 
 
 def _run_pi_ba_cluster_backend(
-    config: ProtocolConfig,
     schedule: Schedule,
     inputs: Dict[int, int],
     plan: CorruptionPlan,
@@ -302,7 +283,6 @@ def _run_pi_ba_cluster_backend(
     from repro.cluster.supervisor import ClusterConfig
 
     kill_plan = {3: 1} if schedule.name == "kill-worker" else {}
-    cluster_config = ClusterConfig(num_workers=2, kill_plan=kill_plan)
     result, _ = run_balanced_ba_cluster(
         inputs,
         plan,
@@ -310,9 +290,8 @@ def _run_pi_ba_cluster_backend(
         params,
         rng.fork("protocol"),
         adversary,
-        num_workers=2,
         checkpoint_interval=2,
-        config=cluster_config,
+        config=ClusterConfig(num_workers=2, kill_plan=kill_plan),
     )
     return result
 
@@ -383,17 +362,18 @@ def _run_phase_king(
     plan: CorruptionPlan,
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    from repro.runtime.drivers import run_phase_king_runtime
+    from repro.protocols.phase_king import build_phase_king
+    from repro.runtime.placements import LOCAL
 
     inputs = _inputs_for(config)
-    outputs, metrics = run_phase_king_runtime(
-        inputs,
-        sorted(plan.corrupted),
-        fault_plan=fault_plan,
-        enforce_budget=not strategy.expect_violation,
+    parties, honest, max_rounds = build_phase_king(
+        inputs, sorted(plan.corrupted), not strategy.expect_violation
     )
-    outcome.measured_bits = metrics.max_bits_per_party
-    outcome.violations = check_ba_invariants(inputs, outputs, plan.honest)
+    result = LOCAL.run(parties, honest, max_rounds, fault_plan=fault_plan)
+    outcome.measured_bits = result.metrics.max_bits_per_party
+    outcome.violations = check_ba_invariants(
+        inputs, result.outputs, plan.honest
+    )
 
 
 def _run_gradecast(
@@ -403,22 +383,20 @@ def _run_gradecast(
     plan: CorruptionPlan,
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    from repro.runtime.drivers import run_gradecast_runtime
+    from repro.protocols.gradecast import build_gradecast
+    from repro.runtime.placements import LOCAL
 
     sender = 0
     value = 1
     equivocating = strategy.equivocating_sender and plan.is_corrupt(sender)
     byzantine = sorted(plan.corrupted - {sender} if equivocating
                        else plan.corrupted)
-    outputs, metrics = run_gradecast_runtime(
-        list(range(config.n)),
-        sender,
-        value,
-        byzantine,
-        equivocating_sender=equivocating,
-        fault_plan=fault_plan,
+    parties, honest, max_rounds = build_gradecast(
+        range(config.n), sender, value, byzantine, equivocating
     )
-    outcome.measured_bits = metrics.max_bits_per_party
+    result = LOCAL.run(parties, honest, max_rounds, fault_plan=fault_plan)
+    outputs = {member: result.outputs[member] for member in honest}
+    outcome.measured_bits = result.metrics.max_bits_per_party
     sender_honest = not plan.is_corrupt(sender)
     outcome.violations = check_gradecast_invariants(
         outputs, sender_honest, value
@@ -467,7 +445,7 @@ def _run_srds(
         run_robustness_experiment,
     )
 
-    scheme = _scheme_for(config)
+    scheme = scheme_by_name(config.scheme)
     if strategy.srds_adversary is None:
         raise ConfigurationError(
             f"strategy {strategy.name!r} has no SRDS adversary"

@@ -17,15 +17,15 @@ inside one interpreter.  The layer is built from:
 * :mod:`repro.cluster.meshwire` / :mod:`repro.cluster.mesh` — the
   worker⇄worker data plane: a compact struct-packed frame-train codec
   and the direct TCP mesh router that carries it;
-* :mod:`repro.cluster.job` — the serializable job description workers
-  rebuild their party shard from;
+* :mod:`repro.cluster.job` — the job: the run's parties and termination
+  rule, and the round-0 shard checkpoint each worker is shipped;
 * :mod:`repro.cluster.worker` / :mod:`repro.cluster.supervisor` — the
   worker process main loop (round stepping, heartbeats, checkpoint
   writes) and the supervisor (round barriers, digest-replayed metrics,
   health monitoring, crash-restart recovery, SIGKILL fault injection);
-* :mod:`repro.cluster.drivers` — convenience drivers (π_ba over the
-  cluster with differential parity against :func:`run_parties`) and the
-  ``BENCH_cluster.json`` scaling benchmark.
+* :mod:`repro.cluster.drivers` — π_ba over the cluster (record, then
+  replay on the ``mesh(k)`` row of :mod:`repro.runtime.placements`) and
+  the ``BENCH_cluster.json`` scaling benchmark.
 
 See ``docs/cluster.md`` for the architecture, checkpoint format, and
 the recovery state machine.
@@ -50,8 +50,6 @@ _EXPORTS = {
     "ClusterSupervisor": "repro.cluster.supervisor",
     "run_balanced_ba_cluster": "repro.cluster.drivers",
     "run_cluster_bench": "repro.cluster.drivers",
-    "run_gradecast_cluster": "repro.cluster.drivers",
-    "run_phase_king_cluster": "repro.cluster.drivers",
 }
 
 __all__ = sorted(_EXPORTS)
@@ -66,8 +64,6 @@ if TYPE_CHECKING:  # static importers see the eager names
     from repro.cluster.drivers import (
         run_balanced_ba_cluster,
         run_cluster_bench,
-        run_gradecast_cluster,
-        run_phase_king_cluster,
     )
     from repro.cluster.engine import ShardEngine
     from repro.cluster.job import ClusterJob

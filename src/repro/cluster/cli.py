@@ -17,9 +17,10 @@ Subcommands::
 
     cluster resume --run-dir DIR [same workload flags as run]
         Pick a crashed or interrupted run back up from its last durable
-        barrier.  The workload flags must match the original run — the
-        builders are deterministic, so the supervisor rebuilds the same
-        job and validates it against the saved state.
+        barrier.  The workload flags must match the original run: the
+        supervisor validates the job's name and size against the saved
+        state, and the workers restore their parties from the barrier's
+        checkpoint files.
 
     cluster status --run-dir DIR
         Describe a run directory: saved supervisor state, worker
@@ -180,14 +181,12 @@ def _dump_observability(args: argparse.Namespace, result, flow,
 
 def _run_workload(args: argparse.Namespace, resume: bool) -> int:
     from repro.analysis.tables import format_bits
-    from repro.cluster.drivers import (
-        make_scheme,
-        run_balanced_ba_cluster,
-        run_phase_king_cluster,
-    )
+    from repro.cluster.drivers import run_balanced_ba_cluster
     from repro.cluster.supervisor import ClusterConfig
     from repro.net.adversary import random_corruption
     from repro.params import ProtocolParameters
+    from repro.runtime.placements import mesh
+    from repro.srds import scheme_by_name
     from repro.utils.randomness import Randomness
 
     if resume and args.run_dir is None:
@@ -219,56 +218,46 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         flow=flow,
     )
     inputs = {i: i % 2 for i in range(args.n)}
-    if args.workload == "phase-king":
-        byzantine = (args.n - 1,) if args.n >= 4 else ()
-        outputs, result = run_phase_king_cluster(
-            inputs,
-            byzantine,
-            num_workers=args.workers,
-            checkpoint_interval=args.checkpoint_interval,
-            config=config,
-            run_dir=args.run_dir,
-            resume=resume,
-        )
-        decided = set(outputs.values())
-        _dump_traces(result, args.trace_dir)
-        obs_status = _dump_observability(args, result, flow, registry)
-        print(
-            f"phase-king n={args.n} workers={args.workers} "
-            f"agree={len(decided) == 1} rounds={result.rounds} "
-            f"restarts={result.restarts} "
-            f"max/party={format_bits(result.metrics.max_bits_per_party)}"
-        )
-        print(f"run dir: {result.run_dir}")
-        return 0 if len(decided) == 1 and obs_status == 0 else 1
-
-    params = ProtocolParameters()
-    rng = Randomness(args.seed)
-    plan = random_corruption(
-        args.n, params.max_corruptions(args.n), rng.fork("corruption")
-    )
-    ba_result, result = run_balanced_ba_cluster(
-        inputs,
-        plan,
-        make_scheme(args.scheme),
-        params,
-        rng.fork("protocol"),
-        num_workers=args.workers,
+    cluster = dict(
         checkpoint_interval=args.checkpoint_interval,
         config=config,
         run_dir=args.run_dir,
         resume=resume,
     )
+    if args.workload == "phase-king":
+        from repro.protocols.phase_king import build_phase_king
+
+        byzantine = (args.n - 1,) if args.n >= 4 else ()
+        parties, honest, max_rounds = build_phase_king(inputs, byzantine)
+        result = mesh(name="phase-king", **cluster).run(
+            parties, honest, max_rounds
+        )
+        agree = len({result.outputs[member] for member in honest}) == 1
+        label = f"phase-king n={args.n} workers={args.workers}"
+    else:
+        params = ProtocolParameters()
+        rng = Randomness(args.seed)
+        plan = random_corruption(
+            args.n, params.max_corruptions(args.n), rng.fork("corruption")
+        )
+        ba_result, result = run_balanced_ba_cluster(
+            inputs, plan, scheme_by_name(args.scheme), params,
+            rng.fork("protocol"), **cluster,
+        )
+        agree = ba_result.agreement
+        label = (
+            f"pi_ba n={args.n} t={plan.t} scheme={args.scheme} "
+            f"workers={args.workers}"
+        )
     _dump_traces(result, args.trace_dir)
     obs_status = _dump_observability(args, result, flow, registry)
     print(
-        f"pi_ba n={args.n} t={plan.t} scheme={args.scheme} "
-        f"workers={args.workers} agree={ba_result.agreement} "
-        f"rounds={result.rounds} restarts={result.restarts} "
-        f"max/party={format_bits(ba_result.metrics.max_bits_per_party)}"
+        f"{label} agree={agree} rounds={result.rounds} "
+        f"restarts={result.restarts} "
+        f"max/party={format_bits(result.metrics.max_bits_per_party)}"
     )
     print(f"run dir: {result.run_dir}")
-    return 0 if ba_result.agreement and obs_status == 0 else 1
+    return 0 if agree and obs_status == 0 else 1
 
 
 def _cmd_status(args: argparse.Namespace) -> int:

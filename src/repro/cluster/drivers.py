@@ -1,23 +1,20 @@
-"""Convenience drivers: protocols over the cluster, plus the scaling bench.
+"""π_ba over the cluster, plus the scaling bench.
 
-These mirror the runtime drivers (:mod:`repro.runtime.drivers`) on the
-multi-process substrate:
+Lockstep protocols need no driver here: a ``build_*`` builder's return
+value runs on the mesh row of :mod:`repro.runtime.placements`
+(``mesh(2).run(*build_phase_king(inputs, byzantine))``).  What is left:
 
-* :func:`run_phase_king_cluster` — the committee BA as real
-  message-passing machines sharded across workers;
 * :func:`run_balanced_ba_cluster` — π_ba's headline workload: phase 1
   executes Fig. 3 in the hybrid model against a
   :class:`~repro.runtime.replay.RecordingLedger` (outputs, certificate
-  and reference snapshot untouched), phase 2 replays the recorded wire
-  traffic across worker processes, charging the supervisor's ledger
-  from the workers' round digests and applying the hybrid charges
-  verbatim — exactly the
-  :func:`~repro.runtime.drivers.run_balanced_ba_runtime` recipe;
+  and reference snapshot untouched), phase 2 is
+  :func:`~repro.runtime.replay.replay_balanced_ba` on the mesh row —
+  the supervisor's ledger charged from the workers' round digests, the
+  hybrid charges applied verbatim;
 * :func:`run_cluster_bench` — the ``BENCH_cluster.json`` record: π_ba
   replay at 1/2/4 workers with wall-clock scaling and differential
   parity (outputs, ``max_bits_per_party``, and full per-party tallies)
-  against a single-process :func:`~repro.runtime.synchronizer.run_parties`
-  execution of the same script.
+  against the ``local`` row's execution of the same script.
 """
 
 from __future__ import annotations
@@ -26,33 +23,19 @@ import dataclasses
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence
 
-from repro.cluster.job import gradecast_job, phase_king_job, replay_job
-from repro.cluster.supervisor import (
-    ClusterConfig,
-    ClusterResult,
-    ClusterSupervisor,
-)
-from repro.errors import ClusterError
-from repro.net.metrics import CommunicationMetrics
+from repro.cluster.supervisor import ClusterConfig
 from repro.obs.bench import bench_payload, write_bench_json
+from repro.runtime.drivers import record_balanced_ba_script
+from repro.runtime.placements import LOCAL, mesh
 from repro.runtime.replay import (
-    RecordingLedger,
-    apply_func_ops,
-    build_replay_parties,
+    replay_balanced_ba,
+    replay_script,
     tallies_equal,
 )
-from repro.runtime.synchronizer import run_parties
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
-
-
-def _config(
-    config: Optional[ClusterConfig], num_workers: int
-) -> ClusterConfig:
-    if config is not None:
-        return config
-    return ClusterConfig(num_workers=num_workers)
 
 
 def _worker_import_seconds() -> float:
@@ -85,89 +68,6 @@ def _worker_import_seconds() -> float:
         return -1.0
 
 
-def run_phase_king_cluster(
-    inputs: Dict[int, int],
-    byzantine: Sequence[int] = (),
-    *,
-    num_workers: int = 2,
-    checkpoint_interval: int = 8,
-    config: Optional[ClusterConfig] = None,
-    run_dir: Optional[Path] = None,
-    resume: bool = False,
-) -> Tuple[Dict[int, int], ClusterResult]:
-    """Phase-king BA sharded across worker processes.
-
-    Returns ``(honest_outputs, cluster_result)`` — the honest outputs
-    match :func:`repro.runtime.drivers.run_phase_king_runtime` on a
-    fault-free plan, and ``cluster_result.metrics`` is the supervisor's
-    authoritative ledger.
-    """
-    job = phase_king_job(
-        inputs, byzantine, checkpoint_interval=checkpoint_interval
-    )
-    supervisor = ClusterSupervisor(
-        job, _config(config, num_workers), run_dir=run_dir
-    )
-    result = supervisor.run(resume=resume)
-    outputs = {
-        member: result.outputs[member] for member in job.target_ids()
-    }
-    return outputs, result
-
-
-def run_gradecast_cluster(
-    n: int,
-    sender: int,
-    value: int,
-    byzantine: Sequence[int] = (),
-    *,
-    num_workers: int = 2,
-    checkpoint_interval: int = 8,
-    config: Optional[ClusterConfig] = None,
-    run_dir: Optional[Path] = None,
-    resume: bool = False,
-) -> Tuple[Dict[int, Any], ClusterResult]:
-    """Gradecast sharded across worker processes.
-
-    Returns ``(honest_outputs, cluster_result)`` — honest outputs are
-    ``(value, grade)`` pairs matching
-    :func:`repro.protocols.gradecast.run_gradecast` on the same
-    configuration.
-    """
-    job = gradecast_job(
-        n, sender, value, byzantine,
-        checkpoint_interval=checkpoint_interval,
-    )
-    supervisor = ClusterSupervisor(
-        job, _config(config, num_workers), run_dir=run_dir
-    )
-    result = supervisor.run(resume=resume)
-    outputs = {
-        member: result.outputs[member] for member in job.target_ids()
-    }
-    return outputs, result
-
-
-def record_balanced_ba_script(
-    inputs: Dict[int, int],
-    plan,
-    scheme,
-    params,
-    rng: Randomness,
-    adversary=None,
-):
-    """Phase 1 of the replay recipe: run Fig. 3 against a recording
-    ledger; returns ``(reference_result, replay_script)``."""
-    from repro.protocols.balanced_ba import BalancedBA
-
-    recorder = RecordingLedger()
-    protocol = BalancedBA(
-        inputs, plan, scheme, params, rng, adversary, metrics=recorder
-    )
-    reference = protocol.run()
-    return reference, recorder.script()
-
-
 def run_balanced_ba_cluster(
     inputs: Dict[int, int],
     plan,
@@ -193,33 +93,21 @@ def run_balanced_ba_cluster(
     reference, script = record_balanced_ba_script(
         inputs, plan, scheme, params, rng, adversary
     )
-    n = len(inputs)
-    job = replay_job(script, n, checkpoint_interval=checkpoint_interval)
-    supervisor = ClusterSupervisor(
-        job, _config(config, num_workers), run_dir=run_dir
+    return replay_balanced_ba(
+        reference,
+        script,
+        mesh(
+            num_workers,
+            name="pi-ba-replay",
+            checkpoint_interval=checkpoint_interval,
+            config=config,
+            run_dir=run_dir,
+            resume=resume,
+        ),
     )
-    result = supervisor.run(resume=resume)
-    apply_func_ops(script, result.metrics)
-    ba_result = dataclasses.replace(
-        reference, metrics=result.metrics.snapshot()
-    )
-    return ba_result, result
 
 
 # -- the scaling benchmark -----------------------------------------------------
-
-
-def make_scheme(name: str):
-    """``"snark"`` / ``"owf"`` → a fresh SRDS scheme instance."""
-    if name == "snark":
-        from repro.srds.snark_based import SnarkSRDS
-
-        return SnarkSRDS()
-    if name == "owf":
-        from repro.srds.owf import OwfSRDS
-
-        return OwfSRDS()
-    raise ClusterError(f"unknown SRDS scheme {name!r}")
 
 
 def run_cluster_bench(
@@ -245,7 +133,7 @@ def run_cluster_bench(
     from repro.net.adversary import random_corruption
     from repro.params import ProtocolParameters
 
-    scheme = make_scheme(scheme_name)
+    scheme = scheme_by_name(scheme_name)
     params = ProtocolParameters()
     inputs = {i: i % 2 for i in range(n)}
     plan = random_corruption(
@@ -260,35 +148,26 @@ def run_cluster_bench(
     wall_times: Dict[str, float] = {"record_hybrid": clock() - started}
 
     # Single-process parity reference over the same script.
-    ref_metrics = CommunicationMetrics()
     started = clock()
-    ref_result = run_parties(
-        build_replay_parties(script, n),
-        metrics=ref_metrics,
-        max_rounds=script.num_rounds + 2,
-    )
+    ref_result = replay_script(script, n, LOCAL)
     wall_times["run_parties_1proc"] = clock() - started
-    apply_func_ops(script, ref_metrics)
+    ref_metrics = ref_result.metrics
 
     parity: Dict[str, Any] = {}
     restarts: Dict[str, int] = {}
     last_metrics = ref_metrics
     for workers in worker_counts:
-        job = replay_job(
-            script,
-            n,
+        row = mesh(
             name=f"pi-ba-bench-{workers}w",
             checkpoint_interval=checkpoint_interval,
+            config=dataclasses.replace(
+                config if config is not None else ClusterConfig(),
+                num_workers=workers,
+            ),
         )
-        run_config = dataclasses.replace(
-            config if config is not None else ClusterConfig(),
-            num_workers=workers,
-        )
-        supervisor = ClusterSupervisor(job, run_config)
         started = clock()
-        result = supervisor.run()
+        result = replay_script(script, n, row)
         wall_times[f"cluster_{workers}_workers"] = clock() - started
-        apply_func_ops(script, result.metrics)
         parity[str(workers)] = {
             "outputs": result.outputs == ref_result.outputs,
             "max_bits_per_party": (

@@ -1,44 +1,37 @@
-"""Serializable job descriptions for cluster runs.
+"""Job descriptions for cluster runs: a job *is* its parties.
 
-A :class:`ClusterJob` tells a worker how to rebuild its shard of the
-party set from scratch: a ``"module:function"`` builder reference plus
-picklable keyword arguments.  Every worker calls the builder for the
-*full* party set and keeps only its shard — builders are deterministic
-(any randomness is seeded through their arguments), so all workers and
-the supervisor agree on the party objects without shipping them.
-
-Builders live at importable module scope (the job crosses a process
-boundary inside the JOB control message), return one
-:class:`~repro.net.party.Party` per id in ``range(n)``, and take ``n``
-as their first argument.  Two stock builders cover the repo's
-workloads:
-
-* :func:`phase_king_parties` — the Berman–Garay–Perry committee BA as
-  real message-passing machines;
-* :func:`replay_script_parties` — π_ba's recorded wire traffic as
-  :class:`~repro.runtime.replay.ReplayParty` machines (the cluster's
-  headline workload: the script is recorded once from the hybrid-model
-  execution and shipped inside the job).
+A :class:`ClusterJob` holds the full party set of one run — straight
+from a ``build_*`` builder's return value — plus the termination rule.
+Only the supervisor ever holds one: worker ``w`` is shipped
+:meth:`ClusterJob.shard_checkpoint` of its shard, the round-0
+:class:`~repro.cluster.checkpoint.ClusterCheckpoint` in its canonical
+encoding, inside the JOB control message, and restores it exactly as it
+would restore a checkpoint file after a crash.  Parties are pickled into
+every checkpoint already and the JOB blob comes from the same trusted
+supervisor that writes those, so shipping parties adds no trust; party
+classes must live at importable module scope, as checkpoints have always
+required.
 """
 
 from __future__ import annotations
 
-import importlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.cluster.checkpoint import ClusterCheckpoint
+from repro.cluster.engine import ShardEngine
 from repro.errors import ClusterError
 from repro.net.party import Party
 
 
 @dataclass
 class ClusterJob:
-    """Everything a worker needs to (re)build and run its shard."""
+    """The parties of one run and when it is over."""
 
     name: str
     n: int
-    builder: str
-    args: Dict[str, Any] = field(default_factory=dict)
+    #: One party per id in ``range(n)``.
+    parties: Sequence[Party]
     #: Party ids whose halting ends the run (``None`` = all parties).
     until: Optional[Tuple[int, ...]] = None
     max_rounds: int = 10_000
@@ -48,24 +41,19 @@ class ClusterJob:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ClusterError(f"job needs n > 0, got {self.n}")
-        if ":" not in self.builder:
-            raise ClusterError(
-                f"builder reference {self.builder!r} is not 'module:function'"
-            )
         if self.checkpoint_interval < 0:
             raise ClusterError("checkpoint interval cannot be negative")
-
-    def build_parties(self) -> List[Party]:
-        """Invoke the builder and validate the full party set."""
-        builder = resolve_builder(self.builder)
-        parties = list(builder(self.n, **self.args))
-        ids = sorted(party.party_id for party in parties)
+        ids = sorted(party.party_id for party in self.parties)
+        unknown = sorted(p for p in self.until or () if p not in ids)
+        if unknown:
+            raise ClusterError(
+                f"unknown target party id(s) {unknown}; known ids are {ids}"
+            )
         if ids != list(range(self.n)):
             raise ClusterError(
-                f"builder {self.builder!r} produced party ids {ids[:5]}..., "
+                f"job {self.name!r} holds party ids {ids[:5]}..., "
                 f"want exactly range({self.n})"
             )
-        return parties
 
     def target_ids(self) -> List[int]:
         """The party ids whose halting completes the run."""
@@ -73,22 +61,12 @@ class ClusterJob:
             return list(range(self.n))
         return sorted(self.until)
 
-
-def resolve_builder(reference: str) -> Callable[..., Sequence[Party]]:
-    """Import a ``"module:function"`` party-builder reference."""
-    module_name, _, func_name = reference.partition(":")
-    try:
-        module = importlib.import_module(module_name)
-    except ImportError as exc:
-        raise ClusterError(
-            f"cannot import builder module {module_name!r}: {exc}"
-        ) from exc
-    builder = getattr(module, func_name, None)
-    if not callable(builder):
-        raise ClusterError(
-            f"builder {reference!r} does not name a callable"
-        )
-    return builder
+    def shard_checkpoint(self, shard: Iterable[int]) -> ClusterCheckpoint:
+        """The round-0 checkpoint of the parties in ``shard``."""
+        members = set(shard)
+        return ShardEngine(
+            [p for p in self.parties if p.party_id in members]
+        ).snapshot()
 
 
 def split_shards(n: int, num_workers: int) -> List[List[int]]:
@@ -114,99 +92,6 @@ def split_shards(n: int, num_workers: int) -> List[List[int]]:
     return shards
 
 
-# -- stock builders ------------------------------------------------------------
-
-
-def phase_king_parties(
-    n: int,
-    inputs: Dict[int, int],
-    byzantine: Sequence[int] = (),
-) -> List[Party]:
-    """The phase-king committee BA
-    (:func:`repro.protocols.phase_king.build_phase_king`'s party set;
-    :meth:`ClusterJob.build_parties` checks it covers ``range(n)``)."""
-    from repro.protocols.phase_king import build_phase_king
-
-    return build_phase_king(inputs, byzantine)[0]
-
-
-def gradecast_parties(
-    n: int,
-    sender: int,
-    value: int,
-    byzantine: Sequence[int] = (),
-) -> List[Party]:
-    """The four-round gradecast primitive over ``range(n)``
-    (:func:`repro.protocols.gradecast.build_gradecast`'s party set)."""
-    from repro.protocols.gradecast import build_gradecast
-
-    return build_gradecast(range(n), sender, value, byzantine)[0]
-
-
-def replay_script_parties(n: int, script) -> List[Party]:
-    """π_ba's recorded wire schedule as replay machines.
-
-    ``script`` is a :class:`~repro.runtime.replay.ReplayScript` (picklable,
-    shipped inside the job); hybrid-model charges are *not* replayed by
-    the parties — the driver applies them to the final ledger via
-    :func:`~repro.runtime.replay.apply_func_ops`, exactly as
-    :func:`~repro.runtime.drivers.run_balanced_ba_runtime` does.
-    """
-    from repro.runtime.replay import build_replay_parties
-
-    return list(build_replay_parties(script, n))
-
-
-def phase_king_job(
-    inputs: Dict[int, int],
-    byzantine: Sequence[int] = (),
-    *,
-    name: str = "phase-king",
-    checkpoint_interval: int = 8,
-) -> ClusterJob:
-    """Convenience constructor for a phase-king cluster job."""
-    from repro.protocols.phase_king import build_phase_king
-
-    _, honest, max_rounds = build_phase_king(inputs, byzantine)
-    return ClusterJob(
-        name=name,
-        n=len(inputs),
-        builder="repro.cluster.job:phase_king_parties",
-        args={"inputs": dict(inputs), "byzantine": tuple(byzantine)},
-        until=tuple(honest),
-        max_rounds=max_rounds,
-        checkpoint_interval=checkpoint_interval,
-    )
-
-
-def gradecast_job(
-    n: int,
-    sender: int,
-    value: int,
-    byzantine: Sequence[int] = (),
-    *,
-    name: str = "gradecast",
-    checkpoint_interval: int = 8,
-) -> ClusterJob:
-    """Convenience constructor for a gradecast cluster job."""
-    from repro.protocols.gradecast import build_gradecast
-
-    _, honest, max_rounds = build_gradecast(range(n), sender, value, byzantine)
-    return ClusterJob(
-        name=name,
-        n=n,
-        builder="repro.cluster.job:gradecast_parties",
-        args={
-            "sender": sender,
-            "value": value,
-            "byzantine": tuple(byzantine),
-        },
-        until=tuple(honest),
-        max_rounds=max_rounds,
-        checkpoint_interval=checkpoint_interval,
-    )
-
-
 def replay_job(
     script,
     n: int,
@@ -214,13 +99,16 @@ def replay_job(
     name: str = "pi-ba-replay",
     checkpoint_interval: int = 8,
 ) -> ClusterJob:
-    """Convenience constructor for a π_ba wire-replay cluster job."""
+    """π_ba's recorded wire schedule as a job of
+    :class:`~repro.runtime.replay.ReplayParty` machines (hybrid charges
+    are not replayed by parties: the caller applies
+    :func:`~repro.runtime.replay.apply_func_ops` to the final ledger)."""
+    from repro.runtime.replay import build_replay_parties
+
     return ClusterJob(
         name=name,
         n=n,
-        builder="repro.cluster.job:replay_script_parties",
-        args={"script": script},
-        until=None,
+        parties=build_replay_parties(script, n),
         max_rounds=script.num_rounds + 2,
         checkpoint_interval=checkpoint_interval,
     )

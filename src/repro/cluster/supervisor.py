@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.checkpoint import encode_checkpoint
 from repro.cluster.job import ClusterJob, split_shards
 from repro.cluster.wire import (
     CHECKPOINT,
@@ -73,6 +74,7 @@ from repro.net.party import Frame
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog, SpanRecord, span_from_wire, span_to_wire
+from repro.runtime.synchronizer import RuntimeResult
 from repro.runtime.trace import TraceRecorder
 
 #: Durable supervisor state file inside the run directory.
@@ -124,13 +126,11 @@ class ClusterConfig:
 
 
 @dataclass
-class ClusterResult:
-    """Outcome of one supervised cluster execution."""
+class ClusterResult(RuntimeResult):
+    """Outcome of one supervised cluster execution: the placement
+    result (``outputs``, ``metrics``, ``rounds``, the merged ``trace``)
+    plus what only a cluster run has."""
 
-    outputs: Dict[int, Any]
-    metrics: CommunicationMetrics
-    rounds: int
-    trace: TraceRecorder
     restarts: int
     num_workers: int
     run_dir: Path
@@ -177,6 +177,8 @@ class ClusterSupervisor:
         job: ClusterJob,
         config: Optional[ClusterConfig] = None,
         run_dir: Optional[Path] = None,
+        metrics: Optional[CommunicationMetrics] = None,
+        trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.job = job
         self.config = config if config is not None else ClusterConfig()
@@ -193,11 +195,16 @@ class ClusterSupervisor:
         )
         self.span_log = SpanLog()
         self.worker_spans: Dict[int, List[SpanRecord]] = {}
-        # Mutable run state (reset/restored in run()).
-        self.metrics = CommunicationMetrics()
+        # Mutable run state (restored in run() when resuming).  The
+        # caller's ledger / recorder, when given, are what a fresh run
+        # charges and merges into.
+        self._caller_owns_state = metrics is not None or trace is not None
+        self.metrics = metrics if metrics is not None else (
+            CommunicationMetrics()
+        )
         if self.config.flow is not None:
             self.metrics.attach_flow(self.config.flow)
-        self.trace = TraceRecorder()
+        self.trace = trace if trace is not None else TraceRecorder()
         # Per-party event counts already persisted to trace.seg (see
         # _save_trace_segment).
         self._trace_saved: Dict[int, int] = {}
@@ -261,6 +268,11 @@ class ClusterSupervisor:
             )
         self.run_dir.mkdir(parents=True, exist_ok=True)
         if resume:
+            if self._caller_owns_state:
+                raise ClusterError(
+                    "a resumed run restores its own ledger and trace; "
+                    "metrics= / trace= only apply to a fresh run"
+                )
             self._load_state()
         self._listener, self._port = open_listener(self.config.host)
         try:
@@ -299,7 +311,7 @@ class ClusterSupervisor:
 
         All processes are spawned *before* any handshake and the job is
         dispatched as each hello arrives, so worker startup (python
-        import plus shard build) overlaps across the fleet — the legacy
+        import plus shard restore) overlaps across the fleet — the legacy
         serial accept paid the full import cost once per worker.
         Every worker's ``resumed`` reply carries its mesh listener
         address and a ``peers`` address book is broadcast to the whole
@@ -386,7 +398,8 @@ class ClusterSupervisor:
                 }
                 channel.send(
                     Message(
-                        JOB, fields, blob=Message.pack_payload(self.job)
+                        JOB, fields,
+                        blob=self._job_blob(worker_id, resume_round),
                     )
                 )
                 channels[worker_id] = channel
@@ -430,6 +443,15 @@ class ClusterSupervisor:
                 f"(see worker-*.log in {self.run_dir})"
             ) from exc
         self._broadcast_peers()
+
+    def _job_blob(self, worker_id: int, resume_round: int) -> bytes:
+        """The checkpoint a JOB message carries: the shard's round-0
+        one; a later barrier's is already on the worker's disk."""
+        if resume_round:
+            return b""
+        return encode_checkpoint(
+            self.job.shard_checkpoint(self.shards[worker_id])
+        )
 
     def _broadcast_peers(self) -> None:
         """Ship the mesh address book to every live worker.

@@ -17,8 +17,9 @@ varints)::
 
 * ``json_header`` — ``{"kind": ..., **fields}``, sorted keys: the small
   structured part (round numbers, worker ids, shard assignments);
-* ``blob`` — an opaque pickle for Python payloads that are not JSON
-  (party outputs, the charge digest, the job description).
+* ``blob`` — opaque bytes for payloads that are not JSON: a pickle
+  (party outputs, the charge digest) or, on ``job``, an encoded
+  :class:`~repro.cluster.checkpoint.ClusterCheckpoint`.
 
 Kinds (see ``docs/cluster.md`` for the full state machine):
 
@@ -26,7 +27,10 @@ Kinds (see ``docs/cluster.md`` for the full state machine):
 kind             dir     meaning
 ===============  ======  =======================================================
 ``hello``        w → s   worker is up; fields: ``worker_id``
-``job``          s → w   shard assignment; blob: pickled ClusterJob;
+``job``          s → w   shard assignment; blob: the shard's round-0
+                         checkpoint (``encode_checkpoint`` bytes) when
+                         ``resume_round`` is 0, empty otherwise — a
+                         later barrier's is the worker's own file;
                          fields: ``shard`` (party ids), ``shards`` (the
                          whole fleet's), ``resume_round``,
                          ``checkpoint_dir``, ``checkpoint_stem``,
@@ -87,8 +91,8 @@ _MAX_MESSAGE = 1 << 28
 #: Bodies above this are shipped as a train of ``part`` records.  A
 #: DONE body grows with the round's charge digest and drained trace
 #: events (one row/event per emitted frame), and the JOB blob with the
-#: replay script; chunking keeps every wire record small while letting
-#: logical messages grow with the protocol.
+#: shard's pickled parties; chunking keeps every wire record small while
+#: letting logical messages grow with the protocol.
 _CHUNK_BYTES = 32 << 20
 #: Sanity bound on a reassembled chunked message.
 _MAX_ASSEMBLED = 1 << 33

@@ -5,11 +5,11 @@ is a small state machine driven entirely by the supervisor over a single
 :class:`~repro.cluster.wire.MessageChannel`:
 
 1. dial the supervisor, introduce itself (``hello``);
-2. receive its ``job`` (builder reference + shard assignment + resume
-   flag), rebuild the shard — from the last durable checkpoint when
-   resuming — open its mesh listener
-   (:class:`~repro.cluster.mesh.MeshRouter`) and report the round it
-   stands at plus the listener address (``resumed``);
+2. receive its ``job`` (shard assignment + the barrier to resume
+   from), restore the shard from that barrier's checkpoint — the JOB
+   blob itself at round 0, the durable file otherwise — open its mesh
+   listener (:class:`~repro.cluster.mesh.MeshRouter`) and report the
+   round it stands at plus the listener address (``resumed``);
 3. loop: on ``round`` step the :class:`~repro.cluster.engine.ShardEngine`
    over the shard's due staged frames, ship the emitted frames to the
    peers that own their recipients (one train per peer, empty trains
@@ -40,9 +40,12 @@ import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cluster.checkpoint import load_checkpoint, save_checkpoint
+from repro.cluster.checkpoint import (
+    decode_checkpoint,
+    load_checkpoint,
+    save_checkpoint,
+)
 from repro.cluster.engine import ShardEngine
-from repro.cluster.job import ClusterJob
 from repro.cluster.mesh import MeshRouter
 from repro.cluster.wire import (
     CHECKPOINT,
@@ -124,11 +127,6 @@ def worker_main(
             raise ClusterError(
                 f"worker {worker_id} expected a job, got {job_msg.kind!r}"
             )
-        job = job_msg.payload()
-        if not isinstance(job, ClusterJob):
-            raise ClusterError(
-                f"job payload decoded to {type(job).__name__}, not ClusterJob"
-            )
         shard = list(job_msg.fields["shard"])
         resume_round = int(job_msg.fields.get("resume_round", 0))
         checkpoint_dir = Path(job_msg.fields["checkpoint_dir"])
@@ -141,7 +139,8 @@ def worker_main(
         trace = TraceRecorder()
         span_log = SpanLog()
         engine, staged = _build_engine(
-            job, shard, resume_round, checkpoint_dir, checkpoint_stem, trace
+            job_msg.blob, shard, resume_round, checkpoint_dir,
+            checkpoint_stem, trace,
         )
 
         shards = [[int(p) for p in s] for s in job_msg.fields["shards"]]
@@ -318,37 +317,35 @@ def _decode_addresses(raw: Dict[str, list]) -> Dict[int, Tuple[str, int]]:
 
 
 def _build_engine(
-    job: ClusterJob,
+    job_blob: bytes,
     shard: list,
     resume_round: int,
     checkpoint_dir: Path,
     checkpoint_stem: str,
     trace: TraceRecorder,
 ) -> "Tuple[ShardEngine, List[Frame]]":
-    """Fresh build, or restore from a specific durable checkpoint.
+    """Restore the shard from the checkpoint at barrier ``resume_round``.
 
-    ``resume_round == 0`` means a fresh build (the supervisor replays
-    from round 0); a positive value names the barrier the supervisor
-    knows every shard has durably reached, so the file must exist.
-    Returns the engine plus the checkpoint's staged frames (the
-    worker's own in-flight traffic at that barrier).
+    Round 0's checkpoint is the JOB blob; a positive value names the
+    barrier the supervisor knows every shard has durably reached, so the
+    file must exist.  Returns the engine plus the checkpoint's staged
+    frames (the worker's own in-flight traffic at that barrier).
     """
-    if resume_round > 0:
-        name = checkpoint_name(checkpoint_stem, resume_round)
-        checkpoint = load_checkpoint(checkpoint_dir, name)
-        if checkpoint is None:
-            raise ClusterError(
-                f"supervisor pinned resume to missing checkpoint {name!r} "
-                f"in {checkpoint_dir}"
-            )
-        engine = ShardEngine.restore(checkpoint, trace=trace)
-        if set(engine.party_ids) != set(shard):
-            raise ClusterError(
-                f"checkpoint {name!r} holds parties "
-                f"{engine.party_ids}, job assigns {sorted(shard)}"
-            )
-        return engine, list(checkpoint.staged)
-    parties = [
-        party for party in job.build_parties() if party.party_id in set(shard)
-    ]
-    return ShardEngine(parties, trace=trace), []
+    name = checkpoint_name(checkpoint_stem, resume_round)
+    checkpoint = (
+        decode_checkpoint(job_blob)
+        if resume_round == 0
+        else load_checkpoint(checkpoint_dir, name)
+    )
+    if checkpoint is None:
+        raise ClusterError(
+            f"supervisor pinned resume to missing checkpoint {name!r} "
+            f"in {checkpoint_dir}"
+        )
+    engine = ShardEngine.restore(checkpoint, trace=trace)
+    if set(engine.party_ids) != set(shard):
+        raise ClusterError(
+            f"checkpoint {name!r} holds parties "
+            f"{engine.party_ids}, job assigns {sorted(shard)}"
+        )
+    return engine, list(checkpoint.staged)

@@ -16,37 +16,27 @@ Subcommands::
         ``--prune``, only *remove* stale entries (burned-down debt);
         nothing is added, so pruning can only tighten the ratchet.
 
-    lint graph [--output FILE] [--root DIR] [--no-cache]
-        Export the cross-module call graph (every module under src/,
-        resolved call edges, import SCCs) as schema-versioned JSON.
-
     lint explain RULE001
         Print a rule's rationale (why the invariant matters to the
         paper's claims) and its generic fix.
 
     lint rules
         List every registered rule with severity and summary.
-
-The interprocedural rules (TRU001, SCH001, ASY002) share a per-file
-facts cache at ``<root>/.lint-cache.json`` keyed on content hashes;
-``--no-cache`` forces a cold extraction.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import List, Optional
 
 from repro.errors import ConfigurationError
-from repro.lint.baseline import Baseline, RatchetOutcome
+from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, default_config
 from repro.lint.engine import run_lint
 from repro.lint.model import Severity
 from repro.lint.report import render_json, render_text
 from repro.lint.rules import ALL_RULES, get_rule, rule_ids
-from repro.lint.xmod.cache import CACHE_FILENAME
 
 
 def _build_config(args: argparse.Namespace) -> LintConfig:
@@ -76,16 +66,9 @@ def _build_config(args: argparse.Namespace) -> LintConfig:
     )
 
 
-def _cache_path(config: LintConfig,
-                args: argparse.Namespace) -> Optional[Path]:
-    if getattr(args, "no_cache", False):
-        return None
-    return config.root / CACHE_FILENAME
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    result = run_lint(config, cache_path=_cache_path(config, args))
+    result = run_lint(config)
     if args.no_baseline:
         baseline = Baseline([])
     else:
@@ -109,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    result = run_lint(config, cache_path=_cache_path(config, args))
+    result = run_lint(config)
     path = config.resolved_baseline_path()
     if args.prune:
         before = Baseline.load(path)
@@ -134,34 +117,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
             "note: the baseline tracks this debt for burn-down; new "
             "violations still fail `lint check`."
         )
-    return 0
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    from repro.lint.engine import iter_source_files, load_module
-    from repro.lint.model import ModuleUnit
-    from repro.lint.xmod.cache import build_project
-    from repro.lint.xmod.callgraph import CallGraph
-
-    modules = [
-        loaded
-        for path in iter_source_files(config)
-        if isinstance(loaded := load_module(path, config), ModuleUnit)
-    ]
-    project = build_project(modules, _cache_path(config, args))
-    graph = CallGraph(project)
-    rendered = json.dumps(graph.to_json(), indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(rendered, encoding="utf-8")
-        print(
-            f"call graph -> {args.output}: "
-            f"{len(project.facts)} modules, "
-            f"{len(project.functions)} functions, "
-            f"{sum(len(edges) for edges in graph.edges.values())} edges"
-        )
-    else:
-        print(rendered, end="")
     return 0
 
 
@@ -227,8 +182,6 @@ def _parser() -> argparse.ArgumentParser:
     check.add_argument("--no-baseline", action="store_true",
                        help="ignore the baseline (report all violations "
                             "as new)")
-    check.add_argument("--no-cache", action="store_true",
-                       help="skip the cross-module facts cache")
 
     baseline = sub.add_parser(
         "baseline", help="snapshot current violations as the legacy set"
@@ -236,17 +189,6 @@ def _parser() -> argparse.ArgumentParser:
     add_common(baseline)
     baseline.add_argument("--prune", action="store_true",
                           help="only drop stale entries; add nothing")
-    baseline.add_argument("--no-cache", action="store_true",
-                          help="skip the cross-module facts cache")
-
-    graph = sub.add_parser(
-        "graph", help="export the cross-module call graph as JSON"
-    )
-    add_common(graph)
-    graph.add_argument("--output", default=None,
-                       help="write the JSON document here instead of stdout")
-    graph.add_argument("--no-cache", action="store_true",
-                       help="skip the cross-module facts cache")
 
     explain = sub.add_parser("explain", help="document one rule")
     explain.add_argument("rule_id")
@@ -270,8 +212,6 @@ def cmd_lint(argv: List[str]) -> int:
             return _cmd_check(args)
         if args.subcommand == "baseline":
             return _cmd_baseline(args)
-        if args.subcommand == "graph":
-            return _cmd_graph(args)
         if args.subcommand == "explain":
             return _cmd_explain(args)
         if args.subcommand == "rules":

@@ -17,15 +17,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.model import ModuleUnit, ProjectRule, Rule, Severity, Violation
 from repro.lint.pragmas import Pragma, parse_pragmas
 from repro.lint.rules import ALL_RULES, select_rules
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.lint.xmod.project import ProjectUnit
 
 #: Meta-rule ids (engine-emitted; not in the rule registry).
 MALFORMED_PRAGMA = "LNT000"
@@ -41,9 +38,6 @@ class LintResult:
     suppressed: List[Tuple[Violation, Pragma]] = field(default_factory=list)
     meta_violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
-    #: The cross-module view, present when any ProjectRule ran (the CLI
-    #: reuses it for ``lint graph`` without a second extraction).
-    project: "Optional[ProjectUnit]" = None
 
     @property
     def errors(self) -> List[Violation]:
@@ -107,14 +101,12 @@ def _relative(path: Path, root: Path) -> str:
 def run_lint(
     config: LintConfig,
     rules: Optional[Tuple[Rule, ...]] = None,
-    cache_path: Optional[Path] = None,
 ) -> LintResult:
     """Run ``rules`` (default: config-selected) over the configured tree.
 
     Per-file rules run module by module; :class:`ProjectRule` subclasses
     run once against the assembled cross-module
-    :class:`~repro.lint.xmod.project.ProjectUnit` (``cache_path``
-    enables the content-hash facts cache for that pass).  Pragma hygiene
+    :class:`~repro.lint.xmod.project.ProjectUnit`.  Pragma hygiene
     runs last so a pragma that suppresses only a project-level finding
     is correctly counted as used.
     """
@@ -148,10 +140,9 @@ def run_lint(
                 record(module, violation)
 
     if project_rules:
-        from repro.lint.xmod.cache import build_project
+        from repro.lint.xmod.project import ProjectUnit
 
-        project = build_project(modules, cache_path)
-        result.project = project
+        project = ProjectUnit.from_modules(modules)
         by_rel = {module.rel: module for module in modules}
         for rule in project_rules:
             for violation in rule.check_project(project, by_rel, config):

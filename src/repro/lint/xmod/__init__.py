@@ -11,15 +11,10 @@ the shared project view those checks need:
 * :mod:`repro.lint.xmod.project` — per-module **fact extraction**
   (functions, calls with import-resolved targets, an intraprocedural
   taint digest, struct codec uses, class/lock/mutation inventories)
-  into JSON-serializable :class:`~repro.lint.xmod.project.ModuleFacts`,
-  assembled into one :class:`~repro.lint.xmod.project.ProjectUnit`;
-* :mod:`repro.lint.xmod.callgraph` — cross-module call resolution, the
-  strongly-connected-component decomposition used for cache
-  invalidation, and the schema-versioned JSON export behind
-  ``python -m repro lint graph``;
-* :mod:`repro.lint.xmod.cache` — a content-hash-keyed facts cache
-  (``.lint-cache.json``) so ``lint check`` re-extracts only edited
-  files (plus their import SCC) instead of the whole tree.
+  into :class:`~repro.lint.xmod.project.ModuleFacts`, assembled into
+  one :class:`~repro.lint.xmod.project.ProjectUnit` that also resolves
+  calls across modules.  Every run extracts the whole tree (~2.5 s for
+  ``src/``; a facts cache measured no faster and was removed).
 
 The interprocedural rule families that consume this view live with the
 other rules: TRU001 (:mod:`repro.lint.rules.trust`), SCH001
@@ -28,12 +23,6 @@ other rules: TRU001 (:mod:`repro.lint.rules.trust`), SCH001
 ``ast`` only — same zero-dependency contract as the per-file engine.
 """
 
-from repro.lint.xmod.callgraph import CALLGRAPH_SCHEMA, CallGraph
 from repro.lint.xmod.project import ModuleFacts, ProjectUnit
 
-__all__ = [
-    "CALLGRAPH_SCHEMA",
-    "CallGraph",
-    "ModuleFacts",
-    "ProjectUnit",
-]
+__all__ = ["ModuleFacts", "ProjectUnit"]

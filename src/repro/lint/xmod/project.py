@@ -1,12 +1,11 @@
 """Per-module fact extraction and the assembled :class:`ProjectUnit`.
 
 The cross-module rules never touch raw ASTs: each file is distilled —
-once, cacheably — into a :class:`ModuleFacts` record containing only
-JSON-serializable data:
+once per run — into a :class:`ModuleFacts` record of plain data:
 
 * every function/method with its **calls** (callee dotted names resolved
   through the module's own imports — the only resolution that is safe to
-  do per-file and therefore safe to cache),
+  do per-file),
 * an **origin DAG** per function: each call site is a node carrying the
   taint origins of its arguments/receiver, where an origin is either a
   parameter (``p0``) or another call's result (``c<line>:<col>``).  The
@@ -22,9 +21,8 @@ JSON-serializable data:
   each site) for ASY002.
 
 Extraction is deliberately *policy-free*: nothing in this module knows
-what a taint source or a lock rule is.  That keeps the cache valid
-across rule-knob changes (the cache key fingerprints config anyway) and
-keeps every rule testable against hand-built facts.
+what a taint source or a lock rule is, which keeps every rule testable
+against hand-built facts.
 
 The dataflow model is flow-ordered but not path-sensitive: statements
 are walked in source order, branch bodies sequentially, and a guard
@@ -38,9 +36,8 @@ false positives are not — every report points at a concrete call site.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.lint.model import ModuleUnit
 
@@ -90,11 +87,6 @@ def module_name_for(rel: str) -> str:
     return ".".join(part for part in parts if part)
 
 
-def content_hash(source: str) -> str:
-    """Stable content key for the facts cache."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 # -- fact records -------------------------------------------------------------
 
 
@@ -114,11 +106,9 @@ class CallNode:
     arg_lines: List[int] = field(default_factory=list)
     kw_origins: Dict[str, List[str]] = field(default_factory=dict)
     kw_roots: Dict[str, Optional[str]] = field(default_factory=dict)
-    kw_idents: Dict[str, Optional[str]] = field(default_factory=dict)
     kw_lines: Dict[str, int] = field(default_factory=dict)
     receiver_origins: List[str] = field(default_factory=list)
     receiver_root: Optional[str] = None
-    assigned_to: List[str] = field(default_factory=list)
     try_handlers: List[str] = field(default_factory=list)
 
 
@@ -153,7 +143,6 @@ class FunctionFacts:
     qualname: str
     name: str
     line: int
-    end_line: int
     is_async: bool
     params: List[str]
     class_name: Optional[str]
@@ -196,145 +185,10 @@ class ModuleFacts:
 
     module: str
     rel: str
-    sha: str
     imports: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionFacts] = field(default_factory=list)
     classes: List[ClassFacts] = field(default_factory=list)
     struct_consts: Dict[str, str] = field(default_factory=dict)
-    toplevel: List[str] = field(default_factory=list)
-
-    # -- (de)serialization for the cache ------------------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        def call(c: CallNode) -> Dict[str, Any]:
-            return {
-                "id": c.id, "callee": c.callee, "line": c.line,
-                "col": c.col, "ao": c.arg_origins, "ar": c.arg_roots,
-                "ai": c.arg_idents, "ak": c.arg_kinds, "al": c.arg_lines,
-                "ko": c.kw_origins, "kr": c.kw_roots, "ki": c.kw_idents,
-                "kl": c.kw_lines, "ro": c.receiver_origins,
-                "rr": c.receiver_root, "as": c.assigned_to,
-                "th": c.try_handlers,
-            }
-
-        return {
-            "module": self.module, "rel": self.rel, "sha": self.sha,
-            "imports": self.imports,
-            "toplevel": self.toplevel,
-            "struct_consts": self.struct_consts,
-            "functions": [
-                {
-                    "qualname": f.qualname, "name": f.name, "line": f.line,
-                    "end_line": f.end_line, "is_async": f.is_async,
-                    "params": f.params, "class_name": f.class_name,
-                    "calls": [call(c) for c in f.calls],
-                    "guards": [
-                        {"name": g.name, "origins": g.origins,
-                         "raised": g.raised, "line": g.line}
-                        for g in f.guards
-                    ],
-                    "raises": f.raises,
-                    "returns": [
-                        {"origins": r.origins, "roots": r.roots,
-                         "line": r.line}
-                        for r in f.returns
-                    ],
-                    "unpacks": [
-                        {"fields": u.fields, "callee": u.callee,
-                         "line": u.line}
-                        for u in f.unpacks
-                    ],
-                    "nested_raises": f.nested_raises,
-                }
-                for f in self.functions
-            ],
-            "classes": [
-                {
-                    "name": k.name, "line": k.line, "bases": k.bases,
-                    "is_dataclass": k.is_dataclass,
-                    "fields": [[n, ln] for n, ln in k.fields],
-                    "methods": k.methods,
-                    "lock_attrs": k.lock_attrs,
-                    "container_attrs": k.container_attrs,
-                    "thread_entries": k.thread_entries,
-                    "task_entries": k.task_entries,
-                    "mutations": [
-                        {"attr": m.attr, "method": m.method,
-                         "line": m.line, "locks": m.locks, "kind": m.kind}
-                        for m in k.mutations
-                    ],
-                    "self_reads": k.self_reads,
-                }
-                for k in self.classes
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleFacts":
-        def call(raw: Dict[str, Any]) -> CallNode:
-            return CallNode(
-                id=raw["id"], callee=raw["callee"], line=raw["line"],
-                col=raw["col"], arg_origins=raw["ao"], arg_roots=raw["ar"],
-                arg_idents=raw["ai"], arg_kinds=raw["ak"],
-                arg_lines=raw["al"], kw_origins=raw["ko"],
-                kw_roots=raw["kr"], kw_idents=raw["ki"],
-                kw_lines=raw["kl"], receiver_origins=raw["ro"],
-                receiver_root=raw["rr"], assigned_to=raw["as"],
-                try_handlers=raw["th"],
-            )
-
-        return cls(
-            module=payload["module"], rel=payload["rel"],
-            sha=payload["sha"], imports=dict(payload["imports"]),
-            toplevel=list(payload["toplevel"]),
-            struct_consts=dict(payload["struct_consts"]),
-            functions=[
-                FunctionFacts(
-                    qualname=f["qualname"], name=f["name"], line=f["line"],
-                    end_line=f["end_line"], is_async=f["is_async"],
-                    params=f["params"], class_name=f["class_name"],
-                    calls=[call(c) for c in f["calls"]],
-                    guards=[
-                        GuardFact(name=g["name"], origins=g["origins"],
-                                  raised=g["raised"], line=g["line"])
-                        for g in f["guards"]
-                    ],
-                    raises=f["raises"],
-                    returns=[
-                        ReturnFact(origins=r["origins"], roots=r["roots"],
-                                   line=r["line"])
-                        for r in f["returns"]
-                    ],
-                    unpacks=[
-                        UnpackFact(fields=u["fields"], callee=u["callee"],
-                                   line=u["line"])
-                        for u in f["unpacks"]
-                    ],
-                    nested_raises=dict(f["nested_raises"]),
-                )
-                for f in payload["functions"]
-            ],
-            classes=[
-                ClassFacts(
-                    name=k["name"], line=k["line"], bases=k["bases"],
-                    is_dataclass=k["is_dataclass"],
-                    fields=[(n, ln) for n, ln in k["fields"]],
-                    methods=k["methods"],
-                    lock_attrs=k["lock_attrs"],
-                    container_attrs=k["container_attrs"],
-                    thread_entries=k["thread_entries"],
-                    task_entries=k["task_entries"],
-                    mutations=[
-                        MutationFact(attr=m["attr"], method=m["method"],
-                                     line=m["line"], locks=m["locks"],
-                                     kind=m["kind"])
-                        for m in k["mutations"]
-                    ],
-                    self_reads=dict(k["self_reads"]),
-                )
-                for k in payload["classes"]
-            ],
-        )
 
 
 # -- extraction ---------------------------------------------------------------
@@ -504,9 +358,7 @@ class _FunctionExtractor:
         for keyword in node.keywords:
             if keyword.arg is None:
                 continue
-            root, ident, _kind = _arg_shape(keyword.value)
-            call.kw_roots[keyword.arg] = root
-            call.kw_idents[keyword.arg] = ident
+            call.kw_roots[keyword.arg] = _arg_shape(keyword.value)[0]
             call.kw_lines[keyword.arg] = getattr(
                 keyword.value, "lineno", node.lineno
             )
@@ -654,10 +506,6 @@ class _FunctionExtractor:
         ):
             call = self.facts.calls[-1]
             if call.id == f"{value.lineno}:{value.col_offset}":
-                call.assigned_to = [
-                    name for target in targets
-                    for name in self._target_names(target)
-                ]
                 self._maybe_unpack(call, targets, value.lineno)
         elif value is not None and isinstance(value, ast.Name):
             # Two-step pattern: `header = S.unpack_from(...)` then
@@ -697,18 +545,6 @@ class _FunctionExtractor:
             self.facts.unpacks.append(UnpackFact(
                 fields=names, callee=call.callee, line=line,
             ))
-
-    def _target_names(self, target: ast.expr) -> List[str]:
-        if isinstance(target, ast.Name):
-            return [target.id]
-        if isinstance(target, (ast.Tuple, ast.List)):
-            names: List[str] = []
-            for element in target.elts:
-                names.extend(self._target_names(element))
-            return names
-        if isinstance(target, ast.Starred):
-            return self._target_names(target.value)
-        return []
 
     def _bind_target(self, target: ast.expr,
                      origins: FrozenSet[str]) -> None:
@@ -884,7 +720,7 @@ def _is_dataclass_class(node: ast.ClassDef) -> bool:
 
 
 def extract_facts(module: ModuleUnit) -> ModuleFacts:
-    """Distill one parsed module into its cacheable facts."""
+    """Distill one parsed module into its facts."""
     modname = module_name_for(module.rel)
     imports = dict(module.import_map)
     toplevel: Dict[str, str] = {}
@@ -904,8 +740,7 @@ def extract_facts(module: ModuleUnit) -> ModuleFacts:
 
     facts = ModuleFacts(
         module=modname, rel=module.rel,
-        sha=content_hash(module.source),
-        imports=imports, toplevel=sorted(toplevel),
+        imports=imports,
     )
     resolver = _ModuleResolver(modname, imports, toplevel)
 
@@ -943,7 +778,6 @@ def extract_facts(module: ModuleUnit) -> ModuleFacts:
             qualname=qualname,
             name=node.name,
             line=node.lineno,
-            end_line=getattr(node, "end_lineno", node.lineno) or node.lineno,
             is_async=isinstance(node, ast.AsyncFunctionDef),
             params=params,
             class_name=class_ctx.name if class_ctx else None,
@@ -1090,13 +924,8 @@ def _entry_points(call: ast.Call, klass: ClassFacts,
 class ProjectUnit:
     """Every module's facts plus the cross-module indexes rules query."""
 
-    def __init__(self, facts: Dict[str, ModuleFacts],
-                 reanalyzed: Optional[List[str]] = None) -> None:
+    def __init__(self, facts: Dict[str, ModuleFacts]) -> None:
         self.facts = facts
-        #: Module names whose facts were (re)extracted this run — the
-        #: cache-effectiveness observable the invalidation tests pin.
-        self.reanalyzed = sorted(reanalyzed) if reanalyzed is not None \
-            else sorted(facts)
         self.functions: Dict[str, Tuple[str, FunctionFacts]] = {}
         self.classes: Dict[str, Tuple[str, ClassFacts]] = {}
         self.methods_by_name: Dict[str, List[str]] = {}
@@ -1120,13 +949,6 @@ class ProjectUnit:
             (extracted := extract_facts(module)).module: extracted
             for module in modules
         })
-
-    def module_rel(self, modname: str) -> str:
-        return self.facts[modname].rel
-
-    def function(self, qualified: str) -> Optional[FunctionFacts]:
-        entry = self.functions.get(qualified)
-        return entry[1] if entry else None
 
     def resolve_call(
         self, modname: str, function: FunctionFacts, call: CallNode,
@@ -1176,9 +998,3 @@ class ProjectUnit:
             if resolved is not None:
                 return resolved
         return None
-
-    def dataclass_fields(self, qualified: str) -> List[Tuple[str, int]]:
-        entry = self.classes.get(qualified)
-        if entry is None or not entry[1].is_dataclass:
-            return []
-        return list(entry[1].fields)

@@ -15,8 +15,9 @@ state machines — unchanged — over an asyncio event loop:
 * :mod:`repro.runtime.trace` — per-party JSONL execution traces;
 * :mod:`repro.runtime.replay` — wire replay of metered (hybrid-model)
   executions such as π_ba;
-* :mod:`repro.runtime.drivers` — event-driven twins of the synchronous
-  protocol drivers.
+* :mod:`repro.runtime.placements` — the placement table: ``in-process``,
+  ``local``, ``tcp`` and ``mesh(k)``, each taking parties;
+* :mod:`repro.runtime.drivers` — π_ba's record-then-replay driver.
 
 See ``docs/runtime.md`` for the architecture and the differential
 guarantees tying the runtime to :class:`SynchronousNetwork`.
@@ -31,8 +32,12 @@ from typing import TYPE_CHECKING, List
 #: Lazily re-exported name -> defining module.
 _EXPORTS = {
     "run_balanced_ba_runtime": "repro.runtime.drivers",
-    "run_gradecast_runtime": "repro.runtime.drivers",
-    "run_phase_king_runtime": "repro.runtime.drivers",
+    "IN_PROCESS": "repro.runtime.placements",
+    "LOCAL": "repro.runtime.placements",
+    "PLACEMENTS": "repro.runtime.placements",
+    "Placement": "repro.runtime.placements",
+    "TCP": "repro.runtime.placements",
+    "mesh": "repro.runtime.placements",
     "FaultPlan": "repro.runtime.faults",
     "LinkDelay": "repro.runtime.faults",
     "Partition": "repro.runtime.faults",
@@ -44,6 +49,7 @@ _EXPORTS = {
     "RecordingLedger": "repro.runtime.replay",
     "ReplayParty": "repro.runtime.replay",
     "ReplayScript": "repro.runtime.replay",
+    "replay_balanced_ba": "repro.runtime.replay",
     "replay_over_simulator": "repro.runtime.replay",
     "tallies_equal": "repro.runtime.replay",
     "RoundSynchronizer": "repro.runtime.synchronizer",
@@ -64,11 +70,7 @@ __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # static importers see the eager names
     from repro.net.party import Frame
-    from repro.runtime.drivers import (
-        run_balanced_ba_runtime,
-        run_gradecast_runtime,
-        run_phase_king_runtime,
-    )
+    from repro.runtime.drivers import run_balanced_ba_runtime
     from repro.runtime.faults import (
         FaultPlan,
         LinkDelay,
@@ -79,10 +81,19 @@ if TYPE_CHECKING:  # static importers see the eager names
         crash_everyone,
         partition_halves,
     )
+    from repro.runtime.placements import (
+        IN_PROCESS,
+        LOCAL,
+        PLACEMENTS,
+        TCP,
+        Placement,
+        mesh,
+    )
     from repro.runtime.replay import (
         RecordingLedger,
         ReplayParty,
         ReplayScript,
+        replay_balanced_ba,
         replay_over_simulator,
         tallies_equal,
     )

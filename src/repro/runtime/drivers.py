@@ -1,99 +1,51 @@
-"""High-level runtime drivers mirroring the synchronous convenience
-drivers, plus the π_ba wire-replay driver.
+"""The π_ba wire-replay driver over the asyncio runtime.
 
-Each ``run_*_runtime`` function is the event-driven twin of an existing
-synchronous driver (`run_phase_king`, `run_gradecast`, `run_balanced_ba`)
-with the same inputs and the same outputs on a fault-free plan — the
-differential tests in ``tests/runtime/`` hold the pairs equal — and
-three extra knobs: the transport substrate (``"local"`` asyncio queues
-or ``"tcp"`` loopback sockets), a seeded
-:class:`~repro.runtime.faults.FaultPlan`, and an optional
-:class:`~repro.runtime.trace.TraceRecorder`.
+Lockstep protocols need no driver here: a ``build_*`` builder's return
+value runs on any row of :mod:`repro.runtime.placements`
+(``LOCAL.run(*build_phase_king(inputs, byzantine), fault_plan=...)``).
+π_ba is metered in the hybrid model rather than built from parties, so
+it reaches a transport by record-then-replay:
+:func:`record_balanced_ba_script` runs Fig. 3 against a recording
+ledger, and :func:`run_balanced_ba_runtime` hands that script to
+:func:`~repro.runtime.replay.replay_balanced_ba` on the ``local`` or
+``tcp`` row.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional
 
 from repro.net.adversary import CorruptionPlan
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.runtime.faults import FaultPlan
-from repro.runtime.replay import (
-    RecordingLedger,
-    apply_func_ops,
-    build_replay_parties,
-)
-from repro.runtime.synchronizer import run_parties
+from repro.runtime.placements import PLACEMENTS
+from repro.runtime.replay import RecordingLedger, replay_balanced_ba
 from repro.runtime.trace import TraceRecorder
-from repro.runtime.transport import Transport
 from repro.srds.base import SRDSScheme
 from repro.utils.randomness import Randomness
 
 
-def _extra_rounds(fault_plan: Optional[FaultPlan]) -> int:
-    """Headroom a fault plan's delays add to a driver's round cap."""
-    return 0 if fault_plan is None else fault_plan.max_extra_rounds + 1
-
-
-def run_phase_king_runtime(
+def record_balanced_ba_script(
     inputs: Dict[int, int],
-    byzantine: Sequence[int] = (),
-    *,
-    transport: Union[str, Transport] = "local",
-    fault_plan: Optional[FaultPlan] = None,
-    trace: Optional[TraceRecorder] = None,
-    metrics: Optional[CommunicationMetrics] = None,
-    enforce_budget: bool = True,
-) -> Tuple[Dict[int, int], CommunicationMetrics]:
-    """Phase-king BA over the async runtime (twin of `run_phase_king`);
-    ``enforce_budget`` is :func:`build_phase_king`'s."""
-    from repro.protocols.phase_king import build_phase_king
+    plan: CorruptionPlan,
+    scheme: SRDSScheme,
+    params: ProtocolParameters,
+    rng: Randomness,
+    adversary=None,
+    delivery_rng: Optional[Randomness] = None,
+):
+    """Phase 1 of the replay recipe: run Fig. 3 against a recording
+    ledger; returns ``(reference_result, replay_script)``."""
+    from repro.protocols.balanced_ba import BalancedBA
 
-    parties, honest, max_rounds = build_phase_king(
-        inputs, byzantine, enforce_budget
+    recorder = RecordingLedger()
+    protocol = BalancedBA(
+        inputs, plan, scheme, params, rng, adversary,
+        metrics=recorder, delivery_rng=delivery_rng,
     )
-    result = run_parties(
-        parties,
-        transport=transport,
-        metrics=metrics,
-        fault_plan=fault_plan,
-        trace=trace,
-        until=honest,
-        max_rounds=max_rounds * (1 + _extra_rounds(fault_plan)),
-    )
-    outputs = {member: result.outputs[member] for member in honest}
-    return outputs, result.metrics
-
-
-def run_gradecast_runtime(
-    members: Sequence[int],
-    sender: int,
-    value: int,
-    byzantine: Sequence[int] = (),
-    equivocating_sender: bool = False,
-    *,
-    transport: Union[str, Transport] = "local",
-    fault_plan: Optional[FaultPlan] = None,
-    trace: Optional[TraceRecorder] = None,
-) -> Tuple[Dict[int, Tuple[int, int]], CommunicationMetrics]:
-    """Gradecast over the async runtime (twin of `run_gradecast`)."""
-    from repro.protocols.gradecast import build_gradecast
-
-    parties, honest, max_rounds = build_gradecast(
-        members, sender, value, byzantine, equivocating_sender
-    )
-    result = run_parties(
-        parties,
-        transport=transport,
-        fault_plan=fault_plan,
-        trace=trace,
-        until=honest,
-        max_rounds=max_rounds * (1 + _extra_rounds(fault_plan)),
-    )
-    outputs = {member: result.outputs[member] for member in honest}
-    return outputs, result.metrics
+    reference = protocol.run()
+    return reference, recorder.script()
 
 
 def run_balanced_ba_runtime(
@@ -104,7 +56,7 @@ def run_balanced_ba_runtime(
     rng: Randomness,
     adversary=None,
     *,
-    transport: Union[str, Transport] = "local",
+    transport: str = "local",
     fault_plan: Optional[FaultPlan] = None,
     trace: Optional[TraceRecorder] = None,
     metrics: Optional[CommunicationMetrics] = None,
@@ -114,10 +66,11 @@ def run_balanced_ba_runtime(
     Phase 1 executes Fig. 3 exactly as :func:`run_balanced_ba` does,
     against a :class:`RecordingLedger` (so outputs, certificate, and the
     reference snapshot are untouched).  Phase 2 replays the recorded
-    wire traffic as :class:`ReplayParty` machines over the requested
-    transport, with the hybrid-model charges applied verbatim, charging
-    a fresh ledger at the transport layer (or the caller's ``metrics``,
-    so a flow ledger / registry can observe the wire traffic).
+    wire traffic as :class:`ReplayParty` machines on the placement row
+    named ``transport``, with the hybrid-model charges applied verbatim,
+    charging a fresh ledger at the transport layer (or the caller's
+    ``metrics``, so a flow ledger / registry can observe the wire
+    traffic).
 
     If the fault plan requests within-round reordering, the protocol is
     additionally executed with a permuted delivery order at every point
@@ -128,36 +81,14 @@ def run_balanced_ba_runtime(
     Returns ``(ba_result, runtime_result)`` where ``ba_result.metrics``
     is the snapshot of the *transport-charged* ledger.
     """
-    from repro.protocols.balanced_ba import BalancedBA
-
     delivery_rng = None
     if fault_plan is not None and fault_plan.reorder:
         assert fault_plan.rng is not None
         delivery_rng = fault_plan.rng.fork("balanced-ba-delivery")
-
-    recorder = RecordingLedger()
-    protocol = BalancedBA(
-        inputs, plan, scheme, params, rng, adversary,
-        metrics=recorder, delivery_rng=delivery_rng,
+    reference, script = record_balanced_ba_script(
+        inputs, plan, scheme, params, rng, adversary, delivery_rng
     )
-    reference = protocol.run()
-    script = recorder.script()
-
-    n = len(inputs)
-    runtime_metrics = metrics if metrics is not None else (
-        CommunicationMetrics()
+    return replay_balanced_ba(
+        reference, script, PLACEMENTS[transport],
+        metrics=metrics, trace=trace, fault_plan=fault_plan,
     )
-    parties = build_replay_parties(script, n)
-    runtime_result = run_parties(
-        parties,
-        transport=transport,
-        metrics=runtime_metrics,
-        fault_plan=fault_plan,
-        trace=trace,
-        max_rounds=(script.num_rounds + 2) * (1 + _extra_rounds(fault_plan)),
-    )
-    apply_func_ops(script, runtime_metrics)
-    ba_result = dataclasses.replace(
-        reference, metrics=runtime_metrics.snapshot()
-    )
-    return ba_result, runtime_result

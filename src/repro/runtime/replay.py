@@ -30,6 +30,7 @@ holds.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -284,21 +285,59 @@ def apply_func_ops(
     return count
 
 
+def replay_script(
+    script: ReplayScript,
+    n: int,
+    placement,
+    *,
+    metrics: Optional[CommunicationMetrics] = None,
+    trace=None,
+    fault_plan=None,
+):
+    """Re-run the script's wire traffic on ``placement`` (a row of
+    :mod:`repro.runtime.placements`) and apply its hybrid charges to the
+    ledger the placement charged; returns the placement's result."""
+    result = placement.run(
+        build_replay_parties(script, n),
+        max_rounds=script.num_rounds + 2,
+        metrics=metrics,
+        trace=trace,
+        fault_plan=fault_plan,
+    )
+    apply_func_ops(script, result.metrics)
+    return result
+
+
+def replay_balanced_ba(reference, script: ReplayScript, placement, **run_kwargs):
+    """Phase 2 of the record-then-replay recipe, on any placement.
+
+    ``reference`` is the :class:`~repro.protocols.balanced_ba.BAResult`
+    of the recorded hybrid-model run and ``script`` what its
+    :class:`RecordingLedger` captured.  Returns ``(ba_result,
+    placement_result)`` where ``ba_result`` is ``reference`` with its
+    metrics replaced by the snapshot of the *placement-charged* ledger
+    (wire frames charged where they crossed, hybrid charges verbatim) —
+    comparable bit for bit across placements and with the reference.
+    """
+    result = replay_script(
+        script, len(reference.outputs), placement, **run_kwargs
+    )
+    ba_result = dataclasses.replace(
+        reference, metrics=result.metrics.snapshot()
+    )
+    return ba_result, result
+
+
 def replay_over_simulator(
     script: ReplayScript,
     n: int,
     metrics: Optional[CommunicationMetrics] = None,
 ) -> CommunicationMetrics:
-    """Re-run the script's wire traffic over :class:`SynchronousNetwork`
-    and apply its hybrid charges; returns the freshly charged ledger."""
-    from repro.net.simulator import SynchronousNetwork
+    """:func:`replay_script` on the in-process placement; returns the
+    freshly charged ledger."""
+    from repro.runtime.placements import IN_PROCESS
 
-    metrics = metrics if metrics is not None else CommunicationMetrics()
-    parties = build_replay_parties(script, n)
-    network = SynchronousNetwork(parties, metrics=metrics)
-    network.run(max_rounds=script.num_rounds + 2)
-    apply_func_ops(script, metrics)
-    return metrics
+    return replay_script(script, n, IN_PROCESS, metrics=metrics).metrics
 
 
 def tallies_equal(

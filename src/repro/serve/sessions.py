@@ -190,7 +190,7 @@ def run_decision(
     }
     budget_bits = pi_ba_per_party_budget(
         spec.n, params, result.certificate_bytes,
-        _probe_base_signature_bytes(spec, lease._entry.material),
+        _probe_base_signature_bytes(spec, lease.material),
     )
     return {
         "value": result.agreed_value,

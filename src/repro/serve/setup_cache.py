@@ -101,6 +101,11 @@ class SetupLease:
     def scheme(self) -> SRDSScheme:
         return self._entry.scheme
 
+    @property
+    def material(self) -> Optional[SRDSSetupMaterial]:
+        """The entry's cached setup (``None`` until the first miss)."""
+        return self._entry.material
+
     def provider(
         self, scheme: SRDSScheme, num_virtual: int, rng: Randomness
     ) -> SRDSSetupMaterial:

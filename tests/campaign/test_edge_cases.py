@@ -183,14 +183,14 @@ class TestForgeryWithEmptyArsenal:
 
 class TestCrashEveryoneFaultPlan:
     def test_phase_king_fails_loudly(self):
-        from repro.runtime.drivers import run_phase_king_runtime
+        from repro.protocols.phase_king import build_phase_king
         from repro.runtime.faults import crash_everyone
+        from repro.runtime.placements import LOCAL
 
         inputs = {i: i % 2 for i in range(8)}
         with pytest.raises(ReproError):
-            run_phase_king_runtime(
-                inputs,
-                [],
+            LOCAL.run(
+                *build_phase_king(inputs, []),
                 fault_plan=crash_everyone(range(8), round_index=1),
             )
 

@@ -18,22 +18,19 @@ from functools import lru_cache
 
 import pytest
 
-from repro.cluster.drivers import (
-    make_scheme,
-    run_balanced_ba_cluster,
-    run_phase_king_cluster,
-)
+from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.supervisor import ClusterConfig, describe_run
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
-from repro.runtime.drivers import (
-    run_balanced_ba_runtime,
-    run_phase_king_runtime,
-)
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.drivers import run_balanced_ba_runtime
+from repro.runtime.placements import LOCAL, mesh
 from repro.runtime.replay import tallies_equal
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
+from tests.placements import run_honest
 
 pytestmark = pytest.mark.cluster
 
@@ -53,7 +50,7 @@ def _pi_ba_setup(n):
 def _runtime_reference(n, scheme_name):
     params, inputs, plan = _pi_ba_setup(n)
     result, _ = run_balanced_ba_runtime(
-        inputs, plan, make_scheme(scheme_name), params,
+        inputs, plan, scheme_by_name(scheme_name), params,
         Randomness(SEED).fork("protocol"),
     )
     return result
@@ -69,7 +66,7 @@ def _cluster_run(n, scheme_name, *, kill_plan=None, run_dir=None,
         flow=flow,
     )
     return run_balanced_ba_cluster(
-        inputs, plan, make_scheme(scheme_name), params,
+        inputs, plan, scheme_by_name(scheme_name), params,
         Randomness(SEED).fork("protocol"),
         num_workers=2, checkpoint_interval=2,
         config=config, run_dir=run_dir, resume=resume,
@@ -143,10 +140,8 @@ class TestPhaseKingCluster:
         n = 16
         inputs = {i: i % 2 for i in range(n)}
         byzantine = (3,)
-        reference, _metrics = run_phase_king_runtime(inputs, byzantine)
-        outputs, cluster = run_phase_king_cluster(
-            inputs, byzantine, num_workers=2
-        )
+        reference, _ = run_honest(LOCAL, build_phase_king(inputs, byzantine))
+        outputs, _ = run_honest(mesh(2), build_phase_king(inputs, byzantine))
         assert outputs == reference
         assert len(set(outputs.values())) == 1
 
@@ -154,8 +149,6 @@ class TestPhaseKingCluster:
         n = 16
         inputs = {i: i % 2 for i in range(n)}
         byzantine = (3,)
-        _, ref_metrics = run_phase_king_runtime(inputs, byzantine)
-        _, cluster = run_phase_king_cluster(
-            inputs, byzantine, num_workers=4
-        )
-        assert tallies_equal(cluster.metrics, ref_metrics, range(n))
+        _, reference = run_honest(LOCAL, build_phase_king(inputs, byzantine))
+        _, cluster = run_honest(mesh(4), build_phase_king(inputs, byzantine))
+        assert tallies_equal(cluster.metrics, reference.metrics, range(n))

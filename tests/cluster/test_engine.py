@@ -14,12 +14,16 @@ import pytest
 
 from repro.cluster.checkpoint import load_checkpoint, save_checkpoint
 from repro.cluster.engine import ShardEngine
-from repro.cluster.job import phase_king_parties, replay_script_parties
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
-from repro.runtime.replay import apply_func_ops, tallies_equal
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.replay import (
+    apply_func_ops,
+    build_replay_parties,
+    tallies_equal,
+)
 from repro.runtime.synchronizer import run_parties
 from repro.runtime.trace import TraceRecorder, load_jsonl
 from repro.utils.randomness import Randomness
@@ -29,18 +33,15 @@ from tests.placements import SHARD_ENGINE, drive_shard
 N = 16
 
 
-def _phase_king_setup():
-    inputs = {i: i % 2 for i in range(N)}
-    byzantine = (2, 9)
-    honest = tuple(i for i in range(N) if i not in byzantine)
-    f = max(1, (N - 1) // 3)
-    max_rounds = 3 * (f + 2) + 3
-    return inputs, byzantine, honest, max_rounds
+def _phase_king():
+    """A fresh ``(parties, honest_ids, max_rounds)`` of the n=16 cell."""
+    return build_phase_king({i: i % 2 for i in range(N)}, (2, 9))
 
 
 @lru_cache(maxsize=None)
 def _pi_ba_script(scheme_name: str):
-    from repro.cluster.drivers import make_scheme, record_balanced_ba_script
+    from repro.cluster.drivers import record_balanced_ba_script
+    from repro.srds import scheme_by_name
 
     params = ProtocolParameters()
     inputs = {i: i % 2 for i in range(N)}
@@ -48,7 +49,7 @@ def _pi_ba_script(scheme_name: str):
         N, params.max_corruptions(N), Randomness(11).fork("corruption")
     )
     _, script = record_balanced_ba_script(
-        inputs, plan, make_scheme(scheme_name), params,
+        inputs, plan, scheme_by_name(scheme_name), params,
         Randomness(11).fork("protocol"),
     )
     return script
@@ -66,16 +67,11 @@ def _reference(parties, until, max_rounds):
 
 class TestEngineParity:
     def test_phase_king_matches_run_parties(self):
-        inputs, byzantine, honest, max_rounds = _phase_king_setup()
-        ref, ref_metrics, ref_trace = _reference(
-            phase_king_parties(N, inputs, byzantine), honest, max_rounds
-        )
+        ref, ref_metrics, ref_trace = _reference(*_phase_king())
         metrics = CommunicationMetrics()
         trace = TraceRecorder()
         result = SHARD_ENGINE.run(
-            phase_king_parties(N, inputs, byzantine),
-            metrics=metrics, trace=trace, until=honest,
-            max_rounds=max_rounds,
+            *_phase_king(), metrics=metrics, trace=trace
         )
         assert result.outputs == ref.outputs
         assert result.rounds == ref.rounds
@@ -88,13 +84,13 @@ class TestEngineParity:
         script = _pi_ba_script(scheme_name)
         max_rounds = script.num_rounds + 2
         ref, ref_metrics, ref_trace = _reference(
-            replay_script_parties(N, script), None, max_rounds
+            build_replay_parties(script, N), None, max_rounds
         )
         apply_func_ops(script, ref_metrics)
         metrics = CommunicationMetrics()
         trace = TraceRecorder()
         result = SHARD_ENGINE.run(
-            replay_script_parties(N, script),
+            build_replay_parties(script, N),
             metrics=metrics, trace=trace, max_rounds=max_rounds,
         )
         apply_func_ops(script, metrics)
@@ -104,14 +100,12 @@ class TestEngineParity:
         assert trace.fingerprint() == ref_trace.fingerprint()
 
     def test_round_mismatch_rejected(self):
-        inputs, byzantine, _, _ = _phase_king_setup()
-        engine = ShardEngine(phase_king_parties(N, inputs, byzantine))
+        engine = ShardEngine(_phase_king()[0])
         with pytest.raises(ClusterError, match="round"):
             engine.step_round(5, [])
 
     def test_snapshot_restore_preserves_seq_counters(self):
-        inputs, byzantine, honest, _ = _phase_king_setup()
-        engine = ShardEngine(phase_king_parties(N, inputs, byzantine))
+        engine = ShardEngine(_phase_king()[0])
         out0 = engine.step_round(0, [])
         out1 = engine.step_round(1, out0)
         restored = ShardEngine.restore(engine.snapshot())
@@ -192,9 +186,9 @@ class TestSaveLoadResume:
         )
 
     def test_phase_king_resume_is_byte_identical(self, tmp_path):
-        inputs, byzantine, honest, max_rounds = _phase_king_setup()
+        _, honest, max_rounds = _phase_king()
         self._assert_resume_parity(
-            lambda: phase_king_parties(N, inputs, byzantine),
+            lambda: _phase_king()[0],
             honest, max_rounds, interrupt_after=5, tmp_path=tmp_path,
         )
 
@@ -202,20 +196,17 @@ class TestSaveLoadResume:
     def test_pi_ba_resume_is_byte_identical(self, scheme_name, tmp_path):
         script = _pi_ba_script(scheme_name)
         self._assert_resume_parity(
-            lambda: replay_script_parties(N, script),
+            lambda: build_replay_parties(script, N),
             None, script.num_rounds + 2,
             interrupt_after=script.num_rounds // 2, tmp_path=tmp_path,
         )
 
     def test_resume_without_checkpoint_raises(self, tmp_path):
-        # The one resume path in src/: a worker pinned to a barrier whose
+        # The one path in src/: a worker pinned to a barrier whose
         # checkpoint file is missing dies loudly, it does not start over.
-        from repro.cluster.job import phase_king_job
         from repro.cluster.worker import _build_engine
 
-        inputs, byzantine, _, _ = _phase_king_setup()
         with pytest.raises(ClusterError, match="checkpoint"):
             _build_engine(
-                phase_king_job(inputs, byzantine), list(range(N)), 2,
-                tmp_path, "shard-0", TraceRecorder(),
+                b"", list(range(N)), 2, tmp_path, "shard-0", TraceRecorder(),
             )

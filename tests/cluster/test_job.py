@@ -1,4 +1,4 @@
-"""Job descriptions, builder resolution, and shard partitioning."""
+"""Job descriptions, the round-0 shard checkpoint, and shard partitioning."""
 
 from __future__ import annotations
 
@@ -6,13 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.job import (
-    ClusterJob,
-    phase_king_job,
-    resolve_builder,
-    split_shards,
+from repro.cluster.checkpoint import (
+    checkpoint_path,
+    decode_checkpoint,
+    save_checkpoint,
 )
+from repro.cluster.job import ClusterJob, split_shards
+from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+from repro.cluster.worker import _build_engine
 from repro.errors import ClusterError
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.trace import TraceRecorder
 
 
 class TestSplitShards:
@@ -37,35 +41,84 @@ class TestSplitShards:
             split_shards(8, 0)
 
 
+def _phase_king_job(n=8, byzantine=(1,), **kwargs):
+    parties, honest, max_rounds = build_phase_king(
+        {i: i % 2 for i in range(n)}, byzantine
+    )
+    return ClusterJob(
+        name="phase-king", n=n, parties=parties, until=tuple(honest),
+        max_rounds=max_rounds, **kwargs,
+    )
+
+
 class TestClusterJob:
-    def test_builder_reference_validated(self):
-        with pytest.raises(ClusterError, match="module:function"):
-            ClusterJob(name="x", n=4, builder="not-a-reference")
-
-    def test_unknown_builder_module(self):
-        with pytest.raises(ClusterError, match="cannot import"):
-            resolve_builder("repro.no_such_module:build")
-
-    def test_builder_must_be_callable(self):
-        with pytest.raises(ClusterError, match="callable"):
-            resolve_builder("repro.cluster.job:MAGIC_DOES_NOT_EXIST")
-
-    def test_build_parties_validates_ids(self):
-        job = ClusterJob(
-            name="bad", n=5,
-            builder="repro.cluster.job:phase_king_parties",
-            args={"inputs": {i: 0 for i in range(4)}},
-        )
-        with pytest.raises(ClusterError):
-            job.build_parties()
-
-    def test_phase_king_job_round_trips_through_pickle(self):
-        import pickle
-
-        inputs = {i: i % 2 for i in range(8)}
-        job = phase_king_job(inputs, byzantine=(1,))
-        clone = pickle.loads(pickle.dumps(job))
-        assert clone == job
-        parties = clone.build_parties()
-        assert sorted(p.party_id for p in parties) == list(range(8))
+    def test_a_job_is_built_from_a_builders_return_value(self):
+        job = _phase_king_job()
+        assert sorted(p.party_id for p in job.parties) == list(range(8))
         assert job.target_ids() == [i for i in range(8) if i != 1]
+
+    def test_builder_reference_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ClusterJob(
+                name="x", n=4, builder="repro.cluster.job:phase_king_parties"
+            )
+
+    def test_party_ids_validated(self):
+        parties, _, _ = build_phase_king({i: 0 for i in range(4)})
+        with pytest.raises(ClusterError, match="range"):
+            ClusterJob(name="bad", n=5, parties=parties)
+
+    def test_unknown_target_rejected(self):
+        parties, _, _ = build_phase_king({i: 0 for i in range(4)})
+        with pytest.raises(ClusterError, match="unknown target"):
+            ClusterJob(name="bad", n=4, parties=parties, until=(7,))
+
+
+class TestJobBlob:
+    """What worker ``w`` is shipped: its shard's round-0 checkpoint."""
+
+    def test_blob_is_the_shards_round_zero_checkpoint(self, tmp_path):
+        job = _phase_king_job()
+        supervisor = ClusterSupervisor(job, ClusterConfig(num_workers=3))
+        for worker_id, shard in enumerate(supervisor.shards):
+            blob = supervisor._job_blob(worker_id, 0)
+            checkpoint = decode_checkpoint(blob)
+            assert checkpoint.next_round == 0
+            assert sorted(checkpoint.by_party()) == shard
+            assert checkpoint.staged == []
+            assert all(
+                record.send_seq == 0 and record.trace_seq == 0
+                for record in checkpoint.parties
+            )
+            # Byte-identical to the file a worker would have written
+            # had round 0 been a durable barrier.
+            save_checkpoint(tmp_path, "shard", job.shard_checkpoint(shard))
+            assert checkpoint_path(tmp_path, "shard").read_bytes() == blob
+
+    def test_worker_restores_its_shard_from_the_blob(self, tmp_path):
+        supervisor = ClusterSupervisor(
+            _phase_king_job(), ClusterConfig(num_workers=2)
+        )
+        shard = supervisor.shards[1]
+        engine, staged = _build_engine(
+            supervisor._job_blob(1, 0), shard, 0, tmp_path, "shard-1",
+            TraceRecorder(),
+        )
+        assert sorted(engine.party_ids) == shard
+        assert staged == []
+
+    def test_later_barriers_ship_no_parties(self):
+        supervisor = ClusterSupervisor(
+            _phase_king_job(), ClusterConfig(num_workers=2)
+        )
+        assert supervisor._job_blob(0, 4) == b""
+
+    def test_blob_for_the_wrong_shard_is_refused(self, tmp_path):
+        supervisor = ClusterSupervisor(
+            _phase_king_job(), ClusterConfig(num_workers=2)
+        )
+        with pytest.raises(ClusterError, match="holds parties"):
+            _build_engine(
+                supervisor._job_blob(0, 0), supervisor.shards[1], 0,
+                tmp_path, "shard-1", TraceRecorder(),
+            )

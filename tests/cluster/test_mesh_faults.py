@@ -25,11 +25,8 @@ from functools import lru_cache
 
 import pytest
 
-from repro.cluster.drivers import (
-    make_scheme,
-    run_balanced_ba_cluster,
-)
-from repro.cluster.job import phase_king_job
+from repro.cluster.drivers import run_balanced_ba_cluster
+from repro.cluster.job import ClusterJob
 from repro.cluster.mesh import MeshRouter
 from repro.cluster.supervisor import (
     ClusterConfig,
@@ -42,10 +39,15 @@ from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
+from repro.net.party import SilentParty
 from repro.params import ProtocolParameters
+from repro.protocols.phase_king import build_phase_king
 from repro.runtime.drivers import run_balanced_ba_runtime
+from repro.runtime.placements import mesh
 from repro.runtime.replay import tallies_equal
+from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import Frame
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 SEED = 2021
@@ -191,7 +193,7 @@ class _ScriptedChannel:
 
 def _await_harness(events, *, round_timeout=0.25, heartbeat_timeout=5.0):
     supervisor = ClusterSupervisor(
-        phase_king_job({i: 0 for i in range(4)}),
+        ClusterJob("await", 4, [SilentParty(i) for i in range(4)]),
         ClusterConfig(
             num_workers=2,
             round_timeout=round_timeout,
@@ -254,7 +256,7 @@ def _reference(n):
     params, inputs, plan = _setup(n)
     ledger = CommunicationMetrics()
     result, _ = run_balanced_ba_runtime(
-        inputs, plan, make_scheme("snark"), params,
+        inputs, plan, scheme_by_name("snark"), params,
         Randomness(SEED).fork("protocol"), metrics=ledger,
     )
     return result, ledger
@@ -270,7 +272,7 @@ def _mesh_run(n, *, kill_plan=None, max_restarts=3, flow=None,
         flow=flow,
     )
     return run_balanced_ba_cluster(
-        inputs, plan, make_scheme("snark"), params,
+        inputs, plan, scheme_by_name("snark"), params,
         Randomness(SEED).fork("protocol"),
         num_workers=2, checkpoint_interval=2,
         config=config, run_dir=run_dir, resume=resume,
@@ -313,3 +315,27 @@ class TestMeshProcessFaults:
         # ... and the wreck is resumable from its durable barrier.
         result, _cluster = _mesh_run(16, run_dir=tmp_path, resume=True)
         assert result.outputs == _reference(16)[0].outputs
+
+    def test_death_before_the_first_barrier_restarts_from_the_job_blob(self):
+        """No durable barrier ever happens (the interval outlasts the
+        run), so the killed worker's only checkpoint is round 0's — the
+        JOB blob — and recovery is the same restore-then-replay path."""
+        inputs = {i: i % 2 for i in range(16)}
+
+        def run(kill_plan):
+            trace = TraceRecorder()
+            parties, honest, max_rounds = build_phase_king(inputs, (3,))
+            assert max_rounds < 1_000
+            result = mesh(
+                checkpoint_interval=1_000,
+                config=ClusterConfig(num_workers=2, kill_plan=kill_plan),
+            ).run(parties, honest, max_rounds, trace=trace)
+            return result, trace.fingerprint()
+
+        clean, clean_fingerprint = run({})
+        killed, killed_fingerprint = run({1: 1})
+        assert (clean.restarts, killed.restarts) == (0, 1)
+        assert not list(killed.run_dir.glob("shard-*.ckpt"))
+        assert killed.outputs == clean.outputs
+        assert tallies_equal(killed.metrics, clean.metrics, range(16))
+        assert killed_fingerprint == clean_fingerprint

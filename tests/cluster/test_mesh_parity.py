@@ -22,16 +22,14 @@ from functools import lru_cache
 import pytest
 
 from repro.cluster.cli import cmd_cluster
-from repro.cluster.drivers import (
-    run_gradecast_cluster,
-    run_phase_king_cluster,
-)
 from repro.cluster.job import replay_job
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
-from repro.protocols.gradecast import run_gradecast
-from repro.runtime.drivers import run_phase_king_runtime
+from repro.protocols.gradecast import build_gradecast, run_gradecast
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.faults import FaultPlan
+from repro.runtime.placements import LOCAL, mesh
 from repro.runtime.replay import (
     apply_func_ops,
     build_replay_parties,
@@ -39,7 +37,8 @@ from repro.runtime.replay import (
 )
 from repro.runtime.synchronizer import run_parties
 from repro.runtime.trace import TraceRecorder
-from tests.placements import phase_views, recorded_pi_ba
+from tests.net import test_simulator as contract
+from tests.placements import phase_views, recorded_pi_ba, run_honest
 from tests.runtime.test_seed_stability import PINNED
 
 SCHEMES = ("snark", "owf")
@@ -130,13 +129,12 @@ class TestPiBaMatrixN64:
 def _phase_king_cell(n, workers):
     inputs = {i: i % 2 for i in range(n)}
     byzantine = (3,)
-    reference, ref_metrics = run_phase_king_runtime(inputs, byzantine)
+    reference, ref = run_honest(LOCAL, build_phase_king(inputs, byzantine))
+    ref_metrics = ref.metrics
     flow = FlowLedger()
-    outputs, result = run_phase_king_cluster(
-        inputs,
-        byzantine,
-        num_workers=workers,
-        config=ClusterConfig(num_workers=workers, flow=flow),
+    outputs, result = run_honest(
+        mesh(config=ClusterConfig(num_workers=workers, flow=flow)),
+        build_phase_king(inputs, byzantine),
     )
     assert outputs == reference
     assert (
@@ -151,12 +149,9 @@ def _gradecast_cell(n, workers):
     sender, value = 2, 1
     reference, ref_metrics = run_gradecast(range(n), sender, value)
     flow = FlowLedger()
-    outputs, result = run_gradecast_cluster(
-        n,
-        sender,
-        value,
-        num_workers=workers,
-        config=ClusterConfig(num_workers=workers, flow=flow),
+    outputs, result = run_honest(
+        mesh(config=ClusterConfig(num_workers=workers, flow=flow)),
+        build_gradecast(range(n), sender, value),
     )
     assert outputs == reference
     assert all(pair == (value, 2) for pair in outputs.values())
@@ -183,6 +178,42 @@ class TestCommitteePrimitivesN64:
 
     def test_gradecast(self):
         _gradecast_cell(64, workers=4)
+
+
+@pytest.mark.cluster
+class TestMeshContract(
+    contract.TestDelivery,
+    contract.TestAuthentication,
+    contract.TestTermination,
+    contract.TestReplayAttribution,
+    contract.TestTrace,
+):
+    """The lockstep-round contract (tests/net/test_simulator.py) on the
+    mesh row: two worker processes, parties shipped as round-0
+    checkpoints.  ``TestBudget`` and ``TestFaultPlan`` need keywords the
+    mesh refuses — see :class:`TestMeshRefusals`."""
+
+    placement = mesh(2)
+
+
+class TestMeshRefusals:
+    """A keyword the mesh cannot honour raises; it is not ignored."""
+
+    @pytest.mark.parametrize(
+        "keyword",
+        [
+            {"fault_plan": FaultPlan(crashes={0: 1})},
+            {"message_budget_per_party": 3},
+        ],
+        ids=["fault_plan", "message_budget_per_party"],
+    )
+    def test_unsupported_keyword_raises_cluster_error(self, keyword):
+        row = mesh(2)
+        with pytest.raises(row.error, match="single-process placement"):
+            row.run(
+                [contract.EchoParty(0, 1), contract.EchoParty(1, 0)],
+                **keyword,
+            )
 
 
 class TestOnePlane:

@@ -10,13 +10,14 @@ import json
 
 import pytest
 
-from repro.cluster.drivers import make_scheme, run_balanced_ba_cluster
+from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.supervisor import ClusterConfig, worker_pseudo_id
 from repro.net.adversary import random_corruption
 from repro.obs.flow import INFRA, FlowLedger
 from repro.obs.merge import cluster_tracks, dump_span_dir, export_merged_trace
 from repro.obs.timeline import validate_trace_events
 from repro.params import ProtocolParameters
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 pytestmark = pytest.mark.cluster
@@ -34,7 +35,7 @@ def _run(flow=None, trace_id=""):
         num_workers=WORKERS, flow=flow, trace_id=trace_id
     )
     return run_balanced_ba_cluster(
-        inputs, plan, make_scheme("snark"), params, rng.fork("run"),
+        inputs, plan, scheme_by_name("snark"), params, rng.fork("run"),
         config=config,
     )
 

@@ -114,29 +114,15 @@ def test_baseline_prune_drops_burned_down_debt(tree, capsys):
     assert "pruned 0 stale entries" in capsys.readouterr().out
 
 
-def test_graph_exports_schema_versioned_json(tree, tmp_path, capsys):
-    out_path = tmp_path / "callgraph.json"
-    code = cmd_lint([
-        "graph", "--root", str(tree), "--output", str(out_path),
-    ])
-    assert code == 0
-    assert "call graph ->" in capsys.readouterr().out
-    payload = json.loads(out_path.read_text(encoding="utf-8"))
-    assert payload["schema"] == "repro-lint-callgraph/1"
-    assert [m["name"] for m in payload["modules"]] == ["protocols.proto"]
-    assert any(f["name"] == "run" for f in payload["functions"])
-    # The cache file landed beside the tree root and is reused.
-    assert (tree / ".lint-cache.json").exists()
-    assert cmd_lint([
-        "graph", "--root", str(tree), "--output", str(out_path),
-    ]) == 0
-
-
-def test_graph_no_cache_writes_nothing(tree, capsys):
-    assert cmd_lint(["graph", "--root", str(tree), "--no-cache"]) == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["graph"], ["check", "--no-cache"], ["baseline", "--no-cache"]],
+    ids=["graph", "check --no-cache", "baseline --no-cache"],
+)
+def test_the_cache_and_graph_surface_is_gone(tree, argv, capsys):
+    assert cmd_lint([*argv, "--root", str(tree)]) == 2
+    assert "usage:" in capsys.readouterr().err
     assert not (tree / ".lint-cache.json").exists()
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "repro-lint-callgraph/1"
 
 
 def test_check_on_fixture_tree_with_explicit_paths(capsys):

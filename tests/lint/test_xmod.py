@@ -1,20 +1,16 @@
-"""The interprocedural layer: project rules, call graph, facts cache.
+"""The interprocedural layer: project rules and cross-module resolution.
 
 Fixture pairs mirror ``test_rules.py`` (one good/bad tree per rule
-family); the graph and cache tests run over the deliberate import cycle
+family); the call-resolution test runs over the deliberate import cycle
 in ``fixtures/xmod_graph``.
 """
 
-import json
-import shutil
-
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.config import LintConfig
-from repro.lint.engine import iter_source_files, load_module, run_lint
+from repro.lint.engine import iter_source_files, load_module
 from repro.lint.model import ModuleUnit
 from repro.lint.rules.schema import struct_field_count
-from repro.lint.xmod.cache import build_project
-from repro.lint.xmod.callgraph import CALLGRAPH_SCHEMA, CallGraph
+from repro.lint.xmod.project import ProjectUnit
 from tests.lint.conftest import FIXTURES, lint_fixture, rule_ids_of
 
 
@@ -115,103 +111,35 @@ def test_asy002_is_scoped_to_concurrency_surfaces():
         elsewhere.unlink()
 
 
-# -- call-graph export --------------------------------------------------------
+# -- cross-module call resolution ----------------------------------------------
 
-def _graph_project(root, cache_path=None):
-    config = LintConfig(root=root, paths=("xmod_graph",))
-    modules = [
+def test_project_resolves_calls_across_an_import_cycle():
+    config = LintConfig(root=FIXTURES, paths=("xmod_graph",))
+    project = ProjectUnit.from_modules(
         loaded
         for path in iter_source_files(config)
         if isinstance(loaded := load_module(path, config), ModuleUnit)
-    ]
-    return build_project(modules, cache_path)
-
-
-def test_callgraph_golden_document():
-    project = _graph_project(FIXTURES)
-    doc = CallGraph(project).to_json()
-    assert doc["schema"] == CALLGRAPH_SCHEMA
-    assert [m["name"] for m in doc["modules"]] == [
+    )
+    assert sorted(project.facts) == [
         "xmod_graph.pkg", "xmod_graph.pkg.a",
         "xmod_graph.pkg.b", "xmod_graph.pkg.c",
     ]
-    by_name = {m["name"]: m for m in doc["modules"]}
-    assert by_name["xmod_graph.pkg.a"]["imports"] == ["xmod_graph.pkg.b"]
-    assert by_name["xmod_graph.pkg.b"]["imports"] == ["xmod_graph.pkg.a"]
-    assert all(len(m["sha256"]) == 64 for m in doc["modules"])
-    assert {f["id"] for f in doc["functions"]} == {
+    assert set(project.functions) == {
         "xmod_graph.pkg.a.alpha", "xmod_graph.pkg.a.orphan",
         "xmod_graph.pkg.b.beta", "xmod_graph.pkg.b.helper",
         "xmod_graph.pkg.c.gamma",
     }
-    assert {
-        (e["caller"], e["callee"]) for e in doc["edges"]
-    } == {
+    edges = {
+        (caller, target)
+        for caller, (modname, function) in project.functions.items()
+        for call in function.calls
+        if (target := project.resolve_call(modname, function, call))
+        in project.functions
+    }
+    assert edges == {
         ("xmod_graph.pkg.a.alpha", "xmod_graph.pkg.b.helper"),
         ("xmod_graph.pkg.b.beta", "xmod_graph.pkg.a.alpha"),
     }
-    assert doc["sccs"] == [["xmod_graph.pkg.a", "xmod_graph.pkg.b"]]
-
-
-def test_callgraph_export_is_json_round_trippable():
-    doc = CallGraph(_graph_project(FIXTURES)).to_json()
-    assert json.loads(json.dumps(doc, sort_keys=True)) == doc
-
-
-# -- facts cache ---------------------------------------------------------------
-
-def test_cache_reanalyzes_only_the_edited_import_scc(tmp_path):
-    shutil.copytree(FIXTURES / "xmod_graph", tmp_path / "xmod_graph")
-    cache = tmp_path / ".lint-cache.json"
-
-    cold = _graph_project(tmp_path, cache)
-    assert set(cold.reanalyzed) == {
-        "xmod_graph.pkg", "xmod_graph.pkg.a",
-        "xmod_graph.pkg.b", "xmod_graph.pkg.c",
-    }
-    assert cache.exists()
-
-    warm = _graph_project(tmp_path, cache)
-    assert warm.reanalyzed == []
-    assert warm.functions.keys() == cold.functions.keys()
-
-    # Touch one member of the a<->b import cycle: its whole SCC
-    # re-extracts, the island module `c` stays cached.
-    edited = tmp_path / "xmod_graph" / "pkg" / "a.py"
-    edited.write_text(
-        edited.read_text(encoding="utf-8") + "\n\ndef extra():\n"
-        "    return 1\n",
-        encoding="utf-8",
-    )
-    ripple = _graph_project(tmp_path, cache)
-    assert set(ripple.reanalyzed) == {
-        "xmod_graph.pkg.a", "xmod_graph.pkg.b",
-    }
-    assert "xmod_graph.pkg.a.extra" in ripple.functions
-
-
-def test_corrupt_cache_degrades_to_full_extraction(tmp_path):
-    shutil.copytree(FIXTURES / "xmod_graph", tmp_path / "xmod_graph")
-    cache = tmp_path / ".lint-cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    project = _graph_project(tmp_path, cache)
-    assert len(project.reanalyzed) == 4  # everything, not an error
-
-
-def test_cached_and_uncached_runs_agree_on_violations(tmp_path):
-    shutil.copytree(FIXTURES / "xmod_tru_bad", tmp_path / "xmod_tru_bad")
-    config = LintConfig(
-        root=tmp_path, paths=("xmod_tru_bad",), rules=("TRU001",),
-    )
-    cache = tmp_path / ".lint-cache.json"
-    cold = run_lint(config, cache_path=cache)
-    warm = run_lint(config, cache_path=cache)
-    plain = run_lint(config)
-    key = lambda v: (v.path, v.line, v.message)  # noqa: E731
-    assert sorted(map(key, cold.violations)) \
-        == sorted(map(key, warm.violations)) \
-        == sorted(map(key, plain.violations))
-    assert len(cold.violations) == 4
 
 
 # -- baseline pruning ---------------------------------------------------------

@@ -1,14 +1,20 @@
 """The lockstep-round contract, stated once and held on every placement.
 
 ``TestDelivery``, ``TestAuthentication``, ``TestTermination``,
-``TestBudget`` and ``TestReplayAttribution`` are written against
-``self.placement`` (see
-``tests/placements.py``).  Here they run on the in-process placement,
-:class:`~repro.net.simulator.SynchronousNetwork`;
+``TestBudget``, ``TestFaultPlan``, ``TestTrace`` and
+``TestReplayAttribution`` are written against ``self.placement``, a row
+of :mod:`repro.runtime.placements`.  Here they run on the in-process
+row, :class:`~repro.net.simulator.SynchronousNetwork`;
 ``tests/runtime/test_synchronizer.py`` subclasses them for the ``local``
-and ``tcp`` transports and ``tests/cluster/test_engine.py`` for a single
-:class:`~repro.cluster.engine.ShardEngine` — the same cases, because all
-four step the same :class:`~repro.net.rounds.RoundCore`.
+and ``tcp`` rows, ``tests/cluster/test_engine.py`` for a single
+:class:`~repro.cluster.engine.ShardEngine` and
+``tests/cluster/test_mesh_parity.py`` for ``mesh(2)`` — the same cases,
+because all of them step the same :class:`~repro.net.rounds.RoundCore`.
+
+A case observes a run only through what the placement returns: on the
+mesh the parties live in worker processes, so a party reports what it
+saw as its *output*, and every party class lives at module scope where
+a worker can unpickle it.
 """
 
 from typing import List, Sequence
@@ -19,18 +25,22 @@ from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Party, SilentParty
 from repro.net.simulator import SynchronousNetwork
 from repro.obs.flow import FlowLedger
+from repro.runtime.faults import FaultPlan, LinkDelay
+from repro.runtime.placements import IN_PROCESS
 from repro.runtime.replay import (
     SizedEnvelope,
     apply_func_ops,
     build_replay_parties,
     tallies_equal,
 )
-from tests.placements import IN_PROCESS, phase_views, recorded_pi_ba
+from repro.runtime.trace import TraceRecorder
+from repro.utils.randomness import Randomness
+from tests.placements import phase_views, recorded_pi_ba
 
 
 class EchoParty(Party):
     """Sends 'ping' to a peer in round 0, echoes whatever it receives,
-    halts after round 2."""
+    halts after round 2 with everything it received."""
 
     def __init__(self, party_id: int, peer: int) -> None:
         super().__init__(party_id)
@@ -42,7 +52,7 @@ class EchoParty(Party):
         if round_index == 0:
             return [self.send(self.peer, b"ping-%d" % self.party_id)]
         if round_index >= 2:
-            return self.halt(len(self.received))
+            return self.halt(list(self.received))
         return [
             self.send(envelope.sender, b"echo:" + envelope.payload)
             for envelope in inbox
@@ -63,49 +73,64 @@ class SpoofingParty(Party):
 
 
 class RecordingParty(Party):
-    """Records who it hears from, and in which rounds it was stepped."""
+    """Halts after round ``last_round`` with ``(senders, inboxes)``: who
+    it heard from, and the payloads of every inbox it was stepped with."""
 
-    def __init__(self, party_id: int) -> None:
+    def __init__(self, party_id: int, last_round: int = 1) -> None:
         super().__init__(party_id)
+        self.last_round = last_round
         self.senders: List[int] = []
         self.inboxes: List[List[bytes]] = []
 
     def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
         self.senders.extend(envelope.sender for envelope in inbox)
         self.inboxes.append([envelope.payload for envelope in inbox])
-        if round_index >= 1:
-            return self.halt()
+        if round_index >= self.last_round:
+            return self.halt((list(self.senders), list(self.inboxes)))
         return []
+
+
+class Pinger(Party):
+    """Sends ``count`` one-byte messages to ``peer`` in round 0, then halts."""
+
+    def __init__(self, party_id: int, peer: int, count: int = 1) -> None:
+        super().__init__(party_id)
+        self.peer = peer
+        self.count = count
+
+    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+        if round_index == 0:
+            return [self.send(self.peer, b"x") for _ in range(self.count)]
+        return self.halt()
+
+
+class Chatty(Party):
+    """Sends five messages to party 1 every round, forever."""
+
+    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+        return [self.send(1, b"x") for _ in range(5)]
 
 
 class TestDelivery:
     placement = IN_PROCESS
 
     def test_round_trip(self):
-        a, b = EchoParty(0, 1), EchoParty(1, 0)
-        self.placement.run([a, b], max_rounds=10)
-        assert b"ping-0" in b.received
-        assert b"echo:ping-0" in a.received
+        result = self.placement.run(
+            [EchoParty(0, 1), EchoParty(1, 0)], max_rounds=10
+        )
+        assert b"ping-0" in result.outputs[1]
+        assert b"echo:ping-0" in result.outputs[0]
 
     def test_messages_delivered_next_round(self):
-        class Pinger(Party):
-            def step(self, round_index, inbox):
-                if round_index == 0:
-                    return [self.send(1, b"x")]
-                return self.halt()
-
-        recorder = RecordingParty(1)
-        self.placement.run([Pinger(0), recorder], max_rounds=5)
+        result = self.placement.run(
+            [Pinger(0, 1), RecordingParty(1)], max_rounds=5
+        )
         # Sent in round 0: invisible during round 0, delivered at round 1.
-        assert recorder.inboxes == [[], [b"x"]]
+        assert result.outputs[1] == ([0], [[], [b"x"]])
 
     def test_unknown_recipient_rejected(self):
-        class Stray(Party):
-            def step(self, round_index, inbox):
-                return [self.send(42, b"x")]
-
         with pytest.raises(self.placement.error):
-            self.placement.run([Stray(0)], max_rounds=3)
+            self.placement.run([Pinger(0, 42), SilentParty(1)], max_rounds=3)
 
     def test_duplicate_party_id_rejected(self):
         with pytest.raises(self.placement.error):
@@ -119,9 +144,10 @@ class TestAuthentication:
         spoofer = SpoofingParty(
             0, Envelope(sender=999, recipient=1, payload=b"spoofed")
         )
-        recorder = RecordingParty(1)
-        self.placement.run([spoofer, recorder], until=[1], max_rounds=5)
-        assert recorder.senders == [0]  # true sender, not 999
+        result = self.placement.run(
+            [spoofer, RecordingParty(1)], until=[1], max_rounds=5
+        )
+        assert result.outputs[1][0] == [0]  # true sender, not 999
 
     def test_spoofed_sized_envelope_keeps_bits_and_phase(self):
         # Stamping the true sender must not rebuild the envelope as a
@@ -134,34 +160,35 @@ class TestAuthentication:
                 bits=11, phase="declared",
             ),
         )
-        recorder = RecordingParty(1)
         metrics = CommunicationMetrics()
         flow = FlowLedger()
         metrics.attach_flow(flow)
-        self.placement.run(
-            [spoofer, recorder], until=[1], max_rounds=5, metrics=metrics
+        result = self.placement.run(
+            [spoofer, RecordingParty(1)], until=[1], max_rounds=5,
+            metrics=metrics,
         )
-        assert recorder.senders == [0]
+        assert result.outputs[1][0] == [0]
         assert metrics.tally_of(0).bits_sent == 11
         assert metrics.tally_of(1).bits_received == 11
-        assert [(c.src, c.dst, c.bits, c.phase) for c in flow.cells()] == [
-            (0, 1, 11, "declared")
-        ]
+        # The party traffic (the mesh also meters its control plane).
+        assert [
+            (c.src, c.dst, c.bits, c.phase) for c in flow.cells()
+            if not c.kind.startswith("ctl:")
+        ] == [(0, 1, 11, "declared")]
 
 
 class TestTermination:
     placement = IN_PROCESS
 
     def test_run_until_honest(self):
-        a = EchoParty(0, 1)
-        never_halts = SilentParty(1)
-        self.placement.run([a, never_halts], until=[0], max_rounds=10)
-        assert a.halted
-        assert not never_halts.halted
+        result = self.placement.run(
+            [EchoParty(0, 1), SilentParty(1)], until=[0], max_rounds=10
+        )
+        assert result.rounds == 3  # stopped as soon as party 0 halted
 
     def test_nontermination_detected(self):
         with pytest.raises(self.placement.error, match="did not terminate"):
-            self.placement.run([SilentParty(0)], max_rounds=5)
+            self.placement.run([SilentParty(0), SilentParty(1)], max_rounds=5)
 
     def test_run_until_unknown_target_raises_network_error(self):
         # Regression: this used to surface as a bare KeyError mid-run.
@@ -210,10 +237,6 @@ class TestBudget:
     placement = IN_PROCESS
 
     def test_budget_enforced(self):
-        class Chatty(Party):
-            def step(self, round_index, inbox):
-                return [self.send(1, b"x") for _ in range(5)]
-
         with pytest.raises(self.placement.error, match="message budget"):
             self.placement.run(
                 [Chatty(0), SilentParty(1)],
@@ -222,18 +245,95 @@ class TestBudget:
             )
 
     def test_budget_allows_under_limit(self):
-        class Modest(Party):
-            def step(self, round_index, inbox):
-                if round_index == 0:
-                    return [self.send(1, b"x")]
-                return self.halt()
-
         self.placement.run(
-            [Modest(0), SilentParty(1)],
+            [Pinger(0, 1), SilentParty(1)],
             until=[0],
             message_budget_per_party=3,
             max_rounds=5,
         )
+
+
+class TestFaultPlan:
+    """A :class:`FaultPlan` is the round core's delivery policy on every
+    single-process row: the row only holds the frames until they are due."""
+
+    placement = IN_PROCESS
+
+    def test_link_delay_holds_the_frame_but_charges_it_when_sent(self):
+        metrics = CommunicationMetrics()
+        result = self.placement.run(
+            [Pinger(0, 1), RecordingParty(1, last_round=3)],
+            metrics=metrics,
+            fault_plan=FaultPlan(delays=[LinkDelay(0, 1, rounds=2)]),
+        )
+        # Sent in round 0, delayed two rounds: delivered at round 3.
+        assert result.outputs[1] == ([0], [[], [], [], [b"x"]])
+        assert metrics.round_bits[:4] == [8, 0, 0, 0]
+
+    def test_crash_silences_a_party_and_lets_the_run_end(self):
+        result = self.placement.run(
+            [EchoParty(0, 1), EchoParty(1, 0)],
+            max_rounds=10,
+            fault_plan=FaultPlan(crashes={1: 1}),
+        )
+        # Party 1 pinged in round 0 and never stepped again.
+        assert result.outputs == {0: [b"ping-1"]}
+
+    def test_duplication_and_reorder_are_seeded(self):
+        def run():
+            return self.placement.run(
+                [Pinger(0, 2, count=4), Pinger(1, 2, count=4),
+                 RecordingParty(2)],
+                fault_plan=FaultPlan(
+                    reorder=True, duplicate_probability=0.5,
+                    rng=Randomness(5),
+                ),
+            ).outputs[2]
+
+        senders, inboxes = run()
+        assert (senders, inboxes) == run()
+        assert len(senders) > 8 and sorted(set(senders)) == [0, 1]
+        assert senders != sorted(senders)  # not the canonical order
+
+    def test_crash_is_traced_the_same_on_every_row(self):
+        def traced(placement):
+            trace = TraceRecorder()
+            placement.run(
+                [EchoParty(0, 1), EchoParty(1, 0)],
+                max_rounds=10,
+                trace=trace,
+                fault_plan=FaultPlan(crashes={1: 1}),
+            )
+            return trace
+
+        trace = traced(self.placement)
+        assert "crash" in {e["kind"] for e in trace.events_of(1)}
+        assert trace.fingerprint() == traced(IN_PROCESS).fingerprint()
+
+
+class TestTrace:
+    """The round core emits the trace, so every row records the same one."""
+
+    placement = IN_PROCESS
+
+    def test_trace_is_the_round_cores(self):
+        trace = TraceRecorder()
+        result = self.placement.run(
+            [EchoParty(0, 1), EchoParty(1, 0)], max_rounds=10, trace=trace
+        )
+        assert result.trace is trace
+        reference = TraceRecorder()
+        IN_PROCESS.run(
+            [EchoParty(0, 1), EchoParty(1, 0)], max_rounds=10,
+            trace=reference,
+        )
+        assert trace.fingerprint() == reference.fingerprint()
+        kinds = {
+            event["kind"]
+            for party in trace.party_ids
+            for event in trace.events_of(party)
+        }
+        assert {"send", "recv", "round-barrier", "halt"} <= kinds
 
 
 class TestMetricsIntegration:

@@ -1,53 +1,43 @@
-"""The four placements of the one round core, behind one call shape.
+"""Test-only companions of the placement table.
 
-``repro.net.rounds.RoundCore`` is stepped by three executors; the
-contract suite in ``tests/net/test_simulator.py`` is written against a
-:class:`Placement` and instantiated once per row here, so a contract
-case is stated once and held on every placement:
+The rows themselves — ``in-process``, ``local``, ``tcp``, ``mesh(k)`` —
+live in :mod:`repro.runtime.placements`; the contract suite in
+``tests/net/test_simulator.py`` is written against a
+:class:`~repro.runtime.placements.Placement` and instantiated once per
+row, so a contract case is stated once and held on every placement.
+What is test-only stays here:
 
-* ``IN_PROCESS`` — :class:`~repro.net.simulator.SynchronousNetwork`;
-* ``LOCAL`` / ``TCP`` — :func:`~repro.runtime.synchronizer.run_parties`
-  over the asyncio transports;
-* ``SHARD_ENGINE`` — one :class:`~repro.cluster.engine.ShardEngine`
-  holding every party, driven by :func:`drive_shard` (the cluster worker
-  minus the mesh: it keeps the in-flight frames and charges a ledger).
-
-:func:`recorded_pi_ba` and :func:`phase_views` serve the replay-parity
-suites: a replay on any placement must report the recording ledger's
-phase breakdown, not just its tallies.
+* :func:`drive_shard` / ``SHARD_ENGINE`` — one
+  :class:`~repro.cluster.engine.ShardEngine` holding every party (the
+  cluster worker minus the mesh: it keeps the in-flight frames and
+  charges a ledger), with the barrier hook the save → load → resume
+  tests interrupt at;
+* :func:`run_honest` — a row applied to a ``build_*`` builder's return
+  value, narrowed to the honest outputs;
+* :func:`recorded_pi_ba` and :func:`phase_views` for the replay-parity
+  suites: a replay on any placement must report the recording ledger's
+  phase breakdown, not just its tallies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterable, List, Optional, Type
+from functools import lru_cache
+from typing import Callable, Iterable, List, Optional
 
 from repro.cluster.engine import ShardEngine
-from repro.errors import ClusterError, NetworkError, ReproError
+from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
-from repro.net.simulator import SynchronousNetwork
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import BalancedBA
+from repro.runtime.placements import Placement
 from repro.runtime.replay import RecordingLedger
-from repro.runtime.synchronizer import RuntimeResult, run_parties
+from repro.runtime.synchronizer import RuntimeResult
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
-
-
-@dataclass(frozen=True)
-class Placement:
-    """``run(parties, until=, max_rounds=, metrics=, trace=,
-    message_budget_per_party=)`` returns a :class:`RuntimeResult`;
-    misuse raises ``error``."""
-
-    name: str
-    error: Type[ReproError]
-    run: Callable[..., RuntimeResult]
 
 
 def drive_shard(
@@ -87,32 +77,13 @@ def drive_shard(
     )
 
 
-def _in_process(
-    parties, *, until=None, max_rounds=10_000, metrics=None, trace=None,
-    message_budget_per_party=None,
-) -> RuntimeResult:
-    assert trace is None, "SynchronousNetwork records no trace"
-    network = SynchronousNetwork(
-        parties, metrics=metrics,
-        message_budget_per_party=message_budget_per_party,
-    )
-    if until is None:
-        network.run(max_rounds=max_rounds)
-    else:
-        network.run_until(until, max_rounds=max_rounds)
-    return RuntimeResult(
-        outputs=network.outputs(),
-        metrics=network.metrics,
-        rounds=network.round_index,
-        trace=None,
-    )
-
-
 def _shard_engine(
-    parties, *, until=None, max_rounds=10_000, metrics=None, trace=None,
-    message_budget_per_party=None,
+    parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
+    fault_plan=None, message_budget_per_party=None,
 ) -> RuntimeResult:
-    assert message_budget_per_party is None, "ShardEngine takes no budget"
+    assert fault_plan is None and message_budget_per_party is None, (
+        "ShardEngine takes no delivery policy and no budget"
+    )
     return drive_shard(
         ShardEngine(parties, trace=trace),
         metrics if metrics is not None else CommunicationMetrics(),
@@ -121,10 +92,15 @@ def _shard_engine(
     )
 
 
-IN_PROCESS = Placement("in-process", NetworkError, _in_process)
-LOCAL = Placement("local", NetworkError, partial(run_parties, transport="local"))
-TCP = Placement("tcp", NetworkError, partial(run_parties, transport="tcp"))
 SHARD_ENGINE = Placement("shard-engine", ClusterError, _shard_engine)
+
+
+def run_honest(placement: Placement, built, **kwargs):
+    """``placement.run(*built)`` for a builder's ``(parties, honest_ids,
+    max_rounds)``; returns ``(honest_outputs, result)``."""
+    parties, honest, max_rounds = built
+    result = placement.run(parties, honest, max_rounds, **kwargs)
+    return {member: result.outputs[member] for member in honest}, result
 
 
 @lru_cache(maxsize=None)

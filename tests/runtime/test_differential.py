@@ -15,12 +15,13 @@ from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import BalancedBA, run_balanced_ba
+from repro.protocols.phase_king import build_phase_king
 from repro.runtime import (
+    LOCAL,
     FaultPlan,
     TraceRecorder,
     replay_over_simulator,
     run_balanced_ba_runtime,
-    run_phase_king_runtime,
     tallies_equal,
 )
 from repro.runtime.replay import RecordingLedger
@@ -28,7 +29,7 @@ from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
-from tests.placements import phase_views
+from tests.placements import phase_views, run_honest
 
 SCHEMES = {
     "snark": lambda: SnarkSRDS(base_scheme=HashRegistryBase()),
@@ -177,9 +178,9 @@ class TestReorderRobustness:
     def test_phase_king_outputs_unchanged(self, n, seed):
         inputs = {i: (i * 5) % 2 for i in range(n)}
         byzantine = list(range(0, (n - 1) // 3))
-        canonical, _ = run_phase_king_runtime(inputs, byzantine)
+        canonical, _ = run_honest(LOCAL, build_phase_king(inputs, byzantine))
         faults = FaultPlan(reorder=True, rng=Randomness(seed))
-        shuffled, _ = run_phase_king_runtime(
-            inputs, byzantine, fault_plan=faults
+        shuffled, _ = run_honest(
+            LOCAL, build_phase_king(inputs, byzantine), fault_plan=faults
         )
         assert shuffled == canonical

@@ -6,7 +6,8 @@ runs together (a different fork label, an extra rng draw, a reordered
 fault query).  These values were computed at c5adc33 — before the
 round core was extracted — and pin the delivery-policy contract bit for
 bit: crash, reorder and duplication in plan (a), partition drop, link
-delay, seeded latency and churn in plan (b), on both transports.
+delay, seeded latency and churn in plan (b), on every single-process
+row of the placement table.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import hashlib
 import pytest
 
 from repro.net.latency import RandomDelayLatency
-from repro.runtime import FaultPlan, TraceRecorder, run_phase_king_runtime
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime import PLACEMENTS, FaultPlan, TraceRecorder
 from repro.runtime.faults import LinkDelay, Partition
 from repro.utils.randomness import Randomness
 
@@ -79,10 +81,10 @@ def tally_digest(metrics) -> str:
 def compute(make_plan, transport: str):
     byzantine, plan = make_plan()
     trace = TraceRecorder()
-    _, metrics = run_phase_king_runtime(
-        INPUTS, byzantine, transport=transport, fault_plan=plan, trace=trace
+    result = PLACEMENTS[transport].run(
+        *build_phase_king(INPUTS, byzantine), fault_plan=plan, trace=trace
     )
-    return trace.fingerprint(), tally_digest(metrics)
+    return trace.fingerprint(), tally_digest(result.metrics)
 
 
 PINNED = {
@@ -98,7 +100,7 @@ PINNED = {
 PLANS = {"cli": cli_plan, "mixed": mixed_plan}
 
 
-@pytest.mark.parametrize("transport", ["local", "tcp"])
+@pytest.mark.parametrize("transport", ["in-process", "local", "tcp"])
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 def test_fault_plan_run_matches_pin(plan_name, transport):
     assert compute(PLANS[plan_name], transport) == PINNED[plan_name]

@@ -9,7 +9,9 @@ from repro.errors import ConfigurationError
 from repro.net.adversary import prefix_corruption
 from repro.net.latency import RandomDelayLatency
 from repro.net.party import Envelope, Party
+from repro.protocols.phase_king import build_phase_king
 from repro.runtime import (
+    LOCAL,
     FaultPlan,
     LinkDelay,
     TraceRecorder,
@@ -17,10 +19,10 @@ from repro.runtime import (
     crash_corrupted,
     partition_halves,
     run_parties,
-    run_phase_king_runtime,
 )
 from repro.runtime.faults import Partition
 from repro.utils.randomness import Randomness
+from tests.placements import run_honest
 
 
 class Recorder(Party):
@@ -280,5 +282,7 @@ def test_phase_king_survives_hostile_schedule():
         duplicate_probability=0.1,
         rng=Randomness(21),
     )
-    outputs, _ = run_phase_king_runtime(inputs, byzantine, fault_plan=faults)
+    outputs, _ = run_honest(
+        LOCAL, build_phase_king(inputs, byzantine), fault_plan=faults
+    )
     assert len(set(outputs.values())) == 1

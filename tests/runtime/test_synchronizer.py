@@ -14,17 +14,16 @@ import pytest
 
 from repro.net.metrics import CommunicationMetrics
 from repro.net.simulator import SynchronousNetwork
-from repro.protocols.gradecast import check_gradecast_guarantees, run_gradecast
-from repro.protocols.phase_king import run_phase_king
-from repro.runtime import (
-    TraceRecorder,
-    run_gradecast_runtime,
-    run_parties,
-    run_phase_king_runtime,
+from repro.protocols.gradecast import (
+    build_gradecast,
+    check_gradecast_guarantees,
+    run_gradecast,
 )
+from repro.protocols.phase_king import build_phase_king, run_phase_king
+from repro.runtime import LOCAL, TCP, TraceRecorder, run_parties
 from tests.net import test_simulator as contract
 from tests.net.test_simulator import EchoParty
-from tests.placements import LOCAL, TCP
+from tests.placements import run_honest
 
 
 class _Contract(
@@ -32,6 +31,8 @@ class _Contract(
     contract.TestAuthentication,
     contract.TestTermination,
     contract.TestBudget,
+    contract.TestFaultPlan,
+    contract.TestTrace,
     contract.TestReplayAttribution,
 ):
     """Every lockstep-round contract case (tests/net/test_simulator.py)."""
@@ -62,9 +63,9 @@ def test_phase_king_differential(n):
     inputs = {i: (i * 3) % 2 for i in range(n)}
     byzantine = [1, n - 2][: max(1, (n - 1) // 3)]
     sync_outputs, sync_metrics = run_phase_king(inputs, byzantine)
-    rt_outputs, rt_metrics = run_phase_king_runtime(inputs, byzantine)
+    rt_outputs, rt = run_honest(LOCAL, build_phase_king(inputs, byzantine))
     assert rt_outputs == sync_outputs
-    assert rt_metrics.snapshot() == sync_metrics.snapshot()
+    assert rt.metrics.snapshot() == sync_metrics.snapshot()
 
 
 @pytest.mark.parametrize("equivocating", [False, True])
@@ -74,12 +75,12 @@ def test_gradecast_differential(equivocating):
         members, sender=2, value=1, byzantine=[5],
         equivocating_sender=equivocating,
     )
-    rt_outputs, rt_metrics = run_gradecast_runtime(
+    rt_outputs, rt = run_honest(LOCAL, build_gradecast(
         members, sender=2, value=1, byzantine=[5],
         equivocating_sender=equivocating,
-    )
+    ))
     assert rt_outputs == sync_outputs
-    assert rt_metrics.snapshot() == sync_metrics.snapshot()
+    assert rt.metrics.snapshot() == sync_metrics.snapshot()
     assert check_gradecast_guarantees(
         rt_outputs, sender_honest=not equivocating, sender_value=1
     )
@@ -87,10 +88,10 @@ def test_gradecast_differential(equivocating):
 
 def test_tcp_matches_local_for_phase_king():
     inputs = {i: i % 2 for i in range(7)}
-    local_out, local_metrics = run_phase_king_runtime(inputs, [3])
-    tcp_out, tcp_metrics = run_phase_king_runtime(inputs, [3], transport="tcp")
+    local_out, local = run_honest(LOCAL, build_phase_king(inputs, [3]))
+    tcp_out, tcp = run_honest(TCP, build_phase_king(inputs, [3]))
     assert tcp_out == local_out
-    assert tcp_metrics.snapshot() == local_metrics.snapshot()
+    assert tcp.metrics.snapshot() == local.metrics.snapshot()
 
 
 class TestTraceDeterminism:
@@ -99,16 +100,16 @@ class TestTraceDeterminism:
         fingerprints = []
         for _ in range(2):
             trace = TraceRecorder()
-            run_phase_king_runtime(inputs, [2], trace=trace)
+            LOCAL.run(*build_phase_king(inputs, [2]), trace=trace)
             fingerprints.append(trace.fingerprint())
         assert fingerprints[0] == fingerprints[1]
 
     def test_trace_identical_across_transports(self):
         inputs = {i: i % 2 for i in range(5)}
         traces = []
-        for kind in ("local", "tcp"):
+        for row in (LOCAL, TCP):
             trace = TraceRecorder()
-            run_phase_king_runtime(inputs, [1], transport=kind, trace=trace)
+            row.run(*build_phase_king(inputs, [1]), trace=trace)
             traces.append(trace.fingerprint())
         assert traces[0] == traces[1]
 

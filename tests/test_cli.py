@@ -43,6 +43,17 @@ class TestCommands:
     def test_unknown_command_shows_usage(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_every_table_row_resolves_and_readme_quotes_the_usage(self):
+        import importlib
+        from pathlib import Path
+
+        from repro.__main__ import COMMANDS, usage
+
+        for module, function, _ in COMMANDS.values():
+            assert callable(getattr(importlib.import_module(module), function))
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert usage() in readme.read_text(encoding="utf-8")
+
     def test_report_stdout(self, capsys):
         assert main(["report"]) == 0
         output = capsys.readouterr().out
