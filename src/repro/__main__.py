@@ -53,8 +53,8 @@ COMMANDS: Dict[str, Tuple[str, str, str]] = {
                  "sweeps: strategies x fault schedules x configs, with "
                  "replayable one-line specs"),
     "lint": ("repro.lint.cli", "cmd_lint",
-             "{check,baseline,explain,rules} — protocol-aware static "
-             "analysis with a ratcheted baseline"),
+             "{check,explain,rules} — protocol-aware static analysis; "
+             "a finding is fixed or carries a reasoned pragma"),
 }
 
 

@@ -115,20 +115,11 @@ def _dump_traces(result, trace_dir: Optional[Path]) -> None:
     print(f"traces: {trace_dir}")
 
 
-def _flow_report_name(flow_out: Path) -> str:
-    name = flow_out.stem
-    if name.startswith("FLOW_"):
-        name = name[len("FLOW_"):]
-    return name
-
-
 def _dump_observability(args: argparse.Namespace, result, flow,
                         registry) -> int:
     """Write the run's flow / metrics / span artifacts; 0 unless the
     flow ledger failed bit-exact parity with the metrics ledger."""
-    import json as _json
-
-    from repro.obs.flush import flush_metrics_file, write_atomic_text
+    from repro.obs.flush import finish_artifacts
     from repro.obs.merge import (
         cluster_tracks,
         dump_span_dir,
@@ -136,35 +127,28 @@ def _dump_observability(args: argparse.Namespace, result, flow,
     )
 
     status = 0
-    if flow is not None:
-        problems = flow.verify_against(result.metrics)
-        if problems:
+    payload = finish_artifacts(
+        flow, registry, args.flow_out, args.metrics_out,
+        metrics=result.metrics,
+        extra={
+            "n": args.n,
+            "workload": args.workload,
+            "scheme": args.scheme,
+            "seed": args.seed,
+            "workers": args.workers,
+            "rounds": result.rounds,
+            "trace_id": result.trace_id,
+        },
+    )
+    if payload is not None:
+        if payload["parity_problems"]:
             status = 1
-            print(f"flow parity FAILED: {problems[:3]}")
-        payload = flow.report(
-            _flow_report_name(args.flow_out),
-            metrics=result.metrics,
-            extra={
-                "n": args.n,
-                "workload": args.workload,
-                "scheme": args.scheme,
-                "seed": args.seed,
-                "workers": args.workers,
-                "rounds": result.rounds,
-                "trace_id": result.trace_id,
-            },
-        )
-        flow.close()
-        write_atomic_text(
-            args.flow_out,
-            _json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        )
+            print(f"flow parity FAILED: {payload['parity_problems'][:3]}")
         print(
             f"flow: {args.flow_out} coverage={payload['coverage']} "
             f"parity={payload['parity_with_metrics']}"
         )
     if args.metrics_out is not None and registry is not None:
-        flush_metrics_file(args.metrics_out, registry, flow=flow)
         print(f"metrics: {args.metrics_out}")
     if args.spans_dir is not None or args.timeline_out is not None:
         tracks = cluster_tracks(result)
@@ -199,18 +183,12 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         registry = MetricsRegistry()
     flow = None
     if args.flow_out is not None or args.flow_cells > 0:
-        from repro.obs.flow import FlowLedger
+        from repro.obs.flush import open_flow
 
         if args.flow_out is None:
             print("--flow-cells needs --flow-out")
             return 2
-        flow = FlowLedger(
-            max_cells=args.flow_cells or 65536,
-            spill_path=args.flow_out.with_name(
-                args.flow_out.name + ".spill.jsonl"
-            ),
-            registry=registry,
-        )
+        flow = open_flow(args.flow_out, registry, args.flow_cells)
     config = ClusterConfig(
         num_workers=args.workers,
         kill_plan=_parse_kill_plan(args.kill),

@@ -55,9 +55,6 @@ kind             dir     meaning
 ``peerdown``     w → s   a mesh link failed; fields: ``peer``,
                          ``round``, ``reason``
 ``stop``         s → w   run over; worker exits 0
-``part``         both    one chunk of an oversized message; fields:
-                         ``last`` (bool); blob: a slice of the encoded
-                         body (channel-internal, never seen by callers)
 ===============  ======  =======================================================
 
 :class:`MessageChannel` wraps one socket with a send lock (the worker's
@@ -77,25 +74,20 @@ import pickle
 import socket
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ClusterError
 from repro.net.trains import _LENGTH
 from repro.utils.serialization import decode_bytes, encode_bytes
 
-# Hard cap on a single wire record.  Logical messages larger than the
-# chunk threshold are split into ``part`` records by the channel and
-# reassembled on receive, so this bounds framing damage from a corrupt
-# length prefix — not the size of a round's traffic.
+# Hard cap on one message: a sender refuses to write a larger body, and
+# a receiver refuses a larger length prefix (which bounds the damage of
+# a corrupt one).  The largest bodies are the JOB blob (the shard's
+# pickled parties) and a traced DONE (charge digest + drained trace
+# events); at n=64 both stay under 1 MiB (measured, docs/cluster.md), so
+# nothing is chunked here — the mesh, whose trains reach a gigabyte per
+# link per round, chunks in :mod:`repro.cluster.meshwire`.
 _MAX_MESSAGE = 1 << 28
-#: Bodies above this are shipped as a train of ``part`` records.  A
-#: DONE body grows with the round's charge digest and drained trace
-#: events (one row/event per emitted frame), and the JOB blob with the
-#: shard's pickled parties; chunking keeps every wire record small while
-#: letting logical messages grow with the protocol.
-_CHUNK_BYTES = 32 << 20
-#: Sanity bound on a reassembled chunked message.
-_MAX_ASSEMBLED = 1 << 33
 
 HELLO = "hello"
 JOB = "job"
@@ -108,11 +100,10 @@ HEARTBEAT = "heartbeat"
 PEERS = "peers"
 PEERDOWN = "peerdown"
 STOP = "stop"
-PART = "part"
 
 KINDS = (
     HELLO, JOB, RESUMED, ROUND, DONE, CHECKPOINT, CHECKPOINTED,
-    HEARTBEAT, PEERS, PEERDOWN, STOP, PART,
+    HEARTBEAT, PEERS, PEERDOWN, STOP,
 )
 
 #: Control-plane byte meter: ``(direction, kind, num_bytes)`` with
@@ -130,9 +121,9 @@ class Message:
     fields: Dict[str, Any] = field(default_factory=dict)
     blob: bytes = b""
 
-    def encode_body(self) -> bytes:
-        """Wire encoding without the length prefix (no size cap —
-        :class:`MessageChannel` chunks oversized bodies on send)."""
+    def encode(self) -> bytes:
+        """Length-prefixed wire encoding; :class:`ClusterError` for a
+        body above ``_MAX_MESSAGE``."""
         if self.kind not in KINDS:
             raise ClusterError(f"unknown control message kind {self.kind!r}")
         header = json.dumps(
@@ -140,14 +131,11 @@ class Message:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        return encode_bytes(header) + encode_bytes(self.blob)
-
-    def encode(self) -> bytes:
-        """Length-prefixed single-record wire encoding."""
-        body = self.encode_body()
+        body = encode_bytes(header) + encode_bytes(self.blob)
         if len(body) > _MAX_MESSAGE:
             raise ClusterError(
-                f"control message exceeds {_MAX_MESSAGE} bytes"
+                f"{self.kind!r} control message of {len(body)} bytes "
+                f"exceeds {_MAX_MESSAGE}"
             )
         return _LENGTH.pack(len(body)) + body
 
@@ -205,13 +193,12 @@ class MessageChannel:
         self._sock = sock
         self._send_lock = threading.Lock()
         self._buffer = bytearray()
-        self._parts: List[bytes] = []  # in-flight chunked reassembly
         self._closed = False
         self._meter = meter
-        #: Raw bytes pulled off the socket, bumped per chunk *during*
-        #: reassembly — a supervisor watching this counter across a
-        #: recv timeout can tell "mid-way through a huge message" from
-        #: "nothing arriving at all".
+        #: Raw bytes pulled off the socket, bumped per ``recv`` call —
+        #: a supervisor watching this counter across a recv timeout can
+        #: tell "mid-way through a large message" from "nothing
+        #: arriving at all".
         self.bytes_received = 0
         #: Bytes shipped, excluding heartbeat beacons — the worker's
         #: control-plane contribution to its progress report.
@@ -224,44 +211,22 @@ class MessageChannel:
             pass
 
     def send(self, message: Message) -> None:
-        """Ship one message (thread-safe).
-
-        Bodies above ``_CHUNK_BYTES`` are split into a train of
-        ``part`` records sent under one lock acquisition, so the
-        heartbeat thread can never interleave a record mid-train.
-        """
-        body = message.encode_body()
-        if len(body) <= _CHUNK_BYTES:
-            records = [_LENGTH.pack(len(body)) + body]
-        else:
-            pieces = [
-                body[offset:offset + _CHUNK_BYTES]
-                for offset in range(0, len(body), _CHUNK_BYTES)
-            ]
-            records = [
-                Message(
-                    PART,
-                    {"last": index == len(pieces) - 1},
-                    blob=piece,
-                ).encode()
-                for index, piece in enumerate(pieces)
-            ]
+        """Ship one message (thread-safe); an oversized body raises
+        :class:`ClusterError` before anything is written."""
+        record = message.encode()
         with self._send_lock:
             if self._closed:
                 raise ClusterError("send on a closed control channel")
             try:
-                for record in records:
-                    self._sock.sendall(record)
+                self._sock.sendall(record)
             except OSError as exc:
                 raise ClusterError(
                     f"control channel send failed: {exc}"
                 ) from exc
             if message.kind != HEARTBEAT:
-                self.data_bytes_sent += sum(len(r) for r in records)
+                self.data_bytes_sent += len(record)
         if self._meter is not None:
-            self._meter(
-                "send", message.kind, sum(len(r) for r in records)
-            )
+            self._meter("send", message.kind, len(record))
 
     def recv(self, timeout: Optional[float] = None) -> Message:
         """Receive one message.
@@ -275,16 +240,6 @@ class MessageChannel:
         while True:
             message = self._try_parse()
             if message is not None:
-                if message.kind == PART:
-                    self._absorb_part(message)
-                    if message.fields.get("last"):
-                        return self._finish_parts()
-                    continue
-                if self._parts:
-                    raise ClusterError(
-                        f"{message.kind!r} record interleaved inside a "
-                        "chunked transfer"
-                    )
                 return message
             try:
                 chunk = self._sock.recv(1 << 16)
@@ -295,7 +250,7 @@ class MessageChannel:
                     f"control channel recv failed: {exc}"
                 ) from exc
             if not chunk:
-                if self._buffer or self._parts:
+                if self._buffer:
                     raise ClusterError(
                         "peer closed the control channel mid-message"
                     )
@@ -303,27 +258,9 @@ class MessageChannel:
             self.bytes_received += len(chunk)
             self._buffer.extend(chunk)
 
-    def _absorb_part(self, message: Message) -> None:
-        self._parts.append(message.blob)
-        if sum(len(piece) for piece in self._parts) > _MAX_ASSEMBLED:
-            self._parts = []
-            raise ClusterError(
-                f"chunked control message exceeds {_MAX_ASSEMBLED} bytes"
-            )
-
     def set_meter(self, meter: Optional[ChannelMeter]) -> None:
         """Install (or clear) the control-plane byte meter."""
         self._meter = meter
-
-    def _metered(self, message: Message, num_bytes: int) -> Message:
-        if self._meter is not None and message.kind != PART:
-            self._meter("recv", message.kind, num_bytes)
-        return message
-
-    def _finish_parts(self) -> Message:
-        body = b"".join(self._parts)
-        self._parts = []
-        return self._metered(Message.decode(body), len(body))
 
     def _try_parse(self) -> Optional[Message]:
         if len(self._buffer) < _LENGTH.size:
@@ -336,7 +273,10 @@ class MessageChannel:
             return None
         body = bytes(self._buffer[_LENGTH.size:end])
         del self._buffer[:end]
-        return self._metered(Message.decode(body), end)
+        message = Message.decode(body)
+        if self._meter is not None:
+            self._meter("recv", message.kind, end)
+        return message
 
     def close(self) -> None:
         """Close the underlying socket (idempotent)."""

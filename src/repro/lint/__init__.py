@@ -14,13 +14,11 @@ SER001    wire-module dataclasses carry an encode/decode round-trip
 ========  =============================================================
 
 Plus engine meta-rules LNT000 (malformed pragma), LNT001 (unused
-pragma), LNT002 (parse error).  Suppression is explicit and audited:
-``# lint: allow[RULE] reason=...`` pragmas in-source, or the committed
-ratcheted baseline (``lint-baseline.json``) for legacy debt.  See
-``docs/static_analysis.md`` and ``python -m repro lint explain <RULE>``.
+pragma), LNT002 (parse error).  Suppression is explicit and audited,
+and has one channel: a ``# lint: allow[RULE] reason=...`` pragma at the
+site.  See ``docs/static_analysis.md`` and ``python -m repro lint explain <RULE>``.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry, RatchetOutcome
 from repro.lint.config import LintConfig, default_config
 from repro.lint.engine import LintResult, run_lint
 from repro.lint.model import ModuleUnit, Rule, RuleMeta, Severity, Violation
@@ -28,12 +26,9 @@ from repro.lint.rules import ALL_RULES, get_rule, rule_ids
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
-    "BaselineEntry",
     "LintConfig",
     "LintResult",
     "ModuleUnit",
-    "RatchetOutcome",
     "Rule",
     "RuleMeta",
     "Severity",

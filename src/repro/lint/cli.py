@@ -3,18 +3,11 @@
 Subcommands::
 
     lint check [paths...] [--format text|json] [--output FILE]
-               [--baseline FILE] [--no-baseline] [--rules IDS]
-               [--root DIR]
+               [--rules IDS] [--root DIR]
         Run every rule over src/ (or the given paths).  Exit 0 when no
-        *new* violations exist (baselined legacy debt and pragma
-        suppressions pass; stale baseline entries warn); exit 1 on new
+        violation is left standing (a finding is fixed, or carries a
+        ``# lint: allow[RULE] reason=...`` pragma); exit 1 on
         violations or annotation errors; exit 2 on usage errors.
-
-    lint baseline [paths...] [--baseline FILE] [--root DIR] [--prune]
-        Re-snapshot the current violations as the legacy set.  This is
-        the only way debt enters the baseline — review the diff.  With
-        ``--prune``, only *remove* stale entries (burned-down debt);
-        nothing is added, so pruning can only tighten the ratchet.
 
     lint explain RULE001
         Print a rule's rationale (why the invariant matters to the
@@ -28,10 +21,9 @@ from __future__ import annotations
 
 import argparse
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ConfigurationError
-from repro.lint.baseline import Baseline
 from repro.lint.config import LintConfig, default_config
 from repro.lint.engine import run_lint
 from repro.lint.model import Severity
@@ -55,69 +47,26 @@ def _build_config(args: argparse.Namespace) -> LintConfig:
             f"unknown rule id(s): {', '.join(unknown)} "
             f"(known: {', '.join(rule_ids())})"
         )
-    baseline_path: Optional[Path] = None
-    if getattr(args, "baseline", None):
-        baseline_path = Path(args.baseline)
-    return LintConfig(
-        root=base.root,
-        paths=paths,
-        rules=rules,
-        baseline_path=baseline_path,
-    )
+    return LintConfig(root=base.root, paths=paths, rules=rules)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _build_config(args)
     result = run_lint(config)
-    if args.no_baseline:
-        baseline = Baseline([])
-    else:
-        baseline = Baseline.load(config.resolved_baseline_path())
-    ratchet = baseline.apply(result.violations)
     meta_errors = [
         v for v in result.meta_violations if v.severity is Severity.ERROR
     ]
-    exit_code = 1 if (ratchet.new or meta_errors) else 0
+    exit_code = 1 if (result.violations or meta_errors) else 0
     if args.format == "json":
-        rendered = render_json(result, ratchet, exit_code)
+        rendered = render_json(result, exit_code)
     else:
-        rendered = render_text(result, ratchet)
+        rendered = render_text(result)
     if args.output:
         Path(args.output).write_text(rendered, encoding="utf-8")
         print(f"lint report -> {args.output} (exit {exit_code})")
     else:
         print(rendered, end="")
     return exit_code
-
-
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    result = run_lint(config)
-    path = config.resolved_baseline_path()
-    if args.prune:
-        before = Baseline.load(path)
-        baseline = before.pruned(result.violations)
-        baseline.save(path)
-        print(
-            f"baseline -> {path}: pruned "
-            f"{len(before) - len(baseline)} stale entr"
-            f"{'y' if len(before) - len(baseline) == 1 else 'ies'}, "
-            f"{len(baseline)} kept"
-        )
-        return 0
-    baseline = Baseline.from_violations(result.violations)
-    baseline.save(path)
-    print(
-        f"baseline -> {path}: {len(baseline)} entr"
-        f"{'y' if len(baseline) == 1 else 'ies'} covering "
-        f"{len(result.violations)} violation(s)"
-    )
-    if result.violations:
-        print(
-            "note: the baseline tracks this debt for burn-down; new "
-            "violations still fail `lint check`."
-        )
-    return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -170,25 +119,12 @@ def _parser() -> argparse.ArgumentParser:
                             "pyproject.toml)")
         p.add_argument("--rules", default="",
                        help="comma-separated rule ids (default: all)")
-        p.add_argument("--baseline", default=None,
-                       help="baseline file (default: "
-                            "<root>/lint-baseline.json)")
 
-    check = sub.add_parser("check", help="run the rules; ratchet exit code")
+    check = sub.add_parser("check", help="run the rules; exit 1 on findings")
     add_common(check)
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--output", default=None,
                        help="write the report here instead of stdout")
-    check.add_argument("--no-baseline", action="store_true",
-                       help="ignore the baseline (report all violations "
-                            "as new)")
-
-    baseline = sub.add_parser(
-        "baseline", help="snapshot current violations as the legacy set"
-    )
-    add_common(baseline)
-    baseline.add_argument("--prune", action="store_true",
-                          help="only drop stale entries; add nothing")
 
     explain = sub.add_parser("explain", help="document one rule")
     explain.add_argument("rule_id")
@@ -210,8 +146,6 @@ def cmd_lint(argv: List[str]) -> int:
     try:
         if args.subcommand == "check":
             return _cmd_check(args)
-        if args.subcommand == "baseline":
-            return _cmd_baseline(args)
         if args.subcommand == "explain":
             return _cmd_explain(args)
         if args.subcommand == "rules":

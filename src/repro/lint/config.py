@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
 
-#: Default baseline file name, looked up relative to the lint root.
-BASELINE_FILENAME = "lint-baseline.json"
 
 
 @dataclass(frozen=True)
@@ -133,14 +131,6 @@ class LintConfig:
     asy002_scopes: Tuple[str, ...] = (
         "runtime/", "cluster/", "serve/", "asynchrony/",
     )
-
-    #: Baseline file (``None`` = ``root / lint-baseline.json``).
-    baseline_path: Optional[Path] = None
-
-    def resolved_baseline_path(self) -> Path:
-        if self.baseline_path is not None:
-            return self.baseline_path
-        return self.root / BASELINE_FILENAME
 
     def in_scope(self, rel: str, scopes: Tuple[str, ...]) -> bool:
         """Whether ``rel`` (posix relative path) matches any scope."""

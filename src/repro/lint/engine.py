@@ -2,9 +2,7 @@
 
 One :func:`run_lint` call produces a :class:`LintResult` holding
 
-* ``violations`` — active findings (after pragma suppression, before
-  baseline application; the baseline ratchet is a separate layer so the
-  CLI can show *which* findings are legacy),
+* ``violations`` — active findings (after pragma suppression),
 * ``suppressed`` — findings silenced by an in-source pragma (kept for
   the JSON report: suppressions are auditable, not invisible),
 * ``meta_violations`` — findings *about the lint annotations

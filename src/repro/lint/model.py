@@ -12,8 +12,8 @@ invariant checks (PR 3) without failing a single test.  These are *repo
 invariants*, not style preferences — so they are machine-checked here
 instead of review-enforced.
 
-This module defines the vocabulary shared by the engine, rules,
-baseline, and reporters: :class:`Severity`, :class:`RuleMeta`,
+This module defines the vocabulary shared by the engine, rules and
+reporters: :class:`Severity`, :class:`RuleMeta`,
 :class:`Violation`, :class:`ModuleUnit` (one parsed source file), and
 the :class:`Rule` base class.
 """
@@ -36,10 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 class Severity(enum.Enum):
     """How a finding affects the exit code.
 
-    ``ERROR`` findings fail ``lint check`` (unless baselined or
-    pragma-allowed); ``WARNING`` findings are reported but never fail
-    the run (used for advisory diagnostics such as stale baseline
-    entries and unused pragmas).
+    ``ERROR`` findings fail ``lint check`` (unless pragma-allowed);
+    ``WARNING`` findings are reported but never fail the run (used for
+    advisory diagnostics such as unused pragmas).
     """
 
     ERROR = "error"
@@ -72,9 +71,8 @@ class Violation:
 
     ``symbol`` is the dotted name of the innermost enclosing
     class/function (or ``"<module>"``), and ``snippet`` is the stripped
-    source line — together with ``rule_id`` and ``path`` they form the
-    line-number-insensitive identity used by the baseline ratchet (see
-    :mod:`repro.lint.baseline`).
+    source line — what a report reader needs to find the site after
+    the line numbers have moved.
     """
 
     rule_id: str
@@ -86,11 +84,6 @@ class Violation:
     fix_hint: str = ""
     symbol: str = "<module>"
     snippet: str = ""
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str, str]:
-        """Identity under the ratchet: stable across pure line motion."""
-        return (self.rule_id, self.path, self.symbol, self.snippet)
 
     def format(self) -> str:
         """One-line human rendering (``path:line:col RULE message``)."""
@@ -254,8 +247,7 @@ class ProjectRule(Rule):
     The engine collects every :class:`ModuleUnit` first, builds one
     :class:`repro.lint.xmod.project.ProjectUnit`, and calls
     :meth:`check_project` once per rule.  Violations still carry a
-    per-file ``path``/``line`` so pragma suppression and the baseline
-    ratchet work unchanged.
+    per-file ``path``/``line`` so pragma suppression works unchanged.
     """
 
     def check(

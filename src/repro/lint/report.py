@@ -1,8 +1,8 @@
 """Reporters: human text and machine JSON (``repro-lint-report/1``).
 
 The JSON document is the CI artifact — it carries the full decomposition
-(new / baselined / suppressed / meta) so a dashboard can plot the
-burn-down without re-running the linter.
+(new / suppressed / meta) so a dashboard can audit every suppression
+without re-running the linter.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Tuple
 
-from repro.lint.baseline import BaselineEntry, RatchetOutcome
 from repro.lint.engine import LintResult
 from repro.lint.model import Severity, Violation
 from repro.lint.pragmas import Pragma
@@ -32,52 +31,25 @@ def _violation_payload(violation: Violation) -> Dict[str, Any]:
     }
 
 
-def render_json(
-    result: LintResult,
-    ratchet: RatchetOutcome,
-    exit_code: int,
-) -> str:
+def render_json(result: LintResult, exit_code: int) -> str:
     """The machine report (stable key order, newline-terminated)."""
     payload: Dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "exit_code": exit_code,
         "files_checked": result.files_checked,
         "counts": {
-            "new": len(ratchet.new),
-            "baselined": len(ratchet.baselined),
+            "new": len(result.violations),
             "suppressed": len(result.suppressed),
-            "stale_baseline_entries": len(ratchet.stale),
             "meta": len(result.meta_violations),
         },
-        "new": [_violation_payload(v) for v in ratchet.new],
-        "baselined": [_violation_payload(v) for v in ratchet.baselined],
-        "suppressed": [
-            {
-                **_violation_payload(violation),
-                "pragma_line": pragma.line,
-                "pragma_reason": pragma.reason,
-            }
-            for violation, pragma in result.suppressed
-        ],
-        "stale_baseline_entries": [
-            {
-                "rule": entry.rule,
-                "path": entry.path,
-                "symbol": entry.symbol,
-                "snippet": entry.snippet,
-                "count": entry.count,
-            }
-            for entry in ratchet.stale
-        ],
+        "new": [_violation_payload(v) for v in result.violations],
+        "suppressed": suppressions_payload(result.suppressed),
         "meta": [_violation_payload(v) for v in result.meta_violations],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_text(
-    result: LintResult,
-    ratchet: RatchetOutcome,
-) -> str:
+def render_text(result: LintResult) -> str:
     """The human report: findings first, then the one-line summary."""
     sections: List[str] = []
 
@@ -88,7 +60,7 @@ def render_text(
         lines.extend(v.format() for v in violations)
         sections.append("\n".join(lines))
 
-    emit("new violations (fail)", ratchet.new)
+    emit("new violations (fail)", result.violations)
     meta_errors = [
         v for v in result.meta_violations if v.severity is Severity.ERROR
     ]
@@ -96,18 +68,7 @@ def render_text(
         v for v in result.meta_violations if v.severity is Severity.WARNING
     ]
     emit("annotation problems (fail)", meta_errors)
-    emit("baselined legacy violations (tracked, passing)", ratchet.baselined)
     emit("advisories", meta_warnings)
-
-    if ratchet.stale:
-        lines = ["-- stale baseline entries (debt already paid) " + "-" * 14]
-        for entry in ratchet.stale:
-            lines.append(
-                f"{entry.path}: {entry.rule} x{entry.count} in "
-                f"{entry.symbol} — no longer occurs; run "
-                "`lint baseline` to shrink the baseline"
-            )
-        sections.append("\n".join(lines))
 
     if result.suppressed:
         lines = [f"pragma-suppressed: {len(result.suppressed)} "
@@ -116,9 +77,8 @@ def render_text(
 
     summary = (
         f"checked {result.files_checked} files: "
-        f"{len(ratchet.new)} new, {len(ratchet.baselined)} baselined, "
+        f"{len(result.violations)} new, "
         f"{len(result.suppressed)} suppressed, "
-        f"{len(ratchet.stale)} stale baseline entries, "
         f"{len(meta_errors)} annotation errors"
     )
     sections.append(summary)
@@ -133,20 +93,6 @@ def summarize_by_rule(
     for violation in violations:
         counts[violation.rule_id] = counts.get(violation.rule_id, 0) + 1
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
-
-def stale_entries_payload(stale: List[BaselineEntry]) -> List[Dict[str, Any]]:
-    """JSON-shaped stale entries (shared by reporters and tests)."""
-    return [
-        {
-            "rule": entry.rule,
-            "path": entry.path,
-            "symbol": entry.symbol,
-            "snippet": entry.snippet,
-            "count": entry.count,
-        }
-        for entry in stale
-    ]
 
 
 def suppressions_payload(

@@ -50,8 +50,9 @@ class PhasedEnvelope(Envelope):
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One message in flight between two round barriers.
+class Frame(Envelope):
+    """One message in flight between two round barriers — and, once
+    delivered, the envelope its recipient is handed.
 
     ``sent_round`` is the round the sender emitted it in; ``deliver_round``
     is the earliest round barrier at which the round core hands it to
@@ -69,9 +70,6 @@ class Frame:
     declared.
     """
 
-    sender: int
-    recipient: int
-    payload: bytes
     sent_round: int = 0
     deliver_round: int = 1
     charge_bits: int = -1
@@ -81,6 +79,8 @@ class Frame:
     def bits(self) -> int:
         """Bits charged to the ledger for this frame."""
         return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
+
+    size_bits = bits
 
 
 class Party(abc.ABC):

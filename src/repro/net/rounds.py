@@ -180,13 +180,13 @@ class RoundCore:
                 party_id, ROUND_BARRIER, round_index, queue_depth=len(inbox)
             )
             if self.trace is not None:
-                for envelope in inbox:
+                for frame in inbox:
                     self.trace.record(
                         party_id,
                         RECV,
                         round_index,
-                        peer=envelope.sender,
-                        bits=envelope.size_bits(),
+                        peer=frame.sender,
+                        bits=frame.bits(),
                     )
             outgoing = party.step(round_index, inbox)
             # The party's own spans closed with its step, so one read of
@@ -205,8 +205,9 @@ class RoundCore:
 
     def _inbox(
         self, round_index: int, party_id: int, due: List[Frame]
-    ) -> List[Envelope]:
-        """Canonical order, then the policy's duplication and reordering."""
+    ) -> List[Frame]:
+        """Canonical order, then the policy's duplication and reordering.
+        The party is handed the delivered frames themselves."""
         due.sort(key=_CANONICAL_ORDER)
         delivered: List[Frame] = []
         for frame in due:
@@ -218,10 +219,7 @@ class RoundCore:
                 self._fault("duplicate")
         delivered = self.policy.inbox_order(round_index, party_id, delivered)
         self.inbox_high_water = max(self.inbox_high_water, len(delivered))
-        return [
-            Envelope(sender=f.sender, recipient=f.recipient, payload=f.payload)
-            for f in delivered
-        ]
+        return delivered
 
     def _emit(
         self, sender: int, round_index: int, envelope: Envelope, span_phase: str

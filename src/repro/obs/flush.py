@@ -1,4 +1,5 @@
-"""Atomic metrics flushing — the one ``--metrics-out`` implementation.
+"""Atomic artifact flushing — the one ``--metrics-out`` / ``--flow-out``
+implementation.
 
 Three CLI surfaces flush a Prometheus text snapshot on exit (``serve
 run``, ``cluster run``/``bench``, ``runtime``).  They historically each
@@ -10,6 +11,12 @@ comment lines, and publish the file atomically (tmp + fsync +
 ``os.replace``), so a scraper or CI artifact collector never observes a
 torn snapshot.
 
+The same three surfaces attach a wire-level flow ledger for
+``--flow-out``; :func:`open_flow` and :func:`finish_artifacts` are the
+two ends of that: the ledger whose evicted cells spill beside the
+report, and the ``repro-flow/1`` report (parity-checked against the
+run's metrics ledger when there is one) published with the snapshot.
+
 The flow summary rides along as ``# repro-flow {...}`` comment lines —
 legal in the text exposition format (scrapers ignore comments), and
 greppable by humans and the CI artifact checks without a second file.
@@ -20,8 +27,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional
 
+from repro.obs.flow import FlowLedger
 from repro.obs.jsonl import dump_line
 
 #: Prefix of the flow-summary comment line appended to flushed snapshots.
@@ -56,6 +64,52 @@ def flush_metrics_file(
 ) -> Path:
     """Atomically write one metrics snapshot (plus flow summary)."""
     return write_atomic_text(path, render_snapshot(registry, flow))
+
+
+def open_flow(
+    flow_out: Optional[Path], registry: Any, max_cells: int = 0
+) -> FlowLedger:
+    """The ledger a run with ``--flow-out`` (or a cell budget) records
+    into; evicted cells spill to ``<flow_out>.spill.jsonl``."""
+    return FlowLedger(
+        max_cells=max_cells or 65536,
+        spill_path=(
+            flow_out.with_name(flow_out.name + ".spill.jsonl")
+            if flow_out is not None else None
+        ),
+        registry=registry,
+    )
+
+
+def finish_artifacts(
+    flow: Optional[FlowLedger],
+    registry: Any,
+    flow_out: Optional[Path] = None,
+    metrics_out: Optional[Path] = None,
+    metrics: Optional[Any] = None,
+    extra: Optional[Dict[str, Any]] = None,
+) -> Optional[Dict[str, Any]]:
+    """Publish a run's flow report and metrics snapshot; close the ledger.
+
+    The report is named after ``flow_out`` (``FLOW_<name>.json``) and
+    carries bit-exact parity against ``metrics`` when given.  Returns
+    the report payload — ``None`` without a ledger — written or not.
+    """
+    payload = None
+    if flow is not None:
+        name = flow_out.stem if flow_out is not None else ""
+        if name.startswith("FLOW_"):
+            name = name[len("FLOW_"):]
+        payload = flow.report(name, metrics=metrics, extra=extra)
+        if flow_out is not None:
+            write_atomic_text(
+                flow_out, json.dumps(payload, sort_keys=True, indent=2) + "\n"
+            )
+    if metrics_out is not None and registry is not None:
+        flush_metrics_file(metrics_out, registry, flow=flow)
+    if flow is not None:
+        flow.close()
+    return payload
 
 
 def read_flow_summary(path: Path) -> Optional[Any]:

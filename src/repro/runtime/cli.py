@@ -10,7 +10,6 @@ same row.  A directory argument dumps the per-party JSONL traces there.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import List
 
@@ -68,15 +67,11 @@ def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
     flow = None
     registry = None
     if metrics_out is not None or flow_out is not None:
-        from repro.obs.flow import FlowLedger
+        from repro.obs.flush import open_flow
         from repro.obs.registry import MetricsRegistry
 
         registry = MetricsRegistry()
-        spill = (
-            flow_out.with_name(flow_out.name + ".spill.jsonl")
-            if flow_out is not None else None
-        )
-        flow = FlowLedger(spill_path=spill, registry=registry)
+        flow = open_flow(flow_out, registry)
 
     params = ProtocolParameters()
     rng = Randomness(2021)
@@ -142,30 +137,21 @@ def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
     )
 
     if flow is not None:
-        from repro.obs.flush import flush_metrics_file, write_atomic_text
+        from repro.obs.flush import finish_artifacts
 
-        flow_problems = flow.verify_against(runtime_metrics)
+        payload = finish_artifacts(
+            flow, registry, flow_out, metrics_out, metrics=runtime_metrics,
+            extra={"n": n, "transport": kind, "workload": "pi-ba"},
+        )
+        flow_problems = payload["parity_problems"]
         print(f"  flow        coverage={flow.coverage():.1%} "
               f"parity={not flow_problems}")
         for problem in flow_problems:
             print(f"    {problem}")
         if flow_out is not None:
-            name = flow_out.stem
-            if name.startswith("FLOW_"):
-                name = name[len("FLOW_"):]
-            payload = flow.report(
-                name, metrics=runtime_metrics,
-                extra={"n": n, "transport": kind, "workload": "pi-ba"},
-            )
-            write_atomic_text(
-                flow_out,
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            )
             print(f"  flow        report -> {flow_out}")
         if metrics_out is not None:
-            flush_metrics_file(metrics_out, registry, flow=flow)
             print(f"  metrics     snapshot -> {metrics_out}")
-        flow.close()
         if flow_problems:
             return 1
     return 0 if parity else 1

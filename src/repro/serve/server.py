@@ -21,7 +21,6 @@ process exit 0.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from typing import Any, Dict, Optional
 from repro.errors import GatewayError
 from repro.net.bind import bound_port, start_asyncio_server
 from repro.obs.flow import FlowLedger
-from repro.obs.flush import flush_metrics_file, write_atomic_text
+from repro.obs.flush import finish_artifacts, open_flow
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog
 from repro.serve import wire
@@ -98,15 +97,8 @@ class GatewayServer:
         self.flow: Optional[FlowLedger] = None
         self.span_log: Optional[SpanLog] = None
         if manager is None and config.flow_enabled:
-            spill = (
-                config.flow_out.with_name(config.flow_out.name + ".spill.jsonl")
-                if config.flow_out is not None
-                else None
-            )
-            self.flow = FlowLedger(
-                max_cells=config.flow_cells or 65536,
-                spill_path=spill,
-                registry=self.registry,
+            self.flow = open_flow(
+                config.flow_out, self.registry, config.flow_cells
             )
             self.span_log = SpanLog()
         self.manager = manager if manager is not None else SessionManager(
@@ -183,20 +175,10 @@ class GatewayServer:
 
     def flush_metrics(self) -> None:
         """Flush the final snapshot (and flow report) atomically."""
-        if self.config.metrics_out is not None:
-            flush_metrics_file(
-                self.config.metrics_out, self.registry, flow=self.flow
-            )
-        if self.config.flow_out is not None and self.flow is not None:
-            name = self.config.flow_out.stem
-            if name.startswith("FLOW_"):
-                name = name[len("FLOW_"):]
-            payload = self.flow.report(name)
-            self.flow.close()
-            write_atomic_text(
-                self.config.flow_out,
-                json.dumps(payload, sort_keys=True, indent=2) + "\n",
-            )
+        finish_artifacts(
+            self.flow, self.registry, self.config.flow_out,
+            self.config.metrics_out,
+        )
 
     async def serve_until_stopped(self) -> int:
         """Block until shutdown completes; the process exit status."""

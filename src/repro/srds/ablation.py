@@ -18,30 +18,18 @@ the ablation experiments.**
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-from repro.crypto.hashing import hash_chain, hash_domain
-from repro.crypto.snark import SnarkSystem
-from repro.errors import MALFORMED_INPUT_ERRORS
-from repro.srds.base import PublicParameters, SRDSSignature
-from repro.srds.snark_based import (
-    SnarkAggregateSignature,
-    SnarkSRDS,
-    _CHAIN_DOMAIN,
-    _INTERNAL_RELATION,
-    _LEAF_RELATION,
-    _cached_vk_tree,
-    _leaf_and_child_parts,
-)
-from repro.utils.serialization import canonical_tuple, encode_sequence
+from repro.srds.snark_based import SnarkSRDS
 
 
 class NoRangeCheckSnarkSRDS(SnarkSRDS):
     """The SNARK-based SRDS with the disjoint-range discipline removed.
 
-    ``aggregate1`` keeps *all* valid child aggregates (no greedy
-    disjoint-range filter, no containment dropping), and ``aggregate2``
-    combines them with an internal relation that does not check range
+    The counting skeleton asks one question about ranges —
+    ``precedes(hi, lo)``: does a range ending at ``hi`` lie wholly
+    before one starting at ``lo``? — and this variant answers "yes" to
+    all of them.  So ``aggregate1`` keeps *all* valid child aggregates
+    (no greedy disjoint-range filter, no containment dropping), and the
+    internal relation ``aggregate2`` proves no longer checks range
     disjointness.  The replay-forgery adversary then double-counts its
     coalition at every aggregation level and sails past the majority
     threshold — E7 measures exactly that.
@@ -49,155 +37,12 @@ class NoRangeCheckSnarkSRDS(SnarkSRDS):
 
     name = "srds-snark-pcd (ranges DISABLED — ablation only)"
 
-    def setup(self, num_parties: int, rng) -> PublicParameters:
-        pp = super().setup(num_parties, rng)
-        snark_system: SnarkSystem = pp.extra["snark"]
-
-        def lax_internal(statement: bytes, witness: bytes) -> bool:
-            return _check_internal_no_ranges(statement, witness, snark_system)
-
-        snark_system.register_relation(_LAX_INTERNAL, lax_internal)
-        return pp
-
-    def aggregate1(
-        self,
-        pp: PublicParameters,
-        verification_keys: Dict[int, bytes],
-        message: bytes,
-        signatures: Sequence[SRDSSignature],
-    ) -> List[object]:
-        """Filter validity only; keep overlapping aggregates (the bug)."""
-        snark_system: SnarkSystem = pp.extra["snark"]
-        tree = _cached_vk_tree(pp, verification_keys)
-        message_tag = hash_domain("srds/message-tag", message)
-        bases: List[SRDSSignature] = []
-        aggregates: List[SnarkAggregateSignature] = []
-        for signature in signatures:
-            if isinstance(signature, SnarkAggregateSignature):
-                if signature.vk_root != tree.root:
-                    continue
-                if signature.message_tag != message_tag:
-                    continue
-                statement = signature.statement(message)
-                if (
-                    snark_system.verify(_LEAF_RELATION, statement, signature.proof)
-                    or snark_system.verify(_INTERNAL_RELATION, statement,
-                                           signature.proof)
-                    or snark_system.verify(_LAX_INTERNAL, statement,
-                                           signature.proof)
-                ):
-                    aggregates.append(signature)
-            else:
-                bases.append(signature)
-        # Base signatures still go through the honest path, on their own
-        # (beside an aggregate they would be dropped for containment):
-        # certified survivors and the one opening over their indices.
-        return (
-            super().aggregate1(pp, verification_keys, message, bases)
-            + aggregates
-        )
-
-    def aggregate2(
-        self,
-        pp: PublicParameters,
-        message: bytes,
-        filtered: Sequence[object],
-    ) -> Optional[SnarkAggregateSignature]:
-        snark_system: SnarkSystem = pp.extra["snark"]
-        message_tag = hash_domain("srds/message-tag", message)
-        parts = _leaf_and_child_parts(
-            snark_system, message, message_tag, filtered
-        )
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        # Combine WITHOUT sorting-by-disjoint-range requirements.
-        digest = hash_chain(_CHAIN_DOMAIN, (part.digest for part in parts))
-        count = sum(part.count for part in parts)  # double-counting allowed!
-        lo = min(part.lo for part in parts)
-        hi = max(part.hi for part in parts)
-        from repro.srds.snark_based import _statement
-
-        statement = _statement(message, count, lo, hi, digest, parts[0].vk_root)
-        witness = encode_sequence(
-            [canonical_tuple(part.encode(), message) for part in parts]
-        )
-        proof = snark_system.prove(_LAX_INTERNAL, statement, witness)
-        return SnarkAggregateSignature(
-            count=count,
-            lo=lo,
-            hi=hi,
-            digest=digest,
-            vk_root=parts[0].vk_root,
-            message_tag=message_tag,
-            proof=proof,
-        )
-
-    def verify(
-        self,
-        pp: PublicParameters,
-        verification_keys: Dict[int, bytes],
-        message: bytes,
-        signature: SRDSSignature,
-    ) -> bool:
-        if not isinstance(signature, SnarkAggregateSignature):
-            return False
-        snark_system: SnarkSystem = pp.extra["snark"]
-        tree = _cached_vk_tree(pp, verification_keys)
-        if signature.vk_root != tree.root:
-            return False
-        if signature.message_tag != hash_domain("srds/message-tag", message):
-            return False
-        statement = signature.statement(message)
-        proof_ok = (
-            snark_system.verify(_LEAF_RELATION, statement, signature.proof)
-            or snark_system.verify(_INTERNAL_RELATION, statement, signature.proof)
-            or snark_system.verify(_LAX_INTERNAL, statement, signature.proof)
-        )
-        return proof_ok and signature.count >= pp.acceptance_threshold
-
-
-_LAX_INTERNAL = "srds/internal-sum-NO-RANGES"
-
-
-def _check_internal_no_ranges(
-    statement: bytes, witness: bytes, snark_system: SnarkSystem
-) -> bool:
-    """The internal relation minus the disjointness check (the ablation)."""
-    from repro.srds.snark_based import _decode_statement, decode_aggregate
-    from repro.utils.serialization import decode_sequence
-
-    try:
-        message, count, lo, hi, digest, vk_root = _decode_statement(statement)
-        encoded_children, _ = decode_sequence(witness, 0)
-    except MALFORMED_INPUT_ERRORS:
-        return False
-    if not encoded_children:
-        return False
-    children = []
-    for blob in encoded_children:
-        try:
-            fields, _ = decode_sequence(blob, 0)
-            child_blob, child_message = fields
-            child = decode_aggregate(child_blob)
-        except MALFORMED_INPUT_ERRORS:
-            return False
-        if child_message != message or child.vk_root != vk_root:
-            return False
-        child_statement = child.statement(message)
-        if not (
-            snark_system.verify(_LEAF_RELATION, child_statement, child.proof)
-            or snark_system.verify(_INTERNAL_RELATION, child_statement,
-                                   child.proof)
-            or snark_system.verify(_LAX_INTERNAL, child_statement, child.proof)
-        ):
-            return False
-        children.append(child)
-    # NOTE: no pairwise-disjointness check — the whole point.
-    if sum(child.count for child in children) != count:
-        return False
-    return hash_chain(_CHAIN_DOMAIN, (c.digest for c in children)) == digest
+    # Its own relation name: the tag binds it, so a lax proof never
+    # verifies under the secure scheme, even on the same CRS.
+    certificate = SnarkSRDS.certificate._replace(
+        internal="srds/internal-sum-NO-RANGES",
+        precedes=lambda hi, lo: True,
+    )
 
 
 class RevealingOwfSRDS:

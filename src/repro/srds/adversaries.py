@@ -267,13 +267,13 @@ class RandomProofForgeryAdversary(ForgeryAdversary):
         from repro.srds.snark_based import (
             SnarkAggregateSignature,
             SnarkSRDS,
-            _cached_vk_tree,
+            _vk_tree,
         )
         from repro.crypto.hashing import hash_domain
 
         if not isinstance(scheme, SnarkSRDS):
             return None, self.target_message
-        tree = _cached_vk_tree(setup.pp, setup.verification_keys)
+        tree = _vk_tree(setup.pp, setup.verification_keys)
         forged = SnarkAggregateSignature(
             count=setup.pp.num_parties,  # claim everyone signed
             lo=0,

@@ -20,7 +20,9 @@ DESIGN.md); aggregation combines tags and certifies the contributor
   checked against the party's registered key;
 * **internal**: "I know child certificates with verifying proofs and
   pairwise-disjoint index ranges whose counts sum to ``count`` and whose
-  tags XOR to the combined tag."
+  tags XOR to the combined tag" — the counting skeleton's relation
+  (:mod:`repro.srds.pcd`), shared with Thm 2.8's scheme; the accumulator
+  here is the XOR of tags.
 
 The visible moral of the construction (= the paper's barrier): strip the
 SNARG out and the only ways left to convince a verifier of the count are
@@ -31,7 +33,8 @@ having it solve an average-case Subset-XOR instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.prf import prf
 from repro.crypto.snark import Proof, SnarkSystem
@@ -41,6 +44,7 @@ from repro.errors import (
     SignatureError,
 )
 from repro.pki.registry import PKIMode
+from repro.srds import pcd
 from repro.srds.base import (
     PublicParameters,
     SRDSScheme,
@@ -61,8 +65,14 @@ _INTERNAL_RELATION = "registered-srds/internal"
 TAG_BYTES = 32
 
 
-def _xor(left: bytes, right: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(left, right))
+def _xor_all(tags: Iterable[bytes]) -> bytes:
+    """The accumulator: the XOR of per-party (or child) tags."""
+    running = 0
+    for tag in tags:
+        if len(tag) != TAG_BYTES:
+            raise SignatureError("multisig tag of the wrong size")
+        running ^= int.from_bytes(tag, "big")
+    return running.to_bytes(TAG_BYTES, "big")
 
 
 def proof_of_possession(secret: bytes, verification_key: bytes) -> bytes:
@@ -95,7 +105,7 @@ class RegisteredBaseSignature(SRDSSignature):
 
 @encode_once
 @dataclass(frozen=True)
-class RegisteredAggregateSignature(SRDSSignature):
+class RegisteredAggregateSignature(pcd.CountAggregate):
     """A constant-size aggregate: combined tag, count, range, proof.
 
     ``board_digest`` binds the aggregate to the exact bulletin-board
@@ -104,21 +114,17 @@ class RegisteredAggregateSignature(SRDSSignature):
     registered at that index on *that* board.
     """
 
-    combined_tag: bytes
     count: int
     lo: int
     hi: int
-    message_digest: bytes
+    combined_tag: bytes
     board_digest: bytes
+    message_digest: bytes
     proof: Proof
 
-    @property
-    def min_index(self) -> int:
-        return self.lo
-
-    @property
-    def max_index(self) -> int:
-        return self.hi
+    accumulator = property(attrgetter("combined_tag"))
+    board = property(attrgetter("board_digest"))
+    message_binding = property(attrgetter("message_digest"))
 
     def encode(self) -> bytes:
         return canonical_tuple(
@@ -131,16 +137,15 @@ class RegisteredAggregateSignature(SRDSSignature):
             self.proof.encode(),
         )
 
-    def statement(self) -> bytes:
-        """The statement both relations attest to."""
-        return canonical_tuple(
-            self.message_digest,
-            encode_uint(self.count),
-            encode_uint(self.lo),
-            encode_uint(self.hi),
-            self.combined_tag,
-            self.board_digest,
-        )
+
+def decode_aggregate(data: bytes) -> RegisteredAggregateSignature:
+    """Decode a :class:`RegisteredAggregateSignature` from its wire form."""
+    count, lo, hi, combined, message_digest, board_digest, proof = (
+        pcd.decode_wire_fields(data, _LEAF_RELATION)
+    )
+    return RegisteredAggregateSignature(
+        count, lo, hi, combined, board_digest, message_digest, proof
+    )
 
 
 @dataclass(frozen=True)
@@ -179,34 +184,34 @@ class RegisteredSRDS(SRDSScheme):
     assumptions = "multisig+subset-snarg"
     needs_crs = True
 
+    #: What this scheme plugs into the counting skeleton.
+    certificate = pcd.Certificate(
+        leaf=_LEAF_RELATION,
+        internal=_INTERNAL_RELATION,
+        aggregate=RegisteredAggregateSignature,
+        decode=decode_aggregate,
+        fold=_xor_all,
+    )
+
     def __init__(self) -> None:
         self._secrets_by_vk: Dict[bytes, bytes] = {}
-        # O(1) lookup path for tags produced by this deployment's sign();
-        # the relation falls back to a registry scan for foreign tags.
-        self._tag_origins: Dict[Tuple[int, bytes], bytes] = {}
-        # Bulletin-board snapshots by digest: the relations' public input.
+        # Bulletin-board snapshots by digest: the leaf relation's public
+        # input.
         self._boards: Dict[bytes, Dict[int, bytes]] = {}
-        self._board_digest_memo: Dict[Tuple[int, int], bytes] = {}
 
-    def _register_board(self, verification_keys: Dict[int, bytes]) -> bytes:
-        """Fingerprint (and cache) a bulletin-board snapshot.
-
-        Fingerprinting is Theta(n); pi_ba consults the board at every
-        tree node, so the digest is memoized on the dict identity (the
-        board is immutable within a run — mutations arrive as new dicts,
-        e.g. in the key-replacement experiments).
-        """
-        identity = (id(verification_keys), len(verification_keys))
-        cached = self._board_digest_memo.get(identity)
-        if cached is not None:
-            return cached
-        items = sorted(verification_keys.items())
+    def _fingerprint_board(
+        self, verification_keys: Dict[int, bytes]
+    ) -> bytes:
+        """Digest a bulletin-board snapshot and keep it for the leaf
+        relation (Theta(n): reached through ``pcd.board_binding``)."""
         digest = prf(
             b"", "registered-srds/board",
-            *[encode_uint(index) + key for index, key in items],
+            *[
+                encode_uint(index) + key
+                for index, key in sorted(verification_keys.items())
+            ],
         )
         self._boards.setdefault(digest, dict(verification_keys))
-        self._board_digest_memo[identity] = digest
         return digest
 
     # -- Def. 2.1 algorithms ---------------------------------------------------
@@ -215,15 +220,13 @@ class RegisteredSRDS(SRDSScheme):
         if num_parties < 2:
             raise ConfigurationError("need at least 2 parties")
         snark_system = SnarkSystem(crs_seed=rng.random_bytes(32))
-        scheme = self
-
-        def leaf_relation(statement: bytes, witness: bytes) -> bool:
-            return scheme._check_leaf(statement, witness)
 
         def internal_relation(statement: bytes, witness: bytes) -> bool:
-            return scheme._check_internal(statement, witness, snark_system)
+            return pcd.check_internal(
+                snark_system, self.certificate, statement, witness
+            )
 
-        snark_system.register_relation(_LEAF_RELATION, leaf_relation)
+        snark_system.register_relation(_LEAF_RELATION, self._check_leaf)
         snark_system.register_relation(_INTERNAL_RELATION, internal_relation)
         return PublicParameters(
             num_parties=num_parties,
@@ -260,7 +263,6 @@ class RegisteredSRDS(SRDSScheme):
             raise SignatureError("wrong signing-key type for RegisteredSRDS")
         tag = prf(signing_key, "registered-srds/tag",
                   encode_uint(index), message)
-        self._tag_origins[(index, tag)] = signing_key
         return RegisteredBaseSignature(index=index, tag=tag)
 
     def _tag_valid(self, verification_key: Optional[bytes], index: int,
@@ -291,7 +293,9 @@ class RegisteredSRDS(SRDSScheme):
         message = ensure_same_message_space(message)
         snark_system: SnarkSystem = pp.extra["snark"]
         digest = prf(b"", "registered-srds/msg", message)
-        board_digest = self._register_board(verification_keys)
+        board_digest = pcd.board_binding(
+            pp, verification_keys, self._fingerprint_board
+        )
         bases: Dict[int, RegisteredBaseSignature] = {}
         aggregates: List[RegisteredAggregateSignature] = []
         for signature in signatures:
@@ -306,36 +310,20 @@ class RegisteredSRDS(SRDSScheme):
                 ):
                     bases[signature.index] = signature
             elif isinstance(signature, RegisteredAggregateSignature):
-                if signature.message_digest != digest:
-                    continue
-                if signature.board_digest != board_digest:
-                    continue
-                statement = signature.statement()
-                if (
-                    snark_system.verify(_LEAF_RELATION, statement,
-                                        signature.proof)
-                    or snark_system.verify(_INTERNAL_RELATION, statement,
-                                           signature.proof)
-                ):
+                if pcd.admits(snark_system, self.certificate, signature,
+                              digest, digest, board_digest):
                     aggregates.append(signature)
             else:
                 raise SignatureError(
                     f"foreign signature type {type(signature).__name__}"
                 )
-        aggregates.sort(key=lambda a: (-a.count, a.lo, a.hi))
-        chosen: List[RegisteredAggregateSignature] = []
-        for aggregate in aggregates:
-            if all(
-                aggregate.hi < other.lo or other.hi < aggregate.lo
-                for other in chosen
-            ):
-                chosen.append(aggregate)
-        survivors = [
+        uncovered, chosen = pcd.select_disjoint(
+            aggregates, bases, self.certificate.precedes
+        )
+        return [
             FilteredItem("base", bases[index], message, board_digest)
-            for index in sorted(bases)
-            if all(not (agg.lo <= index <= agg.hi) for agg in chosen)
-        ]
-        return survivors + [
+            for index in uncovered
+        ] + [
             FilteredItem("agg", aggregate, message, board_digest)
             for aggregate in chosen
         ]
@@ -349,101 +337,25 @@ class RegisteredSRDS(SRDSScheme):
         message = ensure_same_message_space(message)
         snark_system: SnarkSystem = pp.extra["snark"]
         digest = prf(b"", "registered-srds/msg", message)
-        bases: List[RegisteredBaseSignature] = []
-        aggregates: List[RegisteredAggregateSignature] = []
-        board_digest = None
-        for item in filtered:
-            if not isinstance(item, FilteredItem):
-                continue
-            board_digest = item.board_digest
-            if item.kind == "base":
-                bases.append(item.payload)
-            else:
-                aggregates.append(item.payload)
-        if board_digest is None:
-            return None
-        parts = list(aggregates)
+        items = [item for item in filtered if isinstance(item, FilteredItem)]
+        parts = [item.payload for item in items if item.kind == "agg"]
+        bases = sorted(
+            (item.payload for item in items if item.kind == "base"),
+            key=attrgetter("index"),
+        )
         if bases:
-            parts.append(self._prove_leaf(snark_system, digest, message,
-                                          bases, board_digest))
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return self._prove_internal(snark_system, digest, parts,
-                                    board_digest)
-
-    def _prove_leaf(
-        self,
-        snark_system: SnarkSystem,
-        digest: bytes,
-        message: bytes,
-        bases: List[RegisteredBaseSignature],
-        board_digest: bytes,
-    ) -> RegisteredAggregateSignature:
-        ordered = sorted(bases, key=lambda b: b.index)
-        combined = bytes(TAG_BYTES)
-        for base in ordered:
-            combined = _xor(combined, base.tag)
-        aggregate = RegisteredAggregateSignature(
-            combined_tag=combined,
-            count=len(ordered),
-            lo=ordered[0].index,
-            hi=ordered[-1].index,
-            message_digest=digest,
-            board_digest=board_digest,
-            proof=Proof(relation_name=_LEAF_RELATION, tag=b""),
-        )
-        witness = canonical_tuple(
-            message,
-            encode_sequence([base.encode() for base in ordered]),
-        )
-        proof = snark_system.prove(
-            _LEAF_RELATION, aggregate.statement(), witness
-        )
-        return RegisteredAggregateSignature(
-            combined_tag=aggregate.combined_tag,
-            count=aggregate.count,
-            lo=aggregate.lo,
-            hi=aggregate.hi,
-            message_digest=digest,
-            board_digest=board_digest,
-            proof=proof,
-        )
-
-    def _prove_internal(
-        self,
-        snark_system: SnarkSystem,
-        digest: bytes,
-        parts: List[RegisteredAggregateSignature],
-        board_digest: bytes,
-    ) -> RegisteredAggregateSignature:
-        ordered = sorted(parts, key=lambda a: a.lo)
-        combined = bytes(TAG_BYTES)
-        for part in ordered:
-            combined = _xor(combined, part.combined_tag)
-        aggregate = RegisteredAggregateSignature(
-            combined_tag=combined,
-            count=sum(part.count for part in ordered),
-            lo=ordered[0].lo,
-            hi=ordered[-1].hi,
-            message_digest=digest,
-            board_digest=board_digest,
-            proof=Proof(relation_name=_INTERNAL_RELATION, tag=b""),
-        )
-        witness = encode_sequence([part.encode() for part in ordered])
-        proof = snark_system.prove(
-            _INTERNAL_RELATION, aggregate.statement(), witness
-        )
-        return RegisteredAggregateSignature(
-            combined_tag=aggregate.combined_tag,
-            count=aggregate.count,
-            lo=aggregate.lo,
-            hi=aggregate.hi,
-            message_digest=digest,
-            board_digest=board_digest,
-            proof=proof,
-        )
+            # The leaf prover: tags in index order, with the message.
+            parts.append(pcd.seal(
+                snark_system, self.certificate, _LEAF_RELATION, digest,
+                len(bases), bases[0].index, bases[-1].index,
+                _xor_all(base.tag for base in bases),
+                items[-1].board_digest, digest,
+                canonical_tuple(
+                    message,
+                    encode_sequence([base.encode() for base in bases]),
+                ),
+            ))
+        return pcd.combine(snark_system, self.certificate, digest, parts)
 
     def verify(
         self,
@@ -453,147 +365,49 @@ class RegisteredSRDS(SRDSScheme):
         signature: SRDSSignature,
     ) -> bool:
         message = ensure_same_message_space(message)
-        if not isinstance(signature, RegisteredAggregateSignature):
-            return False
-        snark_system: SnarkSystem = pp.extra["snark"]
-        if signature.message_digest != prf(
-            b"", "registered-srds/msg", message
-        ):
-            return False
-        if signature.board_digest != self._register_board(verification_keys):
-            return False
-        statement = signature.statement()
-        proof_ok = snark_system.verify(
-            _LEAF_RELATION, statement, signature.proof
-        ) or snark_system.verify(_INTERNAL_RELATION, statement,
-                                 signature.proof)
-        return proof_ok and signature.count >= pp.acceptance_threshold
+        digest = prf(b"", "registered-srds/msg", message)
+        return pcd.verify(
+            pp, self.certificate, signature, digest, digest,
+            pcd.board_binding(pp, verification_keys, self._fingerprint_board),
+        )
 
-    # -- SNARG relations ----------------------------------------------------------
+    # -- the leaf relation ---------------------------------------------------------
 
     def _check_leaf(self, statement: bytes, witness: bytes) -> bool:
-        decoded = _decode_statement(statement)
-        if decoded is None:
-            return False
-        digest, count, lo, hi, combined, board_digest = decoded
-        board = self._boards.get(board_digest)
-        if board is None:
-            return False
         try:
-            fields, _ = decode_sequence(witness, 0)
-            message, encoded_bases_blob = fields
+            digest, count, lo, hi, combined, board_digest = (
+                pcd.decode_statement(statement)
+            )
+            (message, encoded_bases_blob), _ = decode_sequence(witness, 0)
             encoded_bases, _ = decode_sequence(encoded_bases_blob, 0)
         except MALFORMED_INPUT_ERRORS:
+            return False
+        board = self._boards.get(board_digest)
+        if board is None:
             return False
         if prf(b"", "registered-srds/msg", message) != digest:
             return False
         if len(encoded_bases) != count or count == 0:
             return False
-        seen = set()
-        running = bytes(TAG_BYTES)
-        indices = []
+        tags = []
+        indices = set()
         for blob in encoded_bases:
             try:
                 index, pos = decode_uint(blob, 0)
-                tag = blob[pos:]
             except MALFORMED_INPUT_ERRORS:
                 return False
-            if len(tag) != TAG_BYTES or index in seen:
-                return False
-            seen.add(index)
-            if not lo <= index <= hi:
+            tag = blob[pos:]
+            if len(tag) != TAG_BYTES or index in indices:
                 return False
             # Tag validity against the key registered at this index on
             # the statement's board: the relation plays the multisig
             # verification circuit, with the board as public input.
             if not self._tag_valid(board.get(index), index, message, tag):
                 return False
-            running = _xor(running, tag)
-            indices.append(index)
-        if min(indices) != lo or max(indices) != hi:
-            return False
-        return running == combined
-
-    def _check_internal(self, statement: bytes, witness: bytes,
-                        snark_system: SnarkSystem) -> bool:
-        decoded = _decode_statement(statement)
-        if decoded is None:
-            return False
-        digest, count, lo, hi, combined, board_digest = decoded
-        try:
-            encoded_children, _ = decode_sequence(witness, 0)
-        except MALFORMED_INPUT_ERRORS:
-            return False
-        if not encoded_children:
-            return False
-        children = []
-        for blob in encoded_children:
-            child = decode_aggregate(blob)
-            if child is None or child.message_digest != digest:
-                return False
-            if child.board_digest != board_digest:
-                return False
-            child_statement = child.statement()
-            if not (
-                snark_system.verify(_LEAF_RELATION, child_statement,
-                                    child.proof)
-                or snark_system.verify(_INTERNAL_RELATION, child_statement,
-                                       child.proof)
-            ):
-                return False
-            children.append(child)
-        for first, second in zip(children, children[1:]):
-            if first.hi >= second.lo:
-                return False
-        if sum(child.count for child in children) != count:
-            return False
-        if children[0].lo != lo or children[-1].hi != hi:
-            return False
-        running = bytes(TAG_BYTES)
-        for child in children:
-            running = _xor(running, child.combined_tag)
-        return running == combined
-
-
-def _decode_statement(statement: bytes):
-    try:
-        fields, _ = decode_sequence(statement, 0)
-        if len(fields) != 6:
-            return None
-        digest = fields[0]
-        count, _ = decode_uint(fields[1], 0)
-        lo, _ = decode_uint(fields[2], 0)
-        hi, _ = decode_uint(fields[3], 0)
-        combined = fields[4]
-        board_digest = fields[5]
-        if len(combined) != TAG_BYTES:
-            return None
-    except MALFORMED_INPUT_ERRORS:
-        return None
-    return digest, count, lo, hi, combined, board_digest
-
-
-def decode_aggregate(data: bytes) -> Optional[RegisteredAggregateSignature]:
-    """Decode an aggregate from its wire form (None on malformed)."""
-    try:
-        fields, _ = decode_sequence(data, 0)
-        if len(fields) != 7:
-            return None
-        count, _ = decode_uint(fields[0], 0)
-        lo, _ = decode_uint(fields[1], 0)
-        hi, _ = decode_uint(fields[2], 0)
-        combined = fields[3]
-        digest = fields[4]
-        board_digest = fields[5]
-        proof_tag = fields[6]
-    except MALFORMED_INPUT_ERRORS:
-        return None
-    return RegisteredAggregateSignature(
-        combined_tag=combined,
-        count=count,
-        lo=lo,
-        hi=hi,
-        message_digest=digest,
-        board_digest=board_digest,
-        proof=Proof(relation_name=_LEAF_RELATION, tag=proof_tag),
-    )
+            indices.add(index)
+            tags.append(tag)
+        return (
+            min(indices) == lo
+            and max(indices) == hi
+            and _xor_all(tags) == combined
+        )

@@ -20,7 +20,9 @@ Two relations are registered with the (simulated) SNARK system:
   every node, and the opening carries each node once.
 * ``internal``: "I know child aggregates with verifying proofs, the same
   message and vk root, pairwise-disjoint index ranges, whose counts sum
-  to ``count`` and whose digests chain to the statement's digest."
+  to ``count`` and whose digests chain to the statement's digest" —
+  the counting skeleton's relation (:mod:`repro.srds.pcd`), shared with
+  the registered-PKI scheme; its accumulator here is the CRH chain.
 
 The proofs compose recursively (PCD); soundness is inherited from the
 argument system, and the disjoint-range discipline makes the total count
@@ -30,6 +32,8 @@ an upper bound on the number of *distinct* base contributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_chain, hash_domain
@@ -43,11 +47,11 @@ from repro.errors import (
     MALFORMED_INPUT_ERRORS,
     ConfigurationError,
     CryptoError,
-    ProofError,
     SignatureError,
 )
 from repro.obs.spans import span
 from repro.pki.registry import PKIMode
+from repro.srds import pcd
 from repro.srds.base import (
     PublicParameters,
     SRDSScheme,
@@ -122,24 +126,20 @@ class CertifiedBaseSignature:
 
 @encode_once
 @dataclass(frozen=True)
-class SnarkAggregateSignature(SRDSSignature):
+class SnarkAggregateSignature(pcd.CountAggregate):
     """A constant-size aggregate: statement fields plus one PCD proof."""
 
     count: int
-    lo: int          # smallest contributing virtual index
-    hi: int          # largest contributing virtual index
+    lo: int
+    hi: int
     digest: bytes    # CRH chain over contributions / child digests
     vk_root: bytes   # Merkle root of the verification-key vector
     message_tag: bytes
     proof: Proof
 
-    @property
-    def min_index(self) -> int:
-        return self.lo
-
-    @property
-    def max_index(self) -> int:
-        return self.hi
+    accumulator = property(attrgetter("digest"))
+    board = property(attrgetter("vk_root"))
+    message_binding = property(attrgetter("message_tag"))
 
     def encode(self) -> bytes:
         return canonical_tuple(
@@ -151,24 +151,6 @@ class SnarkAggregateSignature(SRDSSignature):
             self.message_tag,
             self.proof.encode(),
         )
-
-    def statement(self, message: bytes) -> bytes:
-        """The PCD statement this aggregate's proof attests to."""
-        return _statement(
-            message, self.count, self.lo, self.hi, self.digest, self.vk_root
-        )
-
-
-def _statement(message: bytes, count: int, lo: int, hi: int,
-               digest: bytes, vk_root: bytes) -> bytes:
-    return canonical_tuple(
-        message,
-        encode_uint(count),
-        encode_uint(lo),
-        encode_uint(hi),
-        digest,
-        vk_root,
-    )
 
 
 def _vk_leaf(index: int, verification_key: bytes) -> bytes:
@@ -189,25 +171,25 @@ def vk_merkle_tree(verification_keys: Dict[int, bytes],
     ])
 
 
-def _cached_vk_tree(
+#: The accumulator: a CRH chain over contributions / child digests.
+_chain = partial(hash_chain, _CHAIN_DOMAIN)
+
+
+def decode_aggregate(data: bytes) -> SnarkAggregateSignature:
+    """Decode a :class:`SnarkAggregateSignature` from its wire form."""
+    return SnarkAggregateSignature(
+        *pcd.decode_wire_fields(data, _LEAF_RELATION)
+    )
+
+
+def _vk_tree(
     pp: PublicParameters, verification_keys: Dict[int, bytes]
 ) -> MerkleTree:
-    """Per-run cache of the vk Merkle tree.
-
-    Building the tree is Theta(n) hashing, and pi_ba calls Aggregate1 at
-    every tree node; the bulletin board is fixed for the duration of a
-    run, so the tree of the last board seen is kept on ``pp``.  The
-    cache holds a snapshot of that board's contents and compares it on
-    every lookup, so a *different* board — another dict, or the same
-    dict after an in-place key replacement (the bare-PKI experiments do
-    both) — rebuilds, whatever address it happens to live at.
-    """
-    cached = pp.extra.get("_vk_tree_cache")
-    if cached is not None and cached[0] == verification_keys:
-        return cached[1]
-    tree = vk_merkle_tree(verification_keys, pp.num_parties)
-    pp.extra["_vk_tree_cache"] = (dict(verification_keys), tree)
-    return tree
+    """The vk commitment of the run's bulletin board (cached on ``pp``)."""
+    return pcd.board_binding(
+        pp, verification_keys,
+        lambda keys: vk_merkle_tree(keys, pp.num_parties),
+    )
 
 
 class SnarkSRDS(SRDSScheme):
@@ -217,6 +199,15 @@ class SnarkSRDS(SRDSScheme):
     pki_mode = PKIMode.BARE
     assumptions = "snarks*+crh"
     needs_crs = True
+
+    #: What this scheme plugs into the counting skeleton.
+    certificate = pcd.Certificate(
+        leaf=_LEAF_RELATION,
+        internal=_INTERNAL_RELATION,
+        aggregate=SnarkAggregateSignature,
+        decode=decode_aggregate,
+        fold=_chain,
+    )
 
     def __init__(self, base_scheme: Optional[BaseSignatureScheme] = None) -> None:
         self.base_scheme = base_scheme if base_scheme is not None else SchnorrBase()
@@ -229,6 +220,7 @@ class SnarkSRDS(SRDSScheme):
             raise ConfigurationError("need at least 2 parties")
         snark_system = SnarkSystem(crs_seed=rng.random_bytes(32))
         base_scheme = self.base_scheme
+        certificate = self.certificate
 
         def leaf_relation(statement: bytes, witness: bytes) -> bool:
             return _check_leaf_relation(
@@ -236,10 +228,12 @@ class SnarkSRDS(SRDSScheme):
             )
 
         def internal_relation(statement: bytes, witness: bytes) -> bool:
-            return _check_internal_relation(statement, witness, snark_system)
+            return pcd.check_internal(
+                snark_system, certificate, statement, witness
+            )
 
-        snark_system.register_relation(_LEAF_RELATION, leaf_relation)
-        snark_system.register_relation(_INTERNAL_RELATION, internal_relation)
+        snark_system.register_relation(certificate.leaf, leaf_relation)
+        snark_system.register_relation(certificate.internal, internal_relation)
         return PublicParameters(
             num_parties=num_parties,
             security_bits=256,
@@ -279,103 +273,58 @@ class SnarkSRDS(SRDSScheme):
         Base signatures are verified against the bulletin board, deduped
         by index, and enriched with their keys; child aggregates are
         checked (proof, vk root, message tag) and kept if their ranges
-        can coexist disjointly (greedy by range, which is exactly the
-        planar order of the tree).  Returns the surviving base
-        signatures, then — if there are any — the one batch opening of
-        the vk commitment that covers exactly their indices, then the
-        chosen aggregates.
+        can coexist disjointly.  Returns the surviving base signatures,
+        then — if there are any — the one batch opening of the vk
+        commitment that covers exactly their indices, then the chosen
+        aggregates.
         """
         with span("srds-aggregate1", scheme="snark"):
-            return self._aggregate1_impl(
-                pp, verification_keys, message, signatures
-            )
+            message = ensure_same_message_space(message)
+            snark_system: SnarkSystem = pp.extra["snark"]
+            tree = _vk_tree(pp, verification_keys)
+            message_tag = hash_domain("srds/message-tag", message)
 
-    def _aggregate1_impl(
-        self,
-        pp: PublicParameters,
-        verification_keys: Dict[int, bytes],
-        message: bytes,
-        signatures: Sequence[SRDSSignature],
-    ) -> List[object]:
-        message = ensure_same_message_space(message)
-        snark_system: SnarkSystem = pp.extra["snark"]
-        tree = _cached_vk_tree(pp, verification_keys)
-        message_tag = hash_domain("srds/message-tag", message)
-
-        candidates: List[Tuple[SnarkBaseSignature, bytes]] = []
-        aggregates: List[SnarkAggregateSignature] = []
-        for signature in signatures:
-            if isinstance(signature, SnarkBaseSignature):
-                if not 0 <= signature.index < pp.num_parties:
-                    continue
-                key = verification_keys.get(signature.index)
-                if key is None:
-                    continue
-                candidates.append((signature, key))
-            elif isinstance(signature, SnarkAggregateSignature):
-                if signature.vk_root != tree.root:
-                    continue
-                if signature.message_tag != message_tag:
-                    continue
-                # An aggregate may carry either relation's proof; accept
-                # whichever verifies (the tag binds the relation).
-                statement = signature.statement(message)
-                if not (
-                    snark_system.verify(_LEAF_RELATION, statement, signature.proof)
-                    or snark_system.verify(
-                        _INTERNAL_RELATION, statement, signature.proof
+            candidates: List[Tuple[SnarkBaseSignature, bytes]] = []
+            aggregates: List[SnarkAggregateSignature] = []
+            for signature in signatures:
+                if isinstance(signature, SnarkBaseSignature):
+                    if not 0 <= signature.index < pp.num_parties:
+                        continue
+                    key = verification_keys.get(signature.index)
+                    if key is None:
+                        continue
+                    candidates.append((signature, key))
+                elif isinstance(signature, SnarkAggregateSignature):
+                    if pcd.admits(snark_system, self.certificate, signature,
+                                  message, message_tag, tree.root):
+                        aggregates.append(signature)
+                else:
+                    raise SignatureError(
+                        f"foreign signature type {type(signature).__name__}"
                     )
-                ):
-                    continue
-                aggregates.append(signature)
-            else:
-                raise SignatureError(
-                    f"foreign signature type {type(signature).__name__}"
-                )
 
-        # One batched base-signature check per node, then the first valid
-        # signature per index in arrival order.
-        verdicts = self.base_scheme.verify_many(
-            [
-                (key, message, signature.signature_bytes)
-                for signature, key in candidates
-            ]
-        )
-        certified: Dict[int, CertifiedBaseSignature] = {}
-        for (signature, key), valid in zip(candidates, verdicts):
-            if valid and signature.index not in certified:
-                certified[signature.index] = CertifiedBaseSignature(
-                    base=signature, verification_key=key
-                )
+            # One batched base-signature check per node, then the first valid
+            # signature per index in arrival order.
+            verdicts = self.base_scheme.verify_many(
+                [
+                    (key, message, signature.signature_bytes)
+                    for signature, key in candidates
+                ]
+            )
+            certified: Dict[int, CertifiedBaseSignature] = {}
+            for (signature, key), valid in zip(candidates, verdicts):
+                if valid and signature.index not in certified:
+                    certified[signature.index] = CertifiedBaseSignature(
+                        base=signature, verification_key=key
+                    )
 
-        # Greedy disjoint-range selection for aggregates, largest count
-        # first (deterministic tie-break by range), so overlapping
-        # adversarial duplicates are filtered here rather than failing
-        # Aggregate2.
-        aggregates.sort(key=lambda a: (-a.count, a.lo, a.hi))
-        chosen: List[SnarkAggregateSignature] = []
-        for aggregate in aggregates:
-            if all(
-                aggregate.hi < other.lo or other.hi < aggregate.lo
-                for other in chosen
-            ):
-                chosen.append(aggregate)
-        chosen.sort(key=lambda a: a.lo)
-
-        # Base signatures whose index collides with a chosen aggregate's
-        # range are dropped (they may already be counted inside it).
-        survivors = [
-            certified[index]
-            for index in sorted(certified)
-            if all(not (agg.lo <= index <= agg.hi) for agg in chosen)
-        ]
-        # Their keys are authenticated together: one opening of the vk
-        # commitment over exactly the surviving indices.
-        opening = (
-            [tree.prove_many([c.base.index for c in survivors])]
-            if survivors else []
-        )
-        return survivors + opening + chosen
+            uncovered, chosen = pcd.select_disjoint(
+                aggregates, certified, self.certificate.precedes
+            )
+            # The surviving keys are authenticated together: one opening of
+            # the vk commitment over exactly their indices.
+            opening = [tree.prove_many(uncovered)] if uncovered else []
+            return [certified[index] for index in uncovered] + opening + chosen
 
     def aggregate2(
         self,
@@ -389,26 +338,12 @@ class SnarkSRDS(SRDSScheme):
         on the batch opening that accompanies the certified inputs.
         """
         with span("srds-aggregate2", scheme="snark"):
-            return self._aggregate2_impl(pp, message, filtered)
-
-    def _aggregate2_impl(
-        self,
-        pp: PublicParameters,
-        message: bytes,
-        filtered: Sequence[object],
-    ) -> Optional[SnarkAggregateSignature]:
-        message = ensure_same_message_space(message)
-        snark_system: SnarkSystem = pp.extra["snark"]
-        message_tag = hash_domain("srds/message-tag", message)
-
-        parts = _leaf_and_child_parts(
-            snark_system, message, message_tag, filtered
-        )
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return _prove_internal(snark_system, message, message_tag, parts)
+            message = ensure_same_message_space(message)
+            snark_system: SnarkSystem = pp.extra["snark"]
+            parts = _leaf_and_child_parts(
+                snark_system, self.certificate, message, filtered
+            )
+            return pcd.combine(snark_system, self.certificate, message, parts)
 
     def verify(
         self,
@@ -419,28 +354,20 @@ class SnarkSRDS(SRDSScheme):
     ) -> bool:
         """Check the PCD proof, the vk-vector binding, and the threshold."""
         message = ensure_same_message_space(message)
-        if not isinstance(signature, SnarkAggregateSignature):
-            return False
-        snark_system: SnarkSystem = pp.extra["snark"]
-        tree = _cached_vk_tree(pp, verification_keys)
-        if signature.vk_root != tree.root:
-            return False
-        if signature.message_tag != hash_domain("srds/message-tag", message):
-            return False
-        statement = signature.statement(message)
-        proof_ok = snark_system.verify(
-            _LEAF_RELATION, statement, signature.proof
-        ) or snark_system.verify(_INTERNAL_RELATION, statement, signature.proof)
-        return proof_ok and signature.count >= pp.acceptance_threshold
+        return pcd.verify(
+            pp, self.certificate, signature, message,
+            hash_domain("srds/message-tag", message),
+            _vk_tree(pp, verification_keys).root,
+        )
 
 
-# -- relation implementations and provers -------------------------------------
+# -- the leaf relation and its prover ------------------------------------------
 
 
 def _leaf_and_child_parts(
     snark_system: SnarkSystem,
+    certificate: pcd.Certificate,
     message: bytes,
-    message_tag: bytes,
     filtered: Sequence[object],
 ) -> List[SnarkAggregateSignature]:
     """What Aggregate2 combines: the child aggregates of an Aggregate1
@@ -471,84 +398,20 @@ def _leaf_and_child_parts(
             f"{len(ordered)} certified base signatures without the "
             "opening of exactly their indices"
         )
-    parts.append(
-        _prove_leaf(snark_system, message, message_tag, ordered, opening)
-    )
+    # The leaf prover: base signatures in index order and the batch
+    # opening of exactly their indices.
+    parts.append(pcd.seal(
+        snark_system, certificate, _LEAF_RELATION, message,
+        len(ordered), indices[0], indices[-1],
+        _chain(c.base.contribution_digest() for c in ordered),
+        root_from_multiproof(
+            [_vk_leaf(c.base.index, c.verification_key) for c in ordered],
+            opening,
+        ),
+        hash_domain("srds/message-tag", message),
+        encode_sequence([opening.encode()] + [c.encode() for c in ordered]),
+    ))
     return parts
-
-
-def _prove_leaf(
-    snark_system: SnarkSystem,
-    message: bytes,
-    message_tag: bytes,
-    ordered: Sequence[CertifiedBaseSignature],
-    opening: MerkleMultiProof,
-) -> SnarkAggregateSignature:
-    """Prove the leaf relation over base signatures in index order and
-    the batch opening of exactly their indices."""
-    vk_root = root_from_multiproof(
-        [_vk_leaf(c.base.index, c.verification_key) for c in ordered], opening
-    )
-    digest = hash_chain(
-        _CHAIN_DOMAIN, (c.base.contribution_digest() for c in ordered)
-    )
-    lo = ordered[0].base.index
-    hi = ordered[-1].base.index
-    statement = _statement(message, len(ordered), lo, hi, digest, vk_root)
-    witness = encode_sequence(
-        [opening.encode()] + [c.encode() for c in ordered]
-    )
-    proof = snark_system.prove(_LEAF_RELATION, statement, witness)
-    return SnarkAggregateSignature(
-        count=len(ordered),
-        lo=lo,
-        hi=hi,
-        digest=digest,
-        vk_root=vk_root,
-        message_tag=message_tag,
-        proof=proof,
-    )
-
-
-def _prove_internal(
-    snark_system: SnarkSystem,
-    message: bytes,
-    message_tag: bytes,
-    parts: Sequence[SnarkAggregateSignature],
-) -> SnarkAggregateSignature:
-    ordered = sorted(parts, key=lambda a: a.lo)
-    vk_root = ordered[0].vk_root
-    digest = hash_chain(_CHAIN_DOMAIN, (part.digest for part in ordered))
-    count = sum(part.count for part in ordered)
-    lo = ordered[0].lo
-    hi = ordered[-1].hi
-    statement = _statement(message, count, lo, hi, digest, vk_root)
-    witness = encode_sequence(
-        [canonical_tuple(part.encode(), message) for part in ordered]
-    )
-    proof = snark_system.prove(_INTERNAL_RELATION, statement, witness)
-    return SnarkAggregateSignature(
-        count=count,
-        lo=lo,
-        hi=hi,
-        digest=digest,
-        vk_root=vk_root,
-        message_tag=message_tag,
-        proof=proof,
-    )
-
-
-def _decode_statement(statement: bytes):
-    fields, _ = decode_sequence(statement, 0)
-    if len(fields) != 6:
-        raise ProofError("malformed SRDS statement")
-    message = fields[0]
-    count, _ = decode_uint(fields[1], 0)
-    lo, _ = decode_uint(fields[2], 0)
-    hi, _ = decode_uint(fields[3], 0)
-    digest = fields[4]
-    vk_root = fields[5]
-    return message, count, lo, hi, digest, vk_root
 
 
 def _check_leaf_relation(
@@ -561,7 +424,9 @@ def _check_leaf_relation(
     commitment followed by the ``count`` certified base signatures it
     opens, in index order."""
     try:
-        message, count, lo, hi, digest, vk_root = _decode_statement(statement)
+        message, count, lo, hi, digest, vk_root = pcd.decode_statement(
+            statement
+        )
         (opening_blob, *encoded_certified), _ = decode_sequence(witness, 0)
         opening, end = MerkleMultiProof.decode(opening_blob, 0)
     except MALFORMED_INPUT_ERRORS:
@@ -601,69 +466,5 @@ def _check_leaf_relation(
         return False
     return (
         opened_root == vk_root
-        and hash_chain(_CHAIN_DOMAIN, contribution_digests) == digest
-    )
-
-
-def _check_internal_relation(
-    statement: bytes, witness: bytes, snark_system: SnarkSystem
-) -> bool:
-    try:
-        message, count, lo, hi, digest, vk_root = _decode_statement(statement)
-        encoded_children, _ = decode_sequence(witness, 0)
-    except MALFORMED_INPUT_ERRORS:
-        return False
-    if not encoded_children:
-        return False
-    children: List[SnarkAggregateSignature] = []
-    for blob in encoded_children:
-        try:
-            fields, _ = decode_sequence(blob, 0)
-            child_blob, child_message = fields
-            child = decode_aggregate(child_blob)
-        except MALFORMED_INPUT_ERRORS:
-            return False
-        if child_message != message:
-            return False
-        child_statement = child.statement(message)
-        if not (
-            snark_system.verify(_LEAF_RELATION, child_statement, child.proof)
-            or snark_system.verify(
-                _INTERNAL_RELATION, child_statement, child.proof
-            )
-        ):
-            return False
-        if child.vk_root != vk_root:
-            return False
-        children.append(child)
-    # Pairwise-disjoint, sorted ranges — the anti-double-counting rule.
-    for first, second in zip(children, children[1:]):
-        if first.hi >= second.lo:
-            return False
-    if sum(child.count for child in children) != count:
-        return False
-    if children[0].lo != lo or children[-1].hi != hi:
-        return False
-    return hash_chain(_CHAIN_DOMAIN, (c.digest for c in children)) == digest
-
-
-def decode_aggregate(data: bytes) -> SnarkAggregateSignature:
-    """Decode a :class:`SnarkAggregateSignature` from its wire form."""
-    fields, _ = decode_sequence(data, 0)
-    if len(fields) != 7:
-        raise SignatureError("malformed SNARK-SRDS aggregate encoding")
-    count, _ = decode_uint(fields[0], 0)
-    lo, _ = decode_uint(fields[1], 0)
-    hi, _ = decode_uint(fields[2], 0)
-    proof_tag = fields[6]
-    # The relation name is not carried on the wire; reconstruct both
-    # candidates and let verification pick (tags are relation-bound).
-    return SnarkAggregateSignature(
-        count=count,
-        lo=lo,
-        hi=hi,
-        digest=fields[3],
-        vk_root=fields[4],
-        message_tag=fields[5],
-        proof=Proof(relation_name=_LEAF_RELATION, tag=proof_tag),
+        and _chain(contribution_digests) == digest
     )

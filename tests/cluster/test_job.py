@@ -122,3 +122,15 @@ class TestJobBlob:
                 supervisor._job_blob(0, 0), supervisor.shards[1], 0,
                 tmp_path, "shard-1", TraceRecorder(),
             )
+
+    def test_the_n64_replay_jobs_whole_fleet_blob_stays_under_a_mebibyte(self):
+        """Why the control channel does not chunk: the largest body it
+        carries — one worker handed the whole n=64 snark-hash fleet — is
+        256 times under ``wire._MAX_MESSAGE`` (docs/cluster.md has the
+        measured DONE sizes of the same job)."""
+        from repro.cluster.job import replay_job
+        from tests.placements import recorded_pi_ba
+
+        job = replay_job(recorded_pi_ba(64, "snark").script(), 64)
+        supervisor = ClusterSupervisor(job, ClusterConfig(num_workers=1))
+        assert 0 < len(supervisor._job_blob(0, 0)) < 1 << 20

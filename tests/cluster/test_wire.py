@@ -81,7 +81,7 @@ def test_corrupt_body_rejected():
 def test_old_format_body_with_a_frames_segment_is_rejected():
     """A format-1 record carried ``seq frame_encodings`` after the blob
     (an empty sequence is one count byte); the decoder refuses it."""
-    body = Message(ROUND, {"round": 3}).encode_body()
+    body = Message(ROUND, {"round": 3}).encode()[_LENGTH.size:]
     assert Message.decode(body).fields == {"round": 3}
     with pytest.raises(ClusterError, match="trailing bytes"):
         Message.decode(body + encode_sequence([]))
@@ -143,54 +143,24 @@ class TestMessageChannel:
             right.recv(timeout=5.0)
         right.close()
 
-    def test_oversized_message_is_chunked_transparently(self, monkeypatch):
-        """Bodies past the chunk threshold ride as ``part`` trains and
-        reassemble on recv, never interleaved with other records."""
+    def test_oversized_message_is_refused_before_anything_is_written(
+        self, monkeypatch
+    ):
+        """No chunking on the control channel: a body past the cap is a
+        ``ClusterError`` on the sending side, and the stream stays
+        framed for whatever is sent next."""
         import repro.cluster.wire as wire
 
-        monkeypatch.setattr(wire, "_CHUNK_BYTES", 64)
+        assert wire._MAX_MESSAGE == 256 << 20
+        assert "part" not in wire.KINDS
+        monkeypatch.setattr(wire, "_MAX_MESSAGE", 64)
         left, right = _channel_pair()
         try:
-            big = Message(
-                DONE,
-                {"round": 9},
-                blob=bytes(range(256)) * 3,
-            )
-            left.send(Message(HEARTBEAT))
-            left.send(big)
+            with pytest.raises(ClusterError, match="exceeds 64"):
+                left.send(Message(DONE, {"round": 9}, blob=b"y" * 300))
+            assert left.data_bytes_sent == 0
             left.send(Message(HEARTBEAT))
             assert right.recv(timeout=5.0).kind == HEARTBEAT
-            got = right.recv(timeout=5.0)
-            assert got.kind == DONE
-            assert got.fields == {"round": 9}
-            assert got.blob == big.blob
-            assert right.recv(timeout=5.0).kind == HEARTBEAT
-        finally:
-            left.close()
-            right.close()
-
-    def test_chunked_transfer_survives_recv_timeout(self, monkeypatch):
-        import repro.cluster.wire as wire
-
-        monkeypatch.setattr(wire, "_CHUNK_BYTES", 64)
-        left, right = _channel_pair()
-        try:
-            big = Message(DONE, blob=b"y" * 300)
-            body = big.encode_body()
-            pieces = [body[o:o + 64] for o in range(0, len(body), 64)]
-            records = [
-                Message(
-                    wire.PART, {"last": i == len(pieces) - 1}, blob=p
-                ).encode()
-                for i, p in enumerate(pieces)
-            ]
-            left._sock.sendall(records[0])
-            with pytest.raises(TimeoutError):
-                right.recv(timeout=0.05)
-            for record in records[1:]:
-                left._sock.sendall(record)
-            got = right.recv(timeout=5.0)
-            assert got.kind == DONE and got.blob == big.blob
         finally:
             left.close()
             right.close()

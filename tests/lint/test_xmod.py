@@ -5,7 +5,6 @@ family); the call-resolution test runs over the deliberate import cycle
 in ``fixtures/xmod_graph``.
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.config import LintConfig
 from repro.lint.engine import iter_source_files, load_module
 from repro.lint.model import ModuleUnit
@@ -142,39 +141,3 @@ def test_project_resolves_calls_across_an_import_cycle():
     }
 
 
-# -- baseline pruning ---------------------------------------------------------
-
-def test_baseline_prune_drops_stale_and_clamps_counts():
-    result = lint_fixture("xmod_sch_bad", rules=("SCH001",))
-    baseline = Baseline.from_violations(result.violations)
-    baseline.entries.append(BaselineEntry(
-        rule="SCH001", path="xmod_sch_bad/gone.py",
-        symbol="vanished", snippet="x = 1",
-    ))
-    # Inflate one real entry's count: pruning must clamp it back.
-    baseline.entries[0] = BaselineEntry(
-        rule=baseline.entries[0].rule,
-        path=baseline.entries[0].path,
-        symbol=baseline.entries[0].symbol,
-        snippet=baseline.entries[0].snippet,
-        count=baseline.entries[0].count + 7,
-    )
-    pruned = baseline.pruned(result.violations)
-    assert [e.key for e in pruned.entries] \
-        == [e.key for e in baseline.entries[:-1]]
-    assert sum(e.count for e in pruned.entries) == len(result.violations)
-    # Pruning is idempotent and only ever tightens.
-    again = pruned.pruned(result.violations)
-    assert [
-        (e.key, e.count) for e in again.entries
-    ] == [
-        (e.key, e.count) for e in pruned.entries
-    ]
-    outcome = pruned.apply(result.violations)
-    assert outcome.new == [] and outcome.stale == []
-
-
-def test_baseline_prune_never_adds_entries():
-    result = lint_fixture("xmod_sch_bad", rules=("SCH001",))
-    empty = Baseline([])
-    assert empty.pruned(result.violations).entries == []

@@ -90,6 +90,20 @@ class RecordingParty(Party):
         return []
 
 
+class SizeRecorder(Party):
+    """Halts in round 1 with ``(sender, recipient, size_bits, payload)``
+    of every envelope delivered then."""
+
+    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+        if round_index == 0:
+            return []
+        return self.halt([
+            (envelope.sender, envelope.recipient, envelope.size_bits(),
+             envelope.payload)
+            for envelope in inbox
+        ])
+
+
 class Pinger(Party):
     """Sends ``count`` one-byte messages to ``peer`` in round 0, then halts."""
 
@@ -148,6 +162,21 @@ class TestAuthentication:
             [spoofer, RecordingParty(1)], until=[1], max_rounds=5
         )
         assert result.outputs[1][0] == [0]  # true sender, not 999
+
+    def test_the_recipient_is_handed_the_frame_that_was_charged(self):
+        # Frame is what parties receive: the inbox reports the true
+        # sender and the size the sender declared (11 bits, not the
+        # 16 of its two filler bytes), on every placement.
+        spoofer = SpoofingParty(
+            0,
+            SizedEnvelope(
+                sender=999, recipient=1, payload=b"\x00\x00", bits=11,
+            ),
+        )
+        result = self.placement.run(
+            [spoofer, SizeRecorder(1)], until=[1], max_rounds=5
+        )
+        assert result.outputs[1] == [(0, 1, 11, b"\x00\x00")]
 
     def test_spoofed_sized_envelope_keeps_bits_and_phase(self):
         # Stamping the true sender must not rebuild the envelope as a

@@ -4,8 +4,9 @@
 on the instance after the first ``encode()``.  Nothing but the speed of
 the second call may tell: not the bytes, not ``==``/``hash``/``repr``,
 not ``dataclasses.replace``, not a pickle, and never another value's
-encoding.  Plus the two ``_cached_vk_tree`` regressions (a cache that
-*was* observable).
+encoding.  Plus the ``pcd.board_binding`` regressions (a cache that
+*was* observable), over both schemes that derive something from the
+bulletin board.
 """
 
 import copy
@@ -21,7 +22,7 @@ from repro.crypto.merkle import MerkleMultiProof, MerkleProof
 from repro.crypto.snark import Proof
 from repro.pki.registry import PKIMode
 from repro.srds import adversaries as adv
-from repro.srds import owf, registered, snark_based
+from repro.srds import owf, pcd, registered, snark_based
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.experiments import (
     run_forgery_experiment,
@@ -39,7 +40,6 @@ from repro.srds.snark_based import (
     SnarkAggregateSignature,
     SnarkBaseSignature,
     SnarkSRDS,
-    _cached_vk_tree,
     vk_merkle_tree,
 )
 from repro.utils.randomness import Randomness
@@ -301,14 +301,33 @@ def test_adversary_signatures_never_inherit_a_victims_bytes(
         assert signature.encode() == _never_encoded(signature).encode()
 
 
-# -- the vk Merkle-tree cache ------------------------------------------------------
+# -- the bulletin-board cache -------------------------------------------------------
 
 
-class TestVkTreeCache:
+def _snark_binding(n):
+    """``(scheme, pp, build, value)``: the vk Merkle tree, read by root."""
+    scheme = SnarkSRDS(HashRegistryBase())
+    return (
+        scheme, scheme.setup(n, Randomness(1)),
+        lambda keys: vk_merkle_tree(keys, n), lambda tree: tree.root,
+    )
+
+
+def _registered_binding(n):
+    """``(scheme, pp, build, value)``: the registered board digest."""
+    scheme = RegisteredSRDS()
+    return (
+        scheme, scheme.setup(n, Randomness(1)),
+        scheme._fingerprint_board, lambda digest: digest,
+    )
+
+
+@pytest.mark.parametrize(
+    "binding", [_snark_binding, _registered_binding],
+    ids=["snark", "registered"],
+)
+class TestBoardBindingCache:
     N = 12
-
-    def _pp(self):
-        return SnarkSRDS(HashRegistryBase()).setup(self.N, Randomness(1))
 
     def _keys(self, label):
         return {
@@ -316,34 +335,60 @@ class TestVkTreeCache:
             for index in range(self.N)
         }
 
-    def test_a_new_board_at_a_recycled_address_is_not_served_the_old_tree(
-        self
+    def test_a_new_board_at_a_recycled_address_is_not_served_the_old_value(
+        self, binding
     ):
-        pp = self._pp()
+        _, pp, build, value = binding(self.N)
         for attempt in range(20):
             board = self._keys(f"a{attempt}")
-            assert _cached_vk_tree(pp, board).root == (
-                vk_merkle_tree(board, self.N).root
+            assert value(pcd.board_binding(pp, board, build)) == (
+                value(build(board))
             )
             del board
             gc.collect()
             other = self._keys(f"b{attempt}")  # same size, often same id()
-            assert _cached_vk_tree(pp, other).root == (
-                vk_merkle_tree(other, self.N).root
+            assert value(pcd.board_binding(pp, other, build)) == (
+                value(build(other))
             )
             del other
 
-    def test_an_in_place_key_replacement_is_a_miss(self):
-        pp = self._pp()
+    def test_an_in_place_key_replacement_is_a_miss(self, binding):
+        _, pp, build, value = binding(self.N)
         board = self._keys("c")
-        before = _cached_vk_tree(pp, board)
-        assert _cached_vk_tree(pp, board) is before
+        before = pcd.board_binding(pp, board, build)
+        assert pcd.board_binding(pp, board, build) is before
         board[3] = b"evil"
-        after = _cached_vk_tree(pp, board)
-        assert after.root == vk_merkle_tree(board, self.N).root
-        assert after.root != before.root
+        after = pcd.board_binding(pp, board, build)
+        assert value(after) == value(build(board))
+        assert value(after) != value(before)
 
-    def test_an_unchanged_board_is_a_hit(self):
-        pp = self._pp()
+    def test_an_unchanged_board_is_a_hit(self, binding):
+        _, pp, build, _ = binding(self.N)
         board = self._keys("d")
-        assert _cached_vk_tree(pp, board) is _cached_vk_tree(pp, dict(board))
+        assert pcd.board_binding(pp, board, build) is (
+            pcd.board_binding(pp, dict(board), build)
+        )
+
+    def test_verify_sees_a_key_replaced_in_place(self, binding):
+        """A certificate formed on board B does not verify once ``B[0]``
+        is replaced — whether the verifier is handed the mutated dict
+        itself or an equal copy of it."""
+        scheme, pp, _, _ = binding(self.N)
+        rng = Randomness(11)
+        board, secrets = {}, {}
+        for index in range(self.N):
+            board[index], secrets[index] = scheme.keygen(
+                pp, rng.fork(f"k{index}")
+            )
+        message = b"stale-board"
+        aggregate = scheme.aggregate(
+            pp, board, message,
+            [
+                scheme.sign(pp, index, secrets[index], message)
+                for index in range(self.N)
+            ],
+        )
+        assert scheme.verify(pp, board, message, aggregate)
+        board[0], _ = scheme.keygen(pp, rng.fork("replacement"))
+        assert scheme.verify(pp, board, message, aggregate) is False
+        assert scheme.verify(pp, dict(board), message, aggregate) is False

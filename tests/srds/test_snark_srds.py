@@ -12,6 +12,7 @@ from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import compute_srds_setup
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
+from repro.srds.pcd import encode_statement
 from repro.srds.snark_based import (
     _CHAIN_DOMAIN,
     CertifiedBaseSignature,
@@ -19,7 +20,6 @@ from repro.srds.snark_based import (
     SnarkBaseSignature,
     SnarkSRDS,
     _check_leaf_relation,
-    _statement,
     decode_aggregate,
     vk_merkle_tree,
 )
@@ -334,7 +334,7 @@ class TestLeafRelation:
             vk_root=vk_merkle_tree(vks, pp.num_parties).root,
         )
         fields.update(statement_fields)
-        statement = _statement(self.MESSAGE, **fields)
+        statement = encode_statement(self.MESSAGE, *fields.values())
         witness = encode_sequence(
             [opening.encode()] + [c.encode() for c in certified]
         )

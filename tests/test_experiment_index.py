@@ -5,6 +5,7 @@ knows each record name; the benchmark modules must actually exist.
 These tests keep documentation, harness, and report in lock-step.
 """
 
+import importlib
 import pathlib
 import re
 
@@ -38,6 +39,38 @@ class TestDesignIndex:
             f"E{i}" for i in range(1, 13)
         ]:
             assert f"| {exp_id} " in design, f"{exp_id} missing from index"
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module, or an attribute reachable from
+    the longest importable prefix."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(found, attribute):
+                return False
+            found = getattr(found, attribute)
+        return True
+    return False
+
+
+class TestDesignNamesResolve:
+    def test_every_repro_name_in_design_md_exists(self):
+        """Every `` `repro.…` `` name DESIGN.md quotes is a module or an
+        attribute of one (``repro.pkg.*`` stands for the package)."""
+        names = set(re.findall(r"`(repro(?:\.\w+)+)(?:\.\*)?`", _design_text()))
+        assert len(names) > 50, "DESIGN.md should carry the module map"
+        missing = sorted(name for name in names if not _resolves(name))
+        assert not missing, f"DESIGN.md names that do not exist: {missing}"
+
+    def test_the_check_bites(self):
+        assert _resolves("repro.srds.pcd.board_binding")
+        assert not _resolves("repro.srds.signature")
+        assert not _resolves("repro.srds.pcd.no_such_function")
 
 
 class TestReportSections:

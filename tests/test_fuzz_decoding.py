@@ -297,6 +297,29 @@ class TestSrdsDecoders:
 
     @_fuzz
     @given(data=garbage)
+    def test_registered_aggregate(self, data):
+        # Same convention as the SNARK scheme's decoder: raise, never
+        # return ``None``.
+        from repro.srds.registered import decode_aggregate
+
+        try:
+            assert decode_aggregate(data).encode()
+        except LIBRARY_ERRORS:
+            pass
+
+    @_fuzz
+    @given(data=garbage)
+    def test_counting_statement(self, data):
+        from repro.srds.pcd import decode_statement, encode_statement
+
+        try:
+            fields = decode_statement(data)
+        except LIBRARY_ERRORS:
+            return
+        assert decode_statement(encode_statement(*fields)) == fields
+
+    @_fuzz
+    @given(data=garbage)
     def test_dolev_strong_chain(self, data):
         from repro.protocols.dolev_strong import SignatureChain
 
@@ -326,11 +349,11 @@ def leaf_witness():
     with the relation itself."""
     from repro.crypto.hashing import hash_chain
     from repro.srds.base_sigs import HashRegistryBase
+    from repro.srds.pcd import encode_statement
     from repro.srds.snark_based import (
         _CHAIN_DOMAIN,
         SnarkSRDS,
         _check_leaf_relation,
-        _statement,
         vk_merkle_tree,
     )
     from repro.utils.serialization import encode_sequence
@@ -347,7 +370,7 @@ def leaf_witness():
         pp, vks, message,
         [scheme.sign(pp, i, sks[i], message) for i in range(9, 15)],
     )
-    statement = _statement(
+    statement = encode_statement(
         message, len(certified), 9, 14,
         hash_chain(
             _CHAIN_DOMAIN, (c.base.contribution_digest() for c in certified)
@@ -405,6 +428,18 @@ class TestVerifiersNeverRaise:
         except LIBRARY_ERRORS:
             return
         assert scheme.verify(pp, vks, b"msg", aggregate) in (True, False)
+
+    @_fuzz
+    @given(statement=garbage, witness=garbage)
+    def test_internal_relation_garbage(
+        self, snark_deployment, statement, witness
+    ):
+        from repro.srds.pcd import check_internal
+
+        scheme, pp, _ = snark_deployment
+        assert check_internal(
+            pp.extra["snark"], scheme.certificate, statement, witness
+        ) is False
 
     @_fuzz
     @given(data=garbage)
