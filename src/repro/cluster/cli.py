@@ -30,11 +30,6 @@ Subcommands::
                   [--seed S] [--results-dir DIR] [--bench-name NAME]
         The ``BENCH_cluster.json`` record: 1-vs-k-worker wall clock for
         pi_ba replay with differential parity against ``run_parties``.
-
-    cluster worker --host H --port P --worker-id W
-                   [--heartbeat-interval SECONDS]
-        Internal: one shard-owning worker process.  The supervisor
-        spawns exactly this command line; you never run it by hand.
 """
 
 from __future__ import annotations
@@ -283,17 +278,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.cluster.worker import worker_main
-
-    return worker_main(
-        args.host,
-        args.port,
-        args.worker_id,
-        heartbeat_interval=args.heartbeat_interval,
-    )
-
-
 def cmd_cluster(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro cluster",
@@ -329,15 +313,6 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
              "(CI uses 'cluster_ci' for its scaled-down cell)",
     )
 
-    worker_parser = sub.add_parser(
-        "worker", help="internal: one worker process"
-    )
-    worker_parser.add_argument("--host", required=True)
-    worker_parser.add_argument("--port", type=int, required=True)
-    worker_parser.add_argument("--worker-id", type=int, required=True)
-    worker_parser.add_argument("--heartbeat-interval", type=float,
-                               default=0.25)
-
     args = parser.parse_args(argv)
     if args.subcommand == "run":
         return _run_workload(args, resume=False)
@@ -347,7 +322,5 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
         return _cmd_status(args)
     if args.subcommand == "bench":
         return _cmd_bench(args)
-    if args.subcommand == "worker":
-        return _cmd_worker(args)
     parser.print_help()
     return 2

@@ -192,6 +192,8 @@ class MeshRouter:
         drops the stale link so the dial thread reconnects and the
         handshake replays whatever the respawn is missing.
         """
+        if self._closed.is_set():
+            return
         to_dial: List[int] = []
         with self._cond:
             for peer, address in addresses.items():
@@ -301,12 +303,11 @@ class MeshRouter:
     # -- link establishment --------------------------------------------------
 
     def _dial_loop(self, peer: int) -> None:
-        pacer = threading.Event()
         reason = "no address for peer"
         for delay in _DIAL_DELAYS:
-            if delay:
-                pacer.wait(delay)
-            if self._closed.is_set():
+            # close() wakes the pacer: a stopped worker must not redial
+            # a peer that merely left first, nor report it down.
+            if self._closed.wait(delay):
                 return
             with self._cond:
                 address = self._peers.get(peer)

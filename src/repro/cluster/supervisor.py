@@ -30,6 +30,10 @@ results are discarded), re-sends the in-flight round, and continues.
 ``kill_plan`` turns this path into a real fault injector: the
 supervisor SIGKILLs its own worker right after dispatching the
 scheduled round.
+
+A worker is a **fork** of the supervisor (:func:`fork_child`; POSIX
+only): no cold start, and a direct child — reaping it credits its CPU
+to ``os.times()`` and its pid is the supervisor's to signal.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control messages; party
@@ -37,16 +41,18 @@ scheduled round.
 
 from __future__ import annotations
 
+import contextvars
+import multiprocessing
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.checkpoint import encode_checkpoint
 from repro.cluster.job import ClusterJob, split_shards
@@ -67,7 +73,7 @@ from repro.cluster.wire import (
     accept_channel,
     open_listener,
 )
-from repro.cluster.worker import checkpoint_name
+from repro.cluster.worker import checkpoint_name, worker_main
 from repro.errors import ClusterError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
@@ -147,7 +153,7 @@ class _Worker:
 
     worker_id: int
     shard: List[int]
-    process: subprocess.Popen
+    process: BaseProcess
     channel: MessageChannel
     log_handle: Any
     #: Highest heartbeat ``progress`` counter seen — the per-control-
@@ -167,6 +173,51 @@ class _PeerDied(Exception):
         super().__init__(f"worker {worker_id} died: {reason}")
         self.worker_id = worker_id
         self.reason = reason
+
+
+def fork_child(
+    name: str, log_handle: Any, release: Callable[[], None],
+    entry: Callable[..., int], *args: Any,
+) -> BaseProcess:
+    """Fork a direct child that runs ``entry(*args)`` as a fresh
+    interpreter would have and exits with the code it returns.
+
+    ``multiprocessing``'s fork context flushes the std streams before
+    the fork and leaves the child through ``os._exit`` alone; ``daemon``
+    has the parent's exit kill a child no teardown reached.  Fork from
+    a single-threaded parent only (a lock another thread holds stays
+    held in the child).  docs/cluster.md, *Process model*, has the why.
+    """
+
+    def bootstrap() -> None:
+        # Python-level handlers (a caller's SIGALRM timeout, pytest's)
+        # go; SIG_IGN and the stock SIGINT handler stay, as after exec.
+        for signum in signal.valid_signals():
+            handler = signal.getsignal(signum)
+            if callable(handler) and handler is not signal.default_int_handler:
+                signal.signal(signum, signal.SIG_DFL)
+        # fds 1/2 and sys.stdout/err (a capturing parent rebinds them).
+        os.dup2(log_handle.fileno(), 1)
+        os.dup2(log_handle.fileno(), 2)
+        sys.stdout = sys.stderr = open(2, "w", buffering=1, closefd=False)
+        # Through the owning objects — never os.closerange: inherited
+        # socket objects would close the reused numbers a second time.
+        release()
+        log_handle.close()
+        # Empty context: the parent's span / flow_tags label nothing.
+        raise SystemExit(contextvars.Context().run(entry, *args))
+
+    process = multiprocessing.get_context("fork").Process(
+        target=bootstrap, name=name, daemon=True
+    )
+    process.start()
+    return process
+
+
+def _kill_and_wait(process: BaseProcess) -> None:
+    """SIGKILL (a no-op once reaped) and reap one worker process."""
+    process.kill()
+    process.join(timeout=10)
 
 
 class ClusterSupervisor:
@@ -307,50 +358,28 @@ class ClusterSupervisor:
     # -- worker lifecycle -----------------------------------------------------
 
     def _launch_all(self, worker_ids: List[int], resume_round: int) -> None:
-        """Spawn workers, accept their connections, hand out the job.
+        """Fork workers, accept their connections, hand out the job.
 
-        All processes are spawned *before* any handshake and the job is
-        dispatched as each hello arrives, so worker startup (python
-        import plus shard restore) overlaps across the fleet — the legacy
-        serial accept paid the full import cost once per worker.
-        Every worker's ``resumed`` reply carries its mesh listener
-        address and a ``peers`` address book is broadcast to the whole
-        fleet once all launches finish.
+        All workers are forked *before* any handshake and the job is
+        dispatched as each hello arrives, so shard restore overlaps
+        across the fleet.  Every ``resumed`` reply carries its worker's
+        mesh listener address, and a ``peers`` address book is broadcast
+        to the whole fleet once all launches finish.
         """
         assert self.run_dir is not None and self._port is not None
-        import repro as _repro_pkg
-
-        src_root = str(Path(_repro_pkg.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
-        )
-        spawned: Dict[int, Any] = {}
-        for worker_id in worker_ids:
-            log_path = self.run_dir / f"worker-{worker_id}.log"
-            log_handle = log_path.open("ab")
-            process = subprocess.Popen(
-                [
-                    sys.executable,
-                    "-m",
-                    "repro",
-                    "cluster",
-                    "worker",
-                    "--host",
-                    self.config.host,
-                    "--port",
-                    str(self._port),
-                    "--worker-id",
-                    str(worker_id),
-                    "--heartbeat-interval",
-                    str(self.config.heartbeat_interval),
-                ],
-                stdout=log_handle,
-                stderr=subprocess.STDOUT,
-                env=env,
+        logs = {
+            w: (self.run_dir / f"worker-{w}.log").open("ab")
+            for w in worker_ids
+        }
+        processes = {
+            w: fork_child(
+                f"cluster-worker-{w}", logs[w],
+                lambda: self._release_inherited(logs), worker_main,
+                self.config.host, self._port, w,
+                self.config.heartbeat_interval,
             )
-            spawned[worker_id] = (process, log_handle)
+            for w in worker_ids
+        }
         channels: Dict[int, MessageChannel] = {}
         try:
             for _ in worker_ids:
@@ -375,7 +404,7 @@ class ClusterSupervisor:
                         f"expected a worker hello, got {hello.kind!r}"
                     )
                 worker_id = int(hello.fields.get("worker_id", -1))
-                if worker_id not in spawned or worker_id in channels:
+                if worker_id not in processes or worker_id in channels:
                     raise ClusterError(
                         f"unexpected hello from worker {worker_id}"
                     )
@@ -422,20 +451,19 @@ class ClusterSupervisor:
                     str(resumed.fields["mesh_host"]),
                     int(resumed.fields["mesh_port"]),
                 )
-                process, log_handle = spawned[worker_id]
                 self.workers[worker_id] = _Worker(
                     worker_id=worker_id,
                     shard=self.shards[worker_id],
-                    process=process,
+                    process=processes[worker_id],
                     channel=channels[worker_id],
-                    log_handle=log_handle,
+                    log_handle=logs[worker_id],
                 )
         except (TimeoutError, ClusterError) as exc:
-            for worker_id, (process, log_handle) in spawned.items():
+            for worker_id, process in processes.items():
                 if worker_id in self.workers:
                     continue  # registered: _teardown owns it now
-                process.kill()
-                log_handle.close()
+                _kill_and_wait(process)
+                logs[worker_id].close()
                 if worker_id in channels:
                     channels[worker_id].close()
             raise ClusterError(
@@ -443,6 +471,18 @@ class ClusterSupervisor:
                 f"(see worker-*.log in {self.run_dir})"
             ) from exc
         self._broadcast_peers()
+
+    def _release_inherited(self, logs: Dict[int, Any]) -> None:
+        """In a forked worker: drop the supervisor's descriptors.  A
+        sibling's channel kept open by a respawn would stop that sibling
+        seeing ``ChannelClosed`` when the supervisor dies."""
+        assert self._listener is not None
+        self._listener.close()
+        for handle in logs.values():
+            handle.close()
+        for worker in self.workers.values():
+            worker.channel.release()
+            worker.log_handle.close()
 
     def _job_blob(self, worker_id: int, resume_round: int) -> bytes:
         """The checkpoint a JOB message carries: the shard's round-0
@@ -553,30 +593,17 @@ class ClusterSupervisor:
             )
 
     def _reap(self, worker: _Worker) -> None:
-        """Make sure a worker process is dead and its handles closed."""
-        try:
-            os.kill(worker.process.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
-        try:
-            worker.process.wait(timeout=10)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-            pass
+        """Make sure a worker is dead, waited for, its handles closed."""
+        _kill_and_wait(worker.process)
         worker.channel.close()
-        try:
-            worker.log_handle.close()
-        except OSError:  # pragma: no cover
-            pass
+        worker.log_handle.close()
 
     def _sigkill(self, worker_id: int) -> None:
         """Fault injection: SIGKILL one of our own workers, mid-round."""
         worker = self.workers.get(worker_id)
         if worker is None:
             raise ClusterError(f"kill plan names unknown worker {worker_id}")
-        try:
-            os.kill(worker.process.pid, signal.SIGKILL)
-        except ProcessLookupError:  # already dead — plan still satisfied
-            pass
+        worker.process.kill()  # already dead — plan still satisfied
         if self.config.registry is not None:
             self._kills_total.inc()
 
@@ -813,7 +840,7 @@ class ClusterSupervisor:
                 if (
                     peer != worker.worker_id
                     and other is not None
-                    and other.process.poll() is not None
+                    and not other.process.is_alive()
                 ):
                     raise _PeerDied(
                         peer,
@@ -847,7 +874,7 @@ class ClusterSupervisor:
         for worker_id in sorted(self.workers):
             if worker_id == exclude:
                 continue
-            if self.workers[worker_id].process.poll() is not None:
+            if not self.workers[worker_id].process.is_alive():
                 return worker_id
         return None
 
@@ -1059,16 +1086,8 @@ class ClusterSupervisor:
 
     def _teardown(self) -> None:
         for worker in self.workers.values():
-            try:
-                worker.process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                worker.process.kill()
-                worker.process.wait(timeout=5)
-            worker.channel.close()
-            try:
-                worker.log_handle.close()
-            except OSError:  # pragma: no cover
-                pass
+            worker.process.join(timeout=5)  # a stopped worker just exits
+            self._reap(worker)
         self.workers.clear()
         if self._listener is not None:
             self._listener.close()

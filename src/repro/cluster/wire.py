@@ -279,14 +279,21 @@ class MessageChannel:
         return message
 
     def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
+        """Shut the connection down and close the socket (idempotent)."""
         if self._closed:
             return
-        self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self.release()
+
+    def release(self) -> None:
+        """Close this process's descriptor only (idempotent): a forked
+        child drops a channel its parent keeps — no ``shutdown``."""
+        if self._closed:
+            return
+        self._closed = True
         self._sock.close()
 
     def __enter__(self) -> "MessageChannel":

@@ -23,17 +23,29 @@ TCP transport router and the gateway).
 
 from __future__ import annotations
 
-import asyncio
 import errno
 import socket
 import time
-from typing import Awaitable, Callable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Awaitable,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import NetworkError
 
-ConnectedCallback = Callable[
-    [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
-]
+if TYPE_CHECKING:
+    # asyncio costs ~55 ms to import; the blocking-socket callers
+    # (cluster workers, the control listener) never run a loop.
+    import asyncio
+
+    ConnectedCallback = Callable[
+        [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
+    ]
 
 
 def bind_attempt_plan(port: Optional[int], retries: int) -> List[int]:
@@ -95,6 +107,8 @@ async def start_asyncio_server(
     ``(server, busy_retries)`` where ``busy_retries`` counts the
     ``EADDRINUSE`` hits on the preferred port.
     """
+    import asyncio
+
     busy_retries = 0
     if port:
         for delay in [0.0, *retry_delays]:

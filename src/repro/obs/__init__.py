@@ -36,101 +36,127 @@ CLI: ``python -m repro obs
 This package imports only the standard library (plus
 :mod:`repro.errors`), so any layer of the repo — including
 :mod:`repro.net.metrics` — can depend on it without cycles.
+
+Re-exports resolve lazily (PEP 562), as in :mod:`repro.cluster` and
+:mod:`repro.runtime`: every ledger charge imports
+:mod:`repro.obs.spans` through this package, and must not pay for the
+bench, merge, profile, regression and timeline tooling it never calls.
 """
 
-from repro.obs.bench import bench_payload, load_bench_json, write_bench_json
-from repro.obs.flush import (
-    FLOW_COMMENT_PREFIX,
-    flush_metrics_file,
-    read_flow_summary,
-    write_atomic_text,
-)
-from repro.obs.flow import (
-    FLOW_SCHEMA,
-    FUNCTIONALITY,
-    FlowCell,
-    FlowLedger,
-    load_flow_json,
-    write_flow_json,
-)
-from repro.obs.merge import (
-    SPAN_DIR_SCHEMA,
-    dump_span_dir,
-    export_merged_trace,
-    load_span_dir,
-    merged_timeline_events,
-)
-from repro.obs.profile import PhaseProfile, PhaseProfiler
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.regression import (
-    BenchDiff,
-    diff_bench,
-    diff_dirs,
-    diff_files,
-    render_diffs,
-)
-from repro.obs.spans import (
-    UNATTRIBUTED,
-    SpanLog,
-    SpanRecord,
-    current_path,
-    current_phase,
-    flow_tags,
-    recording,
-    span,
-)
-from repro.obs.timeline import (
-    export_chrome_trace,
-    load_trace_dir,
-    timeline_events,
-    validate_trace_events,
-)
+from typing import TYPE_CHECKING, List
 
-__all__ = [
-    "BenchDiff",
-    "Counter",
-    "FLOW_COMMENT_PREFIX",
-    "FLOW_SCHEMA",
-    "FUNCTIONALITY",
-    "FlowCell",
-    "FlowLedger",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "PhaseProfile",
-    "PhaseProfiler",
-    "SPAN_DIR_SCHEMA",
-    "SpanLog",
-    "SpanRecord",
-    "UNATTRIBUTED",
-    "bench_payload",
-    "current_path",
-    "current_phase",
-    "diff_bench",
-    "diff_dirs",
-    "diff_files",
-    "dump_span_dir",
-    "export_chrome_trace",
-    "export_merged_trace",
-    "flow_tags",
-    "flush_metrics_file",
-    "load_bench_json",
-    "load_flow_json",
-    "load_span_dir",
-    "load_trace_dir",
-    "merged_timeline_events",
-    "read_flow_summary",
-    "recording",
-    "render_diffs",
-    "span",
-    "timeline_events",
-    "validate_trace_events",
-    "write_atomic_text",
-    "write_bench_json",
-    "write_flow_json",
-]
+#: Lazily re-exported name -> defining module.
+_EXPORTS = {
+    "bench_payload": "repro.obs.bench",
+    "load_bench_json": "repro.obs.bench",
+    "write_bench_json": "repro.obs.bench",
+    "FLOW_COMMENT_PREFIX": "repro.obs.flush",
+    "flush_metrics_file": "repro.obs.flush",
+    "read_flow_summary": "repro.obs.flush",
+    "write_atomic_text": "repro.obs.flush",
+    "FLOW_SCHEMA": "repro.obs.flow",
+    "FUNCTIONALITY": "repro.obs.flow",
+    "FlowCell": "repro.obs.flow",
+    "FlowLedger": "repro.obs.flow",
+    "load_flow_json": "repro.obs.flow",
+    "write_flow_json": "repro.obs.flow",
+    "SPAN_DIR_SCHEMA": "repro.obs.merge",
+    "dump_span_dir": "repro.obs.merge",
+    "export_merged_trace": "repro.obs.merge",
+    "load_span_dir": "repro.obs.merge",
+    "merged_timeline_events": "repro.obs.merge",
+    "PhaseProfile": "repro.obs.profile",
+    "PhaseProfiler": "repro.obs.profile",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "BenchDiff": "repro.obs.regression",
+    "diff_bench": "repro.obs.regression",
+    "diff_dirs": "repro.obs.regression",
+    "diff_files": "repro.obs.regression",
+    "render_diffs": "repro.obs.regression",
+    "UNATTRIBUTED": "repro.obs.spans",
+    "SpanLog": "repro.obs.spans",
+    "SpanRecord": "repro.obs.spans",
+    "current_path": "repro.obs.spans",
+    "current_phase": "repro.obs.spans",
+    "flow_tags": "repro.obs.spans",
+    "recording": "repro.obs.spans",
+    "span": "repro.obs.spans",
+    "export_chrome_trace": "repro.obs.timeline",
+    "load_trace_dir": "repro.obs.timeline",
+    "timeline_events": "repro.obs.timeline",
+    "validate_trace_events": "repro.obs.timeline",
+}
+
+__all__ = sorted(_EXPORTS)
+
+if TYPE_CHECKING:  # static importers see the eager names
+    from repro.obs.bench import bench_payload, load_bench_json, write_bench_json
+    from repro.obs.flush import (
+        FLOW_COMMENT_PREFIX,
+        flush_metrics_file,
+        read_flow_summary,
+        write_atomic_text,
+    )
+    from repro.obs.flow import (
+        FLOW_SCHEMA,
+        FUNCTIONALITY,
+        FlowCell,
+        FlowLedger,
+        load_flow_json,
+        write_flow_json,
+    )
+    from repro.obs.merge import (
+        SPAN_DIR_SCHEMA,
+        dump_span_dir,
+        export_merged_trace,
+        load_span_dir,
+        merged_timeline_events,
+    )
+    from repro.obs.profile import PhaseProfile, PhaseProfiler
+    from repro.obs.registry import (
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.obs.regression import (
+        BenchDiff,
+        diff_bench,
+        diff_dirs,
+        diff_files,
+        render_diffs,
+    )
+    from repro.obs.spans import (
+        UNATTRIBUTED,
+        SpanLog,
+        SpanRecord,
+        current_path,
+        current_phase,
+        flow_tags,
+        recording,
+        span,
+    )
+    from repro.obs.timeline import (
+        export_chrome_trace,
+        load_trace_dir,
+        timeline_events,
+        validate_trace_events,
+    )
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    import importlib
+
+    return getattr(importlib.import_module(module_name), name)
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

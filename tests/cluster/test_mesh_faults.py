@@ -20,6 +20,8 @@ Three layers of failure tolerance under test:
 
 from __future__ import annotations
 
+import socket
+import threading
 import time
 from functools import lru_cache
 
@@ -27,7 +29,7 @@ import pytest
 
 from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
-from repro.cluster.mesh import MeshRouter
+from repro.cluster.mesh import LinkFailure, MeshRouter
 from repro.cluster.supervisor import (
     ClusterConfig,
     ClusterSupervisor,
@@ -63,6 +65,35 @@ def _mesh_pair(chunk_bytes=16):
     a.update_peers({1: b.address})
     b.update_peers({0: a.address})
     return a, b
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _dialers(router):
+    """The router's live dial / redial threads."""
+    prefixes = tuple(
+        f"mesh-{verb}-{router.worker_id}-" for verb in ("dial", "redial")
+    )
+    return [t for t in threading.enumerate() if t.name.startswith(prefixes)]
+
+
+def _exit_process_of(router):
+    """What a worker's exit does to its router's sockets.  ``close()``
+    alone cannot stand in for it here: a descriptor closed under this
+    process's own blocked ``accept`` / ``recv`` stays open in the
+    kernel until that call returns."""
+    router._closed.set()
+    links = [link.sock for link in router._links.values()]
+    for sock in [router._listener, *links]:
+        sock.shutdown(socket.SHUT_RDWR)
+    router.close()
 
 
 def _frames(round_index, tag):
@@ -144,6 +175,33 @@ class TestLinkFaults:
                 a.send_train(1, round_index, sent)
                 assert b.wait_round(round_index, [0], timeout=5.0)
                 assert b.collect_round(round_index, [0]) == sent
+        finally:
+            a.close()
+            b.close()
+
+    def test_close_wakes_the_dial_pacer_and_no_dial_starts_after_it(
+        self, monkeypatch
+    ):
+        """STOP quiesces the mesh: the peer that left first drops the
+        link, the dialer redials into ECONNREFUSED and backs off — and
+        ``close()`` must end that backoff, not sit it out."""
+        monkeypatch.setattr(
+            "repro.cluster.mesh._DIAL_DELAYS", (0.0, 30.0, 30.0)
+        )
+        a, b = _mesh_pair()
+        try:
+            assert _wait_for(lambda: 0 in b._links)
+            _exit_process_of(a)  # worker 0 got its STOP first and is gone
+            assert _wait_for(lambda: _dialers(b))  # refused; backing off
+            b.close()
+            assert _wait_for(lambda: not _dialers(b)), "slept through close()"
+            assert b.drain_failures() == [
+                LinkFailure(peer=0, reason="connection lost")
+            ]
+            late = MeshRouter(2)
+            late.close()
+            late.update_peers({0: a.address, 1: b.address})
+            assert not _dialers(late)
         finally:
             a.close()
             b.close()

@@ -134,6 +134,27 @@ class TestMessageChannel:
             right.recv(timeout=5.0)
         right.close()
 
+    def test_release_drops_one_descriptor_and_leaves_the_connection(self):
+        """What a forked worker does with a sibling's channel: the
+        duplicate descriptor goes, the owner's connection carries on —
+        ``close`` on the duplicate would have shut it down for both."""
+        left, right = _channel_pair()
+        try:
+            inherited = MessageChannel(left._sock.dup())
+            inherited.release()
+            inherited.release()  # idempotent
+            with pytest.raises(ClusterError, match="closed control channel"):
+                inherited.send(Message(HEARTBEAT))
+            left.send(Message(ROUND, {"round": 1}))
+            assert right.recv(timeout=5.0).fields == {"round": 1}
+
+            MessageChannel(left._sock.dup()).close()
+            with pytest.raises(ChannelClosed):
+                right.recv(timeout=5.0)
+        finally:
+            left.close()
+            right.close()
+
     def test_eof_mid_message_is_a_torn_stream(self):
         left, right = _channel_pair()
         data = Message(HEARTBEAT).encode()

@@ -1,0 +1,46 @@
+"""``repro.obs`` re-exports lazily (PEP 562), and what a cluster worker
+imports stays small: every name still resolves, and a fresh interpreter
+that imports the worker has loaded neither ``asyncio`` nor the obs
+tooling it never calls."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro.obs
+
+SRC = Path(repro.obs.__file__).resolve().parents[2]
+
+
+def test_every_export_resolves_to_its_defining_module():
+    assert set(repro.obs.__all__) <= set(dir(repro.obs))
+    for name, module_name in repro.obs._EXPORTS.items():
+        value = getattr(repro.obs, name)
+        assert value is getattr(sys.modules[module_name], name)
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.obs.no_such_name
+
+
+def test_worker_import_leaves_the_heavy_modules_unloaded():
+    probe = (
+        "import json, sys, repro.cluster.worker, repro.net.bind\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m == 'asyncio'"
+        " or m.startswith('repro.obs.'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], check=True, text=True,
+        capture_output=True, env={"PYTHONPATH": str(SRC)}, timeout=60,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert "asyncio" not in loaded
+    assert loaded <= {
+        "repro.obs.flow", "repro.obs.jsonl", "repro.obs.spans",
+    }, loaded
