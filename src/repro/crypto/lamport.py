@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.crypto.hashing import hash_domain
+from repro.crypto.hashing import domain_hasher, hash_domain
 from repro.crypto.prg import PRG
 from repro.errors import KeyError_, SignatureError
 from repro.utils.serialization import encode_uint
@@ -34,22 +34,30 @@ _OBLIVIOUS_DOMAIN = "lamport/oblivious"
 
 DEFAULT_MESSAGE_BITS = 128
 
+#: The OWF itself: the public value of one secret preimage.
+_public_hash = domain_hasher(_PUBLIC_DOMAIN)
+
 
 def _message_digest_bits(message: bytes, message_bits: int) -> List[int]:
-    """Hash a message down to ``message_bits`` bits (list of 0/1)."""
+    """Hash a message down to ``message_bits`` bits (list of 0/1): the
+    leading bits of the counter-mode digest stream, most significant
+    first."""
     needed_bytes = (message_bits + 7) // 8
     stream = b""
     counter = 0
     while len(stream) < needed_bytes:
         stream += hash_domain(_MESSAGE_DOMAIN, encode_uint(counter), message)
         counter += 1
-    bits: List[int] = []
-    for byte in stream[:needed_bytes]:
-        for position in range(8):
-            bits.append((byte >> (7 - position)) & 1)
-            if len(bits) == message_bits:
-                return bits
-    return bits
+    value = int.from_bytes(stream[:needed_bytes], "big")
+    value >>= 8 * needed_bytes - message_bits
+    return [
+        (value >> shift) & 1 for shift in range(message_bits - 1, -1, -1)
+    ]
+
+
+def _rows(flat: List[bytes]) -> Tuple[Tuple[bytes, bytes], ...]:
+    """Blocks ``2i`` and ``2i + 1`` as row ``i``'s (zero, one) pair."""
+    return tuple(zip(flat[0::2], flat[1::2]))
 
 
 @dataclass(frozen=True)
@@ -95,26 +103,12 @@ def keygen_from_seed(
     seed: bytes, message_bits: int = DEFAULT_MESSAGE_BITS
 ) -> Tuple[LamportVerificationKey, LamportSigningKey]:
     """Deterministically expand a seed into a full Lamport key pair."""
-    prg = PRG(seed, domain=_SECRET_DOMAIN)
-    secret_rows: List[Tuple[bytes, bytes]] = []
-    public_rows: List[Tuple[bytes, bytes]] = []
-    for bit_index in range(message_bits):
-        zero_secret = prg.block(2 * bit_index)
-        one_secret = prg.block(2 * bit_index + 1)
-        secret_rows.append((zero_secret, one_secret))
-        public_rows.append(
-            (
-                hash_domain(_PUBLIC_DOMAIN, zero_secret),
-                hash_domain(_PUBLIC_DOMAIN, one_secret),
-            )
-        )
-    verification_key = LamportVerificationKey(
-        message_bits=message_bits, rows=tuple(public_rows)
+    secrets = PRG(seed, domain=_SECRET_DOMAIN).blocks(2 * message_bits)
+    publics = list(map(_public_hash, secrets))
+    return (
+        LamportVerificationKey(message_bits=message_bits, rows=_rows(publics)),
+        LamportSigningKey(message_bits=message_bits, rows=_rows(secrets)),
     )
-    signing_key = LamportSigningKey(
-        message_bits=message_bits, rows=tuple(secret_rows)
-    )
-    return verification_key, signing_key
 
 
 def oblivious_keygen(
@@ -127,11 +121,8 @@ def oblivious_keygen(
     256-bit strings to any observer without preimages.  Inverting a row
     back to a usable preimage is exactly inverting the OWF.
     """
-    prg = PRG(seed, domain=_OBLIVIOUS_DOMAIN)
-    rows = tuple(
-        (prg.block(2 * i), prg.block(2 * i + 1)) for i in range(message_bits)
-    )
-    return LamportVerificationKey(message_bits=message_bits, rows=rows)
+    blocks = PRG(seed, domain=_OBLIVIOUS_DOMAIN).blocks(2 * message_bits)
+    return LamportVerificationKey(message_bits=message_bits, rows=_rows(blocks))
 
 
 def sign(
@@ -156,7 +147,7 @@ def verify(
     bits = _message_digest_bits(message, verification_key.message_bits)
     for index, bit in enumerate(bits):
         expected = verification_key.rows[index][bit]
-        if hash_domain(_PUBLIC_DOMAIN, signature.preimages[index]) != expected:
+        if _public_hash(signature.preimages[index]) != expected:
             return False
     return True
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
-from repro.crypto.hashing import DIGEST_BYTES, hash_domain
+from repro.crypto.hashing import DIGEST_BYTES, domain_hasher, hash_domain
 from repro.errors import CryptoError
 from repro.utils.serialization import (
     decode_bytes,
@@ -27,6 +27,9 @@ from repro.utils.serialization import (
 _LEAF_DOMAIN = "merkle/leaf"
 _NODE_DOMAIN = "merkle/node"
 _EMPTY_DOMAIN = "merkle/empty"
+
+_leaf_hash = domain_hasher(_LEAF_DOMAIN)
+_node_hash = domain_hasher(_NODE_DOMAIN, trailing=2)
 
 
 @encode_once
@@ -203,7 +206,7 @@ class MerkleTree:
     def __init__(self, leaves: Sequence[bytes]) -> None:
         self.leaf_count = len(leaves)
         self._levels: List[List[bytes]] = []
-        level = [hash_domain(_LEAF_DOMAIN, leaf) for leaf in leaves]
+        level = [_leaf_hash(leaf) for leaf in leaves]
         if not level:
             self._root = hash_domain(_EMPTY_DOMAIN)
             return
@@ -211,7 +214,7 @@ class MerkleTree:
         while len(level) > 1:
             next_level: List[bytes] = []
             for i in range(0, len(level) - 1, 2):
-                next_level.append(hash_domain(_NODE_DOMAIN, level[i], level[i + 1]))
+                next_level.append(_node_hash(level[i], level[i + 1]))
             if len(level) % 2 == 1:
                 next_level.append(level[-1])
             self._levels.append(next_level)
@@ -264,12 +267,12 @@ class MerkleTree:
 
 def root_from_proof(leaf: bytes, proof: MerkleProof) -> bytes:
     """The root implied by a leaf and an authentication path."""
-    digest = hash_domain(_LEAF_DOMAIN, leaf)
+    digest = _leaf_hash(leaf)
     for sibling, sibling_is_right in proof.siblings:
         if sibling_is_right:
-            digest = hash_domain(_NODE_DOMAIN, digest, sibling)
+            digest = _node_hash(digest, sibling)
         else:
-            digest = hash_domain(_NODE_DOMAIN, sibling, digest)
+            digest = _node_hash(sibling, digest)
     return digest
 
 
@@ -286,7 +289,7 @@ def root_from_multiproof(
     _check_opened_indices(proof.leaf_count, proof.indices)
     if len(leaves) != len(proof.indices):
         raise CryptoError("a batch opening needs one leaf per opened index")
-    digests = [hash_domain(_LEAF_DOMAIN, leaf) for leaf in leaves]
+    digests = [_leaf_hash(leaf) for leaf in leaves]
     siblings = iter(proof.siblings)
     try:
         for steps in _opening_walk(proof.leaf_count, proof.indices):
@@ -295,11 +298,11 @@ def root_from_multiproof(
             for node, how in steps:
                 digest = next(known)
                 if how == _JOINED:
-                    digest = hash_domain(_NODE_DOMAIN, digest, next(known))
+                    digest = _node_hash(digest, next(known))
                 elif how == _SUPPLIED and node & 1:
-                    digest = hash_domain(_NODE_DOMAIN, next(siblings), digest)
+                    digest = _node_hash(next(siblings), digest)
                 elif how == _SUPPLIED:
-                    digest = hash_domain(_NODE_DOMAIN, digest, next(siblings))
+                    digest = _node_hash(digest, next(siblings))
                 digests.append(digest)
     except StopIteration:
         raise CryptoError("batch opening is missing siblings") from None

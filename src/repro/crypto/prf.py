@@ -9,15 +9,43 @@ receivers check membership ``j in F_s(i)``.  Both directions are served by
 from __future__ import annotations
 
 import functools
-import hmac
-from typing import List, Tuple
+import hashlib
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.utils.serialization import encode_uint, tagged_tuple
 
+if TYPE_CHECKING:
+    _Sha256 = hashlib._Hash
+
+_BLOCK_BYTES = 64  # SHA-256's block: HMAC pads (or first hashes) the key to it
+_INNER_PAD = bytes(byte ^ 0x36 for byte in range(256))
+_OUTER_PAD = bytes(byte ^ 0x5C for byte in range(256))
+
+
+# HMAC(k, m) = H((k' ^ opad) || H((k' ^ ipad) || m)): both padded-key
+# blocks are constant per key, so each is compressed once and a call
+# costs the two short tails.  Bounded — a long-lived process keeps only
+# its recent keys — and read-only: callers copy.
+@functools.lru_cache(maxsize=256)
+def _keyed_states(key: bytes) -> Tuple["_Sha256", "_Sha256"]:
+    if len(key) > _BLOCK_BYTES:
+        key = hashlib.sha256(key).digest()
+    block = key.ljust(_BLOCK_BYTES, b"\0")
+    return (
+        hashlib.sha256(block.translate(_INNER_PAD)),
+        hashlib.sha256(block.translate(_OUTER_PAD)),
+    )
+
 
 def prf(key: bytes, domain: str, *fields: bytes) -> bytes:
-    """HMAC-SHA256 with injective, domain-separated input encoding."""
-    return hmac.digest(key, tagged_tuple(domain, fields), "sha256")
+    """HMAC-SHA256 with injective, domain-separated input encoding:
+    ``hmac.digest(key, tagged_tuple(domain, fields), "sha256")``."""
+    inner, outer = _keyed_states(key)
+    inner = inner.copy()
+    inner.update(tagged_tuple(domain, fields))
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 _PRF_RANGE = 1 << 256

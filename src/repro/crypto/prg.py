@@ -7,8 +7,22 @@ re-derived from the public seed alone.
 
 from __future__ import annotations
 
-from repro.crypto.hashing import hash_domain
+import functools
+from typing import Callable, List
+
+from repro.crypto.hashing import DIGEST_BYTES, domain_hasher
 from repro.utils.serialization import encode_uint
+
+
+# Block ``i`` is ``hash_domain(domain, seed, encode_uint(i))``: all but
+# the index is constant per generator.  The absorbed state is kept here
+# and not on the instance — a PRG stays a plain (seed, domain) value that
+# pickles and copies.  A key expansion uses its seed once (one
+# ``blocks`` pass), so the cache only has to span the generators being
+# read block by block at one time; it is small because seeds are secrets.
+@functools.lru_cache(maxsize=16)
+def _block_hasher(domain: str, seed: bytes) -> Callable[[bytes], bytes]:
+    return domain_hasher(domain, seed)
 
 
 class PRG:
@@ -20,16 +34,14 @@ class PRG:
 
     def block(self, index: int) -> bytes:
         """The 32-byte block at position ``index`` (random access)."""
-        return hash_domain(self._domain, self._seed, encode_uint(index))
+        return _block_hasher(self._domain, self._seed)(encode_uint(index))
+
+    def blocks(self, count: int) -> List[bytes]:
+        """Blocks ``0 .. count - 1``, in one pass over one absorbed seed."""
+        block = _block_hasher(self._domain, self._seed)
+        return [block(encode_uint(index)) for index in range(count)]
 
     def expand(self, num_bytes: int) -> bytes:
         """The first ``num_bytes`` of the output stream."""
-        blocks = []
-        produced = 0
-        index = 0
-        while produced < num_bytes:
-            block = self.block(index)
-            blocks.append(block)
-            produced += len(block)
-            index += 1
-        return b"".join(blocks)[:num_bytes]
+        count = -(-num_bytes // DIGEST_BYTES)
+        return b"".join(self.blocks(count))[:num_bytes]

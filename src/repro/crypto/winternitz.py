@@ -15,10 +15,11 @@ capability — the property the sortition construction (Thm 2.7) needs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
-from repro.crypto.hashing import hash_domain
+from repro.crypto.hashing import domain_hasher, hash_domain
 from repro.crypto.prg import PRG
 from repro.errors import ConfigurationError, KeyError_, SignatureError
 from repro.utils.serialization import encode_uint
@@ -32,14 +33,24 @@ DEFAULT_MESSAGE_BITS = 128
 DEFAULT_W = 4  # chunk width in bits; chains of length 16
 
 
+# One chain step is ``hash_domain(_CHAIN_DOMAIN, encode_uint(chunk_index),
+# value)``: everything but the value is constant per chunk position, and
+# positions are a few dozen small integers shared by every key.
+@functools.lru_cache(maxsize=512)
+def _chain_step(chunk_index: int) -> Callable[[bytes], bytes]:
+    return domain_hasher(_CHAIN_DOMAIN, encode_uint(chunk_index))
+
+
 def _chain(start: bytes, steps: int, chunk_index: int) -> bytes:
     """Apply the hash chain ``steps`` times (domain-bound per chunk)."""
+    step = _chain_step(chunk_index)
     value = start
     for _ in range(steps):
-        value = hash_domain(_CHAIN_DOMAIN, encode_uint(chunk_index), value)
+        value = step(value)
     return value
 
 
+@functools.lru_cache(maxsize=64)
 def _parameters(message_bits: int, w: int) -> Tuple[int, int, int]:
     """Return (message_chunks, checksum_chunks, total_chunks)."""
     if w < 1 or w > 8:
@@ -56,27 +67,23 @@ def _parameters(message_bits: int, w: int) -> Tuple[int, int, int]:
 
 def _message_chunks(message: bytes, message_bits: int, w: int) -> List[int]:
     """Digest the message and split it into w-bit chunks + checksum."""
-    message_chunks, checksum_chunks, _ = _parameters(message_bits, w)
+    _, checksum_chunks, _ = _parameters(message_bits, w)
     needed = (message_bits + 7) // 8
     stream = b""
     counter = 0
     while len(stream) < needed:
         stream += hash_domain(_MESSAGE_DOMAIN, encode_uint(counter), message)
         counter += 1
-    bits: List[int] = []
-    for byte in stream[:needed]:
-        for position in range(8):
-            bits.append((byte >> (7 - position)) & 1)
-            if len(bits) == message_bits:
-                break
+    # The digest's leading message_bits bits, read w at a time from the top.
+    value = int.from_bytes(stream[:needed], "big") >> (8 * needed - message_bits)
+    top = (1 << w) - 1
     chunks = [
-        int("".join(str(b) for b in bits[i * w:(i + 1) * w]), 2)
-        for i in range(message_chunks)
+        (value >> shift) & top for shift in range(message_bits - w, -1, -w)
     ]
-    checksum = sum(((1 << w) - 1) - c for c in chunks)
+    checksum = sum(top - c for c in chunks)
     checksum_values = []
     for _ in range(checksum_chunks):
-        checksum_values.append(checksum & ((1 << w) - 1))
+        checksum_values.append(checksum & top)
         checksum >>= w
     return chunks + checksum_values
 
@@ -127,8 +134,7 @@ def keygen_from_seed(
 ) -> Tuple[WotsVerificationKey, WotsSigningKey]:
     """Deterministically expand a seed into a W-OTS key pair."""
     _, _, total = _parameters(message_bits, w)
-    prg = PRG(seed, domain=_SECRET_DOMAIN)
-    starts = tuple(prg.block(i) for i in range(total))
+    starts = tuple(PRG(seed, domain=_SECRET_DOMAIN).blocks(total))
     endpoints = tuple(
         _chain(start, (1 << w) - 1, index)
         for index, start in enumerate(starts)
@@ -151,8 +157,7 @@ def oblivious_keygen(
     inverting the chain (the OWF).
     """
     _, _, total = _parameters(message_bits, w)
-    prg = PRG(seed, domain=_OBLIVIOUS_DOMAIN)
-    endpoints = tuple(prg.block(i) for i in range(total))
+    endpoints = tuple(PRG(seed, domain=_OBLIVIOUS_DOMAIN).blocks(total))
     return WotsVerificationKey(
         message_bits=message_bits, w=w, endpoints=endpoints
     )

@@ -36,7 +36,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.hashing import hash_chain, hash_domain
+from repro.crypto.hashing import domain_hasher, hash_chain, hash_domain
 from repro.crypto.merkle import (
     MerkleMultiProof,
     MerkleTree,
@@ -75,6 +75,12 @@ _INTERNAL_RELATION = "srds/internal-sum"
 _VK_LEAF_DOMAIN = "srds/vk-leaf"
 _CHAIN_DOMAIN = "srds/contribution-chain"
 
+#: (encoded index, verification key) -> leaf of the vk commitment.
+_vk_leaf_hash = domain_hasher(_VK_LEAF_DOMAIN, trailing=2)
+#: (encoded index, signature bytes) -> the digest chained into a leaf
+#: aggregate; the signer's method and the Aggregate2 circuit share it.
+_contribution_hash = domain_hasher(_CHAIN_DOMAIN, trailing=2)
+
 
 @encode_once
 @dataclass(frozen=True)
@@ -100,9 +106,7 @@ class SnarkBaseSignature(SRDSSignature):
 
     def contribution_digest(self) -> bytes:
         """The per-contribution digest chained into leaf aggregates."""
-        return hash_domain(
-            _CHAIN_DOMAIN, encode_uint(self.index), self.signature_bytes
-        )
+        return _contribution_hash(encode_uint(self.index), self.signature_bytes)
 
 
 @encode_once
@@ -155,7 +159,7 @@ class SnarkAggregateSignature(pcd.CountAggregate):
 
 def _vk_leaf(index: int, verification_key: bytes) -> bytes:
     """Leaf ``index`` of the vk commitment: binds the key to its index."""
-    return hash_domain(_VK_LEAF_DOMAIN, encode_uint(index), verification_key)
+    return _vk_leaf_hash(encode_uint(index), verification_key)
 
 
 def vk_merkle_tree(verification_keys: Dict[int, bytes],
@@ -451,7 +455,7 @@ def _check_leaf_relation(
         # Key binding: the vk must sit at `index` in the committed vector.
         vk_leaves.append(_vk_leaf(index, key))
         contribution_digests.append(
-            hash_domain(_CHAIN_DOMAIN, encode_uint(index), sig_bytes)
+            _contribution_hash(encode_uint(index), sig_bytes)
         )
     # The opening's indices ascend strictly (its decoder refuses anything
     # else), so equality also rules out duplicates and disorder, and with

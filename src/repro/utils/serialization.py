@@ -18,16 +18,21 @@ from typing import Any, Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
 
 from repro.errors import SerializationError
 
-# Lengths 32/64 and flags 0/1 dominate: one byte, looked up.
-_ONE_BYTE_UINTS = tuple(bytes((value,)) for value in range(0x80))
+#: ``encode_uint`` of 0..127.  Lengths 32/64 and flags 0/1 dominate: one
+#: byte, looked up.
+ONE_BYTE_UINTS = tuple(bytes((value,)) for value in range(0x80))
 
 
 def encode_uint(value: int) -> bytes:
     """Encode a non-negative integer as a LEB128-style varint."""
     if 0 <= value < 0x80:
-        return _ONE_BYTE_UINTS[value]
+        return ONE_BYTE_UINTS[value]
     if value < 0:
         raise SerializationError(f"cannot encode negative integer {value}")
+    if value < 0x4000:
+        # Two bytes: PRG block indices of a 128-bit Lamport key, field
+        # lengths up to 16 KiB.
+        return bytes((value & 0x7F | 0x80, value >> 7))
     out = bytearray()
     while True:
         byte = value & 0x7F
@@ -80,7 +85,7 @@ def encode_sequence(items: Sequence[bytes]) -> bytes:
     append = parts.append
     for item in items:
         size = len(item)
-        append(_ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
+        append(ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
         append(item)
     return b"".join(parts)
 
@@ -137,7 +142,7 @@ def canonical_tuple(*fields: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=1024)
-def _tagged_head(tag: str, num_fields: int) -> bytes:
+def tagged_head(tag: str, num_fields: int) -> bytes:
     """Everything of a tagged tuple that precedes its fields: the count
     and the domain tag's field.  Tags are a handful of constants, so each
     is encoded once (per arity) instead of once per hash."""
@@ -148,15 +153,17 @@ def tagged_tuple(domain: str, fields: Sequence[bytes]) -> bytes:
     """:func:`canonical_tuple` of the :func:`encode_str`-ed domain and the
     fields, byte for byte.
 
-    The preimage of every domain-separated hash and PRF call — hence
-    :func:`encode_sequence`'s loop repeated here rather than called: a
-    call per hash is measurable at ~13 000 hashes per n=64 execution.
+    The definition of every domain-separated hash's preimage
+    (:func:`repro.crypto.hashing.hash_domain` streams the same bytes
+    into a cached midstate instead of building them) and the message of
+    every PRF call — hence :func:`encode_sequence`'s loop repeated here
+    rather than called: a call per MAC is measurable.
     """
-    parts = [_tagged_head(domain, len(fields))]
+    parts = [tagged_head(domain, len(fields))]
     append = parts.append
     for item in fields:
         size = len(item)
-        append(_ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
+        append(ONE_BYTE_UINTS[size] if size < 0x80 else encode_uint(size))
         append(item)
     return b"".join(parts)
 

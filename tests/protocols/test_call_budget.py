@@ -3,6 +3,10 @@
 Wall-clock gains are claimed through ``benchmarks/layers``; this is the
 part of that claim a unit test can hold: *how many calls one execution
 makes*.  The count needs no clock and repeats exactly on one interpreter.
+
+Two executions are budgeted: a warm n=32 pi_ba run (the executor path)
+and one cold gateway decision under the OWF scheme (the lease-miss
+path, which is all one-time key generation).
 """
 
 import os
@@ -13,6 +17,8 @@ import repro
 from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
+from repro.serve.sessions import SessionSpec, run_decision
+from repro.serve.setup_cache import SetupCache
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
@@ -30,17 +36,25 @@ _PARENT_CALLS = 438_104
 #: ceiling was last set, ceiling).  "Before" is 59d0be6, except for the
 #: rows marked 8b3624e — the commit before a node's received set was
 #: keyed once and f_aggr-sig's input carried one batch opening per leaf
-#: instead of one Merkle path per signature.  Each ceiling leaves the
-#: measured count 10-40 % of room and sits below what undoing the named
-#: piece costs (in brackets).
+#: instead of one Merkle path per signature — and 5222f8c, the commit
+#: before a domain-separated hash started from a cached midstate.  Each
+#: ceiling leaves the measured count 10-40 % of room and sits below what
+#: undoing the named piece costs (in brackets).
 _CEILINGS = {
     # one multicast per sender again: m^2 tally updates [24 748]
     "net/metrics.py": (112_637, 5_962, 8_000),
     # encode_str -> canonical_tuple -> encode_sequence -> genexpr ->
     # encode_bytes per hash [183 700]; F_s recomputed per message
     # [134 437]; a path per signature encoded, decoded and hashed again
-    # [113 202, 8b3624e]
-    "utils/serialization.py": (217_541, 65_728, 78_000),
+    # [113 202, 8b3624e]; a tagged_tuple preimage built for every hash,
+    # not only for every MAC [65 256, 5222f8c]
+    "utils/serialization.py": (217_541, 28_841, 35_000),
+    # The other side of that move: a hash is copy + two updates per
+    # field + digest on a midstate, all counted here (12 223 at 5222f8c,
+    # when it was `sha256(...)` + `digest()` around serialization's
+    # work).  The ceiling is for a helper call per field or per hash
+    # creeping in [+ 12 000 per extra call].
+    "crypto/hashing.py": (12_223, 37_038, 45_000),
     # every member of a node keys and weighs the same received list
     # [19 928, 8b3624e]
     "protocols/balanced_ba.py": (19_928, 3_886, 5_000),
@@ -50,25 +64,41 @@ _CEILINGS = {
     "aetree/tree.py": (16_175, 4_950, 7_000),
     # every member's copy of the shared Aggregate1 output walked [9 101]
     "protocols/aggregate_mpc.py": (9_101, 1_558, 2_200),
-    # SubsetPRF.subset without its memo [7 900]
-    "crypto/prf.py": (7_873, 1_369, 1_900),
+    # SubsetPRF.subset without its memo [25 705].  A MAC is six hashlib
+    # method calls on two keyed midstates where `hmac.digest` was one
+    # call (1 369 at 5222f8c): more calls, about 0.6 x the time.
+    "crypto/prf.py": (7_873, 12_291, 15_000),
+}
+
+#: The cold decision (n=16, OWF scheme, seed 2021) at 5222f8c: 513 775
+#: calls, 309 498 of them building a tagged_tuple per hash.
+_COLD_PARENT_CALLS = 513_775
+
+#: Same convention.  One Lamport keygen is 256 hashes; 128 of them are a
+#: cold decision.
+_COLD_CEILINGS = {
+    # ~40 000 hashes x (closure + copy + len + 2 updates + digest); at
+    # 5222f8c 120 483 here plus the 309 498 in serialization.
+    "crypto/hashing.py": (120_483, 241_866, 270_000),
+    # only signature and aggregate encodings are left
+    "utils/serialization.py": (309_498, 18_479, 24_000),
+    # a per-row Python loop around every pair of hashes [47 254]
+    "crypto/lamport.py": (47_254, 2_551, 4_000),
+    # PRG.block called once per secret instead of one pass per key
+    # [16 512]
+    "crypto/prg.py": (16_512, 256, 1_000),
 }
 
 
-def _count_calls(n, seed):
-    """Calls made *by the package's own code* during one run: Python
-    functions defined in it, and C functions called from its frames.
+def _count_package_calls(run):
+    """Calls made *by the package's own code* while ``run()`` executes:
+    Python functions defined in it, and C functions called from its
+    frames.
 
-    Calls inside the standard library (hmac, dataclasses, collections)
-    and comprehension/lambda frames are left out: they differ between
+    Calls inside the standard library (dataclasses, collections) and
+    comprehension/lambda frames are left out: they differ between
     interpreter versions, the package's own call sites do not.
     """
-    params = ProtocolParameters()
-    rng = Randomness(seed)
-    plan = random_corruption(
-        n, params.max_corruptions(n), rng.fork("corruption")
-    )
-    inputs = {party: party % 2 for party in range(n)}
     per_file = Counter()
 
     def profile(frame, event, _arg):
@@ -83,13 +113,36 @@ def _count_calls(n, seed):
 
     sys.setprofile(profile)
     try:
-        result = run_balanced_ba(
-            inputs, plan, SnarkSRDS(HashRegistryBase()), params,
-            rng.fork("run"),
-        )
+        result = run()
     finally:
         sys.setprofile(None)
+    return per_file, result
+
+
+def _count_calls(n, seed):
+    """One pi_ba run under the hash-base SnarkSRDS."""
+    params = ProtocolParameters()
+    rng = Randomness(seed)
+    plan = random_corruption(
+        n, params.max_corruptions(n), rng.fork("corruption")
+    )
+    inputs = {party: party % 2 for party in range(n)}
+    per_file, result = _count_package_calls(lambda: run_balanced_ba(
+        inputs, plan, SnarkSRDS(HashRegistryBase()), params,
+        rng.fork("run"),
+    ))
     assert result.agreement and result.validity
+    return per_file
+
+
+def _count_cold_decision_calls(seed):
+    """One gateway decision on an empty setup cache: what a lease miss
+    costs the executor thread that takes it."""
+    spec = SessionSpec(n=16, scheme="owf", seed=seed)
+    lease = SetupCache(max_entries=1).lease(spec.scheme, spec.n, spec.seed)
+    per_file, reply = _count_package_calls(lambda: run_decision(spec, lease))
+    assert reply["agreement"] and reply["validity"]
+    assert lease.misses == 1 and lease.hits == 0
     return per_file
 
 
@@ -115,4 +168,28 @@ def test_one_n32_run_stays_within_its_call_budget():
     total = sum(counted.values())
     assert total <= 0.35 * _PARENT_CALLS, (total, counted.most_common(8))
     for source, (_, _, ceiling) in _CEILINGS.items():
+        assert counted[source] <= ceiling, (source, counted[source], ceiling)
+
+
+def test_one_cold_owf_decision_stays_within_its_call_budget():
+    """The gateway's miss path: ``run_decision`` of ``SessionSpec(n=16,
+    scheme="owf")`` on a fresh cache, i.e. 128 Lamport key generations
+    and one small pi_ba.
+
+    5222f8c: 513 775 calls.  With every hash started from a midstate and
+    a key expanded in one pass: 283 180 (0.55 x) — and each remaining
+    call is a C method on a hash state, not an encoder.  The gate is
+    0.65 x overall plus the per-file ceilings of ``_COLD_CEILINGS``.
+
+    The first decision fills the process-wide memos (domain midstates,
+    chain-step and block hashers); the second, on a fresh cache again,
+    is the one counted.
+    """
+    _count_cold_decision_calls(_SEED)
+    counted = _count_cold_decision_calls(_SEED)
+    again = _count_cold_decision_calls(_SEED)
+    assert counted == again, "the count must repeat exactly"
+    total = sum(counted.values())
+    assert total <= 0.65 * _COLD_PARENT_CALLS, (total, counted.most_common(8))
+    for source, (_, _, ceiling) in _COLD_CEILINGS.items():
         assert counted[source] <= ceiling, (source, counted[source], ceiling)
