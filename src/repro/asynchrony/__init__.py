@@ -14,59 +14,6 @@ synchronous backends:
   bits-per-party on identical (n, seed) cells.
 
 See ``docs/asynchrony.md`` for the model and its relation to the
-paper's §1 synchrony assumption.
-
-Re-exports resolve lazily (PEP 562), matching :mod:`repro.runtime`.
+paper's §1 synchrony assumption.  Import names from the defining
+modules; the package itself re-exports nothing.
 """
-
-from typing import TYPE_CHECKING, List
-
-#: Lazily re-exported name -> defining module.
-_EXPORTS = {
-    "AdaptiveCorruption": "repro.asynchrony.adaptive",
-    "AdaptiveStrategy": "repro.asynchrony.adaptive",
-    "ADAPTIVE_STRATEGIES": "repro.asynchrony.adaptive",
-    "CoinChaserStrategy": "repro.asynchrony.adaptive",
-    "FirstResponderStrategy": "repro.asynchrony.adaptive",
-    "adaptive_strategy_by_name": "repro.asynchrony.adaptive",
-    "ABARunResult": "repro.asynchrony.driver",
-    "run_aba": "repro.asynchrony.driver",
-    "AsyncResult": "repro.asynchrony.scheduler",
-    "AsyncScheduler": "repro.asynchrony.scheduler",
-    "POLICIES": "repro.asynchrony.scheduler",
-    "run_async_parties": "repro.asynchrony.scheduler",
-}
-
-__all__ = sorted(_EXPORTS)
-
-if TYPE_CHECKING:  # static importers see the eager names
-    from repro.asynchrony.adaptive import (
-        ADAPTIVE_STRATEGIES,
-        AdaptiveCorruption,
-        AdaptiveStrategy,
-        CoinChaserStrategy,
-        FirstResponderStrategy,
-        adaptive_strategy_by_name,
-    )
-    from repro.asynchrony.driver import ABARunResult, run_aba
-    from repro.asynchrony.scheduler import (
-        POLICIES,
-        AsyncResult,
-        AsyncScheduler,
-        run_async_parties,
-    )
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(__all__))

@@ -18,49 +18,6 @@ and :mod:`repro.campaign.minimize` shrinks to a minimal failing
 instance by greedy delta-debugging over the corrupted set and the crash
 schedule.  ``python -m repro campaign {run,replay,minimize,list}`` is
 the operator entry point; sweep summaries land in
-``results/BENCH_campaign.json`` via :mod:`repro.obs.bench`.
+``results/BENCH_campaign.json`` via :mod:`repro.obs.bench`.  Import
+names from the defining modules; the package itself re-exports nothing.
 """
-
-from repro.campaign.catalog import (
-    Strategy,
-    StrategyCatalog,
-    default_catalog,
-)
-from repro.campaign.invariants import Violation, check_ba_invariants
-from repro.campaign.matrix import (
-    CampaignCell,
-    ProtocolConfig,
-    default_matrix,
-    enumerate_cells,
-)
-from repro.campaign.minimize import minimize_failure
-from repro.campaign.runner import (
-    CampaignSummary,
-    RunOutcome,
-    execute_spec,
-    run_campaign,
-)
-from repro.campaign.schedules import Schedule, default_schedules
-from repro.campaign.spec import CampaignSpec, format_spec, parse_spec
-
-__all__ = [
-    "CampaignCell",
-    "CampaignSpec",
-    "CampaignSummary",
-    "ProtocolConfig",
-    "RunOutcome",
-    "Schedule",
-    "Strategy",
-    "StrategyCatalog",
-    "Violation",
-    "check_ba_invariants",
-    "default_catalog",
-    "default_matrix",
-    "default_schedules",
-    "enumerate_cells",
-    "execute_spec",
-    "format_spec",
-    "minimize_failure",
-    "parse_spec",
-    "run_campaign",
-]

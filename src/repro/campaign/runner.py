@@ -273,8 +273,8 @@ def _run_pi_ba_cluster_backend(
 ):
     """π_ba over the multi-process cluster substrate.
 
-    The ``kill-worker`` schedule arms the supervisor's SIGKILL plan
-    (worker 1 dies after the round-3 dispatch); recovery must replay
+    The ``kill-worker`` schedule arms the job's SIGKILL plan (worker 1
+    kills itself mid-round 3); recovery must replay
     from the durable checkpoint and still satisfy every BA invariant
     and the bits budget — silent divergence here would surface as an
     unexpected campaign failure.

@@ -43,7 +43,7 @@ from repro.errors import ClusterError
 
 
 def _parse_kill_plan(items: List[str]) -> Dict[int, int]:
-    """``ROUND:WORKER`` pairs → the supervisor's SIGKILL schedule."""
+    """``ROUND:WORKER`` pairs → the job's SIGKILL schedule."""
     plan: Dict[int, int] = {}
     for item in items:
         round_str, _, worker_str = item.partition(":")
@@ -68,7 +68,7 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--run-dir", type=Path, default=None)
     parser.add_argument(
         "--kill", action="append", default=[], metavar="ROUND:WORKER",
-        help="SIGKILL worker WORKER after dispatching round ROUND "
+        help="worker WORKER SIGKILLs itself mid-round ROUND "
              "(repeatable; exercises checkpoint recovery)",
     )
     parser.add_argument(

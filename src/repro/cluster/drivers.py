@@ -38,36 +38,6 @@ from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 
-def _worker_import_seconds() -> float:
-    """Cold ``import repro.cluster.worker`` time in a fresh interpreter.
-
-    This is the per-spawn tax every worker process pays before it can
-    answer its first control message.  The PEP 562 lazy package inits
-    exist to keep it flat as the protocol layers grow — the bench
-    records it so regressions (an eager import creeping back into an
-    ``__init__``) show up next to the wall times they would inflate.
-    """
-    import subprocess
-    import sys
-
-    probe = (
-        "import time; t = time.perf_counter(); "
-        "import repro.cluster.worker; "
-        "print(time.perf_counter() - t)"
-    )
-    try:
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            timeout=60.0,
-            check=True,
-        )
-        return float(out.stdout.strip())
-    except (OSError, ValueError, subprocess.SubprocessError):
-        return -1.0
-
-
 def run_balanced_ba_cluster(
     inputs: Dict[int, int],
     plan,
@@ -198,18 +168,6 @@ def run_cluster_bench(
             # actually grants k cores; on a 1-core box the multi-worker
             # cells measure pure process overhead.
             "cpus_available": len(os.sched_getaffinity(0)),
-            "worker_import_seconds": _worker_import_seconds(),
-            "notes": {
-                "lazy_imports": (
-                    "PEP 562 package inits: worker spawn no longer "
-                    "imports the protocol/crypto modules through "
-                    "repro/__init__.  Measured cold-import before -> "
-                    "after on the dev host: import repro 0.087s -> "
-                    "0.019s; import repro.cluster.worker 0.176s -> "
-                    "0.136s; import repro.runtime.transport 0.125s -> "
-                    "0.099s."
-                ),
-            },
             "parity": parity,
             "restarts": restarts,
             "reference_agreement": reference.agreement,

@@ -7,7 +7,7 @@ only on its own inbox and program order, so sharding the party set
 across engines changes nothing).  Given the frames due at a round
 barrier it steps its shard's parties and returns the frames they emit;
 on top of the core it adds only what a shard needs: validation that the
-supervisor and the mesh handed it the right round and the right
+worker loop and the mesh handed it the right round and the right
 parties' frames, and :meth:`snapshot` / :meth:`restore` so a checkpoint
 (:mod:`repro.cluster.checkpoint`) captures its complete state — party
 snapshots, per-sender send sequence counters, trace sequence offsets.
@@ -59,9 +59,6 @@ class ShardEngine:
     @property
     def party_ids(self) -> List[int]:
         return sorted(self.parties)
-
-    def halted_ids(self) -> List[int]:
-        return sorted(self.core.outputs())
 
     def outputs(self) -> Dict[int, object]:
         """Outputs of this shard's halted parties (simulator API)."""

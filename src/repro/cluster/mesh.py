@@ -13,24 +13,25 @@ frames for each peer as one binary **train**
 The router owns exactly the properties the differential suite pins:
 
 * **barrier** — an empty train is still a train; ``wait_round`` blocks
-  until every peer's train for the round arrived (or was already
-  collected), so round lockstep survives without the supervisor seeing
-  a single frame;
+  until every peer's train for the round arrived, so round lockstep
+  needs no coordinator at all, and each train's *halted* flag tells the
+  receiver whether the sender's shard is done (every worker therefore
+  stops at the same round);
 * **dedup by send-seq** — every send attempt bumps a per-link
   ``train_seq``; receivers keep at most one train per (peer, round),
   and the assembler discards stale attempts and supersedes torn
   half-trains, so a link drop mid-train followed by a redial never
   duplicates (or double-charges) a frame;
 * **retained-train replay** — senders retain each round's encoded body
-  until the supervisor's checkpoint barrier says ``trim``; the link
+  until the supervisor's ``trim`` after a committed barrier; the link
   handshake exchanges consumed-round watermarks and resends everything
   the other side is missing, which transparently covers startup
   ordering, redials, *and* a SIGKILLed worker rejoining from its RPCK3
   checkpoint;
-* **liveness signals** — link failures are queued for the worker to
-  report as ``peerdown`` control messages, and ``progress()`` exposes a
-  moved-bytes counter the heartbeat ships home so the supervisor can
-  tell "dead" from "slow shipping a huge body".
+* **liveness signal** — ``progress()`` exposes a moved-bytes counter
+  the heartbeat ships home so the supervisor can tell "dead" from "slow
+  shipping a huge body" (a dead peer is the supervisor's to notice: its
+  control channel closes).
 
 Dial direction is fixed — worker *i* dials every peer *j < i* and
 accepts from every *j > i* — so reconnection responsibility is never
@@ -68,14 +69,6 @@ _MAX_RECORD = MESH_CHUNK_BYTES + 4096
 #: Redial pacing (seconds) after a link drops: immediate, then backoff.
 _DIAL_DELAYS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
 _DIAL_TIMEOUT = 10.0
-
-
-@dataclass(frozen=True)
-class LinkFailure:
-    """One observed link problem, for the worker to report home."""
-
-    peer: int
-    reason: str
 
 
 @dataclass
@@ -142,13 +135,14 @@ class MeshRouter:
         self._links: Dict[int, _Link] = {}
         self._peers: Dict[int, Tuple[str, int]] = {}
         self._consumed: Dict[int, int] = {}
-        self._inbox: Dict[Tuple[int, int], List[Frame]] = {}
-        self._retained: Dict[int, Dict[int, bytes]] = {}
+        #: (peer, round) -> (frames, the peer's halted flag)
+        self._inbox: Dict[Tuple[int, int], Tuple[List[Frame], bool]] = {}
+        #: peer -> round -> (encoded body, halted flag)
+        self._retained: Dict[int, Dict[int, Tuple[bytes, bool]]] = {}
         self._assemblers: Dict[int, TrainAssembler] = {}
         self._train_seq: Dict[int, int] = {}
         self._peer_locks: Dict[int, threading.Lock] = {}
         self._dialing: Set[int] = set()
-        self._failures: List[LinkFailure] = []
         self._progress = 0
 
         listener, port = open_listener(host=host, port=0)
@@ -176,11 +170,6 @@ class MeshRouter:
     def _bump_progress(self, count: int) -> None:
         with self._cond:
             self._progress += count
-
-    def _record_failure(self, peer: int, reason: str) -> None:
-        with self._cond:
-            self._failures.append(LinkFailure(peer=peer, reason=reason))
-            self._cond.notify_all()
 
     # -- public API ----------------------------------------------------------
 
@@ -220,7 +209,7 @@ class MeshRouter:
             thread.start()
 
     def send_train(self, peer: int, round_index: int,
-                   frames: List[Frame]) -> None:
+                   frames: List[Frame], halted: bool = False) -> None:
         """Retain and (if the link is up) ship one round's train.
 
         Retention happens unconditionally *before* any socket write, so
@@ -230,46 +219,40 @@ class MeshRouter:
         body = encode_train_body(frames)
         with self._peer_lock(peer):
             with self._cond:
-                self._retained.setdefault(peer, {})[round_index] = body
+                retained = self._retained.setdefault(peer, {})
+                retained[round_index] = (body, halted)
                 link = self._links.get(peer)
             if link is not None:
-                self._ship(peer, link, round_index, body)
+                self._ship(peer, link, round_index, body, halted)
 
     def wait_round(self, round_index: int, peers: Iterable[int],
                    timeout: Optional[float] = None) -> bool:
         """Block until every peer's train for ``round_index`` arrived."""
-        peer_list = list(peers)
-
-        def ready() -> bool:
-            return all(
-                self._consumed.get(p, self._first_round - 1) >= round_index
-                or (p, round_index) in self._inbox
-                for p in peer_list
+        keys = [(peer, round_index) for peer in peers]
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: all(key in self._inbox for key in keys),
+                timeout=timeout,
             )
 
-        with self._cond:
-            return self._cond.wait_for(ready, timeout=timeout)
-
     def collect_round(self, round_index: int,
-                      peers: Iterable[int]) -> List[Frame]:
-        """Pop and return the round's frames, in sorted-peer order."""
+                      peers: Iterable[int]) -> Tuple[List[Frame], bool]:
+        """Pop the round's trains: their frames in sorted-peer order, and
+        whether every one of those peers flagged its shard halted."""
         frames: List[Frame] = []
+        halted = True
         with self._cond:
             for peer in sorted(peers):
-                batch = self._inbox.pop((peer, round_index), None)
-                if batch is None and self._consumed.get(
-                    peer, self._first_round - 1
-                ) < round_index:
+                entry = self._inbox.pop((peer, round_index), None)
+                if entry is None:
                     raise ClusterError(
                         f"collect_round({round_index}): no train from "
                         f"peer {peer}"
                     )
-                if self._consumed.get(
-                    peer, self._first_round - 1
-                ) < round_index:
-                    self._consumed[peer] = round_index
-                frames.extend(batch or [])
-        return frames
+                self._consumed[peer] = round_index
+                frames.extend(entry[0])
+                halted = halted and entry[1]
+        return frames, halted
 
     def trim(self, below: int) -> None:
         """Drop retained trains for rounds below a durable barrier."""
@@ -279,11 +262,6 @@ class MeshRouter:
                     del rounds[round_index]
             for assembler in self._assemblers.values():
                 assembler.trim_below(below)
-
-    def drain_failures(self) -> List[LinkFailure]:
-        with self._cond:
-            failures, self._failures = self._failures, []
-            return failures
 
     def progress(self) -> int:
         """Monotonic moved-bytes counter (sent + received)."""
@@ -303,10 +281,9 @@ class MeshRouter:
     # -- link establishment --------------------------------------------------
 
     def _dial_loop(self, peer: int) -> None:
-        reason = "no address for peer"
         for delay in _DIAL_DELAYS:
             # close() wakes the pacer: a stopped worker must not redial
-            # a peer that merely left first, nor report it down.
+            # a peer that merely left first.
             if self._closed.wait(delay):
                 return
             with self._cond:
@@ -320,18 +297,17 @@ class MeshRouter:
                 sock = socket.create_connection(
                     address, timeout=_DIAL_TIMEOUT
                 )
-            except OSError as exc:
-                reason = f"dial {address[0]}:{address[1]}: {exc}"
+            except OSError:
                 continue
             try:
                 self._handshake(peer, sock, dialer=True)
                 return
-            except (OSError, SerializationError, ClusterError) as exc:
-                reason = f"handshake with peer {peer}: {exc}"
+            except (OSError, SerializationError, ClusterError):
                 _close_quietly(sock)
+        # Out of attempts: a peer this long unreachable is dead or hung,
+        # and the supervisor respawns it (its new address re-dials).
         with self._cond:
             self._dialing.discard(peer)
-        self._record_failure(peer, f"dial attempts exhausted: {reason}")
 
     def _accept_loop(self) -> None:
         while not self._closed.is_set():
@@ -396,8 +372,10 @@ class MeshRouter:
                 if dialer:
                     self._dialing.discard(peer)
                 retained = sorted(
-                    (r, body)
-                    for r, body in self._retained.get(peer, {}).items()
+                    (r, body, halted)
+                    for r, (body, halted) in self._retained.get(
+                        peer, {}
+                    ).items()
                     if r > peer_have
                 )
             if stale is not None and stale is not link:
@@ -407,19 +385,19 @@ class MeshRouter:
                 name=f"mesh-recv-{self.worker_id}-{peer}", daemon=True,
             )
             receiver.start()
-            for round_index, body in retained:
-                self._ship(peer, link, round_index, body)
+            for round_index, body, halted in retained:
+                self._ship(peer, link, round_index, body, halted)
 
     # -- data movement -------------------------------------------------------
 
     def _ship(self, peer: int, link: _Link, round_index: int,
-              body: bytes) -> None:
+              body: bytes, halted: bool) -> None:
         """Send one train (caller holds the peer lock)."""
         with self._cond:
             seq = self._train_seq.get(peer, 0) + 1
             self._train_seq[peer] = seq
         records = split_train(
-            self.worker_id, peer, round_index, seq, body,
+            self.worker_id, peer, round_index, seq, body, halted,
             chunk_bytes=self._chunk_bytes,
         )
         try:
@@ -427,10 +405,8 @@ class MeshRouter:
                 for record in records:
                     link.sock.sendall(_LENGTH.pack(len(record)) + record)
                     self._bump_progress(len(record) + _LENGTH.size)
-        except OSError as exc:
-            self._on_link_dead(
-                peer, link, f"send for round {round_index}: {exc}"
-            )
+        except OSError:
+            self._on_link_dead(peer, link)
 
     def _receive_loop(self, peer: int, link: _Link) -> None:
         with self._cond:
@@ -440,11 +416,10 @@ class MeshRouter:
         while True:
             try:
                 record = _read_record(link.sock)
-            except SerializationError as exc:
-                self._on_link_dead(peer, link, f"bad framing: {exc}")
-                return
+            except SerializationError:
+                record = None  # bad framing: the link is unusable
             if record is None:
-                self._on_link_dead(peer, link, "connection lost")
+                self._on_link_dead(peer, link)
                 return
             self._bump_progress(len(record) + _LENGTH.size)
             try:
@@ -460,10 +435,10 @@ class MeshRouter:
                     done = assembler.add(chunk)
                 if done is None:
                     continue
-                round_index, body = done
+                round_index, body, halted = done
                 frames = decode_train_body(body)
-            except SerializationError as exc:
-                self._on_link_dead(peer, link, f"corrupt train: {exc}")
+            except SerializationError:
+                self._on_link_dead(peer, link)
                 return
             with self._cond:
                 if (
@@ -472,10 +447,10 @@ class MeshRouter:
                     )
                     and (peer, round_index) not in self._inbox
                 ):
-                    self._inbox[(peer, round_index)] = frames
+                    self._inbox[(peer, round_index)] = (frames, halted)
                     self._cond.notify_all()
 
-    def _on_link_dead(self, peer: int, link: _Link, reason: str) -> None:
+    def _on_link_dead(self, peer: int, link: _Link) -> None:
         if self._closed.is_set():
             return
         redial = False
@@ -488,7 +463,6 @@ class MeshRouter:
                 if redial:
                     self._dialing.add(peer)
         _close_quietly(link.sock)
-        self._record_failure(peer, reason)
         if redial:
             thread = threading.Thread(
                 target=self._dial_loop, args=(peer,),
@@ -504,4 +478,4 @@ def _close_quietly(sock: socket.socket) -> None:
         pass
 
 
-__all__ = ["LinkFailure", "MeshRouter"]
+__all__ = ["MeshRouter"]

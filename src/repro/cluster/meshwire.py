@@ -6,7 +6,11 @@ never sees them, and nothing on this hot path is pickled:
 
 * a **train** is one worker's batch of frames for one peer in one round
   — the unit of dedup, resend, and the per-round barrier (an *empty*
-  train is still sent: "I emitted nothing for you this round");
+  train is still sent: "I finished this round and emitted nothing for
+  you");
+* every train header carries a **halted** byte: "every target party in
+  my shard has halted".  All workers read the same flags after the same
+  round, so all of them stop at the same round with no coordinator;
 * a train body is the repo's one frame wire format,
   :mod:`repro.net.trains` (shared with the runtime's TCP transport);
 * oversized bodies are **chunked**: each chunk record carries the full
@@ -29,17 +33,18 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SerializationError
 
-#: Chunk record magic + format version (bump on layout changes).
+#: Chunk record magic + format version (bump on layout changes; v1
+#: records had no halted byte and are refused by name).
 MESH_MAGIC = b"RPMW"
-MESH_VERSION = 1
+MESH_VERSION = 2
 
 #: Record kinds.
 KIND_TRAIN = 1
 KIND_HELLO = 2
 
-#: magic, version, kind, src_worker, dst_worker, round, train_seq,
-#: chunk_index, num_chunks, payload_len
-_CHUNK = struct.Struct(">4sBBHHIIIII")
+#: magic, version, kind, halted, src_worker, dst_worker, round,
+#: train_seq, chunk_index, num_chunks, payload_len
+_CHUNK = struct.Struct(">4sBBBHHIIIII")
 _HAVE = struct.Struct(">q")
 
 #: Train bodies above this are split across multiple chunk records, so
@@ -62,6 +67,8 @@ class MeshChunk:
     chunk_index: int
     num_chunks: int
     payload: bytes
+    #: The sender's "every target in my shard has halted" flag.
+    halted: bool
 
     def hello_have(self) -> int:
         """The peer's consumed-round watermark carried by a hello."""
@@ -79,13 +86,15 @@ def split_train(
     round_index: int,
     train_seq: int,
     body: bytes,
+    halted: bool = False,
     chunk_bytes: int = MESH_CHUNK_BYTES,
 ) -> List[bytes]:
     """Split one encoded train body into self-describing chunk records.
 
     An empty body still yields one (empty-payload) chunk — the empty
     train is the mesh's round barrier.  Every record repeats the train
-    coordinates, so chunks tolerate reordering and duplication.
+    coordinates and the halted flag, so chunks tolerate reordering and
+    duplication.
     """
     if chunk_bytes <= 0:
         raise SerializationError("chunk size must be positive")
@@ -95,8 +104,9 @@ def split_train(
     ] or [b""]
     return [
         _CHUNK.pack(
-            MESH_MAGIC, MESH_VERSION, KIND_TRAIN, src_worker, dst_worker,
-            round_index, train_seq, index, len(pieces), len(piece),
+            MESH_MAGIC, MESH_VERSION, KIND_TRAIN, int(halted), src_worker,
+            dst_worker, round_index, train_seq, index, len(pieces),
+            len(piece),
         ) + piece
         for index, piece in enumerate(pieces)
     ]
@@ -108,7 +118,7 @@ def encode_hello(src_worker: int, dst_worker: int, have_round: int) -> bytes:
     receiver resends every retained train above it."""
     payload = _HAVE.pack(have_round)
     return _CHUNK.pack(
-        MESH_MAGIC, MESH_VERSION, KIND_HELLO, src_worker, dst_worker,
+        MESH_MAGIC, MESH_VERSION, KIND_HELLO, 0, src_worker, dst_worker,
         0, 0, 0, 1, len(payload),
     ) + payload
 
@@ -119,12 +129,17 @@ def decode_chunk(record: bytes) -> MeshChunk:
     Raises :class:`~repro.errors.SerializationError` — a member of
     ``MALFORMED_INPUT_ERRORS`` — on any truncation or corruption.
     """
+    if record[:4] == MESH_MAGIC and record[4:5] == b"\x01":
+        raise SerializationError(
+            "mesh record is format v1 (no halted byte); this build "
+            f"speaks v{MESH_VERSION}"
+        )
     if len(record) < _CHUNK.size:
         raise SerializationError(
             f"short mesh record ({len(record)} bytes, "
             f"header is {_CHUNK.size})"
         )
-    (magic, version, kind, src_worker, dst_worker, round_index,
+    (magic, version, kind, halted, src_worker, dst_worker, round_index,
      train_seq, chunk_index, num_chunks, payload_len) = _CHUNK.unpack_from(
         record
     )
@@ -139,6 +154,8 @@ def decode_chunk(record: bytes) -> MeshChunk:
         )
     if kind not in (KIND_TRAIN, KIND_HELLO):
         raise SerializationError(f"unknown mesh record kind {kind}")
+    if halted > 1:
+        raise SerializationError(f"mesh halted flag {halted} is not 0 or 1")
     if src_worker == dst_worker:
         raise SerializationError(
             f"mesh record addressed from worker {src_worker} to itself"
@@ -156,7 +173,7 @@ def decode_chunk(record: bytes) -> MeshChunk:
             f"record size {len(record) - _CHUNK.size}"
         )
     if kind == KIND_HELLO and (
-        payload_len != _HAVE.size or num_chunks != 1
+        payload_len != _HAVE.size or num_chunks != 1 or halted
     ):
         raise SerializationError("malformed mesh hello record")
     return MeshChunk(
@@ -166,6 +183,7 @@ def decode_chunk(record: bytes) -> MeshChunk:
         chunk_index=chunk_index,
         num_chunks=num_chunks,
         payload=record[_CHUNK.size:],
+        halted=bool(halted),
         round_index=round_index,  # lint: allow[TRU001] reason=round is validated contextually by the consumed-round watermark in MeshRouter
         train_seq=train_seq,  # lint: allow[TRU001] reason=train_seq supersede/stale logic in TrainAssembler tolerates arbitrary values by design
     )
@@ -184,8 +202,8 @@ class TrainAssembler:
 
     def __init__(self, max_bytes: int = _MAX_TRAIN) -> None:
         self._max_bytes = max_bytes
-        #: round -> (train_seq, num_chunks, {chunk_index: payload})
-        self._partial: Dict[int, Tuple[int, int, Dict[int, bytes]]] = {}
+        #: round -> (train_seq, num_chunks, halted, {chunk_index: payload})
+        self._partial: Dict[int, Tuple[int, int, bool, Dict[int, bytes]]] = {}
         #: round -> highest train_seq already emitted, so a fully
         #: duplicated chunk set (e.g. a resend racing its original over
         #: a healed link) cannot re-complete the same train.
@@ -195,9 +213,9 @@ class TrainAssembler:
         """Rounds with an incomplete train (diagnostics)."""
         return sorted(self._partial)
 
-    def add(self, chunk: MeshChunk) -> Optional[Tuple[int, bytes]]:
-        """Absorb one train chunk; returns ``(round, body)`` when the
-        train completes, else ``None``."""
+    def add(self, chunk: MeshChunk) -> Optional[Tuple[int, bytes, bool]]:
+        """Absorb one train chunk; returns ``(round, body, halted)`` when
+        the train completes, else ``None``."""
         if chunk.kind != KIND_TRAIN:
             raise SerializationError(
                 "assembler fed a non-train mesh record"
@@ -207,19 +225,20 @@ class TrainAssembler:
             return None  # duplicate of an already-delivered train
         state = self._partial.get(chunk.round_index)
         if state is not None:
-            seq, num_chunks, pieces = state
+            seq = state[0]
             if chunk.train_seq < seq:
                 return None  # stale resend attempt
             if chunk.train_seq > seq:
                 state = None  # newer attempt supersedes the torn train
         if state is None:
-            state = (chunk.train_seq, chunk.num_chunks, {})
+            state = (chunk.train_seq, chunk.num_chunks, chunk.halted, {})
             self._partial[chunk.round_index] = state
-        seq, num_chunks, pieces = state
-        if chunk.num_chunks != num_chunks:
+        seq, num_chunks, halted, pieces = state
+        if (chunk.num_chunks, chunk.halted) != (num_chunks, halted):
             raise SerializationError(
                 f"train round {chunk.round_index} seq {seq}: chunk claims "
-                f"{chunk.num_chunks} chunks, train started with {num_chunks}"
+                f"{chunk.num_chunks} chunks (halted={chunk.halted}), train "
+                f"started with {num_chunks} (halted={halted})"
             )
         if chunk.chunk_index in pieces:
             return None  # duplicate chunk
@@ -234,7 +253,7 @@ class TrainAssembler:
         del self._partial[chunk.round_index]
         self._completed[chunk.round_index] = seq
         body = b"".join(pieces[index] for index in range(num_chunks))
-        return chunk.round_index, body
+        return chunk.round_index, body, halted
 
     def trim_below(self, below: int) -> None:
         """Forget completion watermarks for rounds below a durable

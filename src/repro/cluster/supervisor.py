@@ -1,39 +1,43 @@
-"""The cluster supervisor: round barriers, metrics, recovery.
+"""The cluster supervisor: metrics, traces, barriers, recovery.
 
 The supervisor shards the ``n`` parties of a :class:`ClusterJob` across
-``k`` worker OS processes and drives them in lockstep rounds over the
-control channel (:mod:`repro.cluster.wire`).  Party frames never touch
-it: workers ship them point-to-point over the direct worker↔worker mesh
-(:mod:`repro.cluster.mesh`) and stage their own in-flight traffic; the
-supervisor brokers the mesh address book (``peers``) and stays the
-single authority over
+``k`` worker OS processes and then only *listens*.  Workers step rounds
+back to back, synchronised by the direct worker↔worker mesh alone
+(:mod:`repro.cluster.mesh`) — a round's empty train is "I finished round
+r", and its halted flag tells every worker when to stop.  The supervisor
+sends a job, the mesh address book (``peers``), one ``trim`` per
+committed checkpoint barrier and ``stop``; nothing per round.  It stays
+the single authority over
 
 * **metrics** — the one :class:`CommunicationMetrics` ledger, rebuilt
-  from the per-round charge digests workers ship home in ``done``
-  (one row per emitted frame, replayed in its sent round with
-  ``end_round`` per barrier), so ``max_bits_per_party`` is measured
+  from the per-round charge digests workers stream home in ``done``
+  (one row per emitted frame).  Round ``r`` is charged once every
+  worker's ``done(r)`` is in — round-ascending, sorted-worker, one
+  ``end_round`` per round — so ``max_bits_per_party`` is measured
   identically to :func:`~repro.runtime.synchronizer.run_parties`;
 * **traces** — workers drain their per-round trace events into ``done``
   messages; the supervisor merges them into one
   :class:`~repro.runtime.trace.TraceRecorder` whose per-party streams
-  (and fingerprint) match a single-process run.
+  (and fingerprint) match a single-process run;
+* **barriers** — every ``checkpoint_interval`` rounds each worker writes
+  its own checkpoint and marks that round's ``done``; once every worker
+  has announced a barrier the supervisor commits it: durably writes its
+  own state (outputs, metrics, merged trace), prunes older worker
+  checkpoints and sends ``trim``.
 
-Recovery state machine (see ``docs/cluster.md``): the supervisor
-remembers the last round dispatched to each worker; every
-``checkpoint_interval`` barriers it broadcasts ``checkpoint``, awaits
-every ack, durably writes its own state (outputs, metrics, merged
-trace), and prunes stale worker checkpoints.  When a worker dies —
-heartbeat silence, connection loss, or nonzero exit — the supervisor
-respawns it pinned to the last fully-acknowledged barrier, replays the
-rounds since (the peers resend their retained trains; the duplicate
-results are discarded), re-sends the in-flight round, and continues.
-``kill_plan`` turns this path into a real fault injector: the
-supervisor SIGKILLs its own worker right after dispatching the
-scheduled round.
+Recovery state machine (see ``docs/cluster.md``): a worker is dead on
+control-channel loss, heartbeat silence, or stalled progress.  The
+supervisor reaps it (its ``ClusterError`` names the exit status),
+respawns it at the last committed barrier, and the respawn replays
+forward on its own — its peers resend their retained trains, and every
+``done`` below the watermark the supervisor already charged is dropped.
+``kill_plan`` turns this path into a real fault injector: each
+incarnation of a worker is handed its earliest unspent entry and
+SIGKILLs itself mid-round.
 
 A worker is a **fork** of the supervisor (:func:`fork_child`; POSIX
 only): no cold start, and a direct child — reaping it credits its CPU
-to ``os.times()`` and its pid is the supervisor's to signal.
+to ``os.times()`` and its exit status is the supervisor's to read.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control messages; party
@@ -45,6 +49,7 @@ import contextvars
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import sys
 import tempfile
@@ -52,22 +57,19 @@ import time
 from dataclasses import dataclass, field
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.checkpoint import encode_checkpoint
 from repro.cluster.job import ClusterJob, split_shards
 from repro.cluster.wire import (
-    CHECKPOINT,
-    CHECKPOINTED,
     DONE,
     HEARTBEAT,
     HELLO,
     JOB,
-    PEERDOWN,
     PEERS,
     RESUMED,
-    ROUND,
     STOP,
+    TRIM,
     Message,
     MessageChannel,
     accept_channel,
@@ -94,6 +96,10 @@ TRACE_FILE = "trace.seg"
 #: is :data:`~repro.obs.flow.INFRA` (-2); worker ``w`` is ``-10 - w``.
 WORKER_PSEUDO_BASE = -10
 
+#: Seconds a worker whose control channel closed gets to finish exiting
+#: before its exit status is read.
+_EXIT_GRACE = 1.0
+
 
 def worker_pseudo_id(worker_id: int) -> int:
     """The flow-ledger pseudo party id of one worker process."""
@@ -110,15 +116,19 @@ class ClusterConfig:
     #: Seconds of *total silence* (no heartbeat, no result) after which
     #: a worker is declared dead.
     heartbeat_timeout: float = 5.0
-    #: Hard wall-clock ceiling for one worker's round turn — catches a
-    #: worker that heartbeats forever but never produces its result.
+    #: Seconds a worker may go without progress — no ``done``, no
+    #: advancing heartbeat counter, no message trickling in — before it
+    #: is declared dead: catches a worker that heartbeats forever but
+    #: never finishes its round.
     round_timeout: float = 120.0
     #: Seconds allowed for a spawned worker to dial in and handshake.
     spawn_timeout: float = 30.0
     #: Worker deaths tolerated across the whole run before giving up.
     max_restarts: int = 3
-    #: Fault injection: round index -> worker id to SIGKILL right after
-    #: that round's dispatch (the campaign's ``kill-worker`` schedule).
+    #: Fault injection: round index -> worker id that SIGKILLs itself
+    #: mid-round (after stepping, before its trains ship) — the
+    #: campaign's ``kill-worker`` schedule.  Each entry is spent when
+    #: the incarnation it was handed to dies.
     kill_plan: Dict[int, int] = field(default_factory=dict)
     registry: Optional[MetricsRegistry] = None
     host: str = "127.0.0.1"
@@ -156,23 +166,19 @@ class _Worker:
     process: BaseProcess
     channel: MessageChannel
     log_handle: Any
-    #: Highest heartbeat ``progress`` counter seen — the per-control-
-    #: message liveness deadline resets whenever this advances.
+    #: The ``kill_plan`` round handed to this incarnation, if any.
+    kill_round: Optional[int] = None
+    #: Highest heartbeat ``progress`` counter seen.
     last_progress: int = -1
+    #: Monotonic times the channel last delivered bytes (``heard``) and
+    #: the worker last demonstrably moved (``moved``): a ``done``, an
+    #: advancing progress counter, or a message trickling in.
+    heard: float = 0.0
+    moved: float = 0.0
 
 
 class _WorkerDied(Exception):
     """Internal: a worker stopped answering (recoverable)."""
-
-
-class _PeerDied(Exception):
-    """Internal: a *different* worker is dead — the one currently being
-    awaited is alive but blocked on the dead peer's mesh trains."""
-
-    def __init__(self, worker_id: int, reason: str) -> None:
-        super().__init__(f"worker {worker_id} died: {reason}")
-        self.worker_id = worker_id
-        self.reason = reason
 
 
 def fork_child(
@@ -220,6 +226,18 @@ def _kill_and_wait(process: BaseProcess) -> None:
     process.join(timeout=10)
 
 
+def _exit_status(process: BaseProcess) -> str:
+    """How a worker process ended — ``killed by SIGKILL``, ``exit 1`` —
+    or ``still running`` if it has not within ``_EXIT_GRACE``."""
+    process.join(timeout=_EXIT_GRACE)
+    code = process.exitcode
+    if code is None:
+        return "still running"
+    if code < 0:
+        return f"killed by {signal.Signals(-code).name}"
+    return f"exit {code}"
+
+
 class ClusterSupervisor:
     """Drives one :class:`ClusterJob` across worker processes."""
 
@@ -260,32 +278,34 @@ class ClusterSupervisor:
         # _save_trace_segment).
         self._trace_saved: Dict[int, int] = {}
         self.outputs: Dict[int, Any] = {}
+        #: The next round to charge; ``checkpoint_round`` is the last
+        #: committed barrier (a respawn restores from it).
         self.round_index = 0
         self.checkpoint_round = 0
         self.restarts = 0
         self.workers: Dict[int, _Worker] = {}
-        # Mesh bookkeeping: worker data-plane addresses, halted parties
-        # reported eagerly in done *fields* (the loop's termination
-        # check), and the deferred-done backlog — digests are replayed
-        # into the ledger one round behind, overlapped with the workers
-        # computing the next round.
         self._mesh_addresses: Dict[int, Tuple[str, int]] = {}
-        self._halted: Set[int] = set()
-        self._backlog: List[Tuple[int, int, Message]] = []
-        # Worker id -> the last round dispatched to it: recovery
-        # re-sends an in-flight round only to a worker that was sent it.
-        self._dispatched: Dict[int, int] = {}
+        # round -> worker id -> its done, until the round is complete.
+        self._pending: Dict[int, Dict[int, Message]] = {}
+        # Worker id -> the next round whose done it owes (a lower one is
+        # a respawn replaying what was already accepted), and -> the
+        # round its current incarnation stands at (bounds every trim).
+        self._expected: Dict[int, int] = {}
+        self._position: Dict[int, int] = {}
+        # The kill_plan entries no incarnation has died with yet.
+        self._unspent_kills = dict(self.config.kill_plan)
+        self._round_started = 0.0
         self._listener = None
         self._port: Optional[int] = None
         registry = self.config.registry
         if registry is not None:
             self._rounds_total = registry.counter(
                 "repro_cluster_rounds_total",
-                "Cluster round barriers completed",
+                "Cluster rounds charged from every worker's done",
             )
             self._round_latency = registry.histogram(
                 "repro_cluster_round_latency_seconds",
-                "Wall time per cluster round barrier",
+                "Wall time between consecutive rounds' last done",
             )
             self._restarts_total = registry.counter(
                 "repro_cluster_restarts_total",
@@ -294,7 +314,7 @@ class ClusterSupervisor:
             )
             self._kills_total = registry.counter(
                 "repro_cluster_sigkills_total",
-                "Workers SIGKILLed by the fault-injection plan",
+                "Worker incarnations that died holding a kill-plan entry",
             )
             self._frames_routed = registry.counter(
                 "repro_cluster_frames_routed_total",
@@ -302,7 +322,7 @@ class ClusterSupervisor:
             )
             self._checkpoints_total = registry.counter(
                 "repro_cluster_checkpoints_total",
-                "Durable checkpoint barriers completed",
+                "Durable checkpoint barriers committed",
             )
             self._workers_gauge = registry.gauge(
                 "repro_cluster_workers", "Worker processes in the cluster"
@@ -327,15 +347,12 @@ class ClusterSupervisor:
             self._load_state()
         self._listener, self._port = open_listener(self.config.host)
         try:
-            self._launch_all(
-                list(range(self.config.num_workers)), self.checkpoint_round
-            )
-            self._round_loop()
-            for worker in self.workers.values():
-                try:
-                    worker.channel.send(Message(STOP))
-                except ClusterError:
-                    pass
+            if not self._finished():
+                self._launch_all(
+                    list(range(self.config.num_workers)),
+                    self.checkpoint_round,
+                )
+                self._consume()
             self._save_state(completed=True)
             return ClusterResult(
                 outputs=dict(self.outputs),
@@ -354,6 +371,9 @@ class ClusterSupervisor:
             )
         finally:
             self._teardown()
+
+    def _finished(self) -> bool:
+        return set(self.job.target_ids()) <= set(self.outputs)
 
     # -- worker lifecycle -----------------------------------------------------
 
@@ -381,6 +401,7 @@ class ClusterSupervisor:
             for w in worker_ids
         }
         channels: Dict[int, MessageChannel] = {}
+        kill_rounds: Dict[int, Optional[int]] = {}
         try:
             for _ in worker_ids:
                 # Accept whichever worker dials first; the hello names
@@ -409,21 +430,35 @@ class ClusterSupervisor:
                         f"unexpected hello from worker {worker_id}"
                     )
                 # Control-plane metering: every byte on this channel
-                # (job, round, done, heartbeat, ...) lands in the flow
-                # ledger as a ctl:* cell between INFRA and the worker's
-                # pseudo id — kept out of data-plane totals by kind.
+                # (job, done, heartbeat, ...) lands in the flow ledger
+                # as a ctl:* cell between INFRA and the worker's pseudo
+                # id — kept out of data-plane totals by kind.
                 meter = self._channel_meter(worker_id)
                 channel.set_meter(meter)
                 for direction, kind, num_bytes in buffered:
                     meter(direction, kind, num_bytes)
+                shard = self.shards[worker_id]
+                kill_rounds[worker_id] = min(
+                    (
+                        r for r, w in self._unspent_kills.items()
+                        if w == worker_id and r >= resume_round
+                    ),
+                    default=None,
+                )
                 fields: Dict[str, Any] = {
-                    "shard": self.shards[worker_id],
+                    "shard": shard,
                     "resume_round": resume_round,
                     "checkpoint_dir": str(self.run_dir),
                     "checkpoint_stem": f"shard-{worker_id}",
                     "trace_id": self.trace_id,
                     "shards": self.shards,
                     "mesh_host": self.config.host,
+                    "targets": [
+                        p for p in self.job.target_ids() if p in shard
+                    ],
+                    "max_rounds": self.job.max_rounds,
+                    "checkpoint_interval": self.job.checkpoint_interval,
+                    "kill_round": kill_rounds[worker_id],
                 }
                 channel.send(
                     Message(
@@ -451,13 +486,20 @@ class ClusterSupervisor:
                     str(resumed.fields["mesh_host"]),
                     int(resumed.fields["mesh_port"]),
                 )
+                # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
+                now = time.monotonic()
                 self.workers[worker_id] = _Worker(
                     worker_id=worker_id,
                     shard=self.shards[worker_id],
                     process=processes[worker_id],
                     channel=channels[worker_id],
                     log_handle=logs[worker_id],
+                    kill_round=kill_rounds[worker_id],
+                    heard=now,
+                    moved=now,
                 )
+                self._expected.setdefault(worker_id, resume_round)
+                self._position[worker_id] = resume_round
         except (TimeoutError, ClusterError) as exc:
             for worker_id, process in processes.items():
                 if worker_id in self.workers:
@@ -470,7 +512,14 @@ class ClusterSupervisor:
                 f"worker launch failed: {exc} "
                 f"(see worker-*.log in {self.run_dir})"
             ) from exc
-        self._broadcast_peers()
+        self._broadcast(PEERS, {
+            "addresses": {
+                str(worker_id): [host, port]
+                for worker_id, (host, port) in sorted(
+                    self._mesh_addresses.items()
+                )
+            },
+        })
 
     def _release_inherited(self, logs: Dict[int, Any]) -> None:
         """In a forked worker: drop the supervisor's descriptors.  A
@@ -493,23 +542,15 @@ class ClusterSupervisor:
             self.job.shard_checkpoint(self.shards[worker_id])
         )
 
-    def _broadcast_peers(self) -> None:
-        """Ship the mesh address book to every live worker.
+    def _broadcast(self, kind: str, fields: Dict[str, Any]) -> None:
+        """Send one message to every live worker.
 
         A send failure here is not fatal: the worker is dead or dying,
-        its own await path will notice, and the relaunch rebroadcasts.
+        and its own channel reports that to the consume loop.
         """
-        addresses = {
-            str(worker_id): [host, port]
-            for worker_id, (host, port) in sorted(
-                self._mesh_addresses.items()
-            )
-        }
         for worker_id in sorted(self.workers):
             try:
-                self.workers[worker_id].channel.send(
-                    Message(PEERS, {"addresses": addresses})
-                )
+                self.workers[worker_id].channel.send(Message(kind, fields))
             except ClusterError:
                 pass
 
@@ -532,65 +573,27 @@ class ClusterSupervisor:
 
         return meter
 
-    def _recover(
-        self,
-        worker_id: int,
-        current_round: int,
-        reason: Optional[str] = None,
-    ) -> None:
-        """Restart a dead worker and bring it back to ``current_round``."""
-        while True:
-            self.restarts += 1
-            if self.config.registry is not None:
-                self._restarts_total.inc(worker=str(worker_id))
-            if self.restarts > self.config.max_restarts:
-                detail = f" (last failure: {reason})" if reason else ""
-                raise ClusterError(
-                    f"worker {worker_id} keeps dying: restart budget of "
-                    f"{self.config.max_restarts} exhausted{detail}"
-                )
-            try:
-                self._restart_once(worker_id, current_round)
-                return
-            except _WorkerDied as exc:
-                reason = str(exc)
-                continue
-            except _PeerDied as exc:
-                # A second worker died while this one was replaying.
-                # Recover it first (the budget bounds the cascade),
-                # then restart this one's recovery from scratch.
-                self._recover(
-                    exc.worker_id, current_round, reason=exc.reason
-                )
-                reason = (
-                    f"peer {exc.worker_id} died during recovery replay"
-                )
-                continue
-
-    def _restart_once(self, worker_id: int, current_round: int) -> None:
-        old = self.workers.get(worker_id)
-        if old is not None:
-            self._reap(old)
-        self._launch_all([worker_id], self.checkpoint_round)
+    def _recover(self, worker_id: int, detail: str) -> None:
+        """Reap a dead worker and respawn it at the last committed
+        barrier; the respawn replays forward on its own."""
         worker = self.workers[worker_id]
-        # Replay the rounds between the worker's checkpoint and the
-        # in-flight barrier; its regenerated results (digest, outputs,
-        # trace events) are duplicates of what this supervisor already
-        # processed, so they are discarded wholesale.  The replayed
-        # rounds' inbound frames come from the peers' retained trains
-        # (resent by the link handshake's watermark exchange);
-        # re-emitted outbound trains are deduplicated by the receivers.
-        for replay_round in range(self.checkpoint_round, current_round):
-            worker.channel.send(
-                Message(ROUND, {"round": replay_round, "replay": True})
+        status = _exit_status(worker.process)
+        reason = f"worker {worker_id} {status}: {detail}"
+        self._reap(worker)
+        if worker.kill_round is not None:
+            self._unspent_kills.pop(worker.kill_round, None)
+            if self.config.registry is not None:
+                self._kills_total.inc()
+        self.restarts += 1
+        if self.config.registry is not None:
+            self._restarts_total.inc(worker=str(worker_id))
+        if self.restarts > self.config.max_restarts:
+            raise ClusterError(
+                f"worker {worker_id} keeps dying: restart budget of "
+                f"{self.config.max_restarts} exhausted (last failure: "
+                f"{reason})"
             )
-            self._await(worker, DONE, round_index=replay_round)
-        # Re-send the in-flight round if it was already dispatched;
-        # its (first and only) result is collected by the caller.
-        if self._dispatched.get(worker_id) == current_round:
-            worker.channel.send(
-                Message(ROUND, {"round": current_round, "replay": False})
-            )
+        self._launch_all([worker_id], self.checkpoint_round)
 
     def _reap(self, worker: _Worker) -> None:
         """Make sure a worker is dead, waited for, its handles closed."""
@@ -598,128 +601,148 @@ class ClusterSupervisor:
         worker.channel.close()
         worker.log_handle.close()
 
-    def _sigkill(self, worker_id: int) -> None:
-        """Fault injection: SIGKILL one of our own workers, mid-round."""
-        worker = self.workers.get(worker_id)
-        if worker is None:
-            raise ClusterError(f"kill plan names unknown worker {worker_id}")
-        worker.process.kill()  # already dead — plan still satisfied
-        if self.config.registry is not None:
-            self._kills_total.inc()
+    # -- consuming the fleet's rounds -----------------------------------------
 
-    # -- the round loop -------------------------------------------------------
+    def _consume(self) -> None:
+        """Take every worker's messages until the job's targets halt.
 
-    def _round_loop(self) -> None:
-        targets = set(self.job.target_ids())
-        for _ in range(self.job.max_rounds):
-            if targets <= (set(self.outputs) | self._halted):
-                # The last rounds' digests may still be queued — flush
-                # them so outputs/metrics/trace are complete.
-                self._flush_backlog()
-                return
-            self._step_round()
-        self._flush_backlog()
-        raise ClusterError(
-            f"cluster run did not terminate in {self.job.max_rounds} rounds"
-        )
-
-    def _step_round(self) -> None:
+        One ``select`` over the control channels; every worker is then
+        drained and judged alive, and the dead are recovered after
+        *all* channels were read — so a barrier a survivor announced
+        before the death is committed before the respawn is pinned.
+        """
         # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
-        started = time.monotonic() if self.config.registry else 0.0
-        round_index = self.round_index
-        # Supervisor-side round span, recorded by direct open/close so
-        # it never enters the attribution stack (the digest charges
-        # below must keep their recorded phases, not ours).
-        round_span = self.span_log.open(
-            "supervisor-round",
-            "supervisor-round",
-            0,
-            {"round": round_index},
-        )
-        for worker_id in sorted(self.workers):
-            self._dispatched[worker_id] = round_index
-            try:
-                self.workers[worker_id].channel.send(
-                    Message(ROUND, {"round": round_index, "replay": False})
+        self._round_started = time.monotonic()
+        while not self._finished():
+            if self.round_index >= self.job.max_rounds:
+                raise ClusterError(
+                    f"cluster run did not terminate in "
+                    f"{self.job.max_rounds} rounds"
                 )
-            except ClusterError as exc:
-                self._recover(worker_id, round_index, reason=str(exc))
-        victim = self.config.kill_plan.get(round_index)
-        if victim is not None:
-            self._sigkill(victim)
-        # Deferred bookkeeping: replay the *previous* round's digests
-        # while the workers compute this one — the ledger runs one
-        # round behind the fleet, charge order unchanged.
-        self._flush_backlog()
-        for worker_id in sorted(self.workers):
-            self._collect_done(worker_id, round_index)
-        self.span_log.close(round_span)
-        self.round_index = round_index + 1
-        if self.config.registry is not None:
-            self._rounds_total.inc()
-            # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
-            self._round_latency.observe(time.monotonic() - started)
-        if (
-            self.job.checkpoint_interval > 0
-            and self.round_index % self.job.checkpoint_interval == 0
-        ):
-            self._checkpoint_barrier()
+            select.select(
+                [worker.channel for worker in self.workers.values()],
+                [], [], self.config.heartbeat_interval,
+            )
+            # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
+            now = time.monotonic()
+            dead: List[Tuple[int, str]] = []
+            for worker_id in sorted(self.workers):
+                try:
+                    self._poll(self.workers[worker_id], now)
+                except _WorkerDied as exc:
+                    dead.append((worker_id, str(exc)))
+            for worker_id, detail in dead:
+                if not self._finished():
+                    self._recover(worker_id, detail)
 
-    def _collect_done(self, worker_id: int, round_index: int) -> None:
+    def _poll(self, worker: _Worker, now: float) -> None:
+        """Handle every message the worker's channel holds, then judge
+        its liveness; raises :class:`_WorkerDied`.
+
+        Liveness is judged per worker, not per round: the ``moved``
+        deadline resets whenever the worker demonstrably moves bytes —
+        a ``done``, a heartbeat whose ``progress`` counter advanced, or
+        raw bytes trickling in mid-message (a huge body in transfer).  A
+        slow worker shipping a 2 s train is therefore never conflated
+        with a dead one; only *stalled* progress exhausts
+        ``round_timeout``, and only total silence exhausts
+        ``heartbeat_timeout``.
+        """
+        received = worker.channel.bytes_received
         while True:
-            worker = self.workers[worker_id]
             try:
-                message = self._await(worker, DONE, round_index=round_index)
-            except _WorkerDied as exc:
-                self._recover(worker_id, round_index, reason=str(exc))
-                continue
-            except _PeerDied as exc:
-                # This worker is alive but starved of the dead peer's
-                # trains; recover the peer, then await this one again.
-                self._recover(exc.worker_id, round_index, reason=exc.reason)
-                continue
-            break
-        # Halt reports ride in the cheap json fields so the round loop
-        # can terminate without unpickling the deferred blob.
-        self._halted.update(
-            int(p) for p in message.fields.get("halted", [])
-        )
-        self._backlog.append((round_index, worker_id, message))
+                message = worker.channel.recv(timeout=0)
+            except TimeoutError:
+                break
+            except ClusterError as exc:
+                raise _WorkerDied(str(exc)) from exc
+            if message.kind == HEARTBEAT:
+                reported = int(message.fields.get("progress", -1))
+                if reported > worker.last_progress:
+                    worker.last_progress = reported
+                    worker.moved = now
+            elif message.kind == DONE:
+                worker.moved = now
+                self._on_done(worker.worker_id, message, now)
+            else:
+                raise ClusterError(
+                    f"worker {worker.worker_id} sent {message.kind!r} "
+                    "mid-run"
+                )
+        if worker.channel.bytes_received > received:
+            worker.heard = now
+            if worker.channel.buffered:
+                worker.moved = now  # mid-message trickle is progress
+        if now - worker.heard > self.config.heartbeat_timeout:
+            raise _WorkerDied(
+                f"no heartbeat for {self.config.heartbeat_timeout}s"
+            )
+        if now - worker.moved > self.config.round_timeout:
+            raise _WorkerDied(
+                f"heartbeats but made no progress within "
+                f"{self.config.round_timeout}s"
+            )
 
-    def _flush_backlog(self) -> None:
-        """Replay queued done messages into the ledger, in order.
+    def _on_done(self, worker_id: int, message: Message, now: float) -> None:
+        """File one ``done``; charge every round it completes."""
+        round_index = message.fields.get("round")
+        if type(round_index) is not int:
+            raise ClusterError(f"worker {worker_id} sent a done with no round")
+        self._position[worker_id] = round_index + 1
+        expected = self._expected[worker_id]
+        if round_index < expected:
+            return  # a respawn replaying a round already accepted
+        if round_index > expected:
+            raise ClusterError(
+                f"worker {worker_id} reported round {round_index}, "
+                f"owes round {expected}"
+            )
+        self._expected[worker_id] = round_index + 1
+        self._pending.setdefault(round_index, {})[worker_id] = message
+        while len(self._pending.get(self.round_index, ())) == len(
+            self.shards
+        ):
+            self._charge_round(now)
 
-        The backlog is appended round-ascending, sorted-worker within a
-        round, so every digest row is charged in its sent round, before
-        that round's ``end_round`` — the point at which
+    def _charge_round(self, now: float) -> None:
+        """Replay one complete round's digests into the ledger.
+
+        Sorted-worker within the round, then ``end_round``: every
+        digest row is charged in its sent round, before that round's
+        ``end_round`` — the point at which
         :func:`~repro.runtime.synchronizer.run_parties` charges a send.
         Charges within one round commute, so tallies, per-round bits,
         and flow cells are bit-identical to a single-process run.
         """
-        if not self._backlog:
-            return
-        backlog, self._backlog = self._backlog, []
-        current = backlog[0][0]
-        for round_index, worker_id, message in backlog:
-            if round_index != current:
-                self.metrics.end_round()
-                current = round_index
-            self._process_done(worker_id, message)
+        round_index = self.round_index
+        messages = self._pending.pop(round_index)
+        # Recorded by direct open/close so it never enters the
+        # attribution stack (the digest charges below must keep their
+        # recorded phases, not ours).
+        round_span = self.span_log.open(
+            "supervisor-round", "supervisor-round", 0, {"round": round_index}
+        )
+        for worker_id in sorted(messages):
+            self._process_done(worker_id, messages[worker_id])
         self.metrics.end_round()
+        self.span_log.close(round_span)
+        self.round_index = round_index + 1
+        if self.config.registry is not None:
+            self._rounds_total.inc()
+            self._round_latency.observe(now - self._round_started)
+        self._round_started = now
+        if all(
+            message.fields.get("checkpoint") == self.round_index
+            for message in messages.values()
+        ):
+            self._commit(self.round_index)
 
     def _process_done(self, worker_id: int, message: Message) -> None:
         payload = message.payload() or {}
-        rows = self._validate_digest_rows(payload.get("digest") or [])
+        rows = self._validate_digest_rows(
+            payload.get("digest") or [], self.job.n
+        )
         if rows:
-            parties = range(self.job.n)
-            unknown = [
-                row.recipient for row in rows if row.recipient not in parties
-            ]
-            if unknown:
-                raise ClusterError(
-                    f"worker emitted a frame for unknown party "
-                    f"{min(unknown)}"
-                )
             # The charges run_parties makes, row for row: each frame
             # under the phase its worker stamped on it.
             self.metrics.record_frames(rows, kind="frame")
@@ -735,7 +758,7 @@ class ClusterSupervisor:
             )
 
     @staticmethod
-    def _validate_digest_rows(rows: object) -> List[Frame]:
+    def _validate_digest_rows(rows: object, n: int) -> List[Frame]:
         """Narrow a worker-reported charge digest to chargeable frames.
 
         Digest rows cross the worker pipe, so a compromised or buggy
@@ -763,179 +786,33 @@ class ClusterSupervisor:
                 raise ClusterError(
                     f"mesh digest row claims negative charge {bits}"
                 )
+            if not 0 <= recipient < n:
+                raise ClusterError(
+                    f"worker emitted a frame for unknown party {recipient}"
+                )
             validated.append(
                 Frame(sender, recipient, b"", charge_bits=bits, phase=phase)
             )
         return validated
 
-    def _await(
-        self,
-        worker: _Worker,
-        kind: str,
-        round_index: Optional[int] = None,
-    ) -> Message:
-        """Receive one expected message, tolerating heartbeats.
+    # -- checkpoint barriers ----------------------------------------------------
 
-        Liveness is judged per *control message in flight*, not per
-        round: the ``round_timeout`` deadline resets whenever the
-        worker demonstrably moves bytes — a heartbeat whose
-        ``progress`` counter advanced, or raw channel bytes trickling
-        in across a recv deadline (a huge body mid-transfer).  A slow
-        worker relaying a 2s train is therefore never conflated with a
-        dead one; only *stalled* progress exhausts the deadline.
+    def _commit(self, barrier: int) -> None:
+        """Every worker wrote its checkpoint at ``barrier``: make it the
+        restore point, then let the mesh forget what nobody can need.
 
-        Raises :class:`_WorkerDied` on connection loss, heartbeat
-        silence, or stalled progress past ``round_timeout`` — unless a
-        mesh peer's process is found dead, in which case
-        :class:`_PeerDied` names the actual casualty (this worker is
-        alive, just starved of the dead peer's trains).
+        A worker's retained trains are safe to drop below the barrier
+        *and* below the round any current incarnation stands at — a
+        respawn pinned to an older barrier may still be replaying.
         """
-        # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
-        deadline = time.monotonic() + self.config.round_timeout
-        while True:
-            received_before = worker.channel.bytes_received
-            try:
-                message = worker.channel.recv(
-                    timeout=self.config.heartbeat_timeout
-                )
-            except TimeoutError as exc:
-                if worker.channel.bytes_received > received_before:
-                    # Mid-message trickle: the worker is alive, just
-                    # slow shipping a big body.  Byte growth is
-                    # progress — reset the deadline and keep reading.
-                    # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
-                    deadline = time.monotonic() + self.config.round_timeout
-                    continue
-                raise _WorkerDied(
-                    f"worker {worker.worker_id}: no heartbeat for "
-                    f"{self.config.heartbeat_timeout}s"
-                ) from exc
-            except ClusterError as exc:
-                raise _WorkerDied(
-                    f"worker {worker.worker_id}: {exc}"
-                ) from exc
-            if message.kind == HEARTBEAT:
-                reported = int(message.fields.get("progress", -1))
-                if reported > worker.last_progress:
-                    worker.last_progress = reported
-                    # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
-                    deadline = time.monotonic() + self.config.round_timeout
-                # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
-                if time.monotonic() > deadline:
-                    dead_peer = self._find_dead_peer(
-                        exclude=worker.worker_id
-                    )
-                    if dead_peer is not None:
-                        raise _PeerDied(dead_peer, "process exited")
-                    raise _WorkerDied(
-                        f"worker {worker.worker_id} heartbeats but "
-                        f"made no progress within "
-                        f"{self.config.round_timeout}s"
-                    )
-                continue
-            if message.kind == PEERDOWN:
-                peer = int(message.fields.get("peer", -1))
-                reason = str(message.fields.get("reason", "link down"))
-                other = self.workers.get(peer)
-                if (
-                    peer != worker.worker_id
-                    and other is not None
-                    and not other.process.is_alive()
-                ):
-                    raise _PeerDied(
-                        peer,
-                        f"reported by worker {worker.worker_id}: {reason}",
-                    )
-                # The named peer's process is alive (or already
-                # replaced): a transient drop the mesh redial heals.
-                continue
-            if message.kind != kind:
-                raise ClusterError(
-                    f"worker {worker.worker_id} sent {message.kind!r} "
-                    f"while supervisor awaited {kind!r}"
-                )
-            if (
-                round_index is not None
-                and int(message.fields.get("round", -1)) != round_index
-            ):
-                raise ClusterError(
-                    f"worker {worker.worker_id} answered for round "
-                    f"{message.fields.get('round')}, awaited {round_index}"
-                )
-            return message
-
-    def _find_dead_peer(self, exclude: int) -> Optional[int]:
-        """Return the lowest worker id whose process has exited.
-
-        Used when a *live* worker stalls: the stall is usually
-        starvation — a dead peer never sent its train — and
-        killing the starved worker would be punishing the victim.
-        """
-        for worker_id in sorted(self.workers):
-            if worker_id == exclude:
-                continue
-            if not self.workers[worker_id].process.is_alive():
-                return worker_id
-        return None
-
-    # -- checkpoint barrier ---------------------------------------------------
-
-    def _checkpoint_barrier(self) -> None:
-        barrier = self.round_index
-        # Digest bookkeeping must be current before the durable
-        # snapshot: _save_state pickles metrics/trace/spans.
-        self._flush_backlog()
-        # Workers may drop retained mesh trains strictly below the
-        # *previous* barrier only: a peer recovered from the previous
-        # checkpoint replays from there and still needs those rounds.
-        trim_below = self.checkpoint_round
-        pending = sorted(self.workers)
-        while pending:
-            worker_id = pending.pop(0)
-            need_send = True
-            while True:
-                worker = self.workers[worker_id]
-                if need_send:
-                    try:
-                        worker.channel.send(
-                            Message(
-                                CHECKPOINT,
-                                {"round": barrier, "trim_below": trim_below},
-                            )
-                        )
-                    except ClusterError as exc:
-                        # Send failure: the connection is gone — same
-                        # recovery path as heartbeat silence.
-                        self._recover(worker_id, barrier, reason=str(exc))
-                        continue
-                    need_send = False
-                try:
-                    self._await(worker, CHECKPOINTED, round_index=barrier)
-                except _WorkerDied as exc:
-                    self._recover(worker_id, barrier, reason=str(exc))
-                    # Recovery replaced the channel: the fresh socket
-                    # holds no stale ack, so the request must go again.
-                    need_send = True
-                    continue
-                except _PeerDied as exc:
-                    self._recover(
-                        exc.worker_id, barrier, reason=exc.reason
-                    )
-                    if exc.worker_id not in pending:
-                        # The recovered peer resumed from the previous
-                        # checkpoint and replayed forward; it has no
-                        # checkpoint file at *this* barrier yet, so it
-                        # must receive the CHECKPOINT request again.
-                        pending.append(exc.worker_id)
-                    # Do NOT resend to the current worker: its channel
-                    # survived and its ack may already be buffered.
-                    continue
-                break
         self.checkpoint_round = barrier
-        self._prune_worker_checkpoints(barrier)
         self._save_state(completed=False)
+        self._prune_worker_checkpoints(barrier)
         if self.config.registry is not None:
             self._checkpoints_total.inc()
+        self._broadcast(
+            TRIM, {"below": min(barrier, *self._position.values())}
+        )
 
     def _prune_worker_checkpoints(self, barrier: int) -> None:
         assert self.run_dir is not None
@@ -1043,7 +920,6 @@ class ClusterSupervisor:
         self.checkpoint_round = self.round_index
         self.restarts = int(state["restarts"])
         self.outputs = dict(state["outputs"])
-        self._halted = {int(p) for p in self.outputs}
         self.metrics = state["metrics"]
         self.trace = TraceRecorder()
         for party_id in sorted(state["trace_events"]):
@@ -1085,6 +961,7 @@ class ClusterSupervisor:
     # -- teardown -------------------------------------------------------------
 
     def _teardown(self) -> None:
+        self._broadcast(STOP, {})
         for worker in self.workers.values():
             worker.process.join(timeout=5)  # a stopped worker just exits
             self._reap(worker)

@@ -1,13 +1,13 @@
 """The supervisor⇄worker control channel.
 
-All cluster control traffic — job dispatch, round barriers, heartbeats,
-checkpoint commands, the mesh address book, and the worker's per-round
-results — travels as length-prefixed :class:`Message` records over one
-blocking TCP connection per worker.  Party-to-party traffic never rides
-this channel: workers ship frames to each other over the direct mesh
+All cluster control traffic — job dispatch, the mesh address book,
+heartbeats, retention trims and the worker's per-round results —
+travels as length-prefixed :class:`Message` records over one TCP
+connection per worker.  The supervisor sends no per-round message:
+workers step rounds back to back, synchronised by the mesh alone
 (:mod:`repro.cluster.mesh`, wire format in
-:mod:`repro.cluster.meshwire`) and report only a per-round charge
-digest home inside ``done``.
+:mod:`repro.cluster.meshwire`), and stream a one-way ``done`` home per
+round carrying a charge digest, never a party frame.
 
 Message layout (everything length-prefixed with the transport's 4-byte
 big-endian ``_LENGTH`` prefix or :mod:`repro.utils.serialization`
@@ -38,30 +38,28 @@ kind             dir     meaning
 ``resumed``      w → s   checkpoint loaded; fields: ``next_round``,
                          ``mesh_host``, ``mesh_port`` (the worker's
                          mesh listener)
-``round``        s → w   step one round; fields: ``round``, ``replay``
-``done``         w → s   round finished; fields: ``round``, ``halted``;
-                         blob: pickled ``{"outputs": {...}, "trace":
-                         {...}, "spans": [...], "digest": [(sender,
-                         recipient, bits, phase), ...]}``
-``checkpoint``   s → w   write a checkpoint at the current barrier;
-                         fields: ``round``, ``trim_below`` (retained
-                         mesh trains the worker may now drop)
-``checkpointed`` w → s   ack; fields: ``round``
+``done``         w → s   round finished (one-way); fields: ``round``,
+                         ``trace_id``, and ``checkpoint`` (the barrier)
+                         when the worker wrote its checkpoint after this
+                         round; blob: pickled ``{"outputs": {...},
+                         "trace": {...}, "spans": [...], "digest":
+                         [(sender, recipient, bits, phase), ...]}``
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
                          the supervisor can tell dead from slow)
 ``peers``        s → w   mesh address book; fields: ``addresses``
                          (``{worker_id: [host, port]}``)
-``peerdown``     w → s   a mesh link failed; fields: ``peer``,
-                         ``round``, ``reason``
+``trim``         s → w   a barrier is committed; fields: ``below``
+                         (retained mesh trains the worker may now drop)
 ``stop``         s → w   run over; worker exits 0
 ===============  ======  =======================================================
 
 :class:`MessageChannel` wraps one socket with a send lock (the worker's
 heartbeat thread and main loop share the connection) and a receive
 buffer that survives timeouts: a ``recv`` interrupted by its deadline
-keeps any partial bytes and resumes cleanly on the next call, so the
-supervisor can poll with short deadlines without ever losing framing.
+(``0`` polls) keeps any partial bytes and resumes cleanly on the next
+call, so the supervisor can ``select`` over every worker's channel and
+drain whatever arrived without ever losing framing.
 """
 
 # lint: file-allow[ACC001] reason=control-channel sockets; party traffic is
@@ -92,19 +90,13 @@ _MAX_MESSAGE = 1 << 28
 HELLO = "hello"
 JOB = "job"
 RESUMED = "resumed"
-ROUND = "round"
 DONE = "done"
-CHECKPOINT = "checkpoint"
-CHECKPOINTED = "checkpointed"
 HEARTBEAT = "heartbeat"
 PEERS = "peers"
-PEERDOWN = "peerdown"
+TRIM = "trim"
 STOP = "stop"
 
-KINDS = (
-    HELLO, JOB, RESUMED, ROUND, DONE, CHECKPOINT, CHECKPOINTED,
-    HEARTBEAT, PEERS, PEERDOWN, STOP,
-)
+KINDS = (HELLO, JOB, RESUMED, DONE, HEARTBEAT, PEERS, TRIM, STOP)
 
 #: Control-plane byte meter: ``(direction, kind, num_bytes)`` with
 #: direction ``"send"`` or ``"recv"``.  Installed by the supervisor so
@@ -231,10 +223,11 @@ class MessageChannel:
     def recv(self, timeout: Optional[float] = None) -> Message:
         """Receive one message.
 
-        Blocks up to ``timeout`` seconds (``None`` = forever).  Raises
-        :class:`TimeoutError` when the deadline expires (partial bytes
-        are kept), :class:`ChannelClosed` on clean EOF at a message
-        boundary, and :class:`ClusterError` on a torn or corrupt stream.
+        Blocks up to ``timeout`` seconds (``None`` = forever, ``0`` =
+        only what already arrived).  Raises :class:`TimeoutError` when
+        the deadline expires (partial bytes are kept),
+        :class:`ChannelClosed` on clean EOF at a message boundary, and
+        :class:`ClusterError` on a torn or corrupt stream.
         """
         self._sock.settimeout(timeout)
         while True:
@@ -243,7 +236,7 @@ class MessageChannel:
                 return message
             try:
                 chunk = self._sock.recv(1 << 16)
-            except socket.timeout as exc:
+            except (socket.timeout, BlockingIOError) as exc:
                 raise TimeoutError("control channel recv timed out") from exc
             except OSError as exc:
                 raise ClusterError(
@@ -257,6 +250,15 @@ class MessageChannel:
                 raise ChannelClosed("control channel closed by peer")
             self.bytes_received += len(chunk)
             self._buffer.extend(chunk)
+
+    @property
+    def buffered(self) -> int:
+        """Bytes of a partly received message held for the next recv."""
+        return len(self._buffer)
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so a channel can be ``select``-ed."""
+        return self._sock.fileno()
 
     def set_meter(self, meter: Optional[ChannelMeter]) -> None:
         """Install (or clear) the control-plane byte meter."""

@@ -1,23 +1,32 @@
 """The cluster worker process.
 
-A worker is one OS process owning one shard of the party set.  Its life
-is a small state machine driven entirely by the supervisor over a single
-:class:`~repro.cluster.wire.MessageChannel`:
+A worker is one OS process owning one shard of the party set.  It talks
+to the supervisor over a single
+:class:`~repro.cluster.wire.MessageChannel`, but the supervisor never
+paces it — the mesh is the only round barrier:
 
 1. dial the supervisor, introduce itself (``hello``);
-2. receive its ``job`` (shard assignment + the barrier to resume
-   from), restore the shard from that barrier's checkpoint — the JOB
-   blob itself at round 0, the durable file otherwise — open its mesh
+2. receive its ``job`` (shard assignment, the barrier to resume from,
+   the shard's target parties, the round cap, the checkpoint interval),
+   restore the shard from that barrier's checkpoint — the JOB blob
+   itself at round 0, the durable file otherwise — open its mesh
    listener (:class:`~repro.cluster.mesh.MeshRouter`) and report the
    round it stands at plus the listener address (``resumed``);
-3. loop: on ``round`` step the :class:`~repro.cluster.engine.ShardEngine`
-   over the shard's due staged frames, ship the emitted frames to the
-   peers that own their recipients (one train per peer, empty trains
-   included — they are the round barrier), stage the trains received,
-   and reply ``done`` with a charge digest of the emissions, the shard's
-   halted outputs, and the round's drained trace events; on
-   ``checkpoint`` durably snapshot the shard with its staged frames and
-   ack; on ``peers`` refresh the mesh address book; on ``stop`` exit 0.
+3. run rounds back to back: step the
+   :class:`~repro.cluster.engine.ShardEngine` over the shard's due
+   staged frames, ship the emitted frames to the peers that own their
+   recipients (one train per peer, empty trains included — they are the
+   round barrier — each flagged "every target in my shard has halted"),
+   wait for every peer's train, stage what arrived, write the shard's
+   checkpoint if the round closes a barrier, and stream a one-way
+   ``done`` home with a charge digest of the emissions, the shard's
+   halted outputs and the round's drained trace events and spans;
+4. stop stepping once every train of a round (its own included) says
+   halted, or at the job's round cap — every worker reads the same
+   flags, so all stop at the same round — and wait for ``stop``.
+
+``peers`` (refresh the mesh address book) and ``trim`` (drop retained
+trains below a committed barrier) are applied whenever they arrive.
 
 A daemon heartbeat thread shares the channel (sends are locked) and
 beacons ``heartbeat`` on a fixed interval so the supervisor can tell a
@@ -27,8 +36,10 @@ so sharding cannot double-charge the paper's headline metric.
 
 The worker is deliberately crash-naked: any unexpected exception
 escapes, the process dies nonzero, and the supervisor's recovery path —
-restart, resume from checkpoint, replay the logged rounds — is the only
-error handling.  That is what makes SIGKILL fault injection honest.
+restart from the last committed barrier and let the respawn replay
+forward — is the only error handling.  That is what makes SIGKILL fault
+injection honest: a job's ``kill_round`` has the worker SIGKILL itself
+mid-round, after stepping and before its trains ship.
 """
 
 # lint: file-allow[ACC001] reason=channel.send ships control replies; the
@@ -36,6 +47,8 @@ error handling.  That is what makes SIGKILL fault injection honest.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -48,17 +61,14 @@ from repro.cluster.checkpoint import (
 from repro.cluster.engine import ShardEngine
 from repro.cluster.mesh import MeshRouter
 from repro.cluster.wire import (
-    CHECKPOINT,
-    CHECKPOINTED,
     DONE,
     HEARTBEAT,
     HELLO,
     JOB,
-    PEERDOWN,
     PEERS,
     RESUMED,
-    ROUND,
     STOP,
+    TRIM,
     ChannelClosed,
     Message,
     MessageChannel,
@@ -127,30 +137,34 @@ def worker_main(
             raise ClusterError(
                 f"worker {worker_id} expected a job, got {job_msg.kind!r}"
             )
-        shard = list(job_msg.fields["shard"])
-        resume_round = int(job_msg.fields.get("resume_round", 0))
-        checkpoint_dir = Path(job_msg.fields["checkpoint_dir"])
-        checkpoint_stem = str(job_msg.fields["checkpoint_stem"])
+        job = job_msg.fields
+        shard = list(job["shard"])
+        checkpoint_dir = Path(job["checkpoint_dir"])
+        checkpoint_stem = str(job["checkpoint_stem"])
         # Cross-process trace propagation: the supervisor mints one
         # trace id per run and stamps it on the job; every done reply
         # echoes it so any hop of the conversation can be correlated.
-        trace_id = str(job_msg.fields.get("trace_id", ""))
+        trace_id = str(job.get("trace_id", ""))
+        targets = {int(p) for p in job["targets"]}
+        max_rounds = int(job["max_rounds"])
+        interval = int(job["checkpoint_interval"])
+        kill_round = job.get("kill_round")
 
         trace = TraceRecorder()
         span_log = SpanLog()
         engine, staged = _build_engine(
-            job_msg.blob, shard, resume_round, checkpoint_dir,
-            checkpoint_stem, trace,
+            job_msg.blob, shard, int(job.get("resume_round", 0)),
+            checkpoint_dir, checkpoint_stem, trace,
         )
 
-        shards = [[int(p) for p in s] for s in job_msg.fields["shards"]]
+        shards = [[int(p) for p in s] for s in job["shards"]]
         owner = {p: w for w, s in enumerate(shards) for p in s}
         peers = sorted(
             w for w, s in enumerate(shards) if s and w != worker_id
         )
         router = MeshRouter(
             worker_id,
-            host=str(job_msg.fields.get("mesh_host", host)),
+            host=str(job.get("mesh_host", host)),
             first_round=engine.next_round,
         )
         channel.send(
@@ -174,41 +188,29 @@ def worker_main(
         heartbeat = _Heartbeat(channel, heartbeat_interval, progress)
         heartbeat.start()
 
-        while True:
-            message = channel.recv()
+        def control(message: Message) -> bool:
+            """Apply one supervisor message; ``False`` means stop."""
             if message.kind == STOP:
-                return 0
+                return False
             if message.kind == PEERS:
                 router.update_peers(
                     _decode_addresses(message.fields["addresses"])
                 )
-                continue
-            if message.kind == CHECKPOINT:
-                # The checkpoint name is versioned by barrier round so
-                # the supervisor can pin a resume to its last fully-
-                # acknowledged barrier even if this worker raced ahead.
-                # The worker owns its own staging, so the in-flight
-                # frames ride in the checkpoint (sorted for
-                # deterministic bytes).
-                barrier = int(message.fields["round"])
-                save_checkpoint(
-                    checkpoint_dir,
-                    checkpoint_name(checkpoint_stem, barrier),
-                    engine.snapshot(
-                        staged=sorted(
-                            staged,
-                            key=lambda f: (f.deliver_round, f.sender, f.seq),
-                        )
-                    ),
-                )
-                router.trim(int(message.fields.get("trim_below", 0)))
-                channel.send(Message(CHECKPOINTED, {"round": barrier}))
-                continue
-            if message.kind != ROUND:
+            elif message.kind == TRIM:
+                router.trim(int(message.fields["below"]))
+            else:
                 raise ClusterError(
                     f"worker {worker_id} cannot handle {message.kind!r}"
                 )
-            round_index = int(message.fields["round"])
+            return True
+
+        # The address book follows the launch at once: take it before
+        # the first round, so no train waits on the poll below.
+        if not control(channel.recv()):
+            return 0
+        finished = False
+        while not finished and engine.next_round < max_rounds:
+            round_index = engine.next_round
             due = [f for f in staged if f.deliver_round <= round_index]
             staged = [f for f in staged if f.deliver_round > round_index]
             round_span = span_log.open(
@@ -221,6 +223,9 @@ def worker_main(
             span_log.close(round_span)
             span_digest = [span_to_wire(r) for r in span_log.records]
             span_log.records.clear()
+            if round_index == kill_round:
+                os.kill(os.getpid(), signal.SIGKILL)
+            finished = targets <= set(engine.outputs())
             # Route frames peer-to-peer; ship a metrics digest home
             # instead of the frames themselves.
             digest: List[Tuple[int, int, int, str]] = []
@@ -242,45 +247,42 @@ def worker_main(
             # An empty train is still sent: it is the peer's evidence
             # this worker finished the round (the mesh round barrier).
             for peer in peers:
-                router.send_train(peer, round_index, trains[peer])
-            while peers:
-                if router.wait_round(round_index, peers, timeout=0.05):
-                    break
-                for failure in router.drain_failures():
-                    channel.send(
-                        Message(
-                            PEERDOWN,
-                            {
-                                "peer": failure.peer,
-                                "round": round_index,
-                                "reason": failure.reason,
-                            },
-                        )
-                    )
+                router.send_train(peer, round_index, trains[peer], finished)
+            while peers and not router.wait_round(
+                round_index, peers, timeout=0.05
+            ):
                 try:
-                    extra = channel.recv(timeout=0.001)
+                    message = channel.recv(timeout=0)
                 except TimeoutError:
                     continue
-                if extra.kind == PEERS:
-                    router.update_peers(
-                        _decode_addresses(extra.fields["addresses"])
-                    )
-                    continue
-                raise ClusterError(
-                    f"worker {worker_id} got {extra.kind!r} while "
-                    f"awaiting round {round_index} trains"
-                )
+                if not control(message):
+                    return 0
             if peers:
-                staged.extend(router.collect_round(round_index, peers))
+                arrived, peers_halted = router.collect_round(
+                    round_index, peers
+                )
+                staged.extend(arrived)
+                finished = finished and peers_halted
+            fields = {"round": round_index, "trace_id": trace_id}
+            barrier = round_index + 1
+            if interval and barrier % interval == 0:
+                # Named by barrier round; the staged frames ride along
+                # (sorted for deterministic bytes).
+                save_checkpoint(
+                    checkpoint_dir,
+                    checkpoint_name(checkpoint_stem, barrier),
+                    engine.snapshot(
+                        staged=sorted(
+                            staged,
+                            key=lambda f: (f.deliver_round, f.sender, f.seq),
+                        )
+                    ),
+                )
+                fields["checkpoint"] = barrier
             channel.send(
                 Message(
                     DONE,
-                    {
-                        "round": round_index,
-                        "replay": bool(message.fields.get("replay", False)),
-                        "trace_id": trace_id,
-                        "halted": engine.halted_ids(),
-                    },
+                    fields,
                     blob=Message.pack_payload(
                         {
                             "outputs": engine.outputs(),
@@ -291,6 +293,9 @@ def worker_main(
                     ),
                 )
             )
+        while control(channel.recv()):
+            pass
+        return 0
     except ChannelClosed:
         # Supervisor vanished without a STOP: die loudly so an attached
         # terminal sees a nonzero exit, but don't traceback.
@@ -327,7 +332,7 @@ def _build_engine(
     """Restore the shard from the checkpoint at barrier ``resume_round``.
 
     Round 0's checkpoint is the JOB blob; a positive value names the
-    barrier the supervisor knows every shard has durably reached, so the
+    barrier the supervisor committed (every shard announced it), so the
     file must exist.  Returns the engine plus the checkpoint's staged
     frames (the worker's own in-flight traffic at that barrier).
     """

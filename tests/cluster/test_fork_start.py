@@ -25,6 +25,7 @@ from repro.cluster.job import replay_job
 from repro.cluster.supervisor import (
     ClusterConfig,
     ClusterSupervisor,
+    _exit_status,
     fork_child,
 )
 from repro.cluster.wire import open_listener
@@ -138,6 +139,23 @@ class TestForkChild:
         logged = log_path.read_text()
         assert "RuntimeError: shard exploded" in logged
         assert "Process boom:" in logged
+
+    def test_exit_status_names_the_signal_or_the_code(self, tmp_path):
+        def kill_self():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        with (tmp_path / "child.log").open("ab") as log:
+            killed = fork_child("killed", log, lambda: None, kill_self)
+            exited = fork_child("exited", log, lambda: None, lambda: 3)
+            sleeper = fork_child(
+                "sleeper", log, lambda: None, lambda: time.sleep(30)
+            )
+        assert _exit_status(sleeper) == "still running"
+        sleeper.kill()
+        statuses = [_exit_status(p) for p in (killed, exited, sleeper)]
+        assert statuses == ["killed by SIGKILL", "exit 3", "killed by SIGKILL"]
+        for process in (killed, exited, sleeper):
+            _join(process)
 
     def test_child_leaves_through_os_exit(self, tmp_path):
         """No inherited ``atexit`` hook or ``finally`` of the parent's
@@ -272,7 +290,7 @@ class TestWorkersHoldNoSupervisorDescriptor:
         supervisor._listener, supervisor._port = open_listener()
         try:
             supervisor._launch_all([0, 1], 0)
-            supervisor._restart_once(1, 0)
+            supervisor._recover(1, "respawned by the test")
             first, respawn = (supervisor.workers[w].process for w in (0, 1))
             os.kill(respawn.pid, signal.SIGSTOP)
             supervisor._listener.close()
@@ -293,8 +311,8 @@ class TestWorkersHoldNoSupervisorDescriptor:
 class _DiesAtItsSecondBarrier(ClusterSupervisor):
     """A supervisor that is SIGKILLed right after a durable barrier."""
 
-    def _checkpoint_barrier(self):
-        super()._checkpoint_barrier()
+    def _commit(self, barrier):
+        super()._commit(barrier)
         if self.checkpoint_round >= 4:
             pids = [w.process.pid for w in self.workers.values()]
             (self.run_dir / "worker-pids.json").write_text(json.dumps(pids))

@@ -6,16 +6,17 @@ Three layers of failure tolerance under test:
   link redials, the handshake's watermark exchange resends retained
   trains, and send-seq dedup means a frame is *delivered once* no
   matter how many times the link tears (in-process, no subprocesses);
-* the supervisor's per-control-message liveness judgment — a worker
-  slowly trickling a huge body past ``round_timeout`` is NOT declared
-  dead (the regression for the bug where "slow relaying a big train"
-  was conflated with "dead"), while a worker whose progress genuinely
-  stalls still is;
+* the supervisor's per-worker liveness judgment — a worker slowly
+  trickling a huge body past ``round_timeout`` is NOT declared dead
+  (the regression for the bug where "slow relaying a big train" was
+  conflated with "dead"), while a worker whose progress genuinely
+  stalls still is (simulated clock, no process);
 * whole-process faults on the mesh data plane (``cluster`` marker) —
-  SIGKILL mid-round respawns, re-handshakes, resumes from the durable
-  checkpoint and still charges bit-identical ledgers (no double-charged
-  bits across the replayed rounds), and an exhausted restart budget
-  exits loudly carrying the last failure reason.
+  a worker SIGKILLed mid-round respawns, re-handshakes, resumes from the
+  last committed barrier and still charges bit-identical ledgers (no
+  double-charged bits across the replayed rounds), and an exhausted
+  restart budget exits loudly naming the last failure and how the
+  worker died.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ import pytest
 
 from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
-from repro.cluster.mesh import LinkFailure, MeshRouter
+from repro.cluster.mesh import MeshRouter
 from repro.cluster.supervisor import (
     ClusterConfig,
     ClusterSupervisor,
     _Worker,
     _WorkerDied,
 )
-from repro.cluster.wire import DONE, HEARTBEAT, Message
+from repro.cluster.wire import HEARTBEAT, Message
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
@@ -111,7 +112,10 @@ class TestLinkFaults:
             sent = _frames(0, b"hello")
             a.send_train(1, 0, sent)
             assert b.wait_round(0, [0], timeout=5.0)
-            assert b.collect_round(0, [0]) == sent
+            assert b.collect_round(0, [0]) == (sent, False)
+            a.send_train(1, 1, [], halted=True)
+            assert b.wait_round(1, [0], timeout=5.0)
+            assert b.collect_round(1, [0]) == ([], True)
         finally:
             a.close()
             b.close()
@@ -123,11 +127,11 @@ class TestLinkFaults:
         b = MeshRouter(1)
         try:
             sent = _frames(0, b"early")
-            a.send_train(1, 0, sent)  # no link yet: retained only
+            a.send_train(1, 0, sent, halted=True)  # no link: retained only
             a.update_peers({1: b.address})
             b.update_peers({0: a.address})
             assert b.wait_round(0, [0], timeout=5.0)
-            assert b.collect_round(0, [0]) == sent
+            assert b.collect_round(0, [0]) == (sent, True)
         finally:
             a.close()
             b.close()
@@ -141,7 +145,7 @@ class TestLinkFaults:
             first = _frames(0, b"round-zero")
             a.send_train(1, 0, first)
             assert b.wait_round(0, [0], timeout=5.0)
-            assert b.collect_round(0, [0]) == first
+            assert b.collect_round(0, [0]) == (first, False)
 
             # Tear the link out from under the dialer's receiver.
             b._links[0].sock.close()
@@ -153,13 +157,13 @@ class TestLinkFaults:
             # Redial + retained-train replay must deliver it exactly
             # once despite any duplicate resend racing the original.
             assert b.wait_round(1, [0], timeout=5.0)
-            assert b.collect_round(1, [0]) == second
+            assert b.collect_round(1, [0]) == (second, False)
 
             # The next round flows over the healed link normally.
             third = _frames(2, b"round-two")
             a.send_train(1, 2, third)
             assert b.wait_round(2, [0], timeout=5.0)
-            assert b.collect_round(2, [0]) == third
+            assert b.collect_round(2, [0]) == (third, False)
             assert a.progress() > 0 and b.progress() > 0
         finally:
             a.close()
@@ -174,7 +178,7 @@ class TestLinkFaults:
                 sent = _frames(round_index, b"r%d" % round_index)
                 a.send_train(1, round_index, sent)
                 assert b.wait_round(round_index, [0], timeout=5.0)
-                assert b.collect_round(round_index, [0]) == sent
+                assert b.collect_round(round_index, [0]) == (sent, False)
         finally:
             a.close()
             b.close()
@@ -195,9 +199,6 @@ class TestLinkFaults:
             assert _wait_for(lambda: _dialers(b))  # refused; backing off
             b.close()
             assert _wait_for(lambda: not _dialers(b)), "slept through close()"
-            assert b.drain_failures() == [
-                LinkFailure(peer=0, reason="connection lost")
-            ]
             late = MeshRouter(2)
             late.close()
             late.update_peers({0: a.address, 1: b.address})
@@ -220,79 +221,128 @@ class TestLinkFaults:
             b.close()
 
 
-# -- the per-control-message liveness judgment (unit, tier-1) -----------------
+# -- the per-worker liveness judgment (unit, tier-1) -------------------------
 
 
 class _ScriptedChannel:
-    """A stand-in control channel replaying a recv script.
+    """A stand-in control channel: each poll delivers one list of
+    events, then its recv deadline.  ``("partial", nbytes)`` is part of
+    a huge body arriving (the poll ends there); ``("msg", message)``
+    is one whole message."""
 
-    Events: ``("trickle", sleep, nbytes)`` — sleep, grow the byte
-    counter, raise TimeoutError (a huge body arriving slowly);
-    ``("beat", sleep, progress)`` — sleep, deliver a heartbeat;
-    ``("msg", message)`` — deliver a message.
-    """
-
-    def __init__(self, events):
-        self._events = list(events)
+    def __init__(self):
         self.bytes_received = 0
+        self.buffered = 0
+        self._events = []
+
+    def feed(self, events):
+        self._events = list(events)
 
     def recv(self, timeout):
-        assert self._events, "recv past the end of the script"
-        event = self._events.pop(0)
-        if event[0] == "trickle":
-            time.sleep(event[1])
-            self.bytes_received += event[2]
+        assert timeout == 0
+        if not self._events:
             raise TimeoutError("recv deadline")
-        if event[0] == "beat":
-            time.sleep(event[1])
-            return Message(HEARTBEAT, {"progress": event[2]})
-        return event[1]
+        kind, value = self._events.pop(0)
+        if kind == "partial":
+            self.bytes_received += value
+            self.buffered += value
+            self._events = []
+            raise TimeoutError("recv deadline")
+        self.bytes_received += 64
+        self.buffered = 0
+        return value
 
 
-def _await_harness(events, *, round_timeout=0.25, heartbeat_timeout=5.0):
+def _poll_harness(timeline, *, round_timeout=0.25, heartbeat_timeout=5.0):
+    """Poll one scripted worker at each ``(now, events)`` of a simulated
+    clock; returns the worker handle."""
     supervisor = ClusterSupervisor(
-        ClusterJob("await", 4, [SilentParty(i) for i in range(4)]),
+        ClusterJob("poll", 4, [SilentParty(i) for i in range(4)]),
         ClusterConfig(
             num_workers=2,
             round_timeout=round_timeout,
             heartbeat_timeout=heartbeat_timeout,
         ),
     )
+    channel = _ScriptedChannel()
     worker = _Worker(
-        worker_id=0, shard=[0, 1], process=None, channel=_ScriptedChannel(events),
-        log_handle=None,
+        worker_id=0, shard=[0, 1], process=None, channel=channel,
+        log_handle=None, heard=0.0, moved=0.0,
     )
-    return supervisor._await(worker, DONE, round_index=7)
+    for now, events in timeline:
+        channel.feed(events)
+        supervisor._poll(worker, now)
+    return worker
+
+
+def _beat(progress):
+    return ("msg", Message(HEARTBEAT, {"progress": progress}))
 
 
 class TestSlowTrainIsNotDead:
     def test_trickling_body_outlives_round_timeout(self):
-        """The satellite bugfix: ~2s of slow train (byte growth across
-        recv deadlines) far past ``round_timeout=0.25`` must NOT be
-        declared dead — liveness is per control message, reset by
-        demonstrable byte progress."""
-        events = [("trickle", 0.1, 4096)] * 8  # ~0.8s of slow body
-        events.append(("msg", Message(DONE, {"round": 7})))
-        message = _await_harness(events, round_timeout=0.25)
-        assert message.kind == DONE
+        """~0.8 s of slow body (byte growth across recv deadlines) far
+        past ``round_timeout=0.25`` must NOT be declared dead — liveness
+        is reset by demonstrable byte progress."""
+        timeline = [(0.1 * k, [("partial", 4096)]) for k in range(1, 9)]
+        worker = _poll_harness(timeline, round_timeout=0.25)
+        assert worker.moved == worker.heard == timeline[-1][0]
 
     def test_advancing_progress_heartbeats_keep_worker_alive(self):
-        events = [("beat", 0.1, tick) for tick in range(8)]
-        events.append(("msg", Message(DONE, {"round": 7})))
-        message = _await_harness(events, round_timeout=0.25)
-        assert message.kind == DONE
+        timeline = [(0.1 * k, [_beat(k)]) for k in range(1, 9)]
+        worker = _poll_harness(timeline, round_timeout=0.25)
+        assert worker.last_progress == 8
 
     def test_stalled_progress_still_dies(self):
         """Heartbeats whose progress counter never advances exhaust the
         round deadline: a livelocked worker is still a dead worker."""
-        events = [("beat", 0.1, 5)] * 30
+        timeline = [(0.1 * k, [_beat(5)]) for k in range(1, 30)]
         with pytest.raises(_WorkerDied, match="no progress"):
-            _await_harness(events, round_timeout=0.25)
+            _poll_harness(timeline, round_timeout=0.25)
 
     def test_total_silence_still_dies(self):
-        events = [("trickle", 0.05, 0)]  # timeout with zero byte growth
         with pytest.raises(_WorkerDied, match="no heartbeat"):
-            _await_harness(events, round_timeout=5.0)
+            _poll_harness([(5.5, [])], round_timeout=60.0)
+
+
+# -- a hostile charge digest (unit, tier-1) ----------------------------------
+
+
+class TestDigestRowsAreValidated:
+    """A worker's digest crosses a process boundary: every row is
+    checked before a charge lands, and each bad shape is a
+    ``ClusterError`` — never a silently mis-charged ledger."""
+
+    validate = staticmethod(ClusterSupervisor._validate_digest_rows)
+
+    def test_good_rows_become_chargeable_frames(self):
+        (frame,) = self.validate([(0, 3, 17, "vote")], 4)
+        assert (frame.sender, frame.recipient, frame.bits(), frame.phase) == (
+            0, 3, 17, "vote"
+        )
+        assert self.validate((), 4) == []
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ({"not": "rows"}, "not a row sequence"),
+            (b"\x00\x01", "not a row sequence"),
+            ([(0, 1, 8)], "malformed"),
+            ([(0, 1, 8, "p", "extra")], "malformed"),
+            ([17], "malformed"),
+            ([(True, 1, 8, "p")], "malformed"),
+            ([(0, False, 8, "p")], "malformed"),
+            ([(0, 1, True, "p")], "malformed"),
+            ([(0, 1, -1, "p")], "negative charge"),
+            ([(0, 1, 8, None)], "malformed"),
+            ([(0, 1, 8, b"p")], "malformed"),
+            ([(0, 4, 8, "p")], "unknown party 4"),
+            ([(0, -1, 8, "p")], "unknown party -1"),
+        ],
+    )
+    def test_bad_rows_are_refused(self, rows, match):
+        with pytest.raises(ClusterError, match=match):
+            self.validate(rows, 4)
 
 
 # -- whole-process mesh faults (cluster marker) -------------------------------
@@ -362,6 +412,22 @@ class TestMeshProcessFaults:
         result, cluster = _mesh_run(16, kill_plan={2: 0, 5: 1})
         assert cluster.restarts == 2
         assert result.outputs == _reference(16)[0].outputs
+
+    def test_a_dead_worker_names_how_it_died(self):
+        """The budget error says *how* the worker went, not just that
+        its channel closed: here the signal the kill plan sent."""
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(16)}, (3,)
+        )
+        row = mesh(config=ClusterConfig(
+            num_workers=2, kill_plan={2: 1}, max_restarts=0,
+        ))
+        with pytest.raises(
+            ClusterError,
+            match=r"restart budget of 0 exhausted \(last failure: worker 1 "
+                  r"killed by SIGKILL: control channel closed",
+        ):
+            row.run(parties, honest, max_rounds)
 
     def test_restart_budget_exhaustion_exits_loudly(self, tmp_path):
         with pytest.raises(

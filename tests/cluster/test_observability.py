@@ -7,6 +7,7 @@ marker (CI's dedicated job runs them; tier-1 skips them).
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,8 @@ from repro.obs.flow import INFRA, FlowLedger
 from repro.obs.merge import cluster_tracks, dump_span_dir, export_merged_trace
 from repro.obs.timeline import validate_trace_events
 from repro.params import ProtocolParameters
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.placements import mesh
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
@@ -54,7 +57,10 @@ class TestFlowThroughCluster:
         assert "frame" in kinds and "hybrid" in kinds
         # Control traffic is metered on ctl:* kinds, off the data plane.
         ctl = {k for k in kinds if k.startswith("ctl:")}
-        assert {"ctl:hello", "ctl:job", "ctl:round", "ctl:done"} <= ctl
+        assert {"ctl:hello", "ctl:job", "ctl:done", "ctl:stop"} <= ctl
+        # No per-round pacing: the supervisor only listens between the
+        # job and the stop (plus one trim per committed barrier).
+        assert not {"ctl:round", "ctl:checkpoint", "ctl:checkpointed"} & ctl
         assert flow.control_bits > 0
         # Control endpoints are pseudo ids, never real parties.
         assert INFRA not in flow.party_bits()
@@ -66,6 +72,44 @@ class TestFlowThroughCluster:
         _run(flow=flow)
         by_phase = flow.by_phase()
         assert max(by_phase, key=by_phase.get) == "srds-aggregate"
+
+
+class TestControlPlaneShape:
+    """The supervisor paces nothing: a fault-free job hears from it a
+    job, a peers book, one trim per committed barrier and a stop per
+    worker — however many rounds the job runs."""
+
+    @staticmethod
+    def _sent(n, interval):
+        flow = FlowLedger()
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(n)}, (n - 1,)
+        )
+        result = mesh(
+            checkpoint_interval=interval,
+            config=ClusterConfig(num_workers=WORKERS, flow=flow),
+        ).run(parties, honest, max_rounds)
+        sent = Counter()
+        for cell in flow.cells():
+            if cell.kind.startswith("ctl:") and cell.src == INFRA:
+                sent[cell.kind] += cell.frames
+        flow.close()
+        return result.rounds, dict(sent)
+
+    def test_no_message_per_round(self):
+        lifecycle = {"ctl:job": WORKERS, "ctl:peers": WORKERS,
+                     "ctl:stop": WORKERS}
+        short_rounds, short = self._sent(8, interval=0)
+        long_rounds, long = self._sent(16, interval=0)
+        assert short_rounds < long_rounds
+        assert short == long == lifecycle
+
+    def test_one_trim_per_committed_barrier(self):
+        rounds, sent = self._sent(16, interval=4)
+        assert rounds // 4 >= 2
+        assert sent.pop("ctl:trim") == WORKERS * (rounds // 4)
+        assert sent == {"ctl:job": WORKERS, "ctl:peers": WORKERS,
+                        "ctl:stop": WORKERS}
 
 
 class TestTracePropagation:

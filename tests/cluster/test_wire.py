@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.meshwire import (
+    _CHUNK,
     KIND_HELLO,
     KIND_TRAIN,
     MESH_CHUNK_BYTES,
     MESH_MAGIC,
+    MESH_VERSION,
     TrainAssembler,
     decode_chunk,
     encode_hello,
@@ -23,7 +25,7 @@ from repro.cluster.wire import (
     DONE,
     HEARTBEAT,
     KINDS,
-    ROUND,
+    TRIM,
     ChannelClosed,
     Message,
     MessageChannel,
@@ -37,7 +39,7 @@ from repro.errors import (
 )
 from repro.net.party import Frame
 from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
-from repro.utils.serialization import encode_sequence
+from repro.utils.serialization import encode_bytes, encode_sequence
 from tests.strategies import bit_flips, truncations
 
 json_fields = st.dictionaries(
@@ -73,6 +75,26 @@ def test_unknown_kind_rejected_on_encode():
         Message("gremlin").encode()
 
 
+def test_the_supervisor_has_no_per_round_message():
+    """Workers step on the mesh alone: the control kinds that paced or
+    checkpointed a round are gone, and a peer still speaking them is
+    refused."""
+    assert {"round", "checkpoint", "checkpointed", "peerdown"}.isdisjoint(
+        KINDS
+    )
+    for kind in ("round", "checkpoint", "checkpointed"):
+        header = b'{"kind":"%s","round":3}' % kind.encode()
+        body = encode_bytes(header) + encode_bytes(b"")
+        with pytest.raises(ClusterError, match="unknown control message"):
+            Message.decode(body)
+
+
+@given(st.integers(min_value=0, max_value=1 << 31))
+def test_trim_round_trip(below):
+    message = Message(TRIM, {"below": below})
+    assert Message.decode(message.encode()[_LENGTH.size:]) == message
+
+
 def test_corrupt_body_rejected():
     with pytest.raises(ClusterError):
         Message.decode(b"\x07garbage-that-is-not-a-message")
@@ -81,7 +103,7 @@ def test_corrupt_body_rejected():
 def test_old_format_body_with_a_frames_segment_is_rejected():
     """A format-1 record carried ``seq frame_encodings`` after the blob
     (an empty sequence is one count byte); the decoder refuses it."""
-    body = Message(ROUND, {"round": 3}).encode()[_LENGTH.size:]
+    body = Message(DONE, {"round": 3}).encode()[_LENGTH.size:]
     assert Message.decode(body).fields == {"round": 3}
     with pytest.raises(ClusterError, match="trailing bytes"):
         Message.decode(body + encode_sequence([]))
@@ -103,10 +125,10 @@ class TestMessageChannel:
     def test_send_recv(self):
         left, right = _channel_pair()
         try:
-            left.send(Message(ROUND, {"round": 3}, blob=b"x"))
+            left.send(Message(TRIM, {"below": 3}, blob=b"x"))
             got = right.recv(timeout=5.0)
-            assert got.kind == ROUND
-            assert got.fields == {"round": 3}
+            assert got.kind == TRIM
+            assert got.fields == {"below": 3}
             assert got.blob == b"x"
         finally:
             left.close()
@@ -123,6 +145,26 @@ class TestMessageChannel:
                 right.recv(timeout=0.05)
             left._sock.sendall(data[3:])
             assert right.recv(timeout=5.0).kind == HEARTBEAT
+        finally:
+            left.close()
+            right.close()
+
+    def test_zero_timeout_polls_and_keeps_partial_bytes(self):
+        """The supervisor's drain: ``recv(timeout=0)`` returns what
+        already arrived and raises ``TimeoutError`` otherwise, holding
+        a partial message in ``buffered`` for the next call."""
+        left, right = _channel_pair()
+        try:
+            with pytest.raises(TimeoutError):
+                right.recv(timeout=0)
+            data = Message(TRIM, {"below": 4}).encode()
+            left._sock.sendall(data[:5])
+            with pytest.raises(TimeoutError):
+                right.recv(timeout=0)
+            assert right.buffered == 5
+            left._sock.sendall(data[5:])
+            assert right.recv(timeout=0).fields == {"below": 4}
+            assert right.buffered == 0
         finally:
             left.close()
             right.close()
@@ -145,8 +187,8 @@ class TestMessageChannel:
             inherited.release()  # idempotent
             with pytest.raises(ClusterError, match="closed control channel"):
                 inherited.send(Message(HEARTBEAT))
-            left.send(Message(ROUND, {"round": 1}))
-            assert right.recv(timeout=5.0).fields == {"round": 1}
+            left.send(Message(TRIM, {"below": 1}))
+            assert right.recv(timeout=5.0).fields == {"below": 1}
 
             MessageChannel(left._sock.dup()).close()
             with pytest.raises(ChannelClosed):
@@ -269,7 +311,8 @@ coords = st.tuples(
 
 
 def _assemble(records, assembler=None):
-    """Feed chunk records to an assembler; return the completed bodies."""
+    """Feed chunk records to an assembler; return the completed
+    ``(round, body, halted)`` trains."""
     assembler = assembler or TrainAssembler()
     completed = []
     for record in records:
@@ -327,8 +370,17 @@ class TestChunkCodec:
         records = split_train(3, 5, round_index, train_seq, body,
                               chunk_bytes=chunk_bytes)
         completed = _assemble(records)
-        assert completed == [(round_index, body)]
+        assert completed == [(round_index, body, False)]
         assert decode_train_body(completed[0][1]) == train
+
+    @given(trains, coords, st.booleans())
+    def test_halted_flag_rides_every_chunk(self, train, coordinates, halted):
+        round_index, train_seq, chunk_bytes = coordinates
+        body = encode_train_body(train)
+        records = split_train(3, 5, round_index, train_seq, body, halted,
+                              chunk_bytes=chunk_bytes)
+        assert all(decode_chunk(r).halted is halted for r in records)
+        assert _assemble(records) == [(round_index, body, halted)]
 
     @given(trains, coords, st.randoms(use_true_random=False))
     def test_reorder_and_duplicate_tolerated(self, train, coordinates, rng):
@@ -339,12 +391,12 @@ class TestChunkCodec:
         noisy = records + rng.sample(records, k=min(3, len(records)))
         rng.shuffle(noisy)
         completed = _assemble(noisy)
-        assert completed == [(round_index, body)]
+        assert completed == [(round_index, body, False)]
 
     def test_empty_body_yields_one_barrier_chunk(self):
         records = split_train(0, 1, 7, 0, b"")
         assert len(records) == 1
-        assert _assemble(records) == [(7, b"")]
+        assert _assemble(records) == [(7, b"", False)]
 
     def test_oversized_body_splits_at_chunk_threshold(self):
         """A >32 MiB body rides as multiple records and reassembles —
@@ -352,7 +404,7 @@ class TestChunkCodec:
         body = b"\xab" * (MESH_CHUNK_BYTES + 1024)
         records = split_train(0, 1, 2, 0, body)
         assert len(records) == 2
-        assert _assemble(records) == [(2, body)]
+        assert _assemble(records) == [(2, body, False)]
 
     @given(st.binary(max_size=40).flatmap(
         lambda b: truncations(split_train(1, 2, 3, 4, b, chunk_bytes=16)[0])
@@ -378,6 +430,31 @@ class TestChunkCodec:
             decode_chunk(bytes(record))
         assert MESH_MAGIC != b"NOPE"
 
+    @pytest.mark.parametrize("flag", [2, 7, 255])
+    def test_halted_flag_outside_zero_one_refused(self, flag):
+        record = bytearray(split_train(1, 2, 3, 4, b"x")[0])
+        record[6] = flag  # magic(4) version(1) kind(1) halted(1)
+        with pytest.raises(SerializationError, match="halted flag"):
+            decode_chunk(bytes(record))
+
+    def test_halted_hello_refused(self):
+        record = bytearray(encode_hello(0, 1, 5))
+        record[6] = 1
+        with pytest.raises(SerializationError, match="hello"):
+            decode_chunk(bytes(record))
+
+    def test_v1_record_refused_by_name(self):
+        """A v1 chunk (no halted byte, so one header byte shorter) is
+        named, not mis-framed or reported as merely short."""
+        assert MESH_VERSION == 2 and _CHUNK.size == 31
+        v1_empty_train = (
+            MESH_MAGIC + bytes([1, KIND_TRAIN]) + (0).to_bytes(2, "big")
+            + (1).to_bytes(2, "big") + bytes(12)
+            + (1).to_bytes(4, "big") + bytes(4)
+        )
+        with pytest.raises(SerializationError, match="format v1"):
+            decode_chunk(v1_empty_train)
+
     def test_hello_round_trip(self):
         chunk = decode_chunk(encode_hello(2, 6, have_round=41))
         assert chunk.kind == KIND_HELLO
@@ -397,7 +474,7 @@ class TestTrainAssembler:
                              body=resend_body, chunk_bytes=8)
         assembler = TrainAssembler()
         assert _assemble(torn[:-1], assembler) == []  # torn: last chunk lost
-        assert _assemble(resend, assembler) == [(5, resend_body)]
+        assert _assemble(resend, assembler) == [(5, resend_body, False)]
 
     def test_stale_seq_discarded_after_supersession(self):
         fresh_body = b"fresh" * 10
@@ -408,7 +485,7 @@ class TestTrainAssembler:
         assembler = TrainAssembler()
         assert _assemble(fresh[:1], assembler) == []
         assert _assemble(stale, assembler) == []  # all ignored
-        assert _assemble(fresh[1:], assembler) == [(5, fresh_body)]
+        assert _assemble(fresh[1:], assembler) == [(5, fresh_body, False)]
 
     def test_geometry_contradiction_raises(self):
         a = split_train(0, 1, 5, train_seq=2, body=b"x" * 20,
@@ -419,6 +496,14 @@ class TestTrainAssembler:
         assembler.add(decode_chunk(a[0]))
         with pytest.raises(SerializationError, match="chunks"):
             assembler.add(decode_chunk(b[-1]))
+
+    def test_halted_flag_contradiction_raises(self):
+        a = split_train(0, 1, 5, 2, b"x" * 20, False, chunk_bytes=8)
+        b = split_train(0, 1, 5, 2, b"x" * 20, True, chunk_bytes=8)
+        assembler = TrainAssembler()
+        assembler.add(decode_chunk(a[0]))
+        with pytest.raises(SerializationError, match="halted"):
+            assembler.add(decode_chunk(b[1]))
 
     def test_size_cap_enforced(self):
         assembler = TrainAssembler(max_bytes=32)
@@ -435,5 +520,5 @@ class TestTrainAssembler:
         interleaved += recs_b[len(recs_a):]
         assembler = TrainAssembler()
         completed = _assemble(interleaved, assembler)
-        assert completed == [(10, body_a), (11, body_b)]
+        assert completed == [(10, body_a, False), (11, body_b, False)]
         assert assembler.pending_rounds() == []

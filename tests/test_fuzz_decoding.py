@@ -12,13 +12,20 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.utils.randomness import Randomness
-from tests.strategies import garbage
+from tests.strategies import bit_flips, garbage
 
 LIBRARY_ERRORS = (ReproError, ValueError)
 
 # Example counts and deadlines come from the active Hypothesis profile
 # (``ci`` by default; see tests/conftest.py).
 _fuzz = settings()
+
+
+def _trim_body(below):
+    from repro.cluster.wire import TRIM, Message
+    from repro.net.trains import _LENGTH
+
+    return Message(TRIM, {"below": below}).encode()[_LENGTH.size:]
 
 
 class TestSerializationDecoders:
@@ -66,8 +73,26 @@ class TestClusterDecoders:
             chunk = decode_chunk(data)
             assert chunk.num_chunks >= 1
             assert chunk.chunk_index < chunk.num_chunks
+            assert data[6] in (0, 1) and chunk.halted is bool(data[6])
         except LIBRARY_ERRORS:
             pass
+
+    @_fuzz
+    @given(flag=st.integers(min_value=0, max_value=255),
+           body=st.binary(max_size=48))
+    def test_mesh_v2_halted_byte(self, flag, body):
+        """A well-formed v2 train header with any halted byte: 0 and 1
+        decode to the flag, every other value is refused."""
+        from repro.cluster.meshwire import decode_chunk, split_train
+
+        record = bytearray(split_train(0, 1, 3, 4, body, chunk_bytes=16)[0])
+        record[6] = flag
+        try:
+            chunk = decode_chunk(bytes(record))
+        except LIBRARY_ERRORS:
+            assert flag > 1
+            return
+        assert flag <= 1 and chunk.halted is bool(flag)
 
     @_fuzz
     @given(data=garbage)
@@ -88,6 +113,19 @@ class TestClusterDecoders:
         try:
             message = Message.decode(data)
             assert message.kind
+        except LIBRARY_ERRORS:
+            pass
+
+    @_fuzz
+    @given(data=st.integers(min_value=0, max_value=1 << 40).flatmap(
+        lambda below: bit_flips(_trim_body(below))
+    ))
+    def test_trim_message_bit_flips(self, data):
+        from repro.cluster.wire import KINDS, Message
+
+        try:
+            message = Message.decode(data)
+            assert message.kind in KINDS
         except LIBRARY_ERRORS:
             pass
 
