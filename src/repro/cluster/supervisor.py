@@ -35,7 +35,8 @@ forward on its own — its peers resend their retained trains, and every
 incarnation of a worker is handed its earliest unspent entry and
 SIGKILLs itself mid-round.
 
-A worker is a **fork** of the supervisor (:func:`fork_child`; POSIX
+A worker is a **fork** of the supervisor
+(:func:`~repro.net.fork.fork_child`; POSIX
 only): no cold start, and a direct child — reaping it credits its CPU
 to ``os.times()`` and its exit status is the supervisor's to read.
 """
@@ -45,19 +46,15 @@ to ``os.times()`` and its exit status is the supervisor's to read.
 
 from __future__ import annotations
 
-import contextvars
-import multiprocessing
 import os
 import pickle
 import select
-import signal
-import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.checkpoint import encode_checkpoint
 from repro.cluster.job import ClusterJob, split_shards
@@ -77,6 +74,7 @@ from repro.cluster.wire import (
 )
 from repro.cluster.worker import checkpoint_name, worker_main
 from repro.errors import ClusterError
+from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
@@ -87,7 +85,7 @@ from repro.runtime.trace import TraceRecorder
 
 #: Durable supervisor state file inside the run directory.
 STATE_FILE = "supervisor.ckpt"
-STATE_FORMAT = "repro-cluster-supervisor/3"
+STATE_FORMAT = "repro-cluster-supervisor/4"
 #: Every checkpoint's trace delta, appended as one chunk (see
 #: :meth:`ClusterSupervisor._save_trace_segment`).
 TRACE_FILE = "trace.seg"
@@ -95,11 +93,6 @@ TRACE_FILE = "trace.seg"
 #: Flow-ledger pseudo ids for control-plane endpoints: the supervisor
 #: is :data:`~repro.obs.flow.INFRA` (-2); worker ``w`` is ``-10 - w``.
 WORKER_PSEUDO_BASE = -10
-
-#: Seconds a worker whose control channel closed gets to finish exiting
-#: before its exit status is read.
-_EXIT_GRACE = 1.0
-
 
 def worker_pseudo_id(worker_id: int) -> int:
     """The flow-ledger pseudo party id of one worker process."""
@@ -181,61 +174,10 @@ class _WorkerDied(Exception):
     """Internal: a worker stopped answering (recoverable)."""
 
 
-def fork_child(
-    name: str, log_handle: Any, release: Callable[[], None],
-    entry: Callable[..., int], *args: Any,
-) -> BaseProcess:
-    """Fork a direct child that runs ``entry(*args)`` as a fresh
-    interpreter would have and exits with the code it returns.
-
-    ``multiprocessing``'s fork context flushes the std streams before
-    the fork and leaves the child through ``os._exit`` alone; ``daemon``
-    has the parent's exit kill a child no teardown reached.  Fork from
-    a single-threaded parent only (a lock another thread holds stays
-    held in the child).  docs/cluster.md, *Process model*, has the why.
-    """
-
-    def bootstrap() -> None:
-        # Python-level handlers (a caller's SIGALRM timeout, pytest's)
-        # go; SIG_IGN and the stock SIGINT handler stay, as after exec.
-        for signum in signal.valid_signals():
-            handler = signal.getsignal(signum)
-            if callable(handler) and handler is not signal.default_int_handler:
-                signal.signal(signum, signal.SIG_DFL)
-        # fds 1/2 and sys.stdout/err (a capturing parent rebinds them).
-        os.dup2(log_handle.fileno(), 1)
-        os.dup2(log_handle.fileno(), 2)
-        sys.stdout = sys.stderr = open(2, "w", buffering=1, closefd=False)
-        # Through the owning objects — never os.closerange: inherited
-        # socket objects would close the reused numbers a second time.
-        release()
-        log_handle.close()
-        # Empty context: the parent's span / flow_tags label nothing.
-        raise SystemExit(contextvars.Context().run(entry, *args))
-
-    process = multiprocessing.get_context("fork").Process(
-        target=bootstrap, name=name, daemon=True
-    )
-    process.start()
-    return process
-
-
 def _kill_and_wait(process: BaseProcess) -> None:
     """SIGKILL (a no-op once reaped) and reap one worker process."""
     process.kill()
     process.join(timeout=10)
-
-
-def _exit_status(process: BaseProcess) -> str:
-    """How a worker process ended — ``killed by SIGKILL``, ``exit 1`` —
-    or ``still running`` if it has not within ``_EXIT_GRACE``."""
-    process.join(timeout=_EXIT_GRACE)
-    code = process.exitcode
-    if code is None:
-        return "still running"
-    if code < 0:
-        return f"killed by {signal.Signals(-code).name}"
-    return f"exit {code}"
 
 
 class ClusterSupervisor:
@@ -394,7 +336,7 @@ class ClusterSupervisor:
         processes = {
             w: fork_child(
                 f"cluster-worker-{w}", logs[w],
-                lambda: self._release_inherited(logs), worker_main,
+                lambda: self._close_inherited_logs(logs), worker_main,
                 self.config.host, self._port, w,
                 self.config.heartbeat_interval,
             )
@@ -521,16 +463,12 @@ class ClusterSupervisor:
             },
         })
 
-    def _release_inherited(self, logs: Dict[int, Any]) -> None:
-        """In a forked worker: drop the supervisor's descriptors.  A
-        sibling's channel kept open by a respawn would stop that sibling
-        seeing ``ChannelClosed`` when the supervisor dies."""
-        assert self._listener is not None
-        self._listener.close()
+    def _close_inherited_logs(self, logs: Dict[int, Any]) -> None:
+        """In a forked worker: close its siblings' log files (its
+        sockets are dropped by ``fork_child`` itself)."""
         for handle in logs.values():
             handle.close()
         for worker in self.workers.values():
-            worker.channel.release()
             worker.log_handle.close()
 
     def _job_blob(self, worker_id: int, resume_round: int) -> bytes:
@@ -577,7 +515,7 @@ class ClusterSupervisor:
         """Reap a dead worker and respawn it at the last committed
         barrier; the respawn replays forward on its own."""
         worker = self.workers[worker_id]
-        status = _exit_status(worker.process)
+        status = exit_status(worker.process)
         reason = f"worker {worker_id} {status}: {detail}"
         self._reap(worker)
         if worker.kill_round is not None:

@@ -291,8 +291,8 @@ class MessageChannel:
         self.release()
 
     def release(self) -> None:
-        """Close this process's descriptor only (idempotent): a forked
-        child drops a channel its parent keeps — no ``shutdown``."""
+        """Close this process's descriptor only (idempotent), as the
+        process dying would — no ``shutdown``."""
         if self._closed:
             return
         self._closed = True

@@ -4,7 +4,8 @@ This is the measurement instrument for the paper's headline quantity:
 *maximum bits communicated by any single party*.  Every wire transfer in
 the simulator (and every charge made by a hybrid-model functionality) is
 recorded here, per party, as sent/received bits, message counts, and the
-set of distinct peers (communication locality, à la Boyle et al. [13]).
+set of distinct peers (communication locality, à la Boyle et al. [13]),
+kept as a bitmask of party ids.
 
 Every charge gets one ``(phase, kind)`` label from
 :func:`repro.obs.spans.charge_label`; ``bits_by_phase`` /
@@ -14,7 +15,7 @@ Every charge gets one ``(phase, kind)`` label from
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -29,16 +30,36 @@ def _charge_key(frame: Frame) -> Tuple[int, int, str]:
     return frame.sender, frame.bits(), frame.phase
 
 
+def _mask(party_ids: Iterable[int]) -> int:
+    """The bitmask with bit ``p`` set for every listed party ``p``."""
+    mask = 0
+    for party_id in party_ids:
+        mask |= 1 << party_id
+    return mask
+
+
+def _members(mask: int) -> Set[int]:
+    """The party ids whose bits are set in ``mask``."""
+    lowest_first = bin(mask)[2:][::-1]
+    return {party_id for party_id, bit in enumerate(lowest_first) if bit == "1"}
+
+
 @dataclass
 class PartyTally:
-    """Mutable per-party counters."""
+    """Mutable per-party counters.
+
+    Distinct peers are bitmasks (bit ``p`` set: party ``p`` was sent to,
+    or received from).  A party's peers are a union of a few committees,
+    so an int is far smaller than a set of ~n ints and merges a whole
+    committee in one ``|``; the sets are built only when read.
+    """
 
     bits_sent: int = 0
     bits_received: int = 0
     messages_sent: int = 0
     messages_received: int = 0
-    peers_sent_to: Set[int] = field(default_factory=set)
-    peers_received_from: Set[int] = field(default_factory=set)
+    sent_mask: int = 0
+    received_mask: int = 0
 
     @property
     def bits_total(self) -> int:
@@ -46,9 +67,20 @@ class PartyTally:
         return self.bits_sent + self.bits_received
 
     @property
+    def peers_sent_to(self) -> Set[int]:
+        """The distinct parties this party sent to (a fresh set)."""
+        return _members(self.sent_mask)
+
+    @property
+    def peers_received_from(self) -> Set[int]:
+        """The distinct parties this party received from (a fresh set)."""
+        return _members(self.received_mask)
+
+    @property
     def locality(self) -> int:
         """Number of distinct parties this party exchanged messages with."""
-        return len(self.peers_sent_to | self.peers_received_from)
+        # int.bit_count needs Python 3.10.
+        return bin(self.sent_mask | self.received_mask).count("1")
 
 
 class CommunicationMetrics:
@@ -173,16 +205,14 @@ class CommunicationMetrics:
             # How often each party is listed on the other side: the
             # sends it skips, and the receipts it misses.
             as_recipient, as_sender = Counter(recipients), Counter(senders)
-        # How a peer set gains the other side, once per party on this
-        # side: a lone peer is added, several are merged from one set.
-        if num_recipients == 1:
-            meet_recipients, sent_to = set.add, recipients[0]
-        else:
-            meet_recipients, sent_to = set.update, set(recipients)
-        if num_senders == 1:
-            meet_senders, received_from = set.add, senders[0]
-        else:
-            meet_senders, received_from = set.update, set(senders)
+        # Each side's peers as one bitmask, built once per exchange (a
+        # lone peer, the common case, without the loop).
+        sent_to = (
+            1 << recipients[0] if num_recipients == 1 else _mask(recipients)
+        )
+        received_from = (
+            1 << senders[0] if num_senders == 1 else _mask(senders)
+        )
         tallies, phase_bits = self._tallies, self._phase_bits
         messages = 0
         fanout, fanin = num_recipients, num_senders
@@ -199,12 +229,12 @@ class CommunicationMetrics:
             sent = num_bits * fanout
             tally.bits_sent += sent
             tally.messages_sent += fanout
-            peers = tally.peers_sent_to
-            if skip_self and sender not in peers:
-                meet_recipients(peers, sent_to)
-                peers.discard(sender)
+            # Skipping the message to oneself adds oneself as a peer
+            # only if an earlier charge already did.
+            if skip_self:
+                tally.sent_mask |= sent_to & ~(1 << sender)
             else:
-                meet_recipients(peers, sent_to)
+                tally.sent_mask |= sent_to
             try:
                 phase_bits[sender][phase] += sent
             except KeyError:
@@ -223,12 +253,10 @@ class CommunicationMetrics:
             received = num_bits * fanin
             tally.bits_received += received
             tally.messages_received += fanin
-            peers = tally.peers_received_from
-            if skip_self and recipient not in peers:
-                meet_senders(peers, received_from)
-                peers.discard(recipient)
+            if skip_self:
+                tally.received_mask |= received_from & ~(1 << recipient)
             else:
-                meet_senders(peers, received_from)
+                tally.received_mask |= received_from
             try:
                 phase_bits[recipient][phase] += received
             except KeyError:
@@ -314,9 +342,11 @@ class CommunicationMetrics:
             tally.messages_received += messages
             # Synthetic peers are drawn from the pool, clipped to the
             # requested locality widening.
-            others = [p for p in pool if p != party_id][:peers_per_party]
-            tally.peers_sent_to.update(others)
-            tally.peers_received_from.update(others)
+            others = _mask(
+                [p for p in pool if p != party_id][:peers_per_party]
+            )
+            tally.sent_mask |= others
+            tally.received_mask |= others
             # bits_total grew by exactly bits_per_party (both halves).
             by_phase = self._phase_bits.setdefault(party_id, {})
             by_phase[phase] = by_phase.get(phase, 0) + bits_per_party
@@ -364,16 +394,7 @@ class CommunicationMetrics:
         behave identically.)
         """
         tally = self._tallies.get(party_id)
-        if tally is None:
-            return PartyTally()
-        return PartyTally(
-            bits_sent=tally.bits_sent,
-            bits_received=tally.bits_received,
-            messages_sent=tally.messages_sent,
-            messages_received=tally.messages_received,
-            peers_sent_to=set(tally.peers_sent_to),
-            peers_received_from=set(tally.peers_received_from),
-        )
+        return PartyTally() if tally is None else replace(tally)
 
     # -- phase-labeled queries (repro.obs) ------------------------------------
 

@@ -131,6 +131,17 @@ class SpanLog:
             )
             self._tick = max(self._tick, upper + 1)
 
+    def graft(self, records: "List[SpanRecord]") -> None:
+        """Adopt the records of another log that ticked from 0 (a
+        gateway lane's one decision), shifted past this log's own ticks
+        so each grafted decision stays one contiguous interval."""
+        base = self._tick
+        for record in records:
+            record.start_tick += base
+            if record.end_tick is not None:
+                record.end_tick += base
+        self.preload(records)
+
     # -- queries -------------------------------------------------------------
 
     def by_name(self, name: str) -> List[SpanRecord]:

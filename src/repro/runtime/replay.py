@@ -357,15 +357,15 @@ def tallies_equal(
             ta.bits_received,
             ta.messages_sent,
             ta.messages_received,
-            ta.peers_sent_to,
-            ta.peers_received_from,
+            ta.sent_mask,
+            ta.received_mask,
         ) != (
             tb.bits_sent,
             tb.bits_received,
             tb.messages_sent,
             tb.messages_received,
-            tb.peers_sent_to,
-            tb.peers_received_from,
+            tb.sent_mask,
+            tb.received_mask,
         ):
             return False
     return True

@@ -197,7 +197,7 @@ async def _drive_bench(
     ]
     responses = list(await asyncio.gather(*clients))
     scrape = server.registry.render()
-    cache_stats = server.manager.cache.stats()
+    cache_stats = server.manager.cache_stats()
     await server.aclose()
     return {
         "responses": responses,

@@ -5,7 +5,8 @@ One asyncio TCP server multiplexes everything on a single port:
 * newline-delimited JSON control connections (:mod:`repro.serve.wire`)
   for submit/await/status/cancel — many concurrent clients, each served
   by a lightweight coroutine while the CPU-bound protocol executions
-  run on the :class:`~repro.serve.sessions.SessionManager` thread pool;
+  run in the :class:`~repro.serve.sessions.SessionManager`'s forked
+  lane processes;
 * plain ``GET /metrics`` HTTP requests, answered with the Prometheus
   text exposition of the gateway's :class:`MetricsRegistry` — the
   server sniffs the first line of each connection, so ops tooling needs

@@ -2,14 +2,15 @@
 
 A *session* is one client-submitted unit of agreement work: ``repeat``
 back-to-back pi_ba decisions for a fixed ``(n, scheme, seed)``.  The
-:class:`SessionManager` admits sessions against a bounded concurrency
-lane (explicit backpressure — an over-capacity submit gets a structured
+:class:`SessionManager` admits sessions against a bounded set of lanes
+(explicit backpressure — an over-capacity submit gets a structured
 reject with a retry-after hint, never a hidden queue), runs the
-CPU-bound protocol executions on a thread pool so the asyncio gateway
-stays responsive, and pipelines a session's repeated decisions through
-one :class:`~repro.serve.setup_cache.SetupLease` so only the first
-decision anywhere on a key pays SRDS keygen (Corollary 1.2's
-amortization).
+CPU-bound protocol executions in forked lane processes
+(:mod:`repro.serve.lanes`) so concurrent sessions decide on separate
+cores while the asyncio gateway stays responsive, and pipelines a
+session's repeated decisions through one
+:class:`~repro.serve.setup_cache.SetupLease` so only the first decision
+on a key in a lane pays SRDS keygen (Corollary 1.2's amortization).
 
 Every completed session returns the agreed value **together with its
 per-party bit tallies** — the certificate that the polylog budget held:
@@ -24,14 +25,14 @@ that reference and the conformance tests pin the equality.
 from __future__ import annotations
 
 import asyncio
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import GatewayError
 from repro.net.adversary import random_corruption
+from repro.net.fork import EXIT_GRACE, exit_status
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
 from repro.obs.registry import MetricsRegistry
@@ -40,6 +41,7 @@ from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
 from repro.protocols.cost_model import pi_ba_per_party_budget
 from repro.serve import wire
+from repro.serve.lanes import CANCEL, DECISION, RUN, Lane, LaneWork, fork_lane
 from repro.serve.setup_cache import (
     SCHEME_LABELS,
     SetupCache,
@@ -222,22 +224,6 @@ def one_shot_reference(spec: SessionSpec) -> Dict[str, Any]:
 DecisionRunner = Callable[[SessionSpec, SetupLease], Dict[str, Any]]
 
 
-def flow_decision_runner(
-    flow: Optional[FlowLedger], span_log: Optional[SpanLog] = None
-) -> DecisionRunner:
-    """Bind :func:`run_decision` to a shared flow ledger (and span log).
-
-    The returned runner has the plain :data:`DecisionRunner` signature,
-    so the :class:`SessionManager` plumbing is unchanged; the ledger
-    accumulates across every decision of every session it serves.
-    """
-
-    def runner(spec: SessionSpec, lease: SetupLease) -> Dict[str, Any]:
-        return run_decision(spec, lease, flow=flow, span_log=span_log)
-
-    return runner
-
-
 @dataclass
 class SessionRecord:
     """One admitted session's lifecycle state."""
@@ -254,9 +240,9 @@ class SessionRecord:
     decisions_completed: int = 0
     wall_seconds: Optional[float] = None
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
-    cancel_requested: threading.Event = field(
-        default_factory=threading.Event
-    )
+    #: The lane running the session, and whether it was told to cancel.
+    lane: Optional[Lane] = None
+    cancel_requested: bool = False
 
     def summary(self) -> Dict[str, Any]:
         payload: Dict[str, Any] = {
@@ -275,12 +261,15 @@ class SessionRecord:
 class SessionManager:
     """Admission control + execution for multiplexed BA sessions.
 
-    ``max_sessions`` bounds *concurrent* sessions (the lane semaphore);
-    a submit beyond the bound is rejected with ``code="busy"`` and a
-    ``retry_after`` hint sized from recent session wall times, so a
-    well-behaved client backs off exactly as long as the lane needs to
-    drain.  All methods except the decision runners run on the event
-    loop thread; protocol executions run on the thread pool.
+    ``max_sessions`` lanes (:mod:`repro.serve.lanes`) are forked when
+    the manager is built, so it must be built on the event loop that
+    serves it (docs/gateway.md has the fork rule).  A session runs at once
+    on a free lane or not at all: a submit while every lane is busy is
+    rejected with ``code="busy"`` and a ``retry_after`` hint sized from
+    recent session wall times, so a well-behaved client backs off
+    exactly as long as a lane needs to drain.  A session goes to a free
+    lane whose cache already holds its ``(scheme, n, seed)`` key, else
+    to the least recently used free lane, which pays that key's keygen.
     """
 
     def __init__(
@@ -291,7 +280,6 @@ class SessionManager:
         cache: Optional[SetupCache] = None,
         registry: Optional[MetricsRegistry] = None,
         decision_runner: Optional[DecisionRunner] = None,
-        executor_workers: Optional[int] = None,
         flow: Optional[FlowLedger] = None,
         span_log: Optional[SpanLog] = None,
     ) -> None:
@@ -303,27 +291,32 @@ class SessionManager:
         # Flow observability: when a ledger is given (and no custom
         # runner overrides it), every decision's charges land in it
         # under kind="session"; the span log collects the phase spans
-        # for the merged timeline's sessions track.
+        # for the merged timeline's sessions track (logical ticks: a
+        # lane's records carry no wall stamps).
         self.flow = flow
         self.span_log = span_log
-        if decision_runner is None:
-            decision_runner = (
-                flow_decision_runner(flow, span_log)
-                if flow is not None or span_log is not None
-                else run_decision
-            )
-        self.cache = cache if cache is not None else SetupCache(
+        # Never leased here: each lane forks its own copy, and this one
+        # counts the hits and misses the lanes report.
+        self._cache = cache if cache is not None else SetupCache(
             registry=registry
         )
-        self._decision_runner = decision_runner
-        self._pool = ThreadPoolExecutor(
-            max_workers=executor_workers or max_sessions,
-            thread_name_prefix="repro-gateway-session",
-        )
+        if decision_runner is None:
+            self._work = LaneWork(
+                self._cache, run_decision, flow is not None,
+                span_log is not None,
+            )
+        else:
+            runner = decision_runner
+
+            def decide(spec: SessionSpec, lease: SetupLease,
+                       **_observers: Any) -> Dict[str, Any]:
+                return runner(spec, lease)
+
+            self._work = LaneWork(self._cache, decide, False, False)
+        self._loop = asyncio.get_running_loop()
         self._records: Dict[str, SessionRecord] = {}
-        self._tasks: Dict[str, "asyncio.Task[None]"] = {}
-        self._active = 0
         self._admitting = True
+        self._closed = False
         self._next_id = 0
         self._recent_walls: List[float] = []
         self._admitted_counter = None
@@ -331,6 +324,8 @@ class SessionManager:
         self._decisions_counter = None
         self._latency_histogram = None
         self._active_gauge = None
+        self._lane_cpu_counter = None
+        self._lane_restarts_counter = None
         if registry is not None:
             self._admitted_counter = registry.counter(
                 "repro_gateway_sessions_admitted_total",
@@ -352,13 +347,93 @@ class SessionManager:
                 "repro_gateway_sessions_active",
                 "Sessions currently holding a concurrency lane",
             )
+            self._lane_cpu_counter = registry.counter(
+                "repro_gateway_lane_cpu_seconds_total",
+                "CPU seconds lane processes spent running sessions",
+            )
+            self._lane_restarts_counter = registry.counter(
+                "repro_gateway_lane_restarts_total",
+                "Lane processes re-forked after one died",
+            )
+        self._lanes: List[Lane] = [
+            self._start_lane(lane_id) for lane_id in range(max_sessions)
+        ]
+
+    # -- lanes --------------------------------------------------------------
+
+    def _start_lane(self, lane_id: int) -> Lane:
+        lane = fork_lane(lane_id, self._work)
+        self._loop.add_reader(lane.conn.fileno(), self._on_lane, lane)
+        return lane
+
+    def _on_lane(self, lane: Lane) -> None:
+        """Reader callback: one message from a lane, or its death."""
+        try:
+            message = lane.conn.recv()
+        except (EOFError, OSError):
+            self._lane_lost(lane)
+            return
+        record = lane.session
+        assert record is not None, "a lane spoke between sessions"
+        if message[0] == DECISION:
+            _, charges, spans = message
+            record.decisions_completed += 1
+            if charges is not None and self.flow is not None:
+                for charge in charges:
+                    self.flow.charge(*charge)
+            if spans is not None and self.span_log is not None:
+                self.span_log.graft(spans)
+            return
+        report = message[1]
+        lane.session = None
+        lane.keys = frozenset(report["keys"])
+        self._cache.count(hits=report["hits"], misses=report["misses"])
+        if self._lane_cpu_counter is not None:
+            self._lane_cpu_counter.inc(report["cpu_s"])
+        if report["error"] is not None:
+            record.state, record.error = "failed", report["error"]
+        else:
+            record.state = "cancelled" if report["cancelled"] else "done"
+            record.result = report["result"]
+        record.wall_seconds = report["session_s"]
+        self._finish(record)
+
+    def _lane_lost(self, lane: Lane) -> None:
+        """A lane died: fail its session, reap it, fork its successor."""
+        self._loop.remove_reader(lane.conn.fileno())
+        lane.conn.close()
+        status = exit_status(lane.process)
+        lane.process.kill()
+        lane.process.join()
+        if lane.session is not None:
+            record, lane.session = lane.session, None
+            record.state = "failed"
+            record.error = f"lane {lane.lane_id} {status}"
+            self._finish(record)
+        if self._closed:
+            return
+        if self._lane_restarts_counter is not None:
+            self._lane_restarts_counter.inc()
+        self._lanes[lane.lane_id] = self._start_lane(lane.lane_id)
+
+    def _finish(self, record: SessionRecord) -> None:
+        if self._active_gauge is not None:
+            self._active_gauge.set(self.active)
+        if record.wall_seconds is not None:
+            self._recent_walls.append(record.wall_seconds)
+            del self._recent_walls[:-8]
+            if self._latency_histogram is not None:
+                self._latency_histogram.observe(record.wall_seconds)
+        if self._decisions_counter is not None:
+            self._decisions_counter.inc(record.decisions_completed)
+        record.done_event.set()
 
     # -- admission ----------------------------------------------------------
 
     @property
     def active(self) -> int:
         """Sessions currently holding a lane."""
-        return self._active
+        return sum(lane.session is not None for lane in self._lanes)
 
     def stop_admitting(self) -> None:
         """Graceful-shutdown step 1: every further submit is rejected."""
@@ -383,7 +458,8 @@ class SessionManager:
             spec = SessionSpec.from_wire(payload)
         except GatewayError as exc:
             return wire.reject("bad-request", str(exc))
-        if self._active >= self.max_sessions:
+        free = [lane for lane in self._lanes if lane.session is None]
+        if not free:
             if self._rejected_counter is not None:
                 self._rejected_counter.inc(code="busy")
             return wire.reject(
@@ -401,17 +477,22 @@ class SessionManager:
             if isinstance(trace, str) and trace
             else f"gateway-s{self._next_id}-{spec.workload}-n{spec.n}"
         )
+        key = (spec.scheme, spec.n, spec.seed)
+        lane = min(
+            free, key=lambda lane: (key not in lane.keys, lane.last_used)
+        )
         record = SessionRecord(
-            session_id=f"s-{self._next_id}", spec=spec, trace_id=trace_id
+            session_id=f"s-{self._next_id}", spec=spec, trace_id=trace_id,
+            lane=lane,
         )
         self._records[record.session_id] = record
-        self._active += 1
+        lane.session, lane.last_used = record, self._next_id
         if self._admitted_counter is not None:
             self._admitted_counter.inc()
         if self._active_gauge is not None:
-            self._active_gauge.set(self._active)
-        task = asyncio.get_running_loop().create_task(self._run(record))
-        self._tasks[record.session_id] = task
+            self._active_gauge.set(self.active)
+        admitted = time.monotonic()  # lint: allow[DET002] reason=queue_s observability (admission to lane start); no decision reads it
+        self._tell(lane, (RUN, record.session_id, spec, admitted))
         return wire.ok(
             session=record.session_id,
             state=record.state,
@@ -419,69 +500,12 @@ class SessionManager:
             trace=record.trace_id,
         )
 
-    # -- execution ----------------------------------------------------------
-
-    async def _run(self, record: SessionRecord) -> None:
-        loop = asyncio.get_running_loop()
+    @staticmethod
+    def _tell(lane: Lane, order: Any) -> None:
         try:
-            await loop.run_in_executor(self._pool, self._execute, record)
-        except Exception as exc:  # lint: allow[EXC001] reason=session isolation: one failed session must not kill the gateway; the error is stored and reported to the awaiting client
-            record.state = "failed"
-            record.error = f"{type(exc).__name__}: {exc}"
-        finally:
-            self._active -= 1
-            if self._active_gauge is not None:
-                self._active_gauge.set(self._active)
-            if record.wall_seconds is not None:
-                self._recent_walls.append(record.wall_seconds)
-                del self._recent_walls[:-8]
-                if self._latency_histogram is not None:
-                    self._latency_histogram.observe(record.wall_seconds)
-            if self._decisions_counter is not None:
-                self._decisions_counter.inc(record.decisions_completed)
-            record.done_event.set()
-
-    def _execute(self, record: SessionRecord) -> None:
-        """Thread-pool body: pipelined repeated decisions over one lease."""
-        import time
-
-        spec = record.spec
-        lease = self.cache.lease(spec.scheme, spec.n, spec.seed)
-        decision_walls: List[float] = []
-        last: Optional[Dict[str, Any]] = None
-        started = time.perf_counter()  # lint: allow[DET002] reason=decision latency observability; protocol state never reads wall time
-        for _ in range(spec.repeat):
-            if record.cancel_requested.is_set():
-                break
-            turn = time.perf_counter()  # lint: allow[DET002] reason=decision latency observability; protocol state never reads wall time
-            last = self._decision_runner(spec, lease)
-            decision_walls.append(time.perf_counter() - turn)  # lint: allow[DET002] reason=decision latency observability; protocol state never reads wall time
-            record.decisions_completed += 1
-        record.wall_seconds = time.perf_counter() - started  # lint: allow[DET002] reason=decision latency observability; protocol state never reads wall time
-        cancelled = record.cancel_requested.is_set()
-        record.state = "cancelled" if cancelled else "done"
-        if last is None:
-            record.result = None
-            return
-        busy = sum(decision_walls)
-        steady = decision_walls[1:]
-        record.result = dict(last)
-        record.result.update(
-            spec=spec.to_wire(),
-            decisions=record.decisions_completed,
-            setup_cache={"hits": lease.hits, "misses": lease.misses},
-            wall={
-                "session_s": round(record.wall_seconds, 6),
-                "first_decision_s": round(decision_walls[0], 6),
-                "steady_mean_s": (
-                    round(sum(steady) / len(steady), 6) if steady else None
-                ),
-                "decisions_per_sec": (
-                    round(record.decisions_completed / busy, 3)
-                    if busy > 0 else None
-                ),
-            },
-        )
+            lane.conn.send(order)
+        except OSError:
+            pass  # the lane is dead; its EOF fails the session
 
     # -- client-facing queries ----------------------------------------------
 
@@ -517,6 +541,14 @@ class SessionManager:
             )
         return wire.ok(**record.summary(), result=record.result)
 
+    def cache_stats(self) -> Dict[str, int]:
+        """Lease hits and misses over every lane, and the setup domains
+        the lanes hold between them (each lane caches its own)."""
+        stats = self._cache.stats()
+        stats["entries"] = sum(len(lane.keys) for lane in self._lanes)
+        stats["max_entries"] *= len(self._lanes)
+        return stats
+
     def status(
         self, session_id: Optional[str] = None
     ) -> Dict[str, Any]:
@@ -532,10 +564,22 @@ class SessionManager:
             by_state[record.state] = by_state.get(record.state, 0) + 1
         payload = wire.ok(
             admitting=self._admitting,
-            active=self._active,
+            active=self.active,
             max_sessions=self.max_sessions,
             sessions=by_state,
-            setup_cache=self.cache.stats(),
+            lanes=[
+                {
+                    "lane": lane.lane_id,
+                    "pid": lane.process.pid,
+                    "session": (
+                        lane.session.session_id
+                        if lane.session is not None else None
+                    ),
+                    "keys": len(lane.keys),
+                }
+                for lane in self._lanes
+            ],
+            setup_cache=self.cache_stats(),
             retry_after=self.retry_after_hint(),
         )
         if self.flow is not None:
@@ -548,37 +592,66 @@ class SessionManager:
             return wire.reject(
                 "unknown-session", f"no session {session_id!r}"
             )
-        record.cancel_requested.set()
+        self._request_cancel(record)
         return wire.ok(session=session_id, state=record.state)
+
+    def _request_cancel(self, record: SessionRecord) -> None:
+        """Ask the session's lane to stop before its next decision."""
+        lane = record.lane
+        if record.cancel_requested or lane is None or lane.session is not record:
+            return
+        record.cancel_requested = True
+        self._tell(lane, (CANCEL, record.session_id))
 
     # -- shutdown -----------------------------------------------------------
 
     async def drain(self, deadline: float) -> bool:
         """Wait for in-flight sessions; escalate to cooperative cancel.
 
-        Phase 1 waits up to ``deadline`` seconds for every session task
-        to finish on its own.  Phase 2 flags the stragglers' cancel
-        events (honored between pipelined decisions) and waits one more
+        Phase 1 waits up to ``deadline`` seconds for every session to
+        finish on its own.  Phase 2 sends the stragglers' lanes a
+        cancel (honored between pipelined decisions) and waits one more
         deadline.  Returns ``True`` when nothing is left in flight.
         """
         for escalate in (False, True):
-            pending = [
-                task for task in self._tasks.values() if not task.done()
+            running = [
+                record for record in self._records.values()
+                if not record.done_event.is_set()
             ]
-            if not pending:
+            if not running:
                 return True
             if escalate:
-                for record in self._records.values():
-                    if not record.done_event.is_set():
-                        record.cancel_requested.set()
-            done, still_pending = await asyncio.wait(
-                pending, timeout=deadline
-            )
-            del done
-            if not still_pending and escalate:
-                return True
-        return all(task.done() for task in self._tasks.values())
+                for record in running:
+                    self._request_cancel(record)
+            waiters = [
+                asyncio.ensure_future(record.done_event.wait())
+                for record in running
+            ]
+            await asyncio.wait(waiters, timeout=deadline)
+            for waiter in waiters:
+                waiter.cancel()
+        return all(
+            record.done_event.is_set() for record in self._records.values()
+        )
 
     def close(self) -> None:
-        """Release the executor (after :meth:`drain`)."""
-        self._pool.shutdown(wait=False)
+        """Stop every lane (after :meth:`drain`).
+
+        Closing a lane's socket is its EOF: an idle lane exits at once,
+        and one still deciding is killed after :data:`EXIT_GRACE`; a
+        session it held fails.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for lane in self._lanes:
+            self._loop.remove_reader(lane.conn.fileno())
+            lane.conn.close()
+        for lane in self._lanes:
+            lane.process.join(EXIT_GRACE)
+            lane.process.kill()
+            lane.process.join()
+            if lane.session is not None:
+                record, lane.session = lane.session, None
+                record.state, record.error = "failed", "gateway closed"
+                self._finish(record)

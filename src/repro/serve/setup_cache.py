@@ -22,15 +22,17 @@ Hit/miss counters (both on the cache object and, when a registry is
 bound, as ``repro_gateway_setup_cache_{hits,misses}_total``) are the
 observable proof of the amortization: the first session on a key
 records a miss and pays keygen, every later one records a hit and
-skips it.
+skips it.  The gateway runs one cache per session lane
+(:mod:`repro.serve.lanes`): each lane leases from its own copy, and the
+gateway's own cache only counts what the lanes report
+(:meth:`SetupCache.count`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GatewayError
 from repro.obs.registry import MetricsRegistry
@@ -76,7 +78,6 @@ class _Entry:
 
     scheme: SRDSScheme
     material: Optional[SRDSSetupMaterial] = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class SetupLease:
@@ -111,36 +112,32 @@ class SetupLease:
     ) -> SRDSSetupMaterial:
         """Serve cached material, computing (and storing) it on miss.
 
-        The per-entry lock makes concurrent same-key sessions serialize
-        on the *one* keygen instead of racing to duplicate it; material
-        whose ``(num_virtual, rng seed)`` does not match the run is
-        recomputed rather than served — a wrong-key hit would corrupt
-        parity, which defeats the cache's whole purpose.
+        Material whose ``(num_virtual, rng seed)`` does not match the
+        run is recomputed rather than served — a wrong-key hit would
+        corrupt parity, which defeats the cache's whole purpose.
         """
-        with self._entry.lock:
-            material = self._entry.material
-            if (
-                material is not None
-                and material.num_virtual == num_virtual
-                and material.rng_seed == rng.seed
-            ):
-                self.hits += 1
-                self._cache._note_hit()
-                return material
-            material = compute_srds_setup(scheme, num_virtual, rng)
-            self._entry.material = material
-            self.misses += 1
-            self._cache._note_miss()
+        material = self._entry.material
+        if (
+            material is not None
+            and material.num_virtual == num_virtual
+            and material.rng_seed == rng.seed
+        ):
+            self.hits += 1
+            self._cache.count(hits=1)
             return material
+        material = compute_srds_setup(scheme, num_virtual, rng)
+        self._entry.material = material
+        self.misses += 1
+        self._cache.count(misses=1)
+        return material
 
 
 class SetupCache:
-    """LRU cache of SRDS setup domains shared by all gateway sessions.
+    """LRU cache of SRDS setup domains shared by one lane's sessions.
 
-    Thread-safe: leases are taken on the event-loop thread, but the
-    providers run inside session executor threads.  ``max_entries``
-    bounds resident key material; evicting a domain only costs the next
-    session on that key one fresh keygen (a miss), never correctness.
+    ``max_entries`` bounds resident key material; evicting a domain only
+    costs the next session on that key one fresh keygen (a miss), never
+    correctness.
     """
 
     def __init__(
@@ -154,7 +151,6 @@ class SetupCache:
         self._max_entries = max_entries
         self._scheme_factory = scheme_factory
         self._entries: "OrderedDict[SetupKey, _Entry]" = OrderedDict()
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self._hits_counter = None
@@ -176,35 +172,34 @@ class SetupCache:
         an existing key refreshes its LRU position.
         """
         key: SetupKey = (scheme_label, n, seed)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = _Entry(scheme=self._scheme_factory(scheme_label))
-                self._entries[key] = entry
-                while len(self._entries) > self._max_entries:
-                    self._entries.popitem(last=False)
-            else:
-                self._entries.move_to_end(key)
-            return SetupLease(self, key, entry)
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = _Entry(scheme=self._scheme_factory(scheme_label))
+            self._entries[key] = entry
+            while len(self._entries) > self._max_entries:
+                self._entries.popitem(last=False)
+        else:
+            self._entries.move_to_end(key)
+        return SetupLease(self, key, entry)
 
-    def _note_hit(self) -> None:
-        with self._lock:
-            self.hits += 1
-        if self._hits_counter is not None:
-            self._hits_counter.inc()
+    def count(self, hits: int = 0, misses: int = 0) -> None:
+        """Add lease hits and misses to the counters (and the registry)."""
+        self.hits += hits
+        self.misses += misses
+        if self._hits_counter is not None and hits:
+            self._hits_counter.inc(hits)
+        if self._misses_counter is not None and misses:
+            self._misses_counter.inc(misses)
 
-    def _note_miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-        if self._misses_counter is not None:
-            self._misses_counter.inc()
+    def keys(self) -> List[SetupKey]:
+        """The resident setup domains, least recently used first."""
+        return list(self._entries)
 
     def stats(self) -> Dict[str, int]:
         """Counters + occupancy for ``status`` responses and benches."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-                "max_entries": self._max_entries,
-            }
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "entries": len(self._entries),
+            "max_entries": self._max_entries,
+        }

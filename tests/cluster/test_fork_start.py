@@ -1,9 +1,11 @@
 """Fork hygiene: a worker is a fork of its supervisor, and must carry
 none of the supervisor's ambient state into its shard.
 
-``fork_child``'s own contract is tier-1: a forked child reports what it
-sees through a pipe (signal dispositions, span context, where fds 1/2
-point), nothing touches a socket.  The mesh cases spawn real workers
+The contract of ``fork_child`` (``repro.net.fork``, shared with the
+gateway's lanes) is tier-1: a forked child reports what it sees through
+a pipe (signal dispositions, span context, where fds 1/2 point, which
+inherited sockets it still holds), nothing touches the network.  The
+mesh cases spawn real workers
 and carry the ``cluster`` marker: ambient ``span`` / ``recording`` /
 ``flow_tags`` around the supervisor change no tally, phase or trace
 byte; a respawned worker holds no sibling's channel; every child is
@@ -16,21 +18,20 @@ import json
 import multiprocessing
 import os
 import signal
+import socket
+import stat
+import sys
 import time
 
 import pytest
 
 from repro.cluster.cli import cmd_cluster
 from repro.cluster.job import replay_job
-from repro.cluster.supervisor import (
-    ClusterConfig,
-    ClusterSupervisor,
-    _exit_status,
-    fork_child,
-)
+from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.cluster.wire import open_listener
 from repro.cluster.worker import worker_main
 from repro.errors import ClusterError
+from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.spans import (
     SpanLog,
@@ -150,9 +151,9 @@ class TestForkChild:
             sleeper = fork_child(
                 "sleeper", log, lambda: None, lambda: time.sleep(30)
             )
-        assert _exit_status(sleeper) == "still running"
+        assert exit_status(sleeper) == "still running"
         sleeper.kill()
-        statuses = [_exit_status(p) for p in (killed, exited, sleeper)]
+        statuses = [exit_status(p) for p in (killed, exited, sleeper)]
         assert statuses == ["killed by SIGKILL", "exit 3", "killed by SIGKILL"]
         for process in (killed, exited, sleeper):
             _join(process)
@@ -171,6 +172,40 @@ class TestForkChild:
                     marker.write_text("x")
         assert _join(process) == 0
         assert not marker.exists()
+
+    def test_child_holds_only_the_sockets_it_keeps(self):
+        """Without a log the std streams stay fds 1/2; every inherited
+        socket but ``keep`` is dropped, pipes stay."""
+        read_fd, write_fd = os.pipe()
+        dropped, kept = socket.socketpair(), socket.socketpair()
+        try:
+            process = fork_child(
+                "sockets", None, lambda: os.close(read_fd), _report_sockets,
+                write_fd, dropped[0].fileno(), kept[0].fileno(),
+                keep=(kept[0].fileno(),),
+            )
+            os.close(write_fd)
+            with os.fdopen(read_fd, "rb") as reader:
+                state = json.loads(reader.read())
+            assert _join(process) == 0
+        finally:
+            for sock in (*dropped, *kept):
+                sock.close()
+        assert state == {
+            "dropped_is_socket": False, "kept_is_socket": True,
+            "stdout": 1, "stderr": 2,
+        }
+
+
+def _report_sockets(write_fd, dropped, kept):
+    os.write(write_fd, json.dumps({
+        "dropped_is_socket": stat.S_ISSOCK(os.fstat(dropped).st_mode),
+        "kept_is_socket": stat.S_ISSOCK(os.fstat(kept).st_mode),
+        "stdout": sys.stdout.fileno(),
+        "stderr": sys.stderr.fileno(),
+    }).encode())
+    os.close(write_fd)
+    return 0
 
 
 def test_a_worker_has_no_command_line(capsys):

@@ -57,25 +57,34 @@ class TestGatewayOverTcp:
             status, scrape = await asyncio.to_thread(
                 _http_get, port, "/metrics"
             )
-            cache = server.manager.cache.stats()
+            cache = server.manager.cache_stats()
+            # Once the concurrent burst is over, a same-key session
+            # finds a lane that holds the key.
+            sequential = await asyncio.to_thread(
+                run_session, "127.0.0.1", port, **fields
+            )
             await server.aclose()
-            return responses, status, scrape, cache
+            return responses, status, scrape, cache, sequential
 
-        responses, status, scrape, cache = asyncio.run(scenario())
-        assert all(r["ok"] for r in responses), responses
+        responses, status, scrape, cache, sequential = asyncio.run(scenario())
+        assert all(r["ok"] for r in responses + [sequential]), responses
         reference = one_shot_reference(SessionSpec(**SMALL))
-        for response in responses:
+        for response in responses + [sequential]:
             result = response["result"]
             assert result["value"] == reference["value"]
             assert result["per_party_bits"] == reference["per_party_bits"]
             assert result["within_budget"]
-        # One keygen total across all three sessions.
-        assert cache["misses"] == 1
-        assert cache["hits"] == 5  # 3 sessions x 2 decisions - 1 miss
+        # At most one keygen per lane (each lane caches its own setup),
+        # and every decision either paid it or reused it.
+        assert 1 <= cache["misses"] <= 2
+        assert cache["hits"] + cache["misses"] == 6  # 3 sessions x 2
+        assert sequential["result"]["setup_cache"] == {"hits": 2, "misses": 0}
         # The HTTP half of the port speaks Prometheus.
         assert status == 200
         assert "repro_gateway_sessions_admitted_total 3" in scrape
-        assert "repro_gateway_setup_cache_hits_total 5" in scrape
+        assert (
+            f"repro_gateway_setup_cache_hits_total {cache['hits']}" in scrape
+        )
 
     def test_backpressure_is_observable_then_drains(self):
         async def scenario():

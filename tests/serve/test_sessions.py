@@ -1,13 +1,14 @@
 """Sessions: spec validation, admission/backpressure, cache observability.
 
 Everything here is tier-1: the manager tests drive admission control
-with a stubbed decision runner (threading.Event-gated, no protocol
-work), and the real-protocol tests use CI-sized n with the simulated
-base-signature scheme so they run in tens of milliseconds.
+with a stubbed decision runner (gated by ``multiprocessing`` events,
+which the forked lanes share with the test; no protocol work), and the
+real-protocol tests use CI-sized n with the simulated base-signature
+scheme so they run in tens of milliseconds.
 """
 
 import asyncio
-import threading
+import multiprocessing
 
 import pytest
 
@@ -101,7 +102,12 @@ class TestDecisions:
         assert result["max_bits_per_party"] < result["budget_bits"]
 
 
-def _stub_runner(release: threading.Event, started: threading.Event):
+def _events():
+    """``(release, started)``, shared with every lane forked after."""
+    return multiprocessing.Event(), multiprocessing.Event()
+
+
+def _stub_runner(release, started):
     """A decision runner the test controls: blocks until released."""
 
     def run(spec, lease):
@@ -129,7 +135,7 @@ def _manager(release, started, **kwargs):
 class TestAdmissionControl:
     def test_over_capacity_submit_rejected_with_retry_after(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started)
             first = manager.submit({"n": 8})
             assert first["ok"]
@@ -151,7 +157,7 @@ class TestAdmissionControl:
 
     def test_bad_spec_rejected_without_burning_a_lane(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started)
             response = manager.submit({"n": 2})
             assert response["code"] == "bad-request"
@@ -162,7 +168,7 @@ class TestAdmissionControl:
 
     def test_stop_admitting_rejects_as_shutting_down(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started)
             manager.stop_admitting()
             response = manager.submit({"n": 8})
@@ -175,7 +181,7 @@ class TestAdmissionControl:
     def test_rejections_and_admissions_counted(self):
         async def scenario():
             registry = MetricsRegistry()
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started, registry=registry)
             first = manager.submit({"n": 8})
             await asyncio.to_thread(started.wait, 5)
@@ -195,7 +201,7 @@ class TestAdmissionControl:
 class TestLifecycle:
     def test_await_unknown_session(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started)
             response = await manager.await_result("s-404")
             assert response["code"] == "unknown-session"
@@ -205,7 +211,7 @@ class TestLifecycle:
 
     def test_await_timeout_is_a_backpressure_reject(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             manager = _manager(release, started)
             submitted = manager.submit({"n": 8})
             response = await manager.await_result(
@@ -222,10 +228,12 @@ class TestLifecycle:
 
     def test_cancel_stops_between_decisions(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             release.set()  # decisions complete instantly
             manager = _manager(release, started)
             submitted = manager.submit({"n": 8, "repeat": 10_000})
+            # The lane is mid-session when the cancel crosses to it.
+            await asyncio.to_thread(started.wait, 5)
             cancelled = manager.cancel(submitted["session"])
             assert cancelled["ok"]
             done = await manager.await_result(submitted["session"])
@@ -256,7 +264,7 @@ class TestLifecycle:
 
     def test_drain_waits_then_escalates_to_cancel(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             release.set()
             manager = _manager(release, started)
             submitted = manager.submit({"n": 8, "repeat": 10_000})
@@ -271,7 +279,7 @@ class TestLifecycle:
 
     def test_status_summary_shape(self):
         async def scenario():
-            release, started = threading.Event(), threading.Event()
+            release, started = _events()
             release.set()
             manager = _manager(release, started)
             submitted = manager.submit({"n": 8})
