@@ -175,7 +175,6 @@ def execute_spec(
         resolved = resolved.with_crashes(fault_plan.crashes)
     outcome = RunOutcome(spec=resolved, expected_failure=expected)
 
-    # lint: allow[DET002] reason=wall_time is observability-only; no protocol decision reads it
     start = time.perf_counter()
     try:
         if config.kind == KIND_PI_BA:
@@ -202,7 +201,6 @@ def execute_spec(
         # A *loud* failure: the protocol refused to produce an answer.
         outcome.error = str(exc)
         outcome.error_type = type(exc).__name__
-    # lint: allow[DET002] reason=wall_time is observability-only; no protocol decision reads it
     outcome.wall_time = time.perf_counter() - start
     return outcome
 

@@ -109,7 +109,6 @@ def run_cluster_bench(
     plan = random_corruption(
         n, params.max_corruptions(n), Randomness(seed).fork("corruption")
     )
-    # lint: allow[DET002] reason=bench wall times; protocol state never reads them
     clock = time.perf_counter
     started = clock()
     reference, script = record_balanced_ba_script(

@@ -38,10 +38,6 @@ accepts from every *j > i* — so reconnection responsibility is never
 ambiguous.  No wall-clock reads: all pacing uses event waits.
 """
 
-# lint: file-allow[ACC001] reason=the mesh data plane is the sanctioned
-# transport seam itself; its bytes are charged centrally when the
-# supervisor replays worker round digests into CommunicationMetrics.
-
 from __future__ import annotations
 
 import socket

@@ -41,9 +41,6 @@ only): no cold start, and a direct child — reaping it credits its CPU
 to ``os.times()`` and its exit status is the supervisor's to read.
 """
 
-# lint: file-allow[ACC001] reason=channel.send ships control messages; party
-# frames are charged via metrics.record_frames from the workers' round digests
-
 from __future__ import annotations
 
 import os
@@ -198,7 +195,7 @@ class ClusterSupervisor:
             Path(run_dir) if run_dir is not None else None
         )
         # Cross-process observability.  The trace id is deterministic
-        # (derived from the job, never a clock — DET002): it stamps
+        # (derived from the job, never a clock): it stamps
         # every job message and is echoed by every done, correlating
         # supervisor, worker, and timeline artifacts of one run.
         self.trace_id = self.config.trace_id or (
@@ -428,7 +425,6 @@ class ClusterSupervisor:
                     str(resumed.fields["mesh_host"]),
                     int(resumed.fields["mesh_port"]),
                 )
-                # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
                 now = time.monotonic()
                 self.workers[worker_id] = _Worker(
                     worker_id=worker_id,
@@ -549,7 +545,6 @@ class ClusterSupervisor:
         *all* channels were read — so a barrier a survivor announced
         before the death is committed before the respawn is pinned.
         """
-        # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
         self._round_started = time.monotonic()
         while not self._finished():
             if self.round_index >= self.job.max_rounds:
@@ -561,7 +556,6 @@ class ClusterSupervisor:
                 [worker.channel for worker in self.workers.values()],
                 [], [], self.config.heartbeat_interval,
             )
-            # lint: allow[DET002] reason=liveness deadline for crash detection; protocol state never reads it
             now = time.monotonic()
             dead: List[Tuple[int, str]] = []
             for worker_id in sorted(self.workers):

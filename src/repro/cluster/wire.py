@@ -62,9 +62,6 @@ call, so the supervisor can ``select`` over every worker's channel and
 drain whatever arrived without ever losing framing.
 """
 
-# lint: file-allow[ACC001] reason=control-channel sockets; party traffic is
-# charged by the supervisor from worker round digests, never from this module
-
 from __future__ import annotations
 
 import json

@@ -42,9 +42,6 @@ injection honest: a job's ``kill_round`` has the worker SIGKILL itself
 mid-round, after stepping and before its trains ship.
 """
 
-# lint: file-allow[ACC001] reason=channel.send ships control replies; the
-# worker never owns a ledger — the supervisor charges frames from its digests
-
 from __future__ import annotations
 
 import os

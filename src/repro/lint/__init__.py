@@ -1,16 +1,15 @@
 """repro.lint — protocol-aware static analysis for the repro tree.
 
-Seven domain rules machine-check the invariants the paper's
-quantitative claims rest on:
+Four rules machine-check the invariants the tier-1 suite cannot see
+failing (the goldens already pin every charged bit, trace fingerprint
+and seeded draw; a seeded-mutation study in ``docs/static_analysis.md``
+retired the rules that only duplicated them):
 
 ========  =============================================================
-DET001    all randomness descends from a seeded ``Randomness`` source
-DET002    no wall-clock reads in protocol scopes (injected clock only)
-ACC001    no byte path bypasses the ``CommunicationMetrics`` charge seam
-OBS001    instrumented protocols charge inside ``repro.obs`` phase spans
 ASY001    no fire-and-forget tasks / unawaited coroutines
+ASY002    task-shared containers are mutated under their owning lock
 EXC001    no silent broad excepts (narrow, re-raise, or justify)
-SER001    wire-module dataclasses carry an encode/decode round-trip
+TRU001    wire-decoded fields are guarded before protocol/ledger use
 ========  =============================================================
 
 Plus engine meta-rules LNT000 (malformed pragma), LNT001 (unused

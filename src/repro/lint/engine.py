@@ -134,7 +134,7 @@ def run_lint(
 
     for module in modules:
         for rule in file_rules:
-            for violation in rule.check(module, config):
+            for violation in rule.check(module):
                 record(module, violation)
 
     if project_rules:
@@ -143,7 +143,7 @@ def run_lint(
         project = ProjectUnit.from_modules(modules)
         by_rel = {module.rel: module for module in modules}
         for rule in project_rules:
-            for violation in rule.check_project(project, by_rel, config):
+            for violation in rule.check_project(project, by_rel):
                 module_for = by_rel.get(violation.path)
                 if module_for is not None:
                     record(module_for, violation)

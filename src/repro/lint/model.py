@@ -1,16 +1,12 @@
 """Core data model of the protocol-aware linter.
 
-The linter exists because the paper's headline claim is *quantitative*:
-Thm 3.1 promises Õ(1) bits per party, and the repo proves it by
-measurement — every byte must flow through the
-:class:`~repro.net.metrics.CommunicationMetrics` charge seam, every
-random draw must come from a seeded :class:`~repro.utils.randomness.Randomness`,
-and every protocol step must be replayable tick-for-tick.  A single
-``time.time()`` or module-level ``random.random()`` silently breaks
-record-and-replay (PR 1), phase attribution (PR 2), and the campaign
-invariant checks (PR 3) without failing a single test.  These are *repo
-invariants*, not style preferences — so they are machine-checked here
-instead of review-enforced.
+The linter keeps only rules whose defects the tier-1 suite cannot see:
+the goldens already pin every charged bit, every trace fingerprint and
+every seeded draw, but not a decoder that accepts one field too many, a
+task handle dropped on the floor, a container mutated outside its lock,
+or a broad ``except`` that turns a bug into "reject adversarial input".
+``docs/static_analysis.md`` records the seeded-mutation study that
+decided which rules stay.
 
 This module defines the vocabulary shared by the engine, rules and
 reporters: :class:`Severity`, :class:`RuleMeta`,
@@ -29,7 +25,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 from repro.lint.pragmas import PragmaIndex
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.lint.config import LintConfig
     from repro.lint.xmod.project import ProjectUnit
 
 
@@ -99,8 +94,7 @@ class ModuleUnit:
     """One parsed Python source file, as seen by every rule.
 
     Rules receive the raw source (for snippets), the split lines, the
-    parsed AST, the pragma index, and lazily-built shared analyses: the
-    import map (dotted-name resolution for aliased imports) and the
+    parsed AST, the pragma index, and the lazily-built
     enclosing-symbol table.
     """
 
@@ -110,59 +104,9 @@ class ModuleUnit:
     lines: List[str]
     tree: ast.Module
     pragmas: PragmaIndex
-    _import_map: Optional[Dict[str, str]] = field(default=None, repr=False)
     _symbol_spans: Optional[List[Tuple[int, int, str]]] = field(
         default=None, repr=False
     )
-
-    # -- shared analyses ----------------------------------------------------
-
-    @property
-    def import_map(self) -> Dict[str, str]:
-        """Local name -> dotted origin, from every import in the file.
-
-        ``import time as time_mod`` maps ``time_mod -> time``;
-        ``from datetime import datetime`` maps
-        ``datetime -> datetime.datetime``.  Function-level imports are
-        included (protocol modules import lazily for startup cost).
-        """
-        if self._import_map is None:
-            mapping: Dict[str, str] = {}
-            for node in ast.walk(self.tree):
-                if isinstance(node, ast.Import):
-                    for alias in node.names:
-                        local = alias.asname or alias.name.split(".")[0]
-                        origin = alias.name if alias.asname else local
-                        mapping[local] = origin
-                elif isinstance(node, ast.ImportFrom):
-                    if node.module is None or node.level:
-                        continue  # relative imports never hit stdlib seams
-                    for alias in node.names:
-                        local = alias.asname or alias.name
-                        mapping[local] = f"{node.module}.{alias.name}"
-            self._import_map = mapping
-        return self._import_map
-
-    def resolve(self, node: ast.AST) -> Optional[str]:
-        """Resolve a Name/Attribute chain to its dotted origin, or None.
-
-        ``time_mod.perf_counter`` (after ``import time as time_mod``)
-        resolves to ``"time.perf_counter"``.  This is a lexical
-        resolution: rebinding a module object to another name defeats
-        it, which is acceptable for an advisory repo linter.
-        """
-        parts: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        origin = self.import_map.get(current.id)
-        if origin is None:
-            return None
-        parts.append(origin)
-        return ".".join(reversed(parts))
 
     def symbol_at(self, line: int) -> str:
         """Dotted name of the innermost def/class containing ``line``."""
@@ -210,9 +154,7 @@ class Rule:
 
     meta: RuleMeta
 
-    def check(
-        self, module: ModuleUnit, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, module: ModuleUnit) -> Iterator[Violation]:
         """Yield violations found in ``module``."""
         raise NotImplementedError
 
@@ -250,15 +192,12 @@ class ProjectRule(Rule):
     per-file ``path``/``line`` so pragma suppression works unchanged.
     """
 
-    def check(
-        self, module: ModuleUnit, config: "LintConfig"
-    ) -> Iterator[Violation]:
+    def check(self, module: ModuleUnit) -> Iterator[Violation]:
         """Project rules do not run per-module."""
         return iter(())
 
     def check_project(
         self, project: "ProjectUnit", modules: Dict[str, ModuleUnit],
-        config: "LintConfig",
     ) -> Iterator[Violation]:
         """Yield violations found across ``project``.
 

@@ -4,13 +4,13 @@ Grammar (one comment, same line as the violation or the line directly
 above it)::
 
     # lint: allow[EXC001] reason=adversarial blob rejection per Fig. 3
-    # lint: allow[DET002,DET001] reason=observability-only wall time
+    # lint: allow[TRU001,EXC001] reason=validated by the consumer
     # lint: file-allow[EXC001] reason=this whole module parses attacker bytes
 
 ``reason=`` is **mandatory**: a suppression without a recorded
 justification is itself reported (rule ``LNT000``), because the whole
-point of the pragma channel is that every deliberate deviation from the
-determinism/accounting invariants carries its argument in-line.  Unused
+point of the pragma channel is that every deliberate deviation from a
+rule's invariant carries its argument in-line.  Unused
 pragmas are reported as warnings (``LNT001``) so suppressions cannot
 outlive the code they excused.
 """

@@ -85,16 +85,6 @@ def render_text(result: LintResult) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def summarize_by_rule(
-    violations: List[Violation],
-) -> List[Tuple[str, int]]:
-    """(rule id, count) pairs, most frequent first (for burndown views)."""
-    counts: Dict[str, int] = {}
-    for violation in violations:
-        counts[violation.rule_id] = counts.get(violation.rule_id, 0) + 1
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
-
 def suppressions_payload(
     suppressed: List[Tuple[Violation, Pragma]],
 ) -> List[Dict[str, Any]]:

@@ -10,25 +10,15 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.lint.model import Rule
-from repro.lint.rules.accounting import RawSendRule, UnspannedChargeRule
 from repro.lint.rules.asyncsafety import FireAndForgetRule, SharedStateRule
-from repro.lint.rules.determinism import UnseededRandomnessRule, WallClockRule
 from repro.lint.rules.exceptions import BroadExceptRule
-from repro.lint.rules.schema import SchemaDriftRule
 from repro.lint.rules.trust import TrustBoundaryRule
-from repro.lint.rules.wire import WireCodecRule
 
 #: Every registered rule, in rule-id order.
 ALL_RULES: Tuple[Rule, ...] = (
-    RawSendRule(),        # ACC001
     FireAndForgetRule(),  # ASY001
     SharedStateRule(),    # ASY002
-    UnseededRandomnessRule(),  # DET001
-    WallClockRule(),      # DET002
     BroadExceptRule(),    # EXC001
-    UnspannedChargeRule(),  # OBS001
-    SchemaDriftRule(),    # SCH001
-    WireCodecRule(),      # SER001
     TrustBoundaryRule(),  # TRU001
 )
 

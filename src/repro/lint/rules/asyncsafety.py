@@ -9,20 +9,21 @@ round barrier nondeterministically, which the differential-parity suite
 can only see as a flaky hang.
 
 ASY002 extends the discipline to *state*: a class whose containers are
-reachable from more than one execution context (reader threads feeding
-an asyncio loop, worker pools behind a session manager) must mutate
-them under its own lock — or keep each container single-writer.  The
-rule is cross-module (it consumes the class inventories in the facts
-layer) and deliberately structural: it never guesses about the GIL,
-only about the ownership conventions this codebase actually uses.
+reachable from more than one execution context (the mesh router's
+accept, dial and receiver threads beside the stepping thread) must
+mutate them under its own lock — or keep each container
+single-writer.  The rule is cross-module (it consumes the class
+inventories in the facts layer) and deliberately structural: it never
+guesses about the GIL, only about the ownership conventions this
+codebase actually uses.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.lint.model import (
     ModuleUnit,
     ProjectRule,
@@ -34,6 +35,11 @@ from repro.lint.model import (
 from repro.lint.xmod.project import ClassFacts, ProjectUnit
 
 _SPAWNERS: Set[str] = {"create_task", "ensure_future"}
+
+#: Both rules' scope: the concurrent execution layers, where a
+#: garbage-collected pump or an unlocked mutation stalls a round
+#: barrier nondeterministically.
+SCOPES: Tuple[str, ...] = ("runtime/", "cluster/", "serve/", "asynchrony/")
 
 
 class FireAndForgetRule(Rule):
@@ -61,10 +67,8 @@ class FireAndForgetRule(Rule):
         ),
     )
 
-    def check(
-        self, module: ModuleUnit, config: LintConfig
-    ) -> Iterator[Violation]:
-        if not config.in_scope(module.rel, config.asy001_scopes):
+    def check(self, module: ModuleUnit) -> Iterator[Violation]:
+        if not in_scope(module.rel, SCOPES):
             return
         async_defs = {
             node.name
@@ -122,13 +126,13 @@ class SharedStateRule(ProjectRule):
             "mutated under the class's own lock (or stay single-writer)"
         ),
         rationale=(
-            "The mesh router and session gateway share dicts between "
-            "reader threads and the asyncio loop; a mutation outside "
-            "the owning lock is a data race the differential-parity "
-            "suite can only observe as a flaky hang or a ledger "
-            "mismatch.  A class that owns a lock has declared its "
-            "discipline — every container mutation outside it is a "
-            "bug, not a style choice."
+            "The mesh router shares dicts between its accept, dial and "
+            "receiver threads and the stepping thread; a mutation "
+            "outside the owning lock is a data race the mesh parity "
+            "suite can only observe as a flaky hang or a lost train.  "
+            "A class that owns a lock has declared its discipline — "
+            "every container mutation outside it is a bug, not a style "
+            "choice."
         ),
         fix_hint=(
             "wrap the mutation in `with self.<lock>:` (the lock the "
@@ -177,12 +181,11 @@ class SharedStateRule(ProjectRule):
         self,
         project: ProjectUnit,
         modules: Dict[str, ModuleUnit],
-        config: LintConfig,
     ) -> Iterator[Violation]:
         for qualified in sorted(project.classes):
             modname, klass = project.classes[qualified]
             rel = project.facts[modname].rel
-            if not config.in_scope(rel, config.asy002_scopes):
+            if not in_scope(rel, SCOPES):
                 continue
             shared = set(klass.container_attrs)
             if not shared:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
 from repro.lint.model import ModuleUnit, Rule, RuleMeta, Severity, Violation
 
 _BROAD = {"Exception", "BaseException"}
@@ -88,9 +87,7 @@ class BroadExceptRule(Rule):
         ),
     )
 
-    def check(
-        self, module: ModuleUnit, config: LintConfig
-    ) -> Iterator[Violation]:
+    def check(self, module: ModuleUnit) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

@@ -17,13 +17,12 @@ though the decoder as a whole still validates plenty.
 
 **(b) Interprocedural taint.**  A call returning wire-derived data (a
 decoder call, ``pickle.loads``, or any function whose summary says its
-return carries such data — computed by a cross-module fixpoint to the
-configured depth) taints its result; attribute access, iteration, and
-method calls propagate the taint.  Tainted values must not reach a sink
-— a call into ``protocols/``/``srds/`` or a ledger-charging method
-(``record_message``/``record_multicast``/``record_exchange``/
-``charge_functionality``) —
-unless narrowed first by a sanitizer call (name contains
+return carries such data — computed by a cross-module fixpoint to
+:data:`DEPTH` call levels) taints its result; attribute access,
+iteration, and method calls propagate the taint.  Tainted values must
+not reach a sink — a call into ``protocols/``/``srds/`` or a
+ledger-charging method (:data:`SINK_METHODS`) — unless narrowed first
+by a sanitizer call (name contains
 ``validate``/``narrow``/``sanitize``), killed by a raising guard on the
 value, or produced by a strict decoder invoked under ``try/except``
 over a malformed-input exception (the "guarded construction" pattern:
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import in_scope
 from repro.lint.model import ModuleUnit, ProjectRule, RuleMeta, Severity, Violation
 from repro.lint.xmod.project import (
     CallNode,
@@ -47,6 +46,45 @@ from repro.lint.xmod.project import (
     ModuleFacts,
     ProjectUnit,
 )
+
+#: Modules whose ``decode_*``/``*.decode`` functions ingest
+#: adversary-controlled bytes.  Their returns are taint sources, and
+#: inside them every struct-unpacked field that escapes into the return
+#: value must be individually guarded.
+DECODER_MODULES: Tuple[str, ...] = (
+    "cluster/wire.py", "cluster/meshwire.py", "serve/wire.py",
+    "net/trains.py",
+)
+
+#: Scopes where ``pickle.loads`` results also count as taint sources
+#: (checkpoint/control-plane payloads cross trust domains).
+PICKLE_SCOPES: Tuple[str, ...] = ("cluster/", "serve/", "runtime/")
+
+#: Taint *sinks*: protocol and SRDS logic must never consume
+#: wire-derived data that was not narrowed first.
+SINK_SCOPES: Tuple[str, ...] = ("protocols/", "srds/")
+
+#: Ledger-charging method names that are sinks wherever they are called
+#: (the accounting the paper's bit bounds rest on).
+SINK_METHODS: Tuple[str, ...] = (
+    "record_message", "record_multicast", "record_exchange",
+    "record_frames", "charge_functionality",
+)
+
+#: Name fragments that mark a call as a sanitizer — its result is
+#: considered narrowed/validated.
+SANITIZER_MARKERS: Tuple[str, ...] = ("validate", "narrow", "sanitize")
+
+#: Exception names whose raise-guards and try/except handlers count as
+#: malformed-input validation.
+GUARD_EXCEPTIONS: Set[str] = {
+    "SerializationError", "ClusterError", "GatewayError",
+    "NetworkError", "ReproError", "ConfigurationError",
+    "ValueError", "TypeError", "KeyError", "AssertionError",
+}
+
+#: How many direct-call levels taint is tracked through.
+DEPTH = 3
 
 
 class TrustBoundaryRule(ProjectRule):
@@ -80,11 +118,11 @@ class TrustBoundaryRule(ProjectRule):
 
     # -- policy helpers ------------------------------------------------------
 
-    def _decoder_modules(self, project: ProjectUnit,
-                         config: LintConfig) -> Set[str]:
+    @staticmethod
+    def _decoder_modules(project: ProjectUnit) -> Set[str]:
         return {
             name for name, facts in project.facts.items()
-            if config.in_scope(facts.rel, config.tru001_decoder_modules)
+            if in_scope(facts.rel, DECODER_MODULES)
         }
 
     @staticmethod
@@ -99,10 +137,9 @@ class TrustBoundaryRule(ProjectRule):
         modfacts: ModuleFacts,
         resolved: Optional[str],
         call: CallNode,
-        config: LintConfig,
     ) -> bool:
-        if call.callee == "pickle.loads" and config.in_scope(
-            modfacts.rel, config.tru001_pickle_scopes
+        if call.callee == "pickle.loads" and in_scope(
+            modfacts.rel, PICKLE_SCOPES
         ):
             return True
         tail = call.callee.rsplit(".", 1)[-1]
@@ -118,42 +155,38 @@ class TrustBoundaryRule(ProjectRule):
         return tail.startswith("decode") and head in decoder_modules
 
     @staticmethod
-    def _is_sanitizer(callee: str, markers: Tuple[str, ...]) -> bool:
+    def _is_sanitizer(callee: str) -> bool:
         tail = callee.rsplit(".", 1)[-1].lower()
-        return any(marker in tail for marker in markers)
+        return any(marker in tail for marker in SANITIZER_MARKERS)
 
     def _is_sink(
         self,
         project: ProjectUnit,
         call: CallNode,
         resolved: Optional[str],
-        config: LintConfig,
     ) -> Optional[str]:
         """A human-readable sink label, or ``None``."""
         tail = call.callee.rsplit(".", 1)[-1]
-        if tail in config.tru001_sink_methods:
+        if tail in SINK_METHODS:
             return f"ledger call {tail}()"
         if resolved is not None:
             owner = project.functions.get(resolved)
             if owner is not None:
                 rel = project.facts[owner[0]].rel
-                if config.in_scope(rel, config.tru001_sink_scopes):
+                if in_scope(rel, SINK_SCOPES):
                     return f"{resolved} ({rel})"
         return None
 
     # -- (a) decoder field strictness ---------------------------------------
 
-    def _guarded_names(self, function: FunctionFacts,
-                       guard_exceptions: Set[str]) -> Set[str]:
-        guarded: Set[str] = set()
-        for guard in function.guards:
-            if set(guard.raised) & guard_exceptions:
-                guarded.add(guard.name)
+    @staticmethod
+    def _guarded_names(function: FunctionFacts) -> Set[str]:
+        guarded = TrustBoundaryRule._guard_killed_names(function)
         # Fields handed to a raising local helper (the `need(length)`
         # pattern) or to a module-level checker that raises.
         raising_helpers = {
             name for name, raised in function.nested_raises.items()
-            if set(raised) & guard_exceptions
+            if set(raised) & GUARD_EXCEPTIONS
         }
         for call in function.calls:
             helper = call.callee.rsplit(".", 1)[-1]
@@ -223,8 +256,6 @@ class TrustBoundaryRule(ProjectRule):
         project: ProjectUnit,
         modules: Dict[str, ModuleUnit],
         decoder_modules: Set[str],
-        guard_exceptions: Set[str],
-        config: LintConfig,
     ) -> Iterator[Violation]:
         for modname in sorted(decoder_modules):
             modfacts = project.facts[modname]
@@ -233,7 +264,7 @@ class TrustBoundaryRule(ProjectRule):
                     continue
                 if not function.unpacks:
                     continue
-                guarded = self._guarded_names(function, guard_exceptions)
+                guarded = self._guarded_names(function)
                 escaping = self._escape_lines(function)
                 for unpack in function.unpacks:
                     for field in unpack.fields:
@@ -257,18 +288,16 @@ class TrustBoundaryRule(ProjectRule):
         self,
         project: ProjectUnit,
         decoder_modules: Set[str],
-        guard_exceptions: Set[str],
-        config: LintConfig,
     ) -> Set[str]:
         """Qualified names of functions whose return carries wire taint.
 
-        Fixpoint to ``tru001_depth`` rounds: each round may propagate
+        Fixpoint to :data:`DEPTH` rounds: each round may propagate
         taint one call level further.  Decoder functions themselves are
         *not* summarized as tainted — calling them is the source event,
         and call sites under a malformed-input ``try`` are exempt.
         """
         tainted_returns: Set[str] = set()
-        for _ in range(max(1, config.tru001_depth)):
+        for _ in range(DEPTH):
             changed = False
             for qualified, (modname, function) in project.functions.items():
                 if qualified in tainted_returns:
@@ -278,7 +307,7 @@ class TrustBoundaryRule(ProjectRule):
                     continue
                 tainted_ids = self._tainted_call_ids(
                     project, decoder_modules, tainted_returns,
-                    modname, function, guard_exceptions, config,
+                    modname, function,
                 )
                 for ret in function.returns:
                     if tainted_ids & set(ret.origins):
@@ -296,12 +325,9 @@ class TrustBoundaryRule(ProjectRule):
         tainted_returns: Set[str],
         modname: str,
         function: FunctionFacts,
-        guard_exceptions: Set[str],
-        config: LintConfig,
     ) -> Set[str]:
         modfacts = project.facts[modname]
-        markers = config.tru001_sanitizer_markers
-        guarded_names = self._guard_killed_names(function, guard_exceptions)
+        guarded_names = self._guard_killed_names(function)
 
         tainted: Set[str] = set()
         changed = True
@@ -310,22 +336,21 @@ class TrustBoundaryRule(ProjectRule):
             for call in function.calls:
                 if call.id in tainted:
                     continue
-                if self._is_sanitizer(call.callee, markers):
+                if self._is_sanitizer(call.callee):
                     continue
                 resolved = project.resolve_call(modname, function, call)
                 if self._is_source(
                     project, decoder_modules, modfacts, resolved, call,
-                    config,
                 ):
                     # Guarded construction: a strict decoder invoked
                     # under try/except over malformed-input errors is
                     # the sanctioned ingress pattern.
-                    if not set(call.try_handlers) & guard_exceptions:
+                    if not set(call.try_handlers) & GUARD_EXCEPTIONS:
                         tainted.add(call.id)
                         changed = True
                     continue
                 if resolved is not None and resolved in tainted_returns:
-                    if not set(call.try_handlers) & guard_exceptions:
+                    if not set(call.try_handlers) & GUARD_EXCEPTIONS:
                         tainted.add(call.id)
                         changed = True
                     continue
@@ -335,15 +360,14 @@ class TrustBoundaryRule(ProjectRule):
         return tainted
 
     @staticmethod
-    def _guard_killed_names(function: FunctionFacts,
-                            guard_exceptions: Set[str]) -> Set[str]:
+    def _guard_killed_names(function: FunctionFacts) -> Set[str]:
         """Names a raising guard validated — kills taint *by name* at
         use sites, so guarding ``recipients`` does not launder the
         ``rows`` it was derived from."""
         return {
             guard.name
             for guard in function.guards
-            if set(guard.raised) & guard_exceptions
+            if set(guard.raised) & GUARD_EXCEPTIONS
         }
 
     @staticmethod
@@ -371,32 +395,25 @@ class TrustBoundaryRule(ProjectRule):
         project: ProjectUnit,
         modules: Dict[str, ModuleUnit],
         decoder_modules: Set[str],
-        guard_exceptions: Set[str],
-        config: LintConfig,
     ) -> Iterator[Violation]:
-        tainted_returns = self._taint_summaries(
-            project, decoder_modules, guard_exceptions, config,
-        )
+        tainted_returns = self._taint_summaries(project, decoder_modules)
         for qualified in sorted(project.functions):
             modname, function = project.functions[qualified]
             modfacts = project.facts[modname]
             # Sink-scope modules consuming their own data is fine; the
             # boundary is crossed by *callers* outside those scopes.
-            if config.in_scope(modfacts.rel, config.tru001_sink_scopes):
+            if in_scope(modfacts.rel, SINK_SCOPES):
                 continue
             tainted = self._tainted_call_ids(
-                project, decoder_modules, tainted_returns,
-                modname, function, guard_exceptions, config,
+                project, decoder_modules, tainted_returns, modname, function,
             )
             if not tainted:
                 continue
-            guarded_names = self._guard_killed_names(
-                function, guard_exceptions
-            )
+            guarded_names = self._guard_killed_names(function)
             calls_by_id = {call.id: call for call in function.calls}
             for call in function.calls:
                 resolved = project.resolve_call(modname, function, call)
-                sink = self._is_sink(project, call, resolved, config)
+                sink = self._is_sink(project, call, resolved)
                 if sink is None:
                     continue
                 hot: Set[str] = set()
@@ -433,13 +450,9 @@ class TrustBoundaryRule(ProjectRule):
         self,
         project: ProjectUnit,
         modules: Dict[str, ModuleUnit],
-        config: LintConfig,
     ) -> Iterator[Violation]:
-        decoder_modules = self._decoder_modules(project, config)
-        guard_exceptions = set(config.tru001_guard_exceptions)
+        decoder_modules = self._decoder_modules(project)
         yield from self._check_decoder_fields(
-            project, modules, decoder_modules, guard_exceptions, config,
+            project, modules, decoder_modules,
         )
-        yield from self._check_sinks(
-            project, modules, decoder_modules, guard_exceptions, config,
-        )
+        yield from self._check_sinks(project, modules, decoder_modules)

@@ -14,8 +14,8 @@ once per run — into a :class:`ModuleFacts` record of plain data:
 * **guard events** (names tested by an ``if``/``while``/``assert`` whose
   body raises, with the raised exception names) — the linter's notion of
   a validation/narrowing point,
-* **struct codec uses** (``pack``/``unpack`` calls with per-position
-  identifiers) and module-level ``struct.Struct`` constants for SCH001,
+* **struct unpack bindings** (the names a ``Struct.unpack*`` result is
+  bound to) for TRU001's decoder field strictness,
 * **class inventories** (lock attributes, shared container attributes,
   thread/task entry points, container mutations with the locks held at
   each site) for ASY002.
@@ -66,9 +66,6 @@ MUTATOR_METHODS = {
 _ABSORB_METHODS = {"append", "extend", "add", "insert", "update",
                    "appendleft", "setdefault"}
 
-_STRUCT_METHODS = {"pack", "pack_into", "unpack", "unpack_from",
-                   "iter_unpack"}
-
 
 def module_name_for(rel: str) -> str:
     """Dotted module name for a root-relative posix path.
@@ -101,8 +98,6 @@ class CallNode:
     col: int
     arg_origins: List[List[str]] = field(default_factory=list)
     arg_roots: List[Optional[str]] = field(default_factory=list)
-    arg_idents: List[Optional[str]] = field(default_factory=list)
-    arg_kinds: List[str] = field(default_factory=list)
     arg_lines: List[int] = field(default_factory=list)
     kw_origins: Dict[str, List[str]] = field(default_factory=dict)
     kw_roots: Dict[str, Optional[str]] = field(default_factory=dict)
@@ -167,16 +162,12 @@ class MutationFact:
 class ClassFacts:
     name: str
     line: int
-    bases: List[str] = field(default_factory=list)
-    is_dataclass: bool = False
-    fields: List[Tuple[str, int]] = field(default_factory=list)
     methods: List[str] = field(default_factory=list)
     lock_attrs: List[str] = field(default_factory=list)
     container_attrs: List[str] = field(default_factory=list)
     thread_entries: List[str] = field(default_factory=list)
     task_entries: List[str] = field(default_factory=list)
     mutations: List[MutationFact] = field(default_factory=list)
-    self_reads: Dict[str, List[str]] = field(default_factory=dict)
 
 
 @dataclass
@@ -188,7 +179,6 @@ class ModuleFacts:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: List[FunctionFacts] = field(default_factory=list)
     classes: List[ClassFacts] = field(default_factory=list)
-    struct_consts: Dict[str, str] = field(default_factory=dict)
 
 
 # -- extraction ---------------------------------------------------------------
@@ -224,28 +214,38 @@ def _exception_names(node: Optional[ast.expr]) -> List[str]:
     return names
 
 
-def _arg_shape(node: ast.expr) -> Tuple[Optional[str], Optional[str], str]:
-    """(root name, trailing identifier, kind) of one argument expression.
-
-    The *root* feeds taint lookups (``frame.sender`` taints via
-    ``frame``); the *identifier* feeds SCH001's positional field-name
-    pairing (``frame.sender`` pairs against an unpack target named
-    ``sender``); *kind* lets SCH001 skip positions that are constants or
-    computed expressions.
-    """
+def _arg_root(node: ast.expr) -> Optional[str]:
+    """Root name of one argument expression, for taint lookups
+    (``frame.sender`` taints via ``frame``)."""
     if isinstance(node, ast.Starred):
         node = node.value
-    if isinstance(node, ast.Name):
-        return node.id, node.id, "name"
-    if isinstance(node, ast.Attribute):
+    if isinstance(node, (ast.Name, ast.Attribute)):
         dotted = _dotted(node)
-        root = dotted[0] if dotted else None
-        return root, node.attr, "attr"
-    if isinstance(node, ast.Constant):
-        return None, None, "const"
-    if isinstance(node, ast.Call):
-        return None, None, "call"
-    return None, None, "expr"
+        return dotted[0] if dotted else None
+    return None
+
+
+def _import_map(tree: ast.Module) -> Dict[str, str]:
+    """Local name -> dotted origin, from every import in the file.
+
+    ``import time as time_mod`` maps ``time_mod -> time``;
+    ``from datetime import datetime`` maps
+    ``datetime -> datetime.datetime``.  Function-level imports are
+    included (protocol modules import lazily for startup cost).
+    """
+    mapping: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                mapping[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None or node.level:
+                continue  # relative imports are left unresolved
+            for alias in node.names:
+                local = alias.asname or alias.name
+                mapping[local] = f"{node.module}.{alias.name}"
+    return mapping
 
 
 class _FunctionExtractor:
@@ -349,16 +349,13 @@ class _FunctionExtractor:
                 self.env.get(receiver_root, frozenset())
             )
         for arg in node.args:
-            root, ident, kind = _arg_shape(arg)
-            call.arg_roots.append(root)
-            call.arg_idents.append(ident)
-            call.arg_kinds.append(kind)
+            call.arg_roots.append(_arg_root(arg))
             call.arg_lines.append(getattr(arg, "lineno", node.lineno))
             call.arg_origins.append(sorted(self.origins_of(arg)))
         for keyword in node.keywords:
             if keyword.arg is None:
                 continue
-            call.kw_roots[keyword.arg] = _arg_shape(keyword.value)[0]
+            call.kw_roots[keyword.arg] = _arg_root(keyword.value)
             call.kw_lines[keyword.arg] = getattr(
                 keyword.value, "lineno", node.lineno
             )
@@ -692,37 +689,10 @@ class _ModuleResolver:
         return root + "." + ".".join(chain), root
 
 
-def _resolve_base(base: ast.expr, imports: Dict[str, str],
-                  module: str, toplevel: Dict[str, str]) -> Optional[str]:
-    dotted = _dotted(base)
-    if dotted is None:
-        return None
-    root, chain = dotted
-    if not chain:
-        if root in toplevel:
-            return f"{module}.{root}"
-        return imports.get(root, root)
-    if root in imports:
-        return imports[root] + "." + ".".join(chain)
-    return root + "." + ".".join(chain)
-
-
-def _is_dataclass_class(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator
-        if isinstance(target, ast.Call):
-            target = target.func
-        dotted = _dotted(target)
-        if dotted and (dotted[1][-1:] == ["dataclass"]
-                       or dotted[0] == "dataclass"):
-            return True
-    return False
-
-
 def extract_facts(module: ModuleUnit) -> ModuleFacts:
     """Distill one parsed module into its facts."""
     modname = module_name_for(module.rel)
-    imports = dict(module.import_map)
+    imports = _import_map(module.tree)
     toplevel: Dict[str, str] = {}
     for node in module.tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -743,22 +713,6 @@ def extract_facts(module: ModuleUnit) -> ModuleFacts:
         imports=imports,
     )
     resolver = _ModuleResolver(modname, imports, toplevel)
-
-    # Module-level struct.Struct constants.
-    for node in module.tree.body:
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Call):
-            continue
-        callee, _ = resolver.callee_of(value.func, None)
-        if callee in ("struct.Struct",) and value.args and isinstance(
-            value.args[0], ast.Constant
-        ) and isinstance(value.args[0].value, str):
-            facts.struct_consts[target.id] = value.args[0].value
 
     def extract_function(
         node: ast.stmt, class_ctx: Optional[ClassFacts],
@@ -790,24 +744,9 @@ def extract_facts(module: ModuleUnit) -> ModuleFacts:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             extract_function(node, None)
         elif isinstance(node, ast.ClassDef):
-            klass = ClassFacts(
-                name=node.name, line=node.lineno,
-                bases=[
-                    base_name
-                    for base in node.bases
-                    if (base_name := _resolve_base(
-                        base, imports, modname, toplevel)) is not None
-                ],
-                is_dataclass=_is_dataclass_class(node),
-            )
+            klass = ClassFacts(name=node.name, line=node.lineno)
             for member in node.body:
-                if isinstance(member, ast.AnnAssign) and isinstance(
-                    member.target, ast.Name
-                ):
-                    klass.fields.append(
-                        (member.target.id, member.lineno)
-                    )
-                elif isinstance(
+                if isinstance(
                     member, (ast.FunctionDef, ast.AsyncFunctionDef)
                 ):
                     klass.methods.append(member.name)
@@ -823,7 +762,7 @@ def extract_facts(module: ModuleUnit) -> ModuleFacts:
 
 def _inventory_class(klass: ClassFacts, facts: ModuleFacts,
                      node: ast.ClassDef) -> None:
-    """Fill the ASY002/SCH001 inventories from the class's functions."""
+    """Fill the ASY002 inventories from the class's functions."""
     for member in node.body:
         if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -854,16 +793,9 @@ def _inventory_class(klass: ClassFacts, facts: ModuleFacts,
                     ):
                         if attr not in klass.container_attrs:
                             klass.container_attrs.append(attr)
-        reads: List[str] = []
         for sub in ast.walk(member):
-            if isinstance(sub, ast.Attribute) and isinstance(
-                sub.value, ast.Name
-            ) and sub.value.id == "self":
-                if sub.attr not in reads:
-                    reads.append(sub.attr)
             if isinstance(sub, ast.Call):
                 _entry_points(sub, klass, facts)
-        klass.self_reads[member.name] = reads
 
 
 def _constructor_label(value: Optional[ast.expr],
@@ -929,7 +861,6 @@ class ProjectUnit:
         self.functions: Dict[str, Tuple[str, FunctionFacts]] = {}
         self.classes: Dict[str, Tuple[str, ClassFacts]] = {}
         self.methods_by_name: Dict[str, List[str]] = {}
-        self.struct_consts: Dict[str, str] = {}
         for modname, mod in facts.items():
             for function in mod.functions:
                 qualified = f"{modname}.{function.qualname}"
@@ -940,8 +871,6 @@ class ProjectUnit:
                     ).append(qualified)
             for klass in mod.classes:
                 self.classes[f"{modname}.{klass.name}"] = (modname, klass)
-            for const, fmt in mod.struct_consts.items():
-                self.struct_consts[f"{modname}.{const}"] = fmt
 
     @classmethod
     def from_modules(cls, modules: Iterable[ModuleUnit]) -> "ProjectUnit":
@@ -955,8 +884,8 @@ class ProjectUnit:
     ) -> Optional[str]:
         """Fully-qualified callee of a call fact, when determinable.
 
-        Handles ``self.m`` through the class's base chain and falls back
-        to unique-method-name resolution for calls on untyped locals
+        Handles ``self.m`` on the enclosing class and falls back to
+        unique-method-name resolution for calls on untyped locals
         (``message.payload()`` resolves iff exactly one project class
         defines ``payload``).
         """
@@ -964,18 +893,15 @@ class ProjectUnit:
         if callee.startswith("self."):
             chain = callee.split(".")[1:]
             if len(chain) == 1 and function.class_name is not None:
-                owner = f"{modname}.{function.class_name}"
-                resolved = self._resolve_method(owner, chain[0])
-                if resolved is not None:
-                    return resolved
+                return self._resolve_method(
+                    f"{modname}.{function.class_name}", chain[0]
+                )
             return None
         if callee in self.functions:
             return callee
         if "." in callee:
             # A dotted name may already be fully qualified (imported
             # function/classmethod) or a call on a local object.
-            if callee in self.struct_consts:
-                return callee
             head, tail = callee.rsplit(".", 1)
             if head in self.classes:
                 return self._resolve_method(head, tail) or callee
@@ -986,15 +912,8 @@ class ProjectUnit:
             return callee if callee in self.functions else None
         return None
 
-    def _resolve_method(self, owner: str, method: str,
-                        depth: int = 0) -> Optional[str]:
-        if depth > 8 or owner not in self.classes:
-            return None
-        modname, klass = self.classes[owner]
-        if method in klass.methods:
+    def _resolve_method(self, owner: str, method: str) -> Optional[str]:
+        entry = self.classes.get(owner)
+        if entry is not None and method in entry[1].methods:
             return f"{owner}.{method}"
-        for base in klass.bases:
-            resolved = self._resolve_method(base, method, depth + 1)
-            if resolved is not None:
-                return resolved
         return None

@@ -106,7 +106,6 @@ class RoundSynchronizer:
 
     async def step_round(self) -> None:
         """Execute one synchronous round: deliver, step all, ship, barrier."""
-        # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
         started = time.perf_counter() if self.registry is not None else 0.0
         round_index = self.core.round_index
         due = [f for f in self._staged if f.deliver_round <= round_index]
@@ -121,7 +120,6 @@ class RoundSynchronizer:
         if self.registry is not None:
             self._inbox_depth.set_max(self.core.inbox_high_water)
             self._rounds_total.inc()
-            # lint: allow[DET002] reason=round-latency histogram feed; protocol state never reads it
             self._round_latency.observe(time.perf_counter() - started)
 
     def _fault_injected(self, kind: str) -> None:

@@ -29,8 +29,6 @@ Nothing protocol-visible reads a clock here; the timings a lane reports
 observability only.
 """
 
-# lint: file-allow[DET002] reason=lane timings (queue, compute, CPU, per-decision walls) are observability; no decision reads a clock
-
 from __future__ import annotations
 
 import multiprocessing

@@ -491,7 +491,7 @@ class SessionManager:
             self._admitted_counter.inc()
         if self._active_gauge is not None:
             self._active_gauge.set(self.active)
-        admitted = time.monotonic()  # lint: allow[DET002] reason=queue_s observability (admission to lane start); no decision reads it
+        admitted = time.monotonic()
         self._tell(lane, (RUN, record.session_id, spec, admitted))
         return wire.ok(
             session=record.session_id,

@@ -12,11 +12,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def lint_fixture(*paths: str, rules: tuple = ()) -> LintResult:
-    """Run the engine over fixture subtrees with the default rule knobs.
+    """Run the engine over fixture subtrees.
 
-    The fixture tree mirrors the scope substrings of the default config
-    (``protocols/``, ``campaign/spec.py``, ``utils/randomness.py``, ...)
-    so the repo configuration applies unchanged.
+    The fixture tree mirrors the rules' scope substrings (``runtime/``,
+    ``cluster/wire.py``, ``protocols/``, ...) so their scopes apply
+    unchanged.
     """
     config = LintConfig(root=FIXTURES, paths=tuple(paths), rules=rules)
     return run_lint(config)

@@ -8,16 +8,23 @@ from repro.lint.cli import cmd_lint
 from tests.lint.conftest import FIXTURES
 
 
+#: A decoder that swallows every error: one EXC001 site.
+PROTO = (
+    "def run(blob):\n"
+    "    try:\n"
+    "        return int(blob)\n"
+    "    except Exception:{pragma}\n"
+    "        return None\n"
+)
+
+
 @pytest.fixture
 def tree(tmp_path):
-    """A minimal repo-shaped tree with one DET002 violation."""
+    """A minimal repo-shaped tree with one EXC001 violation."""
     (tmp_path / "pyproject.toml").write_text("[project]\n", encoding="utf-8")
     src = tmp_path / "src" / "protocols"
     src.mkdir(parents=True)
-    (src / "proto.py").write_text(
-        "import time\n\n\ndef run():\n    return time.time()\n",
-        encoding="utf-8",
-    )
+    (src / "proto.py").write_text(PROTO.format(pragma=""), encoding="utf-8")
     return tmp_path
 
 
@@ -25,18 +32,15 @@ def test_check_exits_nonzero_on_new_violation(tree, capsys):
     code = cmd_lint(["check", "--root", str(tree)])
     out = capsys.readouterr().out
     assert code == 1
-    assert "DET002" in out
+    assert "EXC001" in out
     assert "protocols/proto.py" in out.replace("\\", "/")
 
 
 def test_a_reasoned_pragma_is_the_one_way_to_pass(tree, capsys):
     proto = tree / "src" / "protocols" / "proto.py"
-    proto.write_text(
-        "import time\n\n\ndef run():\n"
-        "    # lint: allow[DET002] reason=fixture: wall time is the output\n"
-        "    return time.time()\n",
-        encoding="utf-8",
-    )
+    proto.write_text(PROTO.format(
+        pragma="  # lint: allow[EXC001] reason=fixture: None is the verdict",
+    ), encoding="utf-8")
     code = cmd_lint(["check", "--root", str(tree)])
     out = capsys.readouterr().out
     assert code == 0
@@ -54,7 +58,7 @@ def test_check_json_format_and_output_file(tree, tmp_path, capsys):
     payload = json.loads(report_path.read_text(encoding="utf-8"))
     assert payload["schema"] == "repro-lint-report/1"
     assert payload["exit_code"] == 1
-    assert any(v["rule"] == "DET002" for v in payload["new"])
+    assert any(v["rule"] == "EXC001" for v in payload["new"])
     assert set(payload["counts"]) == {"new", "suppressed", "meta"}
     # stdout only carries the pointer line, not the report body
     out = capsys.readouterr().out
@@ -62,9 +66,9 @@ def test_check_json_format_and_output_file(tree, tmp_path, capsys):
 
 
 def test_rules_subset_flag(tree, capsys):
-    code = cmd_lint(["check", "--root", str(tree), "--rules", "EXC001"])
+    code = cmd_lint(["check", "--root", str(tree), "--rules", "ASY001"])
     capsys.readouterr()
-    assert code == 0  # the DET002 site is invisible to an EXC001-only run
+    assert code == 0  # the EXC001 site is invisible to an ASY001-only run
 
 
 def test_unknown_rule_id_is_usage_error(tree, capsys):
@@ -75,9 +79,9 @@ def test_unknown_rule_id_is_usage_error(tree, capsys):
 
 
 def test_explain_prints_rationale(capsys):
-    assert cmd_lint(["explain", "DET002"]) == 0
+    assert cmd_lint(["explain", "TRU001"]) == 0
     out = capsys.readouterr().out
-    assert "DET002" in out
+    assert "TRU001" in out
     assert "reason=" in out  # shows the suppression recipe
 
 
@@ -88,9 +92,13 @@ def test_explain_unknown_rule(capsys):
 def test_rules_lists_every_rule(capsys):
     assert cmd_lint(["rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("DET001", "DET002", "ACC001", "OBS001",
-                    "ASY001", "EXC001", "SER001", "LNT000"):
+    for rule_id in ("ASY001", "ASY002", "EXC001", "TRU001",
+                    "LNT000", "LNT001", "LNT002"):
         assert rule_id in out
+    # Retired by the seeded-mutation study: tier-1 already catches them.
+    for rule_id in ("DET001", "DET002", "ACC001", "OBS001",
+                    "SER001", "SCH001"):
+        assert rule_id not in out
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -118,7 +126,7 @@ def test_the_cache_graph_and_baseline_surface_is_gone(tree, argv, capsys):
 
 def test_check_on_fixture_tree_with_explicit_paths(capsys):
     code = cmd_lint([
-        "check", "--root", str(FIXTURES), "protocols/det002_ok.py",
+        "check", "--root", str(FIXTURES), "exceptions/exc001_ok.py",
     ])
     out = capsys.readouterr().out
     assert code == 0

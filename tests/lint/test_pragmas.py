@@ -5,36 +5,36 @@ from repro.lint.engine import run_lint
 from repro.lint.pragmas import parse_pragmas
 from tests.lint.conftest import FIXTURES, rule_ids_of
 
+#: One silent broad except (EXC001 at line 3); tests splice pragmas in.
+SWALLOW = "try:\n    x = 1\nexcept Exception:{pragma}\n    x = 0\n"
 
-def _lint_source(tmp_path, source: str, rules: tuple = ("DET002",)):
-    target = tmp_path / "protocols" / "module.py"
-    target.parent.mkdir(parents=True, exist_ok=True)
+
+def _lint_source(tmp_path, source: str, rules: tuple = ("EXC001",)):
+    target = tmp_path / "module.py"
     target.write_text(source, encoding="utf-8")
-    config = LintConfig(
-        root=tmp_path, paths=("protocols/module.py",), rules=rules,
-    )
+    config = LintConfig(root=tmp_path, paths=("module.py",), rules=rules)
     return run_lint(config)
 
 
 def test_same_line_pragma_suppresses(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "import time\n"
-        "t = time.time()  # lint: allow[DET002] reason=timing harness only\n",
-    )
+    result = _lint_source(tmp_path, SWALLOW.format(
+        pragma="  # lint: allow[EXC001] reason=teardown path only",
+    ))
     assert rule_ids_of(result) == []
     assert len(result.suppressed) == 1
     violation, pragma = result.suppressed[0]
-    assert violation.rule_id == "DET002"
-    assert pragma.reason == "timing harness only"
+    assert violation.rule_id == "EXC001"
+    assert pragma.reason == "teardown path only"
 
 
 def test_line_above_pragma_suppresses(tmp_path):
     result = _lint_source(
         tmp_path,
-        "import time\n"
-        "# lint: allow[DET002] reason=wall time feeds a histogram only\n"
-        "t = time.time()\n",
+        "try:\n"
+        "    x = 1\n"
+        "# lint: allow[EXC001] reason=the error is reported elsewhere\n"
+        "except Exception:\n"
+        "    x = 0\n",
     )
     assert rule_ids_of(result) == []
     assert len(result.suppressed) == 1
@@ -43,10 +43,8 @@ def test_line_above_pragma_suppresses(tmp_path):
 def test_file_allow_pragma_suppresses_everywhere(tmp_path):
     result = _lint_source(
         tmp_path,
-        "# lint: file-allow[DET002] reason=benchmark driver, not protocol\n"
-        "import time\n"
-        "a = time.time()\n"
-        "b = time.monotonic()\n",
+        "# lint: file-allow[EXC001] reason=plugin host, errors are opaque\n"
+        + SWALLOW.format(pragma="") + SWALLOW.format(pragma=""),
     )
     assert rule_ids_of(result) == []
     assert len(result.suppressed) == 2
@@ -55,42 +53,35 @@ def test_file_allow_pragma_suppresses_everywhere(tmp_path):
 def test_pragma_does_not_leak_to_other_lines(tmp_path):
     result = _lint_source(
         tmp_path,
-        "import time\n"
-        "a = time.time()  # lint: allow[DET002] reason=observability\n"
-        "\n"
-        "\n"
-        "b = time.time()\n",
+        SWALLOW.format(pragma="  # lint: allow[EXC001] reason=isolation")
+        + "\n\n" + SWALLOW.format(pragma=""),
     )
-    assert rule_ids_of(result) == ["DET002"]
+    assert rule_ids_of(result) == ["EXC001"]
     assert len(result.suppressed) == 1
 
 
 def test_missing_reason_is_lnt000(tmp_path):
     result = _lint_source(
-        tmp_path,
-        "import time\n"
-        "t = time.time()  # lint: allow[DET002]\n",
+        tmp_path, SWALLOW.format(pragma="  # lint: allow[EXC001]"),
     )
     meta_ids = [v.rule_id for v in result.meta_violations]
     assert "LNT000" in meta_ids
     # The un-backed pragma must not silence the violation.
-    assert rule_ids_of(result) == ["DET002"]
+    assert rule_ids_of(result) == ["EXC001"]
 
 
 def test_malformed_rule_id_is_lnt000(tmp_path):
-    result = _lint_source(
-        tmp_path,
-        "import time\n"
-        "t = time.time()  # lint: allow[det-2] reason=lowercase id\n",
-    )
+    result = _lint_source(tmp_path, SWALLOW.format(
+        pragma="  # lint: allow[exc-1] reason=lowercase id",
+    ))
     assert "LNT000" in [v.rule_id for v in result.meta_violations]
-    assert rule_ids_of(result) == ["DET002"]
+    assert rule_ids_of(result) == ["EXC001"]
 
 
 def test_unused_pragma_is_lnt001(tmp_path):
     result = _lint_source(
         tmp_path,
-        "# lint: allow[DET002] reason=nothing here actually needs this\n"
+        "# lint: allow[EXC001] reason=nothing here actually needs this\n"
         "x = 1\n",
     )
     assert [v.rule_id for v in result.meta_violations] == ["LNT001"]
@@ -101,9 +92,9 @@ def test_unused_pragma_not_reported_for_inactive_rules(tmp_path):
     # A subset run must not flag pragmas for rules it never evaluated.
     result = _lint_source(
         tmp_path,
-        "# lint: allow[ACC001] reason=charged one frame up\n"
+        "# lint: allow[ASY001] reason=retained by the caller\n"
         "x = 1\n",
-        rules=("DET002",),
+        rules=("EXC001",),
     )
     assert result.meta_violations == []
 
@@ -111,7 +102,7 @@ def test_unused_pragma_not_reported_for_inactive_rules(tmp_path):
 def test_pragmas_inside_strings_are_ignored():
     source = (
         'DOC = """\n'
-        "# lint: allow[DET002] reason=this is documentation, not a pragma\n"
+        "# lint: allow[TRU001] reason=this is documentation, not a pragma\n"
         '"""\n'
         "# lint: allow[EXC001] reason=a real comment pragma\n"
         "x = 1\n"
@@ -123,8 +114,8 @@ def test_pragmas_inside_strings_are_ignored():
 
 
 def test_repo_fixture_suppression_records_reason():
-    config = LintConfig(root=FIXTURES, paths=("protocols/det002_ok.py",))
+    config = LintConfig(root=FIXTURES, paths=("exceptions/exc001_ok.py",))
     result = run_lint(config)
     assert result.violations == []
     (_, pragma), = result.suppressed
-    assert "observability" in pragma.reason
+    assert "adversarial blob rejection" in pragma.reason

@@ -1,21 +1,38 @@
 """The linter applied to this repository itself.
 
-Two guarantees, mirroring the acceptance criteria:
+Three guarantees:
 
 * the committed tree is clean — every finding fixed or carrying a
-  reasoned pragma (new invariant-breaking code cannot merge), and
-* *seeding* a violation — the canonical example is a ``time.time()``
-  call added to ``protocols/balanced_ba.py`` — flips the run to
-  failing, demonstrated on a copy of the real module so the test never
-  mutates the working tree.
+  reasoned pragma (new invariant-breaking code cannot merge),
+* every rule flips on a *seeded mutation* of a real module — the
+  defect it exists for, one the tier-1 suite passes straight over —
+  demonstrated on a copy so the test never mutates the working tree
+  (``docs/static_analysis.md`` tabulates these mutations next to the
+  ones that retired the other rules, which ``test_retired_rules.py``
+  replays against tier-1), and
+* every scope and sink name a rule hard-codes still names something in
+  ``src/``, so a rename cannot switch a rule off in silence.
 """
 
 import shutil
+from functools import lru_cache
+from typing import Dict, List
 
-from repro.lint.config import LintConfig, default_config
+import pytest
+
+from repro.lint.config import LintConfig, default_config, in_scope
 from repro.lint.engine import run_lint
-from repro.lint.model import Severity
+from repro.lint.model import Severity, Violation
+from repro.lint.rules import asyncsafety, trust
 from tests.lint.conftest import REPO_ROOT
+
+#: The kept rules' scope constants (path substrings).
+SCOPE_TABLES = {
+    "asyncsafety.SCOPES": asyncsafety.SCOPES,
+    "trust.DECODER_MODULES": trust.DECODER_MODULES,
+    "trust.PICKLE_SCOPES": trust.PICKLE_SCOPES,
+    "trust.SINK_SCOPES": trust.SINK_SCOPES,
+}
 
 
 def _repo_result():
@@ -38,100 +55,135 @@ def test_repo_src_is_clean_with_no_baseline_file():
 
 def test_every_repo_suppression_carries_a_reason():
     result = _repo_result()
-    assert result.suppressed, "expected the known wall-clock pragmas"
+    assert result.suppressed, "expected the known wire-field pragmas"
     for violation, pragma in result.suppressed:
         assert pragma.reason.strip(), violation.format()
 
 
-def test_seeded_wall_clock_in_balanced_ba_fails_the_gate(tmp_path):
-    src = REPO_ROOT / "src" / "repro" / "protocols" / "balanced_ba.py"
-    dst = tmp_path / "src" / "repro" / "protocols" / "balanced_ba.py"
-    dst.parent.mkdir(parents=True)
-    shutil.copy(src, dst)
-
-    config = LintConfig(root=tmp_path, paths=("src",))
-
-    # Pristine copy: clean.
-    assert run_lint(config).violations == []
-
-    # Seed the violation the gate exists to catch.
-    text = dst.read_text(encoding="utf-8")
-    import_anchor = "from dataclasses import dataclass"
-    def_anchor = "def run_balanced_ba("
-    assert import_anchor in text and def_anchor in text
-    seeded = text.replace(
-        import_anchor, f"import time\n\n{import_anchor}", 1,
-    ).replace(
-        def_anchor,
-        f"def _seeded_probe():\n    return time.time()\n\n\n{def_anchor}",
-        1,
-    )
-    dst.write_text(seeded, encoding="utf-8")
-
-    after = run_lint(config).violations
-    assert len(after) == 1
-    violation = after[0]
-    assert violation.rule_id == "DET002"
-    assert "time.time" in violation.message
-    assert violation.symbol == "_seeded_probe"
-
-
-def _wire_module_copy(tmp_path, relative="cluster/meshwire.py"):
+def _mutated(tmp_path, relative: str, old: str, new: str) -> List[Violation]:
+    """Lint a copy of ``src/repro/<relative>`` before and after replacing
+    ``old`` with ``new``; returns the findings on the mutated copy."""
     src = REPO_ROOT / "src" / "repro" / relative
     dst = tmp_path / "src" / "repro" / relative
     dst.parent.mkdir(parents=True)
     shutil.copy(src, dst)
-    return dst, LintConfig(root=tmp_path, paths=("src",))
-
-
-def test_deleting_one_mesh_validation_guard_fails_tru001(tmp_path):
-    # The acceptance mutation: drop the chunk_index range check from the
-    # mesh chunk decoder and the trust-boundary gate must bite.
-    dst, config = _wire_module_copy(tmp_path)
+    config = LintConfig(root=tmp_path, paths=("src",))
     assert run_lint(config).violations == []
 
     text = dst.read_text(encoding="utf-8")
-    guard = (
+    assert text.count(old) == 1
+    dst.write_text(text.replace(old, new), encoding="utf-8")
+    return run_lint(config).violations
+
+
+def test_deleting_one_mesh_validation_guard_fails_tru001(tmp_path):
+    # Drop the chunk_index range check from the mesh chunk decoder: the
+    # decoder's acceptance set grows, and the trust-boundary gate bites.
+    after = _mutated(
+        tmp_path, "cluster/meshwire.py",
         "    if chunk_index >= num_chunks:\n"
         "        raise SerializationError(\n"
         '            f"chunk index {chunk_index} out of range "\n'
         '            f"(num_chunks={num_chunks})"\n'
-        "        )\n"
+        "        )\n",
+        "",
     )
-    assert guard in text
-    dst.write_text(text.replace(guard, "", 1), encoding="utf-8")
-
-    after = run_lint(config).violations
     assert [v.rule_id for v in after] == ["TRU001"]
     assert "chunk_index" in after[0].message
     assert "escape" in after[0].message
 
 
-def test_reordering_one_frame_pack_field_fails_sch001(tmp_path):
-    # The acceptance mutation: swap sender/recipient in the train frame
-    # encoder and the schema-drift gate must bite on both positions.
-    dst, config = _wire_module_copy(tmp_path, "net/trains.py")
-    assert run_lint(config).violations == []
-
-    text = dst.read_text(encoding="utf-8")
-    ordered = (
-        "            _FRAME.pack(\n"
-        "                frame.sender,\n"
-        "                frame.recipient,\n"
+def test_clearing_mesh_links_outside_the_lock_fails_asy002(tmp_path):
+    # MeshRouter.close() empties `_links` after releasing `_cond`, racing
+    # the receiver and dial threads that mutate it under the lock.
+    after = _mutated(
+        tmp_path, "cluster/mesh.py",
+        "            links = list(self._links.values())\n"
+        "            self._links.clear()\n"
+        "            self._cond.notify_all()\n",
+        "            links = list(self._links.values())\n"
+        "            self._cond.notify_all()\n"
+        "        self._links.clear()\n",
     )
-    swapped = (
-        "            _FRAME.pack(\n"
-        "                frame.recipient,\n"
-        "                frame.sender,\n"
-    )
-    assert ordered in text
-    dst.write_text(text.replace(ordered, swapped, 1), encoding="utf-8")
+    assert [v.rule_id for v in after] == ["ASY002"]
+    assert "MeshRouter.close()" in after[0].message
+    assert "'_links'" in after[0].message
 
-    after = run_lint(config).violations
-    assert [v.rule_id for v in after] == ["SCH001", "SCH001"]
-    messages = " | ".join(v.message for v in after)
-    assert "field order drift" in messages
-    assert "'recipient'" in messages and "'sender'" in messages
+
+def test_dropping_the_endpoint_pump_handle_fails_asy001(tmp_path):
+    # The TCP endpoint's pump task loses its only strong reference.
+    after = _mutated(
+        tmp_path, "runtime/transport.py",
+        "        endpoint.pump = asyncio.create_task(\n",
+        "        asyncio.create_task(\n",
+    )
+    assert [v.rule_id for v in after] == ["ASY001"]
+    assert "garbage-collected" in after[0].message
+
+
+def test_swallowing_a_corrupt_mesh_train_fails_exc001(tmp_path):
+    # The mesh receiver keeps a link that delivered an undecodable train
+    # (and would keep it through any bug in the assembler) instead of
+    # dropping it.
+    after = _mutated(
+        tmp_path, "cluster/mesh.py",
+        "            except SerializationError:\n"
+        "                self._on_link_dead(peer, link)\n"
+        "                return\n"
+        "            with self._cond:\n",
+        "            except Exception:\n"
+        "                continue\n"
+        "            with self._cond:\n",
+    )
+    assert [v.rule_id for v in after] == ["EXC001"]
+    assert "_receive_loop" in after[0].symbol
+
+
+def test_swallowing_a_broken_worker_channel_fails_exc001(tmp_path):
+    # The supervisor's poll loop treats a torn control channel as "no
+    # more messages" instead of a dead worker, so the worker is never
+    # recovered (the second witness that kept EXC001).
+    after = _mutated(
+        tmp_path, "cluster/supervisor.py",
+        "            except ClusterError as exc:\n"
+        "                raise _WorkerDied(str(exc)) from exc\n",
+        "            except Exception:\n"
+        "                break\n",
+    )
+    assert [v.rule_id for v in after] == ["EXC001"]
+    assert "_poll" in after[0].symbol
+
+
+@lru_cache(maxsize=1)
+def _repo_sources() -> Dict[str, str]:
+    """Relative path -> text of every module under ``src/``."""
+    return {
+        path.relative_to(REPO_ROOT).as_posix(): path.read_text(encoding="utf-8")
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+    }
+
+
+@pytest.mark.parametrize(
+    "scope",
+    [scope for table in SCOPE_TABLES.values() for scope in table],
+    ids=[
+        f"{name}:{scope}"
+        for name, table in SCOPE_TABLES.items() for scope in table
+    ],
+)
+def test_every_rule_scope_matches_a_repo_module(scope):
+    # A scope that matches no file (a package or module renamed under
+    # it) would switch its rule off there without a single finding.
+    assert any(in_scope(rel, (scope,)) for rel in _repo_sources())
+
+
+@pytest.mark.parametrize("method", trust.SINK_METHODS)
+def test_every_ledger_sink_method_is_defined_in_src(method):
+    # TRU001 knows ledger sinks by name: a renamed charging method
+    # would leave the sink set without a word.
+    assert any(
+        f"def {method}(" in text for text in _repo_sources().values()
+    )
 
 
 def test_fixture_tree_is_excluded_from_the_repo_run():
