@@ -6,23 +6,33 @@ signatures for the SNARK-based SRDS) use the same group.
 
 The public face is affine: :class:`Point` is a frozen ``(x, y)`` pair
 (``None`` for the identity) with a 33-byte compressed encoding.  Inside
-the module every computation runs in Jacobian coordinates — integer
+the module the accumulator runs in Jacobian coordinates — integer
 triples ``(X, Y, Z)`` standing for ``(X / Z^2, Y / Z^3)``, ``Z == 0``
 the identity — so a group operation is a dozen modular multiplications
-and no inversion.  One inversion (:func:`_inverse`) is paid when a result
-crosses back to :class:`Point`.
+and no inversion.
 
-There is one group-law routine, :func:`multi_scalar_mult`: Strauss
-interleaving of width-5 wNAF terms over shared doublings that start at
-the longest scalar's top bit, with every ``GENERATOR`` term served from a
-fixed-base table (64 windows of 15 affine multiples, built on first use)
-at zero doublings.  :func:`scalar_mult`, :func:`commit` and
-:func:`point_add` are its one- and two-term cases.  Measured on the
-2-CPU bench host (EXPERIMENTS.md P2): 0.4 ms per fixed-base and 1.4 ms
-per variable-base multiplication, 2.3 ms per Schnorr verification; the
-affine double-and-add this replaced (8 ms per multiplication, one
-inversion per addition) survives as the test oracle
-``tests/crypto/ref_ec.py``.
+There is one group-law routine, :func:`multi_scalar_mult`, and
+:func:`scalar_mult`, :func:`commit` and :func:`point_add` are its one-
+and two-term cases.  It uses secp256k1's endomorphism
+``LAMBDA * (x, y) == (BETA * x, y)`` (GLV): a scalar longer than 128 bits
+is split as ``k1 + k2 * LAMBDA`` with both halves below 2^128 in
+magnitude, so the doubling chain shared by every term (Strauss
+interleaving of width-5 wNAF digits) is ~129 steps, not 256.  A point's
+odd-multiple table serves both halves — the second through ``BETA`` —
+and one inversion makes every table of a call affine, so each addition
+in the chain is a mixed Jacobian + affine one.  ``GENERATOR`` terms never
+double: both halves of their summed scalar walk a table of signed 7-bit
+windows (19 rows of 64 affine multiples, built on first use in ~10 ms),
+again reaching ``LAMBDA * G`` through ``BETA``.  A call pays at most two
+inversions (:func:`_inverse`): the tables', and the result's as it
+crosses back to :class:`Point`.  A variable point off the curve is
+refused with :class:`CryptoError`.
+
+Measured on the 2-CPU bench host (EXPERIMENTS.md P8): 0.23 ms per
+fixed-base and 0.86 ms per variable-base multiplication, 1.1 ms per
+Schnorr verification.  The affine double-and-add of the first version
+(8 ms per multiplication, one inversion per addition) survives as the
+test oracle ``tests/crypto/ref_ec.py``.
 """
 
 from __future__ import annotations
@@ -92,18 +102,49 @@ def is_on_curve(point: Point) -> bool:
     return (point.y * point.y - point.x * point.x * point.x - A * point.x - B) % P == 0
 
 
+# -- the GLV endomorphism ----------------------------------------------------
+
+# BETA is a cube root of unity mod P and LAMBDA one mod N, paired so that
+# LAMBDA * (x, y) == (BETA * x, y) for every point.
+BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+# A reduced basis (A1, B1), (A2, B2) of {(a, b) : a + b * LAMBDA == 0 mod N};
+# its determinant A1 * B2 - A2 * B1 is N.
+_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_B2 = _A1
+# Scalars of at most this many bits are not split.
+_HALF_BITS = 128
+
+
+def _split(scalar: int) -> Tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * LAMBDA == scalar (mod N)``, ``|ki| < 2^128``.
+
+    ``scalar`` is in ``[0, N)``; one of at most 128 bits comes back whole.
+    Babai rounding against the basis leaves ``k1 = -(e1*A1 + e2*A2)`` and
+    ``k2 = -(e1*B1 + e2*B2)`` with ``|ei| <= 1/2``, below 0.64 * 2^128.
+    """
+    if scalar.bit_length() <= _HALF_BITS:
+        return scalar, 0
+    c1 = (_B2 * scalar + (N >> 1)) // N
+    c2 = (-_B1 * scalar + (N >> 1)) // N
+    return scalar - c1 * _A1 - c2 * _A2, -c1 * _B1 - c2 * _B2
+
+
 # -- Jacobian internals ------------------------------------------------------
 
 _Jacobian = Tuple[int, int, int]
 _INFINITY: _Jacobian = (1, 1, 0)
 
 # wNAF width for variable-base terms: digits are odd and below 2^(w-1)
-# in magnitude, so a 256-bit scalar costs ~43 additions from a table of
-# at most 8 odd multiples.
+# in magnitude, so a 128-bit half costs ~22 additions from a table of at
+# most 8 odd multiples, which the point's other half shares through BETA.
 _WNAF_WIDTH = 5
-# Fixed-base windows over G: 64 windows x 15 nonzero 4-bit digits.
-_FIXED_WINDOW_BITS = 4
-_FIXED_WINDOWS = 256 // _FIXED_WINDOW_BITS
+# The G table: signed 7-bit windows, digits in [-64, 63], over the 19
+# windows that hold any GLV half.
+_G_WINDOW_BITS = 7
+_G_ROWS = 19
 
 
 def _inverse(value: int) -> int:
@@ -174,8 +215,31 @@ def _add(p: _Jacobian, q: _Jacobian) -> _Jacobian:
     return x3, (r * (v - x3) - s1 * h3) % P, z1 * z2 * h % P
 
 
+def _normalise(points: Sequence[_Jacobian]) -> List[Tuple[int, int]]:
+    """Affine ``(x, y)`` of every point, none at infinity, for one inversion.
+
+    Montgomery's trick: invert the product of all Z coordinates, then
+    peel each ``1 / Z`` off it with two multiplications.
+    """
+    prefix = [1]
+    for _, _, z in points:
+        prefix.append(prefix[-1] * z % P)
+    running = _inverse(prefix[-1])
+    affine: List[Tuple[int, int]] = [(0, 0)] * len(points)
+    for index in range(len(points) - 1, -1, -1):
+        x, y, z = points[index]
+        z_inv = running * prefix[index] % P
+        running = running * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine[index] = (x * z_inv2 % P, y * z_inv2 * z_inv % P)
+    return affine
+
+
 def _wnaf(scalar: int) -> List[Tuple[int, int]]:
-    """Nonzero width-w NAF digits of ``scalar > 0`` as ``(bit, digit)``."""
+    """Nonzero width-w NAF digits of ``scalar != 0`` as ``(bit, digit)``.
+
+    A negative scalar's digits are its magnitude's, negated.
+    """
     digits: List[Tuple[int, int]] = []
     full = 1 << _WNAF_WIDTH
     position = 0
@@ -188,6 +252,26 @@ def _wnaf(scalar: int) -> List[Tuple[int, int]]:
             digit -= full
         digits.append((position, digit))
         scalar -= digit
+    return digits
+
+
+def _signed_windows(scalar: int) -> List[Tuple[int, int]]:
+    """Nonzero base-128 digits in ``[-64, 63]`` of ``scalar`` as ``(row, digit)``.
+
+    Either sign; ``sum(digit << 7 * row) == scalar``, and a scalar below
+    2^129 in magnitude needs rows 0..18 only.
+    """
+    digits: List[Tuple[int, int]] = []
+    full = 1 << _G_WINDOW_BITS
+    row = 0
+    while scalar:
+        digit = scalar & (full - 1)
+        if digit >= full >> 1:
+            digit -= full
+        if digit:
+            digits.append((row, digit))
+        scalar = (scalar - digit) >> _G_WINDOW_BITS
+        row += 1
     return digits
 
 
@@ -204,35 +288,29 @@ def _odd_multiples(point: Point, largest: int) -> List[_Jacobian]:
 
 @functools.lru_cache(maxsize=None)
 def _generator_table() -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """``table[i][d - 1] == d * 16^i * G`` as affine ``(x, y)`` pairs.
+    """``table[i][d - 1] == d * 128^i * G`` for ``d`` in 1..64, affine.
 
-    Built once, on the first fixed-base multiplication, with a single
-    inversion (Montgomery's trick over all 960 Z coordinates).
+    Built once, on the first fixed-base multiplication, a row at a time:
+    each odd multiple of the row's unit is a mixed addition of the unit,
+    each even one (and 128 * unit, the next row's) a doubling, and one
+    inversion makes all 65 affine.
     """
-    per_window = (1 << _FIXED_WINDOW_BITS) - 1
-    multiples: List[_Jacobian] = []
-    base: _Jacobian = (GX, GY, 1)
-    for _ in range(_FIXED_WINDOWS):
-        multiple = base
-        for _ in range(per_window):
-            multiples.append(multiple)
-            multiple = _add(multiple, base)
-        base = multiple  # 16 * base: the next window's unit
-    prefix = [1]
-    for _, _, z in multiples:
-        prefix.append(prefix[-1] * z % P)
-    running = _inverse(prefix[-1])
-    affine: List[Tuple[int, int]] = [(0, 0)] * len(multiples)
-    for index in range(len(multiples) - 1, -1, -1):
-        x, y, z = multiples[index]
-        z_inv = running * prefix[index] % P
-        running = running * z % P
-        z_inv2 = z_inv * z_inv % P
-        affine[index] = (x * z_inv2 % P, y * z_inv2 * z_inv % P)
-    return tuple(
-        tuple(affine[start:start + per_window])
-        for start in range(0, len(affine), per_window)
-    )
+    half = 1 << (_G_WINDOW_BITS - 1)
+    rows: List[Tuple[Tuple[int, int], ...]] = []
+    unit = (GX, GY)
+    for _ in range(_G_ROWS):
+        multiples = [(unit[0], unit[1], 1)]
+        for multiple in range(2, half + 1):
+            multiples.append(
+                _add_affine(multiples[-1], *unit)
+                if multiple % 2
+                else _double(multiples[multiple // 2 - 1])
+            )
+        multiples.append(_double(multiples[-1]))
+        affine = _normalise(multiples)
+        unit = affine.pop()
+        rows.append(tuple(affine))
+    return tuple(rows)
 
 
 # -- the public group law ----------------------------------------------------
@@ -242,36 +320,56 @@ def multi_scalar_mult(pairs: Sequence[Tuple[int, Point]]) -> Point:
     """``sum(scalar * point)`` over ``pairs``; scalars reduced mod N.
 
     The one group-law routine: every other operation is a case of it.
+    Raises :class:`CryptoError` for a point off the curve.
     """
     fixed = 0
-    schedule: Dict[int, List[_Jacobian]] = {}
+    # Every variable term's odd-multiple table, and its GLV halves' digits,
+    # each half tagged with its table's offset and with whether it
+    # multiplies the point or the point's image under BETA.
+    tables: List[_Jacobian] = []
+    halves: List[Tuple[int, bool, List[Tuple[int, int]]]] = []
     for scalar, point in pairs:
-        scalar %= N
-        if scalar == 0 or point.is_identity():
+        if point.is_identity():
             continue
         if point == GENERATOR:
             fixed += scalar
             continue
-        digits = _wnaf(scalar)
-        table = _odd_multiples(point, max(abs(digit) for _, digit in digits))
-        for position, digit in digits:
-            x, y, z = table[abs(digit) >> 1]
-            schedule.setdefault(position, []).append(
-                (x, y, z) if digit > 0 else (x, P - y, z)
-            )
+        if not is_on_curve(point):
+            raise CryptoError("multi_scalar_mult: point is not on secp256k1")
+        largest = 0
+        for half, endomorphic in zip(_split(scalar % N), (False, True)):
+            if half:
+                digits = _wnaf(half)
+                halves.append((len(tables), endomorphic, digits))
+                largest = max(largest, max(abs(digit) for _, digit in digits))
+        if largest:
+            tables.extend(_odd_multiples(point, largest))
+    schedule: Dict[int, List[Tuple[int, int]]] = {}
+    if tables:
+        affine = _normalise(tables)
+        for offset, endomorphic, digits in halves:
+            for position, digit in digits:
+                x, y = affine[offset + (abs(digit) >> 1)]
+                schedule.setdefault(position, []).append((
+                    x * BETA % P if endomorphic else x,
+                    y if digit > 0 else P - y,
+                ))
     accumulator = _INFINITY
     for position in range(max(schedule, default=-1), -1, -1):
         accumulator = _double(accumulator)
-        for addend in schedule.get(position, ()):
-            accumulator = _add(accumulator, addend)
+        for x, y in schedule.get(position, ()):
+            accumulator = _add_affine(accumulator, x, y)
     fixed %= N
     if fixed:
-        mask = (1 << _FIXED_WINDOW_BITS) - 1
-        for row in _generator_table():
-            digit = fixed & mask
-            if digit:
-                accumulator = _add_affine(accumulator, *row[digit - 1])
-            fixed >>= _FIXED_WINDOW_BITS
+        rows = _generator_table()
+        for half, endomorphic in zip(_split(fixed), (False, True)):
+            for row, digit in _signed_windows(half):
+                x, y = rows[row][abs(digit) - 1]
+                accumulator = _add_affine(
+                    accumulator,
+                    x * BETA % P if endomorphic else x,
+                    y if digit > 0 else P - y,
+                )
     return _to_affine(accumulator)
 
 

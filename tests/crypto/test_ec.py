@@ -10,10 +10,11 @@ from tests.crypto import ref_ec
 scalars = st.integers(min_value=1, max_value=ec.N - 1)
 small_scalars = st.integers(min_value=1, max_value=1 << 20)
 
-# Window and wNAF digit boundaries, the group order's neighbourhood and
+# wNAF and G-window digit boundaries, the group order's neighbourhood and
 # the largest 256-bit value, plus a free choice of either size.
 edge_scalars = st.sampled_from(
-    [0, 1, 2, 15, 16, 17, 31, 32, ec.N - 1, ec.N, ec.N + 1, (1 << 256) - 1]
+    [0, 1, 2, 15, 16, 17, 31, 32, 63, 64, 65, 127, 128,
+     ec.N - 1, ec.N, ec.N + 1, (1 << 256) - 1]
 )
 any_scalar = st.one_of(
     edge_scalars, small_scalars, st.integers(min_value=0, max_value=ec.N)
@@ -24,6 +25,17 @@ _Q = ref_ec.scalar_mult(ec.N - 0xBEEF, ec.GENERATOR)
 # their doubling, cancellation and infinity branches.
 any_point = st.sampled_from(
     [ec.IDENTITY, ec.GENERATOR, -ec.GENERATOR, _P, -_P, _Q, -_Q]
+)
+# Where the GLV split starts, LAMBDA's neighbourhood, and a scalar for
+# each pattern of (k1 < 0, k2 < 0): N - 1 (yes, no), N - LAMBDA (no, yes),
+# 2^128 (yes, yes) and N - 2^128 (no, no).
+_HALF = 1 << 128
+split_edges = [
+    0, 1, ec.N - 1, ec.LAMBDA, ec.N - ec.LAMBDA,
+    _HALF - 1, _HALF, _HALF + 1, ec.N - _HALF,
+]
+glv_scalar = st.one_of(
+    st.sampled_from(split_edges), st.integers(min_value=0, max_value=ec.N - 1)
 )
 
 
@@ -125,15 +137,133 @@ class TestAgainstAffineReference:
     def test_empty_sum_is_identity(self):
         assert ec.multi_scalar_mult([]) == ec.IDENTITY
 
-    def test_generator_table_rows_are_window_multiples(self):
+    def test_generator_table_rows_are_signed_window_multiples(self):
         table = ec._generator_table()
-        assert sum(len(row) for row in table) == 960
-        for window in (0, 1, 31, 63):
-            for digit in (1, 2, 15):
+        assert len(table) == 19
+        assert {len(row) for row in table} == {64}
+        for window in (0, 1, 9, 18):
+            for digit in (1, 2, 3, 63, 64):
                 expected = ref_ec.scalar_mult(
-                    digit << (4 * window), ec.GENERATOR
+                    digit << (7 * window), ec.GENERATOR
                 )
                 assert table[window][digit - 1] == (expected.x, expected.y)
+
+    @given(st.lists(glv_scalar, min_size=4, max_size=4))
+    def test_split_scalars_on_both_signs_of_both_bases(self, scalars):
+        # Halves of either sign walk the odd-multiple tables of P, -P and
+        # -G and, for G, the G table, all in one call.
+        pairs = list(zip(scalars, [_P, -_P, ec.GENERATOR, -ec.GENERATOR]))
+        assert ec.multi_scalar_mult(pairs) == ref_ec.multi_scalar_mult(pairs)
+
+    @given(glv_scalar)
+    def test_terms_on_one_point_cancel_and_add(self, scalar):
+        assert ec.multi_scalar_mult(
+            [(scalar, _Q), (ec.N - scalar, _Q)]
+        ) == ec.IDENTITY
+        assert ec.multi_scalar_mult(
+            [(scalar, _Q), (3, _Q)]
+        ) == ref_ec.scalar_mult(scalar + 3, _Q)
+
+
+class TestEndomorphism:
+    """GLV: LAMBDA * (x, y) == (BETA * x, y), and the scalar split."""
+
+    def test_nontrivial_cube_roots_of_unity(self):
+        assert ec.BETA != 1 and pow(ec.BETA, 3, ec.P) == 1
+        assert ec.LAMBDA != 1 and pow(ec.LAMBDA, 3, ec.N) == 1
+
+    @pytest.mark.parametrize("point", [ec.GENERATOR, _P, -_Q])
+    def test_lambda_multiplies_x_by_beta(self, point):
+        assert ref_ec.scalar_mult(ec.LAMBDA, point) == ec.Point(
+            ec.BETA * point.x % ec.P, point.y
+        )
+
+    def test_basis_spans_the_kernel_with_determinant_n(self):
+        for a, b in ((ec._A1, ec._B1), (ec._A2, ec._B2)):
+            assert (a + b * ec.LAMBDA) % ec.N == 0
+        assert ec._A1 * ec._B2 - ec._A2 * ec._B1 == ec.N
+
+    @pytest.mark.parametrize("scalar", split_edges)
+    def test_split_edges(self, scalar):
+        self._check_split(scalar)
+
+    @given(st.integers(min_value=0, max_value=ec.N - 1))
+    def test_split(self, scalar):
+        self._check_split(scalar)
+
+    def test_edges_cover_every_sign_pattern(self):
+        signs = set()
+        for scalar in split_edges:
+            k1, k2 = ec._split(scalar)
+            signs.add((k1 < 0, k2 < 0))
+        assert signs == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_short_scalars_stay_whole(self):
+        for scalar in (0, 1, _HALF - 1):
+            assert ec._split(scalar) == (scalar, 0)
+
+    @given(
+        st.one_of(
+            st.integers(min_value=-_HALF, max_value=_HALF),
+            st.sampled_from([-1, 1, -15, 15, -16, 16, -17, 17]),
+        ).filter(bool)
+    )
+    def test_wnaf_digits_recompose_either_sign(self, scalar):
+        digits = ec._wnaf(scalar)
+        assert sum(digit << position for position, digit in digits) == scalar
+        assert all(digit % 2 and abs(digit) < 16 for _, digit in digits)
+
+    @given(
+        st.one_of(
+            st.integers(min_value=1 - 2 * _HALF, max_value=2 * _HALF - 1),
+            st.sampled_from([63, 64, -64, -65, 2 * _HALF - 1, 1 - 2 * _HALF]),
+        )
+    )
+    def test_signed_windows_recompose_within_the_g_table(self, scalar):
+        digits = ec._signed_windows(scalar)
+        assert sum(digit << 7 * row for row, digit in digits) == scalar
+        assert all(-64 <= digit < 64 and digit for _, digit in digits)
+        assert all(row < len(ec._generator_table()) for row, _ in digits)
+
+    @staticmethod
+    def _check_split(scalar):
+        k1, k2 = ec._split(scalar)
+        assert (k1 + k2 * ec.LAMBDA - scalar) % ec.N == 0
+        # The split promises 2^128; 19 signed 7-bit windows hold 2^129.
+        assert abs(k1) < _HALF and abs(k2) < _HALF
+
+
+class TestOffCurveInput:
+    """A hand-built point off the curve is refused, never half-computed."""
+
+    _BAD = (
+        ec.Point(_P.x, (_P.y + 1) % ec.P),
+        ec.Point(ec.GX + ec.P, ec.GY),  # G's element, non-canonical x
+        ec.Point(0, 0),
+    )
+
+    @pytest.mark.parametrize("bad", _BAD)
+    @pytest.mark.parametrize("scalar", [0, 1, 3, ec.N - 1])
+    def test_refused_with_crypto_error(self, bad, scalar):
+        with pytest.raises(CryptoError):
+            ec.multi_scalar_mult([(5, ec.GENERATOR), (scalar, bad)])
+        with pytest.raises(CryptoError):
+            ec.point_add(_P, bad)
+
+    @given(
+        st.integers(min_value=0, max_value=ec.P - 1),
+        st.integers(min_value=0, max_value=ec.P - 1),
+        any_scalar,
+    )
+    def test_random_coordinates_never_raise_anything_else(self, x, y, scalar):
+        point = ec.Point(x, y)
+        if ec.is_on_curve(point):
+            assert ec.scalar_mult(scalar, point) == ref_ec.scalar_mult(
+                scalar, point
+            )
+        else:
+            with pytest.raises(CryptoError):
+                ec.scalar_mult(scalar, point)
 
 
 class TestEncoding:

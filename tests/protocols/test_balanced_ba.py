@@ -262,17 +262,27 @@ class TestWorkCounters:
         assert ledger_body_calls <= 364
 
     def test_one_n8_schnorr_run_inverts_once_per_public_point(self):
-        ec._generator_table()  # its one inversion is paid once per process
-        result, (inversions, multiplications) = self._counted_run(
-            8, SnarkSRDS(), [ec._inverse, ec.multi_scalar_mult]
+        ec._generator_table()  # its inversions are paid once per process
+        result, counts = self._counted_run(
+            8, SnarkSRDS(),
+            [ec._inverse, ec.multi_scalar_mult,
+             ec._add, ec._add_affine, ec._double],
         )
+        inversions, multiplications, *group_operations = counts
         assert result.agreement
         assert result.metrics.max_bits_per_party == 965_168
         # Every public group operation is one multi_scalar_mult and pays
-        # at most one inversion, when its result becomes affine.  The
-        # affine law inverted once per addition: 65 107 times in this
-        # run, over 170 scalar multiplications.
-        assert inversions <= multiplications <= 93
+        # at most two inversions: one makes its odd-multiple tables
+        # affine, one its result.  The affine law inverted once per
+        # addition: 65 107 times in this run, over 170 scalar
+        # multiplications.
+        assert inversions <= 2 * multiplications
+        assert multiplications <= 93
+        # GLV halves every doubling chain and the signed 7-bit G table
+        # walks two 128-bit halves in 38 mixed additions; measured
+        # 555 _add + 6 028 _add_affine + 467 _double.  The Jacobian wNAF
+        # engine with its 4-bit G table took 3 127 + 5 561 + 851 = 9 539.
+        assert sum(group_operations) <= 7_050
 
 
 class TestEncodePair:
