@@ -5,9 +5,8 @@ The supervisor shards the ``n`` parties of a :class:`ClusterJob` across
 back to back, synchronised by the direct worker↔worker mesh alone
 (:mod:`repro.cluster.mesh`) — a round's empty train is "I finished round
 r", and its halted flag tells every worker when to stop.  The supervisor
-sends a job, the mesh address book (``peers``), one ``trim`` per
-committed checkpoint barrier and ``stop``; nothing per round.  It stays
-the single authority over
+sends a job and ``stop``; nothing per round.  It stays the single
+authority over
 
 * **metrics** — the one :class:`CommunicationMetrics` ledger, rebuilt
   from the per-round charge digests workers stream home in ``done``
@@ -22,16 +21,19 @@ the single authority over
 * **barriers** — every ``checkpoint_interval`` rounds each worker writes
   its own checkpoint and marks that round's ``done``; once every worker
   has announced a barrier the supervisor commits it: durably writes its
-  own state (outputs, metrics, merged trace), prunes older worker
-  checkpoints and sends ``trim``.
+  own state (outputs, metrics, merged trace) and prunes older worker
+  checkpoints.
 
-Recovery state machine (see ``docs/cluster.md``): a worker is dead on
-control-channel loss, heartbeat silence, or stalled progress.  The
-supervisor reaps it (its ``ClusterError`` names the exit status),
-respawns it at the last committed barrier, and the respawn replays
-forward on its own — its peers resend their retained trains, and every
-``done`` below the watermark the supervisor already charged is dropped.
-``kill_plan`` turns this path into a real fault injector: each
+Every channel exists before the fleet forks: one socketpair per worker
+for control and one per worker pair for the mesh, each worker keeping
+only its own ends.  No descriptor ever reaches a running process, so
+recovery relaunches the whole fleet (see ``docs/cluster.md``): a worker
+is dead on control-channel loss, heartbeat silence, or stalled
+progress; the supervisor reads how it died (its ``ClusterError`` names
+the exit status), SIGKILLs and reaps every worker, and launches a new
+fleet pinned to the last committed barrier — the path ``cluster
+resume`` takes too.  Every ``done`` below the round already charged is
+dropped.  ``kill_plan`` turns this path into a real fault injector: each
 incarnation of a worker is handed its earliest unspent entry and
 SIGKILLs itself mid-round.
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 import os
 import pickle
 import select
+import socket
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -58,16 +61,11 @@ from repro.cluster.job import ClusterJob, split_shards
 from repro.cluster.wire import (
     DONE,
     HEARTBEAT,
-    HELLO,
     JOB,
-    PEERS,
     RESUMED,
     STOP,
-    TRIM,
     Message,
     MessageChannel,
-    accept_channel,
-    open_listener,
 )
 from repro.cluster.worker import checkpoint_name, worker_main
 from repro.errors import ClusterError
@@ -111,7 +109,8 @@ class ClusterConfig:
     #: is declared dead: catches a worker that heartbeats forever but
     #: never finishes its round.
     round_timeout: float = 120.0
-    #: Seconds allowed for a spawned worker to dial in and handshake.
+    #: Seconds a launched worker may take from its ``job`` to its
+    #: ``resumed`` (restoring its shard).
     spawn_timeout: float = 30.0
     #: Worker deaths tolerated across the whole run before giving up.
     max_restarts: int = 3
@@ -121,7 +120,6 @@ class ClusterConfig:
     #: the incarnation it was handed to dies.
     kill_plan: Dict[int, int] = field(default_factory=dict)
     registry: Optional[MetricsRegistry] = None
-    host: str = "127.0.0.1"
     #: Optional wire-level flow ledger attached to the authoritative
     #: metrics ledger (every digest row becomes a traffic-matrix cell;
     #: control messages are metered under ``ctl:*`` kinds).
@@ -152,7 +150,6 @@ class _Worker:
     """Supervisor-side handle on one worker process."""
 
     worker_id: int
-    shard: List[int]
     process: BaseProcess
     channel: MessageChannel
     log_handle: Any
@@ -218,24 +215,16 @@ class ClusterSupervisor:
         self._trace_saved: Dict[int, int] = {}
         self.outputs: Dict[int, Any] = {}
         #: The next round to charge; ``checkpoint_round`` is the last
-        #: committed barrier (a respawn restores from it).
+        #: committed barrier (every launch restores from it).
         self.round_index = 0
         self.checkpoint_round = 0
         self.restarts = 0
         self.workers: Dict[int, _Worker] = {}
-        self._mesh_addresses: Dict[int, Tuple[str, int]] = {}
         # round -> worker id -> its done, until the round is complete.
         self._pending: Dict[int, Dict[int, Message]] = {}
-        # Worker id -> the next round whose done it owes (a lower one is
-        # a respawn replaying what was already accepted), and -> the
-        # round its current incarnation stands at (bounds every trim).
-        self._expected: Dict[int, int] = {}
-        self._position: Dict[int, int] = {}
         # The kill_plan entries no incarnation has died with yet.
         self._unspent_kills = dict(self.config.kill_plan)
         self._round_started = 0.0
-        self._listener = None
-        self._port: Optional[int] = None
         registry = self.config.registry
         if registry is not None:
             self._rounds_total = registry.counter(
@@ -284,13 +273,9 @@ class ClusterSupervisor:
                     "metrics= / trace= only apply to a fresh run"
                 )
             self._load_state()
-        self._listener, self._port = open_listener(self.config.host)
         try:
             if not self._finished():
-                self._launch_all(
-                    list(range(self.config.num_workers)),
-                    self.checkpoint_round,
-                )
+                self._launch_all()
                 self._consume()
             self._save_state(completed=True)
             return ClusterResult(
@@ -316,156 +301,109 @@ class ClusterSupervisor:
 
     # -- worker lifecycle -----------------------------------------------------
 
-    def _launch_all(self, worker_ids: List[int], resume_round: int) -> None:
-        """Fork workers, accept their connections, hand out the job.
+    def _launch_all(self) -> None:
+        """Wire the fleet, fork it, and pin it to the last committed
+        barrier.
 
-        All workers are forked *before* any handshake and the job is
-        dispatched as each hello arrives, so shard restore overlaps
-        across the fleet.  Every ``resumed`` reply carries its worker's
-        mesh listener address, and a ``peers`` address book is broadcast
-        to the whole fleet once all launches finish.
+        Every channel exists before the first fork: one socketpair per
+        worker for control and one per worker pair for the mesh.  Worker
+        ``w`` keeps its ends (``fork_child`` drops every other inherited
+        socket), and the supervisor closes them once ``w`` is forked; it
+        keeps only the control ends.  Every job is sent before any
+        ``resumed`` is read, so shard restore overlaps across the fleet.
         """
-        assert self.run_dir is not None and self._port is not None
-        logs = {
-            w: (self.run_dir / f"worker-{w}.log").open("ab")
-            for w in worker_ids
-        }
-        processes = {
-            w: fork_child(
-                f"cluster-worker-{w}", logs[w],
-                lambda: self._close_inherited_logs(logs), worker_main,
-                self.config.host, self._port, w,
-                self.config.heartbeat_interval,
-            )
-            for w in worker_ids
-        }
-        channels: Dict[int, MessageChannel] = {}
-        kill_rounds: Dict[int, Optional[int]] = {}
+        assert self.run_dir is not None
+        resume_round = self.checkpoint_round
+        count = self.config.num_workers
+        control = [socket.socketpair() for _ in range(count)]
+        links: List[Dict[int, socket.socket]] = [{} for _ in range(count)]
+        for a in range(count):
+            for b in range(a + 1, count):
+                links[a][b], links[b][a] = socket.socketpair()
+        logs = [
+            (self.run_dir / f"worker-{w}.log").open("ab")
+            for w in range(count)
+        ]
+        channels = [
+            MessageChannel(control[w][0], self._channel_meter(w))
+            for w in range(count)
+        ]
+        processes: List[BaseProcess] = []
+        kill_rounds = [self._kill_round(w, resume_round) for w in range(count)]
+
+        def close_logs() -> None:  # in a child: its siblings' logs
+            for log in logs:
+                log.close()
+
         try:
-            for _ in worker_ids:
-                # Accept whichever worker dials first; the hello names
-                # it.  Metering starts buffered because the worker id
-                # is unknown until the hello decodes — the buffered
-                # events are replayed through the real meter so the
-                # ctl:hello cell lands exactly as it did under the
-                # serial launch.
-                buffered: List[Tuple[str, str, int]] = []
-                channel = accept_channel(
-                    self._listener, timeout=self.config.spawn_timeout
-                )
-                channel.set_meter(
-                    lambda d, k, b, _events=buffered: _events.append(
-                        (d, k, b)
-                    )
-                )
-                hello = channel.recv(timeout=self.config.spawn_timeout)
-                if hello.kind != HELLO:
-                    raise ClusterError(
-                        f"expected a worker hello, got {hello.kind!r}"
-                    )
-                worker_id = int(hello.fields.get("worker_id", -1))
-                if worker_id not in processes or worker_id in channels:
-                    raise ClusterError(
-                        f"unexpected hello from worker {worker_id}"
-                    )
-                # Control-plane metering: every byte on this channel
-                # (job, done, heartbeat, ...) lands in the flow ledger
-                # as a ctl:* cell between INFRA and the worker's pseudo
-                # id — kept out of data-plane totals by kind.
-                meter = self._channel_meter(worker_id)
-                channel.set_meter(meter)
-                for direction, kind, num_bytes in buffered:
-                    meter(direction, kind, num_bytes)
-                shard = self.shards[worker_id]
-                kill_rounds[worker_id] = min(
-                    (
-                        r for r, w in self._unspent_kills.items()
-                        if w == worker_id and r >= resume_round
-                    ),
-                    default=None,
-                )
-                fields: Dict[str, Any] = {
+            for w in range(count):
+                ends = [control[w][1], *links[w].values()]
+                processes.append(fork_child(
+                    f"cluster-worker-{w}", logs[w], close_logs, worker_main,
+                    w, control[w][1], links[w],
+                    self.config.heartbeat_interval,
+                    keep=[end.fileno() for end in ends],
+                ))
+                for end in ends:  # the worker holds its own copies
+                    end.close()
+            for w in range(count):
+                shard = self.shards[w]
+                channels[w].send(Message(JOB, {
                     "shard": shard,
                     "resume_round": resume_round,
                     "checkpoint_dir": str(self.run_dir),
-                    "checkpoint_stem": f"shard-{worker_id}",
+                    "checkpoint_stem": f"shard-{w}",
                     "trace_id": self.trace_id,
                     "shards": self.shards,
-                    "mesh_host": self.config.host,
                     "targets": [
                         p for p in self.job.target_ids() if p in shard
                     ],
                     "max_rounds": self.job.max_rounds,
                     "checkpoint_interval": self.job.checkpoint_interval,
-                    "kill_round": kill_rounds[worker_id],
-                }
-                channel.send(
-                    Message(
-                        JOB, fields,
-                        blob=self._job_blob(worker_id, resume_round),
-                    )
-                )
-                channels[worker_id] = channel
-            for worker_id in worker_ids:
-                resumed = channels[worker_id].recv(
-                    timeout=self.config.spawn_timeout
-                )
+                    "kill_round": kill_rounds[w],
+                }, blob=self._job_blob(w, resume_round)))
+            for w in range(count):
+                resumed = channels[w].recv(timeout=self.config.spawn_timeout)
                 if resumed.kind != RESUMED:
                     raise ClusterError(
-                        f"worker {worker_id} answered {resumed.kind!r} "
-                        "to its job"
+                        f"worker {w} answered {resumed.kind!r} to its job"
                     )
                 at_round = int(resumed.fields["next_round"])
                 if at_round != resume_round:
                     raise ClusterError(
-                        f"worker {worker_id} resumed at round {at_round}, "
+                        f"worker {w} resumed at round {at_round}, "
                         f"supervisor pinned round {resume_round}"
                     )
-                self._mesh_addresses[worker_id] = (
-                    str(resumed.fields["mesh_host"]),
-                    int(resumed.fields["mesh_port"]),
-                )
-                now = time.monotonic()
-                self.workers[worker_id] = _Worker(
-                    worker_id=worker_id,
-                    shard=self.shards[worker_id],
-                    process=processes[worker_id],
-                    channel=channels[worker_id],
-                    log_handle=logs[worker_id],
-                    kill_round=kill_rounds[worker_id],
-                    heard=now,
-                    moved=now,
-                )
-                self._expected.setdefault(worker_id, resume_round)
-                self._position[worker_id] = resume_round
         except (TimeoutError, ClusterError) as exc:
-            for worker_id, process in processes.items():
-                if worker_id in self.workers:
-                    continue  # registered: _teardown owns it now
+            for process in processes:
                 _kill_and_wait(process)
-                logs[worker_id].close()
-                if worker_id in channels:
-                    channels[worker_id].close()
+            for w in range(count):
+                channels[w].close()
+                logs[w].close()
             raise ClusterError(
                 f"worker launch failed: {exc} "
                 f"(see worker-*.log in {self.run_dir})"
             ) from exc
-        self._broadcast(PEERS, {
-            "addresses": {
-                str(worker_id): [host, port]
-                for worker_id, (host, port) in sorted(
-                    self._mesh_addresses.items()
-                )
-            },
-        })
+        now = time.monotonic()
+        self.workers = {
+            w: _Worker(
+                worker_id=w, process=processes[w], channel=channels[w],
+                log_handle=logs[w], kill_round=kill_rounds[w],
+                heard=now, moved=now,
+            )
+            for w in range(count)
+        }
 
-    def _close_inherited_logs(self, logs: Dict[int, Any]) -> None:
-        """In a forked worker: close its siblings' log files (its
-        sockets are dropped by ``fork_child`` itself)."""
-        for handle in logs.values():
-            handle.close()
-        for worker in self.workers.values():
-            worker.log_handle.close()
+    def _kill_round(self, worker_id: int, resume_round: int) -> Optional[int]:
+        """The earliest unspent ``kill_plan`` round of ``worker_id`` at
+        or after the round its new incarnation resumes from."""
+        return min(
+            (
+                r for r, w in self._unspent_kills.items()
+                if w == worker_id and r >= resume_round
+            ),
+            default=None,
+        )
 
     def _job_blob(self, worker_id: int, resume_round: int) -> bytes:
         """The checkpoint a JOB message carries: the shard's round-0
@@ -475,18 +413,6 @@ class ClusterSupervisor:
         return encode_checkpoint(
             self.job.shard_checkpoint(self.shards[worker_id])
         )
-
-    def _broadcast(self, kind: str, fields: Dict[str, Any]) -> None:
-        """Send one message to every live worker.
-
-        A send failure here is not fatal: the worker is dead or dying,
-        and its own channel reports that to the consume loop.
-        """
-        for worker_id in sorted(self.workers):
-            try:
-                self.workers[worker_id].channel.send(Message(kind, fields))
-            except ClusterError:
-                pass
 
     def _channel_meter(self, worker_id: int) -> Any:
         """A :data:`~repro.cluster.wire.ChannelMeter` for one worker."""
@@ -507,33 +433,43 @@ class ClusterSupervisor:
 
         return meter
 
-    def _recover(self, worker_id: int, detail: str) -> None:
-        """Reap a dead worker and respawn it at the last committed
-        barrier; the respawn replays forward on its own."""
-        worker = self.workers[worker_id]
-        status = exit_status(worker.process)
-        reason = f"worker {worker_id} {status}: {detail}"
-        self._reap(worker)
-        if worker.kill_round is not None:
-            self._unspent_kills.pop(worker.kill_round, None)
+    def _recover(self, dead: List[Tuple[int, str]]) -> None:
+        """Count the deaths, stop the rest of the fleet, and relaunch
+        all of it at the last committed barrier.
+
+        Only deaths count against ``max_restarts`` and spend
+        ``kill_plan`` entries; the survivors this stops are not deaths.
+        """
+        for worker_id, detail in dead:
+            worker = self.workers[worker_id]
+            reason = (
+                f"worker {worker_id} {exit_status(worker.process)}: {detail}"
+            )
+            if worker.kill_round is not None:
+                self._unspent_kills.pop(worker.kill_round, None)
+                if self.config.registry is not None:
+                    self._kills_total.inc()
+            self.restarts += 1
             if self.config.registry is not None:
-                self._kills_total.inc()
-        self.restarts += 1
-        if self.config.registry is not None:
-            self._restarts_total.inc(worker=str(worker_id))
+                self._restarts_total.inc(worker=str(worker_id))
+        self._stop_fleet()
         if self.restarts > self.config.max_restarts:
             raise ClusterError(
                 f"worker {worker_id} keeps dying: restart budget of "
                 f"{self.config.max_restarts} exhausted (last failure: "
                 f"{reason})"
             )
-        self._launch_all([worker_id], self.checkpoint_round)
+        self._pending.clear()
+        self._launch_all()
 
-    def _reap(self, worker: _Worker) -> None:
-        """Make sure a worker is dead, waited for, its handles closed."""
-        _kill_and_wait(worker.process)
-        worker.channel.close()
-        worker.log_handle.close()
+    def _stop_fleet(self) -> None:
+        """SIGKILL (a no-op once exited) and reap every worker, and
+        close its channel and log."""
+        for worker in self.workers.values():
+            _kill_and_wait(worker.process)
+            worker.channel.close()
+            worker.log_handle.close()
+        self.workers.clear()
 
     # -- consuming the fleet's rounds -----------------------------------------
 
@@ -543,7 +479,7 @@ class ClusterSupervisor:
         One ``select`` over the control channels; every worker is then
         drained and judged alive, and the dead are recovered after
         *all* channels were read — so a barrier a survivor announced
-        before the death is committed before the respawn is pinned.
+        before the death is committed before the relaunch is pinned.
         """
         self._round_started = time.monotonic()
         while not self._finished():
@@ -563,9 +499,8 @@ class ClusterSupervisor:
                     self._poll(self.workers[worker_id], now)
                 except _WorkerDied as exc:
                     dead.append((worker_id, str(exc)))
-            for worker_id, detail in dead:
-                if not self._finished():
-                    self._recover(worker_id, detail)
+            if dead and not self._finished():
+                self._recover(dead)
 
     def _poll(self, worker: _Worker, now: float) -> None:
         """Handle every message the worker's channel holds, then judge
@@ -620,16 +555,8 @@ class ClusterSupervisor:
         round_index = message.fields.get("round")
         if type(round_index) is not int:
             raise ClusterError(f"worker {worker_id} sent a done with no round")
-        self._position[worker_id] = round_index + 1
-        expected = self._expected[worker_id]
-        if round_index < expected:
-            return  # a respawn replaying a round already accepted
-        if round_index > expected:
-            raise ClusterError(
-                f"worker {worker_id} reported round {round_index}, "
-                f"owes round {expected}"
-            )
-        self._expected[worker_id] = round_index + 1
+        if round_index < self.round_index:
+            return  # a relaunched fleet replaying a round already charged
         self._pending.setdefault(round_index, {})[worker_id] = message
         while len(self._pending.get(self.round_index, ())) == len(
             self.shards
@@ -731,20 +658,12 @@ class ClusterSupervisor:
 
     def _commit(self, barrier: int) -> None:
         """Every worker wrote its checkpoint at ``barrier``: make it the
-        restore point, then let the mesh forget what nobody can need.
-
-        A worker's retained trains are safe to drop below the barrier
-        *and* below the round any current incarnation stands at — a
-        respawn pinned to an older barrier may still be replaying.
-        """
+        restore point of every later launch."""
         self.checkpoint_round = barrier
         self._save_state(completed=False)
         self._prune_worker_checkpoints(barrier)
         if self.config.registry is not None:
             self._checkpoints_total.inc()
-        self._broadcast(
-            TRIM, {"below": min(barrier, *self._position.values())}
-        )
 
     def _prune_worker_checkpoints(self, barrier: int) -> None:
         assert self.run_dir is not None
@@ -893,14 +812,14 @@ class ClusterSupervisor:
     # -- teardown -------------------------------------------------------------
 
     def _teardown(self) -> None:
-        self._broadcast(STOP, {})
+        for worker in self.workers.values():
+            try:
+                worker.channel.send(Message(STOP))
+            except ClusterError:
+                pass  # dead or dying: _stop_fleet reaps it
         for worker in self.workers.values():
             worker.process.join(timeout=5)  # a stopped worker just exits
-            self._reap(worker)
-        self.workers.clear()
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        self._stop_fleet()
 
 
 def read_state(run_dir: Path) -> Optional[Dict[str, Any]]:

@@ -1,9 +1,9 @@
 """The supervisor⇄worker control channel.
 
-All cluster control traffic — job dispatch, the mesh address book,
-heartbeats, retention trims and the worker's per-round results —
-travels as length-prefixed :class:`Message` records over one TCP
-connection per worker.  The supervisor sends no per-round message:
+All cluster control traffic — job dispatch, heartbeats and the worker's
+per-round results — travels as length-prefixed :class:`Message` records
+over one connected socket per worker, a socketpair the supervisor makes
+before it forks the worker.  The supervisor sends no per-round message:
 workers step rounds back to back, synchronised by the mesh alone
 (:mod:`repro.cluster.mesh`, wire format in
 :mod:`repro.cluster.meshwire`), and stream a one-way ``done`` home per
@@ -26,7 +26,6 @@ Kinds (see ``docs/cluster.md`` for the full state machine):
 ===============  ======  =======================================================
 kind             dir     meaning
 ===============  ======  =======================================================
-``hello``        w → s   worker is up; fields: ``worker_id``
 ``job``          s → w   shard assignment; blob: the shard's round-0
                          checkpoint (``encode_checkpoint`` bytes) when
                          ``resume_round`` is 0, empty otherwise — a
@@ -34,10 +33,9 @@ kind             dir     meaning
                          fields: ``shard`` (party ids), ``shards`` (the
                          whole fleet's), ``resume_round``,
                          ``checkpoint_dir``, ``checkpoint_stem``,
-                         ``trace_id``, ``mesh_host``
-``resumed``      w → s   checkpoint loaded; fields: ``next_round``,
-                         ``mesh_host``, ``mesh_port`` (the worker's
-                         mesh listener)
+                         ``trace_id``, ``targets``, ``max_rounds``,
+                         ``checkpoint_interval``, ``kill_round``
+``resumed``      w → s   checkpoint loaded; fields: ``next_round``
 ``done``         w → s   round finished (one-way); fields: ``round``,
                          ``trace_id``, and ``checkpoint`` (the barrier)
                          when the worker wrote its checkpoint after this
@@ -47,10 +45,6 @@ kind             dir     meaning
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
                          the supervisor can tell dead from slow)
-``peers``        s → w   mesh address book; fields: ``addresses``
-                         (``{worker_id: [host, port]}``)
-``trim``         s → w   a barrier is committed; fields: ``below``
-                         (retained mesh trains the worker may now drop)
 ``stop``         s → w   run over; worker exits 0
 ===============  ======  =======================================================
 
@@ -66,6 +60,7 @@ from __future__ import annotations
 
 import json
 import pickle
+import select
 import socket
 import threading
 from dataclasses import dataclass, field
@@ -84,16 +79,13 @@ from repro.utils.serialization import decode_bytes, encode_bytes
 # link per round, chunks in :mod:`repro.cluster.meshwire`.
 _MAX_MESSAGE = 1 << 28
 
-HELLO = "hello"
 JOB = "job"
 RESUMED = "resumed"
 DONE = "done"
 HEARTBEAT = "heartbeat"
-PEERS = "peers"
-TRIM = "trim"
 STOP = "stop"
 
-KINDS = (HELLO, JOB, RESUMED, DONE, HEARTBEAT, PEERS, TRIM, STOP)
+KINDS = (JOB, RESUMED, DONE, HEARTBEAT, STOP)
 
 #: Control-plane byte meter: ``(direction, kind, num_bytes)`` with
 #: direction ``"send"`` or ``"recv"``.  Installed by the supervisor so
@@ -192,12 +184,6 @@ class MessageChannel:
         #: Bytes shipped, excluding heartbeat beacons — the worker's
         #: control-plane contribution to its progress report.
         self.data_bytes_sent = 0
-        try:
-            self._sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
-        except OSError:  # pragma: no cover - platform quirk
-            pass
 
     def send(self, message: Message) -> None:
         """Ship one message (thread-safe); an oversized body raises
@@ -226,15 +212,20 @@ class MessageChannel:
         :class:`ChannelClosed` on clean EOF at a message boundary, and
         :class:`ClusterError` on a torn or corrupt stream.
         """
-        self._sock.settimeout(timeout)
         while True:
             message = self._try_parse()
             if message is not None:
                 return message
+            # The deadline is a select, never a socket timeout: the
+            # socket stays blocking, so a send racing this recv on
+            # another thread (the heartbeat) never meets a full buffer
+            # in non-blocking mode and tears the stream.
+            if timeout is not None and not select.select(
+                [self._sock], [], [], timeout
+            )[0]:
+                raise TimeoutError("control channel recv timed out")
             try:
                 chunk = self._sock.recv(1 << 16)
-            except (socket.timeout, BlockingIOError) as exc:
-                raise TimeoutError("control channel recv timed out") from exc
             except OSError as exc:
                 raise ClusterError(
                     f"control channel recv failed: {exc}"
@@ -256,10 +247,6 @@ class MessageChannel:
     def fileno(self) -> int:
         """The socket's descriptor, so a channel can be ``select``-ed."""
         return self._sock.fileno()
-
-    def set_meter(self, meter: Optional[ChannelMeter]) -> None:
-        """Install (or clear) the control-plane byte meter."""
-        self._meter = meter
 
     def _try_parse(self) -> Optional[Message]:
         if len(self._buffer) < _LENGTH.size:
@@ -301,59 +288,3 @@ class MessageChannel:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-
-def connect_channel(
-    host: str, port: int, timeout: float = 10.0
-) -> MessageChannel:
-    """Dial the supervisor's control listener (worker side)."""
-    try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        raise ClusterError(
-            f"cannot reach supervisor at {host}:{port}: {exc}"
-        ) from exc
-    sock.settimeout(None)
-    return MessageChannel(sock)
-
-
-def open_listener(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    retries: int = 3,
-    retry_delay: float = 0.05,
-) -> "tuple[socket.socket, int]":
-    """Open the supervisor's control listener.
-
-    ``port`` is a *preference*: when it is busy (``EADDRINUSE``) the
-    bind is retried ``retries`` times with a short pause, then falls
-    back to an OS-assigned ephemeral port — the shared
-    :mod:`repro.net.bind` policy, also used by the runtime's
-    :class:`~repro.runtime.transport.TcpTransport` router and the
-    :mod:`repro.serve` gateway.  ``port=0`` (the default) goes straight
-    to OS-assigned.
-    """
-    from repro.errors import NetworkError
-    from repro.net.bind import open_listener as bind_open_listener
-
-    try:
-        return bind_open_listener(host, port, retries, retry_delay)
-    except NetworkError as exc:
-        raise ClusterError(f"cannot open control listener: {exc}") from exc
-
-
-def accept_channel(
-    listener: socket.socket, timeout: Optional[float] = None
-) -> MessageChannel:
-    """Accept one worker connection (supervisor side).
-
-    Raises :class:`TimeoutError` when no worker dials in time.
-    """
-    listener.settimeout(timeout)
-    try:
-        conn, _ = listener.accept()
-    except socket.timeout as exc:
-        raise TimeoutError("no worker connected in time") from exc
-    except OSError as exc:
-        raise ClusterError(f"control listener accept failed: {exc}") from exc
-    conn.settimeout(None)
-    return MessageChannel(conn)

@@ -1,18 +1,18 @@
 """The cluster worker process.
 
-A worker is one OS process owning one shard of the party set.  It talks
-to the supervisor over a single
-:class:`~repro.cluster.wire.MessageChannel`, but the supervisor never
-paces it — the mesh is the only round barrier:
+A worker is one OS process owning one shard of the party set, forked by
+the supervisor with its channels already connected: one control socket
+to the supervisor (a :class:`~repro.cluster.wire.MessageChannel`) and
+one mesh socket per peer.  The supervisor never paces it — the mesh is
+the only round barrier:
 
-1. dial the supervisor, introduce itself (``hello``);
-2. receive its ``job`` (shard assignment, the barrier to resume from,
+1. receive its ``job`` (shard assignment, the barrier to resume from,
    the shard's target parties, the round cap, the checkpoint interval),
    restore the shard from that barrier's checkpoint — the JOB blob
-   itself at round 0, the durable file otherwise — open its mesh
-   listener (:class:`~repro.cluster.mesh.MeshRouter`) and report the
-   round it stands at plus the listener address (``resumed``);
-3. run rounds back to back: step the
+   itself at round 0, the durable file otherwise — start its
+   :class:`~repro.cluster.mesh.MeshRouter` and report the round it
+   stands at (``resumed``);
+2. run rounds back to back: step the
    :class:`~repro.cluster.engine.ShardEngine` over the shard's due
    staged frames, ship the emitted frames to the peers that own their
    recipients (one train per peer, empty trains included — they are the
@@ -21,12 +21,13 @@ paces it — the mesh is the only round barrier:
    checkpoint if the round closes a barrier, and stream a one-way
    ``done`` home with a charge digest of the emissions, the shard's
    halted outputs and the round's drained trace events and spans;
-4. stop stepping once every train of a round (its own included) says
+3. stop stepping once every train of a round (its own included) says
    halted, or at the job's round cap — every worker reads the same
    flags, so all stop at the same round — and wait for ``stop``.
 
-``peers`` (refresh the mesh address book) and ``trim`` (drop retained
-trains below a committed barrier) are applied whenever they arrive.
+While it waits for a peer's train it polls its control channel, so a
+worker whose peer died stays alive until the supervisor kills it for
+the relaunch.
 
 A daemon heartbeat thread shares the channel (sends are locked) and
 beacons ``heartbeat`` on a fixed interval so the supervisor can tell a
@@ -34,18 +35,19 @@ slow round from a dead process.  The worker never owns a metrics
 ledger: the supervisor replays the digests into the authoritative one,
 so sharding cannot double-charge the paper's headline metric.
 
-The worker is deliberately crash-naked: any unexpected exception
-escapes, the process dies nonzero, and the supervisor's recovery path —
-restart from the last committed barrier and let the respawn replay
-forward — is the only error handling.  That is what makes SIGKILL fault
-injection honest: a job's ``kill_round`` has the worker SIGKILL itself
-mid-round, after stepping and before its trains ship.
+The worker is deliberately crash-naked: any unexpected exception — a
+malformed mesh chunk included — escapes, the process dies nonzero, and
+the supervisor's recovery path (relaunch the fleet from the last
+committed barrier) is the only error handling.  That is what makes
+SIGKILL fault injection honest: a job's ``kill_round`` has the worker
+SIGKILL itself mid-round, after stepping and before its trains ship.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import socket
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -60,16 +62,12 @@ from repro.cluster.mesh import MeshRouter
 from repro.cluster.wire import (
     DONE,
     HEARTBEAT,
-    HELLO,
     JOB,
-    PEERS,
     RESUMED,
     STOP,
-    TRIM,
     ChannelClosed,
     Message,
     MessageChannel,
-    connect_channel,
 )
 from repro.errors import ClusterError
 from repro.net.party import Frame
@@ -118,17 +116,20 @@ class _Heartbeat(threading.Thread):
 
 
 def worker_main(
-    host: str,
-    port: int,
     worker_id: int,
+    control: socket.socket,
+    links: Dict[int, socket.socket],
     heartbeat_interval: float = HEARTBEAT_INTERVAL,
 ) -> int:
-    """Run one worker to completion; returns the process exit code."""
-    channel = connect_channel(host, port)
+    """Run one worker to completion; returns the process exit code.
+
+    ``control`` is this worker's end of its supervisor socket, ``links``
+    its end of the mesh socket to each peer.
+    """
+    channel = MessageChannel(control)
     heartbeat: Optional[_Heartbeat] = None
     router: Optional[MeshRouter] = None
     try:
-        channel.send(Message(HELLO, {"worker_id": worker_id}))
         job_msg = channel.recv()
         if job_msg.kind != JOB:
             raise ClusterError(
@@ -156,24 +157,9 @@ def worker_main(
 
         shards = [[int(p) for p in s] for s in job["shards"]]
         owner = {p: w for w, s in enumerate(shards) for p in s}
-        peers = sorted(
-            w for w, s in enumerate(shards) if s and w != worker_id
-        )
-        router = MeshRouter(
-            worker_id,
-            host=str(job.get("mesh_host", host)),
-            first_round=engine.next_round,
-        )
-        channel.send(
-            Message(
-                RESUMED,
-                {
-                    "next_round": engine.next_round,
-                    "mesh_host": router.address[0],
-                    "mesh_port": router.address[1],
-                },
-            )
-        )
+        peers = sorted(links)
+        router = MeshRouter(worker_id, links, first_round=engine.next_round)
+        channel.send(Message(RESUMED, {"next_round": engine.next_round}))
 
         def progress() -> int:
             return (
@@ -185,26 +171,6 @@ def worker_main(
         heartbeat = _Heartbeat(channel, heartbeat_interval, progress)
         heartbeat.start()
 
-        def control(message: Message) -> bool:
-            """Apply one supervisor message; ``False`` means stop."""
-            if message.kind == STOP:
-                return False
-            if message.kind == PEERS:
-                router.update_peers(
-                    _decode_addresses(message.fields["addresses"])
-                )
-            elif message.kind == TRIM:
-                router.trim(int(message.fields["below"]))
-            else:
-                raise ClusterError(
-                    f"worker {worker_id} cannot handle {message.kind!r}"
-                )
-            return True
-
-        # The address book follows the launch at once: take it before
-        # the first round, so no train waits on the poll below.
-        if not control(channel.recv()):
-            return 0
         finished = False
         while not finished and engine.next_round < max_rounds:
             round_index = engine.next_round
@@ -235,7 +201,7 @@ def worker_main(
                 if dest is None:
                     raise ClusterError(
                         f"frame for party {frame.recipient} matches no "
-                        "shard in the mesh address book"
+                        "shard of the job"
                     )
                 if dest == worker_id:
                     staged.append(frame)
@@ -248,11 +214,7 @@ def worker_main(
             while peers and not router.wait_round(
                 round_index, peers, timeout=0.05
             ):
-                try:
-                    message = channel.recv(timeout=0)
-                except TimeoutError:
-                    continue
-                if not control(message):
+                if _stopped(channel, timeout=0):
                     return 0
             if peers:
                 arrived, peers_halted = router.collect_round(
@@ -290,8 +252,7 @@ def worker_main(
                     ),
                 )
             )
-        while control(channel.recv()):
-            pass
+        _stopped(channel, timeout=None)
         return 0
     except ChannelClosed:
         # Supervisor vanished without a STOP: die loudly so an attached
@@ -310,12 +271,16 @@ def checkpoint_name(stem: str, barrier: int) -> str:
     return f"{stem}-r{barrier}"
 
 
-def _decode_addresses(raw: Dict[str, list]) -> Dict[int, Tuple[str, int]]:
-    """Decode a ``peers`` address book (JSON keys are strings)."""
-    return {
-        int(worker): (str(entry[0]), int(entry[1]))
-        for worker, entry in raw.items()
-    }
+def _stopped(channel: MessageChannel, timeout: Optional[float]) -> bool:
+    """Whether the supervisor said ``stop`` within ``timeout``; it sends
+    a running worker nothing else."""
+    try:
+        message = channel.recv(timeout=timeout)
+    except TimeoutError:
+        return False
+    if message.kind != STOP:
+        raise ClusterError(f"a running worker got {message.kind!r}")
+    return True
 
 
 def _build_engine(

@@ -81,15 +81,6 @@ class ProtocolError(ReproError):
     """
 
 
-class AgreementFailure(ProtocolError):
-    """Raised when a BA execution terminates without agreement.
-
-    This is a *verdict*, used by test harnesses and experiment drivers; the
-    protocols themselves always terminate and report outputs, and the
-    driver checks agreement/validity afterwards.
-    """
-
-
 class TreeError(ReproError):
     """Raised for malformed almost-everywhere communication trees."""
 

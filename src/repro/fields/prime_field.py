@@ -9,7 +9,7 @@ they can key dictionaries and be compared in tests.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Union
+from typing import Iterator, Union
 
 from repro.errors import ConfigurationError
 
@@ -177,8 +177,3 @@ class FieldElement:
 def default_field() -> PrimeField:
     """The secp256k1 scalar field, shared by Shamir/VSS and Feldman."""
     return PrimeField(SECP256K1_ORDER, check_prime=False)
-
-
-def batch_values(elements: List[FieldElement]) -> List[int]:
-    """Extract raw integer values (testing/serialization helper)."""
-    return [element.value for element in elements]

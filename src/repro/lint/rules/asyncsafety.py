@@ -10,7 +10,7 @@ can only see as a flaky hang.
 
 ASY002 extends the discipline to *state*: a class whose containers are
 reachable from more than one execution context (the mesh router's
-accept, dial and receiver threads beside the stepping thread) must
+receiver threads beside the stepping thread) must
 mutate them under its own lock — or keep each container
 single-writer.  The rule is cross-module (it consumes the class
 inventories in the facts layer) and deliberately structural: it never
@@ -126,8 +126,8 @@ class SharedStateRule(ProjectRule):
             "mutated under the class's own lock (or stay single-writer)"
         ),
         rationale=(
-            "The mesh router shares dicts between its accept, dial and "
-            "receiver threads and the stepping thread; a mutation "
+            "The mesh router shares dicts between its receiver threads "
+            "and the stepping thread; a mutation "
             "outside the owning lock is a data race the mesh parity "
             "suite can only observe as a flaky hang or a lost train.  "
             "A class that owns a lock has declared its discipline — "

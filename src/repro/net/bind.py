@@ -1,9 +1,7 @@
-"""Shared EADDRINUSE-tolerant listener binding.
+"""The gateway's EADDRINUSE-tolerant listener binding.
 
-Three layers of the repo open loopback listeners — the runtime's
-:class:`~repro.runtime.transport.TcpTransport` router, the cluster
-supervisor's control channel, and the :mod:`repro.serve` gateway — and
-all want the same policy for a *preferred* port:
+``python -m repro serve run --port P`` asks for a *preferred* port, and
+the gateway (:mod:`repro.serve.server`) binds it under this policy:
 
 1. try the preferred port;
 2. if it is busy (``EADDRINUSE``), retry a bounded number of times
@@ -14,82 +12,25 @@ all want the same policy for a *preferred* port:
 ``port=0``/``None`` skips straight to OS-assigned.  Any error other
 than ``EADDRINUSE`` on a preferred port is re-raised immediately — a
 bad host or a permissions problem is a configuration bug, not a race.
-
-Two entry points cover the two socket styles in the tree:
-:func:`open_listener` (blocking sockets, used by the cluster control
-plane) and :func:`start_asyncio_server` (asyncio servers, used by the
-TCP transport router and the gateway).
+Every other listener in the tree binds an OS-assigned port, and the
+cluster opens none.
 """
 
 from __future__ import annotations
 
 import errno
-import socket
-import time
-from typing import (
-    TYPE_CHECKING,
-    Awaitable,
-    Callable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Awaitable, Callable, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 
 if TYPE_CHECKING:
-    # asyncio costs ~55 ms to import; the blocking-socket callers
-    # (cluster workers, the control listener) never run a loop.
+    # asyncio costs ~55 ms to import, paid by any entry that imports
+    # this module without serving.
     import asyncio
 
     ConnectedCallback = Callable[
         [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
     ]
-
-
-def bind_attempt_plan(port: Optional[int], retries: int) -> List[int]:
-    """The port sequence one bind policy walks through.
-
-    A preferred port appears ``1 + retries`` times, followed by the
-    terminal ``0`` (OS-assigned) fallback; no preference means just
-    ``[0]``.
-    """
-    if not port:
-        return [0]
-    return [port] * (1 + max(0, retries)) + [0]
-
-
-def open_listener(
-    host: str = "127.0.0.1",
-    port: int = 0,
-    retries: int = 3,
-    retry_delay: float = 0.05,
-) -> Tuple[socket.socket, int]:
-    """Open a blocking TCP listener under the shared bind policy.
-
-    Returns ``(listening socket, bound port)``.  Raises
-    :class:`~repro.errors.NetworkError` on any non-``EADDRINUSE``
-    failure (wrapped, with the original as ``__cause__``).
-    """
-    attempts = bind_attempt_plan(port, retries)
-    for index, candidate in enumerate(attempts):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            listener.bind((host, candidate))
-            listener.listen()
-            return listener, listener.getsockname()[1]
-        except OSError as exc:
-            listener.close()
-            if candidate and exc.errno == errno.EADDRINUSE:
-                if attempts[index + 1]:
-                    time.sleep(retry_delay)
-                continue
-            raise NetworkError(f"cannot bind listener: {exc}") from exc
-    raise NetworkError(  # pragma: no cover - plan always ends in port 0
-        "cannot bind listener: attempt plan exhausted"
-    )
 
 
 async def start_asyncio_server(
@@ -98,14 +39,12 @@ async def start_asyncio_server(
     port: Optional[int],
     retry_delays: Sequence[float] = (),
 ) -> Tuple["asyncio.base_events.Server", int]:
-    """Start an asyncio server under the shared bind policy.
+    """Start an asyncio server under the bind policy.
 
     ``retry_delays`` is the pause before each *retry* of a busy
-    preferred port (callers with a seeded
-    :func:`~repro.runtime.transport.backoff_schedule` pass it here, so
-    retry storms replay deterministically).  Returns
-    ``(server, busy_retries)`` where ``busy_retries`` counts the
-    ``EADDRINUSE`` hits on the preferred port.
+    preferred port.  Returns ``(server, busy_retries)`` where
+    ``busy_retries`` counts the ``EADDRINUSE`` hits on the preferred
+    port.
     """
     import asyncio
 

@@ -8,6 +8,12 @@ parent's signal handlers, sockets, span context or captured std
 streams — and the same report when one dies: ``killed by SIGKILL``,
 ``exit 1``.
 
+A child talks only over sockets its parent connected before the fork
+and names in ``keep=``: a lane its one socketpair end, a cluster worker
+its control end plus one mesh end per peer.  Nothing is dialed or
+accepted after the fork, and no descriptor is passed to a running
+child, which is why a cluster recovery relaunches the whole fleet.
+
 POSIX only.  Fork from a single-threaded parent: a lock another thread
 holds at the fork stays held in the child.  docs/cluster.md, *Process
 model*, has the why.

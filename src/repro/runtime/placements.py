@@ -106,7 +106,7 @@ def mesh(
     run_dir: Optional[Path] = None,
     resume: bool = False,
 ) -> Placement:
-    """The cluster row: ``k`` worker processes joined by the TCP mesh.
+    """The cluster row: ``k`` worker processes joined by the mesh.
 
     ``name`` / ``checkpoint_interval`` become the job's; ``config``
     (a :class:`~repro.cluster.supervisor.ClusterConfig`, whose

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, SerializationError
-from repro.net.bind import start_asyncio_server
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
@@ -260,9 +259,8 @@ class TcpTransport(Transport):
     re-dials the router on a bounded, seeded :func:`backoff_schedule`
     (re-HELLO, then retry the write); successful re-dials are counted in
     :attr:`~Transport.reconnects` and surfaced through the obs registry
-    as ``repro_transport_reconnects_total``.  A preferred ``port`` that
-    is already in use is retried on the same schedule before falling
-    back to an OS-assigned port.  A malformed record (data before HELLO,
+    as ``repro_transport_reconnects_total``.  The router listens on an
+    OS-assigned port.  A malformed record (data before HELLO,
     oversized length, unknown party, undecodable train) ends the task
     that read it; the first such error is re-raised by :meth:`flush`
     and :meth:`stop`, so the barrier fails instead of waiting forever.
@@ -273,7 +271,6 @@ class TcpTransport(Transport):
         party_ids: Sequence[int],
         metrics: Optional[CommunicationMetrics] = None,
         host: str = "127.0.0.1",
-        port: Optional[int] = None,
         reconnect_attempts: int = 4,
         reconnect_base: float = 0.05,
         reconnect_cap: float = 1.0,
@@ -281,7 +278,6 @@ class TcpTransport(Transport):
     ) -> None:
         super().__init__(party_ids, metrics)
         self._host = host
-        self._preferred_port = port
         self._reconnect_attempts = reconnect_attempts
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
@@ -297,14 +293,14 @@ class TcpTransport(Transport):
         #: The first error that killed a router or pump task.
         self._failure: Optional[NetworkError] = None
         self.port: Optional[int] = None
-        #: Preferred-port bind attempts that hit ``EADDRINUSE``.
-        self.bind_retries = 0
 
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
         self._failure = None
-        self._server = await self._open_server()
+        self._server = await asyncio.start_server(
+            self._router_accept, self._host, 0
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         for party_id in self.party_ids:
             await self._connect_endpoint(party_id)
@@ -312,28 +308,6 @@ class TcpTransport(Transport):
         # cannot race ahead of their HELLOs.
         while self._hello_count < len(self.party_ids):
             await asyncio.sleep(0)
-
-    async def _open_server(self) -> "asyncio.base_events.Server":
-        """Bind the router listener via the shared bind policy.
-
-        A preferred port that is busy (``EADDRINUSE``) is retried on the
-        seeded backoff schedule; when every retry loses the race the
-        transport falls back to an OS-assigned ephemeral port rather
-        than failing the run (:mod:`repro.net.bind`).
-        """
-        delays: List[float] = []
-        if self._preferred_port is not None:
-            delays = backoff_schedule(
-                self._reconnect_attempts,
-                self._reconnect_base,
-                self._reconnect_cap,
-                self._rng.fork("bind"),
-            )
-        server, busy_retries = await start_asyncio_server(
-            self._router_accept, self._host, self._preferred_port, delays
-        )
-        self.bind_retries += busy_retries
-        return server
 
     async def _connect_endpoint(self, party_id: int) -> _Endpoint:
         """Dial the router, introduce the party, start its pump."""
@@ -585,18 +559,11 @@ def make_transport(
     kind: str,
     party_ids: Sequence[int],
     metrics: Optional[CommunicationMetrics] = None,
-    port: Optional[int] = None,
 ) -> Transport:
     """Factory: ``"local"`` → :class:`AsyncLocalTransport`, ``"tcp"`` →
-    :class:`TcpTransport`.
-
-    ``port`` is the TCP router's *preferred* listen port: busy ports are
-    retried on the seeded backoff schedule and then fall back to an
-    OS-assigned ephemeral port (``None`` skips straight to OS-assigned).
-    The local transport ignores it.
-    """
+    :class:`TcpTransport`."""
     if kind == "local":
         return AsyncLocalTransport(party_ids, metrics)
     if kind == "tcp":
-        return TcpTransport(party_ids, metrics, port=port)
+        return TcpTransport(party_ids, metrics)
     raise NetworkError(f"unknown transport kind {kind!r}")

@@ -14,7 +14,7 @@ message".
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Iterable, List, Sequence, Tuple, Type, TypeVar
+from typing import Any, Dict, List, Sequence, Tuple, Type, TypeVar
 
 from repro.errors import SerializationError
 
@@ -171,11 +171,6 @@ def tagged_tuple(domain: str, fields: Sequence[bytes]) -> bytes:
 def bit_length(blob: bytes) -> int:
     """Size of an encoded object in bits (what the network meter charges)."""
     return 8 * len(blob)
-
-
-def concat_encoded(chunks: Iterable[bytes]) -> bytes:
-    """Join already-encoded chunks (no extra framing)."""
-    return b"".join(chunks)
 
 
 _ENCODED = "_encoded_once"

@@ -8,18 +8,27 @@ The acceptance properties:
   tallies — with and without a SIGKILL mid-round;
 * a SIGKILLed worker resumes from its durable checkpoint and the run
   still converges to the identical answer;
-* a crashed *supervisor* resumes from its own durable state;
+* a crashed *supervisor* resumes from its own durable state — also
+  one the TCP-wired build wrote, before the fleet's channels became
+  socketpairs;
 * π_ba n=64 differential parity holds for both SRDS schemes.
 """
 
 from __future__ import annotations
 
+import shutil
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.drivers import run_balanced_ba_cluster
-from repro.cluster.supervisor import ClusterConfig, describe_run
+from repro.cluster.job import ClusterJob
+from repro.cluster.supervisor import (
+    ClusterConfig,
+    ClusterSupervisor,
+    describe_run,
+)
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.obs.flow import FlowLedger
@@ -28,13 +37,17 @@ from repro.protocols.phase_king import build_phase_king
 from repro.runtime.drivers import run_balanced_ba_runtime
 from repro.runtime.placements import LOCAL, mesh
 from repro.runtime.replay import tallies_equal
+from repro.runtime.trace import TraceRecorder
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
-from tests.placements import run_honest
+from tests.placements import phase_views, run_honest
 
 pytestmark = pytest.mark.cluster
 
 SEED = 2021
+
+#: A crashed run dir the TCP-wired build wrote (see its README.md).
+TCP_WIRED_RUN = Path(__file__).parent / "fixtures" / "tcp_wired_run"
 
 
 def _pi_ba_setup(n):
@@ -129,6 +142,38 @@ class TestSupervisorResume:
         # flow parity survives the resume.
         assert flow.verify_against(cluster.metrics) == []
         assert flow.by_phase()["(resumed)"] == flow.by_kind()["absorbed"] > 0
+
+    def test_a_run_dir_from_the_tcp_wired_build_resumes_with_parity(
+        self, tmp_path
+    ):
+        shutil.copytree(TCP_WIRED_RUN, tmp_path, dirs_exist_ok=True)
+        status = describe_run(tmp_path)
+        assert (status["round"], status["completed"]) == (4, False)
+
+        def job():
+            parties, honest, max_rounds = build_phase_king(
+                {i: i % 2 for i in range(16)}, (3,)
+            )
+            return ClusterJob("phase-king", 16, parties, until=tuple(honest),
+                              max_rounds=max_rounds, checkpoint_interval=2)
+
+        resumed = ClusterSupervisor(
+            job(), ClusterConfig(num_workers=2), run_dir=tmp_path
+        ).run(resume=True)
+        trace = TraceRecorder()
+        clean = ClusterSupervisor(
+            job(), ClusterConfig(num_workers=2), run_dir=tmp_path / "clean",
+            trace=trace,
+        ).run()
+        assert resumed.restarts == clean.restarts == 0
+        assert resumed.rounds == clean.rounds
+        assert resumed.outputs == clean.outputs
+        assert tallies_equal(resumed.metrics, clean.metrics, range(16))
+        assert phase_views(resumed.metrics, range(16)) == phase_views(
+            clean.metrics, range(16)
+        )
+        assert resumed.trace.fingerprint() == trace.fingerprint()
+        assert describe_run(tmp_path)["completed"]
 
     def test_describe_run_without_state(self, tmp_path):
         status = describe_run(tmp_path)

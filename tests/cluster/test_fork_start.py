@@ -8,8 +8,9 @@ inherited sockets it still holds), nothing touches the network.  The
 mesh cases spawn real workers
 and carry the ``cluster`` marker: ambient ``span`` / ``recording`` /
 ``flow_tags`` around the supervisor change no tally, phase or trace
-byte; a respawned worker holds no sibling's channel; every child is
-reaped on every path; a SIGKILLed supervisor's run resumes with parity.
+byte; a worker holds no sibling's channel and no supervisor end; every
+child is reaped on every path; a SIGKILLed supervisor's run resumes
+with parity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import pytest
 from repro.cluster.cli import cmd_cluster
 from repro.cluster.job import replay_job
 from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
-from repro.cluster.wire import open_listener
+from repro.cluster.wire import MessageChannel
 from repro.cluster.worker import worker_main
 from repro.errors import ClusterError
 from repro.net.fork import exit_status, fork_child
@@ -291,14 +292,15 @@ class TestEveryChildIsReaped:
         assert set(os.listdir("/proc/self/fd")) == open_before
 
     def test_after_a_failed_launch(self, tmp_path, monkeypatch):
-        """Worker 0 handshakes, worker 1 never dials: the launch fails,
-        and both — the one with a channel and the one without — are
-        killed *and waited for*."""
+        """Worker 0 resumes, worker 1 takes its job and never answers:
+        the launch fails, and both — the one that answered and the one
+        that did not — are killed *and waited for*."""
 
-        def half_a_fleet(host, port, worker_id, heartbeat_interval):
+        def half_a_fleet(worker_id, control, links, heartbeat_interval):
             if worker_id == 1:
+                MessageChannel(control).recv()
                 time.sleep(60)
-            return worker_main(host, port, worker_id, heartbeat_interval)
+            return worker_main(worker_id, control, links, heartbeat_interval)
 
         monkeypatch.setattr(
             "repro.cluster.supervisor.worker_main", half_a_fleet
@@ -311,33 +313,32 @@ class TestEveryChildIsReaped:
 @pytest.mark.cluster
 class TestWorkersHoldNoSupervisorDescriptor:
     def test_supervisor_death_reaches_every_worker(self, tmp_path):
-        """Worker 1 is respawned while worker 0's channel exists, the
-        way crash recovery forks it, and is then frozen.  The
-        supervisor's descriptors vanish the way a SIGKILL takes them —
-        closed, nothing said.  Worker 0 must see ``ChannelClosed`` and
-        exit 1 at once: had the respawn kept its sibling's channel, the
-        connection would stay open for as long as the respawn lives."""
+        """The fleet is launched, then relaunched the way crash recovery
+        does it, and worker 1 is frozen.  The supervisor's descriptors
+        vanish the way a SIGKILL takes them — closed, nothing said.
+        Worker 0 must see ``ChannelClosed`` and exit 1 at once: had
+        worker 1 kept the supervisor's end of worker 0's socketpair, the
+        channel would stay open for as long as worker 1 lives."""
         supervisor = ClusterSupervisor(
             replay_job(_script(), N),
             ClusterConfig(num_workers=2),
             run_dir=tmp_path,
         )
-        supervisor._listener, supervisor._port = open_listener()
         try:
-            supervisor._launch_all([0, 1], 0)
-            supervisor._recover(1, "respawned by the test")
-            first, respawn = (supervisor.workers[w].process for w in (0, 1))
-            os.kill(respawn.pid, signal.SIGSTOP)
-            supervisor._listener.close()
+            supervisor._launch_all()
+            supervisor._recover([(1, "relaunched by the test")])
+            assert supervisor.restarts == 1
+            first, frozen = (supervisor.workers[w].process for w in (0, 1))
+            os.kill(frozen.pid, signal.SIGSTOP)
             for worker in supervisor.workers.values():
                 worker.channel.release()
             deadline = ClusterConfig().heartbeat_interval * 8
             first.join(deadline)
             assert first.exitcode == 1
-            assert respawn.is_alive()
-            os.kill(respawn.pid, signal.SIGCONT)
-            respawn.join(deadline)
-            assert respawn.exitcode == 1
+            assert frozen.is_alive()
+            os.kill(frozen.pid, signal.SIGCONT)
+            frozen.join(deadline)
+            assert frozen.exitcode == 1
         finally:
             supervisor._teardown()
         _assert_no_child_left()

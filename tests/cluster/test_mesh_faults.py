@@ -1,29 +1,30 @@
-"""Mesh fault injection: link death, slow trains, SIGKILL, budget.
+"""Mesh fault injection: broken links, slow trains, SIGKILL, budget.
 
 Three layers of failure tolerance under test:
 
-* the :class:`~repro.cluster.mesh.MeshRouter` itself — a killed TCP
-  link redials, the handshake's watermark exchange resends retained
-  trains, and send-seq dedup means a frame is *delivered once* no
-  matter how many times the link tears (in-process, no subprocesses);
+* the :class:`~repro.cluster.mesh.MeshRouter` itself — routers joined
+  by ``socket.socketpair()`` exactly as the supervisor joins workers,
+  in-process: trains arrive whole and in order, a malformed or
+  out-of-order chunk is a ``SerializationError`` the waiter sees, and a
+  peer's EOF ends only its link (no subprocesses);
 * the supervisor's per-worker liveness judgment — a worker slowly
   trickling a huge body past ``round_timeout`` is NOT declared dead
   (the regression for the bug where "slow relaying a big train" was
   conflated with "dead"), while a worker whose progress genuinely
   stalls still is (simulated clock, no process);
 * whole-process faults on the mesh data plane (``cluster`` marker) —
-  a worker SIGKILLed mid-round respawns, re-handshakes, resumes from the
-  last committed barrier and still charges bit-identical ledgers (no
-  double-charged bits across the replayed rounds), and an exhausted
-  restart budget exits loudly naming the last failure and how the
-  worker died.
+  a worker SIGKILLed mid-round makes the supervisor relaunch the whole
+  fleet from the last committed barrier, one restart counted, and the
+  run still charges bit-identical ledgers (no double-charged bits
+  across the replayed rounds); an exhausted restart budget exits
+  loudly naming the last failure and how the worker died.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
-import time
 from functools import lru_cache
 
 import pytest
@@ -31,18 +32,22 @@ import pytest
 from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
 from repro.cluster.mesh import MeshRouter
+from repro.cluster.meshwire import split_train
 from repro.cluster.supervisor import (
     ClusterConfig,
     ClusterSupervisor,
     _Worker,
     _WorkerDied,
 )
-from repro.cluster.wire import HEARTBEAT, Message
-from repro.errors import ClusterError
+from repro.cluster.wire import DONE, HEARTBEAT, Message
+from repro.errors import ClusterError, SerializationError
 from repro.net.adversary import random_corruption
+from repro.net.fork import fork_child
 from repro.net.metrics import CommunicationMetrics
-from repro.obs.flow import FlowLedger
 from repro.net.party import SilentParty
+from repro.net.trains import _LENGTH, encode_train_body
+from repro.obs.flow import FlowLedger
+from repro.obs.registry import MetricsRegistry
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.drivers import run_balanced_ba_runtime
@@ -60,41 +65,27 @@ SEED = 2021
 
 
 def _mesh_pair(chunk_bytes=16):
-    """Two routers with an established link (1 dials 0, by convention)."""
-    a = MeshRouter(0, chunk_bytes=chunk_bytes)
-    b = MeshRouter(1, chunk_bytes=chunk_bytes)
-    a.update_peers({1: b.address})
-    b.update_peers({0: a.address})
-    return a, b
-
-
-def _wait_for(condition, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.005)
-    return True
-
-
-def _dialers(router):
-    """The router's live dial / redial threads."""
-    prefixes = tuple(
-        f"mesh-{verb}-{router.worker_id}-" for verb in ("dial", "redial")
+    """Routers 0 and 1 on the two ends of one socketpair."""
+    end_0, end_1 = socket.socketpair()
+    return (
+        MeshRouter(0, {1: end_0}, chunk_bytes=chunk_bytes),
+        MeshRouter(1, {0: end_1}, chunk_bytes=chunk_bytes),
     )
-    return [t for t in threading.enumerate() if t.name.startswith(prefixes)]
 
 
-def _exit_process_of(router):
-    """What a worker's exit does to its router's sockets.  ``close()``
-    alone cannot stand in for it here: a descriptor closed under this
-    process's own blocked ``accept`` / ``recv`` stays open in the
-    kernel until that call returns."""
-    router._closed.set()
-    links = [link.sock for link in router._links.values()]
-    for sock in [router._listener, *links]:
-        sock.shutdown(socket.SHUT_RDWR)
-    router.close()
+def _forged_link():
+    """Router 1 and the raw socket of a peer 0 that writes by hand."""
+    raw, end_1 = socket.socketpair()
+    return raw, MeshRouter(1, {0: end_1})
+
+
+#: An empty train's body: the round barrier a peer owes every round.
+EMPTY = encode_train_body([])
+
+
+def _send_records(sock, records):
+    for record in records:
+        sock.sendall(_LENGTH.pack(len(record)) + record)
 
 
 def _frames(round_index, tag):
@@ -106,119 +97,155 @@ def _frames(round_index, tag):
 
 
 class TestLinkFaults:
-    def test_round_trip_over_live_link(self):
+    def test_round_trip(self):
         a, b = _mesh_pair()
         try:
             sent = _frames(0, b"hello")
             a.send_train(1, 0, sent)
+            b.send_train(0, 0, [], halted=True)
             assert b.wait_round(0, [0], timeout=5.0)
             assert b.collect_round(0, [0]) == (sent, False)
-            a.send_train(1, 1, [], halted=True)
-            assert b.wait_round(1, [0], timeout=5.0)
-            assert b.collect_round(1, [0]) == ([], True)
-        finally:
-            a.close()
-            b.close()
-
-    def test_send_before_link_established_is_replayed(self):
-        """Startup ordering: a train sent before the peer has even
-        dialed in is retained and shipped by the first handshake."""
-        a = MeshRouter(0)
-        b = MeshRouter(1)
-        try:
-            sent = _frames(0, b"early")
-            a.send_train(1, 0, sent, halted=True)  # no link: retained only
-            a.update_peers({1: b.address})
-            b.update_peers({0: a.address})
-            assert b.wait_round(0, [0], timeout=5.0)
-            assert b.collect_round(0, [0]) == (sent, True)
-        finally:
-            a.close()
-            b.close()
-
-    def test_link_kill_mid_train_redials_and_dedups(self):
-        """Kill the live link, keep sending: the dialer redials, the
-        handshake watermark resends retained trains, and send-seq dedup
-        delivers every round exactly once."""
-        a, b = _mesh_pair(chunk_bytes=8)  # multi-chunk trains
-        try:
-            first = _frames(0, b"round-zero")
-            a.send_train(1, 0, first)
-            assert b.wait_round(0, [0], timeout=5.0)
-            assert b.collect_round(0, [0]) == (first, False)
-
-            # Tear the link out from under the dialer's receiver.
-            b._links[0].sock.close()
-
-            # The sender pushes the next round into the torn link; some
-            # chunks land in a dead TCP buffer, some fail outright.
-            second = _frames(1, b"round-one")
-            a.send_train(1, 1, second)
-            # Redial + retained-train replay must deliver it exactly
-            # once despite any duplicate resend racing the original.
-            assert b.wait_round(1, [0], timeout=5.0)
-            assert b.collect_round(1, [0]) == (second, False)
-
-            # The next round flows over the healed link normally.
-            third = _frames(2, b"round-two")
-            a.send_train(1, 2, third)
-            assert b.wait_round(2, [0], timeout=5.0)
-            assert b.collect_round(2, [0]) == (third, False)
+            assert a.wait_round(0, [1], timeout=5.0)
+            assert a.collect_round(0, [1]) == ([], True)
             assert a.progress() > 0 and b.progress() > 0
         finally:
             a.close()
             b.close()
 
-    def test_repeated_link_kills_still_converge(self):
+    def test_multi_chunk_trains_reassemble_in_order(self):
+        """Trains many chunks long (8-byte chunks), several rounds sent
+        before the receiver collects any: each round comes out whole."""
         a, b = _mesh_pair(chunk_bytes=8)
         try:
-            for round_index in range(4):
-                if round_index in (1, 3):
-                    b._links[0].sock.close()
-                sent = _frames(round_index, b"r%d" % round_index)
-                a.send_train(1, round_index, sent)
+            sent = {r: _frames(r, b"round-%d" % r) for r in range(4)}
+            for round_index, frames in sent.items():
+                a.send_train(1, round_index, frames, halted=round_index == 3)
+            for round_index, frames in sent.items():
                 assert b.wait_round(round_index, [0], timeout=5.0)
-                assert b.collect_round(round_index, [0]) == (sent, False)
+                assert b.collect_round(round_index, [0]) == (
+                    frames, round_index == 3
+                )
         finally:
             a.close()
             b.close()
 
-    def test_close_wakes_the_dial_pacer_and_no_dial_starts_after_it(
-        self, monkeypatch
-    ):
-        """STOP quiesces the mesh: the peer that left first drops the
-        link, the dialer redials into ECONNREFUSED and backs off — and
-        ``close()`` must end that backoff, not sit it out."""
-        monkeypatch.setattr(
-            "repro.cluster.mesh._DIAL_DELAYS", (0.0, 30.0, 30.0)
-        )
-        a, b = _mesh_pair()
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("out-of-order chunk", "chunk 1 arrived, chunk 0 is next"),
+            ("foreign round", "owes round 0"),
+            ("repeated round", "owes round 1"),
+        ],
+    )
+    def test_a_broken_link_is_refused(self, case, match):
+        """The waiter, not the receiver thread, raises: the worker's main
+        loop dies nonzero on it."""
+        raw, b = _forged_link()
         try:
-            assert _wait_for(lambda: 0 in b._links)
-            _exit_process_of(a)  # worker 0 got its STOP first and is gone
-            assert _wait_for(lambda: _dialers(b))  # refused; backing off
-            b.close()
-            assert _wait_for(lambda: not _dialers(b)), "slept through close()"
-            late = MeshRouter(2)
-            late.close()
-            late.update_peers({0: a.address, 1: b.address})
-            assert not _dialers(late)
+            if case == "out-of-order chunk":
+                _send_records(raw, split_train(0, 1, 0, EMPTY, chunk_bytes=4)[1:])
+            elif case == "foreign round":
+                _send_records(raw, split_train(0, 1, 7, EMPTY))
+            else:
+                _send_records(raw, split_train(0, 1, 0, EMPTY))
+                assert b.wait_round(0, [0], timeout=5.0)
+                b.collect_round(0, [0])
+                _send_records(raw, split_train(0, 1, 0, EMPTY))
+            with pytest.raises(SerializationError, match=match):
+                b.wait_round(1, [0], timeout=5.0)
         finally:
-            a.close()
+            raw.close()
             b.close()
 
-    def test_trim_discards_retained_rounds(self):
-        a, b = _mesh_pair()
+    def test_a_train_for_another_worker_is_refused(self):
+        raw, b = _forged_link()
         try:
-            a.send_train(1, 0, _frames(0, b"old"))
-            a.send_train(1, 1, _frames(1, b"new"))
-            assert b.wait_round(1, [0], timeout=5.0)
-            a.trim(1)
-            assert 0 not in a._retained.get(1, {0: None})
-            assert 1 in a._retained[1]
+            _send_records(raw, split_train(0, 2, 0, EMPTY))
+            with pytest.raises(SerializationError, match="at worker 1"):
+                b.wait_round(0, [0], timeout=5.0)
         finally:
-            a.close()
+            raw.close()
             b.close()
+
+    def test_peer_eof_ends_one_link_and_never_hangs(self):
+        """Worker 1's peers 0 and 2; 0 delivers round 0 and its process
+        goes.  Round 0 still completes, and worker 1 can wait on round 1
+        with a deadline — which expires — and keep sending to 2."""
+        end_10, end_01 = socket.socketpair()
+        end_12, end_21 = socket.socketpair()
+        router = MeshRouter(1, {0: end_10, 2: end_12})
+        peer_2 = MeshRouter(2, {1: end_21})
+        try:
+            _send_records(end_01, split_train(0, 1, 0, EMPTY))
+            end_01.close()  # what worker 0's exit does to its end
+            peer_2.send_train(1, 0, [])
+            assert router.wait_round(0, [0, 2], timeout=5.0)
+            assert router.collect_round(0, [0, 2]) == ([], False)
+            peer_2.send_train(1, 1, [])
+            assert not router.wait_round(1, [0, 2], timeout=0.2)
+            for round_index in (0, 1):
+                router.send_train(0, round_index, [])  # closed end: dropped
+                router.send_train(2, round_index, _frames(round_index, b"up"))
+                assert peer_2.wait_round(round_index, [1], timeout=5.0)
+                assert peer_2.collect_round(round_index, [1]) == (
+                    _frames(round_index, b"up"), False
+                )
+        finally:
+            router.close()
+            peer_2.close()
+
+    def test_three_links_at_once_lose_no_train(self):
+        """Three receiver threads file trains into one inbox while the
+        stepping thread collects, at a switch interval short enough to
+        interleave every step: each round comes out whole, from every
+        peer, exactly once."""
+        rounds, peers = 40, (1, 2, 3)
+        links = {}
+        senders = []
+        for peer in peers:
+            mine, theirs = socket.socketpair()
+            links[peer] = mine
+            senders.append(MeshRouter(peer, {0: theirs}, chunk_bytes=8))
+        router = MeshRouter(0, links)
+
+        def ship(sender):
+            for round_index in range(rounds):
+                sender.send_train(
+                    0, round_index, _frames(round_index, b"%d" % sender.worker_id)
+                )
+
+        threads = [threading.Thread(target=ship, args=(s,)) for s in senders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for round_index in range(rounds):
+                assert router.wait_round(round_index, peers, timeout=10.0)
+                frames, halted = router.collect_round(round_index, peers)
+                assert not halted
+                assert frames == [
+                    frame for peer in peers
+                    for frame in _frames(round_index, b"%d" % peer)
+                ]
+            for thread in threads:
+                thread.join(10.0)
+                assert not thread.is_alive()
+            assert router._inbox == {}
+        finally:
+            sys.setswitchinterval(interval)
+            router.close()
+            for sender in senders:
+                sender.close()
+
+    def test_close_is_idempotent_and_ends_the_peer_link(self):
+        a, b = _mesh_pair()
+        a.close()
+        a.close()
+        b.send_train(0, 0, [])  # a's end is gone: dropped, not raised
+        assert not b.wait_round(0, [0], timeout=0.1)
+        b.close()
+        b.close()
 
 
 # -- the per-worker liveness judgment (unit, tier-1) -------------------------
@@ -266,7 +293,7 @@ def _poll_harness(timeline, *, round_timeout=0.25, heartbeat_timeout=5.0):
     )
     channel = _ScriptedChannel()
     worker = _Worker(
-        worker_id=0, shard=[0, 1], process=None, channel=channel,
+        worker_id=0, process=None, channel=channel,
         log_handle=None, heard=0.0, moved=0.0,
     )
     for now, events in timeline:
@@ -303,6 +330,52 @@ class TestSlowTrainIsNotDead:
     def test_total_silence_still_dies(self):
         with pytest.raises(_WorkerDied, match="no heartbeat"):
             _poll_harness([(5.5, [])], round_timeout=60.0)
+
+
+# -- what a relaunch leaves the supervisor (unit, tier-1) ---------------------
+
+
+def _idle_supervisor(kill_plan=None):
+    return ClusterSupervisor(
+        ClusterJob("relaunch", 4, [SilentParty(i) for i in range(4)]),
+        ClusterConfig(num_workers=2, kill_plan=dict(kill_plan or {})),
+    )
+
+
+class TestRelaunchBookkeeping:
+    def test_a_done_below_the_charged_round_is_dropped(self):
+        """A relaunched fleet replays from its barrier: the dones of
+        rounds already charged change nothing, the next one charges."""
+        supervisor = _idle_supervisor()
+        for round_index in (0, 1):
+            for worker_id in (0, 1):
+                supervisor._on_done(
+                    worker_id, Message(DONE, {"round": round_index}), 0.0
+                )
+        assert supervisor.round_index == 2
+        assert supervisor.metrics.rounds_completed == 2
+        for worker_id in (0, 1):  # the relaunch replays rounds 0 and 1
+            for round_index in (0, 1):
+                supervisor._on_done(
+                    worker_id, Message(DONE, {"round": round_index}), 0.0
+                )
+        assert supervisor._pending == {}
+        assert supervisor.metrics.rounds_completed == 2
+        supervisor._on_done(0, Message(DONE, {"round": 2}), 0.0)
+        supervisor._on_done(1, Message(DONE, {"round": 2}), 0.0)
+        assert supervisor.round_index == 3
+
+    def test_a_done_without_a_round_is_refused(self):
+        with pytest.raises(ClusterError, match="no round"):
+            _idle_supervisor()._on_done(0, Message(DONE, {"round": "1"}), 0.0)
+
+    def test_each_incarnation_gets_its_earliest_unspent_kill(self):
+        supervisor = _idle_supervisor({2: 1, 5: 1, 3: 0})
+        assert supervisor._kill_round(1, 0) == 2
+        assert supervisor._kill_round(1, 4) == 5  # resumed past round 2
+        assert supervisor._kill_round(0, 4) is None
+        supervisor._unspent_kills.pop(2)  # the incarnation holding 2 died
+        assert supervisor._kill_round(1, 0) == 5
 
 
 # -- a hostile charge digest (unit, tier-1) ----------------------------------
@@ -390,10 +463,10 @@ def _mesh_run(n, *, kill_plan=None, max_restarts=3, flow=None,
 @pytest.mark.cluster
 class TestMeshProcessFaults:
     def test_sigkill_mid_round_resumes_without_double_charge(self):
-        """SIGKILL a worker mid-round: it respawns, re-handshakes into
-        the mesh, resumes from its checkpoint — and the replayed rounds
-        charge nothing twice (ledger and flow stay bit-identical to the
-        crash-free reference)."""
+        """SIGKILL a worker mid-round: the fleet relaunches from the last
+        committed barrier — and the replayed rounds charge nothing twice
+        (ledger and flow stay bit-identical to the crash-free
+        reference)."""
         flow = FlowLedger()
         reference, ref_ledger = _reference(16)
         result, cluster = _mesh_run(16, kill_plan={3: 1}, flow=flow)
@@ -407,6 +480,36 @@ class TestMeshProcessFaults:
         assert tallies_equal(cluster.metrics, ref_ledger, range(16))
         assert flow.verify_against(cluster.metrics) == []
         flow.close()
+
+    def test_one_kill_counts_one_restart_though_every_worker_relaunched(
+        self, monkeypatch
+    ):
+        """The survivor the supervisor stops for the relaunch is not a
+        death: two launches of two workers fork four processes, and
+        ``restarts`` and the per-worker counter see worker 1 alone."""
+        import repro.cluster.supervisor as supervisor
+
+        forked = []
+
+        def counting_fork(name, *args, **kwargs):
+            forked.append(name)
+            return fork_child(name, *args, **kwargs)
+
+        monkeypatch.setattr(supervisor, "fork_child", counting_fork)
+        registry = MetricsRegistry()
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(16)}, (3,)
+        )
+        result = mesh(config=ClusterConfig(
+            num_workers=2, kill_plan={2: 1}, registry=registry,
+        )).run(parties, honest, max_rounds)
+        assert result.restarts == 1
+        assert sorted(forked) == ["cluster-worker-0", "cluster-worker-0",
+                                  "cluster-worker-1", "cluster-worker-1"]
+        rendered = registry.render()
+        assert 'repro_cluster_restarts_total{worker="1"} 1' in rendered
+        assert 'worker="0"' not in rendered
+        assert "repro_cluster_sigkills_total 1" in rendered
 
     def test_two_sigkills_different_workers(self):
         result, cluster = _mesh_run(16, kill_plan={2: 0, 5: 1})
@@ -442,8 +545,9 @@ class TestMeshProcessFaults:
 
     def test_death_before_the_first_barrier_restarts_from_the_job_blob(self):
         """No durable barrier ever happens (the interval outlasts the
-        run), so the killed worker's only checkpoint is round 0's — the
-        JOB blob — and recovery is the same restore-then-replay path."""
+        run), so the relaunched fleet's only checkpoint is round 0's —
+        the JOB blob — and recovery is the same restore-then-replay
+        path."""
         inputs = {i: i % 2 for i in range(16)}
 
         def run(kill_plan):

@@ -57,10 +57,14 @@ class TestFlowThroughCluster:
         assert "frame" in kinds and "hybrid" in kinds
         # Control traffic is metered on ctl:* kinds, off the data plane.
         ctl = {k for k in kinds if k.startswith("ctl:")}
-        assert {"ctl:hello", "ctl:job", "ctl:done", "ctl:stop"} <= ctl
+        assert {"ctl:job", "ctl:resumed", "ctl:done", "ctl:stop"} <= ctl
         # No per-round pacing: the supervisor only listens between the
-        # job and the stop (plus one trim per committed barrier).
-        assert not {"ctl:round", "ctl:checkpoint", "ctl:checkpointed"} & ctl
+        # job and the stop; a fleet wired before the fork needs no
+        # introductions, address book or trims.
+        assert not {
+            "ctl:round", "ctl:checkpoint", "ctl:checkpointed",
+            "ctl:hello", "ctl:peers", "ctl:trim",
+        } & ctl
         assert flow.control_bits > 0
         # Control endpoints are pseudo ids, never real parties.
         assert INFRA not in flow.party_bits()
@@ -76,8 +80,8 @@ class TestFlowThroughCluster:
 
 class TestControlPlaneShape:
     """The supervisor paces nothing: a fault-free job hears from it a
-    job, a peers book, one trim per committed barrier and a stop per
-    worker — however many rounds the job runs."""
+    job and a stop per worker — however many rounds the job runs and
+    however many barriers it commits."""
 
     @staticmethod
     def _sent(n, interval):
@@ -96,20 +100,18 @@ class TestControlPlaneShape:
         flow.close()
         return result.rounds, dict(sent)
 
+    LIFECYCLE = {"ctl:job": WORKERS, "ctl:stop": WORKERS}
+
     def test_no_message_per_round(self):
-        lifecycle = {"ctl:job": WORKERS, "ctl:peers": WORKERS,
-                     "ctl:stop": WORKERS}
         short_rounds, short = self._sent(8, interval=0)
         long_rounds, long = self._sent(16, interval=0)
         assert short_rounds < long_rounds
-        assert short == long == lifecycle
+        assert short == long == self.LIFECYCLE
 
-    def test_one_trim_per_committed_barrier(self):
+    def test_no_message_per_committed_barrier(self):
         rounds, sent = self._sent(16, interval=4)
         assert rounds // 4 >= 2
-        assert sent.pop("ctl:trim") == WORKERS * (rounds // 4)
-        assert sent == {"ctl:job": WORKERS, "ctl:peers": WORKERS,
-                        "ctl:stop": WORKERS}
+        assert sent == self.LIFECYCLE
 
 
 class TestTracePropagation:

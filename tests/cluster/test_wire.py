@@ -11,26 +11,21 @@ from hypothesis import strategies as st
 
 from repro.cluster.meshwire import (
     _CHUNK,
-    KIND_HELLO,
-    KIND_TRAIN,
     MESH_CHUNK_BYTES,
     MESH_MAGIC,
     MESH_VERSION,
+    MeshChunk,
     TrainAssembler,
     decode_chunk,
-    encode_hello,
     split_train,
 )
 from repro.cluster.wire import (
     DONE,
     HEARTBEAT,
     KINDS,
-    TRIM,
     ChannelClosed,
     Message,
     MessageChannel,
-    accept_channel,
-    open_listener,
 )
 from repro.errors import (
     MALFORMED_INPUT_ERRORS,
@@ -89,9 +84,21 @@ def test_the_supervisor_has_no_per_round_message():
             Message.decode(body)
 
 
+def test_a_wired_fleet_needs_no_introductions():
+    """The channels exist before the fork: no worker names itself, no
+    address book is brokered, no retained train is trimmed — five kinds
+    are left, and a peer speaking a retired one is refused."""
+    assert KINDS == ("job", "resumed", "done", "heartbeat", "stop")
+    for kind in ("hello", "peers", "trim"):
+        header = b'{"kind":"%s"}' % kind.encode()
+        body = encode_bytes(header) + encode_bytes(b"")
+        with pytest.raises(ClusterError, match="unknown control message"):
+            Message.decode(body)
+
+
 @given(st.integers(min_value=0, max_value=1 << 31))
-def test_trim_round_trip(below):
-    message = Message(TRIM, {"below": below})
+def test_done_round_trip(round_index):
+    message = Message(DONE, {"round": round_index, "checkpoint": 8})
     assert Message.decode(message.encode()[_LENGTH.size:]) == message
 
 
@@ -125,10 +132,10 @@ class TestMessageChannel:
     def test_send_recv(self):
         left, right = _channel_pair()
         try:
-            left.send(Message(TRIM, {"below": 3}, blob=b"x"))
+            left.send(Message(DONE, {"round": 3}, blob=b"x"))
             got = right.recv(timeout=5.0)
-            assert got.kind == TRIM
-            assert got.fields == {"below": 3}
+            assert got.kind == DONE
+            assert got.fields == {"round": 3}
             assert got.blob == b"x"
         finally:
             left.close()
@@ -157,14 +164,37 @@ class TestMessageChannel:
         try:
             with pytest.raises(TimeoutError):
                 right.recv(timeout=0)
-            data = Message(TRIM, {"below": 4}).encode()
+            data = Message(DONE, {"round": 4}).encode()
             left._sock.sendall(data[:5])
             with pytest.raises(TimeoutError):
                 right.recv(timeout=0)
             assert right.buffered == 5
             left._sock.sendall(data[5:])
-            assert right.recv(timeout=0).fields == {"below": 4}
+            assert right.recv(timeout=0).fields == {"round": 4}
             assert right.buffered == 0
+        finally:
+            left.close()
+            right.close()
+
+    def test_a_recv_deadline_leaves_the_socket_blocking(self):
+        """A deadline is a ``select``, not a socket timeout: after a
+        polling ``recv(timeout=0)`` a body far larger than a socketpair's
+        buffer still leaves whole, blocking until the reader drains it,
+        as a worker's DONE must while its main loop polls for ``stop``."""
+        left, right = _channel_pair()
+        try:
+            with pytest.raises(TimeoutError):
+                right.recv(timeout=0)
+            big = Message(DONE, {"round": 1}, blob=b"z" * (4 << 20))
+            sender = threading.Thread(target=right.send, args=(big,))
+            sender.start()
+            sender.join(0.2)
+            assert sender.is_alive(), "the send failed on a full buffer"
+            got = left.recv(timeout=10.0)
+            sender.join(10.0)
+            assert not sender.is_alive()
+            assert got.blob == big.blob
+            assert right.data_bytes_sent == len(big.encode())
         finally:
             left.close()
             right.close()
@@ -187,8 +217,8 @@ class TestMessageChannel:
             inherited.release()  # idempotent
             with pytest.raises(ClusterError, match="closed control channel"):
                 inherited.send(Message(HEARTBEAT))
-            left.send(Message(TRIM, {"below": 1}))
-            assert right.recv(timeout=5.0).fields == {"below": 1}
+            left.send(Message(DONE, {"round": 1}))
+            assert right.recv(timeout=5.0).fields == {"round": 1}
 
             MessageChannel(left._sock.dup()).close()
             with pytest.raises(ChannelClosed):
@@ -254,29 +284,6 @@ class TestMessageChannel:
             right.close()
 
 
-class TestListener:
-    def test_accept_timeout(self):
-        listener, _port = open_listener()
-        try:
-            with pytest.raises(TimeoutError):
-                accept_channel(listener, timeout=0.05)
-        finally:
-            listener.close()
-
-    def test_preferred_port_falls_back_when_busy(self):
-        first, port = open_listener(port=0)
-        try:
-            second, actual = open_listener(
-                port=port, retries=1, retry_delay=0.01
-            )
-            try:
-                assert actual != port
-            finally:
-                second.close()
-        finally:
-            first.close()
-
-
 # -- mesh data-plane codec ----------------------------------------------------
 
 #: Frames as the mesh ships them: obs ``phase`` labels ride the train's
@@ -302,18 +309,19 @@ def mesh_frames(draw):
 
 trains = st.lists(mesh_frames(), max_size=8)
 
-#: (round, train_seq, chunk size) coordinates for split/reassemble runs.
+#: (round, chunk size) coordinates for split/reassemble runs.
 coords = st.tuples(
-    st.integers(min_value=0, max_value=1 << 20),
     st.integers(min_value=0, max_value=1 << 20),
     st.integers(min_value=1, max_value=64),
 )
 
 
 def _assemble(records, assembler=None):
-    """Feed chunk records to an assembler; return the completed
-    ``(round, body, halted)`` trains."""
-    assembler = assembler or TrainAssembler()
+    """Feed chunk records to an assembler (by default one expecting the
+    first record's round); return the completed ``(round, body,
+    halted)`` trains."""
+    if assembler is None:
+        assembler = TrainAssembler(decode_chunk(records[0]).round_index)
     completed = []
     for record in records:
         done = assembler.add(decode_chunk(record))
@@ -365,9 +373,9 @@ class TestTrainBodyCodec:
 class TestChunkCodec:
     @given(trains, coords)
     def test_split_reassemble_round_trip(self, train, coordinates):
-        round_index, train_seq, chunk_bytes = coordinates
+        round_index, chunk_bytes = coordinates
         body = encode_train_body(train)
-        records = split_train(3, 5, round_index, train_seq, body,
+        records = split_train(3, 5, round_index, body,
                               chunk_bytes=chunk_bytes)
         completed = _assemble(records)
         assert completed == [(round_index, body, False)]
@@ -375,26 +383,34 @@ class TestChunkCodec:
 
     @given(trains, coords, st.booleans())
     def test_halted_flag_rides_every_chunk(self, train, coordinates, halted):
-        round_index, train_seq, chunk_bytes = coordinates
+        round_index, chunk_bytes = coordinates
         body = encode_train_body(train)
-        records = split_train(3, 5, round_index, train_seq, body, halted,
+        records = split_train(3, 5, round_index, body, halted,
                               chunk_bytes=chunk_bytes)
         assert all(decode_chunk(r).halted is halted for r in records)
         assert _assemble(records) == [(round_index, body, halted)]
 
-    @given(trains, coords, st.randoms(use_true_random=False))
-    def test_reorder_and_duplicate_tolerated(self, train, coordinates, rng):
-        round_index, train_seq, chunk_bytes = coordinates
+    @given(trains.filter(bool), coords, st.data())
+    def test_reordered_or_repeated_chunk_refused(self, train, coordinates,
+                                                data):
+        """A link is one ordered stream: a chunk delivered out of order,
+        or twice, is a broken link, never a train."""
+        round_index, chunk_bytes = coordinates
         body = encode_train_body(train)
-        records = split_train(3, 5, round_index, train_seq, body,
-                              chunk_bytes=chunk_bytes)
-        noisy = records + rng.sample(records, k=min(3, len(records)))
-        rng.shuffle(noisy)
-        completed = _assemble(noisy)
-        assert completed == [(round_index, body, False)]
+        records = split_train(3, 5, round_index, body,
+                              chunk_bytes=min(chunk_bytes, len(body) // 2))
+        position = data.draw(st.integers(0, len(records) - 2))
+        swapped = list(records)
+        swapped[position], swapped[position + 1] = (
+            swapped[position + 1], swapped[position]
+        )
+        repeated = [*records[:position + 1], *records[position:]]
+        for noisy in (swapped, repeated):
+            with pytest.raises(SerializationError, match="next"):
+                _assemble(noisy, TrainAssembler(round_index))
 
     def test_empty_body_yields_one_barrier_chunk(self):
-        records = split_train(0, 1, 7, 0, b"")
+        records = split_train(0, 1, 7, b"")
         assert len(records) == 1
         assert _assemble(records) == [(7, b"", False)]
 
@@ -402,29 +418,28 @@ class TestChunkCodec:
         """A >32 MiB body rides as multiple records and reassembles —
         the heavy OWF gossip rounds depend on it."""
         body = b"\xab" * (MESH_CHUNK_BYTES + 1024)
-        records = split_train(0, 1, 2, 0, body)
+        records = split_train(0, 1, 2, body)
         assert len(records) == 2
         assert _assemble(records) == [(2, body, False)]
 
     @given(st.binary(max_size=40).flatmap(
-        lambda b: truncations(split_train(1, 2, 3, 4, b, chunk_bytes=16)[0])
+        lambda b: truncations(split_train(1, 2, 3, b, chunk_bytes=16)[0])
     ))
     def test_truncated_record_raises(self, cut):
         with pytest.raises(MALFORMED_INPUT_ERRORS):
             decode_chunk(cut)
 
     @given(st.binary(max_size=40).flatmap(
-        lambda b: bit_flips(split_train(1, 2, 3, 4, b, chunk_bytes=16)[0])
+        lambda b: bit_flips(split_train(1, 2, 3, b, chunk_bytes=16)[0])
     ))
     def test_bit_flipped_record_never_crashes(self, corrupted):
         try:
-            chunk = decode_chunk(corrupted)
-            assert chunk.kind in (KIND_TRAIN, KIND_HELLO)
+            assert isinstance(decode_chunk(corrupted), MeshChunk)
         except MALFORMED_INPUT_ERRORS:
             pass
 
     def test_bad_magic_rejected(self):
-        record = bytearray(split_train(1, 2, 3, 4, b"x")[0])
+        record = bytearray(split_train(1, 2, 3, b"x")[0])
         record[:4] = b"NOPE"
         with pytest.raises(SerializationError, match="magic"):
             decode_chunk(bytes(record))
@@ -432,93 +447,78 @@ class TestChunkCodec:
 
     @pytest.mark.parametrize("flag", [2, 7, 255])
     def test_halted_flag_outside_zero_one_refused(self, flag):
-        record = bytearray(split_train(1, 2, 3, 4, b"x")[0])
+        record = bytearray(split_train(1, 2, 3, b"x")[0])
         record[6] = flag  # magic(4) version(1) kind(1) halted(1)
         with pytest.raises(SerializationError, match="halted flag"):
             decode_chunk(bytes(record))
 
-    def test_halted_hello_refused(self):
-        record = bytearray(encode_hello(0, 1, 5))
-        record[6] = 1
-        with pytest.raises(SerializationError, match="hello"):
+    def test_the_retired_hello_kind_is_refused(self):
+        record = bytearray(split_train(0, 1, 5, b"")[0])
+        record[5] = 2  # the link-handshake kind of format v2
+        with pytest.raises(SerializationError, match="kind 2"):
             decode_chunk(bytes(record))
 
-    def test_v1_record_refused_by_name(self):
-        """A v1 chunk (no halted byte, so one header byte shorter) is
-        named, not mis-framed or reported as merely short."""
-        assert MESH_VERSION == 2 and _CHUNK.size == 31
-        v1_empty_train = (
-            MESH_MAGIC + bytes([1, KIND_TRAIN]) + (0).to_bytes(2, "big")
+    def test_a_v2_record_is_refused_by_version(self):
+        """v3 dropped ``train_seq``: a v2 header is four bytes longer and
+        decodes to a version error, not a mis-framed train."""
+        assert MESH_VERSION == 3 and _CHUNK.size == 27
+        v2_empty_train = (
+            MESH_MAGIC + bytes([2, 1, 0]) + (0).to_bytes(2, "big")
             + (1).to_bytes(2, "big") + bytes(12)
             + (1).to_bytes(4, "big") + bytes(4)
         )
-        with pytest.raises(SerializationError, match="format v1"):
-            decode_chunk(v1_empty_train)
-
-    def test_hello_round_trip(self):
-        chunk = decode_chunk(encode_hello(2, 6, have_round=41))
-        assert chunk.kind == KIND_HELLO
-        assert (chunk.src_worker, chunk.dst_worker) == (2, 6)
-        assert chunk.hello_have() == 41
-        assert decode_chunk(encode_hello(0, 1, -1)).hello_have() == -1
+        with pytest.raises(SerializationError, match="version 2"):
+            decode_chunk(v2_empty_train)
 
 
 class TestTrainAssembler:
-    def test_newer_seq_supersedes_torn_train(self):
-        """A torn half-train from before a redial never mixes with its
-        resend: the resend's higher ``train_seq`` evicts it."""
-        torn = split_train(0, 1, 5, train_seq=2,
-                           body=b"old" * 20, chunk_bytes=8)
-        resend_body = b"new" * 20
-        resend = split_train(0, 1, 5, train_seq=3,
-                             body=resend_body, chunk_bytes=8)
-        assembler = TrainAssembler()
-        assert _assemble(torn[:-1], assembler) == []  # torn: last chunk lost
-        assert _assemble(resend, assembler) == [(5, resend_body, False)]
+    def test_consecutive_rounds_complete_in_order(self):
+        body_a, body_b = b"a" * 24, b"b" * 40
+        records = (
+            split_train(0, 1, 10, body_a, chunk_bytes=8)
+            + split_train(0, 1, 11, body_b, True, chunk_bytes=8)
+        )
+        assembler = TrainAssembler(10)
+        assert _assemble(records, assembler) == [
+            (10, body_a, False), (11, body_b, True),
+        ]
+        assert assembler.next_round == 12
 
-    def test_stale_seq_discarded_after_supersession(self):
-        fresh_body = b"fresh" * 10
-        stale = split_train(0, 1, 5, train_seq=1, body=b"stale" * 10,
-                            chunk_bytes=8)
-        fresh = split_train(0, 1, 5, train_seq=2, body=fresh_body,
-                            chunk_bytes=8)
-        assembler = TrainAssembler()
-        assert _assemble(fresh[:1], assembler) == []
-        assert _assemble(stale, assembler) == []  # all ignored
-        assert _assemble(fresh[1:], assembler) == [(5, fresh_body, False)]
+    def test_interleaved_rounds_refused(self):
+        recs_a = split_train(0, 1, 10, b"a" * 24, chunk_bytes=8)
+        recs_b = split_train(0, 1, 11, b"b" * 40, chunk_bytes=8)
+        assembler = TrainAssembler(10)
+        assembler.add(decode_chunk(recs_a[0]))
+        with pytest.raises(SerializationError, match="owes round 10"):
+            assembler.add(decode_chunk(recs_b[0]))
+
+    @pytest.mark.parametrize("round_index", [0, 4, 6, 1 << 31])
+    def test_a_round_other_than_the_next_is_refused(self, round_index):
+        """A repeated round (4), one skipped ahead (6), or one from any
+        other run: the link owes exactly round 5."""
+        assembler = TrainAssembler(4)
+        assert _assemble(split_train(0, 1, 4, b"x"), assembler)
+        with pytest.raises(SerializationError, match="owes round 5"):
+            assembler.add(decode_chunk(split_train(0, 1, round_index, b"")[0]))
 
     def test_geometry_contradiction_raises(self):
-        a = split_train(0, 1, 5, train_seq=2, body=b"x" * 20,
-                        chunk_bytes=8)
-        b = split_train(0, 1, 5, train_seq=2, body=b"x" * 60,
-                        chunk_bytes=8)
-        assembler = TrainAssembler()
+        a = split_train(0, 1, 5, b"x" * 20, chunk_bytes=8)
+        b = split_train(0, 1, 5, b"x" * 60, chunk_bytes=8)
+        assembler = TrainAssembler(5)
         assembler.add(decode_chunk(a[0]))
         with pytest.raises(SerializationError, match="chunks"):
-            assembler.add(decode_chunk(b[-1]))
+            assembler.add(decode_chunk(b[1]))
 
     def test_halted_flag_contradiction_raises(self):
-        a = split_train(0, 1, 5, 2, b"x" * 20, False, chunk_bytes=8)
-        b = split_train(0, 1, 5, 2, b"x" * 20, True, chunk_bytes=8)
-        assembler = TrainAssembler()
+        a = split_train(0, 1, 5, b"x" * 20, False, chunk_bytes=8)
+        b = split_train(0, 1, 5, b"x" * 20, True, chunk_bytes=8)
+        assembler = TrainAssembler(5)
         assembler.add(decode_chunk(a[0]))
         with pytest.raises(SerializationError, match="halted"):
             assembler.add(decode_chunk(b[1]))
 
     def test_size_cap_enforced(self):
-        assembler = TrainAssembler(max_bytes=32)
-        records = split_train(0, 1, 5, 0, b"z" * 64, chunk_bytes=16)
+        assembler = TrainAssembler(5, max_bytes=32)
+        records = split_train(0, 1, 5, b"z" * 64, chunk_bytes=16)
         with pytest.raises(SerializationError, match="exceeds"):
             _assemble(records, assembler)
-        assert assembler.pending_rounds() == []
-
-    def test_interleaved_rounds_complete_independently(self):
-        body_a, body_b = b"a" * 24, b"b" * 40
-        recs_a = split_train(0, 1, 10, 0, body_a, chunk_bytes=8)
-        recs_b = split_train(0, 1, 11, 0, body_b, chunk_bytes=8)
-        interleaved = [r for pair in zip(recs_b, recs_a) for r in pair]
-        interleaved += recs_b[len(recs_a):]
-        assembler = TrainAssembler()
-        completed = _assemble(interleaved, assembler)
-        assert completed == [(10, body_a, False), (11, body_b, False)]
-        assert assembler.pending_rounds() == []

@@ -93,21 +93,19 @@ def test_deleting_one_mesh_validation_guard_fails_tru001(tmp_path):
     assert "escape" in after[0].message
 
 
-def test_clearing_mesh_links_outside_the_lock_fails_asy002(tmp_path):
-    # MeshRouter.close() empties `_links` after releasing `_cond`, racing
-    # the receiver and dial threads that mutate it under the lock.
+def test_popping_the_mesh_inbox_outside_the_lock_fails_asy002(tmp_path):
+    # MeshRouter.collect_round() pops `_inbox` without `_cond`, racing
+    # the receiver threads that file each peer's train into it under the
+    # lock.
     after = _mutated(
         tmp_path, "cluster/mesh.py",
-        "            links = list(self._links.values())\n"
-        "            self._links.clear()\n"
-        "            self._cond.notify_all()\n",
-        "            links = list(self._links.values())\n"
-        "            self._cond.notify_all()\n"
-        "        self._links.clear()\n",
+        "            with self._cond:\n"
+        "                entry = self._inbox.pop((peer, round_index))\n",
+        "            entry = self._inbox.pop((peer, round_index))\n",
     )
     assert [v.rule_id for v in after] == ["ASY002"]
-    assert "MeshRouter.close()" in after[0].message
-    assert "'_links'" in after[0].message
+    assert "MeshRouter.collect_round()" in after[0].message
+    assert "'_inbox'" in after[0].message
 
 
 def test_dropping_the_endpoint_pump_handle_fails_asy001(tmp_path):
@@ -121,19 +119,19 @@ def test_dropping_the_endpoint_pump_handle_fails_asy001(tmp_path):
     assert "garbage-collected" in after[0].message
 
 
-def test_swallowing_a_corrupt_mesh_train_fails_exc001(tmp_path):
-    # The mesh receiver keeps a link that delivered an undecodable train
-    # (and would keep it through any bug in the assembler) instead of
-    # dropping it.
+def test_swallowing_a_corrupt_mesh_chunk_fails_exc001(tmp_path):
+    # The mesh receiver reads on past a malformed or out-of-order chunk
+    # (and past any bug in the assembler) instead of handing the error
+    # to the waiting worker, which would then wait forever.
     after = _mutated(
         tmp_path, "cluster/mesh.py",
-        "            except SerializationError:\n"
-        "                self._on_link_dead(peer, link)\n"
-        "                return\n"
-        "            with self._cond:\n",
+        "            except SerializationError as exc:\n"
+        "                with self._cond:\n"
+        "                    self._failure = exc\n"
+        "                    self._cond.notify_all()\n"
+        "                return\n",
         "            except Exception:\n"
-        "                continue\n"
-        "            with self._cond:\n",
+        "                continue\n",
     )
     assert [v.rule_id for v in after] == ["EXC001"]
     assert "_receive_loop" in after[0].symbol

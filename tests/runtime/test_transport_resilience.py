@@ -1,4 +1,4 @@
-"""TcpTransport resilience: seeded reconnect backoff and port fallback."""
+"""TcpTransport resilience: seeded reconnect backoff, clean failed starts."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from repro.runtime.transport import (
     Frame,
     TcpTransport,
     backoff_schedule,
-    make_transport,
 )
 from repro.utils.randomness import Randomness
 
@@ -102,65 +101,6 @@ class TestReconnect:
                     await asyncio.sleep(0.02)
             transport._server = None
             await transport.stop()
-
-        _run(scenario())
-
-
-class TestPortFallback:
-    def test_busy_preferred_port_falls_back_to_os_assigned(self):
-        async def scenario():
-            first = TcpTransport([0, 1])
-            await first.start()
-            busy = first.port
-            second = TcpTransport(
-                [0, 1],
-                port=busy,
-                reconnect_attempts=2,
-                reconnect_base=0.005,
-                reconnect_cap=0.01,
-            )
-            await second.start()
-            try:
-                assert second.port != busy
-                assert second.bind_retries >= 1
-                # The fallback transport still moves frames.
-                await second.send(0, Frame(0, 1, b"ok"))
-                await second.flush()
-                assert [f.payload for f in second.collect(1)] == [b"ok"]
-            finally:
-                await second.stop()
-                await first.stop()
-
-        _run(scenario())
-
-    def test_free_preferred_port_is_used(self):
-        async def scenario():
-            probe = TcpTransport([0])
-            await probe.start()
-            port = probe.port
-            await probe.stop()
-            transport = TcpTransport([0, 1], port=port)
-            await transport.start()
-            try:
-                assert transport.port == port
-                assert transport.bind_retries == 0
-            finally:
-                await transport.stop()
-
-        _run(scenario())
-
-    def test_make_transport_forwards_preferred_port(self):
-        async def scenario():
-            probe = TcpTransport([0])
-            await probe.start()
-            port = probe.port
-            await probe.stop()
-            transport = make_transport("tcp", [0, 1], port=port)
-            await transport.start()
-            try:
-                assert transport.port == port
-            finally:
-                await transport.stop()
 
         _run(scenario())
 

@@ -21,11 +21,11 @@ LIBRARY_ERRORS = (ReproError, ValueError)
 _fuzz = settings()
 
 
-def _trim_body(below):
-    from repro.cluster.wire import TRIM, Message
+def _done_body(round_index):
+    from repro.cluster.wire import DONE, Message
     from repro.net.trains import _LENGTH
 
-    return Message(TRIM, {"below": below}).encode()[_LENGTH.size:]
+    return Message(DONE, {"round": round_index}).encode()[_LENGTH.size:]
 
 
 class TestSerializationDecoders:
@@ -80,12 +80,12 @@ class TestClusterDecoders:
     @_fuzz
     @given(flag=st.integers(min_value=0, max_value=255),
            body=st.binary(max_size=48))
-    def test_mesh_v2_halted_byte(self, flag, body):
-        """A well-formed v2 train header with any halted byte: 0 and 1
+    def test_mesh_v3_halted_byte(self, flag, body):
+        """A well-formed v3 train header with any halted byte: 0 and 1
         decode to the flag, every other value is refused."""
         from repro.cluster.meshwire import decode_chunk, split_train
 
-        record = bytearray(split_train(0, 1, 3, 4, body, chunk_bytes=16)[0])
+        record = bytearray(split_train(0, 1, 3, body, chunk_bytes=16)[0])
         record[6] = flag
         try:
             chunk = decode_chunk(bytes(record))
@@ -118,9 +118,9 @@ class TestClusterDecoders:
 
     @_fuzz
     @given(data=st.integers(min_value=0, max_value=1 << 40).flatmap(
-        lambda below: bit_flips(_trim_body(below))
+        lambda round_index: bit_flips(_done_body(round_index))
     ))
-    def test_trim_message_bit_flips(self, data):
+    def test_done_message_bit_flips(self, data):
         from repro.cluster.wire import KINDS, Message
 
         try:
