@@ -73,8 +73,9 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-dir", type=Path, default=None,
-        help="dump the merged per-party JSONL trace here (feed it to "
-             "'python -m repro obs timeline' for a Perfetto view)",
+        help="trace the run and dump the merged per-party JSONL trace "
+             "here (feed it to 'python -m repro obs timeline' for a "
+             "Perfetto view); without it no worker records a trace",
     )
     parser.add_argument(
         "--metrics-out", type=Path, default=None,
@@ -161,16 +162,30 @@ def _dump_observability(args: argparse.Namespace, result, flow,
 def _run_workload(args: argparse.Namespace, resume: bool) -> int:
     from repro.analysis.tables import format_bits
     from repro.cluster.drivers import run_balanced_ba_cluster
-    from repro.cluster.supervisor import ClusterConfig
+    from repro.cluster.supervisor import ClusterConfig, read_state
     from repro.net.adversary import random_corruption
     from repro.params import ProtocolParameters
     from repro.runtime.placements import mesh
+    from repro.runtime.trace import TraceRecorder
     from repro.srds import scheme_by_name
     from repro.utils.randomness import Randomness
 
     if resume and args.run_dir is None:
         print("cluster resume needs --run-dir")
         return 2
+    # A run traces only when asked to; a resumed one traces iff the
+    # saved run did, so --trace-dir cannot add a trace mid-run.
+    trace = None
+    if args.trace_dir is not None and not resume:
+        trace = TraceRecorder()
+    elif args.trace_dir is not None:
+        state = read_state(args.run_dir)
+        if state is not None and state["trace_events"] is None:
+            print(
+                f"--trace-dir: {args.run_dir} holds an untraced run; a "
+                "resumed run traces only if it was traced from round 0"
+            )
+            return 2
     registry = None
     if args.metrics_out is not None:
         from repro.obs.registry import MetricsRegistry
@@ -203,7 +218,7 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         byzantine = (args.n - 1,) if args.n >= 4 else ()
         parties, honest, max_rounds = build_phase_king(inputs, byzantine)
         result = mesh(name="phase-king", **cluster).run(
-            parties, honest, max_rounds
+            parties, honest, max_rounds, trace=trace
         )
         agree = len({result.outputs[member] for member in honest}) == 1
         label = f"phase-king n={args.n} workers={args.workers}"
@@ -215,7 +230,7 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         )
         ba_result, result = run_balanced_ba_cluster(
             inputs, plan, scheme_by_name(args.scheme), params,
-            rng.fork("protocol"), **cluster,
+            rng.fork("protocol"), trace=trace, **cluster,
         )
         agree = ba_result.agreement
         label = (

@@ -34,6 +34,7 @@ from repro.runtime.replay import (
     replay_script,
     tallies_equal,
 )
+from repro.runtime.trace import TraceRecorder
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
@@ -51,6 +52,7 @@ def run_balanced_ba_cluster(
     config: Optional[ClusterConfig] = None,
     run_dir: Optional[Path] = None,
     resume: bool = False,
+    trace: Optional[TraceRecorder] = None,
 ):
     """π_ba with its wire traffic routed across worker processes.
 
@@ -58,7 +60,8 @@ def run_balanced_ba_cluster(
     is the snapshot of the *cluster-charged* ledger (wire frames charged
     from worker digests + hybrid charges applied verbatim) — comparable
     bit-for-bit with :func:`~repro.runtime.drivers.run_balanced_ba_runtime`
-    and the synchronous reference.
+    and the synchronous reference.  ``trace`` is the mesh row's: the
+    run records one only when given a recorder.
     """
     reference, script = record_balanced_ba_script(
         inputs, plan, scheme, params, rng, adversary
@@ -74,6 +77,7 @@ def run_balanced_ba_cluster(
             run_dir=run_dir,
             resume=resume,
         ),
+        trace=trace,
     )
 
 

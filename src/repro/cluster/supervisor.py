@@ -10,19 +10,24 @@ authority over
 
 * **metrics** — the one :class:`CommunicationMetrics` ledger, rebuilt
   from the per-round charge digests workers stream home in ``done``
-  (one row per emitted frame).  Round ``r`` is charged once every
-  worker's ``done(r)`` is in — round-ascending, sorted-worker, one
-  ``end_round`` per round — so ``max_bits_per_party`` is measured
-  identically to :func:`~repro.runtime.synchronizer.run_parties`;
-* **traces** — workers drain their per-round trace events into ``done``
-  messages; the supervisor merges them into one
-  :class:`~repro.runtime.trace.TraceRecorder` whose per-party streams
-  (and fingerprint) match a single-process run;
+  (one row per multicast run, the charges
+  :meth:`~repro.net.metrics.CommunicationMetrics.record_frames` would
+  make).  Round ``r`` is charged once every worker's ``done(r)`` is in
+  — round-ascending, sorted-worker, one ``end_round`` per round — so
+  ``max_bits_per_party`` is measured identically to
+  :func:`~repro.runtime.synchronizer.run_parties`;
+* **traces** — only when the caller hands it a
+  :class:`~repro.runtime.trace.TraceRecorder`, as on every placement:
+  the job then tells workers to trace, they drain their per-round
+  events into ``done`` messages, and the supervisor merges them into
+  that recorder, whose per-party streams (and fingerprint) match a
+  single-process run.  Untraced, no worker records an event and no
+  ``trace.seg`` is written; a resumed run traces iff its saved one did;
 * **barriers** — every ``checkpoint_interval`` rounds each worker writes
   its own checkpoint and marks that round's ``done``; once every worker
   has announced a barrier the supervisor commits it: durably writes its
-  own state (outputs, metrics, merged trace) and prunes older worker
-  checkpoints.
+  own state (outputs, metrics, merged trace if any) and prunes older
+  worker checkpoints.
 
 Every channel exists before the fleet forks: one socketpair per worker
 for control and one per worker pair for the mesh, each worker keeping
@@ -71,7 +76,6 @@ from repro.cluster.worker import checkpoint_name, worker_main
 from repro.errors import ClusterError
 from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Frame
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog, SpanRecord, span_from_wire, span_to_wire
@@ -88,6 +92,10 @@ TRACE_FILE = "trace.seg"
 #: Flow-ledger pseudo ids for control-plane endpoints: the supervisor
 #: is :data:`~repro.obs.flow.INFRA` (-2); worker ``w`` is ``-10 - w``.
 WORKER_PSEUDO_BASE = -10
+
+#: One validated charge-digest row: ``(sender, bits, phase, recipients)``.
+DigestRow = Tuple[int, int, str, List[int]]
+
 
 def worker_pseudo_id(worker_id: int) -> int:
     """The flow-ledger pseudo party id of one worker process."""
@@ -121,7 +129,7 @@ class ClusterConfig:
     kill_plan: Dict[int, int] = field(default_factory=dict)
     registry: Optional[MetricsRegistry] = None
     #: Optional wire-level flow ledger attached to the authoritative
-    #: metrics ledger (every digest row becomes a traffic-matrix cell;
+    #: metrics ledger (every charged frame becomes a traffic-matrix cell;
     #: control messages are metered under ``ctl:*`` kinds).
     flow: Optional[FlowLedger] = None
     #: Cross-process trace id stamped on every job and echoed by every
@@ -132,8 +140,9 @@ class ClusterConfig:
 @dataclass
 class ClusterResult(RuntimeResult):
     """Outcome of one supervised cluster execution: the placement
-    result (``outputs``, ``metrics``, ``rounds``, the merged ``trace``)
-    plus what only a cluster run has."""
+    result (``outputs``, ``metrics``, ``rounds``, the merged ``trace`` —
+    ``None`` unless the run was traced) plus what only a cluster run
+    has."""
 
     restarts: int
     num_workers: int
@@ -209,7 +218,9 @@ class ClusterSupervisor:
         )
         if self.config.flow is not None:
             self.metrics.attach_flow(self.config.flow)
-        self.trace = trace if trace is not None else TraceRecorder()
+        # A run traces only when handed a recorder, like every other
+        # placement: untraced workers record and ship no events.
+        self.trace: Optional[TraceRecorder] = trace
         # Per-party event counts already persisted to trace.seg (see
         # _save_trace_segment).
         self._trace_saved: Dict[int, int] = {}
@@ -361,6 +372,7 @@ class ClusterSupervisor:
                     "max_rounds": self.job.max_rounds,
                     "checkpoint_interval": self.job.checkpoint_interval,
                     "kill_round": kill_rounds[w],
+                    "traced": self.trace is not None,
                 }, blob=self._job_blob(w, resume_round)))
             for w in range(count):
                 resumed = channels[w].recv(timeout=self.config.spawn_timeout)
@@ -599,17 +611,22 @@ class ClusterSupervisor:
     def _process_done(self, worker_id: int, message: Message) -> None:
         payload = message.payload() or {}
         rows = self._validate_digest_rows(
-            payload.get("digest") or [], self.job.n
+            payload.get("digest") or [], self.job.n, self.shards[worker_id]
         )
-        if rows:
-            # The charges run_parties makes, row for row: each frame
-            # under the phase its worker stamped on it.
-            self.metrics.record_frames(rows, kind="frame")
-            if self.config.registry is not None:
-                self._frames_routed.inc(len(rows))
+        # The charges run_parties makes, run for run: each fan-out
+        # under the phase its worker stamped on it.
+        frames = 0
+        for sender, bits, phase, recipients in rows:
+            self.metrics.record_multicast(
+                sender, recipients, bits, phase=phase, kind="frame"
+            )
+            frames += len(recipients)
+        if frames and self.config.registry is not None:
+            self._frames_routed.inc(frames)
         self.outputs.update(payload.get("outputs", {}))
-        for party_id in sorted(payload.get("trace", {})):
-            self.trace.preload(party_id, payload["trace"][party_id])
+        if self.trace is not None:
+            for party_id in sorted(payload.get("trace", {})):
+                self.trace.preload(party_id, payload["trace"][party_id])
         span_rows = payload.get("spans") or []
         if span_rows:
             self.worker_spans.setdefault(worker_id, []).extend(
@@ -617,41 +634,60 @@ class ClusterSupervisor:
             )
 
     @staticmethod
-    def _validate_digest_rows(rows: object, n: int) -> List[Frame]:
-        """Narrow a worker-reported charge digest to chargeable frames.
+    def _validate_digest_rows(
+        rows: object, n: int, shard: List[int]
+    ) -> List[DigestRow]:
+        """Narrow a worker-reported charge digest to chargeable runs.
 
         Digest rows cross the worker pipe, so a compromised or buggy
         worker controls their shape; the ledger replay trusts its input
         types, so everything is checked here before any charge lands.
-        Each ``(sender, recipient, bits, phase)`` row comes back as the
-        payload-less :class:`~repro.net.party.Frame` that charges it.
+        Each ``(sender, bits, phase, recipients)`` row is one multicast
+        run (:func:`~repro.net.metrics.multicast_runs`) of a sender in
+        the reporting worker's ``shard``: a worker charges only its own
+        parties' sends.
         """
         if not isinstance(rows, (list, tuple)):
             raise ClusterError("mesh digest is not a row sequence")
-        validated: List[Frame] = []
+        owned = set(shard)
+        validated: List[DigestRow] = []
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != 4:
                 raise ClusterError(f"malformed mesh digest row {row!r}")
-            sender, recipient, bits, phase = row
+            sender, bits, phase, recipients = row
             # Exact types: a bool is not a party id or a bit count.
             if (
                 type(sender) is not int
-                or type(recipient) is not int
                 or type(bits) is not int
                 or not isinstance(phase, str)
+                or type(recipients) is not list
             ):
                 raise ClusterError(f"malformed mesh digest row {row!r}")
+            if not recipients:
+                raise ClusterError(
+                    f"mesh digest row {row!r} names no recipient"
+                )
+            if set(map(type, recipients)) != {int}:
+                raise ClusterError(
+                    f"mesh digest row {row!r} has a recipient that is not "
+                    "a party id"
+                )
             if bits < 0:
                 raise ClusterError(
                     f"mesh digest row claims negative charge {bits}"
                 )
-            if not 0 <= recipient < n:
+            if sender not in owned:
                 raise ClusterError(
-                    f"worker emitted a frame for unknown party {recipient}"
+                    f"worker charged a send of party {sender}, which is "
+                    "not in its shard"
                 )
-            validated.append(
-                Frame(sender, recipient, b"", charge_bits=bits, phase=phase)
-            )
+            low, high = min(recipients), max(recipients)
+            if low < 0 or high >= n:
+                raise ClusterError(
+                    "worker emitted a frame for unknown party "
+                    f"{low if low < 0 else high}"
+                )
+            validated.append((sender, bits, phase, recipients))
         return validated
 
     # -- checkpoint barriers ----------------------------------------------------
@@ -693,7 +729,7 @@ class ClusterSupervisor:
         byte-identical to a full snapshot (the resume-parity tests pin
         this).
         """
-        assert self.run_dir is not None
+        assert self.run_dir is not None and self.trace is not None
         counts: Dict[int, int] = {}
         chunk: Dict[int, Tuple[int, List[Dict[str, Any]]]] = {}
         for party_id in self.trace.party_ids:
@@ -726,8 +762,11 @@ class ClusterSupervisor:
             "metrics": self.metrics,
             # Delta checkpointing: the manifest carries only per-party
             # event *counts*; the events live in trace.seg (read_state
-            # materializes "trace_events" from it).
-            "trace_segments": self._save_trace_segment(),
+            # materializes "trace_events" from it).  ``None`` marks an
+            # untraced run, which writes no trace.seg.
+            "trace_segments": (
+                None if self.trace is None else self._save_trace_segment()
+            ),
             # Observability carry-over (wire dicts, not live objects):
             # a resumed run keeps the same trace id and does not lose
             # the spans of the rounds before the checkpoint.
@@ -772,14 +811,19 @@ class ClusterSupervisor:
         self.restarts = int(state["restarts"])
         self.outputs = dict(state["outputs"])
         self.metrics = state["metrics"]
-        self.trace = TraceRecorder()
-        for party_id in sorted(state["trace_events"]):
-            self.trace.preload(party_id, state["trace_events"][party_id])
-        # Future saves append deltas after the materialized prefix.
-        self._trace_saved = {
-            party_id: len(events)
-            for party_id, events in state["trace_events"].items()
-        }
+        # A resumed run traces if and only if the saved one did.
+        trace_events = state["trace_events"]
+        self.trace = None
+        self._trace_saved = {}
+        if trace_events is not None:
+            self.trace = TraceRecorder()
+            for party_id in sorted(trace_events):
+                self.trace.preload(party_id, trace_events[party_id])
+            # Future saves append deltas after the materialized prefix.
+            self._trace_saved = {
+                party_id: len(events)
+                for party_id, events in trace_events.items()
+            }
         self.trace_id = str(state.get("trace_id", "")) or self.trace_id
         self.span_log = SpanLog()
         self.span_log.preload(
@@ -842,9 +886,12 @@ def read_state(run_dir: Path) -> Optional[Dict[str, Any]]:
             f"{path} is not {STATE_FORMAT} supervisor state"
         )
     # Materialize the per-party event streams from trace.seg so every
-    # consumer (resume, status, tests) sees them.
-    state["trace_events"] = _read_trace_segments(
-        Path(run_dir), state.get("trace_segments", {})
+    # consumer (resume, status, tests) sees them; an untraced run has
+    # none.
+    segments = state.get("trace_segments", {})
+    state["trace_events"] = (
+        None if segments is None
+        else _read_trace_segments(Path(run_dir), segments)
     )
     return state
 

@@ -34,14 +34,17 @@ kind             dir     meaning
                          whole fleet's), ``resume_round``,
                          ``checkpoint_dir``, ``checkpoint_stem``,
                          ``trace_id``, ``targets``, ``max_rounds``,
-                         ``checkpoint_interval``, ``kill_round``
+                         ``checkpoint_interval``, ``kill_round``,
+                         ``traced`` (record trace events or not)
 ``resumed``      w → s   checkpoint loaded; fields: ``next_round``
 ``done``         w → s   round finished (one-way); fields: ``round``,
                          ``trace_id``, and ``checkpoint`` (the barrier)
                          when the worker wrote its checkpoint after this
                          round; blob: pickled ``{"outputs": {...},
                          "trace": {...}, "spans": [...], "digest":
-                         [(sender, recipient, bits, phase), ...]}``
+                         [(sender, bits, phase, [recipient, ...]),
+                         ...]}`` — one digest row per multicast run,
+                         and ``trace`` empty unless the job is traced
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
                          the supervisor can tell dead from slow)

@@ -19,8 +19,9 @@ the only round barrier:
    round barrier — each flagged "every target in my shard has halted"),
    wait for every peer's train, stage what arrived, write the shard's
    checkpoint if the round closes a barrier, and stream a one-way
-   ``done`` home with a charge digest of the emissions, the shard's
-   halted outputs and the round's drained trace events and spans;
+   ``done`` home with a charge digest of the emissions (one row per
+   multicast run), the shard's halted outputs, the round's spans and —
+   only when the job says ``traced`` — its drained trace events;
 3. stop stepping once every train of a round (its own included) says
    halted, or at the job's round cap — every worker reads the same
    flags, so all stop at the same round — and wait for ``stop``.
@@ -70,6 +71,7 @@ from repro.cluster.wire import (
     MessageChannel,
 )
 from repro.errors import ClusterError
+from repro.net.metrics import multicast_runs
 from repro.net.party import Frame
 from repro.obs.spans import SpanLog, span_to_wire
 from repro.runtime.trace import TraceRecorder
@@ -148,7 +150,9 @@ def worker_main(
         interval = int(job["checkpoint_interval"])
         kill_round = job.get("kill_round")
 
-        trace = TraceRecorder()
+        # Untraced, the round core records nothing and every done
+        # carries no trace events.
+        trace = TraceRecorder() if job["traced"] else None
         span_log = SpanLog()
         engine, staged = _build_engine(
             job_msg.blob, shard, int(job.get("resume_round", 0)),
@@ -190,13 +194,11 @@ def worker_main(
                 os.kill(os.getpid(), signal.SIGKILL)
             finished = targets <= set(engine.outputs())
             # Route frames peer-to-peer; ship a metrics digest home
-            # instead of the frames themselves.
-            digest: List[Tuple[int, int, int, str]] = []
+            # instead of the frames themselves: one row per multicast
+            # run, the very charges record_frames would make.
+            digest = list(multicast_runs(out_frames))
             trains: Dict[int, List[Frame]] = {peer: [] for peer in peers}
             for frame in out_frames:
-                digest.append(
-                    (frame.sender, frame.recipient, frame.bits(), frame.phase)
-                )
                 dest = owner.get(frame.recipient)
                 if dest is None:
                     raise ClusterError(
@@ -245,7 +247,9 @@ def worker_main(
                     blob=Message.pack_payload(
                         {
                             "outputs": engine.outputs(),
-                            "trace": trace.drain(),
+                            "trace": (
+                                {} if trace is None else trace.drain()
+                            ),
                             "spans": span_digest,
                             "digest": digest,
                         }
@@ -289,7 +293,7 @@ def _build_engine(
     resume_round: int,
     checkpoint_dir: Path,
     checkpoint_stem: str,
-    trace: TraceRecorder,
+    trace: Optional[TraceRecorder],
 ) -> "Tuple[ShardEngine, List[Frame]]":
     """Restore the shard from the checkpoint at barrier ``resume_round``.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import groupby
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.net.party import Frame
@@ -28,6 +28,19 @@ from repro.obs.spans import charge_label
 def _charge_key(frame: Frame) -> Tuple[int, int, str]:
     """What two consecutive frames must share to be one multicast charge."""
     return frame.sender, frame.bits(), frame.phase
+
+
+def multicast_runs(
+    frames: Iterable[Frame],
+) -> Iterator[Tuple[int, int, str, List[int]]]:
+    """A frame batch as its multicast charges, in order.
+
+    Consecutive frames with equal ``(sender, bits, phase)`` — a party's
+    fan-out, as the round core emits it — form one
+    ``(sender, bits, phase, recipients)`` run.
+    """
+    for (sender, num_bits, phase), run in groupby(frames, _charge_key):
+        yield sender, num_bits, phase, [frame.recipient for frame in run]
 
 
 def _mask(party_ids: Iterable[int]) -> int:
@@ -287,12 +300,11 @@ class CommunicationMetrics:
         per frame in order.  The lockstep placements charge a round's
         frames in one call: consecutive frames of one sender with equal
         bits and phase (a party's fan-out, as the round core emits it)
-        are one :meth:`record_multicast`.
+        are one :meth:`record_multicast` (see :func:`multicast_runs`).
         """
-        for (sender, num_bits, phase), run in groupby(frames, _charge_key):
+        for sender, num_bits, phase, recipients in multicast_runs(frames):
             self.record_multicast(
-                sender, [frame.recipient for frame in run], num_bits,
-                phase=phase, kind=kind,
+                sender, recipients, num_bits, phase=phase, kind=kind
             )
 
     def charge_functionality(

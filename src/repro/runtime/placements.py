@@ -17,7 +17,10 @@ Every row is ``run(parties, until=None, max_rounds=10_000, *,
 metrics=None, trace=None, fault_plan=None,
 message_budget_per_party=None) -> RuntimeResult``, so a protocol that
 is a ``build_*() -> (parties, honest_ids, max_rounds)`` builder reaches
-all four with ``ROW.run(*build_*(...))``.  ``max_rounds`` is the
+all four with ``ROW.run(*build_*(...))``.  Every row records a trace
+only when given a ``trace=`` recorder; without one the result's
+``trace`` is ``None`` (the mesh's workers then record nothing at all).
+``max_rounds`` is the
 builder's fault-free cap; a row stretches it by the headroom the fault
 plan's delays need.  A row that cannot honour a keyword (the mesh has
 no delivery policy and no message budget) raises its ``error`` class

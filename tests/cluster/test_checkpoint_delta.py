@@ -29,6 +29,7 @@ from repro.cluster.supervisor import (
 )
 from repro.errors import ClusterError
 from repro.runtime.replay import ReplayScript
+from repro.runtime.trace import TraceRecorder
 
 
 def _event(party_id: int, seq: int) -> dict:
@@ -169,6 +170,18 @@ class TestReadState:
         with pytest.raises(ClusterError, match=STATE_FORMAT):
             cmd_cluster(["status", "--run-dir", str(run_dir)])
 
+    def test_an_untraced_manifest_has_no_trace_events(self, tmp_path, capsys):
+        _write_manifest(tmp_path, trace_segments=None)
+        assert read_state(tmp_path)["trace_events"] is None
+        # Resume traces iff the saved run did: asking for a trace of an
+        # untraced run is a usage error, refused before any work.
+        assert cmd_cluster([
+            "resume", "--run-dir", str(tmp_path),
+            "--trace-dir", str(tmp_path / "traces"),
+        ]) == 2
+        assert "holds an untraced run" in capsys.readouterr().out
+        assert not (tmp_path / "traces").exists()
+
     def test_absent_state_is_none(self, tmp_path):
         assert read_state(tmp_path) is None
 
@@ -190,7 +203,7 @@ class TestSaveTraceSegment:
     @staticmethod
     def _supervisor(run_dir) -> ClusterSupervisor:
         job = replay_job(ReplayScript(segments=[]), 2)
-        return ClusterSupervisor(job, run_dir=run_dir)
+        return ClusterSupervisor(job, run_dir=run_dir, trace=TraceRecorder())
 
     def test_one_chunk_and_one_fsync_per_checkpoint(self, tmp_path, monkeypatch):
         synced = []

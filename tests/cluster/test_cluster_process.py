@@ -22,12 +22,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.cli import cmd_cluster
 from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
 from repro.cluster.supervisor import (
+    TRACE_FILE,
     ClusterConfig,
     ClusterSupervisor,
     describe_run,
+    read_state,
 )
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
@@ -142,6 +145,27 @@ class TestSupervisorResume:
         # flow parity survives the resume.
         assert flow.verify_against(cluster.metrics) == []
         assert flow.by_phase()["(resumed)"] == flow.by_kind()["absorbed"] > 0
+
+    def test_an_untraced_kill_and_resume_converges_untraced(self, tmp_path):
+        # One SIGKILL is recovered in-run, the second exhausts the
+        # budget; resume finishes the run — none of it traced.
+        with pytest.raises(ClusterError, match="restart budget"):
+            _cluster_run(
+                16, "snark", kill_plan={3: 1, 6: 0}, run_dir=tmp_path,
+                max_restarts=1,
+            )
+        assert read_state(tmp_path)["trace_segments"] is None
+        assert cmd_cluster([
+            "resume", "--run-dir", str(tmp_path), "--n", "16",
+            "--trace-dir", str(tmp_path / "traces"),
+        ]) == 2
+        result, cluster = _cluster_run(
+            16, "snark", run_dir=tmp_path, resume=True
+        )
+        _assert_parity(result, _runtime_reference(16, "snark"), 16)
+        assert cluster.trace is None
+        assert not (tmp_path / TRACE_FILE).exists()
+        assert describe_run(tmp_path)["completed"]
 
     def test_a_run_dir_from_the_tcp_wired_build_resumes_with_parity(
         self, tmp_path

@@ -360,6 +360,7 @@ def _run_doomed_supervisor(run_dir):
         replay_job(_script(), N, checkpoint_interval=2),
         ClusterConfig(num_workers=2),
         run_dir=run_dir,
+        trace=TraceRecorder(),
     ).run()
 
 

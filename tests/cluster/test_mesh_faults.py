@@ -387,35 +387,43 @@ class TestDigestRowsAreValidated:
     ``ClusterError`` — never a silently mis-charged ledger."""
 
     validate = staticmethod(ClusterSupervisor._validate_digest_rows)
+    #: The reporting worker's shard: parties 0 and 1 of n=4.
+    SHARD = [0, 1]
 
-    def test_good_rows_become_chargeable_frames(self):
-        (frame,) = self.validate([(0, 3, 17, "vote")], 4)
-        assert (frame.sender, frame.recipient, frame.bits(), frame.phase) == (
-            0, 3, 17, "vote"
-        )
-        assert self.validate((), 4) == []
+    def test_good_rows_are_multicast_runs(self):
+        rows = [(0, 17, "vote", [3, 2, 3]), (1, 0, "", [0])]
+        assert self.validate(rows, 4, self.SHARD) == rows
+        assert self.validate((), 4, self.SHARD) == []
 
     @pytest.mark.parametrize(
         "rows, match",
         [
             ({"not": "rows"}, "not a row sequence"),
             (b"\x00\x01", "not a row sequence"),
-            ([(0, 1, 8)], "malformed"),
-            ([(0, 1, 8, "p", "extra")], "malformed"),
+            ([(0, 8, "p")], "malformed"),
+            ([(0, 8, "p", [1], "extra")], "malformed"),
             ([17], "malformed"),
-            ([(True, 1, 8, "p")], "malformed"),
-            ([(0, False, 8, "p")], "malformed"),
-            ([(0, 1, True, "p")], "malformed"),
-            ([(0, 1, -1, "p")], "negative charge"),
-            ([(0, 1, 8, None)], "malformed"),
-            ([(0, 1, 8, b"p")], "malformed"),
-            ([(0, 4, 8, "p")], "unknown party 4"),
-            ([(0, -1, 8, "p")], "unknown party -1"),
+            ([(True, 8, "p", [1])], "malformed"),
+            ([(0, True, "p", [1])], "malformed"),
+            ([(0, -1, "p", [1])], "negative charge"),
+            ([(0, 8, None, [1])], "malformed"),
+            ([(0, 8, b"p", [1])], "malformed"),
+            ([(0, 8, "p", [4])], "unknown party 4"),
+            ([(0, 8, "p", [-1])], "unknown party -1"),
+            # A worker charges only its own parties' sends.
+            ([(2, 8, "p", [1])], "party 2, which is not in its shard"),
+            ([(0, 8, "p", (1, 2))], "malformed"),
+            ([(0, 8, "p", 1)], "malformed"),
+            ([(0, 8, "p", [])], "names no recipient"),
+            ([(0, 8, "p", [1, False])], "recipient that is not a party id"),
+            ([(0, 8, "p", [1, "2"])], "recipient that is not a party id"),
+            ([(0, 8, "p", [3, 1, 9, 0])], "unknown party 9"),
+            ([(0, 8, "p", [2, -3, 7])], "unknown party -3"),
         ],
     )
     def test_bad_rows_are_refused(self, rows, match):
         with pytest.raises(ClusterError, match=match):
-            self.validate(rows, 4)
+            self.validate(rows, 4, self.SHARD)
 
 
 # -- whole-process mesh faults (cluster marker) -------------------------------

@@ -23,7 +23,12 @@ import pytest
 
 from repro.cluster.cli import cmd_cluster
 from repro.cluster.job import replay_job
-from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+from repro.cluster.supervisor import (
+    TRACE_FILE,
+    ClusterConfig,
+    ClusterSupervisor,
+    read_state,
+)
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
 from repro.protocols.gradecast import build_gradecast, run_gradecast
@@ -69,7 +74,7 @@ def _cluster_replay(n, scheme_name, workers):
     flow = FlowLedger()
     config = ClusterConfig(num_workers=workers, flow=flow)
     job = replay_job(script, n, checkpoint_interval=4)
-    result = ClusterSupervisor(job, config).run()
+    result = ClusterSupervisor(job, config, trace=TraceRecorder()).run()
     apply_func_ops(script, result.metrics)
     return result, flow
 
@@ -109,6 +114,34 @@ class TestPiBaMatrixN16:
     def test_mesh_matches_reference_and_pin(self, scheme_name):
         _assert_pi_ba_cell(
             16, scheme_name, workers=2, pinned=PINNED[scheme_name]
+        )
+
+
+class TestTraceIsOptIn:
+    def test_an_untraced_run_records_and_writes_no_trace(self, tmp_path):
+        script = _pi_ba_script(16, "snark")
+        results = {}
+        for traced in (False, True):
+            result = ClusterSupervisor(
+                replay_job(script, 16, checkpoint_interval=4),
+                ClusterConfig(num_workers=2),
+                run_dir=tmp_path / f"traced-{traced}",
+                trace=TraceRecorder() if traced else None,
+            ).run()
+            apply_func_ops(script, result.metrics)
+            results[traced] = result
+        untraced, traced = results[False], results[True]
+        assert untraced.trace is None
+        assert not (untraced.run_dir / TRACE_FILE).exists()
+        state = read_state(untraced.run_dir)
+        assert state["trace_segments"] is None
+        assert state["trace_events"] is None
+        assert (traced.run_dir / TRACE_FILE).exists()
+        assert traced.trace.fingerprint() == PINNED["snark"]
+        assert untraced.outputs == traced.outputs
+        assert tallies_equal(untraced.metrics, traced.metrics, range(16))
+        assert phase_views(untraced.metrics, range(16)) == phase_views(
+            traced.metrics, range(16)
         )
 
 

@@ -419,6 +419,68 @@ class TestFramesAreNMessages:
         assert metrics.party_ids == [] and metrics.current_round_bits == 0
 
 
+#: One party's fan-out: a run of frames sharing sender, bits and phase.
+_FANOUTS = st.builds(
+    lambda sender, bits, phase, recipients: [
+        Frame(sender, recipient, b"", charge_bits=bits, phase=phase)
+        for recipient in recipients
+    ],
+    _PARTIES,
+    st.sampled_from([0, 13, 64]),
+    _PHASES,
+    st.lists(_PARTIES, min_size=1, max_size=5),
+)
+
+#: One round's emissions: fan-outs and lone frames, back to back, so
+#: equal (sender, bits, phase) keys both repeat and split runs.
+_ROUND_FRAMES = st.lists(
+    st.one_of(_FANOUTS, _FRAMES.map(lambda frame: [frame])), max_size=8
+).map(lambda groups: [frame for group in groups for frame in group])
+
+
+class TestDigestRunsAreRecordFrames:
+    """A cluster worker ships a round's frames as multicast runs; the
+    supervisor validates each run and charges it with one
+    ``record_multicast``.  That must be ``record_frames`` to the bit."""
+
+    @given(st.lists(st.tuples(_ROUND_FRAMES, st.booleans()), max_size=5))
+    def test_worker_runs_charge_what_record_frames_charges(self, rounds):
+        from repro.cluster.job import replay_job
+        from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+        from repro.cluster.wire import DONE, Message
+        from repro.net.metrics import multicast_runs
+        from repro.runtime.replay import ReplayScript
+
+        def run(charge):
+            ledger = CommunicationMetrics()
+            flow = FlowLedger()
+            ledger.attach_flow(flow)
+            for frames, closes in rounds:
+                charge(ledger, frames)
+                if closes:
+                    ledger.end_round()
+            return ledger, flow
+
+        def through_the_supervisor(ledger, frames):
+            # One worker owning all six parties: every sender is its own.
+            supervisor = ClusterSupervisor(
+                replay_job(ReplayScript(segments=[]), 6),
+                ClusterConfig(num_workers=1),
+                metrics=ledger,
+            )
+            digest = list(multicast_runs(frames))
+            supervisor._process_done(0, Message(
+                DONE, {"round": 0},
+                blob=Message.pack_payload({"digest": digest}),
+            ))
+
+        runs, runs_flow = run(through_the_supervisor)
+        frames, frames_flow = run(
+            lambda ledger, batch: ledger.record_frames(batch, kind="frame")
+        )
+        _assert_same_ledger(runs, runs_flow, frames, frames_flow)
+
+
 class TestTallyOfRegression:
     def test_unknown_party_phantom_tally_is_disconnected(self):
         # Historically tally_of() for an unknown party returned a fresh

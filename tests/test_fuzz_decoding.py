@@ -21,6 +21,46 @@ LIBRARY_ERRORS = (ReproError, ValueError)
 _fuzz = settings()
 
 
+#: Arbitrary pickled values a worker could put in a done: scalars of
+#: every near-miss type (bools, floats, negative ints, bytes) nested in
+#: lists, tuples and dicts.
+_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 9), st.floats(-1, 9),
+        st.text(max_size=3), st.binary(max_size=3),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.tuples(inner, inner, inner, inner),
+        st.dictionaries(st.integers(0, 3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+#: Charge digests, mostly near-valid ``(sender, bits, phase,
+#: recipients)`` runs so the checks past the shape are reached too.
+_digests = st.one_of(
+    _values,
+    st.lists(
+        st.one_of(
+            _values,
+            st.tuples(
+                st.one_of(st.integers(-1, 4), _values),
+                st.one_of(st.integers(-1, 64), _values),
+                st.one_of(st.sampled_from(["", "kssv"]), _values),
+                st.one_of(
+                    st.lists(
+                        st.one_of(st.integers(-1, 4), _values), max_size=5
+                    ),
+                    _values,
+                ),
+            ),
+        ),
+        max_size=4,
+    ),
+)
+
+
 def _done_body(round_index):
     from repro.cluster.wire import DONE, Message
     from repro.net.trains import _LENGTH
@@ -128,6 +168,39 @@ class TestClusterDecoders:
             assert message.kind in KINDS
         except LIBRARY_ERRORS:
             pass
+
+    @_fuzz
+    @given(digest=_digests)
+    def test_done_digest_runs(self, digest):
+        """A worker's charge digest is pickled data it fully controls:
+        any rows either charge as valid runs of its own parties or raise
+        ``ClusterError`` with nothing charged — never another error."""
+        from repro.cluster.job import replay_job
+        from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
+        from repro.cluster.wire import DONE, Message
+        from repro.errors import ClusterError
+        from repro.runtime.replay import ReplayScript
+
+        # n=4 over two workers: worker 0 owns parties 0 and 1.
+        supervisor = ClusterSupervisor(
+            replay_job(ReplayScript(segments=[]), 4),
+            ClusterConfig(num_workers=2),
+        )
+        done = Message(
+            DONE, {"round": 0},
+            blob=Message.pack_payload({"digest": digest}),
+        )
+        try:
+            supervisor._process_done(0, done)
+        except ClusterError:
+            assert supervisor.metrics.party_ids == []
+            assert supervisor.metrics.current_round_bits == 0
+            return
+        senders = {
+            party for party in supervisor.metrics.party_ids
+            if supervisor.metrics.tally_of(party).messages_sent
+        }
+        assert senders <= {0, 1}
 
 
 class TestTrainDecoders:
