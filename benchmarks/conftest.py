@@ -32,19 +32,17 @@ def bench_json(results_dir):
     """Writer for structured ``BENCH_<name>.json`` records.
 
     Companion to :func:`write_result`: the text records are for humans,
-    these JSON records (schema ``repro-bench/1``) make the perf
-    trajectory machine-readable across PRs — ``python -m repro report``
+    these JSON records (schema ``repro-bench/2``) make the cost
+    trajectory machine-readable across commits — ``python -m repro report``
     and ``python -m repro obs report <path>`` both render them.
     """
     from repro.obs.bench import bench_payload, write_bench_json
 
-    def _write(name, *, snapshot=None, phase_breakdown=None,
-               wall_times=None, extra=None):
+    def _write(name, *, snapshot=None, phase_breakdown=None, extra=None):
         payload = bench_payload(
             name,
             snapshot=snapshot,
             phase_breakdown=phase_breakdown,
-            wall_times=wall_times,
             extra=extra,
         )
         path = write_bench_json(results_dir, payload)

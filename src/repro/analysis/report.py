@@ -178,11 +178,6 @@ def render_bench_record(payload: Mapping[str, Any]) -> str:
         lines.extend(
             "  " + line for line in render_phase_breakdown(breakdown).splitlines()
         )
-    wall_times = payload.get("wall_times") or {}
-    if wall_times:
-        lines.append("wall times:")
-        for key in sorted(wall_times):
-            lines.append(f"  {key}: {wall_times[key]:.4f}s")
     extra = payload.get("extra") or {}
     if extra:
         lines.append("extra:")

@@ -4,8 +4,10 @@ The repo's second execution model, next to the three parity-locked
 synchronous backends:
 
 * :mod:`repro.asynchrony.scheduler` — :class:`AsyncScheduler`, seeded
-  event-order adversary over asyncio party tasks (latency-model and
-  worst-case "adversary picks next delivery" policies);
+  event-order adversary that delivers one message at a time to
+  :class:`~repro.net.party.AsyncParty` state machines, in one plain
+  loop with no event loop (latency-model and worst-case "adversary
+  picks next delivery" policies);
 * :mod:`repro.asynchrony.driver` — :func:`run_aba`, one-call MMR14
   binary agreement (:mod:`repro.protocols.aba`) under the model;
 * :mod:`repro.asynchrony.adaptive` — the adaptive-adversary seam:

@@ -1,7 +1,7 @@
 """``python -m repro aba`` — the asynchronous baseline.
 
 Runs MMR14 common-coin binary agreement over the adversarially-scheduled
-asyncio model (no round synchronizer) and prints the decision, round
+asynchronous model (no round synchronizer) and prints the decision, round
 count and per-party bits; ``--bench DIR`` instead sweeps all delivery
 models and both n in {16, 64} against π_ba on identical cells and writes
 ``BENCH_aba.json``.

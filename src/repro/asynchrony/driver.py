@@ -11,7 +11,6 @@ comparable to π_ba's.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -183,7 +182,7 @@ def run_aba(
         assert strategy.ledger is not None
         strategy.ledger.on_corrupt(scheduler.corrupt)
 
-    result: AsyncResult = asyncio.run(scheduler.run())
+    result: AsyncResult = scheduler.run()
 
     final_corrupted = sorted(
         static_corrupt

@@ -53,7 +53,6 @@ not here.
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 from dataclasses import dataclass, field
 from itertools import islice
@@ -305,7 +304,7 @@ class AsyncScheduler:
 
     # -- run -----------------------------------------------------------------
 
-    async def run(self) -> AsyncResult:
+    def run(self) -> AsyncResult:
         """Execute until every required party decided (or fail loudly)."""
         self._fire_due_starts()
         while self._pending and not self._all_required_decided():
@@ -361,5 +360,5 @@ class AsyncScheduler:
 def run_async_parties(
     parties: Sequence[AsyncParty], **kwargs
 ) -> AsyncResult:
-    """Synchronous facade over :meth:`AsyncScheduler.run`."""
-    return asyncio.run(AsyncScheduler(parties, **kwargs).run())
+    """Build an :class:`AsyncScheduler` over ``parties`` and run it."""
+    return AsyncScheduler(parties, **kwargs).run()

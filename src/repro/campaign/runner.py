@@ -585,10 +585,4 @@ def _write_bench(summary: CampaignSummary, results_dir: str):
             if o.failed
         },
     }
-    wall_times = {
-        format_spec(o.spec): o.wall_time for o in summary.outcomes
-    }
-    payload = bench_payload(
-        "campaign", extra=extra, wall_times=wall_times
-    )
-    return write_bench_json(results_dir, payload)
+    return write_bench_json(results_dir, bench_payload("campaign", extra=extra))

@@ -28,8 +28,9 @@ Subcommands::
 
     cluster bench [--n N] [--workers 1,2,4] [--scheme {snark,owf}]
                   [--seed S] [--results-dir DIR] [--bench-name NAME]
-        The ``BENCH_cluster.json`` record: 1-vs-k-worker wall clock for
-        pi_ba replay with differential parity against ``run_parties``.
+        The ``BENCH_cluster.json`` record: pi_ba replay at each worker
+        count with differential parity against ``run_parties`` (no wall
+        clock: ``benchmarks/layers`` times the mesh).
 """
 
 from __future__ import annotations
@@ -276,8 +277,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"cluster bench: n={extra['n']} scheme={extra['scheme']} "
         f"replay_rounds={extra['replay_rounds']}"
     )
-    for key, value in sorted(payload["wall_times"].items()):
-        print(f"  {key:<24} {value:8.3f}s")
     ok = True
     for workers, checks in sorted(
         extra["parity"].items(), key=lambda kv: int(kv[0])
@@ -312,7 +311,7 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
     status_parser.add_argument("--run-dir", type=Path, required=True)
 
     bench_parser = sub.add_parser(
-        "bench", help="1-vs-k-worker scaling benchmark"
+        "bench", help="1-vs-k-worker parity benchmark"
     )
     bench_parser.add_argument("--n", type=int, default=64)
     bench_parser.add_argument("--workers", default="1,2,4",

@@ -12,16 +12,16 @@ value runs on the mesh row of :mod:`repro.runtime.placements`
   the supervisor's ledger charged from the workers' round digests, the
   hybrid charges applied verbatim;
 * :func:`run_cluster_bench` — the ``BENCH_cluster.json`` record: π_ba
-  replay at 1/2/4 workers with wall-clock scaling and differential
-  parity (outputs, ``max_bits_per_party``, and full per-party tallies)
-  against the ``local`` row's execution of the same script.
+  replay at 1/2/4 workers with differential parity (outputs,
+  ``max_bits_per_party``, and full per-party tallies) against the
+  ``local`` row's execution of the same script.  The record holds no
+  wall clock; ``benchmarks/layers``' ``cluster.mesh{1,2}w_job_s`` cells
+  time the mesh.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
@@ -94,14 +94,13 @@ def run_cluster_bench(
     config: Optional[ClusterConfig] = None,
     bench_name: str = "cluster",
 ) -> Dict[str, Any]:
-    """1-vs-k-worker wall clock for π_ba, with differential parity.
+    """π_ba's replay at 1 and at k workers, with differential parity.
 
     Records π_ba once (hybrid model), then executes the *same* replay
     script single-process (``run_parties``, the parity reference) and at
     each requested worker count.  Every cluster run must reproduce the
     reference outputs, ``max_bits_per_party``, and full per-party
-    tallies.  Wall times land under ``cluster_{k}_workers``.  Returns
-    the ``repro-bench/1`` payload (written as
+    tallies.  Returns the ``repro-bench/2`` payload (written as
     ``BENCH_<bench_name>.json`` when ``results_dir`` is given).
     """
     from repro.net.adversary import random_corruption
@@ -113,17 +112,11 @@ def run_cluster_bench(
     plan = random_corruption(
         n, params.max_corruptions(n), Randomness(seed).fork("corruption")
     )
-    clock = time.perf_counter
-    started = clock()
     reference, script = record_balanced_ba_script(
         inputs, plan, scheme, params, Randomness(seed).fork("protocol")
     )
-    wall_times: Dict[str, float] = {"record_hybrid": clock() - started}
-
     # Single-process parity reference over the same script.
-    started = clock()
     ref_result = replay_script(script, n, LOCAL)
-    wall_times["run_parties_1proc"] = clock() - started
     ref_metrics = ref_result.metrics
 
     parity: Dict[str, Any] = {}
@@ -138,9 +131,7 @@ def run_cluster_bench(
                 num_workers=workers,
             ),
         )
-        started = clock()
         result = replay_script(script, n, row)
-        wall_times[f"cluster_{workers}_workers"] = clock() - started
         parity[str(workers)] = {
             "outputs": result.outputs == ref_result.outputs,
             "max_bits_per_party": (
@@ -158,7 +149,6 @@ def run_cluster_bench(
         bench_name,
         snapshot=last_metrics.snapshot(),
         phase_breakdown=last_metrics.phase_breakdown(),
-        wall_times=wall_times,
         extra={
             "n": n,
             "scheme": scheme_name,
@@ -167,10 +157,6 @@ def run_cluster_bench(
             "checkpoint_interval": checkpoint_interval,
             "replay_rounds": script.num_rounds,
             "replay_messages": script.num_messages,
-            # Wall-time context: k workers only beat 1 when the host
-            # actually grants k cores; on a 1-core box the multi-worker
-            # cells measure pure process overhead.
-            "cpus_available": len(os.sched_getaffinity(0)),
             "parity": parity,
             "restarts": restarts,
             "reference_agreement": reference.agreement,

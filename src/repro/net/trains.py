@@ -130,7 +130,7 @@ def decode_train_body(body: bytes) -> List[Frame]:
                     sent_round=sent_round,
                     deliver_round=deliver_round,
                     charge_bits=charge_bits,
-                    seq=seq,  # lint: allow[TRU001] reason=seq is an opaque dedup tag; the reconnect replay consumer tolerates arbitrary values
+                    seq=seq,  # lint: allow[TRU001] reason=seq is only an ordering key (canonical inbox order, the fault plan's seeded draws, checkpoint sort); every unpacked value is a valid key
                     phase=phases[phase_id] if phase_id < num_phases else "",
                 )
             )

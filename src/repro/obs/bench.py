@@ -1,25 +1,29 @@
 """Structured benchmark records: ``benchmarks/results/BENCH_<name>.json``.
 
 The text records under ``benchmarks/results/`` are written for humans;
-these JSON records make the perf trajectory machine-readable across PRs.
-Schema (version 1)::
+these JSON records make the cost trajectory machine-readable across
+changes.  Schema (version 2)::
 
     {
-      "schema": "repro-bench/1",
+      "schema": "repro-bench/2",
       "name": "fig3_protocol",
       "snapshot": { ... MetricsSnapshot fields ... },
       "phase_breakdown": {
         "<phase>": {"total_bits": int, "max_bits_per_party": int,
                      "messages": int, "parties": int}
       },
-      "wall_times": {"<label>": seconds, ...},
       "extra": { ... free-form experiment knobs ... }
     }
 
 ``snapshot`` is :func:`dataclasses.asdict` of a
 :class:`~repro.net.metrics.MetricsSnapshot`; ``phase_breakdown`` comes
 from :meth:`~repro.net.metrics.CommunicationMetrics.phase_breakdown`.
-Keys are sorted on disk so diffs between PRs stay minimal.
+Keys are sorted on disk so diffs between commits stay minimal.  A
+record holds no wall clock: every field is a pure function of the
+command line that wrote it, so a committed record is a golden that
+``obs diff`` compares exactly (wall time is measured by
+``benchmarks/layers``).  Version 1 also carried wall clocks;
+:func:`load_bench_json` refuses such a record by its schema name.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-SCHEMA = "repro-bench/1"
+SCHEMA = "repro-bench/2"
 
 
 def _as_plain(value: Any) -> Any:
@@ -43,7 +47,6 @@ def bench_payload(
     *,
     snapshot: Any = None,
     phase_breakdown: Optional[Dict[str, Any]] = None,
-    wall_times: Optional[Dict[str, float]] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble one schema-conforming record (plain dicts only)."""
@@ -55,7 +58,6 @@ def bench_payload(
         "name": name,
         "snapshot": _as_plain(snapshot) if snapshot is not None else None,
         "phase_breakdown": breakdown,
-        "wall_times": dict(wall_times or {}),
         "extra": dict(extra or {}),
     }
     return payload

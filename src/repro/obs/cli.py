@@ -17,10 +17,10 @@ Subcommands (``obs`` alone is ``obs report``)::
         counts the evicted cells in the report's spill JSONL.
     obs flows <FLOW_*.json> [--by phase|kind|party]
         The flow report's aggregate views.
-    obs diff <baseline> <fresh> [--wall-tolerance F] [--json]
+    obs diff <baseline> <fresh> [--json]
         The bench regression gate (file vs file, or directory vs
-        directory): bit and structural counts are gated exactly (exit
-        1 on drift); wall clocks only warn.
+        directory): every field of a record is compared exactly, and
+        any difference is named by its JSON path (exit 1 on drift).
     obs profile [n] [--phases a,b] [--memory] [--top K]
         Run pi_ba fresh under a cProfile-per-span collector and print
         the hottest functions of each selected phase.
@@ -92,7 +92,6 @@ def _fresh_report(n: int, out_dir: Optional[Path]) -> int:
                 f"obs_report_{slug}",
                 snapshot=metrics.snapshot(),
                 phase_breakdown=metrics.phase_breakdown(),
-                wall_times={"pi_ba": elapsed},
                 extra={"n": n, "t": plan.t, "scheme": label,
                        "agreement": result.agreement},
             ))
@@ -248,11 +247,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
     baseline, fresh = args.baseline, args.fresh
     if baseline.is_dir() and fresh.is_dir():
-        results = diff_dirs(baseline, fresh, wall_tolerance=args.wall_tolerance)
+        results = diff_dirs(baseline, fresh)
     elif baseline.is_file() and fresh.is_file():
-        results = [
-            diff_files(baseline, fresh, wall_tolerance=args.wall_tolerance)
-        ]
+        results = [diff_files(baseline, fresh)]
     else:
         print(f"need two files or two directories, got "
               f"{baseline} and {fresh}")
@@ -314,7 +311,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 def cmd_obs(argv: List[str]) -> int:
     from repro.obs.profile import TOP_FUNCTIONS
-    from repro.obs.regression import WALL_TOLERANCE
 
     parser = argparse.ArgumentParser(
         prog="python -m repro obs",
@@ -348,7 +344,6 @@ def cmd_obs(argv: List[str]) -> int:
     diff = sub.add_parser("diff", help="bench regression gate")
     diff.add_argument("baseline", type=Path)
     diff.add_argument("fresh", type=Path)
-    diff.add_argument("--wall-tolerance", type=float, default=WALL_TOLERANCE)
     diff.add_argument("--json", action="store_true")
     diff.set_defaults(func=_cmd_diff)
 

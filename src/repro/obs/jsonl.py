@@ -2,8 +2,7 @@
 
 Traces, span directories and flow spills are JSONL: one object per line,
 keys sorted, compact separators, so equal data is equal bytes.  A writer
-killed mid-line (a SIGKILLed ``JsonlTraceWriter`` or ``FlowLedger``
-spill) leaves a truncated last line; :func:`load_jsonl` names the file
+killed mid-line (a SIGKILLed ``FlowLedger`` spill) leaves a truncated last line; :func:`load_jsonl` names the file
 and the line instead of surfacing a bare ``JSONDecodeError``.
 """
 

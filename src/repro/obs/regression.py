@@ -1,51 +1,31 @@
 """The bench regression gate: ``obs diff`` against committed baselines.
 
-Every benchmark in this repo writes a ``repro-bench/1`` record
-(:mod:`repro.obs.bench`).  The committed copies under
-``benchmarks/results/`` are the *baselines*: the bit counts in them are
-deterministic functions of the seeds, so any drift is a real behavioral
-change — a protocol edit that moved the paper's headline metric, or an
-accounting bug.  Wall-clock numbers, by contrast, are hostage to the
-machine that ran them.  The gate therefore splits verdicts:
-
-* **hard failures** — any integer field of ``snapshot`` or any
-  ``total_bits`` / ``max_bits_per_party`` / ``messages`` / ``parties``
-  in ``phase_breakdown`` that differs at all (these are bit counts and
-  structural counts: exactly reproducible, tolerance zero);
-* **warnings** — ``wall_times`` entries that regressed by more than
-  ``wall_tolerance`` (fractional; default +50%), and fields present on
-  one side only.  Warnings never affect the exit code.
+Every benchmark in this repo writes a ``repro-bench/2`` record
+(:mod:`repro.obs.bench`).  A record holds no wall clock, so every field
+of it is a deterministic function of the command line that wrote it,
+and the committed copies under ``benchmarks/results/`` are goldens.
+The gate compares a fresh record to its golden exactly and over the
+whole record: every differing leaf, every key present on one side only
+and every list whose length changed is a *hard failure*, named by its
+JSON path (``extra.comparison[0].aba_max_bits_per_party: 800600 !=
+1601200``).  Wall time is measured by ``benchmarks/layers``, not here.
 
 :func:`diff_bench` compares two loaded payloads, :func:`diff_dirs`
 pairs ``BENCH_*.json`` files across two directories, and
 ``python -m repro obs diff`` turns the result into an exit status:
-nonzero iff any hard failure anywhere.
+nonzero iff any hard failure anywhere.  The only warning left is dir
+mode's "no baseline" / "no fresh copy" for a whole file.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs.bench import load_bench_json
-
-#: ``snapshot`` keys gated exactly (ints; floats are derived from them).
-HARD_SNAPSHOT_KEYS = (
-    "total_bits",
-    "max_bits_per_party",
-    "max_locality",
-    "max_messages_per_party",
-    "rounds",
-    "num_parties",
-)
-
-#: ``phase_breakdown`` per-phase keys gated exactly.
-HARD_PHASE_KEYS = ("total_bits", "max_bits_per_party", "messages", "parties")
-
-#: Default wall-clock regression threshold (fraction of the baseline).
-WALL_TOLERANCE = 0.5
 
 
 @dataclass
@@ -69,83 +49,57 @@ class BenchDiff:
         }
 
 
-def diff_bench(
-    baseline: Dict[str, Any],
-    fresh: Dict[str, Any],
-    wall_tolerance: float = WALL_TOLERANCE,
-) -> BenchDiff:
-    """Compare one fresh ``repro-bench/1`` payload against its baseline."""
+def _child(path: str, key: str) -> str:
+    if re.fullmatch(r"[\w-]+", key):
+        return f"{path}.{key}" if path else key
+    return f"{path}[{json.dumps(key)}]"
+
+
+def diff_values(baseline: Any, fresh: Any, path: str = "") -> List[str]:
+    """Every difference between two JSON values, named by JSON path."""
+    if isinstance(baseline, dict) and isinstance(fresh, dict):
+        failures: List[str] = []
+        for key in sorted(set(baseline) | set(fresh)):
+            where = _child(path, key)
+            if key not in fresh:
+                failures.append(f"{where}: only in baseline")
+            elif key not in baseline:
+                failures.append(f"{where}: only in fresh")
+            else:
+                failures.extend(diff_values(baseline[key], fresh[key], where))
+        return failures
+    if isinstance(baseline, list) and isinstance(fresh, list):
+        failures = []
+        if len(baseline) != len(fresh):
+            failures.append(
+                f"{path}: length {len(baseline)} != {len(fresh)}"
+            )
+        for index, (old, new) in enumerate(zip(baseline, fresh)):
+            failures.extend(diff_values(old, new, f"{path}[{index}]"))
+        return failures
+    if type(baseline) is not type(fresh) or baseline != fresh:
+        shown = [json.dumps(value, sort_keys=True) for value in (baseline, fresh)]
+        return [f"{path}: {shown[0]} != {shown[1]}"]
+    return []
+
+
+def diff_bench(baseline: Dict[str, Any], fresh: Dict[str, Any]) -> BenchDiff:
+    """Compare one fresh record against its baseline, field by field."""
     name = str(fresh.get("name") or baseline.get("name") or "?")
-    diff = BenchDiff(name=name)
-
-    base_snap = baseline.get("snapshot") or {}
-    fresh_snap = fresh.get("snapshot") or {}
-    for key in HARD_SNAPSHOT_KEYS:
-        base_value = base_snap.get(key)
-        fresh_value = fresh_snap.get(key)
-        if base_value is None and fresh_value is None:
-            continue
-        if base_value is None or fresh_value is None:
-            diff.warnings.append(
-                f"snapshot.{key}: present on one side only "
-                f"(baseline={base_value!r}, fresh={fresh_value!r})"
-            )
-            continue
-        if base_value != fresh_value:
-            diff.hard_failures.append(
-                f"snapshot.{key}: baseline {base_value} != fresh "
-                f"{fresh_value}"
-            )
-
-    base_phases = baseline.get("phase_breakdown") or {}
-    fresh_phases = fresh.get("phase_breakdown") or {}
-    for phase in sorted(set(base_phases) | set(fresh_phases)):
-        if phase not in base_phases or phase not in fresh_phases:
-            diff.warnings.append(
-                f"phase {phase!r}: present only in "
-                f"{'fresh' if phase in fresh_phases else 'baseline'}"
-            )
-            continue
-        for key in HARD_PHASE_KEYS:
-            base_value = base_phases[phase].get(key)
-            fresh_value = fresh_phases[phase].get(key)
-            if base_value != fresh_value:
-                diff.hard_failures.append(
-                    f"phase {phase!r}.{key}: baseline {base_value} "
-                    f"!= fresh {fresh_value}"
-                )
-
-    base_walls = baseline.get("wall_times") or {}
-    fresh_walls = fresh.get("wall_times") or {}
-    for label in sorted(set(base_walls) | set(fresh_walls)):
-        base_value = base_walls.get(label)
-        fresh_value = fresh_walls.get(label)
-        if not isinstance(base_value, (int, float)) or not isinstance(
-            fresh_value, (int, float)
-        ):
-            continue  # null / missing walls carry no signal
-        if base_value > 0 and fresh_value > base_value * (
-            1.0 + wall_tolerance
-        ):
-            diff.warnings.append(
-                f"wall {label}: {fresh_value:.3f}s is "
-                f"{fresh_value / base_value:.2f}x the baseline "
-                f"{base_value:.3f}s (warn-only)"
-            )
-    return diff
+    return BenchDiff(name=name, hard_failures=diff_values(baseline, fresh))
 
 
 def diff_files(
-    baseline_path: Union[str, Path],
-    fresh_path: Union[str, Path],
-    wall_tolerance: float = WALL_TOLERANCE,
+    baseline_path: Union[str, Path], fresh_path: Union[str, Path]
 ) -> BenchDiff:
-    """Compare two on-disk records."""
-    return diff_bench(
-        load_bench_json(baseline_path),
-        load_bench_json(fresh_path),
-        wall_tolerance=wall_tolerance,
-    )
+    """Compare two on-disk records; one that does not load fails."""
+    try:
+        return diff_bench(
+            load_bench_json(baseline_path), load_bench_json(fresh_path)
+        )
+    except ValueError as exc:
+        name = Path(fresh_path).stem.removeprefix("BENCH_")
+        return BenchDiff(name=name, hard_failures=[str(exc)])
 
 
 def pair_bench_files(
@@ -166,9 +120,7 @@ def pair_bench_files(
 
 
 def diff_dirs(
-    baseline_dir: Union[str, Path],
-    fresh_dir: Union[str, Path],
-    wall_tolerance: float = WALL_TOLERANCE,
+    baseline_dir: Union[str, Path], fresh_dir: Union[str, Path]
 ) -> List[BenchDiff]:
     """Gate every fresh record in a directory against its baseline.
 
@@ -186,9 +138,7 @@ def diff_dirs(
                 name=name, warnings=[f"no {side} for BENCH_{name}.json"]
             ))
             continue
-        results.append(
-            diff_files(baseline_path, fresh_path, wall_tolerance)
-        )
+        results.append(diff_files(baseline_path, fresh_path))
     return results
 
 

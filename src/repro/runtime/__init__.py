@@ -57,7 +57,7 @@ _EXPORTS = {
     "run_parties": "repro.runtime.synchronizer",
     "run_parties_async": "repro.runtime.synchronizer",
     "TraceRecorder": "repro.runtime.trace",
-    "load_jsonl": "repro.runtime.trace",
+    "load_jsonl": "repro.obs.jsonl",
     "wall_clock_recorder": "repro.runtime.trace",
     "AsyncLocalTransport": "repro.runtime.transport",
     "Frame": "repro.net.party",
@@ -103,7 +103,8 @@ if TYPE_CHECKING:  # static importers see the eager names
         run_parties,
         run_parties_async,
     )
-    from repro.runtime.trace import TraceRecorder, load_jsonl, wall_clock_recorder
+    from repro.obs.jsonl import load_jsonl
+    from repro.runtime.trace import TraceRecorder, wall_clock_recorder
     from repro.runtime.transport import (
         AsyncLocalTransport,
         TcpTransport,

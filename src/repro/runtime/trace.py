@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 
 # Event kinds live beside their lockstep emitter.
 from repro.net.rounds import CRASH, DROP, HALT, RECV, ROUND_BARRIER, SEND
-from repro.obs.jsonl import dump_line, load_jsonl
+from repro.obs.jsonl import dump_line
 
 KINDS = (SEND, RECV, ROUND_BARRIER, HALT, CRASH, DROP)
 
@@ -80,11 +80,6 @@ class TraceRecorder:
         if self._clock is not None:
             event["wall"] = self._clock()
         event.update(fields)
-        self._append(party_id, event)
-
-    def _append(self, party_id: int, event: Dict[str, Any]) -> None:
-        """Storage hook: keep the event in memory.  Subclasses (e.g.
-        :class:`JsonlTraceWriter`) override this to stream instead."""
         self._events.setdefault(party_id, []).append(event)
 
     # -- checkpoint/resume hooks (repro.cluster) ------------------------------
@@ -115,17 +110,6 @@ class TraceRecorder:
         checkpoint resume and by the cluster supervisor's merge of
         worker-shipped event batches.
         """
-        if type(self)._append is not TraceRecorder._append:
-            # A subclass hooked storage (e.g. JsonlTraceWriter streams
-            # each event); feed it one event at a time as before.
-            for event in events:
-                self._append(party_id, dict(event))
-                nxt = int(event.get("seq", -1)) + 1
-                if nxt > self._counters.get(party_id, 0):
-                    self._counters[party_id] = nxt
-            return
-        # Hot path for the supervisor's per-round merge of worker event
-        # batches: copy + append in bulk, track the max seq once.
         copies = [dict(event) for event in events]
         if not copies:
             return
@@ -208,139 +192,6 @@ class TraceRecorder:
 def wall_clock_recorder() -> TraceRecorder:
     """A recorder stamping monotonic wall times (non-reproducible)."""
     return TraceRecorder(clock=time.perf_counter)
-
-
-class JsonlTraceWriter(TraceRecorder):
-    """A :class:`TraceRecorder` that streams events to disk as they occur.
-
-    The in-memory recorder holds every event until :meth:`dump_dir`; for
-    large ``n`` or long executions that is O(messages) memory.  This
-    writer keeps memory bounded: each event is serialized and appended to
-    ``<directory>/party-<id>.jsonl`` at :meth:`record` time, and only
-    O(parties) aggregate state (sequence counters, per-kind counts,
-    queue-depth high-water mark) stays resident.
-
-    Byte contract: for the same execution (same seed, ``clock=None``)
-    the files written here are *byte-identical* to what the in-memory
-    recorder's :meth:`~TraceRecorder.dump_dir` would produce — same JSON
-    serialization (sorted keys, compact separators), same per-party
-    ordering, one event per line.  The regression test pins this.
-
-    Read-back queries (:meth:`events_of`, :meth:`dumps`,
-    :meth:`fingerprint`) re-read the files, so they work after
-    :meth:`close` too; prefer the cheap counters (:meth:`count`,
-    :meth:`max_queue_depth`) in hot paths.  Usable as a context manager.
-    """
-
-    def __init__(
-        self,
-        directory: Path,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        super().__init__(clock=clock)
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._files: Dict[int, Any] = {}
-        self._kind_counts: Dict[str, int] = {}
-        self._max_queue_depth = 0
-        self._closed = False
-
-    # -- storage hook ---------------------------------------------------------
-
-    def _append(self, party_id: int, event: Dict[str, Any]) -> None:
-        if self._closed:
-            raise ValueError("JsonlTraceWriter is closed")
-        handle = self._files.get(party_id)
-        if handle is None:
-            handle = self.path_of(party_id).open("w", encoding="utf-8")
-            self._files[party_id] = handle
-        handle.write(dump_line(event))
-        kind = event["kind"]
-        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        if kind == ROUND_BARRIER:
-            depth = event.get("queue_depth", 0)
-            if depth > self._max_queue_depth:
-                self._max_queue_depth = depth
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Flush and close all per-party files (idempotent)."""
-        for handle in self._files.values():
-            handle.close()
-        self._closed = True
-
-    def flush(self) -> None:
-        """Flush open file buffers without closing."""
-        for handle in self._files.values():
-            handle.flush()
-
-    def __enter__(self) -> "JsonlTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # -- queries (streaming-aware overrides) ---------------------------------
-
-    @property
-    def party_ids(self) -> List[int]:
-        return sorted(self._files)
-
-    def path_of(self, party_id: int) -> Path:
-        """The on-disk JSONL path for one party's stream."""
-        return self.directory / f"party-{party_id}.jsonl"
-
-    def events_of(self, party_id: int) -> List[Dict[str, Any]]:
-        if party_id not in self._files:
-            return []
-        if not self._closed:
-            self.flush()
-        return load_jsonl(self.path_of(party_id))
-
-    def count(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return sum(self._kind_counts.values())
-        return self._kind_counts.get(kind, 0)
-
-    def max_queue_depth(self) -> int:
-        return self._max_queue_depth
-
-    def dumps(self, party_id: int) -> str:
-        if party_id not in self._files:
-            return ""
-        if not self._closed:
-            self.flush()
-        return self.path_of(party_id).read_text(encoding="utf-8")
-
-    def dump_dir(self, directory: Path) -> List[Path]:
-        """Already on disk: a no-op when the target is this writer's own
-        directory, otherwise copies the files over."""
-        directory = Path(directory)
-        if not self._closed:
-            self.flush()
-        if directory.resolve() == self.directory.resolve():
-            return [self.path_of(p) for p in self.party_ids]
-        directory.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for party_id in self.party_ids:
-            target = directory / f"party-{party_id}.jsonl"
-            target.write_bytes(self.path_of(party_id).read_bytes())
-            paths.append(target)
-        return paths
-
-    def fingerprint(self) -> str:
-        """Digest computed by streaming file chunks (bounded memory)."""
-        import hashlib
-
-        if not self._closed:
-            self.flush()
-        digest = hashlib.sha256()
-        for party_id in self.party_ids:
-            with self.path_of(party_id).open("rb") as handle:
-                for chunk in iter(lambda: handle.read(1 << 16), b""):
-                    digest.update(chunk)
-        return digest.hexdigest()
 
 
 def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:

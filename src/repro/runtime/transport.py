@@ -38,7 +38,6 @@ from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 from repro.obs.registry import MetricsRegistry
-from repro.utils.randomness import Randomness
 
 #: One TCP record behind its u32 length prefix: ``kind, peer`` and, for a
 #: train, a :mod:`repro.net.trains` body.  ``peer`` is the party a HELLO
@@ -49,30 +48,7 @@ _HELLO = 0
 _TRAIN = 1
 _MAX_RECORD = 1 << 28
 _READ_BYTES = 1 << 18
-
-
-def backoff_schedule(
-    attempts: int,
-    base: float,
-    cap: float,
-    rng: Randomness,
-) -> List[float]:
-    """Bounded exponential backoff with seeded jitter.
-
-    Attempt ``i`` waits ``min(cap, base * 2**i)`` scaled by a jitter
-    factor drawn uniformly from ``[0.5, 1.5)`` — seeded through the
-    repo's :class:`~repro.utils.randomness.Randomness` wrapper, so a
-    retry storm replays identically under the same seed.  Returns the
-    full list of delays (empty when ``attempts <= 0``).
-    """
-    if base < 0 or cap < 0:
-        raise NetworkError("backoff delays cannot be negative")
-    delays: List[float] = []
-    for attempt in range(max(0, attempts)):
-        nominal = min(cap, base * (2 ** attempt))
-        jitter = 0.5 + rng.random_int(1000) / 1000.0
-        delays.append(nominal * jitter)
-    return delays
+_HOST = "127.0.0.1"
 
 
 class Transport(abc.ABC):
@@ -96,29 +72,20 @@ class Transport(abc.ABC):
         self._sent = 0
         self._delivered = 0
         self._registry: Optional[MetricsRegistry] = None
-        #: Successful endpoint re-dials (only the TCP transport moves it).
-        self.reconnects = 0
 
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Feed operational gauges/counters into an obs registry.
 
         Registers ``repro_transport_frames_sent_total``,
         ``repro_transport_frames_delivered_total``,
-        ``repro_transport_in_flight``,
+        ``repro_transport_in_flight`` and
         ``repro_transport_queue_depth_max`` (high-water arrived-buffer
-        depth per party, labeled) and
-        ``repro_transport_reconnects_total`` (successful endpoint
-        re-dials after a lost router connection — always 0 on the local
-        transport).
+        depth per party, labeled).
         """
         self._registry = registry
         self._frames_sent = registry.counter(
             "repro_transport_frames_sent_total",
             "Frames accepted by the transport for delivery",
-        )
-        self._reconnects_counter = registry.counter(
-            "repro_transport_reconnects_total",
-            "Endpoint reconnects after a lost router connection",
         )
         self._frames_delivered = registry.counter(
             "repro_transport_frames_delivered_total",
@@ -140,12 +107,6 @@ class Transport(abc.ABC):
         if self._registry is not None:
             self._frames_sent.inc(count)
             self._in_flight_gauge.set(self.in_flight)
-
-    def _note_reconnect(self) -> None:
-        """Record one successful endpoint re-dial."""
-        self.reconnects += 1
-        if self._registry is not None:
-            self._reconnects_counter.inc()
 
     # -- hooks ---------------------------------------------------------------
 
@@ -255,12 +216,10 @@ class TcpTransport(Transport):
     adversaries live in :class:`~repro.runtime.faults.FaultPlan`, at the
     delivery layer, where they are seeded and reproducible.
 
-    Resilience: a round write that hits a torn endpoint connection
-    re-dials the router on a bounded, seeded :func:`backoff_schedule`
-    (re-HELLO, then retry the write); successful re-dials are counted in
-    :attr:`~Transport.reconnects` and surfaced through the obs registry
-    as ``repro_transport_reconnects_total``.  The router listens on an
-    OS-assigned port.  A malformed record (data before HELLO,
+    Failure is loud, never retried: a round write that hits a torn
+    endpoint connection raises :class:`~repro.errors.NetworkError`
+    naming the party.  The router listens on an OS-assigned port.  A
+    malformed record (data before HELLO,
     oversized length, unknown party, undecodable train) ends the task
     that read it; the first such error is re-raised by :meth:`flush`
     and :meth:`stop`, so the barrier fails instead of waiting forever.
@@ -270,23 +229,12 @@ class TcpTransport(Transport):
         self,
         party_ids: Sequence[int],
         metrics: Optional[CommunicationMetrics] = None,
-        host: str = "127.0.0.1",
-        reconnect_attempts: int = 4,
-        reconnect_base: float = 0.05,
-        reconnect_cap: float = 1.0,
-        rng: Optional[Randomness] = None,
     ) -> None:
         super().__init__(party_ids, metrics)
-        self._host = host
-        self._reconnect_attempts = reconnect_attempts
-        self._reconnect_base = reconnect_base
-        self._reconnect_cap = reconnect_cap
-        self._rng = rng if rng is not None else Randomness(0x7C9)
         self._server: Optional[asyncio.base_events.Server] = None
         self._endpoints: Dict[int, _Endpoint] = {}
         self._router_writers: Dict[int, asyncio.StreamWriter] = {}
         self._router_tasks: List[asyncio.Task] = []
-        self._retired_pumps: List[asyncio.Task] = []
         self._idle = asyncio.Event()
         self._idle.set()
         self._hello_count = 0
@@ -299,7 +247,7 @@ class TcpTransport(Transport):
     async def start(self) -> None:
         self._failure = None
         self._server = await asyncio.start_server(
-            self._router_accept, self._host, 0
+            self._router_accept, _HOST, 0
         )
         self.port = self._server.sockets[0].getsockname()[1]
         for party_id in self.party_ids:
@@ -312,7 +260,7 @@ class TcpTransport(Transport):
     async def _connect_endpoint(self, party_id: int) -> _Endpoint:
         """Dial the router, introduce the party, start its pump."""
         assert self.port is not None
-        reader, writer = await asyncio.open_connection(self._host, self.port)
+        reader, writer = await asyncio.open_connection(_HOST, self.port)
         # Registered before the HELLO so that `stop()` closes it (and the
         # router handler it woke) even if the introduction fails.
         endpoint = _Endpoint(writer)
@@ -337,12 +285,11 @@ class TcpTransport(Transport):
             except (ConnectionError, OSError):
                 pass
         pumps = [e.pump for e in self._endpoints.values() if e.pump is not None]
-        for task in (*pumps, *self._retired_pumps, *self._router_tasks):
+        for task in (*pumps, *self._router_tasks):
             try:
                 await task
             except asyncio.CancelledError:
                 pass
-        self._retired_pumps.clear()
         self._router_tasks.clear()
         if self._server is not None:
             self._server.close()
@@ -374,59 +321,11 @@ class TcpTransport(Transport):
             try:
                 writer.write(payload)
                 await writer.drain()
-            except (ConnectionError, OSError):
-                await self._resend_with_reconnect(sender, payload)
-
-    async def _resend_with_reconnect(
-        self, party_id: int, payload: bytes
-    ) -> None:
-        """Re-dial the router on the backoff schedule and retry the write.
-
-        Each attempt sleeps its jittered delay, opens a fresh endpoint
-        connection, re-HELLOs, waits for the router to register the new
-        identity, and retries the endpoint's whole round write.
-        Exhausting the schedule raises
-        :class:`~repro.errors.NetworkError` — a dead router is a run
-        failure, not a silent drop.
-        """
-        delays = backoff_schedule(
-            self._reconnect_attempts,
-            self._reconnect_base,
-            self._reconnect_cap,
-            self._rng.fork(f"reconnect-{party_id}-{self.reconnects}"),
-        )
-        last_error: Optional[BaseException] = None
-        for delay in delays:
-            await asyncio.sleep(delay)
-            try:
-                endpoint = await self._redial(party_id)
-                endpoint.writer.write(payload)
-                await endpoint.writer.drain()
             except (ConnectionError, OSError) as exc:
-                last_error = exc
-                continue
-            self._note_reconnect()
-            return
-        raise NetworkError(
-            f"party {party_id} could not reach the router after "
-            f"{len(delays)} reconnect attempts: {last_error}"
-        )
-
-    async def _redial(self, party_id: int) -> _Endpoint:
-        """Replace a torn endpoint connection with a fresh one."""
-        stale = self._endpoints.get(party_id)
-        if stale is not None:
-            stale.writer.close()
-            # The stale pump exits on its own at EOF; awaiting it here
-            # could deadlock if the router side is wedged, so the task is
-            # retained for `stop()` to reap (never dropped mid-flight).
-            if stale.pump is not None:
-                self._retired_pumps.append(stale.pump)
-        target = self._hello_count + 1
-        endpoint = await self._connect_endpoint(party_id)
-        while self._hello_count < target:
-            await asyncio.sleep(0)
-        return endpoint
+                raise NetworkError(
+                    f"party {sender}'s connection to the router is torn: "
+                    f"{exc}"
+                ) from exc
 
     async def flush(self) -> None:
         while self._failure is None and self._sent != self._delivered:

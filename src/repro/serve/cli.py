@@ -25,12 +25,14 @@ Subcommands::
                 [--repeat R] [--sessions K] [--results-dir DIR]
         The ``BENCH_gateway.json`` record: boot an in-process gateway,
         drive K concurrent same-key sessions of R pipelined decisions
-        each over real loopback TCP, and record pipelined repeated-BA
-        throughput.  Exit 0 iff (a) every session's value and per-party
-        bit tallies match a one-shot reference run of the same spec and
-        (b) the steady-state per-decision wall time is strictly below
-        the cold first decision (the one that paid SRDS setup+keygen) —
-        the operational shape of Corollary 1.2's amortization.
+        each over real loopback TCP, and record what they decided.
+        Exit 0 iff (a) every session's value and per-party bit tallies
+        match a one-shot reference run of the same spec, (b) every
+        decision is within budget and (c) in every session, every
+        decision after the first was a setup-lease hit — the one SRDS
+        setup+keygen is paid once per session at most, the operational
+        shape of Corollary 1.2's amortization.  The record holds no
+        wall clock: ``benchmarks/layers`` times leases and sessions.
 """
 
 from __future__ import annotations
@@ -176,9 +178,7 @@ def _session_fields(ns: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
-async def _drive_bench(
-    ns: argparse.Namespace,
-) -> Dict[str, Any]:
+async def _drive_bench(ns: argparse.Namespace) -> List[Dict[str, Any]]:
     """Boot an in-process gateway and run K concurrent TCP sessions."""
     from repro.serve.client import run_session
     from repro.serve.server import GatewayConfig, GatewayServer
@@ -196,15 +196,8 @@ async def _drive_bench(
         for _ in range(ns.sessions)
     ]
     responses = list(await asyncio.gather(*clients))
-    scrape = server.registry.render()
-    cache_stats = server.manager.cache_stats()
     await server.aclose()
-    return {
-        "responses": responses,
-        "metrics_text": scrape,
-        "cache": cache_stats,
-        "port": port,
-    }
+    return responses
 
 
 def _cmd_bench(ns: argparse.Namespace) -> int:
@@ -212,14 +205,13 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     from repro.serve.sessions import SessionSpec, one_shot_reference
 
     if ns.repeat < 2:
-        print("bench needs --repeat >= 2 (steady state is decision 2+)")
+        print("bench needs --repeat >= 2 (amortization shows from decision 2)")
         return 2
     print(
         f"gateway bench: n={ns.n} scheme={ns.scheme} seed={ns.seed} "
         f"sessions={ns.sessions} repeat={ns.repeat}"
     )
-    driven = asyncio.run(_drive_bench(ns))
-    responses: List[Dict[str, Any]] = driven["responses"]
+    responses = asyncio.run(_drive_bench(ns))
     failures = [r for r in responses if not r.get("ok")]
     if failures:
         print(f"FAIL: {len(failures)} sessions did not complete: "
@@ -236,56 +228,26 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     )
     within_budget = all(r["within_budget"] for r in results)
 
-    # Cold = the first decision of the session(s) that paid keygen (a
-    # lease miss); steady = every session's post-first-decision mean.
-    cold_walls = [
-        r["wall"]["first_decision_s"]
-        for r in results if r["setup_cache"]["misses"] > 0
-    ]
-    steady_walls = [
-        r["wall"]["steady_mean_s"]
-        for r in results if r["wall"]["steady_mean_s"] is not None
-    ]
-    cold = max(cold_walls) if cold_walls else None
-    steady = (
-        sum(steady_walls) / len(steady_walls) if steady_walls else None
+    # Amortized: in every session, every decision after the first was
+    # a lease hit (the session's own counts, so which lane a session
+    # lands on does not matter).
+    amortized = all(
+        r["setup_cache"]["hits"] >= r["decisions"] - 1 for r in results
     )
-    amortized = (
-        cold is not None and steady is not None and steady < cold
-    )
-    throughput = [
-        r["wall"]["decisions_per_sec"] for r in results
-        if r["wall"]["decisions_per_sec"] is not None
-    ]
     decisions = sum(r["decisions"] for r in results)
 
     print(f"  decisions={decisions} parity-with-one-shot={parity} "
-          f"within-budget={within_budget}")
-    if cold is not None and steady is not None:
-        print(f"  cold={cold * 1000:.1f}ms/decision "
-              f"steady={steady * 1000:.1f}ms/decision "
-              f"amortized={amortized} "
-              f"cache={driven['cache']['hits']}h/"
-              f"{driven['cache']['misses']}m")
+          f"within-budget={within_budget} amortized={amortized}")
 
     payload = bench_payload(
         "gateway",
-        wall_times={
-            "cold_decision_s": round(cold, 6) if cold else None,
-            "steady_decision_s": round(steady, 6) if steady else None,
-        },
         extra={
             "spec": spec.to_wire(),
             "sessions": ns.sessions,
             "decisions": decisions,
-            "decisions_per_sec": (
-                round(sum(throughput) / len(throughput), 3)
-                if throughput else None
-            ),
             "parity_with_one_shot": parity,
             "within_budget": within_budget,
             "amortized": amortized,
-            "setup_cache": driven["cache"],
             "budget_bits": reference["budget_bits"],
             "max_bits_per_party": reference["max_bits_per_party"],
             "per_party_bits": reference["per_party_bits"],
@@ -296,7 +258,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
     print(f"  wrote {path}")
     ok = parity and within_budget and amortized
     if not ok:
-        print("FAIL: bench acceptance (parity AND amortization) not met")
+        print("FAIL: bench acceptance (parity, budget AND amortization) not met")
     return 0 if ok else 1
 
 

@@ -168,7 +168,6 @@ def _serve(
     queue_s = max(0.0, started - admitted)
     result = None
     if last is not None and error is None:
-        busy = sum(walls)
         steady = walls[1:]
         result = dict(last)
         result.update(
@@ -184,9 +183,6 @@ def _serve(
                 "first_decision_s": round(walls[0], 6),
                 "steady_mean_s": (
                     round(sum(steady) / len(steady), 6) if steady else None
-                ),
-                "decisions_per_sec": (
-                    round(len(walls) / busy, 3) if busy > 0 else None
                 ),
             },
         )

@@ -9,7 +9,6 @@ leans on it.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
 import json
 from pathlib import Path
@@ -181,7 +180,7 @@ class TestCompletion:
     def test_on_message_error_surfaces_from_run_unwrapped(self):
         scheduler = AsyncScheduler([_PlainPinger(0), _Exploding(1)])
         with pytest.raises(LookupError, match="party 1 cannot parse"):
-            asyncio.run(scheduler.run())
+            scheduler.run()
         # The delivery that raised is the last row of the witness.
         assert scheduler.trace[-1][2] == 1
 

@@ -17,6 +17,7 @@ from repro.cluster.engine import ShardEngine
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
+from repro.obs.jsonl import load_jsonl
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.replay import (
@@ -25,7 +26,7 @@ from repro.runtime.replay import (
     tallies_equal,
 )
 from repro.runtime.synchronizer import run_parties
-from repro.runtime.trace import TraceRecorder, load_jsonl
+from repro.runtime.trace import TraceRecorder
 from repro.utils.randomness import Randomness
 from tests.net import test_simulator as contract
 from tests.placements import SHARD_ENGINE, drive_shard

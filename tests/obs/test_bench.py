@@ -1,5 +1,7 @@
 """BENCH_<name>.json records: schema, round-tripping, rendering."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.report import render_bench_record
@@ -22,7 +24,6 @@ def _payload():
         "unit_test",
         snapshot=metrics.snapshot(),
         phase_breakdown=metrics.phase_breakdown(),
-        wall_times={"run": 0.5},
         extra={"n": 2},
     )
 
@@ -56,4 +57,28 @@ class TestBenchRecords:
         text = render_bench_record(_payload())
         assert "unit_test" in text
         assert "prf-boost" in text
-        assert "run: 0.5000s" in text
+        assert "n: 2" in text
+        assert "wall" not in text
+
+    def test_load_refuses_a_version_1_record_by_name(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        path.write_text(
+            '{"schema": "repro-bench/1", "name": "x", "wall_times": {}}'
+        )
+        with pytest.raises(ValueError, match="repro-bench/1"):
+            load_bench_json(path)
+
+
+COMMITTED = sorted(
+    (Path(__file__).parents[2] / "benchmarks" / "results").glob("BENCH_*.json")
+)
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda path: path.name)
+def test_committed_record_loads_under_the_current_schema(path):
+    payload = load_bench_json(path)
+    assert payload["schema"] == SCHEMA
+    assert path.name == f"BENCH_{payload['name']}.json"
+    assert set(payload) == {
+        "schema", "name", "snapshot", "phase_breakdown", "extra"
+    }

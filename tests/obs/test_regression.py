@@ -1,9 +1,10 @@
-"""The bench regression gate: exact bit gating, warn-only wall clocks."""
+"""The bench regression gate: every field of a record compared exactly."""
 
 from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 from repro.obs.bench import bench_payload, write_bench_json
 from repro.obs.regression import (
@@ -31,7 +32,7 @@ def _payload(**overrides):
                 "messages": 12, "parties": 8,
             },
         },
-        wall_times={"run": 1.0},
+        extra={"cells": [{"n": 16, "rounds": 2}, {"n": 64, "rounds": 3}]},
     )
     base.update(overrides)
     return base
@@ -59,44 +60,59 @@ class TestDiffBench:
         fresh["snapshot"]["max_bits_per_party"] = 101
         assert not diff_bench(_payload(), fresh).ok
 
-    def test_wall_regression_is_warn_only(self):
+    def test_failure_names_the_json_path(self):
         fresh = _payload()
-        fresh["wall_times"]["run"] = 1.9  # 1.9x > 1.5x tolerance
+        fresh["snapshot"]["max_bits_per_party"] = 200
         diff = diff_bench(_payload(), fresh)
-        assert diff.ok
-        assert len(diff.warnings) == 1
-        assert "warn-only" in diff.warnings[0]
+        assert diff.hard_failures == [
+            "snapshot.max_bits_per_party: 100 != 200"
+        ]
 
-    def test_wall_within_tolerance_is_silent(self):
+    def test_tampered_extra_leaf_fails(self):
         fresh = _payload()
-        fresh["wall_times"]["run"] = 1.4
-        assert diff_bench(_payload(), fresh).warnings == []
+        fresh["extra"]["cells"][1]["rounds"] = 99
+        diff = diff_bench(_payload(), fresh)
+        assert diff.hard_failures == ["extra.cells[1].rounds: 3 != 99"]
 
-    def test_wall_tolerance_configurable(self):
+    def test_type_change_fails(self):
         fresh = _payload()
-        fresh["wall_times"]["run"] = 1.2
-        assert diff_bench(_payload(), fresh, wall_tolerance=0.1).warnings
+        fresh["extra"]["cells"][0]["n"] = 16.0
+        assert not diff_bench(_payload(), fresh).ok
 
-    def test_one_sided_snapshot_key_warns_not_fails(self):
+    def test_one_sided_snapshot_key_fails(self):
         fresh = _payload()
         del fresh["snapshot"]["max_locality"]
         diff = diff_bench(_payload(), fresh)
-        assert diff.ok
-        assert any("one side only" in w for w in diff.warnings)
+        assert diff.hard_failures == ["snapshot.max_locality: only in baseline"]
+        assert diff.warnings == []
 
-    def test_one_sided_phase_warns_not_fails(self):
+    def test_one_sided_phase_fails(self):
         fresh = _payload()
         fresh["phase_breakdown"]["new-phase"] = copy.deepcopy(
             fresh["phase_breakdown"]["srds-aggregate"]
         )
         diff = diff_bench(_payload(), fresh)
-        assert diff.ok
-        assert any("new-phase" in w for w in diff.warnings)
+        assert diff.hard_failures == [
+            "phase_breakdown.new-phase: only in fresh"
+        ]
 
-    def test_null_walls_carry_no_signal(self):
-        base = _payload()
-        base["wall_times"]["run"] = None
-        assert diff_bench(base, _payload()).warnings == []
+    def test_list_length_change_fails(self):
+        fresh = _payload()
+        fresh["extra"]["cells"].append({"n": 256, "rounds": 3})
+        diff = diff_bench(_payload(), fresh)
+        assert diff.hard_failures == ["extra.cells: length 2 != 3"]
+
+    def test_null_against_a_value_fails(self):
+        fresh = _payload()
+        fresh["snapshot"] = None
+        assert not diff_bench(_payload(), fresh).ok
+
+    def test_key_that_is_not_a_word_is_quoted(self):
+        base = _payload(extra={"specs": {"a b=1": 1}})
+        fresh = _payload(extra={"specs": {"a b=1": 2}})
+        assert diff_bench(base, fresh).hard_failures == [
+            'extra.specs["a b=1"]: 1 != 2'
+        ]
 
 
 class TestDirs:
@@ -123,13 +139,23 @@ class TestDirs:
         b = write_bench_json(tmp_path / "f", fresh)
         assert not diff_files(a, b).ok
 
+    def test_a_stale_record_fails_by_schema_name(self, tmp_path):
+        a = self._write(tmp_path, _payload())
+        stale = _payload()
+        stale["schema"] = "repro-bench/1"
+        b = tmp_path / "stale" / "BENCH_unit.json"
+        b.parent.mkdir()
+        b.write_text(json.dumps(stale))
+        diff = diff_files(a, b)
+        assert not diff.ok
+        assert "repro-bench/1" in diff.hard_failures[0]
+
 
 class TestRendering:
     def test_render_and_json(self):
         results = [
             BenchDiff(name="ok_one"),
-            BenchDiff(name="bad", hard_failures=["snapshot.x: 1 != 2"],
-                      warnings=["wall y"]),
+            BenchDiff(name="bad", hard_failures=["snapshot.x: 1 != 2"]),
         ]
         text = render_diffs(results)
         assert "ok_one: ok" in text
@@ -170,3 +196,43 @@ class TestCli:
         assert main(
             ["obs", "diff", str(tmp_path), str(tmp_path / "nope")]
         ) == 2
+
+
+RESULTS = Path(__file__).parents[2] / "benchmarks" / "results"
+
+
+class TestCommittedRecords:
+    """A tampered copy of a committed record fails the gate by path."""
+
+    def test_tampered_aba_record_fails(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        baseline = RESULTS / "BENCH_aba.json"
+        record = json.loads(baseline.read_text())
+        row = record["extra"]["comparison"][0]
+        doubled = 2 * row["aba_max_bits_per_party"]
+        row["aba_max_bits_per_party"] = doubled
+        record["extra"]["aba_cells"][0]["rounds"] = 99
+        fresh = write_bench_json(tmp_path, record)
+        assert main(["obs", "diff", str(baseline), str(fresh)]) == 1
+        out = capsys.readouterr().out
+        assert "aba: FAIL" in out
+        assert (
+            f"extra.comparison[0].aba_max_bits_per_party: "
+            f"{doubled // 2} != {doubled}"
+        ) in out
+        assert "extra.aba_cells[0].rounds:" in out and "!= 99" in out
+
+    def test_tampered_gateway_record_fails(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        baseline = RESULTS / "BENCH_gateway.json"
+        record = json.loads(baseline.read_text())
+        bits = record["extra"]["per_party_bits"]
+        bits["0"], bits["1"] = bits["1"], bits["0"]
+        fresh = write_bench_json(tmp_path, record)
+        assert main(["obs", "diff", str(baseline), str(fresh)]) == 1
+        out = capsys.readouterr().out
+        assert "gateway: FAIL" in out
+        assert "extra.per_party_bits.0:" in out
+        assert "extra.per_party_bits.1:" in out

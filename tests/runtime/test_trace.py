@@ -4,12 +4,10 @@ import json
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.obs.jsonl import load_jsonl
 from repro.runtime.trace import (
     RESERVED_KEYS,
-    JsonlTraceWriter,
     TraceRecorder,
-    load_jsonl,
     summarize,
     wall_clock_recorder,
 )
@@ -122,101 +120,3 @@ class TestReservedKeys:
         trace.record(0, "send", 0, peer=1, bits=8, queue_depth=3)
         (event,) = trace.events_of(0)
         assert event["peer"] == 1 and event["queue_depth"] == 3
-
-
-class TestJsonlTraceWriter:
-    def _record_sample(self, trace):
-        trace.record(0, "round-barrier", 0, queue_depth=2)
-        trace.record(0, "send", 0, peer=1, bits=16)
-        trace.record(1, "recv", 1, peer=0, bits=16)
-        trace.record(1, "halt", 1, output="1")
-
-    def test_byte_identical_to_in_memory_recorder(self, tmp_path):
-        memory = TraceRecorder()
-        self._record_sample(memory)
-        with JsonlTraceWriter(tmp_path / "stream") as stream:
-            self._record_sample(stream)
-            assert stream.party_ids == memory.party_ids
-            for party in memory.party_ids:
-                assert stream.dumps(party) == memory.dumps(party)
-            assert stream.fingerprint() == memory.fingerprint()
-        # On-disk files equal the in-memory recorder's dump_dir output.
-        memory_paths = memory.dump_dir(tmp_path / "memory")
-        for memory_path in memory_paths:
-            stream_path = tmp_path / "stream" / memory_path.name
-            assert stream_path.read_bytes() == memory_path.read_bytes()
-
-    def test_streaming_counters(self, tmp_path):
-        with JsonlTraceWriter(tmp_path) as stream:
-            self._record_sample(stream)
-            assert stream.count() == 4
-            assert stream.count("send") == 1
-            assert stream.max_queue_depth() == 2
-
-    def test_events_written_through_immediately(self, tmp_path):
-        stream = JsonlTraceWriter(tmp_path)
-        stream.record(0, "send", 0, peer=1, bits=8)
-        stream.flush()
-        # Readable from disk before close.
-        assert load_jsonl(tmp_path / "party-0.jsonl")[0]["kind"] == "send"
-        stream.close()
-
-    def test_truncated_last_line_names_file_and_line(self, tmp_path):
-        # What a SIGKILLed writer leaves behind: a line cut mid-object.
-        stream = JsonlTraceWriter(tmp_path)
-        self._record_sample(stream)
-        stream.close()
-        path = tmp_path / "party-0.jsonl"
-        whole = path.read_text()
-        path.write_text(whole[: whole.rindex("{") + 9])
-        lines = whole.count("\n")
-        with pytest.raises(
-            ConfigurationError, match=rf"party-0\.jsonl:{lines}: "
-        ):
-            load_jsonl(path)
-
-    def test_read_back_after_close(self, tmp_path):
-        stream = JsonlTraceWriter(tmp_path)
-        self._record_sample(stream)
-        stream.close()
-        assert stream.events_of(1)[-1]["kind"] == "halt"
-        assert stream.fingerprint()
-
-    def test_record_after_close_raises(self, tmp_path):
-        stream = JsonlTraceWriter(tmp_path)
-        stream.close()
-        with pytest.raises(ValueError):
-            stream.record(0, "send", 0)
-
-    def test_reserved_keys_enforced_by_subclass_too(self, tmp_path):
-        with JsonlTraceWriter(tmp_path) as stream:
-            with pytest.raises(ValueError, match="reserved"):
-                stream.record(0, "send", 0, seq=7)
-
-    def test_dump_dir_copies_elsewhere(self, tmp_path):
-        with JsonlTraceWriter(tmp_path / "a") as stream:
-            self._record_sample(stream)
-            paths = stream.dump_dir(tmp_path / "b")
-        assert [p.parent.name for p in paths] == ["b", "b"]
-        assert (tmp_path / "b" / "party-0.jsonl").read_bytes() == (
-            tmp_path / "a" / "party-0.jsonl"
-        ).read_bytes()
-
-    def test_same_seed_runtime_streams_identically(self, tmp_path):
-        # The write-through path must not change what an execution records.
-        from repro.protocols.phase_king import PhaseKingParty
-
-        from repro.runtime.synchronizer import run_parties
-
-        def parties():
-            members = list(range(4))
-            return [
-                PhaseKingParty(i, members, 1, {0: 1, 1: 0, 2: 1, 3: 1}[i])
-                for i in members
-            ]
-
-        memory = TraceRecorder()
-        run_parties(parties(), trace=memory)
-        with JsonlTraceWriter(tmp_path) as stream:
-            run_parties(parties(), trace=stream)
-            assert stream.fingerprint() == memory.fingerprint()

@@ -1,4 +1,4 @@
-"""TcpTransport resilience: seeded reconnect backoff, clean failed starts."""
+"""TcpTransport failures: a torn connection is loud, a failed start is clean."""
 
 from __future__ import annotations
 
@@ -9,50 +9,18 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.party import SilentParty
-from repro.obs.registry import MetricsRegistry
 from repro.runtime.synchronizer import run_parties_async
-from repro.runtime.transport import (
-    Frame,
-    TcpTransport,
-    backoff_schedule,
-)
-from repro.utils.randomness import Randomness
+from repro.runtime.transport import Frame, TcpTransport
 
 
 def _run(coro):
     return asyncio.run(coro)
 
 
-class TestBackoffSchedule:
-    def test_deterministic_under_seed(self):
-        a = backoff_schedule(6, 0.05, 0.8, Randomness(7))
-        b = backoff_schedule(6, 0.05, 0.8, Randomness(7))
-        assert a == b
-        assert backoff_schedule(6, 0.05, 0.8, Randomness(8)) != a
-
-    def test_bounded_exponential_with_jitter(self):
-        delays = backoff_schedule(8, 0.05, 0.4, Randomness(3))
-        assert len(delays) == 8
-        for attempt, delay in enumerate(delays):
-            nominal = min(0.4, 0.05 * (2 ** attempt))
-            assert 0.5 * nominal <= delay < 1.5 * nominal + 1e-9
-        # The cap bites: late delays never exceed 1.5 * cap.
-        assert all(d < 1.5 * 0.4 + 1e-9 for d in delays[4:])
-
-    def test_empty_and_invalid(self):
-        assert backoff_schedule(0, 0.1, 1.0, Randomness(0)) == []
-        with pytest.raises(NetworkError):
-            backoff_schedule(3, -0.1, 1.0, Randomness(0))
-
-
-class TestReconnect:
-    def test_send_survives_torn_endpoint_connection(self):
+class TestTornConnection:
+    def test_torn_endpoint_write_raises_naming_the_party(self):
         async def scenario():
-            transport = TcpTransport(
-                [0, 1], reconnect_base=0.01, reconnect_cap=0.05
-            )
-            registry = MetricsRegistry()
-            transport.bind_registry(registry)
+            transport = TcpTransport([0, 1])
             await transport.start()
             try:
                 await transport.send(0, Frame(0, 1, b"before"))
@@ -67,35 +35,25 @@ class TestReconnect:
                 except OSError:
                     pass
 
-                await transport.send(0, Frame(0, 1, b"after"))
-                await transport.flush()
-                assert [f.payload for f in transport.collect(1)] == [b"after"]
-                assert transport.reconnects == 1
-                assert (
-                    "repro_transport_reconnects_total 1" in registry.render()
-                )
+                with pytest.raises(NetworkError, match="party 0"):
+                    await transport.send(0, Frame(0, 1, b"after"))
             finally:
                 await transport.stop()
 
         _run(scenario())
 
-    def test_dead_router_exhausts_schedule_loudly(self):
+    def test_dead_router_fails_the_round_loudly(self):
         async def scenario():
-            transport = TcpTransport(
-                [0, 1],
-                reconnect_attempts=2,
-                reconnect_base=0.01,
-                reconnect_cap=0.02,
-            )
+            transport = TcpTransport([0, 1])
             await transport.start()
-            # Kill the router outright: reconnects cannot succeed.
+            # Kill the router outright: nothing can reach party 1.
             server = transport._server
             assert server is not None
             server.close()
             await server.wait_closed()
             for endpoint in transport._endpoints.values():
                 endpoint.writer.close()
-            with pytest.raises(NetworkError, match="reconnect attempts"):
+            with pytest.raises(NetworkError, match="party 0"):
                 for _ in range(8):  # first writes may land in OS buffers
                     await transport.send(0, Frame(0, 1, b"x"))
                     await asyncio.sleep(0.02)

@@ -92,7 +92,6 @@ class TestObsCommand:
                     "phase": "prf-boost", "total_bits": 128,
                     "max_bits_per_party": 64, "parties": 2, "messages": 1,
                 }},
-                wall_times={"run": 0.25},
             ),
         )
         assert main(["obs", "report", str(path)]) == 0
