@@ -56,7 +56,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.net.latency import FixedLatency, LatencyModel
@@ -73,8 +73,7 @@ POLICIES = ("latency", "adversarial")
 DEFAULT_PHASE = "async-wire"
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """One in-flight message awaiting the scheduler's pleasure."""
 
     seq: int
@@ -201,7 +200,7 @@ class AsyncScheduler:
                 continue  # partition: the link is down; nothing charged
             self.metrics.record_message(
                 sender, envelope.recipient, envelope.size_bits(),
-                phase=getattr(envelope, "phase", "")
+                phase=envelope.phase
                 or current_phase()
                 or DEFAULT_PHASE,
                 kind="async",

@@ -7,52 +7,49 @@ at the start of the next round.  Honest protocol logic subclasses
 (the simulator treats both identically — corruption is a property of the
 object, not of the transport).
 
-:class:`Frame` is the envelope once it is in flight: what
-:class:`repro.net.rounds.RoundCore` stamps at emit time (true sender,
-sequence number, delivery round, charged bits, obs phase) and what every
-placement — in-memory list, runtime transport, cluster mesh — carries to
-the next round barrier.  Its one wire encoding is the train body of
-:mod:`repro.net.trains`.
+:class:`Envelope` is what a party returns; :class:`Frame` is a separate
+record, not an :class:`Envelope` subclass: what
+:class:`repro.net.rounds.RoundCore` builds from an envelope at emit time
+(true sender, sequence number, delivery round, charged bits, obs phase),
+what every placement — in-memory list, runtime transport, cluster mesh —
+carries to the next round barrier, and what the recipient is handed.
+Its one wire encoding is the train body of :mod:`repro.net.trains`.
+Both are :class:`~typing.NamedTuple` records: immutable, hashable, one
+allocation per message and no instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """One point-to-point message on the simulated wire."""
+class Envelope(NamedTuple):
+    """One point-to-point message on the simulated wire.
+
+    ``phase`` is the obs phase that produced it, when the producer knows
+    better than the span open at ship time: event-driven protocols emit
+    outside any round loop and replayed executions carry their recorded
+    label, so the phase must travel with the message.  ``charge_bits``
+    is what the metrics ledger is charged; ``-1`` means
+    ``8 * len(payload)``, and replayed executions carry exact analytic
+    counts that need not be byte multiples.
+    """
 
     sender: int
     recipient: int
     payload: bytes
+    phase: str = ""
+    charge_bits: int = -1
 
     def size_bits(self) -> int:
         """Size charged by the metrics ledger."""
-        return 8 * len(self.payload)
+        return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
 
 
-@dataclass(frozen=True)
-class PhasedEnvelope(Envelope):
-    """An envelope stamped with the obs phase that produced it.
-
-    The delivery layers (:class:`repro.net.rounds.RoundCore`, the
-    asynchronous scheduler) read ``phase`` via ``getattr`` and prefer it
-    over the span active at ship time — event-driven protocols produce
-    envelopes outside any round loop, so the phase must travel with the
-    message.
-    """
-
-    phase: str = ""
-
-
-@dataclass(frozen=True)
-class Frame(Envelope):
+class Frame(NamedTuple):
     """One message in flight between two round barriers — and, once
-    delivered, the envelope its recipient is handed.
+    delivered, the message its recipient is handed.
 
     ``sent_round`` is the round the sender emitted it in; ``deliver_round``
     is the earliest round barrier at which the round core hands it to
@@ -70,6 +67,9 @@ class Frame(Envelope):
     declared.
     """
 
+    sender: int
+    recipient: int
+    payload: bytes
     sent_round: int = 0
     deliver_round: int = 1
     charge_bits: int = -1
@@ -80,7 +80,9 @@ class Frame(Envelope):
         """Bits charged to the ledger for this frame."""
         return self.charge_bits if self.charge_bits >= 0 else 8 * len(self.payload)
 
-    size_bits = bits
+    def size_bits(self) -> int:
+        """:meth:`Envelope.size_bits`, for parties reading their inbox."""
+        return self.bits()
 
 
 class Party(abc.ABC):
@@ -98,12 +100,12 @@ class Party(abc.ABC):
         self.output: Optional[Any] = None
 
     @abc.abstractmethod
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         """Process this round's inbox and return outgoing envelopes."""
 
     def send(self, recipient: int, payload: bytes) -> Envelope:
         """Convenience constructor for an outgoing envelope."""
-        return Envelope(sender=self.party_id, recipient=recipient, payload=payload)
+        return Envelope(self.party_id, recipient, payload)
 
     def halt(self, output: Any = None) -> List[Envelope]:
         """Mark this party finished with the given output; returns []."""
@@ -115,7 +117,7 @@ class Party(abc.ABC):
 class SilentParty(Party):
     """A party that never sends anything (models a crashed/isolated node)."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         return []
 
 
@@ -160,9 +162,4 @@ class AsyncParty(abc.ABC):
         self, recipient: int, payload: bytes, phase: str = ""
     ) -> Envelope:
         """Convenience constructor for an outgoing (phase-tagged) envelope."""
-        return PhasedEnvelope(
-            sender=self.party_id,
-            recipient=recipient,
-            payload=payload,
-            phase=phase,
-        )
+        return Envelope(self.party_id, recipient, payload, phase)

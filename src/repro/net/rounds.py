@@ -7,11 +7,13 @@ sender, so a Byzantine party can lie in its *payload* but cannot spoof
 who it is.
 
 :class:`RoundCore` is the only place in ``src/`` that orders an inbox,
-calls :meth:`Party.step <repro.net.party.Party.step>`, turns an
-:class:`~repro.net.party.Envelope` into a :class:`~repro.net.party.Frame`,
-enforces a message budget, consults the delivery policy and emits trace
-events.  The executors are *placements* of it and own only where frames
-wait between two barriers:
+calls :meth:`Party.step <repro.net.party.Party.step>`, builds one
+:class:`~repro.net.party.Frame` from each
+:class:`~repro.net.party.Envelope` a party returns (two separate named
+tuples: a frame is not an envelope, and the recipient is handed the
+frame itself), enforces a message budget, consults the delivery policy
+and emits trace events.  The executors are *placements* of it and own
+only where frames wait between two barriers:
 
 * :class:`~repro.net.simulator.SynchronousNetwork` — an in-memory list;
 * :class:`~repro.runtime.synchronizer.RoundSynchronizer` — an asyncio
@@ -269,7 +271,7 @@ class RoundCore:
             seq=seq,
             # Flow attribution: replayed and event-driven envelopes carry
             # their phase; live ones get the span open right now.
-            phase=getattr(envelope, "phase", "") or span_phase,
+            phase=envelope.phase or span_phase,
         )
 
     def _trace(self, party_id: int, kind: str, round_index: int, **fields) -> None:

@@ -40,7 +40,7 @@ from repro.crypto.hashing import hash_domain
 from repro.crypto.shamir import Share
 from repro.errors import MALFORMED_INPUT_ERRORS, ConfigurationError
 from repro.fields.prime_field import FieldElement, default_field
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import (
     canonical_tuple,
@@ -98,7 +98,7 @@ class CoinTossParty(Party):
 
     # -- round machine ---------------------------------------------------------
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0:
             return self._deal()
         if round_index == 1:
@@ -131,7 +131,7 @@ class CoinTossParty(Party):
             outgoing.append(self.send(peer, commitment_payload))
         return outgoing
 
-    def _collect_deals(self, inbox: Sequence[Envelope]) -> None:
+    def _collect_deals(self, inbox: Sequence[Frame]) -> None:
         for envelope in inbox:
             try:
                 tag, pos = decode_uint(envelope.payload, 0)
@@ -183,7 +183,7 @@ class CoinTossParty(Party):
         )
         return [self.send(peer, payload) for peer in self.members]
 
-    def _collect_complaints(self, inbox: Sequence[Envelope]) -> None:
+    def _collect_complaints(self, inbox: Sequence[Frame]) -> None:
         for envelope in inbox:
             try:
                 tag, pos = decode_uint(envelope.payload, 0)
@@ -224,7 +224,7 @@ class CoinTossParty(Party):
                 outgoing.append(self.send(peer, payload))
         return outgoing
 
-    def _collect_reveals(self, inbox: Sequence[Envelope]) -> None:
+    def _collect_reveals(self, inbox: Sequence[Frame]) -> None:
         seen: Set[Tuple[int, int]] = set()
         for envelope in inbox:
             try:
@@ -277,7 +277,7 @@ class SilentCoinTossParty(Party):
     def __init__(self, party_id: int) -> None:
         super().__init__(party_id)
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         return []
 
 

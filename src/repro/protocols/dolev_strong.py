@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto import schnorr
 from repro.errors import MALFORMED_INPUT_ERRORS, ConfigurationError
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import (
     canonical_tuple,
@@ -128,7 +128,7 @@ class DolevStrongParty(Party):
         self.extracted: Set[int] = set()
         self._pending_forward: List[SignatureChain] = []
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         outgoing: List[Envelope] = []
         if round_index == 0:
             if self.party_id == self.sender:
@@ -180,7 +180,7 @@ class DolevStrongParty(Party):
 class EquivocatingSender(DolevStrongParty):
     """A corrupt sender that signs different values for different peers."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0 and self.party_id == self.sender:
             outgoing = []
             for position, peer in enumerate(self.members):

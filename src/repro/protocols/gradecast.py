@@ -31,7 +31,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
-from repro.net.party import Envelope, Party, SilentParty
+from repro.net.party import Envelope, Frame, Party, SilentParty
 from repro.obs.spans import span
 from repro.utils.serialization import decode_uint, encode_uint
 
@@ -78,7 +78,7 @@ class GradecastParty(Party):
         self._supports: Counter = Counter()
         self._support_senders: set = set()
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         for envelope in inbox:
             decoded = _decode(envelope.payload)
             if decoded is None:
@@ -136,7 +136,7 @@ class GradecastParty(Party):
 class EquivocatingGradecastSender(GradecastParty):
     """A corrupt sender splitting the committee between two values."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0 and self.party_id == self.sender:
             return [
                 self.send(peer, _encode(_VALUE, position % 2))

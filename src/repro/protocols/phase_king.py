@@ -29,7 +29,7 @@ from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 from repro.obs.spans import span
 from repro.utils.serialization import encode_uint
 
@@ -82,7 +82,7 @@ class PhaseKingParty(Party):
 
     # Round layout: phase k (0-based) occupies rounds 3k, 3k+1, 3k+2.
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         phase, subround = divmod(round_index, 3)
         if phase > self.f:
             return self.halt(self.value)
@@ -111,7 +111,7 @@ class PhaseKingParty(Party):
             return self._send_all(_KING_TAG, self.value)
         return []
 
-    def _post_king(self, inbox: Sequence[Envelope], phase: int) -> None:
+    def _post_king(self, inbox: Sequence[Frame], phase: int) -> None:
         king = self.members[phase % len(self.members)]
         king_value = None
         for envelope in inbox:
@@ -127,7 +127,7 @@ class PhaseKingParty(Party):
         payload = _encode(tag, value)
         return [self.send(peer, payload) for peer in self.members]
 
-    def _tally(self, inbox: Sequence[Envelope], wanted_tag: int) -> Counter:
+    def _tally(self, inbox: Sequence[Frame], wanted_tag: int) -> Counter:
         counts: Counter = Counter()
         seen_senders = set()
         for envelope in inbox:
@@ -152,7 +152,7 @@ class _PhaseKingPartyWrapped(PhaseKingParty):
     sending their next value.
     """
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         phase, subround = divmod(round_index, 3)
         if subround == 0 and phase > 0:
             self._post_king(inbox, phase - 1)
@@ -178,7 +178,7 @@ class ByzantinePhaseKingParty(Party):
         super().__init__(party_id)
         self.members = list(members)
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         phase, subround = divmod(round_index, 3)
         outgoing: List[Envelope] = []
         if subround == 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 from repro.utils.serialization import decode_uint, encode_uint
 
 _SEND, _ECHO, _READY = 0, 1, 2
@@ -71,7 +71,7 @@ class BrachaParty(Party):
         self._readies: Dict[int, Set[int]] = {}
         self._accepted_send: Optional[int] = None
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         outgoing: List[Envelope] = []
         if round_index == 0 and self.party_id == self.sender:
             value = self.sender_value if self.sender_value is not None else 0
@@ -127,7 +127,7 @@ class BrachaParty(Party):
 class EquivocatingBrachaSender(BrachaParty):
     """A corrupt sender sending different values to each half."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0 and self.party_id == self.sender:
             outgoing = []
             for position, peer in enumerate(self.members):

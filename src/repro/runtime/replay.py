@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 
 
 #: One recorded wire send: ``(recipient, bits, phase)``.
@@ -198,25 +198,6 @@ class RecordingLedger(CommunicationMetrics):
         return ReplayScript(segments=segments)
 
 
-@dataclass(frozen=True)
-class SizedEnvelope(Envelope):
-    """An envelope charged at an exact recorded bit count.
-
-    The payload is zero-filled filler of ``ceil(bits / 8)`` bytes; the
-    ledger charge is the recorded ``bits`` (which for π_ba's wire
-    messages is always a byte multiple, so filler and charge agree).
-    ``phase`` carries the label recorded at charge time so attribution
-    survives the replay (the round core reads it with ``getattr``; plain
-    envelopes simply have none).
-    """
-
-    bits: int = 0
-    phase: str = ""
-
-    def size_bits(self) -> int:
-        return self.bits
-
-
 class ReplayParty(Party):
     """Replays one party's recorded send schedule, round by round."""
 
@@ -233,20 +214,17 @@ class ReplayParty(Party):
         self._total_rounds = total_rounds
         self.received_bits = 0
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
-        self.received_bits += sum(e.size_bits() for e in inbox)
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
+        self.received_bits += sum(frame.bits() for frame in inbox)
         if round_index >= self._total_rounds:
             return self.halt(self.received_bits)
         if round_index >= len(self._sends):
             return []
+        # Zero-filled filler of ceil(bits / 8) bytes, charged at the
+        # recorded count (for π_ba's wire messages a byte multiple, so
+        # filler and charge agree) under the recorded phase.
         return [
-            SizedEnvelope(
-                sender=self.party_id,
-                recipient=recipient,
-                payload=bytes((bits + 7) // 8),
-                bits=bits,
-                phase=phase,
-            )
+            Envelope(self.party_id, recipient, bytes((bits + 7) // 8), phase, bits)
             for recipient, bits, phase in self._sends[round_index]
         ]
 

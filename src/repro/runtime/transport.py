@@ -30,7 +30,7 @@ from __future__ import annotations
 import abc
 import asyncio
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, SerializationError
@@ -126,7 +126,7 @@ class Transport(abc.ABC):
     async def send(self, true_sender: int, frame: Frame) -> None:
         """Ship one frame under ``true_sender``: :meth:`ship`'s one-frame case."""
         if frame.sender != true_sender:
-            frame = replace(frame, sender=true_sender)
+            frame = frame._replace(sender=true_sender)
         await self.ship([frame])
 
     async def flush(self) -> None:
@@ -450,7 +450,7 @@ def _open_train(party_id: int, sender: int, body: bytes) -> List[Frame]:
                 f"train for {party_id} carries a frame for {frame.recipient}"
             )
         if frame.sender != sender:
-            frames[index] = replace(frame, sender=sender)
+            frames[index] = frame._replace(sender=sender)
     return frames
 
 

@@ -22,13 +22,12 @@ from typing import List, Sequence
 import pytest
 
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Envelope, Party, SilentParty
+from repro.net.party import Envelope, Frame, Party, SilentParty
 from repro.net.simulator import SynchronousNetwork
 from repro.obs.flow import FlowLedger
 from repro.runtime.faults import FaultPlan, LinkDelay
 from repro.runtime.placements import IN_PROCESS
 from repro.runtime.replay import (
-    SizedEnvelope,
     apply_func_ops,
     build_replay_parties,
     tallies_equal,
@@ -47,7 +46,7 @@ class EchoParty(Party):
         self.peer = peer
         self.received: List[bytes] = []
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         self.received.extend(envelope.payload for envelope in inbox)
         if round_index == 0:
             return [self.send(self.peer, b"ping-%d" % self.party_id)]
@@ -66,7 +65,7 @@ class SpoofingParty(Party):
         super().__init__(party_id)
         self.envelope = envelope
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0:
             return [self.envelope]
         return self.halt()
@@ -82,7 +81,7 @@ class RecordingParty(Party):
         self.senders: List[int] = []
         self.inboxes: List[List[bytes]] = []
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         self.senders.extend(envelope.sender for envelope in inbox)
         self.inboxes.append([envelope.payload for envelope in inbox])
         if round_index >= self.last_round:
@@ -94,7 +93,7 @@ class SizeRecorder(Party):
     """Halts in round 1 with ``(sender, recipient, size_bits, payload)``
     of every envelope delivered then."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0:
             return []
         return self.halt([
@@ -112,7 +111,7 @@ class Pinger(Party):
         self.peer = peer
         self.count = count
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index == 0:
             return [self.send(self.peer, b"x") for _ in range(self.count)]
         return self.halt()
@@ -121,7 +120,7 @@ class Pinger(Party):
 class Chatty(Party):
     """Sends five messages to party 1 every round, forever."""
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         return [self.send(1, b"x") for _ in range(5)]
 
 
@@ -169,8 +168,8 @@ class TestAuthentication:
         # 16 of its two filler bytes), on every placement.
         spoofer = SpoofingParty(
             0,
-            SizedEnvelope(
-                sender=999, recipient=1, payload=b"\x00\x00", bits=11,
+            Envelope(
+                sender=999, recipient=1, payload=b"\x00\x00", charge_bits=11,
             ),
         )
         result = self.placement.run(
@@ -184,9 +183,9 @@ class TestAuthentication:
         # recorded phase ride the frame on every placement.
         spoofer = SpoofingParty(
             0,
-            SizedEnvelope(
+            Envelope(
                 sender=999, recipient=1, payload=b"\x00\x00",
-                bits=11, phase="declared",
+                charge_bits=11, phase="declared",
             ),
         )
         metrics = CommunicationMetrics()

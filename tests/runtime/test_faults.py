@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.adversary import prefix_corruption
 from repro.net.latency import RandomDelayLatency
-from repro.net.party import Envelope, Party
+from repro.net.party import Envelope, Frame, Party
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime import (
     LOCAL,
@@ -33,7 +33,7 @@ class Recorder(Party):
         self.log: List[tuple] = []
         self.halt_round = halt_round
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         for envelope in inbox:
             self.log.append((round_index, envelope.sender, envelope.payload))
         if round_index >= self.halt_round:
@@ -49,7 +49,7 @@ class Beacon(Party):
         self.peers = [p for p in peers if p != party_id]
         self.halt_round = halt_round
 
-    def step(self, round_index: int, inbox: Sequence[Envelope]) -> List[Envelope]:
+    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         if round_index >= self.halt_round:
             return self.halt()
         return [
