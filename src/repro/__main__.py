@@ -37,7 +37,7 @@ COMMANDS: Dict[str, Tuple[str, str, str]] = {
             "[--adaptive NAME] [--bench DIR] — MMR14 binary agreement "
             "under asynchronous delivery; --bench records BENCH_aba.json"),
     "obs": ("repro.obs.cli", "cmd_obs",
-            "{report,timeline,top,flows,diff,profile,merge} — phase "
+            "{report,timeline,top,flows,diff,profile} — phase "
             "attribution, flow reports, Perfetto timelines, profiles, "
             "the bench regression gate"),
     "cluster": ("repro.cluster.cli", "cmd_cluster",

@@ -6,14 +6,14 @@ Subcommands::
                 [--scheme {snark,owf}] [--seed S] [--run-dir DIR]
                 [--checkpoint-interval I] [--kill ROUND:WORKER ...]
                 [--metrics-out FILE] [--flow-out FILE] [--flow-cells N]
-                [--spans-dir DIR] [--timeline-out FILE]
+                [--trace-dir DIR]
         Execute a workload sharded across K worker processes; print the
         agreement/parity summary and the run directory (checkpoints,
         worker logs, supervisor state).  ``--flow-out`` enables the
         wire-level flow ledger and writes its ``repro-flow/1`` report
-        (exit 1 on a metrics-parity failure); ``--spans-dir`` /
-        ``--timeline-out`` export the cross-process span tracks and the
-        merged Perfetto timeline.
+        (exit 1 on a metrics-parity failure); ``--trace-dir`` traces the
+        run and dumps its per-party trace, which ``obs timeline`` turns
+        into one Perfetto view of every party across the workers.
 
     cluster resume --run-dir DIR [same workload flags as run]
         Pick a crashed or interrupted run back up from its last durable
@@ -92,15 +92,6 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
         "--flow-cells", type=int, default=0,
         help="flow-ledger cell capacity (0 = default when enabled)",
     )
-    parser.add_argument(
-        "--spans-dir", type=Path, default=None,
-        help="dump supervisor + worker span tracks here (feed it to "
-             "'python -m repro obs merge' for the merged timeline)",
-    )
-    parser.add_argument(
-        "--timeline-out", type=Path, default=None,
-        help="write the merged supervisor+worker Perfetto timeline here",
-    )
 
 
 def _dump_traces(result, trace_dir: Optional[Path]) -> None:
@@ -114,14 +105,9 @@ def _dump_traces(result, trace_dir: Optional[Path]) -> None:
 
 def _dump_observability(args: argparse.Namespace, result, flow,
                         registry) -> int:
-    """Write the run's flow / metrics / span artifacts; 0 unless the
-    flow ledger failed bit-exact parity with the metrics ledger."""
+    """Write the run's flow / metrics artifacts; 0 unless the flow
+    ledger failed bit-exact parity with the metrics ledger."""
     from repro.obs.flush import finish_artifacts
-    from repro.obs.merge import (
-        cluster_tracks,
-        dump_span_dir,
-        export_merged_trace,
-    )
 
     status = 0
     payload = finish_artifacts(
@@ -134,7 +120,6 @@ def _dump_observability(args: argparse.Namespace, result, flow,
             "seed": args.seed,
             "workers": args.workers,
             "rounds": result.rounds,
-            "trace_id": result.trace_id,
         },
     )
     if payload is not None:
@@ -147,16 +132,6 @@ def _dump_observability(args: argparse.Namespace, result, flow,
         )
     if args.metrics_out is not None and registry is not None:
         print(f"metrics: {args.metrics_out}")
-    if args.spans_dir is not None or args.timeline_out is not None:
-        tracks = cluster_tracks(result)
-        if args.spans_dir is not None:
-            dump_span_dir(args.spans_dir, result.trace_id, tracks)
-            print(f"spans: {args.spans_dir}")
-        if args.timeline_out is not None:
-            export_merged_trace(
-                args.timeline_out, tracks, result.trace_id
-            )
-            print(f"timeline: {args.timeline_out}")
     return status
 
 

@@ -78,7 +78,6 @@ from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanLog, SpanRecord, span_from_wire, span_to_wire
 from repro.runtime.synchronizer import RuntimeResult
 from repro.runtime.trace import TraceRecorder
 
@@ -132,9 +131,6 @@ class ClusterConfig:
     #: metrics ledger (every charged frame becomes a traffic-matrix cell;
     #: control messages are metered under ``ctl:*`` kinds).
     flow: Optional[FlowLedger] = None
-    #: Cross-process trace id stamped on every job and echoed by every
-    #: done; empty string derives a deterministic one from the job.
-    trace_id: str = ""
 
 
 @dataclass
@@ -147,11 +143,6 @@ class ClusterResult(RuntimeResult):
     restarts: int
     num_workers: int
     run_dir: Path
-    #: Cross-process observability: the run's trace id, the
-    #: supervisor's own round spans, and each worker's shipped digests.
-    trace_id: str = ""
-    supervisor_spans: List[SpanRecord] = field(default_factory=list)
-    worker_spans: Dict[int, List[SpanRecord]] = field(default_factory=dict)
 
 
 @dataclass
@@ -200,15 +191,6 @@ class ClusterSupervisor:
         self.run_dir: Optional[Path] = (
             Path(run_dir) if run_dir is not None else None
         )
-        # Cross-process observability.  The trace id is deterministic
-        # (derived from the job, never a clock): it stamps
-        # every job message and is echoed by every done, correlating
-        # supervisor, worker, and timeline artifacts of one run.
-        self.trace_id = self.config.trace_id or (
-            f"{job.name}-n{job.n}-w{self.config.num_workers}"
-        )
-        self.span_log = SpanLog()
-        self.worker_spans: Dict[int, List[SpanRecord]] = {}
         # Mutable run state (restored in run() when resuming).  The
         # caller's ledger / recorder, when given, are what a fresh run
         # charges and merges into.
@@ -297,12 +279,6 @@ class ClusterSupervisor:
                 restarts=self.restarts,
                 num_workers=self.config.num_workers,
                 run_dir=self.run_dir,
-                trace_id=self.trace_id,
-                supervisor_spans=list(self.span_log.records),
-                worker_spans={
-                    w: list(records)
-                    for w, records in sorted(self.worker_spans.items())
-                },
             )
         finally:
             self._teardown()
@@ -364,7 +340,6 @@ class ClusterSupervisor:
                     "resume_round": resume_round,
                     "checkpoint_dir": str(self.run_dir),
                     "checkpoint_stem": f"shard-{w}",
-                    "trace_id": self.trace_id,
                     "shards": self.shards,
                     "targets": [
                         p for p in self.job.target_ids() if p in shard
@@ -587,16 +562,9 @@ class ClusterSupervisor:
         """
         round_index = self.round_index
         messages = self._pending.pop(round_index)
-        # Recorded by direct open/close so it never enters the
-        # attribution stack (the digest charges below must keep their
-        # recorded phases, not ours).
-        round_span = self.span_log.open(
-            "supervisor-round", "supervisor-round", 0, {"round": round_index}
-        )
         for worker_id in sorted(messages):
             self._process_done(worker_id, messages[worker_id])
         self.metrics.end_round()
-        self.span_log.close(round_span)
         self.round_index = round_index + 1
         if self.config.registry is not None:
             self._rounds_total.inc()
@@ -627,11 +595,6 @@ class ClusterSupervisor:
         if self.trace is not None:
             for party_id in sorted(payload.get("trace", {})):
                 self.trace.preload(party_id, payload["trace"][party_id])
-        span_rows = payload.get("spans") or []
-        if span_rows:
-            self.worker_spans.setdefault(worker_id, []).extend(
-                span_from_wire(row) for row in span_rows
-            )
 
     @staticmethod
     def _validate_digest_rows(
@@ -767,17 +730,6 @@ class ClusterSupervisor:
             "trace_segments": (
                 None if self.trace is None else self._save_trace_segment()
             ),
-            # Observability carry-over (wire dicts, not live objects):
-            # a resumed run keeps the same trace id and does not lose
-            # the spans of the rounds before the checkpoint.
-            "trace_id": self.trace_id,
-            "supervisor_spans": [
-                span_to_wire(record) for record in self.span_log.records
-            ],
-            "worker_spans": {
-                w: [span_to_wire(record) for record in records]
-                for w, records in sorted(self.worker_spans.items())
-            },
         }
         target = self.run_dir / STATE_FILE
         temp = target.with_suffix(".ckpt.tmp")
@@ -824,15 +776,6 @@ class ClusterSupervisor:
                 party_id: len(events)
                 for party_id, events in trace_events.items()
             }
-        self.trace_id = str(state.get("trace_id", "")) or self.trace_id
-        self.span_log = SpanLog()
-        self.span_log.preload(
-            [span_from_wire(row) for row in state.get("supervisor_spans", [])]
-        )
-        self.worker_spans = {
-            int(w): [span_from_wire(row) for row in rows]
-            for w, rows in state.get("worker_spans", {}).items()
-        }
         flow = self.config.flow
         if flow is not None:
             # The pickled metrics never carries a ledger (see

@@ -33,18 +33,18 @@ kind             dir     meaning
                          fields: ``shard`` (party ids), ``shards`` (the
                          whole fleet's), ``resume_round``,
                          ``checkpoint_dir``, ``checkpoint_stem``,
-                         ``trace_id``, ``targets``, ``max_rounds``,
+                         ``targets``, ``max_rounds``,
                          ``checkpoint_interval``, ``kill_round``,
                          ``traced`` (record trace events or not)
 ``resumed``      w → s   checkpoint loaded; fields: ``next_round``
 ``done``         w → s   round finished (one-way); fields: ``round``,
-                         ``trace_id``, and ``checkpoint`` (the barrier)
-                         when the worker wrote its checkpoint after this
-                         round; blob: pickled ``{"outputs": {...},
-                         "trace": {...}, "spans": [...], "digest":
-                         [(sender, bits, phase, [recipient, ...]),
-                         ...]}`` — one digest row per multicast run,
-                         and ``trace`` empty unless the job is traced
+                         and ``checkpoint`` (the barrier) when the
+                         worker wrote its checkpoint after this round;
+                         blob: pickled ``{"outputs": {...}, "trace":
+                         {...}, "digest": [(sender, bits, phase,
+                         [recipient, ...]), ...]}`` — one digest row
+                         per multicast run, and ``trace`` empty unless
+                         the job is traced
 ``heartbeat``    w → s   liveness beacon (worker-side timer thread);
                          fields: ``progress`` (moved-bytes counter, so
                          the supervisor can tell dead from slow)

@@ -20,8 +20,8 @@ the only round barrier:
    wait for every peer's train, stage what arrived, write the shard's
    checkpoint if the round closes a barrier, and stream a one-way
    ``done`` home with a charge digest of the emissions (one row per
-   multicast run), the shard's halted outputs, the round's spans and —
-   only when the job says ``traced`` — its drained trace events;
+   multicast run), the shard's halted outputs and — only when the job
+   says ``traced`` — its drained trace events;
 3. stop stepping once every train of a round (its own included) says
    halted, or at the job's round cap — every worker reads the same
    flags, so all stop at the same round — and wait for ``stop``.
@@ -73,7 +73,6 @@ from repro.cluster.wire import (
 from repro.errors import ClusterError
 from repro.net.metrics import multicast_runs
 from repro.net.party import Frame
-from repro.obs.spans import SpanLog, span_to_wire
 from repro.runtime.trace import TraceRecorder
 
 #: Default seconds between heartbeat beacons.
@@ -141,10 +140,6 @@ def worker_main(
         shard = list(job["shard"])
         checkpoint_dir = Path(job["checkpoint_dir"])
         checkpoint_stem = str(job["checkpoint_stem"])
-        # Cross-process trace propagation: the supervisor mints one
-        # trace id per run and stamps it on the job; every done reply
-        # echoes it so any hop of the conversation can be correlated.
-        trace_id = str(job.get("trace_id", ""))
         targets = {int(p) for p in job["targets"]}
         max_rounds = int(job["max_rounds"])
         interval = int(job["checkpoint_interval"])
@@ -153,7 +148,6 @@ def worker_main(
         # Untraced, the round core records nothing and every done
         # carries no trace events.
         trace = TraceRecorder() if job["traced"] else None
-        span_log = SpanLog()
         engine, staged = _build_engine(
             job_msg.blob, shard, int(job.get("resume_round", 0)),
             checkpoint_dir, checkpoint_stem, trace,
@@ -180,16 +174,7 @@ def worker_main(
             round_index = engine.next_round
             due = [f for f in staged if f.deliver_round <= round_index]
             staged = [f for f in staged if f.deliver_round > round_index]
-            round_span = span_log.open(
-                "cluster-round", "cluster-round", 0,
-                {"round": round_index, "worker": worker_id,
-                 "frames_in": len(due)},
-            )
             out_frames = engine.step_round(round_index, due)
-            round_span.attrs["frames_out"] = len(out_frames)
-            span_log.close(round_span)
-            span_digest = [span_to_wire(r) for r in span_log.records]
-            span_log.records.clear()
             if round_index == kill_round:
                 os.kill(os.getpid(), signal.SIGKILL)
             finished = targets <= set(engine.outputs())
@@ -224,7 +209,7 @@ def worker_main(
                 )
                 staged.extend(arrived)
                 finished = finished and peers_halted
-            fields = {"round": round_index, "trace_id": trace_id}
+            fields = {"round": round_index}
             barrier = round_index + 1
             if interval and barrier % interval == 0:
                 # Named by barrier round; the staged frames ride along
@@ -250,7 +235,6 @@ def worker_main(
                             "trace": (
                                 {} if trace is None else trace.drain()
                             ),
-                            "spans": span_digest,
                             "digest": digest,
                         }
                     ),

@@ -18,9 +18,10 @@ Layered on PR 1's runtime:
   ``repro_flow_bytes_total``).
 * **Timeline** (:mod:`repro.obs.timeline`): TraceRecorder streams + span
   intervals → Chrome trace-event JSON, loadable in Perfetto, with a
-  deterministic mode mirroring ``trace.py``'s ``clock=None`` contract;
-  :mod:`repro.obs.merge` stitches supervisor + worker + session tracks
-  into one cross-process view sharing a single trace id.
+  deterministic mode mirroring ``trace.py``'s ``clock=None`` contract.
+  A cluster run's per-party trace (``cluster run --trace-dir``) is its
+  one cross-process view: ``obs timeline`` renders every party, on
+  whichever worker it ran, as its own Perfetto process.
 * **Profiling** (:mod:`repro.obs.profile`): opt-in phase-scoped
   cProfile/tracemalloc collectors installable like any ``SpanLog``.
 * **Bench records** (:mod:`repro.obs.bench`): structured
@@ -30,7 +31,7 @@ Layered on PR 1's runtime:
   writer (tmp+fsync+replace) used by serve/cluster/runtime CLIs.
 
 CLI: ``python -m repro obs
-{report,timeline,top,flows,diff,profile,merge}`` (see
+{report,timeline,top,flows,diff,profile}`` (see
 ``docs/observability.md``).
 
 This package imports only the standard library (plus
@@ -40,7 +41,7 @@ This package imports only the standard library (plus
 Re-exports resolve lazily (PEP 562), as in :mod:`repro.cluster` and
 :mod:`repro.runtime`: every ledger charge imports
 :mod:`repro.obs.spans` through this package, and must not pay for the
-bench, merge, profile, regression and timeline tooling it never calls.
+bench, profile, regression and timeline tooling it never calls.
 """
 
 from typing import TYPE_CHECKING, List
@@ -60,11 +61,6 @@ _EXPORTS = {
     "FlowLedger": "repro.obs.flow",
     "load_flow_json": "repro.obs.flow",
     "write_flow_json": "repro.obs.flow",
-    "SPAN_DIR_SCHEMA": "repro.obs.merge",
-    "dump_span_dir": "repro.obs.merge",
-    "export_merged_trace": "repro.obs.merge",
-    "load_span_dir": "repro.obs.merge",
-    "merged_timeline_events": "repro.obs.merge",
     "PhaseProfile": "repro.obs.profile",
     "PhaseProfiler": "repro.obs.profile",
     "Counter": "repro.obs.registry",
@@ -107,13 +103,6 @@ if TYPE_CHECKING:  # static importers see the eager names
         FlowLedger,
         load_flow_json,
         write_flow_json,
-    )
-    from repro.obs.merge import (
-        SPAN_DIR_SCHEMA,
-        dump_span_dir,
-        export_merged_trace,
-        load_span_dir,
-        merged_timeline_events,
     )
     from repro.obs.profile import PhaseProfile, PhaseProfiler
     from repro.obs.registry import (

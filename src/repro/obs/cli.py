@@ -11,7 +11,10 @@ Subcommands (``obs`` alone is ``obs report``)::
         directory, summarize its per-party JSONL streams.  ``--out``
         additionally writes BENCH records / Perfetto timelines there.
     obs timeline <trace-dir> <out.json>
-        Convert a trace directory into Chrome trace-event JSON.
+        Convert a trace directory into Chrome trace-event JSON and check
+        the written document against the trace-event schema (exit 1 if
+        it fails).  A cluster run's ``--trace-dir`` is the cross-process
+        view: one Perfetto process per party, across every worker.
     obs top <FLOW_*.json> [--k N] [--spill]
         The hottest cells of a wire-level flow report; ``--spill`` also
         counts the evicted cells in the report's spill JSONL.
@@ -24,9 +27,6 @@ Subcommands (``obs`` alone is ``obs report``)::
     obs profile [n] [--phases a,b] [--memory] [--top K]
         Run pi_ba fresh under a cProfile-per-span collector and print
         the hottest functions of each selected phase.
-    obs merge <spans-dir> <out.json> [--wall]
-        Merge a span directory (supervisor + worker + session tracks)
-        into a single Perfetto timeline.
 """
 
 from __future__ import annotations
@@ -144,10 +144,20 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.obs.timeline import export_chrome_trace, load_trace_dir
+    from repro.obs.timeline import (
+        export_chrome_trace,
+        load_trace_dir,
+        validate_trace_events,
+    )
 
     events = load_trace_dir(args.trace_dir)
     path = export_chrome_trace(args.out, trace=events)
+    document = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        validate_trace_events(document["traceEvents"])
+    except ValueError as exc:
+        print(f"timeline {path} is not a valid trace-event document: {exc}")
+        return 1
     print(f"timeline ({sum(len(e) for e in events.values()):,} events, "
           f"{len(events)} parties) -> {path}")
     return 0
@@ -291,24 +301,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    from repro.obs.merge import export_merged_trace, load_span_dir
-    from repro.obs.timeline import validate_trace_events
-
-    trace_id, tracks = load_span_dir(args.spans_dir)
-    path = export_merged_trace(
-        args.out, tracks, trace_id,
-        deterministic=False if args.wall else None,
-    )
-    document = json.loads(path.read_text(encoding="utf-8"))
-    validate_trace_events(document["traceEvents"])
-    spans = sum(len(records) for records in tracks.values())
-    print(f"merged timeline: {len(tracks)} tracks "
-          f"({', '.join(sorted(tracks))}), {spans} spans, "
-          f"trace={trace_id or '(none)'} -> {path}")
-    return 0
-
-
 def cmd_obs(argv: List[str]) -> int:
     from repro.obs.profile import TOP_FUNCTIONS
 
@@ -353,12 +345,6 @@ def cmd_obs(argv: List[str]) -> int:
     profile.add_argument("--memory", action="store_true")
     profile.add_argument("--top", type=int, default=TOP_FUNCTIONS)
     profile.set_defaults(func=_cmd_profile)
-
-    merge = sub.add_parser("merge", help="span dir -> merged timeline")
-    merge.add_argument("spans_dir", type=Path)
-    merge.add_argument("out", type=Path)
-    merge.add_argument("--wall", action="store_true")
-    merge.set_defaults(func=_cmd_merge)
 
     args = parser.parse_args(argv or ["report"])
     return args.func(args)

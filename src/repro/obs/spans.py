@@ -118,30 +118,6 @@ class SpanLog:
         if self._clock is not None:
             record.end_wall = self._clock()
 
-    def preload(self, records: "List[SpanRecord]") -> None:
-        """Adopt records drained elsewhere (resume, cross-process merge),
-        advancing the logical clock past them so fresh ticks never
-        collide with the adopted intervals."""
-        for record in records:
-            self.records.append(record)
-            upper = (
-                record.end_tick
-                if record.end_tick is not None
-                else record.start_tick
-            )
-            self._tick = max(self._tick, upper + 1)
-
-    def graft(self, records: "List[SpanRecord]") -> None:
-        """Adopt the records of another log that ticked from 0 (a
-        gateway lane's one decision), shifted past this log's own ticks
-        so each grafted decision stays one contiguous interval."""
-        base = self._tick
-        for record in records:
-            record.start_tick += base
-            if record.end_tick is not None:
-                record.end_tick += base
-        self.preload(records)
-
     # -- queries -------------------------------------------------------------
 
     def by_name(self, name: str) -> List[SpanRecord]:
@@ -254,41 +230,6 @@ def current_path() -> Optional[str]:
     """The full ``outer/inner`` span path, or ``None`` outside any span."""
     stack = _stack.get()
     return "/".join(stack) if stack else None
-
-
-def span_to_wire(record: SpanRecord) -> Dict[str, Any]:
-    """A JSON-safe dict for shipping span records across processes.
-
-    Cluster workers drain their local :class:`SpanLog` every round and
-    ship the records home in ``done`` blobs; the supervisor rebuilds
-    them with :func:`span_from_wire` for the merged timeline.
-    """
-    return {
-        "name": record.name,
-        "path": record.path,
-        "depth": record.depth,
-        "start_tick": record.start_tick,
-        "end_tick": record.end_tick,
-        "start_wall": record.start_wall,
-        "end_wall": record.end_wall,
-        "attrs": dict(record.attrs),
-    }
-
-
-def span_from_wire(row: Dict[str, Any]) -> SpanRecord:
-    """Rebuild a :class:`SpanRecord` from :func:`span_to_wire` output."""
-    return SpanRecord(
-        name=str(row["name"]),
-        path=str(row.get("path", row["name"])),
-        depth=int(row.get("depth", 0)),
-        start_tick=int(row["start_tick"]),
-        end_tick=(
-            int(row["end_tick"]) if row.get("end_tick") is not None else None
-        ),
-        start_wall=row.get("start_wall"),
-        end_wall=row.get("end_wall"),
-        attrs=dict(row.get("attrs", {})),
-    )
 
 
 @contextmanager

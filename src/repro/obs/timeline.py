@@ -132,16 +132,14 @@ def timeline_events(
 
     # -- the phases track ----------------------------------------------------
     if spans is not None:
-        out.extend(span_slices(spans.records, PHASES_PID, "phase", use_wall))
+        out.extend(span_slices(spans.records, use_wall))
     return out
 
 
-def track_meta(pid: int, name: str, labels: str = "") -> List[Dict[str, Any]]:
-    """The ``"M"`` events naming, sorting (by pid) and labeling one track."""
+def track_meta(pid: int, name: str) -> List[Dict[str, Any]]:
+    """The ``"M"`` events naming and sorting (by pid) one track."""
     meta = {"process_name": {"name": name},
             "process_sort_index": {"sort_index": pid}}
-    if labels:
-        meta["process_labels"] = {"labels": labels}
     return [
         {"ph": "M", "pid": pid, "tid": 0, "name": key, "args": args}
         for key, args in meta.items()
@@ -205,17 +203,14 @@ def _party_track(
 
 
 def span_slices(
-    records: Sequence[Any],
-    pid: int,
-    cat: str,
-    use_wall: bool,
-    **extra_args: Any,
+    records: Sequence[Any], use_wall: bool
 ) -> List[Dict[str, Any]]:
-    """One complete ``"X"`` slice per closed span record.
+    """One complete ``"X"`` slice per closed span record, on the
+    phases track.
 
     Positioned from wall stamps when ``use_wall`` and the record carries
-    both ends, else from logical ticks; ``extra_args`` join ``path`` /
-    ``depth`` ahead of the record's own attrs.
+    both ends, else from logical ticks; ``path`` and ``depth`` lead the
+    record's own attrs.
     """
     out: List[Dict[str, Any]] = []
     for record in records:
@@ -229,38 +224,19 @@ def span_slices(
         else:
             ts = record.start_tick * SPAN_TICKS
             dur = (record.end_tick - record.start_tick) * SPAN_TICKS
-        args: Dict[str, Any] = {
-            "path": record.path, "depth": record.depth, **extra_args,
-        }
+        args: Dict[str, Any] = {"path": record.path, "depth": record.depth}
         args.update(record.attrs)
         out.append({
             "ph": "X",
-            "pid": pid,
+            "pid": PHASES_PID,
             "tid": 0,
             "name": record.name,
-            "cat": cat,
+            "cat": "phase",
             "ts": ts,
             "dur": max(dur, 1),
             "args": args,
         })
     return out
-
-
-def write_trace_document(
-    path: Union[str, Path],
-    events: List[Dict[str, Any]],
-    other_data: Dict[str, Any],
-) -> Path:
-    """Write one Chrome trace-event document (sorted keys, compact)."""
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": other_data,
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_line(document), encoding="utf-8")
-    return path
 
 
 def export_chrome_trace(
@@ -270,12 +246,19 @@ def export_chrome_trace(
     *,
     deterministic: Optional[bool] = None,
 ) -> Path:
-    """Write a Perfetto-loadable Chrome trace JSON file; returns the path."""
-    return write_trace_document(
-        path,
-        timeline_events(trace, spans, deterministic=deterministic),
-        {"exporter": "repro.obs.timeline"},
-    )
+    """Write a Perfetto-loadable Chrome trace JSON file (sorted keys,
+    compact); returns the path."""
+    document = {
+        "traceEvents": timeline_events(
+            trace, spans, deterministic=deterministic
+        ),
+        "displayTimeUnit": "ms",
+        "otherData": {"exporter": "repro.obs.timeline"},
+    }
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dump_line(document), encoding="utf-8")
+    return path
 
 
 _VALID_PHASES = {"X", "i", "M", "B", "E", "C"}

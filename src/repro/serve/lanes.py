@@ -14,15 +14,14 @@ The gateway and a lane talk over a socketpair (a
     gateway → lane   (RUN, session id, spec, admitted)   start a session
                      (CANCEL, session id)                stop it between
                                                          decisions
-    lane → gateway   (DECISION, charges, spans)          one per decision
+    lane → gateway   (DECISION, charges)                 one per decision
                      (END, report)                       result, timings,
                                                          lease hits/misses
 
-``charges`` and ``spans`` are ``None`` unless the gateway keeps a flow
-ledger or a span log; then they are the decision's flow charges, call
-for call, and its span records, which the gateway replays into its own
-ledger and log.  A lane ends when its socket does: the gateway hanging
-up (or dying) is EOF, and the lane exits 0.
+``charges`` is ``None`` unless the gateway keeps a flow ledger; then it
+is the decision's flow charges, call for call, which the gateway
+replays into its own ledger.  A lane ends when its socket does: the
+gateway hanging up (or dying) is EOF, and the lane exits 0.
 
 Nothing protocol-visible reads a clock here; the timings a lane reports
 (``queue_s``, ``compute_s``, ``cpu_s``, per-decision walls) are
@@ -42,7 +41,6 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.net.fork import fork_child
 from repro.obs.flow import FlowLedger
-from repro.obs.spans import SpanLog
 from repro.serve.setup_cache import SetupCache, SetupKey
 
 #: Gateway → lane orders and lane → gateway replies.
@@ -72,12 +70,10 @@ class LaneWork:
     """What every lane inherits from the manager that forks it."""
 
     cache: SetupCache
-    #: ``decide(spec, lease, flow=..., span_log=...)`` — one decision.
+    #: ``decide(spec, lease, flow=...)`` — one decision.
     decide: Callable[..., Dict[str, Any]]
     #: Ship each decision's flow charges home.
     flow: bool
-    #: Ship each decision's span records (logical ticks) home.
-    spans: bool
 
 
 @dataclass
@@ -149,20 +145,15 @@ def _serve(
             cancelled = True
             break
         flow = ChargeLog() if work.flow else None
-        log = SpanLog() if work.spans else None
         turn = time.perf_counter()
         try:
-            last = work.decide(spec, lease, flow=flow, span_log=log)
+            last = work.decide(spec, lease, flow=flow)
         except Exception as exc:  # lint: allow[EXC001] reason=session isolation: the error is reported to the gateway, which fails this session and keeps the lane
             traceback.print_exc()
             error = f"{type(exc).__name__}: {exc}"
             break
         walls.append(time.perf_counter() - turn)
-        conn.send((
-            DECISION,
-            flow.charges if flow is not None else None,
-            log.records if log is not None else None,
-        ))
+        conn.send((DECISION, flow.charges if flow is not None else None))
     compute_s = time.perf_counter() - compute_started
     cpu_s = time.process_time() - cpu_started
     queue_s = max(0.0, started - admitted)

@@ -33,7 +33,6 @@ from repro.net.bind import bound_port, start_asyncio_server
 from repro.obs.flow import FlowLedger
 from repro.obs.flush import finish_artifacts, open_flow
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanLog
 from repro.serve import wire
 from repro.serve.sessions import SessionManager
 from repro.serve.setup_cache import SetupCache
@@ -96,12 +95,10 @@ class GatewayServer:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
         self.flow: Optional[FlowLedger] = None
-        self.span_log: Optional[SpanLog] = None
         if manager is None and config.flow_enabled:
             self.flow = open_flow(
                 config.flow_out, self.registry, config.flow_cells
             )
-            self.span_log = SpanLog()
         self.manager = manager if manager is not None else SessionManager(
             max_sessions=config.max_sessions,
             retry_after=config.retry_after,
@@ -110,7 +107,6 @@ class GatewayServer:
             ),
             registry=self.registry,
             flow=self.flow,
-            span_log=self.span_log,
         )
         self.port: Optional[int] = None
         self._server: Optional[asyncio.base_events.Server] = None

@@ -281,7 +281,6 @@ class SessionManager:
         registry: Optional[MetricsRegistry] = None,
         decision_runner: Optional[DecisionRunner] = None,
         flow: Optional[FlowLedger] = None,
-        span_log: Optional[SpanLog] = None,
     ) -> None:
         if max_sessions < 1:
             raise GatewayError("max_sessions must be at least 1")
@@ -290,21 +289,15 @@ class SessionManager:
         self.registry = registry
         # Flow observability: when a ledger is given (and no custom
         # runner overrides it), every decision's charges land in it
-        # under kind="session"; the span log collects the phase spans
-        # for the merged timeline's sessions track (logical ticks: a
-        # lane's records carry no wall stamps).
+        # under kind="session".
         self.flow = flow
-        self.span_log = span_log
         # Never leased here: each lane forks its own copy, and this one
         # counts the hits and misses the lanes report.
         self._cache = cache if cache is not None else SetupCache(
             registry=registry
         )
         if decision_runner is None:
-            self._work = LaneWork(
-                self._cache, run_decision, flow is not None,
-                span_log is not None,
-            )
+            self._work = LaneWork(self._cache, run_decision, flow is not None)
         else:
             runner = decision_runner
 
@@ -312,7 +305,7 @@ class SessionManager:
                        **_observers: Any) -> Dict[str, Any]:
                 return runner(spec, lease)
 
-            self._work = LaneWork(self._cache, decide, False, False)
+            self._work = LaneWork(self._cache, decide, False)
         self._loop = asyncio.get_running_loop()
         self._records: Dict[str, SessionRecord] = {}
         self._admitting = True
@@ -376,13 +369,11 @@ class SessionManager:
         record = lane.session
         assert record is not None, "a lane spoke between sessions"
         if message[0] == DECISION:
-            _, charges, spans = message
+            _, charges = message
             record.decisions_completed += 1
             if charges is not None and self.flow is not None:
                 for charge in charges:
                     self.flow.charge(*charge)
-            if spans is not None and self.span_log is not None:
-                self.span_log.graft(spans)
             return
         report = message[1]
         lane.session = None

@@ -17,13 +17,16 @@ marker with the other heavy process tests.
 
 from __future__ import annotations
 
+import dataclasses
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from repro.cluster.cli import cmd_cluster
-from repro.cluster.job import replay_job
+from repro.cluster.job import ClusterJob, replay_job
 from repro.cluster.supervisor import (
+    STATE_FORMAT,
     TRACE_FILE,
     ClusterConfig,
     ClusterSupervisor,
@@ -47,6 +50,7 @@ from tests.placements import phase_views, recorded_pi_ba, run_honest
 from tests.runtime.test_seed_stability import PINNED
 
 SCHEMES = ("snark", "owf")
+TCP_WIRED_RUN = Path(__file__).parent / "fixtures" / "tcp_wired_run"
 
 
 def _pi_ba_script(n, scheme_name):
@@ -143,6 +147,59 @@ class TestTraceIsOptIn:
         assert phase_views(untraced.metrics, range(16)) == phase_views(
             traced.metrics, range(16)
         )
+
+
+class _RecordsDoneShapes(ClusterSupervisor):
+    """Notes the header fields and payload keys of every ``done``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.shapes = []
+
+    def _on_done(self, worker_id, message, now):
+        self.shapes.append(
+            (frozenset(message.fields), frozenset(message.payload()))
+        )
+        super()._on_done(worker_id, message, now)
+
+
+#: What a run once carried for the cross-process span tracks; a run's
+#: cross-process view is now its per-party trace.
+SPAN_TRACK_KEYS = {"trace_id", "supervisor_spans", "worker_spans"}
+
+
+class TestWhatADoneCarries:
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(8)}, (7,)
+        )
+        job = ClusterJob(
+            name="done-shape", n=8, parties=parties, until=tuple(honest),
+            max_rounds=max_rounds, checkpoint_interval=4,
+        )
+        supervisor = _RecordsDoneShapes(
+            job, ClusterConfig(num_workers=2),
+            run_dir=tmp_path_factory.mktemp("done-shape"),
+        )
+        return supervisor, supervisor.run()
+
+    def test_round_checkpoint_and_the_three_payload_keys(self, run):
+        supervisor, result = run
+        assert result.trace is None
+        assert len(supervisor.shapes) == 2 * result.rounds
+        assert any("checkpoint" in fields for fields, _ in supervisor.shapes)
+        for fields, payload_keys in supervisor.shapes:
+            assert fields <= {"round", "checkpoint"}, fields
+            assert payload_keys == {"outputs", "trace", "digest"}
+
+    def test_neither_the_result_nor_the_state_holds_span_tracks(self, run):
+        _, result = run
+        assert not SPAN_TRACK_KEYS & {f.name for f in dataclasses.fields(result)}
+        state = read_state(result.run_dir)
+        assert state["format"] == STATE_FORMAT
+        assert state["completed"]
+        assert not SPAN_TRACK_KEYS & set(state)
 
 
 @pytest.mark.cluster
@@ -259,3 +316,37 @@ class TestOnePlane:
             cmd_cluster(["run", "--data-plane", "relay"])
         assert excinfo.value.code == 2
         assert "--data-plane" in capsys.readouterr().err
+
+
+class TestOneCrossProcessView:
+    """A cluster run's cross-process view is its per-party trace
+    (``--trace-dir`` + ``obs timeline``): no trace id, no span export."""
+
+    def test_trace_id_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(trace_id="custom-trace")
+
+    @pytest.mark.parametrize("flag", ["--spans-dir", "--timeline-out"])
+    def test_span_exports_are_not_cli_flags(self, flag, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cmd_cluster(["run", flag, str(tmp_path / "out")])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_a_state_saved_with_span_tracks_still_loads(self):
+        # The committed run dir predates the change: its supervisor.ckpt
+        # still holds the three span-track keys, under the same format.
+        assert SPAN_TRACK_KEYS <= set(read_state(TCP_WIRED_RUN))
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(16)}, (3,)
+        )
+        supervisor = ClusterSupervisor(
+            ClusterJob("phase-king", 16, parties, until=tuple(honest),
+                       max_rounds=max_rounds, checkpoint_interval=2),
+            ClusterConfig(num_workers=2), run_dir=TCP_WIRED_RUN,
+        )
+        supervisor._load_state()
+        assert (supervisor.round_index, supervisor.restarts) == (4, 0)
+        assert supervisor.trace.party_ids == list(range(16))
+        assert len(supervisor.trace.events_of(0)) == 70
+        assert supervisor.metrics.max_bits_per_party == 1312

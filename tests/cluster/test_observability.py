@@ -1,4 +1,4 @@
-"""Cluster flow + trace propagation: parity, determinism, merged view.
+"""Cluster flow: parity, coverage and the control plane's shape.
 
 These spawn real worker OS processes, so they carry the ``cluster``
 marker (CI's dedicated job runs them; tier-1 skips them).
@@ -6,7 +6,6 @@ marker (CI's dedicated job runs them; tier-1 skips them).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 
 import pytest
@@ -15,8 +14,6 @@ from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.supervisor import ClusterConfig, worker_pseudo_id
 from repro.net.adversary import random_corruption
 from repro.obs.flow import INFRA, FlowLedger
-from repro.obs.merge import cluster_tracks, dump_span_dir, export_merged_trace
-from repro.obs.timeline import validate_trace_events
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.placements import mesh
@@ -29,14 +26,12 @@ N = 8
 WORKERS = 2
 
 
-def _run(flow=None, trace_id=""):
+def _run(flow=None):
     params = ProtocolParameters()
     rng = Randomness(2021)
     plan = random_corruption(N, params.max_corruptions(N), rng.fork("c"))
     inputs = {i: i % 2 for i in range(N)}
-    config = ClusterConfig(
-        num_workers=WORKERS, flow=flow, trace_id=trace_id
-    )
+    config = ClusterConfig(num_workers=WORKERS, flow=flow)
     return run_balanced_ba_cluster(
         inputs, plan, scheme_by_name("snark"), params, rng.fork("run"),
         config=config,
@@ -113,45 +108,3 @@ class TestControlPlaneShape:
         assert rounds // 4 >= 2
         assert sent == self.LIFECYCLE
 
-
-class TestTracePropagation:
-    def test_trace_id_minted_deterministically_and_echoed(self):
-        _, result = _run()
-        assert result.trace_id == f"pi-ba-replay-n{N}-w{WORKERS}"
-        _, pinned = _run(trace_id="custom-trace")
-        assert pinned.trace_id == "custom-trace"
-
-    def test_supervisor_and_worker_tracks(self):
-        _, result = _run()
-        assert result.supervisor_spans, "supervisor recorded no spans"
-        assert set(result.worker_spans) == set(range(WORKERS))
-        assert all(result.worker_spans.values())
-        names = {r.name for r in result.supervisor_spans}
-        assert "supervisor-round" in names
-        for records in result.worker_spans.values():
-            assert "cluster-round" in {r.name for r in records}
-            # Per-track ticks stay monotone across per-round drains.
-            ticks = [r.start_tick for r in records]
-            assert ticks == sorted(ticks)
-
-    def test_merged_export_byte_identical_across_seeded_runs(self, tmp_path):
-        paths = []
-        for index in range(2):
-            _, result = _run()
-            tracks = cluster_tracks(result)
-            dump_span_dir(
-                tmp_path / f"spans-{index}", result.trace_id, tracks
-            )
-            paths.append(export_merged_trace(
-                tmp_path / f"merged-{index}.json", tracks, result.trace_id
-            ))
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        document = json.loads(paths[0].read_text())
-        validate_trace_events(document["traceEvents"])
-        slices = [e for e in document["traceEvents"] if e["ph"] == "X"]
-        # Supervisor and each worker land on distinct tracks (pids),
-        # all labeled with the one shared trace id.
-        assert {e["pid"] for e in slices} == {0, 1, 2}
-        assert {e["args"]["trace_id"] for e in slices} == {
-            f"pi-ba-replay-n{N}-w{WORKERS}"
-        }

@@ -4,15 +4,22 @@ import json
 
 import pytest
 
+import repro.obs.timeline
+from repro.__main__ import main
+from repro.cluster.supervisor import ClusterConfig
 from repro.errors import ConfigurationError
-from repro.obs.spans import SpanLog, recording, span
+from repro.obs.spans import SpanLog, SpanRecord, recording, span
 from repro.obs.timeline import (
     PHASES_PID,
     export_chrome_trace,
+    SPAN_TICKS,
     load_trace_dir,
+    span_slices,
     timeline_events,
     validate_trace_events,
 )
+from repro.protocols.phase_king import build_phase_king
+from repro.runtime.placements import mesh
 from repro.runtime.trace import TraceRecorder
 
 
@@ -79,6 +86,63 @@ class TestTimelineEvents:
         validate_trace_events(timeline_events(mapping))
 
 
+class TestPhaseSlices:
+    def test_slices_carry_path_depth_and_attrs(self):
+        slices = [
+            e for e in timeline_events(spans=_sample_spans())
+            if e["ph"] == "X"
+        ]
+        assert {(e["pid"], e["cat"]) for e in slices} == {(PHASES_PID, "phase")}
+        args = {e["name"]: e["args"] for e in slices}
+        assert args == {
+            "pi-ba": {"path": "pi-ba", "depth": 0, "n": 2},
+            "prf-boost": {"path": "pi-ba/prf-boost", "depth": 1},
+        }
+
+    def test_tracks_are_named_and_sorted_by_pid(self):
+        events = timeline_events(_sample_trace(), _sample_spans())
+        meta = {
+            (e["pid"], e["name"]): e["args"] for e in events if e["ph"] == "M"
+        }
+        assert meta == {
+            (pid, key): args
+            for pid, name in (
+                (PHASES_PID, "protocol-phases"), (1, "party-0"), (2, "party-1")
+            )
+            for key, args in (
+                ("process_name", {"name": name}),
+                ("process_sort_index", {"sort_index": pid}),
+            )
+        }
+
+    def test_an_empty_span_log_adds_no_phases_track(self):
+        events = timeline_events(_sample_trace(), SpanLog())
+        assert events == timeline_events(_sample_trace())
+        assert PHASES_PID not in {e["pid"] for e in events}
+
+    def test_open_spans_are_skipped(self):
+        record = SpanRecord(name="open", path="open", depth=0, start_tick=0)
+        assert span_slices([record], use_wall=False) == []
+
+    def test_wall_mode_uses_wall_stamps(self):
+        record = SpanRecord(
+            name="s", path="s", depth=0, start_tick=0, end_tick=1,
+            start_wall=1.0, end_wall=1.5,
+        )
+        (event,) = span_slices([record], use_wall=True)
+        assert (event["ts"], event["dur"]) == (1_000_000, 500_000)
+        (logical,) = span_slices([record], use_wall=False)
+        assert (logical["ts"], logical["dur"]) == (0, SPAN_TICKS)
+
+    def test_a_span_without_a_wall_end_falls_back_to_ticks(self):
+        record = SpanRecord(
+            name="s", path="s", depth=0, start_tick=3, end_tick=5,
+            start_wall=1.0,
+        )
+        (event,) = span_slices([record], use_wall=True)
+        assert (event["ts"], event["dur"]) == (3 * SPAN_TICKS, 2 * SPAN_TICKS)
+
+
 class TestExportAndLoad:
     def test_export_round_trips_through_trace_dir(self, tmp_path):
         trace = _sample_trace()
@@ -120,3 +184,45 @@ class TestValidate:
     def test_rejects_instant_without_scope(self):
         with pytest.raises(ValueError):
             validate_trace_events([{"ph": "i", "pid": 0, "ts": 0}])
+
+
+class TestTimelineOfAClusterRun:
+    """A traced mesh run's per-party trace is its cross-process view:
+    ``obs timeline`` renders every party of every worker and checks the
+    document it wrote."""
+
+    @staticmethod
+    def _mesh_trace_dir(tmp_path):
+        parties, honest, max_rounds = build_phase_king(
+            {i: i % 2 for i in range(8)}, (7,)
+        )
+        result = mesh(config=ClusterConfig(num_workers=2)).run(
+            parties, honest, max_rounds, trace=TraceRecorder()
+        )
+        result.trace.dump_dir(tmp_path / "traces")
+        return tmp_path / "traces"
+
+    def test_one_perfetto_process_per_party(self, tmp_path, capsys):
+        traces = self._mesh_trace_dir(tmp_path)
+        out = tmp_path / "timeline.json"
+        assert main(["obs", "timeline", str(traces), str(out)]) == 0
+        assert f"8 parties) -> {out}" in capsys.readouterr().out
+        events = json.loads(out.read_text())["traceEvents"]
+        validate_trace_events(events)
+        slices = [e for e in events if e["ph"] == "X"]
+        assert {e["pid"] for e in slices} == set(range(1, 9))
+
+    def test_an_invalid_document_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        traces = self._mesh_trace_dir(tmp_path)
+
+        def reject(events):
+            raise ValueError("event 0: bad ph 'Z'")
+
+        monkeypatch.setattr(
+            repro.obs.timeline, "validate_trace_events", reject
+        )
+        out = tmp_path / "timeline.json"
+        assert main(["obs", "timeline", str(traces), str(out)]) == 1
+        assert "not a valid trace-event document" in capsys.readouterr().out

@@ -52,10 +52,7 @@ class TestManagerIntegration:
     def test_trace_echo_and_flow_status(self):
         async def scenario():
             flow = FlowLedger()
-            span_log = SpanLog()
-            manager = SessionManager(
-                max_sessions=1, flow=flow, span_log=span_log
-            )
+            manager = SessionManager(max_sessions=1, flow=flow)
             submitted = manager.submit({**SMALL, "trace": "client-t1"})
             assert submitted["ok"]
             assert submitted["trace"] == "client-t1"
@@ -68,7 +65,6 @@ class TestManagerIntegration:
             status = manager.status()
             assert status["flow"]["data_bits"] == flow.data_bits > 0
             assert status["flow"]["coverage"] == 1.0
-            assert "srds-aggregate" in span_log.names
             manager.close()
 
         asyncio.run(scenario())
