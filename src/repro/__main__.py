@@ -28,10 +28,10 @@ COMMANDS: Dict[str, Tuple[str, str, str]] = {
                "[path] — assemble benchmarks/results/ into one "
                "measured-experiment report"),
     "runtime": ("repro.runtime.cli", "cmd_runtime",
-                "[n] [local|tcp] [trace-dir] [--flow-out F] "
-                "[--metrics-out F] — phase-king under a hostile fault "
-                "plan, then pi_ba hybrid-vs-wire-replay parity, on one "
-                "row of the placement table"),
+                "[n] [local|tcp] [trace-dir] [--flow-out F] — "
+                "phase-king under a hostile fault plan, then pi_ba "
+                "hybrid-vs-wire-replay parity, on one row of the "
+                "placement table"),
     "aba": ("repro.asynchrony.cli", "cmd_aba",
             "[n] [--seed S] [--policy P] [--latency NAME] "
             "[--adaptive NAME] [--bench DIR] — MMR14 binary agreement "

@@ -5,8 +5,7 @@ Subcommands::
     cluster run [--workload {pi-ba,phase-king}] [--n N] [--workers K]
                 [--scheme {snark,owf}] [--seed S] [--run-dir DIR]
                 [--checkpoint-interval I] [--kill ROUND:WORKER ...]
-                [--metrics-out FILE] [--flow-out FILE] [--flow-cells N]
-                [--trace-dir DIR]
+                [--flow-out FILE] [--flow-cells N] [--trace-dir DIR]
         Execute a workload sharded across K worker processes; print the
         agreement/parity summary and the run directory (checkpoints,
         worker logs, supervisor state).  ``--flow-out`` enables the
@@ -79,11 +78,6 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
              "Perfetto view); without it no worker records a trace",
     )
     parser.add_argument(
-        "--metrics-out", type=Path, default=None,
-        help="flush a Prometheus text snapshot here on exit "
-             "(atomic; carries the flow summary as a comment line)",
-    )
-    parser.add_argument(
         "--flow-out", type=Path, default=None,
         help="write the wire-level repro-flow/1 report here "
              "(enables the flow ledger)",
@@ -103,15 +97,14 @@ def _dump_traces(result, trace_dir: Optional[Path]) -> None:
     print(f"traces: {trace_dir}")
 
 
-def _dump_observability(args: argparse.Namespace, result, flow,
-                        registry) -> int:
-    """Write the run's flow / metrics artifacts; 0 unless the flow
-    ledger failed bit-exact parity with the metrics ledger."""
+def _dump_observability(args: argparse.Namespace, result, flow) -> int:
+    """Write the run's flow report; 0 unless the flow ledger failed
+    bit-exact parity with the metrics ledger."""
     from repro.obs.flush import finish_artifacts
 
     status = 0
     payload = finish_artifacts(
-        flow, registry, args.flow_out, args.metrics_out,
+        flow, args.flow_out,
         metrics=result.metrics,
         extra={
             "n": args.n,
@@ -130,8 +123,6 @@ def _dump_observability(args: argparse.Namespace, result, flow,
             f"flow: {args.flow_out} coverage={payload['coverage']} "
             f"parity={payload['parity_with_metrics']}"
         )
-    if args.metrics_out is not None and registry is not None:
-        print(f"metrics: {args.metrics_out}")
     return status
 
 
@@ -162,11 +153,6 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
                 "resumed run traces only if it was traced from round 0"
             )
             return 2
-    registry = None
-    if args.metrics_out is not None:
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry()
     flow = None
     if args.flow_out is not None or args.flow_cells > 0:
         from repro.obs.flush import open_flow
@@ -174,11 +160,10 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         if args.flow_out is None:
             print("--flow-cells needs --flow-out")
             return 2
-        flow = open_flow(args.flow_out, registry, args.flow_cells)
+        flow = open_flow(args.flow_out, args.flow_cells)
     config = ClusterConfig(
         num_workers=args.workers,
         kill_plan=_parse_kill_plan(args.kill),
-        registry=registry,
         flow=flow,
     )
     inputs = {i: i % 2 for i in range(args.n)}
@@ -214,7 +199,7 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
             f"workers={args.workers}"
         )
     _dump_traces(result, args.trace_dir)
-    obs_status = _dump_observability(args, result, flow, registry)
+    obs_status = _dump_observability(args, result, flow)
     print(
         f"{label} agree={agree} rounds={result.rounds} "
         f"restarts={result.restarts} "

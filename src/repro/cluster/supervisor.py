@@ -77,7 +77,6 @@ from repro.errors import ClusterError
 from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
-from repro.obs.registry import MetricsRegistry
 from repro.runtime.synchronizer import RuntimeResult
 from repro.runtime.trace import TraceRecorder
 
@@ -126,7 +125,6 @@ class ClusterConfig:
     #: campaign's ``kill-worker`` schedule.  Each entry is spent when
     #: the incarnation it was handed to dies.
     kill_plan: Dict[int, int] = field(default_factory=dict)
-    registry: Optional[MetricsRegistry] = None
     #: Optional wire-level flow ledger attached to the authoritative
     #: metrics ledger (every charged frame becomes a traffic-matrix cell;
     #: control messages are metered under ``ctl:*`` kinds).
@@ -217,38 +215,6 @@ class ClusterSupervisor:
         self._pending: Dict[int, Dict[int, Message]] = {}
         # The kill_plan entries no incarnation has died with yet.
         self._unspent_kills = dict(self.config.kill_plan)
-        self._round_started = 0.0
-        registry = self.config.registry
-        if registry is not None:
-            self._rounds_total = registry.counter(
-                "repro_cluster_rounds_total",
-                "Cluster rounds charged from every worker's done",
-            )
-            self._round_latency = registry.histogram(
-                "repro_cluster_round_latency_seconds",
-                "Wall time between consecutive rounds' last done",
-            )
-            self._restarts_total = registry.counter(
-                "repro_cluster_restarts_total",
-                "Worker processes restarted after a detected death",
-                ("worker",),
-            )
-            self._kills_total = registry.counter(
-                "repro_cluster_sigkills_total",
-                "Worker incarnations that died holding a kill-plan entry",
-            )
-            self._frames_routed = registry.counter(
-                "repro_cluster_frames_routed_total",
-                "Party frames charged from worker round digests",
-            )
-            self._checkpoints_total = registry.counter(
-                "repro_cluster_checkpoints_total",
-                "Durable checkpoint barriers committed",
-            )
-            self._workers_gauge = registry.gauge(
-                "repro_cluster_workers", "Worker processes in the cluster"
-            )
-            self._workers_gauge.set(self.config.num_workers)
 
     # -- public API -----------------------------------------------------------
 
@@ -434,11 +400,7 @@ class ClusterSupervisor:
             )
             if worker.kill_round is not None:
                 self._unspent_kills.pop(worker.kill_round, None)
-                if self.config.registry is not None:
-                    self._kills_total.inc()
             self.restarts += 1
-            if self.config.registry is not None:
-                self._restarts_total.inc(worker=str(worker_id))
         self._stop_fleet()
         if self.restarts > self.config.max_restarts:
             raise ClusterError(
@@ -468,7 +430,6 @@ class ClusterSupervisor:
         *all* channels were read — so a barrier a survivor announced
         before the death is committed before the relaunch is pinned.
         """
-        self._round_started = time.monotonic()
         while not self._finished():
             if self.round_index >= self.job.max_rounds:
                 raise ClusterError(
@@ -548,9 +509,9 @@ class ClusterSupervisor:
         while len(self._pending.get(self.round_index, ())) == len(
             self.shards
         ):
-            self._charge_round(now)
+            self._charge_round()
 
-    def _charge_round(self, now: float) -> None:
+    def _charge_round(self) -> None:
         """Replay one complete round's digests into the ledger.
 
         Sorted-worker within the round, then ``end_round``: every
@@ -566,10 +527,6 @@ class ClusterSupervisor:
             self._process_done(worker_id, messages[worker_id])
         self.metrics.end_round()
         self.round_index = round_index + 1
-        if self.config.registry is not None:
-            self._rounds_total.inc()
-            self._round_latency.observe(now - self._round_started)
-        self._round_started = now
         if all(
             message.fields.get("checkpoint") == self.round_index
             for message in messages.values()
@@ -583,14 +540,10 @@ class ClusterSupervisor:
         )
         # The charges run_parties makes, run for run: each fan-out
         # under the phase its worker stamped on it.
-        frames = 0
         for sender, bits, phase, recipients in rows:
             self.metrics.record_multicast(
                 sender, recipients, bits, phase=phase, kind="frame"
             )
-            frames += len(recipients)
-        if frames and self.config.registry is not None:
-            self._frames_routed.inc(frames)
         self.outputs.update(payload.get("outputs", {}))
         if self.trace is not None:
             for party_id in sorted(payload.get("trace", {})):
@@ -661,8 +614,6 @@ class ClusterSupervisor:
         self.checkpoint_round = barrier
         self._save_state(completed=False)
         self._prune_worker_checkpoints(barrier)
-        if self.config.registry is not None:
-            self._checkpoints_total.inc()
 
     def _prune_worker_checkpoints(self, barrier: int) -> None:
         assert self.run_dir is not None

@@ -124,7 +124,7 @@ class CommunicationMetrics:
 
     def __getstate__(self) -> Dict[str, object]:
         # The attached flow ledger never pickles (it may hold an open
-        # spill file and live registry instruments); checkpoint resume
+        # spill file); checkpoint resume
         # re-attaches the caller's ledger and grafts the carried tallies
         # into it (see repro.cluster.supervisor._load_state).
         state = dict(self.__dict__)

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from operator import attrgetter
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -112,9 +111,7 @@ class RoundCore:
 
     ``whole_network=False`` marks the party set as one shard of a larger
     network (recipients may live elsewhere, so they cannot be checked
-    here); ``error`` is the exception class misuse is reported with;
-    ``on_fault`` is called with the kind of every fault the policy
-    actually injects.
+    here); ``error`` is the exception class misuse is reported with.
     """
 
     def __init__(
@@ -126,7 +123,6 @@ class RoundCore:
         first_round: int = 0,
         whole_network: bool = True,
         error: Type[ReproError] = NetworkError,
-        on_fault: Optional[Callable[[str], None]] = None,
     ) -> None:
         self._error = error
         self.parties: Dict[int, Party] = {}
@@ -140,12 +136,9 @@ class RoundCore:
         self.round_index = first_round
         #: Per-sender sequence number of the next emitted frame.
         self.send_seq: Dict[int, int] = {p: 0 for p in self.parties}
-        #: Deepest inbox handed to any party so far.
-        self.inbox_high_water = 0
         self._budget = message_budget_per_party
         self._messages_sent: Dict[int, int] = {p: 0 for p in self.parties}
         self._whole_network = whole_network
-        self._on_fault = on_fault
         self._crash_traced: set = set()
 
     # -- one round -------------------------------------------------------------
@@ -170,10 +163,8 @@ class RoundCore:
                 if party_id not in self._crash_traced:
                     self._crash_traced.add(party_id)
                     self._trace(party_id, CRASH, round_index)
-                    self._fault("crash")
                 continue
             if policy.is_absent(party_id, round_index):
-                self._fault("churn-absent")
                 continue
             if party.halted:
                 continue
@@ -218,10 +209,7 @@ class RoundCore:
                 frame.sent_round, frame.sender, frame.recipient, frame.seq
             ):
                 delivered.append(frame)
-                self._fault("duplicate")
-        delivered = self.policy.inbox_order(round_index, party_id, delivered)
-        self.inbox_high_water = max(self.inbox_high_water, len(delivered))
-        return delivered
+        return self.policy.inbox_order(round_index, party_id, delivered)
 
     def _emit(
         self, sender: int, round_index: int, envelope: Envelope, span_phase: str
@@ -244,18 +232,15 @@ class RoundCore:
         if policy.drops(round_index, sender, recipient):
             # The link is down: nothing crosses it, nothing is charged.
             self._trace(sender, DROP, round_index, peer=recipient, bits=bits)
-            self._fault("partition-drop")
             return None
         seq = self.send_seq[sender]
         self.send_seq[sender] = seq + 1
-        delay = policy.delay_of(round_index, sender, recipient, seq)
-        if delay > 0:
-            self._fault("delay")
-        deliver_round = round_index + 1 + delay
+        deliver_round = round_index + 1 + policy.delay_of(
+            round_index, sender, recipient, seq
+        )
         if policy.is_absent(recipient, deliver_round):
             # Churn: nobody is listening yet at the delivery round.
             self._trace(sender, DROP, round_index, peer=recipient, bits=bits)
-            self._fault("churn-drop")
             return None
         if self.trace is not None:  # per message: no helper call when off
             self.trace.record(sender, SEND, round_index, peer=recipient, bits=bits)
@@ -277,10 +262,6 @@ class RoundCore:
     def _trace(self, party_id: int, kind: str, round_index: int, **fields) -> None:
         if self.trace is not None:
             self.trace.record(party_id, kind, round_index, **fields)
-
-    def _fault(self, kind: str) -> None:
-        if self._on_fault is not None:
-            self._on_fault(kind)
 
     # -- termination -----------------------------------------------------------
 

@@ -13,9 +13,9 @@ Layered on PR 1's runtime:
   per-party side counters, and bit-for-bit parity checks against
   ``CommunicationMetrics``.
 * **Registry** (:mod:`repro.obs.registry`): Counter/Gauge/Histogram
-  instruments with Prometheus text exposition, fed by the runtime
-  (round-barrier latency, transport frame counts, injected faults,
-  ``repro_flow_bytes_total``).
+  instruments with Prometheus text exposition — the gateway's live
+  ``GET /metrics`` endpoint and nothing else; batch runs answer from
+  the ledger, the flow cells and the trace.
 * **Timeline** (:mod:`repro.obs.timeline`): TraceRecorder streams + span
   intervals → Chrome trace-event JSON, loadable in Perfetto, with a
   deterministic mode mirroring ``trace.py``'s ``clock=None`` contract.
@@ -27,8 +27,9 @@ Layered on PR 1's runtime:
 * **Bench records** (:mod:`repro.obs.bench`): structured
   ``BENCH_<name>.json`` results; :mod:`repro.obs.regression` diffs
   fresh records against committed baselines (``obs diff``).
-* **Flush** (:mod:`repro.obs.flush`): the shared atomic ``--metrics-out``
-  writer (tmp+fsync+replace) used by serve/cluster/runtime CLIs.
+* **Flush** (:mod:`repro.obs.flush`): atomic artifact writes
+  (tmp+fsync+replace) — the ``--flow-out`` report of the serve, cluster
+  and runtime CLIs, and the gateway's ``--metrics-out`` snapshot.
 
 CLI: ``python -m repro obs
 {report,timeline,top,flows,diff,profile}`` (see
@@ -51,9 +52,7 @@ _EXPORTS = {
     "bench_payload": "repro.obs.bench",
     "load_bench_json": "repro.obs.bench",
     "write_bench_json": "repro.obs.bench",
-    "FLOW_COMMENT_PREFIX": "repro.obs.flush",
     "flush_metrics_file": "repro.obs.flush",
-    "read_flow_summary": "repro.obs.flush",
     "write_atomic_text": "repro.obs.flush",
     "FLOW_SCHEMA": "repro.obs.flow",
     "FUNCTIONALITY": "repro.obs.flow",
@@ -90,12 +89,7 @@ __all__ = sorted(_EXPORTS)
 
 if TYPE_CHECKING:  # static importers see the eager names
     from repro.obs.bench import bench_payload, load_bench_json, write_bench_json
-    from repro.obs.flush import (
-        FLOW_COMMENT_PREFIX,
-        flush_metrics_file,
-        read_flow_summary,
-        write_atomic_text,
-    )
+    from repro.obs.flush import flush_metrics_file, write_atomic_text
     from repro.obs.flow import (
         FLOW_SCHEMA,
         FUNCTIONALITY,

@@ -100,7 +100,6 @@ class FlowLedger:
         self,
         max_cells: int = 65536,
         spill_path: Optional[Path] = None,
-        registry: Optional[Any] = None,
     ) -> None:
         if max_cells < 16:
             raise ConfigurationError("flow ledger needs max_cells >= 16")
@@ -120,22 +119,6 @@ class FlowLedger:
         self._control_frames = 0
         self.evicted_cells = 0
         self.evicted_bits = 0
-        self._registry = registry
-        self._flow_bytes = None
-        self._frame_bits = None
-        if registry is not None:
-            self._flow_bytes = registry.counter(
-                "repro_flow_bytes_total",
-                "Bytes charged to the flow ledger by phase and wire kind",
-                ("phase", "kind"),
-            )
-            self._frame_bits = registry.histogram(
-                "repro_flow_frame_bits",
-                "Per-charge frame sizes (bits) by wire kind",
-                ("kind",),
-                buckets=(64, 256, 1024, 4096, 16384, 65536, 262144,
-                         1048576, 4194304, 16777216),
-            )
 
     # -- write side ----------------------------------------------------------
 
@@ -170,10 +153,6 @@ class FlowLedger:
                 self._party_received[dst] = (
                     self._party_received.get(dst, 0) + bits
                 )
-        if self._flow_bytes is not None:
-            self._flow_bytes.inc(bits / 8, phase=phase, kind=kind)
-        if self._frame_bits is not None:
-            self._frame_bits.observe(bits, kind=kind)
 
     def _evict(self) -> None:
         """Spill the coldest cells so the matrix stays under ``max_cells``.
@@ -301,7 +280,7 @@ class FlowLedger:
     # -- reports -------------------------------------------------------------
 
     def summary(self) -> Dict[str, Any]:
-        """The small flushable summary (appended to ``--metrics-out``)."""
+        """The small summary (the gateway's ``status`` op returns it)."""
         return {
             "data_bits": self._data_bits,
             "data_frames": self._data_frames,

@@ -1,28 +1,30 @@
 """A small metrics registry with Prometheus text exposition.
 
-The runtime (``repro.runtime``) feeds this registry with operational
-metrics — round-barrier latency, transport frame counts and queue
-depths, injected-fault counters — so that long executions can be watched
-with standard tooling.  No third-party client library is used (the repo
-has zero runtime dependencies); the exposition format follows the
-Prometheus text format v0.0.4, which Perfetto-adjacent dashboards and
-``promtool check metrics`` both accept.
+The gateway (``repro.serve``) feeds this registry with its live
+operational metrics — admissions, rejections, decisions, session
+latency, lane CPU — and serves it on ``GET /metrics``; nothing else
+does.  A batch run answers from its ledger, flow cells and trace
+instead.  No third-party client library is used (the repo has zero
+runtime dependencies); the exposition format follows the Prometheus
+text format v0.0.4, which ``promtool check metrics`` accepts.
 
 Instruments:
 
 * :class:`Counter` — monotonically increasing totals
-  (``runtime_frames_sent_total``);
-* :class:`Gauge` — set-to-current values (``runtime_frames_in_flight``);
+  (``repro_gateway_decisions_total``);
+* :class:`Gauge` — set-to-current values
+  (``repro_gateway_sessions_active``);
 * :class:`Histogram` — bucketed observations with ``_bucket``/``_sum``/
-  ``_count`` series (``runtime_round_latency_seconds``).
+  ``_count`` series (``repro_gateway_session_seconds``).
 
 All instruments support labels::
 
     registry = MetricsRegistry()
-    faults = registry.counter(
-        "runtime_faults_injected_total", "Faults injected", ("kind",)
+    rejected = registry.counter(
+        "repro_gateway_sessions_rejected_total", "Sessions refused",
+        ("code",),
     )
-    faults.inc(kind="duplicate")
+    rejected.inc(code="busy")
     print(registry.render())
 """
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -146,18 +148,6 @@ class Gauge(_Instrument):
     def set(self, value: float, **labels: object) -> None:
         self._values[self._key(labels)] = value
 
-    def inc(self, amount: float = 1, **labels: object) -> None:
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
-
-    def dec(self, amount: float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-    def set_max(self, value: float, **labels: object) -> None:
-        """Keep the running maximum (handy for high-water marks)."""
-        key = self._key(labels)
-        self._values[key] = max(self._values.get(key, value), value)
-
     def value(self, **labels: object) -> float:
         return self._values.get(self._key(labels), 0)
 
@@ -227,7 +217,7 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are idempotent: asking for an
     existing name returns the existing instrument (mismatched type or
-    labels raise), so independent runtime components can share series.
+    labels raise), so independent gateway components can share series.
     """
 
     def __init__(self) -> None:
@@ -267,17 +257,9 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Instrument]:
         return self._instruments.get(name)
 
-    @property
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
-
     def render(self) -> str:
         """The full registry in Prometheus text exposition format."""
         lines: List[str] = []
         for name in sorted(self._instruments):
             lines.extend(self._instruments[name].render())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def collect(self) -> Iterable[_Instrument]:
-        for name in sorted(self._instruments):
-            yield self._instruments[name]

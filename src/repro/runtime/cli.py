@@ -33,11 +33,6 @@ def cmd_runtime(argv: List[str]) -> int:
              "(default local), a directory for per-party JSONL traces",
     )
     parser.add_argument(
-        "--metrics-out", type=Path, default=None,
-        help="flush the Prometheus snapshot (flow summary comment "
-             "included) here",
-    )
-    parser.add_argument(
         "--flow-out", type=Path, default=None,
         help="attach the wire-level flow ledger to the pi_ba replay and "
              "write its repro-flow/1 report here",
@@ -51,10 +46,10 @@ def cmd_runtime(argv: List[str]) -> int:
             n = int(arg)
         else:
             trace_dir = arg
-    return _run(n, kind, trace_dir, ns.metrics_out, ns.flow_out)
+    return _run(n, kind, trace_dir, ns.flow_out)
 
 
-def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
+def _run(n: int, kind: str, trace_dir, flow_out) -> int:
     from repro.net.metrics import CommunicationMetrics
     from repro.protocols.balanced_ba import run_balanced_ba
     from repro.protocols.phase_king import build_phase_king, run_phase_king
@@ -65,13 +60,10 @@ def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
     from repro.srds.snark_based import SnarkSRDS
 
     flow = None
-    registry = None
-    if metrics_out is not None or flow_out is not None:
+    if flow_out is not None:
         from repro.obs.flush import open_flow
-        from repro.obs.registry import MetricsRegistry
 
-        registry = MetricsRegistry()
-        flow = open_flow(flow_out, registry)
+        flow = open_flow(flow_out)
 
     params = ProtocolParameters()
     rng = Randomness(2021)
@@ -140,7 +132,7 @@ def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
         from repro.obs.flush import finish_artifacts
 
         payload = finish_artifacts(
-            flow, registry, flow_out, metrics_out, metrics=runtime_metrics,
+            flow, flow_out, metrics=runtime_metrics,
             extra={"n": n, "transport": kind, "workload": "pi-ba"},
         )
         flow_problems = payload["parity_problems"]
@@ -148,10 +140,7 @@ def _run(n: int, kind: str, trace_dir, metrics_out, flow_out) -> int:
               f"parity={not flow_problems}")
         for problem in flow_problems:
             print(f"    {problem}")
-        if flow_out is not None:
-            print(f"  flow        report -> {flow_out}")
-        if metrics_out is not None:
-            print(f"  metrics     snapshot -> {metrics_out}")
+        print(f"  flow        report -> {flow_out}")
         if flow_problems:
             return 1
     return 0 if parity else 1

@@ -69,7 +69,7 @@ def run_balanced_ba_runtime(
     wire traffic as :class:`ReplayParty` machines on the placement row
     named ``transport``, with the hybrid-model charges applied verbatim,
     charging a fresh ledger at the transport layer (or the caller's
-    ``metrics``, so a flow ledger / registry can observe the wire
+    ``metrics``, so an attached flow ledger can observe the wire
     traffic).
 
     If the fault plan requests within-round reordering, the protocol is

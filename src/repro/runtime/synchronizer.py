@@ -17,7 +17,6 @@ are seeded, so a faulty schedule is as reproducible as a clean one.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -25,7 +24,6 @@ from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame, Party
 from repro.net.rounds import RoundCore
-from repro.obs.registry import MetricsRegistry
 from repro.runtime.faults import FaultPlan
 from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import Transport, make_transport
@@ -42,14 +40,12 @@ class RoundSynchronizer:
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[TraceRecorder] = None,
         message_budget_per_party: Optional[int] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.core = RoundCore(
             parties,
             policy=fault_plan,
             trace=trace,
             message_budget_per_party=message_budget_per_party,
-            on_fault=self._fault_injected if registry is not None else None,
         )
         self.parties: Dict[int, Party] = self.core.parties
         if set(self.parties) != set(transport.party_ids):
@@ -61,32 +57,6 @@ class RoundSynchronizer:
         # Frames the transport delivered that are not yet due (fault-plan
         # delays push deliver_round past the next barrier).
         self._staged: List[Frame] = []
-        # Observability: optional obs registry fed with round-barrier
-        # latency, inbox depths, and injected-fault counters; the
-        # transport feeds its own frame counters into the same registry.
-        self.registry = registry
-        if registry is not None:
-            self._round_latency = registry.histogram(
-                "repro_runtime_round_latency_seconds",
-                "Wall time from round start to barrier completion",
-            )
-            self._rounds_total = registry.counter(
-                "repro_runtime_rounds_total",
-                "Synchronous rounds completed",
-            )
-            self._inbox_depth = registry.gauge(
-                "repro_runtime_inbox_depth_max",
-                "High-water per-party inbox depth at the round barrier",
-            )
-            self._faults_injected = registry.counter(
-                "repro_runtime_faults_injected_total",
-                "Faults the plan actually injected, by kind",
-                ("kind",),
-            )
-            registry.gauge(
-                "repro_runtime_parties", "Parties driven by the synchronizer"
-            ).set(len(self.parties))
-            transport.bind_registry(registry)
 
     @property
     def round_index(self) -> int:
@@ -106,7 +76,6 @@ class RoundSynchronizer:
 
     async def step_round(self) -> None:
         """Execute one synchronous round: deliver, step all, ship, barrier."""
-        started = time.perf_counter() if self.registry is not None else 0.0
         round_index = self.core.round_index
         due = [f for f in self._staged if f.deliver_round <= round_index]
         self._staged = [f for f in self._staged if f.deliver_round > round_index]
@@ -117,13 +86,6 @@ class RoundSynchronizer:
         for party_id in self.parties:
             self._staged.extend(self.transport.collect(party_id))
         self.metrics.end_round()
-        if self.registry is not None:
-            self._inbox_depth.set_max(self.core.inbox_high_water)
-            self._rounds_total.inc()
-            self._round_latency.observe(time.perf_counter() - started)
-
-    def _fault_injected(self, kind: str) -> None:
-        self._faults_injected.inc(kind=kind)
 
     def outputs(self) -> Dict[int, object]:
         """Map of party id to output, halted parties only (simulator API)."""
@@ -147,7 +109,6 @@ def run_parties(
     metrics: Optional[CommunicationMetrics] = None,
     fault_plan: Optional[FaultPlan] = None,
     trace: Optional[TraceRecorder] = None,
-    registry: Optional[MetricsRegistry] = None,
     until: Optional[Iterable[int]] = None,
     max_rounds: int = 10_000,
     message_budget_per_party: Optional[int] = None,
@@ -168,7 +129,6 @@ def run_parties(
             metrics=metrics,
             fault_plan=fault_plan,
             trace=trace,
-            registry=registry,
             until=until,
             max_rounds=max_rounds,
             message_budget_per_party=message_budget_per_party,
@@ -183,7 +143,6 @@ async def run_parties_async(
     metrics: Optional[CommunicationMetrics] = None,
     fault_plan: Optional[FaultPlan] = None,
     trace: Optional[TraceRecorder] = None,
-    registry: Optional[MetricsRegistry] = None,
     until: Optional[Iterable[int]] = None,
     max_rounds: int = 10_000,
     message_budget_per_party: Optional[int] = None,
@@ -201,7 +160,6 @@ async def run_parties_async(
             transport_obj,
             fault_plan=fault_plan,
             trace=trace,
-            registry=registry,
             message_budget_per_party=message_budget_per_party,
         )
         if until is None:

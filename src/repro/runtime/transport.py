@@ -37,7 +37,6 @@ from repro.errors import NetworkError, SerializationError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
-from repro.obs.registry import MetricsRegistry
 
 #: One TCP record behind its u32 length prefix: ``kind, peer`` and, for a
 #: train, a :mod:`repro.net.trains` body.  ``peer`` is the party a HELLO
@@ -71,42 +70,6 @@ class Transport(abc.ABC):
         self._arrived: Dict[int, List[Frame]] = {p: [] for p in self.party_ids}
         self._sent = 0
         self._delivered = 0
-        self._registry: Optional[MetricsRegistry] = None
-
-    def bind_registry(self, registry: MetricsRegistry) -> None:
-        """Feed operational gauges/counters into an obs registry.
-
-        Registers ``repro_transport_frames_sent_total``,
-        ``repro_transport_frames_delivered_total``,
-        ``repro_transport_in_flight`` and
-        ``repro_transport_queue_depth_max`` (high-water arrived-buffer
-        depth per party, labeled).
-        """
-        self._registry = registry
-        self._frames_sent = registry.counter(
-            "repro_transport_frames_sent_total",
-            "Frames accepted by the transport for delivery",
-        )
-        self._frames_delivered = registry.counter(
-            "repro_transport_frames_delivered_total",
-            "Frames that reached their destination buffer",
-        )
-        self._in_flight_gauge = registry.gauge(
-            "repro_transport_in_flight",
-            "Frames sent but not yet delivered",
-        )
-        self._queue_depth = registry.gauge(
-            "repro_transport_queue_depth_max",
-            "High-water mark of one party's arrived-frame buffer",
-            ("party",),
-        )
-
-    def _note_sent(self, count: int) -> None:
-        """Subclasses call this instead of mutating ``_sent`` directly."""
-        self._sent += count
-        if self._registry is not None:
-            self._frames_sent.inc(count)
-            self._in_flight_gauge.set(self.in_flight)
 
     # -- hooks ---------------------------------------------------------------
 
@@ -151,13 +114,6 @@ class Transport(abc.ABC):
         for frame in frames:
             arrived[frame.recipient].append(frame)
         self._delivered += len(frames)
-        if self._registry is not None:
-            self._frames_delivered.inc(len(frames))
-            self._in_flight_gauge.set(self.in_flight)
-            for party_id in {frame.recipient for frame in frames}:
-                self._queue_depth.set_max(
-                    len(arrived[party_id]), party=party_id
-                )
 
     def collect(self, party_id: int) -> List[Frame]:
         """Drain (and return) all frames that have arrived for a party."""
@@ -184,7 +140,7 @@ class AsyncLocalTransport(Transport):
 
     async def ship(self, frames: Sequence[Frame]) -> None:
         self._check_known(frames)
-        self._note_sent(len(frames))
+        self._sent += len(frames)
         self._deliver(frames)
 
 
@@ -310,7 +266,7 @@ class TcpTransport(Transport):
             writes.setdefault(frame.sender, {}).setdefault(
                 frame.recipient, []
             ).append(frame)
-        self._note_sent(len(frames))
+        self._sent += len(frames)
         self._idle.clear()
         for sender, trains in writes.items():
             payload = b"".join(

@@ -12,7 +12,7 @@ Subcommands::
         publishes whatever port was bound for scripts to discover.
         ``--flow-out`` enables the wire-level flow ledger and writes its
         ``repro-flow/1`` report on shutdown; ``--metrics-out`` flushes
-        atomically and carries the flow summary as a comment line.
+        the ``GET /metrics`` exposition atomically.
 
     serve client <op> --port P [--host H] [op-specific flags]
         One-shot NDJSON client.  Ops: ping, submit (--n --scheme --seed

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional
 from repro.errors import GatewayError
 from repro.net.bind import bound_port, start_asyncio_server
 from repro.obs.flow import FlowLedger
-from repro.obs.flush import finish_artifacts, open_flow
+from repro.obs.flush import finish_artifacts, flush_metrics_file, open_flow
 from repro.obs.registry import MetricsRegistry
 from repro.serve import wire
 from repro.serve.sessions import SessionManager
@@ -96,9 +96,7 @@ class GatewayServer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.flow: Optional[FlowLedger] = None
         if manager is None and config.flow_enabled:
-            self.flow = open_flow(
-                config.flow_out, self.registry, config.flow_cells
-            )
+            self.flow = open_flow(config.flow_out, config.flow_cells)
         self.manager = manager if manager is not None else SessionManager(
             max_sessions=config.max_sessions,
             retry_after=config.retry_after,
@@ -171,11 +169,10 @@ class GatewayServer:
         self._stopped.set()
 
     def flush_metrics(self) -> None:
-        """Flush the final snapshot (and flow report) atomically."""
-        finish_artifacts(
-            self.flow, self.registry, self.config.flow_out,
-            self.config.metrics_out,
-        )
+        """Flush the final flow report and metrics snapshot atomically."""
+        finish_artifacts(self.flow, self.config.flow_out)
+        if self.config.metrics_out is not None:
+            flush_metrics_file(self.config.metrics_out, self.registry)
 
     async def serve_until_stopped(self) -> int:
         """Block until shutdown completes; the process exit status."""

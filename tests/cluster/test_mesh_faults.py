@@ -47,7 +47,6 @@ from repro.net.metrics import CommunicationMetrics
 from repro.net.party import SilentParty
 from repro.net.trains import _LENGTH, encode_train_body
 from repro.obs.flow import FlowLedger
-from repro.obs.registry import MetricsRegistry
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.drivers import run_balanced_ba_runtime
@@ -494,7 +493,7 @@ class TestMeshProcessFaults:
     ):
         """The survivor the supervisor stops for the relaunch is not a
         death: two launches of two workers fork four processes, and
-        ``restarts`` and the per-worker counter see worker 1 alone."""
+        ``restarts`` counts worker 1's death alone."""
         import repro.cluster.supervisor as supervisor
 
         forked = []
@@ -504,20 +503,15 @@ class TestMeshProcessFaults:
             return fork_child(name, *args, **kwargs)
 
         monkeypatch.setattr(supervisor, "fork_child", counting_fork)
-        registry = MetricsRegistry()
         parties, honest, max_rounds = build_phase_king(
             {i: i % 2 for i in range(16)}, (3,)
         )
         result = mesh(config=ClusterConfig(
-            num_workers=2, kill_plan={2: 1}, registry=registry,
+            num_workers=2, kill_plan={2: 1},
         )).run(parties, honest, max_rounds)
         assert result.restarts == 1
         assert sorted(forked) == ["cluster-worker-0", "cluster-worker-0",
                                   "cluster-worker-1", "cluster-worker-1"]
-        rendered = registry.render()
-        assert 'repro_cluster_restarts_total{worker="1"} 1' in rendered
-        assert 'worker="0"' not in rendered
-        assert "repro_cluster_sigkills_total 1" in rendered
 
     def test_two_sigkills_different_workers(self):
         result, cluster = _mesh_run(16, kill_plan={2: 0, 5: 1})

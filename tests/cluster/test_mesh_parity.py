@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.cluster.cli import cmd_cluster
 from repro.cluster.job import ClusterJob, replay_job
 from repro.cluster.supervisor import (
@@ -316,6 +317,22 @@ class TestOnePlane:
             cmd_cluster(["run", "--data-plane", "relay"])
         assert excinfo.value.code == 2
         assert "--data-plane" in capsys.readouterr().err
+
+
+class TestNoRegistryFeed:
+    """A cluster run keeps no Prometheus registry: rounds, restarts and
+    frames are in its ``ClusterResult`` and its ledger."""
+
+    def test_registry_is_not_a_config_field(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(registry=object())
+
+    @pytest.mark.parametrize("verb", ["run", "resume"])
+    def test_metrics_out_is_not_a_cli_flag(self, verb, capsys, tmp_path):
+        out = tmp_path / "cluster.prom"
+        assert main(["cluster", verb, "--metrics-out", str(out)]) == 2
+        assert "--metrics-out" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOneCrossProcessView:

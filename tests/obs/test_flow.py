@@ -17,7 +17,6 @@ from repro.obs.flow import (
     load_spill,
     write_flow_json,
 )
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import UNATTRIBUTED, charge_label, flow_tags, span
 
 
@@ -189,7 +188,7 @@ class TestMetricsParity:
         import pickle
 
         metrics = CommunicationMetrics()
-        flow = FlowLedger(registry=MetricsRegistry())
+        flow = FlowLedger()
         metrics.attach_flow(flow)
         metrics.record_message(0, 1, 10)
         clone = pickle.loads(pickle.dumps(metrics))
@@ -197,15 +196,12 @@ class TestMetricsParity:
         assert clone.tally_of(0).bits_sent == 10
 
 
-class TestRegistryInstruments:
-    def test_flow_bytes_and_histogram_series(self):
-        registry = MetricsRegistry()
-        flow = FlowLedger(registry=registry)
-        flow.charge(0, "boost", 0, 1, 800, kind="frame")
-        text = registry.render()
-        assert "repro_flow_bytes_total" in text
-        assert 'phase="boost"' in text
-        assert "repro_flow_frame_bits" in text
+class TestNoRegistryFeed:
+    def test_flow_ledger_takes_no_registry(self):
+        # The flow report and the gateway's status op carry what the
+        # repro_flow_* series used to copy.
+        with pytest.raises(TypeError):
+            FlowLedger(registry=object())
 
 
 class TestReports:

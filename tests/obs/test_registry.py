@@ -35,18 +35,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_replaces_the_value(self):
         gauge = Gauge("in_flight", "h")
         gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
+        gauge.set(4)
         assert gauge.value() == 4
-
-    def test_set_max_keeps_high_water(self):
-        gauge = Gauge("depth", "h")
-        gauge.set_max(3)
-        gauge.set_max(1)
-        assert gauge.value() == 3
 
 
 class TestHistogram:

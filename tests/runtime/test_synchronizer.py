@@ -12,7 +12,10 @@ end and pins tracing determinism.
 
 import pytest
 
+from repro.__main__ import main
 from repro.net.metrics import CommunicationMetrics
+from repro.net.party import Envelope, Party
+from repro.net.rounds import RoundCore
 from repro.net.simulator import SynchronousNetwork
 from repro.protocols.gradecast import (
     build_gradecast,
@@ -21,6 +24,8 @@ from repro.protocols.gradecast import (
 )
 from repro.protocols.phase_king import build_phase_king, run_phase_king
 from repro.runtime import LOCAL, TCP, TraceRecorder, run_parties
+from repro.runtime.synchronizer import RoundSynchronizer, run_parties_async
+from repro.runtime.transport import AsyncLocalTransport, Transport
 from tests.net import test_simulator as contract
 from tests.net.test_simulator import EchoParty
 from tests.placements import run_honest
@@ -132,3 +137,64 @@ def test_external_metrics_object_is_charged():
     )
     assert result.metrics is metrics
     assert metrics.total_bits > 0
+
+
+class _Chatter(Party):
+    """Sends one frame to every peer in round 0, halts at round 2."""
+
+    def __init__(self, party_id: int, n: int) -> None:
+        super().__init__(party_id)
+        self.n = n
+
+    def step(self, round_index, inbox):
+        if round_index == 0:
+            return [
+                Envelope(self.party_id, r, b"x" * 4)
+                for r in range(self.n)
+                if r != self.party_id
+            ]
+        if round_index >= 2:
+            self.halt(len(inbox))
+        return []
+
+
+def test_plain_run_ends_once_every_party_halts():
+    result = run_parties([_Chatter(i, 3) for i in range(3)])
+    assert result.rounds == 3
+    # Round-0 sends arrive at round 1; the round-2 inbox is empty.
+    assert set(result.outputs.values()) == {0}
+    assert result.metrics.tally_of(0).messages_sent == 2
+
+
+class TestNoRegistryFeed:
+    """A batch run keeps no Prometheus registry: the ledger, its flow
+    cells and the trace are its only instrumentation."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            run_parties,
+            run_parties_async,
+            lambda parties, **kw: RoundSynchronizer(
+                parties, AsyncLocalTransport([0, 1]), **kw
+            ),
+        ],
+        ids=["run_parties", "run_parties_async", "RoundSynchronizer"],
+    )
+    def test_entry_point_takes_no_registry(self, entry):
+        with pytest.raises(TypeError):
+            entry([_Chatter(i, 2) for i in range(2)], registry=object())
+
+    def test_transport_has_no_registry_binding(self):
+        assert not hasattr(Transport, "bind_registry")
+        assert not hasattr(AsyncLocalTransport([0, 1]), "_registry")
+
+    def test_round_core_takes_no_fault_callback(self):
+        with pytest.raises(TypeError):
+            RoundCore([_Chatter(i, 2) for i in range(2)], on_fault=print)
+
+    def test_metrics_out_is_not_a_runtime_flag(self, tmp_path, capsys):
+        out = tmp_path / "runtime.prom"
+        assert main(["runtime", "--metrics-out", str(out)]) == 2
+        assert "--metrics-out" in capsys.readouterr().err
+        assert not out.exists()

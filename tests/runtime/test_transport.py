@@ -205,7 +205,7 @@ class TestTcpTransport:
                 Frame(sender=2, recipient=1, payload=b"!", seq=k)
                 for k in range(3)
             ]
-            transport._note_sent(len(forged))
+            transport._sent += len(forged)
             transport._idle.clear()
             transport._endpoints[0].writer.write(
                 _record(_TRAIN, 1, encode_train_body(forged))

@@ -7,8 +7,11 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.obs.flow import FlowLedger
+import pytest
+
+from repro.obs.flow import FlowLedger, load_flow_json
 from repro.obs.spans import SpanLog
+from repro.serve.server import GatewayConfig, GatewayServer
 from repro.serve.sessions import (
     SessionManager,
     SessionSpec,
@@ -18,6 +21,19 @@ from repro.serve.sessions import (
 from repro.serve.setup_cache import SetupCache
 
 SMALL = dict(n=6, scheme="snark-hash", seed=11)
+
+#: Every family a gateway's registry holds, flow ledger or not.
+GATEWAY_FAMILIES = {
+    "repro_gateway_decisions_total",
+    "repro_gateway_lane_cpu_seconds_total",
+    "repro_gateway_lane_restarts_total",
+    "repro_gateway_session_seconds",
+    "repro_gateway_sessions_active",
+    "repro_gateway_sessions_admitted_total",
+    "repro_gateway_sessions_rejected_total",
+    "repro_gateway_setup_cache_hits_total",
+    "repro_gateway_setup_cache_misses_total",
+}
 
 
 class TestRunDecisionFlow:
@@ -82,3 +98,41 @@ class TestManagerIntegration:
             manager.close()
 
         asyncio.run(scenario())
+
+
+class TestGatewayRegistry:
+    """Prometheus is the gateway's live endpoint and nothing else: the
+    flow ledger feeds no series, and the ``--metrics-out`` snapshot is
+    the registry's exposition verbatim (no flow-summary comment)."""
+
+    @pytest.mark.parametrize("with_flow", [False, True])
+    def test_snapshot_is_the_gateway_families_alone(self, with_flow, tmp_path):
+        flow_out = tmp_path / "FLOW_gw.json" if with_flow else None
+        metrics_out = tmp_path / "gw.prom"
+
+        async def scenario():
+            server = GatewayServer(GatewayConfig(
+                max_sessions=1, flow_out=flow_out, metrics_out=metrics_out,
+            ))
+            try:
+                submitted = server.manager.submit(dict(SMALL))
+                done = await server.manager.await_result(submitted["session"])
+                assert done["ok"] and done["state"] == "done"
+            finally:
+                server.manager.close()
+            server.flush_metrics()
+            return server
+
+        server = asyncio.run(scenario())
+        rendered = server.registry.render()
+        families = {
+            line.split()[2] for line in rendered.splitlines()
+            if line.startswith("# TYPE ")
+        }
+        assert families == GATEWAY_FAMILIES
+        assert "repro_flow_" not in rendered
+        assert "repro_gateway_decisions_total 1" in rendered
+        assert metrics_out.read_text() == rendered
+        assert (server.flow is not None) is with_flow
+        if with_flow:
+            assert load_flow_json(flow_out)["total_bits"] > 0
