@@ -55,7 +55,9 @@ from repro.obs.spans import current_phase
 
 T = TypeVar("T")
 
-_CANONICAL_ORDER = attrgetter("sent_round", "sender", "seq")
+#: The inbox order of the determinism contract; a transport's barrier
+#: charges a round's landed frames in it too.
+CANONICAL_ORDER = attrgetter("sent_round", "sender", "seq")
 
 # Trace event kinds (the schema is :mod:`repro.runtime.trace`'s; they
 # are defined beside their one lockstep emitter).
@@ -201,7 +203,7 @@ class RoundCore:
     ) -> List[Frame]:
         """Canonical order, then the policy's duplication and reordering.
         The party is handed the delivered frames themselves."""
-        due.sort(key=_CANONICAL_ORDER)
+        due.sort(key=CANONICAL_ORDER)
         delivered: List[Frame] = []
         for frame in due:
             delivered.append(frame)

@@ -9,15 +9,18 @@ implementations —
   buffers guarded by the event loop (the fast path for experiments);
 * :class:`TcpTransport` — real loopback TCP sockets carrying
   length-prefixed *trains* (one sender's frames for one recipient in
-  one round) through a central authenticated router (the fidelity
-  path: every message crosses a kernel socket twice).
+  one round) through a central authenticated router that forwards a
+  round with one write per endpoint (the fidelity path: every message
+  crosses a kernel socket twice).
 
 The unit of work is the round, as in the paper's model: the round core
-hands :meth:`Transport.ship` everything the parties emitted, and both
-implementations charge the delivered frames a batch at a time to the
-same :class:`~repro.net.metrics.CommunicationMetrics` ledger the
-synchronous simulator uses, so the paper's headline quantity (max bits
-per party) is measured identically regardless of execution substrate.
+hands :meth:`Transport.ship` everything the parties emitted, and the
+barrier, :meth:`Transport.flush`, charges the round's landed frames in
+the core's ``(sender, seq)`` order to the same
+:class:`~repro.net.metrics.CommunicationMetrics` ledger the synchronous
+simulator uses.  Both implementations reach the ledger through that one
+site, so the paper's headline quantity (max bits per party) is measured
+identically — charge for charge — regardless of execution substrate.
 
 Authentication is a *transport* property, exactly as in the simulator:
 the round core stamps the true sender on every frame and the TCP router
@@ -36,6 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import NetworkError, SerializationError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
+from repro.net.rounds import CANONICAL_ORDER
 from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 
 #: One TCP record behind its u32 length prefix: ``kind, peer`` and, for a
@@ -56,6 +60,8 @@ class Transport(abc.ABC):
     Lifecycle: ``await start()`` → any number of ``await ship(...)`` /
     ``collect(...)`` cycles (with ``await flush()`` between a round's
     ship and the collect that must observe it) → ``await stop()``.
+    Frames are charged at the barrier: ``flush()`` is the one place a
+    transport reaches the ledger.
     """
 
     def __init__(
@@ -68,6 +74,8 @@ class Transport(abc.ABC):
             raise NetworkError("duplicate party id in transport registry")
         self.metrics = metrics if metrics is not None else CommunicationMetrics()
         self._arrived: Dict[int, List[Frame]] = {p: [] for p in self.party_ids}
+        #: Frames delivered since the last barrier, not yet charged.
+        self._landed: List[Frame] = []
         self._sent = 0
         self._delivered = 0
 
@@ -93,7 +101,22 @@ class Transport(abc.ABC):
         await self.ship([frame])
 
     async def flush(self) -> None:
-        """Wait until every sent frame has arrived at its destination."""
+        """The round barrier: wait until every sent frame has arrived at
+        its destination, then charge the landed frames to the ledger.
+
+        The charge runs in the core's canonical order (a barrier's
+        frames share one ``sent_round``, so sender, then seq), so a
+        party's fan-out is one multicast run on every transport.
+        """
+        await self._await_landed()
+        landed, self._landed = self._landed, []
+        landed.sort(key=CANONICAL_ORDER)
+        # The phase stamped at ship time rides the frame, so it survives
+        # the TCP transport's cross-task (cross-contextvar) delivery.
+        self.metrics.record_frames(landed, kind="frame")
+
+    async def _await_landed(self) -> None:
+        """Wait until ``sent == delivered`` (delivery may be immediate)."""
 
     # -- shared delivery plumbing -------------------------------------------
 
@@ -106,13 +129,12 @@ class Transport(abc.ABC):
                 raise NetworkError(f"unknown sender {frame.sender}")
 
     def _deliver(self, frames: Sequence[Frame]) -> None:
-        """Accept checked frames at their destinations; charge the ledger."""
-        # The phase stamped at ship time rides the frame, so it survives
-        # the TCP transport's cross-task (cross-contextvar) delivery.
-        self.metrics.record_frames(frames, kind="frame")
+        """Accept checked frames at their destinations (charged at the
+        next barrier)."""
         arrived = self._arrived
         for frame in frames:
             arrived[frame.recipient].append(frame)
+        self._landed += frames
         self._delivered += len(frames)
 
     def collect(self, party_id: int) -> List[Frame]:
@@ -133,7 +155,7 @@ class AsyncLocalTransport(Transport):
     """In-process transport: frames hop through the event loop only.
 
     Delivery is immediate (``ship`` completes once the frames are staged
-    at their recipients), so :meth:`flush` is trivially satisfied.  This
+    at their recipients), so :meth:`flush` only charges them.  This
     is the default substrate for differential tests and large-n
     experiments.
     """
@@ -164,9 +186,15 @@ class TcpTransport(Transport):
     opens a train: it checks the destination, replaces the record's
     ``peer`` field with the connection's registered identity
     (authenticated channels, mirroring the simulator's sender-stamping)
-    and forwards the body bytes untouched; the receiving pump decodes
-    strictly and delivers the train's frames under that identity,
-    whatever sender the body claims.
+    and appends the record, body bytes untouched, to the target's
+    outbox.  One flush task, run once every ready sender connection has
+    been read, writes each target's outbox in one ``write`` and drains
+    it; the handlers that fed it await it before reading on.  So a round
+    the router reads in one pass costs it at most one write per
+    endpoint, too.  The
+    receiving pump decodes strictly and delivers the train's frames
+    under the router's stamp, whatever sender the body claims; the
+    barrier charges them (:meth:`Transport.flush`).
 
     The router intentionally does *not* reorder or drop: scheduling
     adversaries live in :class:`~repro.runtime.faults.FaultPlan`, at the
@@ -175,10 +203,11 @@ class TcpTransport(Transport):
     Failure is loud, never retried: a round write that hits a torn
     endpoint connection raises :class:`~repro.errors.NetworkError`
     naming the party.  The router listens on an OS-assigned port.  A
-    malformed record (data before HELLO,
-    oversized length, unknown party, undecodable train) ends the task
-    that read it; the first such error is re-raised by :meth:`flush`
-    and :meth:`stop`, so the barrier fails instead of waiting forever.
+    malformed record (data before HELLO, a second HELLO, a HELLO for a
+    party already registered, oversized length, unknown party,
+    undecodable train) ends the task that read it; the first such error
+    is re-raised by :meth:`flush` and :meth:`stop`, so the barrier fails
+    instead of waiting forever.
     """
 
     def __init__(
@@ -190,6 +219,12 @@ class TcpTransport(Transport):
         self._server: Optional[asyncio.base_events.Server] = None
         self._endpoints: Dict[int, _Endpoint] = {}
         self._router_writers: Dict[int, asyncio.StreamWriter] = {}
+        #: Target writer -> the records forwarded to it since the last
+        #: router flush started; ``_router_flush`` is the flush task that
+        #: will write them, ``_router_flush_last`` the latest one begun.
+        self._outboxes: Dict[asyncio.StreamWriter, List[bytes]] = {}
+        self._router_flush: Optional[asyncio.Task] = None
+        self._router_flush_last: Optional[asyncio.Task] = None
         self._router_tasks: List[asyncio.Task] = []
         self._idle = asyncio.Event()
         self._idle.set()
@@ -283,7 +318,7 @@ class TcpTransport(Transport):
                     f"{exc}"
                 ) from exc
 
-    async def flush(self) -> None:
+    async def _await_landed(self) -> None:
         while self._failure is None and self._sent != self._delivered:
             self._idle.clear()
             await self._idle.wait()
@@ -309,11 +344,19 @@ class TcpTransport(Transport):
             while not reader.at_eof():
                 # No name for the chunk: an idle task would keep it alive.
                 buffer += await reader.read(_READ_BYTES)
-                forwarded: Dict[int, asyncio.StreamWriter] = {}
+                forwarding = False
                 for kind, peer, body in _split_records(buffer):
                     if peer not in self._arrived:
                         raise NetworkError(f"record names unknown party {peer}")
                     if kind == _HELLO:
+                        if identity is not None:
+                            raise NetworkError(
+                                f"second HELLO on party {identity}'s connection"
+                            )
+                        if peer in self._router_writers:
+                            raise NetworkError(
+                                f"HELLO for party {peer}, already registered"
+                            )
                         identity = peer
                         self._router_writers[peer] = writer
                         self._hello_count += 1
@@ -327,16 +370,47 @@ class TcpTransport(Transport):
                         )
                     # Authenticated channels: the train leaves under this
                     # connection's identity; its body is never opened.
-                    target.write(_record(_TRAIN, identity, body))
-                    forwarded[peer] = target
-                for target in forwarded.values():
-                    await target.drain()
+                    self._outboxes.setdefault(target, []).append(
+                        _record(_TRAIN, identity, body)
+                    )
+                    forwarding = True
+                if forwarding:
+                    await self._router_flush_soon()
         except ConnectionError:
             return
         except NetworkError as exc:
             self._fail(exc)
         finally:
             writer.close()
+
+    def _router_flush_soon(self) -> "asyncio.Task[None]":
+        """The pending router flush task, scheduled if none is.
+
+        A new task's first step is queued behind the handler wake-ups
+        already ready, so it runs once every ready sender connection has
+        been read.
+        """
+        if self._router_flush is None:
+            self._router_flush = asyncio.get_running_loop().create_task(
+                self._flush_outboxes(self._router_flush_last)
+            )
+            self._router_flush_last = self._router_flush
+        return self._router_flush
+
+    async def _flush_outboxes(self, previous: Optional[asyncio.Task]) -> None:
+        """Write each target's outbox in one ``write``, then drain them.
+
+        Flushes drain one after another, so a target writer never has
+        two drainers (Python 3.9's stream protocol allows only one).
+        """
+        self._router_flush = None
+        outboxes, self._outboxes = self._outboxes, {}
+        for target, records in outboxes.items():
+            target.write(b"".join(records))
+        if previous is not None and not previous.done():
+            await asyncio.wait((previous,))
+        for target in outboxes:
+            await target.drain()
 
     # -- endpoint receive pump ----------------------------------------------
 

@@ -1,6 +1,7 @@
 """Unit tests for the runtime transport layer."""
 
 import asyncio
+import socket
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.errors import NetworkError
 from repro.net.adversary import prefix_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.net.trains import decode_train_body, encode_train_body
+from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.runtime.replay import (
     apply_func_ops,
@@ -37,6 +39,27 @@ from repro.utils.randomness import Randomness
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+@pytest.fixture(scope="module")
+def script16():
+    """A recorded n=16 pi_ba script: a round of real fan-outs."""
+    _, script = record_balanced_ba_script(
+        {i: i % 2 for i in range(16)}, prefix_corruption(16, 2),
+        SnarkSRDS(HashRegistryBase()), ProtocolParameters(),
+        Randomness(5),
+    )
+    return script
+
+
+class CountingMetrics(CommunicationMetrics):
+    """A ledger that counts its :meth:`record_exchange` calls."""
+
+    exchanges = 0
+
+    def record_exchange(self, *args, **kwargs):
+        self.exchanges += 1
+        return super().record_exchange(*args, **kwargs)
 
 
 class TestFrameEncoding:
@@ -218,15 +241,10 @@ class TestTcpTransport:
 
         run(main())
 
-    def test_a_round_is_one_write_per_endpoint(self):
+    def test_a_round_is_one_write_per_endpoint(self, script16):
         # A replayed n=16 pi_ba script over TCP: however many frames a
         # party emits in a round, its endpoint writes once.
-        n = 16
-        _, script = record_balanced_ba_script(
-            {i: i % 2 for i in range(n)}, prefix_corruption(n, 2),
-            SnarkSRDS(HashRegistryBase()), ProtocolParameters(),
-            Randomness(5),
-        )
+        n, script = 16, script16
         writes_per_round = []
 
         class CountingTransport(TcpTransport):
@@ -263,6 +281,108 @@ class TestTcpTransport:
         apply_func_ops(script, metrics)
         assert tallies_equal(metrics, replay_over_simulator(script, n), range(n))
 
+    def test_a_round_is_one_write_per_router_target(self, script16):
+        # The same script: however many trains reach the router in a
+        # round, it writes each target endpoint once.
+        n, script = 16, script16
+
+        class CountingTransport(TcpTransport):
+            router_writes = 0
+
+            async def _router_accept(self, reader, writer):
+                write = writer.write
+
+                def counted(data):
+                    self.router_writes += 1
+                    write(data)
+
+                writer.write = counted
+                await super()._router_accept(reader, writer)
+
+        async def main():
+            transport = CountingTransport(list(range(n)))
+            result = await run_parties_async(
+                build_replay_parties(script, n), transport=transport
+            )
+            return transport, result
+
+        transport, result = run(main())
+        assert 0 < transport.router_writes <= result.rounds * n
+        apply_func_ops(script, result.metrics)
+        assert tallies_equal(
+            result.metrics, replay_over_simulator(script, n), range(n)
+        )
+
+    def test_a_backlogged_target_is_drained(self):
+        # Router sockets with tiny send buffers: an outbox cannot leave in
+        # one send, so the flush must wait on its targets, one drainer
+        # per target at a time (Python 3.9's streams assert that), and
+        # every byte still arrives.
+        class TinyBuffers(TcpTransport):
+            backlogged = 0
+            concurrent = 0
+
+            async def _router_accept(self, reader, writer):
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                drain, draining = writer.drain, []
+
+                async def counted():
+                    if writer.transport.get_write_buffer_size():
+                        self.backlogged += 1
+                    self.concurrent = max(self.concurrent, len(draining) + 1)
+                    draining.append(None)
+                    try:
+                        await drain()
+                    finally:
+                        draining.pop()
+
+                writer.drain = counted
+                await super()._router_accept(reader, writer)
+
+        async def main():
+            metrics = CommunicationMetrics()
+            transport = TinyBuffers([0, 1, 2], metrics)
+            await transport.start()
+            payload = bytes(range(256)) * 1024
+            frames = [
+                Frame(sender, recipient, payload, seq=recipient)
+                for sender in range(3) for recipient in range(3)
+            ]
+            for _ in range(2):
+                await transport.ship(frames)
+                await asyncio.wait_for(transport.flush(), 10.0)
+                for party in range(3):
+                    assert [f.payload for f in transport.collect(party)] == [
+                        payload
+                    ] * 3
+            assert transport.backlogged > 0
+            assert transport.concurrent == 1
+            assert metrics.tally_of(0).bits_sent == 2 * 3 * 8 * len(payload)
+            await transport.stop()
+
+        run(main())
+
+    def test_tcp_charges_like_local(self, script16):
+        # The barrier charges a round in the core's order on both
+        # transports: the same multicast runs, whatever the sockets did.
+        n, script = 16, script16
+        runs = {}
+        for kind in ("local", "tcp"):
+            metrics, flow = CountingMetrics(), FlowLedger()
+            metrics.attach_flow(flow)
+            run(run_parties_async(
+                build_replay_parties(script, n), transport=kind,
+                metrics=metrics,
+            ))
+            runs[kind] = metrics, flow
+        (local, local_flow), (tcp, tcp_flow) = runs["local"], runs["tcp"]
+        assert 0 < tcp.exchanges == local.exchanges < script.num_messages
+        assert tallies_equal(local, tcp, range(n))
+        assert tcp.phase_breakdown() == local.phase_breakdown()
+        assert tcp_flow.cells() == local_flow.cells()
+
 
 class TestDeadTaskFailsTheBarrier:
     """A router or pump task killed by a bad record must not hang flush()."""
@@ -280,11 +400,19 @@ class TestDeadTaskFailsTheBarrier:
             await transport.flush()
             await asyncio.sleep(0.005)
 
-    def _assert_fails(self, records, match, in_flight=None):
+    def _assert_fails(self, records, match, in_flight=None, endpoint=None):
+        """``records`` go out on a fresh raw connection, or on party
+        ``endpoint``'s own registered one."""
+
         async def main():
             transport = TcpTransport([0, 1, 2])
             await transport.start()
-            raw = await self._raw(transport, *records)
+            if endpoint is None:
+                raw = await self._raw(transport, *records)
+            else:
+                raw = transport._endpoints[endpoint].writer
+                raw.write(b"".join(records))
+                await raw.drain()
             try:
                 if in_flight is not None:
                     await transport.ship([in_flight])
@@ -310,21 +438,39 @@ class TestDeadTaskFailsTheBarrier:
         # arrive, which used to leave flush() waiting forever.
         body = encode_train_body([Frame(2, 1, b"payload")])[:-3]
         self._assert_fails(
-            [_record(_HELLO, 2), _record(_TRAIN, 1, body)],
+            [_record(_TRAIN, 1, body)],
             "malformed train from 2: truncated",
             in_flight=Frame(0, 1, b"never delivered"),
+            endpoint=2,
         )
 
     def test_oversized_length(self):
         self._assert_fails(
-            [_record(_HELLO, 2), _LENGTH.pack(_MAX_RECORD + 1)],
-            "bad record length",
+            [_LENGTH.pack(_MAX_RECORD + 1)], "bad record length", endpoint=2
         )
 
     def test_unknown_recipient(self):
         self._assert_fails(
-            [_record(_HELLO, 2), _record(_TRAIN, 9, encode_train_body([]))],
+            [_record(_TRAIN, 9, encode_train_body([]))],
             "unknown party 9",
+            endpoint=2,
+        )
+
+    def test_second_hello_fails_the_barrier(self):
+        # An impostor introducing itself as party 2 used to take over
+        # party 2's router writer: the frame then shipped to party 2
+        # went to the impostor and flush() waited forever.
+        self._assert_fails(
+            [_record(_HELLO, 2)],
+            "HELLO for party 2, already registered",
+            in_flight=Frame(0, 2, b"for the real party 2"),
+        )
+
+    def test_second_hello_on_one_connection(self):
+        self._assert_fails(
+            [_record(_HELLO, 2)],
+            "second HELLO on party 2's connection",
+            endpoint=2,
         )
 
 
