@@ -52,9 +52,6 @@ COMMANDS: Dict[str, Tuple[str, str, str]] = {
                  "{run,replay,minimize,list} — adversarial conformance "
                  "sweeps: strategies x fault schedules x configs, with "
                  "replayable one-line specs"),
-    "lint": ("repro.lint.cli", "cmd_lint",
-             "{check,explain,rules} — protocol-aware static analysis; "
-             "a finding is fixed or carries a reasoned pragma"),
 }
 
 

@@ -26,15 +26,19 @@ The router owns exactly the properties the differential suite pins:
 
 A peer's EOF ends only that link's receiver thread: a dead peer is the
 supervisor's to notice (its control channel closes), and the
-supervisor then relaunches the whole fleet.  No wall-clock reads: all
-pacing uses event waits.
+supervisor then relaunches the whole fleet.  Receiver threads share no
+container with the stepping thread: each puts what its link delivered
+on one queue, and only the stepping thread takes from it.  Pacing is
+the queue's own timed wait, against the monotonic clock.
 """
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+import time
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster.meshwire import (
     MESH_CHUNK_BYTES,
@@ -48,6 +52,10 @@ from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
 
 #: One framed record is one chunk; anything larger is garbage framing.
 _MAX_RECORD = MESH_CHUNK_BYTES + 4096
+
+#: What a receiver thread hands the stepping thread: one train as
+#: ``(peer, round, frames, halted)``, or the error that ended its link.
+_Arrival = Union[Tuple[int, int, List[Frame], bool], SerializationError]
 
 
 def _read_exact(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -83,8 +91,10 @@ class MeshRouter:
     """Point-to-point frame transport between cluster workers.
 
     ``links`` maps each peer to this worker's end of their connected
-    socket.  One receiver thread per link; all shared state lives under
-    one condition variable.  Sends run on the caller's thread.
+    socket.  One receiver thread per link puts each train it assembles,
+    or the error that ended the link, on ``_arrivals``; only the
+    stepping thread (``wait_round`` / ``collect_round``) takes from it
+    and files trains in ``_inbox``.  Sends run on the caller's thread.
     """
 
     def __init__(
@@ -97,12 +107,15 @@ class MeshRouter:
         self.worker_id = worker_id
         self._links = dict(links)
         self._chunk_bytes = chunk_bytes
-        self._cond = threading.Condition()
-        #: (peer, round) -> (frames, the peer's halted flag)
+        self._arrivals: "queue.SimpleQueue[_Arrival]" = queue.SimpleQueue()
+        #: (peer, round) -> (frames, the peer's halted flag); the
+        #: stepping thread's alone.
         self._inbox: Dict[Tuple[int, int], Tuple[List[Frame], bool]] = {}
-        #: The error that ended a link, raised by ``wait_round``.
+        #: The first error that ended a link; every later ``wait_round``
+        #: raises it.
         self._failure: Optional[SerializationError] = None
         self._progress = 0
+        self._progress_lock = threading.Lock()
         for peer, sock in sorted(self._links.items()):
             threading.Thread(
                 target=self._receive_loop, args=(peer, sock, first_round),
@@ -110,7 +123,7 @@ class MeshRouter:
             ).start()
 
     def _bump_progress(self, count: int) -> None:
-        with self._cond:
+        with self._progress_lock:
             self._progress += count
 
     # -- public API ----------------------------------------------------------
@@ -142,15 +155,20 @@ class MeshRouter:
         ``False`` on timeout.  Raises the
         :class:`~repro.errors.SerializationError` that ended a link."""
         keys = [(peer, round_index) for peer in peers]
-        with self._cond:
-            arrived = self._cond.wait_for(
-                lambda: self._failure is not None
-                or all(key in self._inbox for key in keys),
-                timeout=timeout,
-            )
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            while not self._arrivals.empty():
+                self._file(self._arrivals.get())
             if self._failure is not None:
                 raise self._failure
-            return arrived
+            if all(key in self._inbox for key in keys):
+                return True
+            remaining = (None if deadline is None
+                         else max(0.0, deadline - time.monotonic()))
+            try:
+                self._file(self._arrivals.get(timeout=remaining))
+            except queue.Empty:
+                return False
 
     def collect_round(self, round_index: int,
                       peers: Iterable[int]) -> Tuple[List[Frame], bool]:
@@ -159,15 +177,14 @@ class MeshRouter:
         frames: List[Frame] = []
         halted = True
         for peer in sorted(peers):
-            with self._cond:
-                entry = self._inbox.pop((peer, round_index))
+            entry = self._inbox.pop((peer, round_index))
             frames.extend(entry[0])
             halted = halted and entry[1]
         return frames, halted
 
     def progress(self) -> int:
         """Monotonic moved-bytes counter (sent + received)."""
-        with self._cond:
+        with self._progress_lock:
             return self._progress
 
     def close(self) -> None:
@@ -180,6 +197,15 @@ class MeshRouter:
             sock.close()
 
     # -- data movement -------------------------------------------------------
+
+    def _file(self, arrival: _Arrival) -> None:
+        """File one receiver-thread arrival (stepping thread only)."""
+        if isinstance(arrival, SerializationError):
+            if self._failure is None:
+                self._failure = arrival
+        else:
+            peer, round_index, frames, halted = arrival
+            self._inbox[(peer, round_index)] = (frames, halted)
 
     def _receive_loop(self, peer: int, sock: socket.socket,
                       first_round: int) -> None:
@@ -206,13 +232,9 @@ class MeshRouter:
                 round_index, body, halted = train
                 frames = decode_train_body(body)
             except SerializationError as exc:
-                with self._cond:
-                    self._failure = exc
-                    self._cond.notify_all()
+                self._arrivals.put(exc)
                 return
-            with self._cond:
-                self._inbox[(peer, round_index)] = (frames, halted)
-                self._cond.notify_all()
+            self._arrivals.put((peer, round_index, frames, halted))
 
 
 __all__ = ["MeshRouter"]

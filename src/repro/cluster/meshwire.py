@@ -145,7 +145,9 @@ def decode_chunk(record: bytes) -> MeshChunk:
         num_chunks=num_chunks,
         payload=record[_CHUNK.size:],
         halted=bool(halted),
-        round_index=round_index,  # lint: allow[TRU001] reason=TrainAssembler.add refuses any round but the next one expected on the link
+        # TrainAssembler.add refuses any round but the next one the link
+        # owes.
+        round_index=round_index,
     )
 
 

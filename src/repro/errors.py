@@ -117,7 +117,7 @@ class GatewayError(ReproError):
 #:
 #: Byzantine-tolerant verify/decode paths catch exactly this tuple and
 #: return a rejection — catching plain ``Exception`` there would also
-#: swallow genuine verifier bugs (``lint``'s EXC001 enforces this).
+#: swallow genuine verifier bugs.
 MALFORMED_INPUT_ERRORS = (
     SerializationError,
     CryptoError,

@@ -123,14 +123,21 @@ def decode_train_body(body: bytes) -> List[Frame]:
                 )
             frames.append(
                 Frame(
-                    # lint: allow[TRU001] reason=the link that carried the train stamps or checks the sender (router identity on tcp, staged routing table on the mesh) before any delivery or ledger charge
+                    # The link that carried the train stamps or checks
+                    # the sender (router identity on tcp, the staged
+                    # routing table on the mesh) and checks the
+                    # recipient against the receiving endpoint or that
+                    # table, before any delivery or ledger charge.
                     sender=sender,
-                    recipient=recipient,  # lint: allow[TRU001] reason=recipient is checked against the receiving endpoint / staged routing table before any delivery or ledger charge
+                    recipient=recipient,
                     payload=body[offset:offset + payload_len],
                     sent_round=sent_round,
                     deliver_round=deliver_round,
                     charge_bits=charge_bits,
-                    seq=seq,  # lint: allow[TRU001] reason=seq is only an ordering key (canonical inbox order, the fault plan's seeded draws, checkpoint sort); every unpacked value is a valid key
+                    # seq is only an ordering key (canonical inbox
+                    # order, the fault plan's seeded draws, checkpoint
+                    # sort): every unpacked value is a valid key.
+                    seq=seq,
                     phase=phases[phase_id] if phase_id < num_phases else "",
                 )
             )

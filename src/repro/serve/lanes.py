@@ -148,7 +148,9 @@ def _serve(
         turn = time.perf_counter()
         try:
             last = work.decide(spec, lease, flow=flow)
-        except Exception as exc:  # lint: allow[EXC001] reason=session isolation: the error is reported to the gateway, which fails this session and keeps the lane
+        except Exception as exc:
+            # Session isolation: the error is reported to the gateway,
+            # which fails this session and keeps the lane.
             traceback.print_exc()
             error = f"{type(exc).__name__}: {exc}"
             break

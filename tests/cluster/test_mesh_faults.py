@@ -156,6 +156,27 @@ class TestLinkFaults:
             raw.close()
             b.close()
 
+    def test_a_link_failure_is_raised_on_every_later_wait(self):
+        """Once one link broke, a round the other links did complete
+        does not hide it: every later wait raises the same error."""
+        raw, end_10 = socket.socketpair()
+        end_12, end_21 = socket.socketpair()
+        router = MeshRouter(1, {0: end_10, 2: end_12})
+        peer_2 = MeshRouter(2, {1: end_21})
+        try:
+            _send_records(raw, split_train(0, 1, 7, EMPTY))
+            with pytest.raises(SerializationError, match="owes round 0") as first:
+                router.wait_round(0, [0, 2], timeout=5.0)
+            peer_2.send_train(1, 0, [])
+            for _ in range(2):
+                with pytest.raises(SerializationError) as again:
+                    router.wait_round(0, [2], timeout=5.0)
+                assert again.value is first.value
+        finally:
+            raw.close()
+            router.close()
+            peer_2.close()
+
     def test_a_train_for_another_worker_is_refused(self):
         raw, b = _forged_link()
         try:
@@ -254,7 +275,7 @@ class _ScriptedChannel:
     """A stand-in control channel: each poll delivers one list of
     events, then its recv deadline.  ``("partial", nbytes)`` is part of
     a huge body arriving (the poll ends there); ``("msg", message)``
-    is one whole message."""
+    is one whole message; ``("error", exc)`` is a recv that raises."""
 
     def __init__(self):
         self.bytes_received = 0
@@ -269,6 +290,8 @@ class _ScriptedChannel:
         if not self._events:
             raise TimeoutError("recv deadline")
         kind, value = self._events.pop(0)
+        if kind == "error":
+            raise value
         if kind == "partial":
             self.bytes_received += value
             self.buffered += value
@@ -329,6 +352,16 @@ class TestSlowTrainIsNotDead:
     def test_total_silence_still_dies(self):
         with pytest.raises(_WorkerDied, match="no heartbeat"):
             _poll_harness([(5.5, [])], round_timeout=60.0)
+
+
+class TestABrokenChannelIsADeadWorker:
+    def test_a_corrupt_control_frame_kills_the_worker_at_once(self):
+        """A channel that fails to parse is a dead worker now, not "no
+        more messages" until the heartbeat deadline runs out minutes
+        later — and the death names what broke."""
+        broken = ClusterError("corrupt control message: truncated header")
+        with pytest.raises(_WorkerDied, match="corrupt control message"):
+            _poll_harness([(0.1, [("error", broken)])], heartbeat_timeout=60)
 
 
 # -- what a relaunch leaves the supervisor (unit, tier-1) ---------------------

@@ -20,6 +20,7 @@ from repro.cluster.meshwire import (
     split_train,
 )
 from repro.cluster.wire import (
+    _MAX_MESSAGE,
     DONE,
     HEARTBEAT,
     KINDS,
@@ -235,6 +236,18 @@ class TestMessageChannel:
         with pytest.raises(ClusterError, match="mid-message"):
             right.recv(timeout=5.0)
         right.close()
+
+    def test_an_oversized_length_prefix_is_refused_on_arrival(self):
+        """A peer announcing a body past the cap is a corrupt stream at
+        once, not a 256 MiB read the channel waits for."""
+        left, right = _channel_pair()
+        try:
+            left._sock.sendall(_LENGTH.pack(_MAX_MESSAGE + 1))
+            with pytest.raises(ClusterError, match="oversized control"):
+                right.recv(timeout=0.5)
+        finally:
+            left.close()
+            right.close()
 
     def test_oversized_message_is_refused_before_anything_is_written(
         self, monkeypatch

@@ -383,6 +383,28 @@ class TestTcpTransport:
         assert tcp.phase_breakdown() == local.phase_breakdown()
         assert tcp_flow.cells() == local_flow.cells()
 
+    def test_stop_awaits_every_receive_pump(self, monkeypatch):
+        # Each pump lingers after its connection closes: stop() returns
+        # only once every pump it started has finished, so no pump task
+        # outlives the transport or goes unreferenced while it reads.
+        finished = []
+        pump = TcpTransport._endpoint_pump
+
+        async def lingering_pump(self, party_id, reader):
+            await pump(self, party_id, reader)
+            await asyncio.sleep(0.2)
+            finished.append(party_id)
+
+        monkeypatch.setattr(TcpTransport, "_endpoint_pump", lingering_pump)
+
+        async def main():
+            transport = TcpTransport([0, 1, 2])
+            await transport.start()
+            await transport.stop()
+            assert sorted(finished) == [0, 1, 2]
+
+        run(main())
+
 
 class TestDeadTaskFailsTheBarrier:
     """A router or pump task killed by a bad record must not hang flush()."""

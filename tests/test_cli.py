@@ -43,6 +43,12 @@ class TestCommands:
     def test_unknown_command_shows_usage(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    def test_lint_is_an_unknown_command(self, capsys):
+        # The domain linter is gone; its rules' defects fail tier-1
+        # tests instead (tests/test_retired_rules.py).
+        assert main(["lint", "check"]) == 2
+        assert "Commands" in capsys.readouterr().out
+
     def test_every_table_row_resolves_and_readme_quotes_the_usage(self):
         import importlib
         from pathlib import Path

@@ -134,6 +134,33 @@ class TestClusterDecoders:
             return
         assert flag <= 1 and chunk.halted is bool(flag)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("dst_worker", 0, "from worker 0 to itself"),
+            ("num_chunks", 0, "claims zero chunks"),
+            ("chunk_index", 2, "chunk index 2 out of range"),
+        ],
+        ids=["to-itself", "zero-chunks", "index-past-count"],
+    )
+    def test_out_of_range_chunk_header_fields(self, field, value, match):
+        """Forged coordinates on a well-formed chunk 0 of 2: each is
+        refused by its own check, not by a later one by accident."""
+        from repro.cluster.meshwire import _CHUNK, decode_chunk, split_train
+        from repro.errors import SerializationError
+
+        record = split_train(0, 1, 3, b"body", chunk_bytes=2)[0]
+        header = dict(zip(
+            ("magic", "version", "kind", "halted", "src_worker",
+             "dst_worker", "round_index", "chunk_index", "num_chunks",
+             "payload_len"),
+            _CHUNK.unpack_from(record),
+        ))
+        header[field] = value
+        forged = _CHUNK.pack(*header.values()) + record[_CHUNK.size:]
+        with pytest.raises(SerializationError, match=match):
+            decode_chunk(forged)
+
     @_fuzz
     @given(data=garbage)
     def test_mesh_train_body(self, data):
@@ -260,6 +287,19 @@ class TestTrainDecoders:
         header[field] = value
         forged = body[:offset] + _FRAME.pack(*header.values()) + body[-2:]
         with pytest.raises(SerializationError, match=match):
+            decode_train_body(forged)
+
+    def test_phase_label_past_the_body_end(self):
+        from repro.errors import SerializationError
+        from repro.net.party import Frame
+        from repro.net.trains import _U16, decode_train_body, encode_train_body
+
+        body = encode_train_body([Frame(2, 5, b"ab", sent_round=3,
+                                        deliver_round=4, phase="vote")])
+        # The one phase label claims to run past the end of the body.
+        forged = body[:4] + _U16.pack(len(body)) + body[6:]
+        with pytest.raises(SerializationError,
+                           match="truncated train phase table at offset 6"):
             decode_train_body(forged)
 
     @_fuzz

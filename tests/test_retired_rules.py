@@ -1,12 +1,20 @@
 """The defect each retired lint rule existed for still fails tier-1.
 
-The seeded-mutation study in ``docs/static_analysis.md`` retired six
-rules because a tier-1 test already fails on the defect each one
-guarded.  This module keeps that verdict checkable: every case applies
-its rule's mutation to a copy of ``src/`` and runs, against the copy and
-in a subprocess, the tier-1 test that catches it — which must fail.
-Should that test ever be weakened, the retirement stops being justified
-and the case says so.
+The repo once ran a domain linter of ten rules.  A seeded-mutation
+study (``docs/testing.md`` § "Retired lint rules") retired six because
+a tier-1 test already failed on the defect each one guarded; three more
+(ASY001, EXC001, TRU001) left once tier-1 gained a test that fails on
+theirs, and the linter went with them.  This module keeps those
+verdicts checkable: every case applies its rule's mutation to a copy of
+``src/`` and runs, against the copy and in a subprocess, the tier-1
+test that catches it — which must fail.  Should that test ever be
+weakened, the retirement stops being justified and the case says so.
+
+ASY002 has no row.  Its mutation popped the mesh inbox outside the
+lock its receiver threads filled it under — a race the GIL hides from
+every test.  The hazard is gone instead: the receiver threads hand
+their trains over a queue, and the inbox belongs to the stepping
+thread alone (``repro.cluster.mesh.MeshRouter``).
 """
 
 import os
@@ -19,7 +27,7 @@ from typing import Tuple
 
 import pytest
 
-from tests.lint.conftest import REPO_ROOT
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @dataclass(frozen=True)
@@ -99,33 +107,76 @@ RETIRED = (
         (('        parts.append(f"crashes={entries}")\n', ""),),
         "tests/campaign/test_spec.py::TestRoundTrip::test_with_crashes",
     ),
+    # A TCP endpoint's receive pump started with no handle kept, so
+    # stop() returns while it still runs.
+    Retirement(
+        "ASY001", "runtime/transport.py",
+        ((
+            "        endpoint.pump = asyncio.create_task(\n",
+            "        asyncio.create_task(\n",
+        ),),
+        "tests/runtime/test_transport.py::TestTcpTransport"
+        "::test_stop_awaits_every_receive_pump",
+    ),
+    # The supervisor reads a corrupt control channel as "no more
+    # messages" instead of a dead worker.
+    Retirement(
+        "EXC001", "cluster/supervisor.py",
+        ((
+            "            except ClusterError as exc:\n"
+            "                raise _WorkerDied(str(exc)) from exc\n",
+            "            except Exception:\n"
+            "                break\n",
+        ),),
+        "tests/cluster/test_mesh_faults.py::TestABrokenChannelIsADeadWorker"
+        "::test_a_corrupt_control_frame_kills_the_worker_at_once",
+    ),
+    # A mesh chunk whose index lies past its train's chunk count.
+    Retirement(
+        "TRU001", "cluster/meshwire.py",
+        ((
+            "    if chunk_index >= num_chunks:\n"
+            "        raise SerializationError(\n"
+            '            f"chunk index {chunk_index} out of range "\n'
+            '            f"(num_chunks={num_chunks})"\n'
+            "        )\n",
+            "",
+        ),),
+        "tests/test_fuzz_decoding.py::TestClusterDecoders"
+        "::test_out_of_range_chunk_header_fields[index-past-count]",
+    ),
 )
 
 
-@pytest.fixture(scope="module")
-def tree(tmp_path_factory) -> Path:
-    """A copy of ``src/``, ``tests/`` and ``pyproject.toml``."""
-    root = tmp_path_factory.mktemp("retired")
+def copy_repo(root: Path, source: Path = REPO_ROOT) -> Path:
+    """Copy ``source``'s ``src/``, ``tests/`` and ``pyproject.toml``
+    into ``root``."""
     skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
-    shutil.copytree(REPO_ROOT / "src", root / "src", ignore=skip)
-    shutil.copytree(REPO_ROOT / "tests", root / "tests", ignore=skip)
-    shutil.copy(REPO_ROOT / "pyproject.toml", root / "pyproject.toml")
+    shutil.copytree(source / "src", root / "src", ignore=skip)
+    shutil.copytree(source / "tests", root / "tests", ignore=skip)
+    shutil.copy(source / "pyproject.toml", root / "pyproject.toml")
     return root
 
 
-def _run_tier1(root: Path, *node_ids: str) -> subprocess.CompletedProcess:
-    """Run ``node_ids`` with pytest in ``root``, importing its ``src/``."""
+def run_tier1(root: Path, *args: str,
+              timeout: float = 300) -> subprocess.CompletedProcess:
+    """Run pytest with ``args`` in ``root``, importing its ``src/``."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf",
-         "-p", "no:cacheprovider", *node_ids],
-        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+         "-p", "no:cacheprovider", *args],
+        cwd=root, env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
+@pytest.fixture(scope="module")
+def tree(tmp_path_factory) -> Path:
+    return copy_repo(tmp_path_factory.mktemp("retired"))
+
+
 def test_every_catcher_passes_on_the_unmutated_copy(tree):
-    run = _run_tier1(tree, *(retirement.catcher for retirement in RETIRED))
+    run = run_tier1(tree, *(retirement.catcher for retirement in RETIRED))
     assert run.returncode == 0, run.stdout + run.stderr
     assert "skipped" not in run.stdout
 
@@ -142,7 +193,7 @@ def test_the_retired_rules_mutation_fails_its_catcher(tree, retirement):
         mutated = mutated.replace(old, new)
     target.write_text(mutated, encoding="utf-8")
     try:
-        run = _run_tier1(tree, retirement.catcher)
+        run = run_tier1(tree, retirement.catcher)
     finally:
         target.write_text(original, encoding="utf-8")
     assert run.returncode == 1, run.stdout + run.stderr
