@@ -33,8 +33,8 @@ def bench_json(results_dir):
 
     Companion to :func:`write_result`: the text records are for humans,
     these JSON records (schema ``repro-bench/2``) make the cost
-    trajectory machine-readable across commits — ``python -m repro report``
-    and ``python -m repro obs report <path>`` both render them.
+    trajectory machine-readable across commits — ``python -m repro obs
+    report <path>`` renders one and ``obs diff`` gates them.
     """
     from repro.obs.bench import bench_payload, write_bench_json
 

@@ -35,14 +35,10 @@ from pathlib import Path
 from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king, run_phase_king
-from repro.runtime import (
-    LOCAL,
-    PLACEMENTS,
-    FaultPlan,
-    LinkDelay,
-    TraceRecorder,
-    run_balanced_ba_runtime,
-)
+from repro.runtime.faults import FaultPlan, LinkDelay
+from repro.runtime.placements import LOCAL, PLACEMENTS, TCP
+from repro.runtime.replay import replay_balanced_ba
+from repro.runtime.trace import TraceRecorder
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
@@ -84,8 +80,8 @@ def demo_balanced_ba(n: int) -> None:
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
     inputs = {i: 1 for i in range(n)}
     scheme = SnarkSRDS(base_scheme=HashRegistryBase())
-    result, runtime = run_balanced_ba_runtime(
-        inputs, plan, scheme, params, rng.fork("run"), transport="tcp"
+    result, runtime = replay_balanced_ba(
+        TCP, inputs, plan, scheme, params, rng.fork("run")
     )
     print(f"  n={n}, t={plan.t}: agreement={result.agreement}, "
           f"value={result.agreed_value}")

@@ -3,8 +3,10 @@
 :data:`COMMANDS` is the whole CLI.  Every command is a
 ``cmd_*(argv) -> int`` argparse function living beside the package it
 drives and imported only when dispatched; ``python -m repro <command>
---help`` documents its arguments.  Longer, annotated versions of the
-demos live in ``examples/``.
+--help`` documents its arguments.  Usage errors exit 2; any
+:class:`~repro.errors.ReproError` a command raises becomes one
+``error: ...`` line on stderr and exit 1.  Longer, annotated versions
+of the demos live in ``examples/``.
 """
 
 from __future__ import annotations
@@ -14,36 +16,32 @@ import sys
 import textwrap
 from typing import Dict, List, Tuple
 
+from repro.errors import ReproError
+
 #: command -> (module, function, one-line help).
 COMMANDS: Dict[str, Tuple[str, str, str]] = {
     "ba": ("repro.analysis.cli", "cmd_ba",
-           "[n] — run pi_ba with both SRDS constructions; print "
-           "agreement, certificate size, per-party communication"),
+           "[n] [--out DIR] — pi_ba under both SRDS constructions: "
+           "agreement, certificate size, per-phase and per-party tables, "
+           "the phase-sum invariant (exit 1 if violated); --out writes "
+           "BENCH records + timelines"),
     "attacks": ("repro.analysis.cli", "cmd_attacks",
                 "— the Thm 1.3 (CRS) and Thm 1.4 (OWF) attacks, summarized"),
     "tree": ("repro.analysis.cli", "cmd_tree",
              "[n] — build an almost-everywhere tree under random "
              "corruption; print its Def. 2.3 guarantees"),
-    "report": ("repro.analysis.cli", "cmd_report",
-               "[path] — assemble benchmarks/results/ into one "
-               "measured-experiment report"),
-    "runtime": ("repro.runtime.cli", "cmd_runtime",
-                "[n] [local|tcp] [trace-dir] [--flow-out F] — "
-                "phase-king under a hostile fault plan, then pi_ba "
-                "hybrid-vs-wire-replay parity, on one row of the "
-                "placement table"),
     "aba": ("repro.asynchrony.cli", "cmd_aba",
             "[n] [--seed S] [--policy P] [--latency NAME] "
             "[--adaptive NAME] [--bench DIR] — MMR14 binary agreement "
             "under asynchronous delivery; --bench records BENCH_aba.json"),
     "obs": ("repro.obs.cli", "cmd_obs",
-            "{report,timeline,top,flows,diff,profile} — phase "
-            "attribution, flow reports, Perfetto timelines, profiles, "
-            "the bench regression gate"),
+            "{report,timeline,flows,diff,profile} — render a BENCH "
+            "record or trace dir, flow reports, Perfetto timelines, "
+            "profiles, the bench regression gate"),
     "cluster": ("repro.cluster.cli", "cmd_cluster",
-                "{run,resume,status,bench} — parties sharded across "
-                "worker processes: durable checkpoints, SIGKILL "
-                "recovery (run --kill 3:1), the scaling bench"),
+                "{run,status,bench} — parties sharded across worker "
+                "processes: durable checkpoints, SIGKILL recovery "
+                "(run --kill 3:1, run --resume), the scaling bench"),
     "serve": ("repro.serve.cli", "cmd_serve",
               "{run,client,bench} — the agreement-as-a-service gateway: "
               "concurrent sessions, amortized SRDS setup, NDJSON + "
@@ -76,6 +74,9 @@ def main(argv: List[str]) -> int:
         return getattr(importlib.import_module(module), function)(argv[1:])
     except SystemExit as exc:  # argparse: 2 on usage errors, 0 on --help
         return exc.code if isinstance(exc.code, int) else 1
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""``python -m repro {ba,attacks,tree,report}`` — the one-shot demos.
+"""``python -m repro {ba,attacks,tree}`` — the one-shot demos.
 
 Longer, annotated versions of these live in ``examples/``.
 """
@@ -42,21 +42,72 @@ def pi_ba_demo_cell(n: int):
 
 
 def cmd_ba(argv: List[str]) -> int:
+    from repro.analysis.report import (
+        render_party_phase_table,
+        render_phase_breakdown,
+    )
+    from repro.net.metrics import CommunicationMetrics
+    from repro.obs.spans import SpanLog, recording, span
     from repro.protocols.balanced_ba import run_balanced_ba
 
-    n = _parse_n("ba", 64, "pi_ba under both SRDS constructions", argv)
-    params, rng, plan, inputs, schemes = pi_ba_demo_cell(n)
-    print(f"pi_ba: n={n}, t={plan.t}, split inputs")
+    parser = argparse.ArgumentParser(
+        prog="python -m repro ba",
+        description="pi_ba under both SRDS constructions, with its "
+                    "per-phase and per-party tables and the phase-sum "
+                    "invariant (exit 1 if violated)",
+    )
+    parser.add_argument("n", nargs="?", type=int, default=64)
+    parser.add_argument(
+        "--out", type=Path, default=None, metavar="DIR",
+        help="write each scheme's BENCH record and span timeline here",
+    )
+    args = parser.parse_args(argv)
+    params, rng, plan, inputs, schemes = pi_ba_demo_cell(args.n)
+    print(f"pi_ba: n={args.n}, t={plan.t}, split inputs")
+    all_ok = True
     for label, scheme in schemes:
-        result = run_balanced_ba(inputs, plan, scheme, params,
-                                 rng.fork(label))
+        log = SpanLog()
+        metrics = CommunicationMetrics()
+        with recording(log):
+            with span("ba", scheme=label):
+                result = run_balanced_ba(inputs, plan, scheme, params,
+                                         rng.fork(label), metrics=metrics)
         print(
             f"  {label:<11} agree={result.agreement} y={result.agreed_value} "
             f"cert={result.certificate_bytes:,}B "
             f"max/party={format_bits(result.metrics.max_bits_per_party)} "
             f"imbalance={result.metrics.imbalance:.2f}"
         )
-    return 0
+        print(render_phase_breakdown(metrics.phase_breakdown()))
+        print()
+        print(render_party_phase_table(metrics))
+        parties = sorted(metrics.party_ids)
+        sums = [sum(metrics.bits_by_phase(p).values()) for p in parties]
+        totals = [metrics.tally_of(p).bits_total for p in parties]
+        ok = (
+            sums == totals
+            and max(sums, default=0) == metrics.max_bits_per_party
+        )
+        all_ok = all_ok and ok
+        print(f"invariant sum(bits_by_phase) == bits_total per party: "
+              f"{'ok' if ok else 'VIOLATED'}\n")
+        if args.out is not None:
+            from repro.obs.bench import bench_payload, write_bench_json
+            from repro.obs.timeline import export_chrome_trace
+
+            slug = label.replace("-", "_")
+            bench_path = write_bench_json(args.out, bench_payload(
+                f"ba_{slug}",
+                snapshot=metrics.snapshot(),
+                phase_breakdown=metrics.phase_breakdown(),
+                extra={"n": args.n, "t": plan.t, "scheme": label,
+                       "agreement": result.agreement},
+            ))
+            timeline_path = export_chrome_trace(
+                args.out / f"timeline_{slug}.json", trace=None, spans=log,
+            )
+            print(f"wrote {bench_path} and {timeline_path}\n")
+    return 0 if all_ok else 1
 
 
 def cmd_attacks(argv: List[str]) -> int:
@@ -97,22 +148,4 @@ def cmd_tree(argv: List[str]) -> int:
     print(f"  good-path leaves: {report.good_path_leaf_fraction:.1%}")
     print(f"  well-connected parties: {report.well_connected_fraction:.1%}")
     print(f"  supreme committee 2/3-honest: {report.root_is_good}")
-    return 0
-
-
-def cmd_report(argv: List[str]) -> int:
-    from repro.analysis.report import assemble_report, write_report
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
-        description="assemble benchmarks/results/ into one report",
-    )
-    parser.add_argument("path", nargs="?", type=Path, default=None,
-                        help="write here instead of stdout")
-    path = parser.parse_args(argv).path
-    if path is None:
-        print(assemble_report())
-    else:
-        write_report(path)
-        print(f"report written to {path}")
     return 0

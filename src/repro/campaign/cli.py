@@ -61,8 +61,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.only:
         only = [name for name in args.only.split(",") if name]
         if not only:
-            print("error: --only given but no config names parsed")
-            return 2
+            raise ConfigurationError("--only given but no config names parsed")
     summary = run_campaign(
         args.budget,
         args.seed,
@@ -174,8 +173,4 @@ def cmd_campaign(argv: List[str]) -> int:
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    try:
-        return args.func(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return 2
+    return args.func(args)

@@ -6,7 +6,7 @@ unanimous inputs), gradecast, the Dolev-Strong baseline, the
 asynchronous MMR14 ABA, or one of the SRDS security experiments —
 together with the party count and the fault schedules that are
 meaningful for it (the in-process π_ba execution exposes only the
-reordering seam; the runtime drivers take the full
+reordering seam; the runtime placements take the full
 crash/delay/partition repertoire; the SRDS experiments and Dolev-Strong
 are synchronous one-shots; the ABA configs take the asynchronous
 latency / adversarial-order / churn set).

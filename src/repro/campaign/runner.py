@@ -277,19 +277,18 @@ def _run_pi_ba_cluster_backend(
     and the bits budget — silent divergence here would surface as an
     unexpected campaign failure.
     """
-    from repro.cluster.drivers import run_balanced_ba_cluster
     from repro.cluster.supervisor import ClusterConfig
+    from repro.runtime.placements import mesh
+    from repro.runtime.replay import replay_balanced_ba
 
     kill_plan = {3: 1} if schedule.name == "kill-worker" else {}
-    result, _ = run_balanced_ba_cluster(
-        inputs,
-        plan,
-        scheme,
-        params,
-        rng.fork("protocol"),
-        adversary,
+    row = mesh(
+        name="pi-ba-replay",
         checkpoint_interval=2,
         config=ClusterConfig(num_workers=2, kill_plan=kill_plan),
+    )
+    result, _ = replay_balanced_ba(
+        row, inputs, plan, scheme, params, rng.fork("protocol"), adversary
     )
     return result
 

@@ -4,8 +4,9 @@ Subcommands::
 
     cluster run [--workload {pi-ba,phase-king}] [--n N] [--workers K]
                 [--scheme {snark,owf}] [--seed S] [--run-dir DIR]
-                [--checkpoint-interval I] [--kill ROUND:WORKER ...]
-                [--flow-out FILE] [--flow-cells N] [--trace-dir DIR]
+                [--resume] [--checkpoint-interval I]
+                [--kill ROUND:WORKER ...] [--flow-out FILE]
+                [--trace-dir DIR]
         Execute a workload sharded across K worker processes; print the
         agreement/parity summary and the run directory (checkpoints,
         worker logs, supervisor state).  ``--flow-out`` enables the
@@ -13,13 +14,11 @@ Subcommands::
         (exit 1 on a metrics-parity failure); ``--trace-dir`` traces the
         run and dumps its per-party trace, which ``obs timeline`` turns
         into one Perfetto view of every party across the workers.
-
-    cluster resume --run-dir DIR [same workload flags as run]
-        Pick a crashed or interrupted run back up from its last durable
-        barrier.  The workload flags must match the original run: the
-        supervisor validates the job's name and size against the saved
-        state, and the workers restore their parties from the barrier's
-        checkpoint files.
+        ``--resume`` picks a crashed or interrupted run in ``--run-dir``
+        back up from its last durable barrier.  The workload flags must
+        match the original run: the supervisor validates the job's name
+        and size against the saved state, and the workers restore their
+        parties from the barrier's checkpoint files.
 
     cluster status --run-dir DIR
         Describe a run directory: saved supervisor state, worker
@@ -56,7 +55,7 @@ def _parse_kill_plan(items: List[str]) -> Dict[int, int]:
     return plan
 
 
-def _workload_args(parser: argparse.ArgumentParser) -> None:
+def _run_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", choices=("pi-ba", "phase-king"),
                         default="pi-ba")
     parser.add_argument("--n", type=int, default=16)
@@ -66,6 +65,10 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--checkpoint-interval", type=int, default=8)
     parser.add_argument("--run-dir", type=Path, default=None)
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="resume the run in --run-dir from its last durable barrier",
+    )
     parser.add_argument(
         "--kill", action="append", default=[], metavar="ROUND:WORKER",
         help="worker WORKER SIGKILLs itself mid-round ROUND "
@@ -81,10 +84,6 @@ def _workload_args(parser: argparse.ArgumentParser) -> None:
         "--flow-out", type=Path, default=None,
         help="write the wire-level repro-flow/1 report here "
              "(enables the flow ledger)",
-    )
-    parser.add_argument(
-        "--flow-cells", type=int, default=0,
-        help="flow-ledger cell capacity (0 = default when enabled)",
     )
 
 
@@ -126,19 +125,20 @@ def _dump_observability(args: argparse.Namespace, result, flow) -> int:
     return status
 
 
-def _run_workload(args: argparse.Namespace, resume: bool) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.tables import format_bits
-    from repro.cluster.drivers import run_balanced_ba_cluster
     from repro.cluster.supervisor import ClusterConfig, read_state
     from repro.net.adversary import random_corruption
     from repro.params import ProtocolParameters
     from repro.runtime.placements import mesh
+    from repro.runtime.replay import replay_balanced_ba
     from repro.runtime.trace import TraceRecorder
     from repro.srds import scheme_by_name
     from repro.utils.randomness import Randomness
 
+    resume = args.resume
     if resume and args.run_dir is None:
-        print("cluster resume needs --run-dir")
+        print("cluster run --resume needs --run-dir")
         return 2
     # A run traces only when asked to; a resumed one traces iff the
     # saved run did, so --trace-dir cannot add a trace mid-run.
@@ -154,13 +154,10 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
             )
             return 2
     flow = None
-    if args.flow_out is not None or args.flow_cells > 0:
+    if args.flow_out is not None:
         from repro.obs.flush import open_flow
 
-        if args.flow_out is None:
-            print("--flow-cells needs --flow-out")
-            return 2
-        flow = open_flow(args.flow_out, args.flow_cells)
+        flow = open_flow(args.flow_out)
     config = ClusterConfig(
         num_workers=args.workers,
         kill_plan=_parse_kill_plan(args.kill),
@@ -189,9 +186,10 @@ def _run_workload(args: argparse.Namespace, resume: bool) -> int:
         plan = random_corruption(
             args.n, params.max_corruptions(args.n), rng.fork("corruption")
         )
-        ba_result, result = run_balanced_ba_cluster(
+        ba_result, result = replay_balanced_ba(
+            mesh(name="pi-ba-replay", **cluster),
             inputs, plan, scheme_by_name(args.scheme), params,
-            rng.fork("protocol"), trace=trace, **cluster,
+            rng.fork("protocol"), trace=trace,
         )
         agree = ba_result.agreement
         label = (
@@ -259,16 +257,15 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    run_parser = sub.add_parser("run", help="run a workload on the cluster")
-    _workload_args(run_parser)
-
-    resume_parser = sub.add_parser(
-        "resume", help="resume a run from its last durable barrier"
+    run_parser = sub.add_parser(
+        "run", help="run (or --resume) a workload on the cluster"
     )
-    _workload_args(resume_parser)
+    _run_args(run_parser)
+    run_parser.set_defaults(func=_cmd_run)
 
     status_parser = sub.add_parser("status", help="describe a run directory")
     status_parser.add_argument("--run-dir", type=Path, required=True)
+    status_parser.set_defaults(func=_cmd_status)
 
     bench_parser = sub.add_parser(
         "bench", help="1-vs-k-worker parity benchmark"
@@ -286,15 +283,7 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
         help="payload name: results land in BENCH_<name>.json "
              "(CI uses 'cluster_ci' for its scaled-down cell)",
     )
+    bench_parser.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    if args.subcommand == "run":
-        return _run_workload(args, resume=False)
-    if args.subcommand == "resume":
-        return _run_workload(args, resume=True)
-    if args.subcommand == "status":
-        return _cmd_status(args)
-    if args.subcommand == "bench":
-        return _cmd_bench(args)
-    parser.print_help()
-    return 2
+    return args.func(args)

@@ -1,22 +1,16 @@
-"""π_ba over the cluster, plus the scaling bench.
+"""The cluster's scaling bench.
 
-Lockstep protocols need no driver here: a ``build_*`` builder's return
-value runs on the mesh row of :mod:`repro.runtime.placements`
-(``mesh(2).run(*build_phase_king(inputs, byzantine))``).  What is left:
-
-* :func:`run_balanced_ba_cluster` — π_ba's headline workload: phase 1
-  executes Fig. 3 in the hybrid model against a
-  :class:`~repro.runtime.replay.RecordingLedger` (outputs, certificate
-  and reference snapshot untouched), phase 2 is
-  :func:`~repro.runtime.replay.replay_balanced_ba` on the mesh row —
-  the supervisor's ledger charged from the workers' round digests, the
-  hybrid charges applied verbatim;
-* :func:`run_cluster_bench` — the ``BENCH_cluster.json`` record: π_ba
-  replay at 1/2/4 workers with differential parity (outputs,
-  ``max_bits_per_party``, and full per-party tallies) against the
-  ``local`` row's execution of the same script.  The record holds no
-  wall clock; ``benchmarks/layers``' ``cluster.mesh{1,2}w_job_s`` cells
-  time the mesh.
+No protocol needs a driver here: a ``build_*`` builder's return value
+runs on the mesh row of :mod:`repro.runtime.placements`
+(``mesh(2).run(*build_phase_king(inputs, byzantine))``), and π_ba is
+``replay_balanced_ba(mesh(2), ...)`` from :mod:`repro.runtime.replay`
+(whose :func:`record_balanced_ba_script` this module also serves).
+What is left is :func:`run_cluster_bench`, the ``BENCH_cluster.json``
+record: π_ba replay at 1/2/4 workers with differential parity
+(outputs, ``max_bits_per_party``, and full per-party tallies) against
+the ``local`` row's execution of the same script.  The record holds no
+wall clock; ``benchmarks/layers``' ``cluster.mesh{1,2}w_job_s`` cells
+time the mesh.
 """
 
 from __future__ import annotations
@@ -27,61 +21,14 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.cluster.supervisor import ClusterConfig
 from repro.obs.bench import bench_payload, write_bench_json
-from repro.runtime.drivers import record_balanced_ba_script
 from repro.runtime.placements import LOCAL, mesh
 from repro.runtime.replay import (
-    replay_balanced_ba,
+    record_balanced_ba_script,
     replay_script,
     tallies_equal,
 )
-from repro.runtime.trace import TraceRecorder
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
-
-
-def run_balanced_ba_cluster(
-    inputs: Dict[int, int],
-    plan,
-    scheme,
-    params,
-    rng: Randomness,
-    adversary=None,
-    *,
-    num_workers: int = 2,
-    checkpoint_interval: int = 8,
-    config: Optional[ClusterConfig] = None,
-    run_dir: Optional[Path] = None,
-    resume: bool = False,
-    trace: Optional[TraceRecorder] = None,
-):
-    """π_ba with its wire traffic routed across worker processes.
-
-    Returns ``(ba_result, cluster_result)`` where ``ba_result.metrics``
-    is the snapshot of the *cluster-charged* ledger (wire frames charged
-    from worker digests + hybrid charges applied verbatim) — comparable
-    bit-for-bit with :func:`~repro.runtime.drivers.run_balanced_ba_runtime`
-    and the synchronous reference.  ``trace`` is the mesh row's: the
-    run records one only when given a recorder.
-    """
-    reference, script = record_balanced_ba_script(
-        inputs, plan, scheme, params, rng, adversary
-    )
-    return replay_balanced_ba(
-        reference,
-        script,
-        mesh(
-            num_workers,
-            name="pi-ba-replay",
-            checkpoint_interval=checkpoint_interval,
-            config=config,
-            run_dir=run_dir,
-            resume=resume,
-        ),
-        trace=trace,
-    )
-
-
-# -- the scaling benchmark -----------------------------------------------------
 
 
 def run_cluster_bench(

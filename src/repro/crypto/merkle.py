@@ -5,8 +5,7 @@ root; a leaf committee's Aggregate2 input authenticates the keys of its
 whole batch of base signatures with one batch opening
 (:class:`MerkleMultiProof`) without touching the other keys
 (succinctness, Def. 2.2).  Single authentication paths
-(:class:`MerkleProof`) serve the many-time signatures of
-:mod:`repro.crypto.merkle_sig`.
+(:class:`MerkleProof`) open one leaf.
 """
 
 from __future__ import annotations

@@ -33,6 +33,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.obs.jsonl import load_record
+
 SCHEMA = "repro-bench/2"
 
 
@@ -82,10 +84,4 @@ def write_bench_json(
 
 def load_bench_json(path: Union[str, Path]) -> Dict[str, Any]:
     """Read one record back, checking the schema marker."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: not a {SCHEMA} record "
-            f"(schema={payload.get('schema')!r})"
-        )
-    return payload
+    return load_record(path, SCHEMA)

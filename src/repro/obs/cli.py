@@ -1,25 +1,20 @@
 """``python -m repro obs`` — the observability operator interface.
 
-Subcommands (``obs`` alone is ``obs report``)::
+Subcommands (a fresh pi_ba run with its phase tables is ``ba``)::
 
-    obs report [path] [n] [--out DIR]
-        With no path, run pi_ba fresh (default n=16) under both SRDS
-        constructions with phase spans recording, print the per-phase
-        and per-party tables, and verify that every party's phase sums
-        equal its ``bits_total`` (exit 0 iff they all match); with a
-        ``BENCH_*.json`` path, render that record; with a trace
-        directory, summarize its per-party JSONL streams.  ``--out``
-        additionally writes BENCH records / Perfetto timelines there.
+    obs report <path> [--out DIR]
+        Render a ``BENCH_*.json`` record, or summarize a trace
+        directory's per-party JSONL streams (``--out`` also writes its
+        Perfetto timeline there).
     obs timeline <trace-dir> <out.json>
         Convert a trace directory into Chrome trace-event JSON and check
         the written document against the trace-event schema (exit 1 if
         it fails).  A cluster run's ``--trace-dir`` is the cross-process
         view: one Perfetto process per party, across every worker.
-    obs top <FLOW_*.json> [--k N] [--spill]
-        The hottest cells of a wire-level flow report; ``--spill`` also
-        counts the evicted cells in the report's spill JSONL.
-    obs flows <FLOW_*.json> [--by phase|kind|party]
-        The flow report's aggregate views.
+    obs flows <FLOW_*.json> [--by cells|phase|kind|party] [--k N] [--spill]
+        A wire-level flow report: its ``k`` hottest cells (``--spill``
+        also counts the evicted cells in the report's spill JSONL) and
+        its aggregate views, or only the view ``--by`` names.
     obs diff <baseline> <fresh> [--json]
         The bench regression gate (file vs file, or directory vs
         directory): every field of a record is compared exactly, and
@@ -33,85 +28,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.cli import pi_ba_demo_cell
 from repro.analysis.tables import format_bits
 
 
-def _fresh_report(n: int, out_dir: Optional[Path]) -> int:
-    """Run pi_ba under both SRDS schemes with span recording and verify
-    the phase attribution invariant; optionally persist BENCH + timeline."""
-    from repro.analysis.report import (
-        render_party_phase_table,
-        render_phase_breakdown,
-    )
-    from repro.net.metrics import CommunicationMetrics
-    from repro.obs.bench import bench_payload, write_bench_json
-    from repro.obs.spans import SpanLog, recording, span
-    from repro.obs.timeline import export_chrome_trace
-    from repro.protocols.balanced_ba import run_balanced_ba
-
-    params, rng, plan, inputs, schemes = pi_ba_demo_cell(n)
-    print(f"obs report: pi_ba n={n}, t={plan.t}, split inputs")
-    all_ok = True
-    for label, scheme in schemes:
-        log = SpanLog()
-        metrics = CommunicationMetrics()
-        started = time.perf_counter()
-        with recording(log):
-            with span("obs-report", scheme=label):
-                result = run_balanced_ba(
-                    inputs, plan, scheme, params, rng.fork(label),
-                    metrics=metrics,
-                )
-        elapsed = time.perf_counter() - started
-        print(f"\n== {label} "
-              f"(agree={result.agreement}, wall={elapsed:.2f}s) ==")
-        print(render_phase_breakdown(metrics.phase_breakdown()))
-        print()
-        print(render_party_phase_table(metrics))
-        parties = sorted(metrics.party_ids)
-        sums = [sum(metrics.bits_by_phase(p).values()) for p in parties]
-        totals = [metrics.tally_of(p).bits_total for p in parties]
-        ok = (
-            sums == totals
-            and max(sums, default=0) == metrics.max_bits_per_party
-        )
-        all_ok = all_ok and ok
-        print(
-            f"invariant sum(bits_by_phase) == bits_total per party: "
-            f"{'ok' if ok else 'VIOLATED'} "
-            f"(max/party={format_bits(metrics.max_bits_per_party)})"
-        )
-        if out_dir is not None:
-            slug = label.replace("-", "_")
-            bench_path = write_bench_json(out_dir, bench_payload(
-                f"obs_report_{slug}",
-                snapshot=metrics.snapshot(),
-                phase_breakdown=metrics.phase_breakdown(),
-                extra={"n": n, "t": plan.t, "scheme": label,
-                       "agreement": result.agreement},
-            ))
-            timeline_path = export_chrome_trace(
-                out_dir / f"timeline_{slug}.json", trace=None, spans=log,
-            )
-            print(f"wrote {bench_path} and {timeline_path}")
-    return 0 if all_ok else 1
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    n, target = 16, None
-    for arg in args.args:
-        if arg.isdigit():
-            n = int(arg)
-        else:
-            target = Path(arg)
-    if target is None:
-        return _fresh_report(n, args.out)
-
+    target = args.path
     if target.is_dir():
         from repro.obs.timeline import export_chrome_trace, load_trace_dir
         from repro.runtime.trace import summarize
@@ -132,15 +57,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"timeline -> {path}")
         return 0
 
-    if target.suffix == ".json":
-        from repro.analysis.report import render_bench_record
-        from repro.obs.bench import load_bench_json
+    from repro.analysis.report import render_bench_record
+    from repro.obs.bench import load_bench_json
 
-        print(render_bench_record(load_bench_json(target)))
-        return 0
-
-    print(f"don't know how to report on {target}")
-    return 2
+    print(render_bench_record(load_bench_json(target)))
+    return 0
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
@@ -177,43 +98,37 @@ def _party_label(pid: int) -> str:
     return str(pid)
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
+def _cmd_flows(args: argparse.Namespace) -> int:
     from repro.obs.flow import load_flow_json, load_spill
 
     payload = load_flow_json(args.report)
+    total = payload["total_bits"]
     print(
         f"flow report {payload['name']}: "
-        f"{format_bits(payload['total_bits'])} data "
+        f"{format_bits(total)} data "
         f"(+{format_bits(payload['control_bits'])} control), "
         f"coverage={payload['coverage']:.1%}, "
         f"cells={payload['live_cells']} live "
         f"/ {payload['evicted_cells']} evicted"
     )
-    cells = list(payload.get("top_cells", []))
-    if args.spill and payload.get("spill_path"):
-        spill_file = Path(payload["spill_path"])
-        if spill_file.exists():
-            cells.extend(c.to_wire() for c in load_spill(spill_file))
-            cells.sort(key=lambda c: (-c["bits"], c["round"], c["phase"]))
-        else:
-            print(f"  (spill file {spill_file} missing; live cells only)")
-    print(f"{'bits':>14}  {'frames':>7}  {'rnd':>4}  "
-          f"{'edge':<22}  {'kind':<10} phase")
-    for cell in cells[:args.k]:
-        edge = f"{_party_label(cell['src'])}->{_party_label(cell['dst'])}"
-        print(
-            f"{cell['bits']:>14,}  {cell['frames']:>7,}  "
-            f"{cell['round']:>4}  {edge:<22}  "
-            f"{cell['kind']:<10} {cell['phase']}"
-        )
-    return 0
-
-
-def _cmd_flows(args: argparse.Namespace) -> int:
-    from repro.obs.flow import load_flow_json
-
-    payload = load_flow_json(args.report)
-    total = payload["total_bits"]
+    if args.by in (None, "cells"):
+        cells = list(payload.get("top_cells", []))
+        if args.spill and payload.get("spill_path"):
+            spill_file = Path(payload["spill_path"])
+            if spill_file.exists():
+                cells.extend(c.to_wire() for c in load_spill(spill_file))
+                cells.sort(key=lambda c: (-c["bits"], c["round"], c["phase"]))
+            else:
+                print(f"  (spill file {spill_file} missing; live cells only)")
+        print(f"{'bits':>14}  {'frames':>7}  {'rnd':>4}  "
+              f"{'edge':<22}  {'kind':<10} phase")
+        for cell in cells[:args.k]:
+            edge = f"{_party_label(cell['src'])}->{_party_label(cell['dst'])}"
+            print(
+                f"{cell['bits']:>14,}  {cell['frames']:>7,}  "
+                f"{cell['round']:>4}  {edge:<22}  "
+                f"{cell['kind']:<10} {cell['phase']}"
+            )
     if args.by in (None, "phase"):
         print("bits by phase:")
         for phase, bits in sorted(
@@ -233,14 +148,14 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         rows = sorted(
             per_party.items(), key=lambda kv: (-kv[1]["total"], int(kv[0]))
         )
-        for pid, sides in rows[:10]:
+        for pid, sides in rows[:args.k]:
             print(
                 f"  party {_party_label(int(pid)):>6}: "
                 f"sent={format_bits(sides['sent'])} "
                 f"recv={format_bits(sides['received'])}"
             )
-        if len(rows) > 10:
-            print(f"  ... and {len(rows) - 10} more")
+        if len(rows) > args.k:
+            print(f"  ... and {len(rows) - args.k} more")
     if payload.get("parity_with_metrics") is not None:
         print(f"parity with CommunicationMetrics: "
               f"{payload['parity_with_metrics']}")
@@ -311,8 +226,10 @@ def cmd_obs(argv: List[str]) -> int:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    report = sub.add_parser("report", help="phase tables + invariant check")
-    report.add_argument("args", nargs="*", metavar="path | n")
+    report = sub.add_parser(
+        "report", help="render a BENCH record or a trace dir"
+    )
+    report.add_argument("path", type=Path)
     report.add_argument("--out", type=Path, default=None, metavar="DIR")
     report.set_defaults(func=_cmd_report)
 
@@ -321,16 +238,15 @@ def cmd_obs(argv: List[str]) -> int:
     timeline.add_argument("out", type=Path)
     timeline.set_defaults(func=_cmd_timeline)
 
-    top = sub.add_parser("top", help="hottest cells of a flow report")
-    top.add_argument("report", type=Path)
-    top.add_argument("--k", type=int, default=20)
-    top.add_argument("--spill", action="store_true")
-    top.set_defaults(func=_cmd_top)
-
-    flows = sub.add_parser("flows", help="aggregate views of a flow report")
+    flows = sub.add_parser(
+        "flows", help="hottest cells and aggregate views of a flow report"
+    )
     flows.add_argument("report", type=Path)
-    flows.add_argument("--by", choices=("phase", "kind", "party"),
+    flows.add_argument("--by", choices=("cells", "phase", "kind", "party"),
                        default=None)
+    flows.add_argument("--k", type=int, default=10,
+                       help="rows of the cell and per-party views")
+    flows.add_argument("--spill", action="store_true")
     flows.set_defaults(func=_cmd_flows)
 
     diff = sub.add_parser("diff", help="bench regression gate")
@@ -346,5 +262,5 @@ def cmd_obs(argv: List[str]) -> int:
     profile.add_argument("--top", type=int, default=TOP_FUNCTIONS)
     profile.set_defaults(func=_cmd_profile)
 
-    args = parser.parse_args(argv or ["report"])
+    args = parser.parse_args(argv)
     return args.func(args)

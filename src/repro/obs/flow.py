@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.jsonl import dump_line, load_jsonl
+from repro.obs.jsonl import dump_line, load_jsonl, load_record
 from repro.obs.spans import UNATTRIBUTED
 
 #: Pseudo party id standing in for a hybrid-model functionality (the
@@ -346,10 +346,7 @@ def write_flow_json(results_dir: Path, payload: Dict[str, Any]) -> Path:
 
 def load_flow_json(path: Path) -> Dict[str, Any]:
     """Load and schema-check one flow report."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != FLOW_SCHEMA:
-        raise ConfigurationError(f"{path} is not a {FLOW_SCHEMA} report")
-    return payload
+    return load_record(path, FLOW_SCHEMA)
 
 
 def load_spill(path: Path) -> List[FlowCell]:

@@ -7,8 +7,8 @@ mid-flush fails at the worst moment.  :func:`write_atomic_text` is the
 single shared path (tmp + fsync + ``os.replace``): a reader or CI
 artifact collector never observes a torn file.
 
-Three CLI surfaces (``serve run``, ``cluster run``, ``runtime``) attach
-a wire-level flow ledger for ``--flow-out``; :func:`open_flow` and
+Two CLI surfaces (``serve run`` and ``cluster run``) attach a
+wire-level flow ledger for ``--flow-out``; :func:`open_flow` and
 :func:`finish_artifacts` are the two ends of that: the ledger whose
 evicted cells spill beside the report, and the ``repro-flow/1`` report
 (parity-checked against the run's metrics ledger when there is one).
@@ -46,15 +46,11 @@ def flush_metrics_file(path: Path, registry: Any) -> Path:
     return write_atomic_text(path, registry.render())
 
 
-def open_flow(flow_out: Optional[Path], max_cells: int = 0) -> FlowLedger:
-    """The ledger a run with ``--flow-out`` (or a cell budget) records
-    into; evicted cells spill to ``<flow_out>.spill.jsonl``."""
+def open_flow(flow_out: Path) -> FlowLedger:
+    """The ledger a run with ``--flow-out`` records into, at the default
+    capacity; evicted cells spill to ``<flow_out>.spill.jsonl``."""
     return FlowLedger(
-        max_cells=max_cells or 65536,
-        spill_path=(
-            flow_out.with_name(flow_out.name + ".spill.jsonl")
-            if flow_out is not None else None
-        ),
+        spill_path=flow_out.with_name(flow_out.name + ".spill.jsonl")
     )
 
 

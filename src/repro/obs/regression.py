@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.errors import ConfigurationError
 from repro.obs.bench import load_bench_json
 
 
@@ -97,7 +98,7 @@ def diff_files(
         return diff_bench(
             load_bench_json(baseline_path), load_bench_json(fresh_path)
         )
-    except ValueError as exc:
+    except ConfigurationError as exc:
         name = Path(fresh_path).stem.removeprefix("BENCH_")
         return BenchDiff(name=name, hard_failures=[str(exc)])
 

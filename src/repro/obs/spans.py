@@ -8,7 +8,7 @@ each get their own cost envelope.  The flat
 worst-case party but not *which phase* dominated it.  Spans close that
 gap: protocol code wraps each phase in a context manager ::
 
-    from repro.obs import span
+    from repro.obs.spans import span
 
     with span("srds-aggregate", level=k):
         ...  # every record_message / charge_functionality in here

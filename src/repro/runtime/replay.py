@@ -286,19 +286,71 @@ def replay_script(
     return result
 
 
-def replay_balanced_ba(reference, script: ReplayScript, placement, **run_kwargs):
-    """Phase 2 of the record-then-replay recipe, on any placement.
+def record_balanced_ba_script(
+    inputs: Dict[int, int],
+    plan,
+    scheme,
+    params,
+    rng,
+    adversary=None,
+    delivery_rng=None,
+):
+    """Phase 1 of the replay recipe: run Fig. 3 against a
+    :class:`RecordingLedger`; returns ``(reference_result, script)``."""
+    from repro.protocols.balanced_ba import BalancedBA
 
-    ``reference`` is the :class:`~repro.protocols.balanced_ba.BAResult`
-    of the recorded hybrid-model run and ``script`` what its
-    :class:`RecordingLedger` captured.  Returns ``(ba_result,
-    placement_result)`` where ``ba_result`` is ``reference`` with its
-    metrics replaced by the snapshot of the *placement-charged* ledger
-    (wire frames charged where they crossed, hybrid charges verbatim) —
-    comparable bit for bit across placements and with the reference.
+    recorder = RecordingLedger()
+    protocol = BalancedBA(
+        inputs, plan, scheme, params, rng, adversary,
+        metrics=recorder, delivery_rng=delivery_rng,
+    )
+    reference = protocol.run()
+    return reference, recorder.script()
+
+
+def replay_balanced_ba(
+    placement,
+    inputs: Dict[int, int],
+    plan,
+    scheme,
+    params,
+    rng,
+    adversary=None,
+    *,
+    fault_plan=None,
+    trace=None,
+    metrics: Optional[CommunicationMetrics] = None,
+):
+    """π_ba on any row of :mod:`repro.runtime.placements`.
+
+    Phase 1 executes Fig. 3 exactly as
+    :func:`~repro.protocols.balanced_ba.run_balanced_ba` does, against a
+    :class:`RecordingLedger` (outputs, certificate and reference
+    snapshot untouched); phase 2 replays the recorded wire traffic on
+    ``placement``, charging a fresh ledger (or the caller's
+    ``metrics``, so an attached flow ledger observes the wire) where
+    the frames crossed, with the hybrid charges applied verbatim.
+
+    If the fault plan reorders within a round, Fig. 3 itself also
+    consumes every inbox in a permuted order (the ``delivery_rng``
+    seam), so the honest logic — not just the replay — runs under the
+    scheduling adversary.
+
+    Returns ``(ba_result, placement_result)`` where ``ba_result`` is the
+    reference result with its metrics replaced by the snapshot of the
+    *placement-charged* ledger — comparable bit for bit across
+    placements and with the reference.
     """
+    delivery_rng = None
+    if fault_plan is not None and fault_plan.reorder:
+        assert fault_plan.rng is not None
+        delivery_rng = fault_plan.rng.fork("balanced-ba-delivery")
+    reference, script = record_balanced_ba_script(
+        inputs, plan, scheme, params, rng, adversary, delivery_rng
+    )
     result = replay_script(
-        script, len(reference.outputs), placement, **run_kwargs
+        script, len(reference.outputs), placement,
+        metrics=metrics, trace=trace, fault_plan=fault_plan,
     )
     ba_result = dataclasses.replace(
         reference, metrics=result.metrics.snapshot()

@@ -4,8 +4,7 @@ Subcommands::
 
     serve run [--host H] [--port P] [--max-sessions K]
               [--retry-after S] [--drain-deadline S] [--cache-entries N]
-              [--metrics-out FILE] [--port-file FILE]
-              [--flow-cells N] [--flow-out FILE]
+              [--metrics-out FILE] [--port-file FILE] [--flow-out FILE]
         Run the agreement-as-a-service gateway until SIGTERM/SIGINT (or
         a client ``shutdown`` op), then drain gracefully and exit 0.
         ``--port 0`` (default) binds an OS-assigned port; ``--port-file``
@@ -43,7 +42,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import GatewayError, ReproError
+from repro.errors import GatewayError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,13 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--metrics-out", type=Path, default=None)
     run.add_argument("--port-file", type=Path, default=None)
     run.add_argument(
-        "--flow-cells", type=int, default=0,
-        help="enable the wire-level flow ledger with this cell capacity",
-    )
-    run.add_argument(
         "--flow-out", type=Path, default=None,
         help="write the final repro-flow/1 report here on shutdown "
-             "(implies the flow ledger)",
+             "(enables the flow ledger)",
     )
 
     client = sub.add_parser("client", help="one-shot NDJSON client")
@@ -125,7 +120,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         cache_entries=ns.cache_entries,
         metrics_out=ns.metrics_out,
         port_file=ns.port_file,
-        flow_cells=ns.flow_cells,
         flow_out=ns.flow_out,
     )
     return asyncio.run(run_gateway(config))
@@ -264,12 +258,8 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
 
 def cmd_serve(argv: Optional[List[str]] = None) -> int:
     ns = _build_parser().parse_args(argv)
-    try:
-        if ns.subcommand == "run":
-            return _cmd_run(ns)
-        if ns.subcommand == "client":
-            return _cmd_client(ns)
-        return _cmd_bench(ns)
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 1
+    if ns.subcommand == "run":
+        return _cmd_run(ns)
+    if ns.subcommand == "client":
+        return _cmd_client(ns)
+    return _cmd_bench(ns)

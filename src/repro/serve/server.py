@@ -53,10 +53,8 @@ class GatewayConfig:
     cache_entries: int = 8
     metrics_out: Optional[Path] = None
     port_file: Optional[Path] = None
-    #: Flow-ledger capacity; 0 disables wire-level flow accounting.
-    flow_cells: int = 0
-    #: Where to write the final ``repro-flow/1`` report (implies a
-    #: default ``flow_cells`` when left at 0).
+    #: Where to write the final ``repro-flow/1`` report; setting it
+    #: enables wire-level flow accounting.
     flow_out: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -64,12 +62,6 @@ class GatewayConfig:
             raise GatewayError("max_sessions must be at least 1")
         if self.drain_deadline <= 0:
             raise GatewayError("drain_deadline must be positive")
-        if self.flow_cells < 0:
-            raise GatewayError("flow_cells cannot be negative")
-
-    @property
-    def flow_enabled(self) -> bool:
-        return self.flow_cells > 0 or self.flow_out is not None
 
 
 def _http_response(status: str, body: str) -> bytes:
@@ -95,8 +87,8 @@ class GatewayServer:
         self.config = config
         self.registry = registry if registry is not None else MetricsRegistry()
         self.flow: Optional[FlowLedger] = None
-        if manager is None and config.flow_enabled:
-            self.flow = open_flow(config.flow_out, config.flow_cells)
+        if manager is None and config.flow_out is not None:
+            self.flow = open_flow(config.flow_out)
         self.manager = manager if manager is not None else SessionManager(
             max_sessions=config.max_sessions,
             retry_after=config.retry_after,

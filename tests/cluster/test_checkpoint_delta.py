@@ -176,7 +176,7 @@ class TestReadState:
         # Resume traces iff the saved run did: asking for a trace of an
         # untraced run is a usage error, refused before any work.
         assert cmd_cluster([
-            "resume", "--run-dir", str(tmp_path),
+            "run", "--resume", "--run-dir", str(tmp_path),
             "--trace-dir", str(tmp_path / "traces"),
         ]) == 2
         assert "holds an untraced run" in capsys.readouterr().out

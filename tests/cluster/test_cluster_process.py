@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.cluster.cli import cmd_cluster
-from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
 from repro.cluster.supervisor import (
     TRACE_FILE,
@@ -37,9 +36,8 @@ from repro.net.adversary import random_corruption
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
-from repro.runtime.drivers import run_balanced_ba_runtime
 from repro.runtime.placements import LOCAL, mesh
-from repro.runtime.replay import tallies_equal
+from repro.runtime.replay import replay_balanced_ba, tallies_equal
 from repro.runtime.trace import TraceRecorder
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
@@ -65,8 +63,8 @@ def _pi_ba_setup(n):
 @lru_cache(maxsize=None)
 def _runtime_reference(n, scheme_name):
     params, inputs, plan = _pi_ba_setup(n)
-    result, _ = run_balanced_ba_runtime(
-        inputs, plan, scheme_by_name(scheme_name), params,
+    result, _ = replay_balanced_ba(
+        LOCAL, inputs, plan, scheme_by_name(scheme_name), params,
         Randomness(SEED).fork("protocol"),
     )
     return result
@@ -81,11 +79,13 @@ def _cluster_run(n, scheme_name, *, kill_plan=None, run_dir=None,
         max_restarts=max_restarts,
         flow=flow,
     )
-    return run_balanced_ba_cluster(
-        inputs, plan, scheme_by_name(scheme_name), params,
+    row = mesh(
+        name="pi-ba-replay", checkpoint_interval=2, config=config,
+        run_dir=run_dir, resume=resume,
+    )
+    return replay_balanced_ba(
+        row, inputs, plan, scheme_by_name(scheme_name), params,
         Randomness(SEED).fork("protocol"),
-        num_workers=2, checkpoint_interval=2,
-        config=config, run_dir=run_dir, resume=resume,
     )
 
 
@@ -156,7 +156,7 @@ class TestSupervisorResume:
             )
         assert read_state(tmp_path)["trace_segments"] is None
         assert cmd_cluster([
-            "resume", "--run-dir", str(tmp_path), "--n", "16",
+            "run", "--resume", "--run-dir", str(tmp_path), "--n", "16",
             "--trace-dir", str(tmp_path / "traces"),
         ]) == 2
         result, cluster = _cluster_run(

@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import pytest
 
-from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.job import ClusterJob
 from repro.cluster.mesh import MeshRouter
 from repro.cluster.meshwire import split_train
@@ -49,9 +48,8 @@ from repro.net.trains import _LENGTH, encode_train_body
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
-from repro.runtime.drivers import run_balanced_ba_runtime
-from repro.runtime.placements import mesh
-from repro.runtime.replay import tallies_equal
+from repro.runtime.placements import LOCAL, mesh
+from repro.runtime.replay import replay_balanced_ba, tallies_equal
 from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import Frame
 from repro.srds import scheme_by_name
@@ -476,8 +474,8 @@ def _reference(n):
     """(ba_result, transport-charged ledger) for the crash-free run."""
     params, inputs, plan = _setup(n)
     ledger = CommunicationMetrics()
-    result, _ = run_balanced_ba_runtime(
-        inputs, plan, scheme_by_name("snark"), params,
+    result, _ = replay_balanced_ba(
+        LOCAL, inputs, plan, scheme_by_name("snark"), params,
         Randomness(SEED).fork("protocol"), metrics=ledger,
     )
     return result, ledger
@@ -492,11 +490,13 @@ def _mesh_run(n, *, kill_plan=None, max_restarts=3, flow=None,
         max_restarts=max_restarts,
         flow=flow,
     )
-    return run_balanced_ba_cluster(
-        inputs, plan, scheme_by_name("snark"), params,
+    row = mesh(
+        name="pi-ba-replay", checkpoint_interval=2, config=config,
+        run_dir=run_dir, resume=resume,
+    )
+    return replay_balanced_ba(
+        row, inputs, plan, scheme_by_name("snark"), params,
         Randomness(SEED).fork("protocol"),
-        num_workers=2, checkpoint_interval=2,
-        config=config, run_dir=run_dir, resume=resume,
     )
 
 

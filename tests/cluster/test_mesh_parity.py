@@ -327,10 +327,12 @@ class TestNoRegistryFeed:
         with pytest.raises(TypeError):
             ClusterConfig(registry=object())
 
-    @pytest.mark.parametrize("verb", ["run", "resume"])
+    @pytest.mark.parametrize(
+        "verb", [["run"], ["run", "--resume"]], ids=["run", "resume"]
+    )
     def test_metrics_out_is_not_a_cli_flag(self, verb, capsys, tmp_path):
         out = tmp_path / "cluster.prom"
-        assert main(["cluster", verb, "--metrics-out", str(out)]) == 2
+        assert main(["cluster", *verb, "--metrics-out", str(out)]) == 2
         assert "--metrics-out" in capsys.readouterr().err
         assert not out.exists()
 

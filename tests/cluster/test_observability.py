@@ -10,13 +10,13 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster.drivers import run_balanced_ba_cluster
 from repro.cluster.supervisor import ClusterConfig, worker_pseudo_id
 from repro.net.adversary import random_corruption
 from repro.obs.flow import INFRA, FlowLedger
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.placements import mesh
+from repro.runtime.replay import replay_balanced_ba
 from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
@@ -32,9 +32,9 @@ def _run(flow=None):
     plan = random_corruption(N, params.max_corruptions(N), rng.fork("c"))
     inputs = {i: i % 2 for i in range(N)}
     config = ClusterConfig(num_workers=WORKERS, flow=flow)
-    return run_balanced_ba_cluster(
+    return replay_balanced_ba(
+        mesh(name="pi-ba-replay", config=config),
         inputs, plan, scheme_by_name("snark"), params, rng.fork("run"),
-        config=config,
     )
 
 

@@ -124,7 +124,7 @@ class TestPhaseAttribution:
 
 class TestTheTwoViewsAgree:
     @given(st.lists(_CHARGES, max_size=30))
-    def test_label_dimension_equals_flow_cells_per_party_and_phase(
+    def test_label_dimension_equals_the_flow_cell_view_per_party_and_phase(
         self, charges
     ):
         metrics = CommunicationMetrics()

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.report import render_bench_record
+from repro.errors import ConfigurationError
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.bench import (
     SCHEMA,
@@ -50,7 +51,7 @@ class TestBenchRecords:
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         path.write_text('{"schema": "nope"}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             load_bench_json(path)
 
     def test_render_bench_record(self):
@@ -65,7 +66,7 @@ class TestBenchRecords:
         path.write_text(
             '{"schema": "repro-bench/1", "name": "x", "wall_times": {}}'
         )
-        with pytest.raises(ValueError, match="repro-bench/1"):
+        with pytest.raises(ConfigurationError, match="repro-bench/1"):
             load_bench_json(path)
 
 

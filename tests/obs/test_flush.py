@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 
 from repro.net.metrics import CommunicationMetrics
-from repro.obs.flow import FLOW_SCHEMA
+from repro.obs.flow import FLOW_SCHEMA, FlowLedger
 from repro.obs.flush import (
     finish_artifacts,
     flush_metrics_file,
@@ -39,7 +39,7 @@ class TestSnapshot:
 
 
 class TestFlowArtifacts:
-    """What runtime/cluster/serve each used to spell out themselves."""
+    """What cluster/serve each used to spell out themselves."""
 
     def _charged(self, flow_out):
         metrics = CommunicationMetrics()
@@ -49,10 +49,9 @@ class TestFlowArtifacts:
         return flow, metrics
 
     def test_spill_sits_beside_the_report(self, tmp_path):
-        flow = open_flow(tmp_path / "FLOW_x.json", max_cells=32)
+        flow = open_flow(tmp_path / "FLOW_x.json")
         assert flow.spill_path == tmp_path / "FLOW_x.json.spill.jsonl"
-        assert flow.max_cells == 32
-        assert open_flow(None).spill_path is None
+        assert flow.max_cells == FlowLedger().max_cells
 
     def test_finish_writes_only_the_report(self, tmp_path):
         flow_out = tmp_path / "FLOW_unit.json"

@@ -1,8 +1,7 @@
-"""``repro.obs`` re-exports lazily (PEP 562), and what a cluster worker
-imports stays small: every name still resolves, and a fresh interpreter
-that imports the worker has loaded neither ``asyncio`` nor the obs
-tooling it never calls.  A cluster run's cross-process view is its
-per-party trace, so no span-track tooling is exported or served."""
+"""What a cluster worker imports stays small: a fresh interpreter that
+imports the worker has loaded neither ``asyncio`` nor the obs tooling
+it never calls.  A cluster run's cross-process view is its per-party
+trace, so no span-track tooling exists or is served."""
 
 from __future__ import annotations
 
@@ -12,32 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import repro.obs
 from repro.__main__ import main
 
 SRC = Path(repro.obs.__file__).resolve().parents[2]
 
 
-def test_every_export_resolves_to_its_defining_module():
-    assert set(repro.obs.__all__) <= set(dir(repro.obs))
-    for name, module_name in repro.obs._EXPORTS.items():
-        value = getattr(repro.obs, name)
-        assert value is getattr(sys.modules[module_name], name)
-
-
-def test_unknown_attribute_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        repro.obs.no_such_name
-
-
 def test_there_is_no_span_track_merge(capsys):
     assert importlib.util.find_spec("repro.obs.merge") is None
-    assert not {
-        "SPAN_DIR_SCHEMA", "dump_span_dir", "export_merged_trace",
-        "load_span_dir", "merged_timeline_events",
-    } & set(repro.obs._EXPORTS)
     assert main(["obs", "merge", "spans", "out.json"]) == 2
     assert "invalid choice: 'merge'" in capsys.readouterr().err
 

@@ -16,15 +16,17 @@ from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import BalancedBA, run_balanced_ba
 from repro.protocols.phase_king import build_phase_king
-from repro.runtime import (
-    LOCAL,
-    FaultPlan,
-    TraceRecorder,
+from repro.runtime.faults import FaultPlan
+from repro.runtime.placements import IN_PROCESS, LOCAL, PLACEMENTS, TCP
+from repro.runtime import replay
+from repro.runtime.replay import (
+    RecordingLedger,
+    record_balanced_ba_script,
+    replay_balanced_ba,
     replay_over_simulator,
-    run_balanced_ba_runtime,
     tallies_equal,
 )
-from repro.runtime.replay import RecordingLedger
+from repro.runtime.trace import TraceRecorder
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
@@ -53,11 +55,11 @@ def _reference(n, scheme_name, seed=7, corruptions=None):
     return result, (inputs, plan, params)
 
 
-def _runtime(n, scheme_name, seed=7, corruptions=None, **kwargs):
+def _runtime(n, scheme_name, seed=7, corruptions=None, row=LOCAL, **kwargs):
     inputs, plan, params, rng = _setting(n, seed, corruptions)
     scheme = SCHEMES[scheme_name]()
-    return run_balanced_ba_runtime(
-        inputs, plan, scheme, params, rng.fork("run"), **kwargs
+    return replay_balanced_ba(
+        row, inputs, plan, scheme, params, rng.fork("run"), **kwargs
     )
 
 
@@ -103,11 +105,57 @@ def test_balanced_ba_parity_in_agreeing_regime(n):
 def test_balanced_ba_tcp_parity(scheme_name):
     n = 16
     reference, _ = _reference(n, scheme_name)
-    result, _ = _runtime(n, scheme_name, transport="tcp")
+    result, _ = _runtime(n, scheme_name, row=TCP)
     assert result.outputs == reference.outputs
     assert result.metrics.max_bits_per_party == \
         reference.metrics.max_bits_per_party
     assert result.metrics.total_bits == reference.metrics.total_bits
+
+
+@pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
+def test_balanced_ba_in_process_parity(scheme_name):
+    """The one driver also takes the in-process row: the replay over
+    ``SynchronousNetwork`` charges what the reference run charged."""
+    n = 16
+    reference, _ = _reference(n, scheme_name)
+    result, runtime = _runtime(n, scheme_name, row=IN_PROCESS)
+    assert result.outputs == reference.outputs
+    assert result.metrics.max_bits_per_party == \
+        reference.metrics.max_bits_per_party
+    assert result.metrics.total_bits == reference.metrics.total_bits
+    assert result.metrics.max_locality == reference.metrics.max_locality
+    assert runtime.outputs
+
+
+def test_cluster_drivers_serves_the_recorder():
+    """``benchmarks/layers`` imports the recorder from the cluster
+    package; it is the replay module's own function."""
+    from repro.cluster import drivers
+
+    assert drivers.record_balanced_ba_script is record_balanced_ba_script
+
+
+@pytest.mark.parametrize("reorder", [False, True],
+                         ids=["in-order", "reorder"])
+def test_only_a_reordering_plan_derives_the_delivery_seam(reorder,
+                                                          monkeypatch):
+    """Fig. 3 consumes its inboxes in a permuted order exactly when the
+    fault plan reorders, from the plan's ``balanced-ba-delivery`` fork."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args[-1])
+        return record_balanced_ba_script(*args)
+
+    monkeypatch.setattr(replay, "record_balanced_ba_script", spy)
+    faults = FaultPlan(reorder=reorder, rng=Randomness(5))
+    _runtime(16, "snark", fault_plan=faults)
+    (delivery_rng,) = seen
+    if not reorder:
+        assert delivery_rng is None
+        return
+    expected = Randomness(5).fork("balanced-ba-delivery")
+    assert delivery_rng.seed == expected.seed
 
 
 def test_replay_matches_simulator_tallies():
@@ -138,7 +186,7 @@ def test_same_seed_identical_traces(transport):
     fingerprints = []
     for _ in range(2):
         trace = TraceRecorder()
-        _runtime(n, "snark", transport=transport, trace=trace)
+        _runtime(n, "snark", row=PLACEMENTS[transport], trace=trace)
         fingerprints.append(trace.fingerprint())
     assert fingerprints[0] == fingerprints[1]
 

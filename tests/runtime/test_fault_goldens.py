@@ -16,8 +16,9 @@ import pytest
 
 from repro.net.latency import RandomDelayLatency
 from repro.protocols.phase_king import build_phase_king
-from repro.runtime import PLACEMENTS, FaultPlan, TraceRecorder
-from repro.runtime.faults import LinkDelay, Partition
+from repro.runtime.faults import FaultPlan, LinkDelay, Partition
+from repro.runtime.placements import PLACEMENTS
+from repro.runtime.trace import TraceRecorder
 from repro.utils.randomness import Randomness
 
 N = 16
@@ -25,7 +26,9 @@ INPUTS = {i: i % 2 for i in range(N)}
 
 
 def cli_plan():
-    """The plan ``python -m repro runtime 16`` runs phase-king under."""
+    """The hostile plan the retired ``python -m repro runtime 16`` demo
+    ran phase-king under (seed 2021): a crash at round 2, within-round
+    reordering and 5 % duplication.  The pin keeps its name."""
     rng = Randomness(2021)
     byzantine = sorted(rng.fork("byz").sample(range(N), max(1, (N - 1) // 3)))
     plan = FaultPlan(

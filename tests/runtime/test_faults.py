@@ -10,17 +10,17 @@ from repro.net.adversary import prefix_corruption
 from repro.net.latency import RandomDelayLatency
 from repro.net.party import Envelope, Frame, Party
 from repro.protocols.phase_king import build_phase_king
-from repro.runtime import (
-    LOCAL,
+from repro.runtime.faults import (
     FaultPlan,
     LinkDelay,
-    TraceRecorder,
+    Partition,
     adversarial_schedule,
     crash_corrupted,
     partition_halves,
-    run_parties,
 )
-from repro.runtime.faults import Partition
+from repro.runtime.placements import LOCAL
+from repro.runtime.synchronizer import run_parties
+from repro.runtime.trace import TraceRecorder
 from repro.utils.randomness import Randomness
 from tests.placements import run_honest
 

@@ -20,7 +20,9 @@ import pytest
 
 from repro.net.adversary import random_corruption
 from repro.params import ProtocolParameters
-from repro.runtime import TraceRecorder, run_balanced_ba_runtime
+from repro.runtime.placements import PLACEMENTS
+from repro.runtime.replay import replay_balanced_ba
+from repro.runtime.trace import TraceRecorder
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
@@ -51,13 +53,13 @@ def compute_fingerprint(scheme_name: str, transport: str) -> str:
         else OwfSRDS(message_bits=64)
     )
     trace = TraceRecorder()
-    run_balanced_ba_runtime(
+    replay_balanced_ba(
+        PLACEMENTS[transport],
         inputs,
         plan,
         scheme,
         params,
         rng.fork("run"),
-        transport=transport,
         trace=trace,
     )
     return trace.fingerprint()

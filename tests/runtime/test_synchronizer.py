@@ -12,7 +12,6 @@ end and pins tracing determinism.
 
 import pytest
 
-from repro.__main__ import main
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Party
 from repro.net.rounds import RoundCore
@@ -23,8 +22,13 @@ from repro.protocols.gradecast import (
     run_gradecast,
 )
 from repro.protocols.phase_king import build_phase_king, run_phase_king
-from repro.runtime import LOCAL, TCP, TraceRecorder, run_parties
-from repro.runtime.synchronizer import RoundSynchronizer, run_parties_async
+from repro.runtime.placements import LOCAL, TCP
+from repro.runtime.synchronizer import (
+    RoundSynchronizer,
+    run_parties,
+    run_parties_async,
+)
+from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import AsyncLocalTransport, Transport
 from tests.net import test_simulator as contract
 from tests.net.test_simulator import EchoParty
@@ -192,9 +196,3 @@ class TestNoRegistryFeed:
     def test_round_core_takes_no_fault_callback(self):
         with pytest.raises(TypeError):
             RoundCore([_Chatter(i, 2) for i in range(2)], on_fault=print)
-
-    def test_metrics_out_is_not_a_runtime_flag(self, tmp_path, capsys):
-        out = tmp_path / "runtime.prom"
-        assert main(["runtime", "--metrics-out", str(out)]) == 2
-        assert "--metrics-out" in capsys.readouterr().err
-        assert not out.exists()

@@ -1,5 +1,9 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.__main__ import main
 
 
@@ -21,20 +25,40 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Thm 1.3" in output and "Thm 1.4" in output
 
-    def test_runtime(self, capsys):
-        assert main(["runtime", "16"]) == 0
-        output = capsys.readouterr().out
-        assert "transport=local" in output
-        assert "matches-sync=True" in output
-        assert "parity-with-hybrid=True" in output
+    def test_ba_out_writes_records_and_timelines(self, tmp_path, capsys):
+        out = tmp_path / "ba"
+        assert main(["ba", "16", "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert "snark-srds" in text and "owf-srds" in text
+        assert "srds-aggregate" in text
+        assert "VIOLATED" not in text and "MISMATCH" not in text
+        assert sorted(p.name for p in out.glob("BENCH_*.json")) == [
+            "BENCH_ba_owf_srds.json",
+            "BENCH_ba_snark_srds.json",
+        ]
+        assert sorted(p.name for p in out.glob("timeline_*.json")) == [
+            "timeline_owf_srds.json",
+            "timeline_snark_srds.json",
+        ]
 
-    def test_runtime_tcp_with_trace_dir(self, tmp_path, capsys):
-        target = tmp_path / "traces"
-        assert main(["runtime", "16", "tcp", str(target)]) == 0
-        output = capsys.readouterr().out
-        assert "transport=tcp" in output
-        assert "JSONL files" in output
-        assert sorted(target.glob("party-*.jsonl"))
+    def test_ba_exits_1_when_the_phase_sum_is_violated(self, capsys,
+                                                       monkeypatch):
+        from repro.net.metrics import CommunicationMetrics
+
+        honest = CommunicationMetrics.bits_by_phase
+
+        def short_one_bit(self, party_id):
+            phases = honest(self, party_id)
+            if party_id == 0 and phases:
+                phases[min(phases)] -= 1
+            return phases
+
+        monkeypatch.setattr(CommunicationMetrics, "bits_by_phase",
+                            short_one_bit)
+        assert main(["ba", "16"]) == 1
+        text = capsys.readouterr().out
+        assert "MISMATCH" in text
+        assert text.count("bits_total per party: VIOLATED") == 2
 
     def test_no_command_shows_usage(self, capsys):
         assert main([]) == 2
@@ -43,15 +67,25 @@ class TestCommands:
     def test_unknown_command_shows_usage(self, capsys):
         assert main(["frobnicate"]) == 2
 
-    def test_lint_is_an_unknown_command(self, capsys):
-        # The domain linter is gone; its rules' defects fail tier-1
-        # tests instead (tests/test_retired_rules.py).
-        assert main(["lint", "check"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["lint", "check"],  # its rules are tier-1 witnesses now
+        ["runtime", "16", "tcp"],  # the placement tests cover its checks
+        ["report"],  # benchmarks/results/ is read record by record
+    ], ids=["lint", "runtime", "report"])
+    def test_retired_commands_are_unknown(self, argv, capsys):
+        assert main(argv) == 2
         assert "Commands" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "top", "FLOW_x.json"],  # obs flows --by cells --k N
+        ["cluster", "resume", "--run-dir", "d"],  # cluster run --resume
+    ], ids=["obs-top", "cluster-resume"])
+    def test_folded_subcommands_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_every_table_row_resolves_and_readme_quotes_the_usage(self):
         import importlib
-        from pathlib import Path
 
         from repro.__main__ import COMMANDS, usage
 
@@ -60,33 +94,44 @@ class TestCommands:
         readme = Path(__file__).resolve().parents[1] / "README.md"
         assert usage() in readme.read_text(encoding="utf-8")
 
-    def test_report_stdout(self, capsys):
-        assert main(["report"]) == 0
-        output = capsys.readouterr().out
-        assert "Measured experiment report" in output
-        assert "T1 — Table 1" in output
 
-    def test_report_to_file(self, tmp_path, capsys):
-        target = tmp_path / "report.txt"
-        assert main(["report", str(target)]) == 0
-        assert target.exists()
-        assert "E12" in target.read_text()
+class TestOperatorErrors:
+    """A library error is one ``error:`` line on stderr and exit 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "run", "--kill", "bogus"],
+        ["cluster", "run", "--resume", "--run-dir", "{empty}"],
+        ["obs", "flows", "{missing}"],
+        ["obs", "flows", "README.md"],
+        ["obs", "report", "{missing}"],
+        ["serve", "client", "ping", "--port", "0"],
+        ["campaign", "run", "--only", ",", "--results-dir", "{empty}"],
+        ["campaign", "replay", "bogus"],
+    ], ids=["kill-plan", "resume-empty", "flows-missing", "flows-not-json",
+            "report-missing", "client-port-0", "campaign-only-empty",
+            "campaign-bad-spec"])
+    def test_one_error_line_and_exit_1(self, argv, tmp_path, capsys,
+                                       monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        (tmp_path / "empty").mkdir()
+        argv = [arg.format(empty=tmp_path / "empty",
+                           missing=tmp_path / "missing.json")
+                for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list((tmp_path / "empty").iterdir()) == []
+
+    def test_a_wrong_schema_is_refused(self, tmp_path, capsys):
+        from repro.obs.bench import bench_payload, write_bench_json
+
+        path = write_bench_json(tmp_path, bench_payload("demo"))
+        assert main(["obs", "flows", str(path)]) == 1
+        assert "not a repro-flow/1 record" in capsys.readouterr().err
 
 
 class TestObsCommand:
-    def test_obs_report_fresh_run_verifies_invariant(self, tmp_path, capsys):
-        out = tmp_path / "obs"
-        assert main(["obs", "report", "16", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "snark-srds" in text and "owf-srds" in text
-        assert "srds-aggregate" in text
-        assert "VIOLATED" not in text and "MISMATCH" not in text
-        assert sorted(p.name for p in out.glob("BENCH_*.json")) == [
-            "BENCH_obs_report_owf_srds.json",
-            "BENCH_obs_report_snark_srds.json",
-        ]
-        assert sorted(p.name for p in out.glob("timeline_*.json"))
-
     def test_obs_report_renders_bench_json(self, tmp_path, capsys):
         from repro.obs.bench import bench_payload, write_bench_json
 
@@ -137,5 +182,27 @@ class TestObsCommand:
         validate_trace_events(document["traceEvents"])
 
     def test_obs_usage_errors(self, capsys):
+        assert main(["obs"]) == 2
         assert main(["obs", "bogus"]) == 2
         assert main(["obs", "timeline", "only-one-arg"]) == 2
+
+    def test_obs_flows_renders_cells_and_views(self, tmp_path, capsys):
+        from repro.net.metrics import CommunicationMetrics
+        from repro.obs.flush import finish_artifacts, open_flow
+
+        flow_out = tmp_path / "FLOW_unit.json"
+        flow = open_flow(flow_out)
+        metrics = CommunicationMetrics()
+        metrics.attach_flow(flow)
+        for recipient in (1, 2, 3):
+            metrics.record_message(0, recipient, 80 * recipient)
+        finish_artifacts(flow, flow_out, metrics=metrics)
+        assert main(["obs", "flows", str(flow_out), "--k", "2"]) == 0
+        text = capsys.readouterr().out
+        assert "flow report unit" in text
+        assert "0->3" in text and "0->2" in text and "0->1" not in text
+        assert "bits by phase:" in text and "per-party" in text
+        assert main(["obs", "flows", str(flow_out), "--by", "kind"]) == 0
+        text = capsys.readouterr().out
+        assert "bits by wire kind:" in text
+        assert "bits by phase:" not in text and "0->3" not in text

@@ -74,12 +74,12 @@ class TestDesignNamesResolve:
 
 
 class TestReportSections:
-    def test_report_sections_match_result_writers(self):
-        """Each write_result(...) name in benchmarks is a known report
-        section (or would land in the 'extra records' tail)."""
-        from repro.analysis.report import _SECTIONS
-
-        known = {name for name, _ in _SECTIONS}
+    def test_experiments_md_mentions_every_record(self):
+        """Each write_result(...) name in benchmarks/test_*.py is a
+        ``results/<name>.txt`` that EXPERIMENTS.md references."""
+        experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(
+            encoding="utf-8"
+        )
         written = set()
         for path in (REPO_ROOT / "benchmarks").glob("test_*.py"):
             written.update(
@@ -87,21 +87,14 @@ class TestReportSections:
                            path.read_text(encoding="utf-8"))
             )
         assert written, "benchmarks should write result records"
-        missing = written - known
+        missing = sorted(
+            name for name in written
+            if f"results/{name}.txt" not in experiments
+        )
         assert not missing, (
-            f"records not in the report section list: {missing}"
+            f"EXPERIMENTS.md does not reference results/<name>.txt for "
+            f"{missing}"
         )
-
-    def test_experiments_md_mentions_every_record(self):
-        experiments = (REPO_ROOT / "EXPERIMENTS.md").read_text(
-            encoding="utf-8"
-        )
-        from repro.analysis.report import _SECTIONS
-
-        for name, _ in _SECTIONS:
-            assert f"results/{name}.txt" in experiments, (
-                f"EXPERIMENTS.md does not reference results/{name}.txt"
-            )
 
 
 class TestDocsExist:

@@ -376,17 +376,6 @@ class TestCryptoDecoders:
 
     @_fuzz
     @given(data=garbage)
-    def test_merkle_signature(self, data):
-        from repro.crypto import merkle_sig
-
-        try:
-            merkle_sig.MerkleSignature.decode(data)
-        except LIBRARY_ERRORS:
-            pass
-
-
-    @_fuzz
-    @given(data=garbage)
     def test_merkle_multiproof(self, data):
         from repro.crypto.merkle import MerkleMultiProof, root_from_multiproof
 
