@@ -12,14 +12,18 @@ code path:
   is identical to a real PCD instantiation up to constants.
 * **Soundness against modeled adversaries**: ``Setup`` samples a secret
   MAC key (the "trapdoor") kept inside the prover object.  A proof for
-  statement ``x`` is ``MAC(trapdoor, x)``, and ``prove`` only issues it
-  after checking the NP relation on the supplied witness.  Experiment
-  adversaries receive the public CRS handle but never the trapdoor, so
-  they cannot mint proofs for false statements (they *can* replay proofs
-  for true ones — exactly as with a real SNARK).
-* **Recursive composition (PCD)**: a compliance predicate may itself call
-  ``verify`` on inner proofs carried in the witness; since the prover
-  holds the verification capability, recursion works at any depth.
+  statement ``x`` is ``MAC(trapdoor, x)``, and it is only issued for a
+  statement a registered *circuit* outputs: the circuit receives the
+  public input and the witness and returns the statement the witness
+  proves (or ``None``), so the prover evaluates each circuit once and
+  takes the statement from it rather than deriving it a second time.
+  A boolean NP relation is the circuit that outputs its own statement.
+  Experiment adversaries receive the public CRS handle but never the
+  trapdoor, so they cannot mint proofs for false statements (they *can*
+  replay proofs for true ones — exactly as with a real SNARK).
+* **Recursive composition (PCD)**: a circuit may itself call ``verify``
+  on inner proofs carried in the witness; since the prover holds the
+  verification capability, recursion works at any depth.
 
 The one property intentionally *not* modeled is public verifiability
 against unbounded provers: verification goes through the
@@ -30,7 +34,7 @@ assumption.  No protocol-level logic depends on the distinction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.crypto.prf import prf
 from repro.errors import ProofError
@@ -40,6 +44,9 @@ PROOF_BYTES = 32
 # A compliance predicate receives (statement, witness) and decides the
 # NP relation.  Statements and witnesses are canonical byte strings.
 Relation = Callable[[bytes, bytes], bool]
+# A circuit receives (public, witness) and outputs the statement the
+# witness proves about the public input, or ``None`` when it proves none.
+Circuit = Callable[[bytes, bytes], Optional[bytes]]
 
 
 @dataclass(frozen=True)
@@ -59,44 +66,67 @@ class Proof:
 
 
 class SnarkSystem:
-    """A designated-setup succinct argument system with registered relations.
+    """A designated-setup succinct argument system with registered circuits.
 
-    One instance corresponds to one CRS.  Relations are registered by name
-    (the circuits of a real SNARK deployment); proving checks the relation
-    with the actual witness, verification checks only the constant-size
-    tag.  The trapdoor never leaves the instance.
+    One instance corresponds to one CRS.  Circuits are registered by name
+    (the circuits of a real SNARK deployment); proving evaluates the
+    circuit once on the actual witness and certifies the statement it
+    outputs, verification checks only the constant-size tag.  The
+    trapdoor never leaves the instance.
     """
 
     def __init__(self, crs_seed: bytes) -> None:
         self._trapdoor = prf(crs_seed, "snark/trapdoor")
         self.crs = prf(crs_seed, "snark/public-crs")
-        self._relations: Dict[str, Relation] = {}
+        self._relations: Dict[str, Circuit] = {}
 
-    def register_relation(self, name: str, relation: Relation) -> None:
-        """Register an NP relation (a "circuit") under a unique name."""
+    def register_circuit(self, name: str, circuit: Circuit) -> None:
+        """Register a circuit under a unique name."""
         if name in self._relations:
             raise ProofError(f"relation {name!r} already registered")
-        self._relations[name] = relation
+        self._relations[name] = circuit
+
+    def register_relation(self, name: str, relation: Relation) -> None:
+        """Register an NP relation: the circuit that outputs its own
+        statement when the witness satisfies it."""
+        self.register_circuit(
+            name,
+            lambda statement, witness: (
+                statement if relation(statement, witness) else None
+            ),
+        )
 
     def has_relation(self, name: str) -> bool:
-        """Whether a relation with this name is registered."""
+        """Whether a circuit with this name is registered."""
         return name in self._relations
 
-    def prove(self, relation_name: str, statement: bytes, witness: bytes) -> Proof:
-        """Produce a proof, after checking the relation with the witness.
+    def prove_output(
+        self, name: str, public: bytes, witness: bytes
+    ) -> Tuple[bytes, Proof]:
+        """Evaluate circuit ``name`` on ``(public, witness)`` and prove
+        the statement it outputs; returns ``(statement, proof)``.
 
-        Raises :class:`ProofError` if the witness does not satisfy the
-        relation — an honest prover with a bad witness is a bug, and a
-        simulated adversary must not be able to get proofs of falsehoods.
+        Raises :class:`ProofError` if the circuit outputs nothing — an
+        honest prover with a bad witness is a bug, and a simulated
+        adversary must not be able to get proofs of falsehoods.
         """
-        relation = self._relations.get(relation_name)
-        if relation is None:
-            raise ProofError(f"unknown relation {relation_name!r}")
-        if not relation(statement, witness):
+        circuit = self._relations.get(name)
+        if circuit is None:
+            raise ProofError(f"unknown relation {name!r}")
+        statement = circuit(public, witness)
+        if statement is None:
+            raise ProofError(f"witness does not satisfy relation {name!r}")
+        return statement, Proof(relation_name=name, tag=self._tag(name, statement))
+
+    def prove(self, relation_name: str, statement: bytes, witness: bytes) -> Proof:
+        """Prove ``statement`` with the statement as the public input;
+        :class:`ProofError` unless the circuit outputs exactly it."""
+        output, proof = self.prove_output(relation_name, statement, witness)
+        if output != statement:
             raise ProofError(
-                f"witness does not satisfy relation {relation_name!r}"
+                f"relation {relation_name!r} does not output this statement"
             )
-        return Proof(relation_name=relation_name, tag=self._tag(relation_name, statement))
+        return proof
 
     def verify(self, relation_name: str, statement: bytes, proof: Proof) -> bool:
         """Verify a proof; False on any mismatch (never raises for bad tags).

@@ -16,8 +16,18 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from itertools import groupby, islice
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import NetworkError
 from repro.net.party import Frame
@@ -49,6 +59,39 @@ def _mask(party_ids: Iterable[int]) -> int:
     for party_id in party_ids:
         mask |= 1 << party_id
     return mask
+
+
+def _synthetic_peer_masks(
+    pool: Sequence[int], peers: int
+) -> Callable[[int], int]:
+    """``party -> mask`` of the first ``peers`` pool entries other than
+    ``party``: a hybrid charge's synthetic peers.
+
+    Every mask comes from the one prefix ``pool[:peers]``.  A party
+    absent from it gets the prefix's mask; a party that sits in it
+    ``c`` times (the pool may repeat ids) loses its own bit and gains
+    the next ``c`` entries past the prefix that are not itself.  A
+    charge pays one pass over the prefix and one mask per participant,
+    not one pass over the pool per participant.
+    """
+    head = pool[:peers]
+    head_mask = _mask(head)
+    in_head = Counter(head)
+
+    def others(party: int) -> int:
+        missing = in_head[party]
+        if not missing:
+            return head_mask
+        mask = head_mask & ~(1 << party)
+        for peer in islice(pool, peers, None):
+            if peer != party:
+                mask |= 1 << peer
+                missing -= 1
+                if not missing:
+                    break
+        return mask
+
+    return others
 
 
 def _members(mask: int) -> Set[int]:
@@ -328,7 +371,8 @@ class CommunicationMetrics:
         ``peers_per_party`` synthetic peer slots drawn from ``peer_pool``
         (default: the other participants — pass an explicit pool when
         the charged traffic touches parties outside the participant
-        list, e.g. a central hub serving everyone).
+        list, e.g. a central hub serving everyone).  A negative
+        widening is a :class:`NetworkError`.
 
         The paper's protocol (Fig. 3) is stated in the (f_ae-comm, f_ba,
         f_ct, f_aggr-sig)-hybrid model with the realizations' costs pinned
@@ -337,9 +381,12 @@ class CommunicationMetrics:
         ``phase`` / ``kind`` and the return value are as for
         :meth:`record_message` (a replayed op carries its recorded phase).
         """
+        if peers_per_party < 0:
+            raise NetworkError("peer widening cannot be negative")
         participant_list = list(participants)
         pool = list(peer_pool) if peer_pool is not None else participant_list
         phase, kind = charge_label(phase, kind, "hybrid")
+        peer_masks = _synthetic_peer_masks(pool, peers_per_party)
         sent_half = bits_per_party - bits_per_party // 2
         recv_half = bits_per_party // 2
         messages = max(1, peers_per_party)
@@ -352,11 +399,7 @@ class CommunicationMetrics:
             tally.bits_received += recv_half
             tally.messages_sent += messages
             tally.messages_received += messages
-            # Synthetic peers are drawn from the pool, clipped to the
-            # requested locality widening.
-            others = _mask(
-                [p for p in pool if p != party_id][:peers_per_party]
-            )
+            others = peer_masks(party_id)
             tally.sent_mask |= others
             tally.received_mask |= others
             # bits_total grew by exactly bits_per_party (both halves).

@@ -43,6 +43,7 @@ from repro.protocols.aggregate_mpc import run_aggregate_sig
 from repro.protocols.coin_toss import ideal_f_ct
 from repro.protocols.phase_king import ideal_f_ba
 from repro.srds.base import SRDSScheme, SRDSSignature
+from repro.srds.pcd import CountingBoard
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import canonical_tuple, encode_uint
 
@@ -135,7 +136,9 @@ def compute_srds_setup(
     Forks are label-derived (stateless), so the material is a pure
     function of ``(scheme, num_virtual, rng.seed)``: precomputing it —
     or caching it across executions — yields byte-identical keys to the
-    in-line computation :class:`BalancedBA` historically performed.
+    in-line computation :class:`BalancedBA` historically performed.  The
+    board is a :class:`~repro.srds.pcd.CountingBoard`, so every lookup
+    of what the scheme derives from it is O(1) while nobody writes to it.
     """
     pp = scheme.setup(num_virtual, rng.fork("srds-setup"))
     verification_keys: Dict[int, bytes] = {}
@@ -148,7 +151,7 @@ def compute_srds_setup(
         rng_seed=rng.seed,
         num_virtual=num_virtual,
         public_parameters=pp,
-        verification_keys=verification_keys,
+        verification_keys=CountingBoard(verification_keys),
         signing_keys=signing_keys,
     )
 

@@ -29,7 +29,7 @@ class NoRangeCheckSnarkSRDS(SnarkSRDS):
     before one starting at ``lo``? — and this variant answers "yes" to
     all of them.  So ``aggregate1`` keeps *all* valid child aggregates
     (no greedy disjoint-range filter, no containment dropping), and the
-    internal relation ``aggregate2`` proves no longer checks range
+    internal circuit ``aggregate2`` proves no longer checks range
     disjointness.  The replay-forgery adversary then double-counts its
     coalition at every aggregation level and sails past the majority
     threshold — E7 measures exactly that.

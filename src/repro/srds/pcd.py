@@ -9,16 +9,18 @@ attests to the statement
 — "``count`` distinct valid base signatures on the message behind
 ``binding``, with indices in ``[lo, hi]``, folding to ``accumulator``,
 under the keys of bulletin board ``board``" — by a proof under one of
-two relations.  The **leaf** relation is the scheme's own (what a valid
-base signature is, and how the board authenticates its key).  The
-**internal** relation is written here, once: the children verify under
-the same binding and board, their ranges are pairwise disjoint (the
-anti-double-counting device of §2.2), their counts add, and their
-accumulators fold.
+two circuits.  Each circuit takes the binding (plus what else its
+witness cannot supply) as public input and *outputs* the statement its
+witness proves, so a prover evaluates it once and seals what it says.
+The **leaf** circuit is the scheme's own (what a valid base signature
+is, and how the board authenticates its key).  The **internal** circuit
+is written here, once: the children verify under the same binding and
+board, their ranges are pairwise disjoint (the anti-double-counting
+device of §2.2), their counts add, and their accumulators fold.
 
-A scheme plugs in through a :class:`Certificate` (its relation names,
+A scheme plugs in through a :class:`Certificate` (its circuit names,
 aggregate dataclass, wire decoder and accumulator fold) and keeps what
-differs: the signature dataclasses, the leaf relation and its prover,
+differs: the signature dataclasses, the leaf circuit and its prover,
 key handling.  Everything below is plain functions over those values.
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import operator
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -81,7 +84,7 @@ class CountAggregate(SRDSSignature):
 class Certificate(NamedTuple):
     """The scheme-specific parts the skeleton is parametrised by."""
 
-    leaf: str         # relation names registered with the SNARK system
+    leaf: str         # circuit names registered with the SNARK system
     internal: str
     #: The aggregate dataclass: the type ``verify`` insists on, and the
     #: positional constructor (see :class:`CountAggregate`).
@@ -197,6 +200,42 @@ def verify(pp: PublicParameters, certificate: Certificate,
     )
 
 
+def _counted(method: Callable) -> Callable:
+    """``method`` of ``dict``, bumping the board's write count first."""
+    def write(self, *args, **kwargs):
+        self.writes += 1
+        return method(self, *args, **kwargs)
+    return write
+
+
+class CountingBoard(Dict[int, bytes]):
+    """A bulletin board (virtual id -> verification key) that counts its
+    own in-place writes in ``writes``, so :func:`board_binding` can
+    serve the same board at the same count without reading it.
+
+    Every dict mutator bumps the count.  The count is not part of the
+    board's value: a board compares, copies and pickles by its contents.
+    """
+
+    writes = 0
+
+    __setitem__ = _counted(dict.__setitem__)
+    __delitem__ = _counted(dict.__delitem__)
+    __ior__ = _counted(dict.__ior__)
+    update = _counted(dict.update)
+    pop = _counted(dict.pop)
+    popitem = _counted(dict.popitem)
+    setdefault = _counted(dict.setdefault)
+    clear = _counted(dict.clear)
+
+
+class _BoardCache(NamedTuple):
+    board: Optional[CountingBoard]   # the board itself, if it counts
+    writes: int
+    snapshot: Dict[int, bytes]
+    value: Any
+
+
 def board_binding(
     pp: PublicParameters,
     verification_keys: Dict[int, bytes],
@@ -207,18 +246,42 @@ def board_binding(
 
     Deriving it is Theta(n), and pi_ba consults the board at every tree
     node; the board is fixed for the duration of a run, so the value for
-    the last board seen is kept on ``pp``.  The cache holds a snapshot
-    of that board's contents and compares it on every lookup, so a
-    *different* board — another dict, or the same dict after an in-place
-    key replacement (the bare-PKI experiments do both) — rebuilds,
-    whatever address it happens to live at.
+    the last board seen is kept on ``pp``.  A :class:`CountingBoard` —
+    what ``compute_srds_setup`` hands every pi_ba run — hits in O(1)
+    when it is the very board cached and its write count has not moved
+    since; any write, or any other counting board, rebuilds.  Every
+    other mapping takes the snapshot compare: the cache holds a copy of
+    the board's contents and compares it on every lookup, so a
+    *different* board — another dict, or the same dict after an
+    in-place key replacement (the bare-PKI experiments do both) —
+    rebuilds, whatever address it happens to live at.
     """
+    counting = (
+        verification_keys
+        if isinstance(verification_keys, CountingBoard) else None
+    )
     cached = pp.extra.get("_board_binding")
-    if cached is not None and cached[0] == verification_keys:
-        return cached[1]
+    if isinstance(cached, _BoardCache):
+        if counting is not None:
+            hit = cached.board is counting and cached.writes == counting.writes
+        else:
+            hit = _snapshot_hit(cached, verification_keys)
+        if hit:
+            return cached.value
     value = build(verification_keys)
-    pp.extra["_board_binding"] = (dict(verification_keys), value)
+    pp.extra["_board_binding"] = _BoardCache(
+        counting,
+        counting.writes if counting is not None else 0,
+        dict(verification_keys),
+        value,
+    )
     return value
+
+
+def _snapshot_hit(cached: _BoardCache,
+                  verification_keys: Dict[int, bytes]) -> bool:
+    """The O(n) path: the cached snapshot equals this board's contents."""
+    return cached.snapshot == verification_keys
 
 
 # -- Aggregate1: the range discipline ----------------------------------------------
@@ -262,17 +325,14 @@ def select_disjoint(
 # -- Aggregate2: proving -------------------------------------------------------------
 
 
-def seal(snark: SnarkSystem, certificate: Certificate, relation: str,
-         binding: bytes, count: int, lo: int, hi: int, accumulator: bytes,
-         board: bytes, message_binding: bytes,
+def seal(snark: SnarkSystem, certificate: Certificate, circuit: str,
+         public: bytes, message_binding: bytes,
          witness: bytes) -> CountAggregate:
-    """Prove the statement under ``relation`` and build the aggregate
-    that carries the proof; both provers end here."""
-    proof = snark.prove(
-        relation,
-        encode_statement(binding, count, lo, hi, accumulator, board),
-        witness,
-    )
+    """Prove under ``circuit`` and build the aggregate that carries the
+    proof from the statement the circuit outputs; both provers end
+    here."""
+    statement, proof = snark.prove_output(circuit, public, witness)
+    _, count, lo, hi, accumulator, board = decode_statement(statement)
     return certificate.aggregate(
         count, lo, hi, accumulator, board, message_binding, proof
     )
@@ -281,38 +341,31 @@ def seal(snark: SnarkSystem, certificate: Certificate, relation: str,
 def combine(snark: SnarkSystem, certificate: Certificate, binding: bytes,
             parts: Sequence[CountAggregate]) -> Optional[CountAggregate]:
     """Aggregate2's tail: nothing is bottom, one part is itself, several
-    are proven under the internal relation."""
+    are proven under the internal circuit."""
     if len(parts) < 2:
         return parts[0] if parts else None
     ordered = sorted(parts, key=_BY_RANGE)
-    first = ordered[0]
     return seal(
         snark, certificate, certificate.internal, binding,
-        sum(part.count for part in ordered),
-        first.lo,
-        max(part.hi for part in ordered),
-        certificate.fold(part.accumulator for part in ordered),
-        first.board,
-        first.message_binding,
+        ordered[0].message_binding,
         encode_sequence([part.encode() for part in ordered]),
     )
 
 
-def check_internal(snark: SnarkSystem, certificate: Certificate,
-                   statement: bytes, witness: bytes) -> bool:
-    """The internal relation.  The witness is the children's wire
+def internal_circuit(snark: SnarkSystem, certificate: Certificate,
+                     binding: bytes, witness: bytes) -> Optional[bytes]:
+    """The internal circuit: the statement the children prove under
+    ``binding``, or ``None``.  The witness is the children's wire
     encodings, in range order."""
     try:
-        binding, count, lo, hi, accumulator, board = decode_statement(
-            statement
-        )
         blobs, _ = decode_sequence(witness, 0)
         children = [certificate.decode(blob) for blob in blobs]
         folded = certificate.fold(child.accumulator for child in children)
     except MALFORMED_INPUT_ERRORS:
-        return False
+        return None
     if not children:
-        return False
+        return None
+    board = children[0].board
     relations = (certificate.leaf, certificate.internal)
     for child in children:
         # A child's statement is formed under the parent's binding, so
@@ -320,15 +373,17 @@ def check_internal(snark: SnarkSystem, certificate: Certificate,
         if child.board != board or not accepts(
             snark, relations, statement_of(binding, child), child.proof
         ):
-            return False
+            return None
     # Each range wholly before the next: sorted and pairwise disjoint —
     # the anti-double-counting rule.
     for first, second in zip(children, children[1:]):
         if not certificate.precedes(first.hi, second.lo):
-            return False
-    return (
-        sum(child.count for child in children) == count
-        and min(child.lo for child in children) == lo
-        and max(child.hi for child in children) == hi
-        and folded == accumulator
+            return None
+    return encode_statement(
+        binding,
+        sum(child.count for child in children),
+        min(child.lo for child in children),
+        max(child.hi for child in children),
+        folded,
+        board,
     )

@@ -13,7 +13,7 @@ This module is that candidate, built and plugged into the same SRDS
 interface pi_ba consumes.  Base signatures are XOR-homomorphic
 designated-verifier tags (the HashRegistry substitution recorded in
 DESIGN.md); aggregation combines tags and certifies the contributor
-*count* with two SNARG relations in the PCD pattern of Thm 2.8:
+*count* with two SNARG circuits in the PCD pattern of Thm 2.8:
 
 * **leaf**: "I know ``count`` distinct valid per-party tags with indices
   in ``[lo, hi]`` XOR-ing to the combined tag" — validity of a tag is
@@ -33,6 +33,7 @@ having it solve an average-case Subset-XOR instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -195,7 +196,7 @@ class RegisteredSRDS(SRDSScheme):
 
     def __init__(self) -> None:
         self._secrets_by_vk: Dict[bytes, bytes] = {}
-        # Bulletin-board snapshots by digest: the leaf relation's public
+        # Bulletin-board snapshots by digest: the leaf circuit's public
         # input.
         self._boards: Dict[bytes, Dict[int, bytes]] = {}
 
@@ -203,7 +204,7 @@ class RegisteredSRDS(SRDSScheme):
         self, verification_keys: Dict[int, bytes]
     ) -> bytes:
         """Digest a bulletin-board snapshot and keep it for the leaf
-        relation (Theta(n): reached through ``pcd.board_binding``)."""
+        circuit (Theta(n): reached through ``pcd.board_binding``)."""
         digest = prf(
             b"", "registered-srds/board",
             *[
@@ -221,13 +222,10 @@ class RegisteredSRDS(SRDSScheme):
             raise ConfigurationError("need at least 2 parties")
         snark_system = SnarkSystem(crs_seed=rng.random_bytes(32))
 
-        def internal_relation(statement: bytes, witness: bytes) -> bool:
-            return pcd.check_internal(
-                snark_system, self.certificate, statement, witness
-            )
-
-        snark_system.register_relation(_LEAF_RELATION, self._check_leaf)
-        snark_system.register_relation(_INTERNAL_RELATION, internal_relation)
+        snark_system.register_circuit(_LEAF_RELATION, self._leaf_circuit)
+        snark_system.register_circuit(_INTERNAL_RELATION, partial(
+            pcd.internal_circuit, snark_system, self.certificate
+        ))
         return PublicParameters(
             num_parties=num_parties,
             security_bits=256,
@@ -344,12 +342,11 @@ class RegisteredSRDS(SRDSScheme):
             key=attrgetter("index"),
         )
         if bases:
-            # The leaf prover: tags in index order, with the message.
+            # The leaf prover: tags in index order, with the message; the
+            # public input is the message digest and the board digest.
             parts.append(pcd.seal(
-                snark_system, self.certificate, _LEAF_RELATION, digest,
-                len(bases), bases[0].index, bases[-1].index,
-                _xor_all(base.tag for base in bases),
-                items[-1].board_digest, digest,
+                snark_system, self.certificate, _LEAF_RELATION,
+                canonical_tuple(digest, items[-1].board_digest), digest,
                 canonical_tuple(
                     message,
                     encode_sequence([base.encode() for base in bases]),
@@ -371,43 +368,42 @@ class RegisteredSRDS(SRDSScheme):
             pcd.board_binding(pp, verification_keys, self._fingerprint_board),
         )
 
-    # -- the leaf relation ---------------------------------------------------------
+    # -- the leaf circuit ---------------------------------------------------------
 
-    def _check_leaf(self, statement: bytes, witness: bytes) -> bool:
+    def _leaf_circuit(self, public: bytes, witness: bytes) -> Optional[bytes]:
+        """The statement the witness proves about ``public`` — the
+        message digest and the board digest — or ``None``."""
         try:
-            digest, count, lo, hi, combined, board_digest = (
-                pcd.decode_statement(statement)
-            )
+            (digest, board_digest), _ = decode_sequence(public, 0)
             (message, encoded_bases_blob), _ = decode_sequence(witness, 0)
             encoded_bases, _ = decode_sequence(encoded_bases_blob, 0)
         except MALFORMED_INPUT_ERRORS:
-            return False
+            return None
         board = self._boards.get(board_digest)
         if board is None:
-            return False
+            return None
         if prf(b"", "registered-srds/msg", message) != digest:
-            return False
-        if len(encoded_bases) != count or count == 0:
-            return False
+            return None
+        if not encoded_bases:
+            return None
         tags = []
         indices = set()
         for blob in encoded_bases:
             try:
                 index, pos = decode_uint(blob, 0)
             except MALFORMED_INPUT_ERRORS:
-                return False
+                return None
             tag = blob[pos:]
             if len(tag) != TAG_BYTES or index in indices:
-                return False
+                return None
             # Tag validity against the key registered at this index on
-            # the statement's board: the relation plays the multisig
-            # verification circuit, with the board as public input.
+            # the statement's board: this is the multisig verification
+            # circuit, with the board as public input.
             if not self._tag_valid(board.get(index), index, message, tag):
-                return False
+                return None
             indices.add(index)
             tags.append(tag)
-        return (
-            min(indices) == lo
-            and max(indices) == hi
-            and _xor_all(tags) == combined
+        return pcd.encode_statement(
+            digest, len(tags), min(indices), max(indices), _xor_all(tags),
+            board_digest,
         )

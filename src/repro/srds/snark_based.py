@@ -9,7 +9,8 @@ disjoint (the CRH-backed anti-double-counting device of §2.2), add the
 counts, and emit a new proof.  The final aggregate is constant-size and
 verification is count >= majority.
 
-Two relations are registered with the (simulated) SNARK system:
+Two circuits are registered with the (simulated) SNARK system; each
+outputs the statement it proves about the message:
 
 * ``leaf``: "I know ``count`` base signatures with distinct indices in
   ``[min, max]``, each valid under the verification key committed at its
@@ -219,30 +220,23 @@ class SnarkSRDS(SRDSScheme):
     # -- Def. 2.1 algorithms ---------------------------------------------------
 
     def setup(self, num_parties: int, rng) -> PublicParameters:
-        """Sample the CRS and register the two PCD relations."""
+        """Sample the CRS and register the two PCD circuits."""
         if num_parties < 2:
             raise ConfigurationError("need at least 2 parties")
         snark_system = SnarkSystem(crs_seed=rng.random_bytes(32))
-        base_scheme = self.base_scheme
         certificate = self.certificate
-
-        def leaf_relation(statement: bytes, witness: bytes) -> bool:
-            return _check_leaf_relation(
-                statement, witness, base_scheme, num_parties
-            )
-
-        def internal_relation(statement: bytes, witness: bytes) -> bool:
-            return pcd.check_internal(
-                snark_system, certificate, statement, witness
-            )
-
-        snark_system.register_relation(certificate.leaf, leaf_relation)
-        snark_system.register_relation(certificate.internal, internal_relation)
+        snark_system.register_circuit(certificate.leaf, partial(
+            _leaf_circuit,
+            base_scheme=self.base_scheme, num_parties=num_parties,
+        ))
+        snark_system.register_circuit(certificate.internal, partial(
+            pcd.internal_circuit, snark_system, certificate
+        ))
         return PublicParameters(
             num_parties=num_parties,
             security_bits=256,
             acceptance_threshold=num_parties // 2 + 1,
-            extra={"snark": snark_system, "base_scheme": base_scheme},
+            extra={"snark": snark_system, "base_scheme": self.base_scheme},
         )
 
     def keygen(self, pp: PublicParameters, rng) -> Tuple[bytes, object]:
@@ -336,7 +330,7 @@ class SnarkSRDS(SRDSScheme):
         message: bytes,
         filtered: Sequence[object],
     ) -> Optional[SnarkAggregateSignature]:
-        """Succinct combiner: prove the leaf and/or internal relation.
+        """Succinct combiner: prove the leaf and/or internal circuit.
 
         Never consults the verification-key vector — key validity rides
         on the batch opening that accompanies the certified inputs.
@@ -365,7 +359,7 @@ class SnarkSRDS(SRDSScheme):
         )
 
 
-# -- the leaf relation and its prover ------------------------------------------
+# -- the leaf circuit and its prover ------------------------------------------
 
 
 def _leaf_and_child_parts(
@@ -403,42 +397,35 @@ def _leaf_and_child_parts(
             "opening of exactly their indices"
         )
     # The leaf prover: base signatures in index order and the batch
-    # opening of exactly their indices.
+    # opening of exactly their indices; the circuit derives the count,
+    # the range, the chain and the opened vk root.
     parts.append(pcd.seal(
         snark_system, certificate, _LEAF_RELATION, message,
-        len(ordered), indices[0], indices[-1],
-        _chain(c.base.contribution_digest() for c in ordered),
-        root_from_multiproof(
-            [_vk_leaf(c.base.index, c.verification_key) for c in ordered],
-            opening,
-        ),
         hash_domain("srds/message-tag", message),
         encode_sequence([opening.encode()] + [c.encode() for c in ordered]),
     ))
     return parts
 
 
-def _check_leaf_relation(
-    statement: bytes,
+def _leaf_circuit(
+    message: bytes,
     witness: bytes,
     base_scheme: BaseSignatureScheme,
     num_parties: int,
-) -> bool:
-    """The leaf relation.  The witness is the batch opening of the vk
-    commitment followed by the ``count`` certified base signatures it
-    opens, in index order."""
+) -> Optional[bytes]:
+    """The leaf circuit: the statement the witness proves about
+    ``message``, or ``None``.  The witness is the batch opening of the
+    vk commitment followed by the certified base signatures it opens, in
+    index order."""
     try:
-        message, count, lo, hi, digest, vk_root = pcd.decode_statement(
-            statement
-        )
         (opening_blob, *encoded_certified), _ = decode_sequence(witness, 0)
         opening, end = MerkleMultiProof.decode(opening_blob, 0)
     except MALFORMED_INPUT_ERRORS:
-        return False
+        return None
     if end != len(opening_blob) or opening.leaf_count != num_parties:
-        return False
-    if count != len(encoded_certified) or count == 0:
-        return False
+        return None
+    if not encoded_certified:
+        return None
     indices = []
     vk_leaves = []
     contribution_digests = []
@@ -448,9 +435,9 @@ def _check_leaf_relation(
             index, pos = decode_uint(base_blob, 0)
             sig_bytes, _ = decode_bytes(base_blob, pos)
         except MALFORMED_INPUT_ERRORS:
-            return False
+            return None
         if not base_scheme.verify(key, message, sig_bytes):
-            return False
+            return None
         indices.append(index)
         # Key binding: the vk must sit at `index` in the committed vector.
         vk_leaves.append(_vk_leaf(index, key))
@@ -458,17 +445,15 @@ def _check_leaf_relation(
             _contribution_hash(encode_uint(index), sig_bytes)
         )
     # The opening's indices ascend strictly (its decoder refuses anything
-    # else), so equality also rules out duplicates and disorder, and with
-    # the two endpoints every index lies in [lo, hi].
+    # else), so equality also rules out duplicates and disorder, and the
+    # two endpoints bound every index.
     if tuple(indices) != opening.indices:
-        return False
-    if indices[0] != lo or indices[-1] != hi:
-        return False
+        return None
     try:
         opened_root = root_from_multiproof(vk_leaves, opening)
     except CryptoError:
-        return False
-    return (
-        opened_root == vk_root
-        and _chain(contribution_digests) == digest
+        return None
+    return pcd.encode_statement(
+        message, len(indices), indices[0], indices[-1],
+        _chain(contribution_digests), opened_root,
     )

@@ -5,6 +5,7 @@ import pytest
 from repro.crypto.snark import PROOF_BYTES, Proof, SnarkSystem, forge_random_proof
 from repro.errors import ProofError
 from repro.utils.randomness import Randomness
+from repro.utils.serialization import encode_uint
 
 
 @pytest.fixture
@@ -101,3 +102,47 @@ class TestRecursion:
         system.register_relation("outer", outer)
         with pytest.raises(ProofError):
             system.prove("outer", b"stmt", bytes(32))
+
+
+def _count_circuit(public: bytes, witness: bytes):
+    """Outputs ``public`` followed by the witness length; rejects an
+    empty witness."""
+    if not witness:
+        return None
+    return public + encode_uint(len(witness))
+
+
+class TestCircuits:
+    @pytest.fixture
+    def system(self):
+        system = SnarkSystem(b"crs-seed")
+        system.register_circuit("count", _count_circuit)
+        return system
+
+    def test_prove_output_returns_the_circuits_statement(self, system):
+        statement, proof = system.prove_output("count", b"p", b"abc")
+        assert statement == _count_circuit(b"p", b"abc")
+        assert system.verify("count", statement, proof)
+
+    def test_a_rejected_witness_raises(self, system):
+        with pytest.raises(ProofError):
+            system.prove_output("count", b"p", b"")
+
+    def test_a_statement_the_circuit_did_not_output_never_verifies(
+        self, system
+    ):
+        statement, proof = system.prove_output("count", b"p", b"abc")
+        for other in (b"p", _count_circuit(b"p", b"abcd"), statement + b"\0"):
+            assert not system.verify("count", other, proof)
+        # prove() certifies only what the circuit outputs from it.
+        with pytest.raises(ProofError):
+            system.prove("count", b"p", b"abc")
+
+    def test_a_relation_is_the_circuit_that_outputs_its_statement(self):
+        system = SnarkSystem(b"crs-seed")
+        system.register_relation("len3", lambda s, w: len(w) == 3)
+        statement, proof = system.prove_output("len3", b"stmt", b"abc")
+        assert statement == b"stmt"
+        assert proof == system.prove("len3", b"stmt", b"abc")
+        with pytest.raises(ProofError):
+            system.prove("len3", b"false", b"ab")

@@ -1,9 +1,15 @@
 """Tests for communication accounting."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.net.metrics import CommunicationMetrics
+from repro.net.metrics import (
+    CommunicationMetrics,
+    _mask,
+    _synthetic_peer_masks,
+)
 
 
 class TestRecordMessage:
@@ -152,3 +158,42 @@ class TestSnapshot:
         snapshot = CommunicationMetrics().snapshot()
         with pytest.raises(Exception):
             snapshot.total_bits = 5
+
+
+def _reference_peer_mask(pool, party, peers):
+    """Synthetic peers by their definition: the first ``peers`` pool
+    entries other than ``party``, filtered per party."""
+    return _mask([p for p in pool if p != party][:peers])
+
+
+class TestSyntheticPeers:
+    @given(
+        pool=st.lists(st.integers(0, 11), max_size=24),
+        parties=st.lists(st.integers(0, 15), min_size=1, max_size=8),
+        peers=st.integers(0, 30),
+    )
+    @example(pool=[3, 3, 1, 3, 2], parties=[3, 1, 9], peers=0)
+    @example(pool=[3, 3, 1, 3, 2], parties=[3, 1, 9], peers=2)
+    @example(pool=[3, 3, 1, 3, 2], parties=[3, 1, 9], peers=5)
+    @example(pool=[3, 3, 1, 3, 2], parties=[3, 2, 9], peers=9)
+    def test_masks_match_the_per_party_filter(self, pool, parties, peers):
+        masks = _synthetic_peer_masks(pool, peers)
+        metrics = CommunicationMetrics()
+        metrics.charge_functionality(
+            parties, bits_per_party=8, peers_per_party=peers,
+            peer_pool=pool,
+        )
+        for party in parties:
+            expected = _reference_peer_mask(pool, party, peers)
+            assert masks(party) == expected
+            tally = metrics.tally_of(party)
+            assert tally.sent_mask == tally.received_mask == expected
+
+    def test_a_negative_widening_is_refused(self):
+        metrics = CommunicationMetrics()
+        with pytest.raises(NetworkError, match="negative"):
+            metrics.charge_functionality(
+                [0, 1, 2, 3], bits_per_party=8, peers_per_party=-1,
+            )
+        assert metrics.total_bits == 0
+        assert metrics.max_locality == 0

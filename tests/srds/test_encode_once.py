@@ -20,7 +20,10 @@ from hypothesis import strategies as st
 
 from repro.crypto.merkle import MerkleMultiProof, MerkleProof
 from repro.crypto.snark import Proof
+from repro.net.adversary import random_corruption
+from repro.params import ProtocolParameters
 from repro.pki.registry import PKIMode
+from repro.protocols.balanced_ba import run_balanced_ba
 from repro.srds import adversaries as adv
 from repro.srds import owf, pcd, registered, snark_based
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
@@ -322,6 +325,35 @@ def _registered_binding(n):
     )
 
 
+def _refuse_snapshot(cached, verification_keys):
+    raise AssertionError("a counting board took the snapshot compare")
+
+
+def _set(board):
+    board[3] = b"evil"
+
+
+def _delete(board):
+    del board[3]
+
+
+def _merge(board):
+    board |= {3: b"evil"}
+
+
+#: Every in-place write a dict has, as one mutation of a 12-key board.
+_WRITES = {
+    "setitem": _set,
+    "delitem": _delete,
+    "update": lambda board: board.update({3: b"evil"}),
+    "pop": lambda board: board.pop(3),
+    "popitem": lambda board: board.popitem(),
+    "setdefault": lambda board: board.setdefault(12, b"new"),
+    "clear": lambda board: board.clear(),
+    "ior": _merge,
+}
+
+
 @pytest.mark.parametrize(
     "binding", [_snark_binding, _registered_binding],
     ids=["snark", "registered"],
@@ -369,6 +401,41 @@ class TestBoardBindingCache:
             pcd.board_binding(pp, dict(board), build)
         )
 
+    @pytest.mark.parametrize("write", list(_WRITES.values()), ids=list(_WRITES))
+    def test_any_write_to_a_counting_board_is_a_miss(
+        self, binding, write, monkeypatch
+    ):
+        """The same counting board at the same count hits without the
+        snapshot compare; after any write the next lookup rebuilds."""
+        monkeypatch.setattr(pcd, "_snapshot_hit", _refuse_snapshot)
+        _, pp, build, value = binding(self.N)
+        builds = []
+
+        def counted(keys):
+            builds.append(len(keys))
+            return build(keys)
+
+        board = pcd.CountingBoard(self._keys("e"))
+        first = pcd.board_binding(pp, board, counted)
+        assert pcd.board_binding(pp, board, counted) is first
+        assert len(builds) == 1
+        write(board)
+        after = pcd.board_binding(pp, board, counted)
+        assert len(builds) == 2
+        assert value(after) == value(build(board))
+        assert pcd.board_binding(pp, board, counted) is after
+
+    def test_a_counting_board_written_after_caching_misses_through_a_copy(
+        self, binding
+    ):
+        _, pp, build, value = binding(self.N)
+        board = pcd.CountingBoard(self._keys("f"))
+        before = pcd.board_binding(pp, board, build)
+        board[3] = b"evil"
+        after = pcd.board_binding(pp, dict(board), build)
+        assert value(after) == value(build(board))
+        assert value(after) != value(before)
+
     def test_verify_sees_a_key_replaced_in_place(self, binding):
         """A certificate formed on board B does not verify once ``B[0]``
         is replaced — whether the verifier is handed the mutated dict
@@ -392,3 +459,47 @@ class TestBoardBindingCache:
         board[0], _ = scheme.keygen(pp, rng.fork("replacement"))
         assert scheme.verify(pp, board, message, aggregate) is False
         assert scheme.verify(pp, dict(board), message, aggregate) is False
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_counting_board_pickles_with_its_contents(protocol):
+    board = pcd.CountingBoard(
+        {index: bytes([index]) * 32 for index in range(5)}
+    )
+    board[2] = b"replaced"
+    restored = pickle.loads(pickle.dumps(board, protocol))
+    assert type(restored) is pcd.CountingBoard
+    assert dict(restored) == dict(board)
+    writes = restored.writes
+    restored[9] = b"added"
+    assert restored.writes == writes + 1
+    assert dict(copy.deepcopy(board)) == dict(board)
+
+
+@pytest.mark.parametrize(
+    "scheme", [lambda: SnarkSRDS(HashRegistryBase()), RegisteredSRDS],
+    ids=["snark-hash", "registered"],
+)
+def test_a_pi_ba_run_builds_its_board_binding_once(scheme, monkeypatch):
+    """pi_ba's board is the counting board its setup returned: one
+    build per run, and no lookup reads the board."""
+    real = pcd.board_binding
+    builds = []
+
+    def counting(pp, verification_keys, build):
+        def counted(keys):
+            builds.append(len(keys))
+            return build(keys)
+
+        return real(pp, verification_keys, counted)
+
+    monkeypatch.setattr(pcd, "board_binding", counting)
+    monkeypatch.setattr(pcd, "_snapshot_hit", _refuse_snapshot)
+    n, params, rng = 32, ProtocolParameters(), Randomness(7)
+    plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
+    result = run_balanced_ba(
+        {party: party % 2 for party in range(n)}, plan, scheme(), params,
+        rng.fork("r"),
+    )
+    assert result.agreement
+    assert len(builds) == 1

@@ -1,8 +1,8 @@
-"""The counting skeleton's internal relation, driven directly.
+"""The counting skeleton's internal circuit, driven directly.
 
 One suite over every scheme that plugs into :mod:`repro.srds.pcd`: each
-case tampers one thing in a (statement, witness) pair the relation
-accepts.  ``NoRangeCheckSnarkSRDS`` removes exactly one predicate, so it
+case tampers one thing in a (statement, witness) pair the circuit
+outputs.  ``NoRangeCheckSnarkSRDS`` removes exactly one predicate, so it
 must still reject everything but the overlap.
 """
 
@@ -16,7 +16,7 @@ from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.registered import RegisteredSRDS
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
-from repro.utils.serialization import encode_sequence
+from repro.utils.serialization import decode_sequence, encode_sequence
 
 N = 24
 MESSAGE = b"counted"
@@ -67,8 +67,9 @@ class Deployment:
         )
 
     def holds(self, children, message=MESSAGE, witness=None, **fields):
-        """The relation's verdict on these children, against the
-        statement an honest prover would derive (fields overridable)."""
+        """Whether the internal circuit outputs, from these children,
+        the statement an honest prover would derive (fields
+        overridable)."""
         statement = dict(
             count=sum(child.count for child in children),
             lo=min(child.lo for child in children),
@@ -81,11 +82,10 @@ class Deployment:
         statement.update(fields)
         if witness is None:
             witness = encode_sequence([child.encode() for child in children])
-        return pcd.check_internal(
-            self.snark, self.certificate,
-            pcd.encode_statement(self.binding(message), *statement.values()),
-            witness,
-        )
+        binding = self.binding(message)
+        return pcd.internal_circuit(
+            self.snark, self.certificate, binding, witness
+        ) == pcd.encode_statement(binding, *statement.values())
 
 
 @pytest.fixture(scope="module", params=sorted(SCHEMES))
@@ -153,10 +153,13 @@ def test_a_truncated_or_empty_witness_is_rejected(deployment, children):
 
 def test_a_statement_that_is_not_six_fields_is_rejected(deployment, children):
     witness = encode_sequence([child.encode() for child in children])
-    assert not pcd.check_internal(
+    five = encode_sequence([b"five", b"fields", b"are", b"too", b"few"])
+    output = pcd.internal_circuit(
         deployment.snark, deployment.certificate,
-        encode_sequence([b"five", b"fields", b"are", b"too", b"few"]),
-        witness,
+        deployment.binding(MESSAGE), witness,
     )
-    with pytest.raises(MALFORMED_INPUT_ERRORS):
-        pcd.decode_statement(b"\xff")
+    assert len(decode_sequence(output, 0)[0]) == 6
+    assert output != five
+    for statement in (five, b"\xff"):
+        with pytest.raises(MALFORMED_INPUT_ERRORS):
+            pcd.decode_statement(statement)

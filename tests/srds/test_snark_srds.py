@@ -19,7 +19,7 @@ from repro.srds.snark_based import (
     SnarkAggregateSignature,
     SnarkBaseSignature,
     SnarkSRDS,
-    _check_leaf_relation,
+    _leaf_circuit,
     decode_aggregate,
     vk_merkle_tree,
 )
@@ -301,8 +301,8 @@ class TestWithSchnorr:
 
 
 class TestLeafRelation:
-    """One rejection per clause of the leaf relation.  Every case tampers
-    one thing in a witness/statement pair the relation accepts."""
+    """One rejection per clause of the leaf circuit.  Every case tampers
+    one thing in a witness/statement pair the circuit outputs."""
 
     MESSAGE = b"leaf-relation"
     INDICES = (40, 41, 43, 44, 47)
@@ -320,8 +320,9 @@ class TestLeafRelation:
         return certified, opening
 
     def _holds(self, deployment, certified, opening, **statement_fields):
-        """The relation's verdict on this witness, against the statement
-        an honest prover would derive from it (fields overridable)."""
+        """Whether the leaf circuit outputs, from this witness, the
+        statement an honest prover would derive from it (fields
+        overridable)."""
         scheme, pp, vks, _ = deployment
         fields = dict(
             count=len(certified),
@@ -338,9 +339,9 @@ class TestLeafRelation:
         witness = encode_sequence(
             [opening.encode()] + [c.encode() for c in certified]
         )
-        return _check_leaf_relation(
-            statement, witness, scheme.base_scheme, pp.num_parties
-        )
+        return _leaf_circuit(
+            self.MESSAGE, witness, scheme.base_scheme, pp.num_parties
+        ) == statement
 
     def test_the_honest_witness_is_accepted(self, deployment, accepted):
         assert self._holds(deployment, *accepted)

@@ -485,15 +485,15 @@ def snark_deployment():
 
 @pytest.fixture(scope="module")
 def leaf_witness():
-    """A (statement, witness) pair the SNARK-SRDS leaf relation accepts,
-    with the relation itself."""
+    """``(message, statement, witness, circuit)``: the SNARK-SRDS leaf
+    circuit outputs ``statement`` from ``(message, witness)``."""
     from repro.crypto.hashing import hash_chain
     from repro.srds.base_sigs import HashRegistryBase
     from repro.srds.pcd import encode_statement
     from repro.srds.snark_based import (
         _CHAIN_DOMAIN,
         SnarkSRDS,
-        _check_leaf_relation,
+        _leaf_circuit,
         vk_merkle_tree,
     )
     from repro.utils.serialization import encode_sequence
@@ -521,22 +521,24 @@ def leaf_witness():
         [opening.encode()] + [c.encode() for c in certified]
     )
 
-    def relation(candidate_statement, candidate_witness):
-        return _check_leaf_relation(
-            candidate_statement, candidate_witness, scheme.base_scheme, n
+    def circuit(public, candidate_witness):
+        return _leaf_circuit(
+            public, candidate_witness, scheme.base_scheme, n
         )
 
-    assert relation(statement, witness) is True
-    return statement, witness, relation
+    assert circuit(message, witness) == statement
+    return message, statement, witness, circuit
 
 
 class TestVerifiersNeverRaise:
     @_fuzz
     @given(data=garbage)
     def test_leaf_relation_garbage_witness(self, leaf_witness, data):
-        statement, witness, relation = leaf_witness
-        assert relation(statement, data) is False
-        assert relation(data, witness) is False
+        message, statement, witness, circuit = leaf_witness
+        assert circuit(message, data) is None
+        assert circuit(data, witness) == (
+            statement if data == message else None
+        )
 
     @_fuzz
     @given(
@@ -549,13 +551,15 @@ class TestVerifiersNeverRaise:
     ):
         """One overwritten byte (a count, a length, an index, a digest)
         or a truncation: a verdict, never an exception or a hang."""
-        statement, witness, relation = leaf_witness
+        message, statement, witness, circuit = leaf_witness
         position %= len(witness)
         if cut:
-            assert relation(statement, witness[:position]) is False
+            assert circuit(message, witness[:position]) is None
             return
         mutated = witness[:position] + bytes([byte]) + witness[position + 1:]
-        assert relation(statement, mutated) is (mutated == witness)
+        assert (circuit(message, mutated) == statement) is (
+            mutated == witness
+        )
 
     @_fuzz
     @given(data=garbage)
@@ -570,16 +574,16 @@ class TestVerifiersNeverRaise:
         assert scheme.verify(pp, vks, b"msg", aggregate) in (True, False)
 
     @_fuzz
-    @given(statement=garbage, witness=garbage)
+    @given(binding=garbage, witness=garbage)
     def test_internal_relation_garbage(
-        self, snark_deployment, statement, witness
+        self, snark_deployment, binding, witness
     ):
-        from repro.srds.pcd import check_internal
+        from repro.srds.pcd import internal_circuit
 
         scheme, pp, _ = snark_deployment
-        assert check_internal(
-            pp.extra["snark"], scheme.certificate, statement, witness
-        ) is False
+        assert internal_circuit(
+            pp.extra["snark"], scheme.certificate, binding, witness
+        ) is None
 
     @_fuzz
     @given(data=garbage)
