@@ -67,8 +67,8 @@ class PKIError(ReproError):
 class NetworkError(ReproError):
     """Raised by the synchronous network simulator on misuse.
 
-    Examples: sending from an unknown party id, delivering outside a
-    round boundary, or exceeding a configured message budget.
+    Examples: sending from an unknown party id, or delivering outside a
+    round boundary.
     """
 
 

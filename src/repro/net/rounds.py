@@ -11,8 +11,7 @@ calls :meth:`Party.step <repro.net.party.Party.step>`, builds one
 :class:`~repro.net.party.Frame` from each
 :class:`~repro.net.party.Envelope` a party returns (two separate named
 tuples: a frame is not an envelope, and the recipient is handed the
-frame itself), enforces a message budget, consults the delivery policy
-and emits trace events.  The executors are *placements* of it and own
+frame itself), consults the delivery policy and emits trace events.  The executors are *placements* of it and own
 only where frames wait between two barriers:
 
 * :class:`~repro.net.simulator.SynchronousNetwork` — an in-memory list;
@@ -121,7 +120,6 @@ class RoundCore:
         parties: Sequence[Party],
         policy: Optional[LockstepDelivery] = None,
         trace=None,
-        message_budget_per_party: Optional[int] = None,
         first_round: int = 0,
         whole_network: bool = True,
         error: Type[ReproError] = NetworkError,
@@ -138,8 +136,6 @@ class RoundCore:
         self.round_index = first_round
         #: Per-sender sequence number of the next emitted frame.
         self.send_seq: Dict[int, int] = {p: 0 for p in self.parties}
-        self._budget = message_budget_per_party
-        self._messages_sent: Dict[int, int] = {p: 0 for p in self.parties}
         self._whole_network = whole_network
         self._crash_traced: set = set()
 
@@ -220,13 +216,6 @@ class RoundCore:
         recipient = envelope.recipient
         if self._whole_network and recipient not in self.parties:
             raise self._error(f"unknown recipient {recipient}")
-        if self._budget is not None:
-            self._messages_sent[sender] += 1
-            if self._messages_sent[sender] > self._budget:
-                raise self._error(
-                    f"party {sender} exceeded its message budget "
-                    f"of {self._budget}"
-                )
         # Charge exactly what the envelope declares: 8 * len(payload)
         # for plain envelopes; replayed ones carry an analytic count.
         bits = envelope.size_bits()

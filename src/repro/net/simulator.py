@@ -5,8 +5,7 @@ holds the model and the determinism contract): frames emitted in one
 round wait in a plain list until they are due — the next round, or
 later when the delivery ``policy`` delayed them — and every one of them
 is charged to a :class:`CommunicationMetrics` ledger in the round it was
-sent.  A per-party message *budget* can be imposed, turning a "every
-party sends at most b messages" hypothesis into a mechanical check.
+sent.
 """
 
 from __future__ import annotations
@@ -25,16 +24,10 @@ class SynchronousNetwork:
         self,
         parties: Sequence[Party],
         metrics: Optional[CommunicationMetrics] = None,
-        message_budget_per_party: Optional[int] = None,
         policy: Optional[LockstepDelivery] = None,
         trace=None,
     ) -> None:
-        self.core = RoundCore(
-            parties,
-            policy=policy,
-            trace=trace,
-            message_budget_per_party=message_budget_per_party,
-        )
+        self.core = RoundCore(parties, policy=policy, trace=trace)
         self.parties: Dict[int, Party] = self.core.parties
         self.metrics = metrics if metrics is not None else CommunicationMetrics()
         self._pending: List[Frame] = []

@@ -12,10 +12,6 @@ Layered on PR 1's runtime:
   memory (top-K + spill-to-JSONL) filed under the same label, exact
   per-party side counters, and bit-for-bit parity checks against
   ``CommunicationMetrics``.
-* **Registry** (:mod:`repro.obs.registry`): Counter/Gauge/Histogram
-  instruments with Prometheus text exposition — the gateway's live
-  ``GET /metrics`` endpoint and nothing else; batch runs answer from
-  the ledger, the flow cells and the trace.
 * **Timeline** (:mod:`repro.obs.timeline`): TraceRecorder streams + span
   intervals → Chrome trace-event JSON, loadable in Perfetto, with a
   deterministic mode mirroring ``trace.py``'s ``clock=None`` contract.
@@ -30,6 +26,10 @@ Layered on PR 1's runtime:
 * **Flush** (:mod:`repro.obs.flush`): atomic artifact writes
   (tmp+fsync+replace) — the ``--flow-out`` report of the serve and
   cluster CLIs, and the gateway's ``--metrics-out`` snapshot.
+
+No metrics registry lives here: the gateway's live ``GET /metrics`` is
+a rendering of its own ``status`` (:mod:`repro.serve.exposition`), and
+batch runs answer from the ledger, the flow cells and the trace.
 
 CLI: ``python -m repro obs {report,timeline,flows,diff,profile}`` (see
 ``docs/observability.md``).

@@ -1,5 +1,5 @@
 """Atomic artifact flushing — the one ``--flow-out`` / ``--metrics-out``
-implementation.
+write path.
 
 A run's artifacts are read exactly when something went wrong, so a bare
 ``write_text`` that leaves a half-written file when the process dies
@@ -13,9 +13,8 @@ wire-level flow ledger for ``--flow-out``; :func:`open_flow` and
 evicted cells spill beside the report, and the ``repro-flow/1`` report
 (parity-checked against the run's metrics ledger when there is one).
 
-:func:`flush_metrics_file` publishes the gateway's Prometheus text
-exposition for ``serve run --metrics-out`` — the same body ``GET
-/metrics`` serves, and nothing else.
+The gateway publishes its ``serve run --metrics-out`` snapshot with
+:func:`write_atomic_text` too.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ def write_atomic_text(path: Path, text: str) -> Path:
         os.fsync(handle.fileno())
     os.replace(temp, path)
     return path
-
-
-def flush_metrics_file(path: Path, registry: Any) -> Path:
-    """Atomically write one registry's text exposition."""
-    return write_atomic_text(path, registry.render())
 
 
 def open_flow(flow_out: Path) -> FlowLedger:

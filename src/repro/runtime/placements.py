@@ -14,8 +14,8 @@
 ===============  ====================================================
 
 Every row is ``run(parties, until=None, max_rounds=10_000, *,
-metrics=None, trace=None, fault_plan=None,
-message_budget_per_party=None) -> RuntimeResult``, so a protocol that
+metrics=None, trace=None, fault_plan=None) -> RuntimeResult``, so a
+protocol that
 is a ``build_*() -> (parties, honest_ids, max_rounds)`` builder reaches
 all four with ``ROW.run(*build_*(...))``.  Every row records a trace
 only when given a ``trace=`` recorder; without one the result's
@@ -23,8 +23,7 @@ only when given a ``trace=`` recorder; without one the result's
 ``max_rounds`` is the
 builder's fault-free cap; a row stretches it by the headroom the fault
 plan's delays need.  A row that cannot honour a keyword (the mesh has
-no delivery policy and no message budget) raises its ``error`` class
-rather than ignoring it.
+no delivery policy) raises its ``error`` class rather than ignoring it.
 """
 
 from __future__ import annotations
@@ -56,11 +55,10 @@ def _round_cap(max_rounds: int, fault_plan: Optional[FaultPlan]) -> int:
 
 def _in_process(
     parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
-    fault_plan=None, message_budget_per_party=None,
+    fault_plan=None,
 ) -> RuntimeResult:
     network = SynchronousNetwork(
-        parties, metrics, message_budget_per_party,
-        policy=fault_plan, trace=trace,
+        parties, metrics, policy=fault_plan, trace=trace
     )
     network.run(_round_cap(max_rounds, fault_plan), until)
     return RuntimeResult(
@@ -74,7 +72,7 @@ def _in_process(
 def _over_transport(kind: str) -> Callable[..., RuntimeResult]:
     def run(
         parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
-        fault_plan=None, message_budget_per_party=None,
+        fault_plan=None,
     ) -> RuntimeResult:
         return run_parties(
             parties,
@@ -84,7 +82,6 @@ def _over_transport(kind: str) -> Callable[..., RuntimeResult]:
             trace=trace,
             until=until,
             max_rounds=_round_cap(max_rounds, fault_plan),
-            message_budget_per_party=message_budget_per_party,
         )
 
     return run
@@ -120,15 +117,14 @@ def mesh(
 
     def run(
         parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
-        fault_plan=None, message_budget_per_party=None,
+        fault_plan=None,
     ) -> RuntimeResult:
         from repro.cluster.job import ClusterJob
         from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 
-        if fault_plan is not None or message_budget_per_party is not None:
+        if fault_plan is not None:
             raise ClusterError(
-                "the mesh has no delivery policy and enforces no message "
-                "budget: fault_plan / message_budget_per_party need a "
+                "the mesh has no delivery policy: fault_plan needs a "
                 "single-process placement"
             )
         parties = list(parties)

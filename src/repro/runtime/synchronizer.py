@@ -39,14 +39,8 @@ class RoundSynchronizer:
         transport: Transport,
         fault_plan: Optional[FaultPlan] = None,
         trace: Optional[TraceRecorder] = None,
-        message_budget_per_party: Optional[int] = None,
     ) -> None:
-        self.core = RoundCore(
-            parties,
-            policy=fault_plan,
-            trace=trace,
-            message_budget_per_party=message_budget_per_party,
-        )
+        self.core = RoundCore(parties, policy=fault_plan, trace=trace)
         self.parties: Dict[int, Party] = self.core.parties
         if set(self.parties) != set(transport.party_ids):
             raise NetworkError(
@@ -111,7 +105,6 @@ def run_parties(
     trace: Optional[TraceRecorder] = None,
     until: Optional[Iterable[int]] = None,
     max_rounds: int = 10_000,
-    message_budget_per_party: Optional[int] = None,
 ) -> RuntimeResult:
     """Synchronous facade: run party machines over the async runtime.
 
@@ -131,7 +124,6 @@ def run_parties(
             trace=trace,
             until=until,
             max_rounds=max_rounds,
-            message_budget_per_party=message_budget_per_party,
         )
     )
 
@@ -145,7 +137,6 @@ async def run_parties_async(
     trace: Optional[TraceRecorder] = None,
     until: Optional[Iterable[int]] = None,
     max_rounds: int = 10_000,
-    message_budget_per_party: Optional[int] = None,
 ) -> RuntimeResult:
     """Async core of :func:`run_parties` (use inside an event loop)."""
     party_ids = [party.party_id for party in parties]
@@ -160,7 +151,6 @@ async def run_parties_async(
             transport_obj,
             fault_plan=fault_plan,
             trace=trace,
-            message_budget_per_party=message_budget_per_party,
         )
         if until is None:
             await synchronizer.run(max_rounds=max_rounds)

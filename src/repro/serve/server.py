@@ -8,9 +8,10 @@ One asyncio TCP server multiplexes everything on a single port:
   run in the :class:`~repro.serve.sessions.SessionManager`'s forked
   lane processes;
 * plain ``GET /metrics`` HTTP requests, answered with the Prometheus
-  text exposition of the gateway's :class:`MetricsRegistry` — the
-  server sniffs the first line of each connection, so ops tooling needs
-  no JSON shim.
+  text exposition of the manager's ``status()``
+  (:func:`~repro.serve.exposition.metrics_text`, which the ``metrics``
+  op and ``--metrics-out`` also serve) — the server sniffs the first
+  line of each connection, so ops tooling needs no JSON shim.
 
 Shutdown is graceful by construction: ``SIGTERM``/``SIGINT`` (or the
 ``shutdown`` op) stop admission first, drain in-flight sessions against
@@ -31,9 +32,9 @@ from typing import Any, Dict, Optional
 from repro.errors import GatewayError
 from repro.net.bind import bound_port, start_asyncio_server
 from repro.obs.flow import FlowLedger
-from repro.obs.flush import finish_artifacts, flush_metrics_file, open_flow
-from repro.obs.registry import MetricsRegistry
+from repro.obs.flush import finish_artifacts, open_flow, write_atomic_text
 from repro.serve import wire
+from repro.serve.exposition import metrics_text
 from repro.serve.sessions import SessionManager
 from repro.serve.setup_cache import SetupCache
 
@@ -81,21 +82,16 @@ class GatewayServer:
     def __init__(
         self,
         config: GatewayConfig,
-        registry: Optional[MetricsRegistry] = None,
         manager: Optional[SessionManager] = None,
     ) -> None:
         self.config = config
-        self.registry = registry if registry is not None else MetricsRegistry()
         self.flow: Optional[FlowLedger] = None
         if manager is None and config.flow_out is not None:
             self.flow = open_flow(config.flow_out)
         self.manager = manager if manager is not None else SessionManager(
             max_sessions=config.max_sessions,
             retry_after=config.retry_after,
-            cache=SetupCache(
-                max_entries=config.cache_entries, registry=self.registry
-            ),
-            registry=self.registry,
+            cache=SetupCache(max_entries=config.cache_entries),
             flow=self.flow,
         )
         self.port: Optional[int] = None
@@ -164,7 +160,9 @@ class GatewayServer:
         """Flush the final flow report and metrics snapshot atomically."""
         finish_artifacts(self.flow, self.config.flow_out)
         if self.config.metrics_out is not None:
-            flush_metrics_file(self.config.metrics_out, self.registry)
+            write_atomic_text(
+                self.config.metrics_out, metrics_text(self.manager.status())
+            )
 
     async def serve_until_stopped(self) -> int:
         """Block until shutdown completes; the process exit status."""
@@ -219,7 +217,7 @@ class GatewayServer:
         parts = request_line.decode("ascii", "replace").split()
         target = parts[1] if len(parts) > 1 else ""
         if target in ("/metrics", "/metrics/"):
-            body = self.registry.render()
+            body = metrics_text(self.manager.status())
             writer.write(_http_response("200 OK", body))
         else:
             writer.write(_http_response("404 Not Found", "not found\n"))
@@ -248,7 +246,7 @@ class GatewayServer:
         if op == "cancel":
             return self.manager.cancel(request["session"])
         if op == "metrics":
-            return wire.ok(metrics=self.registry.render())
+            return wire.ok(metrics=metrics_text(self.manager.status()))
         if op == "shutdown":
             self.begin_shutdown("shutdown op")
             return wire.ok(state="draining")

@@ -25,7 +25,9 @@ that reference and the conformance tests pin the equality.
 from __future__ import annotations
 
 import asyncio
+import copy
 import time
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -35,12 +37,12 @@ from repro.net.adversary import random_corruption
 from repro.net.fork import EXIT_GRACE, exit_status
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanLog, flow_tags, recording
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
 from repro.protocols.cost_model import pi_ba_per_party_budget
 from repro.serve import wire
+from repro.serve.exposition import DEFAULT_BUCKETS
 from repro.serve.lanes import CANCEL, DECISION, RUN, Lane, LaneWork, fork_lane
 from repro.serve.setup_cache import (
     SCHEME_LABELS,
@@ -270,6 +272,14 @@ class SessionManager:
     exactly as long as a lane needs to drain.  A session goes to a free
     lane whose cache already holds its ``(scheme, n, seed)`` key, else
     to the least recently used free lane, which pays that key's keygen.
+
+    ``totals`` holds the gateway's live counters as plain numbers —
+    admissions, rejects by code, completed decisions, lane CPU seconds,
+    lane restarts and the session-seconds histogram (cumulative counts
+    per :data:`~repro.serve.exposition.DEFAULT_BUCKETS` bound, sum,
+    count) — and :meth:`status` returns a copy, which
+    :func:`~repro.serve.exposition.metrics_text` renders for
+    ``/metrics``.
     """
 
     def __init__(
@@ -278,7 +288,6 @@ class SessionManager:
         max_sessions: int = 2,
         retry_after: float = 0.5,
         cache: Optional[SetupCache] = None,
-        registry: Optional[MetricsRegistry] = None,
         decision_runner: Optional[DecisionRunner] = None,
         flow: Optional[FlowLedger] = None,
     ) -> None:
@@ -286,16 +295,13 @@ class SessionManager:
             raise GatewayError("max_sessions must be at least 1")
         self.max_sessions = max_sessions
         self._base_retry_after = retry_after
-        self.registry = registry
         # Flow observability: when a ledger is given (and no custom
         # runner overrides it), every decision's charges land in it
         # under kind="session".
         self.flow = flow
         # Never leased here: each lane forks its own copy, and this one
         # counts the hits and misses the lanes report.
-        self._cache = cache if cache is not None else SetupCache(
-            registry=registry
-        )
+        self._cache = cache if cache is not None else SetupCache()
         if decision_runner is None:
             self._work = LaneWork(self._cache, run_decision, flow is not None)
         else:
@@ -312,42 +318,16 @@ class SessionManager:
         self._closed = False
         self._next_id = 0
         self._recent_walls: List[float] = []
-        self._admitted_counter = None
-        self._rejected_counter = None
-        self._decisions_counter = None
-        self._latency_histogram = None
-        self._active_gauge = None
-        self._lane_cpu_counter = None
-        self._lane_restarts_counter = None
-        if registry is not None:
-            self._admitted_counter = registry.counter(
-                "repro_gateway_sessions_admitted_total",
-                "Sessions accepted past admission control",
-            )
-            self._rejected_counter = registry.counter(
-                "repro_gateway_sessions_rejected_total",
-                "Sessions rejected with backpressure", ("code",),
-            )
-            self._decisions_counter = registry.counter(
-                "repro_gateway_decisions_total",
-                "Completed BA decisions across all sessions",
-            )
-            self._latency_histogram = registry.histogram(
-                "repro_gateway_session_seconds",
-                "Wall-clock duration of one completed session",
-            )
-            self._active_gauge = registry.gauge(
-                "repro_gateway_sessions_active",
-                "Sessions currently holding a concurrency lane",
-            )
-            self._lane_cpu_counter = registry.counter(
-                "repro_gateway_lane_cpu_seconds_total",
-                "CPU seconds lane processes spent running sessions",
-            )
-            self._lane_restarts_counter = registry.counter(
-                "repro_gateway_lane_restarts_total",
-                "Lane processes re-forked after one died",
-            )
+        self.totals: Dict[str, Any] = {
+            "admitted": 0,
+            "rejected": Counter(),
+            "decisions": 0,
+            "lane_cpu_s": 0,
+            "lane_restarts": 0,
+            "session_seconds": {
+                "buckets": [0] * len(DEFAULT_BUCKETS), "sum": 0.0, "count": 0,
+            },
+        }
         self._lanes: List[Lane] = [
             self._start_lane(lane_id) for lane_id in range(max_sessions)
         ]
@@ -379,8 +359,7 @@ class SessionManager:
         lane.session = None
         lane.keys = frozenset(report["keys"])
         self._cache.count(hits=report["hits"], misses=report["misses"])
-        if self._lane_cpu_counter is not None:
-            self._lane_cpu_counter.inc(report["cpu_s"])
+        self.totals["lane_cpu_s"] += report["cpu_s"]
         if report["error"] is not None:
             record.state, record.error = "failed", report["error"]
         else:
@@ -403,20 +382,22 @@ class SessionManager:
             self._finish(record)
         if self._closed:
             return
-        if self._lane_restarts_counter is not None:
-            self._lane_restarts_counter.inc()
+        self.totals["lane_restarts"] += 1
         self._lanes[lane.lane_id] = self._start_lane(lane.lane_id)
 
     def _finish(self, record: SessionRecord) -> None:
-        if self._active_gauge is not None:
-            self._active_gauge.set(self.active)
-        if record.wall_seconds is not None:
-            self._recent_walls.append(record.wall_seconds)
+        wall = record.wall_seconds
+        if wall is not None:
+            self._recent_walls.append(wall)
             del self._recent_walls[:-8]
-            if self._latency_histogram is not None:
-                self._latency_histogram.observe(record.wall_seconds)
-        if self._decisions_counter is not None:
-            self._decisions_counter.inc(record.decisions_completed)
+            seconds = self.totals["session_seconds"]
+            seconds["buckets"] = [
+                count + (wall <= bound)
+                for count, bound in zip(seconds["buckets"], DEFAULT_BUCKETS)
+            ]
+            seconds["sum"] += wall
+            seconds["count"] += 1
+        self.totals["decisions"] += record.decisions_completed
         record.done_event.set()
 
     # -- admission ----------------------------------------------------------
@@ -440,8 +421,7 @@ class SessionManager:
     def submit(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Admit (or reject) one session; returns the wire response."""
         if not self._admitting:
-            if self._rejected_counter is not None:
-                self._rejected_counter.inc(code="shutting-down")
+            self.totals["rejected"]["shutting-down"] += 1
             return wire.reject(
                 "shutting-down", "gateway is draining; not admitting"
             )
@@ -451,8 +431,7 @@ class SessionManager:
             return wire.reject("bad-request", str(exc))
         free = [lane for lane in self._lanes if lane.session is None]
         if not free:
-            if self._rejected_counter is not None:
-                self._rejected_counter.inc(code="busy")
+            self.totals["rejected"]["busy"] += 1
             return wire.reject(
                 "busy",
                 f"all {self.max_sessions} session lanes are busy",
@@ -478,10 +457,7 @@ class SessionManager:
         )
         self._records[record.session_id] = record
         lane.session, lane.last_used = record, self._next_id
-        if self._admitted_counter is not None:
-            self._admitted_counter.inc()
-        if self._active_gauge is not None:
-            self._active_gauge.set(self.active)
+        self.totals["admitted"] += 1
         admitted = time.monotonic()
         self._tell(lane, (RUN, record.session_id, spec, admitted))
         return wire.ok(
@@ -500,13 +476,10 @@ class SessionManager:
 
     # -- client-facing queries ----------------------------------------------
 
-    def _record_or_none(self, session_id: str) -> Optional[SessionRecord]:
-        return self._records.get(session_id)
-
     async def await_result(
         self, session_id: str, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        record = self._record_or_none(session_id)
+        record = self._records.get(session_id)
         if record is None:
             return wire.reject(
                 "unknown-session", f"no session {session_id!r}"
@@ -544,7 +517,7 @@ class SessionManager:
         self, session_id: Optional[str] = None
     ) -> Dict[str, Any]:
         if session_id is not None:
-            record = self._record_or_none(session_id)
+            record = self._records.get(session_id)
             if record is None:
                 return wire.reject(
                     "unknown-session", f"no session {session_id!r}"
@@ -571,6 +544,7 @@ class SessionManager:
                 for lane in self._lanes
             ],
             setup_cache=self.cache_stats(),
+            totals=copy.deepcopy(self.totals),
             retry_after=self.retry_after_hint(),
         )
         if self.flow is not None:
@@ -578,7 +552,7 @@ class SessionManager:
         return payload
 
     def cancel(self, session_id: str) -> Dict[str, Any]:
-        record = self._record_or_none(session_id)
+        record = self._records.get(session_id)
         if record is None:
             return wire.reject(
                 "unknown-session", f"no session {session_id!r}"

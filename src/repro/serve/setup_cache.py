@@ -18,9 +18,9 @@ Correctness relies on two facts pinned by tests:
   cached material is byte-identical to what the session would have
   computed in line.
 
-Hit/miss counters (both on the cache object and, when a registry is
-bound, as ``repro_gateway_setup_cache_{hits,misses}_total``) are the
-observable proof of the amortization: the first session on a key
+Hit/miss counters (on the cache object, and on ``/metrics`` as
+``repro_gateway_setup_cache_{hits,misses}_total``) are the observable
+proof of the amortization: the first session on a key
 records a miss and pays keygen, every later one records a hit and
 skips it.  The gateway runs one cache per session lane
 (:mod:`repro.serve.lanes`): each lane leases from its own copy, and the
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import GatewayError
-from repro.obs.registry import MetricsRegistry
 from repro.protocols.balanced_ba import (
     SRDSSetupMaterial,
     compute_srds_setup,
@@ -143,7 +142,6 @@ class SetupCache:
     def __init__(
         self,
         max_entries: int = 8,
-        registry: Optional[MetricsRegistry] = None,
         scheme_factory: Callable[[str], SRDSScheme] = scheme_for,
     ) -> None:
         if max_entries < 1:
@@ -153,17 +151,6 @@ class SetupCache:
         self._entries: "OrderedDict[SetupKey, _Entry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._hits_counter = None
-        self._misses_counter = None
-        if registry is not None:
-            self._hits_counter = registry.counter(
-                "repro_gateway_setup_cache_hits_total",
-                "Sessions that reused cached SRDS setup/PKI material",
-            )
-            self._misses_counter = registry.counter(
-                "repro_gateway_setup_cache_misses_total",
-                "Sessions that had to run SRDS setup + keygen",
-            )
 
     def lease(self, scheme_label: str, n: int, seed: int) -> SetupLease:
         """Take a lease on the setup domain ``(scheme_label, n, seed)``.
@@ -183,13 +170,9 @@ class SetupCache:
         return SetupLease(self, key, entry)
 
     def count(self, hits: int = 0, misses: int = 0) -> None:
-        """Add lease hits and misses to the counters (and the registry)."""
+        """Add lease hits and misses to the counters."""
         self.hits += hits
         self.misses += misses
-        if self._hits_counter is not None and hits:
-            self._hits_counter.inc(hits)
-        if self._misses_counter is not None and misses:
-            self._misses_counter.inc(misses)
 
     def keys(self) -> List[SetupKey]:
         """The resident setup domains, least recently used first."""

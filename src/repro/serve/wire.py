@@ -55,10 +55,15 @@ def encode_line(payload: Dict[str, Any]) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
 
 
+def _refuse_constant(token: str) -> Any:
+    raise GatewayError(f"non-standard JSON constant {token}")
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a JSON object (dict).
 
-    Raises :class:`~repro.errors.GatewayError` on oversized, non-JSON,
+    Raises :class:`~repro.errors.GatewayError` on oversized, non-JSON
+    (``NaN`` and ``±Infinity`` included: no number field may be one),
     or non-object lines — the caller turns that into a ``bad-request``
     response rather than tearing the connection down.
     """
@@ -67,7 +72,9 @@ def decode_line(line: bytes) -> Dict[str, Any]:
             f"line exceeds {MAX_LINE_BYTES} bytes ({len(line)})"
         )
     try:
-        payload = json.loads(line.decode("utf-8"))
+        payload = json.loads(
+            line.decode("utf-8"), parse_constant=_refuse_constant
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise GatewayError(f"malformed request line: {exc}") from exc
     if not isinstance(payload, dict):

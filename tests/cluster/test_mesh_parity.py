@@ -281,8 +281,8 @@ class TestMeshContract(
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on the
     mesh row: two worker processes, parties shipped as round-0
-    checkpoints.  ``TestBudget`` and ``TestFaultPlan`` need keywords the
-    mesh refuses — see :class:`TestMeshRefusals`."""
+    checkpoints.  ``TestFaultPlan`` needs a keyword the mesh refuses —
+    see :class:`TestMeshRefusals`."""
 
     placement = mesh(2)
 
@@ -292,11 +292,8 @@ class TestMeshRefusals:
 
     @pytest.mark.parametrize(
         "keyword",
-        [
-            {"fault_plan": FaultPlan(crashes={0: 1})},
-            {"message_budget_per_party": 3},
-        ],
-        ids=["fault_plan", "message_budget_per_party"],
+        [{"fault_plan": FaultPlan(crashes={0: 1})}],
+        ids=["fault_plan"],
     )
     def test_unsupported_keyword_raises_cluster_error(self, keyword):
         row = mesh(2)

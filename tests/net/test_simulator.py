@@ -1,8 +1,8 @@
 """The lockstep-round contract, stated once and held on every placement.
 
 ``TestDelivery``, ``TestAuthentication``, ``TestTermination``,
-``TestBudget``, ``TestFaultPlan``, ``TestTrace`` and
-``TestReplayAttribution`` are written against ``self.placement``, a row
+``TestFaultPlan``, ``TestTrace`` and ``TestReplayAttribution`` are
+written against ``self.placement``, a row
 of :mod:`repro.runtime.placements`.  Here they run on the in-process
 row, :class:`~repro.net.simulator.SynchronousNetwork`;
 ``tests/runtime/test_synchronizer.py`` subclasses them for the ``local``
@@ -115,13 +115,6 @@ class Pinger(Party):
         if round_index == 0:
             return [self.send(self.peer, b"x") for _ in range(self.count)]
         return self.halt()
-
-
-class Chatty(Party):
-    """Sends five messages to party 1 every round, forever."""
-
-    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
-        return [self.send(1, b"x") for _ in range(5)]
 
 
 class TestDelivery:
@@ -259,26 +252,6 @@ class TestReplayAttribution:
         assert tallies_equal(metrics, recorded, range(n))
         assert phase_views(metrics, range(n)) == phase_views(recorded, range(n))
         assert len(metrics.phases) >= 8  # Fig. 3's phases, none unattributed
-
-
-class TestBudget:
-    placement = IN_PROCESS
-
-    def test_budget_enforced(self):
-        with pytest.raises(self.placement.error, match="message budget"):
-            self.placement.run(
-                [Chatty(0), SilentParty(1)],
-                message_budget_per_party=3,
-                max_rounds=3,
-            )
-
-    def test_budget_allows_under_limit(self):
-        self.placement.run(
-            [Pinger(0, 1), SilentParty(1)],
-            until=[0],
-            message_budget_per_party=3,
-            max_rounds=5,
-        )
 
 
 class TestFaultPlan:

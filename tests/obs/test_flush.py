@@ -1,5 +1,5 @@
-"""The shared artifact flush: atomicity, the gateway's plain
-exposition snapshot, and the two ends of a flow-ledger run."""
+"""The shared artifact flush: atomicity and the two ends of a
+flow-ledger run."""
 
 from __future__ import annotations
 
@@ -9,11 +9,9 @@ from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FLOW_SCHEMA, FlowLedger
 from repro.obs.flush import (
     finish_artifacts,
-    flush_metrics_file,
     open_flow,
     write_atomic_text,
 )
-from repro.obs.registry import MetricsRegistry
 
 
 class TestWriteAtomicText:
@@ -27,15 +25,6 @@ class TestWriteAtomicText:
         target = tmp_path / "out.txt"
         write_atomic_text(target, "x")
         assert list(tmp_path.iterdir()) == [target]
-
-
-class TestSnapshot:
-    def test_is_the_plain_exposition(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("repro_unit_total", "unit").inc()
-        path = flush_metrics_file(tmp_path / "metrics.prom", registry)
-        assert path.read_text() == registry.render()
-        assert "repro_unit_total 1" in registry.render()
 
 
 class TestFlowArtifacts:

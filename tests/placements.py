@@ -79,11 +79,9 @@ def drive_shard(
 
 def _shard_engine(
     parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
-    fault_plan=None, message_budget_per_party=None,
+    fault_plan=None,
 ) -> RuntimeResult:
-    assert fault_plan is None and message_budget_per_party is None, (
-        "ShardEngine takes no delivery policy and no budget"
-    )
+    assert fault_plan is None, "ShardEngine takes no delivery policy"
     return drive_shard(
         ShardEngine(parties, trace=trace),
         metrics if metrics is not None else CommunicationMetrics(),

@@ -4,7 +4,7 @@ The central claim of the runtime is *differential equivalence*: party
 state machines driven by the RoundSynchronizer produce exactly the
 outputs and metrics they produce under ``SynchronousNetwork`` — by
 construction, since both step the same ``RoundCore``.  The contract
-cases (duplicate ids, next-round delivery, sender stamping, budgets,
+cases (duplicate ids, next-round delivery, sender stamping, faults,
 termination) are the simulator's own, re-run here on the ``local`` and
 ``tcp`` transports; the rest smoke-tests the committee protocols end to
 end and pins tracing determinism.
@@ -22,7 +22,7 @@ from repro.protocols.gradecast import (
     run_gradecast,
 )
 from repro.protocols.phase_king import build_phase_king, run_phase_king
-from repro.runtime.placements import LOCAL, TCP
+from repro.runtime.placements import IN_PROCESS, LOCAL, TCP, mesh
 from repro.runtime.synchronizer import (
     RoundSynchronizer,
     run_parties,
@@ -39,7 +39,6 @@ class _Contract(
     contract.TestDelivery,
     contract.TestAuthentication,
     contract.TestTermination,
-    contract.TestBudget,
     contract.TestFaultPlan,
     contract.TestTrace,
     contract.TestReplayAttribution,
@@ -196,3 +195,36 @@ class TestNoRegistryFeed:
     def test_round_core_takes_no_fault_callback(self):
         with pytest.raises(TypeError):
             RoundCore([_Chatter(i, 2) for i in range(2)], on_fault=print)
+
+
+class TestNoMessageBudget:
+    """No executor takes a per-party message budget: nothing in ``src/``,
+    the benchmark or the examples ever set one."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            RoundCore,
+            SynchronousNetwork,
+            run_parties,
+            run_parties_async,
+            lambda parties, **kw: RoundSynchronizer(
+                parties, AsyncLocalTransport([0, 1]), **kw
+            ),
+            IN_PROCESS.run,
+            LOCAL.run,
+            TCP.run,
+            mesh(2).run,
+        ],
+        ids=[
+            "RoundCore", "SynchronousNetwork", "run_parties",
+            "run_parties_async", "RoundSynchronizer", "in-process",
+            "local", "tcp", "mesh",
+        ],
+    )
+    def test_entry_point_takes_no_budget(self, entry):
+        with pytest.raises(TypeError):
+            entry(
+                [_Chatter(i, 2) for i in range(2)],
+                message_budget_per_party=3,
+            )

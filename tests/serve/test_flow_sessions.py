@@ -11,6 +11,7 @@ import pytest
 
 from repro.obs.flow import FlowLedger, load_flow_json
 from repro.obs.spans import SpanLog
+from repro.serve.exposition import metrics_text
 from repro.serve.server import GatewayConfig, GatewayServer
 from repro.serve.sessions import (
     SessionManager,
@@ -22,7 +23,7 @@ from repro.serve.setup_cache import SetupCache
 
 SMALL = dict(n=6, scheme="snark-hash", seed=11)
 
-#: Every family a gateway's registry holds, flow ledger or not.
+#: Every family a gateway's ``/metrics`` holds, flow ledger or not.
 GATEWAY_FAMILIES = {
     "repro_gateway_decisions_total",
     "repro_gateway_lane_cpu_seconds_total",
@@ -100,10 +101,10 @@ class TestManagerIntegration:
         asyncio.run(scenario())
 
 
-class TestGatewayRegistry:
+class TestGatewayMetrics:
     """Prometheus is the gateway's live endpoint and nothing else: the
     flow ledger feeds no series, and the ``--metrics-out`` snapshot is
-    the registry's exposition verbatim (no flow-summary comment)."""
+    the status exposition verbatim (no flow-summary comment)."""
 
     @pytest.mark.parametrize("with_flow", [False, True])
     def test_snapshot_is_the_gateway_families_alone(self, with_flow, tmp_path):
@@ -124,7 +125,7 @@ class TestGatewayRegistry:
             return server
 
         server = asyncio.run(scenario())
-        rendered = server.registry.render()
+        rendered = metrics_text(server.manager.status())
         families = {
             line.split()[2] for line in rendered.splitlines()
             if line.startswith("# TYPE ")

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.serve.client import GatewayClient, run_session
+from repro.serve.exposition import metrics_text
 from repro.serve.server import GatewayConfig, GatewayServer
 from repro.serve.sessions import SessionSpec, one_shot_reference
 
@@ -113,13 +114,42 @@ class TestGatewayOverTcp:
                     return client.await_result(str(first["session"]))
 
             first_done = await asyncio.to_thread(slow_then_retry)
-            scrape = server.registry.render()
+            scrape = metrics_text(server.manager.status())
             await server.aclose()
             return first_done, scrape
 
         first_done, scrape = asyncio.run(scenario())
         assert first_done["ok"] and first_done["state"] == "done"
         assert 'repro_gateway_sessions_rejected_total{code="busy"}' in scrape
+
+    def test_get_op_and_snapshot_serve_the_same_bytes(self, tmp_path):
+        metrics_out = tmp_path / "gw.prom"
+
+        async def scenario():
+            server = GatewayServer(GatewayConfig(
+                port=0, max_sessions=1, metrics_out=metrics_out,
+            ))
+            port = await server.start()
+            reply = await asyncio.to_thread(
+                run_session, "127.0.0.1", port, **SMALL
+            )
+            assert reply["ok"], reply
+            status, scraped = await asyncio.to_thread(
+                _http_get, port, "/metrics"
+            )
+
+            def op():
+                with GatewayClient("127.0.0.1", port) as client:
+                    return client.metrics_text()
+
+            answered = await asyncio.to_thread(op)
+            await server.aclose()
+            return status, scraped, answered
+
+        status, scraped, answered = asyncio.run(scenario())
+        assert status == 200
+        assert "repro_gateway_decisions_total 1" in scraped
+        assert scraped == answered == metrics_out.read_text()
 
     def test_malformed_lines_get_structured_rejects(self):
         async def scenario():

@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs.flow import FlowLedger
-from repro.obs.registry import MetricsRegistry
 from repro.serve.client import GatewayClient
+from repro.serve.exposition import metrics_text
 from repro.serve.sessions import (
     SessionManager,
     SessionSpec,
@@ -106,14 +106,16 @@ class TestLanesRunInParallel:
 class TestRouting:
     def test_a_session_goes_to_the_lane_that_holds_its_key(self):
         async def scenario():
-            registry = MetricsRegistry()
-            manager = SessionManager(max_sessions=2, registry=registry)
+            manager = SessionManager(max_sessions=2)
             try:
                 results = [
                     (await _run(manager, dict(fields)))["result"]
                     for fields in (SMALL, OTHER, SMALL, OTHER, SMALL)
                 ]
-                return results, manager.cache_stats(), registry.render()
+                return (
+                    results, manager.cache_stats(),
+                    metrics_text(manager.status()),
+                )
             finally:
                 manager.close()
 
@@ -137,16 +139,12 @@ class TestRouting:
 
     def test_lane_cpu_is_counted(self):
         async def scenario():
-            registry = MetricsRegistry()
-            manager = SessionManager(max_sessions=1, registry=registry)
+            manager = SessionManager(max_sessions=1)
             try:
                 result = (await _run(manager, dict(SMALL)))["result"]
             finally:
                 manager.close()
-            counter = registry.counter(
-                "repro_gateway_lane_cpu_seconds_total", ""
-            )
-            return result, counter.value()
+            return result, manager.status()["totals"]["lane_cpu_s"]
 
         result, lane_cpu = asyncio.run(scenario())
         assert lane_cpu == pytest.approx(result["wall"]["cpu_s"], abs=1e-5)
@@ -215,10 +213,9 @@ class TestLaneFailure:
             return dict(_RESULT)
 
         async def scenario():
-            registry = MetricsRegistry()
             manager = SessionManager(
                 max_sessions=1, decision_runner=hang_on_n8,
-                cache=_stub_cache(), registry=registry,
+                cache=_stub_cache(),
             )
             try:
                 submitted = manager.submit({"n": 8})
@@ -239,7 +236,7 @@ class TestLaneFailure:
                 sockets = _sockets(successor["pid"])
                 served = await _run(manager, {"n": 9})
                 return failed, lane, successor, sockets, served, \
-                    registry.render()
+                    metrics_text(manager.status())
             finally:
                 manager.close()
 

@@ -13,7 +13,7 @@ import multiprocessing
 import pytest
 
 from repro.errors import GatewayError
-from repro.obs.registry import MetricsRegistry
+from repro.serve.exposition import metrics_text
 from repro.serve.sessions import (
     SessionManager,
     SessionSpec,
@@ -180,16 +180,15 @@ class TestAdmissionControl:
 
     def test_rejections_and_admissions_counted(self):
         async def scenario():
-            registry = MetricsRegistry()
             release, started = _events()
-            manager = _manager(release, started, registry=registry)
+            manager = _manager(release, started)
             first = manager.submit({"n": 8})
             await asyncio.to_thread(started.wait, 5)
             manager.submit({"n": 8})  # busy
             release.set()
             await manager.await_result(first["session"])
             manager.close()
-            text = registry.render()
+            text = metrics_text(manager.status())
             assert "repro_gateway_sessions_admitted_total 1" in text
             assert ('repro_gateway_sessions_rejected_total'
                     '{code="busy"} 1') in text

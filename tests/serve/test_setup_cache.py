@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import GatewayError
-from repro.obs.registry import MetricsRegistry
 from repro.protocols.balanced_ba import compute_srds_setup
 from repro.serve.setup_cache import SCHEME_LABELS, SetupCache, scheme_for
 from repro.utils.randomness import Randomness
@@ -92,15 +91,3 @@ class TestCachePolicy:
             "hits": 0, "misses": 0, "entries": 0, "max_entries": 4,
         }
 
-
-class TestRegistryCounters:
-    def test_hit_miss_series_rendered(self):
-        registry = MetricsRegistry()
-        cache = SetupCache(registry=registry)
-        lease = cache.lease("snark-hash", 6, 11)
-        rng = Randomness(11).fork("x")
-        lease.provider(lease.scheme, 24, rng)
-        lease.provider(lease.scheme, 24, rng)
-        text = registry.render()
-        assert "repro_gateway_setup_cache_hits_total 1" in text
-        assert "repro_gateway_setup_cache_misses_total 1" in text

@@ -66,6 +66,30 @@ class TestRequestValidation:
             wire.decode_request(line)
 
 
+class TestNonStandardConstants:
+    """``json.loads`` takes ``NaN`` and ``±Infinity``; the gateway
+    refuses them before any field check compares a number (a ``NaN``
+    timeout passes ``timeout < 0`` and then never expires)."""
+
+    LINES = {
+        "timeout": '{{"op": "await", "session": "s-1", "timeout": {}}}',
+        "submit": '{{"op": "submit", "n": 8, "seed": {}}}',
+    }
+
+    @pytest.mark.parametrize("field", sorted(LINES))
+    def test_nan_rejected(self, field):
+        line = self.LINES[field].format("NaN").encode()
+        with pytest.raises(GatewayError, match="NaN"):
+            wire.decode_request(line)
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", sorted(LINES))
+    def test_infinity_rejected(self, field, token):
+        line = self.LINES[field].format(token).encode()
+        with pytest.raises(GatewayError, match=token):
+            wire.decode_request(line)
+
+
 class TestResponses:
     def test_ok_shape(self):
         assert wire.ok(session="s-1") == {"ok": True, "session": "s-1"}
