@@ -37,7 +37,10 @@ from repro.obs.spans import charge_label
 
 def _charge_key(frame: Frame) -> Tuple[int, int, str]:
     """What two consecutive frames must share to be one multicast charge."""
-    return frame.sender, frame.bits(), frame.phase
+    bits = frame.charge_bits
+    if bits < 0:
+        bits = 8 * len(frame.payload)
+    return frame.sender, bits, frame.phase
 
 
 def multicast_runs(

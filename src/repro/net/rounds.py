@@ -11,8 +11,9 @@ calls :meth:`Party.step <repro.net.party.Party.step>`, builds one
 :class:`~repro.net.party.Frame` from each
 :class:`~repro.net.party.Envelope` a party returns (two separate named
 tuples: a frame is not an envelope, and the recipient is handed the
-frame itself), consults the delivery policy and emits trace events.  The executors are *placements* of it and own
-only where frames wait between two barriers:
+frame itself), consults a :class:`~repro.runtime.faults.FaultPlan` when
+it holds one and emits trace events.  The executors are *placements* of
+it and own only where frames wait between two barriers:
 
 * :class:`~repro.net.simulator.SynchronousNetwork` — an in-memory list;
 * :class:`~repro.runtime.synchronizer.RoundSynchronizer` — an asyncio
@@ -29,15 +30,16 @@ or ""``.  Each party's trace stream (round-barrier, recvs, sends/drops,
 halt) therefore depends only on its own inbox and program order — so the
 three placements agree message for message, tally for tally and trace
 byte for trace byte *by construction*, and sharding the party set across
-cores changes nothing.  The delivery policy perturbs this only inside
-the freedom the model leaves (plus explicitly modelled faults), and all
-of its choices are keyed by message coordinates, never by call order.
+cores changes nothing.  A fault plan perturbs this only inside the
+freedom the model leaves (plus explicitly modelled faults), and all of
+its choices are keyed by message coordinates, never by call order.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     Iterator,
@@ -45,14 +47,14 @@ from typing import (
     Optional,
     Sequence,
     Type,
-    TypeVar,
 )
 
 from repro.errors import NetworkError, ReproError
-from repro.net.party import Envelope, Frame, Party
+from repro.net.party import Frame, Party
 from repro.obs.spans import current_phase
 
-T = TypeVar("T")
+if TYPE_CHECKING:
+    from repro.runtime.faults import FaultPlan
 
 #: The inbox order of the determinism contract; a transport's barrier
 #: charges a round's landed frames in it too.
@@ -68,38 +70,18 @@ CRASH = "crash"
 DROP = "drop"
 
 
-class LockstepDelivery:
-    """The fault-free delivery policy: §1's promise and nothing else.
-
-    Nobody crashes, nobody is absent, no link drops, delays or
-    duplicates, and inboxes keep the canonical order.
-    :class:`~repro.runtime.faults.FaultPlan` overrides each predicate
-    with its seeded, coordinate-keyed adversarial counterpart.
-    """
-
-    def is_crashed(self, party_id: int, round_index: int) -> bool:
-        return False
-
-    def is_absent(self, party_id: int, round_index: int) -> bool:
-        return False
-
-    def drops(self, sent_round: int, sender: int, recipient: int) -> bool:
-        return False
-
-    def delay_of(
-        self, sent_round: int, sender: int, recipient: int, seq: int
-    ) -> int:
-        return 0
-
-    def duplicates(
-        self, sent_round: int, sender: int, recipient: int, seq: int
-    ) -> bool:
-        return False
-
-    def inbox_order(
-        self, round_index: int, recipient: int, inbox: List[T]
-    ) -> List[T]:
-        return inbox
+def _perturbed(
+    policy: FaultPlan, round_index: int, party_id: int, inbox: List[Frame]
+) -> List[Frame]:
+    """The policy's duplication and reordering of a canonical inbox."""
+    delivered: List[Frame] = []
+    for frame in inbox:
+        delivered.append(frame)
+        if policy.duplicates(
+            frame.sent_round, frame.sender, frame.recipient, frame.seq
+        ):
+            delivered.append(frame)
+    return policy.inbox_order(round_index, party_id, delivered)
 
 
 class RoundCore:
@@ -110,15 +92,17 @@ class RoundCore:
     holding, moving and charging them is the placement's job, so a
     sharded run cannot double-charge.
 
-    ``whole_network=False`` marks the party set as one shard of a larger
-    network (recipients may live elsewhere, so they cannot be checked
-    here); ``error`` is the exception class misuse is reported with.
+    ``policy=None`` is §1's lockstep delivery, and a fault plan is the
+    only other.  ``whole_network=False`` marks the party set as one
+    shard of a larger network (recipients may live elsewhere, so they
+    cannot be checked here); ``error`` is the exception class misuse is
+    reported with.
     """
 
     def __init__(
         self,
         parties: Sequence[Party],
-        policy: Optional[LockstepDelivery] = None,
+        policy: Optional[FaultPlan] = None,
         trace=None,
         first_round: int = 0,
         whole_network: bool = True,
@@ -130,7 +114,7 @@ class RoundCore:
             if party.party_id in self.parties:
                 raise error(f"duplicate party id {party.party_id}")
             self.parties[party.party_id] = party
-        self.policy = policy if policy is not None else LockstepDelivery()
+        self.policy = policy
         self.trace = trace
         #: The next round to execute.
         self.round_index = first_round
@@ -153,102 +137,85 @@ class RoundCore:
         inboxes: Dict[int, List[Frame]] = {}
         for frame in due_frames:
             inboxes.setdefault(frame.recipient, []).append(frame)
-        policy = self.policy
+        parties, policy, trace = self.parties, self.policy, self.trace
+        next_round = round_index + 1
         emitted: List[Frame] = []
-        for party_id in sorted(self.parties):
-            party = self.parties[party_id]
-            if policy.is_crashed(party_id, round_index):
-                if party_id not in self._crash_traced:
-                    self._crash_traced.add(party_id)
-                    self._trace(party_id, CRASH, round_index)
-                continue
-            if policy.is_absent(party_id, round_index):
-                continue
+        for party_id in sorted(parties):
+            party = parties[party_id]
+            if policy is not None:
+                if policy.is_crashed(party_id, round_index):
+                    if party_id not in self._crash_traced:
+                        self._crash_traced.add(party_id)
+                        self._trace(party_id, CRASH, round_index)
+                    continue
+                if policy.is_absent(party_id, round_index):
+                    continue
             if party.halted:
                 continue
-            inbox = self._inbox(round_index, party_id, inboxes.get(party_id, []))
-            self._trace(
-                party_id, ROUND_BARRIER, round_index, queue_depth=len(inbox)
-            )
-            if self.trace is not None:
+            # The party is handed the delivered frames themselves.
+            inbox = inboxes.get(party_id, [])
+            inbox.sort(key=CANONICAL_ORDER)
+            if policy is not None:
+                inbox = _perturbed(policy, round_index, party_id, inbox)
+            if trace is not None:
+                trace.record(
+                    party_id, ROUND_BARRIER, round_index, queue_depth=len(inbox)
+                )
                 for frame in inbox:
-                    self.trace.record(
-                        party_id,
-                        RECV,
-                        round_index,
-                        peer=frame.sender,
+                    trace.record(
+                        party_id, RECV, round_index, peer=frame.sender,
                         bits=frame.bits(),
                     )
             outgoing = party.step(round_index, inbox)
             # The party's own spans closed with its step, so one read of
             # the span stack serves every envelope it returned.
             span_phase = current_phase() or ""
+            seq = self.send_seq[party_id]
             for envelope in outgoing:
-                frame = self._emit(party_id, round_index, envelope, span_phase)
-                if frame is not None:
-                    emitted.append(frame)
+                recipient = envelope.recipient
+                if self._whole_network and recipient not in parties:
+                    raise self._error(f"unknown recipient {recipient}")
+                # Charge exactly what the envelope declares: 8 * len(payload)
+                # for plain envelopes; replayed ones carry an analytic count.
+                bits = envelope.charge_bits
+                if bits < 0:
+                    bits = 8 * len(envelope.payload)
+                deliver_round = next_round
+                if policy is not None:
+                    if policy.drops(round_index, party_id, recipient):
+                        # The link is down: nothing crosses it, nothing is charged.
+                        self._trace(
+                            party_id, DROP, round_index, peer=recipient, bits=bits
+                        )
+                        continue
+                    deliver_round += policy.delay_of(
+                        round_index, party_id, recipient, seq
+                    )
+                    if policy.is_absent(recipient, deliver_round):
+                        # Churn: nobody is listening yet at the delivery round.
+                        seq += 1
+                        self._trace(
+                            party_id, DROP, round_index, peer=recipient, bits=bits
+                        )
+                        continue
+                if trace is not None:
+                    trace.record(party_id, SEND, round_index, peer=recipient, bits=bits)
+                # Authenticated channels: the true sender, whatever the
+                # envelope claims.  Flow attribution: replayed and
+                # event-driven envelopes carry their phase; live ones get
+                # the span open right now.
+                emitted.append(Frame(
+                    party_id, recipient, envelope.payload, round_index,
+                    deliver_round, bits, seq, envelope.phase or span_phase,
+                ))
+                seq += 1
+            self.send_seq[party_id] = seq
             if party.halted:
                 self._trace(
                     party_id, HALT, round_index, output=repr(party.output)
                 )
-        self.round_index = round_index + 1
+        self.round_index = next_round
         return emitted
-
-    def _inbox(
-        self, round_index: int, party_id: int, due: List[Frame]
-    ) -> List[Frame]:
-        """Canonical order, then the policy's duplication and reordering.
-        The party is handed the delivered frames themselves."""
-        due.sort(key=CANONICAL_ORDER)
-        delivered: List[Frame] = []
-        for frame in due:
-            delivered.append(frame)
-            if self.policy.duplicates(
-                frame.sent_round, frame.sender, frame.recipient, frame.seq
-            ):
-                delivered.append(frame)
-        return self.policy.inbox_order(round_index, party_id, delivered)
-
-    def _emit(
-        self, sender: int, round_index: int, envelope: Envelope, span_phase: str
-    ) -> Optional[Frame]:
-        """Check, fault-filter and stamp one envelope (``None`` = dropped)."""
-        recipient = envelope.recipient
-        if self._whole_network and recipient not in self.parties:
-            raise self._error(f"unknown recipient {recipient}")
-        # Charge exactly what the envelope declares: 8 * len(payload)
-        # for plain envelopes; replayed ones carry an analytic count.
-        bits = envelope.size_bits()
-        policy = self.policy
-        if policy.drops(round_index, sender, recipient):
-            # The link is down: nothing crosses it, nothing is charged.
-            self._trace(sender, DROP, round_index, peer=recipient, bits=bits)
-            return None
-        seq = self.send_seq[sender]
-        self.send_seq[sender] = seq + 1
-        deliver_round = round_index + 1 + policy.delay_of(
-            round_index, sender, recipient, seq
-        )
-        if policy.is_absent(recipient, deliver_round):
-            # Churn: nobody is listening yet at the delivery round.
-            self._trace(sender, DROP, round_index, peer=recipient, bits=bits)
-            return None
-        if self.trace is not None:  # per message: no helper call when off
-            self.trace.record(sender, SEND, round_index, peer=recipient, bits=bits)
-        return Frame(
-            # Authenticated channels: the true sender, whatever the
-            # envelope claims.
-            sender=sender,
-            recipient=recipient,
-            payload=envelope.payload,
-            sent_round=round_index,
-            deliver_round=deliver_round,
-            charge_bits=bits,
-            seq=seq,
-            # Flow attribution: replayed and event-driven envelopes carry
-            # their phase; live ones get the span open right now.
-            phase=envelope.phase or span_phase,
-        )
 
     def _trace(self, party_id: int, kind: str, round_index: int, **fields) -> None:
         if self.trace is not None:
@@ -274,12 +241,13 @@ class RoundCore:
                 f"unknown target party id(s) {sorted(unknown)}; "
                 f"known ids are {sorted(self.parties)}"
             )
+        policy = self.policy
         for _ in range(max_rounds):
             if targets is None:
+                now = self.round_index
                 done = all(
-                    party.halted
-                    or self.policy.is_crashed(party_id, self.round_index)
-                    for party_id, party in self.parties.items()
+                    party.halted or (policy is not None and policy.is_crashed(p, now))
+                    for p, party in self.parties.items()
                 )
             else:
                 done = all(self.parties[p].halted for p in targets)

@@ -3,18 +3,21 @@
 The in-process placement of :class:`~repro.net.rounds.RoundCore` (which
 holds the model and the determinism contract): frames emitted in one
 round wait in a plain list until they are due — the next round, or
-later when the delivery ``policy`` delayed them — and every one of them
-is charged to a :class:`CommunicationMetrics` ledger in the round it was
-sent.
+later when a fault plan (the delivery ``policy``) delayed them — and
+every one of them is charged to a :class:`CommunicationMetrics` ledger
+in the round it was sent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame, Party
-from repro.net.rounds import LockstepDelivery, RoundCore
+from repro.net.rounds import RoundCore
+
+if TYPE_CHECKING:
+    from repro.runtime.faults import FaultPlan
 
 
 class SynchronousNetwork:
@@ -24,7 +27,7 @@ class SynchronousNetwork:
         self,
         parties: Sequence[Party],
         metrics: Optional[CommunicationMetrics] = None,
-        policy: Optional[LockstepDelivery] = None,
+        policy: Optional[FaultPlan] = None,
         trace=None,
     ) -> None:
         self.core = RoundCore(parties, policy=policy, trace=trace)

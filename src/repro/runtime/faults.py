@@ -57,7 +57,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, TypeVar
 from repro.errors import ConfigurationError
 from repro.net.adversary import CorruptionPlan
 from repro.net.latency import LatencyModel
-from repro.net.rounds import LockstepDelivery
 from repro.utils.randomness import Randomness
 
 T = TypeVar("T")
@@ -101,10 +100,11 @@ class Partition:
 
 
 @dataclass
-class FaultPlan(LockstepDelivery):
+class FaultPlan:
     """A reproducible schedule of network faults for one execution.
 
-    The default instance is the fault-free policy it derives from.
+    The default instance fires no fault: a run under it is the run with
+    no policy at all, frame for frame.
 
     Attributes:
         crashes: party id → first round at which the party stops stepping.

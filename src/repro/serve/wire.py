@@ -28,6 +28,8 @@ shim; the server sniffs the first bytes of each connection.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from typing import Any, Dict, Optional
 
 from repro.errors import GatewayError
@@ -59,13 +61,21 @@ def _refuse_constant(token: str) -> Any:
     raise GatewayError(f"non-standard JSON constant {token}")
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise GatewayError(f"number {token} overflows a float")
+    return value
+
+
 def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a JSON object (dict).
 
     Raises :class:`~repro.errors.GatewayError` on oversized, non-JSON
-    (``NaN`` and ``±Infinity`` included: no number field may be one),
-    or non-object lines — the caller turns that into a ``bad-request``
-    response rather than tearing the connection down.
+    (``NaN``, ``±Infinity``, a float past the largest such as ``1e400``
+    and an int longer than ``int()`` converts: no number field may be
+    one), or non-object lines — the caller turns that into a
+    ``bad-request`` response rather than tearing the connection down.
     """
     if len(line) > MAX_LINE_BYTES:
         raise GatewayError(
@@ -73,9 +83,11 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         )
     try:
         payload = json.loads(
-            line.decode("utf-8"), parse_constant=_refuse_constant
+            line.decode("utf-8"),
+            parse_constant=_refuse_constant,
+            parse_float=_finite_float,
         )
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise GatewayError(f"malformed request line: {exc}") from exc
     if not isinstance(payload, dict):
         raise GatewayError(
@@ -96,11 +108,12 @@ def decode_request(line: bytes) -> Dict[str, Any]:
     if op in ("await", "cancel") and session is None:
         raise GatewayError(f"op {op!r} requires a 'session' field")
     timeout = payload.get("timeout")
+    # asyncio cannot add an int past the largest float to its clock.
     if timeout is not None and (
         not isinstance(timeout, (int, float)) or isinstance(timeout, bool)
-        or timeout < 0
+        or not 0 <= timeout <= sys.float_info.max
     ):
-        raise GatewayError("'timeout' must be a non-negative number")
+        raise GatewayError("'timeout' must be a non-negative number within float range")
     return payload
 
 

@@ -124,6 +124,7 @@ class TestShardEngineSemantics(
     contract.TestDelivery,
     contract.TestAuthentication,
     contract.TestTermination,
+    contract.TestNoPolicy,
     contract.TestReplayAttribution,
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on one

@@ -281,8 +281,8 @@ class TestMeshContract(
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on the
     mesh row: two worker processes, parties shipped as round-0
-    checkpoints.  ``TestFaultPlan`` needs a keyword the mesh refuses —
-    see :class:`TestMeshRefusals`."""
+    checkpoints.  ``TestFaultPlan`` and ``TestNoPolicy`` need a keyword
+    the mesh refuses — see :class:`TestMeshRefusals`."""
 
     placement = mesh(2)
 

@@ -32,7 +32,7 @@ DECODE_PATHS = {
         "Message.decode", "MessageChannel.recv", "MessageChannel._try_parse",
     ),
     "cluster/meshwire.py": ("decode_chunk", "TrainAssembler.add"),
-    "serve/wire.py": ("decode_line", "decode_request"),
+    "serve/wire.py": ("decode_line", "_finite_float", "decode_request"),
     "net/trains.py": ("decode_train_body",),
 }
 

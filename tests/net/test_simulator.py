@@ -1,8 +1,8 @@
 """The lockstep-round contract, stated once and held on every placement.
 
 ``TestDelivery``, ``TestAuthentication``, ``TestTermination``,
-``TestFaultPlan``, ``TestTrace`` and ``TestReplayAttribution`` are
-written against ``self.placement``, a row
+``TestFaultPlan``, ``TestNoPolicy``, ``TestTrace`` and
+``TestReplayAttribution`` are written against ``self.placement``, a row
 of :mod:`repro.runtime.placements`.  Here they run on the in-process
 row, :class:`~repro.net.simulator.SynchronousNetwork`;
 ``tests/runtime/test_synchronizer.py`` subclasses them for the ``local``
@@ -25,6 +25,8 @@ from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Frame, Party, SilentParty
 from repro.net.simulator import SynchronousNetwork
 from repro.obs.flow import FlowLedger
+from repro.protocols.gradecast import build_gradecast
+from repro.protocols.phase_king import build_phase_king
 from repro.runtime.faults import FaultPlan, LinkDelay
 from repro.runtime.placements import IN_PROCESS
 from repro.runtime.replay import (
@@ -310,6 +312,69 @@ class TestFaultPlan:
         trace = traced(self.placement)
         assert "crash" in {e["kind"] for e in trace.events_of(1)}
         assert trace.fingerprint() == traced(IN_PROCESS).fingerprint()
+
+
+class FrameLog(CommunicationMetrics):
+    """A ledger that also keeps every frame it is charged, in order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames: List[Frame] = []
+
+    def record_frames(self, frames, kind=""):
+        frames = list(frames)
+        self.frames.extend(frames)
+        super().record_frames(frames, kind)
+
+
+def _replayed_pi_ba():
+    script = recorded_pi_ba(16, "snark").script()
+    return build_replay_parties(script, 16), None, script.num_rounds + 2
+
+
+#: name -> a fresh ``(parties, until, max_rounds)`` per call.
+NO_POLICY_RUNS = {
+    "phase-king": lambda: build_phase_king(
+        {i: i % 2 for i in range(7)}, [1, 5]
+    ),
+    "gradecast": lambda: build_gradecast(range(7), 0, 1, byzantine=[3]),
+    "pi-ba-replay": _replayed_pi_ba,
+}
+
+
+class TestNoPolicy:
+    """No policy is lockstep delivery: a run that skips the policy's
+    hooks shows exactly what a run asking a plan that never fires shows."""
+
+    placement = IN_PROCESS
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
+    @pytest.mark.parametrize("protocol", sorted(NO_POLICY_RUNS))
+    def test_no_policy_is_a_plan_that_never_fires(self, protocol, traced):
+        def run(fault_plan):
+            parties, until, max_rounds = NO_POLICY_RUNS[protocol]()
+            ledger = FrameLog()
+            result = self.placement.run(
+                parties, until, max_rounds, metrics=ledger,
+                trace=TraceRecorder() if traced else None,
+                fault_plan=fault_plan,
+            )
+            return result, ledger
+
+        lockstep, lockstep_ledger = run(None)
+        planned, planned_ledger = run(FaultPlan())
+        assert lockstep_ledger.frames
+        assert lockstep_ledger.frames == planned_ledger.frames
+        assert lockstep_ledger.snapshot() == planned_ledger.snapshot()
+        assert (
+            lockstep_ledger.phase_breakdown()
+            == planned_ledger.phase_breakdown()
+        )
+        assert lockstep.outputs == planned.outputs
+        if traced:
+            assert lockstep.trace.fingerprint() == planned.trace.fingerprint()
+        else:
+            assert lockstep.trace is None and planned.trace is None
 
 
 class TestTrace:

@@ -60,12 +60,9 @@ def drive_shard(
     for round_index in engine.core.rounds(until, max_rounds):
         due = [f for f in in_flight if f.deliver_round <= round_index]
         in_flight = [f for f in in_flight if f.deliver_round > round_index]
-        for frame in engine.step_round(round_index, due):
-            metrics.record_message(
-                frame.sender, frame.recipient, frame.bits(),
-                phase=frame.phase, kind="frame",
-            )
-            in_flight.append(frame)
+        emitted = engine.step_round(round_index, due)
+        metrics.record_frames(emitted, kind="frame")
+        in_flight.extend(emitted)
         metrics.end_round()
         if on_barrier is not None:
             on_barrier(engine, in_flight)
@@ -81,9 +78,12 @@ def _shard_engine(
     parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
     fault_plan=None,
 ) -> RuntimeResult:
-    assert fault_plan is None, "ShardEngine takes no delivery policy"
+    engine = ShardEngine(parties, trace=trace)
+    # A cluster never hands its engines a policy; the core under one
+    # honours a fault plan like any other core.
+    engine.core.policy = fault_plan
     return drive_shard(
-        ShardEngine(parties, trace=trace),
+        engine,
         metrics if metrics is not None else CommunicationMetrics(),
         until=until,
         max_rounds=max_rounds,

@@ -40,6 +40,7 @@ class _Contract(
     contract.TestAuthentication,
     contract.TestTermination,
     contract.TestFaultPlan,
+    contract.TestNoPolicy,
     contract.TestTrace,
     contract.TestReplayAttribution,
 ):

@@ -1,11 +1,13 @@
 """The NDJSON wire protocol: framing, validation, response shapes."""
 
+import asyncio
 import json
 
 import pytest
 
 from repro.errors import GatewayError
 from repro.serve import wire
+from repro.serve.server import GatewayConfig, GatewayServer
 
 
 class TestFraming:
@@ -67,9 +69,10 @@ class TestRequestValidation:
 
 
 class TestNonStandardConstants:
-    """``json.loads`` takes ``NaN`` and ``±Infinity``; the gateway
-    refuses them before any field check compares a number (a ``NaN``
-    timeout passes ``timeout < 0`` and then never expires)."""
+    """``json.loads`` takes ``NaN`` and ``±Infinity``, and reads an
+    exponent past the largest float as infinity; the gateway refuses
+    them before any field check compares a number (a ``NaN`` timeout
+    passes ``timeout < 0`` and then never expires)."""
 
     LINES = {
         "timeout": '{{"op": "await", "session": "s-1", "timeout": {}}}',
@@ -82,7 +85,9 @@ class TestNonStandardConstants:
         with pytest.raises(GatewayError, match="NaN"):
             wire.decode_request(line)
 
-    @pytest.mark.parametrize("token", ["Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "token", ["Infinity", "-Infinity", "1e400", "-1e400"]
+    )
     @pytest.mark.parametrize("field", sorted(LINES))
     def test_infinity_rejected(self, field, token):
         line = self.LINES[field].format(token).encode()
@@ -111,3 +116,74 @@ class TestResponses:
     def test_every_declared_code_usable(self):
         for code in wire.REJECT_CODES:
             assert wire.reject(code, "msg")["code"] == code
+
+
+#: Lines whose numbers JSON can spell but the gateway cannot use: an
+#: exponent past the largest float (``json.loads`` reads ``inf``), an
+#: integer past it (``asyncio.wait_for`` overflows adding it to its
+#: clock) and an integer longer than ``int()`` converts.
+UNUSABLE_NUMBERS = {
+    "float-overflow": b'{"op": "await", "session": "s-1", "timeout": 1e400}',
+    "int-past-float": (
+        b'{"op": "await", "session": "s-1", "timeout": 1' + b"0" * 400 + b"}"
+    ),
+    "int-too-long": b'{"op": "ping", "pad": ' + b"7" * 5000 + b"}",
+}
+
+
+class TestUnusableNumbers:
+    def test_timeout_past_the_largest_float_rejected(self):
+        with pytest.raises(GatewayError, match="within float range"):
+            wire.decode_request(UNUSABLE_NUMBERS["int-past-float"])
+
+    def test_largest_float_timeout_accepted(self):
+        line = b'{"op": "await", "session": "s-1", "timeout": 1e308}'
+        assert wire.decode_request(line)["timeout"] == 1e308
+
+    def test_overlong_integer_rejected(self):
+        with pytest.raises(GatewayError, match="malformed"):
+            wire.decode_line(UNUSABLE_NUMBERS["int-too-long"])
+
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_NUMBERS))
+    def test_connection_answers_a_ping_after_the_rejected_line(self, case):
+        async def exchange():
+            server = GatewayServer(GatewayConfig(), manager=_NoSessions())
+            port = await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(UNUSABLE_NUMBERS[case] + b"\n")
+                writer.write(wire.encode_line({"op": "ping"}))
+                await writer.drain()
+                replies = [
+                    await asyncio.wait_for(reader.readline(), 10)
+                    for _ in range(2)
+                ]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await server.aclose()
+            return [json.loads(reply) if reply else None for reply in replies]
+
+        rejected, pong = asyncio.run(exchange())
+        assert rejected["code"] == "bad-request"
+        assert pong is not None and pong["ok"]
+        assert pong["protocol"] == wire.PROTOCOL
+
+
+class _NoSessions:
+    """A session manager for connection tests: it holds no session, and
+    a request that reaches it was not refused at decode time."""
+
+    async def await_result(self, session_id, timeout=None):
+        raise AssertionError(f"a bad line reached the manager ({timeout!r})")
+
+    def stop_admitting(self):
+        pass
+
+    async def drain(self, deadline):
+        return True
+
+    def close(self):
+        pass

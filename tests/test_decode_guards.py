@@ -271,6 +271,11 @@ CASES: Dict[str, Case] = {
         GatewayError, "request must be a JSON object, got list",
         lambda m: m.decode_line(b'["ping"]'),
     ),
+    "line-float-overflow": Case(
+        _SERVE, "_finite_float", "not math.isfinite(value)",
+        GatewayError, "number 1e400 overflows a float",
+        lambda m: m.decode_line(b'{"op": "ping", "pad": 1e400}'),
+    ),
     "request-unknown-op": Case(
         _SERVE, "decode_request", "not isinstance(op, str) or op not in OPS",
         GatewayError, "unknown op 'frobnicate'",
@@ -291,7 +296,8 @@ CASES: Dict[str, Case] = {
     "request-negative-timeout": Case(
         _SERVE, "decode_request",
         "timeout is not None and ( not isinstance(timeout, (int, float)) "
-        "or isinstance(timeout, bool) or timeout < 0 )",
+        "or isinstance(timeout, bool) "
+        "or not 0 <= timeout <= sys.float_info.max )",
         GatewayError, "'timeout' must be a non-negative number",
         lambda m: m.decode_request(_request(op="ping", timeout=-1)),
     ),

@@ -77,7 +77,10 @@ RETIRED = (
     # Bytes cross a link without being charged.
     Retirement(
         "ACC001", "net/rounds.py",
-        (("            charge_bits=bits,\n", "            charge_bits=0,\n"),),
+        ((
+            "                    deliver_round, bits, seq,",
+            "                    deliver_round, 0, seq,",
+        ),),
         "tests/net/test_simulator.py::TestMetricsIntegration"
         "::test_traffic_charged",
     ),
