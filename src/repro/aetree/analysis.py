@@ -70,15 +70,14 @@ def well_connected_parties(tree: CommTree, plan: CorruptionPlan) -> Set[int]:
     parties guaranteed to receive the supreme committee's messages through
     f_ae-comm; the complement is the isolated set D.
     """
-    good = good_nodes(tree, plan)
+    # Each leaf's path is walked once, not once per party assigned to it.
+    good_leaves = {leaf.node_id for leaf in good_path_leaves(tree, plan)}
     connected: Set[int] = set()
     for party in range(tree.n):
         leaves = tree.leaves_of_party(party)
         if not leaves:
             continue
-        good_count = sum(
-            1 for leaf in leaves if leaf_has_good_path(tree, leaf, good)
-        )
+        good_count = sum(1 for leaf in leaves if leaf.node_id in good_leaves)
         if 2 * good_count > len(leaves):
             connected.add(party)
     return connected

@@ -17,9 +17,11 @@ that preimage: *a domain is a midstate*.  The bytes that precede the fields
 (a PRG's seed, a W-OTS chunk index).
 
 Midstates are process-local scratch, never part of a value: they live
-in bounded module-level caches or in locals, a cached state is only
-ever ``copy()``-ed (so threads share it freely), and nothing that is
-pickled, compared or sent holds one.
+in bounded module-level caches, in locals, or in per-instance scratch
+that copies and pickles leave out (a hash-registry base scheme's
+per-key MAC states, :class:`repro.crypto.prf.KeyedPrf`); a cached state
+is only ever ``copy()``-ed (so threads share it freely), and nothing
+that is pickled, compared or sent holds one.
 """
 
 from __future__ import annotations

@@ -64,6 +64,10 @@ def _mask(party_ids: Iterable[int]) -> int:
     return mask
 
 
+#: How many committees' masks one ledger keeps (see ``_peers``).
+_PEER_MEMO = 1 << 12
+
+
 def _synthetic_peer_masks(
     pool: Sequence[int], peers: int
 ) -> Callable[[int], int]:
@@ -167,15 +171,23 @@ class CommunicationMetrics:
         # into a (round, phase, src, dst, kind) cell under the same
         # label when a ledger is attached.  Pure side accounting.
         self._flow: Optional[FlowLedger] = None
+        # Scratch: each committee's (mask, distinct ids), see `_peers`.
+        self._peer_memo: Dict[Tuple[int, ...], Tuple[int, int]] = {}
 
     def __getstate__(self) -> Dict[str, object]:
         # The attached flow ledger never pickles (it may hold an open
         # spill file); checkpoint resume
         # re-attaches the caller's ledger and grafts the carried tallies
-        # into it (see repro.cluster.supervisor._load_state).
+        # into it (see repro.cluster.supervisor._load_state).  The mask
+        # memo is scratch, left out of pickles and copies.
         state = dict(self.__dict__)
         state["_flow"] = None
+        del state["_peer_memo"]
         return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._peer_memo = {}
 
     def attach_flow(self, ledger: Optional[FlowLedger]) -> None:
         """Attach (or detach, with ``None``) a wire-level flow ledger.
@@ -226,6 +238,27 @@ class CommunicationMetrics:
             (sender,), recipients, num_bits, phase=phase, kind=kind
         )
 
+    def _peers(self, parties: Sequence[int]) -> Tuple[int, int]:
+        """``(mask, distinct)``: the bitmask of ``parties`` and how many
+        distinct ids it has (``-1`` when not counted).
+
+        Committees are fixed once the tree is built and a run charges
+        each one many times, so a tuple's pair is built once per ledger
+        (the memo starts over past ``_PEER_MEMO`` tuples); any other
+        sequence is folded afresh.
+        """
+        if type(parties) is not tuple:
+            return _mask(parties), -1
+        memo = self._peer_memo
+        try:
+            return memo[parties]
+        except KeyError:
+            if len(memo) >= _PEER_MEMO:
+                memo.clear()
+            mask = _mask(parties)
+            entry = memo[parties] = (mask, bin(mask).count("1"))
+            return entry
+
     def record_exchange(
         self,
         senders: Sequence[int],
@@ -260,24 +293,35 @@ class CommunicationMetrics:
         num_senders, num_recipients = len(senders), len(recipients)
         if not num_senders or not num_recipients:
             return phase
-        if skip_self:
-            # How often each party is listed on the other side: the
-            # sends it skips, and the receipts it misses.
+        # Each side's peers as one bitmask (a lone peer, the common case,
+        # without the loop; a committee's from the memo).
+        if num_recipients == 1:
+            sent_to, distinct = 1 << recipients[0], 1
+        else:
+            sent_to, distinct = self._peers(recipients)
+        if senders is recipients:
+            received_from = sent_to
+        elif num_senders == 1:
+            received_from = 1 << senders[0]
+        else:
+            received_from = self._peers(senders)[0]
+        # How often each party is listed on the other side: the sends it
+        # skips, and the receipts it misses.  A committee talking among
+        # itself lists each member once on each side, so each skips one.
+        within = skip_self and senders is recipients and (
+            distinct == num_recipients
+        )
+        if skip_self and not within:
             as_recipient, as_sender = Counter(recipients), Counter(senders)
-        # Each side's peers as one bitmask, built once per exchange (a
-        # lone peer, the common case, without the loop).
-        sent_to = (
-            1 << recipients[0] if num_recipients == 1 else _mask(recipients)
-        )
-        received_from = (
-            1 << senders[0] if num_senders == 1 else _mask(senders)
-        )
         tallies, phase_bits = self._tallies, self._phase_bits
         messages = 0
         fanout, fanin = num_recipients, num_senders
+        if within:
+            fanout, fanin = num_recipients - 1, num_senders - 1
         for sender in senders:
             if skip_self:
-                fanout = num_recipients - as_recipient.get(sender, 0)
+                if not within:
+                    fanout = num_recipients - as_recipient.get(sender, 0)
                 if not fanout:
                     continue
             messages += fanout
@@ -302,7 +346,8 @@ class CommunicationMetrics:
             return phase
         for recipient in recipients:
             if skip_self:
-                fanin = num_senders - as_sender.get(recipient, 0)
+                if not within:
+                    fanin = num_senders - as_sender.get(recipient, 0)
                 if not fanin:
                     continue
             try:

@@ -449,7 +449,7 @@ class BalancedBA:
             unique.setdefault(signature.encode(), signature)
         set_bits = 8 * sum(len(encoding) for encoding in unique)
         self.metrics.record_exchange(
-            members, members, set_bits, skip_self=True
+            node.committee, node.committee, set_bits, skip_self=True
         )
         union = list(unique.values()) if honest_members else []
 

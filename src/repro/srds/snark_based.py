@@ -32,6 +32,7 @@ an upper bound on the number of *distinct* base contributions.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -229,8 +230,13 @@ class SnarkSRDS(SRDSScheme):
             _leaf_circuit,
             base_scheme=self.base_scheme, num_parties=num_parties,
         ))
+        # The internal circuit checks its children's proofs under this
+        # same system.  It holds the system weakly: a strong reference
+        # would be a cycle, and a cycle keeps a finished run's setup (the
+        # base scheme's keys and verdicts with it) alive until the next
+        # full garbage collection instead of freeing it when the run ends.
         snark_system.register_circuit(certificate.internal, partial(
-            pcd.internal_circuit, snark_system, certificate
+            pcd.internal_circuit, weakref.proxy(snark_system), certificate
         ))
         return PublicParameters(
             num_parties=num_parties,

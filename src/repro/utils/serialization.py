@@ -49,6 +49,11 @@ def decode_uint(data: bytes, offset: int = 0) -> Tuple[int, int]:
 
     Returns ``(value, next_offset)``.
     """
+    if 0 <= offset < len(data):
+        # One byte: every length prefix below 128 and most counts.
+        byte = data[offset]
+        if byte < 0x80:
+            return byte, offset + 1
     result = 0
     shift = 0
     pos = offset
@@ -72,7 +77,10 @@ def encode_bytes(blob: bytes) -> bytes:
 
 def decode_bytes(data: bytes, offset: int = 0) -> Tuple[bytes, int]:
     """Decode a length-prefixed byte string; returns ``(blob, next_offset)``."""
-    length, pos = decode_uint(data, offset)
+    if 0 <= offset < len(data) and data[offset] < 0x80:
+        length, pos = data[offset], offset + 1  # decode_uint's one-byte case
+    else:
+        length, pos = decode_uint(data, offset)
     end = pos + length
     if end > len(data):
         raise SerializationError("truncated byte string")

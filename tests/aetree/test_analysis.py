@@ -1,6 +1,8 @@
 """Tests for tree goodness and good-path analysis."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aetree.analysis import (
     analyze,
@@ -17,6 +19,7 @@ from repro.aetree.tree import build_tree
 from repro.errors import TreeError
 from repro.net.adversary import CorruptionPlan, random_corruption, targeted_corruption
 from repro.params import ProtocolParameters
+from repro.utils.randomness import Randomness
 
 
 @pytest.fixture
@@ -91,6 +94,37 @@ class TestConnectivity:
         isolated = isolated_parties(tree, plan)
         assert connected | isolated == set(range(tree.n))
         assert not connected & isolated
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=160),
+        corrupt_share=st.floats(min_value=0.0, max_value=0.6),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_isolated_equals_the_per_party_leaf_definition(
+        self, n, corrupt_share, seed
+    ):
+        """D by Def. 3.4 read literally: for every (party, assigned leaf)
+        pair, walk the leaf's path to the root."""
+        rng = Randomness(seed)
+        params = ProtocolParameters()
+        tree = build_tree(n, params, rng.fork("t"))
+        plan = random_corruption(
+            n, int(corrupt_share * n), rng.fork("c")
+        )
+        expected = set()
+        for party in range(n):
+            leaves = tree.leaves_of_party(party)
+            good = sum(
+                1 for leaf in leaves
+                if all(
+                    is_good_node(node, plan.corrupted)
+                    for node in tree.path_to_root(leaf.node_id)
+                )
+            )
+            if not 2 * good > len(leaves):
+                expected.add(party)
+        assert isolated_parties(tree, plan) == expected
 
     def test_mostly_connected_under_random_corruption(self, setup):
         tree, plan = setup

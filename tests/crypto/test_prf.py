@@ -1,8 +1,11 @@
 """Tests for the PRF and the committee-selection SubsetPRF."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.crypto.prf import SubsetPRF, prf, prf_int
+from repro.crypto.prf import KeyedPrf, SubsetPRF, _subset, prf, prf_int
+from repro.utils.serialization import encode_uint
 
 
 class TestPrf:
@@ -17,6 +20,67 @@ class TestPrf:
 
     def test_output_width(self):
         assert len(prf(b"k", "d")) == 32
+
+
+class TestKeyedPrfHandle:
+    @given(
+        key=st.binary(max_size=80),
+        domain=st.text(max_size=8),
+        fields=st.lists(st.binary(max_size=200), max_size=3),
+    )
+    def test_equals_prf(self, key, domain, fields):
+        assert KeyedPrf(key)(domain, *fields) == prf(key, domain, *fields)
+
+    def test_reusable(self):
+        mac = KeyedPrf(b"k")
+        assert [mac("d", b"x"), mac("d", b"y"), mac("d", b"x")] == [
+            prf(b"k", "d", b"x"), prf(b"k", "d", b"y"), prf(b"k", "d", b"x")
+        ]
+
+
+def _subset_reference(seed, n, k, party_id):
+    """F_s(i) by its definition: the first ``k`` distinct ``prf_int``
+    draws over counters 0, 1, …, sorted."""
+    chosen = []
+    counter = 0
+    while len(chosen) < k:
+        candidate = prf_int(
+            seed, "subset-prf", n,
+            encode_uint(party_id), encode_uint(counter),
+        )
+        counter += 1
+        if candidate not in chosen:
+            chosen.append(candidate)
+    return tuple(sorted(chosen))
+
+
+class TestSubsetKernel:
+    """``_subset`` absorbs the shared MAC prefix once; it must equal the
+    per-candidate ``prf_int`` definition byte for byte."""
+
+    @given(
+        seed=st.binary(max_size=70),
+        n=st.one_of(
+            st.integers(min_value=1, max_value=300),
+            st.sampled_from([1024, 2**64 + 13, 2**255 + 1, 2**256]),
+        ),
+        k=st.integers(min_value=1, max_value=12),
+        party_id=st.integers(min_value=0, max_value=2**20),
+    )
+    def test_equals_prf_int_reference(self, seed, n, k, party_id):
+        k = min(k, n)
+        _subset.cache_clear()
+        assert _subset(seed, n, k, party_id) == _subset_reference(
+            seed, n, k, party_id
+        )
+
+    def test_rejected_samples_fall_back_to_prf_int(self):
+        # Just over 2**255: about half of all first tries are rejected.
+        n = 2**255 + 1
+        for party_id in range(20):
+            assert _subset(b"seed", n, 4, party_id) == _subset_reference(
+                b"seed", n, 4, party_id
+            )
 
 
 class TestPrfInt:

@@ -197,3 +197,87 @@ class TestSyntheticPeers:
             )
         assert metrics.total_bits == 0
         assert metrics.max_locality == 0
+
+
+class TestCommitteeExchanges:
+    """``record_exchange`` keeps each committee tuple's mask and skips the
+    duplicate count when one committee talks among itself; every view
+    must still equal one ``record_message`` per (sender, recipient) pair."""
+
+    @staticmethod
+    def _per_pair(ledger, senders, recipients, bits, skip_self):
+        for sender in senders:
+            for recipient in recipients:
+                if not (skip_self and recipient == sender):
+                    ledger.record_message(sender, recipient, bits)
+
+    @given(
+        charges=st.lists(
+            st.tuples(
+                st.sampled_from(range(4)),
+                st.sampled_from(range(4)),
+                st.booleans(),
+                st.booleans(),
+                st.integers(0, 64),
+            ),
+            min_size=1, max_size=12,
+        ),
+        committees=st.lists(
+            st.lists(st.integers(0, 9), min_size=1, max_size=6),
+            min_size=4, max_size=4,
+        ),
+    )
+    @example(
+        charges=[(0, 0, True, True, 8), (0, 0, True, True, 8),
+                 (1, 1, True, True, 16)],
+        committees=[[0, 2, 5], [3, 3, 4], [7], [0, 1]],
+    )
+    def test_equals_the_per_pair_reference(self, charges, committees):
+        # Tuples as the tree holds them; the lists may repeat an id.
+        committees = [tuple(committee) for committee in committees]
+        fast, reference = CommunicationMetrics(), CommunicationMetrics()
+        for left, right, same, skip_self, bits in charges:
+            senders = committees[left]
+            recipients = senders if same else committees[right]
+            fast.record_exchange(
+                senders, recipients, bits, skip_self=skip_self
+            )
+            self._per_pair(reference, senders, recipients, bits, skip_self)
+        assert fast.snapshot() == reference.snapshot()
+        assert fast.party_ids == reference.party_ids
+        for party in reference.party_ids:
+            assert fast.tally_of(party) == reference.tally_of(party)
+            assert fast.bits_by_phase(party) == reference.bits_by_phase(party)
+        assert fast.phase_breakdown() == reference.phase_breakdown()
+        assert fast.current_round_bits == reference.current_round_bits
+
+    def test_a_committee_mask_is_built_once(self, monkeypatch):
+        import repro.net.metrics as metrics_module
+
+        folded = []
+        real = metrics_module._mask
+        monkeypatch.setattr(
+            metrics_module, "_mask",
+            lambda parties: folded.append(tuple(parties)) or real(parties),
+        )
+        ledger = CommunicationMetrics()
+        committee = (1, 4, 6)
+        for _ in range(3):
+            ledger.record_exchange(committee, committee, 8, skip_self=True)
+            ledger.record_exchange([0, 2], committee, 8)
+        assert folded.count(committee) == 1
+        assert folded.count((0, 2)) == 3  # a list is folded afresh
+
+    def test_the_memo_is_scratch(self):
+        import pickle
+
+        ledger = CommunicationMetrics()
+        ledger.record_exchange((1, 2, 3), (1, 2, 3), 8, skip_self=True)
+        assert ledger._peer_memo
+        restored = pickle.loads(pickle.dumps(ledger))
+        assert restored._peer_memo == {}
+        assert "_peer_memo" not in ledger.__getstate__()
+        assert restored.snapshot() == ledger.snapshot()
+        restored.record_exchange((1, 2, 3), (1, 2, 3), 8, skip_self=True)
+        ledger.record_exchange((1, 2, 3), (1, 2, 3), 8, skip_self=True)
+        assert restored.snapshot() == ledger.snapshot()

@@ -1,9 +1,13 @@
 """Tests for the pluggable base-signature schemes."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.crypto import schnorr
 from repro.errors import KeyError_
+from repro.srds import base_sigs
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.utils.randomness import Randomness
 
@@ -61,9 +65,8 @@ class TestVerifyMany:
 
     @staticmethod
     def _fresh(scheme):
-        # Same registry (hash scheme), no remembered verdicts (Schnorr).
-        if isinstance(scheme, SchnorrBase):
-            scheme._verify_cache.clear()
+        # Same keys (the hash scheme's registry), no remembered verdicts.
+        scheme._verdicts.clear()
         return scheme
 
     def _check(self, scheme, batch, expected):
@@ -105,6 +108,150 @@ class TestVerifyMany:
     def test_wrong_message_for_one_key(self, scheme, items):
         items[2] = (items[2][0], b"other", items[2][2])
         self._check(scheme, items, [True, True, False, True, True])
+
+
+class TestBadInputs:
+    """``verify`` never raises for bad inputs, whatever the verdicts hold."""
+
+    CASES = {
+        "bytearray-key": lambda vk, sig: (bytearray(vk), b"m", sig),
+        "bytearray-message": lambda vk, sig: (vk, bytearray(b"m"), sig),
+        "bytearray-signature": lambda vk, sig: (vk, b"m", bytearray(sig)),
+        "str-message": lambda vk, sig: (vk, "m", sig),
+        "int-key": lambda vk, sig: (7, b"m", sig),
+        "none-signature": lambda vk, sig: (vk, b"m", None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify_reads_false(self, scheme, rng, case):
+        vk, sk = scheme.keygen(rng)
+        signature = scheme.sign(sk, b"m")
+        assert scheme.verify(vk, b"m", signature)  # now a kept verdict
+        assert scheme.verify(*self.CASES[case](vk, signature)) is False
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_verify_many_reads_false_for_that_item_only(
+        self, scheme, rng, case
+    ):
+        vk, sk = scheme.keygen(rng)
+        signature = scheme.sign(sk, b"m")
+        good = (vk, b"m", signature)
+        bad = self.CASES[case](vk, signature)
+        assert scheme.verify_many([good, bad, good]) == [True, False, True]
+        assert scheme.verify_many([bad]) == [False]
+
+    def test_the_reported_case(self):
+        assert HashRegistryBase().verify(bytearray(b"x"), b"m", b"s") is False
+
+
+class TestVerdicts:
+    """Each settled item is checked once per scheme object, and a kept
+    verdict never hides a different signature."""
+
+    @staticmethod
+    def _count_checks(scheme, monkeypatch):
+        checked = []
+        real = scheme._check_many
+        monkeypatch.setattr(
+            scheme, "_check_many",
+            lambda items: checked.extend(items) or real(items),
+        )
+        return checked
+
+    def test_each_item_checked_once(self, scheme, rng, monkeypatch):
+        vk, sk = scheme.keygen(rng)
+        signature = scheme.sign(sk, b"m")
+        checked = self._count_checks(scheme, monkeypatch)
+        assert scheme.verify_many([(vk, b"m", signature)] * 3) == [True] * 3
+        assert scheme.verify(vk, b"m", signature)
+        assert scheme.verify_many([(vk, b"m", signature)]) == [True]
+        assert checked == [(vk, b"m", signature)]
+
+    def test_mutated_signature_after_a_kept_verdict(self, scheme, rng):
+        vk, sk = scheme.keygen(rng)
+        signature = scheme.sign(sk, b"m")
+        assert scheme.verify(vk, b"m", signature)
+        for position in (0, len(signature) // 2, len(signature) - 1):
+            mutated = bytearray(signature)
+            mutated[position] ^= 0x01
+            assert not scheme.verify(vk, b"m", bytes(mutated))
+        assert not scheme.verify(vk, b"other", signature)
+
+    def test_the_verdicts_stay_bounded(self, scheme, rng, monkeypatch):
+        monkeypatch.setattr(base_sigs, "_VERDICT_MEMO", 3)
+        items = []
+        for index in range(4):
+            vk, sk = scheme.keygen(rng.fork(f"signer-{index}"))
+            signature = scheme.sign(sk, b"m")
+            items += [(vk, b"m", signature), (vk, b"m", bytes(len(signature)))]
+        expected = [True, False] * 4
+        assert scheme.verify_many(items) == expected
+        assert len(scheme._verdicts) <= 3
+        assert [scheme.verify(*item) for item in items] == expected
+        assert len(scheme._verdicts) <= 3
+
+    def test_no_verdict_outlives_its_scheme(self, scheme, rng):
+        vk, sk = scheme.keygen(rng)
+        scheme.verify(vk, b"m", scheme.sign(sk, b"m"))
+        assert scheme._verdicts
+        assert not type(scheme)()._verdicts
+
+
+class TestHashRegistryScratch:
+    def test_unregistered_then_registered_flips_to_true(self, rng):
+        signer = HashRegistryBase()
+        verifier = HashRegistryBase()
+        vk, sk = signer.keygen(rng)
+        signature = signer.sign(sk, b"m")
+        assert not verifier.verify(vk, b"m", signature)
+        assert verifier.verify_many([(vk, b"m", signature)]) == [False]
+        assert not verifier._verdicts  # not kept: the key may yet register
+        # The adversary-style registration of someone else's (vk, sk).
+        verifier._registry[vk] = sk
+        assert verifier.verify(vk, b"m", signature)
+        assert verifier.verify_many([(vk, b"m", signature)]) == [True]
+
+    def test_wrong_tag_under_a_registered_key_is_kept(self, rng):
+        scheme = HashRegistryBase()
+        vk, _ = scheme.keygen(rng)
+        assert not scheme.verify(vk, b"m", bytes(32))
+        assert scheme._verdicts == {(vk, b"m", bytes(32)): False}
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda scheme: pickle.loads(pickle.dumps(scheme)),
+            copy.copy,
+            copy.deepcopy,
+        ],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_clone_leaves_scratch_out_and_verifies_the_same(
+        self, rng, clone
+    ):
+        scheme = HashRegistryBase()
+        items = []
+        for index in range(4):
+            vk, sk = scheme.keygen(rng.fork(f"signer-{index}"))
+            signature = scheme.sign(sk, b"m")
+            items.append((vk, b"m", signature))
+            items.append((vk, b"m", signature[:-1] + b"\0"))
+        verdicts = scheme.verify_many(items)
+        assert scheme._verdicts and scheme._macs  # scratch filled
+        twin = clone(scheme)
+        assert twin._verdicts == {} and twin._macs == {}
+        assert twin._registry == scheme._registry
+        assert twin.verify_many(items) == verdicts
+        assert [twin.verify(*item) for item in items] == verdicts
+        # Signing with a restored secret matches the original's tags.
+        _, sk = scheme.keygen(rng.fork("late"))
+        assert clone(scheme).sign(sk, b"x") == scheme.sign(sk, b"x")
+
+    def test_sign_with_an_unregistered_secret(self):
+        scheme = HashRegistryBase()
+        tag = scheme.sign(bytes(32), b"m")
+        assert tag == HashRegistryBase().sign(bytes(32), b"m")
+        assert not scheme._macs
 
 
 class TestSchnorrCache:

@@ -1,6 +1,8 @@
 """Tests for the CRH + SNARK + bare-PKI SRDS construction (Thm 2.8)."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -298,6 +300,75 @@ class TestWithSchnorr:
         )
         assert aggregate.count == n
         assert scheme.verify(pp, vks, message, aggregate)
+
+
+class TestKeptVerdicts:
+    """A kept verdict answers only for its own bytes: once a valid base
+    signature at an index is settled, a mutated or forged signature at
+    that index is still refused by Aggregate1 and by the leaf circuit."""
+
+    @pytest.mark.parametrize(
+        "base", [HashRegistryBase, SchnorrBase], ids=["hash", "schnorr"]
+    )
+    def test_mutated_and_forged_after_the_valid_one(self, base):
+        rng = Randomness(13)
+        scheme = SnarkSRDS(base_scheme=base())
+        n = 6
+        pp = scheme.setup(n, rng.fork("s"))
+        vks, sks = {}, {}
+        for i in range(n):
+            vks[i], sks[i] = scheme.keygen(pp, rng.fork(f"k{i}"))
+        message = b"kept-verdicts"
+        good = [scheme.sign(pp, i, sks[i], message) for i in range(n)]
+        *certified, opening = scheme.aggregate1(pp, vks, message, good)
+        assert len(scheme.base_scheme._verdicts) == n
+
+        def witness(entries):
+            return encode_sequence(
+                [opening.encode()] + [c.encode() for c in entries]
+            )
+
+        assert _leaf_circuit(
+            message, witness(certified), scheme.base_scheme, n
+        ) is not None
+        signature = good[2].signature_bytes
+        _, own_secret = scheme.base_scheme.keygen(rng.fork("own"))
+        for bad_bytes in (
+            signature[:5] + bytes([signature[5] ^ 0x01]) + signature[6:],
+            signature[:-1] + bytes([signature[-1] ^ 0x80]),
+            scheme.base_scheme.sign(own_secret, message),
+        ):
+            bad = SnarkBaseSignature(index=2, signature_bytes=bad_bytes)
+            *admitted, _ = scheme.aggregate1(
+                pp, vks, message, [bad, good[0]]
+            )
+            assert [c.base for c in admitted] == [good[0]]
+            tampered = list(certified)
+            tampered[2] = CertifiedBaseSignature(
+                base=bad, verification_key=vks[2]
+            )
+            assert _leaf_circuit(
+                message, witness(tampered), scheme.base_scheme, n
+            ) is None
+
+
+    def test_a_dropped_setup_frees_its_scratch_without_the_collector(self):
+        """The internal circuit holds its SNARK system weakly, so no cycle
+        keeps a finished run's keys and verdicts until a full collection."""
+        scheme = SnarkSRDS(base_scheme=HashRegistryBase())
+        pp = scheme.setup(8, Randomness(14))
+        vk, sk = scheme.keygen(pp, Randomness(15))
+        assert scheme.base_scheme.verify(
+            vk, b"m", scheme.base_scheme.sign(sk, b"m")
+        )
+        base = weakref.ref(scheme.base_scheme)
+        system = weakref.ref(pp.extra["snark"])
+        gc.disable()
+        try:
+            del scheme, pp
+            assert base() is None and system() is None
+        finally:
+            gc.enable()
 
 
 class TestLeafRelation:

@@ -562,6 +562,42 @@ class TestVerifiersNeverRaise:
         )
 
     @_fuzz
+    @given(
+        which=st.integers(min_value=0, max_value=5),
+        position=st.integers(min_value=0, max_value=10_000),
+        flip=st.integers(min_value=1, max_value=255),
+    )
+    def test_leaf_relation_mutated_signature(
+        self, leaf_witness, which, position, flip
+    ):
+        """The honest signatures' verdicts are kept; one of them with a
+        byte flipped, at the same index under the same key, is refused
+        all the same."""
+        from repro.utils.serialization import (
+            decode_bytes,
+            decode_sequence,
+            decode_uint,
+            encode_bytes,
+            encode_sequence,
+            encode_uint,
+        )
+
+        message, statement, witness, circuit = leaf_witness
+        (opening_blob, *certified), _ = decode_sequence(witness, 0)
+        (base_blob, key), _ = decode_sequence(certified[which], 0)
+        index, pos = decode_uint(base_blob, 0)
+        signature, _ = decode_bytes(base_blob, pos)
+        mutated = bytearray(signature)
+        mutated[position % len(signature)] ^= flip
+        certified[which] = encode_sequence(
+            [encode_uint(index) + encode_bytes(bytes(mutated)), key]
+        )
+        assert circuit(message, witness) == statement
+        assert circuit(
+            message, encode_sequence([opening_blob, *certified])
+        ) is None
+
+    @_fuzz
     @given(data=garbage)
     def test_snark_verify_garbage_aggregate(self, snark_deployment, data):
         from repro.srds.snark_based import decode_aggregate
