@@ -19,9 +19,14 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
-from repro.crypto.hashing import domain_hasher, hash_domain
+from repro.crypto.hashing import domain_walker, hash_domain
 from repro.crypto.prg import PRG
-from repro.errors import ConfigurationError, KeyError_, SignatureError
+from repro.errors import (
+    MALFORMED_INPUT_ERRORS,
+    ConfigurationError,
+    KeyError_,
+    SignatureError,
+)
 from repro.utils.serialization import encode_uint
 
 _CHAIN_DOMAIN = "wots/chain"
@@ -37,17 +42,14 @@ DEFAULT_W = 4  # chunk width in bits; chains of length 16
 # value)``: everything but the value is constant per chunk position, and
 # positions are a few dozen small integers shared by every key.
 @functools.lru_cache(maxsize=512)
-def _chain_step(chunk_index: int) -> Callable[[bytes], bytes]:
-    return domain_hasher(_CHAIN_DOMAIN, encode_uint(chunk_index))
+def _chain_walker(chunk_index: int) -> Callable[[bytes, int], bytes]:
+    return domain_walker(_CHAIN_DOMAIN, encode_uint(chunk_index))
 
 
 def _chain(start: bytes, steps: int, chunk_index: int) -> bytes:
-    """Apply the hash chain ``steps`` times (domain-bound per chunk)."""
-    step = _chain_step(chunk_index)
-    value = start
-    for _ in range(steps):
-        value = step(value)
-    return value
+    """Apply the hash chain ``steps`` times (domain-bound per chunk), in
+    one loop over the chunk's absorbed state."""
+    return _chain_walker(chunk_index)(start, steps)
 
 
 @functools.lru_cache(maxsize=64)
@@ -180,19 +182,25 @@ def verify(
     message: bytes,
     signature: WotsSignature,
 ) -> bool:
-    """Walk each chain the remaining steps and compare endpoints."""
-    if len(signature.values) != len(verification_key.endpoints):
-        return False
-    chunks = _message_chunks(
-        message, verification_key.message_bits, verification_key.w
-    )
-    top = (1 << verification_key.w) - 1
-    for index, (value, chunk, endpoint) in enumerate(
-        zip(signature.values, chunks, verification_key.endpoints)
-    ):
-        if _chain(value, top - chunk, index) != endpoint:
+    """Walk each chain the remaining steps and compare endpoints.  False
+    on any mismatch or malformed input, never an exception."""
+    try:
+        if len(signature.values) != len(verification_key.endpoints):
             return False
-    return True
+        chunks = _message_chunks(
+            message, verification_key.message_bits, verification_key.w
+        )
+        if len(chunks) != len(signature.values):
+            return False
+        top = (1 << verification_key.w) - 1
+        for index, (value, chunk, endpoint) in enumerate(
+            zip(signature.values, chunks, verification_key.endpoints)
+        ):
+            if _chain(value, top - chunk, index) != endpoint:
+                return False
+        return True
+    except MALFORMED_INPUT_ERRORS:
+        return False
 
 
 def decode_signature(

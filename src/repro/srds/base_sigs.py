@@ -188,9 +188,13 @@ class HashRegistryBase(BaseSignatureScheme):
     registers its own (vk, sk).
 
     Each registered secret's HMAC key schedule is computed once, at
-    keygen, and kept (as scratch) for its signs and verifies.  A verdict
-    is kept only under a registered key: a key nobody has registered yet
-    reads False until it is.
+    keygen, and kept (as scratch) for its signs and verifies — up to as
+    many schedules as verdicts (``_VERDICT_MEMO``: every key of a π_ba
+    run to n ≈ 800; n=512 has 9 216 virtual ids, n=1 024 has 20 480).
+    Past that the scheme starts over, and a key whose schedule was
+    dropped is keyed again where it is used.  A verdict is kept only
+    under a registered key: a key nobody has registered yet reads False
+    until it is.
     """
 
     name = "hash-registry (simulated)"
@@ -202,10 +206,17 @@ class HashRegistryBase(BaseSignatureScheme):
         self._registry: Dict[bytes, bytes] = {}
         self._macs: Dict[bytes, KeyedPrf] = {}
 
+    def _keyed(self, secret: bytes) -> KeyedPrf:
+        """A new handle for ``secret``, kept within the bound."""
+        macs = self._macs
+        if len(macs) >= _VERDICT_MEMO:
+            macs.clear()
+        mac = macs[secret] = KeyedPrf(secret)
+        return mac
+
     def keygen(self, rng) -> Tuple[bytes, object]:
         secret = rng.random_bytes(32)
-        mac = self._macs[secret] = KeyedPrf(secret)
-        verification_key = mac("hash-registry/vk")
+        verification_key = self._keyed(secret)("hash-registry/vk")
         self._registry[verification_key] = secret
         return verification_key, secret
 
@@ -229,7 +240,7 @@ class HashRegistryBase(BaseSignatureScheme):
                 verdicts.append(False)
                 continue
             mac = macs.get(secret)
-            if mac is None:  # a copy or an unpickled registry
-                mac = macs[secret] = KeyedPrf(secret)
+            if mac is None:  # dropped, or a copy or an unpickled registry
+                mac = self._keyed(secret)
             verdicts.append(mac("hash-registry/sig", message) == signature)
         return verdicts

@@ -71,14 +71,9 @@ class LamportOts(OneTimeSignatureScheme):
 
     def verify(self, verification_key: bytes, message: bytes,
                signature: bytes) -> bool:
-        try:
-            vk = lamport.decode_verification_key(
-                verification_key, self.message_bits
-            )
-            sig = lamport.decode_signature(signature, self.message_bits)
-        except MALFORMED_INPUT_ERRORS:
-            return False
-        return lamport.verify(vk, message, sig)
+        return lamport.verify_encoded(
+            verification_key, message, signature, self.message_bits
+        )
 
     def signature_bytes(self) -> int:
         return 32 * self.message_bits

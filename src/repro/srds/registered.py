@@ -32,6 +32,7 @@ having it solve an average-case Subset-XOR instance.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -223,8 +224,12 @@ class RegisteredSRDS(SRDSScheme):
         snark_system = SnarkSystem(crs_seed=rng.random_bytes(32))
 
         snark_system.register_circuit(_LEAF_RELATION, self._leaf_circuit)
+        # Held weakly, as in SnarkSRDS.setup: the system owns this
+        # circuit, so a strong reference would be a cycle that keeps a
+        # dropped setup (this scheme and its boards with it) alive until
+        # the next full garbage collection.
         snark_system.register_circuit(_INTERNAL_RELATION, partial(
-            pcd.internal_circuit, snark_system, self.certificate
+            pcd.internal_circuit, weakref.proxy(snark_system), self.certificate
         ))
         return PublicParameters(
             num_parties=num_parties,

@@ -29,8 +29,10 @@ from hypothesis import given, strategies as st
 from repro.crypto import lamport, winternitz
 from repro.crypto.hashing import (
     domain_hasher,
+    domain_walker,
     hash_chain,
     hash_domain,
+    hash_each,
     hash_to_int,
 )
 from repro.crypto.merkle import (
@@ -494,6 +496,79 @@ class TestDefinitions:
             domain_hasher("d", b"p", trailing=2)(b"only one")
         with pytest.raises(TypeError):
             domain_hasher("d", b"p")(b"one", b"too many")
+
+
+# -- the batch door and the chain walker --------------------------------------
+
+#: Fields on both sides of a digest's width and of the one-byte length
+#: prefix, each width alone and mixed in one batch.
+_BATCH_WIDTHS = (0, 31, 32, 33, 127, 128, 200)
+_batch_fields = st.lists(
+    st.one_of(
+        *(st.binary(min_size=w, max_size=w) for w in _BATCH_WIDTHS),
+        st.binary(max_size=300),
+    ),
+    max_size=12,
+)
+
+
+class TestBatchDoor:
+    @given(_domains, st.lists(st.binary(max_size=80), max_size=3), _batch_fields)
+    def test_hash_each_is_hash_domain_field_for_field(
+        self, domain, prefix, fields
+    ):
+        assert hash_each(domain, prefix, fields) == [
+            _reference_hash(domain, (*prefix, field)) for field in fields
+        ]
+
+    @pytest.mark.parametrize("width", _BATCH_WIDTHS)
+    def test_one_width_and_every_width_in_one_batch(self, width):
+        same = [bytes((i,)) * width for i in range(5)]
+        mixed = [bytes((i,)) * w for i, w in enumerate(_BATCH_WIDTHS * 2)]
+        for fields in (same, mixed, mixed[::-1], same + mixed + same):
+            assert hash_each("d", (_SEED,), fields) == [
+                hash_domain("d", _SEED, field) for field in fields
+            ]
+            assert hash_each("d", (), iter(fields)) == [
+                hash_domain("d", field) for field in fields
+            ]
+
+    def test_an_empty_batch_and_a_field_that_is_not_bytes(self):
+        assert hash_each("d", (_SEED,), []) == []
+        with pytest.raises(TypeError):
+            hash_each("d", (), [b"ok", 7])
+        with pytest.raises(TypeError):
+            hash_each("d", (), [b"ok", "text"])
+
+    @pytest.mark.parametrize(
+        "low, high", [(0, 130), (16_380, 16_388)], ids=["127/128", "16383/16384"]
+    )
+    def test_prg_blocks_across_the_varint_boundaries(self, low, high):
+        """A PRG's tabled counters change width at 128 and at 16 384; the
+        blocks on either side are the definition's."""
+        prg = PRG(_SEED, domain="d")
+        blocks = prg.blocks(high)
+        assert len(blocks) == high
+        for index in range(low, high):
+            expected = _reference_hash("d", (_SEED, encode_uint(index)))
+            assert blocks[index] == prg.block(index) == expected
+        assert prg.expand(32 * high - 5) == b"".join(blocks)[:-5]
+
+    @given(_domains, st.lists(st.binary(max_size=40), max_size=2),
+           st.sampled_from([b"", bytes(31), bytes(range(32)), bytes(33)]),
+           st.integers(min_value=0, max_value=6))
+    def test_a_walk_is_repeated_hash_domain(self, domain, prefix, start, times):
+        value = start
+        for _ in range(times):
+            value = _reference_hash(domain, (*prefix, value))
+        assert domain_walker(domain, *prefix)(start, times) == value
+
+    @pytest.mark.parametrize("chunk_index", [0, 5, 127, 128, 300])
+    def test_a_wots_chain_is_repeated_hash_domain(self, chunk_index):
+        value = start = hash_domain("seed", encode_uint(chunk_index))
+        for steps in range(17):
+            assert winternitz._chain(start, steps, chunk_index) == value
+            value = hash_domain("wots/chain", encode_uint(chunk_index), value)
 
 
 # -- midstates are scratch, never part of a value -------------------------------

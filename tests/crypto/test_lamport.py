@@ -103,3 +103,66 @@ class TestEncoding:
         vk, sk = keys
         assert vk.size_bytes() == 64 * BITS
         assert lamport.sign(sk, b"m").size_bytes() == 32 * BITS
+
+
+class TestHostileInputs:
+    """Verification answers False, and never raises, whatever it is
+    handed; a flip anywhere the signature opens is caught."""
+
+    def test_wrong_lengths_and_types_in_a_signature(self, keys):
+        vk, sk = keys
+        preimages = lamport.sign(sk, b"m").preimages
+        for bad in (
+            preimages + (preimages[0],),
+            preimages[:-1] + (preimages[-1][:-1],),
+            preimages[:-1] + (preimages[-1] + b"\0",),
+            preimages[:-1] + (None,),
+            preimages[:-1] + (7,),
+            preimages[:-1] + (preimages[-1].hex(),),
+        ):
+            signature = lamport.LamportSignature(preimages=bad)
+            assert lamport.verify(vk, b"m", signature) is False
+
+    def test_malformed_keys_and_messages(self, keys):
+        vk, sk = keys
+        signature = lamport.sign(sk, b"m")
+        for rows in (vk.rows[:-1], vk.rows[:-1] + ((None, None),), ()):
+            key = lamport.LamportVerificationKey(message_bits=BITS, rows=rows)
+            assert lamport.verify(key, b"m", signature) is False
+        assert lamport.verify(vk, "m", signature) is False
+        assert lamport.verify(vk, None, signature) is False
+
+    def test_a_flipped_byte_in_any_preimage(self, keys):
+        vk, sk = keys
+        preimages = lamport.sign(sk, b"m").preimages
+        for index, preimage in enumerate(preimages):
+            position = (7 * index) % 32
+            flipped = bytearray(preimage)
+            flipped[position] ^= 0x01
+            bad = preimages[:index] + (bytes(flipped),) + preimages[index + 1:]
+            assert not lamport.verify(
+                vk, b"m", lamport.LamportSignature(preimages=bad)
+            )
+
+    def test_swapped_rows_and_halves(self, keys):
+        vk, sk = keys
+        signature = lamport.sign(sk, b"m")
+        rows = list(vk.rows)
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = lamport.LamportVerificationKey(BITS, tuple(rows))
+        assert not lamport.verify(swapped, b"m", signature)
+        mirrored = lamport.LamportVerificationKey(
+            BITS, ((vk.rows[0][1], vk.rows[0][0]),) + vk.rows[1:]
+        )
+        assert not lamport.verify(mirrored, b"m", signature)
+        preimages = signature.preimages
+        reordered = (preimages[1], preimages[0]) + preimages[2:]
+        assert not lamport.verify(
+            vk, b"m", lamport.LamportSignature(preimages=reordered)
+        )
+
+    def test_a_signing_key_short_of_rows_is_refused(self, keys):
+        _, sk = keys
+        short = lamport.LamportSigningKey(message_bits=BITS, rows=sk.rows[:-1])
+        with pytest.raises(KeyError_):
+            lamport.sign(short, b"m")

@@ -117,3 +117,51 @@ class TestEncoding:
             winternitz.decode_signature(b"short", BITS, W)
         with pytest.raises(KeyError_):
             winternitz.decode_verification_key(b"short", BITS, W)
+
+
+class TestHostileInputs:
+    """Verification answers False, and never raises, whatever it is
+    handed; a flip in any chain value or endpoint is caught."""
+
+    def test_wrong_lengths_and_types(self, keys):
+        vk, sk = keys
+        values = winternitz.sign(sk, b"m").values
+        for bad in (
+            values[:-1],
+            values + (values[0],),
+            values[:-1] + (values[-1][:-1],),
+            values[:-1] + (values[-1] + b"\0",),
+            values[:-1] + (None,),
+            values[:-1] + (7,),
+        ):
+            signature = winternitz.WotsSignature(values=bad)
+            assert winternitz.verify(vk, b"m", signature) is False
+        signature = winternitz.sign(sk, b"m")
+        assert winternitz.verify(vk, "m", signature) is False
+        assert winternitz.verify(vk, None, signature) is False
+        wrong_width = winternitz.WotsVerificationKey(BITS, 2, vk.endpoints)
+        assert winternitz.verify(wrong_width, b"m", signature) is False
+
+    def test_a_flipped_byte_in_any_value_or_endpoint(self, keys):
+        vk, sk = keys
+        signature = winternitz.sign(sk, b"m")
+        for index in range(len(signature.values)):
+            values = list(signature.values)
+            endpoints = list(vk.endpoints)
+            values[index] = bytes([values[index][0] ^ 0x80]) + values[index][1:]
+            endpoints[index] = endpoints[index][:-1] + bytes(
+                [endpoints[index][-1] ^ 0x01]
+            )
+            assert not winternitz.verify(
+                vk, b"m", winternitz.WotsSignature(values=tuple(values))
+            )
+            bad_key = winternitz.WotsVerificationKey(BITS, W, tuple(endpoints))
+            assert not winternitz.verify(bad_key, b"m", signature)
+
+    def test_swapped_values(self, keys):
+        vk, sk = keys
+        values = winternitz.sign(sk, b"m").values
+        swapped = (values[1], values[0]) + values[2:]
+        assert not winternitz.verify(
+            vk, b"m", winternitz.WotsSignature(values=swapped)
+        )

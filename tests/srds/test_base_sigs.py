@@ -247,6 +247,24 @@ class TestHashRegistryScratch:
         _, sk = scheme.keygen(rng.fork("late"))
         assert clone(scheme).sign(sk, b"x") == scheme.sign(sk, b"x")
 
+    def test_the_key_schedules_stay_bounded(self, rng, monkeypatch):
+        """Past the bound the scheme drops its handles; a key whose
+        handle went signs and verifies the same, keyed again."""
+        monkeypatch.setattr(base_sigs, "_VERDICT_MEMO", 3)
+        scheme = HashRegistryBase()
+        keys = [scheme.keygen(rng.fork(f"signer-{index}")) for index in range(7)]
+        assert len(scheme._macs) <= 3
+        items = [(vk, b"m", scheme.sign(sk, b"m")) for vk, sk in keys]
+        assert [
+            signature == HashRegistryBase().sign(sk, b"m")
+            for (_, _, signature), (_, sk) in zip(items, keys)
+        ] == [True] * 7
+        assert scheme.verify_many(items) == [True] * 7
+        assert len(scheme._macs) <= 3
+        forged = [(vk, message, bytes(32)) for vk, message, _ in items]
+        assert scheme.verify_many(forged) == [False] * 7
+        assert len(scheme._macs) <= 3
+
     def test_sign_with_an_unregistered_secret(self):
         scheme = HashRegistryBase()
         tag = scheme.sign(bytes(32), b"m")

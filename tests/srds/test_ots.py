@@ -37,6 +37,58 @@ class TestAdapters:
         assert not ots.verify(vk, b"m", b"garbage")
         assert not ots.verify(b"garbage", b"m", b"garbage")
 
+    def test_hostile_encodings_are_false_not_errors(self, ots):
+        vk, sk = ots.keygen_from_seed(b"seed-one")
+        signature = ots.sign(sk, b"m")
+        for key, message, sig in (
+            (vk[:-1], b"m", signature),
+            (vk + b"\0", b"m", signature),
+            (vk, b"m", signature[:-1]),
+            (vk, b"m", signature + b"\0"),
+            (None, b"m", signature),
+            (vk, b"m", None),
+            (7, b"m", 7),
+            (vk.hex(), b"m", signature),
+            (vk, b"m", signature.hex()),
+            (vk, "m", signature),
+            (vk, None, signature),
+        ):
+            assert ots.verify(key, message, sig) is False
+
+    def test_a_flipped_byte_in_any_signature_cell(self, ots):
+        vk, sk = ots.keygen_from_seed(b"seed-one")
+        signature = ots.sign(sk, b"m")
+        for start in range(0, len(signature), 32):
+            position = start + (start // 32) % 32
+            flipped = bytearray(signature)
+            flipped[position] ^= 0x01
+            assert not ots.verify(vk, b"m", bytes(flipped))
+
+    def test_a_flipped_byte_in_a_key_half_the_signature_opens(self, ots):
+        """Every W-OTS endpoint is checked; a Lamport signature opens one
+        half per row, so a flip there is caught and a flip in the other
+        half is not read at all."""
+        vk, sk = ots.keygen_from_seed(b"seed-one")
+        signature = ots.sign(sk, b"m")
+        verdicts = []
+        for start in range(0, len(vk), 32):
+            flipped = bytearray(vk)
+            flipped[start + 5] ^= 0x10
+            verdicts.append(ots.verify(bytes(flipped), b"m", signature))
+        if ots.name == "winternitz":
+            assert verdicts == [False] * len(verdicts)
+        else:
+            assert verdicts.count(False) == ots.message_bits
+            assert verdicts.count(True) == ots.message_bits
+
+    def test_swapped_cells(self, ots):
+        vk, sk = ots.keygen_from_seed(b"seed-one")
+        signature = ots.sign(sk, b"m")
+        swapped = signature[32:64] + signature[:32] + signature[64:]
+        assert not ots.verify(vk, b"m", swapped)
+        rows = vk[64:128] + vk[:64] + vk[128:]
+        assert not ots.verify(rows, b"m", signature)
+
     def test_winternitz_smaller(self):
         lamport = LamportOts(message_bits=128)
         wots = WinternitzOts(message_bits=128, w=4)

@@ -15,6 +15,7 @@ from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import compute_srds_setup
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.pcd import encode_statement
+from repro.srds.registered import RegisteredSRDS
 from repro.srds.snark_based import (
     _CHAIN_DOMAIN,
     CertifiedBaseSignature,
@@ -352,21 +353,29 @@ class TestKeptVerdicts:
             ) is None
 
 
-    def test_a_dropped_setup_frees_its_scratch_without_the_collector(self):
-        """The internal circuit holds its SNARK system weakly, so no cycle
-        keeps a finished run's keys and verdicts until a full collection."""
-        scheme = SnarkSRDS(base_scheme=HashRegistryBase())
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: SnarkSRDS(base_scheme=HashRegistryBase()), RegisteredSRDS],
+        ids=["snark", "registered"],
+    )
+    def test_a_dropped_setup_frees_its_scratch_without_the_collector(
+        self, make
+    ):
+        """Each scheme's internal circuit holds its SNARK system weakly, so
+        no cycle keeps a finished run's system, keys and verdicts until a
+        full collection."""
+        scheme = make()
         pp = scheme.setup(8, Randomness(14))
         vk, sk = scheme.keygen(pp, Randomness(15))
-        assert scheme.base_scheme.verify(
-            vk, b"m", scheme.base_scheme.sign(sk, b"m")
-        )
-        base = weakref.ref(scheme.base_scheme)
-        system = weakref.ref(pp.extra["snark"])
+        signature = scheme.sign(pp, 0, sk, b"m")
+        assert scheme.aggregate1(pp, {0: vk}, b"m", [signature])
+        kept = [weakref.ref(scheme), weakref.ref(pp.extra["snark"])]
+        if isinstance(scheme, SnarkSRDS):
+            kept.append(weakref.ref(scheme.base_scheme))
         gc.disable()
         try:
             del scheme, pp
-            assert base() is None and system() is None
+            assert [ref() for ref in kept] == [None] * len(kept)
         finally:
             gc.enable()
 
