@@ -13,10 +13,12 @@ Runs seeded hash-base ``SnarkSRDS`` pi_ba executions of whichever
   (``pi_ba_per_party_budget``) and the local log-log slope to the next
   smaller n.
 
-It calls nothing that differs between commit 8b3624e (one Merkle path
-per base signature in f_aggr-sig's input) and its successor (one batch
-opening per leaf), so the *before* column of B1 is this script run
-against a checkout of 8b3624e::
+The *before* column of B1 (commit 8b3624e: one Merkle path per base
+signature in f_aggr-sig's input, where its successor sends one batch
+opening per leaf) is what the copy of this script at 8b3624e wrote when
+run against that commit's checkout (it read the step split through a
+subclass of the protocol object; this copy reads the step functions'
+exchanges)::
 
     PYTHONPATH=<checkout of 8b3624e>/src python examples/aggr_input_record.py \\
         --out benchmarks/results/AGGR_INPUT_before.json
@@ -31,10 +33,8 @@ import sys
 
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
-from repro.obs.flow import FlowLedger
-from repro.obs.spans import span
 from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import BalancedBA
+from repro.protocols import balanced_ba
 from repro.protocols.cost_model import pi_ba_per_party_budget
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.snark_based import SnarkSRDS
@@ -43,53 +43,63 @@ from repro.utils.randomness import Randomness
 STEP_5B, STEP_5D, AGGR_SIG, REST = "step-5b", "step-5d", "f_aggr-sig", "rest"
 
 
-class _SteppedBA(BalancedBA):
-    """pi_ba whose step-5 charges carry the step that made them.
+def _sent_by(step, wrapped, by_party):
+    """``wrapped`` (a step function of ``balanced_ba`` returning its
+    exchanges last), crediting each exchange's bits to ``step`` for its
+    senders and recipients, pair by pair, as the ledger charges them."""
 
-    ``_node_inbox`` makes the step-5d charges; ``_aggregate_node`` makes
-    the step-5b wire charge and, through f_aggr-sig, the one hybrid
-    charge of the aggregation phase.
-    """
+    def call(*args):
+        returned = wrapped(*args)
+        for senders, recipients, bits, skip_self in returned[-1]:
+            for sender in senders:
+                for recipient in recipients:
+                    if skip_self and recipient == sender:
+                        continue
+                    for party in (sender, recipient):
+                        steps = by_party.setdefault(party, {})
+                        steps[step] = steps.get(step, 0) + bits
+        return returned
 
-    def _node_inbox(self, *args, **kwargs):
-        with span(STEP_5D):
-            return super()._node_inbox(*args, **kwargs)
-
-    def _aggregate_node(self, *args, **kwargs):
-        with span(STEP_5B):
-            return super()._aggregate_node(*args, **kwargs)
-
-
-def _step_of(phase: str, kind: str) -> str:
-    if phase == STEP_5D:
-        return STEP_5D
-    if phase == STEP_5B:
-        return STEP_5B if kind == "wire" else AGGR_SIG
-    return REST
+    return call
 
 
 def run(n: int, seed: int):
-    """One execution; returns (result, per-party bits by step)."""
+    """One execution; returns (result, per-party bits by step).
+
+    Steps 5d (``node_inbox``) and 5b (``aggregate_node``) are read from
+    the exchanges the wrapped step functions return; f_aggr-sig is the
+    rest of the aggregation phase.
+    """
     params = ProtocolParameters()
     rng = Randomness(seed)
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
     metrics = CommunicationMetrics()
-    flow = FlowLedger(max_cells=1 << 22)
-    metrics.attach_flow(flow)
     scheme = SnarkSRDS(base_scheme=HashRegistryBase())
-    result = _SteppedBA(
-        {party: party % 2 for party in range(n)}, plan, scheme, params,
-        rng.fork("run"), metrics=metrics,
-    ).run()
-    if not (result.agreement and result.validity) or flow.evicted_cells:
-        raise SystemExit(f"n={n} seed={seed}: run failed its own checks")
     by_party = {}
-    for cell in flow.cells():
-        step = _step_of(cell.phase, cell.kind)
-        for party in (cell.src, cell.dst):
-            if party >= 0:  # not the functionality's pseudo party
-                steps = by_party.setdefault(party, {})
-                steps[step] = steps.get(step, 0) + cell.bits
+    originals = {
+        "node_inbox": balanced_ba.node_inbox,
+        "aggregate_node": balanced_ba.aggregate_node,
+    }
+    for name, step in (("node_inbox", STEP_5D), ("aggregate_node", STEP_5B)):
+        setattr(balanced_ba, name, _sent_by(step, originals[name], by_party))
+    try:
+        result = balanced_ba.run_balanced_ba(
+            {party: party % 2 for party in range(n)}, plan, scheme, params,
+            rng.fork("run"), metrics=metrics,
+        )
+    finally:
+        for name, original in originals.items():
+            setattr(balanced_ba, name, original)
+    if not (result.agreement and result.validity):
+        raise SystemExit(f"n={n} seed={seed}: run failed its own checks")
+    for party in metrics.party_ids:
+        phases = metrics.bits_by_phase(party)
+        aggregation = phases.get("srds-aggregate", 0)
+        steps = by_party.setdefault(party, {})
+        steps[AGGR_SIG] = (
+            aggregation - steps.get(STEP_5B, 0) - steps.get(STEP_5D, 0)
+        )
+        steps[REST] = sum(phases.values()) - aggregation
     pp = scheme.setup(2, rng.fork("probe"))
     _, signing_key = scheme.keygen(pp, rng.fork("probe-key"))
     base_bytes = scheme.sign(pp, 0, signing_key, b"probe").size_bytes()

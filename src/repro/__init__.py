@@ -40,7 +40,6 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "AdversaryBehavior": "repro.protocols.balanced_ba",
     "BAResult": "repro.protocols.balanced_ba",
-    "BalancedBA": "repro.protocols.balanced_ba",
     "DEFAULT_PARAMETERS": "repro.params",
     "OwfSRDS": "repro.srds.owf",
     "ProtocolParameters": "repro.params",
@@ -54,7 +53,6 @@ if TYPE_CHECKING:  # static importers see the eager names
     from repro.params import DEFAULT_PARAMETERS, ProtocolParameters
     from repro.protocols.balanced_ba import (
         AdversaryBehavior,
-        BalancedBA,
         BAResult,
         run_balanced_ba,
     )

@@ -124,12 +124,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
         )
     print("schedules:")
     for schedule in default_schedules():
-        flags = []
-        if schedule.needs_runtime:
-            flags.append("runtime")
-        if schedule.model_breaking:
-            flags.append("model-breaking")
-        suffix = f"  [{','.join(flags)}]" if flags else ""
+        suffix = "  [model-breaking]" if schedule.model_breaking else ""
         print(f"  {schedule.name:<16} {schedule.description}{suffix}")
     return 0
 

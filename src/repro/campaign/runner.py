@@ -360,13 +360,15 @@ def _run_phase_king(
     fault_plan: Optional[FaultPlan],
 ) -> None:
     from repro.protocols.phase_king import build_phase_king
-    from repro.runtime.placements import LOCAL
+    from repro.runtime.placements import IN_PROCESS
 
     inputs = _inputs_for(config)
     parties, honest, max_rounds = build_phase_king(
         inputs, sorted(plan.corrupted), not strategy.expect_violation
     )
-    result = LOCAL.run(parties, honest, max_rounds, fault_plan=fault_plan)
+    result = IN_PROCESS.run(
+        parties, honest, max_rounds, fault_plan=fault_plan
+    )
     outcome.measured_bits = result.metrics.max_bits_per_party
     outcome.violations = check_ba_invariants(
         inputs, result.outputs, plan.honest
@@ -381,7 +383,7 @@ def _run_gradecast(
     fault_plan: Optional[FaultPlan],
 ) -> None:
     from repro.protocols.gradecast import build_gradecast
-    from repro.runtime.placements import LOCAL
+    from repro.runtime.placements import IN_PROCESS
 
     sender = 0
     value = 1
@@ -391,7 +393,9 @@ def _run_gradecast(
     parties, honest, max_rounds = build_gradecast(
         range(config.n), sender, value, byzantine, equivocating
     )
-    result = LOCAL.run(parties, honest, max_rounds, fault_plan=fault_plan)
+    result = IN_PROCESS.run(
+        parties, honest, max_rounds, fault_plan=fault_plan
+    )
     outputs = {member: result.outputs[member] for member in honest}
     outcome.measured_bits = result.metrics.max_bits_per_party
     sender_honest = not plan.is_corrupt(sender)

@@ -36,14 +36,16 @@ from repro.utils.randomness import Randomness
 class Schedule:
     """One named network-fault schedule.
 
+    Every placement honours the :class:`FaultPlan` a schedule builds.
+    An in-process π_ba run has no network: under ``reorder`` its steps
+    consume each inbox in a seeded permuted order instead (the
+    ``delivery_rng`` of
+    :func:`~repro.protocols.balanced_ba.run_balanced_ba`).
+
     Attributes:
         name: stable identifier (appears in repro specs).
         description: one-line summary.
         build: ``(n, plan, rng) -> Optional[FaultPlan]``.
-        needs_runtime: whether the schedule only makes sense over the
-            async runtime (crash/delay/partition need a transport; pure
-            reordering also works in-process through the
-            ``delivery_rng`` seam of π_ba).
         model_breaking: exceeds the paper's model — invariant
             violations / loud failures are expected, silence is not.
     """
@@ -51,7 +53,6 @@ class Schedule:
     name: str
     description: str
     build: Callable[[int, CorruptionPlan, Randomness], Optional[FaultPlan]]
-    needs_runtime: bool = False
     model_breaking: bool = False
 
 
@@ -206,40 +207,34 @@ _DEFAULT: List[Schedule] = [
         "duplicate",
         "10% of deliveries seen twice",
         _duplicate,
-        needs_runtime=True,
     ),
     Schedule(
         "reorder-dup",
         "reordering plus 10% duplication",
         _reorder_dup,
-        needs_runtime=True,
     ),
     Schedule(
         "random-delay",
         "MODEL-BREAKING: 15% of messages arrive 1-2 rounds late — "
         "delivery beyond the promised round exceeds the synchronous model",
         _random_delay,
-        needs_runtime=True,
         model_breaking=True,
     ),
     Schedule(
         "crash-corrupted",
         "crash every corrupted party at a random round <= 6",
         _crash_corrupted,
-        needs_runtime=True,
     ),
     Schedule(
         "partition-early",
         "MODEL-BREAKING: sever the two halves during rounds 1-2",
         _partition_early,
-        needs_runtime=True,
         model_breaking=True,
     ),
     Schedule(
         "crash-everyone",
         "MODEL-BREAKING: crash every party at round 1",
         _crash_everyone,
-        needs_runtime=True,
         model_breaking=True,
     ),
     Schedule(
@@ -252,13 +247,11 @@ _DEFAULT: List[Schedule] = [
         "latency-uniform",
         "asynchronous delivery with uniform per-message latency",
         _latency_uniform,
-        needs_runtime=True,
     ),
     Schedule(
         "latency-lognormal",
         "asynchronous delivery with heavy-tailed (lognormal) latency",
         _latency_lognormal,
-        needs_runtime=True,
     ),
     Schedule(
         "adversarial-order",
@@ -266,28 +259,24 @@ _DEFAULT: List[Schedule] = [
         "each next delivery from the oldest-pending window "
         "(asynchronous configs only)",
         _adversarial_order,
-        needs_runtime=True,
     ),
     Schedule(
         "churn-join",
         "budget-bounded churn: up to f - |corrupted| honest parties "
         "join late (absent before round 2)",
         _churn_join,
-        needs_runtime=True,
     ),
     Schedule(
         "churn-leave",
         "budget-bounded churn: up to f - |corrupted| honest parties "
         "leave (crash) at round 3",
         _churn_leave,
-        needs_runtime=True,
     ),
     Schedule(
         "churn-collapse",
         "MODEL-BREAKING: half the parties leave at round 1 — below "
         "the 2f+1 quorum, the stall must be loud",
         _churn_collapse,
-        needs_runtime=True,
         model_breaking=True,
     ),
 ]

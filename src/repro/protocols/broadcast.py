@@ -17,16 +17,15 @@ benchmark (E4) can read bits-per-party as a function of ell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.crypto.prf import SubsetPRF
 from repro.errors import ProtocolError
 from repro.functionalities.ae_comm import AlmostEverywhereComm
 from repro.net.adversary import CorruptionPlan
 from repro.net.metrics import CommunicationMetrics, MetricsSnapshot
 from repro.params import ProtocolParameters
 from repro.protocols import cost_model
-from repro.protocols.balanced_ba import BalancedBA, encode_pair
+from repro.protocols.balanced_ba import certified_propagation
 from repro.protocols.coin_toss import ideal_f_ct
 from repro.protocols.phase_king import ideal_f_ba
 from repro.srds.base import SRDSScheme
@@ -92,9 +91,8 @@ class BroadcastService:
 
         Pipeline: sender → supreme committee (direct polylog messages);
         committee agrees on the received value via f_ba; then the
-        certified propagation of Fig. 3 steps 3-8 (reusing the pi_ba
-        implementation's phases via a one-shot protocol object that
-        shares this service's metrics ledger and tree).
+        certified propagation of Fig. 3 steps 3-8 over this service's
+        tree, keys and metrics ledger.
         """
         if not self._setup_done:
             raise ProtocolError("call setup() before broadcast()")
@@ -132,7 +130,11 @@ class BroadcastService:
             charge.rounds,
         )
 
-        outputs = self._certified_propagation(y, seed)
+        # Steps 3-8 of Fig. 3 on this service's long-lived tree and keys.
+        outputs, _ = certified_propagation(
+            self._ae, self.scheme, self._pp, self._verification_keys,
+            self._signing_keys, y, seed,
+        )
         self.executions += 1
 
         honest_outputs = [outputs[p] for p in self.plan.honest]
@@ -151,28 +153,6 @@ class BroadcastService:
             agreement=agreement,
             consistent_with_sender=bool(consistent),
         )
-
-    def _certified_propagation(
-        self, y: int, seed: bytes
-    ) -> Dict[int, Optional[int]]:
-        """Steps 3-8 of Fig. 3 on this service's long-lived tree/keys."""
-        protocol = BalancedBA(
-            inputs={i: y for i in range(self.n)},
-            plan=self.plan,
-            scheme=self.scheme,
-            params=self.params,
-            rng=self.rng.fork(f"bc-run-{self.executions}"),
-            metrics=self.metrics,
-        )
-        outputs, _ = protocol.certified_propagation(
-            self._ae,
-            self._pp,
-            self._verification_keys,
-            self._signing_keys,
-            y,
-            seed,
-        )
-        return outputs
 
     def snapshot(self) -> MetricsSnapshot:
         """Cumulative communication over setup + all executions so far."""

@@ -297,14 +297,13 @@ def record_balanced_ba_script(
 ):
     """Phase 1 of the replay recipe: run Fig. 3 against a
     :class:`RecordingLedger`; returns ``(reference_result, script)``."""
-    from repro.protocols.balanced_ba import BalancedBA
+    from repro.protocols.balanced_ba import run_balanced_ba
 
     recorder = RecordingLedger()
-    protocol = BalancedBA(
+    reference = run_balanced_ba(
         inputs, plan, scheme, params, rng, adversary,
-        metrics=recorder, delivery_rng=delivery_rng,
+        delivery_rng=delivery_rng, metrics=recorder,
     )
-    reference = protocol.run()
     return reference, recorder.script()
 
 

@@ -84,8 +84,8 @@ class SetupLease:
 
     ``scheme`` is the shared instance for the key (its verify-memo
     caches warm up across sessions); :meth:`provider` plugs into
-    :class:`~repro.protocols.balanced_ba.BalancedBA` as the
-    ``setup_provider`` seam.  Per-lease ``hits``/``misses`` expose the
+    :func:`~repro.protocols.balanced_ba.run_balanced_ba` as its
+    ``setup_provider``.  Per-lease ``hits``/``misses`` expose the
     session-local amortization delta for result payloads.
     """
 

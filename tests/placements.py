@@ -30,7 +30,7 @@ from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import BalancedBA
+from repro.protocols.balanced_ba import run_balanced_ba
 from repro.runtime.placements import Placement
 from repro.runtime.replay import RecordingLedger
 from repro.runtime.synchronizer import RuntimeResult
@@ -114,10 +114,10 @@ def recorded_pi_ba(n: int, scheme_name: str) -> RecordingLedger:
     rng = Randomness(7)
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("corrupt"))
     ledger = RecordingLedger()
-    BalancedBA(
+    run_balanced_ba(
         {i: i % 2 for i in range(n)}, plan, scheme, params, rng.fork("run"),
         metrics=ledger,
-    ).run()
+    )
     return ledger
 
 

@@ -1,28 +1,34 @@
 """Tests for pi_ba (Fig. 3) — agreement, validity, adversaries, accounting."""
 
+import dataclasses
 import sys
+from types import SimpleNamespace
 
 import pytest
 
 from repro.aetree.analysis import is_good_node
 from repro.crypto import ec
+from repro.crypto.prf import SubsetPRF
 from repro.errors import ProtocolError
 from repro.net.adversary import random_corruption, targeted_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import (
     AdversaryBehavior,
-    BalancedBA,
+    aggregate_node,
+    decide,
     encode_pair,
+    range_check_passes,
     run_balanced_ba,
+    signing_messages,
 )
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.registered import RegisteredSRDS
-from repro.srds.snark_based import SnarkSRDS
+from repro.srds.snark_based import SnarkBaseSignature, SnarkSRDS
 from repro.utils import serialization
 from repro.utils.randomness import Randomness
-from tests.protocols.wire_capture import RecordingBA
+from tests.protocols.step_context import build_context, leaf_mail, node_output
 
 N = 64
 
@@ -127,41 +133,33 @@ class TestStep5cDropsForeignAggregates:
     SIZE = 16
     SEED = 2021
 
-    def _parent_output(self, scheme, hand_up_foreign):
-        """One run in which the first child of the last level-2 node
-        hands its parent either nothing or the first leaf's (valid)
-        aggregate, whose range lies under another parent.  Returns the
-        parent's encoded output."""
-        params = ProtocolParameters()
-        rng = Randomness(self.SEED)
-        plan = random_corruption(
-            self.SIZE, params.max_corruptions(self.SIZE), rng.fork("c")
+    def _parent_outputs(self, scheme):
+        """The last level-2 node's f_aggr-sig output when its first child
+        hands it nothing, and when that child hands it the first leaf's
+        (valid) aggregate, whose range lies under another parent; the
+        other children hand up their honest aggregates."""
+        context, signing_keys = build_context(self.SIZE, self.SEED, scheme)
+        tree = context.tree
+        parent = tree.level_nodes(2)[-1]
+        donor = tree.level_nodes(1)[0]
+        assert donor.node_id not in parent.children
+        assert is_good_node(parent, context.plan.corrupted)
+        foreign = node_output(
+            context, donor, leaf_mail(context, signing_keys, donor)
         )
-        seen = {}
-
-        class Run(RecordingBA):
-            def _aggregate_node(self, tree, node, *args, **kwargs):
-                output = super()._aggregate_node(tree, node, *args, **kwargs)
-                parent = tree.level_nodes(2)[-1]
-                donor = tree.level_nodes(1)[0]
-                assert donor.node_id not in parent.children
-                assert is_good_node(parent, plan.corrupted)
-                if node is donor:
-                    seen["foreign"] = output
-                if node.node_id != parent.children[0]:
-                    return output
-                seen["parent"] = parent
-                return seen["foreign"] if hand_up_foreign else None
-
-        protocol = Run(
-            {party: party % 2 for party in range(self.SIZE)}, plan, scheme,
-            params, rng.fork("run"),
-        )
-        protocol.run()
-        parent, foreign = seen["parent"], seen["foreign"]
         assert foreign is not None
         assert foreign.max_index < parent.virtual_range[0]
-        return protocol.node_encodings[parent.node_id]
+        siblings = []
+        for child_id in parent.children[1:]:
+            child = tree.nodes[child_id]
+            siblings.append(node_output(
+                context, child, leaf_mail(context, signing_keys, child)
+            ))
+        assert all(output is not None for output in siblings)
+        return [
+            node_output(context, parent, handed + siblings)
+            for handed in ([], [foreign])
+        ]
 
     @pytest.mark.parametrize(
         "make_scheme",
@@ -171,9 +169,9 @@ class TestStep5cDropsForeignAggregates:
     def test_aggregate_outside_every_childs_range_is_dropped(
         self, make_scheme
     ):
-        without = self._parent_output(make_scheme(), False)
+        without, with_foreign = self._parent_outputs(make_scheme())
         assert without is not None
-        assert self._parent_output(make_scheme(), True) == without
+        assert with_foreign.encode() == without.encode()
 
 
 class TestModelValidation:
@@ -182,7 +180,7 @@ class TestModelValidation:
         rng = Randomness(1)
         plan = targeted_corruption(N, list(range(N // 3 + 1)))
         with pytest.raises(ProtocolError):
-            BalancedBA(
+            run_balanced_ba(
                 {i: 1 for i in range(N)}, plan, _snark_scheme(), params, rng
             )
 
@@ -190,10 +188,106 @@ class TestModelValidation:
         params = ProtocolParameters()
         plan = targeted_corruption(N + 1, [0])
         with pytest.raises(ProtocolError):
-            BalancedBA(
+            run_balanced_ba(
                 {i: 1 for i in range(N)}, plan, _snark_scheme(), params,
                 Randomness(1),
             )
+
+
+class TestStepFunctions:
+    """Fig. 3's steps on one node's or one party's inbox, with no run."""
+
+    SIZE = 16
+    SEED = 2021
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        return build_context(self.SIZE, self.SEED, _snark_scheme())
+
+    def test_forged_or_mutated_base_signature_never_reaches_f_aggr_sig(
+        self, setting
+    ):
+        context, signing_keys = setting
+        leaf = next(
+            leaf for leaf in context.tree.leaves
+            if is_good_node(leaf, context.plan.corrupted)
+        )
+        mail = leaf_mail(context, signing_keys, leaf)
+        honest = mail[0]
+        mutated = SnarkBaseSignature(
+            index=honest.index,
+            signature_bytes=honest.signature_bytes[:-1]
+            + bytes([honest.signature_bytes[-1] ^ 1]),
+        )
+        forged = context.scheme.sign(
+            context.pp, mail[1].index, signing_keys[mail[1].index],
+            b"forged",
+        )
+        _, filtered, _ = aggregate_node(
+            context, leaf, [mutated, forged] + mail[2:]
+        )
+        submitted = [item.base for item in filtered if hasattr(item, "base")]
+        assert [base.index for base in submitted] == [
+            signature.index for signature in mail[2:]
+        ]
+        assert mutated not in submitted and forged not in submitted
+
+    def test_range_check_is_one_childs_range(self, setting):
+        context, _ = setting
+        parent = context.tree.level_nodes(2)[-1]
+        first, second = (
+            context.tree.nodes[child_id].virtual_range
+            for child_id in parent.children[:2]
+        )
+
+        def spanning(lo, hi):
+            return SimpleNamespace(min_index=lo, max_index=hi - 1)
+
+        assert range_check_passes(context, parent, spanning(*first))
+        assert range_check_passes(context, parent, spanning(*second))
+        assert not range_check_passes(
+            context, parent, spanning(first[0], second[1])
+        )
+        assert not range_check_passes(
+            context, parent, spanning(0, parent.virtual_range[0])
+        )
+
+    def test_isolated_honest_party_signs_nothing(self, setting):
+        context, _ = setting
+        party = context.plan.honest[0]
+        virtuals = context.tree.virtuals_of_party(party)
+        assert virtuals
+        assert signing_messages(context, party, None) == []
+        assert signing_messages(context, party, (1, b"s")) == [
+            (virtual_id, context.pair_message) for virtual_id in virtuals
+        ]
+
+    def test_decide_rejects_a_sender_whose_prf_set_misses_it(self, setting):
+        context, _ = setting
+
+        class AcceptsEveryCertificate:
+            def verify(self, pp, verification_keys, message, certificate):
+                return True
+
+        context = dataclasses.replace(
+            context, scheme=AcceptsEveryCertificate()
+        )
+        seed, party = b"\x07" * 32, 0
+        prf = SubsetPRF(seed, self.SIZE, context.params.fanout(self.SIZE))
+        outside = next(
+            sender for sender in range(self.SIZE)
+            if not prf.contains(sender, party)
+        )
+        inside = next(
+            sender for sender in range(self.SIZE)
+            if prf.contains(sender, party)
+        )
+        certificate = object()
+        assert decide(context, party, [(outside, 1, seed, certificate)]) is None
+        assert decide(context, party, [(inside, 1, seed, certificate)]) == 1
+        assert decide(context, party, [
+            (outside, 0, seed, certificate), (inside, 1, seed, certificate),
+        ]) == 1
 
 
 class TestCommunicationAccounting:
@@ -252,7 +346,7 @@ class TestWorkCounters:
     def test_one_n16_run_stays_within_its_pinned_call_counts(self):
         result, (encode_uint_calls, ledger_body_calls) = self._counted_run(
             16, _snark_scheme(),
-            [serialization.encode_uint, CommunicationMetrics.record_multicast],
+            [serialization.encode_uint, CommunicationMetrics.record_exchange],
         )
         assert result.agreement
         assert result.metrics.max_bits_per_party == 3_254_032

@@ -1,13 +1,14 @@
 """What one seeded pi_ba run puts on the wire, reduced to comparable values.
 
 ``tests/protocols/test_wire_unchanged.py`` compares :func:`capture` with
-``golden/wire_parent.json``, which this file wrote when run against the
-source tree of commit 8b3624e (the last commit whose f_aggr-sig input
-carried one Merkle path per base signature)::
+``golden/wire_parent.json``, which the copy of this file at commit
+8b3624e (the last commit whose f_aggr-sig input carried one Merkle path
+per base signature) wrote when run against that commit's source tree::
 
     PYTHONPATH=<checkout of 8b3624e>/src python tests/protocols/wire_capture.py
 
-It uses nothing of the library that differs between the two commits.
+This copy reads the same node outputs through a wrapped step function,
+where that copy subclassed the protocol object.
 """
 
 import hashlib
@@ -15,11 +16,13 @@ import json
 import pathlib
 import sys
 
+import pytest
+
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import BalancedBA
+from repro.protocols import balanced_ba
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.snark_based import SnarkSRDS
 from repro.utils.randomness import Randomness
@@ -34,19 +37,29 @@ SEEDS = (7, 2021, 424242)
 AGGREGATE_PHASE = "srds-aggregate"
 
 
-class RecordingBA(BalancedBA):
-    """pi_ba that keeps what every tree node output in step 5."""
+def run_recording_nodes(*args, **kwargs):
+    """``run_balanced_ba(*args, **kwargs)`` and what every tree node
+    output in step 5, as ``{node_id: encoding hex or None}``.
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.node_encodings = {}
+    The loop hands each ``node_inbox`` call the one dict it files every
+    node's output in; once the run is over that dict holds them all,
+    the root's included.
+    """
+    step = balanced_ba.node_inbox
+    filed = []
 
-    def _aggregate_node(self, tree, node, *args, **kwargs):
-        output = super()._aggregate_node(tree, node, *args, **kwargs)
-        self.node_encodings[node.node_id] = (
-            output.encode().hex() if output is not None else None
-        )
-        return output
+    def node_inbox(context, node, leaf_mail, node_outputs):
+        if not filed:
+            filed.append(node_outputs)
+        return step(context, node, leaf_mail, node_outputs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(balanced_ba, "node_inbox", node_inbox)
+        result = balanced_ba.run_balanced_ba(*args, **kwargs)
+    return result, {
+        node_id: output.encode().hex() if output is not None else None
+        for node_id, output in filed[0].items()
+    }
 
 
 def _digest(value) -> str:
@@ -64,11 +77,10 @@ def capture(n: int, seed: int, base: str) -> dict:
     metrics = CommunicationMetrics()
     flow = FlowLedger(max_cells=1 << 20)
     metrics.attach_flow(flow)
-    protocol = RecordingBA(
+    result, node_encodings = run_recording_nodes(
         inputs, plan, SnarkSRDS(base_scheme=BASES[base]()), params,
         rng.fork("run"), metrics=metrics,
     )
-    result = protocol.run()
     assert flow.evicted_cells == 0
 
     cells = [cell.to_wire() for cell in flow.cells()]
@@ -94,9 +106,9 @@ def capture(n: int, seed: int, base: str) -> dict:
         for party in metrics.party_ids
     }
     return {
-        "node_aggregates_sha256": _digest(protocol.node_encodings),
+        "node_aggregates_sha256": _digest(node_encodings),
         "nodes_with_output": sum(
-            1 for encoded in protocol.node_encodings.values()
+            1 for encoded in node_encodings.values()
             if encoded is not None
         ),
         "certificate_bytes": result.certificate_bytes,

@@ -14,7 +14,7 @@ import pytest
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import BalancedBA, run_balanced_ba
+from repro.protocols.balanced_ba import run_balanced_ba
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.faults import FaultPlan
 from repro.runtime.placements import IN_PROCESS, LOCAL, PLACEMENTS, TCP
@@ -166,9 +166,9 @@ def test_replay_matches_simulator_tallies():
     inputs, plan, params, rng = _setting(n)
     scheme = SCHEMES["snark"]()
     ledger = RecordingLedger()
-    BalancedBA(
+    run_balanced_ba(
         inputs, plan, scheme, params, rng.fork("run"), metrics=ledger
-    ).run()
+    )
     script = ledger.script()
     sim_metrics = CommunicationMetrics()
     replay_over_simulator(script, n, metrics=sim_metrics)

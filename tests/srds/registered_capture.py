@@ -2,13 +2,15 @@
 comparable values.
 
 ``tests/srds/test_registered_unchanged.py`` compares :func:`capture` with
-``golden/registered_parent.json``, which this file wrote when run against
-the source tree of commit b6f0bec (the last commit where
-``RegisteredSRDS`` carried its own copy of the counting relation)::
+``golden/registered_parent.json``, which the copy of this file at commit
+b6f0bec (the last commit where ``RegisteredSRDS`` carried its own copy
+of the counting relation) wrote when run against that commit's source
+tree::
 
     PYTHONPATH=<checkout of b6f0bec>/src python -m tests.srds.registered_capture
 
-It uses nothing of the library that differs between the two commits.
+This copy reads each node's output through
+:func:`tests.protocols.wire_capture.run_recording_nodes`.
 """
 
 import json
@@ -20,7 +22,7 @@ from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
 from repro.srds.registered import RegisteredSRDS
 from repro.utils.randomness import Randomness
-from tests.protocols.wire_capture import RecordingBA, _digest
+from tests.protocols.wire_capture import _digest, run_recording_nodes
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "registered_parent.json"
 
@@ -35,11 +37,10 @@ def capture(n: int, seed: int) -> dict:
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
     inputs = {party: party % 2 for party in range(n)}
     metrics = CommunicationMetrics()
-    protocol = RecordingBA(
+    result, node_encodings = run_recording_nodes(
         inputs, plan, RegisteredSRDS(), params, rng.fork("run"),
         metrics=metrics,
     )
-    result = protocol.run()
     tallies = {
         str(party): [
             tally.bits_sent, tally.bits_received,
@@ -48,14 +49,14 @@ def capture(n: int, seed: int) -> dict:
         for party in metrics.party_ids
         for tally in [metrics.tally_of(party)]
     }
-    root = max(protocol.node_encodings)
+    root = max(node_encodings)
     return {
-        "node_aggregates_sha256": _digest(protocol.node_encodings),
+        "node_aggregates_sha256": _digest(node_encodings),
         "nodes_with_output": sum(
-            1 for encoded in protocol.node_encodings.values()
+            1 for encoded in node_encodings.values()
             if encoded is not None
         ),
-        "certificate_hex": protocol.node_encodings[root],
+        "certificate_hex": node_encodings[root],
         "certificate_bytes": result.certificate_bytes,
         "outputs_sha256": _digest(
             [result.outputs[party] for party in range(n)]

@@ -6,13 +6,11 @@ import weakref
 
 import pytest
 
+from repro.aetree.analysis import is_good_node
 from repro.crypto.hashing import hash_chain
 from repro.crypto.merkle import MerkleMultiProof
 from repro.crypto.snark import forge_random_proof
 from repro.errors import SignatureError
-from repro.net.adversary import random_corruption
-from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import compute_srds_setup
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.pcd import encode_statement
 from repro.srds.registered import RegisteredSRDS
@@ -28,7 +26,7 @@ from repro.srds.snark_based import (
 )
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import encode_sequence
-from tests.protocols.wire_capture import RecordingBA
+from tests.protocols.step_context import build_context, leaf_mail, node_output
 
 N = 120
 
@@ -563,56 +561,24 @@ class TestRangeCheckBeforeAggregate1:
                 pp, verification_keys, message, signatures
             )
 
-    def _run(self, inject):
-        """One run; with ``inject`` the first leaf also receives a valid
-        signature of the first virtual id of the *next* leaf."""
-        params = ProtocolParameters()
-        rng = Randomness(self.SEED)
-        plan = random_corruption(
-            self.N, params.max_corruptions(self.N), rng.fork("c")
-        )
-        scheme = self._SpyScheme()
-        material = []
-        foreign = []
-
-        def provider(scheme_, num_virtual, rng_):
-            material.append(compute_srds_setup(scheme_, num_virtual, rng_))
-            return material[0]
-
-        class Run(RecordingBA):
-            def _aggregate_node(
-                self, tree, node, received, pp, vks, pair_message
-            ):
-                if inject and node.node_id == tree.leaves[0].node_id:
-                    outside = node.virtual_range[1]
-                    foreign.append(scheme.sign(
-                        pp, outside, material[0].signing_keys[outside],
-                        pair_message,
-                    ))
-                    received = received + foreign
-                return super()._aggregate_node(
-                    tree, node, received, pp, vks, pair_message
-                )
-
-        protocol = Run(
-            {party: party % 2 for party in range(self.N)}, plan, scheme,
-            params, rng.fork("run"), setup_provider=provider,
-        )
-        result = protocol.run()
-        return (
-            result, protocol.node_encodings, scheme.aggregate1_inputs, foreign
-        )
-
     def test_out_of_range_signature_never_reaches_aggregate1(self):
-        clean, clean_outputs, _, _ = self._run(inject=False)
-        result, outputs, aggregate1_inputs, foreign = self._run(inject=True)
-        assert len(foreign) == 1
+        """The first leaf receives its honest mail plus a valid signature
+        of the first virtual id of the *next* leaf."""
+        scheme = self._SpyScheme()
+        context, signing_keys = build_context(self.N, self.SEED, scheme)
+        leaf = context.tree.leaves[0]
+        assert is_good_node(leaf, context.plan.corrupted)
+        mail = leaf_mail(context, signing_keys, leaf)
+        outside = leaf.virtual_range[1]
+        foreign = scheme.sign(
+            context.pp, outside, signing_keys[outside], context.pair_message
+        )
+        clean = node_output(context, leaf, mail)
+        injected = node_output(context, leaf, mail + [foreign])
         assert all(
-            foreign[0] is not signature
-            for signatures in aggregate1_inputs
+            foreign is not signature
+            for signatures in scheme.aggregate1_inputs
             for signature in signatures
         )
-        assert all(output is not None for output in clean_outputs.values())
-        assert outputs == clean_outputs
-        assert result.outputs == clean.outputs
-        assert result.certificate_bytes == clean.certificate_bytes
+        assert clean is not None
+        assert injected.encode() == clean.encode()

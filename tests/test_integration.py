@@ -13,7 +13,10 @@ from repro.functionalities.ae_comm import AlmostEverywhereComm
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
 from repro.params import ProtocolParameters
-from repro.protocols.balanced_ba import BalancedBA, run_balanced_ba
+from repro.protocols.balanced_ba import (
+    certified_propagation,
+    run_balanced_ba,
+)
 from repro.protocols.broadcast import BroadcastService
 from repro.srds.base_sigs import HashRegistryBase, SchnorrBase
 from repro.srds.ots import WinternitzOts
@@ -88,19 +91,15 @@ class TestFullStackVariants:
         ae = AlmostEverywhereComm(
             N, PARAMS, plan, metrics, rng.fork("ae"), tree=tree
         )
-        protocol = BalancedBA(
-            {i: 1 for i in range(N)}, plan,
-            SnarkSRDS(base_scheme=HashRegistryBase()), PARAMS,
-            rng.fork("p"), metrics=metrics,
-        )
-        pp = protocol.scheme.setup(tree.num_virtual, rng.fork("srds"))
+        scheme = SnarkSRDS(base_scheme=HashRegistryBase())
+        pp = scheme.setup(tree.num_virtual, rng.fork("srds"))
         verification_keys, signing_keys = {}, {}
         for virtual_id in range(tree.num_virtual):
-            vk, sk = protocol.scheme.keygen(pp, rng.fork(f"k{virtual_id}"))
+            vk, sk = scheme.keygen(pp, rng.fork(f"k{virtual_id}"))
             verification_keys[virtual_id] = vk
             signing_keys[virtual_id] = sk
-        outputs, certificate_bytes = protocol.certified_propagation(
-            ae, pp, verification_keys, signing_keys, y=1,
+        outputs, certificate_bytes = certified_propagation(
+            ae, scheme, pp, verification_keys, signing_keys, y=1,
             seed=rng.fork("coin").random_bytes(32),
         )
         honest_outputs = {outputs[p] for p in plan.honest}

@@ -89,13 +89,13 @@ RETIRED = (
         "OBS001", "protocols/balanced_ba.py",
         ((
             "            charge = cost_model.committee_ba(len(committee))\n"
-            "            self.metrics.charge_functionality(\n"
+            "            metrics.charge_functionality(\n"
             "                committee, charge.bits_per_party, "
             "charge.peers_per_party,\n"
             "                charge.rounds,\n"
             "            )\n",
             "            charge = cost_model.committee_ba(len(committee))\n"
-            "        self.metrics.charge_functionality(\n"
+            "        metrics.charge_functionality(\n"
             "            committee, charge.bits_per_party, "
             "charge.peers_per_party,\n"
             "            charge.rounds,\n"
