@@ -14,7 +14,7 @@ This example demonstrates the four claims the runtime makes:
 
 1. **Differential equivalence** — phase-king over the runtime produces
    byte-identical outputs and an identical communication snapshot to
-   ``SynchronousNetwork``, on both transports.
+   the in-process row, on both transports.
 2. **π_ba parity** — the full Fig. 3 protocol, record-and-replayed
    over real TCP sockets, charges each party exactly the bits the
    reference accounting says it should (polylog per party).

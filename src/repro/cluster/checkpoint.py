@@ -21,18 +21,18 @@ No ledger state lives here: a shard never owns a ledger, and the
 supervisor carries its own across a restart (``supervisor.ckpt``).
 
 The container additionally stores the shard's **staged frames** (sent
-but not yet due for delivery) as one :mod:`repro.net.trains` body: a
-cluster worker's own in-flight mesh traffic at the barrier, or the
-in-process runner's pending list.
+but not yet due for delivery) as one :mod:`repro.net.trains` body: the
+frames the shard's round core holds at the barrier, in
+``(deliver_round, sender, seq)`` order.
 
-Durability: :func:`save_checkpoint` writes to a temp file, fsyncs, and
-atomically replaces the target, so a crash mid-write never leaves a
-torn checkpoint behind — the previous one survives intact.
+Durability: :func:`save_checkpoint` publishes through
+:func:`repro.utils.durable.write_atomic` (temp file, fsync, atomic
+replace), so a crash mid-write never leaves a torn checkpoint behind —
+the previous one survives intact.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Union
 from repro.errors import ClusterError, SerializationError
 from repro.net.party import Frame, Party
 from repro.net.trains import decode_train_body, encode_train_body
+from repro.utils.durable import write_atomic
 from repro.utils.serialization import (
     decode_bytes,
     decode_uint,
@@ -167,17 +168,9 @@ def save_checkpoint(
     directory: Union[str, Path], name: str, checkpoint: ClusterCheckpoint
 ) -> Path:
     """Durably persist a checkpoint (write-temp, fsync, atomic rename)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    target = checkpoint_path(directory, name)
-    temp = target.with_suffix(".ckpt.tmp")
-    payload = encode_checkpoint(checkpoint)
-    with temp.open("wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, target)
-    return target
+    return write_atomic(
+        checkpoint_path(directory, name), encode_checkpoint(checkpoint)
+    )
 
 
 def load_checkpoint(

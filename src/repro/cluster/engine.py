@@ -2,15 +2,16 @@
 
 :class:`ShardEngine` is the *inner loop* of a cluster worker: the
 sharded placement of :class:`~repro.net.rounds.RoundCore` (which holds
-the model and the determinism contract — each party's stream depends
-only on its own inbox and program order, so sharding the party set
-across engines changes nothing).  Given the frames due at a round
-barrier it steps its shard's parties and returns the frames they emit;
-on top of the core it adds only what a shard needs: validation that the
-worker loop and the mesh handed it the right round and the right
-parties' frames, and :meth:`snapshot` / :meth:`restore` so a checkpoint
-(:mod:`repro.cluster.checkpoint`) captures its complete state — party
-snapshots, per-sender send sequence counters, trace sequence offsets.
+the model, the determinism contract and every frame until it is due —
+each party's stream depends only on its own inbox and program order, so
+sharding the party set across engines changes nothing).  It holds the
+frames that reach its shard, steps its shard's parties and returns the
+frames they emit; on top of the core it adds only what a shard needs:
+validation that the worker loop and the mesh handed it the right round
+and the right parties' frames, and :meth:`snapshot` / :meth:`restore`
+so a checkpoint (:mod:`repro.cluster.checkpoint`) captures its complete
+state — party snapshots, per-sender send sequence counters, trace
+sequence offsets, the frames still in flight.
 It is deliberately a plain synchronous object — no sockets, no clocks,
 no randomness.
 """
@@ -66,45 +67,35 @@ class ShardEngine:
 
     # -- one round --------------------------------------------------------------
 
-    def step_round(
-        self, round_index: int, due_frames: Iterable[Frame]
-    ) -> List[Frame]:
+    def hold(self, frames: Iterable[Frame]) -> None:
+        """Hand the core frames for this shard's parties, due or not."""
+        frames = list(frames)
+        for frame in frames:
+            if frame.recipient not in self.parties:
+                raise ClusterError(
+                    f"frame for party {frame.recipient} routed to a shard "
+                    f"holding {self.party_ids}"
+                )
+        self.core.hold(frames)
+
+    def step_round(self, round_index: int) -> List[Frame]:
         """Execute one synchronous round for this shard.
 
-        ``due_frames`` are the frames whose ``deliver_round`` has
-        arrived for this shard's parties.  Returns the frames the shard
-        emits (recipients may live on any shard — routing is the
-        caller's job).
+        Returns the frames the shard emits (recipients may live on any
+        shard — routing is the caller's job).
         """
         if round_index != self.next_round:
             raise ClusterError(
                 f"shard is at round {self.next_round}, "
                 f"asked to step round {round_index}"
             )
-        due = list(due_frames)
-        for frame in due:
-            if frame.recipient not in self.parties:
-                raise ClusterError(
-                    f"frame for party {frame.recipient} routed to a shard "
-                    f"holding {self.party_ids}"
-                )
-            if frame.deliver_round > round_index:
-                raise ClusterError(
-                    f"frame due at round {frame.deliver_round} delivered "
-                    f"at round {round_index}"
-                )
-        return self.core.step_round(round_index, due)
+        return self.core.step_round(round_index)
 
     # -- checkpoint/restore -----------------------------------------------------
 
-    def snapshot(
-        self, staged: Optional[Sequence[Frame]] = None
-    ) -> ClusterCheckpoint:
-        """Freeze the shard at its current round barrier.
-
-        ``staged`` are the caller's in-flight frames for this shard (a
-        worker's staged mesh traffic).
-        """
+    def snapshot(self) -> ClusterCheckpoint:
+        """Freeze the shard at its current round barrier, the frames its
+        core still holds included."""
         records: List[PartyCheckpoint] = []
         for party_id in sorted(self.parties):
             records.append(
@@ -121,7 +112,7 @@ class ShardEngine:
         return ClusterCheckpoint(
             next_round=self.next_round,
             parties=records,
-            staged=list(staged) if staged else [],
+            staged=self.core.held(),
         )
 
     @classmethod
@@ -135,7 +126,8 @@ class ShardEngine:
         Per-sender send sequence counters and (when a recorder is
         supplied) trace sequence counters are primed from the
         checkpoint, so resumed frames and events continue the exact
-        numbering of the interrupted run.
+        numbering of the interrupted run; its staged frames are held
+        again.
         """
         parties = [record.restore_party() for record in checkpoint.parties]
         engine = cls(
@@ -145,4 +137,5 @@ class ShardEngine:
             engine.core.send_seq[record.party_id] = record.send_seq
             if trace is not None:
                 trace.prime(record.party_id, record.trace_seq)
+        engine.hold(checkpoint.staged)
         return engine

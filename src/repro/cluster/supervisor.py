@@ -76,9 +76,10 @@ from repro.cluster.worker import checkpoint_name, worker_main
 from repro.errors import ClusterError
 from repro.net.fork import exit_status, fork_child
 from repro.net.metrics import CommunicationMetrics
+from repro.net.rounds import RuntimeResult
 from repro.obs.flow import FUNCTIONALITY, INFRA, FlowLedger
-from repro.runtime.synchronizer import RuntimeResult
 from repro.runtime.trace import TraceRecorder
+from repro.utils.durable import write_atomic
 
 #: Durable supervisor state file inside the run directory.
 STATE_FILE = "supervisor.ckpt"
@@ -682,13 +683,10 @@ class ClusterSupervisor:
                 None if self.trace is None else self._save_trace_segment()
             ),
         }
-        target = self.run_dir / STATE_FILE
-        temp = target.with_suffix(".ckpt.tmp")
-        with temp.open("wb") as handle:
-            pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, target)
+        write_atomic(
+            self.run_dir / STATE_FILE,
+            pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def _load_state(self) -> None:
         assert self.run_dir is not None

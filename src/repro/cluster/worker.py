@@ -13,12 +13,13 @@ the only round barrier:
    :class:`~repro.cluster.mesh.MeshRouter` and report the round it
    stands at (``resumed``);
 2. run rounds back to back: step the
-   :class:`~repro.cluster.engine.ShardEngine` over the shard's due
-   staged frames, ship the emitted frames to the peers that own their
-   recipients (one train per peer, empty trains included — they are the
-   round barrier — each flagged "every target in my shard has halted"),
-   wait for every peer's train, stage what arrived, write the shard's
-   checkpoint if the round closes a barrier, and stream a one-way
+   :class:`~repro.cluster.engine.ShardEngine` (whose core holds every
+   frame until it is due), ship the emitted frames to the peers that
+   own their recipients (one train per peer, empty trains included —
+   they are the round barrier — each flagged "every target in my shard
+   has halted"), hand the engine its own shard's frames, wait for every
+   peer's train, hand it what arrived, write the shard's checkpoint if
+   the round closes a barrier, and stream a one-way
    ``done`` home with a charge digest of the emissions (one row per
    multicast run), the shard's halted outputs and — only when the job
    says ``traced`` — its drained trace events;
@@ -51,7 +52,7 @@ import signal
 import socket
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.cluster.checkpoint import (
     decode_checkpoint,
@@ -148,7 +149,7 @@ def worker_main(
         # Untraced, the round core records nothing and every done
         # carries no trace events.
         trace = TraceRecorder() if job["traced"] else None
-        engine, staged = _build_engine(
+        engine = _build_engine(
             job_msg.blob, shard, int(job.get("resume_round", 0)),
             checkpoint_dir, checkpoint_stem, trace,
         )
@@ -172,9 +173,7 @@ def worker_main(
         finished = False
         while not finished and engine.next_round < max_rounds:
             round_index = engine.next_round
-            due = [f for f in staged if f.deliver_round <= round_index]
-            staged = [f for f in staged if f.deliver_round > round_index]
-            out_frames = engine.step_round(round_index, due)
+            out_frames = engine.step_round(round_index)
             if round_index == kill_round:
                 os.kill(os.getpid(), signal.SIGKILL)
             finished = targets <= set(engine.outputs())
@@ -183,6 +182,7 @@ def worker_main(
             # run, the very charges record_frames would make.
             digest = list(multicast_runs(out_frames))
             trains: Dict[int, List[Frame]] = {peer: [] for peer in peers}
+            own: List[Frame] = []
             for frame in out_frames:
                 dest = owner.get(frame.recipient)
                 if dest is None:
@@ -191,9 +191,10 @@ def worker_main(
                         "shard of the job"
                     )
                 if dest == worker_id:
-                    staged.append(frame)
+                    own.append(frame)
                 else:
                     trains[dest].append(frame)
+            engine.hold(own)
             # An empty train is still sent: it is the peer's evidence
             # this worker finished the round (the mesh round barrier).
             for peer in peers:
@@ -207,22 +208,16 @@ def worker_main(
                 arrived, peers_halted = router.collect_round(
                     round_index, peers
                 )
-                staged.extend(arrived)
+                engine.hold(arrived)
                 finished = finished and peers_halted
             fields = {"round": round_index}
             barrier = round_index + 1
             if interval and barrier % interval == 0:
-                # Named by barrier round; the staged frames ride along
-                # (sorted for deterministic bytes).
+                # Named by barrier round; the frames in flight ride along.
                 save_checkpoint(
                     checkpoint_dir,
                     checkpoint_name(checkpoint_stem, barrier),
-                    engine.snapshot(
-                        staged=sorted(
-                            staged,
-                            key=lambda f: (f.deliver_round, f.sender, f.seq),
-                        )
-                    ),
+                    engine.snapshot(),
                 )
                 fields["checkpoint"] = barrier
             channel.send(
@@ -278,13 +273,13 @@ def _build_engine(
     checkpoint_dir: Path,
     checkpoint_stem: str,
     trace: Optional[TraceRecorder],
-) -> "Tuple[ShardEngine, List[Frame]]":
+) -> ShardEngine:
     """Restore the shard from the checkpoint at barrier ``resume_round``.
 
     Round 0's checkpoint is the JOB blob; a positive value names the
     barrier the supervisor committed (every shard announced it), so the
-    file must exist.  Returns the engine plus the checkpoint's staged
-    frames (the worker's own in-flight traffic at that barrier).
+    file must exist.  The engine holds the checkpoint's staged frames
+    (the shard's in-flight traffic at that barrier).
     """
     name = checkpoint_name(checkpoint_stem, resume_round)
     checkpoint = (
@@ -303,4 +298,4 @@ def _build_engine(
             f"checkpoint {name!r} holds parties "
             f"{engine.party_ids}, job assigns {sorted(shard)}"
         )
-    return engine, list(checkpoint.staged)
+    return engine

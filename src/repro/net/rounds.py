@@ -6,18 +6,21 @@ start of round ``r + 1``; the channel — never the party — names the
 sender, so a Byzantine party can lie in its *payload* but cannot spoof
 who it is.
 
-:class:`RoundCore` is the only place in ``src/`` that orders an inbox,
-calls :meth:`Party.step <repro.net.party.Party.step>`, builds one
+:class:`RoundCore` is the only place in ``src/`` that holds a frame
+until its delivery round, orders an inbox, calls :meth:`Party.step
+<repro.net.party.Party.step>`, builds one
 :class:`~repro.net.party.Frame` from each
 :class:`~repro.net.party.Envelope` a party returns (two separate named
 tuples: a frame is not an envelope, and the recipient is handed the
 frame itself), consults a :class:`~repro.runtime.faults.FaultPlan` when
 it holds one and emits trace events.  The executors are *placements* of
-it and own only where frames wait between two barriers:
+it and own only how a frame reaches the core that holds its recipient:
 
-* :class:`~repro.net.simulator.SynchronousNetwork` — an in-memory list;
-* :class:`~repro.runtime.synchronizer.RoundSynchronizer` — an asyncio
-  :class:`~repro.runtime.transport.Transport` (local buffers or TCP);
+* :func:`run_in_process` — the emitted frames go straight back to the
+  same core;
+* :class:`~repro.runtime.synchronizer.RoundSynchronizer` — they cross
+  an asyncio :class:`~repro.runtime.transport.Transport` (local buffers
+  or TCP);
 * :class:`~repro.cluster.engine.ShardEngine` — one shard of a cluster,
   whose worker routes frames over the mesh.
 
@@ -28,15 +31,16 @@ sequence number, ``deliver_round = sent_round + 1 + delay``, the bits
 its envelope declared, and the phase ``envelope.phase or current_phase()
 or ""``.  Each party's trace stream (round-barrier, recvs, sends/drops,
 halt) therefore depends only on its own inbox and program order — so the
-three placements agree message for message, tally for tally and trace
-byte for trace byte *by construction*, and sharding the party set across
-cores changes nothing.  A fault plan perturbs this only inside the
-freedom the model leaves (plus explicitly modelled faults), and all of
-its choices are keyed by message coordinates, never by call order.
+placements agree message for message, tally for tally and trace byte for
+trace byte *by construction*, and sharding the party set across cores
+changes nothing.  A fault plan perturbs this only inside the freedom the
+model leaves (plus explicitly modelled faults), and all of its choices
+are keyed by message coordinates, never by call order.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
@@ -50,15 +54,20 @@ from typing import (
 )
 
 from repro.errors import NetworkError, ReproError
+from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame, Party
 from repro.obs.spans import current_phase
 
 if TYPE_CHECKING:
     from repro.runtime.faults import FaultPlan
+    from repro.runtime.trace import TraceRecorder
 
 #: The inbox order of the determinism contract; a transport's barrier
 #: charges a round's landed frames in it too.
 CANONICAL_ORDER = attrgetter("sent_round", "sender", "seq")
+#: The order :meth:`RoundCore.held` reports waiting frames in (a shard
+#: checkpoint stores them so).
+HELD_ORDER = attrgetter("deliver_round", "sender", "seq")
 
 # Trace event kinds (the schema is :mod:`repro.runtime.trace`'s; they
 # are defined beside their one lockstep emitter).
@@ -87,10 +96,11 @@ def _perturbed(
 class RoundCore:
     """Steps a set of parties through one synchronous round at a time.
 
-    The core owns no ledger and no queue: :meth:`step_round` takes the
-    frames due at a barrier and returns the frames the parties emit;
-    holding, moving and charging them is the placement's job, so a
-    sharded run cannot double-charge.
+    The core owns no ledger: a placement hands it (:meth:`hold`) every
+    frame that reaches its parties, whatever its ``deliver_round``;
+    :meth:`step_round` delivers the frames that are due, keeps the rest
+    and returns the frames the parties emit.  Moving and charging those
+    is the placement's job, so a sharded run cannot double-charge.
 
     ``policy=None`` is §1's lockstep delivery, and a fault plan is the
     only other.  ``whole_network=False`` marks the party set as one
@@ -122,21 +132,36 @@ class RoundCore:
         self.send_seq: Dict[int, int] = {p: 0 for p in self.parties}
         self._whole_network = whole_network
         self._crash_traced: set = set()
+        self._held: List[Frame] = []
+
+    # -- frames in flight ------------------------------------------------------
+
+    def hold(self, frames: Iterable[Frame]) -> None:
+        """Take frames for this core's parties, in any order; each waits
+        here until its ``deliver_round``."""
+        self._held.extend(frames)
+
+    def held(self) -> List[Frame]:
+        """The frames not yet delivered, in :data:`HELD_ORDER`."""
+        return sorted(self._held, key=HELD_ORDER)
 
     # -- one round -------------------------------------------------------------
 
-    def step_round(
-        self, round_index: int, due_frames: Iterable[Frame]
-    ) -> List[Frame]:
+    def step_round(self, round_index: int) -> List[Frame]:
         """Execute round ``round_index``; returns the emitted frames.
 
-        ``due_frames`` are the frames whose ``deliver_round`` has
-        arrived, in any order.  Frames for a halted, crashed or absent
-        party are discarded.
+        Delivers the held frames whose ``deliver_round`` has arrived and
+        keeps the rest.  Frames for a halted, crashed or absent party
+        are discarded.
         """
         inboxes: Dict[int, List[Frame]] = {}
-        for frame in due_frames:
-            inboxes.setdefault(frame.recipient, []).append(frame)
+        later: List[Frame] = []
+        for frame in self._held:
+            if frame.deliver_round > round_index:
+                later.append(frame)
+            else:
+                inboxes.setdefault(frame.recipient, []).append(frame)
+        self._held = later
         parties, policy, trace = self.parties, self.policy, self.trace
         next_round = round_index + 1
         emitted: List[Frame] = []
@@ -265,3 +290,34 @@ class RoundCore:
             for party_id, party in self.parties.items()
             if party.halted
         }
+
+
+@dataclass
+class RuntimeResult:
+    """Outcome of one run on any placement."""
+
+    outputs: Dict[int, object]
+    metrics: CommunicationMetrics
+    rounds: int
+    trace: Optional[TraceRecorder]
+
+
+def run_in_process(
+    parties: Sequence[Party],
+    until: Optional[Iterable[int]] = None,
+    max_rounds: int = 10_000,
+    *,
+    metrics: Optional[CommunicationMetrics] = None,
+    trace: Optional[TraceRecorder] = None,
+    fault_plan: Optional[FaultPlan] = None,
+) -> RuntimeResult:
+    """The in-process placement: each round's frames are charged in the
+    round they were sent and handed straight back to the core."""
+    core = RoundCore(parties, policy=fault_plan, trace=trace)
+    metrics = metrics if metrics is not None else CommunicationMetrics()
+    for round_index in core.rounds(until, max_rounds):
+        emitted = core.step_round(round_index)
+        metrics.record_frames(emitted)
+        metrics.end_round()
+        core.hold(emitted)
+    return RuntimeResult(core.outputs(), metrics, core.round_index, trace)

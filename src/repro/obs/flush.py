@@ -4,8 +4,9 @@ write path.
 A run's artifacts are read exactly when something went wrong, so a bare
 ``write_text`` that leaves a half-written file when the process dies
 mid-flush fails at the worst moment.  :func:`write_atomic_text` is the
-single shared path (tmp + fsync + ``os.replace``): a reader or CI
-artifact collector never observes a torn file.
+text door of :func:`repro.utils.durable.write_atomic` (tmp + fsync +
+``os.replace``): a reader or CI artifact collector never observes a
+torn file.
 
 Two CLI surfaces (``serve run`` and ``cluster run``) attach a
 wire-level flow ledger for ``--flow-out``; :func:`open_flow` and
@@ -20,24 +21,16 @@ The gateway publishes its ``serve run --metrics-out`` snapshot with
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.obs.flow import FlowLedger
+from repro.utils.durable import write_atomic
 
 
 def write_atomic_text(path: Path, text: str) -> Path:
     """Durably publish ``text`` at ``path`` (tmp + fsync + replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(path.name + ".tmp")
-    with temp.open("w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
-    return path
+    return write_atomic(path, text.encode("utf-8"))
 
 
 def open_flow(flow_out: Path) -> FlowLedger:

@@ -41,6 +41,7 @@ from repro.crypto.shamir import Share
 from repro.errors import MALFORMED_INPUT_ERRORS, ConfigurationError
 from repro.fields.prime_field import FieldElement, default_field
 from repro.net.party import Envelope, Frame, Party
+from repro.net.rounds import run_in_process
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import (
     canonical_tuple,
@@ -281,20 +282,16 @@ class SilentCoinTossParty(Party):
         return []
 
 
-def run_coin_toss(
+def build_coin_toss(
     members: Sequence[int],
     rng: Randomness,
     byzantine: Sequence[int] = (),
-    metrics=None,
-):
-    """Convenience driver; returns ``(outputs, metrics)``.
+) -> Tuple[List[Party], List[int], int]:
+    """The coin-toss party set, built once for every executor.
 
-    ``outputs`` maps each honest member to its kappa-bit coin; agreement
-    among them is a protocol guarantee the tests assert.
+    Returns ``(parties, honest_ids, max_rounds)``: honest members deal
+    from their own fork of ``rng``, byzantine ones stay silent.
     """
-    from repro.net.metrics import CommunicationMetrics
-    from repro.net.simulator import SynchronousNetwork
-
     members = sorted(members)
     byzantine_set = set(byzantine)
     f = max(1, (len(members) - 1) // 3)
@@ -310,12 +307,25 @@ def run_coin_toss(
             parties.append(
                 CoinTossParty(member, members, f, rng.fork(f"ct-{member}"))
             )
-    metrics = metrics if metrics is not None else CommunicationMetrics()
-    network = SynchronousNetwork(parties, metrics=metrics)
     honest_ids = [m for m in members if m not in byzantine_set]
-    network.run_until(honest_ids, max_rounds=8)
-    outputs = {member: network.parties[member].output for member in honest_ids}
-    return outputs, metrics
+    return parties, honest_ids, 8
+
+
+def run_coin_toss(
+    members: Sequence[int],
+    rng: Randomness,
+    byzantine: Sequence[int] = (),
+    metrics=None,
+):
+    """Convenience driver; returns ``(outputs, metrics)``.
+
+    ``outputs`` maps each honest member to its kappa-bit coin; agreement
+    among them is a protocol guarantee the tests assert.
+    """
+    parties, honest_ids, max_rounds = build_coin_toss(members, rng, byzantine)
+    result = run_in_process(parties, honest_ids, max_rounds, metrics=metrics)
+    outputs = {member: result.outputs[member] for member in honest_ids}
+    return outputs, result.metrics
 
 
 def ideal_f_ct(rng: Randomness) -> bytes:

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto import schnorr
 from repro.errors import MALFORMED_INPUT_ERRORS, ConfigurationError
-from repro.net.party import Envelope, Frame, Party
+from repro.net.party import Envelope, Frame, Party, SilentParty
+from repro.net.rounds import run_in_process
 from repro.utils.randomness import Randomness
 from repro.utils.serialization import (
     canonical_tuple,
@@ -193,7 +194,7 @@ class EquivocatingSender(DolevStrongParty):
         return super().step(round_index, inbox)
 
 
-def run_dolev_strong(
+def build_dolev_strong(
     members: Sequence[int],
     sender: int,
     value: int,
@@ -201,11 +202,13 @@ def run_dolev_strong(
     max_faults: Optional[int] = None,
     equivocating_sender: bool = False,
     byzantine: Sequence[int] = (),
-):
-    """Convenience driver; returns ``(outputs, metrics)``.
+) -> Tuple[List[Party], List[int], int]:
+    """The Dolev–Strong party set, built once for every executor.
 
-    ``byzantine`` parties simply stay silent (worst case for liveness);
-    an equivocating *sender* is modeled by ``equivocating_sender``.
+    Returns ``(parties, honest_ids, max_rounds)``: every member holds a
+    Schnorr key pair from its own fork of ``rng``; ``byzantine`` parties
+    simply stay silent (worst case for liveness), and an equivocating
+    *sender* is modeled by ``equivocating_sender``.
     """
     members = sorted(members)
     if sender not in members:
@@ -221,10 +224,6 @@ def run_dolev_strong(
         member: keypair.public_bytes
         for member, keypair in keypairs.items()
     }
-
-    from repro.net.metrics import CommunicationMetrics
-    from repro.net.simulator import SynchronousNetwork
-    from repro.net.party import SilentParty
 
     parties: List[Party] = []
     for member in members:
@@ -242,11 +241,26 @@ def run_dolev_strong(
                 sender_value=value if member == sender else None,
             )
         )
-    metrics = CommunicationMetrics()
-    network = SynchronousNetwork(parties, metrics=metrics)
     honest = [m for m in members if m not in byzantine_set]
     if equivocating_sender:
         honest = [m for m in honest if m != sender]
-    network.run_until(honest, max_rounds=t + 4)
-    outputs = {member: network.parties[member].output for member in honest}
-    return outputs, metrics
+    return parties, honest, t + 4
+
+
+def run_dolev_strong(
+    members: Sequence[int],
+    sender: int,
+    value: int,
+    rng: Randomness,
+    max_faults: Optional[int] = None,
+    equivocating_sender: bool = False,
+    byzantine: Sequence[int] = (),
+):
+    """Convenience driver; returns ``(outputs, metrics)``."""
+    parties, honest, max_rounds = build_dolev_strong(
+        members, sender, value, rng, max_faults, equivocating_sender,
+        byzantine,
+    )
+    result = run_in_process(parties, honest, max_rounds)
+    outputs = {member: result.outputs[member] for member in honest}
+    return outputs, result.metrics

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.net.party import Envelope, Frame, Party, SilentParty
+from repro.net.rounds import run_in_process
 from repro.obs.spans import span
 from repro.utils.serialization import decode_uint, encode_uint
 
@@ -201,18 +202,13 @@ def run_gradecast(
 ):
     """Convenience driver; returns ``(outputs, metrics)`` with outputs
     mapping honest ids to (value, grade) pairs."""
-    from repro.net.metrics import CommunicationMetrics
-    from repro.net.simulator import SynchronousNetwork
-
     parties, honest, max_rounds = build_gradecast(
         members, sender, value, byzantine, equivocating_sender
     )
-    metrics = CommunicationMetrics()
-    network = SynchronousNetwork(parties, metrics=metrics)
     with span("gradecast", n=len(parties), sender=sender):
-        network.run_until(honest, max_rounds=max_rounds)
-    outputs = {member: network.parties[member].output for member in honest}
-    return outputs, metrics
+        result = run_in_process(parties, honest, max_rounds)
+    outputs = {member: result.outputs[member] for member in honest}
+    return outputs, result.metrics
 
 
 def check_gradecast_guarantees(

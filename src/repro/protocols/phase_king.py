@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SerializationError
 from repro.net.party import Envelope, Frame, Party
+from repro.net.rounds import run_in_process
 from repro.obs.spans import span
 from repro.utils.serialization import encode_uint
 
@@ -248,18 +249,13 @@ def run_phase_king(
     Returns ``(outputs, metrics)`` where ``outputs`` maps honest party id
     to its decision.
     """
-    from repro.net.metrics import CommunicationMetrics
-    from repro.net.simulator import SynchronousNetwork
-
     parties, honest_ids, max_rounds = build_phase_king(inputs, byzantine)
-    metrics = metrics if metrics is not None else CommunicationMetrics()
-    network = SynchronousNetwork(parties, metrics=metrics)
     with span("phase-king", n=len(inputs), f=_max_faults(len(inputs))):
-        network.run_until(honest_ids, max_rounds=max_rounds)
-    outputs = {
-        member: network.parties[member].output for member in honest_ids
-    }
-    return outputs, metrics
+        result = run_in_process(
+            parties, honest_ids, max_rounds, metrics=metrics
+        )
+    outputs = {member: result.outputs[member] for member in honest_ids}
+    return outputs, result.metrics
 
 
 def ideal_f_ba(inputs: Dict[int, int], num_corrupt: int,

@@ -7,20 +7,22 @@ state machines — unchanged — over an asyncio event loop:
   in-process :class:`AsyncLocalTransport` and loopback-socket
   :class:`TcpTransport`, both charging the shared metrics ledger;
 * :mod:`repro.runtime.synchronizer` — :class:`RoundSynchronizer`, the
-  transport placement of :class:`repro.net.rounds.RoundCore`: the round
-  barrier that recovers the paper's synchronous model (§1), and the
-  :func:`run_parties` facade;
+  transport placement of :class:`repro.net.rounds.RoundCore` (which
+  holds every frame until it is due): the round barrier that recovers
+  the paper's synchronous model (§1), and the :func:`run_parties`
+  facade;
 * :mod:`repro.runtime.faults` — seeded, reproducible crash / delay /
   reorder / duplication / partition injection (:class:`FaultPlan`);
 * :mod:`repro.runtime.trace` — per-party JSONL execution traces;
 * :mod:`repro.runtime.replay` — wire replay of metered (hybrid-model)
   executions, and :func:`~repro.runtime.replay.replay_balanced_ba`, the
   one π_ba driver for every placement;
-* :mod:`repro.runtime.placements` — the placement table: ``in-process``,
-  ``local``, ``tcp`` and ``mesh(k)``, each taking parties.
+* :mod:`repro.runtime.placements` — the placement table: ``in-process``
+  (:func:`repro.net.rounds.run_in_process`), ``local``, ``tcp`` and
+  ``mesh(k)``, each taking parties.
 
 See ``docs/runtime.md`` for the architecture and the differential
-guarantees tying the runtime to :class:`SynchronousNetwork`.  As in
+guarantees tying the runtime to the in-process row.  As in
 :mod:`repro.cluster`, the package itself re-exports nothing: import
 from the defining module.
 """

@@ -1,10 +1,11 @@
 """The four placements of the one round core, behind one call shape.
 
-:class:`~repro.net.rounds.RoundCore` is stepped by three executors; a
-:class:`Placement` row is one of them taking *parties*:
+:class:`~repro.net.rounds.RoundCore` holds every frame until it is due
+and is stepped by three executors; a :class:`Placement` row is one of
+them taking *parties*:
 
 ===============  ====================================================
-``in-process``   :class:`~repro.net.simulator.SynchronousNetwork`
+``in-process``   :func:`~repro.net.rounds.run_in_process`
 ``local``        :func:`~repro.runtime.synchronizer.run_parties` over
                  in-process asyncio queues
 ``tcp``          the same over loopback TCP sockets
@@ -33,9 +34,9 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Type
 
 from repro.errors import ClusterError, NetworkError, ReproError
-from repro.net.simulator import SynchronousNetwork
+from repro.net.rounds import RuntimeResult, run_in_process
 from repro.runtime.faults import FaultPlan
-from repro.runtime.synchronizer import RuntimeResult, run_parties
+from repro.runtime.synchronizer import run_parties
 
 
 @dataclass(frozen=True)
@@ -57,15 +58,9 @@ def _in_process(
     parties, until=None, max_rounds=10_000, *, metrics=None, trace=None,
     fault_plan=None,
 ) -> RuntimeResult:
-    network = SynchronousNetwork(
-        parties, metrics, policy=fault_plan, trace=trace
-    )
-    network.run(_round_cap(max_rounds, fault_plan), until)
-    return RuntimeResult(
-        outputs=network.outputs(),
-        metrics=network.metrics,
-        rounds=network.round_index,
-        trace=trace,
+    return run_in_process(
+        parties, until, _round_cap(max_rounds, fault_plan),
+        metrics=metrics, trace=trace, fault_plan=fault_plan,
     )
 
 

@@ -16,8 +16,8 @@ re-executes it as :class:`~repro.net.party.Party` state machines:
 2. build one :class:`ReplayParty` per party; its round-``k`` step emits
    precisely the wire messages the original execution sent in segment
    ``k`` (as zero-filled payloads of the exact charged size);
-3. run the replay parties over :class:`SynchronousNetwork` **or** the
-   async runtime — every frame crosses the chosen substrate and is
+3. run the replay parties on any placement row — in-process, the async
+   runtime or the mesh — every frame crosses the chosen substrate and is
    charged to a fresh ledger under its recorded phase, which must
    reproduce the original per-party tallies and phase breakdown
    bit-for-bit.

@@ -1,12 +1,12 @@
 """Round synchronization: the paper's synchronous model over async transports.
 
 The transport placement of :class:`~repro.net.rounds.RoundCore` (which
-holds the model and the determinism contract).  Each round the
-synchronizer steps the core over the frames due at this barrier, ships
-what the parties emitted through the :class:`Transport` — in the core's
-order, so per-sender emission order survives on the wire — and waits
-for the *round barrier*: the transport has flushed every in-flight
-frame.  Only then does the next round's inbox become visible.
+holds the model, the determinism contract and every frame until it is
+due).  Each round the synchronizer steps the core, ships what the
+parties emitted through the :class:`Transport` — in the core's order,
+so per-sender emission order survives on the wire — and waits for the
+*round barrier*: the transport has flushed every in-flight frame.  Only
+then are the landed frames handed back to the core.
 
 A :class:`~repro.runtime.faults.FaultPlan` is the core's delivery
 policy: it perturbs delivery *inside* the model's remaining freedom
@@ -17,13 +17,12 @@ are seeded, so a faulty schedule is as reproducible as a clean one.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 from repro.errors import NetworkError
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Frame, Party
-from repro.net.rounds import RoundCore
+from repro.net.party import Party
+from repro.net.rounds import RoundCore, RuntimeResult
 from repro.runtime.faults import FaultPlan
 from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import Transport, make_transport
@@ -48,52 +47,32 @@ class RoundSynchronizer:
             )
         self.transport = transport
         self.metrics: CommunicationMetrics = transport.metrics
-        # Frames the transport delivered that are not yet due (fault-plan
-        # delays push deliver_round past the next barrier).
-        self._staged: List[Frame] = []
 
     @property
     def round_index(self) -> int:
         return self.core.round_index
 
-    async def run(self, max_rounds: int = 10_000) -> None:
-        """Run until every party has halted (or crashed permanently)."""
-        for _ in self.core.rounds(max_rounds=max_rounds):
-            await self.step_round()
-
-    async def run_until(
-        self, party_ids: Iterable[int], max_rounds: int = 10_000
+    async def run(
+        self, until: Optional[Iterable[int]] = None, max_rounds: int = 10_000
     ) -> None:
-        """Run until the listed parties have all halted."""
-        for _ in self.core.rounds(party_ids, max_rounds):
+        """Run until the ``until`` parties have all halted (default:
+        every party has halted or crashed permanently)."""
+        for _ in self.core.rounds(until, max_rounds):
             await self.step_round()
 
     async def step_round(self) -> None:
-        """Execute one synchronous round: deliver, step all, ship, barrier."""
-        round_index = self.core.round_index
-        due = [f for f in self._staged if f.deliver_round <= round_index]
-        self._staged = [f for f in self._staged if f.deliver_round > round_index]
-        await self.transport.ship(self.core.step_round(round_index, due))
+        """Execute one synchronous round: step all, ship, barrier, hold."""
+        await self.transport.ship(self.core.step_round(self.core.round_index))
         # The barrier: nothing sent this round is visible until every
         # in-flight frame has reached its destination buffer.
         await self.transport.flush()
         for party_id in self.parties:
-            self._staged.extend(self.transport.collect(party_id))
+            self.core.hold(self.transport.collect(party_id))
         self.metrics.end_round()
 
     def outputs(self) -> Dict[int, object]:
         """Map of party id to output, halted parties only (simulator API)."""
         return self.core.outputs()
-
-
-@dataclass
-class RuntimeResult:
-    """Outcome of one runtime execution."""
-
-    outputs: Dict[int, object]
-    metrics: CommunicationMetrics
-    rounds: int
-    trace: Optional[TraceRecorder]
 
 
 def run_parties(
@@ -111,7 +90,7 @@ def run_parties(
     ``transport`` is either a :class:`Transport` instance or a factory
     kind (``"local"`` / ``"tcp"``).  ``until`` lists the party ids whose
     halting ends the run (default: everyone, as in
-    :meth:`SynchronousNetwork.run`).  Returns a :class:`RuntimeResult`
+    :func:`~repro.net.rounds.run_in_process`).  Returns a :class:`RuntimeResult`
     whose ``metrics`` is the live ledger (call ``.snapshot()`` for
     tables).
     """
@@ -152,10 +131,7 @@ async def run_parties_async(
             fault_plan=fault_plan,
             trace=trace,
         )
-        if until is None:
-            await synchronizer.run(max_rounds=max_rounds)
-        else:
-            await synchronizer.run_until(until, max_rounds=max_rounds)
+        await synchronizer.run(until, max_rounds)
         return RuntimeResult(
             outputs=synchronizer.outputs(),
             metrics=transport_obj.metrics,

@@ -1,9 +1,9 @@
 """Transport abstractions for the event-driven runtime.
 
-The synchronous simulator (:mod:`repro.net.simulator`) moves envelopes by
-appending to in-memory lists inside one big loop.  The runtime replaces
-that with a :class:`Transport`: an asyncio message-moving layer with two
-implementations —
+The in-process row (:func:`repro.net.rounds.run_in_process`) hands each
+round's frames straight back to the round core.  The runtime moves them
+through a :class:`Transport` instead: an asyncio message-moving layer
+with two implementations —
 
 * :class:`AsyncLocalTransport` — in-process delivery over per-party
   buffers guarded by the event loop (the fast path for experiments);
@@ -17,12 +17,12 @@ The unit of work is the round, as in the paper's model: the round core
 hands :meth:`Transport.ship` everything the parties emitted, and the
 barrier, :meth:`Transport.flush`, charges the round's landed frames in
 the core's ``(sender, seq)`` order to the same
-:class:`~repro.net.metrics.CommunicationMetrics` ledger the synchronous
-simulator uses.  Both implementations reach the ledger through that one
+:class:`~repro.net.metrics.CommunicationMetrics` ledger the in-process
+row charges.  Both implementations reach the ledger through that one
 site, so the paper's headline quantity (max bits per party) is measured
 identically — charge for charge — regardless of execution substrate.
 
-Authentication is a *transport* property, exactly as in the simulator:
+Authentication is a *transport* property, exactly as in-process:
 the round core stamps the true sender on every frame and the TCP router
 re-stamps each train from its connection's identity, so a Byzantine
 party may lie in its payload but cannot spoof the channel.
@@ -185,7 +185,7 @@ class TcpTransport(Transport):
     its whole round in one ``write`` + ``drain``.  The router never
     opens a train: it checks the destination, replaces the record's
     ``peer`` field with the connection's registered identity
-    (authenticated channels, mirroring the simulator's sender-stamping)
+    (authenticated channels, mirroring the round core's sender-stamping)
     and appends the record, body bytes untouched, to the target's
     outbox.  One flush task, run once every ready sender connection has
     been read, writes each target's outbox in one ``write`` and drains

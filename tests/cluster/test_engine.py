@@ -17,6 +17,7 @@ from repro.cluster.engine import ShardEngine
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
+from repro.net.party import Frame
 from repro.obs.jsonl import load_jsonl
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
@@ -103,18 +104,24 @@ class TestEngineParity:
     def test_round_mismatch_rejected(self):
         engine = ShardEngine(_phase_king()[0])
         with pytest.raises(ClusterError, match="round"):
-            engine.step_round(5, [])
+            engine.step_round(5)
+
+    def test_a_frame_for_another_shard_is_refused(self):
+        engine = ShardEngine(_phase_king()[0][:8])
+        stray = Frame(0, 12, b"x", 0, 1, 8, 0, "")
+        with pytest.raises(ClusterError, match="routed to a shard"):
+            engine.hold([stray])
 
     def test_snapshot_restore_preserves_seq_counters(self):
         engine = ShardEngine(_phase_king()[0])
-        out0 = engine.step_round(0, [])
-        out1 = engine.step_round(1, out0)
+        engine.hold(engine.step_round(0))
+        engine.hold(engine.step_round(1))
         restored = ShardEngine.restore(engine.snapshot())
         assert restored.next_round == engine.next_round
         assert restored.party_ids == engine.party_ids
         # Sequence counters continue, keeping canonical inbox order.
-        a = engine.step_round(2, out1)
-        b = restored.step_round(2, out1)
+        a = engine.step_round(2)
+        b = restored.step_round(2)
         assert [
             (f.sender, f.recipient, f.seq, f.payload) for f in a
         ] == [(f.sender, f.recipient, f.seq, f.payload) for f in b]
@@ -126,6 +133,7 @@ class TestShardEngineSemantics(
     contract.TestTermination,
     contract.TestNoPolicy,
     contract.TestReplayAttribution,
+    contract.TestBuilders,
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on one
     engine holding every party; budgets are not a ShardEngine option."""
@@ -143,12 +151,10 @@ class TestSaveLoadResume:
             build(), until, max_rounds
         )
 
-        def checkpoint_every_other_round(engine, in_flight):
+        def checkpoint_every_other_round(engine):
             if engine.next_round % 2:
                 return
-            save_checkpoint(
-                tmp_path, "shard-0", engine.snapshot(staged=in_flight)
-            )
+            save_checkpoint(tmp_path, "shard-0", engine.snapshot())
             engine.trace.dump_dir(tmp_path / "trace")
             # The ledger crosses a restart the way the supervisor carries
             # its own: pickled whole beside the shard checkpoints.
@@ -173,7 +179,6 @@ class TestSaveLoadResume:
         result = drive_shard(
             ShardEngine.restore(checkpoint, trace=trace),
             metrics,
-            pending=checkpoint.staged,
             until=until,
             max_rounds=max_rounds,
         )

@@ -100,12 +100,12 @@ class TestJobBlob:
             _phase_king_job(), ClusterConfig(num_workers=2)
         )
         shard = supervisor.shards[1]
-        engine, staged = _build_engine(
+        engine = _build_engine(
             supervisor._job_blob(1, 0), shard, 0, tmp_path, "shard-1",
             TraceRecorder(),
         )
         assert sorted(engine.party_ids) == shard
-        assert staged == []
+        assert engine.core.held() == []
 
     def test_later_barriers_ship_no_parties(self):
         supervisor = ClusterSupervisor(

@@ -278,6 +278,7 @@ class TestMeshContract(
     contract.TestTermination,
     contract.TestReplayAttribution,
     contract.TestTrace,
+    contract.TestBuilders,
 ):
     """The lockstep-round contract (tests/net/test_simulator.py) on the
     mesh row: two worker processes, parties shipped as round-0

@@ -66,7 +66,7 @@ class _SizedSender(Party):
 def _emitted_frame():
     frames = RoundCore(
         [_SizedSender(0), SilentParty(1)], first_round=3
-    ).step_round(3, [])
+    ).step_round(3)
     return frames[1]
 
 

@@ -1,10 +1,10 @@
 """The lockstep-round contract, stated once and held on every placement.
 
 ``TestDelivery``, ``TestAuthentication``, ``TestTermination``,
-``TestFaultPlan``, ``TestNoPolicy``, ``TestTrace`` and
-``TestReplayAttribution`` are written against ``self.placement``, a row
-of :mod:`repro.runtime.placements`.  Here they run on the in-process
-row, :class:`~repro.net.simulator.SynchronousNetwork`;
+``TestFaultPlan``, ``TestNoPolicy``, ``TestTrace``,
+``TestReplayAttribution`` and ``TestBuilders`` are written against
+``self.placement``, a row of :mod:`repro.runtime.placements`.  Here they
+run on the in-process row, :func:`~repro.net.rounds.run_in_process`;
 ``tests/runtime/test_synchronizer.py`` subclasses them for the ``local``
 and ``tcp`` rows, ``tests/cluster/test_engine.py`` for a single
 :class:`~repro.cluster.engine.ShardEngine` and
@@ -23,8 +23,10 @@ import pytest
 
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Frame, Party, SilentParty
-from repro.net.simulator import SynchronousNetwork
+from repro.net.rounds import run_in_process
 from repro.obs.flow import FlowLedger
+from repro.protocols.coin_toss import build_coin_toss
+from repro.protocols.dolev_strong import build_dolev_strong
 from repro.protocols.gradecast import build_gradecast
 from repro.protocols.phase_king import build_phase_king
 from repro.runtime.faults import FaultPlan, LinkDelay
@@ -36,7 +38,7 @@ from repro.runtime.replay import (
 )
 from repro.runtime.trace import TraceRecorder
 from repro.utils.randomness import Randomness
-from tests.placements import phase_views, recorded_pi_ba
+from tests.placements import phase_views, recorded_pi_ba, run_honest
 
 
 class EchoParty(Party):
@@ -203,7 +205,7 @@ class TestAuthentication:
 class TestTermination:
     placement = IN_PROCESS
 
-    def test_run_until_honest(self):
+    def test_until_honest(self):
         result = self.placement.run(
             [EchoParty(0, 1), SilentParty(1)], until=[0], max_rounds=10
         )
@@ -213,14 +215,14 @@ class TestTermination:
         with pytest.raises(self.placement.error, match="did not terminate"):
             self.placement.run([SilentParty(0), SilentParty(1)], max_rounds=5)
 
-    def test_run_until_unknown_target_raises_network_error(self):
+    def test_until_unknown_target_raises_network_error(self):
         # Regression: this used to surface as a bare KeyError mid-run.
         with pytest.raises(self.placement.error, match="unknown target party"):
             self.placement.run(
                 [SilentParty(0), SilentParty(1)], until=[0, 42], max_rounds=5
             )
 
-    def test_run_until_unknown_target_message_lists_ids(self):
+    def test_until_unknown_target_message_lists_ids(self):
         recorder = RecordingParty(3)
         with pytest.raises(self.placement.error, match=r"\[7, 9\]"):
             self.placement.run([recorder], until=[9, 7], max_rounds=5)
@@ -377,6 +379,35 @@ class TestNoPolicy:
             assert lockstep.trace is None and planned.trace is None
 
 
+#: name -> a fresh ``(parties, honest_ids, max_rounds)`` per call, one
+#: per committee protocol builder.
+BUILDERS = {
+    "phase-king": lambda: build_phase_king(
+        {i: i % 2 for i in range(7)}, [1, 5]
+    ),
+    "gradecast": lambda: build_gradecast(range(7), 0, 1, byzantine=[3]),
+    "coin-toss": lambda: build_coin_toss(range(5), Randomness(3), [1]),
+    "dolev-strong": lambda: build_dolev_strong(
+        range(5), 0, 1, Randomness(3), byzantine=[2]
+    ),
+}
+
+
+class TestBuilders:
+    """A committee protocol is a builder of parties: every row runs it
+    to the honest outputs and per-party tallies of the in-process row."""
+
+    placement = IN_PROCESS
+
+    @pytest.mark.parametrize("protocol", sorted(BUILDERS))
+    def test_builder_matches_the_in_process_row(self, protocol):
+        outputs, result = run_honest(self.placement, BUILDERS[protocol]())
+        reference, expected = run_honest(IN_PROCESS, BUILDERS[protocol]())
+        assert outputs == reference
+        assert expected.metrics.total_bits > 0
+        assert tallies_equal(result.metrics, expected.metrics, range(7))
+
+
 class TestTrace:
     """The round core emits the trace, so every row records the same one."""
 
@@ -404,12 +435,12 @@ class TestTrace:
 
 class TestMetricsIntegration:
     def test_traffic_charged(self):
-        a, b = EchoParty(0, 1), EchoParty(1, 0)
-        network = SynchronousNetwork([a, b])
-        network.run(max_rounds=10)
-        assert network.round_index == 3
-        assert network.metrics.total_bits > 0
-        assert network.metrics.tally_of(0).messages_sent >= 1
+        result = run_in_process(
+            [EchoParty(0, 1), EchoParty(1, 0)], max_rounds=10
+        )
+        assert result.rounds == 3
+        assert result.metrics.total_bits > 0
+        assert result.metrics.tally_of(0).messages_sent >= 1
 
     def test_envelope_size_bits(self):
         envelope = Envelope(sender=0, recipient=1, payload=b"abc")

@@ -9,9 +9,9 @@ What is test-only stays here:
 
 * :func:`drive_shard` / ``SHARD_ENGINE`` — one
   :class:`~repro.cluster.engine.ShardEngine` holding every party (the
-  cluster worker minus the mesh: it keeps the in-flight frames and
-  charges a ledger), with the barrier hook the save → load → resume
-  tests interrupt at;
+  cluster worker minus the mesh: it hands the emitted frames back to
+  the engine and charges a ledger), with the barrier hook the save →
+  load → resume tests interrupt at;
 * :func:`run_honest` — a row applied to a ``build_*`` builder's return
   value, narrowed to the honest outputs;
 * :func:`recorded_pi_ba` and :func:`phase_views` for the replay-parity
@@ -22,18 +22,17 @@ What is test-only stays here:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.cluster.engine import ShardEngine
 from repro.errors import ClusterError
 from repro.net.adversary import random_corruption
 from repro.net.metrics import CommunicationMetrics
-from repro.net.party import Frame
+from repro.net.rounds import RuntimeResult
 from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
 from repro.runtime.placements import Placement
 from repro.runtime.replay import RecordingLedger
-from repro.runtime.synchronizer import RuntimeResult
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.owf import OwfSRDS
 from repro.srds.snark_based import SnarkSRDS
@@ -43,29 +42,25 @@ from repro.utils.randomness import Randomness
 def drive_shard(
     engine: ShardEngine,
     metrics: CommunicationMetrics,
-    pending: Iterable[Frame] = (),
     until: Optional[Iterable[int]] = None,
     max_rounds: int = 10_000,
-    on_barrier: Optional[Callable[[ShardEngine, List[Frame]], None]] = None,
+    on_barrier: Optional[Callable[[ShardEngine], None]] = None,
 ) -> RuntimeResult:
     """Run an engine holding the whole party set to termination.
 
     The shared termination loop decides when to stop; each round the
-    due frames go in, the emitted frames are charged (a frame is charged
-    in the round it was sent, before that round's ``end_round``, tagged
-    ``frame`` like every transport charge) and held until due.
-    ``on_barrier(engine, in_flight)`` runs after every round.
+    emitted frames are charged (a frame is charged in the round it was
+    sent, before that round's ``end_round``, tagged ``frame`` like every
+    transport charge) and handed back to the engine, which holds them
+    until due.  ``on_barrier(engine)`` runs after every round.
     """
-    in_flight = list(pending)
     for round_index in engine.core.rounds(until, max_rounds):
-        due = [f for f in in_flight if f.deliver_round <= round_index]
-        in_flight = [f for f in in_flight if f.deliver_round > round_index]
-        emitted = engine.step_round(round_index, due)
+        emitted = engine.step_round(round_index)
         metrics.record_frames(emitted, kind="frame")
-        in_flight.extend(emitted)
+        engine.hold(emitted)
         metrics.end_round()
         if on_barrier is not None:
-            on_barrier(engine, in_flight)
+            on_barrier(engine)
     return RuntimeResult(
         outputs=engine.outputs(),
         metrics=metrics,

@@ -351,9 +351,10 @@ class TestWorkCounters:
         assert result.agreement
         assert result.metrics.max_bits_per_party == 3_254_032
         # Re-encoding per hop and charging per recipient made these
-        # 70 272 and 4 790.
-        assert encode_uint_calls <= 20_339
-        assert ledger_body_calls <= 364
+        # 70 272 and 4 790; the run makes 1 737 and 40, pinned here
+        # with 10 % headroom.
+        assert encode_uint_calls <= 1_911
+        assert ledger_body_calls <= 44
 
     def test_one_n8_schnorr_run_inverts_once_per_public_point(self):
         ec._generator_table()  # its inversions are paid once per process

@@ -114,8 +114,8 @@ def test_balanced_ba_tcp_parity(scheme_name):
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
 def test_balanced_ba_in_process_parity(scheme_name):
-    """The one driver also takes the in-process row: the replay over
-    ``SynchronousNetwork`` charges what the reference run charged."""
+    """The one driver also takes the in-process row: the replay there
+    charges what the reference run charged."""
     n = 16
     reference, _ = _reference(n, scheme_name)
     result, runtime = _runtime(n, scheme_name, row=IN_PROCESS)
@@ -159,7 +159,7 @@ def test_only_a_reordering_plan_derives_the_delivery_seam(reorder,
 
 
 def test_replay_matches_simulator_tallies():
-    """The recorded wire traffic replayed over SynchronousNetwork charges
+    """The recorded wire traffic replayed on the in-process row charges
     each party exactly what the runtime replay charges it — and both
     file every charge under the phase the live run filed it under."""
     n = 16

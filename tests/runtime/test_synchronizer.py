@@ -2,20 +2,20 @@
 
 The central claim of the runtime is *differential equivalence*: party
 state machines driven by the RoundSynchronizer produce exactly the
-outputs and metrics they produce under ``SynchronousNetwork`` — by
+outputs and metrics they produce on the in-process row — by
 construction, since both step the same ``RoundCore``.  The contract
 cases (duplicate ids, next-round delivery, sender stamping, faults,
-termination) are the simulator's own, re-run here on the ``local`` and
-``tcp`` transports; the rest smoke-tests the committee protocols end to
-end and pins tracing determinism.
+termination, the committee builders) are the in-process row's own,
+re-run here on the ``local`` and ``tcp`` transports; the rest
+smoke-tests the committee protocols end to end and pins tracing
+determinism.
 """
 
 import pytest
 
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Envelope, Party
-from repro.net.rounds import RoundCore
-from repro.net.simulator import SynchronousNetwork
+from repro.net.rounds import RoundCore, run_in_process
 from repro.protocols.gradecast import (
     build_gradecast,
     check_gradecast_guarantees,
@@ -43,6 +43,7 @@ class _Contract(
     contract.TestNoPolicy,
     contract.TestTrace,
     contract.TestReplayAttribution,
+    contract.TestBuilders,
 ):
     """Every lockstep-round contract case (tests/net/test_simulator.py)."""
 
@@ -52,15 +53,14 @@ class TestBasicSemantics(_Contract):
 
     def test_echo_round_trip_matches_simulator(self):
         sim_a, sim_b = EchoParty(0, 1), EchoParty(1, 0)
-        network = SynchronousNetwork([sim_a, sim_b])
-        network.run(max_rounds=10)
+        reference = run_in_process([sim_a, sim_b], max_rounds=10)
 
         rt_a, rt_b = EchoParty(0, 1), EchoParty(1, 0)
         result = run_parties([rt_a, rt_b], max_rounds=10)
         assert rt_a.received == sim_a.received
         assert rt_b.received == sim_b.received
-        assert result.outputs == network.outputs()
-        assert result.metrics.snapshot() == network.metrics.snapshot()
+        assert result.outputs == reference.outputs
+        assert result.metrics.snapshot() == reference.metrics.snapshot()
 
 
 class TestTcpSemantics(_Contract):
@@ -206,7 +206,6 @@ class TestNoMessageBudget:
         "entry",
         [
             RoundCore,
-            SynchronousNetwork,
             run_parties,
             run_parties_async,
             lambda parties, **kw: RoundSynchronizer(
@@ -218,7 +217,7 @@ class TestNoMessageBudget:
             mesh(2).run,
         ],
         ids=[
-            "RoundCore", "SynchronousNetwork", "run_parties",
+            "RoundCore", "run_parties",
             "run_parties_async", "RoundSynchronizer", "in-process",
             "local", "tcp", "mesh",
         ],
