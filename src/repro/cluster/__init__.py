@@ -15,9 +15,10 @@ inside one interpreter.  The layer is built from:
   one socketpair per worker: length-prefixed ``header | blob`` messages
   (no party frame and no per-round pacing ever rides it);
 * :mod:`repro.cluster.meshwire` / :mod:`repro.cluster.mesh` — the
-  worker⇄worker data plane and the only round barrier: a compact
-  struct-packed frame-train codec and the router that carries it over
-  one socketpair per worker pair;
+  worker⇄worker data plane and the only round barrier: each round's
+  frames for a peer travel as one length-prefixed record (a header
+  naming the link and the round, then the :mod:`repro.net.trains`
+  body), carried by the router over one socketpair per worker pair;
 * :mod:`repro.cluster.job` — the job: the run's parties and termination
   rule, and the round-0 shard checkpoint each worker is shipped;
 * :mod:`repro.cluster.worker` / :mod:`repro.cluster.supervisor` — the

@@ -7,7 +7,8 @@ cluster's only data plane.  :class:`MeshRouter` moves party traffic
 point-to-point over one connected socket per peer — a socketpair the
 supervisor made before it forked the fleet — and ships each round's
 frames for each peer as one binary **train**
-(:mod:`repro.cluster.meshwire`), chunked above 32 MiB.
+(:mod:`repro.cluster.meshwire`): one length-prefixed record, written
+and read a mebibyte at a time.
 
 The router owns exactly the properties the differential suite pins:
 
@@ -17,12 +18,13 @@ The router owns exactly the properties the differential suite pins:
   receiver whether the sender's shard is done (every worker therefore
   stops at the same round);
 * **in order** — a link is one ordered stream, so each peer's next
-  train must be the next round's; a malformed chunk or any other round
+  train must be the next round's; a malformed record or any other round
   is a :class:`~repro.errors.SerializationError` that ``wait_round``
   raises, and the crash-naked worker exits nonzero;
-* **liveness signal** — ``progress()`` exposes a moved-bytes counter
-  the heartbeat ships home so the supervisor can tell "dead" from "slow
-  shipping a huge body".
+* **liveness signal** — ``progress()`` exposes a moved-bytes counter,
+  bumped after every socket write and read, that the heartbeat ships
+  home so the supervisor can tell "dead" from "slow shipping a huge
+  body".
 
 A peer's EOF ends only that link's receiver thread: a dead peer is the
 supervisor's to notice (its control channel closes), and the
@@ -40,58 +42,30 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.cluster.meshwire import (
-    MESH_CHUNK_BYTES,
-    TrainAssembler,
-    decode_chunk,
-    split_train,
-)
+from repro.cluster.meshwire import decode_train, encode_header
 from repro.errors import SerializationError
 from repro.net.party import Frame
-from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
+from repro.net.trains import (
+    MAX_RECORD,
+    encode_train_body,
+    length_prefix,
+    split_records,
+)
 
-#: One framed record is one chunk; anything larger is garbage framing.
-_MAX_RECORD = MESH_CHUNK_BYTES + 4096
+#: The most bytes one socket call writes or reads: a large train moves
+#: ``progress()`` every mebibyte instead of once.
+_IO_BYTES = 1 << 20
 
 #: What a receiver thread hands the stepping thread: one train as
 #: ``(peer, round, frames, halted)``, or the error that ended its link.
 _Arrival = Union[Tuple[int, int, List[Frame], bool], SerializationError]
 
 
-def _read_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; ``None`` if the link dies first."""
-    pieces = []
-    remaining = count
-    while remaining:
-        try:
-            piece = sock.recv(min(remaining, 1 << 20))
-        except OSError:
-            return None
-        if not piece:
-            return None
-        pieces.append(piece)
-        remaining -= len(piece)
-    return b"".join(pieces)
-
-
-def _read_record(sock: socket.socket) -> Optional[bytes]:
-    """Read one length-prefixed mesh record; ``None`` on link death."""
-    prefix = _read_exact(sock, _LENGTH.size)
-    if prefix is None:
-        return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > _MAX_RECORD:
-        raise SerializationError(
-            f"mesh record length {length} exceeds {_MAX_RECORD}"
-        )
-    return _read_exact(sock, length)
-
-
 class MeshRouter:
     """Point-to-point frame transport between cluster workers.
 
     ``links`` maps each peer to this worker's end of their connected
-    socket.  One receiver thread per link puts each train it assembles,
+    socket.  One receiver thread per link puts each train it reads,
     or the error that ended the link, on ``_arrivals``; only the
     stepping thread (``wait_round`` / ``collect_round``) takes from it
     and files trains in ``_inbox``.  Sends run on the caller's thread.
@@ -102,11 +76,9 @@ class MeshRouter:
         worker_id: int,
         links: Dict[int, socket.socket],
         first_round: int = 0,
-        chunk_bytes: int = MESH_CHUNK_BYTES,
     ) -> None:
         self.worker_id = worker_id
         self._links = dict(links)
-        self._chunk_bytes = chunk_bytes
         self._arrivals: "queue.SimpleQueue[_Arrival]" = queue.SimpleQueue()
         #: (peer, round) -> (frames, the peer's halted flag); the
         #: stepping thread's alone.
@@ -137,15 +109,18 @@ class MeshRouter:
         supervisor, which sees the peer's control channel close,
         relaunches the fleet.
         """
-        records = split_train(
-            self.worker_id, peer, round_index, encode_train_body(frames),
-            halted, chunk_bytes=self._chunk_bytes,
-        )
+        body = encode_train_body(frames)
+        header = encode_header(self.worker_id, peer, round_index, halted)
+        head = length_prefix(len(header) + len(body)) + header
+        view = memoryview(body)
         sock = self._links[peer]
         try:
-            for record in records:
-                sock.sendall(_LENGTH.pack(len(record)) + record)
-                self._bump_progress(len(record) + _LENGTH.size)
+            sock.sendall(head)
+            self._bump_progress(len(head))
+            for offset in range(0, len(body), _IO_BYTES):
+                piece = view[offset:offset + _IO_BYTES]
+                sock.sendall(piece)
+                self._bump_progress(len(piece))
         except OSError:
             return
 
@@ -210,31 +185,27 @@ class MeshRouter:
     def _receive_loop(self, peer: int, sock: socket.socket,
                       first_round: int) -> None:
         """Deliver ``peer``'s trains until its end of the link closes."""
-        assembler = TrainAssembler(first_round)
+        next_round = first_round
+        buffer = bytearray()
         while True:
             try:
-                record = _read_record(sock)
-                if record is None:
-                    return  # the peer is gone: only this link is over
-                self._bump_progress(len(record) + _LENGTH.size)
-                chunk = decode_chunk(record)
-                if (chunk.src_worker, chunk.dst_worker) != (
-                    peer, self.worker_id
-                ):
-                    raise SerializationError(
-                        f"train from worker {chunk.src_worker} to "
-                        f"{chunk.dst_worker} arrived on the link from "
-                        f"worker {peer} at worker {self.worker_id}"
+                data = sock.recv(_IO_BYTES)
+            except OSError:
+                return
+            if not data:
+                return  # the peer is gone: only this link is over
+            self._bump_progress(len(data))
+            buffer += data
+            try:
+                for record in split_records(buffer, MAX_RECORD):
+                    frames, halted = decode_train(
+                        record, peer, self.worker_id, next_round
                     )
-                train = assembler.add(chunk)
-                if train is None:
-                    continue
-                round_index, body, halted = train
-                frames = decode_train_body(body)
+                    self._arrivals.put((peer, next_round, frames, halted))
+                    next_round += 1
             except SerializationError as exc:
                 self._arrivals.put(exc)
                 return
-            self._arrivals.put((peer, round_index, frames, halted))
 
 
 __all__ = ["MeshRouter"]

@@ -9,9 +9,9 @@ workers step rounds back to back, synchronised by the mesh alone
 :mod:`repro.cluster.meshwire`), and stream a one-way ``done`` home per
 round carrying a charge digest, never a party frame.
 
-Message layout (everything length-prefixed with the transport's 4-byte
-big-endian ``_LENGTH`` prefix or :mod:`repro.utils.serialization`
-varints)::
+Message layout (one :mod:`repro.net.trains` record: a 4-byte big-endian
+length, then a body whose fields are :mod:`repro.utils.serialization`
+varint-prefixed)::
 
     u32 total | bytes json_header | bytes blob
 
@@ -66,20 +66,20 @@ import pickle
 import select
 import socket
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
-from repro.errors import ClusterError
-from repro.net.trains import _LENGTH
+from repro.errors import ClusterError, SerializationError
+from repro.net.trains import PREFIX_BYTES, length_prefix, split_records
 from repro.utils.serialization import decode_bytes, encode_bytes
 
 # Hard cap on one message: a sender refuses to write a larger body, and
 # a receiver refuses a larger length prefix (which bounds the damage of
 # a corrupt one).  The largest bodies are the JOB blob (the shard's
 # pickled parties) and a traced DONE (charge digest + drained trace
-# events); at n=64 both stay under 1 MiB (measured, docs/cluster.md), so
-# nothing is chunked here — the mesh, whose trains reach a gigabyte per
-# link per round, chunks in :mod:`repro.cluster.meshwire`.
+# events); at n=64 both stay under 1 MiB (measured, docs/cluster.md), a
+# 256-fold margin.
 _MAX_MESSAGE = 1 << 28
 
 JOB = "job"
@@ -121,7 +121,7 @@ class Message:
                 f"{self.kind!r} control message of {len(body)} bytes "
                 f"exceeds {_MAX_MESSAGE}"
             )
-        return _LENGTH.pack(len(body)) + body
+        return length_prefix(len(body)) + body
 
     @staticmethod
     def decode(body: bytes) -> "Message":
@@ -177,6 +177,8 @@ class MessageChannel:
         self._sock = sock
         self._send_lock = threading.Lock()
         self._buffer = bytearray()
+        #: Whole records cut off ``_buffer`` and not yet returned.
+        self._records: Deque[bytes] = deque()
         self._closed = False
         self._meter = meter
         #: Raw bytes pulled off the socket, bumped per ``recv`` call —
@@ -216,8 +218,18 @@ class MessageChannel:
         :class:`ClusterError` on a torn or corrupt stream.
         """
         while True:
-            message = self._try_parse()
-            if message is not None:
+            if not self._records:
+                try:
+                    self._records += split_records(self._buffer, _MAX_MESSAGE)
+                except SerializationError as exc:
+                    raise ClusterError(
+                        f"oversized control message: {exc}"
+                    ) from exc
+            if self._records:
+                body = self._records.popleft()
+                message = Message.decode(body)
+                if self._meter is not None:
+                    self._meter("recv", message.kind, PREFIX_BYTES + len(body))
                 return message
             # The deadline is a select, never a socket timeout: the
             # socket stays blocking, so a send racing this recv on
@@ -250,22 +262,6 @@ class MessageChannel:
     def fileno(self) -> int:
         """The socket's descriptor, so a channel can be ``select``-ed."""
         return self._sock.fileno()
-
-    def _try_parse(self) -> Optional[Message]:
-        if len(self._buffer) < _LENGTH.size:
-            return None
-        (length,) = _LENGTH.unpack_from(bytes(self._buffer[:_LENGTH.size]))
-        if length > _MAX_MESSAGE:
-            raise ClusterError(f"oversized control message ({length} bytes)")
-        end = _LENGTH.size + length
-        if len(self._buffer) < end:
-            return None
-        body = bytes(self._buffer[_LENGTH.size:end])
-        del self._buffer[:end]
-        message = Message.decode(body)
-        if self._meter is not None:
-            self._meter("recv", message.kind, end)
-        return message
 
     def close(self) -> None:
         """Shut the connection down and close the socket (idempotent)."""

@@ -38,18 +38,18 @@ DEFAULT_MESSAGE_BITS = 128
 DEFAULT_W = 4  # chunk width in bits; chains of length 16
 
 
-# One chain step is ``hash_domain(_CHAIN_DOMAIN, encode_uint(chunk_index),
+# One chain step is ``hash_domain(_CHAIN_DOMAIN, encode_uint(position),
 # value)``: everything but the value is constant per chunk position, and
 # positions are a few dozen small integers shared by every key.
 @functools.lru_cache(maxsize=512)
-def _chain_walker(chunk_index: int) -> Callable[[bytes, int], bytes]:
-    return domain_walker(_CHAIN_DOMAIN, encode_uint(chunk_index))
+def _chain_walker(position: int) -> Callable[[bytes, int], bytes]:
+    return domain_walker(_CHAIN_DOMAIN, encode_uint(position))
 
 
-def _chain(start: bytes, steps: int, chunk_index: int) -> bytes:
+def _chain(start: bytes, steps: int, position: int) -> bytes:
     """Apply the hash chain ``steps`` times (domain-bound per chunk), in
     one loop over the chunk's absorbed state."""
-    return _chain_walker(chunk_index)(start, steps)
+    return _chain_walker(position)(start, steps)
 
 
 @functools.lru_cache(maxsize=64)

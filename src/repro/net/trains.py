@@ -5,7 +5,7 @@ one link in one round — a party's frames for one recipient on the
 runtime's :class:`~repro.runtime.transport.TcpTransport`, a worker's
 frames for one peer on the cluster mesh (:mod:`repro.cluster.mesh`),
 a shard's staged frames inside a checkpoint.  All three speak this
-body; what wraps it (who stamps the sender, chunking, resend) belongs
+body; what wraps it (who stamps the sender, the record header) belongs
 to the link.
 
 Layout: ``u32 num_phases | (u16 len, utf8)* | u32 num_frames |
@@ -19,6 +19,13 @@ member of :data:`~repro.errors.MALFORMED_INPUT_ERRORS`) — never hang,
 never silently mis-frame.  ``charge_bits`` survives exactly (signed:
 ``-1`` means "charge the payload size"), so a received frame is
 field-for-field the frame its sender emitted.
+
+Every socket in the repo — the TCP transport, the cluster's control
+channel and its mesh — carries *records*: a u32 big-endian length, then
+that many bytes.  :func:`length_prefix` writes the length and
+:func:`split_records` is the one reader: it refuses a length past the
+caller's cap as soon as the prefix is in, before the body is buffered,
+and cuts the complete records off the front of a receive buffer.
 """
 
 from __future__ import annotations
@@ -37,12 +44,51 @@ _FRAME = struct.Struct(">IIIIqIHI")
 _LENGTH = struct.Struct(">I")
 _U16 = struct.Struct(">H")
 
+#: Bytes of a record's length prefix.
+PREFIX_BYTES = _LENGTH.size
+#: The largest record length a u32 prefix can state.
+MAX_RECORD = (1 << 32) - 1
+
 #: Sanity bound on one frame payload an encoder will pack.
 _MAX_PAYLOAD = 1 << 31
 
 
+def length_prefix(length: int) -> bytes:
+    """The prefix of a record of ``length`` bytes."""
+    if length > MAX_RECORD:
+        raise SerializationError(
+            f"record of {length} bytes exceeds {MAX_RECORD}"
+        )
+    return _LENGTH.pack(length)
+
+
+def split_records(buffer: bytearray, max_length: int) -> List[bytes]:
+    """Cut the complete length-prefixed records off ``buffer``'s front.
+
+    A prefix stating more than ``max_length`` bytes raises
+    :class:`~repro.errors.SerializationError` as soon as the prefix is
+    in, however little of its body has arrived.
+    """
+    records: List[bytes] = []
+    offset, size = 0, len(buffer)
+    with memoryview(buffer) as view:  # one copy per record, not two
+        while size - offset >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(view, offset)
+            if length > max_length:
+                raise SerializationError(
+                    f"record length {length} exceeds {max_length}"
+                )
+            end = offset + _LENGTH.size + length
+            if end > size:
+                break
+            records.append(bytes(view[offset + _LENGTH.size:end]))
+            offset = end
+    del buffer[:offset]
+    return records
+
+
 def encode_train_body(frames: Sequence[Frame]) -> bytes:
-    """Encode one link's frames for one round (no chunking, no prefix)."""
+    """Encode one link's frames for one round (no header, no prefix)."""
     phase_ids: Dict[str, int] = {}
     for frame in frames:
         if frame.phase not in phase_ids:

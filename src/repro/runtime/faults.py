@@ -22,7 +22,9 @@ spectrum.
 Semantics (a :class:`FaultPlan` is the delivery policy of
 :class:`~repro.net.rounds.RoundCore`, which applies all of it —
 transports stay honest; the predicates are pure functions of the plan
-and the message coordinates, and the core tallies what actually fired):
+and the message coordinates.  Nothing counts the faults that fired: a
+fault shows up as trace events — ``crash``, ``drop`` — and in the
+ledger, which never charges a dropped frame):
 
 * **crash(party, round)** — the party takes no step at any round >= the
   crash round; messages already in flight still arrive.

@@ -40,7 +40,12 @@ from repro.errors import NetworkError, SerializationError
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import Frame
 from repro.net.rounds import CANONICAL_ORDER
-from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
+from repro.net.trains import (
+    decode_train_body,
+    encode_train_body,
+    length_prefix,
+    split_records,
+)
 
 #: One TCP record behind its u32 length prefix: ``kind, peer`` and, for a
 #: train, a :mod:`repro.net.trains` body.  ``peer`` is the party a HELLO
@@ -440,28 +445,24 @@ def _record(kind: int, peer: int, body: bytes = b"") -> bytes:
     length = _RECORD.size + len(body)
     if length > _MAX_RECORD:
         raise NetworkError(f"record exceeds {_MAX_RECORD} bytes")
-    return _LENGTH.pack(length) + _RECORD.pack(kind, peer) + body
+    return length_prefix(length) + _RECORD.pack(kind, peer) + body
 
 
 def _split_records(buffer: bytearray) -> List[Tuple[int, int, bytes]]:
     """Cut the complete ``(kind, peer, body)`` records off ``buffer``'s front."""
-    records: List[Tuple[int, int, bytes]] = []
-    offset, size = 0, len(buffer)
-    while size - offset >= _LENGTH.size:
-        (length,) = _LENGTH.unpack_from(buffer, offset)
-        if not _RECORD.size <= length <= _MAX_RECORD:
-            raise NetworkError(f"bad record length {length}")
-        body_start = offset + _LENGTH.size + _RECORD.size
-        end = offset + _LENGTH.size + length
-        if end > size:
-            break
-        kind, peer = _RECORD.unpack_from(buffer, offset + _LENGTH.size)
+    try:
+        records = split_records(buffer, _MAX_RECORD)
+    except SerializationError as exc:
+        raise NetworkError(f"bad record length: {exc}") from exc
+    opened: List[Tuple[int, int, bytes]] = []
+    for record in records:
+        if len(record) < _RECORD.size:
+            raise NetworkError(f"bad record length {len(record)}")
+        kind, peer = _RECORD.unpack_from(record)
         if kind not in (_HELLO, _TRAIN):
             raise NetworkError(f"unknown record kind {kind}")
-        records.append((kind, peer, bytes(buffer[body_start:end])))
-        offset = end
-    del buffer[:offset]
-    return records
+        opened.append((kind, peer, record[_RECORD.size:]))
+    return opened
 
 
 def _open_train(party_id: int, sender: int, body: bytes) -> List[Frame]:

@@ -4,9 +4,9 @@ Three layers of failure tolerance under test:
 
 * the :class:`~repro.cluster.mesh.MeshRouter` itself — routers joined
   by ``socket.socketpair()`` exactly as the supervisor joins workers,
-  in-process: trains arrive whole and in order, a malformed or
-  out-of-order chunk is a ``SerializationError`` the waiter sees, and a
-  peer's EOF ends only its link (no subprocesses);
+  in-process: trains arrive whole and in order, a malformed train or
+  one of another round is a ``SerializationError`` the waiter sees, and
+  a peer's EOF ends only its link (no subprocesses);
 * the supervisor's per-worker liveness judgment — a worker slowly
   trickling a huge body past ``round_timeout`` is NOT declared dead
   (the regression for the bug where "slow relaying a big train" was
@@ -25,13 +25,15 @@ from __future__ import annotations
 import socket
 import sys
 import threading
+import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
 
 from repro.cluster.job import ClusterJob
 from repro.cluster.mesh import MeshRouter
-from repro.cluster.meshwire import split_train
+from repro.cluster.meshwire import _HEADER, encode_header
 from repro.cluster.supervisor import (
     ClusterConfig,
     ClusterSupervisor,
@@ -44,7 +46,7 @@ from repro.net.adversary import random_corruption
 from repro.net.fork import fork_child
 from repro.net.metrics import CommunicationMetrics
 from repro.net.party import SilentParty
-from repro.net.trains import _LENGTH, encode_train_body
+from repro.net.trains import PREFIX_BYTES, encode_train_body, length_prefix
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.protocols.phase_king import build_phase_king
@@ -61,13 +63,10 @@ SEED = 2021
 # -- router-level link faults (in-process, tier-1) ----------------------------
 
 
-def _mesh_pair(chunk_bytes=16):
+def _mesh_pair():
     """Routers 0 and 1 on the two ends of one socketpair."""
     end_0, end_1 = socket.socketpair()
-    return (
-        MeshRouter(0, {1: end_0}, chunk_bytes=chunk_bytes),
-        MeshRouter(1, {0: end_1}, chunk_bytes=chunk_bytes),
-    )
+    return MeshRouter(0, {1: end_0}), MeshRouter(1, {0: end_1})
 
 
 def _forged_link():
@@ -80,9 +79,10 @@ def _forged_link():
 EMPTY = encode_train_body([])
 
 
-def _send_records(sock, records):
-    for record in records:
-        sock.sendall(_LENGTH.pack(len(record)) + record)
+def _train(src, dst, round_index, body=EMPTY):
+    """One train record behind its length prefix, as a peer writes it."""
+    record = encode_header(src, dst, round_index) + body
+    return length_prefix(len(record)) + record
 
 
 def _frames(round_index, tag):
@@ -109,10 +109,10 @@ class TestLinkFaults:
             a.close()
             b.close()
 
-    def test_multi_chunk_trains_reassemble_in_order(self):
-        """Trains many chunks long (8-byte chunks), several rounds sent
-        before the receiver collects any: each round comes out whole."""
-        a, b = _mesh_pair(chunk_bytes=8)
+    def test_rounds_sent_ahead_come_out_in_order(self):
+        """Several rounds sent before the receiver collects any, so one
+        read may hold many records: each round comes out whole."""
+        a, b = _mesh_pair()
         try:
             sent = {r: _frames(r, b"round-%d" % r) for r in range(4)}
             for round_index, frames in sent.items():
@@ -129,7 +129,7 @@ class TestLinkFaults:
     @pytest.mark.parametrize(
         "case, match",
         [
-            ("out-of-order chunk", "chunk 1 arrived, chunk 0 is next"),
+            ("v3 record", "mesh format version 3"),
             ("foreign round", "owes round 0"),
             ("repeated round", "owes round 1"),
         ],
@@ -139,15 +139,17 @@ class TestLinkFaults:
         loop dies nonzero on it."""
         raw, b = _forged_link()
         try:
-            if case == "out-of-order chunk":
-                _send_records(raw, split_train(0, 1, 0, EMPTY, chunk_bytes=4)[1:])
+            if case == "v3 record":
+                record = bytearray(_train(0, 1, 0))
+                record[8] = 3  # the version byte, behind the length prefix
+                raw.sendall(bytes(record))
             elif case == "foreign round":
-                _send_records(raw, split_train(0, 1, 7, EMPTY))
+                raw.sendall(_train(0, 1, 7))
             else:
-                _send_records(raw, split_train(0, 1, 0, EMPTY))
+                raw.sendall(_train(0, 1, 0))
                 assert b.wait_round(0, [0], timeout=5.0)
                 b.collect_round(0, [0])
-                _send_records(raw, split_train(0, 1, 0, EMPTY))
+                raw.sendall(_train(0, 1, 0))
             with pytest.raises(SerializationError, match=match):
                 b.wait_round(1, [0], timeout=5.0)
         finally:
@@ -162,7 +164,7 @@ class TestLinkFaults:
         router = MeshRouter(1, {0: end_10, 2: end_12})
         peer_2 = MeshRouter(2, {1: end_21})
         try:
-            _send_records(raw, split_train(0, 1, 7, EMPTY))
+            raw.sendall(_train(0, 1, 7))
             with pytest.raises(SerializationError, match="owes round 0") as first:
                 router.wait_round(0, [0, 2], timeout=5.0)
             peer_2.send_train(1, 0, [])
@@ -178,7 +180,7 @@ class TestLinkFaults:
     def test_a_train_for_another_worker_is_refused(self):
         raw, b = _forged_link()
         try:
-            _send_records(raw, split_train(0, 2, 0, EMPTY))
+            raw.sendall(_train(0, 2, 0))
             with pytest.raises(SerializationError, match="at worker 1"):
                 b.wait_round(0, [0], timeout=5.0)
         finally:
@@ -194,7 +196,7 @@ class TestLinkFaults:
         router = MeshRouter(1, {0: end_10, 2: end_12})
         peer_2 = MeshRouter(2, {1: end_21})
         try:
-            _send_records(end_01, split_train(0, 1, 0, EMPTY))
+            end_01.sendall(_train(0, 1, 0))
             end_01.close()  # what worker 0's exit does to its end
             peer_2.send_train(1, 0, [])
             assert router.wait_round(0, [0, 2], timeout=5.0)
@@ -223,7 +225,7 @@ class TestLinkFaults:
         for peer in peers:
             mine, theirs = socket.socketpair()
             links[peer] = mine
-            senders.append(MeshRouter(peer, {0: theirs}, chunk_bytes=8))
+            senders.append(MeshRouter(peer, {0: theirs}))
         router = MeshRouter(0, links)
 
         def ship(sender):
@@ -264,6 +266,118 @@ class TestLinkFaults:
         assert not b.wait_round(0, [0], timeout=0.1)
         b.close()
         b.close()
+
+
+def _heavy_frames(mib):
+    """``mib`` one-MiB frames sharing one payload: a train body of about
+    ``mib`` MiB that costs one MiB to hold."""
+    payload = b"\xab" * (1 << 20)
+    return [
+        Frame(0, 9, payload, sent_round=0, deliver_round=1, seq=seq)
+        for seq in range(mib)
+    ]
+
+
+def _wire_bytes(frames):
+    """What one train of ``frames`` puts on the link: one record."""
+    return PREFIX_BYTES + _HEADER.size + len(encode_train_body(frames))
+
+
+def _until(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+class TestLargeTrains:
+    """A train is one record whatever its size: the sender writes its
+    header and body without joining them, and both ends move
+    ``progress()`` while it is in flight."""
+
+    def test_a_train_over_32_mib_round_trips_as_one_record(self):
+        a, b = _mesh_pair()
+        try:
+            frames = _heavy_frames(33)
+            a.send_train(1, 0, frames, halted=True)
+            assert b.wait_round(0, [0], timeout=30.0)
+            assert b.collect_round(0, [0]) == (frames, True)
+            assert a.progress() == b.progress() == _wire_bytes(frames)
+        finally:
+            a.close()
+            b.close()
+
+    def test_sending_a_64_mib_train_holds_one_copy_of_its_body(self):
+        end_0, raw = socket.socketpair()
+        router = MeshRouter(0, {1: end_0})
+        frames = _heavy_frames(64)
+        expected = _wire_bytes(frames)
+        sink = memoryview(bytearray(1 << 20))
+        received = [0]
+
+        def discard():
+            while received[0] < expected:
+                count = raw.recv_into(sink)
+                if not count:
+                    return
+                received[0] += count
+
+        reader = threading.Thread(target=discard)
+        reader.start()
+        tracemalloc.start()
+        try:
+            router.send_train(1, 0, frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            reader.join(30.0)
+            router.close()
+            raw.close()
+        assert received[0] == expected
+        assert peak <= 80 << 20, f"send_train peaked at {peak / 2**20:.1f} MiB"
+
+    def test_the_receiver_moves_progress_before_the_train_is_in(self):
+        raw, end_1 = socket.socketpair()
+        router = MeshRouter(1, {0: end_1})
+        body = encode_train_body(_heavy_frames(40))
+        record = encode_header(0, 1, 0) + body
+        try:
+            raw.sendall(length_prefix(len(record)) + record[:2 << 20])
+            assert _until(
+                lambda: router.progress() == PREFIX_BYTES + (2 << 20)
+            )
+            assert not router.wait_round(0, [0], timeout=0)
+            raw.sendall(record[2 << 20:])
+            assert router.wait_round(0, [0], timeout=30.0)
+            assert router.progress() == PREFIX_BYTES + len(record)
+        finally:
+            raw.close()
+            router.close()
+
+    def test_the_sender_moves_progress_before_the_train_is_out(self):
+        end_0, raw = socket.socketpair()
+        router = MeshRouter(0, {1: end_0})
+        frames = _heavy_frames(40)
+        sender = threading.Thread(
+            target=router.send_train, args=(1, 0, frames)
+        )
+        sender.start()
+        try:
+            taken = 0
+            while taken < 3 << 20:  # the peer reads 3 MiB, then stalls
+                taken += len(raw.recv(1 << 20))
+            assert _until(lambda: router.progress() > 2 << 20)
+            assert sender.is_alive()
+            while taken < _wire_bytes(frames):
+                taken += len(raw.recv(1 << 20))
+            sender.join(30.0)
+            assert router.progress() == taken
+        finally:
+            raw.close()
+            sender.join(30.0)
+            router.close()
 
 
 # -- the per-worker liveness judgment (unit, tier-1) -------------------------

@@ -10,14 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.meshwire import (
-    _CHUNK,
-    MESH_CHUNK_BYTES,
+    _HEADER,
     MESH_MAGIC,
     MESH_VERSION,
-    MeshChunk,
-    TrainAssembler,
-    decode_chunk,
-    split_train,
+    decode_train,
+    encode_header,
 )
 from repro.cluster.wire import (
     _MAX_MESSAGE,
@@ -34,7 +31,14 @@ from repro.errors import (
     SerializationError,
 )
 from repro.net.party import Frame
-from repro.net.trains import _LENGTH, decode_train_body, encode_train_body
+from repro.net.trains import (
+    MAX_RECORD,
+    PREFIX_BYTES,
+    decode_train_body,
+    encode_train_body,
+    length_prefix,
+    split_records,
+)
 from repro.utils.serialization import encode_bytes, encode_sequence
 from tests.strategies import bit_flips, truncations
 
@@ -60,7 +64,7 @@ messages = st.builds(
 
 @given(messages)
 def test_message_round_trip(message):
-    decoded = Message.decode(message.encode()[_LENGTH.size:])
+    decoded = Message.decode(message.encode()[PREFIX_BYTES:])
     assert decoded.kind == message.kind
     assert decoded.fields == message.fields
     assert decoded.blob == message.blob
@@ -100,7 +104,7 @@ def test_a_wired_fleet_needs_no_introductions():
 @given(st.integers(min_value=0, max_value=1 << 31))
 def test_done_round_trip(round_index):
     message = Message(DONE, {"round": round_index, "checkpoint": 8})
-    assert Message.decode(message.encode()[_LENGTH.size:]) == message
+    assert Message.decode(message.encode()[PREFIX_BYTES:]) == message
 
 
 def test_corrupt_body_rejected():
@@ -111,7 +115,7 @@ def test_corrupt_body_rejected():
 def test_old_format_body_with_a_frames_segment_is_rejected():
     """A format-1 record carried ``seq frame_encodings`` after the blob
     (an empty sequence is one count byte); the decoder refuses it."""
-    body = Message(DONE, {"round": 3}).encode()[_LENGTH.size:]
+    body = Message(DONE, {"round": 3}).encode()[PREFIX_BYTES:]
     assert Message.decode(body).fields == {"round": 3}
     with pytest.raises(ClusterError, match="trailing bytes"):
         Message.decode(body + encode_sequence([]))
@@ -200,6 +204,24 @@ class TestMessageChannel:
             left.close()
             right.close()
 
+    def test_messages_arriving_together_come_out_one_per_recv(self):
+        """Two whole records in one read: the first ``recv`` returns the
+        first, and the second is already in hand for a polling one."""
+        left, right = _channel_pair()
+        try:
+            left._sock.sendall(
+                Message(DONE, {"round": 1}).encode()
+                + Message(DONE, {"round": 2}).encode()
+            )
+            assert right.recv(timeout=5.0).fields == {"round": 1}
+            assert right.recv(timeout=0).fields == {"round": 2}
+            assert right.buffered == 0
+            with pytest.raises(TimeoutError):
+                right.recv(timeout=0)
+        finally:
+            left.close()
+            right.close()
+
     def test_clean_eof_raises_channel_closed(self):
         left, right = _channel_pair()
         left.close()
@@ -242,7 +264,7 @@ class TestMessageChannel:
         once, not a 256 MiB read the channel waits for."""
         left, right = _channel_pair()
         try:
-            left._sock.sendall(_LENGTH.pack(_MAX_MESSAGE + 1))
+            left._sock.sendall(length_prefix(_MAX_MESSAGE + 1))
             with pytest.raises(ClusterError, match="oversized control"):
                 right.recv(timeout=0.5)
         finally:
@@ -322,25 +344,15 @@ def mesh_frames(draw):
 
 trains = st.lists(mesh_frames(), max_size=8)
 
-#: (round, chunk size) coordinates for split/reassemble runs.
-coords = st.tuples(
-    st.integers(min_value=0, max_value=1 << 20),
-    st.integers(min_value=1, max_value=64),
-)
+rounds = st.integers(min_value=0, max_value=(1 << 32) - 1)
+
+#: An empty train's body: the round barrier a peer owes every round.
+EMPTY = encode_train_body([])
 
 
-def _assemble(records, assembler=None):
-    """Feed chunk records to an assembler (by default one expecting the
-    first record's round); return the completed ``(round, body,
-    halted)`` trains."""
-    if assembler is None:
-        assembler = TrainAssembler(decode_chunk(records[0]).round_index)
-    completed = []
-    for record in records:
-        done = assembler.add(decode_chunk(record))
-        if done is not None:
-            completed.append(done)
-    return completed
+def _record(round_index, body, halted=False, src=3, dst=5):
+    """One train record as a link carries it, without its prefix."""
+    return encode_header(src, dst, round_index, halted) + body
 
 
 class TestTrainBodyCodec:
@@ -383,155 +395,132 @@ class TestTrainBodyCodec:
             decode_train_body(bytes(body))
 
 
-class TestChunkCodec:
-    @given(trains, coords)
-    def test_split_reassemble_round_trip(self, train, coordinates):
-        round_index, chunk_bytes = coordinates
-        body = encode_train_body(train)
-        records = split_train(3, 5, round_index, body,
-                              chunk_bytes=chunk_bytes)
-        completed = _assemble(records)
-        assert completed == [(round_index, body, False)]
-        assert decode_train_body(completed[0][1]) == train
+class TestTrainRecord:
+    @given(trains, rounds)
+    def test_round_trip(self, train, round_index):
+        record = _record(round_index, encode_train_body(train))
+        assert decode_train(record, 3, 5, round_index) == (train, False)
 
-    @given(trains, coords, st.booleans())
-    def test_halted_flag_rides_every_chunk(self, train, coordinates, halted):
-        round_index, chunk_bytes = coordinates
-        body = encode_train_body(train)
-        records = split_train(3, 5, round_index, body, halted,
-                              chunk_bytes=chunk_bytes)
-        assert all(decode_chunk(r).halted is halted for r in records)
-        assert _assemble(records) == [(round_index, body, halted)]
+    @given(trains, rounds, st.booleans())
+    def test_halted_flag_round_trips(self, train, round_index, halted):
+        record = _record(round_index, encode_train_body(train), halted)
+        assert decode_train(record, 3, 5, round_index) == (train, halted)
 
-    @given(trains.filter(bool), coords, st.data())
-    def test_reordered_or_repeated_chunk_refused(self, train, coordinates,
-                                                data):
-        """A link is one ordered stream: a chunk delivered out of order,
-        or twice, is a broken link, never a train."""
-        round_index, chunk_bytes = coordinates
-        body = encode_train_body(train)
-        records = split_train(3, 5, round_index, body,
-                              chunk_bytes=min(chunk_bytes, len(body) // 2))
-        position = data.draw(st.integers(0, len(records) - 2))
-        swapped = list(records)
-        swapped[position], swapped[position + 1] = (
-            swapped[position + 1], swapped[position]
-        )
-        repeated = [*records[:position + 1], *records[position:]]
-        for noisy in (swapped, repeated):
-            with pytest.raises(SerializationError, match="next"):
-                _assemble(noisy, TrainAssembler(round_index))
-
-    def test_empty_body_yields_one_barrier_chunk(self):
-        records = split_train(0, 1, 7, b"")
-        assert len(records) == 1
-        assert _assemble(records) == [(7, b"", False)]
-
-    def test_oversized_body_splits_at_chunk_threshold(self):
-        """A >32 MiB body rides as multiple records and reassembles —
-        the heavy OWF gossip rounds depend on it."""
-        body = b"\xab" * (MESH_CHUNK_BYTES + 1024)
-        records = split_train(0, 1, 2, body)
-        assert len(records) == 2
-        assert _assemble(records) == [(2, body, False)]
+    def test_an_empty_train_is_one_barrier_record(self):
+        """The round barrier: no frames is still one record, header and
+        an empty body behind one length prefix."""
+        record = _record(7, EMPTY)
+        buffer = bytearray(length_prefix(len(record)) + record)
+        assert split_records(buffer, 64) == [record]
+        assert len(record) == _HEADER.size + len(EMPTY)
+        assert decode_train(record, 3, 5, 7) == ([], False)
 
     @given(st.binary(max_size=40).flatmap(
-        lambda b: truncations(split_train(1, 2, 3, b, chunk_bytes=16)[0])
+        lambda b: truncations(_record(3, encode_train_body([Frame(3, 5, b)])))
     ))
     def test_truncated_record_raises(self, cut):
         with pytest.raises(MALFORMED_INPUT_ERRORS):
-            decode_chunk(cut)
+            decode_train(cut, 3, 5, 3)
 
     @given(st.binary(max_size=40).flatmap(
-        lambda b: bit_flips(split_train(1, 2, 3, b, chunk_bytes=16)[0])
+        lambda b: bit_flips(_record(3, encode_train_body([Frame(3, 5, b)])))
     ))
     def test_bit_flipped_record_never_crashes(self, corrupted):
         try:
-            assert isinstance(decode_chunk(corrupted), MeshChunk)
+            frames, halted = decode_train(corrupted, 3, 5, 3)
+            assert isinstance(halted, bool)
+            assert all(isinstance(frame, Frame) for frame in frames)
         except MALFORMED_INPUT_ERRORS:
             pass
 
     def test_bad_magic_rejected(self):
-        record = bytearray(split_train(1, 2, 3, b"x")[0])
+        record = bytearray(_record(3, EMPTY))
         record[:4] = b"NOPE"
         with pytest.raises(SerializationError, match="magic"):
-            decode_chunk(bytes(record))
+            decode_train(bytes(record), 3, 5, 3)
         assert MESH_MAGIC != b"NOPE"
 
     @pytest.mark.parametrize("flag", [2, 7, 255])
     def test_halted_flag_outside_zero_one_refused(self, flag):
-        record = bytearray(split_train(1, 2, 3, b"x")[0])
-        record[6] = flag  # magic(4) version(1) kind(1) halted(1)
+        record = bytearray(_record(3, EMPTY))
+        record[5] = flag  # magic(4) version(1) halted(1)
         with pytest.raises(SerializationError, match="halted flag"):
-            decode_chunk(bytes(record))
+            decode_train(bytes(record), 3, 5, 3)
 
     def test_the_retired_hello_kind_is_refused(self):
-        record = bytearray(split_train(0, 1, 5, b"")[0])
-        record[5] = 2  # the link-handshake kind of format v2
-        with pytest.raises(SerializationError, match="kind 2"):
-            decode_chunk(bytes(record))
-
-    def test_a_v2_record_is_refused_by_version(self):
-        """v3 dropped ``train_seq``: a v2 header is four bytes longer and
-        decodes to a version error, not a mis-framed train."""
-        assert MESH_VERSION == 3 and _CHUNK.size == 27
-        v2_empty_train = (
-            MESH_MAGIC + bytes([2, 1, 0]) + (0).to_bytes(2, "big")
-            + (1).to_bytes(2, "big") + bytes(12)
-            + (1).to_bytes(4, "big") + bytes(4)
-        )
+        """Format v2's link handshake was a record of kind 2; its
+        version byte refuses it."""
+        hello = MESH_MAGIC + bytes([2, 2, 0]) + bytes(24)
         with pytest.raises(SerializationError, match="version 2"):
-            decode_chunk(v2_empty_train)
+            decode_train(hello, 0, 1, 5)
 
-
-class TestTrainAssembler:
-    def test_consecutive_rounds_complete_in_order(self):
-        body_a, body_b = b"a" * 24, b"b" * 40
-        records = (
-            split_train(0, 1, 10, body_a, chunk_bytes=8)
-            + split_train(0, 1, 11, body_b, True, chunk_bytes=8)
+    def test_a_v3_record_is_refused_by_version(self):
+        """v4 dropped v3's record kind, chunk coordinates and payload
+        length: a v3 chunk record's header is thirteen bytes longer and
+        decodes to a version error, not a mis-framed train."""
+        assert MESH_VERSION == 4 and _HEADER.size == 14
+        v3_empty_train = (
+            MESH_MAGIC + bytes([3, 1, 0]) + (3).to_bytes(2, "big")
+            + (5).to_bytes(2, "big") + (7).to_bytes(4, "big") + bytes(4)
+            + (1).to_bytes(4, "big") + len(EMPTY).to_bytes(4, "big") + EMPTY
         )
-        assembler = TrainAssembler(10)
-        assert _assemble(records, assembler) == [
-            (10, body_a, False), (11, body_b, True),
+        with pytest.raises(SerializationError, match="version 3"):
+            decode_train(v3_empty_train, 3, 5, 7)
+
+
+    def test_a_record_past_what_a_u32_states_is_refused_by_its_sender(self):
+        """The mesh's cap is the prefix's own range, 4 GiB - 1: a longer
+        train fails loudly where it is written, never as a wrapped
+        length."""
+        assert length_prefix(MAX_RECORD) == b"\xff" * 4
+        with pytest.raises(SerializationError, match="exceeds"):
+            length_prefix(MAX_RECORD + 1)
+
+
+class TestLinkOrder:
+    """A link is one ordered stream: a receiver decodes each record
+    against the next round the link owes (``MeshRouter`` keeps only that
+    counter)."""
+
+    def test_consecutive_rounds_decode_in_order(self):
+        body_a = encode_train_body([Frame(0, 1, b"a" * 24)])
+        body_b = encode_train_body([Frame(0, 1, b"b" * 40)])
+        records = [_record(10, body_a, src=0, dst=1),
+                   _record(11, body_b, True, src=0, dst=1)]
+        buffer = bytearray(
+            b"".join(length_prefix(len(r)) + r for r in records)
+        )
+        decoded = [
+            decode_train(record, 0, 1, 10 + offset)
+            for offset, record in enumerate(split_records(buffer, 1 << 10))
         ]
-        assert assembler.next_round == 12
+        assert decoded == [
+            (decode_train_body(body_a), False),
+            (decode_train_body(body_b), True),
+        ]
 
     def test_interleaved_rounds_refused(self):
-        recs_a = split_train(0, 1, 10, b"a" * 24, chunk_bytes=8)
-        recs_b = split_train(0, 1, 11, b"b" * 40, chunk_bytes=8)
-        assembler = TrainAssembler(10)
-        assembler.add(decode_chunk(recs_a[0]))
+        """Round 11's train where the link owes round 10."""
         with pytest.raises(SerializationError, match="owes round 10"):
-            assembler.add(decode_chunk(recs_b[0]))
+            decode_train(_record(11, EMPTY, src=0, dst=1), 0, 1, 10)
 
     @pytest.mark.parametrize("round_index", [0, 4, 6, 1 << 31])
     def test_a_round_other_than_the_next_is_refused(self, round_index):
         """A repeated round (4), one skipped ahead (6), or one from any
         other run: the link owes exactly round 5."""
-        assembler = TrainAssembler(4)
-        assert _assemble(split_train(0, 1, 4, b"x"), assembler)
+        assert decode_train(_record(4, EMPTY, src=0, dst=1), 0, 1, 4)
         with pytest.raises(SerializationError, match="owes round 5"):
-            assembler.add(decode_chunk(split_train(0, 1, round_index, b"")[0]))
+            decode_train(_record(round_index, EMPTY, src=0, dst=1), 0, 1, 5)
 
-    def test_geometry_contradiction_raises(self):
-        a = split_train(0, 1, 5, b"x" * 20, chunk_bytes=8)
-        b = split_train(0, 1, 5, b"x" * 60, chunk_bytes=8)
-        assembler = TrainAssembler(5)
-        assembler.add(decode_chunk(a[0]))
-        with pytest.raises(SerializationError, match="chunks"):
-            assembler.add(decode_chunk(b[1]))
-
-    def test_halted_flag_contradiction_raises(self):
-        a = split_train(0, 1, 5, b"x" * 20, False, chunk_bytes=8)
-        b = split_train(0, 1, 5, b"x" * 20, True, chunk_bytes=8)
-        assembler = TrainAssembler(5)
-        assembler.add(decode_chunk(a[0]))
-        with pytest.raises(SerializationError, match="halted"):
-            assembler.add(decode_chunk(b[1]))
+    @pytest.mark.parametrize("src, dst", [(2, 1), (0, 2), (1, 0), (0, 0)])
+    def test_a_train_of_another_link_is_refused(self, src, dst):
+        with pytest.raises(SerializationError,
+                           match="arrived on the link from worker 0"):
+            decode_train(_record(3, EMPTY, src=src, dst=dst), 0, 1, 3)
 
     def test_size_cap_enforced(self):
-        assembler = TrainAssembler(5, max_bytes=32)
-        records = split_train(0, 1, 5, b"z" * 64, chunk_bytes=16)
-        with pytest.raises(SerializationError, match="exceeds"):
-            _assemble(records, assembler)
+        """The cap is read off the prefix: a record past it is refused
+        before a byte of its body arrives."""
+        buffer = bytearray(length_prefix(33))
+        with pytest.raises(SerializationError, match="exceeds 32"):
+            split_records(buffer, 32)

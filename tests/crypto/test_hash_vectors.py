@@ -563,12 +563,12 @@ class TestBatchDoor:
             value = _reference_hash(domain, (*prefix, value))
         assert domain_walker(domain, *prefix)(start, times) == value
 
-    @pytest.mark.parametrize("chunk_index", [0, 5, 127, 128, 300])
-    def test_a_wots_chain_is_repeated_hash_domain(self, chunk_index):
-        value = start = hash_domain("seed", encode_uint(chunk_index))
+    @pytest.mark.parametrize("position", [0, 5, 127, 128, 300])
+    def test_a_wots_chain_is_repeated_hash_domain(self, position):
+        value = start = hash_domain("seed", encode_uint(position))
         for steps in range(17):
-            assert winternitz._chain(start, steps, chunk_index) == value
-            value = hash_domain("wots/chain", encode_uint(chunk_index), value)
+            assert winternitz._chain(start, steps, position) == value
+            value = hash_domain("wots/chain", encode_uint(position), value)
 
 
 # -- midstates are scratch, never part of a value -------------------------------

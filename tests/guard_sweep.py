@@ -28,12 +28,11 @@ from tests.test_retired_rules import REPO_ROOT, copy_repo, run_tier1
 
 #: Module under ``src/repro`` -> the functions that decode what it reads.
 DECODE_PATHS = {
-    "cluster/wire.py": (
-        "Message.decode", "MessageChannel.recv", "MessageChannel._try_parse",
-    ),
-    "cluster/meshwire.py": ("decode_chunk", "TrainAssembler.add"),
+    "cluster/wire.py": ("Message.decode", "MessageChannel.recv"),
+    "cluster/meshwire.py": ("decode_train",),
     "serve/wire.py": ("decode_line", "_finite_float", "decode_request"),
-    "net/trains.py": ("decode_train_body",),
+    "net/trains.py": ("split_records", "decode_train_body"),
+    "runtime/transport.py": ("_split_records", "_open_train"),
 }
 
 #: A run of the tests takes seconds; past this, a mutation hangs them.

@@ -125,6 +125,36 @@ class TestAdversarialExecution:
         assert result.agreement
 
 
+class TestGoodPathIsOnlyLikely:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "liveness rests on the tree's good-path property (f_ae-comm "
+            "leaves few parties isolated), which holds only with high "
+            "probability, and nothing resamples a tree that breaks it "
+            "(ROADMAP item 2 redraws the committees)"
+        ),
+    )
+    def test_n64_keeps_liveness_at_seed_1007_op_28(self):
+        """The ``piba-snarkhash-n64`` benchmark op that loses liveness
+        under a legal corruption: 10 of 64 parties corrupt, 35 isolated
+        before the boost, a 142-byte certificate, and every output
+        ``None``.  A fix for the bad tree turns this into an XPASS,
+        which strict mode fails, so its mark must go with it."""
+        params = ProtocolParameters()
+        rng = Randomness(1007).fork("piba-snarkhash-n64").fork("op-28")
+        plan = random_corruption(
+            64, params.max_corruptions(64), rng.fork("corruption")
+        )
+        result = run_balanced_ba(
+            {i: i % 2 for i in range(64)}, plan, _snark_scheme(), params,
+            rng.fork("run"),
+        )
+        assert [party for party in plan.honest
+                if result.outputs[party] is None] == []
+        assert result.agreement
+
+
 class TestStep5cDropsForeignAggregates:
     """Fig. 3 step 5c at an internal node: an aggregate that fits in no
     child's virtual range is dropped, whatever type the scheme's

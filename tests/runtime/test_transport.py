@@ -9,7 +9,7 @@ from repro.cluster.drivers import record_balanced_ba_script
 from repro.errors import NetworkError
 from repro.net.adversary import prefix_corruption
 from repro.net.metrics import CommunicationMetrics
-from repro.net.trains import decode_train_body, encode_train_body
+from repro.net.trains import decode_train_body, encode_train_body, length_prefix
 from repro.obs.flow import FlowLedger
 from repro.params import ProtocolParameters
 from repro.runtime.replay import (
@@ -21,7 +21,6 @@ from repro.runtime.replay import (
 from repro.runtime.synchronizer import run_parties_async
 from repro.runtime.transport import (
     _HELLO,
-    _LENGTH,
     _MAX_RECORD,
     _TRAIN,
     AsyncLocalTransport,
@@ -102,20 +101,20 @@ class TestFrameEncoding:
         with pytest.raises(NetworkError, match="malformed train from 0"):
             _open_train(1, 0, b"\x01\x02")
         with pytest.raises(NetworkError, match="bad record length"):
-            _split_records(bytearray(_LENGTH.pack(2) + b"\x01\x02"))
+            _split_records(bytearray(length_prefix(2) + b"\x01\x02"))
 
     def test_oversized_length_rejected_before_the_body_arrives(
         self, monkeypatch
     ):
         with pytest.raises(NetworkError, match="bad record length"):
-            _split_records(bytearray(_LENGTH.pack(_MAX_RECORD + 1)))
+            _split_records(bytearray(length_prefix(_MAX_RECORD + 1)))
         monkeypatch.setattr("repro.runtime.transport._MAX_RECORD", 64)
         with pytest.raises(NetworkError, match="record exceeds"):
             _record(_TRAIN, 0, bytes(64))
 
     def test_unknown_record_kind_rejected(self):
         with pytest.raises(NetworkError, match="unknown record kind 7"):
-            _split_records(bytearray(_LENGTH.pack(5) + b"\x07" + bytes(4)))
+            _split_records(bytearray(length_prefix(5) + b"\x07" + bytes(4)))
 
     def test_train_for_someone_else_rejected(self):
         body = encode_train_body([Frame(sender=0, recipient=2, payload=b"x")])
@@ -468,7 +467,7 @@ class TestDeadTaskFailsTheBarrier:
 
     def test_oversized_length(self):
         self._assert_fails(
-            [_LENGTH.pack(_MAX_RECORD + 1)], "bad record length", endpoint=2
+            [length_prefix(_MAX_RECORD + 1)], "bad record length", endpoint=2
         )
 
     def test_unknown_recipient(self):

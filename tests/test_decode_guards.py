@@ -28,8 +28,14 @@ from typing import Callable, Dict, Tuple
 
 import pytest
 
-from repro.errors import ClusterError, GatewayError, SerializationError
+from repro.errors import (
+    ClusterError,
+    GatewayError,
+    NetworkError,
+    SerializationError,
+)
 from repro.net.party import Frame
+from repro.net.trains import encode_train_body, length_prefix
 from tests.guard_sweep import DECODE_PATHS, disabled, guards
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -86,38 +92,20 @@ def _recv_after(wire: types.ModuleType, written: bytes, close: bool,
 
 # -- cluster/meshwire.py ------------------------------------------------------
 
-_CHUNK_FIELDS = (
-    "magic", "version", "kind", "halted", "src_worker", "dst_worker",
-    "round_index", "chunk_index", "num_chunks", "payload_len",
+_HEADER_FIELDS = (
+    "magic", "version", "halted", "src_worker", "dst_worker", "round_index",
 )
 
 
-def _forged_chunk(meshwire: types.ModuleType, **fields: object) -> bytes:
-    """Chunk 0 of a two-chunk train from worker 0 to 1, header edited."""
-    record = meshwire.split_train(0, 1, 3, b"body", chunk_bytes=2)[0]
-    header = dict(zip(_CHUNK_FIELDS, meshwire._CHUNK.unpack_from(record)))
+def _forged_train(meshwire: types.ModuleType, **fields: object) -> object:
+    """Decode a train record from worker 0 to 1 for round 3, its header
+    edited, on the link that owes exactly that train."""
+    record = meshwire.encode_header(0, 1, 3) + encode_train_body([])
+    header = dict(zip(_HEADER_FIELDS, meshwire._HEADER.unpack_from(record)))
     header.update(fields)
-    return meshwire._CHUNK.pack(*header.values()) + record[
-        meshwire._CHUNK.size:]
-
-
-def _chunk(meshwire: types.ModuleType, round_index: int = 0,
-           chunk_index: int = 0, num_chunks: int = 1,
-           payload: bytes = b"ab") -> object:
-    return meshwire.MeshChunk(
-        src_worker=0, dst_worker=1, round_index=round_index,
-        chunk_index=chunk_index, num_chunks=num_chunks, payload=payload,
-        halted=False,
-    )
-
-
-def _assemble(meshwire: types.ModuleType, *chunks: Dict[str, object],
-              max_bytes: int = 1 << 20) -> object:
-    assembler = meshwire.TrainAssembler(first_round=0, max_bytes=max_bytes)
-    result = None
-    for fields in chunks:
-        result = assembler.add(_chunk(meshwire, **fields))
-    return result
+    forged = meshwire._HEADER.pack(*header.values()) + record[
+        meshwire._HEADER.size:]
+    return meshwire.decode_train(forged, 0, 1, 3)
 
 
 # -- net/trains.py ------------------------------------------------------------
@@ -151,9 +139,9 @@ def _request(**payload: object) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-_WIRE, _MESH, _SERVE, _TRAINS = (
+_WIRE, _MESH, _SERVE, _TRAINS, _TCP = (
     "cluster/wire.py", "cluster/meshwire.py", "serve/wire.py",
-    "net/trains.py",
+    "net/trains.py", "runtime/transport.py",
 )
 
 CASES: Dict[str, Case] = {
@@ -183,82 +171,38 @@ CASES: Dict[str, Case] = {
     "control-eof-mid-message": Case(
         _WIRE, "MessageChannel.recv", "self._buffer",
         ClusterError, "peer closed the control channel mid-message",
-        lambda m: _recv_after(m, m._LENGTH.pack(10) + b"abc", close=True,
+        lambda m: _recv_after(m, length_prefix(10) + b"abc", close=True,
                               timeout=0.5),
     ),
-    "control-oversized-length-prefix": Case(
-        _WIRE, "MessageChannel._try_parse", "length > _MAX_MESSAGE",
-        ClusterError, "oversized control message",
-        lambda m: _recv_after(m, m._LENGTH.pack(m._MAX_MESSAGE + 1),
-                              close=False, timeout=0.2),
-    ),
-    "chunk-short-record": Case(
-        _MESH, "decode_chunk", "len(record) < _CHUNK.size",
+    "train-short-record": Case(
+        _MESH, "decode_train", "len(record) < _HEADER.size",
         SerializationError, "short mesh record",
-        lambda m: m.decode_chunk(_forged_chunk(m)[:10]),
+        lambda m: m.decode_train(m.encode_header(0, 1, 3)[:10], 0, 1, 3),
     ),
-    "chunk-bad-magic": Case(
-        _MESH, "decode_chunk", "magic != MESH_MAGIC",
+    "train-bad-magic": Case(
+        _MESH, "decode_train", "magic != MESH_MAGIC",
         SerializationError, "bad mesh magic",
-        lambda m: m.decode_chunk(_forged_chunk(m, magic=b"XXXX")),
+        lambda m: _forged_train(m, magic=b"XXXX"),
     ),
-    "chunk-other-version": Case(
-        _MESH, "decode_chunk", "version != MESH_VERSION",
-        SerializationError, "mesh format version",
-        lambda m: m.decode_chunk(
-            _forged_chunk(m, version=m.MESH_VERSION + 1)),
+    "train-other-version": Case(
+        _MESH, "decode_train", "version != MESH_VERSION",
+        SerializationError, "mesh format version 3",
+        lambda m: _forged_train(m, version=3),
     ),
-    "chunk-unknown-kind": Case(
-        _MESH, "decode_chunk", "kind != KIND_TRAIN",
-        SerializationError, "unknown mesh record kind 7",
-        lambda m: m.decode_chunk(_forged_chunk(m, kind=7)),
-    ),
-    "chunk-halted-flag-two": Case(
-        _MESH, "decode_chunk", "halted > 1",
+    "train-halted-flag-two": Case(
+        _MESH, "decode_train", "halted > 1",
         SerializationError, "mesh halted flag 2 is not 0 or 1",
-        lambda m: m.decode_chunk(_forged_chunk(m, halted=2)),
+        lambda m: _forged_train(m, halted=2),
     ),
-    "chunk-addressed-to-itself": Case(
-        _MESH, "decode_chunk", "src_worker == dst_worker",
-        SerializationError, "from worker 0 to itself",
-        lambda m: m.decode_chunk(_forged_chunk(m, dst_worker=0)),
-    ),
-    "chunk-zero-chunks": Case(
-        _MESH, "decode_chunk", "num_chunks < 1",
-        SerializationError, "claims zero chunks",
-        lambda m: m.decode_chunk(_forged_chunk(m, num_chunks=0)),
-    ),
-    "chunk-index-past-count": Case(
-        _MESH, "decode_chunk", "chunk_index >= num_chunks",
-        SerializationError, r"chunk index 2 out of range \(num_chunks=2\)",
-        lambda m: m.decode_chunk(_forged_chunk(m, chunk_index=2)),
-    ),
-    "chunk-payload-length-mismatch": Case(
-        _MESH, "decode_chunk", "payload_len != len(record) - _CHUNK.size",
-        SerializationError, "payload length 5 does not match",
-        lambda m: m.decode_chunk(_forged_chunk(m, payload_len=5)),
+    "train-of-another-link": Case(
+        _MESH, "decode_train", "(src, dst) != (src_worker, dst_worker)",
+        SerializationError, "from worker 0 to 2 arrived on the link",
+        lambda m: _forged_train(m, dst_worker=2),
     ),
     "train-skips-a-round": Case(
-        _MESH, "TrainAssembler.add", "chunk.round_index != self.next_round",
-        SerializationError, "the link owes round 0",
-        lambda m: _assemble(m, {"round_index": 1}),
-    ),
-    "train-chunk-out-of-order": Case(
-        _MESH, "TrainAssembler.add",
-        "chunk.chunk_index != len(self._pieces)",
-        SerializationError, "chunk 1 arrived, chunk 0 is next",
-        lambda m: _assemble(m, {"chunk_index": 1, "num_chunks": 2}),
-    ),
-    "train-geometry-contradiction": Case(
-        _MESH, "TrainAssembler.add", "geometry != self._geometry",
-        SerializationError, "chunk claims 3 chunks",
-        lambda m: _assemble(m, {"num_chunks": 2},
-                            {"chunk_index": 1, "num_chunks": 3}),
-    ),
-    "train-past-the-size-cap": Case(
-        _MESH, "TrainAssembler.add", "self._size > self._max_bytes",
-        SerializationError, "train exceeds 3 bytes",
-        lambda m: _assemble(m, {"payload": b"abcd"}, max_bytes=3),
+        _MESH, "decode_train", "train_round != round_index",
+        SerializationError, "the link owes round 3",
+        lambda m: _forged_train(m, round_index=4),
     ),
     "line-oversized": Case(
         _SERVE, "decode_line", "len(line) > MAX_LINE_BYTES",
@@ -331,6 +275,26 @@ CASES: Dict[str, Case] = {
         _TRAINS, "decode_train_body", "offset != size",
         SerializationError, "1 trailing bytes after train body",
         lambda m: m.decode_train_body(_train_body(m) + b"\x00"),
+    ),
+    "record-past-the-cap": Case(
+        _TRAINS, "split_records", "length > max_length",
+        SerializationError, "record length 9 exceeds 8",
+        lambda m: m.split_records(bytearray(length_prefix(9)), 8),
+    ),
+    "tcp-record-shorter-than-its-header": Case(
+        _TCP, "_split_records", "len(record) < _RECORD.size",
+        NetworkError, "bad record length 2",
+        lambda m: m._split_records(bytearray(length_prefix(2) + b"ab")),
+    ),
+    "tcp-record-unknown-kind": Case(
+        _TCP, "_split_records", "kind not in (_HELLO, _TRAIN)",
+        NetworkError, "unknown record kind 7",
+        lambda m: m._split_records(bytearray(m._record(7, 3))),
+    ),
+    "tcp-train-for-another-party": Case(
+        _TCP, "_open_train", "frame.recipient != party_id",
+        NetworkError, "train for 1 carries a frame for 2",
+        lambda m: m._open_train(1, 0, m.encode_train_body([Frame(0, 2, b"x")])),
     ),
 }
 

@@ -63,9 +63,9 @@ _digests = st.one_of(
 
 def _done_body(round_index):
     from repro.cluster.wire import DONE, Message
-    from repro.net.trains import _LENGTH
+    from repro.net.trains import PREFIX_BYTES
 
-    return Message(DONE, {"round": round_index}).encode()[_LENGTH.size:]
+    return Message(DONE, {"round": round_index}).encode()[PREFIX_BYTES:]
 
 
 class TestSerializationDecoders:
@@ -106,60 +106,61 @@ class TestSerializationDecoders:
 class TestClusterDecoders:
     @_fuzz
     @given(data=garbage)
-    def test_mesh_chunk(self, data):
-        from repro.cluster.meshwire import decode_chunk
+    def test_mesh_train(self, data):
+        from repro.cluster.meshwire import decode_train
 
         try:
-            chunk = decode_chunk(data)
-            assert chunk.num_chunks >= 1
-            assert chunk.chunk_index < chunk.num_chunks
-            assert data[6] in (0, 1) and chunk.halted is bool(data[6])
+            frames, halted = decode_train(data, 0, 1, 3)
+            assert data[5] in (0, 1) and halted is bool(data[5])
+            assert all(frame.bits() >= 0 for frame in frames)
         except LIBRARY_ERRORS:
             pass
 
     @_fuzz
-    @given(flag=st.integers(min_value=0, max_value=255),
-           body=st.binary(max_size=48))
-    def test_mesh_v3_halted_byte(self, flag, body):
-        """A well-formed v3 train header with any halted byte: 0 and 1
+    @given(flag=st.integers(min_value=0, max_value=255))
+    def test_mesh_v4_halted_byte(self, flag):
+        """A well-formed v4 train header with any halted byte: 0 and 1
         decode to the flag, every other value is refused."""
-        from repro.cluster.meshwire import decode_chunk, split_train
+        from repro.cluster.meshwire import decode_train, encode_header
+        from repro.net.trains import encode_train_body
 
-        record = bytearray(split_train(0, 1, 3, body, chunk_bytes=16)[0])
-        record[6] = flag
+        record = bytearray(encode_header(0, 1, 3) + encode_train_body([]))
+        record[5] = flag
         try:
-            chunk = decode_chunk(bytes(record))
+            _, halted = decode_train(bytes(record), 0, 1, 3)
         except LIBRARY_ERRORS:
             assert flag > 1
             return
-        assert flag <= 1 and chunk.halted is bool(flag)
+        assert flag <= 1 and halted is bool(flag)
 
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("dst_worker", 0, "from worker 0 to itself"),
-            ("num_chunks", 0, "claims zero chunks"),
-            ("chunk_index", 2, "chunk index 2 out of range"),
+            ("halted", 2, "halted flag 2 is not 0 or 1"),
+            ("src_worker", 2, "from worker 2 to 1 arrived on the link from"),
+            ("dst_worker", 0, "from worker 0 to 0 arrived on the link from"),
+            ("round_index", 4, "train for round 4 from worker 0; the link"),
         ],
-        ids=["to-itself", "zero-chunks", "index-past-count"],
+        ids=["halted-two", "foreign-src", "to-itself", "foreign-round"],
     )
-    def test_out_of_range_chunk_header_fields(self, field, value, match):
-        """Forged coordinates on a well-formed chunk 0 of 2: each is
-        refused by its own check, not by a later one by accident."""
-        from repro.cluster.meshwire import _CHUNK, decode_chunk, split_train
+    def test_out_of_range_train_header_fields(self, field, value, match):
+        """Forged fields on a well-formed train record from worker 0 to 1
+        for round 3: each is refused by its own check, not by a later
+        one by accident."""
+        from repro.cluster.meshwire import _HEADER, decode_train, encode_header
         from repro.errors import SerializationError
+        from repro.net.trains import encode_train_body
 
-        record = split_train(0, 1, 3, b"body", chunk_bytes=2)[0]
+        record = encode_header(0, 1, 3) + encode_train_body([])
         header = dict(zip(
-            ("magic", "version", "kind", "halted", "src_worker",
-             "dst_worker", "round_index", "chunk_index", "num_chunks",
-             "payload_len"),
-            _CHUNK.unpack_from(record),
+            ("magic", "version", "halted", "src_worker", "dst_worker",
+             "round_index"),
+            _HEADER.unpack_from(record),
         ))
         header[field] = value
-        forged = _CHUNK.pack(*header.values()) + record[_CHUNK.size:]
+        forged = _HEADER.pack(*header.values()) + record[_HEADER.size:]
         with pytest.raises(SerializationError, match=match):
-            decode_chunk(forged)
+            decode_train(forged, 0, 1, 3)
 
     @_fuzz
     @given(data=garbage)
@@ -301,6 +302,22 @@ class TestTrainDecoders:
         with pytest.raises(SerializationError,
                            match="truncated train phase table at offset 6"):
             decode_train_body(forged)
+
+    @_fuzz
+    @given(data=garbage)
+    def test_record_splitter(self, data):
+        """The one reader of every socket's records: what it cuts off is
+        whole records under the cap, byte for byte."""
+        from repro.net.trains import PREFIX_BYTES, split_records
+
+        buffer = bytearray(data)
+        try:
+            records = split_records(buffer, 64)
+        except LIBRARY_ERRORS:
+            return
+        assert all(len(record) <= 64 for record in records)
+        consumed = sum(PREFIX_BYTES + len(record) for record in records)
+        assert consumed + len(buffer) == len(data)
 
     @_fuzz
     @given(data=garbage)

@@ -134,19 +134,18 @@ RETIRED = (
         "tests/cluster/test_mesh_faults.py::TestABrokenChannelIsADeadWorker"
         "::test_a_corrupt_control_frame_kills_the_worker_at_once",
     ),
-    # A mesh chunk whose index lies past its train's chunk count.
+    # A mesh train header whose halted byte is neither 0 nor 1, returned
+    # as a flag anyway.
     Retirement(
         "TRU001", "cluster/meshwire.py",
         ((
-            "    if chunk_index >= num_chunks:\n"
-            "        raise SerializationError(\n"
-            '            f"chunk index {chunk_index} out of range "\n'
-            '            f"(num_chunks={num_chunks})"\n'
-            "        )\n",
+            "    if halted > 1:\n"
+            '        raise SerializationError(f"mesh halted flag {halted} '
+            'is not 0 or 1")\n',
             "",
         ),),
         "tests/test_fuzz_decoding.py::TestClusterDecoders"
-        "::test_out_of_range_chunk_header_fields[index-past-count]",
+        "::test_out_of_range_train_header_fields[halted-two]",
     ),
 )
 
