@@ -86,8 +86,7 @@ def quick_ba(n: int = 64, input_bit: int = 1, seed: int = 0,
     from repro.net.adversary import random_corruption
     from repro.params import DEFAULT_PARAMETERS, ProtocolParameters
     from repro.protocols.balanced_ba import run_balanced_ba
-    from repro.srds.base_sigs import HashRegistryBase
-    from repro.srds.snark_based import SnarkSRDS
+    from repro.srds import scheme_by_name
     from repro.utils.randomness import Randomness
 
     params = (
@@ -98,5 +97,5 @@ def quick_ba(n: int = 64, input_bit: int = 1, seed: int = 0,
     rng = Randomness(seed)
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("corrupt"))
     inputs = {i: input_bit for i in range(n)}
-    scheme = SnarkSRDS(base_scheme=HashRegistryBase())
-    return run_balanced_ba(inputs, plan, scheme, params, rng.fork("run"))
+    return run_balanced_ba(inputs, plan, scheme_by_name("snark-hash"),
+                           params, rng.fork("run"))

@@ -27,16 +27,14 @@ def _parse_n(command: str, default: int, description: str,
 def pi_ba_demo_cell(n: int):
     """The seed-2021 split-input cell the fresh-run commands share:
     ``(params, rng, plan, inputs, labelled schemes)``."""
-    from repro.srds.base_sigs import HashRegistryBase
-    from repro.srds.owf import OwfSRDS
-    from repro.srds.snark_based import SnarkSRDS
+    from repro.srds import scheme_by_name
 
     params = ProtocolParameters()
     rng = Randomness(2021)
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("c"))
     schemes = (
-        ("snark-srds", SnarkSRDS(base_scheme=HashRegistryBase())),
-        ("owf-srds", OwfSRDS(message_bits=64)),
+        ("snark-srds", scheme_by_name("snark-hash")),
+        ("owf-srds", scheme_by_name("owf")),
     )
     return params, rng, plan, {i: i % 2 for i in range(n)}, schemes
 

@@ -20,6 +20,7 @@ def cmd_aba(argv: List[str]) -> int:
     from repro.asynchrony.adaptive import ADAPTIVE_STRATEGIES
     from repro.asynchrony.bench import MAX_EXPECTED_ROUNDS, run_aba_bench
     from repro.asynchrony.driver import run_aba
+    from repro.asynchrony.scheduler import POLICIES
     from repro.net.latency import LATENCY_MODEL_NAMES
 
     parser = argparse.ArgumentParser(
@@ -29,7 +30,7 @@ def cmd_aba(argv: List[str]) -> int:
     parser.add_argument("n", nargs="?", type=int, default=16)
     parser.add_argument("--seed", type=int, default=2025)
     parser.add_argument(
-        "--policy", choices=("latency", "adversarial"), default="latency",
+        "--policy", choices=POLICIES, default="latency",
         help="'adversarial' hands delivery order to a seeded adversary",
     )
     parser.add_argument("--latency", choices=LATENCY_MODEL_NAMES,

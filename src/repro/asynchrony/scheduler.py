@@ -1,10 +1,10 @@
 """The asynchronous network model: an adversarially-scheduled event loop.
 
 Everything else in the repo recovers the paper's §1 synchronous model
-(the :class:`~repro.runtime.synchronizer.RoundSynchronizer` round
-barrier).  :class:`AsyncScheduler` is the *other* model: there are no
-rounds and no delivery promise — the only guarantee is eventual
-delivery, and the **order** of deliveries belongs to the adversary.
+(the round barrier of :func:`~repro.runtime.synchronizer.run_parties`).
+:class:`AsyncScheduler` is the *other* model: there are no rounds and
+no delivery promise — the only guarantee is eventual delivery, and the
+**order** of deliveries belongs to the adversary.
 
 Two scheduling policies:
 
@@ -354,10 +354,3 @@ class AsyncScheduler:
             virtual_time=self._now,
             trace=self.trace,
         )
-
-
-def run_async_parties(
-    parties: Sequence[AsyncParty], **kwargs
-) -> AsyncResult:
-    """Build an :class:`AsyncScheduler` over ``parties`` and run it."""
-    return AsyncScheduler(parties, **kwargs).run()

@@ -77,7 +77,7 @@ class ProtocolConfig:
     name: str
     kind: str
     n: int
-    scheme: Optional[str] = None  # "snark" | "owf"
+    scheme: Optional[str] = None  # a repro.srds.SCHEMES label
     unanimous_inputs: bool = False
     schedules: Tuple[str, ...] = _SYNC_ONLY
     backend: str = "inproc"  # "inproc" | "cluster"

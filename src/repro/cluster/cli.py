@@ -3,7 +3,7 @@
 Subcommands::
 
     cluster run [--workload {pi-ba,phase-king}] [--n N] [--workers K]
-                [--scheme {snark,owf}] [--seed S] [--run-dir DIR]
+                [--scheme {snark,snark-hash,owf}] [--seed S] [--run-dir DIR]
                 [--resume] [--checkpoint-interval I]
                 [--kill ROUND:WORKER ...] [--flow-out FILE]
                 [--trace-dir DIR]
@@ -24,7 +24,7 @@ Subcommands::
         Describe a run directory: saved supervisor state, worker
         checkpoint inventory, halted parties.
 
-    cluster bench [--n N] [--workers 1,2,4] [--scheme {snark,owf}]
+    cluster bench [--n N] [--workers 1,2,4] [--scheme {snark,snark-hash,owf}]
                   [--seed S] [--results-dir DIR] [--bench-name NAME]
         The ``BENCH_cluster.json`` record: pi_ba replay at each worker
         count with differential parity against ``run_parties`` (no wall
@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import ClusterError
+from repro.srds import SCHEMES
 
 
 def _parse_kill_plan(items: List[str]) -> Dict[int, int]:
@@ -60,8 +61,7 @@ def _run_args(parser: argparse.ArgumentParser) -> None:
                         default="pi-ba")
     parser.add_argument("--n", type=int, default=16)
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--scheme", choices=("snark", "owf"),
-                        default="snark")
+    parser.add_argument("--scheme", choices=SCHEMES, default="snark")
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--checkpoint-interval", type=int, default=8)
     parser.add_argument("--run-dir", type=Path, default=None)
@@ -273,8 +273,7 @@ def cmd_cluster(argv: Optional[List[str]] = None) -> int:
     bench_parser.add_argument("--n", type=int, default=64)
     bench_parser.add_argument("--workers", default="1,2,4",
                               help="comma-separated worker counts")
-    bench_parser.add_argument("--scheme", choices=("snark", "owf"),
-                              default="snark")
+    bench_parser.add_argument("--scheme", choices=SCHEMES, default="snark")
     bench_parser.add_argument("--seed", type=int, default=2021)
     bench_parser.add_argument("--checkpoint-interval", type=int, default=8)
     bench_parser.add_argument("--results-dir", type=Path, default=None)

@@ -36,6 +36,7 @@ the queue's own timed wait, against the monotonic clock.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import socket
 import threading
@@ -184,8 +185,21 @@ class MeshRouter:
 
     def _receive_loop(self, peer: int, sock: socket.socket,
                       first_round: int) -> None:
-        """Deliver ``peer``'s trains until its end of the link closes."""
-        next_round = first_round
+        """Deliver ``peer``'s trains until its end of the link closes.
+
+        Each train is decoded where it arrived, in the receive buffer,
+        so a train's bytes are held twice at most: the buffer, and the
+        payloads copied out of it.
+        """
+        rounds = itertools.count(first_round)
+
+        def decode(record: memoryview) -> _Arrival:
+            round_index = next(rounds)
+            frames, halted = decode_train(
+                record, peer, self.worker_id, round_index
+            )
+            return peer, round_index, frames, halted
+
         buffer = bytearray()
         while True:
             try:
@@ -197,15 +211,12 @@ class MeshRouter:
             self._bump_progress(len(data))
             buffer += data
             try:
-                for record in split_records(buffer, MAX_RECORD):
-                    frames, halted = decode_train(
-                        record, peer, self.worker_id, next_round
-                    )
-                    self._arrivals.put((peer, next_round, frames, halted))
-                    next_round += 1
+                arrivals = split_records(buffer, MAX_RECORD, decode)
             except SerializationError as exc:
                 self._arrivals.put(exc)
                 return
+            for arrival in arrivals:
+                self._arrivals.put(arrival)
 
 
 __all__ = ["MeshRouter"]

@@ -27,7 +27,7 @@ silently mis-frame.
 from __future__ import annotations
 
 import struct
-from typing import List, Tuple
+from typing import List, Tuple, Union
 
 from repro.errors import SerializationError
 from repro.net.party import Frame
@@ -48,11 +48,14 @@ def encode_header(src_worker: int, dst_worker: int, round_index: int,
                         dst_worker, round_index)
 
 
-def decode_train(record: bytes, src_worker: int, dst_worker: int,
-                 round_index: int) -> Tuple[List[Frame], bool]:
+def decode_train(
+    record: Union[bytes, memoryview], src_worker: int, dst_worker: int,
+    round_index: int,
+) -> Tuple[List[Frame], bool]:
     """The frames and halted flag of one train record, which must be the
     train the link from ``src_worker`` to ``dst_worker`` owes for
-    ``round_index``.
+    ``round_index``.  ``record`` may be a view into the receive buffer:
+    the body is read in place and only the payloads are copied out.
 
     Raises :class:`~repro.errors.SerializationError` — a member of
     ``MALFORMED_INPUT_ERRORS`` — on any truncation, corruption or other

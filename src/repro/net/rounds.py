@@ -18,7 +18,7 @@ it and own only how a frame reaches the core that holds its recipient:
 
 * :func:`run_in_process` — the emitted frames go straight back to the
   same core;
-* :class:`~repro.runtime.synchronizer.RoundSynchronizer` — they cross
+* :func:`~repro.runtime.synchronizer.run_parties` — they cross
   an asyncio :class:`~repro.runtime.transport.Transport` (local buffers
   or TCP);
 * :class:`~repro.cluster.engine.ShardEngine` — one shard of a cluster,

@@ -31,7 +31,7 @@ and cuts the complete records off the front of a receive buffer.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Union
 
 from repro.errors import SerializationError
 from repro.net.party import Frame
@@ -62,16 +62,24 @@ def length_prefix(length: int) -> bytes:
     return _LENGTH.pack(length)
 
 
-def split_records(buffer: bytearray, max_length: int) -> List[bytes]:
-    """Cut the complete length-prefixed records off ``buffer``'s front.
+def split_records(
+    buffer: bytearray,
+    max_length: int,
+    decode: Callable[[memoryview], Any] = bytes,
+) -> List[Any]:
+    """Cut the complete length-prefixed records off ``buffer``'s front
+    and return what ``decode`` reads from each.
 
-    A prefix stating more than ``max_length`` bytes raises
-    :class:`~repro.errors.SerializationError` as soon as the prefix is
-    in, however little of its body has arrived.
+    ``decode`` is handed a view of the record inside ``buffer``, valid
+    only for the call and kept by nothing: the default copies the record
+    out; a decoder that copies out only what it keeps (the mesh's) holds
+    no second copy of a large record.  A prefix stating more than
+    ``max_length`` bytes raises :class:`~repro.errors.SerializationError`
+    as soon as the prefix is in, however little of its body has arrived.
     """
-    records: List[bytes] = []
+    records: List[Any] = []
     offset, size = 0, len(buffer)
-    with memoryview(buffer) as view:  # one copy per record, not two
+    with memoryview(buffer) as view:
         while size - offset >= _LENGTH.size:
             (length,) = _LENGTH.unpack_from(view, offset)
             if length > max_length:
@@ -81,7 +89,8 @@ def split_records(buffer: bytearray, max_length: int) -> List[bytes]:
             end = offset + _LENGTH.size + length
             if end > size:
                 break
-            records.append(bytes(view[offset + _LENGTH.size:end]))
+            with view[offset + _LENGTH.size:end] as record:
+                records.append(decode(record))
             offset = end
     del buffer[:offset]
     return records
@@ -124,8 +133,12 @@ def encode_train_body(frames: Sequence[Frame]) -> bytes:
     return b"".join(parts)
 
 
-def decode_train_body(body: bytes) -> List[Frame]:
-    """Inverse of :func:`encode_train_body` (strict, no trailing bytes)."""
+def decode_train_body(body: Union[bytes, memoryview]) -> List[Frame]:
+    """Inverse of :func:`encode_train_body` (strict, no trailing bytes).
+
+    ``body`` may be a view into a receive buffer: every payload is
+    copied out as ``bytes`` and nothing keeps the view.
+    """
     size = len(body)
     offset = 0
     frames: List[Frame] = []
@@ -140,7 +153,7 @@ def decode_train_body(body: bytes) -> List[Frame]:
                 raise SerializationError(
                     f"truncated train phase table at offset {offset}"
                 )
-            phases.append(body[offset:offset + length].decode("utf-8"))
+            phases.append(str(body[offset:offset + length], "utf-8"))
             offset += length
         (num_frames,) = _LENGTH.unpack_from(body, offset)
         offset += _LENGTH.size
@@ -176,7 +189,7 @@ def decode_train_body(body: bytes) -> List[Frame]:
                     # table, before any delivery or ledger charge.
                     sender=sender,
                     recipient=recipient,
-                    payload=body[offset:offset + payload_len],
+                    payload=bytes(body[offset:offset + payload_len]),
                     sent_round=sent_round,
                     deliver_round=deliver_round,
                     charge_bits=charge_bits,

@@ -38,7 +38,6 @@ library plus :mod:`repro.errors` — :mod:`repro.net.metrics` imports
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, TextIO, Tuple
@@ -329,19 +328,6 @@ class FlowLedger:
         if extra:
             payload.update(extra)
         return payload
-
-
-def write_flow_json(results_dir: Path, payload: Dict[str, Any]) -> Path:
-    """Write ``FLOW_<name>.json`` (sorted keys, trailing newline)."""
-    if payload.get("schema") != FLOW_SCHEMA:
-        raise ConfigurationError("flow payload missing repro-flow/1 schema")
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = results_dir / f"FLOW_{payload['name']}.json"
-    path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 def load_flow_json(path: Path) -> Dict[str, Any]:

@@ -82,9 +82,14 @@ class PhaseKingParty(Party):
         self._proposal_support = 0
 
     # Round layout: phase k (0-based) occupies rounds 3k, 3k+1, 3k+2.
+    # The king speaks in round 3k+2, so its value arrives at round 3k+3
+    # (round 0 of the next phase), where a party consumes it before
+    # sending its next value.
 
     def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
         phase, subround = divmod(round_index, 3)
+        if subround == 0 and phase > 0:
+            self._post_king(inbox, phase - 1)
         if phase > self.f:
             return self.halt(self.value)
         if subround == 0:
@@ -145,29 +150,9 @@ class PhaseKingParty(Party):
         return counts
 
 
-class _PhaseKingPartyWrapped(PhaseKingParty):
-    """Phase-king party that folds the king round in correctly.
-
-    The king's message of phase k is delivered at round 3k+3 (= round 0
-    of the next phase), so honest parties must consume it *before*
-    sending their next value.
-    """
-
-    def step(self, round_index: int, inbox: Sequence[Frame]) -> List[Envelope]:
-        phase, subround = divmod(round_index, 3)
-        if subround == 0 and phase > 0:
-            self._post_king(inbox, phase - 1)
-        return super().step(round_index, inbox)
-
-
-def make_honest_party(
-    party_id: int,
-    members: Sequence[int],
-    max_faults: int,
-    input_value: int,
-) -> PhaseKingParty:
-    """Factory for an honest phase-king participant."""
-    return _PhaseKingPartyWrapped(party_id, members, max_faults, input_value)
+#: The name checkpoints pickled honest parties under while a subclass
+#: held the king-round handling; committed cluster fixtures still load it.
+_PhaseKingPartyWrapped = PhaseKingParty
 
 
 class ByzantinePhaseKingParty(Party):
@@ -232,7 +217,7 @@ def build_phase_king(
     parties: List[Party] = [
         ByzantinePhaseKingParty(member, members)
         if member in byzantine_set
-        else make_honest_party(member, members, f, inputs[member])
+        else PhaseKingParty(member, members, f, inputs[member])
         for member in members
     ]
     honest_ids = [m for m in members if m not in byzantine_set]

@@ -6,11 +6,10 @@ state machines — unchanged — over an asyncio event loop:
 * :mod:`repro.runtime.transport` — the :class:`Transport` abstraction:
   in-process :class:`AsyncLocalTransport` and loopback-socket
   :class:`TcpTransport`, both charging the shared metrics ledger;
-* :mod:`repro.runtime.synchronizer` — :class:`RoundSynchronizer`, the
+* :mod:`repro.runtime.synchronizer` — :func:`run_parties`, the
   transport placement of :class:`repro.net.rounds.RoundCore` (which
   holds every frame until it is due): the round barrier that recovers
-  the paper's synchronous model (§1), and the :func:`run_parties`
-  facade;
+  the paper's synchronous model (§1);
 * :mod:`repro.runtime.faults` — seeded, reproducible crash / delay /
   reorder / duplication / partition injection (:class:`FaultPlan`);
 * :mod:`repro.runtime.trace` — per-party JSONL execution traces;

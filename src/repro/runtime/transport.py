@@ -99,12 +99,6 @@ class Transport(abc.ABC):
         ``frame.sender`` is the true sender (the round core stamped it).
         """
 
-    async def send(self, true_sender: int, frame: Frame) -> None:
-        """Ship one frame under ``true_sender``: :meth:`ship`'s one-frame case."""
-        if frame.sender != true_sender:
-            frame = frame._replace(sender=true_sender)
-        await self.ship([frame])
-
     async def flush(self) -> None:
         """The round barrier: wait until every sent frame has arrived at
         its destination, then charge the landed frames to the ledger.
@@ -149,11 +143,6 @@ class Transport(abc.ABC):
         frames = self._arrived[party_id]
         self._arrived[party_id] = []
         return frames
-
-    @property
-    def in_flight(self) -> int:
-        """Frames sent but not yet arrived (0 after a successful flush)."""
-        return self._sent - self._delivered
 
 
 class AsyncLocalTransport(Transport):
@@ -483,17 +472,3 @@ def _open_train(party_id: int, sender: int, body: bytes) -> List[Frame]:
         if frame.sender != sender:
             frames[index] = frame._replace(sender=sender)
     return frames
-
-
-def make_transport(
-    kind: str,
-    party_ids: Sequence[int],
-    metrics: Optional[CommunicationMetrics] = None,
-) -> Transport:
-    """Factory: ``"local"`` → :class:`AsyncLocalTransport`, ``"tcp"`` →
-    :class:`TcpTransport`."""
-    if kind == "local":
-        return AsyncLocalTransport(party_ids, metrics)
-    if kind == "tcp":
-        return TcpTransport(party_ids, metrics)
-    raise NetworkError(f"unknown transport kind {kind!r}")

@@ -19,7 +19,7 @@ from repro.serve.sessions import (
     one_shot_reference,
     run_decision,
 )
-from repro.serve.setup_cache import SetupCache, SetupLease, scheme_for
+from repro.serve.setup_cache import SetupCache, SetupLease
 
 __all__ = [
     "GatewayClient",
@@ -35,5 +35,4 @@ __all__ = [
     "run_decision",
     "run_gateway",
     "run_session",
-    "scheme_for",
 ]

@@ -46,6 +46,10 @@ from repro.errors import GatewayError
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.serve.sessions import INPUT_PATTERNS
+    from repro.serve.wire import OPS
+    from repro.srds import SCHEMES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description="agreement-as-a-service gateway",
@@ -68,24 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     client = sub.add_parser("client", help="one-shot NDJSON client")
-    client.add_argument(
-        "op",
-        choices=("ping", "submit", "await", "status", "cancel",
-                 "metrics", "shutdown"),
-    )
+    client.add_argument("op", choices=OPS)
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, required=True)
     client.add_argument("--session", default=None)
     client.add_argument("--timeout", type=float, default=None)
     client.add_argument("--n", type=int, default=16)
-    client.add_argument(
-        "--scheme", choices=("snark", "snark-hash", "owf"), default="owf"
-    )
+    client.add_argument("--scheme", choices=SCHEMES, default="owf")
     client.add_argument("--seed", type=int, default=2021)
     client.add_argument("--repeat", type=int, default=1)
-    client.add_argument(
-        "--inputs", choices=("split", "zero", "one"), default="split"
-    )
+    client.add_argument("--inputs", choices=INPUT_PATTERNS, default="split")
     client.add_argument(
         "--wait", action="store_true",
         help="after submit, block until the session finishes",
@@ -93,9 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="record BENCH_gateway.json")
     bench.add_argument("--n", type=int, default=16)
-    bench.add_argument(
-        "--scheme", choices=("snark", "snark-hash", "owf"), default="owf"
-    )
+    bench.add_argument("--scheme", choices=SCHEMES, default="owf")
     bench.add_argument("--seed", type=int, default=2021)
     bench.add_argument("--repeat", type=int, default=4)
     bench.add_argument("--sessions", type=int, default=2)

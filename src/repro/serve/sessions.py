@@ -44,12 +44,8 @@ from repro.protocols.cost_model import pi_ba_per_party_budget
 from repro.serve import wire
 from repro.serve.exposition import DEFAULT_BUCKETS
 from repro.serve.lanes import CANCEL, DECISION, RUN, Lane, LaneWork, fork_lane
-from repro.serve.setup_cache import (
-    SCHEME_LABELS,
-    SetupCache,
-    SetupLease,
-    scheme_for,
-)
+from repro.serve.setup_cache import SetupCache, SetupLease
+from repro.srds import SCHEMES, scheme_by_name
 from repro.utils.randomness import Randomness
 
 #: Supported workloads (the certified-output service of Fig. 3).
@@ -81,10 +77,10 @@ class SessionSpec:
                 f"unknown workload {self.workload!r} "
                 f"(expected one of {WORKLOADS})"
             )
-        if self.scheme not in SCHEME_LABELS:
+        if self.scheme not in SCHEMES:
             raise GatewayError(
                 f"unknown scheme {self.scheme!r} "
-                f"(expected one of {SCHEME_LABELS})"
+                f"(expected one of {tuple(SCHEMES)})"
             )
         if not isinstance(self.n, int) or not 4 <= self.n <= MAX_N:
             raise GatewayError(f"n must be an int in [4, {MAX_N}]")
@@ -140,7 +136,7 @@ def make_inputs(spec: SessionSpec) -> Dict[int, int]:
 def _probe_base_signature_bytes(spec: SessionSpec, material: Any) -> int:
     """Wire size of one base signature under the session's key material."""
     pp = material.public_parameters
-    scheme = scheme_for(spec.scheme)
+    scheme = scheme_by_name(spec.scheme)
     for virtual_id, signing_key in material.signing_keys.items():
         if signing_key is None:
             continue

@@ -39,36 +39,12 @@ from repro.protocols.balanced_ba import (
     SRDSSetupMaterial,
     compute_srds_setup,
 )
+from repro.srds import scheme_by_name
 from repro.srds.base import SRDSScheme
 from repro.utils.randomness import Randomness
 
 #: (scheme label, n, seed): one long-lived setup domain.
 SetupKey = Tuple[str, int, int]
-
-#: The gateway's scheme labels — ``snark`` is the real-crypto default
-#: (Schnorr base signatures), ``snark-hash`` the simulated-base
-#: accelerator for large sweeps, ``owf`` the Lamport/sortition scheme.
-SCHEME_LABELS = ("snark", "snark-hash", "owf")
-
-
-def scheme_for(label: str) -> SRDSScheme:
-    """Construct a fresh scheme instance for a gateway scheme label."""
-    if label == "snark":
-        from repro.srds.snark_based import SnarkSRDS
-
-        return SnarkSRDS()
-    if label == "snark-hash":
-        from repro.srds.base_sigs import HashRegistryBase
-        from repro.srds.snark_based import SnarkSRDS
-
-        return SnarkSRDS(base_scheme=HashRegistryBase())
-    if label == "owf":
-        from repro.srds.owf import OwfSRDS
-
-        return OwfSRDS(message_bits=64)
-    raise GatewayError(
-        f"unknown scheme label {label!r} (expected one of {SCHEME_LABELS})"
-    )
 
 
 @dataclass
@@ -142,7 +118,7 @@ class SetupCache:
     def __init__(
         self,
         max_entries: int = 8,
-        scheme_factory: Callable[[str], SRDSScheme] = scheme_for,
+        scheme_factory: Callable[[str], SRDSScheme] = scheme_by_name,
     ) -> None:
         if max_entries < 1:
             raise GatewayError("setup cache needs at least one entry")

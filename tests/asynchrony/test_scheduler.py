@@ -24,11 +24,7 @@ from repro.obs.spans import recording
 from repro.protocols.aba import PHASE_OF_TAG, ABAParty, CommonCoin
 from repro.asynchrony.bench import _aba_cell
 from repro.asynchrony.driver import run_aba
-from repro.asynchrony.scheduler import (
-    DEFAULT_PHASE,
-    AsyncScheduler,
-    run_async_parties,
-)
+from repro.asynchrony.scheduler import DEFAULT_PHASE, AsyncScheduler
 from repro.runtime.faults import FaultPlan, churn_schedule, crash_everyone
 from repro.utils.randomness import Randomness
 
@@ -161,7 +157,7 @@ class TestAttribution:
 
     def test_phaseless_envelopes_fall_back_to_the_default_phase(self):
         with recording() as log:
-            result = run_async_parties([_PlainPinger(0), _PlainPinger(1)])
+            result = AsyncScheduler([_PlainPinger(0), _PlainPinger(1)]).run()
         assert log.records == []
         assert result.metrics.bits_by_phase(0) == {DEFAULT_PHASE: 32}
 
@@ -272,6 +268,6 @@ class TestConfiguration:
             scheduler.excuse(9)
 
     def test_facade_runs_to_agreement(self):
-        result = run_async_parties(_parties(4), rng=Randomness(2))
+        result = AsyncScheduler(_parties(4), rng=Randomness(2)).run()
         assert set(result.outputs) == {0, 1, 2, 3}
         assert len(set(result.outputs.values())) == 1

@@ -221,7 +221,7 @@ def test_a_worker_has_no_command_line(capsys):
 
 
 def _script():
-    return recorded_pi_ba(N, "snark").script()
+    return recorded_pi_ba(N, "snark-hash").script()
 
 
 def _mesh_replay(tmp_path=None, **config):

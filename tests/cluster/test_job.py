@@ -131,6 +131,6 @@ class TestJobBlob:
         from repro.cluster.job import replay_job
         from tests.placements import recorded_pi_ba
 
-        job = replay_job(recorded_pi_ba(64, "snark").script(), 64)
+        job = replay_job(recorded_pi_ba(64, "snark-hash").script(), 64)
         supervisor = ClusterSupervisor(job, ClusterConfig(num_workers=1))
         assert 0 < len(supervisor._job_blob(0, 0)) < 1 << 20

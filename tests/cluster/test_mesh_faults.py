@@ -338,6 +338,33 @@ class TestLargeTrains:
         assert received[0] == expected
         assert peak <= 80 << 20, f"send_train peaked at {peak / 2**20:.1f} MiB"
 
+    def test_receiving_a_64_mib_train_holds_two_copies_at_most(self):
+        # The receive buffer and the payloads decoded out of it; no copy
+        # of the record or of its body besides.
+        raw, end_1 = socket.socketpair()
+        router = MeshRouter(1, {0: end_1})
+        frames = _heavy_frames(64)
+        record = encode_header(0, 1, 0) + encode_train_body(frames)
+        wire = length_prefix(len(record)) + record
+        del record
+        writer = threading.Thread(target=raw.sendall, args=(wire,))
+        tracemalloc.start()
+        try:
+            writer.start()
+            assert router.wait_round(0, [0], timeout=30.0)
+            received, _ = router.collect_round(0, [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            writer.join(30.0)
+            raw.close()
+            router.close()
+        assert received == frames
+        assert peak <= 2 * len(wire) + (12 << 20), (
+            f"receiving a {len(wire) / 2**20:.0f} MiB train peaked at "
+            f"{peak / 2**20:.1f} MiB"
+        )
+
     def test_the_receiver_moves_progress_before_the_train_is_in(self):
         raw, end_1 = socket.socketpair()
         router = MeshRouter(1, {0: end_1})

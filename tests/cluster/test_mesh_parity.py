@@ -50,7 +50,7 @@ from tests.net import test_simulator as contract
 from tests.placements import phase_views, recorded_pi_ba, run_honest
 from tests.runtime.test_seed_stability import PINNED
 
-SCHEMES = ("snark", "owf")
+SCHEMES = ("snark-hash", "owf")
 TCP_WIRED_RUN = Path(__file__).parent / "fixtures" / "tcp_wired_run"
 
 
@@ -124,7 +124,7 @@ class TestPiBaMatrixN16:
 
 class TestTraceIsOptIn:
     def test_an_untraced_run_records_and_writes_no_trace(self, tmp_path):
-        script = _pi_ba_script(16, "snark")
+        script = _pi_ba_script(16, "snark-hash")
         results = {}
         for traced in (False, True):
             result = ClusterSupervisor(
@@ -142,7 +142,7 @@ class TestTraceIsOptIn:
         assert state["trace_segments"] is None
         assert state["trace_events"] is None
         assert (traced.run_dir / TRACE_FILE).exists()
-        assert traced.trace.fingerprint() == PINNED["snark"]
+        assert traced.trace.fingerprint() == PINNED["snark-hash"]
         assert untraced.outputs == traced.outputs
         assert tallies_equal(untraced.metrics, traced.metrics, range(16))
         assert phase_views(untraced.metrics, range(16)) == phase_views(
@@ -214,7 +214,7 @@ class TestPiBaMatrixN64:
     def test_single_worker_mesh_matches_reference(self):
         # Degenerate mesh (no peers, every frame stays local) still
         # reconstructs identical supervisor metrics from digests.
-        _assert_pi_ba_cell(64, "snark", workers=1)
+        _assert_pi_ba_cell(64, "snark-hash", workers=1)
 
 
 def _phase_king_cell(n, workers):

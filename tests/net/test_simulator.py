@@ -239,7 +239,7 @@ class TestTermination:
 class TestReplayAttribution:
     placement = IN_PROCESS
 
-    @pytest.mark.parametrize("scheme_name", ["snark", "owf"])
+    @pytest.mark.parametrize("scheme_name", ["snark-hash", "owf"])
     def test_replay_reports_the_recorded_phases(self, scheme_name):
         # Every frame carries the phase it was recorded under, and the
         # ledger files it there: the replay's phase breakdown is the
@@ -330,7 +330,7 @@ class FrameLog(CommunicationMetrics):
 
 
 def _replayed_pi_ba():
-    script = recorded_pi_ba(16, "snark").script()
+    script = recorded_pi_ba(16, "snark-hash").script()
     return build_replay_parties(script, 16), None, script.num_rounds + 2
 
 

@@ -15,8 +15,8 @@ from repro.obs.flow import (
     FlowLedger,
     load_flow_json,
     load_spill,
-    write_flow_json,
 )
+from repro.obs.flush import finish_artifacts
 from repro.obs.spans import UNATTRIBUTED, charge_label, flow_tags, span
 
 
@@ -211,14 +211,15 @@ class TestReports:
         metrics.attach_flow(flow)
         with span("p"):
             metrics.record_message(0, 1, 40)
-        payload = flow.report("unit", metrics=metrics, extra={"n": 2})
+        path = tmp_path / "FLOW_unit.json"
+        payload = finish_artifacts(flow, path, metrics=metrics,
+                                   extra={"n": 2})
         assert payload["schema"] == FLOW_SCHEMA
+        assert payload["name"] == "unit"
         assert payload["parity_with_metrics"] is True
         assert payload["coverage"] == 1.0
         assert payload["n"] == 2
-        path = write_flow_json(tmp_path, payload)
-        assert path.name == "FLOW_unit.json"
-        assert load_flow_json(path)["total_bits"] == 40
+        assert load_flow_json(path) == payload
 
     def test_load_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "FLOW_bad.json"

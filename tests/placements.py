@@ -33,9 +33,7 @@ from repro.params import ProtocolParameters
 from repro.protocols.balanced_ba import run_balanced_ba
 from repro.runtime.placements import Placement
 from repro.runtime.replay import RecordingLedger
-from repro.srds.base_sigs import HashRegistryBase
-from repro.srds.owf import OwfSRDS
-from repro.srds.snark_based import SnarkSRDS
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 
@@ -101,10 +99,7 @@ def recorded_pi_ba(n: int, scheme_name: str) -> RecordingLedger:
     """The ledger of one live π_ba run (seed 7, the setting behind
     ``tests/runtime/test_seed_stability.py``'s pins); ``.script()`` is
     what the replay suites replay."""
-    scheme = (
-        SnarkSRDS(base_scheme=HashRegistryBase())
-        if scheme_name == "snark" else OwfSRDS(message_bits=64)
-    )
+    scheme = scheme_by_name(scheme_name)
     params = ProtocolParameters()
     rng = Randomness(7)
     plan = random_corruption(n, params.max_corruptions(n), rng.fork("corrupt"))

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.net.party import Frame
 from repro.protocols.phase_king import (
+    PhaseKingParty,
+    _encode,
     ideal_f_ba,
-    make_honest_party,
     run_phase_king,
 )
 
@@ -44,7 +46,21 @@ class TestResilience:
 
     def test_f_bound_enforced_in_party(self):
         with pytest.raises(ConfigurationError):
-            make_honest_party(0, list(range(9)), 3, 1)
+            PhaseKingParty(0, list(range(9)), 3, 1)
+
+
+class TestKingRound:
+    def test_a_bare_party_adopts_the_king_value(self):
+        # The king (members[0]) spoke in round 2; its value arrives at
+        # round 3, and a party whose own value gathered too few
+        # proposals sends the king's value from there on.
+        party = PhaseKingParty(3, list(range(7)), 2, 0)
+        party.step(2, [])
+        king = Frame(sender=0, recipient=3, payload=_encode(2, 1),
+                     sent_round=2, deliver_round=3)
+        sent = party.step(3, [king])
+        assert party.value == 1
+        assert {envelope.payload for envelope in sent} == {_encode(0, 1)}
 
 
 class TestCommunication:

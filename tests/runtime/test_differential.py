@@ -2,7 +2,7 @@
 synchronous executions and the asyncio runtime.
 
 For n in {16, 64} with random corruption at t = floor((n-1)/3), the
-``AsyncLocalTransport`` + ``RoundSynchronizer`` combination must produce
+``run_parties`` over ``AsyncLocalTransport`` must produce
 byte-identical honest outputs and identical communication snapshots to
 the reference for ``balanced_ba`` (both SRDS constructions); TCP passes
 the same output-parity check at n = 16; and the same seed twice yields
@@ -27,16 +27,11 @@ from repro.runtime.replay import (
     tallies_equal,
 )
 from repro.runtime.trace import TraceRecorder
-from repro.srds.base_sigs import HashRegistryBase
-from repro.srds.owf import OwfSRDS
-from repro.srds.snark_based import SnarkSRDS
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 from tests.placements import phase_views, run_honest
 
-SCHEMES = {
-    "snark": lambda: SnarkSRDS(base_scheme=HashRegistryBase()),
-    "owf": lambda: OwfSRDS(message_bits=64),
-}
+SCHEMES = ("owf", "snark-hash")
 
 
 def _setting(n, seed=7, corruptions=None):
@@ -50,14 +45,14 @@ def _setting(n, seed=7, corruptions=None):
 
 def _reference(n, scheme_name, seed=7, corruptions=None):
     inputs, plan, params, rng = _setting(n, seed, corruptions)
-    scheme = SCHEMES[scheme_name]()
+    scheme = scheme_by_name(scheme_name)
     result = run_balanced_ba(inputs, plan, scheme, params, rng.fork("run"))
     return result, (inputs, plan, params)
 
 
 def _runtime(n, scheme_name, seed=7, corruptions=None, row=LOCAL, **kwargs):
     inputs, plan, params, rng = _setting(n, seed, corruptions)
-    scheme = SCHEMES[scheme_name]()
+    scheme = scheme_by_name(scheme_name)
     return replay_balanced_ba(
         row, inputs, plan, scheme, params, rng.fork("run"), **kwargs
     )
@@ -92,9 +87,9 @@ def test_balanced_ba_parity_in_agreeing_regime(n):
     the runtime reproduces real agreed values, not just null outputs."""
     params = ProtocolParameters()
     t = params.max_corruptions(n)
-    reference, _ = _reference(n, "snark", corruptions=t)
+    reference, _ = _reference(n, "snark-hash", corruptions=t)
     assert reference.agreement and reference.agreed_value is not None
-    result, _ = _runtime(n, "snark", corruptions=t)
+    result, _ = _runtime(n, "snark-hash", corruptions=t)
     assert result.outputs == reference.outputs
     assert result.agreed_value == reference.agreed_value
     assert result.metrics.max_bits_per_party == \
@@ -149,7 +144,7 @@ def test_only_a_reordering_plan_derives_the_delivery_seam(reorder,
 
     monkeypatch.setattr(replay, "record_balanced_ba_script", spy)
     faults = FaultPlan(reorder=reorder, rng=Randomness(5))
-    _runtime(16, "snark", fault_plan=faults)
+    _runtime(16, "snark-hash", fault_plan=faults)
     (delivery_rng,) = seen
     if not reorder:
         assert delivery_rng is None
@@ -164,7 +159,7 @@ def test_replay_matches_simulator_tallies():
     file every charge under the phase the live run filed it under."""
     n = 16
     inputs, plan, params, rng = _setting(n)
-    scheme = SCHEMES["snark"]()
+    scheme = scheme_by_name("snark-hash")
     ledger = RecordingLedger()
     run_balanced_ba(
         inputs, plan, scheme, params, rng.fork("run"), metrics=ledger
@@ -173,7 +168,7 @@ def test_replay_matches_simulator_tallies():
     sim_metrics = CommunicationMetrics()
     replay_over_simulator(script, n, metrics=sim_metrics)
 
-    _, runtime = _runtime(n, "snark")
+    _, runtime = _runtime(n, "snark-hash")
     assert tallies_equal(sim_metrics, runtime.metrics, range(n))
     recorded = phase_views(ledger, range(n))
     assert phase_views(sim_metrics, range(n)) == recorded
@@ -186,7 +181,7 @@ def test_same_seed_identical_traces(transport):
     fingerprints = []
     for _ in range(2):
         trace = TraceRecorder()
-        _runtime(n, "snark", row=PLACEMENTS[transport], trace=trace)
+        _runtime(n, "snark-hash", row=PLACEMENTS[transport], trace=trace)
         fingerprints.append(trace.fingerprint())
     assert fingerprints[0] == fingerprints[1]
 
@@ -196,7 +191,7 @@ def test_trace_jsonl_dump_identical_across_runs(tmp_path):
     dumps = []
     for run_index in range(2):
         trace = TraceRecorder()
-        _runtime(n, "snark", trace=trace)
+        _runtime(n, "snark-hash", trace=trace)
         directory = tmp_path / f"run-{run_index}"
         directory.mkdir()
         paths = trace.dump_dir(directory)
@@ -213,10 +208,10 @@ class TestReorderRobustness:
     def test_balanced_ba_outputs_unchanged(self, seed):
         n = 16
         t = ProtocolParameters().max_corruptions(n)
-        reference, _ = _reference(n, "snark", corruptions=t)
+        reference, _ = _reference(n, "snark-hash", corruptions=t)
         assert reference.agreement  # meaningful baseline
         faults = FaultPlan(reorder=True, rng=Randomness(seed))
-        result, _ = _runtime(n, "snark", corruptions=t, fault_plan=faults)
+        result, _ = _runtime(n, "snark-hash", corruptions=t, fault_plan=faults)
         assert result.outputs == reference.outputs
         assert result.agreement and result.agreed_value == \
             reference.agreed_value

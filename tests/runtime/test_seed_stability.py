@@ -11,7 +11,7 @@ If a deliberate protocol change lands, re-pin by running::
 
     PYTHONPATH=src python -c "
     from tests.runtime.test_seed_stability import compute_fingerprint
-    for s in ('snark', 'owf'):
+    for s in ('snark-hash', 'owf'):
         for t in ('local', 'tcp'):
             print(s, t, compute_fingerprint(s, t))"
 """
@@ -23,9 +23,7 @@ from repro.params import ProtocolParameters
 from repro.runtime.placements import PLACEMENTS
 from repro.runtime.replay import replay_balanced_ba
 from repro.runtime.trace import TraceRecorder
-from repro.srds.base_sigs import HashRegistryBase
-from repro.srds.owf import OwfSRDS
-from repro.srds.snark_based import SnarkSRDS
+from repro.srds import scheme_by_name
 from repro.utils.randomness import Randomness
 
 N = 16
@@ -35,7 +33,7 @@ SEED = 7
 # (local asyncio queues and TCP must produce identical round/delivery
 # schedules), which the test asserts explicitly.
 PINNED = {
-    "snark": "64f9143f0a362671e9b6557dd7468bea99910bce793cc24e29f2361dc7b2d753",
+    "snark-hash": "64f9143f0a362671e9b6557dd7468bea99910bce793cc24e29f2361dc7b2d753",
     "owf": "3292ba08626b5e167ec27d569f96f3fcd14645e4cc074a26fa8802bf9bca7778",
 }
 
@@ -47,11 +45,7 @@ def compute_fingerprint(scheme_name: str, transport: str) -> str:
         N, params.max_corruptions(N), rng.fork("corrupt")
     )
     inputs = {i: i % 2 for i in range(N)}
-    scheme = (
-        SnarkSRDS(base_scheme=HashRegistryBase())
-        if scheme_name == "snark"
-        else OwfSRDS(message_bits=64)
-    )
+    scheme = scheme_by_name(scheme_name)
     trace = TraceRecorder()
     replay_balanced_ba(
         PLACEMENTS[transport],
@@ -79,6 +73,6 @@ class TestSeedStability:
     def test_transports_agree(self):
         # Redundant with the pins while both hold, but localizes the
         # diagnosis when one drifts: scheme change vs transport change.
-        assert compute_fingerprint("snark", "local") == compute_fingerprint(
-            "snark", "tcp"
-        )
+        assert compute_fingerprint(
+            "snark-hash", "local"
+        ) == compute_fingerprint("snark-hash", "tcp")

@@ -1,7 +1,7 @@
-"""RoundSynchronizer: the paper's synchronous model over async transports.
+"""run_parties: the paper's synchronous model over async transports.
 
 The central claim of the runtime is *differential equivalence*: party
-state machines driven by the RoundSynchronizer produce exactly the
+state machines driven by ``run_parties`` produce exactly the
 outputs and metrics they produce on the in-process row — by
 construction, since both step the same ``RoundCore``.  The contract
 cases (duplicate ids, next-round delivery, sender stamping, faults,
@@ -23,11 +23,7 @@ from repro.protocols.gradecast import (
 )
 from repro.protocols.phase_king import build_phase_king, run_phase_king
 from repro.runtime.placements import IN_PROCESS, LOCAL, TCP, mesh
-from repro.runtime.synchronizer import (
-    RoundSynchronizer,
-    run_parties,
-    run_parties_async,
-)
+from repro.runtime.synchronizer import run_parties
 from repro.runtime.trace import TraceRecorder
 from repro.runtime.transport import AsyncLocalTransport, Transport
 from tests.net import test_simulator as contract
@@ -174,17 +170,7 @@ class TestNoRegistryFeed:
     """A batch run keeps no Prometheus registry: the ledger, its flow
     cells and the trace are its only instrumentation."""
 
-    @pytest.mark.parametrize(
-        "entry",
-        [
-            run_parties,
-            run_parties_async,
-            lambda parties, **kw: RoundSynchronizer(
-                parties, AsyncLocalTransport([0, 1]), **kw
-            ),
-        ],
-        ids=["run_parties", "run_parties_async", "RoundSynchronizer"],
-    )
+    @pytest.mark.parametrize("entry", [run_parties], ids=["run_parties"])
     def test_entry_point_takes_no_registry(self, entry):
         with pytest.raises(TypeError):
             entry([_Chatter(i, 2) for i in range(2)], registry=object())
@@ -207,19 +193,13 @@ class TestNoMessageBudget:
         [
             RoundCore,
             run_parties,
-            run_parties_async,
-            lambda parties, **kw: RoundSynchronizer(
-                parties, AsyncLocalTransport([0, 1]), **kw
-            ),
             IN_PROCESS.run,
             LOCAL.run,
             TCP.run,
             mesh(2).run,
         ],
         ids=[
-            "RoundCore", "run_parties",
-            "run_parties_async", "RoundSynchronizer", "in-process",
-            "local", "tcp", "mesh",
+            "RoundCore", "run_parties", "in-process", "local", "tcp", "mesh",
         ],
     )
     def test_entry_point_takes_no_budget(self, entry):

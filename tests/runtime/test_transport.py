@@ -18,7 +18,7 @@ from repro.runtime.replay import (
     replay_over_simulator,
     tallies_equal,
 )
-from repro.runtime.synchronizer import run_parties_async
+from repro.runtime.synchronizer import run_parties
 from repro.runtime.transport import (
     _HELLO,
     _MAX_RECORD,
@@ -29,7 +29,6 @@ from repro.runtime.transport import (
     _open_train,
     _record,
     _split_records,
-    make_transport,
 )
 from repro.srds.base_sigs import HashRegistryBase
 from repro.srds.snark_based import SnarkSRDS
@@ -128,7 +127,7 @@ class TestAsyncLocalTransport:
             metrics = CommunicationMetrics()
             transport = AsyncLocalTransport([0, 1, 2], metrics)
             await transport.start()
-            await transport.send(0, Frame(sender=0, recipient=1, payload=b"xy"))
+            await transport.ship([Frame(sender=0, recipient=1, payload=b"xy")])
             await transport.flush()
             frames = transport.collect(1)
             assert [f.payload for f in frames] == [b"xy"]
@@ -139,25 +138,14 @@ class TestAsyncLocalTransport:
 
         run(main())
 
-    def test_sender_stamped(self):
-        async def main():
-            transport = AsyncLocalTransport([0, 1])
-            await transport.start()
-            # Party 0 claims to be party 1: the transport stamps the truth.
-            await transport.send(0, Frame(sender=1, recipient=1, payload=b"z"))
-            assert transport.collect(1)[0].sender == 0
-            await transport.stop()
-
-        run(main())
-
     def test_unknown_ids_rejected(self):
         async def main():
             transport = AsyncLocalTransport([0, 1])
             await transport.start()
             with pytest.raises(NetworkError):
-                await transport.send(5, Frame(sender=5, recipient=0, payload=b""))
+                await transport.ship([Frame(sender=5, recipient=0, payload=b"")])
             with pytest.raises(NetworkError):
-                await transport.send(0, Frame(sender=0, recipient=9, payload=b""))
+                await transport.ship([Frame(sender=0, recipient=9, payload=b"")])
             with pytest.raises(NetworkError):
                 transport.collect(9)
             await transport.stop()
@@ -176,26 +164,14 @@ class TestTcpTransport:
             transport = TcpTransport([0, 1, 2], metrics)
             await transport.start()
             assert transport.port is not None and transport.port > 0
-            await transport.send(0, Frame(sender=0, recipient=2, payload=b"abc"))
-            await transport.send(1, Frame(sender=1, recipient=2, payload=b"defg"))
+            await transport.ship([
+                Frame(sender=0, recipient=2, payload=b"abc"),
+                Frame(sender=1, recipient=2, payload=b"defg"),
+            ])
             await transport.flush()
-            assert transport.in_flight == 0
             frames = sorted(transport.collect(2), key=lambda f: f.sender)
             assert [f.payload for f in frames] == [b"abc", b"defg"]
             assert metrics.tally_of(2).bits_received == 8 * 7
-            await transport.stop()
-
-        run(main())
-
-    def test_router_stamps_connection_identity(self):
-        async def main():
-            transport = TcpTransport([0, 1])
-            await transport.start()
-            # A frame claiming sender=1 sent over party 0's connection is
-            # re-stamped by the router from the connection identity.
-            await transport.send(0, Frame(sender=1, recipient=1, payload=b"!"))
-            await transport.flush()
-            assert transport.collect(1)[0].sender == 0
             await transport.stop()
 
         run(main())
@@ -205,9 +181,9 @@ class TestTcpTransport:
             metrics = CommunicationMetrics()
             transport = TcpTransport([0, 1], metrics)
             await transport.start()
-            await transport.send(
-                0, Frame(sender=0, recipient=1, payload=b"\x00\x00", charge_bits=13)
-            )
+            await transport.ship([
+                Frame(sender=0, recipient=1, payload=b"\x00\x00", charge_bits=13)
+            ])
             await transport.flush()
             assert metrics.tally_of(0).bits_sent == 13
             await transport.stop()
@@ -265,15 +241,11 @@ class TestTcpTransport:
                 await super().ship(frames)
                 writes_per_round.append((self.writes - before, len(frames)))
 
-        async def main():
-            metrics = CommunicationMetrics()
-            await run_parties_async(
-                build_replay_parties(script, n),
-                transport=CountingTransport(list(range(n)), metrics),
-            )
-            return metrics
-
-        metrics = run(main())
+        metrics = CommunicationMetrics()
+        run_parties(
+            build_replay_parties(script, n),
+            transport=CountingTransport(list(range(n)), metrics),
+        )
         assert sum(frames for _, frames in writes_per_round) == script.num_messages
         assert max(frames for _, frames in writes_per_round) > n
         assert all(writes <= n for writes, _ in writes_per_round)
@@ -298,14 +270,10 @@ class TestTcpTransport:
                 writer.write = counted
                 await super()._router_accept(reader, writer)
 
-        async def main():
-            transport = CountingTransport(list(range(n)))
-            result = await run_parties_async(
-                build_replay_parties(script, n), transport=transport
-            )
-            return transport, result
-
-        transport, result = run(main())
+        transport = CountingTransport(list(range(n)))
+        result = run_parties(
+            build_replay_parties(script, n), transport=transport
+        )
         assert 0 < transport.router_writes <= result.rounds * n
         apply_func_ops(script, result.metrics)
         assert tallies_equal(
@@ -371,10 +339,10 @@ class TestTcpTransport:
         for kind in ("local", "tcp"):
             metrics, flow = CountingMetrics(), FlowLedger()
             metrics.attach_flow(flow)
-            run(run_parties_async(
+            run_parties(
                 build_replay_parties(script, n), transport=kind,
                 metrics=metrics,
-            ))
+            )
             runs[kind] = metrics, flow
         (local, local_flow), (tcp, tcp_flow) = runs["local"], runs["tcp"]
         assert 0 < tcp.exchanges == local.exchanges < script.num_messages
@@ -496,10 +464,6 @@ class TestDeadTaskFailsTheBarrier:
 
 
 class TestFactory:
-    def test_kinds(self):
-        assert isinstance(make_transport("local", [0]), AsyncLocalTransport)
-        assert isinstance(make_transport("tcp", [0]), TcpTransport)
-
     def test_unknown_kind(self):
-        with pytest.raises(NetworkError):
-            make_transport("carrier-pigeon", [0])
+        with pytest.raises(NetworkError, match="unknown transport kind"):
+            run_parties([], transport="carrier-pigeon")

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import socket
 
 import pytest
 
 from repro.errors import NetworkError
 from repro.net.party import SilentParty
-from repro.runtime.synchronizer import run_parties_async
+from repro.runtime.synchronizer import run_parties
 from repro.runtime.transport import Frame, TcpTransport
 
 
@@ -23,7 +24,7 @@ class TestTornConnection:
             transport = TcpTransport([0, 1])
             await transport.start()
             try:
-                await transport.send(0, Frame(0, 1, b"before"))
+                await transport.ship([Frame(0, 1, b"before")])
                 await transport.flush()
                 assert [f.payload for f in transport.collect(1)] == [b"before"]
 
@@ -36,7 +37,7 @@ class TestTornConnection:
                     pass
 
                 with pytest.raises(NetworkError, match="party 0"):
-                    await transport.send(0, Frame(0, 1, b"after"))
+                    await transport.ship([Frame(0, 1, b"after")])
             finally:
                 await transport.stop()
 
@@ -55,7 +56,7 @@ class TestTornConnection:
                 endpoint.writer.close()
             with pytest.raises(NetworkError, match="party 0"):
                 for _ in range(8):  # first writes may land in OS buffers
-                    await transport.send(0, Frame(0, 1, b"x"))
+                    await transport.ship([Frame(0, 1, b"x")])
                     await asyncio.sleep(0.02)
             transport._server = None
             await transport.stop()
@@ -67,29 +68,25 @@ class TestFailedStart:
     def test_failed_start_closes_listener_and_propagates(self):
         # An endpoint dial that fails after the router is listening
         # (EMFILE at n≈500 under `ulimit -n 1024`) must not leak the
-        # server or the pumps already started: run_parties_async stops
-        # the half-started transport and re-raises the original error.
-        async def scenario():
-            transport = TcpTransport([0, 1, 2])
-            dial = transport._connect_endpoint
+        # server or the pumps already started: run_parties stops the
+        # half-started transport and re-raises the original error.
+        transport = TcpTransport([0, 1, 2])
+        dial = transport._connect_endpoint
 
-            async def flaky(party_id):
-                if party_id == 1:
-                    raise OSError(errno.EMFILE, "Too many open files")
-                return await dial(party_id)
+        async def flaky(party_id):
+            if party_id == 1:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return await dial(party_id)
 
-            transport._connect_endpoint = flaky
-            with pytest.raises(OSError, match="Too many open files"):
-                await run_parties_async(
-                    [SilentParty(p) for p in range(3)],
-                    transport=transport,
-                    max_rounds=1,
-                )
-            assert transport.port is not None
-            with pytest.raises(OSError):
-                await asyncio.open_connection("127.0.0.1", transport.port)
-            return transport
-
-        transport = _run(scenario())
+        transport._connect_endpoint = flaky
+        with pytest.raises(OSError, match="Too many open files"):
+            run_parties(
+                [SilentParty(p) for p in range(3)],
+                transport=transport,
+                max_rounds=1,
+            )
+        assert transport.port is not None
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", transport.port)).close()
         assert transport._server is None
         assert transport._endpoints == {}

@@ -2,21 +2,27 @@
 
 import pytest
 
-from repro.errors import GatewayError
+from repro.errors import ConfigurationError, GatewayError
 from repro.protocols.balanced_ba import compute_srds_setup
-from repro.serve.setup_cache import SCHEME_LABELS, SetupCache, scheme_for
+from repro.serve.setup_cache import SetupCache
+from repro.srds import SCHEMES, scheme_by_name
 from repro.utils.randomness import Randomness
 
 
 class TestSchemeFactory:
-    @pytest.mark.parametrize("label", SCHEME_LABELS)
+    @pytest.mark.parametrize("label", SCHEMES)
     def test_known_labels_construct(self, label):
-        scheme = scheme_for(label)
-        assert scheme is not scheme_for(label)  # fresh instance each call
+        scheme = scheme_by_name(label)
+        assert scheme is not scheme_by_name(label)  # fresh instance each call
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(GatewayError, match="unknown scheme label"):
-            scheme_for("rsa")
+        with pytest.raises(ConfigurationError, match="unknown SRDS scheme"):
+            scheme_by_name("rsa")
+
+    def test_owf_signs_64_bit_digests(self):
+        # The gateway, the cluster CLI and every pinned fingerprint mean
+        # the same scheme by "owf".
+        assert scheme_by_name("owf").ots.message_bits == 64
 
 
 class TestLeaseProvider:
@@ -37,7 +43,7 @@ class TestLeaseProvider:
         lease = cache.lease("snark-hash", 6, 11)
         rng_seed = Randomness(11).fork("x")
         cached = lease.provider(lease.scheme, 24, rng_seed)
-        inline = compute_srds_setup(scheme_for("snark-hash"), 24,
+        inline = compute_srds_setup(scheme_by_name("snark-hash"), 24,
                                     Randomness(11).fork("x"))
         assert cached.rng_seed == inline.rng_seed
         assert cached.verification_keys == inline.verification_keys

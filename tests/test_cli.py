@@ -84,6 +84,20 @@ class TestCommands:
         assert main(argv) == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cluster", "run"],
+        ["cluster", "bench"],
+        ["serve", "client", "submit", "--port", "1"],
+        ["serve", "bench"],
+    ], ids=["cluster-run", "cluster-bench", "serve-client", "serve-bench"])
+    def test_every_scheme_option_offers_the_scheme_table(self, argv, capsys):
+        from repro.srds import SCHEMES
+
+        assert main(argv + ["--scheme", "rsa"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(repr(label) in err for label in SCHEMES)
+
     def test_every_table_row_resolves_and_readme_quotes_the_usage(self):
         import importlib
 
